@@ -100,6 +100,10 @@ def decode_time_list(payload: bytes) -> dict[int, list[tuple[int, int]]]:
 KEY_DATE_SHIFT = 32
 KEY_ID_MASK = (1 << KEY_DATE_SHIFT) - 1
 
+#: Bits of the visit second in the bulk build's ``(id << 17) | second`` sort
+#: key: a second of the day is below 86,400 < 2**17.
+_SECOND_BITS = 17
+
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 
@@ -272,8 +276,9 @@ class STIndex:
 
         ``disk`` carries the time-list pages (e.g. from
         :meth:`~repro.storage.disk.SimulatedDisk.from_state`) and
-        ``directory`` the extent pointers into them — the layout
-        :func:`repro.io.persist.save_st_index` round-trips.  Appends keep
+        ``directory`` the extent pointers into them, as built by
+        :func:`repro.io.persist.directory_from_columns`; the index adopts
+        the map, so the caller must not keep mutating it.  Appends keep
         working: the restored store opens a fresh tail page after the
         persisted extents.
         """
@@ -284,101 +289,128 @@ class STIndex:
             buffer_pool_pages=buffer_pool_pages,
             record_cache_size=record_cache_size,
         )
-        index._directory = {
-            key: list(chain) for key, chain in directory.items()
-        }
+        index._directory = directory
         index._built = True
         index.stats.num_entries = len(index._directory)
         index.stats.disk_pages = disk.num_pages
         return index
 
-    def export_directory(
-        self, segment_ids: "set[int] | None" = None
-    ) -> dict[tuple[int, int], list[RecordPointer]]:
-        """Copy the time-list directory, optionally restricted to segments.
-
-        Flushes the store's tail first, so every returned pointer refers
-        to committed pages; the copy is :meth:`restore`-compatible.  This
-        is the shard-slice export (:mod:`repro.serving`): a shard keeps
-        the chains of its owned + halo segments, with the original extent
-        pointers intact.
-        """
-        self._store.flush()
-        if segment_ids is None:
-            return {key: list(chain) for key, chain in self._directory.items()}
-        keep = set(segment_ids)
-        return {
-            key: list(chain)
-            for key, chain in self._directory.items()
-            if key[0] in keep
-        }
-
     def build(self, database: TrajectoryDatabase) -> None:
         """Bulk-build the time lists from a matched-trajectory database.
 
-        One vectorised pass: every (segment, slot, date, trajectory) visit
-        tuple is concatenated, lexicographically sorted, grouped by
-        (segment, slot), and each group is serialized as one disk record.
+        Array-at-a-time: the compact trajectories are concatenated once,
+        sorted on two packed keys, and every (segment, slot) record is
+        scattered into one uint32 word stream that lands through
+        :meth:`PageStore.append_many` — the same pages, pointers and
+        ``page_writes`` as appending each record in (segment, slot) order.
+        Visit times are clamped into the day like :meth:`slot_of`; a date
+        or trajectory id outside uint32 raises before any page is written.
         """
         if self._built:
             raise RuntimeError("ST-Index already built")
-        seg_parts, slot_parts, date_parts = [], [], []
-        tid_parts, time_parts = [], []
-        for trajectory_id, date, segments, times in database.iter_compact():
-            n = len(segments)
-            if n == 0:
-                continue
-            seconds = np.minimum(times, SECONDS_PER_DAY - 1).astype(np.int64)
-            seg_parts.append(segments.astype(np.int64))
-            slot_parts.append(seconds // self.delta_t_s)
-            date_parts.append(np.full(n, date, dtype=np.int64))
-            tid_parts.append(np.full(n, trajectory_id, dtype=np.int64))
-            time_parts.append(seconds)
-        if seg_parts:
-            segments = np.concatenate(seg_parts)
-            slots = np.concatenate(slot_parts)
-            dates = np.concatenate(date_parts)
-            tids = np.concatenate(tid_parts)
-            seconds = np.concatenate(time_parts)
-            order = np.lexsort((seconds, tids, dates, slots, segments))
-            segments, slots = segments[order], slots[order]
-            dates, tids = dates[order], tids[order]
-            seconds = seconds[order]
-            group_keys = segments * self.num_slots + slots
-            _, starts = np.unique(group_keys, return_index=True)
-            boundaries = np.append(starts, len(group_keys))
-            for i in range(len(starts)):
-                lo, hi = boundaries[i], boundaries[i + 1]
-                segment_id = int(segments[lo])
-                slot = int(slots[lo])
-                per_date: dict[int, list[tuple[int, int]]] = {}
-                group_dates = dates[lo:hi]
-                group_tids = tids[lo:hi]
-                group_seconds = seconds[lo:hi]
-                date_starts = np.unique(group_dates, return_index=True)[1]
-                date_bounds = np.append(date_starts, hi - lo)
-                for j in range(len(date_starts)):
-                    a, b = date_bounds[j], date_bounds[j + 1]
-                    visits = sorted(
-                        set(
-                            zip(
-                                group_tids[a:b].tolist(),
-                                group_seconds[a:b].tolist(),
-                            )
-                        )
-                    )
-                    per_date[int(group_dates[a])] = visits
-                payload = encode_time_list(per_date)
-                self._directory[(segment_id, slot)] = [
-                    self._store.append(payload)
-                ]
-            # Group commit: the tail page flushes once here instead of on
-            # every record append, so building charges ~one page_write per
-            # page instead of one per record.
-            self._store.flush()
+        keys, stream, lengths = self._encode_time_lists(database)
+        columns = self._store.append_many(stream, lengths)
+        del stream
+        pointers = map(RecordPointer, *(column.tolist() for column in columns))
+        self._directory = {key: [pointer] for key, pointer in zip(keys, pointers)}
+        # Group commit: the partial last page flushes once here.
+        self._store.flush()
         self._built = True
         self.stats.num_entries = len(self._directory)
         self.stats.disk_pages = self.disk.num_pages
+
+    def _encode_time_lists(
+        self, database: TrajectoryDatabase
+    ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+        """Every (segment, slot) time list of ``database``, encoded in bulk.
+
+        Returns the ``(segment, slot)`` keys in ascending order, the
+        records' :func:`encode_time_list` payloads back to back as one
+        ``<u4`` word stream, and each record's byte length.  Temporaries
+        are released as soon as the next stage has consumed them: at a few
+        million visits they are tens of megabytes each.
+        """
+        compact = [c for c in database.iter_compact() if len(c[2])]
+        if not compact:
+            return [], np.empty(0, dtype="<u4"), np.empty(0, dtype=np.int64)
+        counts = np.fromiter((len(c[2]) for c in compact), np.int64, len(compact))
+        ids = np.fromiter((c[0] for c in compact), np.int64, len(compact))
+        dates = np.fromiter((c[1] for c in compact), np.int64, len(compact))
+        for name, values in (("trajectory id", ids), ("date", dates)):
+            if values.min() < 0 or values.max() > KEY_ID_MASK:
+                raise ValueError(f"{name} outside the uint32 range of a time list")
+        seconds = np.concatenate([c[3] for c in compact])
+        np.clip(seconds, 0, SECONDS_PER_DAY - 1, out=seconds)
+        seconds = seconds.astype(np.int64)
+        groups = np.concatenate([c[2] for c in compact]).astype(np.int64)
+        del compact
+        groups *= self.num_slots
+        groups += seconds // self.delta_t_s
+        if groups.min() < -(1 << 31) or groups.max() >= 1 << 31:
+            raise ValueError(
+                "segment id x slots per day overflows the packed build key"
+            )
+        # Two packed sort keys: (group, date) and (trajectory id, second).
+        major = (groups << KEY_DATE_SHIFT) | np.repeat(dates, counts)
+        del groups
+        minor = np.repeat(ids << _SECOND_BITS, counts) | seconds
+        del seconds
+        order = np.lexsort((minor, major))
+        major = major[order]
+        minor = minor[order]
+        del order
+        # Drop repeated visits (adjacent after the sort): set semantics.
+        fresh = np.empty(major.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(major[1:], major[:-1], out=fresh[1:])
+        fresh[1:] |= minor[1:] != minor[:-1]
+        if not fresh.all():
+            major, minor = major[fresh], minor[fresh]
+        del fresh
+        # A run is one (group, date); runs of one group are adjacent.
+        run_starts = np.flatnonzero(major[1:] != major[:-1]) + 1
+        run_starts = np.concatenate((np.zeros(1, dtype=np.int64), run_starts))
+        run_keys = major[run_starts]
+        num_visits = major.size
+        del major
+        run_groups = run_keys >> KEY_DATE_SHIFT
+        first_runs = np.flatnonzero(run_groups[1:] != run_groups[:-1]) + 1
+        first_runs = np.concatenate((np.zeros(1, dtype=np.int64), first_runs))
+        runs_per_group = np.diff(np.append(first_runs, run_starts.size))
+        # Word layout per record: [num_dates, (date, count, (id, second)*)*].
+        # A run's header sits after 2 words per earlier visit and run and
+        # 1 per group header up to and including its own.
+        run_words = (
+            2 * (run_starts + np.arange(run_starts.size))
+            + np.repeat(np.arange(1, first_runs.size + 1), runs_per_group)
+        )
+        group_words = run_words[first_runs] - 1
+        total_words = 2 * (num_visits + run_starts.size) + first_runs.size
+        stream = np.empty(total_words, dtype="<u4")
+        headers = np.zeros(total_words, dtype=bool)
+        for words, values in (
+            (group_words, runs_per_group),
+            (run_words, run_keys & KEY_ID_MASK),
+            (run_words + 1, np.diff(np.append(run_starts, num_visits))),
+        ):
+            stream[words] = values
+            headers[words] = True
+        visits = np.empty((num_visits, 2), dtype="<u4")
+        visits[:, 0] = minor >> _SECOND_BITS
+        visits[:, 1] = minor & ((1 << _SECOND_BITS) - 1)
+        del minor
+        np.logical_not(headers, out=headers)
+        stream[headers] = visits.reshape(-1)
+        del visits, headers
+        lengths = 4 * np.diff(np.append(group_words, total_words))
+        group_keys = run_groups[first_runs]
+        keys = list(
+            zip(
+                (group_keys // self.num_slots).tolist(),
+                (group_keys % self.num_slots).tolist(),
+            )
+        )
+        return keys, stream, lengths
 
     def append_trajectories(self, trajectories) -> int:
         """Incrementally index additional matched trajectories.

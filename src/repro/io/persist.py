@@ -23,6 +23,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -244,17 +246,6 @@ def save_st_index(index, path: str | Path) -> Path:
     path = Path(path)
     index._store.flush()  # group commit: make the tail page durable
     buffer, used = index.disk.export_state()
-    segments, slots, positions = [], [], []
-    first_pages, num_pages, offsets, lengths = [], [], [], []
-    for (segment_id, slot), chain in sorted(index._directory.items()):
-        for position, pointer in enumerate(chain):
-            segments.append(segment_id)
-            slots.append(slot)
-            positions.append(position)
-            first_pages.append(pointer.first_page)
-            num_pages.append(pointer.num_pages)
-            offsets.append(pointer.offset)
-            lengths.append(pointer.length)
     np.savez_compressed(
         path,
         version=np.int64(ST_INDEX_FORMAT_VERSION),
@@ -266,47 +257,139 @@ def save_st_index(index, path: str | Path) -> Path:
         record_cache_size=np.int64(index.record_cache_size),
         pages=np.frombuffer(buffer, dtype=np.uint8),
         page_used=np.asarray(used, dtype=np.int64),
-        dir_segment=np.asarray(segments, dtype=np.int64),
-        dir_slot=np.asarray(slots, dtype=np.int64),
-        dir_position=np.asarray(positions, dtype=np.int64),
-        dir_first_page=np.asarray(first_pages, dtype=np.int64),
-        dir_num_pages=np.asarray(num_pages, dtype=np.int64),
-        dir_offset=np.asarray(offsets, dtype=np.int64),
-        dir_length=np.asarray(lengths, dtype=np.int64),
+        **directory_to_columns(index),
     )
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def _validated_pointer(
-    first_page: int,
-    pages: int,
-    offset: int,
-    length: int,
+#: The time-list directory as seven aligned ``int64`` columns, one row per
+#: chain record: the arrays both ``.npz`` layouts store and the form a shard
+#: payload ships.  Every bulk reader and writer of an index's directory
+#: goes through :func:`directory_to_columns` / :func:`directory_from_columns`.
+DIRECTORY_COLUMNS = (
+    "dir_segment",
+    "dir_slot",
+    "dir_position",
+    "dir_first_page",
+    "dir_num_pages",
+    "dir_offset",
+    "dir_length",
+)
+
+_POINTER_FIELDS = attrgetter("first_page", "num_pages", "offset", "length")
+
+
+def directory_to_columns(index) -> dict[str, np.ndarray]:
+    """A built index's directory as :data:`DIRECTORY_COLUMNS`.
+
+    Rows are in ``(segment, slot, position)`` order whatever order the
+    chains were created in, so equal directories flatten to equal arrays.
+    The store's tail is flushed first: every pointer refers to committed
+    pages.
+    """
+    index._store.flush()
+    directory = index._directory
+    chains = np.fromiter(map(len, directory.values()), np.int64, len(directory))
+    rows = int(chains.sum())
+    keys = np.fromiter(
+        chain.from_iterable(directory), np.int64, 2 * len(directory)
+    ).reshape(-1, 2)
+    pointers = np.fromiter(
+        chain.from_iterable(
+            map(_POINTER_FIELDS, chain.from_iterable(directory.values()))
+        ),
+        np.int64,
+        4 * rows,
+    ).reshape(-1, 4)
+    segment = np.repeat(keys[:, 0], chains)
+    slot = np.repeat(keys[:, 1], chains)
+    position = np.arange(rows) - np.repeat(np.cumsum(chains) - chains, chains)
+    order = np.lexsort((position, slot, segment))
+    columns = (segment, slot, position, *pointers.T)
+    return {
+        name: column[order] for name, column in zip(DIRECTORY_COLUMNS, columns)
+    }
+
+
+def _bad_pointers(
+    first_page: np.ndarray,
+    pages: np.ndarray,
+    offset: np.ndarray,
+    length: np.ndarray,
     num_pages_total: int,
     page_size: int,
-    what: str,
-):
-    """Range-check one extent pointer; returns a ``RecordPointer``.
+) -> np.ndarray:
+    """Mask of extent pointers that leave the persisted page range.
 
     A corrupt pointer would otherwise serve wrong bytes (or charge the
     wrong number of page reads) deep inside a query instead of failing
-    at load time.
+    at load time.  Written so that no int64 garbage can wrap a sum back
+    into range.
+    """
+    bad = (
+        (pages < 1)
+        | (pages > num_pages_total)
+        | (first_page < 0)
+        | (first_page > num_pages_total - pages)
+        | (offset < 0)
+        | (length < 0)
+    )
+    capacity = np.where(bad, 0, pages) * page_size
+    return bad | (offset > capacity) | (length > capacity - offset)
+
+
+def _pointer_error(what: str, pointer) -> PersistFormatError:
+    first_page, pages, offset, length = (int(v) for v in pointer)
+    return PersistFormatError(
+        f"{what} pointer ({first_page}, {pages}, {offset}, {length}) "
+        "outside the persisted page range"
+    )
+
+
+def directory_from_columns(
+    columns, num_pages_total: int, page_size: int, what: str
+) -> dict:
+    """Inverse of :func:`directory_to_columns`, validated.
+
+    Returns ``(segment, slot) -> [RecordPointer]`` with keys in ascending
+    order.  Rows of one chain may be scattered but must carry positions
+    0, 1, 2, ... in row order, and every pointer must lie inside the
+    ``num_pages_total`` pages; the first offending row raises
+    :class:`PersistFormatError` before anything is served.
     """
     from repro.storage.pagestore import RecordPointer
 
-    if (
-        pages < 1
-        or first_page < 0
-        or first_page + pages > num_pages_total
-        or offset < 0
-        or length < 0
-        or offset + length > pages * page_size
-    ):
-        raise PersistFormatError(
-            f"{what} pointer ({first_page}, {pages}, {offset}, {length}) "
-            "outside the persisted page range"
+    arrays = [np.asarray(columns[name]) for name in DIRECTORY_COLUMNS]
+    if len({arr.shape for arr in arrays}) != 1 or arrays[0].ndim != 1:
+        raise PersistFormatError(f"{what} columns have mismatched shapes")
+    segment, slot, position, *pointer = (a.astype(np.int64) for a in arrays)
+    rows = segment.size
+    if rows == 0:
+        return {}
+    # Stable sort: rows of one chain keep their row order.
+    order = np.lexsort((slot, segment))
+    segment, slot = segment[order], slot[order]
+    new_chain = np.empty(rows, dtype=bool)
+    new_chain[0] = True
+    new_chain[1:] = (segment[1:] != segment[:-1]) | (slot[1:] != slot[:-1])
+    starts = np.flatnonzero(new_chain)
+    bounds = np.append(starts, rows)
+    misplaced = position[order] != np.arange(rows) - np.repeat(starts, np.diff(bounds))
+    bad = _bad_pointers(*pointer, num_pages_total, page_size)
+    first_misplaced = int(order[misplaced].min()) if misplaced.any() else rows
+    first_bad = int(bad.argmax()) if bad.any() else rows
+    if first_misplaced < rows and first_misplaced <= first_bad:
+        raise PersistFormatError(f"{what} rows out of chain order")
+    if first_bad < rows:
+        raise _pointer_error(what, [column[first_bad] for column in pointer])
+    pointers = list(map(RecordPointer, *(column[order].tolist() for column in pointer)))
+    bounds = bounds.tolist()
+    return {
+        key: pointers[lo:hi]
+        for key, lo, hi in zip(
+            zip(segment[starts].tolist(), slot[starts].tolist()), bounds, bounds[1:]
         )
-    return RecordPointer(first_page, pages, offset, length)
+    }
 
 
 def load_st_index(path: str | Path, network: RoadNetwork):
@@ -318,7 +401,6 @@ def load_st_index(path: str | Path, network: RoadNetwork):
     """
     from repro.core.st_index import STIndex
     from repro.storage.disk import DiskError, SimulatedDisk
-    from repro.storage.pagestore import RecordPointer
 
     path = Path(path)
     with _open_npz(path, "ST-Index") as data:
@@ -334,13 +416,7 @@ def load_st_index(path: str | Path, network: RoadNetwork):
                 "record_cache_size",
                 "pages",
                 "page_used",
-                "dir_segment",
-                "dir_slot",
-                "dir_position",
-                "dir_first_page",
-                "dir_num_pages",
-                "dir_offset",
-                "dir_length",
+                *DIRECTORY_COLUMNS,
             ),
             "ST-Index",
             path,
@@ -349,19 +425,6 @@ def load_st_index(path: str | Path, network: RoadNetwork):
             raise PersistFormatError(
                 f"unsupported ST-Index format {int(data['version'])} "
                 f"(supported: {ST_INDEX_FORMAT_VERSION})"
-            )
-        dir_arrays = [
-            data["dir_segment"],
-            data["dir_slot"],
-            data["dir_position"],
-            data["dir_first_page"],
-            data["dir_num_pages"],
-            data["dir_offset"],
-            data["dir_length"],
-        ]
-        if len({arr.shape for arr in dir_arrays}) != 1 or dir_arrays[0].ndim != 1:
-            raise PersistFormatError(
-                f"ST-Index file {path} directory columns have mismatched shapes"
             )
         page_size = int(data["page_size"])
         num_pages_total = int(data["page_used"].shape[0])
@@ -382,25 +445,9 @@ def load_st_index(path: str | Path, network: RoadNetwork):
             raise PersistFormatError(
                 f"ST-Index file {path} page geometry is invalid: {exc}"
             ) from None
-        directory: dict[tuple[int, int], list[RecordPointer]] = {}
-        rows = zip(*(arr.tolist() for arr in dir_arrays))
-        for segment_id, slot, position, first_page, pages, offset, length in rows:
-            chain = directory.setdefault((segment_id, slot), [])
-            if position != len(chain):
-                raise PersistFormatError(
-                    "ST-Index directory rows out of chain order"
-                )
-            chain.append(
-                _validated_pointer(
-                    first_page,
-                    pages,
-                    offset,
-                    length,
-                    num_pages_total,
-                    page_size,
-                    "ST-Index",
-                )
-            )
+        directory = directory_from_columns(
+            data, num_pages_total, page_size, "ST-Index directory"
+        )
         return STIndex.restore(
             network,
             int(data["delta_t_s"]),
@@ -441,30 +488,13 @@ def _directory_npz_bytes(
     disk's journal this directory already reflects, so :func:`open_store`
     replays exactly the suffix of appends committed after the save.
     """
-    segments, slots, positions = [], [], []
-    first_pages, num_pages, offsets, lengths = [], [], [], []
-    for (segment_id, slot), chain in sorted(index._directory.items()):
-        for position, pointer in enumerate(chain):
-            segments.append(segment_id)
-            slots.append(slot)
-            positions.append(position)
-            first_pages.append(pointer.first_page)
-            num_pages.append(pointer.num_pages)
-            offsets.append(pointer.offset)
-            lengths.append(pointer.length)
     buf = io.BytesIO()
     np.savez_compressed(
         buf,
         version=np.int64(STORE_FORMAT_VERSION),
         journal_generation=np.int64(journal_generation),
         applied_commits=np.int64(applied_commits),
-        dir_segment=np.asarray(segments, dtype=np.int64),
-        dir_slot=np.asarray(slots, dtype=np.int64),
-        dir_position=np.asarray(positions, dtype=np.int64),
-        dir_first_page=np.asarray(first_pages, dtype=np.int64),
-        dir_num_pages=np.asarray(num_pages, dtype=np.int64),
-        dir_offset=np.asarray(offsets, dtype=np.int64),
-        dir_length=np.asarray(lengths, dtype=np.int64),
+        **directory_to_columns(index),
     )
     return buf.getvalue()
 
@@ -606,7 +636,6 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     page_size = disk.page_size
     num_pages_total = disk.num_pages
     dir_path = directory / "directory.npz"
-    pointer_map: dict[tuple[int, int], list[RecordPointer]] = {}
     with _open_npz(dir_path, "store directory") as data:
         _npz_fields(
             data,
@@ -614,13 +643,7 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
                 "version",
                 "journal_generation",
                 "applied_commits",
-                "dir_segment",
-                "dir_slot",
-                "dir_position",
-                "dir_first_page",
-                "dir_num_pages",
-                "dir_offset",
-                "dir_length",
+                *DIRECTORY_COLUMNS,
             ),
             "store directory",
             dir_path,
@@ -632,32 +655,9 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
             )
         journal_generation = int(data["journal_generation"])
         applied_commits = int(data["applied_commits"])
-        rows = zip(
-            data["dir_segment"].tolist(),
-            data["dir_slot"].tolist(),
-            data["dir_position"].tolist(),
-            data["dir_first_page"].tolist(),
-            data["dir_num_pages"].tolist(),
-            data["dir_offset"].tolist(),
-            data["dir_length"].tolist(),
+        pointer_map = directory_from_columns(
+            data, num_pages_total, page_size, "store directory"
         )
-        for segment_id, slot, position, first_page, pages, offset, length in rows:
-            chain = pointer_map.setdefault((segment_id, slot), [])
-            if position != len(chain):
-                raise PersistFormatError(
-                    "store directory rows out of chain order"
-                )
-            chain.append(
-                _validated_pointer(
-                    first_page,
-                    pages,
-                    offset,
-                    length,
-                    num_pages_total,
-                    page_size,
-                    "store directory",
-                )
-            )
     # Replay the journal suffix the saved directory does not yet reflect.
     metas = disk.journal_metas
     if disk.generation == journal_generation:
@@ -686,17 +686,18 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
                 f"journal append delta was written at Δt={meta_delta_t}s, "
                 f"store is Δt={delta_t_s}s"
             )
-        for segment_id, slot, first_page, pages, offset, length in entries:
+        try:
+            rows = np.array(entries, dtype=np.int64).reshape(-1, 6)
+        except OverflowError as exc:
+            raise PersistFormatError(
+                f"journal append delta is malformed: {exc}"
+            ) from None
+        bad = _bad_pointers(*rows[:, 2:].T, num_pages_total, page_size)
+        if bad.any():
+            raise _pointer_error("journal append delta", rows[bad.argmax(), 2:])
+        for segment_id, slot, *pointer in entries:
             pointer_map.setdefault((segment_id, slot), []).append(
-                _validated_pointer(
-                    first_page,
-                    pages,
-                    offset,
-                    length,
-                    num_pages_total,
-                    page_size,
-                    "journal append delta",
-                )
+                RecordPointer(*pointer)
             )
     engine = ReachabilityEngine(
         network,

@@ -62,6 +62,7 @@ from repro.core.service import (
     ShardReport,
     as_service,
 )
+from repro.io.persist import directory_to_columns
 from repro.serving.faults import FaultPlan, validate_plan
 from repro.serving.partition import (
     PartitionPlan,
@@ -276,19 +277,22 @@ class ShardedEngine:
         self.halo_m = reach_m(
             max_duration_s, self.delta_t_s, self._v_max, self._max_segment_m
         )
+        # Flattened once: the load weights and every shard's slice read it.
+        columns = directory_to_columns(self._st_index)
         self.plan: PartitionPlan = partition_network(
             self.engine.network,
             shards,
             self.halo_m,
             max_duration_s=max_duration_s,
             v_max_mps=self._v_max,
-            weights=self._load_weights(),
+            weights=self._load_weights(columns),
         )
         self._locator = SegmentLocator(self.engine.network)
         payloads = [
-            export_shard_payload(self.engine, spec, self.delta_t_s)
+            export_shard_payload(self.engine, spec, self.delta_t_s, columns)
             for spec in self.plan.shards
         ]
+        del columns
         self.num_workers = min(
             workers if workers is not None else self.plan.num_shards,
             self.plan.num_shards,
@@ -313,7 +317,7 @@ class ShardedEngine:
         for worker_idx in range(self.num_workers):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
 
-    def _load_weights(self):
+    def _load_weights(self, columns):
         """Per-CSR-row trajectory-visit volume, the partition's load proxy.
 
         Query traffic follows data density (queries in the empty
@@ -325,15 +329,12 @@ class ShardedEngine:
         import numpy as np
 
         csr = self.engine.network.csr()
-        volume = np.ones(csr.n)
-        row_of = {int(sid): row for row, sid in enumerate(csr.ids)}
-        for (segment_id, _slot), chain in (
-            self._st_index.export_directory().items()
-        ):
-            row = row_of.get(segment_id)
-            if row is not None:
-                volume[row] += sum(pointer.length for pointer in chain)
-        return volume
+        segment = columns["dir_segment"]
+        rows = np.minimum(np.searchsorted(csr.ids, segment), csr.n - 1)
+        known = csr.ids[rows] == segment
+        return 1.0 + np.bincount(
+            rows[known], weights=columns["dir_length"][known], minlength=csr.n
+        )
 
     # -- supervision -------------------------------------------------------
 

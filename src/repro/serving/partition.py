@@ -12,7 +12,8 @@ neighbours.
 
 A shard's materialized state is a :class:`ShardPayload`: the sub-network
 (owned + halo, exported through the :mod:`repro.io.persist` dict format),
-the ST-Index directory slice with its original extent pointers, a
+the ST-Index directory slice (its rows of the columnar directory form, with
+the original extent pointers), a
 *sparse* copy of the simulated disk that carries exactly the referenced
 pages at their original page ids, and the statistics-only speed model the
 Con-Index derives from.  Preserving page geometry is what makes shard
@@ -94,7 +95,8 @@ class ShardPayload:
     network: dict
     speed_model: dict
     delta_t_s: int
-    directory: dict
+    #: The shard's rows of :data:`repro.io.persist.DIRECTORY_COLUMNS`.
+    directory: dict[str, np.ndarray]
     disk_buffer: bytes
     disk_used: tuple
     page_size: int
@@ -285,16 +287,23 @@ def export_shard_payload(
     engine: ReachabilityEngine,
     spec: ShardSpec,
     delta_t_s: int,
+    columns: dict[str, np.ndarray],
 ) -> ShardPayload:
     """Materialize one shard's spawn-safe slice from a built engine.
 
-    The ST-Index slice keeps the original extent pointers and the sparse
-    disk export keeps the original page geometry, so the shard worker's
-    reads charge exactly the pages the full engine would charge.
+    ``columns`` is the whole index's
+    :func:`~repro.io.persist.directory_to_columns` (flattened once by the
+    caller, sliced here per shard).  The ST-Index slice keeps the original
+    extent pointers and the sparse disk export keeps the original page
+    geometry, so the shard worker's reads charge exactly the pages the
+    full engine would charge.
     """
     st_index = engine.st_index(delta_t_s)
     members = spec.members
-    directory = st_index.export_directory(members)
+    keep = np.isin(
+        columns["dir_segment"], np.fromiter(members, np.int64, len(members))
+    )
+    directory = {name: column[keep] for name, column in columns.items()}
     disk = engine.disk
     disk_path: str | None = None
     if isinstance(disk, FileBackedDisk) and disk.is_synced:
@@ -304,15 +313,14 @@ def export_shard_payload(
         buffer, used = b"", ()
         disk_path = disk.path
     else:
-        page_ids: set[int] = set()
-        for chain in directory.values():
-            for pointer in chain:
-                page_ids.update(
-                    range(
-                        pointer.first_page, pointer.first_page + pointer.num_pages
-                    )
-                )
-        buffer, used = disk.export_sparse_state(page_ids)
+        # Union of the extents: +1 where one starts, -1 past its end.
+        first = directory["dir_first_page"]
+        bins = disk.num_pages + 1
+        depth = np.cumsum(
+            np.bincount(first, minlength=bins)
+            - np.bincount(first + directory["dir_num_pages"], minlength=bins)
+        )
+        buffer, used = disk.export_sparse_state(np.flatnonzero(depth).tolist())
     subnetwork = build_subnetwork(engine.network, members)
     return ShardPayload(
         shard_id=spec.shard_id,

@@ -4,7 +4,7 @@ One worker process hosts one or more shard engines (the dispatcher deals
 shards round-robin across workers).  Each engine is rebuilt from its
 :class:`~repro.serving.partition.ShardPayload`: the sub-network, the
 statistics-only trajectory database, a sparse disk with the original
-page geometry, and the restored ST-Index directory slice.  The Con-Index
+page geometry, and the ST-Index directory slice in columnar form.  The Con-Index
 is *not* shipped — it derives entirely from the speed model plus the
 sub-network topology, so the worker builds it lazily exactly as a
 single-process engine would, and its disk appends land at the same page
@@ -33,7 +33,7 @@ import traceback
 
 from repro.core.engine import ReachabilityEngine
 from repro.core.st_index import STIndex
-from repro.io.persist import network_from_dict
+from repro.io.persist import directory_from_columns, network_from_dict
 from repro.serving.faults import (
     CORRUPT_FRAME,
     DELAY_RESPONSE,
@@ -91,7 +91,9 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
         network,
         payload.delta_t_s,
         disk,
-        payload.directory,
+        directory_from_columns(
+            payload.directory, disk.num_pages, disk.page_size, "shard directory"
+        ),
         buffer_pool_pages=payload.st_pool_pages,
         record_cache_size=payload.record_cache_size,
     )

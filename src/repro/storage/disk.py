@@ -261,6 +261,44 @@ class SimulatedDisk:
             if pool is not None:
                 pool.invalidate(page_id)
 
+    def write_extent(self, first_page: int, data: bytes | memoryview) -> None:
+        """Write ``data`` over consecutive pages starting at ``first_page``.
+
+        The bulk twin of :meth:`write_page`: every page is filled to
+        ``page_size`` except possibly the last, and each gets exactly the
+        per-page effects of a ``write_page`` loop — payload length, backend
+        residency/dirty hooks, one ``page_writes`` and its bytes on the
+        global and thread-local counters, write-through invalidation of
+        attached pools — under a single lock acquisition and one buffer
+        copy.
+        """
+        size = len(data)
+        count = -(-size // self.page_size)
+        if count == 0:
+            return
+        local = self._local_stats()
+        with self._lock:
+            self._used_checked(first_page)
+            self._used_checked(first_page + count - 1)
+            self._ensure_resident_locked(first_page, count)
+            start = first_page * self.page_size
+            self._buf[start : start + size] = data
+            used = [self.page_size] * count
+            used[-1] = size - (count - 1) * self.page_size
+            self._used[first_page : first_page + count] = used
+            for page_id in range(first_page, first_page + count):
+                self._note_write_locked(page_id)
+            self.stats.page_writes += count
+            self.stats.bytes_written += size
+            local.page_writes += count
+            local.bytes_written += size
+            pools = [ref() for ref in self._pools]
+        # Invalidate outside the lock, as in write_page.
+        for pool in pools:
+            if pool is not None:
+                for page_id in range(first_page, first_page + count):
+                    pool.invalidate(page_id)
+
     def extent_bytes(self, first_page: int, offset: int, length: int) -> bytes:
         """Uncharged contiguous slice of an extent's payload bytes.
 

@@ -34,6 +34,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.storage.disk import SimulatedDisk
 
 #: Default lock-stripe count for :class:`BufferPool`.  Small enough that a
@@ -178,6 +180,92 @@ class PageStore:
             self._tail = bytearray()
             self._dirty = False
         return RecordPointer(first, num_pages, start_offset, length)
+
+    def append_many(
+        self, stream: "bytes | bytearray | memoryview | np.ndarray", lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Append the records packed back to back in ``stream``, in bulk.
+
+        ``stream`` is any contiguous buffer and ``lengths[i]`` record
+        ``i``'s byte length.  Returns the pointer columns ``(first_page,
+        num_pages, offset, length)`` — the same pointers, pages,
+        ``page_writes``/bytes and tail state as calling :meth:`append` once
+        per record, but the placement is arithmetic on the running byte
+        offset and every completed page lands through one
+        :meth:`SimulatedDisk.write_extent`.
+        """
+        data = memoryview(stream).cast("B")
+        sizes = np.asarray(lengths, dtype=np.int64)
+        if sizes.ndim != 1 or (sizes.size and int(sizes.min()) < 0):
+            raise ValueError("record lengths must be a 1-d non-negative array")
+        if int(sizes.sum()) != len(data):
+            raise ValueError(
+                f"record lengths sum to {int(sizes.sum())} bytes, "
+                f"stream holds {len(data)}"
+            )
+        with self._tail_lock:
+            return self._append_many_locked(data, sizes)
+
+    # repro-lint: holds=_tail_lock
+    def _append_many_locked(
+        self, data: memoryview, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if lengths.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        disk = self._disk
+        page_size = disk.page_size
+        tail_page = self._tail_page_id
+        held = len(self._tail)  # 0 when there is no tail page
+        # Byte positions relative to the start of the tail page (or of the
+        # fresh extent): a record that fills a page exactly leaves the next
+        # one at offset 0 of the following page, as append's tail reset does.
+        starts = held + np.cumsum(lengths) - lengths
+        pages = starts // page_size
+        offsets = starts - pages * page_size
+        # An empty record still occupies (and charges) the page of its slot.
+        num_pages = np.maximum((starts + lengths - 1) // page_size, pages) - pages + 1
+        needed = int(pages[-1] + num_pages[-1])
+        if tail_page is None:
+            base = disk.allocate(needed)
+        elif needed == 1 or disk.allocate_after(tail_page, needed - 1) is not None:
+            base = tail_page
+        else:
+            # Another store allocated pages since our tail was handed out:
+            # the records that still fit stay on the tail page, then the
+            # tail is retired and the rest start a fresh extent at offset 0.
+            fit = int(np.searchsorted(pages + num_pages, 1, side="right"))
+            cut = int(lengths[:fit].sum())
+            head = self._append_many_locked(data[:cut], lengths[:fit])
+            if self._dirty:
+                self._flush_tail()
+            self._tail_page_id = None
+            self._tail = bytearray()
+            rest = self._append_many_locked(data[cut:], lengths[fit:])
+            first, count, offset, length = (
+                np.concatenate(pair) for pair in zip(head, rest)
+            )
+            return first, count, offset, length
+        full = (held + len(data)) // page_size
+        if full:
+            # Pages completed by this call are written once each, full —
+            # the page-boundary flushes of the scalar loop.
+            cut = full * page_size - held
+            if held:
+                disk.write_extent(base, bytes(self._tail) + bytes(data[: page_size - held]))
+                disk.write_extent(base + 1, data[page_size - held : cut])
+            else:
+                disk.write_extent(base, data[:cut])
+            self._tail = bytearray(data[cut:])
+            self._dirty = len(data) > cut
+        elif len(data):
+            self._tail += data
+            self._dirty = True
+        # The page after the completed ones is the new tail — unless the
+        # stream ended exactly on a page boundary with no empty record
+        # opening the next page.
+        self._tail_page_id = base + full if needed > full else None
+        return base + pages, num_pages, offsets, lengths
 
     def flush(self) -> None:
         """Write the dirty tail page out (the build-end group commit)."""

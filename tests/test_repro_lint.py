@@ -149,6 +149,14 @@ class TestRL002IoAccounting:
         findings = lint_snippet(tmp_path, source, name="core/peek.py", select=["RL002"])
         assert rules_of(findings) == ["RL002"]
 
+    def test_raw_extent_write_outside_storage_fails(self, tmp_path):
+        source = """
+            def overwrite(disk, first_page, data):
+                disk.write_extent(first_page, data)
+        """
+        findings = lint_snippet(tmp_path, source, name="core/bulk.py", select=["RL002"])
+        assert rules_of(findings) == ["RL002"]
+
     def test_buffer_attribute_outside_storage_fails(self, tmp_path):
         source = """
             def raw(disk):
@@ -663,6 +671,20 @@ class TestReintroducedViolationsFailGate:
             encoding="utf-8",
         )
         assert any(f.rule == "RL002" for f in self.lint(src_copy))
+
+    def test_rl002_raw_extent_write(self, src_copy):
+        # The bulk build must land its pages through PageStore.append_many;
+        # writing the extent straight to the disk would skip the tail state.
+        st_index = src_copy / "repro" / "core" / "st_index.py"
+        text = st_index.read_text(encoding="utf-8")
+        needle = "        columns = self._store.append_many(stream, lengths)\n"
+        assert needle in text
+        text = text.replace(
+            needle, needle + "        self.disk.write_extent(0, stream)\n", 1
+        )
+        st_index.write_text(text, encoding="utf-8")
+        findings = [f for f in self.lint(src_copy) if f.rule == "RL002"]
+        assert findings and any("write_extent" in f.message for f in findings)
 
     def test_rl003_lock_in_payload(self, src_copy):
         partition = src_copy / "repro" / "serving" / "partition.py"

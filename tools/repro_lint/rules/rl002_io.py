@@ -9,7 +9,7 @@ This rule flags, in any file outside ``storage/`` (and outside
 ``tools/``):
 
 * calls to the raw charging/IO methods ``read_page``, ``charge_reads``,
-  ``extent_bytes``, ``write_page`` on any receiver, and
+  ``extent_bytes``, ``write_page``, ``write_extent`` on any receiver, and
 * attribute access to the private page buffers ``_buf`` / ``_used``.
 
 Deliberate, audited exceptions carry a
@@ -50,7 +50,8 @@ class IoAccounting(Rule):
     severity = "error"
     description = (
         "raw SimulatedDisk access (read_page/charge_reads/extent_bytes/"
-        "write_page/_buf/_used) outside storage/ breaks DiskStats exactness; "
+        "write_page/write_extent/_buf/_used) outside storage/ breaks DiskStats "
+        "exactness; "
         "go through BufferPool/PageStore"
     )
 

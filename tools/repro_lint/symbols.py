@@ -52,7 +52,9 @@ LOCK_FACTORY_KINDS = {"Lock": "lock", "RLock": "rlock"}
 #: calls outside storage/) and RL007 (dataflow proof: every executor path
 #: to a raw read traverses a charging function).  One definition so the
 #: two rules can never disagree about what counts as "raw".
-RAW_IO_METHODS = frozenset({"read_page", "charge_reads", "extent_bytes", "write_page"})
+RAW_IO_METHODS = frozenset(
+    {"read_page", "charge_reads", "extent_bytes", "write_page", "write_extent"}
+)
 RAW_BUFFER_ATTRS = frozenset({"_buf", "_used"})
 
 #: The read-side subset of :data:`RAW_IO_METHODS` that RL007 proves
