@@ -1,47 +1,63 @@
-"""Client-API equivalents of the retired engine facade, for benchmarks.
+"""The paper's measurement protocol over the client API, for benchmarks and tests.
 
-The figure benchmarks measure the paper's cold one-call-per-query
-protocol.  They used to go through the deprecated
-``ReachabilityEngine.s_query``/``m_query`` shims; these helpers issue
-the same executions through :class:`repro.api.ReachabilityClient` with
-explicit algorithms (a benchmark must pin what it measures — no
-auto-routing) and ``reuse_regions=False`` so repeated sweep points pay
-their own bounding-region work, exactly like the old facade did.
+The figure benchmarks and the test suite both measure the paper's cold
+one-call-per-query protocol.  These helpers issue it through
+:class:`repro.api.ReachabilityClient` — the only way to ask a question —
+with explicit algorithms (a measurement must pin what it measures: no
+auto-routing; the default is the paper's method for the query's type) and
+``reuse_regions=False`` so repeated sweep points pay their own
+bounding-region work.  ``client`` may be a client, a
+:class:`~repro.core.service.QueryService` or a bare engine.
 """
 
 from __future__ import annotations
 
-from repro.api import QueryOptions, Request
+from repro.api import QueryOptions, Request, as_client
+from repro.core.query import MQuery
 
-__all__ = ["m_query", "r_query", "s_query"]
+__all__ = ["m_query", "r_query", "request", "run_batch", "s_query"]
 
 
-def _cold_send(client, query, algorithm, delta_t_s, warm, direction):
-    response = client.send(
-        Request(
-            query,
-            QueryOptions(
-                direction=direction,
-                algorithm=algorithm,
-                delta_t_s=delta_t_s,
-                warm=warm,
-                reuse_regions=False,
-            ),
-        )
+def request(
+    query, algorithm=None, delta_t_s=None, warm=False, direction="forward"
+):
+    """``query`` in an envelope that pins the algorithm and shares no regions."""
+    if algorithm is None:
+        algorithm = "mqmb_tbs" if isinstance(query, MQuery) else "sqmb_tbs"
+    return Request(
+        query,
+        QueryOptions(
+            direction=direction,
+            algorithm=algorithm,
+            delta_t_s=delta_t_s,
+            warm=warm,
+            reuse_regions=False,
+        ),
     )
-    return response.result
 
 
-def s_query(client, query, algorithm="sqmb_tbs", delta_t_s=None, warm=False):
-    """One single-location query, cold by default (the paper's protocol)."""
-    return _cold_send(client, query, algorithm, delta_t_s, warm, "forward")
+def s_query(client, query, algorithm=None, delta_t_s=None, warm=False):
+    """One forward query, cold by default (the paper's protocol)."""
+    return as_client(client).send(request(query, algorithm, delta_t_s, warm)).result
 
 
-def m_query(client, query, algorithm="mqmb_tbs", delta_t_s=None, warm=False):
-    """One multi-location query, cold by default."""
-    return _cold_send(client, query, algorithm, delta_t_s, warm, "forward")
+m_query = s_query
 
 
-def r_query(client, query, algorithm="sqmb_tbs", delta_t_s=None, warm=False):
+def r_query(client, query, algorithm=None, delta_t_s=None, warm=False):
     """One reverse (who-can-reach-me) query, cold by default."""
-    return _cold_send(client, query, algorithm, delta_t_s, warm, "reverse")
+    return (
+        as_client(client)
+        .send(request(query, algorithm, delta_t_s, warm, direction="reverse"))
+        .result
+    )
+
+
+def run_batch(client, queries, warm=False, max_workers=1, **options):
+    """Bare queries as one batch with pinned algorithms (``options`` as
+    :func:`request`); members share warm pools and the region cache."""
+    return as_client(client).run_batch(
+        [request(query, **options) for query in queries],
+        warm=warm,
+        max_workers=max_workers,
+    )

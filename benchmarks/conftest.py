@@ -6,8 +6,13 @@ runs its parameter sweep, prints the paper-style series, writes it to
 ``benchmarks/results/`` and feeds one representative query per curve to
 pytest-benchmark.  All query execution goes through the
 :class:`~repro.api.client.ReachabilityClient` API (see
-``client_protocol.py`` for the cold per-query helpers); the legacy
-engine shims are linter-gated out of this tree.
+``client_protocol.py`` for the cold per-query helpers).
+
+The tracked tables under ``benchmarks/results/`` carry only values that
+repeat exactly (simulated-I/O milliseconds, page reads, counts, road
+lengths), so a diff there means behaviour changed; the paper's headline
+"running time" adds measured wall time and goes to the git-ignored
+``benchmarks/results/wall/``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.datasets.shenzhen_like import default_dataset
 from repro.eval.config import DEFAULT_SETTINGS, SMALL_SETTINGS
+from repro.eval.tables import format_series
 
 RESULTS_DIR = Path(__file__).parent / "results"
+WALL_DIR = RESULTS_DIR / "wall"
 
 
 @pytest.fixture(scope="session")
@@ -83,11 +90,40 @@ def small_client(small_engine):
 
 @pytest.fixture(scope="session")
 def emit():
-    """Print a named results block and persist it under benchmarks/results."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print a named results block and persist it under benchmarks/results.
 
-    def _emit(name: str, text: str) -> None:
+    ``wall_text``, the variant of the block that includes measured wall
+    time, is printed too but written to the untracked ``results/wall``.
+    """
+    WALL_DIR.mkdir(parents=True, exist_ok=True)
+
+    def _emit(name: str, text: str, wall_text: str | None = None) -> None:
         print(f"\n{text}\n")
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if wall_text is not None:
+            print(f"{wall_text}\n")
+            (WALL_DIR / f"{name}.txt").write_text(wall_text + "\n")
+
+    return _emit
+
+
+@pytest.fixture(scope="session")
+def emit_running_time(emit):
+    """Emit one running-time figure: ``title`` has a ``{}`` for the metric
+    name — simulated I/O in the tracked table, running time in the wall one."""
+
+    def _emit(name: str, title: str, points, x_name: str) -> None:
+        emit(
+            name,
+            format_series(
+                title.format("simulated I/O"), points, metric="io_ms", x_name=x_name
+            ),
+            format_series(
+                title.format("running time"),
+                points,
+                metric="running_time_ms",
+                x_name=x_name,
+            ),
+        )
 
     return _emit

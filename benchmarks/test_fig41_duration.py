@@ -15,7 +15,7 @@ from repro.eval.tables import format_savings, format_series
 
 
 @pytest.fixture(scope="module")
-def sweep(bench_engine, emit):
+def sweep(bench_engine, emit, emit_running_time):
     points = run_duration_sweep(
         bench_engine,
         config.CENTER_LOCATION,
@@ -25,12 +25,9 @@ def sweep(bench_engine, emit):
         delta_ts=(300, 600),
         include_es=True,
     )
-    emit(
-        "fig41a_runtime",
-        format_series(
-            "Fig 4.1(a) — running time (ms) vs duration L (min)",
-            points, metric="running_time_ms", x_name="L (min)",
-        ),
+    emit_running_time(
+        "fig41a_runtime", "Fig 4.1(a) — {} (ms) vs duration L (min)",
+        points, "L (min)",
     )
     emit(
         "fig41b_length",
@@ -43,8 +40,9 @@ def sweep(bench_engine, emit):
     emit(
         "fig41_savings",
         format_savings(
-            "Fig 4.1 — SQMB+TBS saving over ES",
+            "Fig 4.1 — SQMB+TBS simulated-I/O saving over ES",
             points, ours="sqmb_tbs Δt=5min", baseline="ES", x_name="L (min)",
+            metric="io_ms",
         ),
     )
     return points

@@ -16,7 +16,7 @@ from repro.eval.tables import format_series
 
 
 @pytest.fixture(scope="module")
-def sweep(bench_engine, emit):
+def sweep(bench_engine, emit, emit_running_time):
     points = run_probability_sweep(
         bench_engine,
         config.CENTER_LOCATION,
@@ -25,12 +25,9 @@ def sweep(bench_engine, emit):
         durations_s=(600, 900),
         delta_t_s=config.DEFAULT_SETTINGS.delta_t_s,
     )
-    emit(
-        "fig43a_runtime",
-        format_series(
-            "Fig 4.3(a) — running time (ms) vs probability (%)",
-            points, metric="running_time_ms", x_name="Prob (%)",
-        ),
+    emit_running_time(
+        "fig43a_runtime", "Fig 4.3(a) — {} (ms) vs probability (%)",
+        points, "Prob (%)",
     )
     emit(
         "fig43b_length",

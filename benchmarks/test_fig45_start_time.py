@@ -16,7 +16,7 @@ from repro.trajectory.model import day_time
 
 
 @pytest.fixture(scope="module")
-def sweep(bench_engine, emit):
+def sweep(bench_engine, emit, emit_running_time):
     points = run_start_time_sweep(
         bench_engine,
         config.CENTER_LOCATION,
@@ -27,12 +27,9 @@ def sweep(bench_engine, emit):
     )
     for point in points:
         point.x = point.x / 3600.0  # hours for readability
-    emit(
-        "fig45a_runtime",
-        format_series(
-            "Fig 4.5(a) — running time (ms) vs start time (h)",
-            points, metric="running_time_ms", x_name="T (h)",
-        ),
+    emit_running_time(
+        "fig45a_runtime", "Fig 4.5(a) — {} (ms) vs start time (h)",
+        points, "T (h)",
     )
     emit(
         "fig45b_length",

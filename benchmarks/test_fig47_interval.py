@@ -11,11 +11,10 @@ from client_protocol import s_query
 from repro.core.query import SQuery
 from repro.eval import config
 from repro.eval.runner import run_interval_sweep
-from repro.eval.tables import format_series
 
 
 @pytest.fixture(scope="module")
-def sweep(small_engine, emit):
+def sweep(small_engine, emit_running_time):
     points = run_interval_sweep(
         small_engine,
         config.CENTER_LOCATION,
@@ -25,12 +24,9 @@ def sweep(small_engine, emit):
         prob=0.2,
         include_es=True,
     )
-    emit(
-        "fig47_interval",
-        format_series(
-            "Fig 4.7 — running time (ms) vs time interval Δt (min)",
-            points, metric="running_time_ms", x_name="Δt (min)",
-        ),
+    emit_running_time(
+        "fig47_interval", "Fig 4.7 — {} (ms) vs time interval Δt (min)",
+        points, "Δt (min)",
     )
     return points
 

@@ -14,12 +14,11 @@ from client_protocol import m_query
 from repro.core.query import MQuery
 from repro.eval import config
 from repro.eval.runner import run_location_count_sweep, run_mquery_duration_sweep
-from repro.eval.tables import format_series
 from repro.trajectory.model import day_time
 
 
 @pytest.fixture(scope="module")
-def duration_sweep(bench_engine, emit):
+def duration_sweep(bench_engine, emit_running_time):
     points = run_mquery_duration_sweep(
         bench_engine,
         config.M_QUERY_LOCATIONS[:3],
@@ -27,18 +26,15 @@ def duration_sweep(bench_engine, emit):
         config.DEFAULT_SETTINGS.start_time_s,
         prob=0.2,
     )
-    emit(
-        "fig48a_duration",
-        format_series(
-            "Fig 4.8(a) — m-query vs 3x s-query running time (ms) over L",
-            points, metric="running_time_ms", x_name="L (min)",
-        ),
+    emit_running_time(
+        "fig48a_duration", "Fig 4.8(a) — m-query vs 3x s-query {} (ms) over L",
+        points, "L (min)",
     )
     return points
 
 
 @pytest.fixture(scope="module")
-def count_sweep(bench_engine, emit):
+def count_sweep(bench_engine, emit_running_time):
     points = run_location_count_sweep(
         bench_engine,
         config.M_QUERY_LOCATIONS,
@@ -47,12 +43,10 @@ def count_sweep(bench_engine, emit):
         duration_s=1200,
         prob=0.2,
     )
-    emit(
+    emit_running_time(
         "fig48b_locations",
-        format_series(
-            "Fig 4.8(b) — m-query vs s-query running time (ms) over #locations",
-            points, metric="running_time_ms", x_name="#locs",
-        ),
+        "Fig 4.8(b) — m-query vs s-query {} (ms) over #locations",
+        points, "#locs",
     )
     return points
 

@@ -13,8 +13,8 @@ Module map (see ``docs/architecture.md`` for the routing diagram):
   :class:`ReachabilityClient` (``send`` / ``submit`` futures / ``stream``
   with bounded in-flight window / ``run_batch``); see ``docs/api.md``.
 * ``repro.core`` — planner -> executor-registry -> storage query stack:
-  :class:`QueryService` (batching, bounding-region dedup),
-  :class:`ReachabilityEngine` (index ownership + classic facade),
+  :class:`QueryService` (service-lifetime bounding-region cache),
+  :class:`ReachabilityEngine` (index ownership),
   ``planner`` / ``executors`` (routing and pluggable algorithms),
   ``st_index`` / ``con_index`` / ``probability`` / ``sqmb`` / ``tbs`` /
   ``mqmb`` / ``baseline`` / ``reverse`` (the paper's machinery),

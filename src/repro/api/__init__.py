@@ -24,10 +24,6 @@ Quickstart::
     ]
     for response in client.stream(requests, max_workers=4):
         print(response.describe())
-
-The legacy entry points (``ReachabilityEngine.s_query`` / ``m_query`` /
-``r_query`` and ``QueryService.query`` wrappers) still work but are
-deprecated shims over this API.
 """
 
 from repro.api.client import BatchStream, ReachabilityClient, as_client

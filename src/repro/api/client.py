@@ -1,7 +1,6 @@
 """The unified client: one front door for every query, batch or stream.
 
-:class:`ReachabilityClient` replaces the kwarg-sprawl entry points
-(``engine.s_query`` / ``service.query`` / per-kind wrappers) with one
+:class:`ReachabilityClient` is the only way to ask a question — one
 request/response surface:
 
 * :meth:`~ReachabilityClient.send` — answer one
@@ -13,8 +12,8 @@ request/response surface:
   pool with a bounded in-flight window, yielding
   :class:`~repro.api.envelope.Response` objects *as they complete*;
 * :meth:`~ReachabilityClient.run_batch` — a thin aggregation over the
-  same streaming pipeline, returning the classic
-  :class:`~repro.core.service.BatchReport` (totals unchanged).
+  same streaming pipeline, returning a
+  :class:`~repro.core.service.BatchReport`.
 
 Every request is routed by the :class:`~repro.api.router.Router`
 (``algorithm="auto"``) and the decision travels on the response, so a
@@ -375,10 +374,10 @@ class BatchStream(Iterator[Response]):
     Created by :meth:`ReachabilityClient.stream`.  Iterating yields
     :class:`Response` objects as requests complete (submission order
     under one worker, completion order under many); after exhaustion
-    :attr:`report` holds the same :class:`BatchReport` the classic
-    ``run_batch`` produced — per-query results in submission order,
-    batch-level page reads, simulated I/O, pool counters and the
-    bounding-region dedup totals.
+    :attr:`report` holds the :class:`BatchReport` that
+    :meth:`ReachabilityClient.run_batch` returns — per-query results in
+    submission order, batch-level page reads, simulated I/O, pool
+    counters and the bounding-region dedup totals.
     """
 
     def __init__(

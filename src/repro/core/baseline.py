@@ -18,8 +18,7 @@ verified in one batched call to the columnar probability kernel, which is
 where ES spends essentially all of its time.  Wave processing preserves
 the classic FIFO evaluation order exactly (a BFS queue drains level by
 level in push order), so regions, probabilities and charged reads are
-identical to the scalar loop preserved in
-:mod:`repro.core.legacy_probability`.
+identical to the scalar loop preserved under ``tests/reference/``.
 
 :func:`exhaustive_search_pruned` is a stronger variant (not in the paper)
 that stops each branch as soon as historical support vanishes; it is kept

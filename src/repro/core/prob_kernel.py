@@ -5,7 +5,7 @@ kernels); this module vectorizes the *trajectory* side — the probability
 checks TBS and ES pay per candidate segment, which dominate end-to-end
 query time once region expansion is fast.
 
-The scalar path (preserved in :mod:`repro.core.legacy_probability`)
+The scalar path (preserved under ``tests/reference/``)
 evaluates Eq. 3.1 one segment at a time: decode time lists into
 ``date -> [(id, second)]`` dicts, rebuild per-day id *sets* for the
 window, then run a per-day ``set.isdisjoint`` loop.  The columnar kernel
@@ -15,7 +15,8 @@ replaces all of that with flat int64 arrays:
   into packed ``(date << 32) | trajectory_id`` visit keys plus aligned
   visit seconds (:class:`~repro.core.st_index.ColumnarTimeList`);
 * a query window gather is a boolean second-mask over those columns
-  (:meth:`~repro.core.st_index.STIndex.window_keys`), no tuples, no sets;
+  (:meth:`~repro.core.st_index.STIndex.gather_window_columns`), no
+  tuples, no sets;
 * the fixed side of Eq. 3.1 (the start segment's departure-window visits
   for forward queries, the target's query-window visits for reverse)
   becomes one sorted unique key array — per-day trajectory sets for *all*

@@ -11,7 +11,7 @@ membership probe — the unit of work both ES and TBS pay per probability
 check.  Waves of candidates (a TBS boundary wave, an ES frontier level)
 batch through :meth:`ProbabilityEstimator.probabilities` into a single
 kernel call; see :mod:`repro.core.prob_kernel` for the columnar layout
-and :mod:`repro.core.legacy_probability` for the preserved scalar path.
+and ``tests/reference/`` for the preserved scalar path.
 
 Direction handling: a two-way road is stored as a pair of directed twin
 segments, but a *road* is reachable regardless of which carriageway the

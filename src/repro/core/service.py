@@ -1,54 +1,36 @@
-"""The batch-capable query service: plan, share, execute.
+"""The cache-owning execution core under the client, and its reports.
 
-:class:`QueryService` is the front door for workloads.  A single query
-behaves exactly like the classic engine facade (cold buffer pools, one
-plan, one executor), but :meth:`QueryService.run_batch` exploits what a
-multi-user workload shares:
+:class:`QueryService` holds what outlives one request on one engine: the
+service-lifetime bounding-region LRU
+(:class:`~repro.core.region_cache.RegionCache`, invalidated when trajectory
+data is appended or indexes rebuilt), the default index granularity Δt,
+and :meth:`QueryService.run_plan`, the one place a planned query meets
+that cache.  It plans, routes and batches nothing:
+:class:`repro.api.ReachabilityClient` is the front door, and its
+``send`` / ``stream`` / ``run_batch`` pipelines execute through the
+service they were given.
 
-* **bounding-region dedup** — queries whose seeds fall in the same
-  segments and Δt slot share their SQMB/MQMB/reverse bounding regions
-  through one *service-lifetime* LRU
-  (:class:`~repro.core.region_cache.RegionCache`) instead of
-  re-expanding the Con-Index — shared across batches, invalidated
-  explicitly when trajectory data is appended or indexes rebuilt;
-* **warm buffer pools** — the batch pays one cold start, then every
-  later query reads time-list pages the earlier ones already pulled in;
-* **plan reuse** — identically-shaped queries share one frozen
-  :class:`~repro.core.planner.QueryPlan`;
-* **worker pool** — independent queries can run on threads
-  (``max_workers > 1``); per-query I/O is attributed through per-thread
-  snapshot windows (:meth:`~repro.storage.disk.SimulatedDisk.local_snapshot`),
-  so per-query costs are exact and deterministic under concurrency and
-  the batch totals stay exact.
-
-The returned :class:`BatchReport` carries per-query results plus
-batch-level cost and cache-effectiveness metrics (buffer-pool hit/miss/
-eviction counters from :class:`~repro.storage.disk.DiskStats`).
+:class:`BatchReport` is what those pipelines return: per-query results
+plus batch-level cost and cache-effectiveness metrics (buffer-pool hit/
+miss/eviction counters from :class:`~repro.storage.disk.DiskStats`), with
+one :class:`ShardReport` per shard when the batch ran on the sharded
+backend.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
-from repro.core.planner import QueryPlan, plan_query
+from repro.core.planner import QueryPlan
 from repro.core.query import MQuery, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
 from repro.storage.disk import DiskStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.router import RouteDecision
-
-#: Default algorithm per query kind (the paper's methods).
-DEFAULT_ALGORITHMS = {"s": "sqmb_tbs", "m": "mqmb_tbs", "r": "sqmb_tbs"}
-
-
-def kind_of(query: SQuery | MQuery) -> str:
-    """The planner kind for a query object (reverse must be explicit)."""
-    return "m" if isinstance(query, MQuery) else "s"
 
 
 @dataclass
@@ -88,7 +70,7 @@ class ShardReport:
 
 @dataclass
 class BatchReport:
-    """Outcome of one :meth:`QueryService.run_batch` call.
+    """Outcome of one :meth:`repro.api.ReachabilityClient.run_batch` call.
 
     Attributes:
         results: per-query results, in submission order.
@@ -261,7 +243,7 @@ class BatchReport:
 
 
 class QueryService:
-    """Planner/executor query service over a :class:`ReachabilityEngine`.
+    """The service-lifetime caches over one :class:`ReachabilityEngine`.
 
     Args:
         engine: the index-owning engine queries run against.
@@ -313,27 +295,7 @@ class QueryService:
         """Explicitly drop every cached bounding region."""
         self.region_cache.invalidate()
 
-    # -- planning ----------------------------------------------------------
-
-    def plan(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryPlan:
-        """Plan one query without executing it (``EXPLAIN``-style)."""
-        resolved_kind = kind if kind is not None else kind_of(query)
-        return plan_query(
-            resolved_kind,
-            query,
-            algorithm if algorithm is not None else DEFAULT_ALGORITHMS[resolved_kind],
-            delta_t_s if delta_t_s is not None else self.delta_t_s,
-            warm=warm,
-        )
-
-    # -- single queries ------------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     def run_plan(
         self,
@@ -343,8 +305,7 @@ class QueryService:
     ) -> tuple[QueryResult, ExecutionContext]:
         """Run one planned query through the service-lifetime caches.
 
-        The single execution path behind both the client API's ``send``
-        and the deprecated per-kind wrappers: a fresh
+        The execution path behind the client API's ``send``: a fresh
         :class:`ExecutionContext` wired to the service's bounding-region
         cache (unless ``reuse_regions`` is off), so repeated
         identically-shaped queries do not re-expand their bounds.
@@ -359,128 +320,6 @@ class QueryService:
             region_cache=self.region_cache if reuse_regions else None,
         )
         return execute_plan(self.engine, plan, query, context=context), context
-
-    def execute(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Plan and run one query through the service-lifetime caches.
-
-        Single queries run against cold buffer pools unless ``warm`` (the
-        paper's per-query protocol), but share the bounding-region cache
-        with every other query on this service.  This is the execution
-        path behind the deprecated per-kind wrappers; new code should
-        use :class:`repro.api.ReachabilityClient`.
-        """
-        plan = self.plan(query, algorithm, delta_t_s, kind, warm)
-        result, _ = self.run_plan(plan, query)
-        return result
-
-    def _deprecated(self, name: str) -> None:
-        warnings.warn(
-            f"QueryService.{name} is deprecated; build a repro.api.Request "
-            "and answer it with repro.api.ReachabilityClient.send",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def query(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Deprecated: answer one query (use the client API instead)."""
-        self._deprecated("query")
-        return self.execute(query, algorithm, delta_t_s, kind, warm)
-
-    def s_query(self, query: SQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("s_query")
-        return self.execute(query, kind="s", **kw)
-
-    def m_query(self, query: MQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("m_query")
-        return self.execute(query, kind="m", **kw)
-
-    def r_query(self, query: SQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("r_query")
-        return self.execute(query, kind="r", **kw)
-
-    # -- batches ----------------------------------------------------------------
-
-    def run_batch(
-        self,
-        queries: Sequence[SQuery | MQuery] | Iterable[SQuery | MQuery],
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-        max_workers: int = 1,
-    ) -> BatchReport:
-        """Run a batch of queries, sharing work between them.
-
-        A thin aggregation over the client API's streaming pipeline
-        (:meth:`repro.api.ReachabilityClient.run_batch`): each query is
-        wrapped in a :class:`repro.api.Request` carrying the batch-global
-        kwargs, streamed through the shared worker-pool pipeline, and
-        the totals are collected into the classic :class:`BatchReport`.
-        Per-request intent (mixed directions, per-query algorithms)
-        needs the client API directly — this signature keeps ``kind``
-        and ``algorithm`` batch-global for compatibility.
-
-        The batch pays one cold start (unless ``warm``), after which all
-        queries run against warm buffer pools and a shared bounding-region
-        cache; identically-shaped queries also share one plan object.
-
-        Args:
-            queries: the queries, s- and m-queries freely mixed.
-            algorithm: override the per-kind default algorithm.
-            delta_t_s: index granularity for the whole batch.
-            kind: force a planner kind (``"r"`` for reverse batches).
-            warm: keep pre-batch buffer-pool contents too.
-            max_workers: thread count for concurrent execution; per-query
-                I/O attribution stays exact (each worker windows its own
-                thread-local counters) and batch totals are exact.
-
-        Returns:
-            The :class:`BatchReport`.
-        """
-        from repro.api.client import ReachabilityClient
-        from repro.api.envelope import QueryOptions, Request
-
-        dt = delta_t_s if delta_t_s is not None else self.delta_t_s
-        requests = []
-        for query in queries:
-            resolved_kind = kind if kind is not None else kind_of(query)
-            algo = (
-                algorithm
-                if algorithm is not None
-                else DEFAULT_ALGORITHMS[resolved_kind]
-            )
-            requests.append(
-                Request(
-                    query,
-                    QueryOptions(
-                        direction=(
-                            "reverse" if resolved_kind == "r" else "forward"
-                        ),
-                        algorithm=algo,
-                        delta_t_s=dt,
-                    ),
-                )
-            )
-        return ReachabilityClient(self).run_batch(
-            requests, warm=warm, max_workers=max_workers
-        )
 
 
 def as_service(target: QueryService | ReachabilityEngine) -> QueryService:

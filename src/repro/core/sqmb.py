@@ -23,8 +23,8 @@ consistent speed model.
 The in-memory work runs on the CSR kernels of :mod:`repro.network.csr`:
 covers are boolean row masks, per-step entry unions are fancy-index
 stores, and the residual carry is the slot-phased vectorized expansion.
-The classic set/heap implementations live on in
-:mod:`repro.core.legacy_expansion` as the equivalence baseline.
+The classic set/heap implementations live on under ``tests/reference/``
+as the equivalence baseline.
 """
 
 from __future__ import annotations

@@ -625,30 +625,6 @@ class STIndex:
                 self._decoded_records.popitem(last=False)
         return decoded
 
-    def _read_record_columns(self, pointer: RecordPointer) -> ColumnarTimeList:
-        """One charged record read decoded into visit columns (memoized).
-
-        The charging is byte-for-byte identical to :meth:`_read_record`
-        (the same ``PageStore.read`` through the same pool); only the
-        decoded representation differs — flat packed-key/second arrays
-        instead of a per-date dict — and gets its own pointer-keyed LRU.
-        Served read-only: callers never mutate the cached arrays.
-        """
-        payload = self._store.read(pointer, pool=self.pool)
-        if self.record_cache_size <= 0:
-            return decode_time_list_columns(payload)
-        with self._record_lock:
-            decoded = self._columnar_records.get(pointer)
-            if decoded is not None:
-                self._columnar_records.move_to_end(pointer)
-                return decoded
-        decoded = decode_time_list_columns(payload)
-        with self._record_lock:
-            self._columnar_records[pointer] = decoded
-            while len(self._columnar_records) > self.record_cache_size:
-                self._columnar_records.popitem(last=False)
-        return decoded
-
     def window_plan(
         self, start_s: float, end_s: float
     ) -> tuple[tuple[int, bool, float, float], ...]:
@@ -681,21 +657,6 @@ class STIndex:
             while len(self._window_plans) > 128:
                 self._window_plans.popitem(last=False)
         return plan
-
-    def window_keys_planned(
-        self,
-        segment_id: int,
-        plan: tuple[tuple[int, bool, float, float], ...],
-    ) -> np.ndarray:
-        """Packed visit keys of a segment for a resolved window plan.
-
-        Charges exactly the record reads of the dict-based
-        :meth:`trajectories_in_window` path, in the same order (plan
-        steps in window order, chain records in append order).  Visits
-        may repeat across steps and chained records; membership callers
-        are unaffected.
-        """
-        return self.gather_window_columns((segment_id,), plan)[0][0]
 
     @staticmethod
     def _assemble_window_keys(
@@ -734,7 +695,7 @@ class STIndex:
         pass in exactly the order the per-segment scalar loop would read
         them (segment order, plan steps in window order, chain records in
         append order), so the buffer-pool and disk counters are identical
-        to ``[window_keys_planned(s, plan) for s in segment_ids]`` — but
+        to gathering the segments one at a time — but
         the pool's lock shards are taken once per wave and segments whose
         filtered key array is already memoized skip the decode and filter
         work entirely (their page charges are still replayed).
@@ -871,11 +832,12 @@ class STIndex:
         The columnar twin of :meth:`trajectories_in_window`: slots fully
         inside the window contribute every stored visit, boundary slots
         are filtered by the per-visit seconds, and midnight-crossing
-        windows are split at the day boundary.
+        windows are split at the day boundary.  Charges exactly the
+        record reads of the dict-based path, in the same order; visits
+        may repeat across slots and chained records.
         """
-        return self.window_keys_planned(
-            segment_id, self.window_plan(start_s, end_s)
-        )
+        plan = self.window_plan(start_s, end_s)
+        return self.gather_window_columns((segment_id,), plan)[0][0]
 
     def time_list(self, segment_id: int, slot: int) -> dict[int, set[int]]:
         """A (segment, slot) time list as ``date -> trajectory ids``."""

@@ -17,8 +17,8 @@ before any accept/fail processing.  Because a segment's probability is a
 pure function of the trajectory data — independent of discovery order —
 and the wave preserves the classic FIFO evaluation order, the examined
 set, the per-segment probabilities and the charged time-list reads are
-*identical* to the one-segment-at-a-time loop (preserved in
-:mod:`repro.core.legacy_probability` as the equivalence baseline); only
+*identical* to the one-segment-at-a-time loop (preserved under
+``tests/reference/`` as the equivalence baseline); only
 the per-check Python overhead disappears.
 
 The returned region is the minimum bounding cover (guaranteed reachable by

@@ -105,11 +105,12 @@ def format_savings(
     ours: str,
     baseline: str,
     x_name: str = "x",
+    metric: str = "running_time_ms",
 ) -> str:
-    """Percentage running-time savings of curve ``ours`` over ``baseline``."""
+    """Percentage savings in ``metric`` of curve ``ours`` over ``baseline``."""
     by_x: dict[float, dict[str, float]] = defaultdict(dict)
     for point in points:
-        by_x[point.x][_series_key(point)] = point.running_time_ms
+        by_x[point.x][_series_key(point)] = getattr(point, metric)
     lines = [f"-- {title} --", f"{x_name:<10}{'saving':>10}"]
     for x in by_x:
         row = by_x[x]

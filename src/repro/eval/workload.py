@@ -5,7 +5,7 @@ locations (biased downtown, where queries make sense), random start times,
 and the Table 4.2 parameter grids.  Deterministic given the seed.
 
 The batches are plain query lists, shaped for
-:meth:`repro.core.service.QueryService.run_batch` — the service dedups the
+:meth:`repro.api.ReachabilityClient.run_batch` — the pipeline dedups the
 bounding regions the batch's queries share and keeps buffer pools warm
 across it.
 """
@@ -32,7 +32,7 @@ def fig48_m_query_batch(
 
     One m-query over the same location set per duration — the batch whose
     queries share every bounding-region prefix, which is what
-    ``QueryService.run_batch`` deduplicates.
+    ``ReachabilityClient.run_batch`` deduplicates.
     """
     return [
         MQuery(

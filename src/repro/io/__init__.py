@@ -3,21 +3,19 @@
 Building the synthetic fleet takes tens of seconds; persisting the built
 dataset to disk makes repeat benchmark sessions and the CLI practical.
 Road networks serialize to JSON, trajectory databases to compressed
-flat-array ``.npz`` files, a full dataset to a directory of both plus
-its config, and a built ST-Index to one ``.npz`` of disk pages plus its
-extent-pointer directory (so deployments reload indexes without
-re-indexing).
+flat-array ``.npz`` files, and a full dataset to a directory of both plus
+its config.  A built engine persists as the durable store bundle of
+:func:`repro.io.persist.save_store` / ``open_store`` (so deployments
+reopen indexes without re-indexing).
 """
 
 from repro.io.persist import (
     load_database,
     load_dataset,
     load_network,
-    load_st_index,
     save_database,
     save_dataset,
     save_network,
-    save_st_index,
 )
 
 __all__ = [
@@ -27,6 +25,4 @@ __all__ = [
     "load_database",
     "save_dataset",
     "load_dataset",
-    "save_st_index",
-    "load_st_index",
 ]

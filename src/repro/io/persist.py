@@ -11,11 +11,12 @@ Formats:
   ``original_network.json``, ``database.npz`` and ``config.json`` so a
   built :class:`~repro.datasets.shenzhen_like.ShenzhenLikeDataset` round
   trips exactly;
-* **ST-Index** — one ``.npz`` of the simulated disk's page buffer plus
-  the time-list directory in the extent pointer format
-  ``(first_page, num_pages, offset, length)``, so a built index reloads
-  without re-indexing and serves byte-identical records with identical
-  I/O accounting.
+* **store** — the durable engine bundle of :func:`save_store` /
+  :func:`open_store`, the one persisted ST-Index form: a checksummed
+  file-backed disk plus ``directory.npz``, the time-list directory in the
+  extent pointer format ``(first_page, num_pages, offset, length)``, so a
+  built index reopens without re-indexing and serves byte-identical
+  records with identical I/O accounting.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ import numpy as np
 from repro.network.model import RoadLevel, RoadNetwork, RoadSegment
 from repro.network.segmentation import ResegmentationResult
 from repro.spatial.geometry import Point
+from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
 FORMAT_VERSION = 1
-
-#: Version of the ST-Index ``.npz`` layout — independent of the dataset
-#: formats above, so evolving one cannot invalidate saves of the other.
-ST_INDEX_FORMAT_VERSION = 1
 
 #: Version of the durable store-bundle directory layout (:func:`save_store`).
 STORE_FORMAT_VERSION = 1
@@ -128,8 +126,28 @@ def save_network(network: RoadNetwork, path: str | Path) -> Path:
     return path
 
 
+def _read_json_object(path: Path) -> dict:
+    """A JSON file's top-level object, or :class:`PersistFormatError`."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise PersistFormatError(f"{path.name} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise PersistFormatError(f"{path.name} is not a JSON object")
+    return payload
+
+
 def load_network(path: str | Path) -> RoadNetwork:
-    network = network_from_dict(json.loads(Path(path).read_text()))
+    """Inverse of :func:`save_network`; a malformed file raises
+    :class:`PersistFormatError` naming it."""
+    path = Path(path)
+    payload = _read_json_object(path)
+    try:
+        network = network_from_dict(payload)
+    except KeyError as exc:
+        raise PersistFormatError(f"{path.name} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise PersistFormatError(f"{path.name} is malformed: {exc}") from None
     network.check_invariants()
     return network
 
@@ -226,44 +244,11 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
     return database
 
 
-# -- ST-Indexes ----------------------------------------------------------------
-
-
-def save_st_index(index, path: str | Path) -> Path:
-    """Persist a built ST-Index: disk pages + extent-pointer directory.
-
-    The directory flattens to one row per chain record — segment, slot,
-    position in the chain, and the record's ``(first_page, num_pages,
-    offset, length)`` extent pointer — alongside the disk's contiguous
-    page buffer and per-page payload lengths.
-    """
-    from repro.core.st_index import STIndex
-
-    if not isinstance(index, STIndex):
-        raise TypeError(f"expected an STIndex, got {type(index).__name__}")
-    if not index._built:
-        raise ValueError("build the ST-Index before saving it")
-    path = Path(path)
-    index._store.flush()  # group commit: make the tail page durable
-    buffer, used = index.disk.export_state()
-    np.savez_compressed(
-        path,
-        version=np.int64(ST_INDEX_FORMAT_VERSION),
-        delta_t_s=np.int64(index.delta_t_s),
-        page_size=np.int64(index.disk.page_size),
-        read_latency_ms=np.float64(index.disk.read_latency_ms),
-        write_latency_ms=np.float64(index.disk.write_latency_ms),
-        buffer_pool_pages=np.int64(index.pool.capacity),
-        record_cache_size=np.int64(index.record_cache_size),
-        pages=np.frombuffer(buffer, dtype=np.uint8),
-        page_used=np.asarray(used, dtype=np.int64),
-        **directory_to_columns(index),
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+# -- ST-Index directories --------------------------------------------------------
 
 
 #: The time-list directory as seven aligned ``int64`` columns, one row per
-#: chain record: the arrays both ``.npz`` layouts store and the form a shard
+#: chain record: the arrays ``directory.npz`` stores and the form a shard
 #: payload ships.  Every bulk reader and writer of an index's directory
 #: goes through :func:`directory_to_columns` / :func:`directory_from_columns`.
 DIRECTORY_COLUMNS = (
@@ -392,72 +377,6 @@ def directory_from_columns(
     }
 
 
-def load_st_index(path: str | Path, network: RoadNetwork):
-    """Inverse of :func:`save_st_index` (needs the matching network).
-
-    Raises :class:`PersistFormatError` on a truncated or garbage file,
-    a missing array, an unsupported format version, or page/pointer
-    geometry that does not cohere — always before any data is served.
-    """
-    from repro.core.st_index import STIndex
-    from repro.storage.disk import DiskError, SimulatedDisk
-
-    path = Path(path)
-    with _open_npz(path, "ST-Index") as data:
-        _npz_fields(
-            data,
-            (
-                "version",
-                "delta_t_s",
-                "page_size",
-                "read_latency_ms",
-                "write_latency_ms",
-                "buffer_pool_pages",
-                "record_cache_size",
-                "pages",
-                "page_used",
-                *DIRECTORY_COLUMNS,
-            ),
-            "ST-Index",
-            path,
-        )
-        if int(data["version"]) != ST_INDEX_FORMAT_VERSION:
-            raise PersistFormatError(
-                f"unsupported ST-Index format {int(data['version'])} "
-                f"(supported: {ST_INDEX_FORMAT_VERSION})"
-            )
-        page_size = int(data["page_size"])
-        num_pages_total = int(data["page_used"].shape[0])
-        if data["pages"].size != num_pages_total * page_size:
-            raise PersistFormatError(
-                f"ST-Index file {path} page buffer holds {data['pages'].size} "
-                f"bytes, expected {num_pages_total} pages of {page_size}"
-            )
-        try:
-            disk = SimulatedDisk.from_state(
-                data["pages"].tobytes(),
-                data["page_used"].tolist(),
-                page_size=page_size,
-                read_latency_ms=float(data["read_latency_ms"]),
-                write_latency_ms=float(data["write_latency_ms"]),
-            )
-        except DiskError as exc:
-            raise PersistFormatError(
-                f"ST-Index file {path} page geometry is invalid: {exc}"
-            ) from None
-        directory = directory_from_columns(
-            data, num_pages_total, page_size, "ST-Index directory"
-        )
-        return STIndex.restore(
-            network,
-            int(data["delta_t_s"]),
-            disk,
-            directory,
-            buffer_pool_pages=int(data["buffer_pool_pages"]),
-            record_cache_size=int(data["record_cache_size"]),
-        )
-
-
 # -- durable engine stores -----------------------------------------------------
 
 
@@ -474,8 +393,12 @@ def _speed_model_from_json(payload: dict) -> dict:
     try:
         for field in ("stats_min", "stats_max", "stats_sum", "stats_count"):
             model[field] = {int(k): v for k, v in payload[field].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistFormatError(f"speed model is malformed: {exc}") from None
+        for field in ("num_taxis", "num_days"):
+            model[field] = int(payload[field])
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise PersistFormatError(
+            f"speed_model.json is malformed: {exc!r}"
+        ) from None
     return model
 
 
@@ -614,24 +537,24 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
             raise PersistFormatError(
                 f"store at {directory} is incomplete: missing {name}"
             )
-    try:
-        config = json.loads((directory / "store.json").read_text())
-    except ValueError as exc:
-        raise PersistFormatError(f"store.json is not valid JSON: {exc}") from None
-    if not isinstance(config, dict) or config.get("version") != STORE_FORMAT_VERSION:
+    config = _read_json_object(directory / "store.json")
+    if config.get("version") != STORE_FORMAT_VERSION:
         raise PersistFormatError(
             f"unsupported store format {config.get('version')!r} "
             f"(supported: {STORE_FORMAT_VERSION})"
-            if isinstance(config, dict)
-            else "store.json is not a JSON object"
         )
-    delta_t_s = int(config["delta_t_s"])
-    disk = FileBackedDisk.open(
-        directory / "disk", crash_plan=crash_plan, readonly=readonly
-    )
+    delta_t_s = config.get("delta_t_s")
+    if not isinstance(delta_t_s, int) or not 0 < delta_t_s <= SECONDS_PER_DAY:
+        raise PersistFormatError(
+            f"store.json delta_t_s is {delta_t_s!r}, expected a slot width "
+            f"of 1..{SECONDS_PER_DAY} seconds"
+        )
     network = load_network(directory / "network.json")
     database = TrajectoryDatabase.from_speed_model(
-        _speed_model_from_json(json.loads((directory / "speed_model.json").read_text()))
+        _speed_model_from_json(_read_json_object(directory / "speed_model.json"))
+    )
+    disk = FileBackedDisk.open(
+        directory / "disk", crash_plan=crash_plan, readonly=readonly
     )
     page_size = disk.page_size
     num_pages_total = disk.num_pages

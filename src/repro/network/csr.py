@@ -24,9 +24,8 @@ Dijkstra implementations they replace.
   equivalent (it can relax through intermediate labels a label-setting run
   never holds); the phase structure is what makes the kernel exact.
 
-The legacy implementations are preserved in
-:mod:`repro.core.legacy_expansion` as the reference the kernel-equivalence
-tests and the ``benchmarks/bench_expansion.py`` baselines run against.
+The legacy implementations are preserved under ``tests/reference/`` as
+the reference the kernel-equivalence tests run against.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Since the CSR kernel refactor the heavy lifting happens in
 numpy arrays instead of popping one ``heapq`` entry per segment.  With
 non-negative costs the relaxation fixpoint is unique, so the result is
 identical to the classic Dijkstra (kept as
-:func:`repro.core.legacy_expansion.time_bounded_expansion_reference` for
-the equivalence tests and benchmark baselines).
+``time_bounded_expansion_reference`` under ``tests/reference/`` for the
+equivalence tests).
 """
 
 from __future__ import annotations

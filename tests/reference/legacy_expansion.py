@@ -1,15 +1,11 @@
 """Reference (pre-kernel) expansion implementations.
 
 These are the classic Python set/``heapq`` implementations that the CSR
-kernels in :mod:`repro.network.csr` replaced.  They are kept for two
-reasons:
-
-* the kernel-equivalence tests prove the vectorized expansion layer
-  produces *identical* covers, boundaries and seed assignments on
-  randomized networks, and need a trustworthy baseline to diff against;
-* ``benchmarks/bench_expansion.py`` measures the kernel speedup against
-  them, both at the microbenchmark level and end-to-end (by temporarily
-  routing the executors through these functions).
+kernels in :mod:`repro.network.csr` replaced.  They are kept because the
+kernel-equivalence tests (``tests/test_expansion_kernel.py``) prove the
+vectorized expansion layer produces *identical* covers, boundaries and
+seed assignments on randomized networks, and need a trustworthy baseline
+to diff against.
 
 They carry the same midnight semantics as the live code: slot progression
 is *relative* (``(start_slot + step) % num_slots``), time-of-day being

@@ -2,16 +2,14 @@
 
 These are the scalar estimators and one-segment-at-a-time searches that
 the columnar probability kernel (:mod:`repro.core.prob_kernel`) and the
-wave-based TBS/ES replaced.  They are kept for the same two reasons as
-:mod:`repro.core.legacy_expansion`:
-
-* the kernel-equivalence tests (``tests/test_prob_kernel.py``) prove the
-  columnar path produces *identical* probabilities, result regions,
-  examined counts and page-read accounting on randomized datasets, and
-  need a trustworthy baseline to diff against;
-* ``benchmarks/bench_probability.py`` measures the kernel speedup against
-  them, both per evaluation and end-to-end (by temporarily routing the
-  executors through :func:`legacy_probability_path`).
+wave-based TBS/ES replaced.  They are kept for the same reason as
+:mod:`reference.legacy_expansion`: the kernel-equivalence tests
+(``tests/test_prob_kernel.py``) prove the columnar path produces
+*identical* probabilities, result regions, examined counts and page-read
+accounting on randomized datasets — per evaluation and end-to-end, by
+temporarily routing the executors through
+:func:`legacy_probability_path` — and need a trustworthy baseline to diff
+against.
 
 They carry the PR 1-3 semantics exactly: per-day trajectory-id *sets*
 built from :meth:`~repro.core.st_index.STIndex.trajectories_in_window`,
@@ -309,8 +307,8 @@ def legacy_probability_path():
     Swaps the estimator classes and the search entry points captured in
     the executor modules (and the reverse/ES delegation globals) for the
     references above, restoring everything on exit.  The equivalence
-    tests and ``benchmarks/bench_probability.py`` use this to run the
-    exact same query twice — once columnar, once scalar — on one engine.
+    tests use this to run the exact same query twice — once columnar,
+    once scalar — on one engine.
     """
     import repro.core.executors.es as es_mod
     import repro.core.executors.mqmb_tbs as mqmb_mod

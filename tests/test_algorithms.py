@@ -8,6 +8,7 @@ exhaustive baseline.
 
 import pytest
 
+from benchmarks.client_protocol import m_query, s_query
 from repro.core.mqmb import mqmb_bounding_region
 from repro.core.query import MQuery, SQuery
 from repro.core.sqmb import close_under_twins, region_boundary, sqmb_bounding_region
@@ -138,8 +139,8 @@ class TestSQueryAgreement:
         minimum bounding region, which Algorithm 2 trusts without
         verification (the thesis's Bmin assumption)."""
         query = SQuery(CENTER, T, duration_s, 0.2)
-        ours = engine.s_query(query, algorithm="sqmb_tbs")
-        baseline = engine.s_query(query, algorithm="es")
+        ours = s_query(engine, query, algorithm="sqmb_tbs")
+        baseline = s_query(engine, query, algorithm="es")
         if not (ours.segments | baseline.segments):
             pytest.skip("empty region on the small dataset")
         missed = baseline.segments - ours.segments
@@ -150,38 +151,38 @@ class TestSQueryAgreement:
     @pytest.mark.parametrize("prob", [0.2, 0.5, 0.8])
     def test_result_within_max_bound(self, engine, prob):
         query = SQuery(CENTER, T, 600, prob)
-        result = engine.s_query(query)
+        result = s_query(engine, query)
         if result.max_region is not None:
             assert result.segments <= result.max_region.cover
 
     def test_region_shrinks_with_probability(self, engine):
-        low = engine.s_query(SQuery(CENTER, T, 600, 0.2))
-        high = engine.s_query(SQuery(CENTER, T, 600, 0.9))
+        low = s_query(engine, SQuery(CENTER, T, 600, 0.2))
+        high = s_query(engine, SQuery(CENTER, T, 600, 0.9))
         assert len(high.segments) <= len(low.segments)
 
     def test_region_grows_with_duration(self, engine):
-        short = engine.s_query(SQuery(CENTER, T, 300, 0.2))
-        long = engine.s_query(SQuery(CENTER, T, 1500, 0.2))
+        short = s_query(engine, SQuery(CENTER, T, 300, 0.2))
+        long = s_query(engine, SQuery(CENTER, T, 1500, 0.2))
         assert len(long.segments) >= len(short.segments)
 
     def test_passed_probabilities_meet_threshold(self, engine):
         query = SQuery(CENTER, T, 600, 0.4)
-        result = engine.s_query(query, algorithm="es")
+        result = s_query(engine, query, algorithm="es")
         for segment in result.segments:
             assert result.probabilities[segment] >= 0.4
 
     def test_es_pruned_matches_es_region(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        full = engine.s_query(query, algorithm="es")
-        pruned = engine.s_query(query, algorithm="es_pruned")
+        full = s_query(engine, query, algorithm="es")
+        pruned = s_query(engine, query, algorithm="es_pruned")
         # The pruned baseline may miss regions beyond zero-support gaps but
         # must otherwise agree; on this dense dataset they should be equal.
         assert pruned.segments == full.segments
 
     def test_es_pruned_cheaper_than_es(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        full = engine.s_query(query, algorithm="es")
-        pruned = engine.s_query(query, algorithm="es_pruned")
+        full = s_query(engine, query, algorithm="es")
+        pruned = s_query(engine, query, algorithm="es_pruned")
         assert (
             pruned.cost.probability_checks <= full.cost.probability_checks
         )
@@ -192,8 +193,8 @@ class TestMQueryAgreement:
 
     def test_mqmb_matches_naive_union(self, engine):
         query = MQuery(self.LOCATIONS, T, 600, 0.2)
-        ours = engine.m_query(query, algorithm="mqmb_tbs")
-        naive = engine.m_query(query, algorithm="sqmb_tbs_each")
+        ours = m_query(engine, query, algorithm="mqmb_tbs")
+        naive = m_query(engine, query, algorithm="sqmb_tbs_each")
         union = ours.segments | naive.segments
         if not union:
             pytest.skip("empty region")
@@ -201,13 +202,13 @@ class TestMQueryAgreement:
         assert jaccard >= 0.9
 
     def test_m_query_single_location_matches_s_query(self, engine):
-        s_result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
-        m_result = engine.m_query(MQuery((CENTER,), T, 600, 0.2))
+        s_result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
+        m_result = m_query(engine, MQuery((CENTER,), T, 600, 0.2))
         assert m_result.segments == s_result.segments
 
     def test_m_query_superset_of_any_single(self, engine):
-        m_result = engine.m_query(MQuery(self.LOCATIONS, T, 600, 0.2))
-        s_result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+        m_result = m_query(engine, MQuery(self.LOCATIONS, T, 600, 0.2))
+        s_result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         missing = s_result.segments - m_result.segments
         # The union must essentially contain the single-seed region (tiny
         # boundary discrepancies from seed attribution are tolerated).
@@ -215,6 +216,6 @@ class TestMQueryAgreement:
 
     def test_es_each_is_most_expensive(self, engine):
         query = MQuery(self.LOCATIONS, T, 600, 0.2)
-        mqmb = engine.m_query(query, algorithm="mqmb_tbs")
-        es_each = engine.m_query(query, algorithm="es_each")
+        mqmb = m_query(engine, query, algorithm="mqmb_tbs")
+        es_each = m_query(engine, query, algorithm="es_each")
         assert mqmb.cost.probability_checks < es_each.cost.probability_checks

@@ -8,15 +8,14 @@ Covers the acceptance criteria of the client-API redesign:
 * mixed batches may contain reverse queries (per-request ``direction``),
   each matching its sequential equivalent;
 * single queries run through the service-lifetime region cache
-  (``regions_reused`` increments across repeated sends);
-* the legacy ``QueryService``/engine entry points still work and emit
-  ``DeprecationWarning``.
+  (``regions_reused`` increments across repeated sends).
 """
 
 import warnings
 
 import pytest
 
+from benchmarks.client_protocol import run_batch, s_query
 from repro.api import (
     QueryOptions,
     ReachabilityClient,
@@ -95,9 +94,7 @@ class TestSend:
         response = client.send(
             Request(query, QueryOptions(algorithm="sqmb_tbs"))
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            classic = engine.s_query(query)
+        classic = s_query(engine, query)
         assert response.segments == classic.segments
         assert response.plan.algorithm == "sqmb_tbs"
 
@@ -122,20 +119,6 @@ class TestSend:
         third = client.send(Request(SQuery(CENTER, T, 600, 0.8)))
         assert third.regions_computed == 0
         assert third.regions_reused == 2
-
-    def test_deprecated_service_query_reuses_cached_regions(self, engine):
-        """The legacy shim runs through the same cache (the original bug:
-        QueryService.query bypassed the service-lifetime RegionCache)."""
-        service = QueryService(engine)
-        query = SQuery(CENTER, T, 600, 0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            service.query(query)
-            baseline = service.region_cache.stats()
-            service.query(query)
-            after = service.region_cache.stats()
-        assert after["hits"] == baseline["hits"] + 2
-        assert after["misses"] == baseline["misses"]
 
     def test_reuse_regions_opt_out(self, engine):
         """The paper's cold protocol stays expressible per request."""
@@ -244,30 +227,6 @@ class TestStream:
         assert kinds == ["s", "r", "m", "r"]
         assert [route.kind for route in report.routes] == kinds
 
-    def test_legacy_run_batch_totals_unchanged(self, engine, fig48_requests):
-        """QueryService.run_batch is a shim over the stream pipeline and
-        keeps its exact totals."""
-        service = QueryService(engine)
-        queries = [request.query for request in fig48_requests]
-        report = service.run_batch(queries)
-        expected = ReachabilityClient(QueryService(engine)).run_batch(
-            [
-                Request(
-                    q,
-                    QueryOptions(algorithm="mqmb_tbs", delta_t_s=300),
-                )
-                for q in queries
-            ]
-        )
-        assert [r.segments for r in report.results] == [
-            r.segments for r in expected.results
-        ]
-        assert report.page_reads == expected.page_reads
-        assert report.plans_reused == expected.plans_reused
-        assert [route.rule for route in report.routes] == ["forced"] * len(
-            queries
-        )
-
     def test_threaded_stream_matches_serial(self, engine, fig48_requests):
         serial = ReachabilityClient(engine).run_batch(fig48_requests)
         threaded_client = ReachabilityClient(engine)
@@ -309,34 +268,11 @@ class TestStream:
 
 
 class TestDeprecations:
-    def test_engine_facade_warns(self, engine):
-        query = SQuery(CENTER, T, 600, 0.2)
-        with pytest.warns(DeprecationWarning, match="s_query is deprecated"):
-            engine.s_query(query)
-        with pytest.warns(DeprecationWarning, match="m_query is deprecated"):
-            engine.m_query(MQuery((CENTER,), T, 600, 0.2))
-        with pytest.warns(DeprecationWarning, match="r_query is deprecated"):
-            engine.r_query(query)
-
-    def test_service_wrappers_warn_but_work(self, engine):
-        service = QueryService(engine)
-        query = SQuery(CENTER, T, 600, 0.2)
-        with pytest.warns(DeprecationWarning, match="query is deprecated"):
-            via_service = service.query(query)
-        direct = ReachabilityClient(service).send(
-            Request(query, QueryOptions(algorithm="sqmb_tbs"))
-        )
-        assert via_service.segments == direct.segments
-        with pytest.warns(DeprecationWarning):
-            service.s_query(query)
-        with pytest.warns(DeprecationWarning):
-            service.r_query(query)
-
     def test_run_batch_does_not_warn(self, engine):
         service = QueryService(engine)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            report = service.run_batch([SQuery(CENTER, T, 600, 0.2)])
+            report = run_batch(service, [SQuery(CENTER, T, 600, 0.2)])
         assert len(report.results) == 1
 
 

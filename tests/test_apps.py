@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.apps.coverage import analyze_coverage
 from repro.apps.isochrone import isochrones
 from repro.apps.recommendation import POI, recommend_pois
@@ -34,7 +35,7 @@ class TestRecommendation:
         names = [r.poi.name for r in ranked]
         # Central POIs should make it; none may be duplicated.
         assert len(names) == len(set(names))
-        region = engine.s_query(SQuery(CENTER, T, 900, 0.2)).segments
+        region = s_query(engine, SQuery(CENTER, T, 900, 0.2)).segments
         roads = {
             test_dataset.network.segment(s).canonical_id() for s in region
         }
@@ -108,7 +109,7 @@ class TestIsochrones:
 
     def test_band_matches_single_query_roughly(self, engine, test_dataset):
         bands = isochrones(engine, CENTER, T, [600], prob=0.2)
-        single = engine.s_query(SQuery(CENTER, T, 600, 0.2), algorithm="es")
+        single = s_query(engine, SQuery(CENTER, T, 600, 0.2), algorithm="es")
         band_roads = {
             test_dataset.network.segment(s).canonical_id()
             for s in bands[0].segments

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.core.query import SQuery
 from repro.datasets.shenzhen_like import (
     TEST_CONFIG,
@@ -62,12 +63,12 @@ class TestDatasetBuilder:
 
 class TestMetrics:
     def test_road_length(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         km = region_road_length_km(result, test_dataset.network)
         assert km == pytest.approx(result.road_length_m(test_dataset.network) / 1000)
 
     def test_area(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 900, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 900, 0.2))
         area = region_area_km2(result, test_dataset.network)
         assert area >= 0
 
@@ -143,7 +144,7 @@ class TestWorkload:
 
 class TestViz:
     def test_geojson_structure(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 900, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 900, 0.2))
         geo = region_to_geojson(result, test_dataset.network)
         assert geo["type"] == "FeatureCollection"
         kinds = {f["geometry"]["type"] for f in geo["features"]}
@@ -156,7 +157,7 @@ class TestViz:
                 assert 113 < lon < 115 and 21 < lat < 24
 
     def test_geojson_probability_property(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2), algorithm="es")
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2), algorithm="es")
         geo = region_to_geojson(result, test_dataset.network, include_hull=False)
         probs = [
             f["properties"].get("probability") for f in geo["features"]
@@ -164,13 +165,13 @@ class TestViz:
         assert any(p is not None for p in probs)
 
     def test_write_geojson(self, engine, test_dataset, tmp_path):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         path = write_geojson(result, test_dataset.network, tmp_path / "r.geojson")
         parsed = json.loads(path.read_text())
         assert parsed["type"] == "FeatureCollection"
 
     def test_ascii_map(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 900, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 900, 0.2))
         art = render_region(result, test_dataset.network, width=40, height=16)
         lines = art.splitlines()
         assert len(lines) == 17  # grid + legend

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import m_query, s_query
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import MQuery, QueryCost, QueryResult, SQuery
 from repro.spatial.geometry import Point
@@ -37,9 +38,9 @@ class TestQueryValidation:
 class TestEngineBasics:
     def test_unknown_algorithm_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.s_query(SQuery(CENTER, T, 600, 0.2), algorithm="magic")
+            s_query(engine, SQuery(CENTER, T, 600, 0.2), algorithm="magic")
         with pytest.raises(ValueError):
-            engine.m_query(MQuery((CENTER,), T, 600, 0.2), algorithm="magic")
+            m_query(engine, MQuery((CENTER,), T, 600, 0.2), algorithm="magic")
 
     def test_index_caching(self, engine):
         assert engine.st_index(300) is engine.st_index(300)
@@ -47,7 +48,7 @@ class TestEngineBasics:
         assert engine.st_index(300) is not engine.st_index(600)
 
     def test_result_fields(self, engine):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         assert isinstance(result, QueryResult)
         assert isinstance(result.cost, QueryCost)
         assert len(result.start_segments) == 1
@@ -57,7 +58,7 @@ class TestEngineBasics:
         assert result.min_region is not None
 
     def test_es_has_no_bounding_regions(self, engine):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2), algorithm="es")
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2), algorithm="es")
         assert result.max_region is None
         assert result.min_region is None
 
@@ -66,12 +67,12 @@ class TestEngineBasics:
         # trajectory leaving it on any day (or almost none).
         bounds = test_dataset.network.bounds()
         corner = Point(bounds.max_x, bounds.max_y)
-        result = engine.s_query(SQuery(corner, day_time(3, 2), 300, 1.0))
+        result = s_query(engine, SQuery(corner, day_time(3, 2), 300, 1.0))
         # The engine must not crash; result may legitimately be empty.
         assert isinstance(result.segments, set)
 
     def test_road_length_consistency(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+        result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         length = result.road_length_m(test_dataset.network)
         assert length >= 0
         if result.segments:
@@ -84,31 +85,32 @@ class TestEngineBasics:
 
     def test_warm_queries_cheaper(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        cold = engine.s_query(query, warm=False)
-        warm = engine.s_query(query, warm=True)
+        cold = s_query(engine, query, warm=False)
+        warm = s_query(engine, query, warm=True)
         assert warm.cost.io.page_reads <= cold.cost.io.page_reads
 
     def test_cold_queries_repeatable_io(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        first = engine.s_query(query, warm=False)
-        second = engine.s_query(query, warm=False)
+        first = s_query(engine, query, warm=False)
+        second = s_query(engine, query, warm=False)
         assert first.cost.io.page_reads == second.cost.io.page_reads
         assert first.segments == second.segments
 
     def test_m_query_cost_aggregates(self, engine):
         query = MQuery((CENTER, Point(1000.0, 500.0)), T, 600, 0.2)
-        naive = engine.m_query(query, algorithm="sqmb_tbs_each")
+        naive = m_query(engine, query, algorithm="sqmb_tbs_each")
         assert naive.cost.probability_checks > 0
         assert naive.cost.segments_expanded > 0
 
     def test_delta_t_variants(self, engine):
         for delta_t in (300, 600):
-            result = engine.s_query(
+            result = s_query(
+                engine,
                 SQuery(CENTER, T, 600, 0.2), delta_t_s=delta_t
             )
             assert isinstance(result.segments, set)
 
     def test_engine_rejects_nothing_without_build(self, test_dataset):
         fresh = ReachabilityEngine(test_dataset.network, test_dataset.database)
-        result = fresh.s_query(SQuery(CENTER, T, 300, 0.2))
+        result = s_query(fresh, SQuery(CENTER, T, 300, 0.2))
         assert isinstance(result.segments, set)

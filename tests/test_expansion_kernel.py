@@ -2,7 +2,7 @@
 
 The vectorized kernels of :mod:`repro.network.csr` must produce *identical*
 covers, boundaries and seed assignments to the legacy implementations kept
-in :mod:`repro.core.legacy_expansion`, on randomized networks, for all
+in :mod:`reference.legacy_expansion`, on randomized networks, for all
 three bounding strategies (SQMB / MQMB / reverse) and both Near and Far
 kinds — that is the contract that lets the query algorithms swap the hot
 path without changing any query result.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.con_index import ConnectionIndex
-from repro.core.legacy_expansion import (
+from reference.legacy_expansion import (
     mqmb_bounding_region_reference,
     reverse_bounding_region_reference,
     slot_aware_expansion_reference,

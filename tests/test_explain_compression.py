@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.client_protocol import m_query, s_query
 from repro.core.con_index import (
     ConnectionIndex,
     FrontierEntry,
@@ -37,7 +38,7 @@ class TestExplain:
     def test_explanation_matches_query(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
         explanation = explain_s_query(engine, query)
-        result = engine.s_query(query)
+        result = s_query(engine, query)
         assert explanation.region_segments == len(result.segments)
         assert explanation.max_cover == len(result.max_region.cover)
 
@@ -62,7 +63,7 @@ class TestExplain:
         explanation = explain_m_query(engine, query)
         assert explanation.stages[0].name == "start-segment lookup"
         assert explanation.stages[-1].name == "trace-back search"
-        result = engine.m_query(query)
+        result = m_query(engine, query)
         assert explanation.region_segments == len(result.segments)
 
 

@@ -15,14 +15,14 @@ import threading
 import numpy as np
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.st_index import STIndex
 from repro.io.persist import (
     PersistFormatError,
-    load_st_index,
+    load_database,
     open_store,
-    save_st_index,
     save_store,
 )
 from repro.network.generator import grid_city
@@ -91,8 +91,7 @@ class TestBackendEquivalence:
         for name, disk in disks.items():
             engine = ReachabilityEngine(network, db, disk=disk)
             engine.st_index(300)
-            with pytest.warns(DeprecationWarning):
-                results[name] = engine.s_query(query)
+            results[name] = s_query(engine, query)
             stats[name] = disk.snapshot()
         assert results["sim"].segments == results["file"].segments
         # Page-granular accounting identical: fault-ins are uncharged.
@@ -134,11 +133,9 @@ class TestStoreRoundTrip:
     def test_query_equivalence_and_lazy_faulting(self, saved):
         store, engine = saved
         query = SQuery(Point(0, 0), T, 600, 0.2)
-        with pytest.warns(DeprecationWarning):
-            expected = engine.s_query(query)
+        expected = s_query(engine, query)
         reopened = open_store(store)
-        with pytest.warns(DeprecationWarning):
-            got = reopened.s_query(query)
+        got = s_query(reopened, query)
         assert expected.segments  # non-trivial query on the real dataset
         assert got.segments == expected.segments
         disk = reopened.disk
@@ -201,8 +198,7 @@ class TestStoreRoundTrip:
         store, _ = saved
         engine = open_store(store, readonly=True)
         query = SQuery(Point(0, 0), T, 600, 0.3)
-        with pytest.warns(DeprecationWarning):
-            assert engine.s_query(query).segments
+        assert s_query(engine, query).segments
         disk = engine.disk
         assert isinstance(disk, FileBackedDisk)
         disk.commit(meta=b"ignored")  # no-op, not an error
@@ -280,49 +276,87 @@ class TestExportStateAtomicity:
 
 class TestPersistFormatErrors:
     @pytest.fixture()
-    def st_index_file(self, network, route, tmp_path):
-        index = STIndex(network, 300, disk=SimulatedDisk(page_size=512))
-        index.build(make_database(route))
-        path = tmp_path / "index.npz"
-        save_st_index(index, path)
-        return path, index
+    def store(self, network, route, tmp_path):
+        engine = ReachabilityEngine(
+            network, make_database(route), disk=SimulatedDisk(page_size=512)
+        )
+        return save_store(engine, tmp_path / "store", 300), engine.st_index(300)
 
-    def test_round_trip_still_works(self, st_index_file, network, route):
-        path, index = st_index_file
-        loaded = load_st_index(path, network)
+    @staticmethod
+    def rewrite_directory(store, **changes):
+        """Re-save ``directory.npz`` with arrays replaced (``None`` drops one)."""
+        with np.load(store / "directory.npz") as data:
+            fields = {name: data[name] for name in data.files}
+        for name, value in changes.items():
+            if value is None:
+                del fields[name]
+            else:
+                fields[name] = value
+        np.savez_compressed(store / "directory.npz", **fields)
+
+    def test_round_trip_still_works(self, store, route):
+        path, index = store
+        loaded = open_store(path).st_index(300)
         slot = index.slot_of(T)
         for seg in set(route):
             assert loaded.time_list(seg, slot) == index.time_list(seg, slot)
 
-    def test_truncated_file_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+    def test_truncated_file_rejected(self, store):
+        path, _ = store
+        blob = (path / "directory.npz").read_bytes()
+        (path / "directory.npz").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+            open_store(path)
 
-    def test_garbage_bytes_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        path.write_bytes(b"this is not an npz archive at all")
+    def test_garbage_bytes_rejected(self, store):
+        path, _ = store
+        (path / "directory.npz").write_bytes(b"this is not an npz archive at all")
         with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+            open_store(path)
 
-    def test_future_version_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        data = dict(np.load(path))
-        data["version"] = np.int64(99)
-        np.savez_compressed(path, **data)
-        with pytest.raises(PersistFormatError, match="unsupported ST-Index format"):
-            load_st_index(path, network)
+    def test_future_version_rejected(self, store):
+        path, _ = store
+        self.rewrite_directory(path, version=np.int64(99))
+        with pytest.raises(
+            PersistFormatError, match="unsupported store directory format"
+        ):
+            open_store(path)
 
-    def test_missing_array_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        data = dict(np.load(path))
-        data.pop("dir_first_page")
-        np.savez_compressed(path, **data)
-        with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+    def test_missing_array_rejected(self, store):
+        path, _ = store
+        self.rewrite_directory(path, dir_first_page=None)
+        with pytest.raises(PersistFormatError, match="dir_first_page"):
+            open_store(path)
 
-    def test_missing_file_still_file_not_found(self, network, tmp_path):
+    def test_missing_file_still_file_not_found(self, tmp_path):
+        """Only unreadable *content* is a format error: an absent ``.npz``
+        stays the OS's ``FileNotFoundError``."""
         with pytest.raises(FileNotFoundError):
-            load_st_index(tmp_path / "absent.npz", network)
+            load_database(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize(
+        "name,content,problem",
+        [
+            ("network.json", "{not json", "network.json is not valid JSON"),
+            ("network.json", '{"version": 1, "nodes": []}', "network.json is missing key 'segments'"),
+            ("network.json", '{"version": 99}', "unsupported network format 99"),
+            ("speed_model.json", "{not json", "speed_model.json is not valid JSON"),
+            ("speed_model.json", "[1, 2]", "speed_model.json is not a JSON object"),
+            ("store.json", '{"version": 1}', "store.json delta_t_s is None"),
+            ("store.json", '{"version": 1, "delta_t_s": 0}', "store.json delta_t_s is 0"),
+        ],
+        ids=[
+            "network-garbage",
+            "network-no-segments",
+            "network-version-99",
+            "speed-model-garbage",
+            "speed-model-list",
+            "store-no-delta-t",
+            "store-delta-t-0",
+        ],
+    )
+    def test_malformed_sidecar_rejected(self, store, name, content, problem):
+        path, _ = store
+        (path / name).write_text(content)
+        with pytest.raises(PersistFormatError, match=problem):
+            open_store(path)

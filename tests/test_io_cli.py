@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.cli import build_parser, main
 from repro.io.persist import (
     load_database,
@@ -111,7 +112,7 @@ class TestDatasetPersistence:
             test_dataset.network, test_dataset.database
         )
         query = SQuery(Point(0, 0), day_time(11), 600, 0.2)
-        assert engine.s_query(query).segments == fresh.s_query(query).segments
+        assert s_query(engine, query).segments == s_query(fresh, query).segments
 
 
 class TestCLI:

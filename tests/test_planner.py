@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import m_query, r_query, s_query
 from repro.core.executors import (
     ExecutionOutcome,
     _REGISTRY,
@@ -109,11 +110,11 @@ class TestPlanErrors:
 
     def test_engine_facade_propagates(self, engine):
         with pytest.raises(ValueError, match="unknown s-query algorithm"):
-            engine.s_query(S, algorithm="nope")
+            s_query(engine, S, algorithm="nope")
         with pytest.raises(ValueError, match="unknown m-query algorithm"):
-            engine.m_query(M, algorithm="nope")
+            m_query(engine, M, algorithm="nope")
         with pytest.raises(ValueError, match="unknown r-query algorithm"):
-            engine.r_query(S, algorithm="mqmb_tbs")
+            r_query(engine, S, algorithm="mqmb_tbs")
 
 
 class TestRegistry:
@@ -143,7 +144,7 @@ class TestRegistry:
             assert "custom_fake" in executor_names("s")
             plan = plan_s_query(S, "custom_fake")
             assert plan.bounding_strategy is None
-            result = engine.s_query(S, algorithm="custom_fake")
+            result = s_query(engine, S, algorithm="custom_fake")
             assert result.segments == {1, 2, 3}
             assert result.cost.probability_checks == 0
         finally:
@@ -163,15 +164,6 @@ class TestRegistry:
     def test_register_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown query kind"):
             register_executor("z", "whatever")
-
-    def test_legacy_algorithm_tuples_read_from_registry(self):
-        from repro.core import engine as engine_module
-
-        assert "sqmb_tbs" in engine_module.S_QUERY_ALGORITHMS
-        assert "mqmb_tbs" in engine_module.M_QUERY_ALGORITHMS
-        assert "es" in engine_module.R_QUERY_ALGORITHMS
-        with pytest.raises(AttributeError):
-            engine_module.NO_SUCH_ATTRIBUTE
 
     def test_execute_plan_fills_cost(self, engine):
         plan = plan_s_query(S, "sqmb_tbs", delta_t_s=300)

@@ -3,7 +3,7 @@
 The vectorized Eq. 3.1 path (:mod:`repro.core.prob_kernel`, the wave-based
 TBS/ES) must produce *identical* probabilities, result regions, examined
 counts, ``checks`` counters and page-read accounting to the scalar
-reference kept in :mod:`repro.core.legacy_probability`, on randomized
+reference kept in :mod:`reference.legacy_probability`, on randomized
 datasets — twin merging, midnight-crossing windows, sub-slot durations,
 multi-seed m-query fallback and all four executor families included.
 That is the contract that lets the hot path swap without changing any
@@ -19,8 +19,9 @@ import pytest
 
 from test_expansion_kernel import make_network, random_database
 
+from benchmarks.client_protocol import m_query, r_query, run_batch, s_query
 from repro.core.engine import ReachabilityEngine
-from repro.core.legacy_probability import (
+from reference.legacy_probability import (
     LegacyProbabilityEstimator,
     LegacyReverseProbabilityEstimator,
     exhaustive_search_reference,
@@ -244,7 +245,7 @@ class TestSearchEquivalence:
         segment_ids = sorted(engine.network.segment_ids())
         start = rng.choice(segment_ids)
         start_time, duration = WINDOWS[0]
-        from repro.core.legacy_probability import (
+        from reference.legacy_probability import (
             exhaustive_search_pruned_reference,
         )
 
@@ -268,7 +269,6 @@ class TestSearchEquivalence:
             )
             self.assert_same_search(new, old)
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_multi_seed_fallback_equivalence(self, engine, topology, seed):
         """m-query TBS with several live seeds: the per-segment fallback
         consultation order must reproduce the scalar result exactly."""
@@ -279,9 +279,9 @@ class TestSearchEquivalence:
             for s in rng.sample(segment_ids, 3)
         )
         query = MQuery(locations, float(day_time(11)), 900.0, 0.1)
-        live = engine.m_query(query, algorithm="mqmb_tbs")
+        live = m_query(engine, query, algorithm="mqmb_tbs")
         with legacy_probability_path():
-            legacy = engine.m_query(query, algorithm="mqmb_tbs")
+            legacy = m_query(engine, query, algorithm="mqmb_tbs")
         assert live.segments == legacy.segments
         assert live.probabilities == legacy.probabilities
         assert live.cost.probability_checks == legacy.cost.probability_checks
@@ -289,7 +289,6 @@ class TestSearchEquivalence:
         assert live.cost.io.page_reads == legacy.cost.io.page_reads
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestEndToEndAccounting:
     """The same query, columnar vs scalar path, on one engine: identical
     results *and* identical charged I/O."""
@@ -310,11 +309,11 @@ class TestEndToEndAccounting:
             query = MQuery(
                 (Point(0.0, 0.0), Point(2000.0, 1500.0)), T, 600.0, 0.2
             )
-            run = lambda: engine.m_query(query, algorithm=algorithm)
+            run = lambda: m_query(engine, query, algorithm=algorithm)
         else:
             query = SQuery(Point(0.0, 0.0), T, 600.0, 0.2)
-            method = engine.s_query if kind == "s" else engine.r_query
-            run = lambda: method(query, algorithm=algorithm)
+            method = s_query if kind == "s" else r_query
+            run = lambda: method(engine, query, algorithm=algorithm)
         live = run()
         with legacy_probability_path():
             legacy = run()
@@ -352,14 +351,11 @@ class TestWaveCounters:
         )
 
     def test_batch_report_aggregates_probability_counters(self, engine):
-        from repro.core.service import QueryService
-
-        service = QueryService(engine, delta_t_s=300)
         queries = [
             SQuery(Point(0.0, 0.0), float(day_time(11)), 600.0, 0.2),
             SQuery(Point(2000.0, 1500.0), float(day_time(11)), 600.0, 0.2),
         ]
-        report = service.run_batch(queries, algorithm="sqmb_tbs")
+        report = run_batch(engine, queries, algorithm="sqmb_tbs", delta_t_s=300)
         assert report.probability_checks == sum(
             r.cost.probability_checks for r in report.results
         )
@@ -382,7 +378,6 @@ class TestWaveCounters:
 class TestAppendedChains:
     """Multi-record chains (incremental appends) through the kernel."""
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_chained_records_equivalent(self):
         from repro.trajectory.model import MatchedTrajectory, SegmentVisit
         from repro.datasets.shenzhen_like import TEST_CONFIG, default_dataset
@@ -402,9 +397,9 @@ class TestAppendedChains:
             ]
         )
         query = SQuery(Point(0.0, 0.0), float(T), 600.0, 0.2)
-        live = engine.s_query(query)
+        live = s_query(engine, query)
         with legacy_probability_path():
-            legacy = engine.s_query(query)
+            legacy = s_query(engine, query)
         assert live.segments == legacy.segments
         assert live.probabilities == legacy.probabilities
         assert live.cost.io.page_reads == legacy.cost.io.page_reads

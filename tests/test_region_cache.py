@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from benchmarks.client_protocol import run_batch
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.region_cache import RegionCache
@@ -219,14 +220,14 @@ class TestAppendInvalidation:
 
     def test_append_then_query_sees_new_speeds(self, setup):
         service, route, query = setup
-        before = service.run_batch([query])
+        before = run_batch(service, [query])
         assert before.regions_computed > 0
         small_cover = before.results[0].max_region.cover
         # New fast data arrives (12 m/s sweeps the whole corridor per slot).
         touched = service.append_trajectories([_make_day(route, 1, 1, 12.0)])
         assert touched > 0
         assert service.region_cache.stats()["invalidations"] == 1
-        after = service.run_batch([query])
+        after = run_batch(service, [query])
         # The cached region was NOT reused: the bounds were recomputed
         # from the post-append speed bounds and grew.
         assert after.regions_computed > 0
@@ -239,13 +240,13 @@ class TestAppendInvalidation:
         directly) leaves the stale region in the cache — which is exactly
         why QueryService.append_trajectories must invalidate."""
         service, route, query = setup
-        before = service.run_batch([query])
+        before = run_batch(service, [query])
         small_cover = before.results[0].max_region.cover
         engine = service.engine
         engine.database.add(_make_day(route, 1, 1, 12.0))
         # No service-level append, no invalidation: the next batch reuses
         # the pre-append region.
-        stale = service.run_batch([query])
+        stale = run_batch(service, [query])
         assert stale.regions_reused > 0
         assert stale.results[0].max_region.cover == small_cover
 
@@ -255,22 +256,22 @@ class TestAppendInvalidation:
         — the caches registered themselves as engine data-change hooks."""
         service, route, query = setup
         other = QueryService(service.engine)
-        service.run_batch([query])
-        other.run_batch([query])
+        run_batch(service, [query])
+        run_batch(other, [query])
         service.engine.append_trajectories([_make_day(route, 1, 1, 12.0)])
         assert service.region_cache.stats()["invalidations"] == 1
         assert other.region_cache.stats()["invalidations"] == 1
-        after = service.run_batch([query])
+        after = run_batch(service, [query])
         assert after.regions_computed > 0
         assert after.regions_reused == 0
 
     def test_rebuild_indexes_invalidates(self, setup):
         service, route, query = setup
-        first = service.run_batch([query])
+        first = run_batch(service, [query])
         assert first.regions_computed > 0
         service.rebuild_indexes()
         assert service.region_cache.stats()["invalidations"] == 1
-        second = service.run_batch([query])
+        second = run_batch(service, [query])
         assert second.regions_computed > 0
         assert second.regions_reused == 0
         assert second.results[0].segments == first.results[0].segments

@@ -405,35 +405,11 @@ class TestRL004RegistryCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# RL005 — deprecation firewall
+# RL005 — export firewall
 # ---------------------------------------------------------------------------
 
 
 class TestRL005DeprecationFirewall:
-    def test_shim_call_fails(self, tmp_path):
-        source = """
-            def ask(engine):
-                return engine.s_query(1, 0.0, 60.0, 0.5)
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL005"])
-        assert rules_of(findings) == ["RL005"]
-        assert ".s_query()" in findings[0].message
-
-    def test_service_query_call_fails(self, tmp_path):
-        source = """
-            def ask(service, request):
-                return service.query(request)
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL005"])
-        assert rules_of(findings) == ["RL005"]
-
-    def test_execute_passes(self, tmp_path):
-        source = """
-            def ask(service, request):
-                return service.execute(request)
-        """
-        assert lint_snippet(tmp_path, source, select=["RL005"]) == []
-
     def test_all_export_of_undefined_name_fails(self, tmp_path):
         source = """
             __all__ = ["missing"]
@@ -704,13 +680,11 @@ class TestReintroducedViolationsFailGate:
         router.write_text(text, encoding="utf-8")
         assert any(f.rule == "RL004" for f in self.lint(src_copy))
 
-    def test_rl005_internal_shim_call(self, src_copy):
-        cli = src_copy / "repro" / "cli.py"
-        text = cli.read_text(encoding="utf-8")
-        cli.write_text(
-            text + "\n\ndef _legacy(engine):\n    return engine.s_query(0, 0.0, 60.0, 0.5)\n",
-            encoding="utf-8",
-        )
+    def test_rl005_undefined_export(self, src_copy):
+        init = src_copy / "repro" / "io" / "__init__.py"
+        text = init.read_text(encoding="utf-8")
+        text = text.replace('"save_network",', '"save_network",\n    "save_index",', 1)
+        init.write_text(text, encoding="utf-8")
         assert any(f.rule == "RL005" for f in self.lint(src_copy))
 
     def test_rl006_abba_lock_inversion(self, src_copy):

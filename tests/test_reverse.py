@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import r_query
 from repro.core.query import SQuery
 from repro.core.reverse import (
     ReverseProbabilityEstimator,
@@ -125,8 +126,8 @@ class TestReverseQuery:
         """Forward ES agreement: r is in the reverse region of S iff S is in
         the forward region of r (same probability formula both ways)."""
         query = SQuery(CENTER, T, 600, 0.2)
-        reverse_es = engine.r_query(query, algorithm="es")
-        ours = engine.r_query(query, algorithm="sqmb_tbs")
+        reverse_es = r_query(engine, query, algorithm="es")
+        ours = r_query(engine, query, algorithm="sqmb_tbs")
         assert reverse_es.segments - ours.segments == set()
         over = ours.segments - reverse_es.segments
         assert over <= ours.min_region.cover
@@ -140,7 +141,7 @@ class TestReverseQuery:
         reverse_est = ReverseProbabilityEstimator(st, target, T, 600, 10)
         # Pick an origin the reverse query claims reachable-from.
         query = SQuery(CENTER, T, 600, 0.2)
-        region = engine.r_query(query, algorithm="es").segments
+        region = r_query(engine, query, algorithm="es").segments
         if not region:
             pytest.skip("empty reverse region")
         origin = sorted(region)[0]
@@ -151,14 +152,14 @@ class TestReverseQuery:
 
     def test_reverse_query_engine_api(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        result = engine.r_query(query)
+        result = r_query(engine, query)
         assert isinstance(result.segments, set)
         assert result.cost.wall_time_s > 0
         with pytest.raises(ValueError):
-            engine.r_query(query, algorithm="magic")
+            r_query(engine, query, algorithm="magic")
 
     def test_reverse_cheaper_than_reverse_es(self, engine):
         query = SQuery(CENTER, T, 600, 0.2)
-        ours = engine.r_query(query)
-        baseline = engine.r_query(query, algorithm="es")
+        ours = r_query(engine, query)
+        baseline = r_query(engine, query, algorithm="es")
         assert ours.cost.io.page_reads < baseline.cost.io.page_reads

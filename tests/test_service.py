@@ -1,7 +1,9 @@
-"""Tests for the batch-capable :class:`QueryService`."""
+"""Tests for batches and single sends through a shared :class:`QueryService`."""
 
 import pytest
 
+from benchmarks.client_protocol import m_query, request, run_batch, s_query
+from repro.api import ReachabilityClient
 from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService, as_service
 from repro.eval import config
@@ -32,20 +34,23 @@ def fig48_queries(test_dataset):
 class TestSingleQueries:
     def test_s_query_matches_engine(self, engine, service):
         query = SQuery(CENTER, T, 600, 0.2)
-        via_service = service.s_query(query)
-        via_engine = engine.s_query(query)
+        via_service = s_query(service, query)
+        via_engine = s_query(engine, query)
         assert via_service.segments == via_engine.segments
         assert via_service.start_segments == via_engine.start_segments
 
     def test_query_dispatches_on_type(self, service):
+        client = ReachabilityClient(service)
         m = MQuery((CENTER,), T, 600, 0.2)
         s = SQuery(CENTER, T, 600, 0.2)
-        assert service.plan(m).kind == "m"
-        assert service.plan(s).kind == "s"
-        assert service.query(m).segments == service.query(s).segments
+        assert client.plan(request(m))[0].kind == "m"
+        assert client.plan(request(s))[0].kind == "s"
+        assert m_query(client, m).segments == s_query(client, s).segments
 
     def test_r_query_kind(self, service):
-        plan = service.plan(SQuery(CENTER, T, 600, 0.2), kind="r")
+        plan, _ = ReachabilityClient(service).plan(
+            request(SQuery(CENTER, T, 600, 0.2), direction="reverse")
+        )
         assert plan.kind == "r"
         assert plan.bounding_strategy == "reverse"
 
@@ -56,7 +61,7 @@ class TestSingleQueries:
 
 class TestBatches:
     def test_empty_batch(self, service):
-        report = service.run_batch([])
+        report = run_batch(service, [])
         assert report.results == []
         assert report.page_reads == 0
 
@@ -64,9 +69,9 @@ class TestBatches:
         self, engine, service, fig48_queries
     ):
         """The acceptance workload: same result sets, fewer page reads."""
-        sequential = [engine.m_query(q) for q in fig48_queries]
+        sequential = [m_query(engine, q) for q in fig48_queries]
         sequential_reads = sum(r.cost.io.page_reads for r in sequential)
-        report = service.run_batch(fig48_queries)
+        report = run_batch(service, fig48_queries)
         assert [r.segments for r in report.results] == [
             r.segments for r in sequential
         ]
@@ -86,12 +91,12 @@ class TestBatches:
             MQuery(base.locations, T, 1200, prob)
             for prob in (0.2, 0.4, 0.6)
         ]
-        report = fresh.run_batch(batch)
+        report = run_batch(fresh, batch)
         # One far + one near region for the shared shape; the other two
         # queries reuse both.
         assert report.regions_computed == 2
         assert report.regions_reused == 4
-        sequential = [engine.m_query(q) for q in batch]
+        sequential = [m_query(engine, q) for q in batch]
         assert [r.segments for r in report.results] == [
             r.segments for r in sequential
         ]
@@ -101,10 +106,10 @@ class TestBatches:
         nothing and serves every bound from the service-lifetime LRU."""
         fresh = QueryService(engine)
         batch = [SQuery(CENTER, T, 600, p) for p in (0.2, 0.5)]
-        first = fresh.run_batch(batch)
+        first = run_batch(fresh, batch)
         assert first.regions_computed == 2  # far + near, shared shape
         assert first.regions_reused == 2
-        second = fresh.run_batch(batch)
+        second = run_batch(fresh, batch)
         assert second.regions_computed == 0
         assert second.regions_reused == 4
         assert [r.segments for r in second.results] == [
@@ -113,7 +118,7 @@ class TestBatches:
 
     def test_batch_reuses_plans(self, service):
         batch = [SQuery(CENTER, T, 600, p) for p in (0.2, 0.4, 0.8)]
-        report = service.run_batch(batch)
+        report = run_batch(service, batch)
         assert report.plans_reused == 2
         assert report.plans[0] is report.plans[1] is report.plans[2]
 
@@ -122,14 +127,14 @@ class TestBatches:
             SQuery(CENTER, T, 600, 0.2),
             MQuery((CENTER, Point(1000.0, 1000.0)), T, 600, 0.2),
         ]
-        report = service.run_batch(batch)
+        report = run_batch(service, batch)
         assert report.plans[0].kind == "s"
         assert report.plans[1].kind == "m"
         assert len(report.results) == 2
 
     def test_worker_pool_matches_sequential_batch(self, service, fig48_queries):
-        solo = service.run_batch(fig48_queries)
-        threaded = service.run_batch(fig48_queries, max_workers=4)
+        solo = run_batch(service, fig48_queries)
+        threaded = run_batch(service, fig48_queries, max_workers=4)
         assert [r.segments for r in threaded.results] == [
             r.segments for r in solo.results
         ]
@@ -145,19 +150,19 @@ class TestBatches:
             for duration in durations
             for prob in (0.2, 0.4, 0.8)
         ]
-        report = fresh.run_batch(batch, max_workers=8)
+        report = run_batch(fresh, batch, max_workers=8)
         calls = 2 * len(batch)  # one far + one near region per query
         assert report.regions_computed + report.regions_reused == calls
         # 4 distinct (seeds, slot, steps) shapes x far/near.
         assert report.regions_computed == 2 * len(durations)
         assert report.regions_reused == calls - 2 * len(durations)
         # A second threaded pass is served entirely from the service cache.
-        again = fresh.run_batch(batch, max_workers=8)
+        again = run_batch(fresh, batch, max_workers=8)
         assert again.regions_computed == 0
         assert again.regions_reused == calls
 
     def test_batch_report_rows(self, service):
-        report = service.run_batch([SQuery(CENTER, T, 600, 0.2)])
+        report = run_batch(service, [SQuery(CENTER, T, 600, 0.2)])
         rows = dict(report.as_rows())
         assert rows["Queries"] == "1"
         assert "hit rate" in rows["Buffer pool"]
@@ -165,7 +170,7 @@ class TestBatches:
     def test_random_workload_batch(self, test_dataset, service):
         workload = QueryWorkload(test_dataset.network, seed=3)
         batch = workload.mixed_batch(4, 2, start_time_s=T)
-        report = service.run_batch(batch)
+        report = run_batch(service, batch)
         assert len(report.results) == 6
         assert report.total_cost_ms > 0
 

@@ -34,8 +34,9 @@ run within one call frame).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from tools.repro_lint.core import Project
 from tools.repro_lint.symbols import (
@@ -403,13 +404,47 @@ def call_graph(project: Project) -> CallGraph:
     return cached
 
 
-def reachable_from(graph: CallGraph, roots: Iterator[str]) -> Set[str]:
-    seen: Set[str] = set()
-    stack = list(roots)
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
+def unguarded_sinks(
+    graph: CallGraph,
+    entries: Iterable[str],
+    barriers: Set[str],
+    sinks_of: Callable[[ast.AST], list],
+) -> Iterator[Tuple[FunctionInfo, object, List[str]]]:
+    """The BFS-to-barrier walk behind the reachability proofs.
+
+    Walks the call graph breadth-first from ``entries`` (qualnames, seeded
+    in the order given) and never descends below a function in
+    ``barriers``.  For every function reached outside a barrier for which
+    ``sinks_of(function.node)`` is non-empty, yields ``(function, first
+    sink, chain)`` in qualname order, where ``chain`` is the witness call
+    path from an entry down to the function (parent pointers of the BFS,
+    so the shortest one, ties broken by callee name).
+    """
+    parent: Dict[str, Optional[str]] = {}
+    queue: Deque[str] = deque()
+    for qualname in entries:
+        if qualname not in parent:
+            parent[qualname] = None
+            queue.append(qualname)
+    while queue:
+        current = queue.popleft()
+        if current in barriers:
             continue
-        seen.add(cur)
-        stack.extend(graph.callees(cur) - seen)
-    return seen
+        for callee in sorted(graph.callees(current)):
+            if callee not in parent:
+                parent[callee] = current
+                queue.append(callee)
+    for qualname in sorted(parent):
+        fn = graph.table.functions.get(qualname)
+        if fn is None or qualname in barriers:
+            continue
+        sinks = sinks_of(fn.node)
+        if not sinks:
+            continue
+        chain: List[str] = []
+        cursor: Optional[str] = qualname
+        while cursor is not None:
+            chain.append(cursor)
+            cursor = parent[cursor]
+        chain.reverse()
+        yield fn, sinks[0], chain

@@ -25,9 +25,9 @@ read path, reported with the full call chain from the executor.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
-from tools.repro_lint.callgraph import CallGraph, call_graph
+from tools.repro_lint.callgraph import CallGraph, call_graph, unguarded_sinks
 from tools.repro_lint.core import Finding, Project, Rule, register_rule
 from tools.repro_lint.symbols import RAW_READ_METHODS, SymbolTable, symbol_table
 
@@ -114,44 +114,13 @@ class AccountingFlow(Rule):
             return  # nothing to prove without entry points
         graph = call_graph(project)
         barriers = _charging_barriers(table, graph)
-
-        # BFS from every executor entry point, stopping at barriers;
-        # parent pointers reconstruct the witness chain.
-        parent: Dict[str, Optional[str]] = {}
-        queue: List[str] = []
-        for reg in table.executors:
-            if reg.func.qualname not in parent:
-                parent[reg.func.qualname] = None
-                queue.append(reg.func.qualname)
-        while queue:
-            current = queue.pop(0)
-            if current in barriers:
-                continue  # charged from here on down
-            for callee in sorted(graph.callees(current)):
-                if callee not in parent:
-                    parent[callee] = current
-                    queue.append(callee)
-
-        reported: Set[str] = set()
-        for qualname in sorted(parent):
-            if qualname in barriers or qualname in reported:
-                continue
-            fn = table.functions.get(qualname)
-            if fn is None:
-                continue
-            lines = _raw_access_lines(fn.node)
-            if not lines:
-                continue
-            reported.add(qualname)
-            chain: List[str] = []
-            cursor: Optional[str] = qualname
-            while cursor is not None:
-                chain.append(cursor)
-                cursor = parent[cursor]
-            chain.reverse()
+        entries = [reg.func.qualname for reg in table.executors]
+        for fn, line, chain in unguarded_sinks(
+            graph, entries, barriers, _raw_access_lines
+        ):
             yield self.finding(
                 fn.file,
-                lines[0],
+                line,
                 0,
                 "uncharged disk-read path: "
                 + " -> ".join(chain)

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Tuple
 
-from tools.repro_lint.callgraph import CallGraph, call_graph
+from tools.repro_lint.callgraph import call_graph, unguarded_sinks
 from tools.repro_lint.core import Finding, Project, Rule, register_rule
-from tools.repro_lint.symbols import FunctionInfo, SymbolTable, symbol_table
+from tools.repro_lint.symbols import FunctionInfo, symbol_table
 
 #: ``# repro-lint: deadline-wait`` on/above a ``def`` line: the function
 #: is an audited deadline chokepoint — its waits are bounded by the
@@ -120,42 +120,9 @@ class RecvDeadlineDiscipline(Rule):
             for qualname, fn in table.functions.items()
             if _is_deadline_barrier(fn)
         }
-
-        # BFS from run_batch, stopping at deadline barriers; parent
-        # pointers reconstruct the witness chain (the RL007 pattern).
-        parent: Dict[str, Optional[str]] = {}
-        queue: List[str] = []
-        for fn in entries:
-            if fn.qualname not in parent:
-                parent[fn.qualname] = None
-                queue.append(fn.qualname)
-        while queue:
-            current = queue.pop(0)
-            if current in barriers:
-                continue  # deadline-armed from here on down
-            for callee in sorted(graph.callees(current)):
-                if callee not in parent:
-                    parent[callee] = current
-                    queue.append(callee)
-
-        reported: Set[str] = set()
-        for qualname in sorted(parent):
-            if qualname in barriers or qualname in reported:
-                continue
-            fn = table.functions.get(qualname)
-            if fn is None:
-                continue
-            waits = _blocking_wait_lines(fn.node)
-            if not waits:
-                continue
-            reported.add(qualname)
-            chain: List[str] = []
-            cursor: Optional[str] = qualname
-            while cursor is not None:
-                chain.append(cursor)
-                cursor = parent[cursor]
-            chain.reverse()
-            line, what = waits[0]
+        for fn, (line, what), chain in unguarded_sinks(
+            graph, [fn.qualname for fn in entries], barriers, _blocking_wait_lines
+        ):
             yield self.finding(
                 fn.file,
                 line,

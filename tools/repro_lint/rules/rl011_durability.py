@@ -12,8 +12,8 @@ no test notices until a crash lands inside one.
 RL011 turns the promise into an RL007-style reachability proof over the
 shared call graph:
 
-    every path from a durable-write entry point (``save_store`` /
-    ``save_st_index``, ``FileBackedDisk.commit`` / ``checkpoint``,
+    every path from a durable-write entry point (``save_store``,
+    ``FileBackedDisk.commit`` / ``checkpoint``,
     ``STIndex.append_trajectories`` / ``ReachabilityEngine
     .append_trajectories``) to a raw file-write sink must traverse a
     durability barrier first.
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from tools.repro_lint.callgraph import CallGraph, call_graph
+from tools.repro_lint.callgraph import call_graph, unguarded_sinks
 from tools.repro_lint.core import Finding, Project, Rule, register_rule
 from tools.repro_lint.symbols import FunctionInfo, SymbolTable, symbol_table
 
@@ -58,7 +58,7 @@ ENTRY_METHODS = frozenset(
 #: Module-level durable-write entry functions (any module: fixture trees
 #: keep their layout).  ``save_dataset`` is deliberately absent — the
 #: dataset builder is a one-shot offline artifact, not the durable tier.
-ENTRY_FUNCTIONS = frozenset({"save_store", "save_st_index"})
+ENTRY_FUNCTIONS = frozenset({"save_store"})
 
 #: ``os.<name>`` calls that put bytes on disk.  ``os.replace`` is the
 #: atomic primitive itself and deliberately absent.
@@ -154,42 +154,9 @@ class DurabilityFlow(Rule):
             return  # nothing to prove without durable entry points
         graph = call_graph(project)
         barriers = _durable_barriers(table)
-
-        # BFS from every entry point, stopping at barriers; parent
-        # pointers reconstruct the witness chain (RL007's shape).
-        parent: Dict[str, Optional[str]] = {}
-        queue: List[str] = []
-        for fn in sorted(entries, key=lambda f: f.qualname):
-            if fn.qualname not in parent:
-                parent[fn.qualname] = None
-                queue.append(fn.qualname)
-        while queue:
-            current = queue.pop(0)
-            if current in barriers:
-                continue  # crash-safe from here on down
-            for callee in sorted(graph.callees(current)):
-                if callee not in parent:
-                    parent[callee] = current
-                    queue.append(callee)
-
-        reported: Set[str] = set()
-        for qualname in sorted(parent):
-            if qualname in barriers or qualname in reported:
-                continue
-            fn = table.functions.get(qualname)
-            if fn is None:
-                continue
-            sinks = _sink_lines(fn.node)
-            if not sinks:
-                continue
-            reported.add(qualname)
-            chain: List[str] = []
-            cursor: Optional[str] = qualname
-            while cursor is not None:
-                chain.append(cursor)
-                cursor = parent[cursor]
-            chain.reverse()
-            line, form = sinks[0]
+        for fn, (line, form), chain in unguarded_sinks(
+            graph, sorted(fn.qualname for fn in entries), barriers, _sink_lines
+        ):
             yield self.finding(
                 fn.file,
                 line,
