@@ -11,12 +11,12 @@ evaluates Eq. 3.1 one segment at a time: decode time lists into
 window, then run a per-day ``set.isdisjoint`` loop.  The columnar kernel
 replaces all of that with flat int64 arrays:
 
-* every time-list record decodes (once, LRU-cached by record pointer)
-  into packed ``(date << 32) | trajectory_id`` visit keys plus aligned
-  visit seconds (:class:`~repro.core.st_index.ColumnarTimeList`);
+* every time-list record decodes into packed
+  ``(date << 32) | trajectory_id`` visit keys plus aligned visit seconds
+  (:class:`~repro.core.st_index.ColumnarTimeList`);
 * a query window gather is a boolean second-mask over those columns
   (:meth:`~repro.core.st_index.STIndex.gather_window_columns`), no
-  tuples, no sets;
+  tuples, no sets, memoized per (segment, window plan);
 * the fixed side of Eq. 3.1 (the start segment's departure-window visits
   for forward queries, the target's query-window visits for reverse)
   becomes one sorted unique key array — per-day trajectory sets for *all*

@@ -291,10 +291,6 @@ class QueryService:
         """Drop built indexes (they rebuild lazily) and cached regions."""
         self.engine.drop_indexes(delta_t_s)
 
-    def invalidate_regions(self) -> None:
-        """Explicitly drop every cached bounding region."""
-        self.region_cache.invalidate()
-
     # -- execution ---------------------------------------------------------
 
     def run_plan(

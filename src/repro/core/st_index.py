@@ -59,44 +59,10 @@ def encode_time_list(per_date: dict[int, list[tuple[int, int]]]) -> bytes:
     return struct.pack(f"<{len(values)}I", *values)
 
 
-def decode_time_list(payload: bytes) -> dict[int, list[tuple[int, int]]]:
-    """Inverse of :func:`encode_time_list`.
-
-    Decoded on every (charged) time-list read in the TBS/ES hot path, so
-    the payload is converted in one C pass (``frombuffer`` + ``tolist``)
-    and each date's visit pairs are built by zipping list slices instead
-    of indexing element-by-element.
-    """
-    if len(payload) % 4 != 0:
-        raise SerializationError("time list payload not uint32-aligned")
-    values = np.frombuffer(payload, dtype="<u4").tolist()
-    total = len(values)
-    if total == 0:
-        raise SerializationError("truncated time list header")
-    num_dates = values[0]
-    per_date: dict[int, list[tuple[int, int]]] = {}
-    offset = 1
-    for _ in range(num_dates):
-        if offset + 2 > total:
-            raise SerializationError("truncated time list header")
-        date, count = values[offset], values[offset + 1]
-        offset += 2
-        end = offset + 2 * count
-        if end > total:
-            raise SerializationError("truncated time list ids")
-        per_date[date] = list(
-            zip(values[offset:end:2], values[offset + 1:end:2])
-        )
-        offset = end
-    if offset != total:
-        raise SerializationError("trailing values in time list payload")
-    return per_date
-
-
 #: Bit position of the date in a packed visit key: ``(date << 32) | id``.
 #: Trajectory ids are stored as uint32 so they fit the low half exactly;
-#: dates are day indices (a dataset spans tens to hundreds of days), far
-#: below the 2**31 bound that keeps packed keys inside int64.
+#: dates must stay below 2**31 so the packed key fits int64.  Both write
+#: paths enforce the two bounds (:func:`_check_key_ranges`).
 KEY_DATE_SHIFT = 32
 KEY_ID_MASK = (1 << KEY_DATE_SHIFT) - 1
 
@@ -107,22 +73,39 @@ _SECOND_BITS = 17
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 
+def _check_key_ranges(trajectory_ids, dates) -> None:
+    """Raise ``ValueError`` for an id or date a packed visit key cannot hold.
+
+    The one gate in front of :meth:`STIndex.build` and
+    :meth:`STIndex.append_trajectories`, called before either writes a
+    page: an id outside ``[0, 2**32)`` would wrap in the uint32 record, a
+    date outside ``[0, 2**31)`` would overflow the int64 key of every
+    later read.
+    """
+    for name, values, bits in (
+        ("trajectory id", trajectory_ids, KEY_DATE_SHIFT),
+        ("date", dates, KEY_DATE_SHIFT - 1),
+    ):
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() >= 1 << bits):
+            raise ValueError(f"{name} outside [0, 2**{bits}) of a time list")
+
+
 @dataclass(frozen=True)
 class ColumnarTimeList:
     """One decoded time-list record as flat visit columns.
 
-    The columnar twin of :func:`decode_time_list`: instead of a
-    ``date -> [(id, second)]`` dict of tuple lists, the record's visits
-    become two slice-aligned arrays — the layout the Eq. 3.1 probability
-    kernel consumes without any per-tuple Python work.
+    Instead of a ``date -> [(id, second)]`` dict of tuple lists, the
+    record's visits are two slice-aligned arrays — the layout the Eq. 3.1
+    probability kernel consumes without any per-tuple Python work.
 
     Attributes:
         keys: ``int64`` packed ``(date << 32) | trajectory_id`` per visit,
             in stored (date-major, then id/second) order.
         seconds: ``int32`` visit seconds, aligned with ``keys``.
 
-    Both arrays are read-only cached views shared between queries — never
-    mutate them.
+    The window-gather memo shares ``keys`` between queries — never mutate
+    the arrays.
     """
 
     keys: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
@@ -134,45 +117,54 @@ class ColumnarTimeList:
     def num_visits(self) -> int:
         return int(self.keys.size)
 
+    def per_date(self) -> dict[int, list[tuple[int, int]]]:
+        """The record as a fresh ``date -> [(id, second)]`` dict.
+
+        Visits keep their stored order; a date without visits (which no
+        writer emits) is absent.
+        """
+        per_date: dict[int, list[tuple[int, int]]] = {}
+        for key, second in zip(self.keys.tolist(), self.seconds.tolist()):
+            per_date.setdefault(key >> KEY_DATE_SHIFT, []).append(
+                (key & KEY_ID_MASK, second)
+            )
+        return per_date
+
 
 def decode_time_list_columns(payload: bytes) -> ColumnarTimeList:
-    """Decode a time-list payload straight into visit columns.
+    """Inverse of :func:`encode_time_list`, straight into visit columns.
 
-    Shares the wire format (and the error conditions) of
-    :func:`decode_time_list` but never materializes per-date tuple lists:
-    each date's ``(id, second)`` block is strided out of one
-    ``frombuffer`` view and packed into int64 keys in a handful of numpy
-    ops, independent of the visit count.
+    The one reader of the wire format.  Records are small (a handful of
+    dates, some ten visits), so the payload is converted in one C pass
+    (``frombuffer`` + ``tolist``) and walked as list slices; the columns
+    are built once at the end instead of by numpy ops per date.
     """
     if len(payload) % 4 != 0:
         raise SerializationError("time list payload not uint32-aligned")
-    values = np.frombuffer(payload, dtype="<u4")
-    total = int(values.size)
+    words = np.frombuffer(payload, dtype="<u4").tolist()
+    total = len(words)
     if total == 0:
         raise SerializationError("truncated time list header")
-    num_dates = int(values[0])
-    key_parts: list[np.ndarray] = []
-    second_parts: list[np.ndarray] = []
+    keys: list[int] = []
+    seconds: list[int] = []
     offset = 1
-    for _ in range(num_dates):
+    for _ in range(words[0]):
         if offset + 2 > total:
             raise SerializationError("truncated time list header")
-        date, count = int(values[offset]), int(values[offset + 1])
-        offset += 2
-        end = offset + 2 * count
+        date_bits = words[offset] << KEY_DATE_SHIFT
+        end = offset + 2 + 2 * words[offset + 1]
         if end > total:
             raise SerializationError("truncated time list ids")
-        ids = values[offset:end:2].astype(np.int64)
-        key_parts.append(ids + (date << KEY_DATE_SHIFT))
-        second_parts.append(values[offset + 1:end:2].astype(np.int32))
+        keys.extend([date_bits | visit_id for visit_id in words[offset + 2:end:2]])
+        seconds.extend(words[offset + 3:end:2])
         offset = end
     if offset != total:
         raise SerializationError("trailing values in time list payload")
-    if not key_parts:
+    if not keys:
         return ColumnarTimeList()
     return ColumnarTimeList(
-        keys=np.concatenate(key_parts),
-        seconds=np.concatenate(second_parts),
+        keys=np.array(keys, dtype=np.int64),
+        seconds=np.array(seconds, dtype=np.int32),
     )
 
 
@@ -195,11 +187,10 @@ class STIndex:
         disk: simulated disk to hold time-list payloads (a fresh private
             disk is created when omitted).
         buffer_pool_pages: LRU page cache capacity for reads.
-        record_cache_size: decoded-record LRU capacity (0 disables).  The
-            page store is append-only, so a decoded record can never go
-            stale; the cache skips only the *decode* work — every access
-            is still charged through the buffer pool, keeping the I/O
-            accounting identical.
+        record_cache_size: window-gather memo capacity in (segment, plan)
+            entries (0 disables).  The memo skips only decode and filter
+            work — every page access is still charged through the buffer
+            pool, keeping the I/O accounting identical.
     """
 
     def __init__(
@@ -233,30 +224,19 @@ class STIndex:
         self._directory: dict[tuple[int, int], list[RecordPointer]] = {}
         self._built = False
         self.record_cache_size = record_cache_size
-        self._decoded_records: OrderedDict[  # guarded_by: _record_lock
-            RecordPointer, dict[int, list[tuple[int, int]]]
-        ] = OrderedDict()
-        self._columnar_records: OrderedDict[  # guarded_by: _record_lock
-            RecordPointer, ColumnarTimeList
-        ] = OrderedDict()
-        # Window-gather memo: (segment, plan) -> the filtered key array
-        # plus the record pointers whose pages the gather touched.  A hit
+        # Window-gather memo: (segment, plan) -> the filtered key array,
+        # the record count and the page ids the gather touched.  A hit
         # *replays the charges* (every page access goes back through the
         # buffer pool) and only skips the decode/filter/concat work, so
-        # the I/O accounting is identical to recomputing — the same
-        # contract as the decoded-record LRUs.  Cleared when appends
-        # extend a directory chain.
+        # the I/O accounting is identical to recomputing.  Cleared when
+        # appends extend a directory chain.
         self._window_gathers: OrderedDict[  # guarded_by: _record_lock
-            tuple[int, tuple],
-            tuple[np.ndarray, tuple[RecordPointer, ...], tuple[int, ...]],
+            tuple[int, tuple], tuple[np.ndarray, int, tuple[int, ...]]
         ] = OrderedDict()
         # Bumped (under _record_lock) whenever appends grow a directory
         # chain; a gather that started before the bump must not insert
         # its pre-append entry into the memo after the clear.
         self._data_epoch = 0  # guarded_by: _record_lock
-        self._window_plans: OrderedDict[  # guarded_by: _record_lock
-            tuple[float, float], tuple[tuple[int, bool, float, float], ...]
-        ] = OrderedDict()
         self._record_lock = threading.Lock()
         self.stats = STIndexStats(num_slots=self.num_slots)
 
@@ -303,8 +283,9 @@ class STIndex:
         scattered into one uint32 word stream that lands through
         :meth:`PageStore.append_many` — the same pages, pointers and
         ``page_writes`` as appending each record in (segment, slot) order.
-        Visit times are clamped into the day like :meth:`slot_of`; a date
-        or trajectory id outside uint32 raises before any page is written.
+        Visit times are clamped into the day like :meth:`slot_of`; a
+        trajectory id or date a packed visit key cannot hold raises before
+        any page is written.
         """
         if self._built:
             raise RuntimeError("ST-Index already built")
@@ -336,9 +317,7 @@ class STIndex:
         counts = np.fromiter((len(c[2]) for c in compact), np.int64, len(compact))
         ids = np.fromiter((c[0] for c in compact), np.int64, len(compact))
         dates = np.fromiter((c[1] for c in compact), np.int64, len(compact))
-        for name, values in (("trajectory id", ids), ("date", dates)):
-            if values.min() < 0 or values.max() > KEY_ID_MASK:
-                raise ValueError(f"{name} outside the uint32 range of a time list")
+        _check_key_ranges(ids, dates)
         seconds = np.concatenate([c[3] for c in compact])
         np.clip(seconds, 0, SECONDS_PER_DAY - 1, out=seconds)
         seconds = seconds.astype(np.int64)
@@ -418,7 +397,9 @@ class STIndex:
         New days of data arrive continuously in a deployed system; instead
         of rebuilding, each affected (segment, slot) entry gains one more
         record in its chain, merged with the existing ones at read time.
-        Returns the number of entries touched.
+        Returns the number of entries touched.  A trajectory id or date a
+        packed visit key cannot hold raises ``ValueError`` before any page
+        or journal record is written.
 
         Args:
             trajectories: iterable of
@@ -426,6 +407,11 @@ class STIndex:
         """
         if not self._built:
             raise RuntimeError("build the ST-Index before appending")
+        trajectories = list(trajectories)
+        _check_key_ranges(
+            [trajectory.trajectory_id for trajectory in trajectories],
+            [trajectory.date for trajectory in trajectories],
+        )
         pending: dict[tuple[int, int], dict[int, set[tuple[int, int]]]] = {}
         for trajectory in trajectories:
             date = trajectory.date
@@ -458,9 +444,7 @@ class STIndex:
         self.disk.commit(meta=encode_append_delta(self.delta_t_s, delta))
         # (Tail-page cache coherence is handled by the disk's write-through
         # invalidation of attached pools.)  The window-gather memo is keyed
-        # by segment, not pointer, so grown chains must invalidate it; the
-        # pointer-keyed decoded-record LRUs stay valid (records are
-        # append-only and never mutate).
+        # by segment, not pointer, so grown chains must invalidate it.
         with self._record_lock:
             self._window_gathers.clear()
             self._data_epoch += 1
@@ -563,21 +547,14 @@ class STIndex:
     # -- time-list reads ----------------------------------------------------------------
 
     def time_entries(
-        self, segment_id: int, slot: int, copy: bool = True
+        self, segment_id: int, slot: int
     ) -> dict[int, list[tuple[int, int]]]:
         """Read a (segment, slot) time list: ``date -> (id, second) visits``.
 
         Charged through the buffer pool; an absent entry (no trajectory ever
         hit the segment in the slot) is free, as the in-memory directory
-        already proves absence.
-
-        Mutability contract: with ``copy=True`` (the default) the caller
-        owns the returned dict and its lists.  With ``copy=False`` a
-        single-record entry is served as the memoized decoded record
-        itself — a shared read-only view that internal read paths (the
-        probability estimators, window filters) use to skip a fresh
-        dict+list copy per access; callers taking a view must never
-        mutate it.  Multi-record chains are merged fresh either way.
+        already proves absence.  The caller owns the returned dict and its
+        lists.
         """
         chain = self._directory.get((segment_id, slot))
         if chain is None:
@@ -585,78 +562,36 @@ class STIndex:
         if len(chain) == 1:
             # Bulk-built and per-append records are internally duplicate
             # free; only cross-record merges need the dedup below.
-            decoded = self._read_record(chain[0])
-            if not copy:
-                return decoded
-            return {date: list(visits) for date, visits in decoded.items()}
+            return self._read_record(chain[0]).per_date()
         merged: dict[int, set[tuple[int, int]]] = {}
         for pointer in chain:
-            for date, visits in self._read_record(pointer).items():
+            for date, visits in self._read_record(pointer).per_date().items():
                 # Set-merge: a visit present in both the bulk record and an
                 # appended record (same id, same second) must count once.
                 merged.setdefault(date, set()).update(visits)
         return {date: sorted(visits) for date, visits in merged.items()}
 
-    def _read_record(
-        self, pointer: RecordPointer
-    ) -> dict[int, list[tuple[int, int]]]:
-        """One charged record read, with the decode memoized.
-
-        The read always goes through the buffer pool (the paper's I/O
-        accounting), but records are append-only and never mutate, so the
-        decoded form is cached by pointer and served read-only — TBS/ES
-        probability checks re-read the same handful of time lists for
-        every candidate segment.  The LRU is shared by batch worker
-        threads, so lookups and insert/evict run under a lock (the decode
-        itself does not).
-        """
-        payload = self._store.read(pointer, pool=self.pool)
-        if self.record_cache_size <= 0:
-            return decode_time_list(payload)
-        with self._record_lock:
-            decoded = self._decoded_records.get(pointer)
-            if decoded is not None:
-                self._decoded_records.move_to_end(pointer)
-                return decoded
-        decoded = decode_time_list(payload)
-        with self._record_lock:
-            self._decoded_records[pointer] = decoded
-            while len(self._decoded_records) > self.record_cache_size:
-                self._decoded_records.popitem(last=False)
-        return decoded
+    def _read_record(self, pointer: RecordPointer) -> ColumnarTimeList:
+        """One record read, charged through the buffer pool, and decoded."""
+        return decode_time_list_columns(self._store.read(pointer, pool=self.pool))
 
     def window_plan(
         self, start_s: float, end_s: float
-    ) -> tuple[tuple[int, bool, float, float], ...]:
-        """A window resolved to ``(slot, whole_slot, lo, hi)`` steps.
+    ) -> tuple[tuple[float, float, int, int], ...]:
+        """A window resolved to ``(lo, hi, first_slot, last_slot)`` parts.
 
         Resolving ``[start_s, end_s)`` against the temporal B+-tree (the
-        midnight split, the per-part slot range scans, the whole-vs-
-        boundary classification) depends only on the window and Δt — not
-        on any segment — so one query's estimator resolves it once and
-        every candidate gather replays the memoized plan.  A small LRU
-        keeps repeated query shapes free across estimators too.
+        midnight split, the per-part slot range scans) depends only on
+        the window and Δt — not on any segment — so one query's estimator
+        resolves it once and every candidate gather replays the plan.
+        The plan is half of every window-gather memo key, so it stays one
+        small tuple per within-day part however many slots a part spans.
         """
-        key = (start_s, end_s)
-        with self._record_lock:
-            plan = self._window_plans.get(key)
-            if plan is not None:
-                self._window_plans.move_to_end(key)
-                return plan
-        steps: list[tuple[int, bool, float, float]] = []
+        parts: list[tuple[float, float, int, int]] = []
         for lo, hi in self._window_parts(start_s, end_s):
-            for slot in self._slots_in_part(lo, hi):
-                slot_start = slot * self.delta_t_s
-                whole_slot = (
-                    lo <= slot_start and slot_start + self.delta_t_s <= hi
-                )
-                steps.append((slot, whole_slot, lo, hi))
-        plan = tuple(steps)
-        with self._record_lock:
-            self._window_plans[key] = plan
-            while len(self._window_plans) > 128:
-                self._window_plans.popitem(last=False)
-        return plan
+            slots = self._slots_in_part(lo, hi)
+            parts.append((lo, hi, slots[0], slots[-1]))
+        return tuple(parts)
 
     @staticmethod
     def _assemble_window_keys(
@@ -685,7 +620,7 @@ class STIndex:
     def gather_window_columns(
         self,
         segment_ids,
-        plan: tuple[tuple[int, bool, float, float], ...],
+        plan: tuple[tuple[float, float, int, int], ...],
     ) -> tuple[list[np.ndarray], int, int]:
         """Batch window gather for a wave of segments (one charging pass).
 
@@ -693,7 +628,7 @@ class STIndex:
         page accesses of *all* requested segments' records are charged
         through one :meth:`~repro.storage.pagestore.BufferPool.get_pages`
         pass in exactly the order the per-segment scalar loop would read
-        them (segment order, plan steps in window order, chain records in
+        them (segment order, plan slots in window order, chain records in
         append order), so the buffer-pool and disk counters are identical
         to gathering the segments one at a time — but
         the pool's lock shards are taken once per wave and segments whose
@@ -712,12 +647,12 @@ class STIndex:
         record_reads = 0
         page_ids: list[int] = []
         fresh_pointers: list[RecordPointer] = []
-        # Per fresh segment: (result position, segment, filter steps,
-        # and this segment's slice bounds within ``page_ids``).
+        # Per memo miss: (result position, memo key, filter steps, and
+        # this segment's slice bounds within ``page_ids``).
         builds: list[
             tuple[
                 int,
-                int,
+                tuple[int, tuple],
                 list[tuple[RecordPointer, bool, float, float]],
                 int,
                 int,
@@ -732,96 +667,69 @@ class STIndex:
                 if entry is not None:
                     gathers.move_to_end(key)
                     results.append(entry[0])
-                    record_reads += len(entry[1])
+                    record_reads += entry[1]
                     page_ids.extend(entry[2])
                     continue
                 steps: list[tuple[RecordPointer, bool, float, float]] = []
                 pages_start = len(page_ids)
-                for slot, whole_slot, lo, hi in plan:
-                    chain = directory.get((segment_id, slot))
-                    if chain is not None:
-                        for pointer in chain:
+                for lo, hi, first_slot, last_slot in plan:
+                    for slot in range(first_slot, last_slot + 1):
+                        # Boundary slots are filtered by visit second.
+                        slot_start = slot * self.delta_t_s
+                        whole_slot = (
+                            lo <= slot_start and slot_start + self.delta_t_s <= hi
+                        )
+                        for pointer in directory.get((segment_id, slot), ()):
                             steps.append((pointer, whole_slot, lo, hi))
                             fresh_pointers.append(pointer)
-                            record_reads += 1
                             page_ids.extend(
                                 range(
                                     pointer.first_page,
                                     pointer.first_page + pointer.num_pages,
                                 )
                             )
-                builds.append(
-                    (len(results), segment_id, steps, pages_start, len(page_ids))
-                )
+                record_reads += len(steps)
+                builds.append((len(results), key, steps, pages_start, len(page_ids)))
                 results.append(None)
         # One batched charge for the whole wave, in exactly the scalar
         # per-segment read order: ``page_ids`` interleaves the replayed
-        # accesses of gather-cache hits with the pages of fresh pointers,
-        # so the pool sees the same access sequence the per-segment loop
+        # accesses of memo hits with the pages of the misses' records, so
+        # the pool sees the same access sequence the per-segment loop
         # would produce.  The charged pages are pulled through the pool,
         # so the decode below never charges again.
         if fresh_pointers:
             self._store.ensure_committed(fresh_pointers)
         self.pool.get_pages(page_ids)
-        if builds:
-            needed: dict[RecordPointer, ColumnarTimeList | None] = {}
-            missing: list[RecordPointer] = []
-            with self._record_lock:
-                columnar = self._columnar_records
-                for _, _, steps, _, _ in builds:
-                    for pointer, _, _, _ in steps:
-                        if pointer in needed:
-                            continue
-                        record = columnar.get(pointer) if cache_on else None
-                        if record is None:
-                            missing.append(pointer)
-                            needed[pointer] = None  # placeholder
-                        else:
-                            columnar.move_to_end(pointer)
-                            needed[pointer] = record
-            for pointer in missing:
+        # Every record the misses name is decoded once per call.
+        columns: dict[RecordPointer, ColumnarTimeList] = {}
+        for pointer in fresh_pointers:
+            if pointer not in columns:
                 # Uncharged decode: the pages were charged (and pulled
                 # through the pool) by the batched charge above, so the raw
                 # extent read cannot double- or under-count.
                 # repro-lint: disable=RL002
-                needed[pointer] = decode_time_list_columns(
+                columns[pointer] = decode_time_list_columns(
                     self.disk.extent_bytes(
                         pointer.first_page, pointer.offset, pointer.length
                     )
                 )
-            fresh: list[
-                tuple[tuple[int, tuple], np.ndarray, tuple, tuple]
-            ] = []
-            for position, segment_id, steps, pages_start, pages_end in builds:
-                keys = self._assemble_window_keys(steps, needed)
-                results[position] = keys
-                if cache_on:
-                    fresh.append(
-                        (
-                            (segment_id, plan),
-                            keys,
-                            tuple(pointer for pointer, _, _, _ in steps),
+        for position, _, steps, _, _ in builds:
+            results[position] = self._assemble_window_keys(steps, columns)
+        if cache_on and builds:
+            with self._record_lock:
+                # An append may have cleared the memo while this gather ran
+                # outside the lock; inserting the pre-append entry would
+                # resurrect stale data.
+                if self._data_epoch == epoch:
+                    gathers = self._window_gathers
+                    for position, key, steps, pages_start, pages_end in builds:
+                        gathers[key] = (
+                            results[position],
+                            len(steps),
                             tuple(page_ids[pages_start:pages_end]),
                         )
-                    )
-            if cache_on:
-                with self._record_lock:
-                    columnar = self._columnar_records
-                    for pointer in missing:
-                        columnar[pointer] = needed[pointer]
-                    while len(columnar) > self.record_cache_size:
-                        columnar.popitem(last=False)
-                    if self._data_epoch == epoch:
-                        # An append may have cleared the memo while this
-                        # gather ran outside the lock; inserting the
-                        # pre-append entry would resurrect stale data.
-                        # (The pointer-keyed columnar records above stay
-                        # valid either way — records never mutate.)
-                        gathers = self._window_gathers
-                        for key, keys, pointers, access_pages in fresh:
-                            gathers[key] = (keys, pointers, access_pages)
-                        while len(gathers) > self.record_cache_size:
-                            gathers.popitem(last=False)
+                    while len(gathers) > self.record_cache_size:
+                        gathers.popitem(last=False)
         return results, record_reads, len(page_ids)
 
     def window_keys(
@@ -864,7 +772,7 @@ class STIndex:
                 whole_slot = (
                     lo <= slot_start and slot_start + self.delta_t_s <= hi
                 )
-                entries = self.time_entries(segment_id, slot, copy=False)
+                entries = self.time_entries(segment_id, slot)
                 for date, visits in entries.items():
                     ids = {
                         trajectory_id

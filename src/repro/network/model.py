@@ -181,14 +181,6 @@ class RoadNetwork:
 
     # -- topology ----------------------------------------------------------------
 
-    def out_segments(self, node_id: int) -> list[int]:
-        """Segments leaving ``node_id``."""
-        return list(self._out[node_id])
-
-    def in_segments(self, node_id: int) -> list[int]:
-        """Segments arriving at ``node_id``."""
-        return list(self._in[node_id])
-
     def successors(self, segment_id: int) -> list[int]:
         """Segments a traveller can continue onto after ``segment_id``."""
         seg = self._segments[segment_id]

@@ -9,12 +9,13 @@ savings first-class and measurable:
 * :class:`~repro.storage.disk.SimulatedDisk` — a page-addressed disk with
   read/write counters and an accounted latency model.
 * :class:`~repro.storage.pagestore.PageStore` — a record store on top of the
-  disk; each record lives on one contiguous *extent* of pages, writes are
-  group-committed page-at-a-time, and :meth:`~repro.storage.pagestore.PageStore.read_many`
-  gathers a whole wave of records in one charging pass.
+  disk; each record lives on one contiguous *extent* of pages and writes
+  are group-committed page-at-a-time.
 * :class:`~repro.storage.pagestore.BufferPool` — a striped LRU page cache
   with single-flight misses; only cache misses charge disk reads,
-  mirroring a DBMS buffer manager.
+  mirroring a DBMS buffer manager, and
+  :meth:`~repro.storage.pagestore.BufferPool.get_pages` charges a whole
+  wave of records' pages in one pass.
 * :mod:`~repro.storage.serialization` — compact binary record codecs.
 * :mod:`~repro.storage.backends` — pluggable disk backends: the in-RAM
   default plus the durable, checksummed, journaled

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -74,8 +74,9 @@ class RecordPointer:
 class PageStore:
     """Append-only record store over a :class:`SimulatedDisk`.
 
-    Records are appended with :meth:`append` and fetched with :meth:`read`
-    (or in batches with :meth:`read_many`).  The store keeps an in-memory
+    Records are appended with :meth:`append` and fetched with :meth:`read`;
+    a caller gathering a whole wave charges the pages itself through
+    :meth:`BufferPool.get_pages`.  The store keeps an in-memory
     write buffer for the tail page and group-commits it (flush on page
     boundary, plus :meth:`flush` at build end); directory state (record
     pointers) lives in memory, as index directories do in the paper's
@@ -335,48 +336,6 @@ class PageStore:
         return self._disk.extent_bytes(
             pointer.first_page, pointer.offset, pointer.length
         )
-
-    def read_many(
-        self,
-        pointers: Sequence[RecordPointer],
-        pool: "BufferPool | None" = None,
-    ) -> list[bytes]:
-        """Batch read: gather many records' pages in one charging pass.
-
-        Accounting-identical to calling :meth:`read` once per pointer in
-        order — the same page access sequence (pointer order, pages within
-        each extent in order, duplicates charged every time) against the
-        same pool — but the pool charge takes each lock shard once for the
-        whole batch and the payloads come out as single extent slices.
-        ``tests/test_batched_io.py`` proves the equivalence on randomized
-        record sets.  (The ST-Index wave gather charges through
-        :meth:`BufferPool.get_pages` directly, with memoized access-page
-        lists, because its decoded-record cache makes the payloads
-        themselves unnecessary — same accounting, one layer lower.)
-
-        Args:
-            pointers: record pointers, in the order the sequential scalar
-                loop would read them (duplicates allowed and charged).
-            pool: buffer pool to charge through (``None``: straight disk
-                reads).
-
-        Returns:
-            Payloads aligned with ``pointers``.
-        """
-        self.ensure_committed(pointers)
-        page_ids: list[int] = []
-        for pointer in pointers:
-            page_ids.extend(
-                range(pointer.first_page, pointer.first_page + pointer.num_pages)
-            )
-        if pool is not None:
-            pool.get_pages(page_ids)
-        else:
-            self._disk.charge_reads(page_ids)
-        extent_bytes = self._disk.extent_bytes
-        return [
-            extent_bytes(p.first_page, p.offset, p.length) for p in pointers
-        ]
 
 
 class _PoolShard:

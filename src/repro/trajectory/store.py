@@ -111,10 +111,6 @@ class TrajectoryDatabase:
         self._trajectories[trajectory.trajectory_id] = compact
         self._finalized = False
 
-    def add_all(self, trajectories: Iterable[MatchedTrajectory]) -> None:
-        for trajectory in trajectories:
-            self.add(trajectory)
-
     def add_arrays(
         self,
         trajectory_id: int,

@@ -1,7 +1,7 @@
 """Batched zero-copy I/O layer: accounting-equivalence and concurrency tests.
 
 The contract under test (ISSUE 5): the batched read path — extent
-pointers, ``PageStore.read_many``, ``BufferPool.get_pages``, the
+pointers, ``BufferPool.get_pages``, the
 ST-Index wave gathers — charges *exactly* what the preserved scalar
 read path (a sequential loop of ``PageStore.read`` calls) charges:
 same ``DiskStats`` (page reads/writes, bytes, pool hits/misses/
@@ -13,6 +13,7 @@ double-miss race, and weakref hygiene in ``SimulatedDisk``.
 import gc
 import random
 import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,17 +30,6 @@ def make_records(seed: int, count: int, max_size: int = 300) -> list[bytes]:
         bytes(rng.randrange(256) for _ in range(rng.randrange(max_size + 1)))
         for _ in range(count)
     ]
-
-
-def build_store(
-    payloads, page_size: int, capacity: int, shards: int = 8
-) -> tuple[SimulatedDisk, PageStore, BufferPool, list[RecordPointer]]:
-    disk = SimulatedDisk(page_size=page_size)
-    store = PageStore(disk)
-    pointers = [store.append(p) for p in payloads]
-    store.flush()
-    pool = BufferPool(disk, capacity=capacity, shards=shards)
-    return disk, store, pool, pointers
 
 
 class TestGroupCommit:
@@ -124,111 +114,6 @@ class TestExtentPointers:
         before = disk.snapshot()
         assert store.read(ptr) == b""
         assert (disk.snapshot() - before).page_reads == 1
-
-
-def assert_stats_equal(a: SimulatedDisk, b: SimulatedDisk) -> None:
-    sa, sb = a.snapshot(), b.snapshot()
-    assert sa == sb, f"DiskStats diverged: {sa} != {sb}"
-
-
-class TestReadManyEquivalence:
-    """read_many == sequential read loop, counter for counter."""
-
-    def run_pair(self, payloads, accesses, page_size, capacity, shards=8):
-        d1, s1, p1, ptrs1 = build_store(payloads, page_size, capacity, shards)
-        d2, s2, p2, ptrs2 = build_store(payloads, page_size, capacity, shards)
-        seq1 = [ptrs1[i] for i in accesses]
-        seq2 = [ptrs2[i] for i in accesses]
-        scalar = [s1.read(ptr, pool=p1) for ptr in seq1]
-        batched = s2.read_many(seq2, pool=p2)
-        assert scalar == batched
-        assert scalar == [payloads[i] for i in accesses]
-        assert_stats_equal(d1, d2)
-        return d1.snapshot()
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(0, 10_000),
-        st.integers(8, 128),
-        st.sampled_from([0, 2, 7, 64]),
-    )
-    def test_randomized_equivalence(self, seed, page_size, capacity):
-        rng = random.Random(seed)
-        payloads = make_records(seed, rng.randrange(1, 30), max_size=3 * page_size)
-        accesses = [
-            rng.randrange(len(payloads))
-            for _ in range(rng.randrange(1, 60))
-        ]
-        self.run_pair(payloads, accesses, page_size, capacity)
-
-    def test_duplicates_in_one_wave_charge_every_access(self):
-        payloads = make_records(5, 4, max_size=40)
-        stats = self.run_pair([*payloads], [0, 0, 1, 0, 2, 2, 3], 16, 64)
-        # 7 accesses happened even though only 4 records exist.
-        assert stats.pool_hits + stats.pool_misses >= 7
-
-    def test_capacity_zero_pool(self):
-        payloads = make_records(6, 10, max_size=50)
-        accesses = [i % len(payloads) for i in range(30)]
-        stats = self.run_pair(payloads, accesses, 16, 0)
-        assert stats.pool_hits == 0
-        assert stats.pool_misses == stats.page_reads
-
-    def test_no_pool_matches_per_page_charges(self):
-        payloads = make_records(7, 12, max_size=70)
-        d1, s1, _, ptrs1 = build_store(payloads, 16, 8)
-        d2, s2, _, ptrs2 = build_store(payloads, 16, 8)
-        for ptr in ptrs1:
-            s1.read(ptr)
-        s2.read_many(ptrs2)
-        assert d1.stats == d2.stats
-        assert d1.stats.page_reads == sum(p.num_pages for p in ptrs1)
-
-    def test_eviction_pressure_equivalence(self):
-        """Tiny pools evict constantly; both paths must agree anyway."""
-        payloads = make_records(8, 25, max_size=90)
-        rng = random.Random(8)
-        accesses = [rng.randrange(len(payloads)) for _ in range(200)]
-        stats = self.run_pair(payloads, accesses, 16, 4, shards=2)
-        assert stats.pool_evictions > 0
-
-    def test_threaded_gather_matches_sequential(self):
-        """Concurrent read_many equals the sequential scalar loop's stats.
-
-        The pool is sized to the working set, so no evictions occur and
-        single-flight misses make hit/miss totals schedule-independent.
-        """
-        payloads = make_records(9, 30, max_size=60)
-        rng = random.Random(9)
-        waves = [
-            [rng.randrange(len(payloads)) for _ in range(12)]
-            for _ in range(8)
-        ]
-        d1, s1, p1, ptrs1 = build_store(payloads, 16, 1024)
-        for wave in waves:
-            for i in wave:
-                s1.read(ptrs1[i], pool=p1)
-        d2, s2, p2, ptrs2 = build_store(payloads, 16, 1024)
-        barrier = threading.Barrier(len(waves))
-        errors: list[Exception] = []
-
-        def gather(wave):
-            try:
-                barrier.wait()
-                got = s2.read_many([ptrs2[i] for i in wave], pool=p2)
-                assert got == [payloads[i] for i in wave]
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=gather, args=(wave,)) for wave in waves
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert_stats_equal(d1, d2)
 
 
 class TestStripedPool:
@@ -510,6 +395,43 @@ class TestGatherMemoInvalidation:
         # not be memoized: the next gather sees the appended visit.
         fresh = index.gather_window_columns((segment_id,), plan)[0][0]
         assert fresh.size == stale.size + 1
+
+
+class TestGatherMemoAccounting:
+    def test_memo_hit_equals_miss_equals_memo_off(self, engine):
+        """The window-gather memo is the index's one cache, and it only
+        skips work: a memo hit, a memo miss and a memo-less index return
+        the same keys and charge the same records and pages, counter for
+        counter — also for a wave that names one segment twice."""
+        shared = engine.st_index(300)
+        _, slot = next(iter(shared._directory))
+        in_slot = sorted(s for s, t in shared._directory if t == slot)
+        wave = [in_slot[0], in_slot[-1], in_slot[0], max(shared.network.segment_ids()) + 1]
+        runs = []
+        for size in (4096, 0):
+            index = STIndex(engine.network, 300, record_cache_size=size)
+            index.build(engine.database)
+            assert [
+                name for name, value in vars(index).items()
+                if isinstance(value, OrderedDict)
+            ] == ["_window_gathers"]
+            # Boundary slot on the left, whole slot on the right.
+            plan = index.window_plan(slot * 300.0 + 40.0, (slot + 2) * 300.0)
+            calls = []
+            for _ in range(2):
+                before = index.disk.snapshot()
+                keys, records, pages = index.gather_window_columns(wave, plan)
+                calls.append(
+                    ([k.tolist() for k in keys], records, pages, index.disk.snapshot() - before)
+                )
+            assert len(index._window_gathers) == (3 if size else 0)
+            runs.append(calls)
+        (on_miss, on_hit), (off_first, off_second) = runs
+        assert on_miss == off_first and on_hit == off_second
+        assert on_miss[:3] == on_hit[:3]
+        keys, records, pages, _ = on_miss
+        assert keys[0] == keys[2] and keys[0] and keys[3] == []
+        assert records >= 3 and pages >= records
 
 
 class TestSTIndexPersistence:

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,13 +272,79 @@ class TestBuildInputChecks:
         assert index.disk.num_pages == 0 and index.disk.stats.page_writes == 0
         assert not index._built
 
+    @pytest.mark.parametrize(
+        "trajectory_id, date, match",
+        [
+            (1, 1 << 31, "date"),
+            (1, (1 << 32) - 1, "date"),
+            (1, -1, "date"),
+            (1 << 32, 0, "trajectory id"),
+            (-5, 0, "trajectory id"),
+        ],
+    )
+    @pytest.mark.parametrize("path", ["build", "append", "append-file"])
+    def test_key_outside_packed_range_raises_on_both_write_paths(
+        self, network, tmp_path, path, trajectory_id, date, match
+    ):
+        """A date >= 2**31 used to be accepted on write and then crashed
+        every gather that touched its (segment, slot); append checked
+        nothing at all and acknowledged the poison record."""
+        segment = sorted(network.segment_ids())[0]
+        on_file = path == "append-file"
+        disk = (
+            FileBackedDisk.create(tmp_path / "disk", page_size=128)
+            if on_file
+            else SimulatedDisk(page_size=128)
+        )
+        index = STIndex(network, 300, disk=disk)
+        good = (7, 0, np.array([segment], np.int32), np.array([10.0]))
+        bad = (trajectory_id, date, good[2], good[3])
+
+        def rows(*compact):
+            # TrajectoryDatabase refuses a negative date itself; build's
+            # gate must hold for any source of compact rows.
+            return SimpleNamespace(iter_compact=lambda: iter(compact))
+
+        def written():
+            journal = disk.directory / "journal.0.log" if on_file else None
+            return (
+                disk.num_pages,
+                disk.stats.page_writes,
+                (disk.journal_record_count, journal.stat().st_size) if on_file else None,
+            )
+
+        if path == "build":
+            before = written()
+            with pytest.raises(ValueError, match=match):
+                index.build(rows(good, bad))
+            assert written() == before and not index._built
+            return
+        index.build(rows(good))
+        disk.commit()
+        before = written()
+        visits = [SegmentVisit(segment, 10.0, 1.0)]
+        with pytest.raises(ValueError, match=match):
+            index.append_trajectories(
+                [
+                    MatchedTrajectory(8, 0, 0, visits),
+                    MatchedTrajectory(trajectory_id, 0, date, visits),
+                ]
+            )
+        assert written() == before
+        # Nothing half-landed: the valid trajectory of the refused call too.
+        assert index.time_entries(segment, 0) == {0: [(7, 10)]}
+        if on_file:
+            disk.close()
+
     def test_uint32_extremes_are_stored_exactly(self, network):
         segment = sorted(network.segment_ids())[0]
-        top = (1 << 32) - 1
-        database = TrajectoryDatabase(num_taxis=1, num_days=1 << 32)
-        database.add_arrays(top, 0, top, [segment], [10.0], [1.0])
+        top_id, top_date = (1 << 32) - 1, (1 << 31) - 1
+        database = TrajectoryDatabase(num_taxis=1, num_days=1 << 31)
+        database.add_arrays(top_id, 0, top_date, [segment], [10.0], [1.0])
         bulk, _ = assert_builds_agree(network, database)
-        assert bulk.time_entries(segment, 0) == {top: [(top, 10)]}
+        assert bulk.time_entries(segment, 0) == {top_date: [(top_id, 10)]}
+        keys = bulk.window_keys(segment, 0.0, 300.0)
+        assert keys.tolist() == [(top_date << 32) | top_id]
 
     def test_packed_key_overflow_raises_before_writing(self, network):
         database = TrajectoryDatabase(num_taxis=1, num_days=1)

@@ -21,6 +21,7 @@ from test_expansion_kernel import make_network, random_database
 
 from benchmarks.client_protocol import m_query, r_query, run_batch, s_query
 from repro.core.engine import ReachabilityEngine
+from reference.legacy_expansion import decode_time_list_reference
 from reference.legacy_probability import (
     LegacyProbabilityEstimator,
     LegacyReverseProbabilityEstimator,
@@ -34,7 +35,6 @@ from repro.core.query import MQuery, SQuery
 from repro.core.reverse import ReverseProbabilityEstimator
 from repro.core.st_index import (
     STIndex,
-    decode_time_list,
     decode_time_list_columns,
     encode_time_list,
 )
@@ -66,7 +66,7 @@ class TestColumnarDecode:
         }
         payload = encode_time_list(per_date)
         columns = decode_time_list_columns(payload)
-        reference = decode_time_list(payload)
+        reference = decode_time_list_reference(payload)
         expected = [
             ((date << 32) | tid, second)
             for date in sorted(reference)
@@ -425,19 +425,22 @@ class TestTraceBackEmptyEstimators:
 
 
 class TestTimeEntriesViews:
-    """The single-record hot path serves cached read-only views."""
+    """The dict view derived on demand from the decoded columns."""
 
     def test_view_skips_copy_and_copy_stays_fresh(self, engine):
+        """A returned dict is the caller's: mutating it (and its lists)
+        does not change the next read."""
         st = engine.st_index(300)
         (segment_id, slot) = next(iter(st._directory))
-        view_a = st.time_entries(segment_id, slot, copy=False)
-        view_b = st.time_entries(segment_id, slot, copy=False)
-        assert view_a is view_b  # the memoized record itself
+        first = st.time_entries(segment_id, slot)
+        expected = {date: list(visits) for date, visits in first.items()}
+        date = next(iter(first))
+        first[date].append((123_456, 1))
+        first[-1] = []
         fresh = st.time_entries(segment_id, slot)
-        assert fresh == view_a
-        assert fresh is not view_a
-        date = next(iter(fresh))
-        assert fresh[date] is not view_a[date]
+        assert fresh == expected
+        assert fresh is not first
+        assert fresh[date] is not first[date]
 
     def test_window_keys_match_trajectories_in_window(self, engine):
         st = engine.st_index(300)

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.st_index import STIndex, decode_time_list, encode_time_list
+from repro.core.st_index import (
+    STIndex,
+    decode_time_list_columns,
+    encode_time_list,
+)
 from repro.network.generator import grid_city
 from repro.storage.serialization import SerializationError
 from repro.trajectory.model import (
@@ -34,26 +38,28 @@ def db_with(network, visits_by_traj, num_taxis=8, num_days=5):
 
 
 class TestTimeListCodec:
+    """The one decoder plus the dict view derived from its columns."""
+
     def test_roundtrip(self):
         per_date = {0: [(5, 120), (2, 40), (9, 299)], 3: [(1, 0)], 29: []}
-        decoded = decode_time_list(encode_time_list(per_date))
+        decoded = decode_time_list_columns(encode_time_list(per_date)).per_date()
+        # A date without visits (no writer emits one) is simply absent.
         assert decoded == {
             0: [(2, 40), (5, 120), (9, 299)],
             3: [(1, 0)],
-            29: [],
         }
 
     def test_empty(self):
-        assert decode_time_list(encode_time_list({})) == {}
+        assert decode_time_list_columns(encode_time_list({})).per_date() == {}
 
     def test_misaligned_rejected(self):
         with pytest.raises(SerializationError):
-            decode_time_list(b"\x01\x00\x00")
+            decode_time_list_columns(b"\x01\x00\x00")
 
     def test_truncated_rejected(self):
         payload = encode_time_list({1: [(2, 10), (3, 20)]})
         with pytest.raises(SerializationError):
-            decode_time_list(payload[:-4])
+            decode_time_list_columns(payload[:-4])
 
 
 class TestSlots:

@@ -12,8 +12,8 @@ reachability proof over the shared call graph:
     *charging* function first.
 
 A charging function is one of the audited accounting chokepoints
-(``BufferPool.get_page``/``get_pages``, ``PageStore.read``/
-``read_many``, ``SimulatedDisk.charge_reads``), any function that
+(``BufferPool.get_page``/``get_pages``, ``PageStore.read``,
+``SimulatedDisk.charge_reads``), any function that
 itself calls one of them (the charge-then-decode pattern:
 ``STIndex.gather_window_columns`` charges pages via ``get_pages`` and
 then decodes the pre-charged extents), or a function annotated
@@ -43,7 +43,6 @@ CHARGING_METHODS = frozenset(
         ("BufferPool", "get_page"),
         ("BufferPool", "get_pages"),
         ("PageStore", "read"),
-        ("PageStore", "read_many"),
         ("SimulatedDisk", "charge_reads"),
     }
 )
@@ -51,7 +50,7 @@ CHARGING_METHODS = frozenset(
 
 #: Charging method names distinctive enough to trust without resolving
 #: the receiver (``read`` alone would match file objects and pipes).
-SYNTACTIC_CHARGING_NAMES = frozenset({"get_page", "get_pages", "read_many", "charge_reads"})
+SYNTACTIC_CHARGING_NAMES = frozenset({"get_page", "get_pages", "charge_reads"})
 
 
 def _is_charging_qualname(qualname: str) -> bool:
