@@ -33,7 +33,7 @@ from repro.api.envelope import QueryOptions, Request, Response
 from repro.api.router import RouteDecision, Router
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
-from repro.core.explain import QueryExplanation, explain_m_query, explain_s_query
+from repro.core.explain import QueryExplanation, StageRecorder
 from repro.core.planner import QueryPlan, plan_query
 from repro.core.query import MQuery, SQuery
 from repro.core.service import BatchReport, QueryService, as_service
@@ -200,10 +200,15 @@ class ReachabilityClient:
         identically-shaped queries reuse their bounds — unless
         ``options.reuse_regions`` is off.
         """
-        request = _coerce(request)
+        return self._answer(_coerce(request))
+
+    def _answer(
+        self, request: Request, recorder: StageRecorder | None = None
+    ) -> Response:
         plan, decision = self.plan(request)
         result, context = self.service.run_plan(
-            plan, request.query, reuse_regions=request.options.reuse_regions
+            plan, request.query, reuse_regions=request.options.reuse_regions,
+            recorder=recorder,
         )
         return Response(
             request=request,
@@ -329,24 +334,18 @@ class ReachabilityClient:
     def explain(self, request: Request | SQuery | MQuery) -> QueryExplanation:
         """Explain one request: the routing decision plus staged costs.
 
-        Paper routes (SQMB/MQMB + TBS) run with per-stage
-        instrumentation; other routes return the plan and decision
-        without stage decomposition.
+        This is :meth:`send` with a stage recorder attached — same route,
+        same executor, same caches (``options.warm`` and
+        ``options.reuse_regions`` are honoured), for every registered
+        algorithm.  The :class:`Response` of that one execution rides on
+        the explanation (``explanation.response``).
         """
-        request = _coerce(request)
-        plan, decision = self.plan(request)
-        if decision.kind == "s" and decision.algorithm == "sqmb_tbs":
-            explanation = explain_s_query(
-                self.engine, request.query, plan.delta_t_s
-            )
-        elif decision.kind == "m" and decision.algorithm == "mqmb_tbs":
-            explanation = explain_m_query(
-                self.engine, request.query, plan.delta_t_s
-            )
-        else:
-            explanation = QueryExplanation(plan=plan)
-        explanation.route = decision
-        return explanation
+        recorder = StageRecorder(self.engine.disk)
+        response = self._answer(_coerce(request), recorder)
+        return QueryExplanation(
+            response.plan, response.result, recorder.stages,
+            route=response.route, response=response,
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

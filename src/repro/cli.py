@@ -19,7 +19,8 @@ the query commands load it, build indexes, and answer through the
 :class:`~repro.api.ReachabilityClient` — every request travels as a
 :class:`~repro.api.Request` envelope, ``--algorithm auto`` (the default)
 lets the router pick the route, and ``--explain`` prints the routing
-decision plus the plan.  ``batch`` streams a deterministic random
+decision, the plan and the stage table of that same execution
+(``QueryExplanation.to_text()``).  ``batch`` streams a deterministic random
 workload (s-, m- and reverse queries mixed) through ``client.stream``,
 printing one progress line per completed response (with its direction
 and route) before the batch report.  Algorithm choices come straight
@@ -90,8 +91,9 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-map", action="store_true",
                         help="skip the ASCII map")
     parser.add_argument("--explain", action="store_true",
-                        help="print the routing decision and query plan "
-                             "before executing")
+                        help="print the routing decision, the query plan "
+                             "and the per-stage cost table of the "
+                             "execution")
     _add_disk_args(parser)
 
 
@@ -170,18 +172,8 @@ def _print_response(args, dataset, response) -> int:
         f"{cost.simulated_io_ms:.0f} ms over {cost.io.page_reads} page reads; "
         f"{cost.probability_checks} probability checks)"
     )
-    if cost.probability_checks:
-        print(
-            f"probability path: {cost.kernel_probability_evals} kernel / "
-            f"{cost.scalar_probability_evals} scalar evals over "
-            f"{cost.probability_waves} waves (max {cost.max_wave_size})"
-        )
-    if cost.batched_record_reads:
-        print(
-            f"batched I/O: {cost.batched_record_reads} record gathers / "
-            f"{cost.prefetched_pages} pages prefetched "
-            f"({cost.pool_lock_shards} pool lock shards)"
-        )
+    for line in cost.path_lines():
+        print(line)
     if response.within_budget is not None:
         verdict = "met" if response.within_budget else "EXCEEDED"
         print(
@@ -244,23 +236,27 @@ def _run_query(args, direction: str, query) -> int:
     )
     with client:
         if args.explain:
-            # Pre-flight print: routing is stateless, so this decision and
-            # plan are exactly what send() will execute.
-            plan, decision = client.plan(request)
-            print(decision.describe())
-            print(plan.describe())
-        response = client.send(request)
+            # One execution: the explanation carries the response it
+            # observed.
+            explanation = client.explain(request)
+            print(explanation.to_text())
+            response = explanation.response
+        else:
+            response = client.send(request)
     return _print_response(args, dataset, response)
 
 
-def cmd_query(args) -> int:
-    query = SQuery(
+def _s_query(args) -> SQuery:
+    return SQuery(
         location=Point(args.x, args.y),
         start_time_s=args.time,
         duration_s=args.duration * 60.0,
         prob=args.prob,
     )
-    return _run_query(args, "forward", query)
+
+
+def cmd_query(args) -> int:
+    return _run_query(args, "forward", _s_query(args))
 
 
 def cmd_mquery(args) -> int:
@@ -274,13 +270,7 @@ def cmd_mquery(args) -> int:
 
 
 def cmd_rquery(args) -> int:
-    query = SQuery(
-        location=Point(args.x, args.y),
-        start_time_s=args.time,
-        duration_s=args.duration * 60.0,
-        prob=args.prob,
-    )
-    return _run_query(args, "reverse", query)
+    return _run_query(args, "reverse", _s_query(args))
 
 
 def cmd_save(args) -> int:
@@ -317,14 +307,8 @@ def cmd_open(args) -> int:
             f"{disk.journal_record_count} journal record(s), "
             f"Δt {client.delta_t_s // 60} min"
         )
-        query = SQuery(
-            location=Point(args.x, args.y),
-            start_time_s=args.time,
-            duration_s=args.duration * 60.0,
-            prob=args.prob,
-        )
         request = Request(
-            query,
+            _s_query(args),
             QueryOptions(
                 direction="forward",
                 algorithm=args.algorithm,

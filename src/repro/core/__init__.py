@@ -10,8 +10,8 @@ Index and algorithm layers:
 * :mod:`~repro.core.sqmb` — Algorithm 1 (s-query max/min bounding region).
 * :mod:`~repro.core.tbs` — Algorithm 2 (trace-back search).
 * :mod:`~repro.core.mqmb` — Algorithm 3 (m-query bounding region).
-* :mod:`~repro.core.baseline` — the exhaustive-search (ES) baseline and the
-  naive multi-s-query baseline.
+* :mod:`~repro.core.baseline` — the exhaustive-search (ES) baseline (its
+  per-location m-query form is the ``es_each`` executor).
 * :mod:`~repro.core.reverse` — reverse-reachability machinery.
 
 Query-service layers (planner -> executors -> storage):
@@ -43,11 +43,7 @@ from repro.core.probability import ProbabilityEstimator
 from repro.core.sqmb import sqmb_bounding_region
 from repro.core.tbs import trace_back_search
 from repro.core.mqmb import mqmb_bounding_region
-from repro.core.baseline import (
-    exhaustive_search,
-    exhaustive_search_pruned,
-    naive_m_query,
-)
+from repro.core.baseline import exhaustive_search, exhaustive_search_pruned
 from repro.core.reverse import (
     ReverseProbabilityEstimator,
     reverse_bounding_region,
@@ -92,7 +88,6 @@ __all__ = [
     "mqmb_bounding_region",
     "exhaustive_search",
     "exhaustive_search_pruned",
-    "naive_m_query",
     "ReverseProbabilityEstimator",
     "reverse_bounding_region",
     "ReachabilityEngine",

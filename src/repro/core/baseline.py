@@ -1,4 +1,4 @@
-"""Baselines: exhaustive search (ES) and the naive m-query decomposition.
+"""Baseline: exhaustive search (ES).
 
 ES answers an s-query with no Con-Index at all: starting from the query
 segment it expands the physical road network neighbour by neighbour and
@@ -111,25 +111,3 @@ def exhaustive_search_pruned(
     governed by the support region instead of the whole network.
     """
     return _exhaustive_waves(network, estimator, prob, prune=True)
-
-
-def naive_m_query(
-    network: RoadNetwork,
-    estimators: dict[int, ProbabilityEstimator],
-    prob: float,
-) -> ExhaustiveResult:
-    """The always-working m-query baseline: n independent searches, unioned.
-
-    Each start location is answered as its own s-query with no communication
-    between them, so segments in overlapping regions are verified once *per
-    query location* — the inefficiency MQMB eliminates.
-    """
-    merged = ExhaustiveResult()
-    for estimator in estimators.values():
-        single = exhaustive_search(network, estimator, prob)
-        merged.region |= single.region
-        merged.failed |= single.failed
-        merged.probabilities.update(single.probabilities)
-        merged.wave_sizes.extend(single.wave_sizes)
-    merged.failed -= merged.region
-    return merged

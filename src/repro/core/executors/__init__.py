@@ -12,13 +12,19 @@ returns the result plus the probability estimators it used.  Cost
 accounting (wall time, disk-stat differencing) happens once in
 :func:`execute_plan`, never inside executors.
 
-Built-in families:
+Two pipelines, each written once; every built-in registration delegates to
+one of them:
 
-* :mod:`~repro.core.executors.sqmb_tbs` — the paper's s-query method
-  (Algorithms 1+2) and its per-location m-query baseline;
-* :mod:`~repro.core.executors.es` — the exhaustive-search baselines;
-* :mod:`~repro.core.executors.mqmb_tbs` — Algorithm 3 + trace-back;
-* :mod:`~repro.core.executors.reverse` — reverse-reachability executors.
+* :func:`~repro.core.executors.sqmb_tbs.execute_bounded` — start
+  segments -> Eq. 3.1 estimators -> Far/Near bounding regions -> trace-back
+  (Algorithms 1-3), for s-, m- and reverse queries alike;
+* :func:`~repro.core.executors.es.execute_exhaustive` — the same front
+  half, then exhaustive verification (the ES baselines).
+
+The family modules (``sqmb_tbs``, ``mqmb_tbs``, ``es``, ``reverse``) are
+the registration points.  Both pipelines mark their stage boundaries with
+:meth:`ExecutionContext.stage`: one method call per stage unless
+``EXPLAIN`` attached a recorder to the context.
 """
 
 from __future__ import annotations
@@ -59,6 +65,25 @@ class ExecutionOutcome:
 
 
 Executor = Callable[["ExecutionContext", "QueryPlan", SQuery | MQuery], ExecutionOutcome]
+
+
+class _UnrecordedStage:
+    """The stage handle of an execution nobody is watching: one shared,
+    stateless no-op."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_UnrecordedStage":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def note(self, **facts) -> None:
+        return None
+
+
+_UNRECORDED = _UnrecordedStage()
 
 _REGISTRY: dict[tuple[str, str], Executor] = {}
 
@@ -125,6 +150,9 @@ class ExecutionContext:
             identical bounding-region computations across queries (and
             batches) are performed once (the batch dedup of §3.3's
             motivation: nearby queries share most of their bounds).
+        recorder: ``EXPLAIN``'s :class:`~repro.core.explain.StageRecorder`;
+            when given, every :meth:`stage` the pipelines mark is timed
+            and charged into it.
     """
 
     def __init__(
@@ -132,10 +160,12 @@ class ExecutionContext:
         engine: "ReachabilityEngine",
         delta_t_s: int,
         region_cache: RegionCache | None = None,
+        recorder=None,
     ) -> None:
         self.engine = engine
         self.delta_t_s = delta_t_s
         self.region_cache = region_cache
+        self.recorder = recorder
         self.regions_computed = 0  # guarded_by: _stats_lock
         self.regions_reused = 0  # guarded_by: _stats_lock
         self._stats_lock = threading.Lock()
@@ -150,18 +180,23 @@ class ExecutionContext:
     def database(self):
         return self.engine.database
 
-    @property
-    def disk(self):
-        return self.engine.disk
-
     def st_index(self):
         return self.engine.st_index(self.delta_t_s)
 
     def con_index(self):
         return self.engine.con_index(self.delta_t_s)
 
-    def invalidate_caches(self) -> None:
-        self.engine.invalidate_caches()
+    # -- stage boundaries ------------------------------------------------------
+
+    def stage(self, name: str):
+        """Mark one pipeline stage: ``with ctx.stage(name) as stage: ...``.
+
+        The handle's ``note(**facts)`` attaches the stage's headline
+        numbers.  Without a recorder this is the shared no-op handle.
+        """
+        if self.recorder is None:
+            return _UNRECORDED
+        return self.recorder.stage(name)
 
     # -- bounding-region dedup -----------------------------------------------
 
@@ -182,7 +217,6 @@ class ExecutionContext:
         sub-slot start time or probability threshold, across batches.
         """
         con = self.con_index()
-        steps = max(1, int(duration_s // self.delta_t_s))
 
         def compute() -> BoundingRegion:
             if strategy == "sqmb":
@@ -202,15 +236,14 @@ class ExecutionContext:
             raise ValueError(f"unknown bounding strategy {strategy!r}")
 
         if self.region_cache is None:
-            region = compute()
-            with self._stats_lock:
-                self.regions_computed += 1
-            return region
-        key = (
-            strategy, seeds, con.slot_of(start_time_s), steps, kind,
-            self.delta_t_s,
-        )
-        region, reused = self.region_cache.get_or_compute(key, compute)
+            region, reused = compute(), False
+        else:
+            steps = max(1, int(duration_s // self.delta_t_s))
+            key = (
+                strategy, seeds, con.slot_of(start_time_s), steps, kind,
+                self.delta_t_s,
+            )
+            region, reused = self.region_cache.get_or_compute(key, compute)
         with self._stats_lock:
             if reused:
                 self.regions_reused += 1
@@ -233,7 +266,7 @@ class ExecutionContext:
 
         plan = plan_query(kind, query, algorithm, self.delta_t_s, warm=warm)
         if not plan.warm:
-            self.invalidate_caches()
+            self.engine.invalidate_caches()
         executor = get_executor(plan.kind, plan.executor)
         return executor(self, plan, query)
 
@@ -278,6 +311,10 @@ def execute_plan(
     started = time.perf_counter()
     outcome = executor(ctx, plan, query)
     diff = engine.disk.local_snapshot() - before
+
+    def total(counter: str) -> int:
+        return sum(getattr(e, counter, 0) for e in outcome.estimators)
+
     result = outcome.result
     result.cost = QueryCost(
         wall_time_s=time.perf_counter() - started,
@@ -285,22 +322,14 @@ def execute_plan(
         # Reads only: page writes can only stem from lazy index
         # construction, which is offline work in the paper's model.
         simulated_io_ms=diff.page_reads * engine.disk.read_latency_ms,
-        probability_checks=sum(e.checks for e in outcome.estimators),
+        probability_checks=total("checks"),
         segments_expanded=outcome.examined,
-        kernel_probability_evals=sum(
-            getattr(e, "kernel_evals", 0) for e in outcome.estimators
-        ),
-        scalar_probability_evals=sum(
-            getattr(e, "scalar_evals", 0) for e in outcome.estimators
-        ),
+        kernel_probability_evals=total("kernel_evals"),
+        scalar_probability_evals=total("scalar_evals"),
         probability_waves=len(outcome.wave_sizes),
         max_wave_size=max(outcome.wave_sizes, default=0),
-        batched_record_reads=sum(
-            getattr(e, "batched_record_reads", 0) for e in outcome.estimators
-        ),
-        prefetched_pages=sum(
-            getattr(e, "prefetched_pages", 0) for e in outcome.estimators
-        ),
+        batched_record_reads=total("batched_record_reads"),
+        prefetched_pages=total("prefetched_pages"),
         pool_lock_shards=st_index.pool.num_shards,
     )
     return result
@@ -308,10 +337,10 @@ def execute_plan(
 
 # Importing the built-in families registers them; keep these imports at the
 # bottom so the registry exists when the modules run their decorators.
+from repro.core.executors import sqmb_tbs as _sqmb_tbs  # noqa: E402,F401
 from repro.core.executors import es as _es  # noqa: E402,F401
 from repro.core.executors import mqmb_tbs as _mqmb_tbs  # noqa: E402,F401
 from repro.core.executors import reverse as _reverse  # noqa: E402,F401
-from repro.core.executors import sqmb_tbs as _sqmb_tbs  # noqa: E402,F401
 
 __all__ = [
     "ExecutionContext",

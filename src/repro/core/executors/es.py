@@ -15,26 +15,26 @@ from repro.core.executors import (
     ExecutionOutcome,
     register_executor,
 )
-from repro.core.probability import ProbabilityEstimator
-from repro.core.query import MQuery, QueryResult, SQuery
+from repro.core.executors.sqmb_tbs import execute_each, start_estimators
+from repro.core.query import MQuery, SQuery
 
 
-def _execute_exhaustive(
-    ctx: ExecutionContext, query: SQuery, search
+def execute_exhaustive(
+    ctx: ExecutionContext, plan, query: SQuery
 ) -> ExecutionOutcome:
-    st = ctx.st_index()
-    start_segment = st.find_start_segment(query.location)
-    estimator = ProbabilityEstimator(
-        st, start_segment, query.start_time_s, query.duration_s,
-        ctx.database.num_days,
-    )
-    outcome = ExecutionOutcome(
-        result=QueryResult(start_segments=(start_segment,)),
-        estimators=[estimator],
-    )
-    if estimator.start_days == 0:
+    """The ES pipeline, forward or reverse: the shared front half, then
+    verification of every road-connected segment (``es_pruned``: of every
+    segment with historical support)."""
+    outcome, live = start_estimators(ctx, plan, query)
+    if not live:
         return outcome
-    es = search(ctx.network, estimator, query.prob)
+    (estimator,) = live.values()
+    with ctx.stage("exhaustive search") as stage:
+        if plan.executor == "es_pruned":
+            es = exhaustive_search_pruned(ctx.network, estimator, query.prob)
+        else:
+            es = exhaustive_search(ctx.network, estimator, query.prob)
+        stage.note(passed=len(es.region), failed=len(es.failed))
     outcome.result.segments = es.region
     outcome.result.probabilities = es.probabilities
     outcome.examined = es.examined
@@ -45,7 +45,7 @@ def _execute_exhaustive(
 @register_executor("s", "es")
 def execute_es(ctx: ExecutionContext, plan, query: SQuery) -> ExecutionOutcome:
     """The paper's ES baseline: verify every road-connected segment."""
-    return _execute_exhaustive(ctx, query, exhaustive_search)
+    return execute_exhaustive(ctx, plan, query)
 
 
 @register_executor("s", "es_pruned")
@@ -53,7 +53,7 @@ def execute_es_pruned(
     ctx: ExecutionContext, plan, query: SQuery
 ) -> ExecutionOutcome:
     """Support-pruned exhaustive search (ablation baseline)."""
-    return _execute_exhaustive(ctx, query, exhaustive_search_pruned)
+    return execute_exhaustive(ctx, plan, query)
 
 
 @register_executor("m", "es_each")
@@ -61,6 +61,4 @@ def execute_es_each(
     ctx: ExecutionContext, plan, query: MQuery
 ) -> ExecutionOutcome:
     """n independent exhaustive searches, unioned."""
-    from repro.core.executors.sqmb_tbs import execute_each
-
     return execute_each(ctx, plan, query, "es")

@@ -7,9 +7,9 @@ from repro.core.executors import (
     ExecutionOutcome,
     register_executor,
 )
-from repro.core.probability import ProbabilityEstimator
-from repro.core.query import MQuery, QueryResult
-from repro.core.tbs import trace_back_search
+from repro.core.executors.sqmb_tbs import execute_bounded
+from repro.core.query import MQuery
+from repro.core.tbs import trace_back_search  # noqa: F401 - resolved by benchmarks/perf/spans.py
 
 
 @register_executor("m", "mqmb_tbs")
@@ -17,45 +17,4 @@ def execute_mqmb_tbs(
     ctx: ExecutionContext, plan, query: MQuery
 ) -> ExecutionOutcome:
     """Algorithm 3 + trace-back over the unified bounding regions."""
-    st = ctx.st_index()
-    start_segments = list(
-        dict.fromkeys(
-            st.find_start_segment(location) for location in query.locations
-        )
-    )
-    estimators = {
-        seed: ProbabilityEstimator(
-            st, seed, query.start_time_s, query.duration_s,
-            ctx.database.num_days,
-        )
-        for seed in start_segments
-    }
-    outcome = ExecutionOutcome(
-        result=QueryResult(start_segments=tuple(start_segments)),
-        estimators=list(estimators.values()),
-    )
-    live = {
-        seed: est for seed, est in estimators.items() if est.start_days > 0
-    }
-    if not live:
-        return outcome
-    seeds = tuple(live)
-    max_region = ctx.bounding_region(
-        plan.bounding_strategy, seeds, query.start_time_s, query.duration_s,
-        "far",
-    )
-    min_region = ctx.bounding_region(
-        plan.bounding_strategy, seeds, query.start_time_s, query.duration_s,
-        "near",
-    )
-    tbs = trace_back_search(
-        ctx.network, live, query.prob, max_region, min_region
-    )
-    result = outcome.result
-    result.segments = tbs.region
-    result.probabilities = tbs.probabilities
-    result.max_region = max_region
-    result.min_region = min_region
-    outcome.examined = tbs.examined
-    outcome.wave_sizes = tbs.wave_sizes
-    return outcome
+    return execute_bounded(ctx, plan, query)

@@ -2,7 +2,8 @@
 
 The dual the paper's location-based-advertising application needs
 (Fig 1.2): backward bounding regions over predecessor expansion, or the
-reverse exhaustive baseline.
+reverse exhaustive baseline.  Both pipelines pick the reverse estimator
+and bounds from ``plan.kind``.
 """
 
 from __future__ import annotations
@@ -12,22 +13,10 @@ from repro.core.executors import (
     ExecutionOutcome,
     register_executor,
 )
-from repro.core.query import QueryResult, SQuery
-from repro.core.reverse import (
-    ReverseProbabilityEstimator,
-    reverse_exhaustive_search,
-)
-from repro.core.tbs import trace_back_search
-
-
-def _target_estimator(ctx: ExecutionContext, query: SQuery):
-    st = ctx.st_index()
-    target = st.find_start_segment(query.location)
-    estimator = ReverseProbabilityEstimator(
-        st, target, query.start_time_s, query.duration_s,
-        ctx.database.num_days,
-    )
-    return target, estimator
+from repro.core.executors.es import execute_exhaustive
+from repro.core.executors.sqmb_tbs import execute_bounded
+from repro.core.query import SQuery
+from repro.core.tbs import trace_back_search  # noqa: F401 - resolved by benchmarks/perf/spans.py
 
 
 @register_executor("r", "sqmb_tbs")
@@ -35,33 +24,7 @@ def execute_reverse_sqmb_tbs(
     ctx: ExecutionContext, plan, query: SQuery
 ) -> ExecutionOutcome:
     """Reverse bounds (backward Con-Index expansion) + trace-back."""
-    target, estimator = _target_estimator(ctx, query)
-    outcome = ExecutionOutcome(
-        result=QueryResult(start_segments=(target,)),
-        estimators=[estimator],
-    )
-    if estimator.start_days == 0:
-        return outcome
-    seeds = (target,)
-    max_region = ctx.bounding_region(
-        plan.bounding_strategy, seeds, query.start_time_s, query.duration_s,
-        "far",
-    )
-    min_region = ctx.bounding_region(
-        plan.bounding_strategy, seeds, query.start_time_s, query.duration_s,
-        "near",
-    )
-    tbs = trace_back_search(
-        ctx.network, {target: estimator}, query.prob, max_region, min_region
-    )
-    result = outcome.result
-    result.segments = tbs.region
-    result.probabilities = tbs.probabilities
-    result.max_region = max_region
-    result.min_region = min_region
-    outcome.examined = tbs.examined
-    outcome.wave_sizes = tbs.wave_sizes
-    return outcome
+    return execute_bounded(ctx, plan, query)
 
 
 @register_executor("r", "es")
@@ -69,16 +32,4 @@ def execute_reverse_es(
     ctx: ExecutionContext, plan, query: SQuery
 ) -> ExecutionOutcome:
     """Reverse ES baseline: verify the whole road network."""
-    target, estimator = _target_estimator(ctx, query)
-    outcome = ExecutionOutcome(
-        result=QueryResult(start_segments=(target,)),
-        estimators=[estimator],
-    )
-    if estimator.start_days == 0:
-        return outcome
-    es = reverse_exhaustive_search(ctx.network, estimator, query.prob)
-    outcome.result.segments = es.region
-    outcome.result.probabilities = es.probabilities
-    outcome.examined = es.examined
-    outcome.wave_sizes = es.wave_sizes
-    return outcome
+    return execute_exhaustive(ctx, plan, query)

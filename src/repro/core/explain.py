@@ -1,30 +1,32 @@
 """Query plan explanation: where did a query's cost go?
 
-``EXPLAIN`` for reachability queries: plans the query through
-:mod:`~repro.core.planner` — the same routing the executors follow, so the
-explanation renders the actual :class:`~repro.core.planner.QueryPlan`
-instead of re-deriving the logic — then runs it stage by stage while
-decomposing the cost into the paper's pipeline: start-segment lookup,
-bounding-region search (Con-Index), trace-back verification (ST-Index
-time-list reads).  The benchmark figures show *that* SQMB+TBS wins; the
-explanation shows *why* (the shell it verifies is a small fraction of what
-ES verifies).
+``EXPLAIN`` for reachability queries *observes* an ordinary execution
+instead of re-running its own copy of it: the executor pipelines mark
+their stage boundaries with
+:meth:`~repro.core.executors.ExecutionContext.stage`, and attaching a
+:class:`StageRecorder` to the context turns those marks into per-stage
+wall time and page reads — start-segment lookup, bounding-region search
+(Con-Index), trace-back verification (ST-Index time-list reads).  Same
+route, same executor, same caches as the unexplained query, for every
+registered algorithm.  The benchmark figures show *that* SQMB+TBS wins;
+the explanation shows *why* (the shell it verifies is a small fraction of
+what ES verifies).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.engine import ReachabilityEngine
-from repro.core.executors import ExecutionContext
+from repro.core.executors import ExecutionContext, execute_plan
 from repro.core.planner import QueryPlan, plan_query
-from repro.core.probability import ProbabilityEstimator
-from repro.core.query import MQuery, SQuery
-from repro.core.tbs import trace_back_search
+from repro.core.query import MQuery, QueryResult, SQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.envelope import Response
     from repro.api.router import RouteDecision
 
 
@@ -37,6 +39,35 @@ class StageCost:
     page_reads: int = 0
     detail: str = ""
 
+    def note(self, **facts) -> None:
+        """Attach the stage's headline numbers (rendered ``key=value``)."""
+        self.detail = ", ".join(f"{key}={value}" for key, value in facts.items())
+
+
+class StageRecorder:
+    """Times and charges every stage an execution marks.
+
+    Attached to an :class:`~repro.core.executors.ExecutionContext`
+    (``recorder=``); sub-queries of the ``*_each`` baselines run through
+    the same context, so their stages land here too, in execution order.
+    """
+
+    def __init__(self, disk) -> None:
+        self._disk = disk
+        self.stages: list[StageCost] = []
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[StageCost]:
+        cost = StageCost(name)
+        self.stages.append(cost)
+        before = self._disk.local_snapshot()
+        started = time.perf_counter()
+        try:
+            yield cost
+        finally:
+            cost.wall_ms = (time.perf_counter() - started) * 1e3
+            cost.page_reads = (self._disk.local_snapshot() - before).page_reads
+
 
 @dataclass
 class QueryExplanation:
@@ -44,48 +75,60 @@ class QueryExplanation:
 
     Attributes:
         plan: the routing decisions the planner made for the query.
+        result: the answer the explained execution produced; the sizes and
+            counters below are read off it and its ``cost``.
+        stages: per-stage costs, in execution order.
         route: the adaptive-routing decision that chose the plan, when
             the explanation came through the client API (``"auto"``
             classification rule, reason and shape features).
-        stages: per-stage costs, in execution order.
-        region_segments: result size.
-        max_cover / min_cover: bounding-region sizes.
-        examined: segments whose probability was actually verified.
-        skipped_interior: segments accepted without any trajectory read —
-            the paper's headline saving.
-        prob_waves: members per batched probability wave the trace-back
-            dequeued.
-        kernel_evals / scalar_evals: Eq. 3.1 evaluations served by the
-            columnar kernel vs the tiny-input scalar fast path.
-        batched_record_reads / prefetched_pages: records and page
-            accesses charged through the wave-granular batch gather path
-            (:meth:`~repro.core.st_index.STIndex.gather_window_columns`
-            charging via
-            :meth:`~repro.storage.pagestore.BufferPool.get_pages`).
-        pool_lock_shards: lock stripes backing the ST-Index buffer pool.
+        response: the client API's :class:`~repro.api.envelope.Response`
+            for the same execution (``client.explain`` only) — explaining
+            a request does not cost a second run to get its answer.
     """
 
-    plan: QueryPlan | None = None
-    route: "RouteDecision | None" = None
+    plan: QueryPlan
+    result: QueryResult
     stages: list[StageCost] = field(default_factory=list)
-    region_segments: int = 0
-    max_cover: int = 0
-    min_cover: int = 0
-    examined: int = 0
-    skipped_interior: int = 0
-    prob_waves: list[int] = field(default_factory=list)
-    kernel_evals: int = 0
-    scalar_evals: int = 0
-    batched_record_reads: int = 0
-    prefetched_pages: int = 0
-    pool_lock_shards: int = 0
+    route: "RouteDecision | None" = None
+    response: "Response | None" = None
+
+    @property
+    def region_segments(self) -> int:
+        """Result size."""
+        return len(self.result.segments)
+
+    @property
+    def max_cover(self) -> int:
+        """Maximum bounding-region size (0 for routes without bounds)."""
+        region = self.result.max_region
+        return len(region.cover) if region is not None else 0
+
+    @property
+    def min_cover(self) -> int:
+        region = self.result.min_region
+        return len(region.cover) if region is not None else 0
+
+    @property
+    def examined(self) -> int:
+        """Segments whose probability was actually verified."""
+        return self.result.cost.segments_expanded
+
+    @property
+    def skipped_interior(self) -> int:
+        """Answer segments accepted without any trajectory read — the
+        paper's headline saving."""
+        return len(self.result.segments - self.result.probabilities.keys())
+
+    @property
+    def prob_waves(self) -> int:
+        """Batched probability waves the search dequeued."""
+        return self.result.cost.probability_waves
 
     def to_text(self) -> str:
-        lines = ["QUERY PLAN (SQMB + TBS)"]
+        lines = [f"QUERY PLAN ({self.plan.algorithm})"]
         if self.route is not None:
             lines.append(f"  {self.route.describe()}")
-        if self.plan is not None:
-            lines.append(f"  {self.plan.describe()}")
+        lines.append(f"  {self.plan.describe()}")
         for stage in self.stages:
             lines.append(
                 f"  {stage.name:<24} {stage.wall_ms:8.2f} ms "
@@ -97,72 +140,17 @@ class QueryExplanation:
             f"verified={self.examined}, accepted unverified="
             f"{self.skipped_interior}"
         )
-        if self.prob_waves:
-            lines.append(
-                f"  probability path: {self.kernel_evals} kernel / "
-                f"{self.scalar_evals} scalar evals over "
-                f"{len(self.prob_waves)} waves "
-                f"(max {max(self.prob_waves)})"
-            )
-        if self.batched_record_reads:
-            lines.append(
-                f"  batched I/O: {self.batched_record_reads} record "
-                f"gathers / {self.prefetched_pages} pages prefetched "
-                f"({self.pool_lock_shards} pool lock shards)"
-            )
+        lines.extend(f"  {line}" for line in self.result.cost.path_lines())
         return "\n".join(lines)
 
 
-class _StageRecorder:
-    """Runs stage thunks while charging their wall time and page reads."""
-
-    def __init__(self, engine: ReachabilityEngine, explanation: QueryExplanation):
-        self._engine = engine
-        self._explanation = explanation
-
-    def __call__(self, name: str, detail_fn, fn):
-        before = self._engine.disk.snapshot()
-        started = time.perf_counter()
-        value = fn()
-        wall = (time.perf_counter() - started) * 1e3
-        diff = self._engine.disk.snapshot() - before
-        self._explanation.stages.append(
-            StageCost(
-                name=name,
-                wall_ms=wall,
-                page_reads=diff.page_reads,
-                detail=detail_fn(value),
-            )
-        )
-        return value
-
-
-def _finish_from_tbs(
-    explanation, tbs, max_region, min_region, estimators
-) -> None:
-    explanation.region_segments = len(tbs.region)
-    explanation.max_cover = len(max_region.cover)
-    explanation.min_cover = len(min_region.cover)
-    explanation.examined = tbs.examined
-    explanation.skipped_interior = max(0, len(tbs.region) - len(tbs.passed))
-    explanation.prob_waves = list(tbs.wave_sizes)
-    explanation.kernel_evals = sum(
-        getattr(e, "kernel_evals", 0) for e in estimators
-    )
-    explanation.scalar_evals = sum(
-        getattr(e, "scalar_evals", 0) for e in estimators
-    )
-    explanation.batched_record_reads = sum(
-        getattr(e, "batched_record_reads", 0) for e in estimators
-    )
-    explanation.prefetched_pages = sum(
-        getattr(e, "prefetched_pages", 0) for e in estimators
-    )
-    indexes = {getattr(e, "index", None) for e in estimators}
-    explanation.pool_lock_shards = max(
-        (index.pool.num_shards for index in indexes if index is not None),
-        default=0,
-    )
+def _explain(
+    engine: ReachabilityEngine, plan: QueryPlan, query: SQuery | MQuery
+) -> QueryExplanation:
+    recorder = StageRecorder(engine.disk)
+    context = ExecutionContext(engine, plan.delta_t_s, recorder=recorder)
+    result = execute_plan(engine, plan, query, context=context)
+    return QueryExplanation(plan, result, recorder.stages)
 
 
 def explain_s_query(
@@ -170,65 +158,12 @@ def explain_s_query(
     query: SQuery,
     delta_t_s: int = 300,
 ) -> QueryExplanation:
-    """Execute an s-query with per-stage instrumentation.
+    """Run an s-query cold through SQMB + TBS with a stage recorder.
 
-    Args:
-        engine: a built reachability engine.
-        query: the s-query to explain.
-        delta_t_s: index granularity.
-
-    Returns:
-        The decomposed execution, carrying the plan it followed.
+    The engine-level entry point; ``ReachabilityClient.explain`` explains
+    any request on whatever route it takes.
     """
-    plan = plan_query("s", query, "sqmb_tbs", delta_t_s)
-    st = engine.st_index(delta_t_s)
-    engine.con_index(delta_t_s)
-    engine.invalidate_caches()
-    explanation = QueryExplanation(plan=plan)
-    stage = _StageRecorder(engine, explanation)
-    context = ExecutionContext(engine, delta_t_s)
-
-    start_segment = stage(
-        "start-segment lookup",
-        lambda v: f"r0={v}",
-        lambda: st.find_start_segment(query.location),
-    )
-    estimator = stage(
-        "start time-list read",
-        lambda v: f"start_days={v.start_days}/{engine.database.num_days}",
-        lambda: ProbabilityEstimator(
-            st, start_segment, query.start_time_s, query.duration_s,
-            engine.database.num_days,
-        ),
-    )
-    if estimator.start_days == 0:
-        return explanation
-    max_region = stage(
-        "max bounding region",
-        lambda v: f"cover={len(v.cover)}, boundary={len(v.boundary)}",
-        lambda: context.bounding_region(
-            plan.bounding_strategy, (start_segment,), query.start_time_s,
-            query.duration_s, "far",
-        ),
-    )
-    min_region = stage(
-        "min bounding region",
-        lambda v: f"cover={len(v.cover)}",
-        lambda: context.bounding_region(
-            plan.bounding_strategy, (start_segment,), query.start_time_s,
-            query.duration_s, "near",
-        ),
-    )
-    tbs = stage(
-        "trace-back search",
-        lambda v: f"passed={len(v.passed)}, failed={len(v.failed)}",
-        lambda: trace_back_search(
-            engine.network, {start_segment: estimator}, query.prob,
-            max_region, min_region,
-        ),
-    )
-    _finish_from_tbs(explanation, tbs, max_region, min_region, [estimator])
-    return explanation
+    return _explain(engine, plan_query("s", query, "sqmb_tbs", delta_t_s), query)
 
 
 def explain_m_query(
@@ -236,62 +171,5 @@ def explain_m_query(
     query: MQuery,
     delta_t_s: int = 300,
 ) -> QueryExplanation:
-    """Execute an m-query with per-stage instrumentation."""
-    plan = plan_query("m", query, "mqmb_tbs", delta_t_s)
-    st = engine.st_index(delta_t_s)
-    engine.con_index(delta_t_s)
-    engine.invalidate_caches()
-    explanation = QueryExplanation(plan=plan)
-    stage = _StageRecorder(engine, explanation)
-    context = ExecutionContext(engine, delta_t_s)
-
-    seeds = stage(
-        "start-segment lookup",
-        lambda v: f"{len(v)} seeds",
-        lambda: list(
-            dict.fromkeys(
-                st.find_start_segment(loc) for loc in query.locations
-            )
-        ),
-    )
-    estimators = stage(
-        "start time-list reads",
-        lambda v: f"{sum(1 for e in v.values() if e.start_days)} live seeds",
-        lambda: {
-            seed: ProbabilityEstimator(
-                st, seed, query.start_time_s, query.duration_s,
-                engine.database.num_days,
-            )
-            for seed in seeds
-        },
-    )
-    live = {s: e for s, e in estimators.items() if e.start_days > 0}
-    if not live:
-        return explanation
-    max_region = stage(
-        "unified max region",
-        lambda v: f"cover={len(v.cover)}, boundary={len(v.boundary)}",
-        lambda: context.bounding_region(
-            plan.bounding_strategy, tuple(live), query.start_time_s,
-            query.duration_s, "far",
-        ),
-    )
-    min_region = stage(
-        "unified min region",
-        lambda v: f"cover={len(v.cover)}",
-        lambda: context.bounding_region(
-            plan.bounding_strategy, tuple(live), query.start_time_s,
-            query.duration_s, "near",
-        ),
-    )
-    tbs = stage(
-        "trace-back search",
-        lambda v: f"passed={len(v.passed)}, failed={len(v.failed)}",
-        lambda: trace_back_search(
-            engine.network, live, query.prob, max_region, min_region
-        ),
-    )
-    _finish_from_tbs(
-        explanation, tbs, max_region, min_region, list(live.values())
-    )
-    return explanation
+    """Run an m-query cold through MQMB + TBS with a stage recorder."""
+    return _explain(engine, plan_query("m", query, "mqmb_tbs", delta_t_s), query)

@@ -10,34 +10,16 @@ regions overlap it.  The result is the outer-most boundary of the merged
 bounding regions (Fig. 3.6b), at roughly the cost of the largest single
 bounding region instead of the sum of all of them.
 
-Like SQMB, the cover lives in a boolean CSR row mask and the per-step
-entry unions are fancy-index stores; the nearest-seed claiming runs as one
-``argmin`` over a (new segments × seeds) midpoint-distance matrix per step
-instead of a Python ``min`` per segment.
+The search itself is :func:`repro.core.sqmb.bounding_region` — the paper
+presents MQMB as SQMB grown from several seeds at once, and that is how it
+is written here.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.con_index import ConnectionIndex, Kind
 from repro.core.query import BoundingRegion
-from repro.core.sqmb import (
-    _boundary_id_set,
-    _entry_hops,
-    _slot_expansion_dist,
-    close_under_twins,
-    region_boundary,
-    slot_aware_expansion,
-)
-from repro.network.csr import close_twins_mask
-
-__all__ = [
-    "mqmb_bounding_region",
-    "close_under_twins",
-    "region_boundary",
-    "slot_aware_expansion",
-]
+from repro.core.sqmb import bounding_region
 
 
 def mqmb_bounding_region(
@@ -47,93 +29,13 @@ def mqmb_bounding_region(
     duration_s: float,
     kind: Kind = "far",
 ) -> BoundingRegion:
-    """Run Algorithm 3 from the start segment set ``R0``.
+    """Run Algorithm 3 from the start segment set ``R0 = {r0,1, ..., r0,n}``
+    (resolved via ST-Index); ``seed_of`` maps every cover segment to the
+    seed that claimed it.
 
-    Args:
-        con_index: the Connection Index.
-        start_segments: ``R0 = {r0,1, ..., r0,n}`` resolved via ST-Index.
-        start_time_s: ``T``.
-        duration_s: ``L``.
-        kind: ``"far"`` (maximum) or ``"near"`` (minimum) bounding region.
-
-    Returns:
-        The unified bounding region; ``seed_of`` maps every cover segment to
-        the seed that claimed it (used by trace-back to pick the right
-        probability estimator).
+    Raises:
+        ValueError: ``start_segments`` is empty.
     """
-    if not start_segments:
-        raise ValueError("m-query needs at least one start segment")
-    csr = con_index.network.csr()
-    seeds = list(dict.fromkeys(start_segments))  # preserve order, dedupe
-    delta_t = con_index.delta_t_s
-    start_slot = con_index.slot_of(start_time_s)
-    steps = max(1, int(duration_s // delta_t))
-    seed_rows = csr.rows_of(seeds)
-    seed_x = csr.mid_x[seed_rows]
-    seed_y = csr.mid_y[seed_rows]
-
-    def claim(rows: np.ndarray) -> np.ndarray:
-        """Nearest-seed index per row (ties to the earliest seed, like the
-        classic per-segment ``min`` over the seed list)."""
-        if len(seeds) == 1 or rows.size == 0:
-            return np.zeros(rows.size, dtype=np.int64)
-        distance = np.hypot(
-            csr.mid_x[rows, None] - seed_x[None, :],
-            csr.mid_y[rows, None] - seed_y[None, :],
-        )
-        return np.argmin(distance, axis=1)
-
-    # claimed_by implements the overlap elimination: each covered segment is
-    # claimed once, by its nearest seed, and expanded once per step on that
-    # seed's behalf — never once per overlapping region.
-    claimed_by = np.full(csr.n, -1, dtype=np.int64)
-    claimed_by[seed_rows] = claim(seed_rows)
-    cover = np.zeros(csr.n, dtype=bool)
-    cover[seed_rows] = True
-    # Both carriageways of each seed road start the expansion.
-    for row in seed_rows.tolist():
-        twin_row = int(csr.twin_row[row])
-        if twin_row >= 0:
-            cover[twin_row] = True
-            if claimed_by[twin_row] < 0:
-                claimed_by[twin_row] = claimed_by[row]
-    expansion_seed_rows = np.flatnonzero(cover)
-    _entry_hops(con_index, csr, cover, start_slot, steps, kind)
-    if kind == "far":
-        # Residual-carry top-up (see sqmb.slot_aware_expansion): the upper
-        # bound must also cross segments slower than one Δt slot.
-        dist = _slot_expansion_dist(
-            con_index, csr, expansion_seed_rows, start_time_s,
-            steps * delta_t, kind,
-        )
-        cover |= np.isfinite(dist)
-    # claim() depends only on the row (nearest seed by midpoint), not on
-    # which step covered it, so every newly covered segment is claimed in
-    # one batch — before the road-level closure, whose twins inherit.
-    new_rows = np.flatnonzero(cover & (claimed_by < 0))
-    claimed_by[new_rows] = claim(new_rows)
-    close_twins_mask(csr, cover)
-    # Twins added by the road-level closure inherit their carriageway's
-    # seed (falling back to the first seed, as the classic code did).
-    unclaimed = np.flatnonzero(cover & (claimed_by < 0))
-    for row in unclaimed.tolist():
-        twin_row = int(csr.twin_row[row])
-        if twin_row >= 0 and claimed_by[twin_row] >= 0:
-            claimed_by[row] = claimed_by[twin_row]
-        else:
-            claimed_by[row] = 0
-    cover_rows = np.flatnonzero(cover)
-    cover_id_list = csr.ids_of(cover_rows).tolist()
-    cover_ids = set(cover_id_list)
-    boundary = _boundary_id_set(csr, cover, cover_ids)
-    seed_of = {
-        segment_id: seeds[seed_index]
-        for segment_id, seed_index in zip(
-            cover_id_list, claimed_by[cover_rows].tolist()
-        )
-    }
-    return BoundingRegion(
-        cover=cover_ids,
-        boundary=boundary,
-        seed_of=seed_of,
+    return bounding_region(
+        con_index, start_segments, start_time_s, duration_s, kind
     )

@@ -14,7 +14,6 @@ executor, not editing dispatch chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.executors import executor_names, has_executor
 from repro.core.query import MQuery, SQuery
@@ -23,10 +22,6 @@ from repro.trajectory.model import SECONDS_PER_DAY
 #: Query kinds the planner routes: single-location, multi-location and
 #: reverse ("who can reach this location").
 QUERY_KINDS = ("s", "m", "r")
-
-#: Bounding-region strategies an executor may request (None = no bounds,
-#: the exhaustive baselines).
-BOUNDING_STRATEGIES = ("sqmb", "mqmb", "reverse", None)
 
 
 @dataclass(frozen=True)
@@ -143,18 +138,3 @@ def plan_query(
         num_locations=locations,
         warm=warm,
     )
-
-
-def plan_s_query(query: SQuery, algorithm: str = "sqmb_tbs", **kw: Any) -> QueryPlan:
-    """Plan a single-location query (convenience wrapper)."""
-    return plan_query("s", query, algorithm, **kw)
-
-
-def plan_m_query(query: MQuery, algorithm: str = "mqmb_tbs", **kw: Any) -> QueryPlan:
-    """Plan a multi-location query (convenience wrapper)."""
-    return plan_query("m", query, algorithm, **kw)
-
-
-def plan_r_query(query: SQuery, algorithm: str = "sqmb_tbs", **kw: Any) -> QueryPlan:
-    """Plan a reverse query (convenience wrapper)."""
-    return plan_query("r", query, algorithm, **kw)

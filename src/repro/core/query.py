@@ -139,6 +139,24 @@ class QueryCost:
         """Wall time plus accounted I/O, the headline 'running time'."""
         return self.wall_time_s * 1e3 + self.simulated_io_ms
 
+    def path_lines(self) -> list[str]:
+        """The "probability path" and "batched I/O" lines of the CLI and
+        ``EXPLAIN`` output (none for a query that verified nothing)."""
+        lines: list[str] = []
+        if self.probability_checks:
+            lines.append(
+                f"probability path: {self.kernel_probability_evals} kernel / "
+                f"{self.scalar_probability_evals} scalar evals over "
+                f"{self.probability_waves} waves (max {self.max_wave_size})"
+            )
+        if self.batched_record_reads:
+            lines.append(
+                f"batched I/O: {self.batched_record_reads} record gathers / "
+                f"{self.prefetched_pages} pages prefetched "
+                f"({self.pool_lock_shards} pool lock shards)"
+            )
+        return lines
+
 
 @dataclass
 class QueryResult:

@@ -21,17 +21,11 @@ The machinery mirrors the forward query with the direction flipped:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.baseline import ExhaustiveResult, exhaustive_search
 from repro.core.con_index import ConnectionIndex
 from repro.core.prob_kernel import ColumnarEq31Estimator
 from repro.core.probability import DEPARTURE_WINDOW_S
 from repro.core.query import BoundingRegion
-from repro.core.sqmb import _boundary_id_set, _entry_hops, _slot_expansion_dist
-from repro.core.st_index import STIndex
-from repro.network.csr import close_twins_mask
-from repro.network.model import RoadNetwork
+from repro.core.sqmb import bounding_region
 
 
 class ReverseProbabilityEstimator(ColumnarEq31Estimator):
@@ -47,26 +41,12 @@ class ReverseProbabilityEstimator(ColumnarEq31Estimator):
 
     Args:
         index: the ST-Index to read time lists from.
-        target_segment: the destination ``S`` resolved to a road segment.
+        target_segment: the destination ``S`` resolved to a road segment
+            (``start_segment`` on the instance, the name TBS and ES read).
         start_time_s: ``T``.
         duration_s: ``L``.
         num_days: ``m``.
     """
-
-    def __init__(
-        self,
-        index: STIndex,
-        target_segment: int,
-        start_time_s: float,
-        duration_s: float,
-        num_days: int,
-    ) -> None:
-        # `start_segment` naming (in the base) keeps the TBS/ES
-        # interfaces uniform; expose the reverse-specific alias too.
-        super().__init__(
-            index, target_segment, start_time_s, duration_s, num_days
-        )
-        self.target_segment = target_segment
 
     def _fixed_window(self) -> tuple[float, float]:
         return (self.start_time_s, self.start_time_s + self.duration_s)
@@ -87,54 +67,12 @@ def reverse_bounding_region(
 ) -> BoundingRegion:
     """Algorithm 1 run backwards: who can reach the target within ``L``.
 
-    Uses the Con-Index's reverse entries (backward expansion over
-    predecessors) and the same accumulate-and-rehop structure as SQMB.
-
-    Args:
-        con_index: the Connection Index.
-        target_segment: the destination segment.
-        start_time_s: ``T``.
-        duration_s: ``L``.
-        kind: ``"far"`` (maximum region) or ``"near"`` (minimum region);
-            translated internally to the reverse entry kinds.
+    :func:`~repro.core.sqmb.bounding_region` over the Con-Index's reverse
+    entries (backward expansion over predecessors); ``kind`` is ``"far"``
+    (maximum region) or ``"near"`` (minimum region), anything else raises
+    ``ValueError``.
     """
-    if kind not in ("far", "near"):
-        raise ValueError(f"kind must be 'far' or 'near', got {kind!r}")
-    reverse_kind = f"{kind}_rev"
-    csr = con_index.network.csr()
-    delta_t = con_index.delta_t_s
-    start_slot = con_index.slot_of(start_time_s)
-    steps = max(1, int(duration_s // delta_t))
-    cover = np.zeros(csr.n, dtype=bool)
-    seed_rows = [csr.row_of(target_segment)]
-    twin_row = int(csr.twin_row[seed_rows[0]])
-    if twin_row >= 0:
-        seed_rows.append(twin_row)
-    seed_rows = np.array(sorted(seed_rows), dtype=np.int64)
-    cover[seed_rows] = True
-    _entry_hops(con_index, csr, cover, start_slot, steps, reverse_kind)
-    if kind == "far":
-        # Residual-carry top-up (see sqmb.slot_aware_expansion): the upper
-        # bound must also cross segments slower than one Δt slot.
-        dist = _slot_expansion_dist(
-            con_index, csr, seed_rows, start_time_s, steps * delta_t,
-            reverse_kind,
-        )
-        cover |= np.isfinite(dist)
-    close_twins_mask(csr, cover)
-    cover_ids = csr.mask_to_id_set(cover)
-    boundary = _boundary_id_set(csr, cover, cover_ids, reverse=True)
-    return BoundingRegion(
-        cover=cover_ids,
-        boundary=boundary,
-        seed_of={segment_id: target_segment for segment_id in cover_ids},
+    return bounding_region(
+        con_index, [target_segment], start_time_s, duration_s, kind,
+        reverse=True,
     )
-
-
-def reverse_exhaustive_search(
-    network: RoadNetwork,
-    estimator: ReverseProbabilityEstimator,
-    prob: float,
-) -> ExhaustiveResult:
-    """Reverse ES baseline: verify every road-connected segment."""
-    return exhaustive_search(network, estimator, prob)

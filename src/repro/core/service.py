@@ -298,6 +298,7 @@ class QueryService:
         plan: QueryPlan,
         query: SQuery | MQuery,
         reuse_regions: bool = True,
+        recorder=None,
     ) -> tuple[QueryResult, ExecutionContext]:
         """Run one planned query through the service-lifetime caches.
 
@@ -305,6 +306,8 @@ class QueryService:
         :class:`ExecutionContext` wired to the service's bounding-region
         cache (unless ``reuse_regions`` is off), so repeated
         identically-shaped queries do not re-expand their bounds.
+        ``recorder`` is ``explain``'s stage recorder, handed to the
+        context.
 
         Returns the result plus the context, whose
         ``regions_computed``/``regions_reused`` counters are exact for
@@ -314,6 +317,7 @@ class QueryService:
             self.engine,
             plan.delta_t_s,
             region_cache=self.region_cache if reuse_regions else None,
+            recorder=recorder,
         )
         return execute_plan(self.engine, plan, query, context=context), context
 

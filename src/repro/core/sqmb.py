@@ -20,6 +20,10 @@ carry has always applied — time-of-day wraps at midnight rather than
 clamping at the day's last slot, so a query near midnight sees one
 consistent speed model.
 
+The search is written once, in :func:`bounding_region`, for any number of
+seeds and either direction: Algorithm 3 (:mod:`~repro.core.mqmb`) and the
+reverse query's bounds (:mod:`~repro.core.reverse`) delegate to it.
+
 The in-memory work runs on the CSR kernels of :mod:`repro.network.csr`:
 covers are boolean row masks, per-step entry unions are fancy-index
 stores, and the residual carry is the slot-phased vectorized expansion.
@@ -138,23 +142,18 @@ def region_boundary(
     mask = np.zeros(csr.n, dtype=bool)
     if cover:
         mask[csr.rows_of(sorted(cover))] = True
-    boundary = csr.mask_to_id_set(cover_boundary_mask(csr, mask, reverse))
-    if not boundary and cover:
-        # A saturated cover on a network with no dead ends (e.g. a ring
-        # city) has no escape edges; the bound then prunes nothing, and the
-        # trace-back must examine the whole cover.
-        return set(cover)
-    return boundary
+    return _boundary_id_set(csr, mask, cover, reverse)
 
 
 def _boundary_id_set(
     csr: CSRGraph, cover: np.ndarray, cover_ids: set[int], reverse: bool = False
 ) -> set[int]:
-    """Boundary of a cover mask as an id set, with the saturated-cover
-    rule applied (no escape edges -> the whole cover is the boundary, see
-    :func:`region_boundary`)."""
+    """:func:`region_boundary` over a cover already held as a row mask."""
     boundary = csr.mask_to_id_set(cover_boundary_mask(csr, cover, reverse))
     if not boundary and cover_ids:
+        # A saturated cover on a network with no dead ends (e.g. a ring
+        # city) has no escape edges; the bound then prunes nothing, and the
+        # trace-back must examine the whole cover.
         return set(cover_ids)
     return boundary
 
@@ -192,6 +191,134 @@ def _entry_hops(
         expanded_hours[rows] |= hour_bit
 
 
+def _claim_nearest_seed(
+    csr: CSRGraph, seed_rows: np.ndarray, open_cover: np.ndarray, cover: np.ndarray
+) -> np.ndarray:
+    """§3.3.2's overlap elimination: the seed index claiming each cover row.
+
+    Each covered segment is claimed once, by its nearest seed (``rs =
+    argmin dis(r', b)`` over segment midpoints, ties to the earliest seed),
+    and so expanded on that seed's behalf — never once per overlapping
+    region.  The claim depends only on the row, not on the step that
+    covered it, so the whole pre-closure cover ``open_cover`` is claimed
+    in one ``argmin`` over a (rows × seeds) distance matrix; the twins the
+    road-level closure added to ``cover`` inherit their carriageway's seed.
+    """
+    seed_x = csr.mid_x[seed_rows]
+    seed_y = csr.mid_y[seed_rows]
+
+    def claim(rows: np.ndarray) -> np.ndarray:
+        distance = np.hypot(
+            csr.mid_x[rows, None] - seed_x[None, :],
+            csr.mid_y[rows, None] - seed_y[None, :],
+        )
+        return np.argmin(distance, axis=1)
+
+    claimed_by = np.full(csr.n, -1, dtype=np.int64)
+    claimed_by[seed_rows] = claim(seed_rows)
+    for row in seed_rows.tolist():
+        twin_row = int(csr.twin_row[row])
+        if twin_row >= 0 and claimed_by[twin_row] < 0:
+            claimed_by[twin_row] = claimed_by[row]
+    new_rows = np.flatnonzero(open_cover & (claimed_by < 0))
+    claimed_by[new_rows] = claim(new_rows)
+    # Closure twins inherit (falling back to the first seed, as the
+    # classic code did).
+    for row in np.flatnonzero(cover & (claimed_by < 0)).tolist():
+        twin_row = int(csr.twin_row[row])
+        if twin_row >= 0 and claimed_by[twin_row] >= 0:
+            claimed_by[row] = claimed_by[twin_row]
+        else:
+            claimed_by[row] = 0
+    return claimed_by
+
+
+def bounding_region(
+    con_index: ConnectionIndex,
+    seeds: list[int],
+    start_time_s: float,
+    duration_s: float,
+    kind: str = "far",
+    reverse: bool = False,
+) -> BoundingRegion:
+    """The bounding-region search behind Algorithms 1 and 3, either direction.
+
+    All seeds grow *together* over one accumulated cover (§3.3.2: MQMB is
+    SQMB started from several segments at once), so an m-query pays
+    roughly for its largest single region instead of the sum of all of
+    them, and an s-query is the one-seed case.
+
+    Args:
+        con_index: the Connection Index.
+        seeds: the start segments ``R0`` (``[r0]`` for an s-query, the
+            target segment for a reverse query); duplicates are dropped,
+            order kept.
+        start_time_s: ``T``.
+        duration_s: ``L``; at least one Δt hop is always taken (a query
+            shorter than the index granularity still needs a first-slot
+            bound).
+        kind: ``"far"`` for the maximum bounding region, ``"near"`` for the
+            minimum one.
+        reverse: expand backwards over predecessors (the Con-Index's
+            ``kind + "_rev"`` entries) and take the predecessor boundary:
+            who can *reach* the seeds within ``L``.
+
+    Returns:
+        The accumulated cover, its outer boundary, and ``seed_of`` mapping
+        every cover segment to the seed that claimed it (trace-back picks
+        the probability estimator by it).
+    """
+    if kind not in ("far", "near"):
+        raise ValueError(f"kind must be 'far' or 'near', got {kind!r}")
+    if not seeds:
+        raise ValueError("m-query needs at least one start segment")
+    seeds = list(dict.fromkeys(seeds))
+    entry_kind = f"{kind}_rev" if reverse else kind
+    csr = con_index.network.csr()
+    delta_t = con_index.delta_t_s
+    steps = max(1, int(duration_s // delta_t))
+    seed_rows = csr.rows_of(seeds)
+    cover = np.zeros(csr.n, dtype=bool)
+    cover[seed_rows] = True
+    # A traveller standing on a two-way road may leave in either direction,
+    # so both carriageways of every seed road start the expansion.
+    twin_rows = csr.twin_row[seed_rows]
+    cover[twin_rows[twin_rows >= 0]] = True
+    expansion_rows = np.flatnonzero(cover)
+    _entry_hops(
+        con_index, csr, cover, con_index.slot_of(start_time_s), steps, entry_kind
+    )
+    if kind == "far":
+        # Top up with residual-carry expansion so the upper bound also
+        # crosses segments whose traversal time exceeds one Δt slot.
+        dist = _slot_expansion_dist(
+            con_index, csr, expansion_rows, start_time_s, steps * delta_t,
+            entry_kind,
+        )
+        cover |= np.isfinite(dist)
+    open_cover = cover.copy() if len(seeds) > 1 else None
+    close_twins_mask(csr, cover)
+    cover_rows = np.flatnonzero(cover)
+    cover_id_list = csr.ids_of(cover_rows).tolist()
+    cover_ids = set(cover_id_list)
+    if open_cover is None:
+        # One seed: every claim is that seed, no claim arrays needed.
+        seed_of = dict.fromkeys(cover_id_list, seeds[0])
+    else:
+        claimed_by = _claim_nearest_seed(csr, seed_rows, open_cover, cover)
+        seed_of = {
+            segment_id: seeds[seed_index]
+            for segment_id, seed_index in zip(
+                cover_id_list, claimed_by[cover_rows].tolist()
+            )
+        }
+    return BoundingRegion(
+        cover=cover_ids,
+        boundary=_boundary_id_set(csr, cover, cover_ids, reverse),
+        seed_of=seed_of,
+    )
+
+
 def sqmb_bounding_region(
     con_index: ConnectionIndex,
     start_segment: int,
@@ -199,46 +326,8 @@ def sqmb_bounding_region(
     duration_s: float,
     kind: Kind = "far",
 ) -> BoundingRegion:
-    """Run Algorithm 1 from ``r0 = start_segment``.
-
-    Args:
-        con_index: the Connection Index.
-        start_segment: ``r0``, resolved from the query location via ST-Index.
-        start_time_s: ``T``.
-        duration_s: ``L``; at least one Δt hop is always taken (a query
-            shorter than the index granularity still needs a first-slot
-            bound).
-        kind: ``"far"`` for the maximum bounding region, ``"near"`` for the
-            minimum one.
-
-    Returns:
-        The bounding region: accumulated cover plus its outer boundary.
-    """
-    csr = con_index.network.csr()
-    delta_t = con_index.delta_t_s
-    start_slot = con_index.slot_of(start_time_s)
-    steps = max(1, int(duration_s // delta_t))
-    cover = np.zeros(csr.n, dtype=bool)
-    # A traveller standing on a two-way road may leave in either direction,
-    # so both carriageways seed the expansion.
-    seed_rows = [csr.row_of(start_segment)]
-    twin_row = int(csr.twin_row[seed_rows[0]])
-    if twin_row >= 0:
-        seed_rows.append(twin_row)
-    seed_rows = np.array(sorted(seed_rows), dtype=np.int64)
-    cover[seed_rows] = True
-    _entry_hops(con_index, csr, cover, start_slot, steps, kind)
-    if kind == "far":
-        # Top up with residual-carry expansion so the upper bound also
-        # crosses segments whose traversal time exceeds one Δt slot.
-        dist = _slot_expansion_dist(
-            con_index, csr, seed_rows, start_time_s, steps * delta_t, kind
-        )
-        cover |= np.isfinite(dist)
-    close_twins_mask(csr, cover)
-    cover_ids = csr.mask_to_id_set(cover)
-    return BoundingRegion(
-        cover=cover_ids,
-        boundary=_boundary_id_set(csr, cover, cover_ids),
-        seed_of={segment_id: start_segment for segment_id in cover_ids},
+    """Run Algorithm 1 from ``r0 = start_segment`` (resolved from the query
+    location via ST-Index): :func:`bounding_region` with one seed."""
+    return bounding_region(
+        con_index, [start_segment], start_time_s, duration_s, kind
     )

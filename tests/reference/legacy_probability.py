@@ -304,59 +304,28 @@ def exhaustive_search_pruned_reference(
 def legacy_probability_path():
     """Temporarily route the executors through the scalar probability path.
 
-    Swaps the estimator classes and the search entry points captured in
-    the executor modules (and the reverse/ES delegation globals) for the
-    references above, restoring everything on exit.  The equivalence
-    tests use this to run the exact same query twice — once columnar,
-    once scalar — on one engine.
+    Swaps the estimator classes and the search entry points the two
+    executor pipelines call by name (``start_estimators`` /
+    ``execute_bounded`` in ``executors.sqmb_tbs``, ``execute_exhaustive``
+    in ``executors.es``) for the references above, restoring everything on
+    exit.  The equivalence tests use this to run the exact same query
+    twice — once columnar, once scalar — on one engine.
     """
     import repro.core.executors.es as es_mod
-    import repro.core.executors.mqmb_tbs as mqmb_mod
-    import repro.core.executors.reverse as rev_exec_mod
-    import repro.core.executors.sqmb_tbs as sqmb_mod
-    import repro.core.explain as explain_mod
-    import repro.core.reverse as rev_mod
+    import repro.core.executors.sqmb_tbs as tbs_mod
 
-    saved = (
-        es_mod.ProbabilityEstimator,
-        es_mod.exhaustive_search,
-        es_mod.exhaustive_search_pruned,
-        sqmb_mod.ProbabilityEstimator,
-        sqmb_mod.trace_back_search,
-        mqmb_mod.ProbabilityEstimator,
-        mqmb_mod.trace_back_search,
-        rev_exec_mod.ReverseProbabilityEstimator,
-        rev_exec_mod.trace_back_search,
-        rev_mod.exhaustive_search,
-        explain_mod.ProbabilityEstimator,
-        explain_mod.trace_back_search,
+    swaps = (
+        (tbs_mod, "ProbabilityEstimator", LegacyProbabilityEstimator),
+        (tbs_mod, "ReverseProbabilityEstimator", LegacyReverseProbabilityEstimator),
+        (tbs_mod, "trace_back_search", trace_back_search_reference),
+        (es_mod, "exhaustive_search", exhaustive_search_reference),
+        (es_mod, "exhaustive_search_pruned", exhaustive_search_pruned_reference),
     )
-    es_mod.ProbabilityEstimator = LegacyProbabilityEstimator
-    es_mod.exhaustive_search = exhaustive_search_reference
-    es_mod.exhaustive_search_pruned = exhaustive_search_pruned_reference
-    sqmb_mod.ProbabilityEstimator = LegacyProbabilityEstimator
-    sqmb_mod.trace_back_search = trace_back_search_reference
-    mqmb_mod.ProbabilityEstimator = LegacyProbabilityEstimator
-    mqmb_mod.trace_back_search = trace_back_search_reference
-    rev_exec_mod.ReverseProbabilityEstimator = LegacyReverseProbabilityEstimator
-    rev_exec_mod.trace_back_search = trace_back_search_reference
-    rev_mod.exhaustive_search = exhaustive_search_reference
-    explain_mod.ProbabilityEstimator = LegacyProbabilityEstimator
-    explain_mod.trace_back_search = trace_back_search_reference
+    saved = [getattr(module, name) for module, name, _ in swaps]
+    for module, name, replacement in swaps:
+        setattr(module, name, replacement)
     try:
         yield
     finally:
-        (
-            es_mod.ProbabilityEstimator,
-            es_mod.exhaustive_search,
-            es_mod.exhaustive_search_pruned,
-            sqmb_mod.ProbabilityEstimator,
-            sqmb_mod.trace_back_search,
-            mqmb_mod.ProbabilityEstimator,
-            mqmb_mod.trace_back_search,
-            rev_exec_mod.ReverseProbabilityEstimator,
-            rev_exec_mod.trace_back_search,
-            rev_mod.exhaustive_search,
-            explain_mod.ProbabilityEstimator,
-            explain_mod.trace_back_search,
-        ) = saved
+        for (module, name, _), original in zip(swaps, saved):
+            setattr(module, name, original)

@@ -189,6 +189,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "route: s-query -> 'sqmb_tbs'" in out
         assert "rule paper-s" in out
+        # The stage table of QueryExplanation.to_text(), from the one run
+        # that also produced the answer below it.
+        assert out.startswith("QUERY PLAN (sqmb_tbs)")
+        assert "trace-back search" in out and "region=" in out
+        assert out.count("Prob-reachable region") == 1
+
+    def test_rquery_explain_names_the_route_it_ran(self, dataset_dir, capsys):
+        code = main([
+            "rquery", "--dataset", dataset_dir, "--no-map", "--explain",
+            "--algorithm", "es",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("QUERY PLAN (es)")
+        assert "r-query -> executor 'es'" in out
+        assert "exhaustive search" in out
 
     def test_batch_streams_progress_with_directions(self, dataset_dir, capsys):
         code = main([

@@ -12,13 +12,7 @@ from repro.core.executors import (
     has_executor,
     register_executor,
 )
-from repro.core.planner import (
-    QueryPlan,
-    plan_m_query,
-    plan_query,
-    plan_r_query,
-    plan_s_query,
-)
+from repro.core.planner import QueryPlan, plan_query
 from repro.core.query import MQuery, QueryResult, SQuery
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
@@ -31,7 +25,7 @@ M = MQuery((CENTER, Point(1000.0, 0.0)), T, 1200, 0.2)
 
 class TestPlanSelection:
     def test_sqmb_tbs_plan(self):
-        plan = plan_s_query(S, "sqmb_tbs", delta_t_s=300)
+        plan = plan_query("s", S, "sqmb_tbs", delta_t_s=300)
         assert plan.kind == "s"
         assert plan.executor == "sqmb_tbs"
         assert plan.bounding_strategy == "sqmb"
@@ -42,42 +36,42 @@ class TestPlanSelection:
 
     def test_es_plan_has_no_bounds(self):
         for algorithm in ("es", "es_pruned"):
-            plan = plan_s_query(S, algorithm)
+            plan = plan_query("s", S, algorithm)
             assert plan.bounding_strategy is None
             assert not plan.uses_con_index
             assert plan.steps == 0
 
     def test_mqmb_plan(self):
-        plan = plan_m_query(M, "mqmb_tbs", delta_t_s=300)
+        plan = plan_query("m", M, "mqmb_tbs", delta_t_s=300)
         assert plan.kind == "m"
         assert plan.bounding_strategy == "mqmb"
         assert plan.steps == 4
         assert plan.num_locations == 2
 
     def test_naive_m_plan_uses_sqmb(self):
-        plan = plan_m_query(M, "sqmb_tbs_each")
+        plan = plan_query("m", M, "sqmb_tbs_each")
         assert plan.bounding_strategy == "sqmb"
 
     def test_reverse_plan_uses_reverse_bounds(self):
-        plan = plan_r_query(S, "sqmb_tbs")
+        plan = plan_query("r", S, "sqmb_tbs")
         assert plan.kind == "r"
         assert plan.bounding_strategy == "reverse"
-        reverse_es = plan_r_query(S, "es")
+        reverse_es = plan_query("r", S, "es")
         assert reverse_es.bounding_strategy is None
 
     def test_short_query_takes_one_hop(self):
-        plan = plan_s_query(SQuery(CENTER, T, 100, 0.2), "sqmb_tbs",
+        plan = plan_query("s", SQuery(CENTER, T, 100, 0.2), "sqmb_tbs",
                             delta_t_s=300)
         assert plan.steps == 1
 
     def test_identical_queries_share_equal_plans(self):
-        assert plan_s_query(S, "sqmb_tbs") == plan_s_query(S, "sqmb_tbs")
+        assert plan_query("s", S, "sqmb_tbs") == plan_query("s", S, "sqmb_tbs")
         # Probability does not enter the plan: same routing either way.
         other = SQuery(CENTER, T, 600, 0.8)
-        assert plan_s_query(other, "sqmb_tbs") == plan_s_query(S, "sqmb_tbs")
+        assert plan_query("s", other, "sqmb_tbs") == plan_query("s", S, "sqmb_tbs")
 
     def test_describe_mentions_routing(self):
-        text = plan_s_query(S, "sqmb_tbs", delta_t_s=300).describe()
+        text = plan_query("s", S, "sqmb_tbs", delta_t_s=300).describe()
         assert "sqmb_tbs" in text
         assert "sqmb" in text
         assert "cold" in text
@@ -86,15 +80,15 @@ class TestPlanSelection:
 class TestPlanErrors:
     def test_unknown_s_algorithm(self):
         with pytest.raises(ValueError, match="unknown s-query algorithm"):
-            plan_s_query(S, "nope")
+            plan_query("s", S, "nope")
 
     def test_unknown_m_algorithm(self):
         with pytest.raises(ValueError, match="unknown m-query algorithm"):
-            plan_m_query(M, "sqmb_tbs")  # registered for s, not m
+            plan_query("m", M, "sqmb_tbs")  # registered for s, not m
 
     def test_unknown_r_algorithm(self):
         with pytest.raises(ValueError, match="unknown r-query algorithm"):
-            plan_r_query(S, "mqmb_tbs")
+            plan_query("r", S, "mqmb_tbs")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown query kind"):
@@ -102,11 +96,11 @@ class TestPlanErrors:
 
     def test_bad_delta_t(self):
         with pytest.raises(ValueError, match="granularity"):
-            plan_s_query(S, "sqmb_tbs", delta_t_s=0)
+            plan_query("s", S, "sqmb_tbs", delta_t_s=0)
 
     def test_error_lists_registered_names(self):
         with pytest.raises(ValueError, match="sqmb_tbs"):
-            plan_s_query(S, "nope")
+            plan_query("s", S, "nope")
 
     def test_engine_facade_propagates(self, engine):
         with pytest.raises(ValueError, match="unknown s-query algorithm"):
@@ -142,7 +136,7 @@ class TestRegistry:
             assert has_executor("s", "custom_fake")
             assert get_executor("s", "custom_fake") is fake_executor
             assert "custom_fake" in executor_names("s")
-            plan = plan_s_query(S, "custom_fake")
+            plan = plan_query("s", S, "custom_fake")
             assert plan.bounding_strategy is None
             result = s_query(engine, S, algorithm="custom_fake")
             assert result.segments == {1, 2, 3}
@@ -166,7 +160,7 @@ class TestRegistry:
             register_executor("z", "whatever")
 
     def test_execute_plan_fills_cost(self, engine):
-        plan = plan_s_query(S, "sqmb_tbs", delta_t_s=300)
+        plan = plan_query("s", S, "sqmb_tbs", delta_t_s=300)
         result = execute_plan(engine, plan, S)
         assert isinstance(plan, QueryPlan)
         assert result.cost.io.page_reads > 0

@@ -704,10 +704,12 @@ class TestReintroducedViolationsFailGate:
         assert findings and any("ABBA" in f.message for f in findings)
 
     def test_rl007_uncharged_read_path(self, src_copy):
-        # Give an executor entry point a direct raw read that bypasses
-        # the BufferPool/PageStore charging chokepoints.
+        # Give the one pipeline's front half (`start_estimators`, which
+        # every registered executor runs through) a direct raw read that
+        # bypasses the BufferPool/PageStore charging chokepoints.
         executor = src_copy / "repro" / "core" / "executors" / "sqmb_tbs.py"
         text = executor.read_text(encoding="utf-8")
+        assert text.count("    st = ctx.st_index()\n") == 1
         text = text.replace(
             "    st = ctx.st_index()\n",
             "    st = ctx.st_index()\n"
@@ -923,6 +925,120 @@ class TestLockGraphCli:
         result = self.run_cli(str(tree), "--write-lock-graph", str(out))
         assert result.returncode == 1
         assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Call graph — what it cannot follow is recorded, never dropped
+# ---------------------------------------------------------------------------
+
+
+def graph_of(tmp_path: Path, files):
+    """The call graph of a scratch tree (``{relative name: source}``)."""
+    from tools.repro_lint.callgraph import call_graph
+    from tools.repro_lint.core import build_project
+
+    root = tmp_path / "src"  # module names start below a `src` directory
+    root.mkdir()
+    for name, source in files.items():
+        (root / name).write_text(textwrap.dedent(source), encoding="utf-8")
+    return call_graph(build_project([str(root)]))
+
+
+def reachable_from(graph, qualname):
+    seen, stack = {qualname}, [qualname]
+    while stack:
+        for callee in graph.callees(stack.pop()):
+            if callee not in seen:
+                seen.add(callee)
+                stack.append(callee)
+    return seen
+
+
+class TestCallGraphBlindSpots:
+    def test_call_through_parameter_or_local_is_recorded(self, tmp_path):
+        graph = graph_of(tmp_path, {"mod.py": """
+            def verify(x):
+                return x
+
+            def run(search, table, x):
+                pick = table[x]
+                return search(x), pick(x), len(table), verify(x)
+        """})
+        rows = {(u.caller, u.target, u.reason) for u in graph.unresolved}
+        assert rows == {
+            ("mod.run", "search", "call through a parameter"),
+            ("mod.run", "pick", "call through a local variable"),
+        }
+        # The builtin is out of scope, the module function is an edge.
+        assert graph.callees("mod.run") == {"mod.verify"}
+
+    def test_imported_function_passed_as_argument_is_recorded(self, tmp_path):
+        graph = graph_of(tmp_path, {
+            "work.py": """
+                def work(x):
+                    return x
+            """,
+            "pool.py": """
+                from work import work
+
+                def go(executor, items):
+                    return executor.map(work, items)
+            """,
+        })
+        rows = {(u.caller, u.target, u.reason) for u in graph.unresolved}
+        assert rows == {
+            ("pool.go", "work.work", "callback reference (not traversed)")
+        }
+        assert "work.work" not in reachable_from(graph, "pool.go")
+
+    def test_cls_call_in_classmethod_is_the_constructor(self, tmp_path):
+        graph = graph_of(tmp_path, {"mod.py": """
+            class Tree:
+                def __init__(self, fanout):
+                    self.fanout = fanout
+
+                @classmethod
+                def bulk(cls, fanout):
+                    return cls(fanout)
+        """})
+        assert graph.callees("mod.Tree.bulk") == {"mod.Tree.__init__"}
+        assert graph.unresolved == []
+
+    def test_every_registered_executor_reaches_its_family(self):
+        """The real tree: each registration's search and estimator code is
+        on the call graph, i.e. inside what RL006/RL007 can prove things
+        about.  Threading the pipeline through callables (``search=``,
+        ``estimator_cls=``) breaks this."""
+        from tools.repro_lint.callgraph import call_graph
+        from tools.repro_lint.core import build_project
+
+        graph = call_graph(build_project([str(REPO_ROOT / "src")]))
+        registered = {
+            (reg.kind, reg.name): reg.func.qualname
+            for reg in graph.table.executors
+        }
+        assert len(registered) == 8
+        everyone = {
+            "repro.core.executors.sqmb_tbs.start_estimators",
+            "repro.core.prob_kernel.ColumnarEq31Estimator.__init__",
+            "repro.core.prob_kernel.ColumnarEq31Estimator.probabilities",
+            "repro.core.st_index.STIndex.find_start_segment",
+            "repro.core.st_index.STIndex.gather_window_columns",
+        }
+        bounded = {
+            "repro.core.executors.ExecutionContext.bounding_region",
+            "repro.core.sqmb.bounding_region",
+            "repro.core.tbs.trace_back_search",
+        }
+        exhaustive = {
+            "repro.core.baseline.exhaustive_search",
+            "repro.core.baseline.exhaustive_search_pruned",
+            "repro.core.baseline._exhaustive_waves",
+        }
+        for (kind, name), entry in sorted(registered.items()):
+            family = exhaustive if name.startswith("es") else bounded
+            missing = (everyone | family) - reachable_from(graph, entry)
+            assert not missing, f"{kind}/{name} cannot reach {sorted(missing)}"
 
 
 # ---------------------------------------------------------------------------

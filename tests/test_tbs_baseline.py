@@ -7,11 +7,7 @@ instead of against each other.
 
 import pytest
 
-from repro.core.baseline import (
-    exhaustive_search,
-    exhaustive_search_pruned,
-    naive_m_query,
-)
+from repro.core.baseline import exhaustive_search, exhaustive_search_pruned
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import BoundingRegion
 from repro.core.st_index import STIndex
@@ -54,7 +50,7 @@ def route(network):
 
 
 @pytest.fixture(scope="module")
-def world(network, route):
+def database(route):
     """Trajectories along ``route`` with decreasing daily support:
 
     route[i] is reached on ``NUM_DAYS - max(0, i - 3)`` days, so the
@@ -69,8 +65,13 @@ def world(network, route):
         ]
         db.add(MatchedTrajectory(day, day % NUM_DAYS, day, visits))
     db.finalize()
+    return db
+
+
+@pytest.fixture(scope="module")
+def world(network, route, database):
     index = STIndex(network, 300)
-    index.build(db)
+    index.build(database)
     estimator = ProbabilityEstimator(index, route[0], T, 600, NUM_DAYS)
     return index, estimator
 
@@ -105,15 +106,37 @@ class TestExhaustiveSearch:
         assert pruned.region == full.region
         assert pruned.examined < full.examined
 
-    def test_naive_m_query_unions(self, world, route, network):
-        index, _ = world
-        est_a = ProbabilityEstimator(index, route[0], T, 600, NUM_DAYS)
-        est_b = ProbabilityEstimator(index, route[3], T, 600, NUM_DAYS)
-        merged = naive_m_query(network, {route[0]: est_a, route[3]: est_b}, 0.6)
-        single_a = exhaustive_search(network, est_a, 0.6)
-        single_b = exhaustive_search(network, est_b, 0.6)
-        assert merged.region == single_a.region | single_b.region
-        assert merged.failed.isdisjoint(merged.region)
+    def test_naive_m_query_unions(self, database, route, network):
+        """The registered form of the naive m-query baseline, ``es_each``:
+        the union of the per-location ``es`` answers."""
+        from repro.api import QueryOptions, ReachabilityClient, Request
+        from repro.core.engine import ReachabilityEngine
+        from repro.core.query import MQuery, SQuery
+
+        client = ReachabilityClient(ReachabilityEngine(network, database))
+        locations = tuple(network.segment(route[i]).midpoint for i in (0, 3))
+
+        def send(query, algorithm):
+            return client.send(Request(query, QueryOptions(algorithm=algorithm)))
+
+        merged = send(MQuery(locations, T, 600, 0.6), "es_each")
+        singles = [send(SQuery(loc, T, 600, 0.6), "es") for loc in locations]
+        assert all(single.segments for single in singles)
+        assert merged.segments == singles[0].segments | singles[1].segments
+        examined = set(merged.result.probabilities)
+        assert examined == set(singles[0].result.probabilities) | set(
+            singles[1].result.probabilities
+        )
+        # What the union leaves out failed under every location.
+        failed = examined - merged.segments
+        assert failed and all(
+            single.result.probabilities[segment] < 0.6
+            for segment in failed
+            for single in singles
+        )
+        assert merged.cost.segments_expanded == sum(
+            single.cost.segments_expanded for single in singles
+        )
 
 
 def make_regions(network, route, max_depth, min_depth):

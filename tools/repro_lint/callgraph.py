@@ -20,10 +20,14 @@ Resolved forms:
   project classes (and is not a common builtin-container method) gets an
   edge to **every** candidate, tagged ``"name"``.
 
-Unresolved (recorded, not traversed): calls through untyped receivers
-with unknown method names, and function references passed as callbacks
-(the callee runs them on another thread or outside the caller's locks,
-so traversing them would invent lock-order edges that cannot happen).
+Unresolved (recorded, not traversed): calls through typed receivers
+with unknown method names; calls through a parameter or a local variable
+(``search(...)`` where ``search`` is an argument: the callee is whatever
+the caller passed); and project functions or methods — local or imported —
+passed as arguments (the callee runs them on another thread or outside
+the caller's locks, so traversing them would invent lock-order edges that
+cannot happen).  Code threaded through callables is therefore *visibly*
+outside the reachability proofs, never silently so.
 
 Nested ``def``s are attributed to their enclosing named function: a
 closure's calls belong to the function that created it for reachability
@@ -53,7 +57,7 @@ BUILTIN_METHOD_NAMES = frozenset(
     {
         "add", "append", "clear", "close", "copy", "count", "discard",
         "extend", "get", "index", "insert", "items", "join", "keys",
-        "pop", "popitem", "put", "read", "recv", "release", "remove",
+        "open", "pop", "popitem", "put", "read", "recv", "release", "remove",
         "reverse", "send", "set", "setdefault", "sort", "split",
         "start", "strip", "submit", "terminate", "tolist", "update",
         "values", "wait", "write",
@@ -126,6 +130,16 @@ class _FunctionResolver:
         self.module = fn.module
         self.locals: Dict[str, str] = {}  # var -> class qualname
         self.registry_vars: Set[str] = set()  # vars holding get_executor results
+        # Names bound inside the function (nested defs and lambdas
+        # included): a bare-name call through one of them is a call to
+        # whatever value it holds, not to a builtin or an external import.
+        self.params: Set[str] = set()
+        self.assigned: Set[str] = set()
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.arg):
+                self.params.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                self.assigned.add(node.id)
         for name, annotation in self._params().items():
             resolved = annotation_class(self.table, self.module, annotation)
             if resolved is not None:
@@ -348,11 +362,21 @@ class _FunctionResolver:
                 return
             return  # external library method — out of scope
         if isinstance(func, ast.Name):
-            # Unknown bare name: builtin or external; only record project
-            # functions passed around as values (callbacks) explicitly.
-            mod = table.modules.get(self.module)
-            if mod is not None and func.id in self.locals:
+            name = func.id
+            if name in self.locals:
                 self._unresolved(call, "call through typed value (no __call__ model)")
+            elif name == "cls" and self.fn.cls is not None:
+                # ``cls(...)`` in a classmethod: the class's own constructor
+                # (an external base's ``__init__`` is out of scope).
+                ctor = _constructor(table, self.fn.cls)
+                if ctor is not None:
+                    self._record(call, "constructor", ctor)
+            elif name in self.params:
+                self._unresolved(call, "call through a parameter")
+            elif name in self.assigned:
+                self._unresolved(call, "call through a local variable")
+            # Anything else is a builtin, an external import, or a nested
+            # def (whose calls already belong to this function).
             return
         self._unresolved(call, "unsupported call form")
 
@@ -375,6 +399,8 @@ class _FunctionResolver:
                     mod = self.table.modules.get(self.module)
                     if mod is not None and arg.id in mod.functions:
                         target = mod.functions[arg.id].qualname
+                    elif mod is not None and mod.imports.get(arg.id) in self.table.functions:
+                        target = mod.imports[arg.id]
                 if target is not None:
                     self.graph.unresolved.append(
                         UnresolvedCall(
