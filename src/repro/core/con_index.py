@@ -270,20 +270,6 @@ class ConnectionIndex:
                 self._tt_lists[key] = values
             return values
 
-    def travel_time(self, kind: Kind, slot: int):
-        """Per-segment traversal seconds as a callable (classic interface).
-
-        Reads from :meth:`travel_time_vector`, so both interfaces always
-        agree on the speed model.
-        """
-        vector = self.travel_time_vector(kind, slot)
-        csr = self.network.csr()
-
-        def travel_time(segment_id: int) -> float:
-            return float(vector[csr.row_of(segment_id)])
-
-        return travel_time
-
     # -- entry access -------------------------------------------------------------
 
     def entry(self, segment_id: int, slot: int, kind: Kind) -> FrontierEntry:

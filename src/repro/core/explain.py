@@ -119,11 +119,6 @@ class QueryExplanation:
         paper's headline saving."""
         return len(self.result.segments - self.result.probabilities.keys())
 
-    @property
-    def prob_waves(self) -> int:
-        """Batched probability waves the search dequeued."""
-        return self.result.cost.probability_waves
-
     def to_text(self) -> str:
         lines = [f"QUERY PLAN ({self.plan.algorithm})"]
         if self.route is not None:

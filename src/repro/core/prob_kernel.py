@@ -275,10 +275,6 @@ class ColumnarEq31Estimator:
             return cached
         return self.probabilities((segment_id,))[0]
 
-    def is_reachable(self, segment_id: int, prob: float) -> bool:
-        """Whether ``segment_id`` meets the query's probability threshold."""
-        return self.probability(segment_id) >= prob
-
     def _store(self, segment_id: int, value: float) -> None:
         self._cache[segment_id] = value
         twin = self._twin(segment_id)

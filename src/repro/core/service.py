@@ -287,10 +287,6 @@ class QueryService:
             trajectories, update_database=update_database
         )
 
-    def rebuild_indexes(self, delta_t_s: int | None = None) -> None:
-        """Drop built indexes (they rebuild lazily) and cached regions."""
-        self.engine.drop_indexes(delta_t_s)
-
     # -- execution ---------------------------------------------------------
 
     def run_plan(

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.directory import Pointer, TimeListDirectory, slots_per_day
 from repro.network.model import RoadNetwork
 from repro.spatial.btree import BPlusTree
 from repro.spatial.geometry import Point
@@ -205,7 +206,7 @@ class STIndex:
             raise ValueError(f"bad slot width {delta_t_s}")
         self.network = network
         self.delta_t_s = delta_t_s
-        self.num_slots = -(-SECONDS_PER_DAY // delta_t_s)  # ceil division
+        self.num_slots = slots_per_day(delta_t_s)
         self.disk = disk if disk is not None else SimulatedDisk()
         self._store = PageStore(self.disk)
         self.pool = BufferPool(self.disk, capacity=buffer_pool_pages)
@@ -221,7 +222,7 @@ class STIndex:
         # pointers.  The bulk build writes one record per entry; appending
         # later days adds records to the chain (merged at read time), so
         # new data never forces an index rebuild.
-        self._directory: dict[tuple[int, int], list[RecordPointer]] = {}
+        self.directory = TimeListDirectory(self.num_slots)
         self._built = False
         self.record_cache_size = record_cache_size
         # Window-gather memo: (segment, plan) -> the filtered key array,
@@ -248,7 +249,7 @@ class STIndex:
         network: RoadNetwork,
         delta_t_s: int,
         disk: SimulatedDisk,
-        directory: dict[tuple[int, int], list[RecordPointer]],
+        directory: TimeListDirectory,
         buffer_pool_pages: int = 512,
         record_cache_size: int = 4096,
     ) -> "STIndex":
@@ -256,11 +257,10 @@ class STIndex:
 
         ``disk`` carries the time-list pages (e.g. from
         :meth:`~repro.storage.disk.SimulatedDisk.from_state`) and
-        ``directory`` the extent pointers into them, as built by
-        :func:`repro.io.persist.directory_from_columns`; the index adopts
-        the map, so the caller must not keep mutating it.  Appends keep
-        working: the restored store opens a fresh tail page after the
-        persisted extents.
+        ``directory`` the validated extent pointers into them
+        (:meth:`TimeListDirectory.from_columns` at this Δt's slots per
+        day); the index adopts it, so the caller must not keep mutating it.  Appends keep working: the
+        restored store opens a fresh tail page after the persisted extents.
         """
         index = cls(
             network,
@@ -269,9 +269,9 @@ class STIndex:
             buffer_pool_pages=buffer_pool_pages,
             record_cache_size=record_cache_size,
         )
-        index._directory = directory
+        index.directory = directory
         index._built = True
-        index.stats.num_entries = len(index._directory)
+        index.stats.num_entries = len(directory)
         index.stats.disk_pages = disk.num_pages
         return index
 
@@ -292,28 +292,29 @@ class STIndex:
         keys, stream, lengths = self._encode_time_lists(database)
         columns = self._store.append_many(stream, lengths)
         del stream
-        pointers = map(RecordPointer, *(column.tolist() for column in columns))
-        self._directory = {key: [pointer] for key, pointer in zip(keys, pointers)}
+        self.directory = TimeListDirectory(
+            self.num_slots, keys, np.column_stack(columns)
+        )
         # Group commit: the partial last page flushes once here.
         self._store.flush()
         self._built = True
-        self.stats.num_entries = len(self._directory)
+        self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
 
     def _encode_time_lists(
         self, database: TrajectoryDatabase
-    ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (segment, slot) time list of ``database``, encoded in bulk.
 
-        Returns the ``(segment, slot)`` keys in ascending order, the
-        records' :func:`encode_time_list` payloads back to back as one
+        Returns the packed ``segment * num_slots + slot`` keys in ascending
+        order, the records' :func:`encode_time_list` payloads back to back as one
         ``<u4`` word stream, and each record's byte length.  Temporaries
         are released as soon as the next stage has consumed them: at a few
         million visits they are tens of megabytes each.
         """
         compact = [c for c in database.iter_compact() if len(c[2])]
         if not compact:
-            return [], np.empty(0, dtype="<u4"), np.empty(0, dtype=np.int64)
+            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), np.empty(0, dtype=np.int64)
         counts = np.fromiter((len(c[2]) for c in compact), np.int64, len(compact))
         ids = np.fromiter((c[0] for c in compact), np.int64, len(compact))
         dates = np.fromiter((c[1] for c in compact), np.int64, len(compact))
@@ -382,14 +383,7 @@ class STIndex:
         stream[headers] = visits.reshape(-1)
         del visits, headers
         lengths = 4 * np.diff(np.append(group_words, total_words))
-        group_keys = run_groups[first_runs]
-        keys = list(
-            zip(
-                (group_keys // self.num_slots).tolist(),
-                (group_keys % self.num_slots).tolist(),
-            )
-        )
-        return keys, stream, lengths
+        return run_groups[first_runs], stream, lengths
 
     def append_trajectories(self, trajectories) -> int:
         """Incrementally index additional matched trajectories.
@@ -425,17 +419,10 @@ class STIndex:
         for key in sorted(pending):
             per_date = {d: sorted(visits) for d, visits in pending[key].items()}
             pointer = self._store.append(encode_time_list(per_date))
-            self._directory.setdefault(key, []).append(pointer)
-            delta.append(
-                (
-                    key[0],
-                    key[1],
-                    pointer.first_page,
-                    pointer.num_pages,
-                    pointer.offset,
-                    pointer.length,
-                )
-            )
+            delta.append((*key, *pointer))
+        self.directory.extend(
+            delta, self.disk.num_pages, self.disk.page_size, "appended record"
+        )
         self._store.flush()
         # Durability barrier: on a durable backend this journals every
         # page the append touched plus the directory delta, so the new
@@ -448,9 +435,19 @@ class STIndex:
         with self._record_lock:
             self._window_gathers.clear()
             self._data_epoch += 1
-        self.stats.num_entries = len(self._directory)
+        self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
         return len(pending)
+
+    def committed_directory(self) -> TimeListDirectory:
+        """The directory, every pointer of it on committed pages.
+
+        What a save or a shard export reads: the store's tail is flushed
+        first (the group commit), so the disk holds every byte the
+        pointers name.
+        """
+        self._store.flush()
+        return self.directory
 
     # -- temporal lookups ---------------------------------------------------------
 
@@ -489,24 +486,6 @@ class STIndex:
             slot
             for _, slot in self._temporal.range(first_start, end_s - 1e-9)
         ]
-
-    def slots_in_window(self, start_s: float, end_s: float) -> list[int]:
-        """Slots overlapping ``[start_s, end_s)`` via B+-tree range scans.
-
-        Windows crossing midnight are split at the day boundary and the
-        wrapped part's slots follow the pre-midnight ones, so a late-night
-        query window yields e.g. ``[287, 0, 1]`` instead of clamping.
-        Each overlapped slot appears once even when the wrapped part
-        re-enters the slot containing the window start.
-        """
-        slots: list[int] = []
-        seen: set[int] = set()
-        for lo, hi in self._window_parts(start_s, end_s):
-            for slot in self._slots_in_part(lo, hi):
-                if slot not in seen:
-                    seen.add(slot)
-                    slots.append(slot)
-        return slots
 
     # -- spatial lookups -------------------------------------------------------------
 
@@ -556,8 +535,10 @@ class STIndex:
         already proves absence.  The caller owns the returned dict and its
         lists.
         """
-        chain = self._directory.get((segment_id, slot))
-        if chain is None:
+        if not 0 <= slot < self.num_slots:
+            return {}
+        chain = self.directory.probe((segment_id,), (slot,))[0]
+        if not chain:
             return {}
         if len(chain) == 1:
             # Bulk-built and per-append records are internally duplicate
@@ -571,9 +552,11 @@ class STIndex:
                 merged.setdefault(date, set()).update(visits)
         return {date: sorted(visits) for date, visits in merged.items()}
 
-    def _read_record(self, pointer: RecordPointer) -> ColumnarTimeList:
+    def _read_record(self, pointer: Pointer) -> ColumnarTimeList:
         """One record read, charged through the buffer pool, and decoded."""
-        return decode_time_list_columns(self._store.read(pointer, pool=self.pool))
+        return decode_time_list_columns(
+            self._store.read(RecordPointer(*pointer), pool=self.pool)
+        )
 
     def window_plan(
         self, start_s: float, end_s: float
@@ -595,8 +578,8 @@ class STIndex:
 
     @staticmethod
     def _assemble_window_keys(
-        steps: list[tuple[RecordPointer, bool, float, float]],
-        columns: dict[RecordPointer, ColumnarTimeList],
+        steps: list[tuple[Pointer, bool, float, float]],
+        columns: dict[Pointer, ColumnarTimeList],
     ) -> np.ndarray:
         """Filter and concatenate one segment's decoded window records."""
         parts: list[np.ndarray] = []
@@ -641,23 +624,13 @@ class STIndex:
             and pages the gather charged (the ``batched_record_reads`` /
             ``prefetched_pages`` cost counters).
         """
-        directory = self._directory
         cache_on = self.record_cache_size > 0
         results: list[np.ndarray | None] = []
         record_reads = 0
         page_ids: list[int] = []
-        fresh_pointers: list[RecordPointer] = []
-        # Per memo miss: (result position, memo key, filter steps, and
-        # this segment's slice bounds within ``page_ids``).
-        builds: list[
-            tuple[
-                int,
-                tuple[int, tuple],
-                list[tuple[RecordPointer, bool, float, float]],
-                int,
-                int,
-            ]
-        ] = []
+        # Per memo miss: result position, memo key, and how many replayed
+        # page ids of earlier segments precede this segment's pages.
+        misses: list[tuple[int, tuple[int, tuple], int]] = []
         with self._record_lock:
             epoch = self._data_epoch
             gathers = self._window_gathers
@@ -670,27 +643,58 @@ class STIndex:
                     record_reads += entry[1]
                     page_ids.extend(entry[2])
                     continue
-                steps: list[tuple[RecordPointer, bool, float, float]] = []
-                pages_start = len(page_ids)
-                for lo, hi, first_slot, last_slot in plan:
-                    for slot in range(first_slot, last_slot + 1):
-                        # Boundary slots are filtered by visit second.
-                        slot_start = slot * self.delta_t_s
-                        whole_slot = (
-                            lo <= slot_start and slot_start + self.delta_t_s <= hi
-                        )
-                        for pointer in directory.get((segment_id, slot), ()):
-                            steps.append((pointer, whole_slot, lo, hi))
-                            fresh_pointers.append(pointer)
-                            page_ids.extend(
-                                range(
-                                    pointer.first_page,
-                                    pointer.first_page + pointer.num_pages,
-                                )
-                            )
-                record_reads += len(steps)
-                builds.append((len(results), key, steps, pages_start, len(page_ids)))
+                misses.append((len(results), key, len(page_ids)))
                 results.append(None)
+            if misses:
+                # One directory probe resolves every miss of the wave.
+                # Boundary slots are filtered by visit second.
+                slot_steps = [
+                    (
+                        slot,
+                        lo <= slot * self.delta_t_s
+                        and (slot + 1) * self.delta_t_s <= hi,
+                        lo,
+                        hi,
+                    )
+                    for lo, hi, first_slot, last_slot in plan
+                    for slot in range(first_slot, last_slot + 1)
+                ]
+                chains = iter(
+                    self.directory.probe(
+                        [key[0] for _, key, _ in misses],
+                        [step[0] for step in slot_steps],
+                    )
+                )
+        # Per memo miss: (result position, memo key, filter steps, and
+        # this segment's slice bounds within ``page_ids``).
+        builds: list[
+            tuple[
+                int,
+                tuple[int, tuple],
+                list[tuple[Pointer, bool, float, float]],
+                int,
+                int,
+            ]
+        ] = []
+        fresh_pointers: list[Pointer] = []
+        if misses:
+            replayed, page_ids, done = page_ids, [], 0
+            for position, key, preceding in misses:
+                page_ids += replayed[done:preceding]
+                done = preceding
+                steps = [
+                    (pointer, whole_slot, lo, hi)
+                    for _, whole_slot, lo, hi in slot_steps
+                    for pointer in next(chains)
+                ]
+                pages_start = len(page_ids)
+                for step in steps:
+                    first_page, num_pages, _, _ = step[0]
+                    fresh_pointers.append(step[0])
+                    page_ids.extend(range(first_page, first_page + num_pages))
+                record_reads += len(steps)
+                builds.append((position, key, steps, pages_start, len(page_ids)))
+            page_ids += replayed[done:]
         # One batched charge for the whole wave, in exactly the scalar
         # per-segment read order: ``page_ids`` interleaves the replayed
         # accesses of memo hits with the pages of the misses' records, so
@@ -701,7 +705,7 @@ class STIndex:
             self._store.ensure_committed(fresh_pointers)
         self.pool.get_pages(page_ids)
         # Every record the misses name is decoded once per call.
-        columns: dict[RecordPointer, ColumnarTimeList] = {}
+        columns: dict[Pointer, ColumnarTimeList] = {}
         for pointer in fresh_pointers:
             if pointer not in columns:
                 # Uncharged decode: the pages were charged (and pulled
@@ -709,9 +713,7 @@ class STIndex:
                 # extent read cannot double- or under-count.
                 # repro-lint: disable=RL002
                 columns[pointer] = decode_time_list_columns(
-                    self.disk.extent_bytes(
-                        pointer.first_page, pointer.offset, pointer.length
-                    )
+                    self.disk.extent_bytes(pointer[0], pointer[2], pointer[3])
                 )
         for position, _, steps, _, _ in builds:
             results[position] = self._assemble_window_keys(steps, columns)
@@ -731,21 +733,6 @@ class STIndex:
                     while len(gathers) > self.record_cache_size:
                         gathers.popitem(last=False)
         return results, record_reads, len(page_ids)
-
-    def window_keys(
-        self, segment_id: int, start_s: float, end_s: float
-    ) -> np.ndarray:
-        """Packed ``(date << 32) | id`` visit keys within ``[start_s, end_s)``.
-
-        The columnar twin of :meth:`trajectories_in_window`: slots fully
-        inside the window contribute every stored visit, boundary slots
-        are filtered by the per-visit seconds, and midnight-crossing
-        windows are split at the day boundary.  Charges exactly the
-        record reads of the dict-based path, in the same order; visits
-        may repeat across slots and chained records.
-        """
-        plan = self.window_plan(start_s, end_s)
-        return self.gather_window_columns((segment_id,), plan)[0][0]
 
     def time_list(self, segment_id: int, slot: int) -> dict[int, set[int]]:
         """A (segment, slot) time list as ``date -> trajectory ids``."""
@@ -787,6 +774,3 @@ class STIndex:
                     else:
                         bucket |= ids
         return merged
-
-    def has_entry(self, segment_id: int, slot: int) -> bool:
-        return (segment_id, slot) in self._directory

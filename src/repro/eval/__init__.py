@@ -14,7 +14,7 @@ from repro.eval.config import (
     DEFAULT_SETTINGS,
     SMALL_SETTINGS,
 )
-from repro.eval.metrics import region_road_length_km, saving_percent
+from repro.eval.metrics import region_road_length_km
 from repro.eval.runner import (
     SweepPoint,
     run_duration_sweep,
@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "SMALL_SETTINGS",
     "region_road_length_km",
-    "saving_percent",
     "SweepPoint",
     "run_duration_sweep",
     "run_probability_sweep",

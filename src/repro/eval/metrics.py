@@ -20,20 +20,3 @@ from repro.network.model import RoadNetwork
 def region_road_length_km(result: QueryResult, network: RoadNetwork) -> float:
     """Total result road length in kilometres."""
     return result.road_length_m(network) / 1000.0
-
-
-def region_area_km2(result: QueryResult, network: RoadNetwork) -> float:
-    """Convex-hull area (km^2) of the result region's segment midpoints."""
-    from repro.spatial.hull import convex_hull, polygon_area
-
-    points = [network.segment(s).midpoint for s in result.segments]
-    if len(points) < 3:
-        return 0.0
-    return polygon_area(convex_hull(points)) / 1e6
-
-
-def saving_percent(ours_ms: float, baseline_ms: float) -> float:
-    """Percentage running-time reduction of ``ours`` over ``baseline``."""
-    if baseline_ms <= 0:
-        return 0.0
-    return 100.0 * (1.0 - ours_ms / baseline_ms)

@@ -23,7 +23,7 @@ from repro.api.client import ReachabilityClient, as_client
 from repro.api.envelope import QueryOptions, Request
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import MQuery, SQuery
-from repro.core.service import BatchReport, QueryService
+from repro.core.service import QueryService
 from repro.eval.metrics import region_road_length_km
 from repro.spatial.geometry import Point
 
@@ -91,57 +91,6 @@ def _measure(
 
 _measure_s = _measure
 _measure_m = _measure
-
-
-def run_workload_batch(
-    engine: ReachabilityClient | ReachabilityEngine | QueryService,
-    queries,
-    algorithm: str | None = None,
-    delta_t_s: int = 300,
-    max_workers: int = 1,
-    repeats: int = 1,
-    backend: str | None = None,
-) -> BatchReport:
-    """Run a query workload as one streamed batch (throughput protocol).
-
-    Unlike the figure sweeps — which pay cold I/O per query, matching the
-    paper's per-query measurements — a batch shares warm buffer pools and
-    deduplicated bounding regions across the whole workload, which is the
-    deployment-facing number.
-
-    Pass a client or :class:`QueryService` (rather than a bare engine) to
-    keep the service-lifetime region cache across calls; with
-    ``repeats > 1`` the workload is run that many times against one
-    service and the *last* report is returned — the steady-state number,
-    where every bounding region is served from the cross-batch cache.
-
-    The workload may mix plain queries and :class:`repro.api.Request`
-    envelopes (per-request direction/algorithm); ``algorithm`` overrides
-    the route for plain queries only.  ``backend`` selects the batch
-    execution backend per :meth:`repro.api.ReachabilityClient.run_batch`
-    (``"sharded"`` scatters across the client's shard workers).
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    client = as_client(engine)
-    requests = [
-        query
-        if isinstance(query, Request)
-        else Request(
-            query,
-            QueryOptions(
-                algorithm=algorithm if algorithm is not None else "auto",
-                delta_t_s=delta_t_s,
-            ),
-        )
-        for query in queries
-    ]
-    report = None
-    for _ in range(repeats):
-        report = client.run_batch(
-            requests, max_workers=max_workers, backend=backend
-        )
-    return report
 
 
 def run_duration_sweep(

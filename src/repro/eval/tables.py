@@ -73,27 +73,6 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_cache_effectiveness(title: str, stats) -> str:
-    """Buffer-pool cache effectiveness as a key/value table.
-
-    Args:
-        title: table caption.
-        stats: a :class:`~repro.storage.disk.DiskStats` (typically a
-            before/after difference, e.g. ``BatchReport.io``) carrying the
-            pool hit/miss/eviction counters.
-    """
-    return format_table(
-        title,
-        [
-            ("page reads (disk)", f"{stats.page_reads:,}"),
-            ("pool hits", f"{stats.pool_hits:,}"),
-            ("pool misses", f"{stats.pool_misses:,}"),
-            ("pool evictions", f"{stats.pool_evictions:,}"),
-            ("hit rate", f"{stats.pool_hit_rate * 100:.1f}%"),
-        ],
-    )
-
-
 def format_batch_report(title: str, report) -> str:
     """A :class:`~repro.core.service.BatchReport` as a key/value table."""
     return format_table(title, report.as_rows())

@@ -14,35 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.query import MQuery, SQuery
 from repro.network.model import RoadNetwork
 from repro.spatial.geometry import Point
 from repro.trajectory.model import SECONDS_PER_DAY
-
-
-def fig48_m_query_batch(
-    locations: Sequence[Point],
-    durations_s: Sequence[int],
-    start_time_s: float,
-    prob: float = 0.2,
-) -> list[MQuery]:
-    """The Fig 4.8(a) m-query workload as one flat service batch.
-
-    One m-query over the same location set per duration — the batch whose
-    queries share every bounding-region prefix, which is what
-    ``ReachabilityClient.run_batch`` deduplicates.
-    """
-    return [
-        MQuery(
-            locations=tuple(locations),
-            start_time_s=start_time_s,
-            duration_s=duration_s,
-            prob=prob,
-        )
-        for duration_s in durations_s
-    ]
 
 
 @dataclass

@@ -24,8 +24,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -244,139 +242,6 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
     return database
 
 
-# -- ST-Index directories --------------------------------------------------------
-
-
-#: The time-list directory as seven aligned ``int64`` columns, one row per
-#: chain record: the arrays ``directory.npz`` stores and the form a shard
-#: payload ships.  Every bulk reader and writer of an index's directory
-#: goes through :func:`directory_to_columns` / :func:`directory_from_columns`.
-DIRECTORY_COLUMNS = (
-    "dir_segment",
-    "dir_slot",
-    "dir_position",
-    "dir_first_page",
-    "dir_num_pages",
-    "dir_offset",
-    "dir_length",
-)
-
-_POINTER_FIELDS = attrgetter("first_page", "num_pages", "offset", "length")
-
-
-def directory_to_columns(index) -> dict[str, np.ndarray]:
-    """A built index's directory as :data:`DIRECTORY_COLUMNS`.
-
-    Rows are in ``(segment, slot, position)`` order whatever order the
-    chains were created in, so equal directories flatten to equal arrays.
-    The store's tail is flushed first: every pointer refers to committed
-    pages.
-    """
-    index._store.flush()
-    directory = index._directory
-    chains = np.fromiter(map(len, directory.values()), np.int64, len(directory))
-    rows = int(chains.sum())
-    keys = np.fromiter(
-        chain.from_iterable(directory), np.int64, 2 * len(directory)
-    ).reshape(-1, 2)
-    pointers = np.fromiter(
-        chain.from_iterable(
-            map(_POINTER_FIELDS, chain.from_iterable(directory.values()))
-        ),
-        np.int64,
-        4 * rows,
-    ).reshape(-1, 4)
-    segment = np.repeat(keys[:, 0], chains)
-    slot = np.repeat(keys[:, 1], chains)
-    position = np.arange(rows) - np.repeat(np.cumsum(chains) - chains, chains)
-    order = np.lexsort((position, slot, segment))
-    columns = (segment, slot, position, *pointers.T)
-    return {
-        name: column[order] for name, column in zip(DIRECTORY_COLUMNS, columns)
-    }
-
-
-def _bad_pointers(
-    first_page: np.ndarray,
-    pages: np.ndarray,
-    offset: np.ndarray,
-    length: np.ndarray,
-    num_pages_total: int,
-    page_size: int,
-) -> np.ndarray:
-    """Mask of extent pointers that leave the persisted page range.
-
-    A corrupt pointer would otherwise serve wrong bytes (or charge the
-    wrong number of page reads) deep inside a query instead of failing
-    at load time.  Written so that no int64 garbage can wrap a sum back
-    into range.
-    """
-    bad = (
-        (pages < 1)
-        | (pages > num_pages_total)
-        | (first_page < 0)
-        | (first_page > num_pages_total - pages)
-        | (offset < 0)
-        | (length < 0)
-    )
-    capacity = np.where(bad, 0, pages) * page_size
-    return bad | (offset > capacity) | (length > capacity - offset)
-
-
-def _pointer_error(what: str, pointer) -> PersistFormatError:
-    first_page, pages, offset, length = (int(v) for v in pointer)
-    return PersistFormatError(
-        f"{what} pointer ({first_page}, {pages}, {offset}, {length}) "
-        "outside the persisted page range"
-    )
-
-
-def directory_from_columns(
-    columns, num_pages_total: int, page_size: int, what: str
-) -> dict:
-    """Inverse of :func:`directory_to_columns`, validated.
-
-    Returns ``(segment, slot) -> [RecordPointer]`` with keys in ascending
-    order.  Rows of one chain may be scattered but must carry positions
-    0, 1, 2, ... in row order, and every pointer must lie inside the
-    ``num_pages_total`` pages; the first offending row raises
-    :class:`PersistFormatError` before anything is served.
-    """
-    from repro.storage.pagestore import RecordPointer
-
-    arrays = [np.asarray(columns[name]) for name in DIRECTORY_COLUMNS]
-    if len({arr.shape for arr in arrays}) != 1 or arrays[0].ndim != 1:
-        raise PersistFormatError(f"{what} columns have mismatched shapes")
-    segment, slot, position, *pointer = (a.astype(np.int64) for a in arrays)
-    rows = segment.size
-    if rows == 0:
-        return {}
-    # Stable sort: rows of one chain keep their row order.
-    order = np.lexsort((slot, segment))
-    segment, slot = segment[order], slot[order]
-    new_chain = np.empty(rows, dtype=bool)
-    new_chain[0] = True
-    new_chain[1:] = (segment[1:] != segment[:-1]) | (slot[1:] != slot[:-1])
-    starts = np.flatnonzero(new_chain)
-    bounds = np.append(starts, rows)
-    misplaced = position[order] != np.arange(rows) - np.repeat(starts, np.diff(bounds))
-    bad = _bad_pointers(*pointer, num_pages_total, page_size)
-    first_misplaced = int(order[misplaced].min()) if misplaced.any() else rows
-    first_bad = int(bad.argmax()) if bad.any() else rows
-    if first_misplaced < rows and first_misplaced <= first_bad:
-        raise PersistFormatError(f"{what} rows out of chain order")
-    if first_bad < rows:
-        raise _pointer_error(what, [column[first_bad] for column in pointer])
-    pointers = list(map(RecordPointer, *(column[order].tolist() for column in pointer)))
-    bounds = bounds.tolist()
-    return {
-        key: pointers[lo:hi]
-        for key, lo, hi in zip(
-            zip(segment[starts].tolist(), slot[starts].tolist()), bounds, bounds[1:]
-        )
-    }
-
-
 # -- durable engine stores -----------------------------------------------------
 
 
@@ -403,7 +268,7 @@ def _speed_model_from_json(payload: dict) -> dict:
 
 
 def _directory_npz_bytes(
-    index, journal_generation: int, applied_commits: int
+    directory, journal_generation: int, applied_commits: int
 ) -> bytes:
     """The store bundle's directory file, serialised for atomic publish.
 
@@ -417,7 +282,7 @@ def _directory_npz_bytes(
         version=np.int64(STORE_FORMAT_VERSION),
         journal_generation=np.int64(journal_generation),
         applied_commits=np.int64(applied_commits),
-        **directory_to_columns(index),
+        **directory.columns(),
     )
     return buf.getvalue()
 
@@ -449,7 +314,8 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     disk_dir = directory / "disk"
-    index._store.flush()  # group commit: make the tail page durable
+    # Group commit: makes the tail page durable.
+    time_lists = index.committed_directory()
     atomic_replace(
         directory / "network.json",
         json.dumps(network_to_dict(engine.network)).encode(),
@@ -480,7 +346,7 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
         atomic_replace(
             directory / "directory.npz",
             _directory_npz_bytes(
-                index,
+                time_lists,
                 journal_generation=disk.generation,
                 applied_commits=disk.journal_record_count,
             ),
@@ -501,7 +367,7 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
         atomic_replace(
             directory / "directory.npz",
             _directory_npz_bytes(
-                index, journal_generation=disk.generation, applied_commits=0
+                time_lists, journal_generation=disk.generation, applied_commits=0
             ),
         )
     return directory
@@ -522,10 +388,14 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     :class:`~repro.storage.backends.CorruptSnapshotError` /
     :class:`~repro.storage.backends.TornWriteError` for verified damage.
     """
+    from repro.core.directory import (
+        DIRECTORY_COLUMNS,
+        TimeListDirectory,
+        slots_per_day,
+    )
     from repro.core.engine import ReachabilityEngine
     from repro.core.st_index import STIndex
     from repro.storage.backends import FileBackedDisk
-    from repro.storage.pagestore import RecordPointer
     from repro.storage.serialization import (
         SerializationError,
         decode_append_delta,
@@ -578,8 +448,12 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
             )
         journal_generation = int(data["journal_generation"])
         applied_commits = int(data["applied_commits"])
-        pointer_map = directory_from_columns(
-            data, num_pages_total, page_size, "store directory"
+        time_lists = TimeListDirectory.from_columns(
+            data,
+            slots_per_day(delta_t_s),
+            num_pages_total,
+            page_size,
+            "store directory",
         )
     # Replay the journal suffix the saved directory does not yet reflect.
     metas = disk.journal_metas
@@ -609,19 +483,9 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
                 f"journal append delta was written at Δt={meta_delta_t}s, "
                 f"store is Δt={delta_t_s}s"
             )
-        try:
-            rows = np.array(entries, dtype=np.int64).reshape(-1, 6)
-        except OverflowError as exc:
-            raise PersistFormatError(
-                f"journal append delta is malformed: {exc}"
-            ) from None
-        bad = _bad_pointers(*rows[:, 2:].T, num_pages_total, page_size)
-        if bad.any():
-            raise _pointer_error("journal append delta", rows[bad.argmax(), 2:])
-        for segment_id, slot, *pointer in entries:
-            pointer_map.setdefault((segment_id, slot), []).append(
-                RecordPointer(*pointer)
-            )
+        time_lists.extend(
+            entries, num_pages_total, page_size, "journal append delta"
+        )
     engine = ReachabilityEngine(
         network,
         database,
@@ -632,7 +496,7 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
         network,
         delta_t_s,
         disk,
-        pointer_map,
+        time_lists,
         buffer_pool_pages=int(config.get("st_pool_pages", 512)),
         record_cache_size=int(config.get("record_cache_size", 4096)),
     )

@@ -62,7 +62,6 @@ from repro.core.service import (
     ShardReport,
     as_service,
 )
-from repro.io.persist import directory_to_columns
 from repro.serving.faults import FaultPlan, validate_plan
 from repro.serving.partition import (
     PartitionPlan,
@@ -277,22 +276,19 @@ class ShardedEngine:
         self.halo_m = reach_m(
             max_duration_s, self.delta_t_s, self._v_max, self._max_segment_m
         )
-        # Flattened once: the load weights and every shard's slice read it.
-        columns = directory_to_columns(self._st_index)
         self.plan: PartitionPlan = partition_network(
             self.engine.network,
             shards,
             self.halo_m,
             max_duration_s=max_duration_s,
             v_max_mps=self._v_max,
-            weights=self._load_weights(columns),
+            weights=self._load_weights(),
         )
         self._locator = SegmentLocator(self.engine.network)
         payloads = [
-            export_shard_payload(self.engine, spec, self.delta_t_s, columns)
+            export_shard_payload(self.engine, spec, self.delta_t_s)
             for spec in self.plan.shards
         ]
-        del columns
         self.num_workers = min(
             workers if workers is not None else self.plan.num_shards,
             self.plan.num_shards,
@@ -317,7 +313,7 @@ class ShardedEngine:
         for worker_idx in range(self.num_workers):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
 
-    def _load_weights(self, columns):
+    def _load_weights(self):
         """Per-CSR-row trajectory-visit volume, the partition's load proxy.
 
         Query traffic follows data density (queries in the empty
@@ -329,12 +325,10 @@ class ShardedEngine:
         import numpy as np
 
         csr = self.engine.network.csr()
-        segment = columns["dir_segment"]
+        segment, volume = self._st_index.committed_directory().record_bytes()
         rows = np.minimum(np.searchsorted(csr.ids, segment), csr.n - 1)
         known = csr.ids[rows] == segment
-        return 1.0 + np.bincount(
-            rows[known], weights=columns["dir_length"][known], minlength=csr.n
-        )
+        return 1.0 + np.bincount(rows[known], weights=volume[known], minlength=csr.n)
 
     # -- supervision -------------------------------------------------------
 

@@ -44,7 +44,7 @@ through every respawn to drive the retries-exhausted/degradation path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 KILL_BEFORE_RECV = "kill_before_recv"
 KILL_IN_RUN = "kill_in_run"
@@ -188,16 +188,3 @@ def validate_plan(plan: Optional[FaultPlan], num_workers: int) -> None:
                 f"fault spec targets worker {spec.worker}, but the engine "
                 f"runs {num_workers} worker(s)"
             )
-
-
-def describe_plan(plan: Optional[FaultPlan]) -> str:
-    """One-line human-readable plan summary (CLI / logs)."""
-    if plan is None or not plan.faults:
-        return "no injected faults"
-    parts: Iterable[str] = (
-        f"{spec.kind}@worker{spec.worker}"
-        f"[recv/run {spec.at}, incarnation "
-        f"{'any' if spec.incarnation is None else spec.incarnation}]"
-        for spec in plan.faults
-    )
-    return ", ".join(parts)

@@ -95,7 +95,7 @@ class ShardPayload:
     network: dict
     speed_model: dict
     delta_t_s: int
-    #: The shard's rows of :data:`repro.io.persist.DIRECTORY_COLUMNS`.
+    #: The shard members' :meth:`TimeListDirectory.columns`.
     directory: dict[str, np.ndarray]
     disk_buffer: bytes
     disk_used: tuple
@@ -287,23 +287,17 @@ def export_shard_payload(
     engine: ReachabilityEngine,
     spec: ShardSpec,
     delta_t_s: int,
-    columns: dict[str, np.ndarray],
 ) -> ShardPayload:
     """Materialize one shard's spawn-safe slice from a built engine.
 
-    ``columns`` is the whole index's
-    :func:`~repro.io.persist.directory_to_columns` (flattened once by the
-    caller, sliced here per shard).  The ST-Index slice keeps the original
-    extent pointers and the sparse disk export keeps the original page
-    geometry, so the shard worker's reads charge exactly the pages the
-    full engine would charge.
+    The ST-Index slice — the shard members' rows of the committed
+    directory — keeps the original extent pointers and the sparse disk
+    export keeps the original page geometry, so the shard worker's reads
+    charge exactly the pages the full engine would charge.
     """
     st_index = engine.st_index(delta_t_s)
     members = spec.members
-    keep = np.isin(
-        columns["dir_segment"], np.fromiter(members, np.int64, len(members))
-    )
-    directory = {name: column[keep] for name, column in columns.items()}
+    directory = st_index.committed_directory().select(members)
     disk = engine.disk
     disk_path: str | None = None
     if isinstance(disk, FileBackedDisk) and disk.is_synced:
@@ -313,21 +307,14 @@ def export_shard_payload(
         buffer, used = b"", ()
         disk_path = disk.path
     else:
-        # Union of the extents: +1 where one starts, -1 past its end.
-        first = directory["dir_first_page"]
-        bins = disk.num_pages + 1
-        depth = np.cumsum(
-            np.bincount(first, minlength=bins)
-            - np.bincount(first + directory["dir_num_pages"], minlength=bins)
-        )
-        buffer, used = disk.export_sparse_state(np.flatnonzero(depth).tolist())
+        buffer, used = disk.export_sparse_state(directory.page_ids().tolist())
     subnetwork = build_subnetwork(engine.network, members)
     return ShardPayload(
         shard_id=spec.shard_id,
         network=network_to_dict(subnetwork),
         speed_model=engine.database.export_speed_model(members),
         delta_t_s=delta_t_s,
-        directory=directory,
+        directory=directory.columns(),
         disk_buffer=buffer,
         disk_used=used,
         page_size=disk.page_size,

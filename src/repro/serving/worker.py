@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import traceback
 
+from repro.core.directory import TimeListDirectory, slots_per_day
 from repro.core.engine import ReachabilityEngine
 from repro.core.st_index import STIndex
-from repro.io.persist import directory_from_columns, network_from_dict
+from repro.io.persist import network_from_dict
 from repro.serving.faults import (
     CORRUPT_FRAME,
     DELAY_RESPONSE,
@@ -91,8 +92,12 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
         network,
         payload.delta_t_s,
         disk,
-        directory_from_columns(
-            payload.directory, disk.num_pages, disk.page_size, "shard directory"
+        TimeListDirectory.from_columns(
+            payload.directory,
+            slots_per_day(payload.delta_t_s),
+            disk.num_pages,
+            disk.page_size,
+            "shard directory",
         ),
         buffer_pool_pages=payload.st_pool_pages,
         record_cache_size=payload.record_cache_size,

@@ -90,11 +90,6 @@ class BBox:
         return self.width * self.height
 
     @property
-    def margin(self) -> float:
-        """Half-perimeter; used by R*-style split heuristics."""
-        return self.width + self.height
-
-    @property
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
@@ -153,18 +148,6 @@ def point_segment_distance(point: Point, start: Point, end: Point) -> float:
     t = ((point.x - sx) * dx + (point.y - sy) * dy) / length_sq
     t = max(0.0, min(1.0, t))
     return math.hypot(point.x - (sx + t * dx), point.y - (sy + t * dy))
-
-
-def project_onto_segment(point: Point, start: Point, end: Point) -> tuple[Point, float]:
-    """Closest point on segment and the parameter ``t`` in [0, 1]."""
-    sx, sy = start.x, start.y
-    dx, dy = end.x - sx, end.y - sy
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return start, 0.0
-    t = ((point.x - sx) * dx + (point.y - sy) * dy) / length_sq
-    t = max(0.0, min(1.0, t))
-    return Point(sx + t * dx, sy + t * dy), t
 
 
 def polyline_length(points: Sequence[Point]) -> float:

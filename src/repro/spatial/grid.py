@@ -60,14 +60,6 @@ class GridIndex:
                     results.append(item)
         return results
 
-    def search_point(self, point: Point) -> list[Any]:
-        cell = self._cell_of(point)
-        return [
-            item
-            for bbox, item in self._cells.get(cell, ())
-            if bbox.contains_point(point)
-        ]
-
     def nearest(
         self,
         point: Point,

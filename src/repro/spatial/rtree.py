@@ -230,21 +230,6 @@ class RTree:
                     stack.append(entry.child)
         return results
 
-    def search_point(self, point: Point) -> list[Any]:
-        """All items whose bbox contains ``point``."""
-        results: list[Any] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for entry in node.entries:
-                if not entry.bbox.contains_point(point):
-                    continue
-                if node.is_leaf:
-                    results.append(entry.item)
-                else:
-                    stack.append(entry.child)
-        return results
-
     def nearest(
         self,
         point: Point,

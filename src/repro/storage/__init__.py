@@ -40,12 +40,6 @@ from repro.storage.pagestore import (
     PageStore,
     RecordPointer,
 )
-from repro.storage.serialization import (
-    decode_int_list,
-    decode_str,
-    encode_int_list,
-    encode_str,
-)
 
 __all__ = [
     "SimulatedDisk",
@@ -62,8 +56,4 @@ __all__ = [
     "BufferPool",
     "RecordPointer",
     "DEFAULT_POOL_SHARDS",
-    "encode_int_list",
-    "decode_int_list",
-    "encode_str",
-    "decode_str",
 ]

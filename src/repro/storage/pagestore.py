@@ -70,6 +70,10 @@ class RecordPointer:
     def __contains__(self, page_id: int) -> bool:
         return self.first_page <= page_id < self.first_page + self.num_pages
 
+    def __iter__(self):
+        """The four fields in order, like the pointer's plain directory row."""
+        return iter((self.first_page, self.num_pages, self.offset, self.length))
+
 
 class PageStore:
     """Append-only record store over a :class:`SimulatedDisk`.
@@ -278,14 +282,18 @@ class PageStore:
             if self._dirty:
                 self._flush_tail()
 
-    def ensure_committed(self, pointers: Iterable[RecordPointer]) -> None:
+    def ensure_committed(
+        self, pointers: "Iterable[RecordPointer | tuple[int, int, int, int]]"
+    ) -> None:
         """Flush the tail iff any pointer's extent includes the dirty tail.
 
         Callers that charge page accesses themselves (the batched gather
         path) use this before slicing record bytes out of the backing
-        buffer.  The unlocked ``_dirty`` fast check is safe: a pointer
-        only becomes visible to readers after its append returned, at
-        which point any of its unflushed bytes have already set the flag.
+        buffer; they may hand over :class:`RecordPointer` objects or plain
+        ``(first_page, num_pages, offset, length)`` rows.  The unlocked
+        ``_dirty`` fast check is safe: a pointer only becomes visible to
+        readers after its append returned, at which point any of its
+        unflushed bytes have already set the flag.
         """
         # Double-checked fast path; see the docstring for why the unlocked
         # read cannot miss a flush a visible pointer depends on.
@@ -295,8 +303,8 @@ class PageStore:
             if not self._dirty:
                 return
             tail = self._tail_page_id
-            for pointer in pointers:
-                if tail in pointer:
+            for first_page, num_pages, _, _ in pointers:
+                if first_page <= tail < first_page + num_pages:
                     self._flush_tail()
                     return
 
@@ -518,8 +526,3 @@ class BufferPool:
         shard = self._shards[page_id % len(self._shards)]
         with shard.lock:
             shard.pages.pop(page_id, None)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

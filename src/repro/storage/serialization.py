@@ -10,8 +10,6 @@ argument depends on.
 
 from __future__ import annotations
 
-import struct
-
 
 class SerializationError(Exception):
     """Raised when a payload cannot be decoded."""
@@ -48,44 +46,6 @@ def _decode_varint(payload: bytes, offset: int) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise SerializationError("varint too long")
-
-
-def encode_int_list(values: list[int] | tuple[int, ...]) -> bytes:
-    """Encode a list of non-negative ints as count-prefixed varints.
-
-    Sorted inputs are delta-encoded implicitly by the caller if desired; this
-    codec stores values verbatim so it round-trips arbitrary order.
-    """
-    parts = [_encode_varint(len(values))]
-    parts.extend(_encode_varint(v) for v in values)
-    return b"".join(parts)
-
-
-def decode_int_list(payload: bytes) -> list[int]:
-    """Inverse of :func:`encode_int_list`."""
-    count, offset = _decode_varint(payload, 0)
-    values: list[int] = []
-    for _ in range(count):
-        value, offset = _decode_varint(payload, offset)
-        values.append(value)
-    return values
-
-
-def encode_str(text: str) -> bytes:
-    """Encode a UTF-8 string with a 4-byte length prefix."""
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def decode_str(payload: bytes) -> str:
-    """Inverse of :func:`encode_str`."""
-    if len(payload) < 4:
-        raise SerializationError("truncated string header")
-    (length,) = struct.unpack_from("<I", payload, 0)
-    raw = payload[4 : 4 + length]
-    if len(raw) != length:
-        raise SerializationError("truncated string payload")
-    return raw.decode("utf-8")
 
 
 def encode_append_delta(
@@ -127,21 +87,3 @@ def decode_append_delta(
     if offset != len(payload):
         raise SerializationError("trailing bytes after append delta")
     return delta_t_s, tuple(entries)
-
-
-def encode_float_list(values: list[float] | tuple[float, ...]) -> bytes:
-    """Encode floats as count-prefixed little-endian doubles."""
-    return struct.pack("<I", len(values)) + struct.pack(
-        f"<{len(values)}d", *values
-    )
-
-
-def decode_float_list(payload: bytes) -> list[float]:
-    """Inverse of :func:`encode_float_list`."""
-    if len(payload) < 4:
-        raise SerializationError("truncated float list header")
-    (count,) = struct.unpack_from("<I", payload, 0)
-    expected = 4 + 8 * count
-    if len(payload) < expected:
-        raise SerializationError("truncated float list payload")
-    return list(struct.unpack_from(f"<{count}d", payload, 4))

@@ -101,15 +101,3 @@ class SpeedProfile:
         base = self.speed(level, time_s)
         noise = math.exp(rng.gauss(0.0, self.noise_sigma))
         return max(0.5, base * noise)
-
-    def speed_bounds(
-        self, level: RoadLevel, time_s: float, spread: float = 2.0
-    ) -> tuple[float, float]:
-        """Analytic (min, max) speed envelope at ``spread`` noise sigmas.
-
-        Handy for tests that need ground truth without sampling.
-        """
-        base = self.speed(level, time_s)
-        low = max(0.5, base * math.exp(-spread * self.noise_sigma))
-        high = base * math.exp(spread * self.noise_sigma)
-        return low, high

@@ -18,6 +18,12 @@ from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
 
+def entry_keys(index: STIndex) -> list[tuple[int, int]]:
+    """The index's ``(segment, slot)`` entries, ascending."""
+    columns = index.directory.columns()
+    return sorted(set(zip(columns["dir_segment"].tolist(), columns["dir_slot"].tolist())))
+
+
 def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
     """Build ``index`` from ``database`` one (segment, slot) record at a time."""
     if index._built:
@@ -47,6 +53,7 @@ def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
         group_keys = segments * index.num_slots + slots
         _, starts = np.unique(group_keys, return_index=True)
         boundaries = np.append(starts, len(group_keys))
+        rows = []
         for i in range(len(starts)):
             lo, hi = boundaries[i], boundaries[i + 1]
             segment_id = int(segments[lo])
@@ -69,9 +76,12 @@ def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
                 )
                 per_date[int(group_dates[a])] = visits
             payload = encode_time_list(per_date)
-            index._directory[(segment_id, slot)] = [index._store.append(payload)]
+            rows.append((segment_id, slot, *index._store.append(payload)))
+        index.directory.extend(
+            rows, index.disk.num_pages, index.disk.page_size, "scalar build"
+        )
         # Group commit: the tail page flushes once here.
         index._store.flush()
     index._built = True
-    index.stats.num_entries = len(index._directory)
+    index.stats.num_entries = len(index.directory)
     index.stats.disk_pages = index.disk.num_pages

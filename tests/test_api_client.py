@@ -26,7 +26,6 @@ from repro.api import (
 from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.eval import config
-from repro.eval.workload import fig48_m_query_batch
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
 
@@ -44,10 +43,8 @@ def fig48_requests(test_dataset):
     """The Fig 4.8(a)-style m-query workload as client requests."""
     locations = tuple(loc for loc in config.M_QUERY_LOCATIONS[:3])
     return [
-        Request(query)
-        for query in fig48_m_query_batch(
-            locations, durations_s=(600, 1200, 1800), start_time_s=T, prob=0.2
-        )
+        Request(MQuery(locations, T, duration_s, 0.2))
+        for duration_s in (600, 1200, 1800)
     ]
 
 

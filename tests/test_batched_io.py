@@ -18,6 +18,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.st_index_build import entry_keys
 from repro.core.st_index import STIndex
 from repro.io.persist import PersistFormatError, open_store, save_store
 from repro.storage.disk import SimulatedDisk
@@ -358,7 +359,7 @@ class TestGatherMemoInvalidation:
         )
 
     def test_append_invalidates_window_gathers(self, index):
-        segment_id = next(iter(index._directory))[0]
+        segment_id = entry_keys(index)[0][0]
         plan = index.window_plan(600.0, 1200.0)
         before = index.gather_window_columns((segment_id,), plan)[0][0]
         index.append_trajectories([self._one_trajectory(segment_id, 777_001)])
@@ -373,7 +374,7 @@ class TestGatherMemoInvalidation:
         insert — emulated by triggering the append from the pool-charging
         hook that runs between the two.
         """
-        segment_id = next(iter(index._directory))[0]
+        segment_id = entry_keys(index)[0][0]
         plan = index.window_plan(600.0, 1200.0)
         original = index.pool.get_pages
         fired = []
@@ -404,8 +405,8 @@ class TestGatherMemoAccounting:
         the same keys and charge the same records and pages, counter for
         counter — also for a wave that names one segment twice."""
         shared = engine.st_index(300)
-        _, slot = next(iter(shared._directory))
-        in_slot = sorted(s for s, t in shared._directory if t == slot)
+        _, slot = entry_keys(shared)[0]
+        in_slot = sorted(s for s, t in entry_keys(shared) if t == slot)
         wave = [in_slot[0], in_slot[-1], in_slot[0], max(shared.network.segment_ids()) + 1]
         runs = []
         for size in (4096, 0):
@@ -451,8 +452,8 @@ class TestSTIndexPersistence:
         # (the restored store opens its tail lazily, on first append).
         again = open_store(save_store(reopened, tmp_path / "store2", 300))
         assert again.disk.num_pages == loaded.disk.num_pages
-        keys = sorted(index._directory)
-        assert sorted(loaded._directory) == keys
+        keys = entry_keys(index)
+        assert entry_keys(loaded) == keys
         for segment_id, slot in keys[:50]:
             assert loaded.time_entries(segment_id, slot) == index.time_entries(
                 segment_id, slot
@@ -460,7 +461,7 @@ class TestSTIndexPersistence:
 
     def test_loaded_index_charges_reads(self, store):
         loaded = open_store(store).st_index(300)
-        (segment_id, slot) = next(iter(loaded._directory))
+        (segment_id, slot) = entry_keys(loaded)[0]
         before = loaded.disk.snapshot()
         loaded.time_entries(segment_id, slot)
         diff = loaded.disk.snapshot() - before
@@ -470,7 +471,7 @@ class TestSTIndexPersistence:
         from repro.trajectory.model import MatchedTrajectory, SegmentVisit
 
         loaded = open_store(store).st_index(300)
-        segment_id = next(iter(loaded._directory))[0]
+        segment_id = entry_keys(loaded)[0][0]
         trajectory = MatchedTrajectory(
             trajectory_id=999_999,
             taxi_id=1,

@@ -1,12 +1,12 @@
 """The array-at-a-time bulk paths against their record-at-a-time oracles.
 
 * ``STIndex.build`` vs ``reference.st_index_build.scalar_build``: identical
-  page bytes, per-page payload lengths, directory (incl. iteration order),
+  page bytes, per-page payload lengths, exported directory columns,
   ``DiskStats``, index stats and tail state — and an ``append_trajectories``
   issued after either build lands on identical pointers.
 * ``PageStore.append_many`` vs a loop of ``append``.
 * ``SimulatedDisk.write_extent`` vs a loop of ``write_page``.
-* ``directory_to_columns`` / ``directory_from_columns`` round trip and the
+* ``TimeListDirectory.columns`` / ``from_columns`` round trip and the
   loader's first-offending-row errors.
 """
 
@@ -20,13 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.st_index_build import scalar_build
+from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
 from repro.core.st_index import STIndex
-from repro.io.persist import (
-    DIRECTORY_COLUMNS,
-    PersistFormatError,
-    directory_from_columns,
-    directory_to_columns,
-)
+from repro.io.persist import PersistFormatError
 from repro.network.generator import grid_city
 from repro.network.model import RoadNetwork, RoadSegment
 from repro.spatial.geometry import Point
@@ -54,7 +50,7 @@ def store_state(store: PageStore):
 def index_state(index: STIndex):
     return (
         disk_state(index.disk),
-        list(index._directory.items()),
+        {name: column.tolist() for name, column in index.directory.columns().items()},
         index.stats,
         store_state(index._store),
     )
@@ -343,7 +339,7 @@ class TestBuildInputChecks:
         database.add_arrays(top_id, 0, top_date, [segment], [10.0], [1.0])
         bulk, _ = assert_builds_agree(network, database)
         assert bulk.time_entries(segment, 0) == {top_date: [(top_id, 10)]}
-        keys = bulk.window_keys(segment, 0.0, 300.0)
+        keys = bulk.gather_window_columns((segment,), bulk.window_plan(0.0, 300.0))[0][0]
         assert keys.tolist() == [(top_date << 32) | top_id]
 
     def test_packed_key_overflow_raises_before_writing(self, network):
@@ -549,7 +545,7 @@ class TestDirectoryColumns:
         index = STIndex(network, 300, disk=SimulatedDisk(page_size=128))
         index.build(random_database(5, segment_ids))
         index.append_trajectories(late_arrivals(segment_ids))
-        columns = directory_to_columns(index)
+        columns = index.directory.columns()
         assert tuple(columns) == DIRECTORY_COLUMNS
         assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns.values())
         # Rows come out in (segment, slot, position) order even though the
@@ -557,18 +553,20 @@ class TestDirectoryColumns:
         rows = list(zip(*(columns[name].tolist() for name in DIRECTORY_COLUMNS[:3])))
         assert rows == sorted(rows)
         assert max(columns["dir_position"]) > 0
-        restored = directory_from_columns(
-            columns, index.disk.num_pages, index.disk.page_size, "test directory"
+        restored = TimeListDirectory.from_columns(
+            columns, 288, index.disk.num_pages, index.disk.page_size, "test directory"
         )
-        assert restored == index._directory
-        assert list(restored) == sorted(index._directory)
+        assert len(restored) == len(index.directory) == len(set(r[:2] for r in rows))
+        for name, column in restored.columns().items():
+            assert column.tolist() == columns[name].tolist()
 
     def test_empty_directory(self, network):
         index = STIndex(network, 300)
         index.build(TrajectoryDatabase(num_taxis=1, num_days=1))
-        columns = directory_to_columns(index)
+        columns = index.directory.columns()
         assert all(c.shape == (0,) and c.dtype == np.int64 for c in columns.values())
-        assert directory_from_columns(columns, 0, 4096, "test directory") == {}
+        restored = TimeListDirectory.from_columns(columns, 288, 0, 4096, "test directory")
+        assert len(restored) == 0 and restored.probe((3,), (0, 1)) == [(), ()]
 
     def columns(self, rows):
         table = np.array(rows, dtype=np.int64).reshape(-1, 7)
@@ -578,10 +576,14 @@ class TestDirectoryColumns:
         columns = self.columns(
             [(4, 1, 0, 0, 1, 0, 8), (2, 9, 0, 1, 1, 0, 8), (4, 1, 1, 2, 2, 4, 100)]
         )
-        assert directory_from_columns(columns, 4, 64, "test directory") == {
-            (2, 9): [RecordPointer(1, 1, 0, 8)],
-            (4, 1): [RecordPointer(0, 1, 0, 8), RecordPointer(2, 2, 4, 100)],
-        }
+        restored = TimeListDirectory.from_columns(columns, 288, 4, 64, "test directory")
+        assert len(restored) == 2
+        assert restored.probe((2, 4), (1, 9)) == [
+            (),
+            ((1, 1, 0, 8),),
+            ((0, 1, 0, 8), (2, 2, 4, 100)),
+            (),
+        ]
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -603,14 +605,33 @@ class TestDirectoryColumns:
                 [(2, 0, 1, 0, 1, 0, 4), (1, 0, 0, 9, 1, 0, 4)],
                 "rows out of chain order",
             ),
+            # A key that names no entry would alias a real one once packed.
+            ([(1, -1, 0, 0, 1, 0, 4)], "row 0 names no entry: segment 1, slot -1"),
+            ([(1, 288, 0, 0, 1, 0, 4)], "row 0 names no entry: segment 1, slot 288"),
+            ([(-7, 0, 0, 0, 1, 0, 4)], "row 0 names no entry: segment -7"),
+            ([(1 << 62, 0, 0, 0, 1, 0, 4)], "row 0 names no entry"),
+            (
+                [(1, 0, 0, 0, 1, 0, 4), (3, 10**6, 0, 9, 1, 0, 4)],
+                "row 1 names no entry: segment 3, slot 1000000",
+            ),
+            (
+                [(1, 0, 0, 9, 1, 0, 4), (3, -1, 0, 0, 1, 0, 4)],
+                r"pointer \(9, 1, 0, 4\) outside",
+            ),
+            (
+                [(2, 0, 1, 0, 1, 0, 4), (3, -1, 0, 0, 1, 0, 4)],
+                "rows out of chain order",
+            ),
         ],
     )
     def test_first_offending_row_raises(self, rows, message):
         with pytest.raises(PersistFormatError, match=message):
-            directory_from_columns(self.columns(rows), 4, 64, "test directory")
+            TimeListDirectory.from_columns(
+                self.columns(rows), 288, 4, 64, "test directory"
+            )
 
     def test_mismatched_shapes_rejected(self):
         columns = self.columns([(1, 0, 0, 0, 1, 0, 4)])
         columns["dir_length"] = np.zeros(2, dtype=np.int64)
         with pytest.raises(PersistFormatError, match="mismatched shapes"):
-            directory_from_columns(columns, 4, 64, "test directory")
+            TimeListDirectory.from_columns(columns, 288, 4, 64, "test directory")

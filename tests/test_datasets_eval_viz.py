@@ -12,11 +12,7 @@ from repro.datasets.shenzhen_like import (
     build_shenzhen_like,
     default_dataset,
 )
-from repro.eval.metrics import (
-    region_area_km2,
-    region_road_length_km,
-    saving_percent,
-)
+from repro.eval.metrics import region_road_length_km
 from repro.eval.runner import run_duration_sweep, run_location_count_sweep
 from repro.eval.tables import format_series, format_table
 from repro.eval.workload import QueryWorkload
@@ -66,16 +62,6 @@ class TestMetrics:
         result = s_query(engine, SQuery(CENTER, T, 600, 0.2))
         km = region_road_length_km(result, test_dataset.network)
         assert km == pytest.approx(result.road_length_m(test_dataset.network) / 1000)
-
-    def test_area(self, engine, test_dataset):
-        result = s_query(engine, SQuery(CENTER, T, 900, 0.2))
-        area = region_area_km2(result, test_dataset.network)
-        assert area >= 0
-
-    def test_saving_percent(self):
-        assert saving_percent(50, 100) == pytest.approx(50.0)
-        assert saving_percent(100, 100) == pytest.approx(0.0)
-        assert saving_percent(10, 0) == 0.0
 
 
 class TestRunner:

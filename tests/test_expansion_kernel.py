@@ -216,9 +216,10 @@ class TestForcedKernelPath:
         old = slot_aware_expansion_reference(con, [start], T, 900.0, "far")
         assert new == old
         vector = con.travel_time_vector("far", con.slot_of(T))
+        row_of = con.network.csr().row_of
         a = time_bounded_expansion(con.network, start, 900.0, vector)
         b = time_bounded_expansion_reference(
-            con.network, start, 900.0, con.travel_time("far", con.slot_of(T))
+            con.network, start, 900.0, lambda sid: float(vector[row_of(sid)])
         )
         assert a.arrival == b.arrival
         assert a.frontier == b.frontier

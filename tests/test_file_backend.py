@@ -10,12 +10,14 @@ the sunny-day contract plus the persistence-format regressions.
 
 from __future__ import annotations
 
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
 from benchmarks.client_protocol import s_query
+from repro.core.directory import DIRECTORY_COLUMNS
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.st_index import STIndex
@@ -33,6 +35,7 @@ from repro.storage.backends import (
     create_disk,
 )
 from repro.storage.disk import DiskError, SimulatedDisk
+from repro.storage.serialization import encode_append_delta
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
 from repro.trajectory.store import TrajectoryDatabase
 
@@ -194,6 +197,32 @@ class TestStoreRoundTrip:
         # Page count grew only by the appended tail, not a rewrite.
         assert reopened.disk.num_pages >= pages_before
 
+    def test_reopened_and_resaved_directory_equals_one_that_never_closed(
+        self, saved, dataset_route
+    ):
+        """Two appends, then save: ``directory.npz`` holds the same seven
+        arrays whether the index stayed open throughout or was closed after
+        the appends and rebuilt them from the journal on reopen."""
+        store, _ = saved
+        written = []
+        for reopen in (False, True):
+            path = shutil.copytree(store, store.parent / f"reopen-{reopen}")
+            engine = open_store(path)
+            for day, trajectory_id in ((15, 21), (16, 22)):
+                engine.append_trajectories(
+                    [make_day(dataset_route, day, trajectory_id)], update_database=False
+                )
+            if reopen:
+                engine.disk.close()
+                engine = open_store(path)
+            save_store(engine, path, 300)
+            with np.load(path / "directory.npz") as data:
+                written.append({name: data[name] for name in DIRECTORY_COLUMNS})
+        assert max(written[0]["dir_position"]) == 2
+        for name in DIRECTORY_COLUMNS:
+            assert written[1][name].dtype == np.int64
+            assert written[1][name].tolist() == written[0][name].tolist()
+
     def test_readonly_open_serves_but_never_writes(self, saved):
         store, _ = saved
         engine = open_store(store, readonly=True)
@@ -344,6 +373,16 @@ class TestPersistFormatErrors:
             ("speed_model.json", "[1, 2]", "speed_model.json is not a JSON object"),
             ("store.json", '{"version": 1}', "store.json delta_t_s is None"),
             ("store.json", '{"version": 1, "delta_t_s": 0}', "store.json delta_t_s is 0"),
+            # Directory rows that name no entry: a dict rewrites row 0 of
+            # the named column (a float value makes the column float).
+            ("directory.npz", {"dir_slot": -1}, "row 0 names no entry: .* slot -1 of 288"),
+            ("directory.npz", {"dir_slot": 10**6}, "row 0 names no entry: .* slot 1000000"),
+            ("directory.npz", {"dir_segment": -7}, "row 0 names no entry: segment -7"),
+            ("directory.npz", {"dir_slot": float("nan")}, "dir_slot holds float64"),
+            # The same rows arriving as a journal append delta.
+            ("journal", [(1, 288, 0, 1, 0, 4)], "delta row 0 names no entry: segment 1, slot 288"),
+            ("journal", [(1, 0, 0, 1, 0, 4), (1 << 62, 0, 0, 1, 0, 4)], "delta row 1 names no entry"),
+            ("journal", [(1, 0, 10**6, 1, 0, 4)], r"delta pointer \(1000000, 1, 0, 4\) outside"),
         ],
         ids=[
             "network-garbage",
@@ -353,10 +392,31 @@ class TestPersistFormatErrors:
             "speed-model-list",
             "store-no-delta-t",
             "store-delta-t-0",
+            "directory-slot-negative",
+            "directory-slot-past-the-day",
+            "directory-segment-negative",
+            "directory-float-nan-column",
+            "journal-slot-past-the-day",
+            "journal-segment-overflows-the-key",
+            "journal-pointer-outside",
         ],
     )
-    def test_malformed_sidecar_rejected(self, store, name, content, problem):
+    def test_malformed_sidecar_rejected(self, store, name, content, problem, recwarn):
         path, _ = store
-        (path / name).write_text(content)
+        if name == "journal":
+            disk = FileBackedDisk.open(path / "disk")
+            disk.commit(meta=encode_append_delta(300, content))
+            disk.close()
+        elif isinstance(content, dict):
+            with np.load(path / "directory.npz") as data:
+                columns = {
+                    column: data[column].astype(type(value)) for column, value in content.items()
+                }
+            for column, value in content.items():
+                columns[column][0] = value
+            self.rewrite_directory(path, **columns)
+        else:
+            (path / name).write_text(content)
         with pytest.raises(PersistFormatError, match=problem):
             open_store(path)
+        assert not recwarn.list

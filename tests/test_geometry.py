@@ -13,7 +13,6 @@ from repro.spatial.geometry import (
     interpolate_along,
     point_segment_distance,
     polyline_length,
-    project_onto_segment,
     to_lonlat,
 )
 
@@ -72,7 +71,6 @@ class TestBBox:
         assert box.width == 4
         assert box.height == 3
         assert box.area == 12
-        assert box.margin == 7
         assert box.center == Point(2, 1.5)
 
     def test_intersects_touching_edges(self):
@@ -134,11 +132,6 @@ class TestSegmentGeometry:
         assert point_segment_distance(
             Point(3, 4), Point(0, 0), Point(0, 0)
         ) == pytest.approx(5.0)
-
-    def test_projection_parameter(self):
-        proj, t = project_onto_segment(Point(1, 5), Point(0, 0), Point(2, 0))
-        assert proj == Point(1, 0)
-        assert t == pytest.approx(0.5)
 
     @given(points, points, points)
     def test_distance_never_negative(self, p, a, b):

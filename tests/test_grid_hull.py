@@ -48,8 +48,8 @@ class TestGridIndex:
     def test_search_point(self):
         grid = GridIndex(BOUNDS, 100)
         grid.insert(BBox(10, 10, 30, 30), "a")
-        assert grid.search_point(Point(20, 20)) == ["a"]
-        assert grid.search_point(Point(90, 90)) == []
+        assert grid.search(BBox(20, 20, 20, 20)) == ["a"]
+        assert grid.search(BBox(90, 90, 90, 90)) == []
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

@@ -75,9 +75,9 @@ class TestAppendTrajectories:
         index = STIndex(network, 300)
         index.build(db)
         # route[3] was never indexed; appending creates its entry.
-        assert not index.has_entry(route[3], index.slot_of(T))
+        assert index.time_entries(route[3], index.slot_of(T)) == {}
         index.append_trajectories([make_day(route, 0, 1)])
-        assert index.has_entry(route[3], index.slot_of(T))
+        assert index.time_entries(route[3], index.slot_of(T)) != {}
 
     def test_probabilities_reflect_new_days(self, network, route):
         db = TrajectoryDatabase(num_taxis=5, num_days=2)

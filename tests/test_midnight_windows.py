@@ -124,11 +124,16 @@ class TestSTIndexWindowWrap:
     def test_wrapped_window_reentering_start_slot_yields_no_duplicates(
         self, network
     ):
+        db = self._db_with_visits(network, [(0, 5, 20.0), (0, 5, 120.0)])
         index = STIndex(network, 300)
+        index.build(db)
         # (100, day+50) wraps and re-enters slot 0, which contains the
-        # window start; each overlapped slot must appear exactly once.
-        slots = index.slots_in_window(100.0, SECONDS_PER_DAY + 50.0)
-        assert len(slots) == len(set(slots)) == index.num_slots
+        # window start: the plan reads that slot once per part, and the
+        # per-visit seconds keep each visit in exactly one of them.
+        plan = index.window_plan(100.0, SECONDS_PER_DAY + 50.0)
+        assert [(first, last) for _, _, first, last in plan] == [(0, 287), (0, 0)]
+        keys = index.gather_window_columns((5,), plan)[0][0]
+        assert sorted(keys.tolist()) == [0, 1]
 
     def test_window_spanning_full_day_sees_everything(self, network):
         db = self._db_with_visits(

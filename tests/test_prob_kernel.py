@@ -22,6 +22,7 @@ from test_expansion_kernel import make_network, random_database
 from benchmarks.client_protocol import m_query, r_query, run_batch, s_query
 from repro.core.engine import ReachabilityEngine
 from reference.legacy_expansion import decode_time_list_reference
+from reference.st_index_build import entry_keys
 from reference.legacy_probability import (
     LegacyProbabilityEstimator,
     LegacyReverseProbabilityEstimator,
@@ -369,7 +370,7 @@ class TestWaveCounters:
 
         query = SQuery(Point(0.0, 0.0), float(day_time(11)), 600.0, 0.2)
         explanation = explain_s_query(engine, query)
-        assert explanation.prob_waves
+        assert explanation.result.cost.probability_waves
         text = explanation.to_text()
         assert "probability path:" in text
         assert "waves" in text
@@ -431,7 +432,7 @@ class TestTimeEntriesViews:
         """A returned dict is the caller's: mutating it (and its lists)
         does not change the next read."""
         st = engine.st_index(300)
-        (segment_id, slot) = next(iter(st._directory))
+        (segment_id, slot) = entry_keys(st)[0]
         first = st.time_entries(segment_id, slot)
         expected = {date: list(visits) for date, visits in first.items()}
         date = next(iter(first))
@@ -448,7 +449,7 @@ class TestTimeEntriesViews:
         for segment_id in list(st.network.segment_ids())[:25]:
             for lo, hi in ((T, T + 480.0), (T + 100.0, T + 250.0),
                            (SECONDS_PER_DAY - 200.0, SECONDS_PER_DAY + 400.0)):
-                keys = st.window_keys(segment_id, lo, hi)
+                keys = st.gather_window_columns((segment_id,), st.window_plan(lo, hi))[0][0]
                 pairs = {
                     (int(k) >> 32, int(k) & 0xFFFFFFFF)
                     for k in np.asarray(keys).tolist()

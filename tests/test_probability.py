@@ -144,5 +144,4 @@ class TestEquation31:
 
     def test_is_reachable_threshold(self, index, route):
         est = ProbabilityEstimator(index, route[0], T, 600, NUM_DAYS)
-        assert est.is_reachable(route[4], 0.4)
-        assert not est.is_reachable(route[4], 0.41)
+        assert 0.4 <= est.probability(route[4]) < 0.41

@@ -269,7 +269,7 @@ class TestAppendInvalidation:
         service, route, query = setup
         first = run_batch(service, [query])
         assert first.regions_computed > 0
-        service.rebuild_indexes()
+        service.engine.drop_indexes()
         assert service.region_cache.stats()["invalidations"] == 1
         second = run_batch(service, [query])
         assert second.regions_computed > 0

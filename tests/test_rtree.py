@@ -69,8 +69,8 @@ class TestInsert:
         tree = RTree(max_entries=4)
         tree.insert(BBox(0, 0, 10, 10), "a")
         tree.insert(BBox(5, 5, 15, 15), "b")
-        assert sorted(tree.search_point(Point(7, 7))) == ["a", "b"]
-        assert tree.search_point(Point(12, 2)) == []
+        assert sorted(tree.search(BBox(7, 7, 7, 7))) == ["a", "b"]
+        assert tree.search(BBox(12, 2, 12, 2)) == []
 
 
 class TestSearchCorrectness:

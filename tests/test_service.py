@@ -7,7 +7,7 @@ from repro.api import ReachabilityClient
 from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService, as_service
 from repro.eval import config
-from repro.eval.workload import QueryWorkload, fig48_m_query_batch
+from repro.eval.workload import QueryWorkload
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
 
@@ -26,9 +26,7 @@ def fig48_queries(test_dataset):
     locations = tuple(
         loc for loc in config.M_QUERY_LOCATIONS[:3]
     )
-    return fig48_m_query_batch(
-        locations, durations_s=(600, 1200, 1800), start_time_s=T, prob=0.2
-    )
+    return [MQuery(locations, T, duration_s, 0.2) for duration_s in (600, 1200, 1800)]
 
 
 class TestSingleQueries:
@@ -175,18 +173,11 @@ class TestBatches:
         assert report.total_cost_ms > 0
 
     def test_run_workload_batch_and_formatting(self, engine, test_dataset):
-        from repro.eval.runner import run_workload_batch
-        from repro.eval.tables import (
-            format_batch_report,
-            format_cache_effectiveness,
-        )
+        from repro.eval.tables import format_batch_report
 
         workload = QueryWorkload(test_dataset.network, seed=5)
-        report = run_workload_batch(
-            engine, workload.s_queries(3, start_time_s=T)
-        )
+        report = run_batch(engine, workload.s_queries(3, start_time_s=T))
         assert len(report.results) == 3
         table = format_batch_report("throughput batch", report)
         assert "Page reads" in table and "Buffer pool" in table
-        cache = format_cache_effectiveness("cache", report.io)
-        assert "hit rate" in cache
+        assert "hit rate" in dict(report.as_rows())["Buffer pool"]

@@ -38,7 +38,6 @@ from repro.serving.faults import KILL_IN_RUN
 from repro.serving.faults import (
     FAULT_EXIT_CODE,
     FaultInjector,
-    describe_plan,
     validate_plan,
 )
 from repro.storage.disk import DiskStats
@@ -127,14 +126,6 @@ class TestFaultPlanUnit:
             runs.append(fired)
         assert runs[0] == runs[1]
         assert runs[0] == [(), (DROP_FRAME,), (RAISE_IN_SERVE,), ()]
-
-    def test_describe_plan(self):
-        assert describe_plan(None) == "no injected faults"
-        plan = FaultPlan.of(
-            FaultSpec(kind=KILL_BEFORE_RECV, worker=1, incarnation=None)
-        )
-        text = describe_plan(plan)
-        assert "kill_before_recv" in text and "worker1" in text
 
 
 # -- the matrix (real worker processes) -------------------------------------

@@ -84,15 +84,23 @@ class TestSlots:
 
     def test_slots_in_window(self, network):
         index = STIndex(network, 300)
-        assert index.slots_in_window(0, 300) == [0]
-        assert index.slots_in_window(0, 301) == [0, 1]
-        assert index.slots_in_window(150, 750) == [0, 1, 2]
-        assert index.slots_in_window(100, 100) == []
+
+        def slots_in_window(start_s, end_s):
+            return [
+                slot
+                for _, _, first, last in index.window_plan(start_s, end_s)
+                for slot in range(first, last + 1)
+            ]
+
+        assert slots_in_window(0, 300) == [0]
+        assert slots_in_window(0, 301) == [0, 1]
+        assert slots_in_window(150, 750) == [0, 1, 2]
+        assert slots_in_window(100, 100) == []
         # window extending past midnight wraps into the day's first slots
-        late = index.slots_in_window(SECONDS_PER_DAY - 100, SECONDS_PER_DAY + 500)
+        late = slots_in_window(SECONDS_PER_DAY - 100, SECONDS_PER_DAY + 500)
         assert late == [287, 0, 1]
         # a full-day (or longer) window covers every slot exactly once
-        full = index.slots_in_window(3600, 3600 + SECONDS_PER_DAY)
+        full = slots_in_window(3600, 3600 + SECONDS_PER_DAY)
         assert full == list(range(index.num_slots))
 
 
@@ -108,8 +116,8 @@ class TestBuildAndRead:
         assert index.time_list(5, 0) == {0: {0, 1}, 1: {8}}
         assert index.time_list(6, 1) == {0: {0}}
         assert index.time_list(6, 0) == {}
-        assert index.has_entry(5, 0)
-        assert not index.has_entry(99, 0)
+        assert len(index.directory) == 2
+        assert index.directory.probe((5, 99), (0,))[1] == ()
 
     def test_double_build_rejected(self, network):
         db = db_with(network, {(0, 0, 0): [(5, 100.0, 3.0)]})

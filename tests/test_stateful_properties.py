@@ -5,11 +5,13 @@ get the strongest testing: stateful machines that interleave operations
 and continuously compare against a trivially correct model.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
 from repro.spatial.btree import BPlusTree
 from repro.spatial.geometry import BBox, Point
 from repro.spatial.rtree import RTree
@@ -135,6 +137,110 @@ class PageStoreMachine(RuleBasedStateMachine):
         assert self.store.read(pointer) == payload
 
 
+directory_keys = st.tuples(st.integers(0, 6), st.integers(0, 3))
+
+
+class DirectoryMachine(RuleBasedStateMachine):
+    """The ST-Index directory vs ``dict[(segment, slot)] -> [pointer]``."""
+
+    NUM_SLOTS, NUM_PAGES, PAGE_SIZE = 4, 10_000, 64
+
+    def __init__(self):
+        super().__init__()
+        self.model: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        self.directory = TimeListDirectory(self.NUM_SLOTS)
+        self.records = 0
+
+    def new_rows(self, keys):
+        """One fresh pointer per key, recorded in the model."""
+        rows = []
+        for key in keys:
+            pointer = (self.records, 1 + self.records % 3, self.records % 7, 8)
+            self.records += 1
+            self.model.setdefault(key, []).append(pointer)
+            rows.append((*key, *pointer))
+        return rows
+
+    def model_rows(self, segments=None):
+        return [
+            (*key, position, *pointer)
+            for key in sorted(self.model)
+            if segments is None or key[0] in segments
+            for position, pointer in enumerate(self.model[key])
+        ]
+
+    @staticmethod
+    def rows_of(directory):
+        columns = directory.columns()
+        assert tuple(columns) == DIRECTORY_COLUMNS
+        return list(zip(*(column.tolist() for column in columns.values())))
+
+    @initialize(keys=st.lists(directory_keys, max_size=20))
+    def load_bulk_rows(self, keys):
+        # Chains arrive scattered over the rows, positions in row order.
+        seen: dict[tuple[int, int], int] = {}
+        table = []
+        for row in self.new_rows(keys):
+            position = seen.get(row[:2], 0)
+            seen[row[:2]] = position + 1
+            table.append((*row[:2], position, *row[2:]))
+        table = np.array(table, dtype=np.int64).reshape(-1, 7)
+        self.directory = TimeListDirectory.from_columns(
+            dict(zip(DIRECTORY_COLUMNS, table.T)),
+            self.NUM_SLOTS, self.NUM_PAGES, self.PAGE_SIZE, "bulk rows",
+        )
+
+    @rule(keys=st.lists(directory_keys, max_size=6))
+    def append(self, keys):
+        self.directory.extend(
+            self.new_rows(keys), self.NUM_PAGES, self.PAGE_SIZE, "appended rows"
+        )
+
+    @rule(
+        segments=st.lists(st.integers(-1, 8), max_size=5),
+        slots=st.lists(st.integers(0, 3), max_size=4),
+    )
+    def probe_wave(self, segments, slots):
+        assert self.directory.probe(segments, slots) == [
+            tuple(self.model.get((segment, slot), ()))
+            for segment in segments
+            for slot in slots
+        ]
+
+    @rule()
+    def export_and_reload(self):
+        assert self.rows_of(self.directory) == self.model_rows()
+        self.directory = TimeListDirectory.from_columns(
+            self.directory.columns(),
+            self.NUM_SLOTS, self.NUM_PAGES, self.PAGE_SIZE, "exported rows",
+        )
+        assert self.rows_of(self.directory) == self.model_rows()
+
+    @rule(segments=st.sets(st.integers(-1, 8), max_size=5))
+    def select_segments(self, segments):
+        shard = self.directory.select(segments)
+        rows = self.model_rows(segments)
+        assert self.rows_of(shard) == rows
+        assert len(shard) == len({row[:2] for row in rows})
+        pages = {page for row in rows for page in range(row[3], row[3] + row[4])}
+        assert shard.page_ids().tolist() == sorted(pages)
+
+    @rule()
+    def record_bytes(self):
+        segment, volume = self.directory.record_bytes()
+        totals: dict[int, int] = {}
+        for seg, weight in zip(segment.tolist(), volume.tolist()):
+            totals[seg] = totals.get(seg, 0) + weight
+        expected: dict[int, int] = {}
+        for (seg, _), chain in self.model.items():
+            expected[seg] = expected.get(seg, 0) + sum(p[3] for p in chain)
+        assert totals == expected
+
+    @invariant()
+    def counts_distinct_keys(self):
+        assert len(self.directory) == len(self.model)
+
+
 TestBPlusTreeStateful = BPlusTreeMachine.TestCase
 TestBPlusTreeStateful.settings = settings(
     max_examples=15, stateful_step_count=40, deadline=None
@@ -142,6 +248,10 @@ TestBPlusTreeStateful.settings = settings(
 TestRTreeStateful = RTreeMachine.TestCase
 TestRTreeStateful.settings = settings(
     max_examples=10, stateful_step_count=30, deadline=None
+)
+TestDirectoryStateful = DirectoryMachine.TestCase
+TestDirectoryStateful.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
 )
 TestPageStoreStateful = PageStoreMachine.TestCase
 TestPageStoreStateful.settings = settings(

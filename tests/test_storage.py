@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
-from repro.storage.pagestore import BufferPool, PageStore
+from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 from repro.storage.serialization import (
     SerializationError,
-    decode_float_list,
-    decode_int_list,
-    decode_str,
-    encode_float_list,
-    encode_int_list,
-    encode_str,
+    decode_append_delta,
+    encode_append_delta,
 )
 
 
@@ -103,6 +99,18 @@ class TestPageStore:
         store.read(ptr)
         assert (disk.snapshot() - before).page_reads == len(ptr.page_ids)
 
+    @pytest.mark.parametrize("shape", [tuple, lambda row: RecordPointer(*row)])
+    def test_ensure_committed_tests_the_extent_not_membership(self, shape):
+        store = PageStore(SimulatedDisk(page_size=32))
+        store.append(b"x" * 40)  # pages 0-1; page 1 is the dirty tail
+        assert (store._tail_page_id, store._dirty) == (1, True)
+        # Offset and length equal the tail's page id, the extent misses it.
+        store.ensure_committed([shape((0, 1, 1, 1))])
+        assert store._dirty
+        # The extent covers the tail, no field equals its page id.
+        store.ensure_committed([shape((0, 2, 5, 7))])
+        assert not store._dirty
+
     def test_empty_record(self):
         store = PageStore(SimulatedDisk(page_size=16))
         ptr = store.append(b"")
@@ -133,7 +141,6 @@ class TestBufferPool:
         pool.get_page(page)
         assert disk.stats.page_reads == reads_after_first
         assert pool.hits == 1 and pool.misses == 1
-        assert pool.hit_rate == pytest.approx(0.5)
 
     def test_zero_capacity_never_caches(self):
         disk = SimulatedDisk()
@@ -210,44 +217,27 @@ class TestBufferPool:
 
 
 class TestSerialization:
+    """The varint codec, through its one user: the journal's append delta."""
+
     def test_int_list_roundtrip(self):
-        values = [0, 1, 127, 128, 300, 2**40]
-        assert decode_int_list(encode_int_list(values)) == values
+        values = (0, 1, 127, 128, 300, 2**40)
+        assert decode_append_delta(encode_append_delta(300, [values])) == (300, (values,))
 
     def test_int_list_empty(self):
-        assert decode_int_list(encode_int_list([])) == []
+        assert decode_append_delta(encode_append_delta(0, [])) == (0, ())
 
     def test_negative_rejected(self):
         with pytest.raises(SerializationError):
-            encode_int_list([-1])
+            encode_append_delta(300, [(1, 2, 3, 4, 5, -1)])
 
     def test_truncated_payload(self):
-        payload = encode_int_list([1, 2, 3])
+        payload = encode_append_delta(300, [(1, 2, 3, 4, 5, 6)])
         with pytest.raises(SerializationError):
-            decode_int_list(payload[:-1])
+            decode_append_delta(payload[:-1])
 
-    def test_str_roundtrip(self):
-        assert decode_str(encode_str("héllo wörld")) == "héllo wörld"
-
-    def test_str_truncated(self):
-        with pytest.raises(SerializationError):
-            decode_str(b"\x05\x00\x00\x00ab")
-
-    def test_float_list_roundtrip(self):
-        values = [0.0, -1.5, 3.14159, 1e300]
-        assert decode_float_list(encode_float_list(values)) == values
-
-    def test_float_list_truncated(self):
-        with pytest.raises(SerializationError):
-            decode_float_list(encode_float_list([1.0])[:-3])
-
-    @given(st.lists(st.integers(0, 2**62), max_size=200))
-    def test_int_list_property(self, values):
-        assert decode_int_list(encode_int_list(values)) == values
-
-    @given(st.text(max_size=200))
-    def test_str_property(self, text):
-        assert decode_str(encode_str(text)) == text
+    @given(st.lists(st.tuples(*[st.integers(0, 2**62)] * 6), max_size=30))
+    def test_int_list_property(self, entries):
+        assert decode_append_delta(encode_append_delta(60, entries)) == (60, tuple(entries))
 
 
 class TestDiskStatsLockedReads:

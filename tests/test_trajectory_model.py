@@ -96,13 +96,6 @@ class TestSpeedProfile:
         for _ in range(200):
             assert profile.sample_speed(RoadLevel.SECONDARY, 0, rng) >= 0.5
 
-    def test_speed_bounds_bracket_typical(self):
-        profile = SpeedProfile()
-        t = day_time(13)
-        low, high = profile.speed_bounds(RoadLevel.PRIMARY, t)
-        typical = profile.speed(RoadLevel.PRIMARY, t)
-        assert low < typical < high
-
     def test_custom_rush_hour(self):
         profile = SpeedProfile(
             rush_hours=[RushHour(center_s=day_time(12), width_s=1800, depth=0.9)]
