@@ -27,9 +27,10 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from itertools import count
 from typing import Iterable, Iterator
 
-from repro.api.envelope import QueryOptions, Request, Response
+from repro.api.envelope import Request, Response, as_request
 from repro.api.router import RouteDecision, Router
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
@@ -39,11 +40,45 @@ from repro.core.query import MQuery, SQuery
 from repro.core.service import BatchReport, QueryService, as_service
 
 
-def _coerce(request: Request | SQuery | MQuery) -> Request:
-    """Wrap bare queries in a default (auto-routed, forward) envelope."""
-    if isinstance(request, Request):
-        return request
-    return Request(query=request)
+def resolve_delta_t(request: Request, service: QueryService) -> int:
+    """The Δt a request runs at: its own option, else the service default."""
+    delta_t_s = request.options.delta_t_s
+    return delta_t_s if delta_t_s is not None else service.delta_t_s
+
+
+def route_and_plan(
+    service: QueryService, router: Router, request: Request, warm: bool
+) -> tuple[QueryPlan, RouteDecision]:
+    """Route one request and freeze the plan the decision names."""
+    delta_t_s = resolve_delta_t(request, service)
+    decision = router.route(request, delta_t_s)
+    plan = plan_query(
+        decision.kind, request.query, decision.algorithm, delta_t_s, warm=warm
+    )
+    return plan, decision
+
+
+def prepare_batch(
+    service: QueryService,
+    router: Router,
+    requests: list[Request],
+    report: BatchReport,
+) -> None:
+    """Route and plan a batch, filling ``report.plans`` / ``routes``.
+
+    The one prepare step of every batch backend: each request is routed,
+    and identically-shaped requests share one frozen plan object
+    (``report.plans_reused`` counts the sharers).  Members always plan
+    warm — the batch-level cold start is the only cache invalidation.
+    """
+    plan_of_shape: dict[QueryPlan, QueryPlan] = {}
+    for request in requests:
+        plan, decision = route_and_plan(service, router, request, warm=True)
+        shared = plan_of_shape.setdefault(plan, plan)
+        if shared is not plan:
+            report.plans_reused += 1
+        report.plans.append(shared)
+        report.routes.append(decision)
 
 
 class ReachabilityClient:
@@ -162,32 +197,21 @@ class ReachabilityClient:
     def delta_t_s(self) -> int:
         return self.service.delta_t_s
 
-    def _resolve_delta_t(self, options: QueryOptions) -> int:
-        return (
-            options.delta_t_s
-            if options.delta_t_s is not None
-            else self.service.delta_t_s
-        )
-
     # -- planning / routing ------------------------------------------------
 
     def route(self, request: Request | SQuery | MQuery) -> RouteDecision:
         """Classify a request without planning or executing it."""
-        request = _coerce(request)
-        return self.router.route(request, self._resolve_delta_t(request.options))
+        request = as_request(request)
+        return self.router.route(request, resolve_delta_t(request, self.service))
 
     def plan(
         self, request: Request | SQuery | MQuery
     ) -> tuple[QueryPlan, RouteDecision]:
         """Route and plan one request (``EXPLAIN``-style, no execution)."""
-        request = _coerce(request)
-        delta_t_s = self._resolve_delta_t(request.options)
-        decision = self.router.route(request, delta_t_s)
-        plan = plan_query(
-            decision.kind, request.query, decision.algorithm, delta_t_s,
-            warm=request.options.warm,
+        request = as_request(request)
+        return route_and_plan(
+            self.service, self.router, request, request.options.warm
         )
-        return plan, decision
 
     # -- single requests ---------------------------------------------------
 
@@ -200,7 +224,7 @@ class ReachabilityClient:
         identically-shaped queries reuse their bounds — unless
         ``options.reuse_regions`` is off.
         """
-        return self._answer(_coerce(request))
+        return self._answer(as_request(request))
 
     def _answer(
         self, request: Request, recorder: StageRecorder | None = None
@@ -238,7 +262,7 @@ class ReachabilityClient:
                     max_workers=self.max_workers,
                     thread_name_prefix="reach-client",
                 )
-            return self._pool.submit(self.send, _coerce(request))
+            return self._pool.submit(self.send, as_request(request))
 
     # -- pipelines ---------------------------------------------------------
 
@@ -273,7 +297,7 @@ class ReachabilityClient:
             ``report`` after exhaustion for the exact batch totals.
         """
         return BatchStream(
-            self, [_coerce(r) for r in requests], warm=warm,
+            self, [as_request(r) for r in requests], warm=warm,
             max_workers=max_workers, window=window,
         )
 
@@ -297,7 +321,7 @@ class ReachabilityClient:
         resolved = backend if backend is not None else self.backend
         if resolved == "sharded":
             return self._sharded_engine().run_batch(
-                [_coerce(r) for r in requests], warm=warm
+                [as_request(r) for r in requests], warm=warm
             )
         if resolved != "threaded":
             raise ValueError(f"unknown backend {resolved!r}")
@@ -311,7 +335,9 @@ class ReachabilityClient:
     def _sharded_engine(self):
         """The lazily spawned sharded backend (see :mod:`repro.serving`)."""
         with self._sharded_lock:
-            if self._sharded is None:
+            # A data change closes the engine (its slices went stale);
+            # the next batch re-partitions from current data.
+            if self._sharded is None or self._sharded.closed:
                 # Imported lazily: repro.serving pulls in multiprocessing
                 # machinery most clients never need.
                 from repro.serving import ShardedEngine
@@ -341,7 +367,7 @@ class ReachabilityClient:
         the explanation (``explanation.response``).
         """
         recorder = StageRecorder(self.engine.disk)
-        response = self._answer(_coerce(request), recorder)
+        response = self._answer(as_request(request), recorder)
         return QueryExplanation(
             response.plan, response.result, recorder.stages,
             route=response.route, response=response,
@@ -402,28 +428,9 @@ class BatchStream(Iterator[Response]):
         self._pending: dict = {}
         self._buffer: list[Response] = []
         engine = client.engine
-        # Plan everything up front: routing decisions, one frozen plan per
-        # request shape (members always run warm — the batch-level cold
-        # start below is the only cache invalidation).
-        plan_cache: dict[QueryPlan, QueryPlan] = {}
-        self._prepared: list[tuple[int, Request, QueryPlan]] = []
-        for sequence, request in enumerate(requests):
-            delta_t_s = client._resolve_delta_t(request.options)
-            decision = client.router.route(request, delta_t_s)
-            plan = plan_query(
-                decision.kind, request.query, decision.algorithm, delta_t_s,
-                warm=True,
-            )
-            cached = plan_cache.get(plan)
-            if cached is not None:
-                self._report.plans_reused += 1
-                plan = cached
-            else:
-                plan_cache[plan] = plan
-            self._report.plans.append(plan)
-            self._report.routes.append(decision)
-            self._prepared.append((sequence, request, plan))
-        self._iter = iter(self._prepared)
+        # Plan everything up front; execution stays lazy.
+        prepare_batch(client.service, client.router, requests, self._report)
+        self._iter = zip(count(), requests, self._report.plans)
         if not requests:
             return
         # Resolve indexes before the accounting window opens (index

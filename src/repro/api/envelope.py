@@ -114,6 +114,13 @@ class Request:
         return self.options.tag
 
 
+def as_request(request: Request | SQuery | MQuery) -> Request:
+    """Wrap a bare query in a default (auto-routed, forward) envelope."""
+    if isinstance(request, Request):
+        return request
+    return Request(query=request)
+
+
 @dataclass
 class Response:
     """What comes back for one :class:`Request`.

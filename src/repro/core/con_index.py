@@ -170,9 +170,6 @@ class ConnectionIndex:
         self._encode = encode_entry_compressed if compressed else encode_entry
         self._decode = decode_entry_compressed if compressed else decode_entry
         self.bytes_stored = 0  # guarded_by: _entry_lock
-        self._segment_length = {
-            sid: network.segment(sid).length for sid in network.segment_ids()
-        }
         self._tt_vectors: dict[tuple[bool, int], np.ndarray] = {}  # guarded_by: _entry_lock
         self._tt_lists: dict[tuple[bool, int], list[float]] = {}  # guarded_by: _entry_lock
         # The CSR view the cached vectors were built for.

@@ -8,8 +8,9 @@ additionally) simulated disk I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields
+from operator import add
+from typing import TYPE_CHECKING, Iterable
 
 from repro.spatial.geometry import Point
 from repro.storage.disk import DiskStats
@@ -119,6 +120,9 @@ class QueryCost:
             *accesses*, of which ``io.page_reads`` were actual misses).
         pool_lock_shards: lock stripes backing the ST-Index buffer pool
             the query read through.
+
+    :meth:`merged` is the one statement of how costs combine: a field
+    sums unless its ``metadata["merge"]`` names another rule.
     """
 
     wall_time_s: float = 0.0
@@ -129,10 +133,21 @@ class QueryCost:
     kernel_probability_evals: int = 0
     scalar_probability_evals: int = 0
     probability_waves: int = 0
-    max_wave_size: int = 0
+    max_wave_size: int = field(default=0, metadata={"merge": max})
     batched_record_reads: int = 0
     prefetched_pages: int = 0
-    pool_lock_shards: int = 0
+    pool_lock_shards: int = field(default=0, metadata={"merge": max})
+
+    @classmethod
+    def merged(cls, costs: Iterable["QueryCost"]) -> "QueryCost":
+        """The combined cost of several executions (batch totals, the
+        per-shard parts of a decomposed m-query); ``QueryCost()`` for none."""
+        rules = [(spec.name, spec.metadata.get("merge", add)) for spec in fields(cls)]
+        total = cls()
+        for cost in costs:
+            for name, combine in rules:
+                setattr(total, name, combine(getattr(total, name), getattr(cost, name)))
+        return total
 
     @property
     def total_cost_ms(self) -> float:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
 from repro.core.planner import QueryPlan
-from repro.core.query import MQuery, QueryResult, SQuery
+from repro.core.query import MQuery, QueryCost, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
 from repro.storage.disk import DiskStats
 
@@ -127,52 +127,15 @@ class BatchReport:
         return self.wall_time_s * 1e3 + self.simulated_io_ms
 
     @property
-    def probability_checks(self) -> int:
-        """Eq. 3.1 evaluations across the batch (cache hits excluded)."""
-        return sum(r.cost.probability_checks for r in self.results)
-
-    @property
-    def kernel_probability_evals(self) -> int:
-        """Evaluations served by the vectorized columnar kernel."""
-        return sum(r.cost.kernel_probability_evals for r in self.results)
-
-    @property
-    def scalar_probability_evals(self) -> int:
-        """Evaluations served by the tiny-input scalar fast path."""
-        return sum(r.cost.scalar_probability_evals for r in self.results)
-
-    @property
-    def probability_waves(self) -> int:
-        """Batched evaluation waves dequeued across the batch."""
-        return sum(r.cost.probability_waves for r in self.results)
-
-    @property
-    def max_wave_size(self) -> int:
-        """Largest single evaluation wave any query in the batch saw."""
-        return max((r.cost.max_wave_size for r in self.results), default=0)
-
-    @property
-    def segments_expanded(self) -> int:
-        """Segments the bounding-region expansions enqueued, batch-wide."""
-        return sum(r.cost.segments_expanded for r in self.results)
-
-    @property
-    def batched_record_reads(self) -> int:
-        """Records fetched through the wave-granular batch gather path."""
-        return sum(r.cost.batched_record_reads for r in self.results)
-
-    @property
-    def prefetched_pages(self) -> int:
-        """Page accesses charged by batched gathers before kernel runs."""
-        return sum(r.cost.prefetched_pages for r in self.results)
-
-    @property
-    def pool_lock_shards(self) -> int:
-        """Lock stripes of the buffer pool the batch read through."""
-        return max((r.cost.pool_lock_shards for r in self.results), default=0)
+    def cost(self) -> QueryCost:
+        """The per-query costs combined (:meth:`QueryCost.merged`): the
+        batch-wide counter totals and maxima.  Its ``wall_time_s`` / ``io``
+        sum the per-query windows; the batch's own are the fields above."""
+        return QueryCost.merged(result.cost for result in self.results)
 
     def as_rows(self) -> list[tuple[str, str]]:
         """Key/value rows for :func:`repro.eval.tables.format_table`."""
+        cost = self.cost
         return [
             ("Queries", f"{len(self.results)}"),
             ("Wall time", f"{self.wall_time_s * 1e3:.1f} ms"),
@@ -188,21 +151,21 @@ class BatchReport:
                 "Bounding regions",
                 f"{self.regions_computed} computed, "
                 f"{self.regions_reused} reused "
-                f"({self.segments_expanded:,} segments expanded)",
+                f"({cost.segments_expanded:,} segments expanded)",
             ),
             (
                 "Probability checks",
-                f"{self.probability_checks:,} "
-                f"({self.kernel_probability_evals:,} kernel / "
-                f"{self.scalar_probability_evals:,} scalar; "
-                f"{self.probability_waves:,} waves, "
-                f"max {self.max_wave_size})",
+                f"{cost.probability_checks:,} "
+                f"({cost.kernel_probability_evals:,} kernel / "
+                f"{cost.scalar_probability_evals:,} scalar; "
+                f"{cost.probability_waves:,} waves, "
+                f"max {cost.max_wave_size})",
             ),
             (
                 "Batched I/O",
-                f"{self.batched_record_reads:,} record gathers / "
-                f"{self.prefetched_pages:,} pages prefetched "
-                f"({self.pool_lock_shards} pool lock shards)",
+                f"{cost.batched_record_reads:,} record gathers / "
+                f"{cost.prefetched_pages:,} pages prefetched "
+                f"({cost.pool_lock_shards} pool lock shards)",
             ),
             ("Plans reused", f"{self.plans_reused}"),
         ] + (

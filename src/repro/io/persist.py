@@ -373,6 +373,52 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     return directory
 
 
+#: The sizing knobs a restored engine takes from outside the process
+#: (``store.json``, a shard payload): ``name -> (default, minimum)``.
+SIZING_KNOBS = {
+    "engine_pool_pages": (1024, 1),
+    "st_pool_pages": (512, 1),
+    "record_cache_size": (4096, 0),
+}
+
+
+def restore_engine(network, database, delta_t_s: int, sizing, source: str, open_data):
+    """A serving engine over an already-built ST-Index: the one restore.
+
+    :func:`open_store` and every shard worker
+    (:func:`repro.serving.worker.build_shard_engine`) end here.
+    ``sizing`` holds the :data:`SIZING_KNOBS` as they arrived from
+    ``source`` and is checked first, so a :class:`PersistFormatError`
+    naming the knob is raised before ``open_data()`` opens the disk and
+    loads the validated directory (``-> (disk, time_lists)``) and before
+    any index object exists.
+    """
+    from repro.core.engine import ReachabilityEngine
+    from repro.core.st_index import STIndex
+
+    sizes = {}
+    for knob, (default, minimum) in SIZING_KNOBS.items():
+        sizes[knob] = value = sizing.get(knob, default)
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise PersistFormatError(
+                f"{source} {knob} is {value!r}, expected an integer >= {minimum}"
+            )
+    disk, time_lists = open_data()
+    engine = ReachabilityEngine(
+        network, database, disk=disk, buffer_pool_pages=sizes["engine_pool_pages"]
+    )
+    index = STIndex.restore(
+        network,
+        delta_t_s,
+        disk,
+        time_lists,
+        buffer_pool_pages=sizes["st_pool_pages"],
+        record_cache_size=sizes["record_cache_size"],
+    )
+    engine.install_st_index(delta_t_s, index)
+    return engine
+
+
 def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     """Open a :func:`save_store` bundle as a cold, durable engine.
 
@@ -388,19 +434,6 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     :class:`~repro.storage.backends.CorruptSnapshotError` /
     :class:`~repro.storage.backends.TornWriteError` for verified damage.
     """
-    from repro.core.directory import (
-        DIRECTORY_COLUMNS,
-        TimeListDirectory,
-        slots_per_day,
-    )
-    from repro.core.engine import ReachabilityEngine
-    from repro.core.st_index import STIndex
-    from repro.storage.backends import FileBackedDisk
-    from repro.storage.serialization import (
-        SerializationError,
-        decode_append_delta,
-    )
-
     directory = Path(directory)
     for name in ("store.json", "network.json", "speed_model.json", "directory.npz"):
         if not (directory / name).exists():
@@ -423,6 +456,25 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     database = TrajectoryDatabase.from_speed_model(
         _speed_model_from_json(_read_json_object(directory / "speed_model.json"))
     )
+    return restore_engine(
+        network, database, delta_t_s, config, "store.json",
+        lambda: _open_store_data(directory, delta_t_s, crash_plan, readonly),
+    )
+
+
+def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool):
+    """The store's disk and its directory, journal suffix replayed."""
+    from repro.core.directory import (
+        DIRECTORY_COLUMNS,
+        TimeListDirectory,
+        slots_per_day,
+    )
+    from repro.storage.backends import FileBackedDisk
+    from repro.storage.serialization import (
+        SerializationError,
+        decode_append_delta,
+    )
+
     disk = FileBackedDisk.open(
         directory / "disk", crash_plan=crash_plan, readonly=readonly
     )
@@ -486,22 +538,7 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
         time_lists.extend(
             entries, num_pages_total, page_size, "journal append delta"
         )
-    engine = ReachabilityEngine(
-        network,
-        database,
-        disk=disk,
-        buffer_pool_pages=int(config.get("engine_pool_pages", 1024)),
-    )
-    index = STIndex.restore(
-        network,
-        delta_t_s,
-        disk,
-        time_lists,
-        buffer_pool_pages=int(config.get("st_pool_pages", 512)),
-        record_cache_size=int(config.get("record_cache_size", 4096)),
-    )
-    engine.install_st_index(delta_t_s, index)
-    return engine
+    return disk, time_lists
 
 
 # -- whole datasets ---------------------------------------------------------------

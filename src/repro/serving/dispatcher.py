@@ -29,7 +29,9 @@ is merely slow (a late reply is then discarded by request id, never
 mismatched).  A sub-batch that exhausts its retries **degrades**: it
 re-executes on the dispatcher-local fallback service, so ``run_batch``
 still returns a complete report and one lost process costs one
-redispatch, not the batch.
+redispatch, not the batch.  Worker, degraded and out-of-contract
+sub-batches all run through :func:`repro.serving.worker.run_sub_batch`,
+so every reply the merge sees has one shape.
 
 Accounting: every shard worker reports its sub-batch's exact
 :class:`~repro.storage.disk.DiskStats` window; ``report.io`` is the sum
@@ -51,10 +53,11 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-from repro.api.envelope import Request
+from repro.api.client import prepare_batch, resolve_delta_t
+from repro.api.envelope import Request, as_request
 from repro.api.router import Router
 from repro.core.engine import ReachabilityEngine
-from repro.core.planner import QueryPlan, plan_query
+from repro.core.planner import plan_query  # noqa: F401 - resolved by name from outside (docs/architecture.md)
 from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult
 from repro.core.service import (
     BatchReport,
@@ -78,12 +81,10 @@ from repro.serving.protocol import (
     MSG_SHUTDOWN,
     PROTOCOL_VERSION,
     ProtocolError,
-    pack_result,
     parse_reply,
     unpack_result,
 )
-from repro.serving.worker import shard_worker_main
-from repro.storage.disk import DiskStats
+from repro.serving.worker import run_sub_batch, shard_worker_main
 
 #: Default longest query duration the halo contract covers (one hour —
 #: generous against the paper's 5..30-minute workloads).
@@ -96,6 +97,10 @@ DEFAULT_DEADLINE_MS = 30_000.0
 
 #: Default bounded-retry limit per scatter (initial attempt excluded).
 DEFAULT_MAX_RETRIES = 2
+
+#: Reply-map key of the dispatcher-local out-of-contract sub-batch; shard
+#: ids are non-negative, so it never collides with one.
+_LOCAL_KEY = -1
 
 #: Default base for exponential retry backoff (seconds); attempt ``n``
 #: sleeps ``backoff * 2**(n-1)`` before redispatching.  Only the failure
@@ -193,26 +198,6 @@ def _merge_regions(regions: list) -> BoundingRegion | None:
     return merged
 
 
-def _merge_costs(costs: list[QueryCost]) -> QueryCost:
-    merged = QueryCost()
-    for cost in costs:
-        merged.wall_time_s += cost.wall_time_s
-        merged.io = merged.io + cost.io
-        merged.simulated_io_ms += cost.simulated_io_ms
-        merged.probability_checks += cost.probability_checks
-        merged.segments_expanded += cost.segments_expanded
-        merged.kernel_probability_evals += cost.kernel_probability_evals
-        merged.scalar_probability_evals += cost.scalar_probability_evals
-        merged.probability_waves += cost.probability_waves
-        merged.max_wave_size = max(merged.max_wave_size, cost.max_wave_size)
-        merged.batched_record_reads += cost.batched_record_reads
-        merged.prefetched_pages += cost.prefetched_pages
-        merged.pool_lock_shards = max(
-            merged.pool_lock_shards, cost.pool_lock_shards
-        )
-    return merged
-
-
 class ShardedEngine:
     """Spatially sharded, multi-process batch execution engine.
 
@@ -251,9 +236,10 @@ class ShardedEngine:
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        # `_closed` first: a partially constructed engine must survive
-        # __del__ -> close() without AttributeError noise at GC time.
-        self._closed = False
+        # `closed` (set by close(), explicit or on a data change) first: a
+        # partially constructed engine must survive __del__ -> close()
+        # without AttributeError noise at GC time.
+        self.closed = False
         self._workers: dict[int, _WorkerHandle] = {}
         self.service = as_service(target)
         self.engine = self.service.engine
@@ -312,6 +298,10 @@ class ShardedEngine:
         self._next_request_id = 0
         for worker_idx in range(self.num_workers):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
+        # The slices above are a snapshot: once the data changes they are
+        # stale, so the workers retire rather than answer from them (the
+        # client re-partitions on its next sharded batch).
+        self.engine.register_data_change_hook(self.close)
 
     def _load_weights(self):
         """Per-CSR-row trajectory-visit volume, the partition's load proxy.
@@ -453,7 +443,7 @@ class ShardedEngine:
         worker_idx: int,
         reason: str,
         outstanding: dict[int, _Attempt],
-        degraded: list[tuple[int, dict[int, list]]],
+        degraded: dict[int, list],
         stats: _FaultStats,
         warm: bool,
     ) -> None:
@@ -474,7 +464,7 @@ class ShardedEngine:
                 # answering is wedged; replace it so the *next* batch
                 # starts clean (its late frames die with the old pipe).
                 self._respawn_worker(worker_idx, stats)
-            degraded.append((worker_idx, failed.shard_map))
+            degraded.update(sorted(failed.shard_map.items()))
             return
         stats.count_retry(worker_idx)
         if self.retry_backoff_s > 0:
@@ -489,10 +479,12 @@ class ShardedEngine:
         outstanding: dict[int, _Attempt],
         warm: bool,
         stats: _FaultStats,
-    ) -> tuple[dict[int, dict], list[tuple[int, dict[int, list]]]]:
-        """Collect every attempt's reply, retrying/degrading as needed."""
+    ) -> tuple[dict[int, dict], dict[int, list]]:
+        """Collect every attempt's reply, retrying/degrading as needed:
+        the shard replies, and ``shard_id -> entries`` of the sub-batches
+        that exhausted their retries (in failure order)."""
         replies: dict[int, dict] = {}
-        degraded: list[tuple[int, dict[int, list]]] = []
+        degraded: dict[int, list] = {}
         while outstanding:
             now = time.monotonic()
             deadlines = [
@@ -547,45 +539,10 @@ class ShardedEngine:
                     )
         return replies, degraded
 
-    def _run_degraded(self, entries: list, warm: bool) -> dict:
-        """Execute one shard's sub-batch on the local fallback service.
-
-        Returns a reply body shaped exactly like a worker's, so the
-        merge path and the accounting are shared: the ``io`` window is
-        measured on the parent engine and sums into ``report.io`` like
-        any other shard window.
-        """
-        from repro.api.client import ReachabilityClient
-
-        with ReachabilityClient(self.service) as client:
-            local = client.run_batch(
-                [request for _, _, request in entries],
-                warm=warm,
-                max_workers=1,
-            )
-        results = [
-            (seq, part_idx, pack_result(result))
-            for (seq, part_idx, _), result in zip(entries, local.results)
-        ]
-        return {
-            "results": results,
-            "io": local.io,
-            "simulated_io_ms": local.simulated_io_ms,
-            "wall_time_s": local.wall_time_s,
-            "worker_wall_s": 0.0,
-            "regions_computed": local.regions_computed,
-            "regions_reused": local.regions_reused,
-            "degraded": len(entries),
-        }
-
     # -- routing -----------------------------------------------------------
 
-    def _resolve_delta_t(self, request: Request) -> int:
-        options_dt = request.options.delta_t_s
-        return options_dt if options_dt is not None else self.service.delta_t_s
-
     def _in_contract(self, request: Request) -> bool:
-        if self._resolve_delta_t(request) != self.delta_t_s:
+        if resolve_delta_t(request, self.service) != self.delta_t_s:
             return False
         bound = reach_m(
             request.query.duration_s,
@@ -672,15 +629,15 @@ class ShardedEngine:
             included, since they execute *as* fallback windows.
 
         Raises:
-            ShardedEngineClosedError: the engine was already closed.
+            ShardedEngineClosedError: the engine was closed — explicitly,
+                or because the data its shard slices were cut from
+                changed (``append_trajectories`` / ``drop_indexes``).
         """
-        if self._closed:
+        if self.closed:
             raise ShardedEngineClosedError(
                 "ShardedEngine is closed; build a new one to keep serving"
             )
-        requests = [
-            r if isinstance(r, Request) else Request(query=r) for r in requests
-        ]
+        requests = [as_request(r) for r in requests]
         report = BatchReport()
         report.deadline_ms = self.deadline_ms
         if not requests:
@@ -702,49 +659,30 @@ class ShardedEngine:
                 worker_idx, jobs[worker_idx], 0, warm, outstanding, stats
             )
 
-        # Plans and routing decisions are dispatcher-side bookkeeping
-        # (identical to what BatchStream records), deduplicated per
-        # shape and done after the scatter so the workers crunch while
-        # the parent annotates.
-        plan_cache: dict[QueryPlan, QueryPlan] = {}
-        for request in requests:
-            dt = self._resolve_delta_t(request)
-            decision = self.router.route(request, dt)
-            plan = plan_query(
-                decision.kind, request.query, decision.algorithm, dt, warm=True
-            )
-            cached = plan_cache.get(plan)
-            if cached is not None:
-                report.plans_reused += 1
-                plan = cached
-            else:
-                plan_cache[plan] = plan
-            report.plans.append(plan)
-            report.routes.append(decision)
+        # Plans and routing decisions are dispatcher-side bookkeeping,
+        # done after the scatter so the workers crunch while the parent
+        # annotates.
+        prepare_batch(self.service, self.router, requests, report)
 
-        # Fallbacks run locally while the workers crunch.
-        fallback_report = None
+        # Out-of-contract requests run locally while the workers crunch;
+        # their reply body joins the shard replies under a non-shard key.
+        replies: dict[int, dict] = {}
         if dispatch.fallback:
-            from repro.api.client import ReachabilityClient
-
-            with ReachabilityClient(self.service) as client:
-                fallback_report = client.run_batch(
-                    [request for _, request in dispatch.fallback],
-                    warm=warm,
-                    max_workers=1,
-                )
+            replies[_LOCAL_KEY] = run_sub_batch(
+                self.service,
+                [(seq, 0, request) for seq, request in dispatch.fallback],
+                warm,
+            )
 
         # Gather under supervision: deadlines, retries, respawns.
-        replies, degraded_jobs = self._gather(outstanding, warm, stats)
+        gathered, degraded = self._gather(outstanding, warm, stats)
+        replies.update(gathered)
 
         # Graceful degradation: sub-batches that exhausted their retries
         # re-execute on the local fallback service, so the batch still
         # completes with full results and exact accounting.
-        for _worker_idx, shard_map in degraded_jobs:
-            for shard_id in sorted(shard_map):
-                replies[shard_id] = self._run_degraded(
-                    shard_map[shard_id], warm
-                )
+        for shard_id, entries in degraded.items():
+            replies[shard_id] = run_sub_batch(self.service, entries, warm)
 
         # Merge.
         parts: dict[int, list[tuple[int, QueryResult]]] = {}
@@ -754,11 +692,6 @@ class ShardedEngine:
                     (part_idx, unpack_result(packed))
                 )
         results_by_seq: dict[int, QueryResult] = {}
-        if fallback_report is not None:
-            for (seq, _), result in zip(
-                dispatch.fallback, fallback_report.results
-            ):
-                results_by_seq[seq] = result
         for seq, pieces in parts.items():
             pieces.sort(key=lambda item: item[0])
             results = [result for _, result in pieces]
@@ -770,13 +703,14 @@ class ShardedEngine:
                 results_by_seq[seq] = results[0]
 
         report.results = [results_by_seq[seq] for seq in range(len(requests))]
-        total_io = DiskStats()
         for shard_id in sorted(replies):
             body = replies[shard_id]
-            total_io = total_io + body["io"]
+            report.io = report.io + body["io"]
             report.simulated_io_ms += body["simulated_io_ms"]
             report.regions_computed += body["regions_computed"]
             report.regions_reused += body["regions_reused"]
+            if shard_id == _LOCAL_KEY:
+                continue
             worker_idx = self._worker_of_shard[shard_id]
             report.shard_reports.append(
                 ShardReport(
@@ -785,24 +719,16 @@ class ShardedEngine:
                     io=body["io"],
                     simulated_io_ms=body["simulated_io_ms"],
                     wall_time_s=body["wall_time_s"],
-                    worker_wall_s=body.get("worker_wall_s", 0.0),
+                    worker_wall_s=body["worker_wall_s"],
                     worker_restarts=stats.restarts_of.get(worker_idx, 0),
                     retries=stats.retries_of.get(worker_idx, 0),
-                    degraded_requests=body.get("degraded", 0),
+                    degraded_requests=len(degraded.get(shard_id, ())),
                 )
             )
-        if fallback_report is not None:
-            total_io = total_io + fallback_report.io
-            report.simulated_io_ms += fallback_report.simulated_io_ms
-            report.regions_computed += fallback_report.regions_computed
-            report.regions_reused += fallback_report.regions_reused
-        report.io = total_io
+        report.degraded_requests = sum(map(len, degraded.values()))
         report.worker_restarts = stats.worker_restarts
         report.retries = stats.retries
         report.stale_frames = stats.stale_frames
-        report.degraded_requests = sum(
-            shard.degraded_requests for shard in report.shard_reports
-        )
         report.wall_time_s = time.perf_counter() - started
         return report
 
@@ -829,7 +755,7 @@ class ShardedEngine:
         merged.start_segments = tuple(dict.fromkeys(starts))
         merged.max_region = _merge_regions([r.max_region for r in results])
         merged.min_region = _merge_regions([r.min_region for r in results])
-        merged.cost = _merge_costs([r.cost for r in results])
+        merged.cost = QueryCost.merged(r.cost for r in results)
         return merged
 
     # -- lifecycle ---------------------------------------------------------
@@ -841,9 +767,9 @@ class ShardedEngine:
         whose pipe is gone) is skipped past the handshake and still
         joined/killed, so close never raises on a degraded engine.
         """
-        if getattr(self, "_closed", True):
+        if getattr(self, "closed", True):
             return
-        self._closed = True
+        self.closed = True
         for handle in self._workers.values():
             try:
                 handle.conn.send((MSG_SHUTDOWN,))
@@ -870,7 +796,7 @@ class ShardedEngine:
         # Never raise during interpreter shutdown: attributes may be
         # missing (failed __init__) or modules already torn down.
         try:
-            if getattr(self, "_closed", True):
+            if getattr(self, "closed", True):
                 return
             self.close()
         except Exception:

@@ -30,11 +30,13 @@ reproducible in tests.
 from __future__ import annotations
 
 import traceback
+from time import perf_counter
 
+from repro.api.client import ReachabilityClient
 from repro.core.directory import TimeListDirectory, slots_per_day
 from repro.core.engine import ReachabilityEngine
-from repro.core.st_index import STIndex
-from repro.io.persist import network_from_dict
+from repro.core.service import QueryService
+from repro.io.persist import SIZING_KNOBS, network_from_dict, restore_engine
 from repro.serving.faults import (
     CORRUPT_FRAME,
     DELAY_RESPONSE,
@@ -64,87 +66,90 @@ from repro.trajectory.store import TrajectoryDatabase
 
 def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
     """Reconstruct one shard's engine from its spawn-safe payload."""
-    network = network_from_dict(payload.network)
-    database = TrajectoryDatabase.from_speed_model(payload.speed_model)
-    if payload.disk_path is not None:
-        # Durable-store reference: open read-only and fault in only the
-        # pages this shard's pointers touch, checksum-verified.  The
-        # worker never writes the file, so any number of workers can
-        # share one store.
-        disk: SimulatedDisk = FileBackedDisk.open(
-            payload.disk_path, readonly=True
-        )
-    else:
-        disk = SimulatedDisk.from_state(
-            payload.disk_buffer,
-            payload.disk_used,
-            payload.page_size,
-            read_latency_ms=payload.read_latency_ms,
-            write_latency_ms=payload.write_latency_ms,
-        )
-    engine = ReachabilityEngine(
-        network,
-        database,
-        disk=disk,
-        buffer_pool_pages=payload.engine_pool_pages,
-    )
-    st_index = STIndex.restore(
-        network,
-        payload.delta_t_s,
-        disk,
-        TimeListDirectory.from_columns(
+
+    def open_data():
+        if payload.disk_path is not None:
+            # Durable-store reference: open read-only and fault in only the
+            # pages this shard's pointers touch, checksum-verified.  The
+            # worker never writes the file, so any number of workers can
+            # share one store.
+            disk: SimulatedDisk = FileBackedDisk.open(
+                payload.disk_path, readonly=True
+            )
+        else:
+            disk = SimulatedDisk.from_state(
+                payload.disk_buffer,
+                payload.disk_used,
+                payload.page_size,
+                read_latency_ms=payload.read_latency_ms,
+                write_latency_ms=payload.write_latency_ms,
+            )
+        return disk, TimeListDirectory.from_columns(
             payload.directory,
             slots_per_day(payload.delta_t_s),
             disk.num_pages,
             disk.page_size,
             "shard directory",
-        ),
-        buffer_pool_pages=payload.st_pool_pages,
-        record_cache_size=payload.record_cache_size,
+        )
+
+    return restore_engine(
+        network_from_dict(payload.network),
+        TrajectoryDatabase.from_speed_model(payload.speed_model),
+        payload.delta_t_s,
+        {knob: getattr(payload, knob) for knob in SIZING_KNOBS},
+        "shard payload",
+        open_data,
     )
-    engine.install_st_index(payload.delta_t_s, st_index)
-    return engine
+
+
+def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
+    """Run ``[(seq, part_idx, Request)]`` serially on ``service``.
+
+    The one sub-batch runner: a worker calls it per hosted shard, the
+    dispatcher for degraded shard maps and for the out-of-contract
+    list, so every reply the merge sees is this ``MSG_OK`` shard body —
+    packed results plus the sub-batch's exact accounting window on the
+    service's engine.
+    """
+    started = perf_counter()
+    with ReachabilityClient(service) as client:
+        report = client.run_batch(
+            [request for _, _, request in entries], warm=warm, max_workers=1
+        )
+    results = [
+        (seq, part_idx, pack_result(result))
+        for (seq, part_idx, _), result in zip(entries, report.results)
+    ]
+    return {
+        "results": results,
+        "io": report.io,
+        "simulated_io_ms": report.simulated_io_ms,
+        "wall_time_s": report.wall_time_s,
+        # Everything this sub-batch occupied a core for — client setup,
+        # compute, result packing — excluding only the shared
+        # message-level pipe codec.
+        "worker_wall_s": perf_counter() - started,
+        "regions_computed": report.regions_computed,
+        "regions_reused": report.regions_reused,
+    }
 
 
 def _serve_run(
     engines: dict, delta_t_s: int, body: dict, faults: list | None = None
 ) -> dict:
-    from time import perf_counter
-
-    from repro.api.client import ReachabilityClient
-    from repro.core.service import QueryService
-
     if faults and RAISE_IN_SERVE in faults:
         raise FaultInjected("injected failure inside _serve_run")
-    warm = body["warm"]
-    reply = {}
-    for shard_id, entries in body["shards"].items():
-        handling_started = perf_counter()
-        engine = engines[shard_id]
-        # A fresh service per message keeps the region cache batch-scoped,
-        # matching the single-process oracle (one fresh service per batch);
-        # the engine-level buffer pools persist and `warm` governs them.
-        with ReachabilityClient(QueryService(engine, delta_t_s=delta_t_s)) as client:
-            requests = [request for _, _, request in entries]
-            report = client.run_batch(requests, warm=warm, max_workers=1)
-        results = [
-            (seq, part_idx, pack_result(result))
-            for (seq, part_idx, _), result in zip(entries, report.results)
-        ]
-        reply[shard_id] = {
-            "results": results,
-            "io": report.io,
-            "simulated_io_ms": report.simulated_io_ms,
-            "wall_time_s": report.wall_time_s,
-            # Everything this shard did in the worker — service setup,
-            # compute, result packing — i.e. the time the shard would
-            # occupy a dedicated core for, excluding only the shared
-            # message-level pipe codec.
-            "worker_wall_s": perf_counter() - handling_started,
-            "regions_computed": report.regions_computed,
-            "regions_reused": report.regions_reused,
-        }
-    return reply
+    # A fresh service per message keeps the region cache batch-scoped,
+    # matching the single-process oracle (one fresh service per batch);
+    # the engine-level buffer pools persist and `warm` governs them.
+    return {
+        shard_id: run_sub_batch(
+            QueryService(engines[shard_id], delta_t_s=delta_t_s),
+            entries,
+            body["warm"],
+        )
+        for shard_id, entries in body["shards"].items()
+    }
 
 
 def shard_worker_main(

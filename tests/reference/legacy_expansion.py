@@ -66,7 +66,7 @@ def travel_time_reference(con_index, kind: str, slot: int):
     """
     mid_time = con_index._slot_mid_time(slot)
     bounds_of = con_index.database.observed_speed_bounds
-    lengths = con_index._segment_length
+    segment = con_index.network.segment
     pick_max = kind.startswith("far")
 
     def travel_time(segment_id: int) -> float:
@@ -76,7 +76,7 @@ def travel_time_reference(con_index, kind: str, slot: int):
         speed = bounds[1] if pick_max else bounds[0]
         if speed <= 0:
             return float("inf")
-        return lengths[segment_id] / speed
+        return segment(segment_id).length / speed
 
     return travel_time
 

@@ -10,6 +10,7 @@ the sunny-day contract plus the persistence-format regressions.
 
 from __future__ import annotations
 
+import json
 import shutil
 import threading
 
@@ -373,6 +374,13 @@ class TestPersistFormatErrors:
             ("speed_model.json", "[1, 2]", "speed_model.json is not a JSON object"),
             ("store.json", '{"version": 1}', "store.json delta_t_s is None"),
             ("store.json", '{"version": 1, "delta_t_s": 0}', "store.json delta_t_s is 0"),
+            # Sizing knobs: typed errors, not int()'s, and no silent resize.
+            ("store.json", {"st_pool_pages": None}, "store.json st_pool_pages is None"),
+            ("store.json", {"record_cache_size": "x"}, "store.json record_cache_size is 'x'"),
+            ("store.json", {"engine_pool_pages": -5}, "store.json engine_pool_pages is -5"),
+            ("store.json", {"st_pool_pages": 0}, "store.json st_pool_pages is 0"),
+            ("store.json", {"record_cache_size": -1}, "store.json record_cache_size is -1"),
+            ("store.json", {"st_pool_pages": 1.5}, "store.json st_pool_pages is 1.5"),
             # Directory rows that name no entry: a dict rewrites row 0 of
             # the named column (a float value makes the column float).
             ("directory.npz", {"dir_slot": -1}, "row 0 names no entry: .* slot -1 of 288"),
@@ -392,6 +400,12 @@ class TestPersistFormatErrors:
             "speed-model-list",
             "store-no-delta-t",
             "store-delta-t-0",
+            "store-st-pool-null",
+            "store-record-cache-string",
+            "store-engine-pool-negative",
+            "store-st-pool-zero",
+            "store-record-cache-negative",
+            "store-st-pool-fraction",
             "directory-slot-negative",
             "directory-slot-past-the-day",
             "directory-segment-negative",
@@ -401,12 +415,21 @@ class TestPersistFormatErrors:
             "journal-pointer-outside",
         ],
     )
-    def test_malformed_sidecar_rejected(self, store, name, content, problem, recwarn):
+    def test_malformed_sidecar_rejected(
+        self, store, name, content, problem, recwarn, monkeypatch
+    ):
         path, _ = store
         if name == "journal":
             disk = FileBackedDisk.open(path / "disk")
             disk.commit(meta=encode_append_delta(300, content))
             disk.close()
+        elif name == "store.json":
+            if isinstance(content, dict):  # overrides onto the valid sidecar
+                content = json.dumps({**json.loads((path / name).read_text()), **content})
+            (path / name).write_text(content)
+            monkeypatch.setattr(
+                FileBackedDisk, "open", lambda *a, **k: pytest.fail("disk opened")
+            )
         elif isinstance(content, dict):
             with np.load(path / "directory.npz") as data:
                 columns = {

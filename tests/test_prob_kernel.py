@@ -357,10 +357,10 @@ class TestWaveCounters:
             SQuery(Point(2000.0, 1500.0), float(day_time(11)), 600.0, 0.2),
         ]
         report = run_batch(engine, queries, algorithm="sqmb_tbs", delta_t_s=300)
-        assert report.probability_checks == sum(
+        assert report.cost.probability_checks == sum(
             r.cost.probability_checks for r in report.results
         )
-        assert report.probability_checks > 0
+        assert report.cost.probability_checks > 0
         rows = dict(report.as_rows())
         assert "Probability checks" in rows
         assert "waves" in rows["Probability checks"]

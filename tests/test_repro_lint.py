@@ -723,11 +723,9 @@ class TestReintroducedViolationsFailGate:
     def test_rl008_unrendered_cost_field(self, src_copy):
         query = src_copy / "repro" / "core" / "query.py"
         text = query.read_text(encoding="utf-8")
-        text = text.replace(
-            "    pool_lock_shards: int = 0\n",
-            "    pool_lock_shards: int = 0\n    phantom_counter: int = 0\n",
-            1,
-        )
+        needle = '    pool_lock_shards: int = field(default=0, metadata={"merge": max})\n'
+        assert needle in text
+        text = text.replace(needle, needle + "    phantom_counter: int = 0\n", 1)
         query.write_text(text, encoding="utf-8")
         findings = [f for f in self.lint(src_copy) if f.rule == "RL008"]
         messages = " | ".join(f.message for f in findings)
@@ -1333,7 +1331,7 @@ class TestRL008CounterDrift:
         )
         assert findings == []
 
-    def test_unaggregated_unrendered_undocumented_field_fails(self, tmp_path):
+    def test_unrendered_undocumented_field_fails(self, tmp_path):
         self.write_docs(tmp_path, self.DOCS)
         query = self.QUERY + "    dead_counter: int = 0\n"
         findings = lint_tree(
@@ -1342,7 +1340,6 @@ class TestRL008CounterDrift:
             select=["RL008"],
         )
         messages = " | ".join(f.message for f in findings)
-        assert "dead_counter is not aggregated by BatchReport" in messages
         assert "dead_counter is never rendered" in messages
         assert "dead_counter is undocumented" in messages
 

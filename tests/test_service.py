@@ -1,14 +1,19 @@
 """Tests for batches and single sends through a shared :class:`QueryService`."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from benchmarks.client_protocol import m_query, request, run_batch, s_query
 from repro.api import ReachabilityClient
-from repro.core.query import MQuery, SQuery
+from repro.core.query import MQuery, QueryCost, SQuery
 from repro.core.service import QueryService, as_service
 from repro.eval import config
 from repro.eval.workload import QueryWorkload
 from repro.spatial.geometry import Point
+from repro.storage.disk import DiskStats
 from repro.trajectory.model import day_time
 
 CENTER = Point(0.0, 0.0)
@@ -181,3 +186,61 @@ class TestBatches:
         table = format_batch_report("throughput batch", report)
         assert "Page reads" in table and "Buffer pool" in table
         assert "hit rate" in dict(report.as_rows())["Buffer pool"]
+
+
+# -- the one cost merge -------------------------------------------------------
+
+MAX_MERGED = {"max_wave_size", "pool_lock_shards"}
+
+# Dyadic floats: sums are exact, so associativity is an equality.
+_amounts = st.integers(0, 1 << 20).map(lambda n: n / 64)
+
+
+@st.composite
+def costs(draw):
+    def value_for(spec):
+        if spec.type == "DiskStats":
+            return DiskStats(
+                **{f.name: draw(st.integers(0, 1 << 20)) for f in fields(DiskStats)}
+            )
+        return draw(_amounts if spec.type == "float" else st.integers(0, 1 << 20))
+
+    return QueryCost(**{spec.name: value_for(spec) for spec in fields(QueryCost)})
+
+
+class TestQueryCostMerged:
+    def test_every_field_declares_a_known_rule(self):
+        """A counter added without thought still merges (it sums); one
+        that declares a rule must declare a callable this test knows."""
+        for spec in fields(QueryCost):
+            rule = spec.metadata.get("merge")
+            assert rule is (max if spec.name in MAX_MERGED else None), spec.name
+
+    def test_identity_on_nothing(self):
+        assert QueryCost.merged([]) == QueryCost()
+
+    @given(st.lists(costs(), max_size=5))
+    def test_equals_field_by_field_sums_and_maxima(self, batch):
+        merged = QueryCost.merged(batch)
+        for spec in fields(QueryCost):
+            values = [getattr(cost, spec.name) for cost in batch]
+            if spec.name in MAX_MERGED:
+                expected = max(values, default=0)
+            else:
+                expected = sum(values, type(getattr(QueryCost(), spec.name))())
+            assert getattr(merged, spec.name) == expected, spec.name
+
+    @given(costs(), costs(), costs())
+    def test_associative(self, a, b, c):
+        merged = QueryCost.merged
+        assert merged([merged([a, b]), c]) == merged([a, merged([b, c])])
+        assert merged([a, b, c]) == merged([merged([a, b]), c])
+
+    def test_batch_report_cost_is_the_merge(self, service):
+        report = run_batch(
+            service, [SQuery(CENTER, T, 600, 0.2), SQuery(CENTER, T, 900, 0.2)]
+        )
+        assert report.cost == QueryCost.merged(r.cost for r in report.results)
+        assert report.cost.max_wave_size == max(
+            r.cost.max_wave_size for r in report.results
+        )

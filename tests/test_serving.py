@@ -15,13 +15,21 @@ import pytest
 from repro.api.client import ReachabilityClient
 from repro.api.envelope import QueryOptions, Request
 from repro.core.engine import ReachabilityEngine
-from repro.core.query import MQuery
+from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.eval.workload import QueryWorkload
-from repro.serving import ShardedEngine, partition_network
+from repro.serving import (
+    FaultPlan,
+    FaultSpec,
+    ShardedEngine,
+    ShardedEngineClosedError,
+    partition_network,
+)
+from repro.serving.faults import KILL_IN_RUN
 from repro.serving.partition import SegmentLocator, build_subnetwork
 from repro.serving.protocol import pack_result, unpack_result
 from repro.storage.disk import DiskStats
+from repro.trajectory.model import MatchedTrajectory
 
 
 def fresh_engine(dataset) -> ReachabilityEngine:
@@ -318,6 +326,135 @@ def test_out_of_contract_requests_fall_back(test_dataset):
     assert report.results[0].segments == baseline.results[0].segments
 
 
+# -- data changes -----------------------------------------------------------
+
+
+def replayed_commute(dataset):
+    """One trajectory replayed on every date it is absent from, plus a
+    query from its first segment that only the replays make 0.6-reachable
+    along the route."""
+    source = next(t for t in dataset.database if len(t.visits) >= 8)
+    first = source.visits[0]
+    query = SQuery(
+        dataset.network.segment(first.segment_id).midpoint,
+        float(first.time_s),
+        600.0,
+        0.6,
+    )
+    replays = [
+        MatchedTrajectory(
+            10_000_000 + date, source.taxi_id, date, list(source.visits)
+        )
+        for date in range(dataset.config.num_days)
+        if date != source.date
+    ]
+    return Request(query), replays
+
+
+@pytest.mark.sharded
+def test_sharded_backend_serves_post_append_data(test_dataset):
+    """The shard slices are cut at spawn; an append must retire them so
+    the sharded backend never answers from pre-append data."""
+    request, replays = replayed_commute(test_dataset)
+    requests = [request] + mixed_requests(test_dataset.network, 4, 1)
+    with ReachabilityClient(fresh_engine(test_dataset), shards=2) as client:
+
+        def both():
+            return [
+                client.run_batch(requests, backend=backend)
+                for backend in ("threaded", "sharded")
+            ]
+
+        threaded, sharded = both()
+        before = threaded.results[0].segments
+        assert sharded.results[0].segments == before
+        # update_database=False: the session's shared database stays as
+        # it is; the engine's own ST-Index (and the hooks) see the append.
+        client.service.append_trajectories(replays, update_database=False)
+        threaded, sharded = both()
+        assert len(threaded.results[0].segments) > len(before)
+        for expected, actual in zip(threaded.results, sharded.results):
+            assert actual.segments == expected.segments
+        assert len(sharded.shard_reports) == 2  # re-partitioned, not fallen back
+        shard_sum = sum((s.io for s in sharded.shard_reports), DiskStats())
+        assert shard_sum == sharded.io
+
+
+@pytest.mark.sharded
+def test_direct_sharded_engine_closes_on_data_change(test_dataset):
+    """Without a client to re-partition, a stale engine refuses to serve."""
+    request, replays = replayed_commute(test_dataset)
+    engine = fresh_engine(test_dataset)
+    with ShardedEngine(QueryService(engine), shards=2) as sharded:
+        sharded.run_batch([request])
+        engine.append_trajectories(replays, update_database=False)
+        assert sharded.closed
+        with pytest.raises(ShardedEngineClosedError):
+            sharded.run_batch([request])
+
+
+# -- one sub-batch runner ---------------------------------------------------
+
+
+@pytest.mark.sharded
+@pytest.mark.parametrize("path", ["worker", "degraded", "fallback"])
+def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
+    """A worker reply, a degraded re-run and the out-of-contract fallback
+    answer the same entries with the same body: same keys, same unpacked
+    results, same accounting window."""
+    from repro.serving import dispatcher
+    from repro.serving.partition import export_shard_payload
+    from repro.serving.worker import _serve_run, build_shard_engine, run_sub_batch
+
+    requests = mixed_requests(test_dataset.network, 4, 1)
+    entries = [(seq, 0, request) for seq, request in enumerate(requests)]
+    reference = run_sub_batch(
+        QueryService(fresh_engine(test_dataset)), entries, False
+    )
+    bodies = []
+
+    def recording(service, entries, warm):
+        bodies.append((entries, run_sub_batch(service, entries, warm)))
+        return bodies[-1][1]
+
+    monkeypatch.setattr(dispatcher, "run_sub_batch", recording)
+    if path == "worker":
+        engine = fresh_engine(test_dataset)
+        (spec,) = partition_network(engine.network, 1, halo_m=0.0).shards
+        shard_engine = build_shard_engine(export_shard_payload(engine, spec, 300))
+        message = {"warm": False, "shards": {0: entries}}
+        body = _serve_run({0: shard_engine}, 300, message)[0]
+    else:
+        how = (
+            dict(
+                fault_plan=FaultPlan.of(
+                    FaultSpec(kind=KILL_IN_RUN, worker=0, at=1, incarnation=None)
+                ),
+                max_retries=0,
+            )
+            if path == "degraded"
+            else dict(max_duration_s=60.0)  # everything is out of contract
+        )
+        with ShardedEngine(
+            QueryService(fresh_engine(test_dataset)), shards=1, **how
+        ) as sharded:
+            report = sharded.run_batch(requests)
+        ((got_entries, body),) = bodies
+        assert got_entries == entries
+        assert report.io == body["io"]
+        assert report.degraded_requests == (len(entries) if path == "degraded" else 0)
+
+    assert body.keys() == reference.keys()
+    assert body["io"] == reference["io"]
+    for got, want in zip(body["results"], reference["results"]):
+        assert got[:2] == want[:2]
+        got, want = unpack_result(got[2]), unpack_result(want[2])
+        assert got.segments == want.segments
+        assert got.probabilities == want.probabilities
+        assert got.start_segments == want.start_segments
+        assert (got.max_region is None) == (want.max_region is None)
+
+
 # -- protocol error paths ---------------------------------------------------
 
 
@@ -457,6 +594,6 @@ class TestProtocolErrorPaths:
 
     def test_del_never_raises_without_init(self):
         # __del__ on a half-constructed engine (e.g. __init__ raised
-        # before _closed was assigned) must stay silent at GC time.
+        # before closed was assigned) must stay silent at GC time.
         broken = ShardedEngine.__new__(ShardedEngine)
         broken.__del__()  # no AttributeError, no output
