@@ -56,19 +56,6 @@ class CoverageReport:
     branches: list[BranchCoverage] = field(default_factory=list)
 
 
-def _road_km(network, segments: set[int]) -> float:
-    seen: set[int] = set()
-    total = 0.0
-    for segment_id in segments:
-        segment = network.segment(segment_id)
-        canonical = segment.canonical_id()
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        total += segment.length
-    return total / 1000.0
-
-
 def analyze_coverage(
     engine: ReachabilityClient | ReachabilityEngine | QueryService,
     branches: list[Point],
@@ -110,7 +97,7 @@ def analyze_coverage(
     )
     combined, per_branch = batch.results[0], batch.results[1:]
     report = CoverageReport(segments=set(combined.segments))
-    report.road_km = _road_km(network, report.segments)
+    report.road_km = network.road_length_m(report.segments) / 1000.0
     total_km = network.total_length() / 1000.0
     report.coverage_fraction = report.road_km / total_km if total_km else 0.0
     for index, (location, result) in enumerate(zip(branches, per_branch)):
@@ -124,7 +111,7 @@ def analyze_coverage(
                 location=location,
                 own_segments=len(result.segments),
                 exclusive_segments=len(exclusive),
-                marginal_road_km=_road_km(network, exclusive),
+                marginal_road_km=network.road_length_m(exclusive) / 1000.0,
             )
         )
     return report

@@ -2,15 +2,19 @@
 
 The same time lists that answer reachability queries also contain *when*
 reachability happened: for each day, the earliest Δt-window in which some
-trajectory that left the origin during the first slot shows up at the
+trajectory that left the origin in the departure window shows up at the
 destination.  :func:`arrival_profile` extracts that per-day distribution
 and summarises it into the numbers a dispatcher or navigation feature
 wants: how many minutes until the destination is reachable on a typical /
 bad day, and on what fraction of days it is reachable at all.
 
-Granularity is the index's Δt (the time lists do not store per-visit
-timestamps — Fig 3.2 keys them by slot), so estimates are upper bounds
-rounded up to whole slots.
+Each window is the engine's own Eq. 3.1 (``m*`` read as a set of days
+from a :class:`~repro.core.probability.ProbabilityEstimator`), so the
+profile shares the engine's departure window ``[T, T + min(300 s, L)]`` —
+independent of the index Δt — and its ``reachability`` is the Eq. 3.1
+probability at the horizon.  The time lists do store a visit second per
+id, but the profile probes whole Δt windows, so estimates are upper
+bounds rounded up to whole slots.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.api.client import ReachabilityClient, as_client
 from repro.core.engine import ReachabilityEngine
+from repro.core.probability import ProbabilityEstimator
 from repro.core.service import QueryService
 from repro.spatial.geometry import Point
 
@@ -87,8 +92,9 @@ def arrival_profile(
     """Per-day earliest-arrival distribution from ``origin`` to ``target``.
 
     For each day, finds the smallest ``k`` such that a trajectory that
-    passed the origin road during ``[T, T+Δt]`` also passed the target road
-    within ``[T, T+k·Δt]``; the bound reported is ``k·Δt``.
+    passed the origin road during the departure window also passed the
+    target road within ``[T, T+k·Δt]`` (the last window stops at the
+    horizon); the bound reported is ``k·Δt``.
 
     Args:
         engine: a built reachability engine, service or client.
@@ -99,49 +105,24 @@ def arrival_profile(
     """
     engine = as_client(engine).engine
     st = engine.st_index(delta_t_s)
-    network = engine.network
     origin_segment = st.find_start_segment(origin)
     target_segment = st.find_start_segment(target)
-
-    def merged_window(segment_id: int, start_s: float, end_s: float):
-        merged = st.trajectories_in_window(segment_id, start_s, end_s)
-        twin = network.segment(segment_id).twin_id
-        if twin is not None and network.has_segment(twin):
-            for date, ids in st.trajectories_in_window(
-                twin, start_s, end_s
-            ).items():
-                merged.setdefault(date, set()).update(ids)
-        return merged
-
-    start_sets = merged_window(
-        origin_segment, start_time_s, start_time_s + delta_t_s
-    )
     profile = ArrivalProfile(
         origin_segment=origin_segment,
         target_segment=target_segment,
         horizon_s=horizon_s,
         total_days=engine.database.num_days,
     )
-    if not start_sets:
-        return profile
-    steps = -(-horizon_s // delta_t_s)
-    pending = {date for date, ids in start_sets.items() if ids}
-    cumulative: dict[int, set[int]] = {}
+    steps = -(-horizon_s // delta_t_s)  # ceil
     for k in range(1, steps + 1):
-        if not pending:
-            break
-        window_start = start_time_s + (k - 1) * delta_t_s
-        window_end = min(start_time_s + k * delta_t_s, start_time_s + horizon_s)
-        for date, ids in merged_window(
-            target_segment, window_start, window_end
-        ).items():
-            cumulative.setdefault(date, set()).update(ids)
-        arrived = set()
-        for date in pending:
-            seen = cumulative.get(date)
-            if seen and not start_sets[date].isdisjoint(seen):
-                profile.per_day_s[date] = k * delta_t_s
-                arrived.add(date)
-        pending -= arrived
+        estimator = ProbabilityEstimator(
+            st,
+            origin_segment,
+            start_time_s,
+            min(k * delta_t_s, horizon_s),
+            profile.total_days,
+        )
+        for date in estimator.reached_days(target_segment):
+            profile.per_day_s.setdefault(date, k * delta_t_s)
     profile.reachable_days = len(profile.per_day_s)
     return profile

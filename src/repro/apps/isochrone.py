@@ -2,11 +2,17 @@
 
 The paper's map figures (4.2, 4.4, 4.6) each show one region at one
 duration.  A map product wants the whole family — the 5/10/15/... minute
-contours around a location — and computing them as independent s-queries
-re-reads the same time lists once per duration.  :func:`isochrones`
-computes the family in one pass: probabilities for the *longest* horizon
-are evaluated per Δt-prefix window, so each time list is read once and
-every shorter contour falls out of the same reads.
+contours around a location.  :func:`isochrones` computes the family over
+one shared candidate set: the maximum bounding region of the *longest*
+duration is found once, and each contour is the s-query's own Eq. 3.1
+over ``[T, T + duration]`` evaluated on it.
+
+Every contour is evaluated by the engine's
+:class:`~repro.core.probability.ProbabilityEstimator`, so it shares the
+engine's departure window ``[T, T + min(300 s, duration)]`` — independent
+of the index Δt — and a band equals the ``es`` answer to
+``SQuery(location, T, duration, prob)`` restricted to the longest
+duration's Far cover, at every Δt.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.api.client import ReachabilityClient, as_client
 from repro.core.engine import ReachabilityEngine
-from repro.core.query import SQuery
+from repro.core.probability import ProbabilityEstimator
 from repro.core.service import QueryService
 from repro.core.sqmb import sqmb_bounding_region
 from repro.spatial.geometry import Point
@@ -47,16 +53,15 @@ def isochrones(
 ) -> list[IsochroneBand]:
     """Compute nested Prob-reachable contours for several durations.
 
-    One maximum bounding region (for the longest duration) is traced; for
-    every segment in it the *earliest* Δt-window in which it becomes
-    Prob-reachable is found with shared time-list reads, and each requested
-    duration keeps the segments whose earliest window fits.
+    One maximum bounding region (for the longest duration) is traced; each
+    requested duration keeps the segments of it whose Eq. 3.1 probability
+    over ``[T, T + duration]`` meets ``prob``.  Windows nest, so bands do.
 
     Args:
         engine: a built reachability engine, service or client.
         location: contour centre.
         start_time_s: ``T``.
-        durations_s: sorted-ascending travel budgets (seconds).
+        durations_s: travel budgets (seconds), in any order.
         prob: confidence threshold.
         delta_t_s: index granularity.
 
@@ -66,84 +71,31 @@ def isochrones(
     if not durations_s:
         return []
     ordered = sorted(durations_s)
-    horizon = ordered[-1]
     engine = as_client(engine).engine
     st = engine.st_index(delta_t_s)
-    con = engine.con_index(delta_t_s)
     network = engine.network
-    num_days = engine.database.num_days
     start_segment = st.find_start_segment(location)
-
-    # Start-slot trajectory sets, read once.
-    def merged_window(segment_id: int, start_s: float, end_s: float):
-        merged = st.trajectories_in_window(segment_id, start_s, end_s)
-        twin = network.segment(segment_id).twin_id
-        if twin is not None and network.has_segment(twin):
-            for date, ids in st.trajectories_in_window(
-                twin, start_s, end_s
-            ).items():
-                merged.setdefault(date, set()).update(ids)
-        return merged
-
-    start_sets = merged_window(
-        start_segment, start_time_s, start_time_s + delta_t_s
-    )
-    if not any(start_sets.values()):
-        return [IsochroneBand(duration_s=d) for d in ordered]
-
     max_region = sqmb_bounding_region(
-        con, start_segment, start_time_s, horizon, "far"
+        engine.con_index(delta_t_s), start_segment, start_time_s, ordered[-1], "far"
     )
-
-    def earliest_window(segment_id: int) -> int | None:
-        """Smallest k (slots) such that the segment is Prob-reachable
-        within k*Δt; None if never within the horizon."""
-        per_day_hits: dict[int, bool] = {}
-        good_days = 0
-        steps = -(-horizon // delta_t_s)  # ceil
-        cumulative: dict[int, set[int]] = {}
-        for k in range(1, steps + 1):
-            window_start = start_time_s + (k - 1) * delta_t_s
-            window_end = min(start_time_s + k * delta_t_s, start_time_s + horizon)
-            for date, ids in merged_window(
-                segment_id, window_start, window_end
-            ).items():
-                cumulative.setdefault(date, set()).update(ids)
-            good_days = 0
-            for date, start_ids in start_sets.items():
-                seen = cumulative.get(date)
-                if seen and not start_ids.isdisjoint(seen):
-                    good_days += 1
-            if good_days / num_days >= prob:
-                return k * delta_t_s
-        return None
-
-    reach_time: dict[int, int] = {}
-    for segment_id in max_region.cover:
-        canonical_twin = network.segment(segment_id).twin_id
-        if canonical_twin is not None and canonical_twin in reach_time:
-            reach_time[segment_id] = reach_time[canonical_twin]
-            continue
-        earliest = earliest_window(segment_id)
-        if earliest is not None:
-            reach_time[segment_id] = earliest
-
+    candidates = sorted(max_region.cover)
     bands: list[IsochroneBand] = []
     for duration in ordered:
+        estimator = ProbabilityEstimator(
+            st, start_segment, start_time_s, duration, engine.database.num_days
+        )
         segments = {
             segment_id
-            for segment_id, earliest in reach_time.items()
-            if earliest <= duration
+            for segment_id, probability in zip(
+                candidates, estimator.probabilities(candidates)
+            )
+            if probability >= prob
         }
-        band = IsochroneBand(duration_s=duration, segments=segments)
-        seen: set[int] = set()
-        total = 0.0
-        for segment_id in segments:
-            segment = network.segment(segment_id)
-            canonical = segment.canonical_id()
-            if canonical not in seen:
-                seen.add(canonical)
-                total += segment.length
-        band.road_km = total / 1000.0
-        bands.append(band)
+        bands.append(
+            IsochroneBand(
+                duration_s=duration,
+                segments=segments,
+                road_km=network.road_length_m(segments) / 1000.0,
+            )
+        )
     return bands

@@ -312,22 +312,18 @@ class ConnectionIndex:
 
     # repro-lint: holds=_entry_lock
     def _compute(self, segment_id: int, slot: int, kind: Kind) -> FrontierEntry:
-        from repro.network import csr as csr_module
-
         self.expansions += 1
-        # The Python cost list only feeds the scalar fast path; on larger
-        # networks the kernel runs pure-vector and the list would be
-        # built (and cached, 48x n floats) for nothing.
-        scalar_path = self.network.csr().n <= csr_module.SCALAR_PATH_MAX_N
         result = time_bounded_expansion(
             self.network,
             segment_id,
             float(self.delta_t_s),
             self.travel_time_vector(kind, slot),
             reverse=kind.endswith("_rev"),
-            cost_list=(
-                self.travel_time_list(kind, slot) if scalar_path else None
-            ),
+            # The Python cost list only feeds the expansion's scalar start;
+            # on a network too large for it the supplier is never called
+            # and the list is not built (and cached, 48x n floats) for
+            # nothing.
+            cost_list=lambda: self.travel_time_list(kind, slot),
         )
         return FrontierEntry(
             frontier=tuple(sorted(result.frontier)),

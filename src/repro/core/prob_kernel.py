@@ -275,6 +275,20 @@ class ColumnarEq31Estimator:
             return cached
         return self.probabilities((segment_id,))[0]
 
+    def reached_days(self, segment_id: int) -> list[int]:
+        """``m*`` of Eq. 3.1 as the days themselves, ascending.
+
+        The days on which some single trajectory is on the fixed side and
+        on the candidate road in its window: ``len(...) / num_days`` is
+        :meth:`probability`.  Uncached (the day list is for callers that
+        want *which* days, e.g. an arrival-time profile).
+        """
+        if self._fixed_keys.size == 0:
+            return []
+        keys = self._gather(segment_id, self._candidate_plan)
+        hit = keys[self._membership(keys)]
+        return np.unique(hit >> KEY_DATE_SHIFT).tolist()
+
     def _store(self, segment_id: int, value: float) -> None:
         self._cache[segment_id] = value
         twin = self._twin(segment_id)

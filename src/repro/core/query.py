@@ -8,6 +8,7 @@ additionally) simulated disk I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from operator import add
 from typing import TYPE_CHECKING, Iterable
@@ -18,6 +19,26 @@ from repro.trajectory.model import SECONDS_PER_DAY
 
 if TYPE_CHECKING:  # import cycle: network.model imports nothing from core
     from repro.network.model import RoadNetwork
+
+
+def _check_envelope(
+    locations: tuple[Point, ...], start_time_s: float, duration_s: float, prob: float
+) -> None:
+    """The range checks an s-query and an m-query share.
+
+    A non-finite coordinate would otherwise be *answered* (every distance
+    is ``inf`` and the nearest-segment tie-break picks segment 0); a
+    non-finite duration would die inside the planner.
+    """
+    for location in locations:
+        if not (math.isfinite(location.x) and math.isfinite(location.y)):
+            raise ValueError(f"location must be finite, got {location}")
+    if not 0 <= start_time_s < SECONDS_PER_DAY:
+        raise ValueError(f"start time {start_time_s} outside one day")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    if not 0 < prob <= 1:
+        raise ValueError(f"prob must be in (0, 1], got {prob}")
 
 
 @dataclass(frozen=True)
@@ -37,12 +58,7 @@ class SQuery:
     prob: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_time_s < SECONDS_PER_DAY:
-            raise ValueError(f"start time {self.start_time_s} outside one day")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if not 0 < self.prob <= 1:
-            raise ValueError(f"prob must be in (0, 1], got {self.prob}")
+        _check_envelope((self.location,), self.start_time_s, self.duration_s, self.prob)
 
 
 @dataclass(frozen=True)
@@ -57,12 +73,7 @@ class MQuery:
     def __post_init__(self) -> None:
         if not self.locations:
             raise ValueError("m-query needs at least one location")
-        if not 0 <= self.start_time_s < SECONDS_PER_DAY:
-            raise ValueError(f"start time {self.start_time_s} outside one day")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if not 0 < self.prob <= 1:
-            raise ValueError(f"prob must be in (0, 1], got {self.prob}")
+        _check_envelope(self.locations, self.start_time_s, self.duration_s, self.prob)
 
     def as_s_queries(self) -> list[SQuery]:
         """The n independent s-queries of the naive decomposition."""
@@ -200,13 +211,4 @@ class QueryResult:
         This is the paper's effectiveness metric ("total length of covered
         road segments", §4.2).
         """
-        seen: set[int] = set()
-        total = 0.0
-        for segment_id in self.segments:
-            segment = network.segment(segment_id)
-            canonical = segment.canonical_id()
-            if canonical in seen:
-                continue
-            seen.add(canonical)
-            total += segment.length
-        return total
+        return network.road_length_m(self.segments)

@@ -12,7 +12,7 @@ from repro.network.model import RoadLevel, RoadNetwork, RoadSegment
 from repro.network.generator import grid_city, ring_radial_city, random_planar_city
 from repro.network.segmentation import resegment
 from repro.network.expansion import ExpansionResult, time_bounded_expansion
-from repro.network.csr import CSRGraph, expand_fixed, expand_slotted
+from repro.network.csr import CSRGraph, expand_slotted
 from repro.network.paths import (
     dijkstra_from_segment,
     network_distance,
@@ -30,7 +30,6 @@ __all__ = [
     "time_bounded_expansion",
     "ExpansionResult",
     "CSRGraph",
-    "expand_fixed",
     "expand_slotted",
     "dijkstra_from_segment",
     "network_distance",

@@ -9,20 +9,21 @@ plus per-row length/twin/midpoint vectors — and numpy kernels that relax
 whole frontiers per step over boolean masks instead of walking Python sets
 and ``heapq`` entries one segment at a time.
 
-Exactness: the kernels are *label-setting equivalent* to the classic
-Dijkstra implementations they replace.
-
-* :func:`expand_fixed` relaxes a fixed non-negative cost vector to the
-  unique shortest-distance fixpoint — identical arrivals to Dijkstra,
-  whatever the relaxation order.
-* :func:`expand_slotted` handles the per-slot (time-dependent, possibly
-  non-FIFO) speed models by settling labels in Δt *phases*: within one
-  elapsed-time window ``[kΔt, (k+1)Δt)`` the cost vector is constant, so
-  the in-window fixpoint is order-independent, and windows settle in
-  increasing order exactly as a label-setting Dijkstra pops them.  A plain
-  synchronous Bellman-Ford over time-dependent costs would *not* be
-  equivalent (it can relax through intermediate labels a label-setting run
-  never holds); the phase structure is what makes the kernel exact.
+Exactness: :func:`budgeted_expansion` — the one expansion, behind both
+:func:`expand_slotted` (arrival array) and
+:func:`~repro.network.expansion.time_bounded_expansion` (cover and
+frontier) — is *label-setting equivalent* to the classic Dijkstra
+implementations it replaces.  The per-slot speed models are
+time-dependent and possibly non-FIFO, so it settles labels in Δt
+*phases*: within one elapsed-time window ``[kΔt, (k+1)Δt)`` the cost
+vector is constant, so the in-window fixpoint is unique and
+order-independent, and windows settle in increasing order exactly as a
+label-setting Dijkstra pops them.  A plain synchronous Bellman-Ford over
+time-dependent costs would *not* be equivalent (it can relax through
+intermediate labels a label-setting run never holds); the phase structure
+is what makes the kernel exact.  A fixed cost vector is the one-window
+case (``delta_t_s = inf``): one phase, relaxed to the unique
+shortest-distance fixpoint.
 
 The legacy implementations are preserved under ``tests/reference/`` as
 the reference the kernel-equivalence tests run against.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -259,42 +260,6 @@ ESCALATE_COVER = 256
 SCALAR_PATH_MAX_N = 4096
 
 
-def _scalar_dijkstra(
-    adjacency: list[list[int]],
-    cost_list: list[float],
-    seeds: list[int],
-    budget_s: float,
-) -> tuple[dict[int, float], list[tuple[float, int]]]:
-    """Budgeted heap Dijkstra until done or the cover outgrows the
-    escalation threshold.
-
-    Returns ``(best, heap)``: the labels so far and the remaining heap —
-    empty when the expansion finished scalar.  With non-negative costs
-    Dijkstra is label-setting, so every popped row's label is final and
-    the un-popped labels are genuine path values (upper bounds), which is
-    what makes the kernel handoff exact.
-    """
-    inf = float("inf")
-    best: dict[int, float] = {row: 0.0 for row in seeds}
-    heap: list[tuple[float, int]] = [(0.0, row) for row in best]
-    heapq.heapify(heap)
-    while heap and len(best) <= ESCALATE_COVER:
-        time_now, row = heapq.heappop(heap)
-        if time_now > best.get(row, inf):
-            continue
-        for neighbor in adjacency[row]:
-            edge_cost = cost_list[neighbor]
-            if edge_cost == inf:
-                continue
-            reach = time_now + edge_cost
-            if reach > budget_s:
-                continue
-            if reach < best.get(neighbor, inf):
-                best[neighbor] = reach
-                heapq.heappush(heap, (reach, neighbor))
-    return best, heap
-
-
 def _unexpanded_rows(
     best: dict[int, float], heap: list[tuple[float, int]]
 ) -> np.ndarray:
@@ -312,123 +277,62 @@ def _scatter_labels(n: int, best: dict[int, float]) -> np.ndarray:
     return dist
 
 
-def relax_fixpoint(
+def budgeted_expansion(
     csr: CSRGraph,
-    dist: np.ndarray,
-    frontier: np.ndarray,
-    cost: np.ndarray,
-    budget_s: float,
-    reverse: bool = False,
-) -> np.ndarray:
-    """Relax ``dist`` to its fixpoint starting from ``frontier`` rows.
-
-    ``dist`` must hold genuine path values (upper bounds); with a fixed
-    non-negative cost vector the fixpoint is the unique shortest-distance
-    assignment regardless of relaxation order.
-    """
-    indptr, indices = csr.adjacency(reverse)
-    frontier = np.asarray(frontier, dtype=np.int64)
-    while frontier.size:
-        frontier = _relax_round(indptr, indices, dist, frontier, cost, budget_s)
-    return dist
-
-
-def expand_fixed(
-    csr: CSRGraph,
-    seed_rows: np.ndarray,
-    budget_s: float,
-    cost: np.ndarray,
-    reverse: bool = False,
-) -> np.ndarray:
-    """Shortest arrival times under one fixed cost vector.
-
-    Equivalent to budgeted Dijkstra from ``seed_rows`` (seeds at 0.0):
-    with non-negative costs the relaxation fixpoint is unique, so neither
-    the frontier-at-a-time order nor the scalar/vector handoff can change
-    the result.
-
-    Adaptive: on small networks the expansion starts as a classic heap
-    loop (numpy round overhead would dominate a 30-segment cover) and
-    escalates to the vectorized kernel only once the cover outgrows
-    :data:`ESCALATE_COVER` — the partial labels seed the kernel.
-
-    Returns the per-row arrival array; unreachable (or over-budget) rows
-    hold ``inf``.
-    """
-    seed_rows = np.asarray(seed_rows, dtype=np.int64)
-    if csr.n <= SCALAR_PATH_MAX_N:
-        best, heap = _scalar_dijkstra(
-            csr.adjacency_lists(reverse),
-            cost.tolist(),
-            [int(r) for r in seed_rows.tolist()],
-            budget_s,
-        )
-        dist = _scatter_labels(csr.n, best)
-        if not heap:
-            return dist
-        frontier = _unexpanded_rows(best, heap)
-    else:
-        dist = np.full(csr.n, np.inf)
-        dist[seed_rows] = 0.0
-        frontier = seed_rows
-    return relax_fixpoint(csr, dist, frontier, cost, budget_s, reverse)
-
-
-def expand_slotted(
-    csr: CSRGraph,
-    seed_rows: np.ndarray,
+    seed_rows: Sequence[int] | np.ndarray,
     budget_s: float,
     delta_t_s: float,
     cost_of_phase: Callable[[int], np.ndarray],
     reverse: bool = False,
     cost_list_of_phase: Callable[[int], list[float]] | None = None,
-) -> np.ndarray:
-    """Shortest arrivals under per-slot cost vectors (residual carry).
+) -> tuple[dict[int, float], np.ndarray | None]:
+    """Shortest arrivals from ``seed_rows`` (at 0.0) within ``budget_s``.
 
     ``cost_of_phase(k)`` supplies the traversal-cost vector for elapsed
-    times in ``[kΔt, (k+1)Δt)`` — the same relative slot progression as
-    the memoized Con-Index hops, so covers stay shareable across queries
-    in the same start slot.
+    times in ``[kΔt, (k+1)Δt)``; ``inf`` marks a row impassable.  A fixed
+    cost vector is the one-window case, ``delta_t_s = inf``.
 
-    Labels are settled phase by phase: within a phase the cost vector is
-    constant (unique fixpoint), and since costs are non-negative a label
-    in window ``k`` can only be improved from windows ``<= k``, so phases
-    settle in order — exactly the label-setting behaviour of the classic
-    heap-based ``slot_aware_expansion``.
+    This is the one composition of the expansion, and the only reader of
+    the two thresholds.  On networks of at most :data:`SCALAR_PATH_MAX_N`
+    rows it starts as a classic heap loop (numpy round overhead would
+    dominate a 30-segment cover), walking ``cost_list_of_phase(k)`` — or
+    ``cost_of_phase(k).tolist()`` — which it asks for once per window.
+    With non-negative costs that loop is label-setting: every popped
+    row's label is final and the un-popped labels are genuine path values
+    (upper bounds).  If the cover outgrows :data:`ESCALATE_COVER`, those
+    labels seed the phase kernel, which settles the remaining windows in
+    order: within a window the cost vector is constant (unique fixpoint),
+    and a label in window ``k`` can only be improved from windows
+    ``<= k`` — exactly the order a label-setting Dijkstra pops them in.
 
-    Adaptive like :func:`expand_fixed`: small covers run the classic
-    time-dependent heap loop; if the cover outgrows
-    :data:`ESCALATE_COVER`, the partial labels (final for expanded rows,
-    path-value upper bounds for the rest) seed the phase loop, which
-    settles the remaining windows in order.
+    Returns ``(best, dist)``: the scalar start's ``row -> arrival``
+    labels, and the per-row arrival array (``inf`` = not reached), which
+    is ``None`` when the expansion finished scalar — ``best`` is then the
+    whole answer and callers with small results never pay for an array.
     """
-    indptr, indices = csr.adjacency(reverse)
-    seed_rows = np.asarray(seed_rows, dtype=np.int64)
-    deferred = np.zeros(csr.n, dtype=bool)
+    best: dict[int, float] = {}
     if csr.n <= SCALAR_PATH_MAX_N:
         adjacency = csr.adjacency_lists(reverse)
-        cost_lists: dict[int, list[float]] = {}
-
-        def cost_list(phase: int) -> list[float]:
-            cached = cost_lists.get(phase)
-            if cached is None:
-                cached = (
-                    cost_list_of_phase(phase)
-                    if cost_list_of_phase is not None
-                    else cost_of_phase(phase).tolist()
-                )
-                cost_lists[phase] = cached
-            return cached
-
         inf = float("inf")
-        best: dict[int, float] = {int(r): 0.0 for r in seed_rows.tolist()}
+        best = {int(row): 0.0 for row in seed_rows}
         heap: list[tuple[float, int]] = [(0.0, row) for row in best]
         heapq.heapify(heap)
+        costs: list[float] = []
+        window_end = 0.0
         while heap and len(best) <= ESCALATE_COVER:
             time_now, row = heapq.heappop(heap)
             if time_now > best.get(row, inf):
                 continue
-            costs = cost_list(int(time_now // delta_t_s))
+            if time_now >= window_end:
+                # Pops come in non-decreasing time order, so the window
+                # only ever moves forward.
+                phase = int(time_now // delta_t_s)
+                window_end = (phase + 1) * delta_t_s
+                costs = (
+                    cost_list_of_phase(phase)
+                    if cost_list_of_phase is not None
+                    else cost_of_phase(phase).tolist()
+                )
             for neighbor in adjacency[row]:
                 edge_cost = costs[neighbor]
                 if edge_cost == inf:
@@ -439,17 +343,20 @@ def expand_slotted(
                 if reach < best.get(neighbor, inf):
                     best[neighbor] = reach
                     heapq.heappush(heap, (reach, neighbor))
-        dist = _scatter_labels(csr.n, best)
         if not heap:
-            return dist
+            return best, None
+        dist = _scatter_labels(csr.n, best)
         # Unexpanded labels are >= every expanded one (label-setting), so
-        # re-entering the phase loop with them deferred settles the
+        # entering the phase loop with them deferred settles the
         # remaining windows in order; earlier phases find nothing to do.
-        deferred[_unexpanded_rows(best, heap)] = True
+        unsettled = _unexpanded_rows(best, heap)
     else:
+        unsettled = np.asarray(seed_rows, dtype=np.int64)
         dist = np.full(csr.n, np.inf)
-        dist[seed_rows] = 0.0
-        deferred[seed_rows] = True
+        dist[unsettled] = 0.0
+    indptr, indices = csr.adjacency(reverse)
+    deferred = np.zeros(csr.n, dtype=bool)
+    deferred[unsettled] = True
     num_phases = int(budget_s // delta_t_s) + 1
     for phase in range(num_phases):
         window_end = (phase + 1) * delta_t_s
@@ -472,7 +379,30 @@ def expand_slotted(
             # window; it is in `improved` with its new label, so it joins
             # the frontier and its deferred flag clears.
             deferred[frontier] = False
-    return dist
+    return best, dist
+
+
+def expand_slotted(
+    csr: CSRGraph,
+    seed_rows: Sequence[int] | np.ndarray,
+    budget_s: float,
+    delta_t_s: float,
+    cost_of_phase: Callable[[int], np.ndarray],
+    reverse: bool = False,
+    cost_list_of_phase: Callable[[int], list[float]] | None = None,
+) -> np.ndarray:
+    """:func:`budgeted_expansion` as a per-row arrival array (residual carry).
+
+    The slot progression is relative — phase ``k`` is the ``k``-th Δt of
+    elapsed time, the same quantization as the memoized Con-Index hops —
+    so covers stay shareable across queries in the same start slot.
+    Unreachable (or over-budget) rows hold ``inf``.
+    """
+    best, dist = budgeted_expansion(
+        csr, seed_rows, budget_s, delta_t_s, cost_of_phase, reverse,
+        cost_list_of_phase,
+    )
+    return _scatter_labels(csr.n, best) if dist is None else dist
 
 
 def cover_boundary_mask(

@@ -1,24 +1,22 @@
 """Time-bounded network expansion (Papadias et al. [21] style).
 
 Budgeted shortest-arrival expansion over the segment graph with
-per-segment travel times.  Used by:
-
-* Con-Index construction (§3.2.2): expanded once with per-slot *maximum*
-  speeds for the Far list and once with *minimum* speeds for the Near list;
-* the exhaustive-search baseline, which expands the physical network from
-  the query location.
+per-segment travel times.  Con-Index construction (§3.2.2) is its caller
+in ``src/``: each entry is one expansion, with the slot's *maximum* speeds
+for the Far list and its *minimum* speeds for the Near list.  (The
+exhaustive-search baseline does not come through here: it walks the
+physical network breadth-first and verifies every segment it meets.)
 
 The expansion starts "after" a given segment: the start segment itself is at
 time 0 (the traveller is already on it), and a successor is reached after
 traversing it.
 
-Since the CSR kernel refactor the heavy lifting happens in
-:mod:`repro.network.csr`: the whole frontier is relaxed per round over
-numpy arrays instead of popping one ``heapq`` entry per segment.  With
-non-negative costs the relaxation fixpoint is unique, so the result is
-identical to the classic Dijkstra (kept as
-``time_bounded_expansion_reference`` under ``tests/reference/`` for the
-equivalence tests).
+The search itself is :func:`repro.network.csr.budgeted_expansion`, the
+one expansion the residual-carry top-up also runs; a fixed travel-time
+model is its one-window case.  This module is the cover-and-frontier
+result shape.  With non-negative costs the result is identical to the
+classic Dijkstra (kept as ``time_bounded_expansion_reference`` under
+``tests/reference/`` for the equivalence tests).
 """
 
 from __future__ import annotations
@@ -28,15 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.network.csr import (
-    SCALAR_PATH_MAX_N,
-    _scalar_dijkstra,
-    _scatter_labels,
-    _unexpanded_rows,
-    cover_boundary_mask,
-    expand_fixed,
-    relax_fixpoint,
-)
+from repro.network.csr import budgeted_expansion, cover_boundary_mask
 from repro.network.model import RoadNetwork
 
 #: Travel-time model: seconds to traverse a segment, or ``None``/``inf`` for
@@ -77,37 +67,13 @@ def _cost_vector(csr, travel_time) -> np.ndarray:
     return cost
 
 
-class _LazyCostList:
-    """List-like view over a ``TravelTimeFn`` evaluated per visited row.
-
-    Keeps the classic complexity of the callable interface: the scalar
-    Dijkstra only evaluates costs for rows it actually reaches (memoized),
-    instead of eagerly materialising an O(n) vector per expansion.
-    """
-
-    __slots__ = ("_fn", "_ids", "_values")
-
-    def __init__(self, fn, ids: np.ndarray) -> None:
-        self._fn = fn
-        self._ids = ids
-        self._values: dict[int, float] = {}
-
-    def __getitem__(self, row: int) -> float:
-        value = self._values.get(row)
-        if value is None:
-            value = self._fn(int(self._ids[row]))
-            value = float("inf") if value is None else float(value)
-            self._values[row] = value
-        return value
-
-
 def time_bounded_expansion(
     network: RoadNetwork,
     start_segment: int,
     budget_s: float,
     travel_time: TravelTimeFn | np.ndarray,
     reverse: bool = False,
-    cost_list: list[float] | None = None,
+    cost_list: Callable[[], list[float]] | None = None,
 ) -> ExpansionResult:
     """Expand from ``start_segment`` for at most ``budget_s`` seconds.
 
@@ -128,9 +94,10 @@ def time_bounded_expansion(
         reverse: expand backwards over predecessors, yielding the set of
             segments *from which* the start segment can be reached within
             the budget (used by reverse reachability queries).
-        cost_list: optional pre-converted Python list mirroring the cost
-            vector (Con-Index construction passes its cached one so the
-            scalar fast path skips the per-call ``tolist``).
+        cost_list: optional supplier of a Python list mirroring the cost
+            vector (Con-Index construction hands over its cached one);
+            called only if the expansion starts on the scalar path, which
+            then skips the per-call ``tolist``.
 
     Returns:
         The cover/frontier as an :class:`ExpansionResult`.
@@ -138,52 +105,35 @@ def time_bounded_expansion(
     if budget_s < 0:
         raise ValueError(f"budget must be >= 0, got {budget_s}")
     csr = network.csr()
-    is_vector = isinstance(travel_time, np.ndarray)
-    start_row = csr.row_of(start_segment)
-    if csr.n <= SCALAR_PATH_MAX_N:
-        # Small-cover fast path: classic heap Dijkstra, and — when it
-        # finishes without escalating — a pure-Python result build.  One
-        # Con-Index entry (a single Δt slot of travel) almost always
-        # lands here; the numpy envelope would cost more than the search.
-        # A callable cost model is evaluated lazily (visited rows only),
-        # preserving the classic complexity of that interface.
+    cost = _cost_vector(csr, travel_time)
+    best, dist = budgeted_expansion(
+        csr,
+        [csr.row_of(start_segment)],
+        budget_s,
+        float("inf"),
+        lambda phase: cost,
+        reverse,
+        None if cost_list is None else lambda phase: cost_list(),
+    )
+    result = ExpansionResult()
+    if dist is None:
+        # The expansion finished on the scalar path — one Con-Index entry
+        # (a single Δt slot of travel) almost always does — so the result
+        # is built in pure Python too: the numpy envelope would cost more
+        # than the search.
         adjacency = csr.adjacency_lists(reverse)
-        if cost_list is not None:
-            costs = cost_list
-        elif is_vector:
-            costs = travel_time.tolist()
-        else:
-            costs = _LazyCostList(travel_time, csr.ids)
-        best, heap = _scalar_dijkstra(adjacency, costs, [start_row], budget_s)
-        if not heap:
-            identity = csr.identity_ids
-            ids = csr.ids
-            result = ExpansionResult()
-            result.arrival = (
-                dict(best)
-                if identity
-                else {int(ids[row]): t for row, t in best.items()}
-            )
-            for row in best:
-                neighbors = adjacency[row]
-                if not neighbors or any(nb not in best for nb in neighbors):
-                    result.frontier.add(row if identity else int(ids[row]))
-            return result
-        # Escalation: the cover outgrew the scalar path; only now pay for
-        # the full cost vector the kernel needs.
-        cost = _cost_vector(csr, travel_time)
-        dist = _scatter_labels(csr.n, best)
-        relax_fixpoint(
-            csr, dist, _unexpanded_rows(best, heap), cost, budget_s, reverse
+        identity = csr.identity_ids
+        ids = csr.ids
+        result.arrival = (
+            best if identity else {int(ids[row]): t for row, t in best.items()}
         )
-    else:
-        cost = _cost_vector(csr, travel_time)
-        dist = expand_fixed(
-            csr, np.array([start_row], dtype=np.int64), budget_s, cost, reverse
-        )
+        for row in best:
+            neighbors = adjacency[row]
+            if not neighbors or any(nb not in best for nb in neighbors):
+                result.frontier.add(row if identity else int(ids[row]))
+        return result
     cover_mask = np.isfinite(dist)
     boundary_mask = cover_boundary_mask(csr, cover_mask, reverse)
-    result = ExpansionResult()
     rows = np.flatnonzero(cover_mask)
     result.arrival = dict(
         zip(csr.ids_of(rows).tolist(), dist[rows].tolist())

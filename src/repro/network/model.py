@@ -160,6 +160,24 @@ class RoadNetwork:
         """Bounding box of the whole network."""
         return BBox.from_points(self._nodes.values())
 
+    def road_length_m(self, segment_ids: Iterable[int]) -> float:
+        """Total length of the given segments, each two-way road once.
+
+        This is the paper's effectiveness metric ("total length of covered
+        road segments", §4.2): a road is counted when either carriageway
+        is in ``segment_ids``.
+        """
+        seen: set[int] = set()
+        total = 0.0
+        for segment_id in segment_ids:
+            segment = self._segments[segment_id]
+            canonical = segment.canonical_id()
+            if canonical in seen:
+                continue
+            seen.add(canonical)
+            total += segment.length
+        return total
+
     def total_length(self, deduplicate_twins: bool = True) -> float:
         """Total road length in metres.
 
@@ -167,17 +185,9 @@ class RoadNetwork:
             deduplicate_twins: count each two-way road once (default), as a
                 map-derived "road length" figure would.
         """
-        if not deduplicate_twins:
-            return sum(seg.length for seg in self._segments.values())
-        seen: set[int] = set()
-        total = 0.0
-        for seg in self._segments.values():
-            canonical = seg.canonical_id()
-            if canonical in seen:
-                continue
-            seen.add(canonical)
-            total += seg.length
-        return total
+        if deduplicate_twins:
+            return self.road_length_m(self._segments)
+        return sum(seg.length for seg in self._segments.values())
 
     # -- topology ----------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from repro.apps.coverage import analyze_coverage
 from repro.apps.isochrone import isochrones
 from repro.apps.recommendation import POI, recommend_pois
 from repro.core.query import SQuery
+from repro.core.sqmb import sqmb_bounding_region
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
 
@@ -122,6 +123,34 @@ class TestIsochrones:
         if union:
             overlap = len(band_roads & single_roads) / len(union)
             assert overlap >= 0.7
+
+    @pytest.mark.parametrize("delta_t_s", [300, 600, 1200])
+    @pytest.mark.parametrize(
+        "location", [CENTER, Point(500.0, -500.0), Point(800.0, 600.0)]
+    )
+    def test_band_is_the_engines_answer_at_every_delta_t(
+        self, engine, location, delta_t_s
+    ):
+        """A band is Eq. 3.1 as the engine evaluates it — the ``es``
+        answer on the band's candidate set, the longest duration's Far
+        cover — whatever the index Δt, and for a duration off the Δt grid
+        (450 s) over that duration's own window."""
+        start = engine.st_index(delta_t_s).find_start_segment(location)
+        for duration in (1200, 450):
+            cover = sqmb_bounding_region(
+                engine.con_index(delta_t_s), start, T, duration, "far"
+            ).cover
+            for prob in (0.2, 0.5):
+                (band,) = isochrones(
+                    engine, location, T, [duration], prob, delta_t_s=delta_t_s
+                )
+                answer = s_query(
+                    engine,
+                    SQuery(location, T, duration, prob),
+                    algorithm="es",
+                    delta_t_s=delta_t_s,
+                ).segments
+                assert band.segments == answer & cover
 
     def test_unsorted_input_sorted_output(self, engine):
         bands = isochrones(engine, CENTER, T, [900, 300], prob=0.2)

@@ -24,10 +24,23 @@ class TestQueryValidation:
             SQuery(CENTER, 0.0, 600, 0.0)
         with pytest.raises(ValueError):
             SQuery(CENTER, 0.0, 600, 1.5)
+        inf, nan = float("inf"), float("nan")
+        with pytest.raises(ValueError, match="location"):
+            SQuery(Point(inf, 0.0), 39600, 600, 0.2)
+        with pytest.raises(ValueError, match="location"):
+            SQuery(Point(0.0, nan), 39600, 600, 0.2)
+        with pytest.raises(ValueError, match="duration"):
+            SQuery(CENTER, 39600, nan, 0.2)
+        with pytest.raises(ValueError, match="duration"):
+            SQuery(CENTER, 39600, inf, 0.2)
 
     def test_mquery_validation(self):
         with pytest.raises(ValueError):
             MQuery((), 0.0, 600, 0.2)
+        with pytest.raises(ValueError, match="location"):
+            MQuery((CENTER, Point(float("nan"), 1), Point(1, 1)), 0.0, 600, 0.2)
+        with pytest.raises(ValueError, match="duration"):
+            MQuery((CENTER, Point(1, 1)), 0.0, float("inf"), 0.2)
         q = MQuery((CENTER, Point(1, 1)), 0.0, 600, 0.2)
         subs = q.as_s_queries()
         assert len(subs) == 2

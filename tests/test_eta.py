@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.eta import ArrivalProfile, arrival_profile
+from repro.core.probability import ProbabilityEstimator
 from repro.core.st_index import STIndex
 from repro.network.generator import grid_city
 from repro.spatial.geometry import Point
@@ -117,6 +118,25 @@ class TestArrivalProfileOnDataset:
         for seconds in profile.per_day_s.values():
             assert 0 < seconds <= 1200
             assert seconds % 300 == 0  # slot-rounded
+
+    @pytest.mark.parametrize("delta_t_s", [300, 600, 1200])
+    @pytest.mark.parametrize(
+        "target", [Point(500, 0), Point(800, 600), Point(1800, 1500)]
+    )
+    def test_reachability_is_eq31_at_the_horizon(
+        self, engine, test_dataset, target, delta_t_s
+    ):
+        profile = arrival_profile(
+            engine, Point(0, 0), target, day_time(11),
+            horizon_s=1200, delta_t_s=delta_t_s,
+        )
+        estimator = ProbabilityEstimator(
+            engine.st_index(delta_t_s), profile.origin_segment,
+            day_time(11), 1200, test_dataset.database.num_days,
+        )
+        assert profile.reachability == estimator.probability(
+            profile.target_segment
+        )
 
     def test_nearby_target_faster_than_far(self, engine):
         near = arrival_profile(

@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.con_index import ConnectionIndex
 from reference.legacy_expansion import (
@@ -200,10 +201,8 @@ class TestForcedKernelPath:
 
     def test_pure_kernel_equivalence(self, con, monkeypatch):
         import repro.network.csr as csr_mod
-        import repro.network.expansion as expansion_mod
 
         monkeypatch.setattr(csr_mod, "SCALAR_PATH_MAX_N", 0)
-        monkeypatch.setattr(expansion_mod, "SCALAR_PATH_MAX_N", 0)
         segment_ids = sorted(con.network.segment_ids())
         start = segment_ids[len(segment_ids) // 2]
         T = float(day_time(11))
@@ -242,6 +241,65 @@ class TestForcedKernelPath:
         new = slot_aware_expansion(con, [start], T, 1200.0, "far")
         old = slot_aware_expansion_reference(con, [start], T, 1200.0, "far")
         assert new == old
+        vector = con.travel_time_vector("far", con.slot_of(T))
+        row_of = con.network.csr().row_of
+
+        def cost_of(segment_id):
+            return float(vector[row_of(segment_id)])
+
+        expected = time_bounded_expansion_reference(
+            con.network, start, 1200.0, cost_of
+        )
+        assert len(expected.arrival) > 3  # the handoff really happened
+        for travel_time in (vector, cost_of):
+            actual = time_bounded_expansion(
+                con.network, start, 1200.0, travel_time
+            )
+            assert actual.arrival == expected.arrival
+            assert actual.frontier == expected.frontier
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topology=st.sampled_from(["grid", "ring", "planar"]),
+        seed=st.integers(0, 10_000),
+        budget=st.floats(0.0, 2500.0),
+        reverse=st.booleans(),
+        escalate_cover=st.sampled_from([0, 1, 3, 10, 256]),
+        scalar_path_max_n=st.sampled_from([0, 4096]),
+    )
+    def test_one_window_expansion_is_the_reference_dijkstra(
+        self, topology, seed, budget, reverse, escalate_cover, scalar_path_max_n
+    ):
+        """A fixed cost vector is the one-window case of the slotted
+        expansion: whichever way the composition's two thresholds send
+        it, its arrivals are the reference Dijkstra's, in both result
+        shapes."""
+        import repro.network.csr as csr_mod
+
+        network = make_network(topology, seed=seed % 7)
+        csr = network.csr()
+        rng = np.random.default_rng(seed)
+        vector = rng.uniform(5.0, 400.0, csr.n)
+        vector[rng.random(csr.n) < 0.15] = np.inf
+        start_row = int(rng.integers(csr.n))
+        start = int(csr.ids[start_row])
+        expected = time_bounded_expansion_reference(
+            network, start, budget,
+            lambda sid: float(vector[csr.row_of(sid)]), reverse=reverse,
+        ).arrival
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr_mod, "ESCALATE_COVER", escalate_cover)
+            patch.setattr(csr_mod, "SCALAR_PATH_MAX_N", scalar_path_max_n)
+            dist = csr_mod.expand_slotted(
+                csr, np.array([start_row]), budget, float("inf"),
+                lambda phase: vector, reverse=reverse,
+            )
+            result = time_bounded_expansion(
+                network, start, budget, vector, reverse=reverse
+            )
+        rows = np.flatnonzero(np.isfinite(dist))
+        assert dict(zip(csr.ids[rows].tolist(), dist[rows].tolist())) == expected
+        assert result.arrival == expected
 
 
 class TestCSRView:

@@ -117,6 +117,38 @@ class TestEstimatorEquivalence:
                 ), (start_time, duration, segment_id)
             assert new.checks == old.checks
 
+    def test_reached_days_is_m_star(self, setting, topology, seed):
+        """``reached_days`` is the numerator of ``probability`` as a set:
+        same days for both carriageways, none (and no read) when nothing
+        left the start road in the departure window."""
+        network, database, index = setting
+        rng = random.Random(seed + 25)
+        segment_ids = sorted(network.segment_ids())
+        for start_time, duration in WINDOWS:
+            start = rng.choice(segment_ids)
+            new = ProbabilityEstimator(
+                index, start, start_time, duration, database.num_days
+            )
+            old = LegacyProbabilityEstimator(
+                index, start, start_time, duration, database.num_days
+            )
+            for segment_id in segment_ids:
+                days = new.reached_days(segment_id)
+                assert days == sorted(set(days))
+                assert len(days) / database.num_days == old.probability(
+                    segment_id
+                ), (start_time, duration, segment_id)
+                twin = network.segment(segment_id).twin_id
+                if twin is not None:
+                    assert new.reached_days(twin) == days
+        dead = ProbabilityEstimator(
+            index, segment_ids[0], float(day_time(17)), 900.0, database.num_days
+        )
+        assert dead.start_days == 0
+        reads = dead.batched_record_reads
+        assert dead.reached_days(segment_ids[1]) == []
+        assert dead.batched_record_reads == reads
+
     def test_reverse_probabilities_match(self, setting, topology, seed):
         network, database, index = setting
         rng = random.Random(seed + 50)
