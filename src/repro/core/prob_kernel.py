@@ -30,12 +30,15 @@ Because day and trajectory id are packed into one key, the per-day
 intersections of the paper's Eq. 3.1 collapse into a single sorted-array
 membership test across all days at once — and a whole *wave* of candidate
 segments (TBS boundary waves, ES frontier levels) batches into one probe
-over the concatenated candidate columns.
+over the concatenated candidate columns.  An m-query wave is the same
+routine with several seeds: one uncharged gather of the wave's roads, one
+probe per seed, a replay of the scalar claimer-then-fallback consultation
+order, and one buffer-pool charge (:meth:`ColumnarEq31Estimator.probabilities`).
 
 Accounting guarantee: the kernel's charged reads are *identical* to the
 scalar path's — same records, through the same buffer pool, in the same
-order (candidate order, segment before twin, window parts in order, slots
-in order, chain order).  The kernel changes how decoded bytes are
+order (consultation order, segment before twin, window parts in order,
+slots in order, chain order).  The kernel changes how decoded bytes are
 *represented*, never what is read, so result sets, ``examined`` counts
 and buffer-pool/page counters match the legacy path exactly.
 
@@ -43,10 +46,14 @@ An adaptive scalar fast path keeps tiny evaluations (a few visits
 against a small fixed side) in plain Python, where numpy dispatch
 overhead would dominate; both paths produce bit-identical probabilities
 and the per-path counters (``kernel_evals`` / ``scalar_evals``) are
-surfaced through :class:`~repro.core.query.QueryCost`.
+surfaced through :class:`~repro.core.query.QueryCost`.  The path is chosen
+per seed and wave, so an m-query wave's split can differ from the scalar
+loop's per-consultation choice; their sum cannot.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,6 +64,8 @@ from repro.core.st_index import KEY_DATE_SHIFT, KEY_ID_MASK, STIndex
 #: scalar fast path.  Both paths are exact, so this is purely a latency
 #: tuning knob (mirrors ``ESCALATE_COVER`` on the expansion side).
 SCALAR_EVAL_MAX_VISITS = 24
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 def _unique_days(keys: np.ndarray) -> int:
@@ -72,8 +81,8 @@ class ColumnarEq31Estimator:
     One instance is bound to one query's fixed segment and windows.  The
     *fixed* side (``r0`` over the departure window for forward queries,
     the target over the full query window for reverse) is gathered once
-    at construction; each candidate segment then costs its own window
-    gather plus one membership probe.
+    at construction; each candidate road then costs its share of the
+    wave's gather, probe and charge (:meth:`probabilities`).
 
     Subclasses define the window split by overriding
     :meth:`_fixed_window` and :meth:`_candidate_window`.
@@ -120,7 +129,7 @@ class ColumnarEq31Estimator:
         # sorted unique key array is the per-day trajectory sets of all
         # days at once.
         self._fixed_keys = np.unique(
-            self._gather(fixed_segment, index.window_plan(*self._fixed_window()))
+            self._read_road(fixed_segment, index.window_plan(*self._fixed_window()))
         )
         self._fixed_days = _unique_days(self._fixed_keys)
         self._fixed_sets: dict[int, set[int]] | None = None
@@ -145,52 +154,21 @@ class ColumnarEq31Estimator:
             self._twins[segment_id] = twin
             return twin
 
-    def _gather(self, segment_id: int, plan) -> np.ndarray:
-        """Packed visit keys of the *road* (segment + twin) for a plan.
+    def _road(self, segment_id: int) -> tuple[int, ...]:
+        """The road's carriageways in the scalar read order: the segment,
+        then its twin."""
+        twin = self._twin(segment_id)
+        return (segment_id,) if twin is None else (segment_id, twin)
 
-        Read order matches the scalar ``_merged_window`` exactly: the
-        segment's window first, then the twin's.
-        """
-        return self._gather_many([segment_id], plan)[0]
-
-    def _gather_many(self, segment_ids, plan) -> list[np.ndarray]:
-        """Road-level window gathers for a whole wave, in one batch.
-
-        Every candidate's segment (and its twin, right after it — the
-        scalar ``_merged_window`` order) goes into a single
-        :meth:`~repro.core.st_index.STIndex.gather_window_columns` call,
-        so the wave's record pages are charged in one buffer-pool pass
-        before the membership kernel runs — the wave-granular prefetch.
-        Accounting is identical to per-candidate scalar reads; only the
-        lock traffic and decode work shrink.
-        """
-        roads: list[tuple[int, int | None]] = []
-        flat: list[int] = []
-        for segment_id in segment_ids:
-            twin = self._twin(segment_id)
-            roads.append((segment_id, twin))
-            flat.append(segment_id)
-            if twin is not None:
-                flat.append(twin)
-        keys_list, records, pages = self.index.gather_window_columns(
-            flat, plan
-        )
-        self.batched_record_reads += records
-        self.prefetched_pages += pages
-        out: list[np.ndarray] = []
-        position = 0
-        for _, twin in roads:
-            keys = keys_list[position]
-            position += 1
-            if twin is not None:
-                twin_keys = keys_list[position]
-                position += 1
-                if keys.size == 0:
-                    keys = twin_keys
-                elif twin_keys.size:
-                    keys = np.concatenate((keys, twin_keys))
-            out.append(keys)
-        return out
+    def _read_road(self, segment_id: int, plan) -> np.ndarray:
+        """Packed visit keys of the *road* (segment + twin) for a plan,
+        gathered and charged in the scalar ``_merged_window`` order."""
+        parts = self.index.gather_window_columns(self._road(segment_id), plan)
+        pages = [page for _, _, page_ids in parts for page in page_ids]
+        self.index.pool.get_pages(pages)
+        self.batched_record_reads += sum(records for _, records, _ in parts)
+        self.prefetched_pages += len(pages)
+        return np.concatenate([keys for keys, _, _ in parts])
 
     @property
     def start_days(self) -> int:
@@ -208,17 +186,19 @@ class ColumnarEq31Estimator:
             self._fixed_sets = sets
         return self._fixed_sets
 
-    def _good_days_scalar(self, keys: np.ndarray) -> int:
-        """Tiny-input fast path: Python membership over the day sets."""
+    def _good_days_scalar(self, arrays) -> int:
+        """Tiny-input fast path: Python membership over the day sets, for
+        one road's key arrays."""
         fixed = self._fixed_day_sets()
         good: set[int] = set()
-        for key in keys.tolist():
-            day = key >> KEY_DATE_SHIFT
-            if day in good:
-                continue
-            ids = fixed.get(day)
-            if ids is not None and (key & KEY_ID_MASK) in ids:
-                good.add(day)
+        for keys in arrays:
+            for key in keys.tolist():
+                day = key >> KEY_DATE_SHIFT
+                if day in good:
+                    continue
+                ids = fixed.get(day)
+                if ids is not None and (key & KEY_ID_MASK) in ids:
+                    good.add(day)
         return len(good)
 
     def _membership(self, keys: np.ndarray) -> np.ndarray:
@@ -235,38 +215,128 @@ class ColumnarEq31Estimator:
 
     # -- evaluation --------------------------------------------------------
 
-    def probabilities(self, segment_ids) -> list[float]:
-        """Eq. 3.1 probabilities for many candidates in one kernel call.
+    def probabilities(
+        self,
+        segment_ids,
+        peers: dict[int, ColumnarEq31Estimator] | None = None,
+        claims: dict[int, int] | None = None,
+        prob: float = math.inf,
+    ) -> list[float]:
+        """Eq. 3.1 probabilities of a wave of candidates.
 
-        Semantically identical to calling the scalar ``probability`` per
-        id in order — including the cache, the twin-segment value sharing
-        and the ``checks`` counter — but the uncached representatives'
-        membership probes run as one concatenated vector operation.
-        Gathers (the only charged work) happen per representative in
-        input order, so disk and pool accounting match the scalar path
-        read for read.
+        Alone, this is the one-seed case: the values, cache, twin value
+        sharing and ``checks`` of calling :meth:`probability` per id in
+        order.  For an m-query's trace-back wave, ``peers`` maps every seed
+        to its estimator (this one included; all read one index over one
+        candidate window) and ``claims`` maps a segment to the seed whose
+        region claimed it — an unclaimed segment, or one claimed by a seed
+        outside ``peers``, goes to this estimator.  A segment's value is
+        its claimer's probability, raised by the other peers in ``peers``
+        order while it stays below ``prob``: the m-query region is the
+        union of the per-seed regions.
+
+        Whatever the number of seeds, a wave costs:
+
+        1. one uncharged road gather (segment + twin,
+           :meth:`~repro.core.st_index.STIndex.gather_window_columns`) of
+           every distinct road some live peer has not cached;
+        2. per peer, at its first evaluation, one ``searchsorted``
+           membership probe over the wave's concatenated keys — or the
+           scalar loop when the roads it has not cached hold at most
+           :data:`SCALAR_EVAL_MAX_VISITS` visits;
+        3. a replay of the scalar consultation order (each peer's cache
+           first; the claimer, then the others while below ``prob``) that
+           updates every consulted peer's cache, ``checks`` and I/O
+           counters and lists the page ids the per-segment loop charges,
+           in its order;
+        4. that list charged in one
+           :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.
         """
-        pending: list[int] = []
-        claimed: set[int] = set()
-        for segment_id in segment_ids:
-            if segment_id in self._cache or segment_id in claimed:
-                continue
-            self.checks += 1
-            pending.append(segment_id)
-            claimed.add(segment_id)
-            twin = self._twin(segment_id)
-            if twin is not None:
-                claimed.add(twin)
-        if pending:
-            if self._fixed_keys.size == 0:
-                # No trajectory ever hit the fixed side in its window:
-                # nothing is reachable and no candidate read is needed
-                # (the scalar path short-circuits identically).
-                for segment_id in pending:
-                    self._store(segment_id, 0.0)
-            else:
-                self._evaluate(pending)
-        return [self._cache[segment_id] for segment_id in segment_ids]
+        wave = list(segment_ids)
+        peers = peers or {self.start_segment: self}
+        claims = claims or {}
+        consult = list(peers.values())
+        orders = {
+            first: [first, *(e for e in consult if e is not first)]
+            for first in (self, *consult)
+        }
+        live = [e for e in dict.fromkeys((self, *consult)) if e._fixed_keys.size]
+        plan = self._candidate_plan
+        # 1. Every road a live peer may evaluate, gathered once, uncharged.
+        road_of: dict[int, int] = {}
+        heads: list[int] = []
+        for segment_id in wave:
+            if segment_id not in road_of and any(
+                segment_id not in e._cache for e in live
+            ):
+                road_of.update(dict.fromkeys(self._road(segment_id), len(heads)))
+                heads.append(segment_id)
+        flat = [member for head in heads for member in self._road(head)]
+        gathered = self.index.gather_window_columns(flat, plan) if flat else []
+        parts = dict(zip(flat, gathered))
+        keys = np.concatenate([k for k, _, _ in gathered] or [_NO_KEYS])
+        owner = np.repeat(
+            np.array([road_of[member] for member in flat], dtype=np.int64),
+            [k.size for k, _, _ in gathered],
+        )
+        visits = np.bincount(owner, minlength=len(heads))
+
+        def good_days(e: ColumnarEq31Estimator) -> tuple[list[int], bool]:
+            """2. ``m*`` per road for one peer, and whether the scalar
+            path computed it.  Called before ``e`` evaluates anything of
+            this wave, so its cache is the wave-start cache."""
+            mine = [r for r, head in enumerate(heads) if head not in e._cache]
+            if visits[mine].sum() <= SCALAR_EVAL_MAX_VISITS:
+                good = [0] * len(heads)
+                for r in mine:
+                    good[r] = e._good_days_scalar(
+                        parts[member][0] for member in self._road(heads[r])
+                    )
+                return good, True
+            hit = e._membership(keys)
+            # Dedup (road, day) hit pairs, then count days per road: the
+            # per-day intersections of Eq. 3.1 for the whole wave.
+            combo = (owner[hit] << KEY_DATE_SHIFT) | (keys[hit] >> KEY_DATE_SHIFT)
+            good_array = np.bincount(
+                np.unique(combo) >> KEY_DATE_SHIFT, minlength=len(heads)
+            )
+            return good_array.tolist(), False
+
+        # 3. The scalar consultation order, replayed.
+        probes: dict[ColumnarEq31Estimator, tuple[list[int], bool]] = {}
+        charges: list[int] = []
+        values: list[float] = []
+        for segment_id in wave:
+            value = -1.0  # below any threshold: the claimer is always asked
+            for e in orders[peers.get(claims.get(segment_id), self)]:
+                if value >= prob:
+                    break
+                probability = e._cache.get(segment_id)
+                if probability is None:
+                    e.checks += 1
+                    # An empty fixed side vouches for nothing, unread.
+                    probability = 0.0
+                    if e._fixed_keys.size:
+                        if e not in probes:
+                            probes[e] = good_days(e)
+                        good, scalar = probes[e]
+                        if scalar:
+                            e.scalar_evals += 1
+                        else:
+                            e.kernel_evals += 1
+                        for member in self._road(segment_id):
+                            _, records, pages = parts[member]
+                            e.batched_record_reads += records
+                            e.prefetched_pages += len(pages)
+                            charges.extend(pages)
+                        probability = good[road_of[segment_id]] / e.num_days
+                    e._store(segment_id, probability)
+                value = max(value, probability)
+            values.append(value)
+        # 4. The wave's one charge.
+        if charges:
+            self.index.pool.get_pages(charges)
+        return values
 
     def probability(self, segment_id: int) -> float:
         """Eq. 3.1 for one candidate (cached, road-level)."""
@@ -285,7 +355,7 @@ class ColumnarEq31Estimator:
         """
         if self._fixed_keys.size == 0:
             return []
-        keys = self._gather(segment_id, self._candidate_plan)
+        keys = self._read_road(segment_id, self._candidate_plan)
         hit = keys[self._membership(keys)]
         return np.unique(hit >> KEY_DATE_SHIFT).tolist()
 
@@ -294,43 +364,3 @@ class ColumnarEq31Estimator:
         twin = self._twin(segment_id)
         if twin is not None:
             self._cache[twin] = value
-
-    def _evaluate(self, pending: list[int]) -> None:
-        plan = self._candidate_plan
-        gathered = self._gather_many(pending, plan)
-        counts = [keys.size for keys in gathered]
-        total = sum(counts)
-        if total <= SCALAR_EVAL_MAX_VISITS:
-            self.scalar_evals += len(pending)
-            for segment_id, keys in zip(pending, gathered):
-                self._store(
-                    segment_id, self._good_days_scalar(keys) / self.num_days
-                )
-            return
-        self.kernel_evals += len(pending)
-        if len(pending) == 1:
-            # Single candidate (multi-seed fallback consultations, lone
-            # boundary segments): skip the owner bookkeeping — one
-            # membership probe, one day count.
-            keys = gathered[0]
-            hit = self._membership(keys)
-            self._store(pending[0], _unique_days(keys[hit]) / self.num_days)
-            return
-        flat = np.concatenate([keys for keys in gathered if keys.size])
-        owner = np.repeat(
-            np.arange(len(pending), dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-        )
-        hit = self._membership(flat)
-        good = np.zeros(len(pending), dtype=np.int64)
-        if hit.any():
-            # Dedup (candidate, day) hit pairs, then count days per
-            # candidate: the per-day sorted intersections of Eq. 3.1 for
-            # the whole wave, in two vector ops.
-            combo = (owner[hit] << KEY_DATE_SHIFT) | (
-                flat[hit] >> KEY_DATE_SHIFT
-            )
-            unique_owner = np.unique(combo) >> KEY_DATE_SHIFT
-            good = np.bincount(unique_owner, minlength=len(pending))
-        for position, segment_id in enumerate(pending):
-            self._store(segment_id, int(good[position]) / self.num_days)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from operator import add
 from typing import TYPE_CHECKING, Iterable
 
-from repro.spatial.geometry import Point
+from repro.spatial.geometry import Point, require_finite
 from repro.storage.disk import DiskStats
 from repro.trajectory.model import SECONDS_PER_DAY
 
@@ -26,13 +26,12 @@ def _check_envelope(
 ) -> None:
     """The range checks an s-query and an m-query share.
 
-    A non-finite coordinate would otherwise be *answered* (every distance
-    is ``inf`` and the nearest-segment tie-break picks segment 0); a
-    non-finite duration would die inside the planner.
+    A non-finite coordinate fails here as it would in the start-segment
+    lookup (:func:`~repro.spatial.geometry.require_finite`); a non-finite
+    duration would die inside the planner.
     """
     for location in locations:
-        if not (math.isfinite(location.x) and math.isfinite(location.y)):
-            raise ValueError(f"location must be finite, got {location}")
+        require_finite(location)
     if not 0 <= start_time_s < SECONDS_PER_DAY:
         raise ValueError(f"start time {start_time_s} outside one day")
     if not 0 < duration_s < math.inf:
@@ -121,14 +120,12 @@ class QueryCost:
             ES frontier levels) the search dequeued.
         max_wave_size: largest single wave, the batching depth the
             kernel actually exploited.
-        batched_record_reads: time-list records fetched through the
-            wave-granular batch gather path
-            (``STIndex.gather_window_columns`` charging via
-            ``BufferPool.get_pages``), read-for-read like the sequential
-            scalar loop.
-        prefetched_pages: pages those batched gathers charged before the
-            membership kernel ran (pool hits included — the gather
-            *accesses*, of which ``io.page_reads`` were actual misses).
+        batched_record_reads: time-list records the evaluations read
+            (gathered by ``STIndex.gather_window_columns``, charged in
+            each wave's one ``BufferPool.get_pages``), read-for-read like
+            the sequential scalar loop.
+        prefetched_pages: page accesses charged for those records (pool
+            hits included, of which ``io.page_reads`` were actual misses).
         pool_lock_shards: lock stripes backing the ST-Index buffer pool
             the query read through.
 

@@ -3,8 +3,10 @@
 Three components, exactly as Fig. 3.2 draws them:
 
 * **Temporal index** — a B+-tree over Δt-granular time slots of the day;
-* **Spatial index** — one R-tree over the (static) re-segmented road
-  network, shared by every temporal leaf;
+* **Spatial index** — the (static) re-segmented road network's polyline
+  edges as arrays (:class:`~repro.network.locator.SegmentLocator`), shared
+  by every temporal leaf; its one query is Fig. 3.4's location → ``r0``,
+  answered by one exact vector pass, so no tree is built;
 * **Time lists** — for each (road segment, time slot), a disk-resident list
   of per-date ``(trajectory ID, visit second)`` pairs for the trajectories
   that traversed the segment in that slot.  The two levels of temporal
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.directory import Pointer, TimeListDirectory, slots_per_day
+from repro.network.locator import SegmentLocator
 from repro.network.model import RoadNetwork
 from repro.spatial.btree import BPlusTree
 from repro.spatial.geometry import Point
-from repro.spatial.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 from repro.storage.serialization import SerializationError, encode_append_delta
@@ -190,8 +192,8 @@ class STIndex:
         buffer_pool_pages: LRU page cache capacity for reads.
         record_cache_size: window-gather memo capacity in (segment, plan)
             entries (0 disables).  The memo skips only decode and filter
-            work — every page access is still charged through the buffer
-            pool, keeping the I/O accounting identical.
+            work — it hands back the page ids a miss would, and the caller
+            charges those either way, keeping the I/O accounting identical.
     """
 
     def __init__(
@@ -214,10 +216,8 @@ class STIndex:
         self._temporal = BPlusTree(order=64)
         for slot in range(self.num_slots):
             self._temporal.insert(slot * delta_t_s, slot)
-        # Spatial index: one shared R-tree over segment MBRs.
-        self._rtree = RTree.bulk_load(
-            [(seg.bbox, seg.segment_id) for seg in network.segments()]
-        )
+        # Spatial index: the polyline edges as arrays.
+        self.locator = SegmentLocator(network)
         # Time-list directory: (segment, slot) -> chain of record
         # pointers.  The bulk build writes one record per entry; appending
         # later days adds records to the chain (merged at read time), so
@@ -227,10 +227,10 @@ class STIndex:
         self.record_cache_size = record_cache_size
         # Window-gather memo: (segment, plan) -> the filtered key array,
         # the record count and the page ids the gather touched.  A hit
-        # *replays the charges* (every page access goes back through the
-        # buffer pool) and only skips the decode/filter/concat work, so
-        # the I/O accounting is identical to recomputing.  Cleared when
-        # appends extend a directory chain.
+        # returns what a miss would compute, page ids included (the caller
+        # charges those through the buffer pool either way), and only
+        # skips the decode/filter/concat work.  Cleared when appends extend
+        # a directory chain.
         self._window_gathers: OrderedDict[  # guarded_by: _record_lock
             tuple[int, tuple], tuple[np.ndarray, int, tuple[int, ...]]
         ] = OrderedDict()
@@ -492,36 +492,13 @@ class STIndex:
     def find_start_segment(self, location: Point) -> int:
         """Map a query location ``s`` to its road segment ``r0`` (Fig. 3.4).
 
-        Best-first R-tree nearest-neighbour with exact point-to-polyline
-        distances.  Exact ties (the twin of a two-way road shares its
-        polyline; a location on an intersection touches every incident
-        segment) resolve to the smallest segment id, so the answer is a
-        pure function of the geometry — independent of R-tree structure,
-        which is what keeps a shard's sub-network lookup (see
-        :mod:`repro.serving`) consistent with the full network's.
+        The nearest segment by exact point-to-polyline distance, ties to
+        the smallest segment id — a pure function of the geometry, so a
+        shard's sub-network (which holds every segment its dispatcher
+        routes to it) resolves what the full network resolves.  A location
+        with a NaN or infinite coordinate raises ``ValueError``.
         """
-
-        def exact(p: Point, sid: int) -> float:
-            return self.network.segment(sid).distance_to_point(p)
-
-        k = 2
-        while True:
-            matches = self._rtree.nearest(location, k=k, distance=exact)
-            if not matches:
-                raise ValueError("empty spatial index")
-            distances = [exact(location, sid) for sid in matches]
-            best = min(distances)
-            # All ties with `best` are inside this result set when either
-            # the tree is exhausted or the worst match is strictly farther.
-            if len(matches) < k or distances[-1] > best:
-                return min(
-                    sid for sid, d in zip(matches, distances) if d == best
-                )
-            k *= 2
-
-    @property
-    def rtree(self) -> RTree:
-        return self._rtree
+        return self.locator.nearest(location)
 
     # -- time-list reads ----------------------------------------------------------------
 
@@ -600,139 +577,111 @@ class STIndex:
             return parts[0]
         return np.concatenate(parts)
 
+    # The caller charges the returned page ids: the wave's single
+    # BufferPool.get_pages in ColumnarEq31Estimator.probabilities.
+    # repro-lint: charged
     def gather_window_columns(
         self,
         segment_ids,
         plan: tuple[tuple[float, float, int, int], ...],
-    ) -> tuple[list[np.ndarray], int, int]:
-        """Batch window gather for a wave of segments (one charging pass).
+    ) -> list[tuple[np.ndarray, int, tuple[int, ...]]]:
+        """Uncharged window gather for a wave of segments.
 
-        The wave-granular entry point behind every Eq. 3.1 gather: the
-        page accesses of *all* requested segments' records are charged
-        through one :meth:`~repro.storage.pagestore.BufferPool.get_pages`
-        pass in exactly the order the per-segment scalar loop would read
-        them (segment order, plan slots in window order, chain records in
-        append order), so the buffer-pool and disk counters are identical
-        to gathering the segments one at a time — but
-        the pool's lock shards are taken once per wave and segments whose
-        filtered key array is already memoized skip the decode and filter
-        work entirely (their page charges are still replayed).
+        The gather behind every Eq. 3.1 evaluation.  Per requested segment,
+        in order: its packed visit keys inside the plan's window, how many
+        time-list records they came from, and the page ids those records
+        span in the scalar read order (plan slots in window order, chain
+        records in append order) — the window-gather memo's entry.
 
-        Returns:
-            ``(keys, record_reads, page_reads)``: per-segment packed-key
-            arrays aligned with ``segment_ids``, plus how many records
-            and pages the gather charged (the ``batched_record_reads`` /
-            ``prefetched_pages`` cost counters).
+        Nothing is charged here.  The caller charges the page ids of the
+        segments it actually evaluates, in evaluation order, through one
+        :meth:`~repro.storage.pagestore.BufferPool.get_pages` call, so the
+        pool sees the access sequence of the per-segment loop.  A memo hit
+        skips the directory probe and the decode; the misses of one call
+        share one directory probe and decode each record they name once.
         """
         cache_on = self.record_cache_size > 0
-        results: list[np.ndarray | None] = []
-        record_reads = 0
-        page_ids: list[int] = []
-        # Per memo miss: result position, memo key, and how many replayed
-        # page ids of earlier segments precede this segment's pages.
-        misses: list[tuple[int, tuple[int, tuple], int]] = []
+        results: list = []
+        misses: list[tuple[int, tuple[int, tuple]]] = []
         with self._record_lock:
             epoch = self._data_epoch
             gathers = self._window_gathers
             for segment_id in segment_ids:
                 key = (segment_id, plan)
                 entry = gathers.get(key) if cache_on else None
-                if entry is not None:
+                if entry is None:
+                    misses.append((len(results), key))
+                else:
                     gathers.move_to_end(key)
-                    results.append(entry[0])
-                    record_reads += entry[1]
-                    page_ids.extend(entry[2])
-                    continue
-                misses.append((len(results), key, len(page_ids)))
-                results.append(None)
-            if misses:
-                # One directory probe resolves every miss of the wave.
-                # Boundary slots are filtered by visit second.
-                slot_steps = [
-                    (
-                        slot,
-                        lo <= slot * self.delta_t_s
-                        and (slot + 1) * self.delta_t_s <= hi,
-                        lo,
-                        hi,
-                    )
-                    for lo, hi, first_slot, last_slot in plan
-                    for slot in range(first_slot, last_slot + 1)
-                ]
-                chains = iter(
-                    self.directory.probe(
-                        [key[0] for _, key, _ in misses],
-                        [step[0] for step in slot_steps],
-                    )
+                results.append(entry)
+            if not misses:
+                return results
+            # One directory probe resolves every miss of the wave.
+            # Boundary slots are filtered by visit second.
+            slot_steps = [
+                (
+                    slot,
+                    lo <= slot * self.delta_t_s
+                    and (slot + 1) * self.delta_t_s <= hi,
+                    lo,
+                    hi,
                 )
-        # Per memo miss: (result position, memo key, filter steps, and
-        # this segment's slice bounds within ``page_ids``).
-        builds: list[
-            tuple[
-                int,
-                tuple[int, tuple],
-                list[tuple[Pointer, bool, float, float]],
-                int,
-                int,
+                for lo, hi, first_slot, last_slot in plan
+                for slot in range(first_slot, last_slot + 1)
             ]
-        ] = []
-        fresh_pointers: list[Pointer] = []
-        if misses:
-            replayed, page_ids, done = page_ids, [], 0
-            for position, key, preceding in misses:
-                page_ids += replayed[done:preceding]
-                done = preceding
-                steps = [
+            chains = iter(
+                self.directory.probe(
+                    [key[0] for _, key in misses],
+                    [step[0] for step in slot_steps],
+                )
+            )
+        builds = [
+            (
+                position,
+                key,
+                [
                     (pointer, whole_slot, lo, hi)
                     for _, whole_slot, lo, hi in slot_steps
                     for pointer in next(chains)
-                ]
-                pages_start = len(page_ids)
-                for step in steps:
-                    first_page, num_pages, _, _ = step[0]
-                    fresh_pointers.append(step[0])
-                    page_ids.extend(range(first_page, first_page + num_pages))
-                record_reads += len(steps)
-                builds.append((position, key, steps, pages_start, len(page_ids)))
-            page_ids += replayed[done:]
-        # One batched charge for the whole wave, in exactly the scalar
-        # per-segment read order: ``page_ids`` interleaves the replayed
-        # accesses of memo hits with the pages of the misses' records, so
-        # the pool sees the same access sequence the per-segment loop
-        # would produce.  The charged pages are pulled through the pool,
-        # so the decode below never charges again.
-        if fresh_pointers:
-            self._store.ensure_committed(fresh_pointers)
-        self.pool.get_pages(page_ids)
-        # Every record the misses name is decoded once per call.
+                ],
+            )
+            for position, key in misses
+        ]
+        pointers = [step[0] for _, _, steps in builds for step in steps]
+        # A record on the store's dirty tail page flushes it first, as a
+        # charged PageStore.read would.
+        self._store.ensure_committed(pointers)
         columns: dict[Pointer, ColumnarTimeList] = {}
-        for pointer in fresh_pointers:
+        for pointer in pointers:
             if pointer not in columns:
-                # Uncharged decode: the pages were charged (and pulled
-                # through the pool) by the batched charge above, so the raw
-                # extent read cannot double- or under-count.
+                # Uncharged decode: the caller charges these pages, once per
+                # evaluation that uses them (see above).
                 # repro-lint: disable=RL002
                 columns[pointer] = decode_time_list_columns(
                     self.disk.extent_bytes(pointer[0], pointer[2], pointer[3])
                 )
-        for position, _, steps, _, _ in builds:
-            results[position] = self._assemble_window_keys(steps, columns)
-        if cache_on and builds:
+        for position, _, steps in builds:
+            results[position] = (
+                self._assemble_window_keys(steps, columns),
+                len(steps),
+                tuple(
+                    page
+                    for (first_page, num_pages, _, _), _, _, _ in steps
+                    for page in range(first_page, first_page + num_pages)
+                ),
+            )
+        if cache_on:
             with self._record_lock:
                 # An append may have cleared the memo while this gather ran
                 # outside the lock; inserting the pre-append entry would
                 # resurrect stale data.
                 if self._data_epoch == epoch:
                     gathers = self._window_gathers
-                    for position, key, steps, pages_start, pages_end in builds:
-                        gathers[key] = (
-                            results[position],
-                            len(steps),
-                            tuple(page_ids[pages_start:pages_end]),
-                        )
+                    for position, key, _ in builds:
+                        gathers[key] = results[position]
                     while len(gathers) > self.record_cache_size:
                         gathers.popitem(last=False)
-        return results, record_reads, len(page_ids)
+        return results
 
     def time_list(self, segment_id: int, slot: int) -> dict[int, set[int]]:
         """A (segment, slot) time list as ``date -> trajectory ids``."""

@@ -10,16 +10,17 @@ Visited marking guarantees each segment is examined once (the ``r*``
 example of Fig. 3.5).
 
 The queue is drained in *waves*: each iteration snapshots the whole
-pending frontier and evaluates every member's probability in one batch
-call to the columnar kernel
-(:meth:`~repro.core.probability.ProbabilityEstimator.probabilities`)
-before any accept/fail processing.  Because a segment's probability is a
-pure function of the trajectory data — independent of discovery order —
-and the wave preserves the classic FIFO evaluation order, the examined
-set, the per-segment probabilities and the charged time-list reads are
-*identical* to the one-segment-at-a-time loop (preserved under
-``tests/reference/`` as the equivalence baseline); only
-the per-check Python overhead disappears.
+pending frontier and evaluates it in one call to the columnar kernel
+(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`:
+one gather, one membership probe per seed, one buffer-pool charge) before
+any accept/fail processing — for an m-query too, where the kernel replays
+the scalar order of consulting the claiming seed, then the others.
+Because a segment's probability is a pure function of the trajectory
+data — independent of discovery order — and the wave preserves the
+classic FIFO evaluation order, the examined set, the per-segment
+probabilities and the charged time-list reads are *identical* to the
+one-segment-at-a-time loop (preserved under ``tests/reference/`` as the
+equivalence baseline); only the per-check Python overhead disappears.
 
 The returned region is the minimum bounding cover (guaranteed reachable by
 construction of the Near lists), plus every accepted segment, plus the
@@ -75,9 +76,11 @@ def trace_back_search(
     Args:
         network: road network supplying ``neighbor(r)``.
         estimators: per-seed probability estimators; for an s-query this is
-            ``{r0: estimator}``, for an m-query one per start segment (each
+            ``{r0: estimator}``, for an m-query one per start segment: each
             examined segment is tested against the seed that claimed it in
-            the bounding region's ``seed_of`` attribution).  An empty dict
+            the bounding region's ``seed_of`` attribution (the first
+            estimator for an unclaimed one), then against the others while
+            it stays below ``prob``.  An empty dict
             yields an empty result: with nothing to vouch for any segment,
             nothing is Prob-reachable.
         prob: the query's probability threshold.
@@ -92,59 +95,15 @@ def trace_back_search(
         return result
     max_cover = max_region.cover
     min_cover = min_region.cover
-    default_seed = next(iter(estimators))
-    single = (
-        next(iter(estimators.values())) if len(estimators) == 1 else None
-    )
-
-    def estimators_for(segment_id: int) -> list[ProbabilityEstimator]:
-        """Candidate estimators: the claiming seed first, then the rest.
-
-        An m-query segment sits in the *union* of per-seed regions, so if
-        the nearest seed cannot vouch for it the other seeds are consulted
-        before the segment is declared unreachable.
-        """
-        seed = max_region.seed_of.get(segment_id, default_seed)
-        first = estimators.get(seed, estimators[default_seed])
-        ordered = [first]
-        ordered.extend(e for s, e in estimators.items() if e is not first)
-        return ordered
-
-    def wave_probabilities(wave: list[int]) -> list[float]:
-        if single is not None:
-            # One seed, no fallback ordering: the whole wave is one
-            # batched kernel call.
-            return single.probabilities(wave)
-        # Multi-seed: evaluate per segment in wave order so the fallback
-        # consultations interleave exactly as the scalar loop's reads do
-        # (each per-segment call still runs through the columnar kernel).
-        values: list[float] = []
-        for segment_id in wave:
-            candidates = estimators_for(segment_id)
-            probability = candidates[0].probability(segment_id)
-            if probability < prob:
-                # The claiming seed cannot vouch for the segment, but the
-                # m-query result is a *union* of per-seed regions, so
-                # consult the remaining seeds.  Their time-list reads hit
-                # pages the first estimator already pulled into the
-                # buffer pool, so the extra verifications cost membership
-                # probes, not disk I/O.
-                for estimator in candidates[1:]:
-                    probability = max(
-                        probability, estimator.probability(segment_id)
-                    )
-                    if probability >= prob:
-                        break
-            values.append(probability)
-        return values
-
+    lead = next(iter(estimators.values()))
     queue: deque[int] = deque(sorted(max_region.boundary))
     visited: set[int] = set(max_region.boundary)
     while queue:
         wave = list(queue)
         queue.clear()
         result.wave_sizes.append(len(wave))
-        for segment_id, probability in zip(wave, wave_probabilities(wave)):
+        values = lead.probabilities(wave, estimators, max_region.seed_of, prob)
+        for segment_id, probability in zip(wave, values):
             result.probabilities[segment_id] = probability
             if probability >= prob:
                 result.passed.add(segment_id)

@@ -68,7 +68,6 @@ from repro.core.service import (
 from repro.serving.faults import FaultPlan, validate_plan
 from repro.serving.partition import (
     PartitionPlan,
-    SegmentLocator,
     export_shard_payload,
     max_segment_length_m,
     partition_network,
@@ -130,7 +129,7 @@ class DispatchPlan:
         decomposed_starts: ``seq -> start segment ids`` for decomposed
             m-queries, one per location in query order (the routing
             pass already resolved them; the merge reuses them instead
-            of re-querying the R-tree).
+            of resolving again).
     """
 
     per_shard: dict[int, list[tuple[int, int, Request]]] = field(
@@ -270,7 +269,6 @@ class ShardedEngine:
             v_max_mps=self._v_max,
             weights=self._load_weights(),
         )
-        self._locator = SegmentLocator(self.engine.network)
         payloads = [
             export_shard_payload(self.engine, spec, self.delta_t_s)
             for spec in self.plan.shards
@@ -558,8 +556,9 @@ class ShardedEngine:
             per_shard={spec.shard_id: [] for spec in self.plan.shards}
         )
         # One vectorized in-memory pass resolves every location's start
-        # segment (no I/O, so nothing is double-charged); the worker
-        # re-resolves the same deterministic segment when it executes.
+        # segment (no I/O, so nothing is double-charged); the owning
+        # worker's sub-network holds that segment, so its exact lookup
+        # resolves the same one when it executes.
         spans: list[tuple[int, int] | None] = []
         locations: list = []
         for request in requests:
@@ -574,7 +573,7 @@ class ShardedEngine:
             )
             spans.append((len(locations), len(locs)))
             locations.extend(locs)
-        starts = self._locator.locate(locations) if locations else []
+        starts = self._st_index.locator.locate(locations) if locations else []
         owner_flat = [self.plan.owner_of[int(sid)] for sid in starts]
         for seq, (request, span) in enumerate(zip(requests, spans)):
             if span is None:
@@ -742,9 +741,8 @@ class ShardedEngine:
         probabilities, so a segment examined by two parts keeps the
         larger (more-informed) value.  ``start_segments`` dedups the
         routing pass's per-location start segments in query-location
-        order, so ordering matches the single-process result (the
-        locator resolves the same segment the scalar R-tree path does —
-        asserted in ``tests/test_serving.py``).
+        order, so ordering matches the single-process result (routing
+        and ``find_start_segment`` share one exact resolver).
         """
         merged = QueryResult()
         for result in results:

@@ -23,14 +23,11 @@ accounting exactly comparable to the single-process engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.engine import ReachabilityEngine
 from repro.io.persist import network_to_dict
 from repro.network.model import RoadNetwork
-from repro.spatial.geometry import Point
 from repro.storage.backends import FileBackedDisk
 
 #: Safety margin, in maximum segment lengths, added to the halo radius on
@@ -330,74 +327,3 @@ def export_shard_payload(
 def max_segment_length_m(network: RoadNetwork) -> float:
     """The longest segment in the network (halo sizing input)."""
     return max((seg.length for seg in network.segments()), default=0.0)
-
-
-class SegmentLocator:
-    """Vectorized batch counterpart of ``STIndex.find_start_segment``.
-
-    The dispatcher must map every query location to the shard owning its
-    start segment; doing that through the scalar R-tree walk costs more
-    than the scatter itself on large batches.  The locator flattens every
-    polyline into edge arrays once, then resolves whole location batches
-    with one numpy point-to-edge distance pass (the same arithmetic as
-    :func:`repro.spatial.geometry.point_segment_distance`), reduced to a
-    per-segment minimum and tie-broken to the smallest segment id — the
-    scalar path's contract.
-
-    Dispatch-side only: workers still resolve start segments through the
-    scalar R-tree on their sub-network, so in the measure-zero event of a
-    floating-point tie resolving differently here, the query merely lands
-    on the neighbouring shard — whose halo covers the true start segment
-    by construction — and the result is unchanged.
-    """
-
-    def __init__(self, network: RoadNetwork) -> None:
-        seg_ids: list[int] = []
-        run_starts: list[int] = [0]
-        sx: list[float] = []
-        sy: list[float] = []
-        ex: list[float] = []
-        ey: list[float] = []
-        for segment in network.segments():
-            shape = segment.shape
-            for a, b in zip(shape[:-1], shape[1:]):
-                sx.append(a.x)
-                sy.append(a.y)
-                ex.append(b.x)
-                ey.append(b.y)
-            seg_ids.append(segment.segment_id)
-            run_starts.append(len(sx))
-        if not sx:
-            raise ValueError("empty spatial index")
-        self._seg_ids = np.asarray(seg_ids, dtype=np.int64)
-        self._starts = np.asarray(run_starts[:-1], dtype=np.int64)
-        self._sx = np.asarray(sx)
-        self._sy = np.asarray(sy)
-        self._dx = np.asarray(ex) - self._sx
-        self._dy = np.asarray(ey) - self._sy
-        length_sq = self._dx * self._dx + self._dy * self._dy
-        self._degenerate = length_sq == 0.0
-        self._length_sq = np.where(self._degenerate, 1.0, length_sq)
-
-    def locate(self, locations: Sequence[Point], chunk: int = 256) -> np.ndarray:
-        """Start segment ids for ``locations`` (sequence of ``Point``)."""
-        points = np.asarray([(p.x, p.y) for p in locations])
-        out = np.empty(len(locations), dtype=np.int64)
-        for lo in range(0, len(locations), chunk):
-            px = points[lo : lo + chunk, 0][:, None]
-            py = points[lo : lo + chunk, 1][:, None]
-            t = (
-                (px - self._sx) * self._dx + (py - self._sy) * self._dy
-            ) / self._length_sq
-            np.clip(t, 0.0, 1.0, out=t)
-            t[:, self._degenerate] = 0.0
-            dist = np.hypot(
-                px - (self._sx + t * self._dx),
-                py - (self._sy + t * self._dy),
-            )
-            per_segment = np.minimum.reduceat(dist, self._starts, axis=1)
-            best = per_segment.min(axis=1)
-            for row in range(per_segment.shape[0]):
-                winners = np.flatnonzero(per_segment[row] == best[row])
-                out[lo + row] = self._seg_ids[winners].min()
-        return out

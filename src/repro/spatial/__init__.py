@@ -2,7 +2,10 @@
 
 The paper's ST-Index uses an R-tree over the re-segmented road network
 (§3.2.1) and a B-tree over time slots; no third-party spatial libraries are
-used in this reproduction, so this package provides:
+used in this reproduction, so this package provides them (the ST-Index
+answers its one spatial query, location → start segment, with the exact
+vector pass of :mod:`repro.network.locator`; the R-tree stays as the
+comparator of ``benchmarks/test_ablation_spatial.py``):
 
 * :mod:`~repro.spatial.geometry` — points, bounding boxes, metric helpers.
 * :mod:`~repro.spatial.rtree` — an R-tree with STR bulk loading and

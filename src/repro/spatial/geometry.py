@@ -138,6 +138,18 @@ class BBox:
         return math.hypot(dx, dy)
 
 
+def require_finite(point: Point) -> Point:
+    """``point``, or ``ValueError`` when a coordinate is NaN or infinite.
+
+    A query location must pass this: every distance from a non-finite
+    point is ``inf`` or NaN, so a nearest-segment lookup would answer
+    arbitrarily instead of failing.
+    """
+    if not (math.isfinite(point.x) and math.isfinite(point.y)):
+        raise ValueError(f"location must be finite, got {point}")
+    return point
+
+
 def point_segment_distance(point: Point, start: Point, end: Point) -> float:
     """Distance from ``point`` to the line segment ``start``–``end``."""
     sx, sy = start.x, start.y

@@ -61,6 +61,11 @@ class TestRecommendation:
             top = recommend_pois(engine, CENTER, T, 900, pois, prob=0.2, top_k=1)
             assert top == full[:1]
 
+    def test_non_finite_poi_is_a_typed_error(self, engine):
+        far_off = POI("nowhere", Point(float("inf"), 0.0))
+        with pytest.raises(ValueError, match="location must be finite"):
+            recommend_pois(engine, CENTER, T, 900, [far_off], prob=0.2)
+
     def test_distance_field(self, engine, pois):
         for entry in recommend_pois(engine, CENTER, T, 900, pois, prob=0.2):
             assert entry.distance_m == pytest.approx(
@@ -100,6 +105,13 @@ class TestCoverage:
 class TestIsochrones:
     def test_empty_durations(self, engine):
         assert isochrones(engine, CENTER, T, []) == []
+
+    @pytest.mark.parametrize(
+        "location", [Point(float("inf"), 0.0), Point(0.0, float("nan"))]
+    )
+    def test_non_finite_location_is_a_typed_error(self, engine, location):
+        with pytest.raises(ValueError, match="location must be finite"):
+            isochrones(engine, location, T, [300])
 
     def test_bands_are_nested(self, engine):
         bands = isochrones(engine, CENTER, T, [300, 600, 900], prob=0.2)

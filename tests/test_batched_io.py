@@ -371,27 +371,27 @@ class TestGatherMemoInvalidation:
 
         Deterministic version of the race: the gather walks the directory
         (and snapshots its epoch), then an append lands before the memo
-        insert — emulated by triggering the append from the pool-charging
-        hook that runs between the two.
+        insert — emulated by triggering the append from the tail-commit
+        check that runs between the two.
         """
         segment_id = entry_keys(index)[0][0]
         plan = index.window_plan(600.0, 1200.0)
-        original = index.pool.get_pages
+        original = index._store.ensure_committed
         fired = []
 
-        def charging_hook(page_ids):
+        def commit_hook(pointers):
             if not fired:
                 fired.append(True)
                 index.append_trajectories(
                     [self._one_trajectory(segment_id, 777_002)]
                 )
-            return original(page_ids)
+            return original(pointers)
 
-        index.pool.get_pages = charging_hook
+        index._store.ensure_committed = commit_hook
         try:
             stale = index.gather_window_columns((segment_id,), plan)[0][0]
         finally:
-            index.pool.get_pages = original
+            index._store.ensure_committed = original
         # The raced gather itself may serve pre-append data, but it must
         # not be memoized: the next gather sees the appended visit.
         fresh = index.gather_window_columns((segment_id,), plan)[0][0]
@@ -402,8 +402,9 @@ class TestGatherMemoAccounting:
     def test_memo_hit_equals_miss_equals_memo_off(self, engine):
         """The window-gather memo is the index's one cache, and it only
         skips work: a memo hit, a memo miss and a memo-less index return
-        the same keys and charge the same records and pages, counter for
-        counter — also for a wave that names one segment twice."""
+        the same keys, records and page ids, so charging those gives the
+        same counters — also for a wave that names one segment twice.
+        The gather itself charges nothing."""
         shared = engine.st_index(300)
         _, slot = entry_keys(shared)[0]
         in_slot = sorted(s for s, t in entry_keys(shared) if t == slot)
@@ -421,18 +422,24 @@ class TestGatherMemoAccounting:
             calls = []
             for _ in range(2):
                 before = index.disk.snapshot()
-                keys, records, pages = index.gather_window_columns(wave, plan)
+                parts = index.gather_window_columns(wave, plan)
+                assert index.disk.snapshot() == before
+                index.pool.get_pages([page for _, _, pages in parts for page in pages])
                 calls.append(
-                    ([k.tolist() for k in keys], records, pages, index.disk.snapshot() - before)
+                    (
+                        [(keys.tolist(), records, pages) for keys, records, pages in parts],
+                        index.disk.snapshot() - before,
+                    )
                 )
             assert len(index._window_gathers) == (3 if size else 0)
             runs.append(calls)
         (on_miss, on_hit), (off_first, off_second) = runs
         assert on_miss == off_first and on_hit == off_second
-        assert on_miss[:3] == on_hit[:3]
-        keys, records, pages, _ = on_miss
-        assert keys[0] == keys[2] and keys[0] and keys[3] == []
-        assert records >= 3 and pages >= records
+        assert on_miss[0] == on_hit[0]
+        parts, _ = on_miss
+        assert parts[0] == parts[2] and parts[0][0] and parts[3] == ([], 0, ())
+        records = sum(records for _, records, _ in parts)
+        assert records >= 3 and sum(len(pages) for _, _, pages in parts) >= records
 
 
 class TestSTIndexPersistence:

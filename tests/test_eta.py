@@ -149,3 +149,11 @@ class TestArrivalProfileOnDataset:
         far_median = far.percentile_s(0.5)
         if near_median is not None and far_median is not None:
             assert near_median <= far_median
+
+    @pytest.mark.parametrize(
+        "origin,target",
+        [(Point(float("inf"), 0.0), Point(0.0, 0.0)), (Point(0.0, 0.0), Point(float("nan"), 0.0))],
+    )
+    def test_non_finite_location_is_a_typed_error(self, engine, origin, target):
+        with pytest.raises(ValueError, match="location must be finite"):
+            arrival_profile(engine, origin, target, T)

@@ -18,6 +18,7 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.eval.workload import QueryWorkload
+from repro.network.locator import SegmentLocator
 from repro.serving import (
     FaultPlan,
     FaultSpec,
@@ -26,7 +27,7 @@ from repro.serving import (
     partition_network,
 )
 from repro.serving.faults import KILL_IN_RUN
-from repro.serving.partition import SegmentLocator, build_subnetwork
+from repro.serving.partition import build_subnetwork
 from repro.serving.protocol import pack_result, unpack_result
 from repro.storage.disk import DiskStats
 from repro.trajectory.model import MatchedTrajectory
@@ -144,8 +145,8 @@ class TestPartitioner:
                 )
 
     def test_locator_matches_scalar_start_segments(self, engine):
-        # the dispatcher's vectorized owner resolution must agree with
-        # the scalar R-tree walk the workers use
+        # a batch through the resolver (the dispatcher's routing) agrees
+        # with one point at a time (the workers' find_start_segment)
         requests = mixed_requests(engine.network, 20, 8)
         locations = []
         for request in requests:

@@ -191,7 +191,3 @@ class TestStartSegmentLookup:
             assert network.segment(found).distance_to_point(probe) == pytest.approx(
                 network.segment(best).distance_to_point(probe)
             )
-
-    def test_rtree_size(self, network):
-        index = STIndex(network, 300)
-        assert len(index.rtree) == network.num_segments

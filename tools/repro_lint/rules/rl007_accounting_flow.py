@@ -14,10 +14,10 @@ reachability proof over the shared call graph:
 A charging function is one of the audited accounting chokepoints
 (``BufferPool.get_page``/``get_pages``, ``PageStore.read``,
 ``SimulatedDisk.charge_reads``), any function that
-itself calls one of them (the charge-then-decode pattern:
-``STIndex.gather_window_columns`` charges pages via ``get_pages`` and
-then decodes the pre-charged extents), or a function annotated
-``# repro-lint: charged`` after audit.  Traversal stops at charging
+itself calls one of them (the charge-then-decode pattern), or a function
+annotated ``# repro-lint: charged`` after audit (the uncharged
+``STIndex.gather_window_columns``, whose returned page ids its caller
+charges through ``get_pages``).  Traversal stops at charging
 functions; any raw access reached without passing one is an uncharged
 read path, reported with the full call chain from the executor.
 """
