@@ -92,12 +92,14 @@ class ReachabilityClient:
             pipelines size their own pools per call).
         backend: default :meth:`run_batch` execution backend —
             ``"threaded"`` (the in-process pipeline) or ``"sharded"``
-            (spatial shards on worker processes, see
+            (engine replicas on worker processes, see
             :mod:`repro.serving`).  The sharded engine spawns lazily on
             the first sharded batch and is shut down by :meth:`close`.
-        shards: spatial partition arity for the sharded backend.
+        shards: number of spatial routing groups for the sharded
+            backend; each group's requests run as one sub-batch window
+            on the replica that hosts the group.
         shard_workers: worker-process count for the sharded backend
-            (default ``None`` = one process per shard).
+            (default ``None`` = one process per group).
         deadline_ms: per-scatter reply deadline for the sharded backend
             (default ``None`` = the engine's default; pass through to
             :class:`~repro.serving.ShardedEngine`).
@@ -314,7 +316,7 @@ class ReachabilityClient:
         Args:
             backend: override the client's default backend for this
                 batch — ``"sharded"`` scatters the requests across the
-                spatial shard workers (:mod:`repro.serving`) instead of
+                replica workers (:mod:`repro.serving`) instead of
                 the in-process thread pipeline; ``max_workers``/``window``
                 only apply to the threaded backend.
         """

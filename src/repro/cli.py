@@ -575,11 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: auto)")
     batch.add_argument("--workers", type=int, default=1,
                        help="worker threads; with --shards, worker "
-                            "*processes* serving the shards (default 1)")
+                            "*processes*, each one full engine replica "
+                            "(default 1)")
     batch.add_argument("--shards", type=int, default=0,
-                       help="spatial shards served by worker processes "
-                            "(default 0 = single-process); the report "
-                            "gains one breakdown row per shard")
+                       help="spatial routing groups dealt round-robin to "
+                            "replica worker processes (default 0 = "
+                            "single-process); the report gains one "
+                            "breakdown row per group")
     batch.add_argument("--deadline-ms", type=float, default=None,
                        help="per-scatter reply deadline for the sharded "
                             "backend; a worker that misses it is retried "

@@ -6,7 +6,7 @@ each later append adds one — and the directory maps the entry to its
 records' extent pointers ``(first_page, num_pages, offset, length)``.
 
 :class:`TimeListDirectory` is the one owner of that table's layout, in RAM
-as in ``directory.npz`` and in a shard payload: rows sorted by ``(segment,
+as in ``directory.npz`` and in a replica payload: rows sorted by ``(segment,
 slot, position)``, looked up through one sorted packed-key column
 ``segment * num_slots + slot``.  Records appended since the rows were
 adopted wait in a small overflow map, so an append costs O(entries
@@ -23,7 +23,7 @@ from repro.trajectory.model import SECONDS_PER_DAY
 
 #: The directory as seven aligned ``int64`` columns, one row per chain
 #: record in ``(segment, slot, position)`` order: the arrays
-#: ``directory.npz`` stores and a shard payload ships.
+#: ``directory.npz`` stores and a replica payload ships.
 DIRECTORY_COLUMNS = (
     "dir_segment",
     "dir_slot",
@@ -99,7 +99,7 @@ class TimeListDirectory:
     own output); anything read back from a file, a journal or a pipe goes
     through :meth:`from_columns` / :meth:`extend`, which validate.  Readers
     may probe concurrently with one appender; exporting (:meth:`columns`,
-    :meth:`select`, ...) while an append runs is not supported.
+    :meth:`page_ids`, ...) while an append runs is not supported.
     """
 
     def __init__(
@@ -303,13 +303,6 @@ class TimeListDirectory:
                 (segment, slot, _chain_positions(keys), *np.ascontiguousarray(pointers.T)),
             )
         )
-
-    def select(self, segment_ids) -> "TimeListDirectory":
-        """The entries of the given segments as a directory of their own."""
-        keys, pointers = self._merged()
-        members = np.fromiter(segment_ids, np.int64, len(segment_ids))
-        keep = np.isin(keys // self.num_slots, members)
-        return TimeListDirectory(self.num_slots, keys[keep], pointers[keep])
 
     def page_ids(self) -> np.ndarray:
         """Ascending ids of every page some record's extent covers."""

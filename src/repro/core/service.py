@@ -13,8 +13,8 @@ service they were given.
 :class:`BatchReport` is what those pipelines return: per-query results
 plus batch-level cost and cache-effectiveness metrics (buffer-pool hit/
 miss/eviction counters from :class:`~repro.storage.disk.DiskStats`), with
-one :class:`ShardReport` per shard when the batch ran on the sharded
-backend.
+one :class:`ShardReport` per routing group when the batch ran on the
+sharded backend.
 """
 
 from __future__ import annotations
@@ -35,25 +35,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class ShardReport:
-    """Per-shard accounting slice of a sharded batch (see
+    """One routing group's accounting window of a sharded batch (see
     :mod:`repro.serving`).
 
     Attributes:
-        shard_id: the shard's index in the partition plan.
-        queries: sub-requests this shard executed (decomposed cross-shard
-            queries count once per involved shard).
-        io: the shard worker's disk-stat difference for its sub-batch.
-        simulated_io_ms: accounted cost of the shard's page reads.
-        wall_time_s: wall time of the shard's sub-batch inside its worker.
+        shard_id: the group's index in the partition plan; worker
+            ``shard_id % workers`` runs it on its replica.
+        queries: sub-requests the group's window executed (a decomposed
+            cross-group m-query counts once per involved group).
+        io: the disk-stat difference of the group's sub-batch.
+        simulated_io_ms: accounted cost of the group's page reads.
+        wall_time_s: wall time of the group's sub-batch inside its worker.
         worker_wall_s: wall time of everything the worker did for this
-            shard — service setup, the sub-batch, result packing.
-        worker_restarts: times the supervisor respawned this shard's
+            group — service setup, the sub-batch, result packing.
+        worker_restarts: times the supervisor respawned the group's
             worker process during the batch.
-        retries: scatter attempts this shard's worker needed beyond the
+        retries: scatter attempts the group's worker needed beyond the
             first (deadline expiries, deaths, error replies).
-        degraded_requests: sub-requests of this shard that exhausted
+        degraded_requests: sub-requests of this group that exhausted
             their retries and re-executed on the dispatcher-local
-            fallback service (the shard's ``io`` window then measures
+            fallback service (the group's ``io`` window then measures
             that local re-execution, so batch accounting stays exact).
     """
 
@@ -84,9 +85,9 @@ class BatchReport:
         plans_reused: queries that shared an earlier query's plan.
         routes: the routing decision behind each plan, in submission
             order (``rule="forced"`` for explicitly-named algorithms).
-        shard_reports: per-shard accounting when the batch ran on the
+        shard_reports: per-group accounting when the batch ran on the
             sharded backend (empty for single-process batches); the
-            shard ``io`` snapshots plus any dispatcher-local fallback
+            group ``io`` windows plus any dispatcher-local fallback
             I/O sum exactly to ``io``.
         worker_restarts: worker processes the sharded supervisor
             respawned while answering this batch (0 on a healthy run

@@ -494,9 +494,8 @@ class STIndex:
 
         The nearest segment by exact point-to-polyline distance, ties to
         the smallest segment id — a pure function of the geometry, so a
-        shard's sub-network (which holds every segment its dispatcher
-        routes to it) resolves what the full network resolves.  A location
-        with a NaN or infinite coordinate raises ``ValueError``.
+        worker's replica resolves what the dispatcher's routing resolved.
+        A location with a NaN or infinite coordinate raises ``ValueError``.
         """
         return self.locator.nearest(location)
 

@@ -12,8 +12,8 @@ re-scored with :meth:`~repro.network.model.RoadSegment.distance_to_point`.
 The vector pass and that scalar arithmetic differ by a few ulps, far
 inside the margin, so every exact-minimum segment is re-scored and the
 answer is the scalar contract by construction — a pure function of the
-geometry, which is what lets a shard resolve on its sub-network exactly
-what the dispatcher resolved on the full network.
+geometry, which is what lets a worker's replica resolve exactly what the
+dispatcher resolved.
 """
 
 from __future__ import annotations

@@ -1,22 +1,25 @@
-"""Scatter-gather dispatch over supervised shard worker processes.
+"""Scatter-gather dispatch over supervised replica worker processes.
 
 :class:`ShardedEngine` is the multi-process counterpart of
-:meth:`repro.api.ReachabilityClient.run_batch`: it partitions the road
-network once (construction), spawns worker processes hosting the shard
-slices, and answers each batch by scattering sub-requests to the owning
-shards, running any out-of-contract requests locally, and gathering and
-merging the replies into one classic
-:class:`~repro.core.service.BatchReport`.
+:meth:`repro.api.ReachabilityClient.run_batch`: it splits the road
+network into K routing groups once (construction), exports the engine
+once, spawns worker processes that each rebuild one full replica from
+that payload, and answers each batch by scattering every group's
+sub-requests to the worker hosting the group, running foreign-Δt
+requests locally, and gathering and merging the replies into one
+classic :class:`~repro.core.service.BatchReport`.
 
-Routing: a request belongs to the shard that **owns its start segment**
-(resolved through the parent's in-memory ST-Index R-tree — no I/O).  A
-cross-shard m-query decomposes into per-shard m-query parts whose union
-is, by the union semantics of multi-seed reachability, the same segment
-set the single-process engine computes.  A request whose travel bound
-exceeds the halo contract (duration too long, or a foreign Δt) falls
-back to the dispatcher's own single-process service.
+Routing: a request belongs to the group that **owns its start segment**
+(resolved in one vectorized pass by the ST-Index's
+:class:`~repro.network.locator.SegmentLocator` — no I/O).  Each group
+runs as one cold sub-batch window, so nearby requests share pool pages.
+A cross-group m-query decomposes into per-group m-query parts whose
+union is, by the union semantics of multi-seed reachability, the same
+segment set the single-process engine computes.  A replica holds the
+ST-Index at one Δt, so a request at any other Δt falls back to the
+dispatcher's own single-process service.
 
-Failure semantics (the supervisor): the dispatcher retains every shard's
+Failure semantics (the supervisor): the dispatcher retains the one
 spawn payload, so a worker is a *replaceable* process.  Each scatter is
 an **attempt** with a fresh protocol request id and a deadline
 (``deadline_ms``); the gather loop waits with that deadline
@@ -29,16 +32,16 @@ is merely slow (a late reply is then discarded by request id, never
 mismatched).  A sub-batch that exhausts its retries **degrades**: it
 re-executes on the dispatcher-local fallback service, so ``run_batch``
 still returns a complete report and one lost process costs one
-redispatch, not the batch.  Worker, degraded and out-of-contract
+redispatch, not the batch.  Worker, degraded and foreign-Δt
 sub-batches all run through :func:`repro.serving.worker.run_sub_batch`,
 so every reply the merge sees has one shape.
 
-Accounting: every shard worker reports its sub-batch's exact
+Accounting: a worker reports each group's exact
 :class:`~repro.storage.disk.DiskStats` window; ``report.io`` is the sum
-of those windows plus the dispatcher-local fallback window (out-of-
-contract *and* degraded sub-batches), so the sharded report aggregates
-**exactly** — per-shard snapshots add up to what a single-process engine
-would have charged for the same sub-batches, faults or not.  A failed
+of those windows plus the dispatcher-local fallback window (foreign-Δt
+*and* degraded sub-batches), so the sharded report aggregates
+**exactly** — the group windows add up to what a single-process engine
+charges for the same sub-batches, faults or not.  A failed
 attempt reports no window at all (whatever pages the doomed worker
 touched died with its private disk copy), which is what keeps degraded
 accounting exact.  The fault counters (``worker_restarts``, ``retries``,
@@ -69,9 +72,7 @@ from repro.serving.faults import FaultPlan, validate_plan
 from repro.serving.partition import (
     PartitionPlan,
     export_shard_payload,
-    max_segment_length_m,
     partition_network,
-    reach_m,
 )
 from repro.serving.protocol import (
     MSG_ERROR,
@@ -85,10 +86,6 @@ from repro.serving.protocol import (
 )
 from repro.serving.worker import run_sub_batch, shard_worker_main
 
-#: Default longest query duration the halo contract covers (one hour —
-#: generous against the paper's 5..30-minute workloads).
-DEFAULT_MAX_DURATION_S = 3600.0
-
 #: Default per-scatter deadline.  Generous: the fig-4.8 workloads answer
 #: whole batches in well under a second, so 30 s only ever fires on a
 #: genuinely wedged worker, not a slow one.
@@ -97,8 +94,8 @@ DEFAULT_DEADLINE_MS = 30_000.0
 #: Default bounded-retry limit per scatter (initial attempt excluded).
 DEFAULT_MAX_RETRIES = 2
 
-#: Reply-map key of the dispatcher-local out-of-contract sub-batch; shard
-#: ids are non-negative, so it never collides with one.
+#: Reply-map key of the dispatcher-local foreign-Δt sub-batch; group ids
+#: are non-negative, so it never collides with one.
 _LOCAL_KEY = -1
 
 #: Default base for exponential retry backoff (seconds); attempt ``n``
@@ -117,15 +114,15 @@ class ShardedEngineClosedError(RuntimeError):
 
 @dataclass
 class DispatchPlan:
-    """How one batch splits across shards.
+    """How one batch splits across routing groups.
 
     Attributes:
         per_shard: ``shard_id -> [(seq, part_idx, Request), ...]`` — the
-            sub-requests each shard executes, in submission order.
+            sub-requests each group executes, in submission order.
         fallback: ``[(seq, Request), ...]`` answered dispatcher-locally
-            (out-of-contract duration or foreign Δt).
-        decomposed: ``seq -> Request`` for cross-shard m-queries whose
-            per-shard parts need merging.
+            (a foreign Δt).
+        decomposed: ``seq -> Request`` for cross-group m-queries whose
+            per-group parts need merging.
         decomposed_starts: ``seq -> start segment ids`` for decomposed
             m-queries, one per location in query order (the routing
             pass already resolved them; the merge reuses them instead
@@ -198,19 +195,17 @@ def _merge_regions(regions: list) -> BoundingRegion | None:
 
 
 class ShardedEngine:
-    """Spatially sharded, multi-process batch execution engine.
+    """Multi-process batch execution over full engine replicas.
 
     Args:
-        target: the single-process service or engine to shard.  Build it
-            **fresh** (indexes built, no queries run) so the shard
-            slices' disk geometry matches a from-scratch engine.
-        shards: spatial partition arity K.
-        workers: worker-process count (default: one per shard); worker
-            ``i`` hosts shards ``i, i+workers, ...``.
-        delta_t_s: index granularity the shards serve (default: the
+        target: the single-process service or engine to replicate.  Build
+            it **fresh** (indexes built, no queries run) so the replicas'
+            disk geometry matches a from-scratch engine.
+        shards: number K of spatial routing groups.
+        workers: worker-process count (default: one per group); worker
+            ``i`` hosts groups ``i, i+workers, ...`` on its one replica.
+        delta_t_s: index granularity the replicas serve (default: the
             service's).  Requests at any other Δt fall back.
-        max_duration_s: longest query duration the halo contract covers;
-            longer requests fall back to the local service.
         deadline_ms: per-scatter reply deadline; an attempt that exceeds
             it is retried (``None`` disables deadlines — the gather then
             blocks until the worker answers or dies).
@@ -229,7 +224,6 @@ class ShardedEngine:
         shards: int = 4,
         workers: int | None = None,
         delta_t_s: int | None = None,
-        max_duration_s: float = DEFAULT_MAX_DURATION_S,
         deadline_ms: float | None = DEFAULT_DEADLINE_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
@@ -246,7 +240,6 @@ class ShardedEngine:
             delta_t_s if delta_t_s is not None else self.service.delta_t_s
         )
         self.router = Router()
-        self.max_duration_s = max_duration_s
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
         if max_retries < 0:
@@ -256,23 +249,13 @@ class ShardedEngine:
         self.retry_backoff_s = retry_backoff_s
         self.fault_plan = fault_plan
         self._st_index = self.engine.st_index(self.delta_t_s)
-        self._v_max = self.engine.database.max_observed_speed_mps()
-        self._max_segment_m = max_segment_length_m(self.engine.network)
-        self.halo_m = reach_m(
-            max_duration_s, self.delta_t_s, self._v_max, self._max_segment_m
-        )
         self.plan: PartitionPlan = partition_network(
-            self.engine.network,
-            shards,
-            self.halo_m,
-            max_duration_s=max_duration_s,
-            v_max_mps=self._v_max,
-            weights=self._load_weights(),
+            self.engine.network, shards, weights=self._load_weights()
         )
-        payloads = [
-            export_shard_payload(self.engine, spec, self.delta_t_s)
-            for spec in self.plan.shards
-        ]
+        # The supervisor's respawn substrate: the one replica payload is
+        # retained for the engine's whole lifetime, so a dead process is
+        # replaceable at any point between or during batches.
+        self._payload = export_shard_payload(self.engine, self.delta_t_s)
         self.num_workers = min(
             workers if workers is not None else self.plan.num_shards,
             self.plan.num_shards,
@@ -281,22 +264,10 @@ class ShardedEngine:
             raise ValueError(f"workers must be >= 1, got {workers}")
         validate_plan(fault_plan, self.num_workers)
         self._ctx = multiprocessing.get_context("spawn")
-        # The supervisor's respawn substrate: every worker's payload
-        # slice is retained for the engine's whole lifetime, so a dead
-        # process is replaceable at any point between or during batches.
-        self._hosted: dict[int, list] = {
-            worker_idx: payloads[worker_idx :: self.num_workers]
-            for worker_idx in range(self.num_workers)
-        }
-        self._worker_of_shard: dict[int, int] = {
-            payload.shard_id: worker_idx
-            for worker_idx, hosted in self._hosted.items()
-            for payload in hosted
-        }
         self._next_request_id = 0
         for worker_idx in range(self.num_workers):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
-        # The slices above are a snapshot: once the data changes they are
+        # The replicas are a snapshot: once the data changes they are
         # stale, so the workers retire rather than answer from them (the
         # client re-partitions on its next sharded batch).
         self.engine.register_data_change_hook(self.close)
@@ -305,10 +276,10 @@ class ShardedEngine:
         """Per-CSR-row trajectory-visit volume, the partition's load proxy.
 
         Query traffic follows data density (queries in the empty
-        periphery answer trivially), so balancing shard boundaries by
+        periphery answer trivially), so balancing group boundaries by
         time-list bytes instead of segment counts evens out the *work*
-        each worker receives.  The +1 floor keeps zero-data rows
-        weighted, so the periphery still spreads across shards.
+        each routing group receives.  The +1 floor keeps zero-data rows
+        weighted, so the periphery still spreads across groups.
         """
         import numpy as np
 
@@ -321,13 +292,13 @@ class ShardedEngine:
     # -- supervision -------------------------------------------------------
 
     def _spawn_worker(self, worker_idx: int, incarnation: int) -> _WorkerHandle:
-        """Start one worker process hosting its payload slice."""
+        """Start one worker process rebuilding the replica."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=shard_worker_main,
             args=(
                 child_conn,
-                self._hosted[worker_idx],
+                self._payload,
                 worker_idx,
                 incarnation,
                 self.fault_plan,
@@ -479,7 +450,7 @@ class ShardedEngine:
         stats: _FaultStats,
     ) -> tuple[dict[int, dict], dict[int, list]]:
         """Collect every attempt's reply, retrying/degrading as needed:
-        the shard replies, and ``shard_id -> entries`` of the sub-batches
+        the group replies, and ``shard_id -> entries`` of the sub-batches
         that exhausted their retries (in failure order)."""
         replies: dict[int, dict] = {}
         degraded: dict[int, list] = {}
@@ -539,30 +510,18 @@ class ShardedEngine:
 
     # -- routing -----------------------------------------------------------
 
-    def _in_contract(self, request: Request) -> bool:
-        if resolve_delta_t(request, self.service) != self.delta_t_s:
-            return False
-        bound = reach_m(
-            request.query.duration_s,
-            self.delta_t_s,
-            self._v_max,
-            self._max_segment_m,
-        )
-        return bound <= self.halo_m
-
     def plan_dispatch(self, requests: list[Request]) -> DispatchPlan:
-        """Split a batch into per-shard sub-requests plus fallbacks."""
+        """Split a batch into per-group sub-requests plus fallbacks."""
         dispatch = DispatchPlan(
             per_shard={spec.shard_id: [] for spec in self.plan.shards}
         )
         # One vectorized in-memory pass resolves every location's start
-        # segment (no I/O, so nothing is double-charged); the owning
-        # worker's sub-network holds that segment, so its exact lookup
-        # resolves the same one when it executes.
+        # segment (no I/O, so nothing is double-charged); the replica's
+        # exact lookup resolves the same one when it executes.
         spans: list[tuple[int, int] | None] = []
         locations: list = []
         for request in requests:
-            if not self._in_contract(request):
+            if resolve_delta_t(request, self.service) != self.delta_t_s:
                 spans.append(None)
                 continue
             query = request.query
@@ -613,7 +572,7 @@ class ShardedEngine:
     def run_batch(
         self, requests, warm: bool = False
     ) -> BatchReport:
-        """Scatter a batch across the shard workers and merge the replies.
+        """Scatter a batch across the workers and merge the replies.
 
         Args:
             requests: :class:`Request` envelopes or bare queries.
@@ -623,13 +582,13 @@ class ShardedEngine:
         Returns:
             A :class:`BatchReport` whose ``results``/``plans``/``routes``
             are in submission order and whose ``io`` equals the sum of
-            the per-shard windows (``shard_reports``) plus any
+            the per-group windows (``shard_reports``) plus any
             dispatcher-local fallback window — degraded sub-batches
             included, since they execute *as* fallback windows.
 
         Raises:
             ShardedEngineClosedError: the engine was closed — explicitly,
-                or because the data its shard slices were cut from
+                or because the data its replicas were exported from
                 changed (``append_trajectories`` / ``drop_indexes``).
         """
         if self.closed:
@@ -644,13 +603,13 @@ class ShardedEngine:
         started = time.perf_counter()
         dispatch = self.plan_dispatch(requests)
 
-        # Scatter: one attempt per worker carrying all its shards'
+        # Scatter: one attempt per worker carrying all its groups'
         # parts, each with a deadline and a fresh request id.
         stats = _FaultStats()
         jobs: dict[int, dict[int, list]] = {}
         for shard_id, entries in dispatch.per_shard.items():
             if entries:
-                worker_idx = self._worker_of_shard[shard_id]
+                worker_idx = shard_id % self.num_workers
                 jobs.setdefault(worker_idx, {})[shard_id] = entries
         outstanding: dict[int, _Attempt] = {}
         for worker_idx in sorted(jobs):
@@ -663,8 +622,8 @@ class ShardedEngine:
         # annotates.
         prepare_batch(self.service, self.router, requests, report)
 
-        # Out-of-contract requests run locally while the workers crunch;
-        # their reply body joins the shard replies under a non-shard key.
+        # Foreign-Δt requests run locally while the workers crunch; their
+        # reply body joins the group replies under a non-group key.
         replies: dict[int, dict] = {}
         if dispatch.fallback:
             replies[_LOCAL_KEY] = run_sub_batch(
@@ -710,7 +669,7 @@ class ShardedEngine:
             report.regions_reused += body["regions_reused"]
             if shard_id == _LOCAL_KEY:
                 continue
-            worker_idx = self._worker_of_shard[shard_id]
+            worker_idx = shard_id % self.num_workers
             report.shard_reports.append(
                 ShardReport(
                     shard_id=shard_id,
@@ -734,7 +693,7 @@ class ShardedEngine:
     def _merge_decomposed(
         self, starts: tuple[int, ...], results: list[QueryResult]
     ) -> QueryResult:
-        """Union the per-shard parts of a decomposed m-query.
+        """Union the per-group parts of a decomposed m-query.
 
         Segments union exactly (multi-seed reachability is a union over
         seeds).  Probabilities max-merge: TBS only *computes* shell

@@ -1,19 +1,19 @@
-"""Shard worker process: rebuild a slice, serve sub-batches over a pipe.
+"""Replica worker process: rebuild the engine, serve sub-batches over a pipe.
 
-One worker process hosts one or more shard engines (the dispatcher deals
-shards round-robin across workers).  Each engine is rebuilt from its
-:class:`~repro.serving.partition.ShardPayload`: the sub-network, the
-statistics-only trajectory database, a sparse disk with the original
-page geometry, and the ST-Index directory slice in columnar form.  The Con-Index
-is *not* shipped — it derives entirely from the speed model plus the
-sub-network topology, so the worker builds it lazily exactly as a
+One worker process holds one full engine replica, rebuilt from the
+dispatcher's one :class:`~repro.serving.partition.ShardPayload`: the
+network, the statistics-only trajectory database, a sparse disk with the
+original page geometry, and the ST-Index directory in columnar form.
+The Con-Index is *not* shipped — it derives entirely from the speed model
+plus the network topology, so the worker builds it lazily exactly as a
 single-process engine would, and its disk appends land at the same page
 ids (the sparse disk preserved the parent's append tail).
 
-A ``("run", request_id, ...)`` message carries each hosted shard's
-sub-batch; the worker answers it with a fresh
-:class:`~repro.core.service.QueryService` per message and a **serial**
-``run_batch`` — determinism and exact accounting beat intra-shard thread
+A ``("run", request_id, ...)`` message carries the sub-batch of every
+routing group the worker hosts (the dispatcher deals groups round-robin
+across workers); the replica answers each group with a fresh
+:class:`~repro.core.service.QueryService` and a **serial** ``run_batch``
+— determinism and exact accounting beat intra-worker thread
 parallelism, which the process fan-out already provides.
 
 Failure semantics: every command is handled in per-message isolation —
@@ -65,12 +65,12 @@ from repro.trajectory.store import TrajectoryDatabase
 
 
 def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
-    """Reconstruct one shard's engine from its spawn-safe payload."""
+    """Reconstruct the replica engine from its spawn-safe payload."""
 
     def open_data():
         if payload.disk_path is not None:
             # Durable-store reference: open read-only and fault in only the
-            # pages this shard's pointers touch, checksum-verified.  The
+            # pages the worker's queries touch, checksum-verified.  The
             # worker never writes the file, so any number of workers can
             # share one store.
             disk: SimulatedDisk = FileBackedDisk.open(
@@ -89,7 +89,7 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
             slots_per_day(payload.delta_t_s),
             disk.num_pages,
             disk.page_size,
-            "shard directory",
+            "replica directory",
         )
 
     return restore_engine(
@@ -97,7 +97,7 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
         TrajectoryDatabase.from_speed_model(payload.speed_model),
         payload.delta_t_s,
         {knob: getattr(payload, knob) for knob in SIZING_KNOBS},
-        "shard payload",
+        "replica payload",
         open_data,
     )
 
@@ -105,9 +105,9 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
 def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
     """Run ``[(seq, part_idx, Request)]`` serially on ``service``.
 
-    The one sub-batch runner: a worker calls it per hosted shard, the
-    dispatcher for degraded shard maps and for the out-of-contract
-    list, so every reply the merge sees is this ``MSG_OK`` shard body —
+    The one sub-batch runner: a worker calls it per hosted group, the
+    dispatcher for degraded group maps and for the foreign-Δt list, so
+    every reply the merge sees is this ``MSG_OK`` group body —
     packed results plus the sub-batch's exact accounting window on the
     service's engine.
     """
@@ -135,18 +135,19 @@ def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
 
 
 def _serve_run(
-    engines: dict, delta_t_s: int, body: dict, faults: list | None = None
+    engine: ReachabilityEngine,
+    delta_t_s: int,
+    body: dict,
+    faults: list | None = None,
 ) -> dict:
     if faults and RAISE_IN_SERVE in faults:
         raise FaultInjected("injected failure inside _serve_run")
-    # A fresh service per message keeps the region cache batch-scoped,
+    # A fresh service per group keeps the region cache window-scoped,
     # matching the single-process oracle (one fresh service per batch);
     # the engine-level buffer pools persist and `warm` governs them.
     return {
         shard_id: run_sub_batch(
-            QueryService(engines[shard_id], delta_t_s=delta_t_s),
-            entries,
-            body["warm"],
+            QueryService(engine, delta_t_s=delta_t_s), entries, body["warm"]
         )
         for shard_id, entries in body["shards"].items()
     }
@@ -154,7 +155,7 @@ def _serve_run(
 
 def shard_worker_main(
     conn,
-    payloads: list,
+    payload: ShardPayload,
     worker_idx: int = 0,
     incarnation: int = 0,
     fault_plan: FaultPlan | None = None,
@@ -163,7 +164,7 @@ def shard_worker_main(
 
     Args:
         conn: the worker's end of the dispatcher pipe.
-        payloads: the :class:`ShardPayload` slices this worker hosts.
+        payload: the replica to rebuild and serve every group from.
         worker_idx: this worker's index (fault targeting + diagnostics).
         incarnation: 0 for the originally spawned process, +1 per
             supervisor respawn; fault specs select on it.
@@ -171,8 +172,7 @@ def shard_worker_main(
     """
     injector = FaultInjector(fault_plan, worker_idx, incarnation)
     try:
-        engines = {p.shard_id: build_shard_engine(p) for p in payloads}
-        delta_t_s = payloads[0].delta_t_s if payloads else 300
+        engine = build_shard_engine(payload)
     except Exception:  # pragma: no cover - construction failures
         conn.send((MSG_ERROR, -1, traceback.format_exc()))
         return
@@ -209,7 +209,7 @@ def shard_worker_main(
             conn.send(frame)
         deferred.clear()
         try:
-            shards = _serve_run(engines, delta_t_s, body, faults=faults)
+            shards = _serve_run(engine, payload.delta_t_s, body, faults=faults)
             reply_body = {"version": PROTOCOL_VERSION, "shards": shards}
             if DROP_FRAME in faults:
                 continue

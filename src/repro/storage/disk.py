@@ -428,9 +428,9 @@ class SimulatedDisk:
         full disk's page geometry — page ids, extent offsets and payload
         lengths of the selected pages are unchanged — so record pointers
         into the original disk stay valid on the restored copy.  This is
-        the shard-slice export: a partition that owns a subset of the
-        index directory carries exactly the pages its pointers reference
-        and none of the others' payload bytes.
+        the replica export: it carries exactly the pages the ST-Index
+        directory references and none of the Con-Index pages the parent
+        appended while serving.
         """
         wanted = sorted(set(page_ids))
         with self._lock:

@@ -16,7 +16,7 @@ lazily for convenience, while index construction uses the zero-copy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -270,20 +270,7 @@ class TrajectoryDatabase:
             return None
         return lo, hi
 
-    def max_observed_speed_mps(self) -> float:
-        """The fastest observed speed anywhere in the dataset.
-
-        The conservative ``v_max`` for halo sizing in the sharded serving
-        layer (:mod:`repro.serving`): no expansion can outrun the fastest
-        speed any estimator will ever use.  Returns 0.0 for an empty
-        dataset.
-        """
-        self.finalize()
-        return max(self._stats_max.values(), default=0.0)
-
-    def export_speed_model(
-        self, segment_ids: Iterable[int] | None = None
-    ) -> dict:
+    def export_speed_model(self) -> dict:
         """Extract the finalized per-(segment, hour) speed statistics.
 
         The Con-Index derives entirely from :meth:`observed_speed_bounds`
@@ -291,37 +278,18 @@ class TrajectoryDatabase:
         ``num_days`` — so a worker process can serve queries from this
         statistics-only payload without shipping raw trajectories.
 
-        Args:
-            segment_ids: restrict the export to these segments (None:
-                everything).  Statistics for a kept segment are exported
-                for all 24 hours.
-
         Returns:
             A picklable dict for :meth:`from_speed_model`.
         """
         self.finalize()
-        if segment_ids is None:
-            keep = None
-        else:
-            keep = set(segment_ids)
-
-        def _filter(stats: dict) -> dict:
-            if keep is None:
-                return dict(stats)
-            return {
-                key: value
-                for key, value in stats.items()
-                if key // HOURS_PER_DAY in keep
-            }
-
         return {
             "num_taxis": self.num_taxis,
             "num_days": self.num_days,
             "num_trajectories": len(self._trajectories),
-            "stats_min": _filter(self._stats_min),
-            "stats_max": _filter(self._stats_max),
-            "stats_sum": _filter(self._stats_sum),
-            "stats_count": _filter(self._stats_count),
+            "stats_min": dict(self._stats_min),
+            "stats_max": dict(self._stats_max),
+            "stats_sum": dict(self._stats_sum),
+            "stats_count": dict(self._stats_count),
         }
 
     @classmethod

@@ -128,10 +128,10 @@ def test_empty_network_is_a_typed_error():
 
 @pytest.mark.sharded
 def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset):
-    """Every ``interactive_unique`` location (smoke config, two shards):
-    the shard the dispatcher routes it to owns the start segment the
-    resolver gives on the full network, and that shard's worker engine
-    resolves the same segment on its sub-network."""
+    """Every ``interactive_unique`` location (smoke config, two routing
+    groups): the group the dispatcher routes it to owns the start segment
+    the resolver gives on the full network, and a worker's replica engine
+    resolves the same segment."""
     from benchmarks.perf.inputs import SMOKE, InputGenerator
     from repro.serving import ShardedEngine
     from repro.serving.partition import export_shard_payload
@@ -143,13 +143,10 @@ def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset):
     resolver = engine.st_index(SMOKE.delta_t_s).locator
     with ShardedEngine(engine, shards=SMOKE.shards, delta_t_s=SMOKE.delta_t_s) as sharded:
         dispatch = sharded.plan_dispatch(requests)
-        workers = {
-            spec.shard_id: build_shard_engine(
-                export_shard_payload(engine, spec, SMOKE.delta_t_s)
-            ).st_index(SMOKE.delta_t_s)
-            for spec in sharded.plan.shards
-        }
         owner_of = sharded.plan.owner_of
+    replica = build_shard_engine(
+        export_shard_payload(engine, SMOKE.delta_t_s)
+    ).st_index(SMOKE.delta_t_s)
     assert not dispatch.fallback
     routed = 0
     for shard_id, entries in dispatch.per_shard.items():
@@ -158,7 +155,7 @@ def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset):
             for location in getattr(query, "locations", None) or (query.location,):
                 start = resolver.nearest(location)
                 assert owner_of[start] == shard_id
-                assert workers[shard_id].find_start_segment(location) == start
+                assert replica.find_start_segment(location) == start
                 routed += 1
     assert routed == sum(
         len(getattr(r.query, "locations", None) or (r.query.location,)) for r in requests

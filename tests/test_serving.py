@@ -1,14 +1,17 @@
-"""Sharded serving: partitioner, lifecycle, accounting, equivalence.
+"""Sharded serving: routing groups, lifecycle, accounting, equivalence.
 
 The equivalence tests (marked ``sharded``) spawn real worker processes
-and prove the tentpole guarantees: identical results to the
+and prove the serving guarantees: identical results to the
 single-process engine on a randomized fig-4.8-style workload, and
-*exact* I/O aggregation — per-shard DiskStats windows sum to the batch
-window, and each shard's window equals a fresh single-process engine
-running that shard's exact sub-requests.
+*exact* I/O aggregation — per-group DiskStats windows sum to the batch
+window, and each group's window equals a fresh single-process engine
+running that group's exact sub-requests (up to ``page_writes`` when a
+worker's replica runs more than one group).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +30,7 @@ from repro.serving import (
     partition_network,
 )
 from repro.serving.faults import KILL_IN_RUN
-from repro.serving.partition import build_subnetwork
+from repro.serving.partition import export_shard_payload
 from repro.serving.protocol import pack_result, unpack_result
 from repro.storage.disk import DiskStats
 from repro.trajectory.model import MatchedTrajectory
@@ -36,7 +39,7 @@ from repro.trajectory.model import MatchedTrajectory
 def fresh_engine(dataset) -> ReachabilityEngine:
     """A from-scratch engine (index built, no queries run yet).
 
-    Sharded equivalence needs a *fresh* parent: the shard slices copy
+    Sharded equivalence needs a *fresh* parent: the replicas copy
     the parent disk's append tail, so a parent that already served
     queries (extra Con-Index appends) would not match a from-scratch
     oracle page-for-page.
@@ -60,6 +63,14 @@ def mixed_requests(network, num_s: int = 12, num_m: int = 4, seed: int = 17):
         )
     ]
     return requests
+
+
+def at_delta_t(requests, delta_t_s: int):
+    """The same requests pinned to another index granularity."""
+    return [
+        Request(r.query, replace(r.options, delta_t_s=delta_t_s))
+        for r in requests
+    ]
 
 
 # -- per-query I/O attribution (single-process) ---------------------------
@@ -106,43 +117,34 @@ class TestBatchAttribution:
 
 class TestPartitioner:
     def test_owned_sets_partition_the_network(self, test_dataset):
-        plan = partition_network(test_dataset.network, 4, halo_m=2000.0)
+        plan = partition_network(test_dataset.network, 4)
         all_ids = {s.segment_id for s in test_dataset.network.segments()}
         owned = [spec.owned for spec in plan.shards]
         union = set().union(*owned)
         assert union == all_ids
         assert sum(len(o) for o in owned) == len(all_ids)  # disjoint
         assert plan.owner_of.keys() == all_ids
+        # every group's replica holds the whole network: what it does not
+        # own is its halo
+        for spec in plan.shards:
+            assert spec.owned | spec.halo == all_ids
+            assert not spec.owned & spec.halo
 
     def test_balanced_and_deterministic(self, test_dataset):
-        plan_a = partition_network(test_dataset.network, 4, halo_m=2000.0)
-        plan_b = partition_network(test_dataset.network, 4, halo_m=2000.0)
+        plan_a = partition_network(test_dataset.network, 4)
+        plan_b = partition_network(test_dataset.network, 4)
         sizes = [len(spec.owned) for spec in plan_a.shards]
         assert max(sizes) - min(sizes) <= max(2, len(plan_a.owner_of) // 10)
         for a, b in zip(plan_a.shards, plan_b.shards):
             assert a.owned == b.owned and a.halo == b.halo
 
     def test_single_shard_owns_everything(self, test_dataset):
-        plan = partition_network(test_dataset.network, 1, halo_m=2000.0)
+        plan = partition_network(test_dataset.network, 1)
         assert plan.num_shards == 1
         assert not plan.shards[0].halo
         assert plan.shards[0].owned == {
             s.segment_id for s in test_dataset.network.segments()
         }
-
-    def test_halo_within_radius(self, test_dataset):
-        network = test_dataset.network
-        halo_m = 1500.0
-        plan = partition_network(network, 2, halo_m=halo_m)
-        for spec in plan.shards:
-            owned_mid = [
-                network.segment(i).midpoint for i in spec.owned
-            ]
-            for halo_id in spec.halo:
-                mid = network.segment(halo_id).midpoint
-                assert any(
-                    mid.distance_to(o) <= halo_m + 1e-6 for o in owned_mid
-                )
 
     def test_locator_matches_scalar_start_segments(self, engine):
         # a batch through the resolver (the dispatcher's routing) agrees
@@ -159,16 +161,6 @@ class TestPartitioner:
         st_index = engine.st_index(300)
         for location, sid in zip(locations, batch):
             assert int(sid) == st_index.find_start_segment(location)
-
-    def test_subnetwork_preserves_geometry(self, test_dataset):
-        network = test_dataset.network
-        plan = partition_network(network, 2, halo_m=2000.0)
-        sub = build_subnetwork(network, plan.shards[0].members)
-        assert sub.num_segments == len(plan.shards[0].members)
-        for segment in sub.segments():
-            original = network.segment(segment.segment_id)
-            assert segment.shape == original.shape
-            assert segment.length == original.length
 
 
 # -- wire protocol --------------------------------------------------------
@@ -300,31 +292,89 @@ def test_shard_windows_match_single_process_oracle(test_dataset):
 
 
 @pytest.mark.sharded
+def test_more_groups_than_workers_share_one_replica(test_dataset, monkeypatch):
+    """The benchmark's serving shape: four routing groups on two workers,
+    so worker ``i`` runs groups ``i`` and ``i + 2`` on one replica.
+
+    Each group is still one cold window: its page reads and pool
+    counters equal a fresh single-process engine running that group's
+    sub-list.  Only ``page_writes`` may fall for a worker's second group,
+    because it reuses the Con-Index entries its first group built on the
+    same replica instead of building them again.
+    """
+    requests = mixed_requests(test_dataset.network)
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
+        requests
+    )
+    scattered: dict[int, list[int]] = {}
+    with ShardedEngine(
+        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+    ) as sharded:
+        dispatch_attempt = sharded._dispatch_attempt
+
+        def recording(worker_idx, shard_map, *args):
+            scattered[worker_idx] = list(shard_map)
+            return dispatch_attempt(worker_idx, shard_map, *args)
+
+        monkeypatch.setattr(sharded, "_dispatch_attempt", recording)
+        report = sharded.run_batch(requests)
+        dispatch = sharded.plan_dispatch(requests)
+
+    assert scattered == {0: [0, 2], 1: [1, 3]}
+    decomposed = set(dispatch.decomposed)
+    for seq, (expected, actual) in enumerate(
+        zip(baseline.results, report.results)
+    ):
+        assert actual.segments == expected.segments
+        assert actual.start_segments == expected.start_segments
+        if seq not in decomposed:
+            assert actual.probabilities == expected.probabilities
+
+    assert not dispatch.fallback
+    assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
+    assert [s.shard_id for s in report.shard_reports] == [0, 1, 2, 3]
+    fewer_writes = []
+    for shard_report in report.shard_reports:
+        sub_requests = [
+            request
+            for _, _, request in dispatch.per_shard[shard_report.shard_id]
+        ]
+        with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
+            want = oracle.run_batch(sub_requests, max_workers=1).io
+        got = shard_report.io
+        assert got.page_reads == want.page_reads
+        assert got.bytes_read == want.bytes_read
+        assert (got.pool_hits, got.pool_misses, got.pool_evictions) == (
+            want.pool_hits, want.pool_misses, want.pool_evictions
+        )
+        if shard_report.shard_id < 2:  # the worker's first group
+            assert got == want
+        else:
+            assert got.page_writes <= want.page_writes
+            fewer_writes.append(got.page_writes < want.page_writes)
+    assert any(fewer_writes)  # the reuse is real on this workload
+
+
+@pytest.mark.sharded
 def test_out_of_contract_requests_fall_back(test_dataset):
+    """The replicas hold the ST-Index at one Δt; a request at another Δt
+    runs on the dispatcher's own service."""
     workload = QueryWorkload(test_dataset.network, seed=5)
     (query,) = workload.s_queries(1, start_time_s=10 * 3600)
+    (foreign,) = at_delta_t([Request(query)], 600)
     with ShardedEngine(
-        QueryService(fresh_engine(test_dataset)),
-        shards=2,
-        max_duration_s=300.0,  # tiny contract: everything falls back
+        QueryService(fresh_engine(test_dataset)), shards=2
     ) as sharded:
-        long_query = Request(
-            type(query)(
-                location=query.location,
-                start_time_s=query.start_time_s,
-                duration_s=1800.0,
-                prob=query.prob,
-            )
-        )
-        dispatch = sharded.plan_dispatch([long_query])
+        dispatch = sharded.plan_dispatch([foreign])
         assert dispatch.fallback and not dispatch.num_sub_requests
-        report = sharded.run_batch([long_query])
+        report = sharded.run_batch([foreign])
     assert len(report.results) == 1
     assert not report.shard_reports
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
-        [long_query]
+        [foreign]
     )
     assert report.results[0].segments == baseline.results[0].segments
+    assert report.io == baseline.io
 
 
 # -- data changes -----------------------------------------------------------
@@ -400,14 +450,15 @@ def test_direct_sharded_engine_closes_on_data_change(test_dataset):
 @pytest.mark.sharded
 @pytest.mark.parametrize("path", ["worker", "degraded", "fallback"])
 def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
-    """A worker reply, a degraded re-run and the out-of-contract fallback
+    """A worker reply, a degraded re-run and the foreign-Δt fallback
     answer the same entries with the same body: same keys, same unpacked
     results, same accounting window."""
     from repro.serving import dispatcher
-    from repro.serving.partition import export_shard_payload
     from repro.serving.worker import _serve_run, build_shard_engine, run_sub_batch
 
     requests = mixed_requests(test_dataset.network, 4, 1)
+    if path == "fallback":
+        requests = at_delta_t(requests, 600)
     entries = [(seq, 0, request) for seq, request in enumerate(requests)]
     reference = run_sub_batch(
         QueryService(fresh_engine(test_dataset)), entries, False
@@ -420,11 +471,11 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
 
     monkeypatch.setattr(dispatcher, "run_sub_batch", recording)
     if path == "worker":
-        engine = fresh_engine(test_dataset)
-        (spec,) = partition_network(engine.network, 1, halo_m=0.0).shards
-        shard_engine = build_shard_engine(export_shard_payload(engine, spec, 300))
+        replica = build_shard_engine(
+            export_shard_payload(fresh_engine(test_dataset), 300)
+        )
         message = {"warm": False, "shards": {0: entries}}
-        body = _serve_run({0: shard_engine}, 300, message)[0]
+        body = _serve_run(replica, 300, message)[0]
     else:
         how = (
             dict(
@@ -434,7 +485,7 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
                 max_retries=0,
             )
             if path == "degraded"
-            else dict(max_duration_s=60.0)  # everything is out of contract
+            else {}  # every request is at a foreign Δt
         )
         with ShardedEngine(
             QueryService(fresh_engine(test_dataset)), shards=1, **how
@@ -476,12 +527,18 @@ class _ScriptedConn:
         self.sent.append(frame)
 
 
+@pytest.fixture(scope="module")
+def replica_payload(test_dataset):
+    """The one payload every worker of a sharded engine rebuilds."""
+    return export_shard_payload(fresh_engine(test_dataset), 300)
+
+
 class TestProtocolErrorPaths:
     """The RL009 contract, exercised dynamically: unknown kinds and
     executor failures answer with MSG_ERROR instead of killing the
     worker loop; a dead worker surfaces as RuntimeError, not a hang."""
 
-    def test_unknown_message_kind_gets_structured_error(self):
+    def test_unknown_message_kind_gets_structured_error(self, replica_payload):
         from repro.serving.protocol import (
             MSG_ERROR,
             MSG_SHUTDOWN,
@@ -495,7 +552,7 @@ class TestProtocolErrorPaths:
                 (MSG_SHUTDOWN,),
             ]
         )
-        shard_worker_main(conn, [])
+        shard_worker_main(conn, replica_payload)
         assert len(conn.sent) == 1
         kind, request_id, body = conn.sent[0]
         assert kind == MSG_ERROR
@@ -503,7 +560,7 @@ class TestProtocolErrorPaths:
         assert "unknown message kind" in body
         assert "bogus" in body
 
-    def test_malformed_frame_survives_and_replies_error(self):
+    def test_malformed_frame_survives_and_replies_error(self, replica_payload):
         # A garbage frame or a version-less command must not kill the
         # loop: the worker answers MSG_ERROR and keeps serving.
         from repro.serving.protocol import MSG_ERROR, MSG_RUN, MSG_SHUTDOWN
@@ -516,16 +573,16 @@ class TestProtocolErrorPaths:
                 (MSG_SHUTDOWN,),
             ]
         )
-        shard_worker_main(conn, [])
+        shard_worker_main(conn, replica_payload)
         assert [kind for kind, _, _ in conn.sent] == [MSG_ERROR, MSG_ERROR]
         # parse failures happen before the id is trusted: both carry -1
         assert [rid for _, rid, _ in conn.sent] == [-1, -1]
         assert "version" in conn.sent[1][2]
 
-    def test_failing_run_replies_error_with_traceback(self):
-        # A MSG_RUN for a shard the worker does not host fails inside
-        # _serve_run; the reply must carry the traceback, and the loop
-        # must stay alive for the next frame.
+    def test_failing_run_replies_error_with_traceback(self, replica_payload):
+        # A MSG_RUN whose group entries are not (seq, part, request)
+        # triples fails inside _serve_run; the reply must carry the
+        # traceback, and the loop must stay alive for the next frame.
         from repro.serving.protocol import (
             MSG_ERROR,
             MSG_RUN,
@@ -542,24 +599,24 @@ class TestProtocolErrorPaths:
                     {
                         "version": PROTOCOL_VERSION,
                         "warm": False,
-                        "shards": {99: []},
+                        "shards": {0: [("not", "a triple")]},
                     },
                 ),
                 (MSG_SHUTDOWN,),
             ]
         )
-        shard_worker_main(conn, [])
+        shard_worker_main(conn, replica_payload)
         assert len(conn.sent) == 1
         kind, request_id, body = conn.sent[0]
         assert kind == MSG_ERROR
         assert request_id == 3
-        assert "Traceback" in body and "KeyError" in body
+        assert "Traceback" in body and "ValueError" in body
 
-    def test_pipe_eof_exits_worker_loop_cleanly(self):
+    def test_pipe_eof_exits_worker_loop_cleanly(self, replica_payload):
         from repro.serving.worker import shard_worker_main
 
         conn = _ScriptedConn([])  # recv raises EOFError immediately
-        shard_worker_main(conn, [])  # must return, not raise
+        shard_worker_main(conn, replica_payload)  # must return, not raise
         assert conn.sent == []
 
     def test_worker_death_mid_session_recovers(self, test_dataset):

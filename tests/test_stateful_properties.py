@@ -209,21 +209,15 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     @rule()
     def export_and_reload(self):
-        assert self.rows_of(self.directory) == self.model_rows()
+        rows = self.model_rows()
+        assert self.rows_of(self.directory) == rows
+        pages = {page for row in rows for page in range(row[3], row[3] + row[4])}
+        assert self.directory.page_ids().tolist() == sorted(pages)
         self.directory = TimeListDirectory.from_columns(
             self.directory.columns(),
             self.NUM_SLOTS, self.NUM_PAGES, self.PAGE_SIZE, "exported rows",
         )
         assert self.rows_of(self.directory) == self.model_rows()
-
-    @rule(segments=st.sets(st.integers(-1, 8), max_size=5))
-    def select_segments(self, segments):
-        shard = self.directory.select(segments)
-        rows = self.model_rows(segments)
-        assert self.rows_of(shard) == rows
-        assert len(shard) == len({row[:2] for row in rows})
-        pages = {page for row in rows for page in range(row[3], row[3] + row[4])}
-        assert shard.page_ids().tolist() == sorted(pages)
 
     @rule()
     def record_bytes(self):
