@@ -4,7 +4,8 @@ The paper's ST-Index resolves a query location to its road segment with an
 R-tree (§3.2.1); SETI-style systems use grids (§5.1); this reproduction's
 ST-Index uses one exact vector pass over every polyline edge
 (``repro.network.locator``).  This ablation compares the four lookup
-strategies on the benchmark network.
+strategies on the benchmark network; the R-tree is the paper-structure
+comparator kept in ``tests/reference/rtree.py``.
 """
 
 import random
@@ -15,7 +16,7 @@ from repro.eval.tables import format_table
 from repro.network.locator import SegmentLocator
 from repro.spatial.geometry import BBox, Point
 from repro.spatial.grid import GridIndex
-from repro.spatial.rtree import RTree
+from tests.reference.rtree import RTree
 
 
 @pytest.fixture(scope="module")

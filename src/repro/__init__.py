@@ -21,7 +21,8 @@ Module map (see ``docs/architecture.md`` for the routing diagram):
   ``explain`` (plan + cost rendering).
 * ``repro.storage`` — simulated disk, page store, LRU buffer pools with
   hit/miss/eviction accounting.
-* ``repro.spatial`` — R-tree, B+-tree, grid, hulls, geometry.
+* ``repro.spatial`` — grid, hulls, geometry (the paper's R-tree and
+  B-tree are test comparators; ``repro.core.slots`` is the Δt day clock).
 * ``repro.network`` — road-network model, generators, re-segmentation,
   time-bounded expansion.
 * ``repro.trajectory`` — fleet generator, map matching, speed profiles,

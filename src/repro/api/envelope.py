@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.query import MQuery, QueryCost, QueryResult, SQuery
+from repro.core.slots import check_delta_t
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.router import RouteDecision
@@ -76,8 +77,8 @@ class QueryOptions:
             raise ValueError(
                 f"unknown direction {self.direction!r}, want one of {DIRECTIONS}"
             )
-        if self.delta_t_s is not None and self.delta_t_s <= 0:
-            raise ValueError(f"bad index granularity {self.delta_t_s}")
+        if self.delta_t_s is not None:
+            check_delta_t(self.delta_t_s)
         if self.cost_budget_ms is not None and self.cost_budget_ms <= 0:
             raise ValueError(f"bad cost budget {self.cost_budget_ms}")
 

@@ -24,6 +24,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
+from repro.core.slots import check_delta_t, slot_of, slots_per_day
 from repro.network.expansion import time_bounded_expansion
 from repro.network.model import RoadNetwork
 from repro.storage.disk import SimulatedDisk
@@ -149,12 +150,10 @@ class ConnectionIndex:
         entry_cache_size: int = 100_000,
         compressed: bool = False,
     ) -> None:
-        if delta_t_s <= 0 or delta_t_s > SECONDS_PER_DAY:
-            raise ValueError(f"bad slot width {delta_t_s}")
         self.network = network
         self.database = database
-        self.delta_t_s = delta_t_s
-        self.num_slots = -(-SECONDS_PER_DAY // delta_t_s)
+        self.delta_t_s = check_delta_t(delta_t_s)
+        self.num_slots = slots_per_day(self.delta_t_s)
         self.disk = disk if disk is not None else SimulatedDisk()
         self._store = PageStore(self.disk)
         self.pool = BufferPool(self.disk, capacity=buffer_pool_pages)
@@ -183,13 +182,10 @@ class ConnectionIndex:
         """The slot containing ``time_s``, wrapping modulo one day.
 
         Time-of-day is cyclic: a query hop that crosses midnight continues
-        in the first slots of the (next) day rather than clamping at the
-        last slot — the same wrap-around the residual-carry expansion has
-        always used, so the memoized entry hops and the top-up now agree
-        near midnight.
+        in the first slots of the (next) day, as the residual-carry top-up
+        does, rather than clamping at the last slot.
         """
-        t = float(time_s) % SECONDS_PER_DAY
-        return min(int(t // self.delta_t_s), self.num_slots - 1)
+        return slot_of(float(time_s) % SECONDS_PER_DAY, self.delta_t_s)
 
     def _slot_mid_time(self, slot: int) -> float:
         return (slot % self.num_slots) * self.delta_t_s + self.delta_t_s / 2.0

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.io.persist import PersistFormatError
-from repro.trajectory.model import SECONDS_PER_DAY
 
 #: The directory as seven aligned ``int64`` columns, one row per chain
 #: record in ``(segment, slot, position)`` order: the arrays
@@ -40,11 +39,6 @@ Pointer = tuple[int, int, int, int]
 _INT64_MAX = np.iinfo(np.int64).max
 #: Packed-key value no ``(segment, slot)`` produces.
 _NO_KEY = np.iinfo(np.int64).min
-
-
-def slots_per_day(delta_t_s: int) -> int:
-    """Number of Δt slots in a day (the last one may be shorter)."""
-    return -(-SECONDS_PER_DAY // delta_t_s)
 
 
 def _first(mask: np.ndarray) -> int:

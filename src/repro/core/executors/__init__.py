@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import slots
 from repro.core.mqmb import mqmb_bounding_region
 from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
@@ -238,10 +239,9 @@ class ExecutionContext:
         if self.region_cache is None:
             region, reused = compute(), False
         else:
-            steps = max(1, int(duration_s // self.delta_t_s))
             key = (
-                strategy, seeds, con.slot_of(start_time_s), steps, kind,
-                self.delta_t_s,
+                strategy, seeds, con.slot_of(start_time_s),
+                slots.hops(duration_s, self.delta_t_s), kind, self.delta_t_s,
             )
             region, reused = self.region_cache.get_or_compute(key, compute)
         with self._stats_lock:

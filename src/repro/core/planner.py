@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import slots
 from repro.core.executors import executor_names, has_executor
 from repro.core.query import MQuery, SQuery
-from repro.trajectory.model import SECONDS_PER_DAY
 
 #: Query kinds the planner routes: single-location, multi-location and
 #: reverse ("who can reach this location").
@@ -114,8 +114,7 @@ def plan_query(
             f"unknown {_KIND_LABEL[kind]} algorithm {algorithm!r} "
             f"(registered: {known})"
         )
-    if delta_t_s <= 0 or delta_t_s > SECONDS_PER_DAY:
-        raise ValueError(f"bad index granularity {delta_t_s}")
+    delta_t_s = slots.check_delta_t(delta_t_s)
     strategy, uses_con = _STRATEGY_OF.get(algorithm, (None, False))
     if kind == "r" and strategy is not None:
         strategy = "reverse"
@@ -129,12 +128,8 @@ def plan_query(
         delta_t_s=delta_t_s,
         bounding_strategy=strategy,
         uses_con_index=uses_con,
-        steps=(
-            max(1, int(query.duration_s // delta_t_s)) if strategy else 0
-        ),
-        start_slot=int(
-            min(max(0.0, query.start_time_s), SECONDS_PER_DAY - 1) // delta_t_s
-        ),
+        steps=slots.hops(query.duration_s, delta_t_s) if strategy else 0,
+        start_slot=slots.slot_of(query.start_time_s, delta_t_s),
         num_locations=locations,
         warm=warm,
     )

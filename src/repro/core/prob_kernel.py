@@ -123,7 +123,7 @@ class ColumnarEq31Estimator:
         # network is static for the estimator's lifetime, so memoize.
         self._twins: dict[int, int | None] = {}
         # Window -> slot plans resolve once per estimator; every gather
-        # replays them without touching the temporal B+-tree again.
+        # replays them instead of redoing the slot arithmetic.
         self._candidate_plan = index.window_plan(*self._candidate_window())
         # The fixed side, read once and reused for every candidate: one
         # sorted unique key array is the per-day trajectory sets of all

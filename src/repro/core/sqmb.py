@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import slots
 from repro.core.con_index import ConnectionIndex, Kind
 from repro.core.query import BoundingRegion
 from repro.network.csr import (
@@ -276,7 +277,7 @@ def bounding_region(
     entry_kind = f"{kind}_rev" if reverse else kind
     csr = con_index.network.csr()
     delta_t = con_index.delta_t_s
-    steps = max(1, int(duration_s // delta_t))
+    steps = slots.hops(duration_s, delta_t)
     seed_rows = csr.rows_of(seeds)
     cover = np.zeros(csr.n, dtype=bool)
     cover[seed_rows] = True

@@ -2,7 +2,9 @@
 
 Three components, exactly as Fig. 3.2 draws them:
 
-* **Temporal index** — a B+-tree over Δt-granular time slots of the day;
+* **Temporal index** — the day's Δt slots.  The paper's B-tree over them
+  reduces to arithmetic, as every slot starts at exactly ``k·Δt``
+  (:mod:`repro.core.slots`), so no tree is built;
 * **Spatial index** — the (static) re-segmented road network's polyline
   edges as arrays (:class:`~repro.network.locator.SegmentLocator`), shared
   by every temporal leaf; its one query is Fig. 3.4's location → ``r0``,
@@ -31,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.directory import Pointer, TimeListDirectory, slots_per_day
+from repro.core import slots
+from repro.core.directory import Pointer, TimeListDirectory
 from repro.network.locator import SegmentLocator
 from repro.network.model import RoadNetwork
-from repro.spatial.btree import BPlusTree
 from repro.spatial.geometry import Point
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
@@ -204,18 +206,12 @@ class STIndex:
         buffer_pool_pages: int = 512,
         record_cache_size: int = 4096,
     ) -> None:
-        if delta_t_s <= 0 or delta_t_s > SECONDS_PER_DAY:
-            raise ValueError(f"bad slot width {delta_t_s}")
         self.network = network
-        self.delta_t_s = delta_t_s
-        self.num_slots = slots_per_day(delta_t_s)
+        self.delta_t_s = slots.check_delta_t(delta_t_s)
+        self.num_slots = slots.slots_per_day(self.delta_t_s)
         self.disk = disk if disk is not None else SimulatedDisk()
         self._store = PageStore(self.disk)
         self.pool = BufferPool(self.disk, capacity=buffer_pool_pages)
-        # Temporal index: slot start seconds -> slot id, as a B+-tree.
-        self._temporal = BPlusTree(order=64)
-        for slot in range(self.num_slots):
-            self._temporal.insert(slot * delta_t_s, slot)
         # Spatial index: the polyline edges as arrays.
         self.locator = SegmentLocator(network)
         # Time-list directory: (segment, slot) -> chain of record
@@ -453,39 +449,7 @@ class STIndex:
 
     def slot_of(self, time_s: float) -> int:
         """The slot containing ``time_s`` (clamped into the day)."""
-        t = min(max(0.0, time_s), SECONDS_PER_DAY - 1)
-        found = self._temporal.floor(t)
-        assert found is not None, "temporal index must cover the whole day"
-        return found[1]
-
-    def _window_parts(
-        self, start_s: float, end_s: float
-    ) -> list[tuple[float, float]]:
-        """``[start_s, end_s)`` as within-day parts, split at midnight.
-
-        Time-of-day is cyclic: a window that runs past midnight continues
-        in the early slots of the day (the same wrap-around the Con-Index
-        slot hops use) instead of silently truncating at
-        ``SECONDS_PER_DAY``.  A window spanning a full day or more covers
-        every slot.
-        """
-        span = end_s - start_s
-        if span <= 0:
-            return []
-        if span >= SECONDS_PER_DAY:
-            return [(0.0, float(SECONDS_PER_DAY))]
-        start = start_s % SECONDS_PER_DAY
-        end = start + span
-        if end <= SECONDS_PER_DAY:
-            return [(start, end)]
-        return [(start, float(SECONDS_PER_DAY)), (0.0, end - SECONDS_PER_DAY)]
-
-    def _slots_in_part(self, start_s: float, end_s: float) -> list[int]:
-        first_start = self.slot_of(start_s) * self.delta_t_s
-        return [
-            slot
-            for _, slot in self._temporal.range(first_start, end_s - 1e-9)
-        ]
+        return slots.slot_of(time_s, self.delta_t_s)
 
     # -- spatial lookups -------------------------------------------------------------
 
@@ -539,18 +503,11 @@ class STIndex:
     ) -> tuple[tuple[float, float, int, int], ...]:
         """A window resolved to ``(lo, hi, first_slot, last_slot)`` parts.
 
-        Resolving ``[start_s, end_s)`` against the temporal B+-tree (the
-        midnight split, the per-part slot range scans) depends only on
-        the window and Δt — not on any segment — so one query's estimator
-        resolves it once and every candidate gather replays the plan.
-        The plan is half of every window-gather memo key, so it stays one
-        small tuple per within-day part however many slots a part spans.
+        The plan (:func:`repro.core.slots.window_plan`) is segment-free, so
+        an estimator resolves it once and every gather replays it; it is
+        half of every window-gather memo key, hence one small tuple per part.
         """
-        parts: list[tuple[float, float, int, int]] = []
-        for lo, hi in self._window_parts(start_s, end_s):
-            slots = self._slots_in_part(lo, hi)
-            parts.append((lo, hi, slots[0], slots[-1]))
-        return tuple(parts)
+        return slots.window_plan(start_s, end_s, self.delta_t_s)
 
     @staticmethod
     def _assemble_window_keys(
@@ -694,31 +651,16 @@ class STIndex:
     ) -> dict[int, set[int]]:
         """Per-date trajectory IDs passing a segment within ``[start_s, end_s)``.
 
-        Slots fully inside the window contribute every stored ID; slots the
-        window only partially overlaps are filtered by the per-visit seconds,
-        so the window boundaries are exact rather than rounded out to whole
-        Δt slots.  A window crossing midnight is split at the day boundary
+        Every visit of the overlapped slots is kept by its own second, so
+        the window boundaries are exact rather than rounded out to whole Δt
+        slots.  A window crossing midnight is split at the day boundary
         (time-of-day is cyclic) and both parts contribute.
         """
         merged: dict[int, set[int]] = {}
-        for lo, hi in self._window_parts(start_s, end_s):
-            for slot in self._slots_in_part(lo, hi):
-                slot_start = slot * self.delta_t_s
-                whole_slot = (
-                    lo <= slot_start and slot_start + self.delta_t_s <= hi
-                )
-                entries = self.time_entries(segment_id, slot)
-                for date, visits in entries.items():
-                    ids = {
-                        trajectory_id
-                        for trajectory_id, second in visits
-                        if whole_slot or lo <= second < hi
-                    }
-                    if not ids:
-                        continue
-                    bucket = merged.get(date)
-                    if bucket is None:
-                        merged[date] = ids
-                    else:
-                        bucket |= ids
+        for lo, hi, first_slot, last_slot in self.window_plan(start_s, end_s):
+            for slot in range(first_slot, last_slot + 1):
+                for date, visits in self.time_entries(segment_id, slot).items():
+                    ids = {tid for tid, second in visits if lo <= second < hi}
+                    if ids:
+                        merged.setdefault(date, set()).update(ids)
         return merged

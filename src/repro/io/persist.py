@@ -31,7 +31,6 @@ import numpy as np
 from repro.network.model import RoadLevel, RoadNetwork, RoadSegment
 from repro.network.segmentation import ResegmentationResult
 from repro.spatial.geometry import Point
-from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
 FORMAT_VERSION = 1
@@ -434,6 +433,8 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     :class:`~repro.storage.backends.CorruptSnapshotError` /
     :class:`~repro.storage.backends.TornWriteError` for verified damage.
     """
+    from repro.core.slots import check_delta_t
+
     directory = Path(directory)
     for name in ("store.json", "network.json", "speed_model.json", "directory.npz"):
         if not (directory / name).exists():
@@ -446,12 +447,9 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
             f"unsupported store format {config.get('version')!r} "
             f"(supported: {STORE_FORMAT_VERSION})"
         )
-    delta_t_s = config.get("delta_t_s")
-    if not isinstance(delta_t_s, int) or not 0 < delta_t_s <= SECONDS_PER_DAY:
-        raise PersistFormatError(
-            f"store.json delta_t_s is {delta_t_s!r}, expected a slot width "
-            f"of 1..{SECONDS_PER_DAY} seconds"
-        )
+    delta_t_s = check_delta_t(
+        config.get("delta_t_s"), "store.json delta_t_s", PersistFormatError
+    )
     network = load_network(directory / "network.json")
     database = TrajectoryDatabase.from_speed_model(
         _speed_model_from_json(_read_json_object(directory / "speed_model.json"))
@@ -464,11 +462,8 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
 
 def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool):
     """The store's disk and its directory, journal suffix replayed."""
-    from repro.core.directory import (
-        DIRECTORY_COLUMNS,
-        TimeListDirectory,
-        slots_per_day,
-    )
+    from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
+    from repro.core.slots import slots_per_day
     from repro.storage.backends import FileBackedDisk
     from repro.storage.serialization import (
         SerializationError,

@@ -33,9 +33,10 @@ import traceback
 from time import perf_counter
 
 from repro.api.client import ReachabilityClient
-from repro.core.directory import TimeListDirectory, slots_per_day
+from repro.core.directory import TimeListDirectory
 from repro.core.engine import ReachabilityEngine
 from repro.core.service import QueryService
+from repro.core.slots import slots_per_day
 from repro.io.persist import SIZING_KNOBS, network_from_dict, restore_engine
 from repro.serving.faults import (
     CORRUPT_FRAME,

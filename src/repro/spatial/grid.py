@@ -3,8 +3,8 @@
 §5.1 discusses grid-based structures (SETI-style) as the standard
 alternative to R-trees for trajectory data.  We keep one as an ablation
 comparator for the ST-Index's start-segment lookup
-(``benchmarks/test_ablation_spatial.py``): same query interface as
-:class:`~repro.spatial.rtree.RTree`, different guts.
+(``benchmarks/test_ablation_spatial.py``): same query interface as the
+R-tree comparator in ``tests/reference/rtree.py``, different guts.
 """
 
 from __future__ import annotations

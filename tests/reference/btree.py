@@ -1,10 +1,12 @@
-"""A B+-tree used as the temporal index of the ST-Index.
+"""A B+-tree: the paper's temporal index, kept as a comparator.
 
 The paper splits each day into Δt-minute slots and "build[s] a B-tree upon
 all the small temporal intervals to speed up the temporal range selection"
-(§3.2.1).  Keys here are slot start offsets (seconds since midnight, or any
-orderable scalar); values are opaque (per-slot spatial index payloads in the
-ST-Index).  Leaves are chained for efficient range scans over ``[T, T+L]``.
+(§3.2.1).  Keys are slot start offsets (seconds since midnight, or any
+orderable scalar); values are opaque.  Leaves are chained for range scans
+over ``[T, T+L]``.  Every slot starts at exactly ``k·Δt``, so the ST-Index
+answers these lookups by arithmetic (``repro.core.slots``);
+``tests/test_slots.py`` checks that arithmetic against this tree.
 """
 
 from __future__ import annotations

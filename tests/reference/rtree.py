@@ -1,17 +1,20 @@
-"""An R-tree for road-segment MBRs.
+"""An R-tree for road-segment MBRs: the paper's spatial index, kept as a
+comparator.
 
-The ST-Index keeps one R-tree over the (static) re-segmented road network and
-shares it across every temporal leaf (§3.2.1: "essentially all the leaf nodes
-in the temporal index have the same spatial index structure").  This module
-implements:
+The paper's ST-Index keeps one R-tree over the (static) re-segmented road
+network and shares it across every temporal leaf (§3.2.1: "essentially all
+the leaf nodes in the temporal index have the same spatial index
+structure").  The program answers its one spatial query with the exact
+vector pass of ``repro.network.locator``; ``benchmarks/test_ablation_spatial.py``
+times the two against each other.  This module implements:
 
 * STR (sort-tile-recursive) bulk loading — the network is static, so bulk
   loading produces a well-packed tree once at index-construction time;
 * Guttman-style dynamic insertion with quadratic split, so incremental
   updates (tests, ablations) also work;
 * window queries (:meth:`RTree.search`), point queries and best-first
-  nearest-neighbour search (:meth:`RTree.nearest`), which the query processor
-  uses to map a query location ``s`` to its start segment ``r0``.
+  nearest-neighbour search (:meth:`RTree.nearest`), the paper's way to map
+  a query location ``s`` to its start segment ``r0``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Unit and property tests for the B+-tree temporal index."""
+"""Unit and property tests for the B+-tree comparator (the paper's
+temporal index, kept under ``tests/reference/``)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spatial.btree import BPlusTree
+from reference.btree import BPlusTree
 
 
 class TestBasics:

@@ -1,12 +1,13 @@
-"""Unit and property tests for the R-tree."""
+"""Unit and property tests for the R-tree comparator (kept under
+``tests/reference/``)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.rtree import RTree
 from repro.spatial.geometry import BBox, Point
-from repro.spatial.rtree import RTree
 
 
 def box_at(x: float, y: float, size: float = 1.0) -> BBox:

@@ -11,10 +11,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from reference.btree import BPlusTree
+from reference.rtree import RTree
 from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
-from repro.spatial.btree import BPlusTree
 from repro.spatial.geometry import BBox, Point
-from repro.spatial.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore
 
