@@ -21,6 +21,9 @@ Module map (see ``docs/architecture.md`` for the routing diagram):
   ``explain`` (plan + cost rendering).
 * ``repro.storage`` — simulated disk, page store, LRU buffer pools with
   hit/miss/eviction accounting.
+* ``repro.injection`` — the one counter-keyed failure-injection core
+  under ``repro.serving.faults`` (worker faults) and
+  ``repro.storage.crashsim`` (disk crashes).
 * ``repro.spatial`` — grid, hulls, geometry (the paper's R-tree and
   B-tree are test comparators; ``repro.core.slots`` is the Δt day clock).
 * ``repro.network`` — road-network model, generators, re-segmentation,

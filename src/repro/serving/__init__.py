@@ -21,7 +21,8 @@ worker process, and serves them behind a scatter-gather dispatcher:
   that respawns dead workers, retries timed-out scatters with backoff,
   and degrades exhausted sub-batches to the local fallback service;
 * :mod:`repro.serving.faults` — deterministic fault injection
-  (:class:`FaultPlan`) for reproducing every failure mode in tests.
+  (:class:`FaultPlan`, built on :mod:`repro.injection`) for reproducing
+  every failure mode in tests.
 
 Accounting guarantee: each group runs serially as one cold window on a
 replica whose page geometry is identical to the full index, so its

@@ -22,13 +22,15 @@ a malformed frame, a version mismatch, or an exception inside
 loop keeps serving.  The worker itself never initiates; only process
 death (observed by the dispatcher's supervisor as EOF on the pipe) takes
 it out of rotation.  A :class:`~repro.serving.faults.FaultPlan` threads
-deterministic failures through the two hook points (:meth:`FaultInjector
-.on_recv` / :meth:`FaultInjector.on_run`) so every one of those paths is
+deterministic failures through the loop's two hooks (``RECV`` before
+every pipe ``recv``, ``RUN`` per ``run`` command, each one
+:meth:`~repro.injection.Injector.fire`) so every one of those paths is
 reproducible in tests.
 """
 
 from __future__ import annotations
 
+import os
 import traceback
 from time import perf_counter
 
@@ -38,6 +40,7 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.service import QueryService
 from repro.core.slots import slots_per_day
 from repro.io.persist import SIZING_KNOBS, network_from_dict, restore_engine
+from repro.injection import Injector
 from repro.serving.faults import (
     CORRUPT_FRAME,
     DELAY_RESPONSE,
@@ -45,8 +48,9 @@ from repro.serving.faults import (
     FAULT_EXIT_CODE,
     KILL_IN_RUN,
     RAISE_IN_SERVE,
+    RECV,
+    RUN,
     FaultInjected,
-    FaultInjector,
     FaultPlan,
 )
 from repro.serving.partition import ShardPayload
@@ -139,10 +143,7 @@ def _serve_run(
     engine: ReachabilityEngine,
     delta_t_s: int,
     body: dict,
-    faults: list | None = None,
 ) -> dict:
-    if faults and RAISE_IN_SERVE in faults:
-        raise FaultInjected("injected failure inside _serve_run")
     # A fresh service per group keeps the region cache window-scoped,
     # matching the single-process oracle (one fresh service per batch);
     # the engine-level buffer pools persist and `warm` governs them.
@@ -171,7 +172,9 @@ def shard_worker_main(
             supervisor respawn; fault specs select on it.
         fault_plan: deterministic failures to inject (tests only).
     """
-    injector = FaultInjector(fault_plan, worker_idx, incarnation)
+    injector = Injector(
+        fault_plan.for_worker(worker_idx, incarnation) if fault_plan is not None else ()
+    )
     try:
         engine = build_shard_engine(payload)
     except Exception:  # pragma: no cover - construction failures
@@ -182,7 +185,10 @@ def shard_worker_main(
     # deadline already expired and retried — the canonical stale frame.
     deferred: list = []
     while True:
-        injector.on_recv()
+        if injector.fire(RECV):
+            # KILL_BEFORE_RECV: a real crash does not unwind the stack or
+            # flush pipes; os._exit is the closest deterministic stand-in.
+            os._exit(FAULT_EXIT_CODE)
         try:
             message = conn.recv()
         except (EOFError, OSError):
@@ -199,10 +205,8 @@ def shard_worker_main(
                 (MSG_ERROR, request_id, f"unknown message kind {kind!r}")
             )
             continue
-        faults = injector.on_run()
+        faults = frozenset(spec.kind for spec in injector.fire(RUN))
         if KILL_IN_RUN in faults:
-            import os
-
             # Deterministic mid-batch death: the command is received (the
             # dispatcher has an outstanding attempt), nothing is replied.
             os._exit(FAULT_EXIT_CODE)
@@ -210,7 +214,9 @@ def shard_worker_main(
             conn.send(frame)
         deferred.clear()
         try:
-            shards = _serve_run(engine, payload.delta_t_s, body, faults=faults)
+            if RAISE_IN_SERVE in faults:
+                raise FaultInjected("injected failure while serving a run")
+            shards = _serve_run(engine, payload.delta_t_s, body)
             reply_body = {"version": PROTOCOL_VERSION, "shards": shards}
             if DROP_FRAME in faults:
                 continue

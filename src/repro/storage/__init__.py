@@ -21,7 +21,8 @@ savings first-class and measurable:
   default plus the durable, checksummed, journaled
   :class:`~repro.storage.backends.filedisk.FileBackedDisk`.
 * :mod:`~repro.storage.crashsim` — deterministic crash/corruption
-  injection for proving the durable backend's recovery guarantees.
+  injection (built on :mod:`repro.injection`) for proving the durable
+  backend's recovery guarantees.
 """
 
 from repro.storage.backends import (

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.crashsim import CrashInjector
+from repro.injection import Injector
+from repro.storage.crashsim import FSYNC, RENAME, crash_point
 
 
 # repro-lint: durable-barrier
 def atomic_replace(
     path: Union[str, Path],
     data: bytes,
-    crash: "Optional[CrashInjector]" = None,
+    crash: Optional[Injector] = None,
 ) -> None:
     """Atomically replace ``path``'s content with ``data``.
 
@@ -44,7 +44,7 @@ def atomic_replace(
         if crash is not None:
             # Unlinking while the fd is open is fine on POSIX; the
             # except arm below closes it before the crash propagates.
-            crash.on_fsync(undo=lambda: tmp.unlink(missing_ok=True))
+            crash_point(crash, FSYNC, undo=lambda: tmp.unlink(missing_ok=True))
         os.fsync(fd)
         os.close(fd)
     except BaseException:
@@ -54,7 +54,7 @@ def atomic_replace(
             pass
         raise
     if crash is not None:
-        crash.on_rename()
+        crash_point(crash, RENAME)
     os.replace(tmp, target)
     _fsync_dir(target.parent)
 

@@ -44,6 +44,7 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
 
+from repro.injection import Injector
 from repro.storage.backends.atomic import atomic_replace
 from repro.storage.backends.errors import (
     CorruptSnapshotError,
@@ -51,9 +52,11 @@ from repro.storage.backends.errors import (
     TornWriteError,
 )
 from repro.storage.crashsim import (
-    CrashInjector,
+    FSYNC,
+    JOURNAL,
     CrashPlan,
     SimulatedCrash,
+    crash_point,
     torn_prefix,
 )
 from repro.storage.disk import (
@@ -67,15 +70,29 @@ from repro.storage.disk import (
 SUPERBLOCK_MAGIC = "repro-disk"
 DISK_FORMAT_VERSION = 1
 
+#: The commit point; every other file is named by its generation.
+SUPERBLOCK = "superblock.json"
 #: Journal record framing: magic, payload length, payload crc32.
 _JOURNAL_MAGIC = b"JREC"
-_JOURNAL_HEADER = struct.Struct("<4sII")
+JOURNAL_HEADER = struct.Struct("<4sII")
 #: Per-page sidecar entry: crc32 of the full page slice, used length.
-_SIDECAR_ENTRY = struct.Struct("<II")
+SIDECAR_ENTRY = struct.Struct("<II")
 
 
 def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def generation_file(
+    directory: Union[str, Path], suffix: str, generation: Optional[int] = None
+) -> Path:
+    """Generation ``g``'s data (``bin``), sidecar (``crc``) or journal (``log``);
+    ``None`` reads the current ``g`` from the superblock, unvalidated."""
+    if generation is None:
+        superblock = json.loads((Path(directory) / SUPERBLOCK).read_text())
+        generation = int(superblock["generation"])
+    name = f"journal.{generation}.log" if suffix == "log" else f"pages.{generation}.{suffix}"
+    return Path(directory) / name
 
 
 class FileBackedDisk(SimulatedDisk):
@@ -118,7 +135,7 @@ class FileBackedDisk(SimulatedDisk):
         self.readonly = readonly
         self.generation = 0
         self.recovered_tail = False  # a torn/truncated journal tail was discarded
-        self._crash = CrashInjector(crash_plan)
+        self._crash = Injector(crash_plan.specs if crash_plan is not None else ())
         self._resident: List[bool] = []  # guarded_by: _lock
         self._dirty: set[int] = set()  # guarded_by: _lock
         self._page_crcs: List[int] = []  # guarded_by: _lock
@@ -127,7 +144,7 @@ class FileBackedDisk(SimulatedDisk):
         self._record_count = 0  # records currently in the journal  # guarded_by: _lock
         self._snapshot_pages = 0  # pages covered by the data file  # guarded_by: _lock
         self._data_file: Optional[BinaryIO] = None  # guarded_by: _lock
-        if (self.directory / "superblock.json").exists():
+        if (self.directory / SUPERBLOCK).exists():
             with self._lock:
                 self._load_locked()
         else:
@@ -147,7 +164,7 @@ class FileBackedDisk(SimulatedDisk):
         readonly: bool = False,
     ) -> "FileBackedDisk":
         """Open an existing store; raises :class:`DiskFormatError` if absent."""
-        if not (Path(path) / "superblock.json").exists():
+        if not (Path(path) / SUPERBLOCK).exists():
             raise DiskFormatError(f"no store at {path} (missing superblock)")
         return cls(path, crash_plan=crash_plan, readonly=readonly)
 
@@ -158,19 +175,12 @@ class FileBackedDisk(SimulatedDisk):
         page_size: int = DEFAULT_PAGE_SIZE,
         read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
         write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
-        crash_plan: Optional[CrashPlan] = None,
     ) -> "FileBackedDisk":
         """Create a fresh empty store, replacing any existing one at ``path``."""
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "superblock.json").unlink(missing_ok=True)
-        return cls(
-            path,
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-            crash_plan=crash_plan,
-        )
+        (directory / SUPERBLOCK).unlink(missing_ok=True)
+        return cls(path, page_size, read_latency_ms, write_latency_ms)
 
     @classmethod
     def create_from_state(
@@ -181,7 +191,6 @@ class FileBackedDisk(SimulatedDisk):
         page_size: int = DEFAULT_PAGE_SIZE,
         read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
         write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
-        crash_plan: Optional[CrashPlan] = None,
     ) -> "FileBackedDisk":
         """Persist :meth:`SimulatedDisk.export_state` output as a new store."""
         used_list = [int(u) for u in used]
@@ -192,13 +201,7 @@ class FileBackedDisk(SimulatedDisk):
             )
         if any(u < 0 or u > page_size for u in used_list):
             raise DiskError("per-page payload length outside [0, page_size]")
-        disk = cls.create(
-            path,
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-            crash_plan=crash_plan,
-        )
+        disk = cls.create(path, page_size, read_latency_ms, write_latency_ms)
         disk._adopt_state(bytearray(buffer), used_list)
         disk.checkpoint()
         return disk
@@ -294,8 +297,8 @@ class FileBackedDisk(SimulatedDisk):
             self._ensure_resident_locked(0, len(self._used))
             old = self.generation
             self._publish_snapshot_locked(generation=old + 1)
-        for name in (f"pages.{old}.bin", f"pages.{old}.crc", f"journal.{old}.log"):
-            (self.directory / name).unlink(missing_ok=True)
+        for suffix in ("bin", "crc", "log"):
+            self._file(suffix, old).unlink(missing_ok=True)
 
     def verify(self) -> None:
         """Eagerly fault in and checksum-verify every snapshot page."""
@@ -382,19 +385,19 @@ class FileBackedDisk(SimulatedDisk):
     # repro-lint: durable-barrier
     # repro-lint: holds=_lock
     def _journal_append_locked(self, payload: bytes) -> None:
-        header = _JOURNAL_HEADER.pack(_JOURNAL_MAGIC, len(payload), _crc(payload))
+        header = JOURNAL_HEADER.pack(_JOURNAL_MAGIC, len(payload), _crc(payload))
         record = header + payload
         path = self._file("log")
         old_size = path.stat().st_size
-        spec = self._crash.journal_spec() if self._crash.active else None
+        torn = self._crash.fire(JOURNAL)
         fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:
-            if spec is not None:
+            for spec in torn:
                 os.write(fd, torn_prefix(record, spec.kind))
                 os.fsync(fd)
                 raise SimulatedCrash(spec)
             os.write(fd, record)
-            self._crash.on_fsync(undo=lambda: os.ftruncate(fd, old_size))
+            crash_point(self._crash, FSYNC, undo=lambda: os.ftruncate(fd, old_size))
             os.fsync(fd)
         finally:
             os.close(fd)
@@ -416,17 +419,17 @@ class FileBackedDisk(SimulatedDisk):
         index = 0
         good_end = 0
         while offset < len(data):
-            if len(data) - offset < _JOURNAL_HEADER.size:
+            if len(data) - offset < JOURNAL_HEADER.size:
                 self.recovered_tail = True  # crash mid-header: discard fragment
                 break
-            magic, length, crc = _JOURNAL_HEADER.unpack_from(data, offset)
+            magic, length, crc = JOURNAL_HEADER.unpack_from(data, offset)
             if magic != _JOURNAL_MAGIC:
                 raise TornWriteError(
                     f"journal record {index} has bad framing magic at byte "
                     f"{offset} of {path.name}",
                     record_index=index,
                 )
-            body_start = offset + _JOURNAL_HEADER.size
+            body_start = offset + JOURNAL_HEADER.size
             if body_start + length > len(data):
                 self.recovered_tail = True  # crash mid-payload: discard fragment
                 break
@@ -488,12 +491,11 @@ class FileBackedDisk(SimulatedDisk):
 
     def _file(self, suffix: str, generation: Optional[int] = None) -> Path:
         gen = self.generation if generation is None else generation
-        name = f"journal.{gen}.log" if suffix == "log" else f"pages.{gen}.{suffix}"
-        return self.directory / name
+        return generation_file(self.directory, suffix, gen)
 
     # repro-lint: holds=_lock
     def _load_locked(self) -> None:
-        sb_path = self.directory / "superblock.json"
+        sb_path = self.directory / SUPERBLOCK
         try:
             payload = json.loads(sb_path.read_text())
         except (OSError, ValueError) as exc:
@@ -535,16 +537,16 @@ class FileBackedDisk(SimulatedDisk):
                 f"checksum sidecar {crc_path.name} failed verification against "
                 "the superblock"
             )
-        if len(sidecar) != num_pages * _SIDECAR_ENTRY.size:
+        if len(sidecar) != num_pages * SIDECAR_ENTRY.size:
             raise CorruptSnapshotError(
                 f"checksum sidecar {crc_path.name} covers "
-                f"{len(sidecar) // _SIDECAR_ENTRY.size} pages, superblock "
+                f"{len(sidecar) // SIDECAR_ENTRY.size} pages, superblock "
                 f"says {num_pages}"
             )
         self._page_crcs = []
         self._used = []
         for i in range(num_pages):
-            crc, used = _SIDECAR_ENTRY.unpack_from(sidecar, i * _SIDECAR_ENTRY.size)
+            crc, used = SIDECAR_ENTRY.unpack_from(sidecar, i * SIDECAR_ENTRY.size)
             if used > self.page_size:
                 raise CorruptSnapshotError(
                     f"sidecar used length {used} for page {i} exceeds page "
@@ -572,19 +574,15 @@ class FileBackedDisk(SimulatedDisk):
     # repro-lint: holds=_lock
     def _publish_snapshot_locked(self, generation: int) -> None:
         """Write a full snapshot as ``generation`` and flip the superblock."""
-        entries = []
-        for page_id, used in enumerate(self._used):
-            start = page_id * self.page_size
-            page = bytes(self._buf[start : start + self.page_size])
-            entries.append(_SIDECAR_ENTRY.pack(_crc(page), used))
-        sidecar = b"".join(entries)
-        crash = self._crash if self._crash.active else None
+        size = self.page_size
+        crcs = [_crc(self._buf[i * size : (i + 1) * size]) for i in range(len(self._used))]
+        sidecar = b"".join(SIDECAR_ENTRY.pack(*entry) for entry in zip(crcs, self._used))
         if self._data_file is not None:
             self._data_file.close()
             self._data_file = None
-        atomic_replace(self._file("bin", generation), bytes(self._buf), crash=crash)
-        atomic_replace(self._file("crc", generation), sidecar, crash=crash)
-        atomic_replace(self._file("log", generation), b"", crash=crash)
+        atomic_replace(self._file("bin", generation), bytes(self._buf), crash=self._crash)
+        atomic_replace(self._file("crc", generation), sidecar, crash=self._crash)
+        atomic_replace(self._file("log", generation), b"", crash=self._crash)
         payload = {
             "magic": SUPERBLOCK_MAGIC,
             "format_version": DISK_FORMAT_VERSION,
@@ -597,17 +595,14 @@ class FileBackedDisk(SimulatedDisk):
         }
         payload["checksum"] = _crc(json.dumps(payload, sort_keys=True).encode())
         atomic_replace(
-            self.directory / "superblock.json",
+            self.directory / SUPERBLOCK,
             json.dumps(payload, sort_keys=True, indent=2).encode(),
-            crash=crash,
+            crash=self._crash,
         )
         # The superblock rename was the commit point; state is clean.
         self.generation = generation
         self._snapshot_pages = len(self._used)
-        self._page_crcs = [
-            _SIDECAR_ENTRY.unpack_from(sidecar, i * _SIDECAR_ENTRY.size)[0]
-            for i in range(len(self._used))
-        ]
+        self._page_crcs = crcs
         self._resident = [True] * len(self._used)
         self._dirty.clear()
         self._journal_metas = []

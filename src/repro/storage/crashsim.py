@@ -1,12 +1,13 @@
 """Deterministic crash and corruption injection for the durable backend.
 
-The durable storage tier makes the same promise PR 9's serving layer
-made: every failure mode is reproducible from a plan, never from timing.
-Crashes fire on **operation counters** (the Nth fsync barrier, the Nth
-snapshot rename, the Nth journal record a disk instance writes), exactly
-the way :mod:`repro.serving.faults` keys worker faults on message
-counters, so a test that injects a plan observes the identical on-disk
-state on every run without sleeps, subprocesses or real power cuts:
+The durable storage tier makes the serving layer's promise: every
+failure mode is reproducible from a plan, never from timing.  Crashes
+fire on **operation counters** (the Nth fsync barrier, the Nth snapshot
+rename, the Nth journal record a disk instance writes), kept by the
+:class:`~repro.injection.Injector` that also counts the worker faults of
+:mod:`repro.serving.faults`, so a test that injects a plan observes the
+identical on-disk state on every run without sleeps, subprocesses or
+real power cuts:
 
 * ``CRASH_BEFORE_FSYNC`` — the process dies after issuing a write but
   before the matching ``fsync`` barrier completes.  A real kernel may
@@ -28,37 +29,31 @@ The injected "crash" is a raised :class:`SimulatedCrash`; the test
 discards the in-memory disk object (the process's RAM "died") and
 reopens the on-disk directory, which is now in exactly the state a real
 crash at that point would leave.  Corruption — bit flips in a data page,
-the checksum sidecar or the superblock of a *closed* store — is injected
-by the ``corrupt_*`` helpers below and must surface as a typed
+the checksum sidecar, the superblock or a journal record of a *closed*
+store — is injected by the ``corrupt_*`` helpers below, which take the
+file names and framing from the backend, and must surface as a typed
 :class:`~repro.storage.backends.CorruptSnapshotError` /
 :class:`~repro.storage.backends.TornWriteError` naming the damage.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, ClassVar, Mapping, Optional
+
+from repro.injection import Injector, Plan, Spec
 
 CRASH_BEFORE_FSYNC = "crash_before_fsync"
 CRASH_MID_RENAME = "crash_mid_rename"
 TORN_PAGE_WRITE = "torn_page_write"
 TRUNCATED_JOURNAL_RECORD = "truncated_journal_record"
 
-CRASH_KINDS = frozenset(
-    {
-        CRASH_BEFORE_FSYNC,
-        CRASH_MID_RENAME,
-        TORN_PAGE_WRITE,
-        TRUNCATED_JOURNAL_RECORD,
-    }
-)
-
-#: Size of a journal record header (magic + payload length + payload
-#: CRC), mirrored from the backend's framing so the torn-write injector
-#: can leave an intact header with a damaged payload.
-JOURNAL_HEADER_SIZE = 12
+#: The file backend's three hooks: before every ``fsync`` barrier, before
+#: every snapshot ``rename``, and once per journal record append.
+FSYNC = "fsync"
+RENAME = "rename"
+JOURNAL = "journal"
 
 
 class SimulatedCrash(BaseException):
@@ -76,11 +71,11 @@ class SimulatedCrash(BaseException):
 
 
 @dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(Spec):
     """One injected crash: *what* dies and *when*.
 
     Attributes:
-        kind: one of the ``CRASH_KINDS`` constants.
+        kind: one of the four crash kinds above.
         at: 1-based trigger count on the matching operation counter —
             the disk's Nth fsync barrier for ``CRASH_BEFORE_FSYNC``,
             its Nth snapshot rename for ``CRASH_MID_RENAME``, its Nth
@@ -88,74 +83,38 @@ class CrashSpec:
             per disk instance (a reopened disk starts fresh).
     """
 
-    kind: str
-    at: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in CRASH_KINDS:
-            raise ValueError(f"unknown crash kind {self.kind!r}")
-        if self.at < 1:
-            raise ValueError(f"crash trigger count must be >= 1, got {self.at}")
+    HOOKS: ClassVar[Mapping[str, str]] = {
+        CRASH_BEFORE_FSYNC: FSYNC,
+        CRASH_MID_RENAME: RENAME,
+        TORN_PAGE_WRITE: JOURNAL,
+        TRUNCATED_JOURNAL_RECORD: JOURNAL,
+    }
 
 
-@dataclass(frozen=True)
-class CrashPlan:
+class CrashPlan(Plan):
     """An immutable set of :class:`CrashSpec` entries (plain data)."""
 
-    crashes: Tuple[CrashSpec, ...] = field(default_factory=tuple)
 
-    @classmethod
-    def of(cls, *specs: CrashSpec) -> "CrashPlan":
-        return cls(crashes=tuple(specs))
+def crash_point(
+    injector: Injector, hook: str, undo: Optional[Callable[[], object]] = None
+) -> None:
+    """Die here if a spec fires on this pass through ``hook``.
 
-
-class CrashInjector:
-    """Disk-side trigger bookkeeping for one disk instance.
-
-    The file backend consults the injector at its three durability hook
-    points: :meth:`on_fsync` immediately before every ``fsync`` barrier
-    (given an ``undo`` callback that reverts the unsynced write),
-    :meth:`on_rename` immediately before every snapshot ``rename``, and
-    :meth:`journal_spec` once per journal record append (the caller
-    writes the torn prefix from :func:`torn_prefix` and raises).
+    ``undo`` reverts the write a real crash could lose (an unsynced
+    temp file, a journal append) before :class:`SimulatedCrash` is raised.
     """
+    for spec in injector.fire(hook):
+        if undo is not None:
+            undo()
+        raise SimulatedCrash(spec)
 
-    def __init__(self, plan: Optional[CrashPlan]) -> None:
-        self._specs = plan.crashes if plan is not None else ()
-        self._fsync_count = 0
-        self._rename_count = 0
-        self._journal_count = 0
 
-    @property
-    def active(self) -> bool:
-        return bool(self._specs)
+def _backend():
+    # The one module that knows the on-disk layout; imported on use
+    # because it imports this module for its hooks.
+    from repro.storage.backends import filedisk
 
-    def on_fsync(self, undo=None) -> None:
-        """Hook before an ``fsync``; undoes the unsynced write and dies."""
-        self._fsync_count += 1
-        for spec in self._specs:
-            if spec.kind == CRASH_BEFORE_FSYNC and spec.at == self._fsync_count:
-                if undo is not None:
-                    undo()
-                raise SimulatedCrash(spec)
-
-    def on_rename(self) -> None:
-        """Hook before a snapshot ``rename``; dies with the temp left behind."""
-        self._rename_count += 1
-        for spec in self._specs:
-            if spec.kind == CRASH_MID_RENAME and spec.at == self._rename_count:
-                raise SimulatedCrash(spec)
-
-    def journal_spec(self) -> Optional[CrashSpec]:
-        """The torn/truncated spec firing for this journal record, if any."""
-        self._journal_count += 1
-        for spec in self._specs:
-            if (
-                spec.kind in (TORN_PAGE_WRITE, TRUNCATED_JOURNAL_RECORD)
-                and spec.at == self._journal_count
-            ):
-                return spec
-        return None
+    return filedisk
 
 
 def torn_prefix(record: bytes, kind: str) -> bytes:
@@ -166,11 +125,12 @@ def torn_prefix(record: bytes, kind: str) -> bytes:
     ``TRUNCATED_JOURNAL_RECORD`` keeps only part of the header (the
     journal ends mid-frame).
     """
+    header_size = _backend().JOURNAL_HEADER.size
     if kind == TORN_PAGE_WRITE:
-        keep = JOURNAL_HEADER_SIZE + max(1, (len(record) - JOURNAL_HEADER_SIZE) // 2)
+        keep = header_size + max(1, (len(record) - header_size) // 2)
         return record[: min(keep, len(record) - 1)]
     if kind == TRUNCATED_JOURNAL_RECORD:
-        return record[: JOURNAL_HEADER_SIZE // 2]
+        return record[: header_size // 2]
     raise ValueError(f"not a torn-write crash kind: {kind!r}")
 
 
@@ -178,14 +138,9 @@ def torn_prefix(record: bytes, kind: str) -> bytes:
 #
 # These operate on the files of a *closed* FileBackedDisk directory and
 # model silent media corruption: a single flipped bit in a data page,
-# the checksum sidecar, the superblock, or a journal record.  They read
-# the superblock as plain JSON (no validation — they must work on the
-# files exactly as persisted) to locate the current generation's files.
-
-
-def _read_generation(directory: str | Path) -> int:
-    payload = json.loads((Path(directory) / "superblock.json").read_text())
-    return int(payload["generation"])
+# the checksum sidecar, the superblock, or a journal record.  The backend
+# names the current generation's files from the superblock without
+# validating it — they must work on the files exactly as persisted.
 
 
 def _flip_bit(path: Path, byte_offset: int, bit: int = 0) -> None:
@@ -200,36 +155,39 @@ def _flip_bit(path: Path, byte_offset: int, bit: int = 0) -> None:
 
 def corrupt_page(directory: str | Path, page_id: int, page_size: int) -> None:
     """Flip one bit inside ``page_id`` of the persisted data file."""
-    gen = _read_generation(directory)
-    _flip_bit(Path(directory) / f"pages.{gen}.bin", page_id * page_size)
+    _flip_bit(_backend().generation_file(directory, "bin"), page_id * page_size)
 
 
 def corrupt_sidecar(directory: str | Path, page_id: int = 0) -> None:
     """Flip one bit inside the per-page checksum sidecar."""
-    gen = _read_generation(directory)
-    _flip_bit(Path(directory) / f"pages.{gen}.crc", page_id * 8)
+    backend = _backend()
+    _flip_bit(backend.generation_file(directory, "crc"), page_id * backend.SIDECAR_ENTRY.size)
 
 
 def corrupt_superblock(directory: str | Path) -> None:
     """Flip one bit inside the superblock JSON."""
-    _flip_bit(Path(directory) / "superblock.json", 12)
+    _flip_bit(Path(directory) / _backend().SUPERBLOCK, 12)
 
 
 def corrupt_journal_record(directory: str | Path, record_index: int = 0) -> None:
     """Flip one bit in the payload of the Nth journal record.
 
-    Walks the record framing (magic, payload length, payload CRC) far
-    enough to find the target record's payload, then flips its first
-    bit — interior corruption a reopen must surface as a
+    Walks the record framing (magic, payload length, payload CRC) to find
+    the target record's payload, then flips its first bit — interior
+    corruption a reopen must surface as a
     :class:`~repro.storage.backends.TornWriteError`, never replay.
+    Raises ``ValueError`` when the journal has no record ``record_index``.
     """
-    import struct
-
-    gen = _read_generation(directory)
-    path = Path(directory) / f"journal.{gen}.log"
+    backend = _backend()
+    header = backend.JOURNAL_HEADER
+    path = backend.generation_file(directory, "log")
     data = path.read_bytes()
-    offset = 0
-    for _ in range(record_index):
-        _, length, _ = struct.unpack_from("<4sII", data, offset)
-        offset += JOURNAL_HEADER_SIZE + length
-    _flip_bit(path, offset + JOURNAL_HEADER_SIZE)
+    starts, offset = [], 0
+    while offset + header.size <= len(data):
+        starts.append(offset)
+        offset += header.size + header.unpack_from(data, offset)[1]
+    if not 0 <= record_index < len(starts):
+        raise ValueError(
+            f"journal {path.name} has {len(starts)} record(s), no record {record_index}"
+        )
+    _flip_bit(path, starts[record_index] + header.size)

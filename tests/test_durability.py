@@ -231,6 +231,16 @@ class TestCorruptionMatrix:
         assert disk.recovered_tail
         assert disk.journal_metas == (b"m1",)
 
+    @pytest.mark.parametrize("record_index", [5, -1])
+    def test_journal_record_index_out_of_range(self, tmp_path, record_index):
+        """The helper refuses a record the journal does not hold and
+        leaves the files untouched."""
+        path = build_store(tmp_path / "store")  # two journal records
+        oracle = durable_state(path)
+        with pytest.raises(ValueError, match="2 record"):
+            corrupt_journal_record(path, record_index=record_index)
+        assert durable_state(path) == oracle
+
     def test_bad_magic_rejected(self, tmp_path):
         path = build_store(tmp_path / "store")
         superblock = path / "superblock.json"

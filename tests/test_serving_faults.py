@@ -34,11 +34,18 @@ from repro.serving import (
     FaultSpec,
     ShardedEngine,
 )
-from repro.serving.faults import KILL_IN_RUN
+from repro.injection import Injector
+from repro.serving.faults import KILL_IN_RUN, RECV, RUN
 from repro.serving.faults import (
     FAULT_EXIT_CODE,
-    FaultInjector,
     validate_plan,
+)
+from repro.storage.crashsim import (
+    CRASH_BEFORE_FSYNC,
+    CRASH_MID_RENAME,
+    FSYNC,
+    RENAME,
+    CrashSpec,
 )
 from repro.storage.disk import DiskStats
 from test_serving import fresh_engine, mixed_requests
@@ -89,6 +96,26 @@ class TestFaultPlanUnit:
         with pytest.raises(ValueError, match="trigger count"):
             FaultSpec(kind=DROP_FRAME, at=0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FaultSpec(kind=DROP_FRAME, at=1.5),
+            lambda: FaultSpec(kind=DROP_FRAME, at=True),
+            lambda: FaultSpec(kind=DROP_FRAME, incarnation=-1),
+            lambda: FaultSpec(kind=DROP_FRAME, incarnation=0.5),
+            lambda: FaultSpec(kind=DROP_FRAME, worker=True),
+            lambda: FaultSpec(kind=DROP_FRAME, worker=-1),
+            lambda: CrashSpec(CRASH_BEFORE_FSYNC, at=1.5),
+            lambda: CrashSpec(CRASH_BEFORE_FSYNC, at="2"),
+            lambda: CrashSpec(CRASH_BEFORE_FSYNC, at=True),
+        ],
+    )
+    def test_spec_rejects_values_that_never_fire(self, make):
+        """A trigger count, worker or incarnation no counter can equal (or
+        a bool standing in for an int) is refused at construction."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
     def test_validate_plan_rejects_unknown_worker(self):
         plan = FaultPlan.of(FaultSpec(kind=DROP_FRAME, worker=5))
         with pytest.raises(ValueError, match="worker 5"):
@@ -112,20 +139,24 @@ class TestFaultPlanUnit:
         assert plan.for_worker(0, 0) == ()
 
     def test_injector_counters_deterministic(self):
-        plan = FaultPlan.of(
-            FaultSpec(kind=DROP_FRAME, worker=0, at=2),
-            FaultSpec(kind=RAISE_IN_SERVE, worker=0, at=3),
-        )
+        """One core counts each hook on its own and replays identically:
+        worker faults and disk crashes alike."""
+        drop = FaultSpec(kind=DROP_FRAME, worker=0, at=2)
+        raise_ = FaultSpec(kind=RAISE_IN_SERVE, worker=0, at=3)
+        rename = CrashSpec(CRASH_MID_RENAME, at=2)
+        fsync = CrashSpec(CRASH_BEFORE_FSYNC, at=3)
+        hooks = [RECV, RUN] * 4 + [FSYNC, FSYNC, RENAME, FSYNC, RENAME, FSYNC]
         runs = []
         for _ in range(2):
-            injector = FaultInjector(plan, worker=0, incarnation=0)
-            fired = []
-            for _ in range(4):
-                injector.on_recv()
-                fired.append(tuple(injector.on_run()))
-            runs.append(fired)
+            injector = Injector(
+                FaultPlan.of(drop, raise_).for_worker(0, 0) + (rename, fsync)
+            )
+            runs.append([injector.fire(hook) for hook in hooks])
         assert runs[0] == runs[1]
-        assert runs[0] == [(), (DROP_FRAME,), (RAISE_IN_SERVE,), ()]
+        assert runs[0] == [
+            (), (), (), (drop,), (), (raise_,), (), (),  # recv/run alternate
+            (), (), (), (fsync,), (rename,), (),  # 2nd rename, 3rd fsync
+        ]
 
 
 # -- the matrix (real worker processes) -------------------------------------
