@@ -17,7 +17,10 @@ Three components, exactly as Fig. 3.2 draws them:
   a segment-slot, and Eq. 3.1 only needs set intersections from there.
   The per-visit seconds additionally give windows sub-slot precision, so a
   query window that starts or ends mid-slot filters the boundary slots
-  exactly instead of rounding out to whole slots.
+  exactly instead of rounding out to whole slots.  A record keeps its words
+  column-major — ``[num_dates | dates | counts | ids | seconds]`` — so
+  every header sits where the record's length puts it and a whole wave of
+  records decodes in one vector pass.
 
 Time-list payloads live on the :class:`~repro.storage.disk.SimulatedDisk`;
 every access is charged through a buffer pool, which is the cost the query
@@ -26,7 +29,6 @@ algorithms compete on.
 
 from __future__ import annotations
 
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -45,85 +47,77 @@ from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
 
-def encode_time_list(per_date: dict[int, list[tuple[int, int]]]) -> bytes:
-    """Serialize ``date -> [(trajectory id, visit second)]`` for one entry.
-
-    Flat uint32 layout: ``[num_dates, (date, count, (id, second)*count)*]``.
-    Visit seconds (whole seconds since midnight) give the time lists
-    sub-slot precision, so query windows that start or end mid-slot can be
-    filtered exactly instead of rounding out to whole slots.
-    """
-    values: list[int] = [len(per_date)]
-    for date in sorted(per_date):
-        visits = sorted(per_date[date])
-        values.append(date)
-        values.append(len(visits))
-        for trajectory_id, second in visits:
-            values.append(trajectory_id)
-            values.append(second)
-    return struct.pack(f"<{len(values)}I", *values)
-
-
 #: Bit position of the date in a packed visit key: ``(date << 32) | id``.
 #: Trajectory ids are stored as uint32 so they fit the low half exactly;
 #: dates must stay below 2**31 so the packed key fits int64.  Both write
-#: paths enforce the two bounds (:func:`_check_key_ranges`).
+#: paths enforce the two bounds (:func:`_check_visits`).
 KEY_DATE_SHIFT = 32
 KEY_ID_MASK = (1 << KEY_DATE_SHIFT) - 1
-
-#: Bits of the visit second in the bulk build's ``(id << 17) | second`` sort
-#: key: a second of the day is below 86,400 < 2**17.
-_SECOND_BITS = 17
 
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 
-def _check_key_ranges(trajectory_ids, dates) -> None:
-    """Raise ``ValueError`` for an id or date a packed visit key cannot hold.
+def _check_visits(trajectory_ids, dates, counts, times) -> None:
+    """Raise ``ValueError`` for a trajectory a time list cannot hold.
 
     The one gate in front of :meth:`STIndex.build` and
     :meth:`STIndex.append_trajectories`, called before either writes a
     page: an id outside ``[0, 2**32)`` would wrap in the uint32 record, a
     date outside ``[0, 2**31)`` would overflow the int64 key of every
-    later read.
+    later read, and a NaN or infinite visit time has no slot.
     """
     for name, values, bits in (
         ("trajectory id", trajectory_ids, KEY_DATE_SHIFT),
         ("date", dates, KEY_DATE_SHIFT - 1),
     ):
-        values = np.asarray(values)
         if values.size and (values.min() < 0 or values.max() >= 1 << bits):
             raise ValueError(f"{name} outside [0, 2**{bits}) of a time list")
+    finite = np.isfinite(times)
+    if not finite.all():
+        visit = int(np.argmin(finite))
+        owner = int(np.searchsorted(np.cumsum(counts), visit, side="right"))
+        raise ValueError(
+            f"trajectory {trajectory_ids[owner]} has a non-finite visit time "
+            f"{float(times[visit])}"
+        )
+
+
+def _ramp(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    ramp = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    ramp += np.arange(ramp.size)
+    return ramp
 
 
 @dataclass(frozen=True)
 class ColumnarTimeList:
-    """One decoded time-list record as flat visit columns.
+    """Decoded time-list records as flat visit columns.
 
     Instead of a ``date -> [(id, second)]`` dict of tuple lists, the
-    record's visits are two slice-aligned arrays — the layout the Eq. 3.1
+    records' visits are two slice-aligned arrays — the layout the Eq. 3.1
     probability kernel consumes without any per-tuple Python work.
 
     Attributes:
         keys: ``int64`` packed ``(date << 32) | trajectory_id`` per visit,
-            in stored (date-major, then id/second) order.
-        seconds: ``int32`` visit seconds, aligned with ``keys``.
+            record after record, each in stored (date-major, then
+            id/second) order.
+        seconds: ``uint32`` visit seconds, aligned with ``keys``.
+        record_ends: ``int64`` end of each record's visits in ``keys``.
 
-    The window-gather memo shares ``keys`` between queries — never mutate
-    the arrays.
+    The window-gather memo shares views of ``keys`` between queries —
+    never mutate the arrays.
     """
 
     keys: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
-    seconds: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int32)
-    )
+    seconds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<u4"))
+    record_ends: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
 
     @property
     def num_visits(self) -> int:
         return int(self.keys.size)
 
     def per_date(self) -> dict[int, list[tuple[int, int]]]:
-        """The record as a fresh ``date -> [(id, second)]`` dict.
+        """The visits as a fresh ``date -> [(id, second)]`` dict.
 
         Visits keep their stored order; a date without visits (which no
         writer emits) is absent.
@@ -136,40 +130,71 @@ class ColumnarTimeList:
         return per_date
 
 
-def decode_time_list_columns(payload: bytes) -> ColumnarTimeList:
-    """Inverse of :func:`encode_time_list`, straight into visit columns.
+def decode_time_list_columns(payload: bytes, lengths=None) -> ColumnarTimeList:
+    """Decode time-list records packed back to back, in one vector pass.
 
-    The one reader of the wire format.  Records are small (a handful of
-    dates, some ten visits), so the payload is converted in one C pass
-    (``frombuffer`` + ``tolist``) and walked as list slices; the columns
-    are built once at the end instead of by numpy ops per date.
+    The one reader of the record layout (store format 2): uint32 words
+    ``[num_dates | dates | counts | ids | seconds]``, dates ascending,
+    ``counts[j]`` visits for ``dates[j]``, and visit ``k``'s id and second
+    at the same index of their blocks.  ``lengths`` are the records' byte
+    lengths (the whole payload is one record when omitted).  Every header
+    sits at a position the lengths and ``num_dates`` fix, so all records
+    decode with a handful of array ops; ``num_dates`` and the counts are
+    checked against the lengths before anything is sized by them.
     """
-    if len(payload) % 4 != 0:
+    sizes = np.asarray([len(payload)] if lengths is None else lengths, dtype=np.int64)
+    if len(payload) % 4 or (sizes & 3).any():
         raise SerializationError("time list payload not uint32-aligned")
-    words = np.frombuffer(payload, dtype="<u4").tolist()
-    total = len(words)
-    if total == 0:
+    if int(sizes.sum()) != len(payload):
+        raise SerializationError("time list lengths do not cover the payload")
+    words = np.frombuffer(payload, dtype="<u4")
+    sizes >>= 2
+    if not sizes.all():
         raise SerializationError("truncated time list header")
-    keys: list[int] = []
-    seconds: list[int] = []
-    offset = 1
-    for _ in range(words[0]):
-        if offset + 2 > total:
-            raise SerializationError("truncated time list header")
-        date_bits = words[offset] << KEY_DATE_SHIFT
-        end = offset + 2 + 2 * words[offset + 1]
-        if end > total:
-            raise SerializationError("truncated time list ids")
-        keys.extend([date_bits | visit_id for visit_id in words[offset + 2:end:2]])
-        seconds.extend(words[offset + 3:end:2])
-        offset = end
-    if offset != total:
-        raise SerializationError("trailing values in time list payload")
-    if not keys:
-        return ColumnarTimeList()
-    return ColumnarTimeList(
-        keys=np.array(keys, dtype=np.int64),
-        seconds=np.array(seconds, dtype=np.int32),
+    starts = np.cumsum(sizes) - sizes
+    num_dates = words[starts].astype(np.int64)
+    twice_visits = sizes - 1 - 2 * num_dates
+    if (twice_visits < 0).any() or (twice_visits & 1).any():
+        raise SerializationError("time list header does not fit its length")
+    num_visits = twice_visits >> 1
+    record_ends = np.cumsum(num_visits)
+    date_words = _ramp(starts + 1, num_dates)
+    counts = words[date_words + np.repeat(num_dates, num_dates)].astype(np.int64)
+    if (np.concatenate(([0], np.cumsum(counts)))[np.cumsum(num_dates)] != record_ends).any():
+        raise SerializationError("time list counts do not match its length")
+    id_words = _ramp(starts + 1 + 2 * num_dates, num_visits)
+    keys = np.repeat(words[date_words].astype(np.int64) << KEY_DATE_SHIFT, counts)
+    keys |= words[id_words]
+    id_words += np.repeat(num_visits, num_visits)
+    return ColumnarTimeList(keys=keys, seconds=words[id_words], record_ends=record_ends)
+
+
+def _visit_columns(source) -> tuple[np.ndarray, ...]:
+    """``(ids, dates, visit counts, segments, times)`` of a write's input.
+
+    ``source`` is a database (its trajectories with visits, from
+    ``iter_compact``) or a list of matched trajectories (all of them, ids
+    and dates kept as given for the range check).  One row per trajectory,
+    then the visit columns concatenated — built once per call.
+    """
+    if isinstance(source, list):
+        visits = [visit for trajectory in source for visit in trajectory.visits]
+        return (
+            np.array([trajectory.trajectory_id for trajectory in source]),
+            np.array([trajectory.date for trajectory in source]),
+            np.array([len(trajectory.visits) for trajectory in source], dtype=np.int64),
+            np.fromiter((visit.segment_id for visit in visits), np.int64, len(visits)),
+            np.fromiter((visit.time_s for visit in visits), np.float64, len(visits)),
+        )
+    compact = [c for c in source.iter_compact() if len(c[2])]
+    if not compact:
+        return (_EMPTY_KEYS,) * 4 + (np.empty(0),)
+    return (
+        np.fromiter((c[0] for c in compact), np.int64, len(compact)),
+        np.fromiter((c[1] for c in compact), np.int64, len(compact)),
+        np.fromiter((len(c[2]) for c in compact), np.int64, len(compact)),
+        np.concatenate([c[2] for c in compact]),
+        np.concatenate([c[3] for c in compact]),
     )
 
 
@@ -274,14 +299,11 @@ class STIndex:
     def build(self, database: TrajectoryDatabase) -> None:
         """Bulk-build the time lists from a matched-trajectory database.
 
-        Array-at-a-time: the compact trajectories are concatenated once,
-        sorted on two packed keys, and every (segment, slot) record is
-        scattered into one uint32 word stream that lands through
-        :meth:`PageStore.append_many` — the same pages, pointers and
-        ``page_writes`` as appending each record in (segment, slot) order.
-        Visit times are clamped into the day like :meth:`slot_of`; a
-        trajectory id or date a packed visit key cannot hold raises before
-        any page is written.
+        Array-at-a-time (:meth:`_encode_time_lists`): every (segment, slot)
+        record lands through :meth:`PageStore.append_many` — the same pages,
+        pointers and ``page_writes`` as appending each record in (segment,
+        slot) order.  A trajectory that :func:`_check_visits` refuses raises
+        before any page is written.
         """
         if self._built:
             raise RuntimeError("ST-Index already built")
@@ -297,39 +319,39 @@ class STIndex:
         self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
 
-    def _encode_time_lists(
-        self, database: TrajectoryDatabase
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (segment, slot) time list of ``database``, encoded in bulk.
+    def _encode_time_lists(self, source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (segment, slot) time list of ``source``, encoded in bulk.
+
+        The one writer of the record layout :func:`decode_time_list_columns`
+        reads.  The input columns (:func:`_visit_columns`) are built here so
+        this frame holds the only references: each temporary is released
+        as soon as the next stage has consumed it, as at a few million
+        visits they are tens of megabytes each.  Visit times are clamped
+        into the day like :meth:`slot_of`; a repeated visit counts once.
 
         Returns the packed ``segment * num_slots + slot`` keys in ascending
-        order, the records' :func:`encode_time_list` payloads back to back as one
-        ``<u4`` word stream, and each record's byte length.  Temporaries
-        are released as soon as the next stage has consumed them: at a few
-        million visits they are tens of megabytes each.
+        order, the records back to back as one ``<u4`` word stream, and
+        each record's byte length.
         """
-        compact = [c for c in database.iter_compact() if len(c[2])]
-        if not compact:
-            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), np.empty(0, dtype=np.int64)
-        counts = np.fromiter((len(c[2]) for c in compact), np.int64, len(compact))
-        ids = np.fromiter((c[0] for c in compact), np.int64, len(compact))
-        dates = np.fromiter((c[1] for c in compact), np.int64, len(compact))
-        _check_key_ranges(ids, dates)
-        seconds = np.concatenate([c[3] for c in compact])
+        ids, dates, counts, groups, seconds = _visit_columns(source)
+        _check_visits(ids, dates, counts, seconds)
+        if not seconds.size:
+            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), _EMPTY_KEYS
         np.clip(seconds, 0, SECONDS_PER_DAY - 1, out=seconds)
         seconds = seconds.astype(np.int64)
-        groups = np.concatenate([c[2] for c in compact]).astype(np.int64)
-        del compact
+        groups = groups.astype(np.int64, copy=False)
         groups *= self.num_slots
         groups += seconds // self.delta_t_s
         if groups.min() < -(1 << 31) or groups.max() >= 1 << 31:
             raise ValueError(
                 "segment id x slots per day overflows the packed build key"
             )
-        # Two packed sort keys: (group, date) and (trajectory id, second).
+        # Two packed sort keys: (group, date) and (trajectory id, second),
+        # the latter unsigned so a uint32 id fits its high half.
         major = (groups << KEY_DATE_SHIFT) | np.repeat(dates, counts)
         del groups
-        minor = np.repeat(ids << _SECOND_BITS, counts) | seconds
+        minor = np.repeat(ids.astype(np.uint64) << np.uint64(KEY_DATE_SHIFT), counts)
+        minor |= seconds.view(np.uint64)
         del seconds
         order = np.lexsort((minor, major))
         major = major[order]
@@ -352,34 +374,25 @@ class STIndex:
         run_groups = run_keys >> KEY_DATE_SHIFT
         first_runs = np.flatnonzero(run_groups[1:] != run_groups[:-1]) + 1
         first_runs = np.concatenate((np.zeros(1, dtype=np.int64), first_runs))
-        runs_per_group = np.diff(np.append(first_runs, run_starts.size))
-        # Word layout per record: [num_dates, (date, count, (id, second)*)*].
-        # A run's header sits after 2 words per earlier visit and run and
-        # 1 per group header up to and including its own.
-        run_words = (
-            2 * (run_starts + np.arange(run_starts.size))
-            + np.repeat(np.arange(1, first_runs.size + 1), runs_per_group)
+        runs = np.diff(np.append(first_runs, run_starts.size))
+        first_visits = run_starts[first_runs]
+        visits = np.diff(np.append(first_visits, num_visits))
+        # Record layout [num_dates | dates | counts | ids | seconds]: every
+        # word lands by index arithmetic on its group's run and visit counts.
+        record_words = 1 + 2 * (runs + visits)
+        starts = np.cumsum(record_words) - record_words
+        stream = np.empty(int(record_words.sum()), dtype="<u4")
+        stream[starts] = runs
+        stream[_ramp(starts + 1, runs)] = run_keys & KEY_ID_MASK
+        stream[_ramp(starts + 1 + runs, runs)] = np.diff(
+            np.append(run_starts, num_visits)
         )
-        group_words = run_words[first_runs] - 1
-        total_words = 2 * (num_visits + run_starts.size) + first_runs.size
-        stream = np.empty(total_words, dtype="<u4")
-        headers = np.zeros(total_words, dtype=bool)
-        for words, values in (
-            (group_words, runs_per_group),
-            (run_words, run_keys & KEY_ID_MASK),
-            (run_words + 1, np.diff(np.append(run_starts, num_visits))),
-        ):
-            stream[words] = values
-            headers[words] = True
-        visits = np.empty((num_visits, 2), dtype="<u4")
-        visits[:, 0] = minor >> _SECOND_BITS
-        visits[:, 1] = minor & ((1 << _SECOND_BITS) - 1)
-        del minor
-        np.logical_not(headers, out=headers)
-        stream[headers] = visits.reshape(-1)
-        del visits, headers
-        lengths = 4 * np.diff(np.append(group_words, total_words))
-        return run_groups[first_runs], stream, lengths
+        # Little-endian halves of the minor key: (second, id) per visit.
+        halves = minor.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
+        stream[_ramp(starts + 1 + 2 * runs, visits)] = halves[:, 1]
+        stream[_ramp(starts + 1 + 2 * runs + visits, visits)] = halves[:, 0]
+        del halves, minor
+        return run_groups[first_runs], stream, 4 * record_words
 
     def append_trajectories(self, trajectories) -> int:
         """Incrementally index additional matched trajectories.
@@ -387,9 +400,10 @@ class STIndex:
         New days of data arrive continuously in a deployed system; instead
         of rebuilding, each affected (segment, slot) entry gains one more
         record in its chain, merged with the existing ones at read time.
-        Returns the number of entries touched.  A trajectory id or date a
-        packed visit key cannot hold raises ``ValueError`` before any page
-        or journal record is written.
+        The records are encoded like :meth:`build`'s and land through one
+        :meth:`PageStore.append_many`.  Returns the number of entries
+        touched.  A trajectory that :func:`_check_visits` refuses raises
+        ``ValueError`` before any page or journal record is written.
 
         Args:
             trajectories: iterable of
@@ -397,25 +411,11 @@ class STIndex:
         """
         if not self._built:
             raise RuntimeError("build the ST-Index before appending")
-        trajectories = list(trajectories)
-        _check_key_ranges(
-            [trajectory.trajectory_id for trajectory in trajectories],
-            [trajectory.date for trajectory in trajectories],
-        )
-        pending: dict[tuple[int, int], dict[int, set[tuple[int, int]]]] = {}
-        for trajectory in trajectories:
-            date = trajectory.date
-            trajectory_id = trajectory.trajectory_id
-            for visit in trajectory.visits:
-                slot = self.slot_of(visit.time_s)
-                second = int(min(max(0.0, visit.time_s), SECONDS_PER_DAY - 1))
-                per_date = pending.setdefault((visit.segment_id, slot), {})
-                per_date.setdefault(date, set()).add((trajectory_id, second))
-        delta: list[tuple[int, int, int, int, int, int]] = []
-        for key in sorted(pending):
-            per_date = {d: sorted(visits) for d, visits in pending[key].items()}
-            pointer = self._store.append(encode_time_list(per_date))
-            delta.append((*key, *pointer))
+        keys, stream, lengths = self._encode_time_lists(list(trajectories))
+        delta = np.column_stack(
+            (keys // self.num_slots, keys % self.num_slots,
+             *self._store.append_many(stream, lengths))
+        ).tolist()
         self.directory.extend(
             delta, self.disk.num_pages, self.disk.page_size, "appended record"
         )
@@ -433,7 +433,7 @@ class STIndex:
             self._data_epoch += 1
         self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
-        return len(pending)
+        return len(delta)
 
     def committed_directory(self) -> TimeListDirectory:
         """The directory, every pointer of it on committed pages.
@@ -509,30 +509,6 @@ class STIndex:
         """
         return slots.window_plan(start_s, end_s, self.delta_t_s)
 
-    @staticmethod
-    def _assemble_window_keys(
-        steps: list[tuple[Pointer, bool, float, float]],
-        columns: dict[Pointer, ColumnarTimeList],
-    ) -> np.ndarray:
-        """Filter and concatenate one segment's decoded window records."""
-        parts: list[np.ndarray] = []
-        for pointer, whole_slot, lo, hi in steps:
-            record = columns[pointer]
-            if record.keys.size == 0:
-                continue
-            if whole_slot:
-                parts.append(record.keys)
-                continue
-            mask = (record.seconds >= lo) & (record.seconds < hi)
-            if mask.any():
-                parts.append(record.keys[mask])
-        if not parts:
-            return _EMPTY_KEYS
-        if len(parts) == 1:
-            # Single whole-slot records dominate; avoid copying them.
-            return parts[0]
-        return np.concatenate(parts)
-
     # The caller charges the returned page ids: the wave's single
     # BufferPool.get_pages in ColumnarEq31Estimator.probabilities.
     # repro-lint: charged
@@ -554,7 +530,9 @@ class STIndex:
         :meth:`~repro.storage.pagestore.BufferPool.get_pages` call, so the
         pool sees the access sequence of the per-segment loop.  A memo hit
         skips the directory probe and the decode; the misses of one call
-        share one directory probe and decode each record they name once.
+        share one directory probe, and their records decode in one vector
+        pass (:func:`decode_time_list_columns`) and filter under one
+        seconds mask.
         """
         cache_on = self.record_cache_size > 0
         results: list = []
@@ -603,26 +581,44 @@ class STIndex:
             )
             for position, key in misses
         ]
-        pointers = [step[0] for _, _, steps in builds for step in steps]
-        # A record on the store's dirty tail page flushes it first, as a
-        # charged PageStore.read would.
-        self._store.ensure_committed(pointers)
-        columns: dict[Pointer, ColumnarTimeList] = {}
-        for pointer in pointers:
-            if pointer not in columns:
-                # Uncharged decode: the caller charges these pages, once per
-                # evaluation that uses them (see above).
-                # repro-lint: disable=RL002
-                columns[pointer] = decode_time_list_columns(
-                    self.disk.extent_bytes(pointer[0], pointer[2], pointer[3])
+        steps = [step for _, _, segment_steps in builds for step in segment_steps]
+        keys, ends = _EMPTY_KEYS, np.zeros(1, dtype=np.int64)
+        if steps:
+            # A record on the store's dirty tail page flushes it first, as
+            # a charged PageStore.read would.
+            self._store.ensure_committed([step[0] for step in steps])
+            # Uncharged: the caller charges these pages, once per evaluation
+            # that uses them (see above).  The wave's records, in step
+            # order, decode in one pass.
+            # repro-lint: disable=RL002
+            extents = [self.disk.extent_bytes(p[0], p[2], p[3]) for p, _, _, _ in steps]
+            decoded = decode_time_list_columns(
+                b"".join(extents), [step[0][3] for step in steps]
+            )
+            keys = decoded.keys
+            ends = np.concatenate(([0], decoded.record_ends))
+            if not all(whole_slot for _, whole_slot, _, _ in steps):
+                # One seconds mask over the wave; a whole slot keeps all.
+                bounds = np.array(
+                    [(lo, hi) if not whole else (-np.inf, np.inf)
+                     for _, whole, lo, hi in steps]
                 )
-        for position, _, steps in builds:
+                sizes = np.diff(ends)
+                keep = decoded.seconds >= np.repeat(bounds[:, 0], sizes)
+                keep &= decoded.seconds < np.repeat(bounds[:, 1], sizes)
+                keys = keys[keep]
+                ends = np.concatenate(([0], np.cumsum(keep)))[ends]
+        # Split per segment, in step order.
+        cuts = ends[np.cumsum([0] + [len(segment_steps) for _, _, segment_steps in builds])]
+        for (position, _, segment_steps), lo, hi in zip(
+            builds, cuts[:-1].tolist(), cuts[1:].tolist()
+        ):
             results[position] = (
-                self._assemble_window_keys(steps, columns),
-                len(steps),
+                keys[lo:hi] if hi > lo else _EMPTY_KEYS,
+                len(segment_steps),
                 tuple(
                     page
-                    for (first_page, num_pages, _, _), _, _, _ in steps
+                    for (first_page, num_pages, _, _), _, _, _ in segment_steps
                     for page in range(first_page, first_page + num_pages)
                 ),
             )

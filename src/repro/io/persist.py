@@ -35,8 +35,10 @@ from repro.trajectory.store import TrajectoryDatabase
 
 FORMAT_VERSION = 1
 
-#: Version of the durable store-bundle directory layout (:func:`save_store`).
-STORE_FORMAT_VERSION = 1
+#: Version of the durable store bundle (:func:`save_store`): its directory
+#: layout and the time-list record layout on its pages (2: records stored
+#: column-major, read by :func:`repro.core.st_index.decode_time_list_columns`).
+STORE_FORMAT_VERSION = 2
 
 
 class PersistFormatError(ValueError):

@@ -23,35 +23,36 @@ from repro.network.model import RoadNetwork
 
 
 def decode_time_list_reference(payload: bytes) -> dict[int, list[tuple[int, int]]]:
-    """The pre-vectorization time-list decoder (per-element tuple builds).
+    """A per-element time-list decoder (store format 2), independent of ``src/``.
 
-    Decoding happens on every charged time-list read in the TBS/ES hot
-    path, so this is part of the honest pre-PR end-to-end baseline.
+    Walks ``[num_dates | dates | counts | ids | seconds]`` one word at a
+    time with tuple builds — the plain baseline the vector decoder is
+    checked against.
     """
     import struct
 
     from repro.storage.serialization import SerializationError
 
-    if len(payload) % 4 != 0:
+    if len(payload) % 4 != 0 or not payload:
         raise SerializationError("time list payload not uint32-aligned")
     values = struct.unpack(f"<{len(payload) // 4}I", payload)
     num_dates = values[0]
+    if 1 + 2 * num_dates > len(values):
+        raise SerializationError("truncated time list header")
+    dates = values[1:1 + num_dates]
+    counts = values[1 + num_dates:1 + 2 * num_dates]
+    num_visits = sum(counts)
+    if 1 + 2 * num_dates + 2 * num_visits != len(values):
+        raise SerializationError("time list counts do not match its length")
+    ids_at = 1 + 2 * num_dates
     per_date: dict[int, list[tuple[int, int]]] = {}
-    offset = 1
-    for _ in range(num_dates):
-        if offset + 2 > len(values):
-            raise SerializationError("truncated time list header")
-        date, count = values[offset], values[offset + 1]
-        offset += 2
-        if offset + 2 * count > len(values):
-            raise SerializationError("truncated time list ids")
+    visit = 0
+    for date, count in zip(dates, counts):
         per_date[date] = [
-            (values[offset + 2 * i], values[offset + 2 * i + 1])
+            (values[ids_at + visit + i], values[ids_at + num_visits + visit + i])
             for i in range(count)
         ]
-        offset += 2 * count
-    if offset != len(values):
-        raise SerializationError("trailing values in time list payload")
+        visit += count
     return per_date
 
 

@@ -1,4 +1,4 @@
-"""The record-at-a-time ``STIndex.build``: the oracle for the bulk build.
+"""The record-at-a-time ``STIndex`` writers: oracles for the vector ones.
 
 This is the build body the index shipped with before it went
 array-at-a-time — one ``np.unique``, ``sorted(set(zip(...)))``,
@@ -11,11 +11,34 @@ upper end), matching ``STIndex.slot_of`` and ``append_trajectories``.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from repro.core.st_index import STIndex, encode_time_list
+from repro.core.st_index import STIndex
+from repro.storage.serialization import encode_append_delta
 from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
+
+
+def encode_time_list(per_date: dict[int, list[tuple[int, int]]]) -> bytes:
+    """Serialize ``date -> [(trajectory id, visit second)]`` for one entry.
+
+    The scalar encoder of the record layout (store format 2), flat uint32
+    words ``[num_dates | dates | counts | ids | seconds]``: dates ascending,
+    then each date's visit count, then every visit's id and every visit's
+    second, date-major and sorted within a date.
+    """
+    dates = sorted(per_date)
+    visits = [visit for date in dates for visit in sorted(per_date[date])]
+    values = [
+        len(dates),
+        *dates,
+        *(len(per_date[date]) for date in dates),
+        *(trajectory_id for trajectory_id, _ in visits),
+        *(second for _, second in visits),
+    ]
+    return struct.pack(f"<{len(values)}I", *values)
 
 
 def entry_keys(index: STIndex) -> list[tuple[int, int]]:
@@ -85,3 +108,31 @@ def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
     index._built = True
     index.stats.num_entries = len(index.directory)
     index.stats.disk_pages = index.disk.num_pages
+
+
+def scalar_append(index: STIndex, trajectories) -> int:
+    """Append ``trajectories`` one (segment, slot) record at a time.
+
+    The ``append_trajectories`` body from before it shared the bulk
+    build's encoder: a per-visit dict of sets, then one
+    ``encode_time_list`` and ``PageStore.append`` per entry in (segment,
+    slot) order — kept so ``tests/test_bulk_build.py`` can require the
+    vector append to leave byte-identical pages, pointers, counters and
+    tail state.
+    """
+    pending: dict[tuple[int, int], dict[int, set[tuple[int, int]]]] = {}
+    for trajectory in trajectories:
+        for visit in trajectory.visits:
+            second = int(min(max(0.0, visit.time_s), SECONDS_PER_DAY - 1))
+            per_date = pending.setdefault((visit.segment_id, index.slot_of(visit.time_s)), {})
+            per_date.setdefault(trajectory.date, set()).add((trajectory.trajectory_id, second))
+    delta = []
+    for key in sorted(pending):
+        payload = encode_time_list({d: sorted(v) for d, v in pending[key].items()})
+        delta.append((*key, *index._store.append(payload)))
+    index.directory.extend(delta, index.disk.num_pages, index.disk.page_size, "appended record")
+    index._store.flush()
+    index.disk.commit(meta=encode_append_delta(index.delta_t_s, delta))
+    index.stats.num_entries = len(index.directory)
+    index.stats.disk_pages = index.disk.num_pages
+    return len(pending)

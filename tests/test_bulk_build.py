@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.st_index_build import scalar_build
+from reference.st_index_build import scalar_append, scalar_build
 from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
 from repro.core.st_index import STIndex
 from repro.io.persist import PersistFormatError
@@ -229,6 +229,26 @@ class TestBulkBuildMatchesScalar:
             index.build(TrajectoryDatabase(num_taxis=1, num_days=1))
 
 
+class TestAppendMatchesScalar:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_appends(self, network, seed):
+        """The vector append against the per-record loop, call after call:
+        duplicates, out-of-day times, empty trajectories and an empty call."""
+        segments = sorted(network.segment_ids())
+        base = random_database(seed, segments)
+        vector = STIndex(network, 300, disk=SimulatedDisk(page_size=100))
+        scalar = STIndex(network, 300, disk=SimulatedDisk(page_size=100))
+        vector.build(base)
+        scalar.build(base)
+        for call in range(3):
+            arrivals = random_database(seed * 10 + call + 1, segments, trajectories=6)
+            batch = [arrivals.get(row[0]) for row in arrivals.iter_compact()]
+            assert vector.append_trajectories(batch) == scalar_append(scalar, batch)
+            assert index_state(vector) == index_state(scalar)
+        assert vector.append_trajectories([]) == scalar_append(scalar, []) == 0
+        assert index_state(vector) == index_state(scalar)
+
+
 class TestBuildInputChecks:
     """Regressions: the bulk path used to clamp only the upper end of visit
     times, and nothing stopped an id or date wrapping in ``struct.pack``."""
@@ -328,6 +348,56 @@ class TestBuildInputChecks:
             )
         assert written() == before
         # Nothing half-landed: the valid trajectory of the refused call too.
+        assert index.time_entries(segment, 0) == {0: [(7, 10)]}
+        if on_file:
+            disk.close()
+
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", ["build", "append", "append-file"])
+    def test_non_finite_visit_time_raises_on_both_write_paths(
+        self, network, tmp_path, path, time_s
+    ):
+        """A NaN visit time used to surface on build as a packed-key
+        overflow and was filed by append at second 0; an infinite one was
+        clamped to the day's edge by both."""
+        segment = sorted(network.segment_ids())[0]
+        on_file = path == "append-file"
+        disk = (
+            FileBackedDisk.create(tmp_path / "disk", page_size=128)
+            if on_file
+            else SimulatedDisk(page_size=128)
+        )
+        index = STIndex(network, 300, disk=disk)
+        good = (7, 0, np.array([segment], np.int32), np.array([10.0]))
+        bad = (9, 0, np.array([segment, segment], np.int32), np.array([20.0, time_s]))
+        match = "trajectory 9 has a non-finite visit time"
+
+        def written():
+            return (
+                disk.num_pages,
+                disk.stats.page_writes,
+                disk.journal_record_count if on_file else None,
+            )
+
+        if path == "build":
+            with pytest.raises(ValueError, match=match):
+                index.build(SimpleNamespace(iter_compact=lambda: iter((good, bad))))
+            assert written() == (0, 0, None) and not index._built
+            return
+        index.build(SimpleNamespace(iter_compact=lambda: iter((good,))))
+        disk.commit()
+        before = written()
+        with pytest.raises(ValueError, match=match):
+            index.append_trajectories(
+                [
+                    MatchedTrajectory(8, 0, 0, [SegmentVisit(segment, 10.0, 1.0)]),
+                    MatchedTrajectory(
+                        9, 0, 0,
+                        [SegmentVisit(segment, 20.0, 1.0), SegmentVisit(segment, time_s, 1.0)],
+                    ),
+                ]
+            )
+        assert written() == before
         assert index.time_entries(segment, 0) == {0: [(7, 10)]}
         if on_file:
             disk.close()

@@ -23,6 +23,7 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.st_index import STIndex
 from repro.io.persist import (
+    STORE_FORMAT_VERSION,
     PersistFormatError,
     load_database,
     open_store,
@@ -352,6 +353,19 @@ class TestPersistFormatErrors:
         ):
             open_store(path)
 
+    @pytest.mark.parametrize("sidecar", ["store.json", "directory.npz"])
+    def test_format_1_store_rejected(self, store, sidecar):
+        """Format 1 laid each time-list record out as per-date runs; no
+        reader of that layout is kept, so such a store is refused whole."""
+        path, _ = store
+        if sidecar == "store.json":
+            config = json.loads((path / sidecar).read_text())
+            (path / sidecar).write_text(json.dumps({**config, "version": 1}))
+        else:
+            self.rewrite_directory(path, version=np.int64(1))
+        with pytest.raises(PersistFormatError, match=r"format 1 \(supported: 2\)"):
+            open_store(path)
+
     def test_missing_array_rejected(self, store):
         path, _ = store
         self.rewrite_directory(path, dir_first_page=None)
@@ -372,8 +386,12 @@ class TestPersistFormatErrors:
             ("network.json", '{"version": 99}', "unsupported network format 99"),
             ("speed_model.json", "{not json", "speed_model.json is not valid JSON"),
             ("speed_model.json", "[1, 2]", "speed_model.json is not a JSON object"),
-            ("store.json", '{"version": 1}', "store.json delta_t_s is None"),
-            ("store.json", '{"version": 1, "delta_t_s": 0}', "store.json delta_t_s is 0"),
+            ("store.json", f'{{"version": {STORE_FORMAT_VERSION}}}', "store.json delta_t_s is None"),
+            (
+                "store.json",
+                f'{{"version": {STORE_FORMAT_VERSION}, "delta_t_s": 0}}',
+                "store.json delta_t_s is 0",
+            ),
             # Sizing knobs: typed errors, not int()'s, and no silent resize.
             ("store.json", {"st_pool_pages": None}, "store.json st_pool_pages is None"),
             ("store.json", {"record_cache_size": "x"}, "store.json record_cache_size is 'x'"),

@@ -22,7 +22,7 @@ from test_expansion_kernel import make_network, random_database
 from benchmarks.client_protocol import m_query, r_query, run_batch, s_query
 from repro.core.engine import ReachabilityEngine
 from reference.legacy_expansion import decode_time_list_reference
-from reference.st_index_build import entry_keys
+from reference.st_index_build import encode_time_list, entry_keys
 from reference.legacy_probability import (
     LegacyProbabilityEstimator,
     LegacyReverseProbabilityEstimator,
@@ -34,11 +34,7 @@ from repro.core.baseline import exhaustive_search, exhaustive_search_pruned
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import MQuery, SQuery
 from repro.core.reverse import ReverseProbabilityEstimator
-from repro.core.st_index import (
-    STIndex,
-    decode_time_list_columns,
-    encode_time_list,
-)
+from repro.core.st_index import STIndex, decode_time_list_columns
 from repro.core.tbs import trace_back_search
 from repro.spatial.geometry import Point
 from repro.storage.serialization import SerializationError

@@ -1,12 +1,13 @@
 """Tests for the Spatio-Temporal Index (§3.2.1)."""
 
-import pytest
+import struct
+import tracemalloc
 
-from repro.core.st_index import (
-    STIndex,
-    decode_time_list_columns,
-    encode_time_list,
-)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.st_index import STIndex, decode_time_list_columns
+from reference.st_index_build import encode_time_list
 from repro.network.generator import grid_city
 from repro.storage.serialization import SerializationError
 from repro.trajectory.model import (
@@ -60,6 +61,94 @@ class TestTimeListCodec:
         payload = encode_time_list({1: [(2, 10), (3, 20)]})
         with pytest.raises(SerializationError):
             decode_time_list_columns(payload[:-4])
+
+
+RECORDS = st.dictionaries(
+    st.integers(0, (1 << 31) - 1),
+    st.lists(
+        st.tuples(st.integers(0, (1 << 32) - 1), st.integers(0, SECONDS_PER_DAY - 1)),
+        max_size=5,
+    ),
+    max_size=4,
+)
+
+
+def expected_per_date(per_date):
+    return {date: sorted(visits) for date, visits in per_date.items() if visits}
+
+
+def words(*values):
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+class TestGeneratedCodec:
+    """The vector decoder against the reference encoder, one record at a
+    time and as back-to-back batches, plus corrupt records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(RECORDS)
+    def test_one_record_round_trip(self, per_date):
+        decoded = decode_time_list_columns(encode_time_list(per_date))
+        assert decoded.per_date() == expected_per_date(per_date)
+        assert decoded.record_ends.tolist() == [decoded.num_visits]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(RECORDS, max_size=8))
+    def test_batch_round_trip(self, records):
+        payloads = [encode_time_list(per_date) for per_date in records]
+        batch = decode_time_list_columns(b"".join(payloads), [len(p) for p in payloads])
+        begin = 0
+        for per_date, end in zip(records, batch.record_ends.tolist()):
+            one = decode_time_list_columns(encode_time_list(per_date))
+            assert batch.keys[begin:end].tolist() == one.keys.tolist()
+            assert batch.seconds[begin:end].tolist() == one.seconds.tolist()
+            assert one.per_date() == expected_per_date(per_date)
+            begin = end
+        assert begin == batch.num_visits == batch.keys.size == batch.seconds.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(RECORDS.filter(bool), st.data())
+    def test_every_truncation_rejected(self, per_date, data):
+        payload = encode_time_list(per_date)
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(SerializationError):
+            decode_time_list_columns(payload[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(RECORDS, st.integers(1, 3))
+    def test_trailing_words_rejected(self, per_date, extra):
+        payload = encode_time_list(per_date) + b"\x00" * 4 * extra
+        with pytest.raises(SerializationError):
+            decode_time_list_columns(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            words(0xFFFFFFFF, 3, 1, 7, 10),  # num_dates far past the record
+            words(1, 3, 0xFFFFFFFF, 7, 10),  # a huge count
+            words(2, 3, 4, 2, 2, 7, 8, 10, 11),  # counts sum to 4, room for 2
+            words(2, 3, 4, 1, 0, 7, 8, 10, 11),  # counts sum to 1, room for 2
+            words(1, 3, 1, 7),  # odd number of visit words
+        ],
+        ids=["num-dates-max", "huge-count", "counts-over", "counts-under", "odd-visits"],
+    )
+    def test_corrupt_header_rejected_without_allocating(self, payload):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerializationError):
+                decode_time_list_columns(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_corrupt_record_in_a_batch_rejected(self):
+        good = encode_time_list({1: [(2, 10)]})
+        bad = words(1, 3, 0xFFFFFFFF, 7, 10)
+        with pytest.raises(SerializationError):
+            decode_time_list_columns(good + bad + good, [len(good), len(bad), len(good)])
+        with pytest.raises(SerializationError):  # lengths short of the payload
+            decode_time_list_columns(good + good, [len(good)])
 
 
 class TestSlots:
