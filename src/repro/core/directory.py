@@ -46,6 +46,13 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else mask.size
 
 
+def _ramp(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    ramp = (starts - counts.cumsum() + counts).repeat(counts)
+    ramp += np.arange(ramp.size)
+    return ramp
+
+
 def _chain_positions(keys: np.ndarray) -> np.ndarray:
     """Each row's index within its run of equal (sorted) ``keys``."""
     rows = keys.size
@@ -210,35 +217,43 @@ class TimeListDirectory:
 
     # -- lookup, append, export -------------------------------------------
 
-    def probe(self, segment_ids, slots) -> list[tuple[Pointer, ...]]:
-        """Chains of every ``(segment, slot)`` pair, segment-major.
+    def probe(self, segment_ids, slots) -> tuple[np.ndarray, np.ndarray]:
+        """Every chain record of every ``(segment, slot)`` pair, as columns.
 
-        ``slots`` must lie in ``[0, num_slots)``.  One chain per pair in
-        request order — ``()`` for an absent entry — each a tuple of
-        :data:`Pointer` int tuples: the rows adopted at the last merge by
-        position, then the records appended since in append order.
+        Pairs are numbered segment-major: pair ``i * len(slots) + j`` is
+        ``(segment_ids[i], slots[j])``, and ``slots`` must lie in ``[0,
+        num_slots)``.  Returns each found record's pair number and its
+        ``(n, 4)`` ``int64`` pointer rows, pair after pair, each chain in
+        chain order: the rows adopted at the last merge by position, then
+        the records appended since in append order.  An absent entry has
+        no rows.
         """
         guarded, pointers, chained, overflow = self._state
         wanted = (
-            np.array(segment_ids, dtype=np.int64)[:, None] * self.num_slots
-            + np.array(slots, dtype=np.int64)
+            np.asarray(segment_ids, dtype=np.int64)[:, None] * self.num_slots
+            + np.asarray(slots, dtype=np.int64)
         ).ravel()
-        lo = np.searchsorted(guarded[:-1], wanted)
-        chains: list[tuple] = [()] * wanted.size
+        lo = guarded[:-1].searchsorted(wanted)
         if chained:
-            hi = np.searchsorted(guarded[:-1], wanted, side="right")
-            for i in np.flatnonzero(hi > lo).tolist():
-                chains[i] = tuple(map(tuple, pointers[lo[i] : hi[i]].tolist()))
+            counts = guarded[:-1].searchsorted(wanted, side="right") - lo
+            pairs = np.arange(wanted.size).repeat(counts)
+            rows = pointers[_ramp(lo, counts)]
         else:
-            hit = guarded[lo] == wanted
-            for i, row in zip(np.flatnonzero(hit).tolist(), pointers[lo[hit]].tolist()):
-                chains[i] = (tuple(row),)
+            pairs = (guarded[lo] == wanted).nonzero()[0]
+            rows = pointers[lo[pairs]]
         if overflow:
-            for i, key in enumerate(wanted.tolist()):
-                appended = overflow.get(key)
-                if appended:
-                    chains[i] += tuple(appended)
-        return chains
+            appended = [
+                (pair, pointer)
+                for pair, key in enumerate(wanted.tolist())
+                for pointer in overflow.get(key, ())
+            ]
+            if appended:
+                pairs = np.concatenate((pairs, [pair for pair, _ in appended]))
+                rows = np.concatenate((rows, [pointer for _, pointer in appended]))
+                # Stable: a pair's appended records follow its adopted rows.
+                order = np.argsort(pairs, kind="stable")
+                pairs, rows = pairs[order], rows[order]
+        return pairs, rows
 
     def extend(self, rows, num_pages_total: int, page_size: int, what: str) -> None:
         """Append ``(segment, slot, first_page, num_pages, offset, length)``

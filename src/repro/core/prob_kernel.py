@@ -164,10 +164,10 @@ class ColumnarEq31Estimator:
         """Packed visit keys of the *road* (segment + twin) for a plan,
         gathered and charged in the scalar ``_merged_window`` order."""
         parts = self.index.gather_window_columns(self._road(segment_id), plan)
-        pages = [page for _, _, page_ids in parts for page in page_ids]
+        pages = np.concatenate([page_ids for _, _, page_ids in parts])
         self.index.pool.get_pages(pages)
         self.batched_record_reads += sum(records for _, records, _ in parts)
-        self.prefetched_pages += len(pages)
+        self.prefetched_pages += pages.size
         return np.concatenate([keys for keys, _, _ in parts])
 
     @property
@@ -247,9 +247,9 @@ class ColumnarEq31Estimator:
         3. a replay of the scalar consultation order (each peer's cache
            first; the claimer, then the others while below ``prob``) that
            updates every consulted peer's cache, ``checks`` and I/O
-           counters and lists the page ids the per-segment loop charges,
-           in its order;
-        4. that list charged in one
+           counters and collects the page-id arrays the per-segment loop
+           charges, in its order;
+        4. their concatenation charged in one
            :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.
         """
         wave = list(segment_ids)
@@ -304,7 +304,7 @@ class ColumnarEq31Estimator:
 
         # 3. The scalar consultation order, replayed.
         probes: dict[ColumnarEq31Estimator, tuple[list[int], bool]] = {}
-        charges: list[int] = []
+        charges: list[np.ndarray] = []
         values: list[float] = []
         for segment_id in wave:
             value = -1.0  # below any threshold: the claimer is always asked
@@ -328,14 +328,14 @@ class ColumnarEq31Estimator:
                             _, records, pages = parts[member]
                             e.batched_record_reads += records
                             e.prefetched_pages += len(pages)
-                            charges.extend(pages)
+                            charges.append(pages)
                         probability = good[road_of[segment_id]] / e.num_days
                     e._store(segment_id, probability)
                 value = max(value, probability)
             values.append(value)
         # 4. The wave's one charge.
         if charges:
-            self.index.pool.get_pages(charges)
+            self.index.pool.get_pages(np.concatenate(charges))
         return values
 
     def probability(self, segment_id: int) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import slots
-from repro.core.directory import Pointer, TimeListDirectory
+from repro.core.directory import TimeListDirectory, _ramp
 from repro.network.locator import SegmentLocator
 from repro.network.model import RoadNetwork
 from repro.spatial.geometry import Point
@@ -80,13 +80,6 @@ def _check_visits(trajectory_ids, dates, counts, times) -> None:
             f"trajectory {trajectory_ids[owner]} has a non-finite visit time "
             f"{float(times[visit])}"
         )
-
-
-def _ramp(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The runs ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
-    ramp = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    ramp += np.arange(ramp.size)
-    return ramp
 
 
 @dataclass(frozen=True)
@@ -148,24 +141,24 @@ def decode_time_list_columns(payload: bytes, lengths=None) -> ColumnarTimeList:
     if int(sizes.sum()) != len(payload):
         raise SerializationError("time list lengths do not cover the payload")
     words = np.frombuffer(payload, dtype="<u4")
-    sizes >>= 2
+    sizes = sizes >> 2  # not in place: ``lengths`` may be the caller's array
     if not sizes.all():
         raise SerializationError("truncated time list header")
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     num_dates = words[starts].astype(np.int64)
     twice_visits = sizes - 1 - 2 * num_dates
     if (twice_visits < 0).any() or (twice_visits & 1).any():
         raise SerializationError("time list header does not fit its length")
     num_visits = twice_visits >> 1
-    record_ends = np.cumsum(num_visits)
+    record_ends = num_visits.cumsum()
     date_words = _ramp(starts + 1, num_dates)
-    counts = words[date_words + np.repeat(num_dates, num_dates)].astype(np.int64)
-    if (np.concatenate(([0], np.cumsum(counts)))[np.cumsum(num_dates)] != record_ends).any():
+    counts = words[date_words + num_dates.repeat(num_dates)].astype(np.int64)
+    if (np.concatenate(([0], counts.cumsum()))[num_dates.cumsum()] != record_ends).any():
         raise SerializationError("time list counts do not match its length")
     id_words = _ramp(starts + 1 + 2 * num_dates, num_visits)
-    keys = np.repeat(words[date_words].astype(np.int64) << KEY_DATE_SHIFT, counts)
+    keys = (words[date_words].astype(np.int64) << KEY_DATE_SHIFT).repeat(counts)
     keys |= words[id_words]
-    id_words += np.repeat(num_visits, num_visits)
+    id_words += num_visits.repeat(num_visits)
     return ColumnarTimeList(keys=keys, seconds=words[id_words], record_ends=record_ends)
 
 
@@ -477,8 +470,8 @@ class STIndex:
         """
         if not 0 <= slot < self.num_slots:
             return {}
-        chain = self.directory.probe((segment_id,), (slot,))[0]
-        if not chain:
+        _, chain = self.directory.probe((segment_id,), (slot,))
+        if not len(chain):
             return {}
         if len(chain) == 1:
             # Bulk-built and per-append records are internally duplicate
@@ -492,10 +485,10 @@ class STIndex:
                 merged.setdefault(date, set()).update(visits)
         return {date: sorted(visits) for date, visits in merged.items()}
 
-    def _read_record(self, pointer: Pointer) -> ColumnarTimeList:
+    def _read_record(self, pointer: np.ndarray) -> ColumnarTimeList:
         """One record read, charged through the buffer pool, and decoded."""
         return decode_time_list_columns(
-            self._store.read(RecordPointer(*pointer), pool=self.pool)
+            self._store.read(RecordPointer(*pointer.tolist()), pool=self.pool)
         )
 
     def window_plan(
@@ -516,111 +509,86 @@ class STIndex:
         self,
         segment_ids,
         plan: tuple[tuple[float, float, int, int], ...],
-    ) -> list[tuple[np.ndarray, int, tuple[int, ...]]]:
+    ) -> list[tuple[np.ndarray, int, np.ndarray]]:
         """Uncharged window gather for a wave of segments.
 
         The gather behind every Eq. 3.1 evaluation.  Per requested segment,
         in order: its packed visit keys inside the plan's window, how many
-        time-list records they came from, and the page ids those records
-        span in the scalar read order (plan slots in window order, chain
-        records in append order) — the window-gather memo's entry.
+        time-list records they came from, and the ``int64`` page ids those
+        records span in the scalar read order (plan slots in window order,
+        chain records in chain order) — the window-gather memo's entry.
 
         Nothing is charged here.  The caller charges the page ids of the
         segments it actually evaluates, in evaluation order, through one
         :meth:`~repro.storage.pagestore.BufferPool.get_pages` call, so the
         pool sees the access sequence of the per-segment loop.  A memo hit
-        skips the directory probe and the decode; the misses of one call
-        share one directory probe, and their records decode in one vector
-        pass (:func:`decode_time_list_columns`) and filter under one
-        seconds mask.
+        skips all the work below.  The misses of one call cost one
+        directory probe, one extent read, one vector decode
+        (:func:`decode_time_list_columns`) and one seconds mask; their
+        entries are views of the wave's key and page-id arrays, cut by
+        cumulative record counts.
         """
         cache_on = self.record_cache_size > 0
         results: list = []
-        misses: list[tuple[int, tuple[int, tuple]]] = []
+        misses: list[tuple[int, int]] = []
         with self._record_lock:
             epoch = self._data_epoch
             gathers = self._window_gathers
             for segment_id in segment_ids:
-                key = (segment_id, plan)
-                entry = gathers.get(key) if cache_on else None
+                entry = gathers.get((segment_id, plan)) if cache_on else None
                 if entry is None:
-                    misses.append((len(results), key))
+                    misses.append((len(results), segment_id))
                 else:
-                    gathers.move_to_end(key)
+                    gathers.move_to_end((segment_id, plan))
                 results.append(entry)
             if not misses:
                 return results
-            # One directory probe resolves every miss of the wave.
-            # Boundary slots are filtered by visit second.
-            slot_steps = [
-                (
-                    slot,
-                    lo <= slot * self.delta_t_s
-                    and (slot + 1) * self.delta_t_s <= hi,
-                    lo,
-                    hi,
-                )
+            # Per plan step (one slot of one window part): its slot and the
+            # seconds bounds of its part, unbounded where the slot lies
+            # wholly inside the part.
+            steps = [
+                (slot, -np.inf, np.inf)
+                if lo <= slot * self.delta_t_s and (slot + 1) * self.delta_t_s <= hi
+                else (slot, lo, hi)
                 for lo, hi, first_slot, last_slot in plan
                 for slot in range(first_slot, last_slot + 1)
             ]
-            chains = iter(
-                self.directory.probe(
-                    [key[0] for _, key in misses],
-                    [step[0] for step in slot_steps],
-                )
+            pairs, rows = self.directory.probe(
+                [segment_id for _, segment_id in misses], [slot for slot, _, _ in steps]
             )
-        builds = [
-            (
-                position,
-                key,
-                [
-                    (pointer, whole_slot, lo, hi)
-                    for _, whole_slot, lo, hi in slot_steps
-                    for pointer in next(chains)
-                ],
-            )
-            for position, key in misses
-        ]
-        steps = [step for _, _, segment_steps in builds for step in segment_steps]
+        miss_of, step_of = np.divmod(pairs, len(steps))
+        first_pages, num_pages, offsets, lengths = rows.T
         keys, ends = _EMPTY_KEYS, np.zeros(1, dtype=np.int64)
-        if steps:
+        if pairs.size:
             # A record on the store's dirty tail page flushes it first, as
             # a charged PageStore.read would.
-            self._store.ensure_committed([step[0] for step in steps])
+            self._store.ensure_committed(rows)
             # Uncharged: the caller charges these pages, once per evaluation
-            # that uses them (see above).  The wave's records, in step
-            # order, decode in one pass.
+            # that uses them (see above).
             # repro-lint: disable=RL002
-            extents = [self.disk.extent_bytes(p[0], p[2], p[3]) for p, _, _, _ in steps]
-            decoded = decode_time_list_columns(
-                b"".join(extents), [step[0][3] for step in steps]
-            )
+            payload = self.disk.extent_bytes(first_pages, offsets, lengths)
+            decoded = decode_time_list_columns(payload, lengths)
             keys = decoded.keys
             ends = np.concatenate(([0], decoded.record_ends))
-            if not all(whole_slot for _, whole_slot, _, _ in steps):
-                # One seconds mask over the wave; a whole slot keeps all.
-                bounds = np.array(
-                    [(lo, hi) if not whole else (-np.inf, np.inf)
-                     for _, whole, lo, hi in steps]
-                )
-                sizes = np.diff(ends)
-                keep = decoded.seconds >= np.repeat(bounds[:, 0], sizes)
-                keep &= decoded.seconds < np.repeat(bounds[:, 1], sizes)
+            if any(lo > -np.inf for _, lo, _ in steps):
+                # One seconds mask over the wave.
+                _, lows, highs = np.array(steps).T
+                sizes = ends[1:] - ends[:-1]
+                keep = decoded.seconds >= lows[step_of].repeat(sizes)
+                keep &= decoded.seconds < highs[step_of].repeat(sizes)
                 keys = keys[keep]
-                ends = np.concatenate(([0], np.cumsum(keep)))[ends]
-        # Split per segment, in step order.
-        cuts = ends[np.cumsum([0] + [len(segment_steps) for _, _, segment_steps in builds])]
-        for (position, _, segment_steps), lo, hi in zip(
-            builds, cuts[:-1].tolist(), cuts[1:].tolist()
-        ):
+                ends = np.concatenate(([0], keep.cumsum()))[ends]
+        # Split per segment: records are grouped by miss, in miss order.
+        records = np.bincount(miss_of, minlength=len(misses))
+        record_cuts = np.concatenate(([0], records.cumsum()))
+        key_cuts = ends[record_cuts].tolist()
+        page_cuts = np.concatenate(([0], num_pages.cumsum()))[record_cuts].tolist()
+        pages = _ramp(first_pages, num_pages)
+        for i, ((position, _), count) in enumerate(zip(misses, records.tolist())):
             results[position] = (
-                keys[lo:hi] if hi > lo else _EMPTY_KEYS,
-                len(segment_steps),
-                tuple(
-                    page
-                    for (first_page, num_pages, _, _), _, _, _ in segment_steps
-                    for page in range(first_page, first_page + num_pages)
-                ),
+                keys[key_cuts[i] : key_cuts[i + 1]],
+                count,
+                pages[page_cuts[i] : page_cuts[i + 1]],
             )
         if cache_on:
             with self._record_lock:
@@ -629,8 +597,8 @@ class STIndex:
                 # resurrect stale data.
                 if self._data_epoch == epoch:
                     gathers = self._window_gathers
-                    for position, key, _ in builds:
-                        gathers[key] = results[position]
+                    for position, segment_id in misses:
+                        gathers[(segment_id, plan)] = results[position]
                     while len(gathers) > self.record_cache_size:
                         gathers.popitem(last=False)
         return results

@@ -11,8 +11,11 @@ the accounted I/O cost.
 
 Pages live in **one growable contiguous buffer** (not one object per page),
 so a page is an offset range and a record stored on an *extent* — a
-contiguous run of pages handed out by :meth:`SimulatedDisk.allocate` — can
-be served as a single buffer slice instead of a per-page join loop.  All
+contiguous run of pages handed out by :meth:`SimulatedDisk.allocate` — is a
+single buffer slice.  Reading is split into its two halves: charging
+(:meth:`SimulatedDisk.charge_reads`, which buffer pools call for their
+misses) and the uncharged data read (:meth:`SimulatedDisk.extent_bytes`,
+which takes a whole wave of records as columns under one lock).  All
 counter updates run under one internal lock, so threaded batch workers
 produce exact totals; every update is additionally mirrored onto the
 calling thread's private counters (:meth:`SimulatedDisk.local_snapshot`),
@@ -26,6 +29,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # circular at runtime: pagestore imports this module
     from repro.storage.pagestore import BufferPool
@@ -144,11 +149,10 @@ class SimulatedDisk:
         self._used: list[int] = []  # payload length per page  # guarded_by: _lock
         self._pools: list[weakref.ReferenceType] = []  # guarded_by: _lock
         # One lock covers buffer mutation and counter updates, so batch
-        # worker threads accumulate exact stats.  Buffer pools may call in
-        # while holding their shard locks; the disk never calls back into
-        # a pool while holding this lock (write-through invalidation runs
-        # after it is released), so the lock order is always
-        # shard -> disk and cannot deadlock.
+        # worker threads accumulate exact stats.  Neither side calls the
+        # other while holding its own lock: buffer pools charge their
+        # misses after releasing their shard locks, and write-through
+        # invalidation runs after this lock is released.
         self._lock = threading.Lock()
         # Per-thread counter mirrors: every update below also lands on the
         # calling thread's private DiskStats, so :meth:`local_snapshot`
@@ -217,9 +221,9 @@ class SimulatedDisk:
         """Charge a batch of page reads in one pass (no payloads returned).
 
         Accounting-identical to calling :meth:`read_page` once per id, in
-        order — the same counts and bytes — but takes the stats lock once.
-        The batched record-gather path uses this when the payload bytes
-        are served as a single extent slice rather than per-page chunks.
+        order — the same counts and bytes — but takes the stats lock once
+        and copies nothing: buffer pools charge their misses here, and
+        readers take the bytes from :meth:`extent_bytes`.
         """
         local = self._local_stats()
         with self._lock:
@@ -299,26 +303,51 @@ class SimulatedDisk:
                 for page_id in range(first_page, first_page + count):
                     pool.invalidate(page_id)
 
-    def extent_bytes(self, first_page: int, offset: int, length: int) -> bytes:
-        """Uncharged contiguous slice of an extent's payload bytes.
+    def extent_bytes(
+        self,
+        first_pages: Sequence[int] | np.ndarray,
+        offsets: Sequence[int] | np.ndarray,
+        lengths: Sequence[int] | np.ndarray,
+    ) -> bytes:
+        """Uncharged payload bytes of a batch of records, back to back.
 
         The data half of a record read: the caller charges the touched
-        pages (directly or through a buffer pool), then takes the record's
-        bytes as one slice of the backing buffer — no per-page join.  Only
-        meaningful for extents written front-to-back by a
+        pages (directly or through a buffer pool), then takes the records'
+        bytes here.  Record ``i`` is ``lengths[i]`` bytes from byte
+        ``offsets[i]`` of page ``first_pages[i]`` on; the three columns are
+        equal-length integer sequences.  One lock acquisition, one slice of
+        the backing buffer per run of records adjacent on disk, one join —
+        no per-page work; a backend faults in the pages each run spans.
+        Only meaningful for extents written front-to-back by a
         :class:`~repro.storage.pagestore.PageStore`.
         """
-        if length < 0 or offset < 0:
-            raise DiskError(f"bad extent slice offset={offset} length={length}")
-        start = first_page * self.page_size + offset
+        first, offset, length = (
+            np.asarray(column, dtype=np.int64) for column in (first_pages, offsets, lengths)
+        )
+        if not length.size:
+            return b""
+        if min(first.min(), offset.min(), length.min()) < 0:
+            raise DiskError("bad extent slice: negative page, offset or length")
+        size = self.page_size
+        start = first * size + offset
+        end = start + length
+        # Records that follow each other on disk (a segment's slots, written
+        # back to back) share one slice and one residency check.
+        breaks = (start[1:] != end[:-1]).nonzero()[0] + 1
+        spans = zip(
+            start[np.concatenate(([0], breaks))].tolist(),
+            end[np.concatenate((breaks - 1, [end.size - 1]))].tolist(),
+        )
         with self._lock:
-            if start + length > len(self._buf):
+            buf = self._buf
+            if end.max() > len(buf):
                 raise DiskError("extent slice beyond allocated pages")
-            if length > 0:
-                span_first = start // self.page_size
-                span_last = (start + length - 1) // self.page_size
-                self._ensure_resident_locked(span_first, span_last - span_first + 1)
-            return bytes(self._buf[start : start + length])
+            chunks: list[bytearray] = []
+            for lo, hi in spans:
+                if hi > lo:
+                    self._ensure_resident_locked(lo // size, (hi - 1) // size - lo // size + 1)
+                chunks.append(buf[lo:hi])
+            return b"".join(chunks)
 
     def attach_pool(self, pool: BufferPool) -> None:
         """Register a buffer pool for write-through invalidation.

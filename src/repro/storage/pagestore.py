@@ -3,11 +3,11 @@
 :class:`PageStore` packs variable-length records into fixed-size pages.
 Every record occupies an **extent** — a contiguous run of pages — so a
 :class:`RecordPointer` is just ``(first_page, num_pages, offset, length)``
-and reading a record back is a single slice of the disk's backing buffer
-instead of a per-page join loop.  Reading still *charges*
-``ceil(record bytes / page size)``-ish pages — exactly the cost model the
-paper's index design optimises against; only the Python work per read
-shrinks.
+and reading records back is one :meth:`SimulatedDisk.extent_bytes` call:
+one slice of the disk's backing buffer per run of adjacent records, however
+many records and pages.  Reading still *charges* every page of each extent
+— exactly the cost model the paper's index design optimises against; only
+the Python work per read shrinks.
 
 Writes are **group-committed**: the tail page stays in an in-memory write
 buffer and is flushed when it fills (a page boundary) or on an explicit
@@ -15,16 +15,19 @@ buffer and is flushed when it fills (a page boundary) or on an explicit
 ``page_write`` per page instead of one per record.  Reading a record whose
 extent includes the dirty tail flushes it first, keeping readers coherent.
 
-:class:`BufferPool` interposes an LRU page cache, so repeated access to hot
-pages (e.g. the start segment's time list during trace-back search) is free
-after the first read, mirroring a DBMS buffer manager.  The pool is
-**striped** into independently locked LRU shards (``page_id % shards``)
-with *single-flight* miss handling — a miss is fetched while the shard
+:class:`BufferPool` is the accounting half of a DBMS buffer manager: an LRU
+of page *ids* that decides which page accesses are free (repeated access to
+hot pages, e.g. the start segment's time list during trace-back search) and
+which cost a disk read.  It keeps no page bytes — readers take payloads as
+extent slices — so a miss is a charge, not a copy.  The pool is **striped**
+into independently locked LRU shards (``page_id % shards``) with
+*single-flight* misses — a missed id enters its shard's LRU while the shard
 lock is held, so two threads missing the same page charge exactly one disk
 read and threaded-batch :class:`~repro.storage.disk.DiskStats` stay
 deterministic.  :meth:`BufferPool.get_pages` charges a whole batch of page
-accesses taking each shard lock once, the entry point the wave-granular
-record gathers use.
+accesses taking each shard lock once and charging its misses in one
+:meth:`SimulatedDisk.charge_reads`, the entry point the wave-granular record
+gathers use.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import DiskError, SimulatedDisk
 
 #: Default lock-stripe count for :class:`BufferPool`.  Small enough that a
 #: few-hundred-page pool still gets meaningfully sized LRU shards, large
@@ -66,9 +69,6 @@ class RecordPointer:
     def page_ids(self) -> tuple[int, ...]:
         """The extent as explicit page ids (compatibility accessor)."""
         return tuple(range(self.first_page, self.first_page + self.num_pages))
-
-    def __contains__(self, page_id: int) -> bool:
-        return self.first_page <= page_id < self.first_page + self.num_pages
 
     def __iter__(self):
         """The four fields in order, like the pointer's plain directory row."""
@@ -282,18 +282,18 @@ class PageStore:
             if self._dirty:
                 self._flush_tail()
 
-    def ensure_committed(
-        self, pointers: "Iterable[RecordPointer | tuple[int, int, int, int]]"
-    ) -> None:
+    def ensure_committed(self, pointers) -> None:
         """Flush the tail iff any pointer's extent includes the dirty tail.
 
-        Callers that charge page accesses themselves (the batched gather
-        path) use this before slicing record bytes out of the backing
-        buffer; they may hand over :class:`RecordPointer` objects or plain
-        ``(first_page, num_pages, offset, length)`` rows.  The unlocked
-        ``_dirty`` fast check is safe: a pointer only becomes visible to
-        readers after its append returned, at which point any of its
-        unflushed bytes have already set the flag.
+        The one dirty-tail check of every read: :meth:`read` and the
+        batched gather path (which charges page accesses itself) call it
+        before slicing record bytes out of the backing buffer.
+        ``pointers`` are ``(first_page, num_pages, offset, length)`` rows —
+        an ``(n, 4)`` array, plain tuples or :class:`RecordPointer`
+        objects — tested in one vector pass.  The
+        unlocked ``_dirty`` fast check is safe: a pointer only becomes
+        visible to readers after its append returned, at which point any
+        of its unflushed bytes have already set the flag.
         """
         # Double-checked fast path; see the docstring for why the unlocked
         # read cannot miss a flush a visible pointer depends on.
@@ -302,11 +302,10 @@ class PageStore:
         with self._tail_lock:
             if not self._dirty:
                 return
+            rows = np.array([tuple(row) for row in pointers], dtype=np.int64).reshape(-1, 4)
             tail = self._tail_page_id
-            for first_page, num_pages, _, _ in pointers:
-                if first_page <= tail < first_page + num_pages:
-                    self._flush_tail()
-                    return
+            if ((rows[:, 0] <= tail) & (tail < rows[:, 0] + rows[:, 1])).any():
+                self._flush_tail()
 
     # repro-lint: holds=_tail_lock
     def _flush_tail(self) -> None:
@@ -323,37 +322,25 @@ class PageStore:
         the disk's backing buffer.  A record overlapping the dirty tail
         forces a tail flush first, so readers always see committed bytes.
         """
-        # Snapshot the tail id: a concurrent append can flush a full tail
-        # and reset it to None between these reads (dirty implies a tail
-        # exists only under the lock).
-        # Double-checked fast path: the unlocked snapshot only gates entry
-        # to the locked re-check, which re-reads both fields.
-        tail = self._tail_page_id  # repro-lint: disable=RL001
-        if self._dirty and tail is not None and tail in pointer:  # repro-lint: disable=RL001
-            with self._tail_lock:
-                tail = self._tail_page_id
-                if self._dirty and tail is not None and tail in pointer:
-                    self._flush_tail()
+        self.ensure_committed((pointer,))
         if pool is not None:
-            if pointer.num_pages == 1:
-                pool.get_page(pointer.first_page)
-            else:
-                pool.get_pages(pointer.page_ids)
+            pool.get_pages(pointer.page_ids)
         else:
             self._disk.charge_reads(pointer.page_ids)
         return self._disk.extent_bytes(
-            pointer.first_page, pointer.offset, pointer.length
+            (pointer.first_page,), (pointer.offset,), (pointer.length,)
         )
 
 
 class _PoolShard:
-    """One lock stripe of a :class:`BufferPool`: an LRU map plus counters."""
+    """One lock stripe of a :class:`BufferPool`: an LRU of page ids plus
+    counters."""
 
     __slots__ = ("lock", "pages", "quota", "hits", "misses", "evictions")
 
     def __init__(self, quota: int) -> None:
         self.lock = threading.Lock()
-        self.pages: OrderedDict[int, bytes] = OrderedDict()
+        self.pages: OrderedDict[int, None] = OrderedDict()
         self.quota = quota
         self.hits = 0
         self.misses = 0
@@ -361,22 +348,24 @@ class _PoolShard:
 
 
 class BufferPool:
-    """A fixed-capacity LRU cache of disk pages, striped for concurrency.
+    """A fixed-capacity LRU over disk page ids, striped for concurrency.
 
-    Pages map to ``page_id % num_shards`` lock stripes, each an
-    independent LRU holding its share of the capacity.  A miss is fetched
-    from the disk *while the shard lock is held* — the single-flight
-    guarantee: a second thread requesting the same missing page blocks on
-    the shard lock and then hits the freshly cached copy, so concurrent
-    misses charge exactly one disk read and the hit/miss counters match
-    the sequential schedule.  (The simulated disk read is memory-speed, so
-    holding the lock across it costs nothing; other shards stay
-    available.)
+    The pool decides which page accesses cost a disk read — a hit is free,
+    a miss is charged — and keeps no page bytes: readers take record
+    payloads as extent slices (:meth:`SimulatedDisk.extent_bytes`), so a
+    resident page is just its id.  Ids map to ``page_id % num_shards`` lock
+    stripes, each an independent LRU holding its share of the capacity.  A
+    miss enters its stripe's LRU *while the shard lock is held* — the
+    single-flight guarantee: a second thread requesting the same missing
+    page blocks on the shard lock and then hits, so concurrent misses
+    charge exactly one disk read and the hit/miss counters match the
+    sequential schedule.  A call's misses are charged through one
+    :meth:`SimulatedDisk.charge_reads` once its shard locks are released.
 
     Args:
         disk: backing simulated disk.
-        capacity: maximum number of cached pages across all shards; ``0``
-            disables caching (every access is a disk read).
+        capacity: maximum number of resident pages across all shards;
+            ``0`` disables caching (every access is a disk read).
         shards: requested lock-stripe count; clamped to ``capacity`` so
             every shard holds at least one page.
     """
@@ -432,92 +421,81 @@ class BufferPool:
     def evictions(self) -> int:
         return sum(s.evictions for s in self._shards)
 
-    def get_page(self, page_id: int) -> bytes:
-        """Return a page, reading from disk only on a cache miss."""
-        local = self._local()
-        if self.capacity == 0:
-            shard = self._shards[0]
-            with shard.lock:
-                shard.misses += 1
-            local[1] += 1
-            return self._disk.read_page(page_id)
-        shard = self._shards[page_id % len(self._shards)]
-        with shard.lock:
-            pages = shard.pages
-            cached = pages.get(page_id)
-            if cached is not None:
-                shard.hits += 1
-                local[0] += 1
-                pages.move_to_end(page_id)
-                return cached
-            # Single flight: fetch under the shard lock, so a concurrent
-            # request for the same page waits here and then hits.
-            shard.misses += 1
-            local[1] += 1
-            payload = self._disk.read_page(page_id)
-            pages[page_id] = payload
-            if len(pages) > shard.quota:
-                pages.popitem(last=False)
-                shard.evictions += 1
-                local[2] += 1
-            return payload
+    def get_page(self, page_id: int) -> None:
+        """Charge one page access: free on a hit, one disk read on a miss."""
+        self._access(self._checked((page_id,)))
 
     def get_pages(self, page_ids: Iterable[int]) -> None:
-        """Charge (and cache) a batch of page accesses in one pass.
+        """Charge a batch of page accesses in one pass.
 
-        Semantically identical to calling :meth:`get_page` once per id in
-        order — same hits, misses, evictions and disk reads, duplicates
-        charged every time — but each shard's lock is taken once per
-        batch.  Accesses are processed per shard in input order; shards
-        are independent LRUs, so cross-shard interleaving cannot change
-        any counter.  Returns nothing: batch callers take record payloads
-        as extent slices, the pool only accounts and keeps pages warm.
+        ``page_ids`` is a sequence or an integer array.  Identical to
+        calling :meth:`get_page` once per id in order — same hits, misses,
+        evictions and disk reads, duplicates charged every time — but each
+        shard's lock is taken once and the misses are charged in one
+        :meth:`SimulatedDisk.charge_reads`.  Accesses are processed per
+        shard in input order; shards are independent LRUs, so cross-shard
+        interleaving cannot change any counter.
         """
+        self._access(self._checked(page_ids))
+
+    def _checked(self, page_ids) -> list[int]:
+        """``page_ids`` as a list of ints, or :class:`DiskError` when one
+        names no allocated page — raised before any counter, LRU entry or
+        disk statistic changes."""
+        ids = np.asarray(page_ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise DiskError(f"page ids must be integers, got {ids.dtype}")
+        ids = ids.ravel().tolist()
+        if ids and (min(ids) < 0 or max(ids) >= self._disk.num_pages):
+            bad = next(i for i in ids if not 0 <= i < self._disk.num_pages)
+            raise DiskError(f"page {bad} was never allocated")
+        return ids
+
+    def _access(self, ids: list[int]) -> None:
         local = self._local()
         if self.capacity == 0:
-            ids = list(page_ids)
+            misses = ids
             shard = self._shards[0]
             with shard.lock:
                 shard.misses += len(ids)
             local[1] += len(ids)
-            self._disk.charge_reads(ids)
-            return
-        if isinstance(page_ids, (list, tuple)) and len(page_ids) == 1:
-            self.get_page(page_ids[0])
-            return
-        count = len(self._shards)
-        if count == 1:
-            buckets = [(self._shards[0], list(page_ids))]
         else:
-            grouped: dict[int, list[int]] = {}
-            for page_id in page_ids:
-                grouped.setdefault(page_id % count, []).append(page_id)
-            buckets = [(self._shards[i], ids) for i, ids in grouped.items()]
-        read_page = self._disk.read_page
-        for shard, ids in buckets:
-            with shard.lock:
-                pages = shard.pages
-                pages_get = pages.get
-                move_to_end = pages.move_to_end
-                quota = shard.quota
-                hits = 0
-                for page_id in ids:
-                    if pages_get(page_id) is not None:
-                        hits += 1
-                        move_to_end(page_id)
-                        continue
-                    shard.misses += 1
-                    local[1] += 1
-                    pages[page_id] = read_page(page_id)
-                    if len(pages) > quota:
-                        pages.popitem(last=False)
-                        shard.evictions += 1
-                        local[2] += 1
-                shard.hits += hits
-                local[0] += hits
+            buckets: list[list[int]] = [[] for _ in self._shards]
+            for page_id in ids:
+                buckets[page_id % len(buckets)].append(page_id)
+            misses = []
+            for shard, bucket in zip(self._shards, buckets):
+                if not bucket:
+                    continue
+                with shard.lock:
+                    pages = shard.pages
+                    move_to_end = pages.move_to_end
+                    quota = shard.quota
+                    before = len(misses)
+                    evictions = 0
+                    for page_id in bucket:
+                        if page_id in pages:
+                            move_to_end(page_id)
+                            continue
+                        # Single flight: resident from here on, so a
+                        # concurrent request for the same page hits.
+                        misses.append(page_id)
+                        pages[page_id] = None
+                        if len(pages) > quota:
+                            pages.popitem(last=False)
+                            evictions += 1
+                    missed = len(misses) - before
+                    shard.hits += len(bucket) - missed
+                    shard.misses += missed
+                    shard.evictions += evictions
+                local[0] += len(bucket) - missed
+                local[1] += missed
+                local[2] += evictions
+        if misses:
+            self._disk.charge_reads(misses)
 
     def invalidate(self, page_id: int | None = None) -> None:
-        """Drop one page (or everything) from the cache."""
+        """Drop one page (or everything) from the pool."""
         if page_id is None:
             for shard in self._shards:
                 with shard.lock:

@@ -599,7 +599,7 @@ class TestWriteExtent:
         disk.commit()
         disk.close()
         reopened = FileBackedDisk.open(tmp_path / "store")
-        assert reopened.extent_bytes(1, 0, len(data)) == data
+        assert reopened.extent_bytes([1], [0], [len(data)]) == data
         assert reopened.export_state()[1] == (0, PAGE, PAGE, PAGE, 4)
         reopened.close()
 
@@ -636,7 +636,8 @@ class TestDirectoryColumns:
         columns = index.directory.columns()
         assert all(c.shape == (0,) and c.dtype == np.int64 for c in columns.values())
         restored = TimeListDirectory.from_columns(columns, 288, 0, 4096, "test directory")
-        assert len(restored) == 0 and restored.probe((3,), (0, 1)) == [(), ()]
+        pairs, rows = restored.probe((3,), (0, 1))
+        assert len(restored) == 0 and pairs.size == 0 and rows.shape == (0, 4)
 
     def columns(self, rows):
         table = np.array(rows, dtype=np.int64).reshape(-1, 7)
@@ -648,12 +649,9 @@ class TestDirectoryColumns:
         )
         restored = TimeListDirectory.from_columns(columns, 288, 4, 64, "test directory")
         assert len(restored) == 2
-        assert restored.probe((2, 4), (1, 9)) == [
-            (),
-            ((1, 1, 0, 8),),
-            ((0, 1, 0, 8), (2, 2, 4, 100)),
-            (),
-        ]
+        pairs, rows = restored.probe((2, 4), (1, 9))
+        assert pairs.tolist() == [1, 2, 2]
+        assert rows.tolist() == [[1, 1, 0, 8], [0, 1, 0, 8], [2, 2, 4, 100]]
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -206,7 +206,8 @@ class TestBuildAndRead:
         assert index.time_list(6, 1) == {0: {0}}
         assert index.time_list(6, 0) == {}
         assert len(index.directory) == 2
-        assert index.directory.probe((5, 99), (0,))[1] == ()
+        pairs, rows = index.directory.probe((5, 99), (0,))
+        assert pairs.tolist() == [0] and rows.shape == (1, 4)
 
     def test_double_build_rejected(self, network):
         db = db_with(network, {(0, 0, 0): [(5, 100.0, 3.0)]})

@@ -199,13 +199,30 @@ class DirectoryMachine(RuleBasedStateMachine):
     @rule(
         segments=st.lists(st.integers(-1, 8), max_size=5),
         slots=st.lists(st.integers(0, 3), max_size=4),
+        repeats=st.integers(0, 2),
     )
-    def probe_wave(self, segments, slots):
-        assert self.directory.probe(segments, slots) == [
-            tuple(self.model.get((segment, slot), ()))
-            for segment in segments
-            for slot in slots
+    def probe_wave(self, segments, slots, repeats):
+        """The columnar probe vs the chains of the model: absent keys, a
+        segment named more than once in one wave, chains split between
+        adopted rows and appended overflow."""
+        segments = segments + segments[:repeats]
+        pairs, rows = self.directory.probe(segments, slots)
+        expected = [
+            (pair, pointer)
+            for pair, key in enumerate(
+                (segment, slot) for segment in segments for slot in slots
+            )
+            for pointer in self.model.get(key, ())
         ]
+        assert pairs.dtype == rows.dtype == np.int64
+        assert rows.shape == (len(expected), 4)
+        assert list(zip(pairs.tolist(), map(tuple, rows.tolist()))) == expected
+
+    @rule()
+    def merge(self):
+        """Fold the appended overflow into the sorted rows, as an export
+        does; probes afterwards must see the same chains."""
+        self.directory.columns()
 
     @rule()
     def export_and_reload(self):

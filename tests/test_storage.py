@@ -1,8 +1,13 @@
 """Tests for the simulated disk, page store, buffer pool and codecs."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference.buffer_pool import StripedLRUModel
 
+from repro.storage.backends import FileBackedDisk
 from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 from repro.storage.serialization import (
@@ -214,6 +219,175 @@ class TestBufferPool:
         reads = disk.stats.page_reads
         assert store.read(ptr, pool=pool) == b"q" * 40
         assert disk.stats.page_reads == reads  # fully cached
+
+
+class TestExtentBytes:
+    """The uncharged batch read: records as columns, bytes back to back."""
+
+    PAGE = 32
+
+    @classmethod
+    def records(cls, disk):
+        """Records of two stores sharing ``disk``, so some neighbours are
+        adjacent on disk and some are not; a few are empty."""
+        stores = [PageStore(disk), PageStore(disk)]
+        rng = random.Random(7)
+        pointers = [
+            stores[rng.randrange(2)].append(bytes([i]) * rng.choice([0, 4, 20, 50, 130]))
+            for i in range(40)
+        ]
+        for store in stores:
+            store.flush()
+        return pointers
+
+    @staticmethod
+    def columns(batch):
+        return [p.first_page for p in batch], [p.offset for p in batch], [p.length for p in batch]
+
+    def test_batch_equals_record_by_record(self):
+        disk = SimulatedDisk(page_size=self.PAGE)
+        pointers = self.records(disk)
+        before = disk.stats.copy()
+        rng = random.Random(3)
+        for size in (0, 1, 2, 7, 25, 40):
+            batch = rng.sample(pointers, size)
+            if rng.random() < 0.5:  # disk order: most neighbours adjacent
+                batch.sort(key=lambda p: (p.first_page, p.offset))
+            expected = b"".join(disk.extent_bytes(*self.columns([p])) for p in batch)
+            assert disk.extent_bytes(*self.columns(batch)) == expected
+            assert disk.extent_bytes(*map(np.array, self.columns(batch))) == expected
+        assert disk.stats == before  # uncharged
+
+    @pytest.mark.parametrize(
+        "columns", [([0], [-1], [4]), ([0], [0], [-1]), ([-1], [40], [4]), ([0, 9], [0, 0], [4, 4])]
+    )
+    def test_bad_columns_rejected(self, columns):
+        disk = SimulatedDisk(page_size=self.PAGE)
+        disk.allocate(2)
+        with pytest.raises(DiskError):
+            disk.extent_bytes(*columns)
+
+    def test_file_backend_faults_exactly_the_record_spans(self, tmp_path):
+        disk = FileBackedDisk.create(tmp_path / "store", page_size=self.PAGE)
+        pointers = self.records(disk)
+        disk.checkpoint()
+        disk.close()
+        batch = sorted(pointers[5:30], key=lambda p: (p.first_page, p.offset))
+        spans = {
+            page
+            for p in batch
+            if p.length
+            for page in range(
+                p.first_page + p.offset // self.PAGE,
+                p.first_page + (p.offset + p.length - 1) // self.PAGE + 1,
+            )
+        }
+        reads = []
+        for one_call in (True, False):
+            reopened = FileBackedDisk.open(tmp_path / "store")
+            if one_call:
+                payload = reopened.extent_bytes(*self.columns(batch))
+            else:
+                payload = b"".join(reopened.extent_bytes(*self.columns([p])) for p in batch)
+            reads.append((payload, reopened.pages_faulted))
+            reopened.close()
+        assert reads[0] == reads[1]
+        assert reads[0][1] == len(spans) > 0
+
+
+class TestPoolRejectsUnallocatedPages:
+    """A call naming a page the disk never allocated raises before it
+    changes any counter, LRU entry or disk statistic."""
+
+    @staticmethod
+    def two_page_pool(capacity):
+        disk = SimulatedDisk(page_size=8)
+        disk.allocate(2)
+        for page in range(2):
+            disk.write_page(page, b"p" * (page + 1))
+        return disk, BufferPool(disk, capacity=capacity), disk.stats.copy()
+
+    @staticmethod
+    def resident(pool):
+        return {page for shard in pool._shards for page in shard.pages}
+
+    def test_get_page(self):
+        disk, pool, before = self.two_page_pool(4)
+        with pytest.raises(DiskError):
+            pool.get_page(7)
+        assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
+        assert disk.stats == before and not self.resident(pool)
+
+    def test_get_pages_stops_before_the_first_page(self):
+        disk, pool, before = self.two_page_pool(4)
+        with pytest.raises(DiskError):
+            pool.get_pages([0, 7, 1])
+        assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
+        assert disk.stats == before and not self.resident(pool)
+
+    def test_zero_capacity_counts_no_miss(self):
+        disk, pool, before = self.two_page_pool(0)
+        with pytest.raises(DiskError):
+            pool.get_pages([0, 7])
+        assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
+        assert disk.stats == before
+
+
+pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("get_page"), st.integers(-1, 12)),
+        st.tuples(
+            st.just("get_pages"), st.lists(st.integers(-1, 12), max_size=16), st.booleans()
+        ),
+        st.tuples(st.just("invalidate"), st.none() | st.integers(0, 11)),
+        st.tuples(st.just("write_page"), st.integers(0, 11), st.integers(0, 8)),
+    ),
+    max_size=40,
+)
+
+
+class TestBufferPoolModel:
+    @settings(max_examples=60, deadline=None)
+    @given(pool_ops, st.sampled_from([0, 1, 3, 8, 32]), st.sampled_from([1, 2, 3, 8]))
+    def test_pool_matches_striped_lru_model(self, ops, capacity, shards):
+        """Random get_page / get_pages (list and numpy input) / invalidate
+        / write-through sequences: the pool and the striped-LRU model agree
+        on hits, misses, evictions, disk statistics and resident ids after
+        every step, rejected calls included."""
+        disk = SimulatedDisk(page_size=8)
+        disk.allocate(12)
+        pool = BufferPool(disk, capacity=capacity, shards=shards)
+        model = StripedLRUModel(12, capacity, shards)
+        for op, *args in ops:
+            if op == "write_page":
+                page, length = args
+                disk.write_page(page, b"w" * length)
+                model.write_page(page, length)
+            elif op == "invalidate":
+                pool.invalidate(args[0])
+                model.invalidate(args[0])
+            else:
+                page_ids = [args[0]] if op == "get_page" else args[0]
+                try:
+                    model.access(page_ids)
+                except ValueError:
+                    rejected = True
+                else:
+                    rejected = False
+                call = pool.get_page if op == "get_page" else pool.get_pages
+                argument = args[0] if op == "get_page" else (
+                    np.array(page_ids, dtype=np.int64) if args[1] else page_ids
+                )
+                if rejected:
+                    with pytest.raises(DiskError):
+                        call(argument)
+                else:
+                    call(argument)
+            assert (pool.hits, pool.misses, pool.evictions) == (
+                model.hits, model.misses, model.evictions,
+            )
+            assert disk.stats == model.stats
+            assert {page for shard in pool._shards for page in shard.pages} == model.resident()
 
 
 class TestSerialization:
