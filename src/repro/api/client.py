@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from itertools import count
 from typing import Iterable, Iterator
@@ -34,6 +35,7 @@ from repro.api.envelope import Request, Response, as_request
 from repro.api.router import RouteDecision, Router
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
+from repro.core.executors.sqmb_tbs import LOCKSTEP, LOCKSTEP_MIN_RUN
 from repro.core.explain import QueryExplanation, StageRecorder
 from repro.core.planner import QueryPlan, plan_query
 from repro.core.query import MQuery, SQuery
@@ -283,16 +285,18 @@ class ReachabilityClient:
         exactly :meth:`run_batch`'s sharing, delivered incrementally.
         With ``max_workers > 1`` requests execute concurrently with at
         most ``window`` in flight; responses arrive in completion order,
-        each stamped with its submission ``sequence``.
+        each stamped with its submission ``sequence``.  With one worker,
+        each run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded members
+        (SQMB/MQMB/reverse + TBS; any other member cuts it) executes in lock
+        step at its first member's pull — page ids recorded, then replayed
+        through the pool in submission order, so costs equal serial
+        execution — and is then yielded one response per pull, in order.
 
         Requests are materialized up front (planning and index
         resolution happen before the first yield); execution is lazy —
         the cold start and the accounting window open at the first
-        pull, so queries run between ``stream()`` and iteration are not
-        charged to the batch.
-        Per-request ``warm``/``reuse_regions`` options are batch-managed
-        here: members always run warm inside the pipeline and share the
-        region cache.
+        pull.  Per-request ``warm``/``reuse_regions`` options are
+        batch-managed: members run warm and share the region cache.
 
         Returns:
             A :class:`BatchStream` — iterate it for responses; read its
@@ -429,10 +433,11 @@ class BatchStream(Iterator[Response]):
         self._pool: ThreadPoolExecutor | None = None
         self._pending: dict = {}
         self._buffer: list[Response] = []
+        self._ready: deque = deque()  # serial: run, not yet pulled
         engine = client.engine
         # Plan everything up front; execution stays lazy.
         prepare_batch(client.service, client.router, requests, self._report)
-        self._iter = zip(count(), requests, self._report.plans)
+        self._queue = deque(zip(count(), requests, self._report.plans))
         if not requests:
             return
         # Resolve indexes before the accounting window opens (index
@@ -476,18 +481,43 @@ class BatchStream(Iterator[Response]):
         return self._next_threaded()
 
     def _next_serial(self) -> Response:
-        try:
-            sequence, request, plan = next(self._iter)
-        except StopIteration:
-            self._finalize()
-            raise
+        if not self._ready:
+            if not self._queue:
+                self._finalize()
+                raise StopIteration
+            self._ready.extend(self._run_next())
+        response = self._ready.popleft()
+        if isinstance(response, Exception):
+            raise response  # a lock-step member's failure, at its own pull
+        self._responses[response.sequence] = response
+        return response
+
+    def _run_next(self) -> list:
+        """Run the next member, or the run of bounded members it starts in lock step."""
+        run = [self._queue.popleft()]
+        while self._queue and all(
+            (plan.kind, plan.executor) in LOCKSTEP for _, _, plan in (run[-1], self._queue[0])
+        ):
+            run.append(self._queue.popleft())
+        if len(run) >= LOCKSTEP_MIN_RUN:
+            _, requests, plans = map(list, zip(*run))
+            contexts = [self._contexts[plan.delta_t_s] for plan in plans]
+            done = execute_plan(self._client.engine, plans, [r.query for r in requests], contexts)
+            self._queue.extendleft(reversed(run[len(done) :]))
+            return [
+                Response(request, out[0], plan, self._report.routes[sequence], sequence,
+                         regions_computed=out[1], regions_reused=out[2])
+                if isinstance(out, tuple) else out
+                for (sequence, request, plan), out in zip(run, done)
+            ]
+        self._queue.extendleft(reversed(run[1:]))
+        sequence, request, plan = run[0]
         context = self._contexts[plan.delta_t_s]
         computed, reused = context.regions_computed, context.regions_reused
         response = self._execute(sequence, request, plan)
         response.regions_computed = context.regions_computed - computed
         response.regions_reused = context.regions_reused - reused
-        self._responses[sequence] = response
-        return response
+        return [response]
 
     def _next_threaded(self) -> Response:
         if self._buffer:
@@ -497,11 +527,8 @@ class BatchStream(Iterator[Response]):
                 max_workers=self._max_workers,
                 thread_name_prefix="reach-stream",
             )
-        while len(self._pending) < self._window:
-            try:
-                sequence, request, plan = next(self._iter)
-            except StopIteration:
-                break
+        while len(self._pending) < self._window and self._queue:
+            sequence, request, plan = self._queue.popleft()
             future = self._pool.submit(self._execute, sequence, request, plan)
             self._pending[future] = sequence
         if not self._pending:

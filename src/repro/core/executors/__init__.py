@@ -273,10 +273,10 @@ class ExecutionContext:
 
 def execute_plan(
     engine: "ReachabilityEngine",
-    plan: "QueryPlan",
-    query: SQuery | MQuery,
-    context: ExecutionContext | None = None,
-) -> QueryResult:
+    plan: "QueryPlan | list[QueryPlan]",
+    query: SQuery | MQuery | list,
+    context: ExecutionContext | list | None = None,
+):
     """Run a plan through its registered executor, with cost accounting.
 
     Args:
@@ -288,8 +288,10 @@ def execute_plan(
 
     Returns:
         The result with cost metrics (wall time, simulated disk I/O,
-        probability checks) filled in.
+        probability checks) filled in; for lists, :func:`~.sqmb_tbs.execute_lockstep`'s.
     """
+    if isinstance(plan, list):
+        return _sqmb_tbs.execute_lockstep(engine, list(zip(plan, query, context)))
     ctx = (
         context
         if context is not None
@@ -310,18 +312,24 @@ def execute_plan(
     before = engine.disk.local_snapshot()
     started = time.perf_counter()
     outcome = executor(ctx, plan, query)
-    diff = engine.disk.local_snapshot() - before
+    io = engine.disk.local_snapshot() - before
+    return charge_cost(engine, outcome, io, time.perf_counter() - started, st_index.pool)
+
+
+def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float, pool) -> QueryResult:
+    """Fill the outcome's result cost from its accounting window and its
+    estimators' counters (the one place :class:`QueryCost` is assembled)."""
 
     def total(counter: str) -> int:
         return sum(getattr(e, counter, 0) for e in outcome.estimators)
 
     result = outcome.result
     result.cost = QueryCost(
-        wall_time_s=time.perf_counter() - started,
-        io=diff,
+        wall_time_s=wall_time_s,
+        io=io,
         # Reads only: page writes can only stem from lazy index
         # construction, which is offline work in the paper's model.
-        simulated_io_ms=diff.page_reads * engine.disk.read_latency_ms,
+        simulated_io_ms=io.page_reads * engine.disk.read_latency_ms,
         probability_checks=total("checks"),
         segments_expanded=outcome.examined,
         kernel_probability_evals=total("kernel_evals"),
@@ -330,7 +338,7 @@ def execute_plan(
         max_wave_size=max(outcome.wave_sizes, default=0),
         batched_record_reads=total("batched_record_reads"),
         prefetched_pages=total("prefetched_pages"),
-        pool_lock_shards=st_index.pool.num_shards,
+        pool_lock_shards=pool.num_shards,
     )
     return result
 
@@ -344,6 +352,7 @@ from repro.core.executors import reverse as _reverse  # noqa: E402,F401
 
 __all__ = [
     "ExecutionContext",
+    "charge_cost",
     "ExecutionOutcome",
     "execute_plan",
     "executor_names",

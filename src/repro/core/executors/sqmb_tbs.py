@@ -11,23 +11,37 @@ reverse registrations are in :mod:`~repro.core.executors.mqmb_tbs` and
 
 from __future__ import annotations
 
+from time import perf_counter
+
+import numpy as np
+
 from repro.core.executors import (
     ExecutionContext,
     ExecutionOutcome,
+    charge_cost,
     register_executor,
 )
 from repro.core.prob_kernel import ColumnarEq31Estimator
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import MQuery, QueryResult, SQuery
 from repro.core.reverse import ReverseProbabilityEstimator
-from repro.core.tbs import trace_back_search
+from repro.core.tbs import LockstepSearch, TraceBackResult, trace_back_search
+
+#: The plans of :func:`execute_bounded`: a batch runs each run of them in lock step,
+#: unless it is shorter than the measured break-even (1.4× slower at 2, 1.2× at 3).
+LOCKSTEP = frozenset({("s", "sqmb_tbs"), ("m", "mqmb_tbs"), ("r", "sqmb_tbs")})
+LOCKSTEP_MIN_RUN = 4
+
+
+def locations_of(query: SQuery | MQuery) -> tuple:
+    return query.locations if isinstance(query, MQuery) else (query.location,)
 
 
 def start_estimators(
-    ctx: ExecutionContext, plan, query: SQuery | MQuery
+    ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
 ) -> tuple[ExecutionOutcome, dict[int, ColumnarEq31Estimator]]:
-    """The front half every executor shares: start segments, then one
-    Eq. 3.1 estimator per distinct start segment.
+    """The front half every executor shares: start segments (``segments`` if a lock-step
+    run located them), then one Eq. 3.1 estimator per distinct start segment.
 
     Returns the outcome to fill in (start segments and every estimator
     already on it, so their reads are charged) and the *live* estimators
@@ -36,13 +50,10 @@ def start_estimators(
     dropped.
     """
     st = ctx.st_index()
-    locations = (
-        query.locations if isinstance(query, MQuery) else (query.location,)
-    )
     with ctx.stage("start-segment lookup") as stage:
-        segments = list(
-            dict.fromkeys(st.find_start_segment(loc) for loc in locations)
-        )
+        if segments is None:
+            segments = [st.find_start_segment(loc) for loc in locations_of(query)]
+        segments = list(dict.fromkeys(segments))
         stage.note(r0=segments)
     num_days = ctx.database.num_days
 
@@ -51,10 +62,10 @@ def start_estimators(
         # in a variable) so repro-lint's call graph reaches them.
         if plan.kind == "r":
             return ReverseProbabilityEstimator(
-                st, seed, query.start_time_s, query.duration_s, num_days
+                st, seed, query.start_time_s, query.duration_s, num_days, charges
             )
         return ProbabilityEstimator(
-            st, seed, query.start_time_s, query.duration_s, num_days
+            st, seed, query.start_time_s, query.duration_s, num_days, charges
         )
 
     with ctx.stage("start time-list read") as stage:
@@ -72,13 +83,14 @@ def start_estimators(
     }
 
 
-def execute_bounded(
-    ctx: ExecutionContext, plan, query: SQuery | MQuery
-) -> ExecutionOutcome:
-    """Far and Near bounding regions from the Con-Index, then TBS."""
-    outcome, live = start_estimators(ctx, plan, query)
+def bounded_front(
+    ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
+) -> tuple[ExecutionOutcome, LockstepSearch | None]:
+    """:func:`start_estimators`, then the live seeds' Far and Near bounding regions
+    from the Con-Index: the trace-back's inputs (``None`` when no seed is live)."""
+    outcome, live = start_estimators(ctx, plan, query, segments, charges)
     if not live:
-        return outcome
+        return outcome, None
     seeds = tuple(live)
     with ctx.stage("max bounding region") as stage:
         max_region = ctx.bounding_region(
@@ -94,19 +106,76 @@ def execute_bounded(
             query.duration_s, "near",
         )
         stage.note(cover=len(min_region.cover))
+    outcome.result.max_region = max_region
+    outcome.result.min_region = min_region
+    return outcome, LockstepSearch(live, query.prob, max_region, min_region, charges)
+
+
+def finish_bounded(outcome: ExecutionOutcome, tbs: TraceBackResult) -> ExecutionOutcome:
+    outcome.result.segments, outcome.result.probabilities = tbs.region, tbs.probabilities
+    outcome.examined, outcome.wave_sizes = tbs.examined, tbs.wave_sizes
+    return outcome
+
+
+def execute_bounded(
+    ctx: ExecutionContext, plan, query: SQuery | MQuery
+) -> ExecutionOutcome:
+    """Far and Near bounding regions from the Con-Index, then TBS."""
+    outcome, search = bounded_front(ctx, plan, query)
+    if search is None:
+        return outcome
     with ctx.stage("trace-back search") as stage:
         tbs = trace_back_search(
-            ctx.network, live, query.prob, max_region, min_region
+            ctx.network, search.estimators, query.prob, search.max_region,
+            search.min_region,
         )
         stage.note(passed=len(tbs.passed), failed=len(tbs.failed))
-    result = outcome.result
-    result.segments = tbs.region
-    result.probabilities = tbs.probabilities
-    result.max_region = max_region
-    result.min_region = min_region
-    outcome.examined = tbs.examined
-    outcome.wave_sizes = tbs.wave_sizes
-    return outcome
+    return finish_bounded(outcome, tbs)
+
+
+def execute_lockstep(engine, members: list) -> list:
+    """Run consecutive bounded batch members ``[(plan, query, context)]`` in lock
+    step: their front halves in submission order (one ``locate`` for all locations;
+    fixed-side page ids recorded, not charged), one :func:`trace_back_search`
+    stepping every TBS wave across them, then one ``get_pages`` per member over its
+    recorded page ids, in submission order and in its own accounting window — so
+    every cost but the wall time (front half, replay and wave-size share of each
+    step) equals serial execution.  Returns ``(result, regions computed, regions
+    reused)`` per member, up to the first whose front half raised: its exception.
+    """
+    disk = engine.disk
+    starts = members[0][2].st_index().locator.locate(
+        [location for _, query, _ in members for location in locations_of(query)]
+    )
+    fronts = []
+    for plan, query, ctx in members:
+        started, before = perf_counter(), disk.local_snapshot()
+        regions = ctx.regions_computed, ctx.regions_reused
+        own, starts = starts[: len(locations_of(query))], starts[len(locations_of(query)) :]
+        charges: list[np.ndarray] = []
+        try:
+            outcome, search = bounded_front(ctx, plan, query, own, charges)
+        except Exception as error:  # the member's own failure: the run ends there
+            fronts.append((error, None, charges, None, 0.0, None))
+            break
+        regions = ctx.regions_computed - regions[0], ctx.regions_reused - regions[1]
+        io, wall_s = disk.local_snapshot() - before, perf_counter() - started
+        fronts.append((outcome, search, charges, io, wall_s, regions))
+    searches = [search for _, search, *_ in fronts if search is not None]
+    traced = iter(trace_back_search(engine.network, searches) if searches else ())
+    out: list = []
+    for (_, _, ctx), (outcome, search, charges, io, wall_s, regions) in zip(members, fronts):
+        started, before, pool = perf_counter(), disk.local_snapshot(), ctx.st_index().pool
+        if charges:
+            pool.get_pages(np.concatenate(charges))
+        if isinstance(outcome, Exception):
+            return [*out, outcome]
+        if search is not None:
+            outcome, wall_s = finish_bounded(outcome, next(traced)), wall_s + search.wall_s
+        io += disk.local_snapshot() - before
+        wall_s += perf_counter() - started
+        out.append((charge_cost(engine, outcome, io, wall_s, pool), *regions))
+    return out
 
 
 @register_executor("s", "sqmb_tbs")

@@ -1,15 +1,11 @@
 """The columnar Eq. 3.1 probability kernel.
 
-PR 2 vectorized the *network* side of every query (the CSR bounding-region
-kernels); this module vectorizes the *trajectory* side — the probability
-checks TBS and ES pay per candidate segment, which dominate end-to-end
-query time once region expansion is fast.
-
-The scalar path (preserved under ``tests/reference/``)
-evaluates Eq. 3.1 one segment at a time: decode time lists into
-``date -> [(id, second)]`` dicts, rebuild per-day id *sets* for the
-window, then run a per-day ``set.isdisjoint`` loop.  The columnar kernel
-replaces all of that with flat int64 arrays:
+This module vectorizes the *trajectory* side of a query — the probability
+checks TBS and ES pay per candidate segment.  The scalar path (preserved
+under ``tests/reference/``) evaluates Eq. 3.1 one segment at a time:
+decode time lists into ``date -> [(id, second)]`` dicts, rebuild per-day
+id *sets* for the window, then run a per-day ``set.isdisjoint`` loop.  The
+columnar kernel replaces all of that with flat int64 arrays:
 
 * every time-list record decodes into packed
   ``(date << 32) | trajectory_id`` visit keys plus aligned visit seconds
@@ -40,7 +36,10 @@ scalar path's — same records, through the same buffer pool, in the same
 order (consultation order, segment before twin, window parts in order,
 slots in order, chain order).  The kernel changes how decoded bytes are
 *represented*, never what is read, so result sets, ``examined`` counts
-and buffer-pool/page counters match the legacy path exactly.
+and buffer-pool/page counters match the legacy path exactly.  In a serial
+batch's lock-step run (:mod:`repro.core.tbs`) each estimator's fixed-side
+page ids go to the ``charges`` sink instead, and the batch driver replays
+them, then the waves', through the pool in serial order.
 
 An adaptive scalar fast path keeps tiny evaluations (a few visits
 against a small fixed side) in plain Python, where numpy dispatch
@@ -101,6 +100,7 @@ class ColumnarEq31Estimator:
         start_time_s: float,
         duration_s: float,
         num_days: int,
+        charges: list | None = None,
     ) -> None:
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
@@ -127,9 +127,12 @@ class ColumnarEq31Estimator:
         self._candidate_plan = index.window_plan(*self._candidate_window())
         # The fixed side, read once and reused for every candidate: one
         # sorted unique key array is the per-day trajectory sets of all
-        # days at once.
+        # days at once.  A lock-step member's read is recorded into
+        # ``charges`` for its replay through the pool, not charged.
         self._fixed_keys = np.unique(
-            self._read_road(fixed_segment, index.window_plan(*self._fixed_window()))
+            self._read_road(
+                fixed_segment, index.window_plan(*self._fixed_window()), charges
+            )
         )
         self._fixed_days = _unique_days(self._fixed_keys)
         self._fixed_sets: dict[int, set[int]] | None = None
@@ -160,12 +163,15 @@ class ColumnarEq31Estimator:
         twin = self._twin(segment_id)
         return (segment_id,) if twin is None else (segment_id, twin)
 
-    def _read_road(self, segment_id: int, plan) -> np.ndarray:
-        """Packed visit keys of the *road* (segment + twin) for a plan,
-        gathered and charged in the scalar ``_merged_window`` order."""
+    def _read_road(self, segment_id: int, plan, charges: list | None = None) -> np.ndarray:
+        """Packed visit keys of the *road* (segment + twin) for a plan, gathered and
+        charged (or recorded into ``charges``) in the scalar ``_merged_window`` order."""
         parts = self.index.gather_window_columns(self._road(segment_id), plan)
         pages = np.concatenate([page_ids for _, _, page_ids in parts])
-        self.index.pool.get_pages(pages)
+        if charges is None:
+            self.index.pool.get_pages(pages)
+        else:
+            charges.append(pages)
         self.batched_record_reads += sum(records for _, records, _ in parts)
         self.prefetched_pages += pages.size
         return np.concatenate([keys for keys, _, _ in parts])

@@ -28,15 +28,30 @@ unexamined interior: segments of the maximum cover that a flood fill from
 ``r0`` can reach without crossing a segment that *failed* the probability
 test.  That interior is exactly the part TBS never had to read trajectory
 data for — the disk savings over exhaustive search.
+
+A serial batch's run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded
+members (:func:`~repro.core.executors.sqmb_tbs.execute_lockstep`) runs in
+*lock step*: wave ``k`` of every live member is one step of row-indexed
+arrays — one gather per (ST-Index, candidate plan), one ``searchsorted``
+against the fixed sides stacked under estimator tags, the claimer-then-
+fallback order as a ``cummax``, the expansion as a CSR ramp.  It charges
+nothing: each member records its page ids, in serial order, for the
+driver to replay through the pool after the run.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 
+import numpy as np
+
+from repro.core.directory import _ramp
+from repro.core.prob_kernel import SCALAR_EVAL_MAX_VISITS, ColumnarEq31Estimator
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import BoundingRegion
+from repro.core.st_index import KEY_DATE_SHIFT
 from repro.network.model import RoadNetwork
 
 
@@ -64,14 +79,32 @@ class TraceBackResult:
         return len(self.passed) + len(self.failed)
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # multiplicative hash of the key sieve
+_COUNTERS = ("checks", "kernel_evals", "scalar_evals", "batched_record_reads", "prefetched_pages")
+
+
+@dataclass
+class LockstepSearch:
+    """A lock-step member: Algorithm 2's inputs (every estimator live), the page ids it
+    would charge serially (fixed sides, then its waves) and its share of step time."""
+
+    estimators: dict[int, ColumnarEq31Estimator]
+    prob: float
+    max_region: BoundingRegion
+    min_region: BoundingRegion
+    charges: list[np.ndarray] | None
+    wall_s: float = 0.0
+
+
 def trace_back_search(
     network: RoadNetwork,
-    estimators: dict[int, ProbabilityEstimator],
-    prob: float,
-    max_region: BoundingRegion,
-    min_region: BoundingRegion,
-) -> TraceBackResult:
-    """Run Algorithm 2 over (possibly multi-seed) bounding regions.
+    estimators: dict[int, ProbabilityEstimator] | list[LockstepSearch],
+    prob: float = 0.0,
+    max_region: BoundingRegion | None = None,
+    min_region: BoundingRegion | None = None,
+) -> TraceBackResult | list[TraceBackResult]:
+    """Run Algorithm 2 over (possibly multi-seed) bounding regions — or,
+    given a list of :class:`LockstepSearch` members, run them in lock step.
 
     Args:
         network: road network supplying ``neighbor(r)``.
@@ -90,6 +123,8 @@ def trace_back_search(
     Returns:
         The Prob-reachable region and bookkeeping sets.
     """
+    if isinstance(estimators, list):
+        return _lockstep(network, estimators)
     result = TraceBackResult()
     if not estimators:
         return result
@@ -141,3 +176,150 @@ def trace_back_search(
             seen.add(neighbor)
             flood.append(neighbor)
     return result
+
+
+def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[TraceBackResult]:
+    """Wave ``k`` of every member as one step over rows ``(member, segment)``.
+
+    Only keys whose hash is in the fixed sides' sieve are probed, tagged with their
+    estimator above the run's largest date (several probes when the tags do not fit
+    the free bits); checks and charges go to the first consulted occurrence of each
+    (estimator, road).  Values, sets, wave sizes and estimator counters (not caches)
+    equal the serial search's."""
+    csr = network.csr()
+    n, twin, ids = csr.n, csr.twin_row, csr.ids
+    road_of = np.where(twin >= 0, np.minimum(np.arange(n), twin), np.arange(n))
+    indptr, neighbors = csr.indptr_nbr, csr.indices_nbr
+    ests = [e for search in searches for e in search.estimators.values()]
+    counts = np.array([len(search.estimators) for search in searches])
+    lead, width, members = np.cumsum(counts) - counts, int(counts.max()), len(searches)
+    rot = np.array([[c] + [k for k in range(width) if k != c] for c in range(width)])
+    seats = [{seed: k for k, seed in enumerate(search.estimators)} for search in searches]
+    prob, days = np.array([s.prob for s in searches]), np.array([e.num_days for e in ests])
+    sources = list(dict.fromkeys((e.index, e._candidate_plan) for e in ests))
+    group = np.array([sources.index((e.index, e._candidate_plan)) for e in ests])
+    fixed = [e._fixed_keys for e in ests]
+    shift = KEY_DATE_SHIFT + (int(np.concatenate(fixed).max()) >> KEY_DATE_SHIFT).bit_length()
+    per_probe = 1 << (63 - shift)  # tags that fit above the dates
+    tag, part = np.arange(len(ests)) % per_probe, np.arange(len(ests)) // per_probe
+    stacked = [
+        np.concatenate([(t << shift) | keys for t, keys in enumerate(fixed[lo : lo + per_probe])])
+        for lo in range(0, len(ests), per_probe)
+    ]
+    bits = min(24, max(16, (32 * sum(keys.size for keys in fixed)).bit_length()))
+    sieve, drop = np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits)
+    sieve[(np.concatenate(fixed).view(np.uint64) * _GOLDEN) >> drop] = True
+    cache, fresh = np.full((2, len(ests), n), np.nan)  # by road: its smaller row
+    tally = np.zeros((len(_COUNTERS), len(ests)), dtype=np.int64)
+    maxm, minm, visited, passed, failed = np.zeros((5, members, n), dtype=bool)
+    for q, search in enumerate(searches):
+        for mask, cover in ((maxm, search.max_region.cover), (minm, search.min_region.cover)):
+            mask[q, csr.rows_of(np.fromiter(cover, np.int64, len(cover)))] = True
+    wave = [csr.rows_of(sorted(search.max_region.boundary)) for search in searches]
+    wq, wr = np.repeat(np.arange(members), [w.size for w in wave]), np.concatenate(wave)
+    visited[wq, wr] = True
+    results = [TraceBackResult() for _ in searches]
+    while wr.size:
+        started = perf_counter()
+        sizes = np.bincount(wq, minlength=members)
+        ends = np.cumsum(sizes).tolist()
+        road, wave_ids = road_of[wr], ids[wr].tolist()
+        claimer = np.zeros(wr.size, dtype=np.int64)
+        for q in np.flatnonzero((counts > 1) & (sizes > 0)).tolist():
+            at, seed_of = slice(ends[q] - sizes[q], ends[q]), searches[q].max_region.seed_of
+            claimer[at] = [seats[q].get(seed_of.get(s), 0) for s in wave_ids[at]]
+        valid = rot[claimer] < counts[wq, None]
+        consult = np.where(valid, lead[wq, None] + rot[claimer], 0)
+        roads = np.broadcast_to(road[:, None], consult.shape)
+        known = cache[consult, roads]
+        need = valid & np.isnan(known)
+        pe, pr = np.divmod(np.unique(consult[need] * n + roads[need]), n)
+        slot = np.full((len(sources), n), -1)
+        parts: list = []
+        for g, (index, plan) in enumerate(sources):
+            mine = pr[group[pe] == g]
+            gathered = np.unique(np.concatenate((mine, twin[mine][twin[mine] >= 0])))
+            slot[g, gathered] = len(parts) + np.arange(gathered.size)
+            parts += index.gather_window_columns(ids[gathered].tolist(), plan)
+        keys, pages = (np.concatenate([p[i] for p in parts] + [np.empty(0, int)]) for i in (0, 2))
+        key_len, page_len = (np.array([p[i].size for p in parts] + [0]) for i in (0, 2))
+        records = np.array([p[1] for p in parts] + [0])
+        key_at, page_at = np.cumsum(key_len) - key_len, np.cumsum(page_len) - page_len
+        # The gathered parts of a segment and its twin (-1: the empty last part).
+        twins = np.stack((slot, np.where(twin >= 0, slot[:, twin], -1)), axis=-1)
+        pair_parts = twins[group[pe], pr]  # m* of every pair
+        maybe = sieve[(keys.view(np.uint64) * _GOLDEN) >> drop]
+        cut = np.concatenate(([0], np.cumsum(maybe)))[np.stack((key_at, key_at + key_len))]
+        span = (cut[1] - cut[0])[pair_parts]
+        probe = keys[maybe][_ramp(cut[0][pair_parts].ravel(), span.ravel())]
+        owner = np.repeat(np.arange(pe.size), span.sum(axis=1))
+        tagged = np.where(probe >> shift == 0, (tag[pe][owner] << shift) | probe, -1)
+        hit = np.zeros(probe.size, dtype=bool)
+        for p, side in enumerate(stacked):
+            at = part[pe][owner] == p
+            hit[at] = np.take(side, side.searchsorted(tagged[at]), mode="clip") == tagged[at]
+        days_hit = np.unique((owner[hit] << KEY_DATE_SHIFT) | (probe[hit] >> KEY_DATE_SHIFT))
+        fresh[pe, pr] = np.bincount(days_hit >> KEY_DATE_SHIFT, minlength=pe.size) / days[pe]
+        # The serial order: the claimer, then the others while below prob.
+        values = np.where(valid, np.where(need, fresh[consult, roads], known), -np.inf)
+        asked = valid.copy()
+        asked[:, 1:] &= np.maximum.accumulate(values, axis=1)[:, :-1] < prob[wq, None]
+        value = np.where(asked, values, -np.inf).max(axis=1)
+        flat = np.flatnonzero(asked & need)
+        ce, at = consult.ravel()[flat], flat // width
+        first = np.sort(np.unique(ce * n + road[at], return_index=True)[1])
+        ce, at = ce[first], at[first]
+        cache[ce, road[at]] = fresh[ce, road[at]]
+        checks = np.bincount(ce, minlength=len(ests))
+        visits = np.bincount(pe, key_len[pair_parts].sum(axis=1), len(ests))
+        scalar = visits <= SCALAR_EVAL_MAX_VISITS
+        event_parts = twins[group[ce], wr[at]]
+        event_pages = page_len[event_parts].sum(axis=1)
+        tally += [
+            checks, np.where(scalar, 0, checks), np.where(scalar, checks, 0),
+            np.bincount(ce, records[event_parts].sum(axis=1), len(ests)).astype(np.int64),
+            np.bincount(ce, event_pages, len(ests)).astype(np.int64),
+        ]
+        charged = pages[_ramp(page_at[event_parts].ravel(), page_len[event_parts].ravel())]
+        per_member = np.bincount(wq[at], event_pages, members).astype(np.int64)
+        for q in np.flatnonzero(per_member).tolist():
+            searches[q].charges.append(charged[per_member[:q].sum() : per_member[: q + 1].sum()])
+        ok = value >= prob[wq]
+        passed[wq[ok], wr[ok]] = True
+        failed[wq[~ok], wr[~ok]] = True
+        pairs = list(zip(wave_ids, value.tolist()))
+        for q in np.flatnonzero(sizes).tolist():
+            results[q].probabilities.update(pairs[ends[q] - sizes[q] : ends[q]])
+            results[q].wave_sizes.append(int(sizes[q]))
+        # Failed segments push their unvisited neighbours in Bmax - Bmin.
+        wq, wr = _expand(indptr, neighbors, wq[~ok], wr[~ok], maxm & ~minm & ~visited, n)
+        visited[wq, wr] = True
+        shares = (perf_counter() - started) * sizes / sizes.sum()
+        for search, share in zip(searches, shares.tolist()):
+            search.wall_s += share
+    for e, counters in zip(ests, tally.T.tolist()):
+        for name, value in zip(_COUNTERS, counters):
+            setattr(e, name, getattr(e, name) + value)
+    # The region: Bmin, the passed segments and the flood from the seeds
+    # through Bmax that never crosses a failed segment.
+    allowed = maxm & ~failed
+    fq = np.repeat(np.arange(members), counts)
+    fr = csr.rows_of([seed for search in searches for seed in search.estimators])
+    fq, fr = fq[allowed[fq, fr]], fr[allowed[fq, fr]]
+    reached = np.zeros_like(allowed)
+    while fr.size:
+        reached[fq, fr] = True
+        fq, fr = _expand(indptr, neighbors, fq, fr, allowed & ~reached, n)
+    for q, result in enumerate(results):
+        result.region = set(ids[minm[q] | passed[q] | reached[q]].tolist())
+        result.passed, result.failed = set(ids[passed[q]].tolist()), set(ids[failed[q]].tolist())
+    return results
+
+
+def _expand(indptr, neighbors, fq, fr, open_mask, n):
+    """Each member's neighbours of ``(fq, fr)`` in ``open_mask``, once each."""
+    degree = indptr[fr + 1] - indptr[fr]
+    nq, nr = fq.repeat(degree), neighbors[_ramp(indptr[fr], degree)]
+    key = nq * n + nr
+    key = key[open_mask[nq, nr]]
+    return np.divmod(key[np.sort(np.unique(key, return_index=True)[1])], n)

@@ -55,6 +55,7 @@ class CSRGraph:
         row_lookup: segment id -> row (``int64``, ``-1`` for absent ids).
         indptr_out / indices_out: CSR successors (``int32``).
         indptr_in / indices_in: CSR predecessors (``int32``).
+        indptr_nbr / indices_nbr: :meth:`RoadNetwork.neighbors`, in its order.
         twin_row: row of the opposite carriageway, ``-1`` for one-way.
         lengths: segment polyline lengths in metres (``float64``).
         mid_x / mid_y: segment midpoint coordinates (``float64``).
@@ -66,6 +67,8 @@ class CSRGraph:
     indices_out: np.ndarray
     indptr_in: np.ndarray
     indices_in: np.ndarray
+    indptr_nbr: np.ndarray
+    indices_nbr: np.ndarray
     twin_row: np.ndarray
     lengths: np.ndarray
     mid_x: np.ndarray
@@ -150,6 +153,7 @@ def build_csr(network: "RoadNetwork") -> CSRGraph:
     indptr_in = np.zeros(n + 1, dtype=np.int32)
     out_parts: list[list[int]] = []
     in_parts: list[list[int]] = []
+    neighbor_parts = [network.neighbors(segment_id) for segment_id in ids.tolist()]
     twin_row = np.full(n, -1, dtype=np.int64)
     lengths = np.zeros(n, dtype=np.float64)
     mid_x = np.zeros(n, dtype=np.float64)
@@ -186,6 +190,8 @@ def build_csr(network: "RoadNetwork") -> CSRGraph:
         indices_out=indices_out,
         indptr_in=indptr_in,
         indices_in=indices_in,
+        indptr_nbr=np.cumsum([0] + [len(part) for part in neighbor_parts]),
+        indices_nbr=row_lookup[[sid for part in neighbor_parts for sid in part]],
         twin_row=twin_row,
         lengths=lengths,
         mid_x=mid_x,

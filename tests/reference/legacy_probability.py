@@ -46,6 +46,7 @@ class LegacyProbabilityEstimator:
         start_time_s: float,
         duration_s: float,
         num_days: int,
+        charges: None = None,  # the reference never runs in lock step
     ) -> None:
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
@@ -142,6 +143,7 @@ class LegacyReverseProbabilityEstimator(LegacyProbabilityEstimator):
         start_time_s: float,
         duration_s: float,
         num_days: int,
+        charges: None = None,  # the reference never runs in lock step
     ) -> None:
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
@@ -307,14 +309,16 @@ def legacy_probability_path():
     Swaps the estimator classes and the search entry points the two
     executor pipelines call by name (``start_estimators`` /
     ``execute_bounded`` in ``executors.sqmb_tbs``, ``execute_exhaustive``
-    in ``executors.es``) for the references above, restoring everything on
-    exit.  The equivalence tests use this to run the exact same query
+    in ``executors.es``) for the references above, and turns the serial
+    batch's lock step off, restoring everything on exit.  The equivalence tests use this to run the exact same query
     twice — once columnar, once scalar — on one engine.
     """
+    import repro.api.client as client_mod
     import repro.core.executors.es as es_mod
     import repro.core.executors.sqmb_tbs as tbs_mod
 
     swaps = (
+        (client_mod, "LOCKSTEP", frozenset()),  # serial batches: one query at a time
         (tbs_mod, "ProbabilityEstimator", LegacyProbabilityEstimator),
         (tbs_mod, "ReverseProbabilityEstimator", LegacyReverseProbabilityEstimator),
         (tbs_mod, "trace_back_search", trace_back_search_reference),

@@ -1,0 +1,241 @@
+"""Generated lock-step batches against serial execution.
+
+A serial batch runs every maximal run of ``LOCKSTEP_MIN_RUN`` or more
+consecutive bounded members (SQMB/MQMB/reverse + TBS) in lock step — here
+also every run of two or more: the front halves in submission
+order, one TBS wave step across the run's members, then each member's
+recorded page ids replayed through the pool in submission order.  For
+mixed s/m/reverse batches with ES and ``sqmb_tbs_each`` members cutting
+the runs, two Δt, duplicate requests, a start road nothing left in the
+departure window and both carriageways of two-way roads as starts — under
+ST-Index pool capacities {0, 1, 8, default}, window-gather memo sizes {0,
+default}, warm and cold — the batch must equal each member run alone
+through ``execute_plan``, in order, in one window: results and
+probabilities, every ``QueryCost`` field but the wall time, the region
+counters, ``report.io`` and the page-id sequence every ST-Index pool
+receives.  One more engine indexes the same trips with dates just below
+2**31, where the estimator tags no longer fit beside the dates and the
+run's probe splits.
+
+The stream keeps its contract: responses are published one per pull in
+submission order, a member that raises does so at its own pull after the
+earlier ones were yielded, and the per-query wall times are positive and
+sum to at most the batch's.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_wave_accounting import MEMO_SIZES, POOL_SIZES, T, PoolSpy, along
+
+from repro.api import QueryOptions, ReachabilityClient, Request
+from repro.core.engine import ReachabilityEngine
+from repro.core.executors import ExecutionContext
+from repro.core.executors.sqmb_tbs import LOCKSTEP_MIN_RUN
+from repro.core.probability import ProbabilityEstimator
+from repro.core.query import MQuery, SQuery
+from repro.core.st_index import STIndex
+from repro.trajectory.model import MatchedTrajectory
+
+DELTA_TS = (300, 600)
+FAR_DATES = (1 << 31) - 16  # added to every date of the far-dates engine
+
+
+def install(engine, network, source, pool, memo) -> ReachabilityEngine:
+    for delta_t_s in DELTA_TS:
+        index = STIndex(
+            network,
+            delta_t_s,
+            disk=engine.disk,
+            buffer_pool_pages=engine.buffer_pool_pages if pool is None else pool,
+            **({} if memo is None else {"record_cache_size": memo}),
+        )
+        index.build(source)
+        engine.install_st_index(delta_t_s, index)
+    return engine
+
+
+@pytest.fixture(scope="module")
+def engines(test_dataset):
+    """One engine per (pool capacity, memo size), plus the far-dates one."""
+    network, database = test_dataset.network, test_dataset.database
+    out = {
+        (pool, memo): install(ReachabilityEngine(network, database), network, database, pool, memo)
+        for pool in POOL_SIZES
+        for memo in MEMO_SIZES
+    }
+    shifted = [
+        MatchedTrajectory(t.trajectory_id, t.taxi_id, t.date + FAR_DATES, t.visits)
+        for t in database
+    ]
+    out["far dates"] = install(
+        ReachabilityEngine(network, database), network, shifted, None, None
+    )
+    return out
+
+
+@pytest.fixture(scope="module")
+def roads(test_dataset):
+    """Start roads split by whether anything left them at ``T``."""
+    network, database = test_dataset.network, test_dataset.database
+    index = STIndex(network, DELTA_TS[0])
+    index.build(database)
+    live, dead = [], []
+    for segment in sorted(network.segments(), key=lambda s: s.segment_id):
+        estimator = ProbabilityEstimator(index, segment.segment_id, T, 600.0, database.num_days)
+        (live if estimator.start_days else dead).append(segment)
+    two_way = [segment for segment in live if segment.twin_id is not None]
+    return live, dead, two_way, network
+
+
+@st.composite
+def batches(draw, roads):
+    live, dead, two_way, network = roads
+    fraction = st.floats(0.1, 0.9)
+
+    def point(pool):
+        return along(draw(st.sampled_from(pool)), draw(fraction))
+
+    requests: list[Request] = []
+    for _ in range(draw(st.integers(3, 9))):
+        options = QueryOptions(delta_t_s=draw(st.sampled_from(DELTA_TS)))
+        window = (
+            T + draw(st.sampled_from([0.0, 130.0])),
+            draw(st.sampled_from([600.0, 1200.0])),
+            draw(st.sampled_from([0.1, 0.3])),
+        )
+        shape = draw(st.sampled_from(["s", "s", "r", "m", "m", "es", "each", "dead", "twin", "again"]))
+        if shape == "again" and requests:
+            requests.append(draw(st.sampled_from(requests)))
+            continue
+        if shape in ("s", "r", "es", "dead", "again"):
+            query = SQuery(point(dead if shape == "dead" else live), *window)
+            algorithm = {"r": "sqmb_tbs", "es": "es"}.get(shape, "sqmb_tbs")
+            direction = "reverse" if shape == "r" else "forward"
+            options = dataclasses.replace(options, algorithm=algorithm, direction=direction)
+        else:
+            points = [point(live) for _ in range(draw(st.integers(1, 3)))]
+            if shape == "twin":  # both carriageways of one road
+                road = draw(st.sampled_from(two_way))
+                points += [along(road, 0.5), along(network.segment(road.twin_id), 0.5)]
+            if draw(st.booleans()):
+                points.append(along(draw(st.sampled_from(dead)), 0.5))
+            algorithm = "sqmb_tbs_each" if shape == "each" else "mqmb_tbs"
+            query = MQuery(tuple(points), *window)
+            options = dataclasses.replace(options, algorithm=algorithm)
+        requests.append(Request(query, options))
+    return requests
+
+
+def run(engine, requests, warm: bool, lockstep: bool, min_run: int = LOCKSTEP_MIN_RUN):
+    """Stream a batch (from a cold start when ``warm``: after a serial
+    pass over it) and return its responses, report and pool page ids;
+    ``min_run`` is the shortest run of bounded members put in lock step."""
+    patch = mock.patch("repro.api.client.LOCKSTEP", frozenset())
+    if warm:
+        engine.invalidate_caches()
+        with patch:
+            ReachabilityClient(engine).run_batch(requests)
+    spies = [PoolSpy(engine.st_index(delta_t_s).pool) for delta_t_s in DELTA_TS]
+    try:
+        with mock.patch("repro.api.client.LOCKSTEP_MIN_RUN", min_run) if lockstep else patch:
+            stream = ReachabilityClient(engine).stream(requests, warm=warm)
+            responses = list(stream)
+    finally:
+        for spy in spies:
+            spy.close()
+    return responses, stream.report, [spy.ids for spy in spies]
+
+
+def summary(response):
+    result = response.result
+    return (
+        response.sequence,
+        result.segments,
+        result.probabilities,
+        result.start_segments,
+        dataclasses.replace(result.cost, wall_time_s=0.0),
+        response.regions_computed,
+        response.regions_reused,
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lockstep_batches_equal_serial_execution(engines, roads, data):
+    requests = data.draw(batches(roads))
+    warm = data.draw(st.booleans())
+    min_run = data.draw(st.sampled_from([2, LOCKSTEP_MIN_RUN]))
+    answers = []
+    for key, engine in engines.items():
+        run(engine, requests, False, False)  # Con-Index entries, both share
+        serial, serial_report, serial_ids = run(engine, requests, warm, False)
+        batch, report, ids = run(engine, requests, warm, True, min_run)
+        where = f"engine={key} warm={warm} min_run={min_run}"
+        assert [summary(r) for r in batch] == [summary(r) for r in serial], where
+        assert report.io == serial_report.io, where
+        assert ids == serial_ids, where
+        assert (report.regions_computed, report.regions_reused) == (
+            serial_report.regions_computed, serial_report.regions_reused,
+        ), where
+        walls = [response.result.cost.wall_time_s for response in batch]
+        assert min(walls) > 0 and sum(walls) <= report.wall_time_s, where
+        answers.append([summary(r)[1:4] for r in batch])
+    assert all(answer == answers[0] for answer in answers)  # far dates too
+
+
+def test_stream_publishes_each_response_at_its_pull(engines, roads):
+    live = roads[0]
+    requests = [
+        Request(SQuery(along(live[i], 0.5), T, 600.0, 0.2)) for i in range(0, 40, 8)
+    ]
+    engine = engines[(None, None)]
+    stream = ReachabilityClient(engine).stream(requests)
+    for pulled, response in enumerate(stream, start=1):
+        assert response.sequence == pulled - 1
+        assert len(stream.responses) == pulled
+
+
+def test_failing_member_raises_at_its_own_pull(engines, roads):
+    """A member whose front half raises does so at its pull: earlier
+    members were yielded with the serial answers, later ones still run,
+    and the pool saw what serial execution charges (the failing member's
+    fixed sides included)."""
+    live = roads[0]
+    requests = [
+        Request(SQuery(along(live[i], 0.5), T, 777.0 if i == 16 else 600.0, 0.2))
+        for i in range(0, 40, 8)
+    ]
+    engine = engines[(8, None)]
+    region = ExecutionContext.bounding_region
+
+    def failing(self, strategy, seeds, start_time_s, duration_s, kind):
+        if duration_s == 777.0:
+            raise RuntimeError("bounding region unavailable")
+        return region(self, strategy, seeds, start_time_s, duration_s, kind)
+
+    ReachabilityClient(engine).run_batch(requests)  # Con-Index entries, both share
+    runs = []
+    for lockstep in (True, False):
+        spy = PoolSpy(engine.st_index(DELTA_TS[0]).pool)
+        try:
+            with mock.patch.object(ExecutionContext, "bounding_region", failing), (
+                contextlib.nullcontext() if lockstep
+                else mock.patch("repro.api.client.LOCKSTEP", frozenset())
+            ):
+                stream = ReachabilityClient(engine).stream(requests)
+                first = [next(stream), next(stream)]
+                with pytest.raises(RuntimeError, match="unavailable"):
+                    next(stream)
+                rest = list(stream)
+        finally:
+            spy.close()
+        responses = first + rest
+        assert [response.sequence for response in responses] == [0, 1, 3, 4]
+        runs.append(([summary(r) for r in responses], stream.report.io, spy.ids))
+    assert runs[0] == runs[1]
