@@ -53,11 +53,9 @@ def r_query(client, query, algorithm=None, delta_t_s=None, warm=False):
     )
 
 
-def run_batch(client, queries, warm=False, max_workers=1, **options):
+def run_batch(client, queries, warm=False, **options):
     """Bare queries as one batch with pinned algorithms (``options`` as
     :func:`request`); members share warm pools and the region cache."""
     return as_client(client).run_batch(
-        [request(query, **options) for query in queries],
-        warm=warm,
-        max_workers=max_workers,
+        [request(query, **options) for query in queries], warm=warm
     )

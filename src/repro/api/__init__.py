@@ -6,8 +6,8 @@ algorithm incl. ``"auto"``, Δt, warmth, tag, cost budget), hand it to a
 :class:`ReachabilityClient`, and get a :class:`Response` back (result +
 plan + per-query cost + the :class:`RouteDecision` that picked the
 execution route).  Batches are streams: ``client.stream(requests)``
-yields responses as they complete over a bounded-window worker pool, and
-``client.run_batch`` aggregates the same pipeline into a
+yields responses in submission order, one lazily executed pull at a time,
+and ``client.run_batch`` aggregates the same pipeline into a
 :class:`~repro.core.service.BatchReport`.
 
 Quickstart::
@@ -22,7 +22,7 @@ Quickstart::
         Request(q, QueryOptions(direction="reverse", tag="ads")),
         Request(m_query),                            # auto -> MQMB+TBS
     ]
-    for response in client.stream(requests, max_workers=4):
+    for response in client.stream(requests):
         print(response.describe())
 """
 

@@ -7,13 +7,19 @@ request/response surface:
   :class:`~repro.api.envelope.Request` synchronously (through the
   service-lifetime bounding-region cache);
 * :meth:`~ReachabilityClient.submit` — the same, as a
-  :class:`concurrent.futures.Future` on the client's worker pool;
-* :meth:`~ReachabilityClient.stream` — run many requests over a worker
-  pool with a bounded in-flight window, yielding
-  :class:`~repro.api.envelope.Response` objects *as they complete*;
+  :class:`concurrent.futures.Future` on the client's one worker thread;
+* :meth:`~ReachabilityClient.stream` — run many requests as one lazily
+  executed pipeline, yielding :class:`~repro.api.envelope.Response`
+  objects in submission order;
 * :meth:`~ReachabilityClient.run_batch` — a thin aggregation over the
   same streaming pipeline, returning a
   :class:`~repro.core.service.BatchReport`.
+
+Each entry point holds the engine's one lock
+(:attr:`~repro.core.engine.ReachabilityEngine.lock`) while it executes —
+``run_batch`` for the whole batch, a stream per pull — so callers on many
+threads take turns on the engine and every per-query accounting window
+is that query's alone.
 
 Every request is routed by the :class:`~repro.api.router.Router`
 (``algorithm="auto"``) and the decision travels on the response, so a
@@ -24,10 +30,9 @@ envelope, not in batch-global kwargs.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import count
 from typing import Iterable, Iterator
 
@@ -90,8 +95,6 @@ class ReachabilityClient:
         target: the service to answer through, or a bare engine (a
             private service is created around it).
         router: the routing policy for ``algorithm="auto"`` requests.
-        max_workers: worker-pool size for :meth:`submit` futures (stream
-            pipelines size their own pools per call).
         backend: default :meth:`run_batch` execution backend —
             ``"threaded"`` (the in-process pipeline) or ``"sharded"``
             (engine replicas on worker processes, see
@@ -120,7 +123,6 @@ class ReachabilityClient:
         self,
         target: QueryService | ReachabilityEngine,
         router: Router | None = None,
-        max_workers: int = 4,
         backend: str = "threaded",
         shards: int = 4,
         shard_workers: int | None = None,
@@ -148,16 +150,14 @@ class ReachabilityClient:
             )
         self.service = as_service(target)
         self.router = router if router is not None else Router()
-        self.max_workers = max_workers
         self.backend = backend
         self.shards = shards
         self.shard_workers = shard_workers
         self.deadline_ms = deadline_ms
         self.max_retries = max_retries
-        self._pool: ThreadPoolExecutor | None = None  # guarded_by: _pool_lock
-        self._pool_lock = threading.Lock()
-        self._sharded = None  # guarded_by: _sharded_lock
-        self._sharded_lock = threading.Lock()
+        # Both created lazily under the engine lock.
+        self._pool: ThreadPoolExecutor | None = None
+        self._sharded = None
 
     # -- durable stores ----------------------------------------------------
 
@@ -185,7 +185,8 @@ class ReachabilityClient:
         """Persist this client's engine as a durable store bundle."""
         from repro.io.persist import save_store
 
-        return save_store(self.engine, path, self.delta_t_s)
+        with self.engine.lock:
+            return save_store(self.engine, path, self.delta_t_s)
 
     # -- conveniences ------------------------------------------------------
 
@@ -234,10 +235,11 @@ class ReachabilityClient:
         self, request: Request, recorder: StageRecorder | None = None
     ) -> Response:
         plan, decision = self.plan(request)
-        result, context = self.service.run_plan(
-            plan, request.query, reuse_regions=request.options.reuse_regions,
-            recorder=recorder,
-        )
+        with self.engine.lock:
+            result, context = self.service.run_plan(
+                plan, request.query, reuse_regions=request.options.reuse_regions,
+                recorder=recorder,
+            )
         return Response(
             request=request,
             result=result,
@@ -248,23 +250,17 @@ class ReachabilityClient:
         )
 
     def submit(self, request: Request | SQuery | MQuery) -> "Future[Response]":
-        """Answer one request on the client's worker pool.
+        """Answer one request on the client's worker thread.
 
-        Returns a future resolving to the :class:`Response`; submissions
-        from many tenants interleave on the shared pool.  Per-response
-        cost attribution is exact even while submissions overlap — each
-        execution windows its own thread-local disk counters
-        (:meth:`~repro.storage.disk.SimulatedDisk.local_snapshot`) — but
-        a *cold* request still invalidates the shared buffer pools for
-        everyone, so overlapping cold submissions charge each other
-        re-reads; pass ``warm=True`` options, or use
-        :meth:`stream`/:meth:`run_batch`, for a shared warm window.
+        Returns a future resolving to the :class:`Response`.  Submissions
+        run one at a time, in submission order, each as a :meth:`send`
+        under the engine lock — so every response carries exactly its own
+        costs, as if sent serially.
         """
-        with self._pool_lock:
+        with self.engine.lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="reach-client",
+                    max_workers=1, thread_name_prefix="reach-client"
                 )
             return self._pool.submit(self.send, as_request(request))
 
@@ -274,23 +270,20 @@ class ReachabilityClient:
         self,
         requests: Iterable[Request | SQuery | MQuery],
         warm: bool = False,
-        max_workers: int = 1,
-        window: int | None = None,
     ) -> "BatchStream":
-        """Run many requests as one pipeline, yielding as they complete.
+        """Run many requests as one pipeline, yielding in submission order.
 
         The batch pays one cold start (unless ``warm``), then every
         request runs against warm buffer pools, the shared
         bounding-region cache and one frozen plan per request shape —
         exactly :meth:`run_batch`'s sharing, delivered incrementally.
-        With ``max_workers > 1`` requests execute concurrently with at
-        most ``window`` in flight; responses arrive in completion order,
-        each stamped with its submission ``sequence``.  With one worker,
-        each run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded members
+        Each run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded members
         (SQMB/MQMB/reverse + TBS; any other member cuts it) executes in lock
         step at its first member's pull — page ids recorded, then replayed
         through the pool in submission order, so costs equal serial
         execution — and is then yielded one response per pull, in order.
+        Each pull holds the engine lock while it executes, so an abandoned
+        stream holds nothing.
 
         Requests are materialized up front (planning and index
         resolution happen before the first yield); execution is lazy —
@@ -302,64 +295,59 @@ class ReachabilityClient:
             A :class:`BatchStream` — iterate it for responses; read its
             ``report`` after exhaustion for the exact batch totals.
         """
-        return BatchStream(
-            self, [as_request(r) for r in requests], warm=warm,
-            max_workers=max_workers, window=window,
-        )
+        return BatchStream(self, [as_request(r) for r in requests], warm=warm)
 
     def run_batch(
         self,
         requests: Iterable[Request | SQuery | MQuery],
         warm: bool = False,
-        max_workers: int = 1,
-        window: int | None = None,
         backend: str | None = None,
     ) -> BatchReport:
         """Run requests through :meth:`stream` and aggregate the report.
 
+        The whole batch holds the engine lock, so its report and every
+        per-query cost are exactly those of running it alone.
+
         Args:
             backend: override the client's default backend for this
                 batch — ``"sharded"`` scatters the requests across the
-                replica workers (:mod:`repro.serving`) instead of
-                the in-process thread pipeline; ``max_workers``/``window``
-                only apply to the threaded backend.
+                replica workers (:mod:`repro.serving`) instead of the
+                in-process pipeline.
         """
         resolved = backend if backend is not None else self.backend
-        if resolved == "sharded":
-            return self._sharded_engine().run_batch(
-                [as_request(r) for r in requests], warm=warm
-            )
-        if resolved != "threaded":
+        if resolved not in ("threaded", "sharded"):
             raise ValueError(f"unknown backend {resolved!r}")
-        stream = self.stream(
-            requests, warm=warm, max_workers=max_workers, window=window
-        )
-        for _ in stream:
-            pass
-        return stream.report
+        requests = [as_request(r) for r in requests]
+        with self.engine.lock:
+            if resolved == "sharded":
+                return self._sharded_engine().run_batch(requests, warm=warm)
+            stream = BatchStream(self, requests, warm=warm)
+            for _ in stream:
+                pass
+            return stream.report
 
     def _sharded_engine(self):
-        """The lazily spawned sharded backend (see :mod:`repro.serving`)."""
-        with self._sharded_lock:
-            # A data change closes the engine (its slices went stale);
-            # the next batch re-partitions from current data.
-            if self._sharded is None or self._sharded.closed:
-                # Imported lazily: repro.serving pulls in multiprocessing
-                # machinery most clients never need.
-                from repro.serving import ShardedEngine
+        """The lazily spawned sharded backend (see :mod:`repro.serving`);
+        called with the engine lock held."""
+        # A data change closes the engine (its slices went stale); the
+        # next batch re-partitions from current data.
+        if self._sharded is None or self._sharded.closed:
+            # Imported lazily: repro.serving pulls in multiprocessing
+            # machinery most clients never need.
+            from repro.serving import ShardedEngine
 
-                overrides = {}
-                if self.deadline_ms is not None:
-                    overrides["deadline_ms"] = self.deadline_ms
-                if self.max_retries is not None:
-                    overrides["max_retries"] = self.max_retries
-                self._sharded = ShardedEngine(
-                    self.service,
-                    shards=self.shards,
-                    workers=self.shard_workers,
-                    **overrides,
-                )
-            return self._sharded
+            overrides = {}
+            if self.deadline_ms is not None:
+                overrides["deadline_ms"] = self.deadline_ms
+            if self.max_retries is not None:
+                overrides["max_retries"] = self.max_retries
+            self._sharded = ShardedEngine(
+                self.service,
+                shards=self.shards,
+                workers=self.shard_workers,
+                **overrides,
+            )
+        return self._sharded
 
     # -- explanation -------------------------------------------------------
 
@@ -382,13 +370,13 @@ class ReachabilityClient:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the submit pool and any shard workers down (idempotent)."""
-        with self._pool_lock:
+        """Shut the submit thread and any shard workers down (idempotent)."""
+        with self.engine.lock:
             pool, self._pool = self._pool, None
+            sharded, self._sharded = self._sharded, None
+        # Outside the lock: queued submissions still need it to finish.
         if pool is not None:
             pool.shutdown(wait=True)
-        with self._sharded_lock:
-            sharded, self._sharded = self._sharded, None
         if sharded is not None:
             sharded.close()
 
@@ -403,8 +391,7 @@ class BatchStream(Iterator[Response]):
     """A lazily-executing request pipeline with exact batch accounting.
 
     Created by :meth:`ReachabilityClient.stream`.  Iterating yields
-    :class:`Response` objects as requests complete (submission order
-    under one worker, completion order under many); after exhaustion
+    :class:`Response` objects in submission order; after exhaustion
     :attr:`report` holds the :class:`BatchReport` that
     :meth:`ReachabilityClient.run_batch` returns — per-query results in
     submission order, batch-level page reads, simulated I/O, pool
@@ -416,24 +403,12 @@ class BatchStream(Iterator[Response]):
         client: ReachabilityClient,
         requests: list[Request],
         warm: bool,
-        max_workers: int,
-        window: int | None,
     ) -> None:
         self._client = client
-        self._max_workers = max(1, max_workers)
-        self._window = (
-            max(self._max_workers, window)
-            if window is not None
-            else 2 * self._max_workers
-        )
         self._report = BatchReport()
         self._responses: dict[int, Response] = {}
-        self._started: float | None = None
         self._finished = not requests
-        self._pool: ThreadPoolExecutor | None = None
-        self._pending: dict = {}
-        self._buffer: list[Response] = []
-        self._ready: deque = deque()  # serial: run, not yet pulled
+        self._ready: deque = deque()  # run, not yet pulled
         engine = client.engine
         # Plan everything up front; execution stays lazy.
         prepare_batch(client.service, client.router, requests, self._report)
@@ -444,21 +419,21 @@ class BatchStream(Iterator[Response]):
         # construction is offline work in the paper's model), then take
         # the batch-level cold start.
         delta_ts = sorted({plan.delta_t_s for plan in self._report.plans})
-        for delta_t_s in delta_ts:
-            engine.st_index(delta_t_s)
-            if any(
-                plan.uses_con_index and plan.delta_t_s == delta_t_s
-                for plan in self._report.plans
-            ):
-                engine.con_index(delta_t_s)
+        with engine.lock:
+            for delta_t_s in delta_ts:
+                engine.st_index(delta_t_s)
+                if any(
+                    plan.uses_con_index and plan.delta_t_s == delta_t_s
+                    for plan in self._report.plans
+                ):
+                    engine.con_index(delta_t_s)
         self._contexts = {
             delta_t_s: ExecutionContext(
                 engine, delta_t_s, region_cache=client.service.region_cache
             )
             for delta_t_s in delta_ts
         }
-        self._warm = warm
-        self._before = None
+        self._cold = not warm
 
     # -- iteration ---------------------------------------------------------
 
@@ -466,31 +441,33 @@ class BatchStream(Iterator[Response]):
         return self
 
     def __next__(self) -> Response:
-        if self._finished and not self._buffer:
-            raise StopIteration
-        if self._started is None:
-            # The batch-level cold start and the accounting window open
-            # at the first pull, not at construction, so execution (and
-            # what the report charges) really is lazy.
-            if not self._warm:
-                self._client.engine.invalidate_caches()
-            self._before = self._client.engine.disk.snapshot()
-            self._started = time.perf_counter()
-        if self._max_workers == 1:
-            return self._next_serial()
-        return self._next_threaded()
-
-    def _next_serial(self) -> Response:
-        if not self._ready:
-            if not self._queue:
-                self._finalize()
+        engine = self._client.engine
+        with engine.lock:
+            if self._finished:
                 raise StopIteration
-            self._ready.extend(self._run_next())
-        response = self._ready.popleft()
-        if isinstance(response, Exception):
-            raise response  # a lock-step member's failure, at its own pull
-        self._responses[response.sequence] = response
-        return response
+            if not self._ready:
+                if not self._queue:
+                    self._finalize()
+                    raise StopIteration
+                # Each execution is its own accounting window, so what
+                # callers on other threads run between two pulls is never
+                # charged to this stream.
+                started, before = time.perf_counter(), engine.disk.snapshot()
+                try:
+                    if self._cold:
+                        # The batch-level cold start happens at the first
+                        # pull, not at construction: execution is lazy.
+                        engine.invalidate_caches()
+                        self._cold = False
+                    self._ready.extend(self._run_next())
+                finally:
+                    self._report.io += engine.disk.snapshot() - before
+                    self._report.wall_time_s += time.perf_counter() - started
+            response = self._ready.popleft()
+            if isinstance(response, Exception):
+                raise response  # a lock-step member's failure, at its own pull
+            self._responses[response.sequence] = response
+            return response
 
     def _run_next(self) -> list:
         """Run the next member, or the run of bounded members it starts in lock step."""
@@ -519,36 +496,6 @@ class BatchStream(Iterator[Response]):
         response.regions_reused = context.regions_reused - reused
         return [response]
 
-    def _next_threaded(self) -> Response:
-        if self._buffer:
-            return self._buffer.pop(0)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="reach-stream",
-            )
-        while len(self._pending) < self._window and self._queue:
-            sequence, request, plan = self._queue.popleft()
-            future = self._pool.submit(self._execute, sequence, request, plan)
-            self._pending[future] = sequence
-        if not self._pending:
-            self._finalize()
-            raise StopIteration
-        done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
-        # Within one completion wave, yield in submission order so the
-        # stream is deterministic when everything finishes together.
-        for future in sorted(done, key=self._pending.get):
-            del self._pending[future]
-            try:
-                response = future.result()
-            except BaseException:
-                self._finished = True
-                self.close()
-                raise
-            self._responses[response.sequence] = response
-            self._buffer.append(response)
-        return self._buffer.pop(0)
-
     def _execute(
         self, sequence: int, request: Request, plan: QueryPlan
     ) -> Response:
@@ -567,17 +514,11 @@ class BatchStream(Iterator[Response]):
     # -- accounting --------------------------------------------------------
 
     def _finalize(self) -> None:
-        if self._finished:
-            return
         self._finished = True
-        engine = self._client.engine
-        diff = engine.disk.snapshot() - self._before
         report = self._report
-        report.wall_time_s = (
-            time.perf_counter() - self._started if self._started else 0.0
+        report.simulated_io_ms = (
+            report.io.page_reads * self._client.engine.disk.read_latency_ms
         )
-        report.io = diff
-        report.simulated_io_ms = diff.page_reads * engine.disk.read_latency_ms
         report.regions_computed = sum(
             context.regions_computed for context in self._contexts.values()
         )
@@ -588,7 +529,6 @@ class BatchStream(Iterator[Response]):
             self._responses[sequence].result
             for sequence in sorted(self._responses)
         ]
-        self.close()
 
     @property
     def report(self) -> BatchReport:
@@ -599,16 +539,6 @@ class BatchStream(Iterator[Response]):
     def responses(self) -> list[Response]:
         """Responses received so far, in submission order."""
         return [self._responses[s] for s in sorted(self._responses)]
-
-    def close(self) -> None:
-        """Stop executing (pending requests are cancelled)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._pending.clear()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.close()
 
 
 def as_client(

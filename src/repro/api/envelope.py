@@ -136,10 +136,7 @@ class Response:
             pipeline (0 for single sends).
         regions_computed: bounding regions this query expanded itself.
         regions_reused: bounding regions served from the shared cache.
-            Both counters are exact for single sends and serial
-            pipelines; a concurrent stream (``max_workers > 1``) cannot
-            attribute the shared counters per query and reports 0 here —
-            read the exact totals off its ``BatchReport``.
+            Both counters are exact for single sends and pipelines.
     """
 
     request: Request

@@ -9,7 +9,7 @@ Subcommands::
     python -m repro mquery  --dataset DIR --location 0,0 --location 3000,2000 ...
     python -m repro rquery  --dataset DIR --x 0 --y 0 ...
     python -m repro batch   --dataset DIR --s-queries 20 --m-queries 5 \
-                            --r-queries 2 --workers 4 [--shards K]
+                            --r-queries 2 [--shards K --workers N]
     python -m repro save    --dataset DIR --store STORE
     python -m repro open    --store STORE [--x 0 --y 0 ...]
     python -m repro batch   --open STORE --s-queries 20 ...
@@ -443,8 +443,6 @@ def cmd_batch(args) -> int:
                     f"deadline {deadline:.0f} ms, max {retries} retries, "
                     "degraded sub-batches fall back locally)"
                 )
-            else:
-                print(f"backend: threaded ({args.workers} worker threads)")
             decisions: dict[str, int] = {}
             for request in requests:
                 decision = client.route(request)
@@ -458,7 +456,7 @@ def cmd_batch(args) -> int:
             # the report's per-shard rows show the breakdown instead.
             report = client.run_batch(requests, backend="sharded")
         else:
-            stream = client.stream(requests, max_workers=args.workers)
+            stream = client.stream(requests)
             for done, response in enumerate(stream, start=1):
                 print(f"[{done:>3}/{total}] {response.describe()}")
             print()
@@ -574,9 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "register it; other requests stay auto-routed "
                             "(default: auto)")
     batch.add_argument("--workers", type=int, default=1,
-                       help="worker threads; with --shards, worker "
-                            "*processes*, each one full engine replica "
-                            "(default 1)")
+                       help="with --shards: worker processes, each one "
+                            "full engine replica (default 1)")
     batch.add_argument("--shards", type=int, default=0,
                        help="spatial routing groups dealt round-robin to "
                             "replica worker processes (default 0 = "

@@ -22,8 +22,8 @@ Query-service layers (planner -> executors -> storage):
   algorithm family, extensible via ``@register_executor``.
 * :mod:`~repro.core.engine` — :class:`ReachabilityEngine`, index
   ownership only.
-* :mod:`~repro.core.region_cache` — the thread-safe, service-lifetime
-  bounding-region LRU shared across batches.
+* :mod:`~repro.core.region_cache` — the service-lifetime bounding-region
+  LRU shared across batches.
 * :mod:`~repro.core.service` — :class:`QueryService`, owner of the
   service-lifetime caches the client pipelines execute through (the one
   way to ask a question is :mod:`repro.api`).

@@ -17,7 +17,6 @@ some network expansion steps" cheaply.
 from __future__ import annotations
 
 import struct
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -157,24 +156,19 @@ class ConnectionIndex:
         self.disk = disk if disk is not None else SimulatedDisk()
         self._store = PageStore(self.disk)
         self.pool = BufferPool(self.disk, capacity=buffer_pool_pages)
-        self._directory: dict[tuple[str, int, int], RecordPointer] = {}  # guarded_by: _entry_lock
-        self._decoded: OrderedDict[tuple[str, int, int], FrontierEntry] = (  # guarded_by: _entry_lock
-            OrderedDict()
-        )
+        self._directory: dict[tuple[str, int, int], RecordPointer] = {}
+        self._decoded: OrderedDict[tuple[str, int, int], FrontierEntry] = OrderedDict()
         self._entry_cache_size = entry_cache_size
-        # Guards the lazy lookup/compute/append/evict sequence: batch
-        # worker threads share one Con-Index per Δt.
-        self._entry_lock = threading.RLock()
         self.compressed = compressed
         self._encode = encode_entry_compressed if compressed else encode_entry
         self._decode = decode_entry_compressed if compressed else decode_entry
-        self.bytes_stored = 0  # guarded_by: _entry_lock
-        self._tt_vectors: dict[tuple[bool, int], np.ndarray] = {}  # guarded_by: _entry_lock
-        self._tt_lists: dict[tuple[bool, int], list[float]] = {}  # guarded_by: _entry_lock
+        self.bytes_stored = 0
+        self._tt_vectors: dict[tuple[bool, int], np.ndarray] = {}
+        self._tt_lists: dict[tuple[bool, int], list[float]] = {}
         # The CSR view the cached vectors were built for.
-        self._tt_csr = None  # guarded_by: _entry_lock
+        self._tt_csr = None
         # Construction-side counter, for ablations.
-        self.expansions = 0  # guarded_by: _entry_lock
+        self.expansions = 0
 
     # -- slot helpers -------------------------------------------------------
 
@@ -214,34 +208,29 @@ class ConnectionIndex:
         gather against it.
         """
         csr = self.network.csr()
-        # The caches are cleared by invalidate_entries() under _entry_lock,
-        # so the stale-CSR swap and the fill must hold it too (reentrant:
-        # entry() -> _compute() -> here is the common call path).
-        with self._entry_lock:
-            if csr is not self._tt_csr:
-                # Topology changed (the network rebuilt its CSR view):
-                # cached cost vectors have the old row count and must be
-                # rebuilt.
-                self._tt_vectors.clear()
-                self._tt_lists.clear()
-                self._tt_csr = csr
-            hour = self.slot_hour(slot)
-            pick_max = kind.startswith("far")
-            key = (pick_max, hour)
-            vector = self._tt_vectors.get(key)
-            if vector is None:
-                bounds_of = self.database.observed_speed_bounds
-                probe_time = hour * 3600.0
-                speeds = np.zeros(csr.n, dtype=np.float64)
-                for row, segment_id in enumerate(csr.ids.tolist()):
-                    bounds = bounds_of(segment_id, probe_time)
-                    if bounds is not None:
-                        speeds[row] = bounds[1] if pick_max else bounds[0]
-                vector = np.full(csr.n, float("inf"))
-                positive = speeds > 0
-                vector[positive] = csr.lengths[positive] / speeds[positive]
-                self._tt_vectors[key] = vector
-            return vector
+        if csr is not self._tt_csr:
+            # Topology changed (the network rebuilt its CSR view): cached
+            # cost vectors have the old row count and must be rebuilt.
+            self._tt_vectors.clear()
+            self._tt_lists.clear()
+            self._tt_csr = csr
+        hour = self.slot_hour(slot)
+        pick_max = kind.startswith("far")
+        key = (pick_max, hour)
+        vector = self._tt_vectors.get(key)
+        if vector is None:
+            bounds_of = self.database.observed_speed_bounds
+            probe_time = hour * 3600.0
+            speeds = np.zeros(csr.n, dtype=np.float64)
+            for row, segment_id in enumerate(csr.ids.tolist()):
+                bounds = bounds_of(segment_id, probe_time)
+                if bounds is not None:
+                    speeds[row] = bounds[1] if pick_max else bounds[0]
+            vector = np.full(csr.n, float("inf"))
+            positive = speeds > 0
+            vector[positive] = csr.lengths[positive] / speeds[positive]
+            self._tt_vectors[key] = vector
+        return vector
 
     def travel_time_list(self, kind: Kind, slot: int) -> list[float]:
         """:meth:`travel_time_vector` as a plain Python list (cached).
@@ -251,54 +240,46 @@ class ConnectionIndex:
         ``tolist`` conversion.
         """
         # Resolving the vector first also validates the CSR view (stale
-        # caches are cleared there when the topology changed).  Holding the
-        # (reentrant) lock across both steps keeps the list cache coherent
-        # with the vector it was derived from.
-        with self._entry_lock:
-            vector = self.travel_time_vector(kind, slot)
-            key = (kind.startswith("far"), self.slot_hour(slot))
-            values = self._tt_lists.get(key)
-            if values is None:
-                values = vector.tolist()
-                self._tt_lists[key] = values
-            return values
+        # caches are cleared there when the topology changed).
+        vector = self.travel_time_vector(kind, slot)
+        key = (kind.startswith("far"), self.slot_hour(slot))
+        values = self._tt_lists.get(key)
+        if values is None:
+            values = vector.tolist()
+            self._tt_lists[key] = values
+        return values
 
     # -- entry access -------------------------------------------------------------
 
     def entry(self, segment_id: int, slot: int, kind: Kind) -> FrontierEntry:
         """F(segment, slot) for kind='far', N(segment, slot) for kind='near'.
 
-        Thread-safe: batch worker threads materialise entries lazily, so
-        the lookup / compute / append / LRU-evict sequence runs under one
-        per-index lock — single-flight, like the buffer pool's miss
-        handling, which keeps threaded `DiskStats` deterministic (an
-        entry is computed, stored and charged exactly once).
+        Materialised lazily: a miss computes the entry, stores it and
+        charges its write once; the decoded entry is kept in an LRU.
         """
         slot %= self.num_slots
         key = (kind, segment_id, slot)
-        with self._entry_lock:
-            cached = self._decoded.get(key)
-            if cached is not None:
-                self._decoded.move_to_end(key)
-                return cached
-            pointer = self._directory.get(key)
-            if pointer is None:
-                entry = self._compute(segment_id, slot, kind)
-                payload = self._encode(entry)
-                self.bytes_stored += len(payload)
-                self._directory[key] = self._store.append(payload)
-                # Write through: a lazily materialised entry is durable
-                # (and its page write charged) as soon as it exists,
-                # keeping the query-time write accounting identical to
-                # the pre-extent store.  Only the ST-Index *bulk build*
-                # group-commits.
-                self._store.flush()
-            else:
-                entry = self._decode(self._store.read(pointer, pool=self.pool))
-            self._decoded[key] = entry
-            if len(self._decoded) > self._entry_cache_size:
-                self._decoded.popitem(last=False)
-            return entry
+        cached = self._decoded.get(key)
+        if cached is not None:
+            self._decoded.move_to_end(key)
+            return cached
+        pointer = self._directory.get(key)
+        if pointer is None:
+            entry = self._compute(segment_id, slot, kind)
+            payload = self._encode(entry)
+            self.bytes_stored += len(payload)
+            self._directory[key] = self._store.append(payload)
+            # Write through: a lazily materialised entry is durable (and
+            # its page write charged) as soon as it exists, keeping the
+            # query-time write accounting identical to the pre-extent
+            # store.  Only the ST-Index *bulk build* group-commits.
+            self._store.flush()
+        else:
+            entry = self._decode(self._store.read(pointer, pool=self.pool))
+        self._decoded[key] = entry
+        if len(self._decoded) > self._entry_cache_size:
+            self._decoded.popitem(last=False)
+        return entry
 
     def far(self, segment_id: int, slot: int) -> FrontierEntry:
         return self.entry(segment_id, slot, "far")
@@ -306,7 +287,6 @@ class ConnectionIndex:
     def near(self, segment_id: int, slot: int) -> FrontierEntry:
         return self.entry(segment_id, slot, "near")
 
-    # repro-lint: holds=_entry_lock
     def _compute(self, segment_id: int, slot: int, kind: Kind) -> FrontierEntry:
         self.expansions += 1
         result = time_bounded_expansion(
@@ -335,11 +315,10 @@ class ConnectionIndex:
         lazily on next access; the old on-disk records are simply
         abandoned (the simulated page store is append-only).
         """
-        with self._entry_lock:
-            self._directory.clear()
-            self._decoded.clear()
-            self._tt_vectors.clear()
-            self._tt_lists.clear()
+        self._directory.clear()
+        self._decoded.clear()
+        self._tt_vectors.clear()
+        self._tt_lists.clear()
 
     # -- bulk construction ---------------------------------------------------------
 
@@ -373,5 +352,4 @@ class ConnectionIndex:
 
     @property
     def num_entries(self) -> int:
-        with self._entry_lock:
-            return len(self._directory)
+        return len(self._directory)

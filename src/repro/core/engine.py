@@ -8,10 +8,21 @@ buffer pools.  It answers no query itself.  Questions go through
 (:mod:`~repro.core.planner`) and runs it on the registered executor
 (:mod:`~repro.core.executors`) through the caches of a
 :class:`~repro.core.service.QueryService` over this engine.
+
+Every engine runs one thread at a time.  :attr:`ReachabilityEngine.lock`
+is the one lock of its query path: the client takes it at each entry point
+(``send``, ``explain``, ``run_batch``, each ``BatchStream`` pull) and
+:meth:`ReachabilityEngine.append_trajectories` and
+:meth:`ReachabilityEngine.drop_indexes` take it too, so the
+indexes, pools and caches below it need no locks of their own and a disk
+snapshot difference is exactly one query's I/O (while no other engine uses
+the same disk).  The disk keeps its own lock: it is the one object several
+stores and engines may share.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 from repro.core.con_index import ConnectionIndex
@@ -48,6 +59,9 @@ class ReachabilityEngine:
         self._st_indexes: dict[int, STIndex] = {}
         self._con_indexes: dict[int, ConnectionIndex] = {}
         self._data_change_hooks: list = []
+        # Reentrant: a sharded batch holds it while its degraded groups
+        # re-run through a local client on the same engine.
+        self.lock = threading.RLock()
 
     def use_disk(self, disk: SimulatedDisk) -> None:
         """Swap the storage backend before any index is built.
@@ -135,13 +149,14 @@ class ReachabilityEngine:
             delta_t_s: drop only this granularity's pair, or every built
                 index when omitted.
         """
-        if delta_t_s is None:
-            self._st_indexes.clear()
-            self._con_indexes.clear()
-        else:
-            self._st_indexes.pop(delta_t_s, None)
-            self._con_indexes.pop(delta_t_s, None)
-        self._notify_data_change()
+        with self.lock:
+            if delta_t_s is None:
+                self._st_indexes.clear()
+                self._con_indexes.clear()
+            else:
+                self._st_indexes.pop(delta_t_s, None)
+                self._con_indexes.pop(delta_t_s, None)
+            self._notify_data_change()
 
     def append_trajectories(
         self, trajectories, update_database: bool = True
@@ -163,17 +178,18 @@ class ReachabilityEngine:
             (segment, slot) entries touched across the built ST-Indexes.
         """
         trajectory_list = list(trajectories)
-        if update_database:
-            for trajectory in trajectory_list:
-                self.database.add(trajectory)
-        touched = 0
-        for index in self._st_indexes.values():
-            touched += index.append_trajectories(trajectory_list)
-        if trajectory_list:
-            for con in self._con_indexes.values():
-                con.invalidate_entries()
-            self._notify_data_change()
-        return touched
+        with self.lock:
+            if update_database:
+                for trajectory in trajectory_list:
+                    self.database.add(trajectory)
+            touched = 0
+            for index in self._st_indexes.values():
+                touched += index.append_trajectories(trajectory_list)
+            if trajectory_list:
+                for con in self._con_indexes.values():
+                    con.invalidate_entries()
+                self._notify_data_change()
+            return touched
 
     def buffer_pools(self):
         """Every live buffer pool, for cache-effectiveness reporting."""

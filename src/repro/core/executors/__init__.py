@@ -29,7 +29,6 @@ the registration points.  Both pipelines mark their stage boundaries with
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -139,11 +138,6 @@ class ExecutionContext:
     across batches, not just within one) and this execution's hit
     counters.
 
-    The counters are guarded by a lock and the cache deduplicates
-    concurrent computations, so under ``max_workers > 1`` every
-    ``bounding_region`` call is counted exactly once and no region is
-    expanded twice.
-
     Args:
         engine: the index-owning engine.
         delta_t_s: index granularity for this execution.
@@ -167,9 +161,8 @@ class ExecutionContext:
         self.delta_t_s = delta_t_s
         self.region_cache = region_cache
         self.recorder = recorder
-        self.regions_computed = 0  # guarded_by: _stats_lock
-        self.regions_reused = 0  # guarded_by: _stats_lock
-        self._stats_lock = threading.Lock()
+        self.regions_computed = 0
+        self.regions_reused = 0
 
     # -- resource access -----------------------------------------------------
 
@@ -244,11 +237,10 @@ class ExecutionContext:
                 slots.hops(duration_s, self.delta_t_s), kind, self.delta_t_s,
             )
             region, reused = self.region_cache.get_or_compute(key, compute)
-        with self._stats_lock:
-            if reused:
-                self.regions_reused += 1
-            else:
-                self.regions_computed += 1
+        if reused:
+            self.regions_reused += 1
+        else:
+            self.regions_computed += 1
         return region
 
     # -- nested execution ------------------------------------------------------
@@ -301,22 +293,21 @@ def execute_plan(
     # Resolve indexes before the accounting window opens: index
     # construction is offline work in the paper's model and must not be
     # charged to the first query at a new Δt.
-    st_index = engine.st_index(plan.delta_t_s)
+    engine.st_index(plan.delta_t_s)
     if plan.uses_con_index:
         engine.con_index(plan.delta_t_s)
     if not plan.warm:
         engine.invalidate_caches()
-    # Per-thread snapshot window: under a threaded batch each worker sees
-    # only its own I/O, so per-query attribution is exact (and identical
-    # to the global window when execution is single-threaded).
-    before = engine.disk.local_snapshot()
+    # The caller holds the engine lock, so the disk's global counters move
+    # only for this query inside the window.
+    before = engine.disk.snapshot()
     started = time.perf_counter()
     outcome = executor(ctx, plan, query)
-    io = engine.disk.local_snapshot() - before
-    return charge_cost(engine, outcome, io, time.perf_counter() - started, st_index.pool)
+    io = engine.disk.snapshot() - before
+    return charge_cost(engine, outcome, io, time.perf_counter() - started)
 
 
-def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float, pool) -> QueryResult:
+def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float) -> QueryResult:
     """Fill the outcome's result cost from its accounting window and its
     estimators' counters (the one place :class:`QueryCost` is assembled)."""
 
@@ -338,7 +329,6 @@ def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float, pool)
         max_wave_size=max(outcome.wave_sizes, default=0),
         batched_record_reads=total("batched_record_reads"),
         prefetched_pages=total("prefetched_pages"),
-        pool_lock_shards=pool.num_shards,
     )
     return result
 

@@ -149,7 +149,7 @@ def execute_lockstep(engine, members: list) -> list:
     )
     fronts = []
     for plan, query, ctx in members:
-        started, before = perf_counter(), disk.local_snapshot()
+        started, before = perf_counter(), disk.snapshot()
         regions = ctx.regions_computed, ctx.regions_reused
         own, starts = starts[: len(locations_of(query))], starts[len(locations_of(query)) :]
         charges: list[np.ndarray] = []
@@ -159,22 +159,22 @@ def execute_lockstep(engine, members: list) -> list:
             fronts.append((error, None, charges, None, 0.0, None))
             break
         regions = ctx.regions_computed - regions[0], ctx.regions_reused - regions[1]
-        io, wall_s = disk.local_snapshot() - before, perf_counter() - started
+        io, wall_s = disk.snapshot() - before, perf_counter() - started
         fronts.append((outcome, search, charges, io, wall_s, regions))
     searches = [search for _, search, *_ in fronts if search is not None]
     traced = iter(trace_back_search(engine.network, searches) if searches else ())
     out: list = []
     for (_, _, ctx), (outcome, search, charges, io, wall_s, regions) in zip(members, fronts):
-        started, before, pool = perf_counter(), disk.local_snapshot(), ctx.st_index().pool
+        started, before, pool = perf_counter(), disk.snapshot(), ctx.st_index().pool
         if charges:
             pool.get_pages(np.concatenate(charges))
         if isinstance(outcome, Exception):
             return [*out, outcome]
         if search is not None:
             outcome, wall_s = finish_bounded(outcome, next(traced)), wall_s + search.wall_s
-        io += disk.local_snapshot() - before
+        io += disk.snapshot() - before
         wall_s += perf_counter() - started
-        out.append((charge_cost(engine, outcome, io, wall_s, pool), *regions))
+        out.append((charge_cost(engine, outcome, io, wall_s), *regions))
     return out
 
 

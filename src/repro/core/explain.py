@@ -60,13 +60,13 @@ class StageRecorder:
     def stage(self, name: str) -> Iterator[StageCost]:
         cost = StageCost(name)
         self.stages.append(cost)
-        before = self._disk.local_snapshot()
+        before = self._disk.snapshot()
         started = time.perf_counter()
         try:
             yield cost
         finally:
             cost.wall_ms = (time.perf_counter() - started) * 1e3
-            cost.page_reads = (self._disk.local_snapshot() - before).page_reads
+            cost.page_reads = (self._disk.snapshot() - before).page_reads
 
 
 @dataclass
@@ -144,7 +144,8 @@ def _explain(
 ) -> QueryExplanation:
     recorder = StageRecorder(engine.disk)
     context = ExecutionContext(engine, plan.delta_t_s, recorder=recorder)
-    result = execute_plan(engine, plan, query, context=context)
+    with engine.lock:
+        result = execute_plan(engine, plan, query, context=context)
     return QueryExplanation(plan, result, recorder.stages)
 
 

@@ -126,8 +126,6 @@ class QueryCost:
             the sequential scalar loop.
         prefetched_pages: page accesses charged for those records (pool
             hits included, of which ``io.page_reads`` were actual misses).
-        pool_lock_shards: lock stripes backing the ST-Index buffer pool
-            the query read through.
 
     :meth:`merged` is the one statement of how costs combine: a field
     sums unless its ``metadata["merge"]`` names another rule.
@@ -144,7 +142,6 @@ class QueryCost:
     max_wave_size: int = field(default=0, metadata={"merge": max})
     batched_record_reads: int = 0
     prefetched_pages: int = 0
-    pool_lock_shards: int = field(default=0, metadata={"merge": max})
 
     @classmethod
     def merged(cls, costs: Iterable["QueryCost"]) -> "QueryCost":
@@ -175,8 +172,7 @@ class QueryCost:
         if self.batched_record_reads:
             lines.append(
                 f"batched I/O: {self.batched_record_reads} record gathers / "
-                f"{self.prefetched_pages} pages prefetched "
-                f"({self.pool_lock_shards} pool lock shards)"
+                f"{self.prefetched_pages} pages prefetched"
             )
         return lines
 

@@ -1,17 +1,10 @@
-"""A thread-safe, service-lifetime LRU cache for bounding regions.
+"""A service-lifetime LRU cache for bounding regions.
 
-The per-batch dict that :class:`~repro.core.service.QueryService` used to
-hand each :class:`~repro.core.executors.ExecutionContext` had two
-problems: it was thrown away between batches (nearby workloads re-expand
-the same regions every batch), and it was mutated from worker threads
-without synchronization (two threads could compute the same region twice
-and the dedup counters could undercount).
-
-:class:`RegionCache` fixes both.  It is owned by the service, so regions
-are shared *across* batches; all state is guarded by one lock; and an
-*in-flight* table deduplicates concurrent computations of the same key —
-the second thread waits for the first instead of re-expanding, which is
-what makes the ``BatchReport`` counters exact under ``max_workers > 1``.
+:class:`RegionCache` is owned by the
+:class:`~repro.core.service.QueryService`, so regions are shared *across*
+batches, not just within one: nearby workloads stop re-expanding the same
+regions every batch.  It has no lock of its own — it runs under the
+engine lock the client takes at every entry point.
 
 The cache key is exactly the region identity: ``(strategy, seeds, start
 slot, Δt hops, near/far kind, Δt)`` — sub-slot start time and probability
@@ -23,13 +16,12 @@ when trajectory data is appended or indexes are rebuilt.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 
 class RegionCache:
-    """LRU ``key -> BoundingRegion`` map with in-flight deduplication.
+    """LRU ``key -> BoundingRegion`` map with hit/miss counters.
 
     Args:
         capacity: maximum number of cached regions; least recently used
@@ -40,84 +32,43 @@ class RegionCache:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()  # guarded_by: _lock
-        self._inflight: dict[Hashable, threading.Event] = {}  # guarded_by: _lock
-        self._generation = 0  # guarded_by: _lock
-        self.hits = 0  # guarded_by: _lock
-        self.misses = 0  # guarded_by: _lock
-        self.invalidations = 0  # guarded_by: _lock
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def get_or_compute(
         self, key: Hashable, compute: Callable[[], Any]
     ) -> tuple[Any, bool]:
-        """Return ``(value, reused)``; computes at most once per key.
+        """Return ``(value, reused)``, computing and caching on a miss.
 
-        A thread that finds the key neither cached nor in flight computes
-        the value itself (outside the lock) and publishes it; concurrent
-        requesters for the same key block on the computing thread's event
-        and count as reuses.  If the computation raises, waiters retry so
-        one failure does not poison the key.
+        A computation that raises caches nothing, so one failure does not
+        poison the key.
         """
-        while True:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return self._entries[key], True
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    generation = self._generation
-                    self.misses += 1
-                    break
-            event.wait()
-            # Loop: the value is normally cached now; if the computing
-            # thread failed (or the entry was already evicted), recompute.
-        try:
-            value = compute()
-        except BaseException:
-            with self._lock:
-                self._inflight.pop(key, None)
-            event.set()
-            raise
-        with self._lock:
-            if self._generation == generation:
-                # An invalidation during the computation means the value
-                # may derive from pre-invalidation data: return it to the
-                # requester (its own query began before the change) but
-                # never publish it for later queries.
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-            self._inflight.pop(key, None)
-        event.set()
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return self._entries[key], True
+        self.misses += 1
+        value = compute()
+        self._entries[key] = value
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
         return value, False
 
     def invalidate(self) -> None:
-        """Drop every cached region (data or index change).
-
-        Also fences in-flight computations: a region still being computed
-        from pre-invalidation data will not be published into the cache
-        when it finishes.
-        """
-        with self._lock:
-            self._entries.clear()
-            self._generation += 1
-            self.invalidations += 1
+        """Drop every cached region (data or index change)."""
+        self._entries.clear()
+        self.invalidations += 1
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-            }
+        return {
+            "size": len(self._entries),
+            "capacity": self.capacity,
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+        }

@@ -76,7 +76,8 @@ class BatchReport:
     Attributes:
         results: per-query results, in submission order.
         plans: the (deduplicated, shared) plan of each query.
-        wall_time_s: batch wall time.
+        wall_time_s: batch execution wall time (a stream's: the sum of
+            the pulls that executed requests).
         io: batch-level disk-stat difference, including buffer-pool
             hit/miss/eviction counters.
         simulated_io_ms: accounted I/O cost of the batch's page reads.
@@ -165,8 +166,7 @@ class BatchReport:
             (
                 "Batched I/O",
                 f"{cost.batched_record_reads:,} record gathers / "
-                f"{cost.prefetched_pages:,} pages prefetched "
-                f"({cost.pool_lock_shards} pool lock shards)",
+                f"{cost.prefetched_pages:,} pages prefetched",
             ),
             ("Plans reused", f"{self.plans_reused}"),
         ] + (

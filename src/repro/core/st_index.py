@@ -29,7 +29,6 @@ algorithms compete on.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -245,14 +244,9 @@ class STIndex:
         # charges those through the buffer pool either way), and only
         # skips the decode/filter/concat work.  Cleared when appends extend
         # a directory chain.
-        self._window_gathers: OrderedDict[  # guarded_by: _record_lock
+        self._window_gathers: OrderedDict[
             tuple[int, tuple], tuple[np.ndarray, int, tuple[int, ...]]
         ] = OrderedDict()
-        # Bumped (under _record_lock) whenever appends grow a directory
-        # chain; a gather that started before the bump must not insert
-        # its pre-append entry into the memo after the clear.
-        self._data_epoch = 0  # guarded_by: _record_lock
-        self._record_lock = threading.Lock()
         self.stats = STIndexStats(num_slots=self.num_slots)
 
     # -- construction ----------------------------------------------------------
@@ -421,9 +415,7 @@ class STIndex:
         # (Tail-page cache coherence is handled by the disk's write-through
         # invalidation of attached pools.)  The window-gather memo is keyed
         # by segment, not pointer, so grown chains must invalidate it.
-        with self._record_lock:
-            self._window_gathers.clear()
-            self._data_epoch += 1
+        self._window_gathers.clear()
         self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
         return len(delta)
@@ -531,31 +523,29 @@ class STIndex:
         cache_on = self.record_cache_size > 0
         results: list = []
         misses: list[tuple[int, int]] = []
-        with self._record_lock:
-            epoch = self._data_epoch
-            gathers = self._window_gathers
-            for segment_id in segment_ids:
-                entry = gathers.get((segment_id, plan)) if cache_on else None
-                if entry is None:
-                    misses.append((len(results), segment_id))
-                else:
-                    gathers.move_to_end((segment_id, plan))
-                results.append(entry)
-            if not misses:
-                return results
-            # Per plan step (one slot of one window part): its slot and the
-            # seconds bounds of its part, unbounded where the slot lies
-            # wholly inside the part.
-            steps = [
-                (slot, -np.inf, np.inf)
-                if lo <= slot * self.delta_t_s and (slot + 1) * self.delta_t_s <= hi
-                else (slot, lo, hi)
-                for lo, hi, first_slot, last_slot in plan
-                for slot in range(first_slot, last_slot + 1)
-            ]
-            pairs, rows = self.directory.probe(
-                [segment_id for _, segment_id in misses], [slot for slot, _, _ in steps]
-            )
+        gathers = self._window_gathers
+        for segment_id in segment_ids:
+            entry = gathers.get((segment_id, plan)) if cache_on else None
+            if entry is None:
+                misses.append((len(results), segment_id))
+            else:
+                gathers.move_to_end((segment_id, plan))
+            results.append(entry)
+        if not misses:
+            return results
+        # Per plan step (one slot of one window part): its slot and the
+        # seconds bounds of its part, unbounded where the slot lies wholly
+        # inside the part.
+        steps = [
+            (slot, -np.inf, np.inf)
+            if lo <= slot * self.delta_t_s and (slot + 1) * self.delta_t_s <= hi
+            else (slot, lo, hi)
+            for lo, hi, first_slot, last_slot in plan
+            for slot in range(first_slot, last_slot + 1)
+        ]
+        pairs, rows = self.directory.probe(
+            [segment_id for _, segment_id in misses], [slot for slot, _, _ in steps]
+        )
         miss_of, step_of = np.divmod(pairs, len(steps))
         first_pages, num_pages, offsets, lengths = rows.T
         keys, ends = _EMPTY_KEYS, np.zeros(1, dtype=np.int64)
@@ -591,16 +581,10 @@ class STIndex:
                 pages[page_cuts[i] : page_cuts[i + 1]],
             )
         if cache_on:
-            with self._record_lock:
-                # An append may have cleared the memo while this gather ran
-                # outside the lock; inserting the pre-append entry would
-                # resurrect stale data.
-                if self._data_epoch == epoch:
-                    gathers = self._window_gathers
-                    for position, segment_id in misses:
-                        gathers[(segment_id, plan)] = results[position]
-                    while len(gathers) > self.record_cache_size:
-                        gathers.popitem(last=False)
+            for position, segment_id in misses:
+                gathers[(segment_id, plan)] = results[position]
+            while len(gathers) > self.record_cache_size:
+                gathers.popitem(last=False)
         return results
 
     def time_list(self, segment_id: int, slot: int) -> dict[int, set[int]]:

@@ -1,8 +1,8 @@
 """Sharded multi-process serving: route, scatter, gather.
 
 The single-process pipeline (client → router → planner → executor →
-storage) is GIL-bound: ``run_batch`` time-shares one interpreter however
-many threads it runs.  This package exports the engine once, rebuilds one
+storage) runs one thread at a time per engine, and one interpreter's
+GIL would bound it anyway.  This package exports the engine once, rebuilds one
 full replica (ST-Index, Con-Index and its own
 :class:`~repro.storage.disk.SimulatedDisk`) in each ``multiprocessing``
 worker process, and serves them behind a scatter-gather dispatcher:

@@ -12,9 +12,9 @@ ids (the sparse disk preserved the parent's append tail).
 A ``("run", request_id, ...)`` message carries the sub-batch of every
 routing group the worker hosts (the dispatcher deals groups round-robin
 across workers); the replica answers each group with a fresh
-:class:`~repro.core.service.QueryService` and a **serial** ``run_batch``
-— determinism and exact accounting beat intra-worker thread
-parallelism, which the process fan-out already provides.
+:class:`~repro.core.service.QueryService` and one ``run_batch`` — every
+engine runs one thread at a time, and the process fan-out is the
+parallelism.
 
 Failure semantics: every command is handled in per-message isolation —
 a malformed frame, a version mismatch, or an exception inside
@@ -108,7 +108,7 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
 
 
 def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
-    """Run ``[(seq, part_idx, Request)]`` serially on ``service``.
+    """Run ``[(seq, part_idx, Request)]`` as one batch on ``service``.
 
     The one sub-batch runner: a worker calls it per hosted group, the
     dispatcher for degraded group maps and for the foreign-Δt list, so
@@ -118,9 +118,7 @@ def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
     """
     started = perf_counter()
     with ReachabilityClient(service) as client:
-        report = client.run_batch(
-            [request for _, _, request in entries], warm=warm, max_workers=1
-        )
+        report = client.run_batch([request for _, _, request in entries], warm=warm)
     results = [
         (seq, part_idx, pack_result(result))
         for (seq, part_idx, _), result in zip(entries, report.results)

@@ -11,8 +11,8 @@ savings first-class and measurable:
 * :class:`~repro.storage.pagestore.PageStore` — a record store on top of the
   disk; each record lives on one contiguous *extent* of pages and writes
   are group-committed page-at-a-time.
-* :class:`~repro.storage.pagestore.BufferPool` — a striped LRU page cache
-  with single-flight misses; only cache misses charge disk reads,
+* :class:`~repro.storage.pagestore.BufferPool` — a striped LRU page
+  cache; only cache misses charge disk reads,
   mirroring a DBMS buffer manager, and
   :meth:`~repro.storage.pagestore.BufferPool.get_pages` charges a whole
   wave of records' pages in one pass.

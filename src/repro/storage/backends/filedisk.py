@@ -275,7 +275,7 @@ class FileBackedDisk(SimulatedDisk):
                 return
             pages = sorted(self._dirty)
             self._ensure_resident_locked_span(pages)
-            payload = self._encode_record_locked(pages, meta)
+            payload = self._encode_journal_locked(pages, meta)
             self._journal_append_locked(payload)
             self._dirty.clear()
             self._journal_metas.append(meta)
@@ -369,7 +369,7 @@ class FileBackedDisk(SimulatedDisk):
     # -- internal: journal ----------------------------------------------
 
     # repro-lint: holds=_lock
-    def _encode_record_locked(self, pages: List[int], meta: bytes) -> bytes:
+    def _encode_journal_locked(self, pages: List[int], meta: bytes) -> bytes:
         parts = [
             struct.pack("<III", len(self._used), len(meta), len(pages)),
             meta,
@@ -444,7 +444,7 @@ class FileBackedDisk(SimulatedDisk):
                     f"of {path.name} and is not the final record",
                     record_index=index,
                 )
-            self._apply_record_locked(payload, index)
+            self._apply_journal_locked(payload, index)
             offset = body_start + length
             good_end = offset
             index += 1
@@ -455,7 +455,7 @@ class FileBackedDisk(SimulatedDisk):
             os.truncate(path, good_end)
 
     # repro-lint: holds=_lock
-    def _apply_record_locked(self, payload: bytes, index: int) -> None:
+    def _apply_journal_locked(self, payload: bytes, index: int) -> None:
         try:
             num_pages, meta_len, page_count = struct.unpack_from("<III", payload, 0)
             pos = 12

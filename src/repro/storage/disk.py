@@ -15,12 +15,14 @@ contiguous run of pages handed out by :meth:`SimulatedDisk.allocate` — is a
 single buffer slice.  Reading is split into its two halves: charging
 (:meth:`SimulatedDisk.charge_reads`, which buffer pools call for their
 misses) and the uncharged data read (:meth:`SimulatedDisk.extent_bytes`,
-which takes a whole wave of records as columns under one lock).  All
-counter updates run under one internal lock, so threaded batch workers
-produce exact totals; every update is additionally mirrored onto the
-calling thread's private counters (:meth:`SimulatedDisk.local_snapshot`),
-so a worker thread can window exactly its own query's I/O while the batch
-runs concurrently.
+which takes a whole wave of records as columns under one lock).
+
+The disk is the one storage object several stores and engines may share,
+so it keeps one internal lock over its buffer, its counters and (for the
+file backend) its durable file operations.  Everything above it — stores,
+pools, indexes — runs under its engine's lock instead, so while one
+engine uses the disk a :meth:`SimulatedDisk.snapshot` difference around a
+query is exactly that query's I/O.
 """
 
 from __future__ import annotations
@@ -148,18 +150,11 @@ class SimulatedDisk:
         self._buf = bytearray()  # guarded_by: _lock
         self._used: list[int] = []  # payload length per page  # guarded_by: _lock
         self._pools: list[weakref.ReferenceType] = []  # guarded_by: _lock
-        # One lock covers buffer mutation and counter updates, so batch
-        # worker threads accumulate exact stats.  Neither side calls the
-        # other while holding its own lock: buffer pools charge their
-        # misses after releasing their shard locks, and write-through
-        # invalidation runs after this lock is released.
+        # One lock covers buffer mutation, counter updates and the
+        # backend's file operations: stores of several engines may share
+        # this disk.  Write-through invalidation of attached pools runs
+        # after it is released.
         self._lock = threading.Lock()
-        # Per-thread counter mirrors: every update below also lands on the
-        # calling thread's private DiskStats, so :meth:`local_snapshot`
-        # can open an accounting window that sees only the current
-        # thread's I/O — the per-query attribution batch worker threads
-        # need.  Thread-local, so no lock is required.
-        self._tlocal = threading.local()
 
     # -- allocation ----------------------------------------------------
 
@@ -206,14 +201,11 @@ class SimulatedDisk:
 
     def read_page(self, page_id: int) -> bytes:
         """Read one page, charging a read to the stats."""
-        local = self._local_stats()
         with self._lock:
             used = self._used_checked(page_id)
             self._ensure_resident_locked(page_id, 1)
             self.stats.page_reads += 1
             self.stats.bytes_read += used
-            local.page_reads += 1
-            local.bytes_read += used
             start = page_id * self.page_size
             return bytes(self._buf[start : start + used])
 
@@ -225,15 +217,12 @@ class SimulatedDisk:
         and copies nothing: buffer pools charge their misses here, and
         readers take the bytes from :meth:`extent_bytes`.
         """
-        local = self._local_stats()
         with self._lock:
             total_bytes = 0
             for page_id in page_ids:
                 total_bytes += self._used_checked(page_id)
             self.stats.page_reads += len(page_ids)
             self.stats.bytes_read += total_bytes
-            local.page_reads += len(page_ids)
-            local.bytes_read += total_bytes
 
     def write_page(self, page_id: int, payload: bytes) -> None:
         """Write one page, charging a write to the stats.
@@ -246,7 +235,6 @@ class SimulatedDisk:
             raise DiskError(
                 f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
             )
-        local = self._local_stats()
         with self._lock:
             self._used_checked(page_id)
             self._ensure_resident_locked(page_id, 1)
@@ -256,11 +244,9 @@ class SimulatedDisk:
             self._note_write_locked(page_id)
             self.stats.page_writes += 1
             self.stats.bytes_written += len(payload)
-            local.page_writes += 1
-            local.bytes_written += len(payload)
             pools = [ref() for ref in self._pools]
-        # Invalidate outside the lock: pools take their own shard locks
-        # and may call back into the disk on their next miss.
+        # Invalidate outside the lock: a pool calls back into the disk on
+        # its next miss.
         for pool in pools:
             if pool is not None:
                 pool.invalidate(page_id)
@@ -272,15 +258,13 @@ class SimulatedDisk:
         ``page_size`` except possibly the last, and each gets exactly the
         per-page effects of a ``write_page`` loop — payload length, backend
         residency/dirty hooks, one ``page_writes`` and its bytes on the
-        global and thread-local counters, write-through invalidation of
-        attached pools — under a single lock acquisition and one buffer
-        copy.
+        counters, write-through invalidation of attached pools — under a
+        single lock acquisition and one buffer copy.
         """
         size = len(data)
         count = -(-size // self.page_size)
         if count == 0:
             return
-        local = self._local_stats()
         with self._lock:
             self._used_checked(first_page)
             self._used_checked(first_page + count - 1)
@@ -294,8 +278,6 @@ class SimulatedDisk:
                 self._note_write_locked(page_id)
             self.stats.page_writes += count
             self.stats.bytes_written += size
-            local.page_writes += count
-            local.bytes_written += size
             pools = [ref() for ref in self._pools]
         # Invalidate outside the lock, as in write_page.
         for pool in pools:
@@ -407,31 +389,6 @@ class SimulatedDisk:
             stats.pool_evictions += pool.evictions
         return stats
 
-    def local_snapshot(self) -> DiskStats:
-        """The calling thread's own counters, for per-query windows.
-
-        Same shape as :meth:`snapshot` — disk counters plus live pools'
-        hit/miss/eviction counters — but restricted to I/O the *current
-        thread* performed.  Differencing two local snapshots around a
-        query attributes exactly that query's page accesses to it even
-        while other batch worker threads are reading concurrently;
-        single-threaded the difference is identical to a global-snapshot
-        difference.  Summing per-thread windows that cover all activity
-        reproduces the global totals (a single-flight page fetch is
-        charged to the thread that performed it; waiters record hits).
-        """
-        stats = self._local_stats().copy()
-        with self._lock:
-            pools = [ref() for ref in self._pools]
-        for pool in pools:
-            if pool is None:
-                continue
-            hits, misses, evictions = pool.local_counters()
-            stats.pool_hits += hits
-            stats.pool_misses += misses
-            stats.pool_evictions += evictions
-        return stats
-
     def reset_stats(self) -> None:
         with self._lock:
             self.stats = DiskStats()
@@ -441,8 +398,8 @@ class SimulatedDisk:
     def export_state(self) -> tuple[bytes, tuple[int, ...]]:
         """The backing buffer and per-page payload lengths, for persisting.
 
-        Snapshotted atomically under ``_lock`` so a save racing a
-        threaded batch can never export a half-written tail page.
+        Snapshotted atomically under ``_lock`` so a save racing another
+        engine's writes on a shared disk never exports a half-written page.
         """
         with self._lock:
             self._ensure_resident_locked(0, len(self._used))
@@ -535,12 +492,6 @@ class SimulatedDisk:
         No-op in RAM; the file-backed backend marks the page dirty so
         the next :meth:`commit` journals it.  Called with ``_lock`` held.
         """
-
-    def _local_stats(self) -> DiskStats:
-        stats = getattr(self._tlocal, "stats", None)
-        if stats is None:
-            stats = self._tlocal.stats = DiskStats()
-        return stats
 
     # repro-lint: holds=_lock
     def _used_checked(self, page_id: int) -> int:

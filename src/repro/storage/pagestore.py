@@ -19,20 +19,19 @@ extent includes the dirty tail flushes it first, keeping readers coherent.
 of page *ids* that decides which page accesses are free (repeated access to
 hot pages, e.g. the start segment's time list during trace-back search) and
 which cost a disk read.  It keeps no page bytes — readers take payloads as
-extent slices — so a miss is a charge, not a copy.  The pool is **striped**
-into independently locked LRU shards (``page_id % shards``) with
-*single-flight* misses — a missed id enters its shard's LRU while the shard
-lock is held, so two threads missing the same page charge exactly one disk
-read and threaded-batch :class:`~repro.storage.disk.DiskStats` stay
-deterministic.  :meth:`BufferPool.get_pages` charges a whole batch of page
-accesses taking each shard lock once and charging its misses in one
+extent slices — so a miss is a charge, not a copy.  The pool's eviction
+policy is **striped**: ``page_id % shards`` picks one of several LRUs, each
+with its share of the capacity.  :meth:`BufferPool.get_pages` charges a
+whole batch of page accesses and charges its misses in one
 :meth:`SimulatedDisk.charge_reads`, the entry point the wave-granular record
 gathers use.
+
+Neither class has a lock: a store and its pool belong to one engine, whose
+lock the client takes at every entry point.  Only the shared disk locks.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
@@ -41,9 +40,8 @@ import numpy as np
 
 from repro.storage.disk import DiskError, SimulatedDisk
 
-#: Default lock-stripe count for :class:`BufferPool`.  Small enough that a
-#: few-hundred-page pool still gets meaningfully sized LRU shards, large
-#: enough that batch worker threads rarely contend on one lock.
+#: Default LRU-stripe count for :class:`BufferPool`: the eviction policy
+#: every recorded page-read figure was measured under.
 DEFAULT_POOL_SHARDS = 8
 
 
@@ -85,11 +83,6 @@ class PageStore:
     boundary, plus :meth:`flush` at build end); directory state (record
     pointers) lives in memory, as index directories do in the paper's
     design, while record *payloads* cost disk I/O to read back.
-
-    The tail state is guarded by an internal lock, so concurrent appends
-    (the Con-Index materialises entries lazily from query worker
-    threads) cannot interleave a record's extent; reads are thread-safe
-    via the same lock plus the disk's and pool's own locks.
     """
 
     def __init__(self, disk: SimulatedDisk) -> None:
@@ -97,10 +90,9 @@ class PageStore:
         # The tail page is allocated lazily on first append, so opening a
         # store over existing pages (the persistence restore path) does
         # not grow the disk.
-        self._tail_page_id: int | None = None  # guarded_by: _tail_lock
-        self._tail = bytearray()  # guarded_by: _tail_lock
-        self._dirty = False  # guarded_by: _tail_lock
-        self._tail_lock = threading.Lock()
+        self._tail_page_id: int | None = None
+        self._tail = bytearray()
+        self._dirty = False
 
     @property
     def disk(self) -> SimulatedDisk:
@@ -118,11 +110,6 @@ class PageStore:
         commit's page-boundary flush); a partial final page becomes the
         new dirty tail.
         """
-        with self._tail_lock:
-            return self._append_locked(payload)
-
-    # repro-lint: holds=_tail_lock
-    def _append_locked(self, payload: bytes) -> RecordPointer:
         disk = self._disk
         page_size = disk.page_size
         if self._tail_page_id is None:
@@ -208,11 +195,9 @@ class PageStore:
                 f"record lengths sum to {int(sizes.sum())} bytes, "
                 f"stream holds {len(data)}"
             )
-        with self._tail_lock:
-            return self._append_many_locked(data, sizes)
+        return self._append_many(data, sizes)
 
-    # repro-lint: holds=_tail_lock
-    def _append_many_locked(
+    def _append_many(
         self, data: memoryview, lengths: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if lengths.size == 0:
@@ -241,12 +226,12 @@ class PageStore:
             # tail is retired and the rest start a fresh extent at offset 0.
             fit = int(np.searchsorted(pages + num_pages, 1, side="right"))
             cut = int(lengths[:fit].sum())
-            head = self._append_many_locked(data[:cut], lengths[:fit])
+            head = self._append_many(data[:cut], lengths[:fit])
             if self._dirty:
                 self._flush_tail()
             self._tail_page_id = None
             self._tail = bytearray()
-            rest = self._append_many_locked(data[cut:], lengths[fit:])
+            rest = self._append_many(data[cut:], lengths[fit:])
             first, count, offset, length = (
                 np.concatenate(pair) for pair in zip(head, rest)
             )
@@ -274,13 +259,8 @@ class PageStore:
 
     def flush(self) -> None:
         """Write the dirty tail page out (the build-end group commit)."""
-        # Double-checked fast path: a stale False only skips a flush some
-        # other writer is responsible for; the locked re-check decides.
-        if not self._dirty:  # repro-lint: disable=RL001
-            return
-        with self._tail_lock:
-            if self._dirty:
-                self._flush_tail()
+        if self._dirty:
+            self._flush_tail()
 
     def ensure_committed(self, pointers) -> None:
         """Flush the tail iff any pointer's extent includes the dirty tail.
@@ -290,24 +270,15 @@ class PageStore:
         before slicing record bytes out of the backing buffer.
         ``pointers`` are ``(first_page, num_pages, offset, length)`` rows —
         an ``(n, 4)`` array, plain tuples or :class:`RecordPointer`
-        objects — tested in one vector pass.  The
-        unlocked ``_dirty`` fast check is safe: a pointer only becomes
-        visible to readers after its append returned, at which point any
-        of its unflushed bytes have already set the flag.
+        objects — tested in one vector pass.
         """
-        # Double-checked fast path; see the docstring for why the unlocked
-        # read cannot miss a flush a visible pointer depends on.
-        if not self._dirty:  # repro-lint: disable=RL001
+        if not self._dirty:
             return
-        with self._tail_lock:
-            if not self._dirty:
-                return
-            rows = np.array([tuple(row) for row in pointers], dtype=np.int64).reshape(-1, 4)
-            tail = self._tail_page_id
-            if ((rows[:, 0] <= tail) & (tail < rows[:, 0] + rows[:, 1])).any():
-                self._flush_tail()
+        rows = np.array([tuple(row) for row in pointers], dtype=np.int64).reshape(-1, 4)
+        tail = self._tail_page_id
+        if ((rows[:, 0] <= tail) & (tail < rows[:, 0] + rows[:, 1])).any():
+            self._flush_tail()
 
-    # repro-lint: holds=_tail_lock
     def _flush_tail(self) -> None:
         self._disk.write_page(self._tail_page_id, bytes(self._tail))
         self._dirty = False
@@ -333,41 +304,32 @@ class PageStore:
 
 
 class _PoolShard:
-    """One lock stripe of a :class:`BufferPool`: an LRU of page ids plus
-    counters."""
+    """One LRU stripe of a :class:`BufferPool`: page ids plus its quota."""
 
-    __slots__ = ("lock", "pages", "quota", "hits", "misses", "evictions")
+    __slots__ = ("pages", "quota")
 
     def __init__(self, quota: int) -> None:
-        self.lock = threading.Lock()
         self.pages: OrderedDict[int, None] = OrderedDict()
         self.quota = quota
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class BufferPool:
-    """A fixed-capacity LRU over disk page ids, striped for concurrency.
+    """A fixed-capacity LRU over disk page ids, striped by page id.
 
     The pool decides which page accesses cost a disk read — a hit is free,
     a miss is charged — and keeps no page bytes: readers take record
     payloads as extent slices (:meth:`SimulatedDisk.extent_bytes`), so a
-    resident page is just its id.  Ids map to ``page_id % num_shards`` lock
-    stripes, each an independent LRU holding its share of the capacity.  A
-    miss enters its stripe's LRU *while the shard lock is held* — the
-    single-flight guarantee: a second thread requesting the same missing
-    page blocks on the shard lock and then hits, so concurrent misses
-    charge exactly one disk read and the hit/miss counters match the
-    sequential schedule.  A call's misses are charged through one
-    :meth:`SimulatedDisk.charge_reads` once its shard locks are released.
+    resident page is just its id.  Ids map to ``page_id % num_shards``
+    stripes, each an independent LRU holding its share of the capacity.
+    A call's misses are charged through one
+    :meth:`SimulatedDisk.charge_reads`.
 
     Args:
         disk: backing simulated disk.
         capacity: maximum number of resident pages across all shards;
             ``0`` disables caching (every access is a disk read).
-        shards: requested lock-stripe count; clamped to ``capacity`` so
-            every shard holds at least one page.
+        shards: requested stripe count; clamped to ``capacity`` so every
+            shard holds at least one page.
     """
 
     def __init__(
@@ -387,39 +349,15 @@ class BufferPool:
         self._shards = [
             _PoolShard(base + (1 if i < remainder else 0)) for i in range(count)
         ]
-        # Per-thread mirrors of the hit/miss/eviction counters, updated
-        # alongside the shard counters: the disk's local_snapshot sums
-        # them so per-query accounting windows stay exact under threads.
-        self._tlocal = threading.local()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         disk.attach_pool(self)
-
-    def _local(self) -> list:
-        counters = getattr(self._tlocal, "counters", None)
-        if counters is None:
-            counters = self._tlocal.counters = [0, 0, 0]
-        return counters
-
-    def local_counters(self) -> tuple[int, int, int]:
-        """The calling thread's (hits, misses, evictions) contributions."""
-        counters = self._local()
-        return counters[0], counters[1], counters[2]
 
     @property
     def num_shards(self) -> int:
-        """Lock stripes backing the pool (the ``pool_lock_shards`` metric)."""
+        """LRU stripes backing the pool."""
         return len(self._shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
 
     def get_page(self, page_id: int) -> None:
         """Charge one page access: free on a hit, one disk read on a miss."""
@@ -430,11 +368,11 @@ class BufferPool:
 
         ``page_ids`` is a sequence or an integer array.  Identical to
         calling :meth:`get_page` once per id in order — same hits, misses,
-        evictions and disk reads, duplicates charged every time — but each
-        shard's lock is taken once and the misses are charged in one
-        :meth:`SimulatedDisk.charge_reads`.  Accesses are processed per
-        shard in input order; shards are independent LRUs, so cross-shard
-        interleaving cannot change any counter.
+        evictions and disk reads, duplicates charged every time — but the
+        misses are charged in one :meth:`SimulatedDisk.charge_reads`.
+        Accesses are processed per shard in input order; shards are
+        independent LRUs, so cross-shard interleaving cannot change any
+        counter.
         """
         self._access(self._checked(page_ids))
 
@@ -452,45 +390,31 @@ class BufferPool:
         return ids
 
     def _access(self, ids: list[int]) -> None:
-        local = self._local()
         if self.capacity == 0:
+            self.misses += len(ids)
             misses = ids
-            shard = self._shards[0]
-            with shard.lock:
-                shard.misses += len(ids)
-            local[1] += len(ids)
         else:
             buckets: list[list[int]] = [[] for _ in self._shards]
             for page_id in ids:
                 buckets[page_id % len(buckets)].append(page_id)
             misses = []
+            evictions = 0
             for shard, bucket in zip(self._shards, buckets):
-                if not bucket:
-                    continue
-                with shard.lock:
-                    pages = shard.pages
-                    move_to_end = pages.move_to_end
-                    quota = shard.quota
-                    before = len(misses)
-                    evictions = 0
-                    for page_id in bucket:
-                        if page_id in pages:
-                            move_to_end(page_id)
-                            continue
-                        # Single flight: resident from here on, so a
-                        # concurrent request for the same page hits.
-                        misses.append(page_id)
-                        pages[page_id] = None
-                        if len(pages) > quota:
-                            pages.popitem(last=False)
-                            evictions += 1
-                    missed = len(misses) - before
-                    shard.hits += len(bucket) - missed
-                    shard.misses += missed
-                    shard.evictions += evictions
-                local[0] += len(bucket) - missed
-                local[1] += missed
-                local[2] += evictions
+                pages = shard.pages
+                move_to_end = pages.move_to_end
+                quota = shard.quota
+                for page_id in bucket:
+                    if page_id in pages:
+                        move_to_end(page_id)
+                        continue
+                    misses.append(page_id)
+                    pages[page_id] = None
+                    if len(pages) > quota:
+                        pages.popitem(last=False)
+                        evictions += 1
+            self.hits += len(ids) - len(misses)
+            self.misses += len(misses)
+            self.evictions += evictions
         if misses:
             self._disk.charge_reads(misses)
 
@@ -498,9 +422,6 @@ class BufferPool:
         """Drop one page (or everything) from the pool."""
         if page_id is None:
             for shard in self._shards:
-                with shard.lock:
-                    shard.pages.clear()
+                shard.pages.clear()
             return
-        shard = self._shards[page_id % len(self._shards)]
-        with shard.lock:
-            shard.pages.pop(page_id, None)
+        self._shards[page_id % len(self._shards)].pages.pop(page_id, None)

@@ -11,6 +11,7 @@ Covers the acceptance criteria of the client-API redesign:
   (``regions_reused`` increments across repeated sends).
 """
 
+import threading
 import warnings
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.eval import config
 from repro.spatial.geometry import Point
+from repro.storage.disk import DiskStats
 from repro.trajectory.model import day_time
 
 CENTER = Point(0.0, 0.0)
@@ -224,20 +226,21 @@ class TestStream:
         assert kinds == ["s", "r", "m", "r"]
         assert [route.kind for route in report.routes] == kinds
 
-    def test_threaded_stream_matches_serial(self, engine, fig48_requests):
-        serial = ReachabilityClient(engine).run_batch(fig48_requests)
-        threaded_client = ReachabilityClient(engine)
-        stream = threaded_client.stream(
-            fig48_requests, max_workers=4, window=2 * 4
-        )
-        responses = sorted(stream, key=lambda r: r.sequence)
-        assert [r.segments for r in responses] == [
-            r.segments for r in serial.results
+    def test_stream_pull_windows_exclude_interleaved_calls(self, engine):
+        """Each pull is its own accounting window: a send between two
+        pulls is charged to the send, never to the stream."""
+        requests = [
+            Request(SQuery(CENTER, T, 600, 0.2)),
+            Request(MQuery((CENTER, Point(1000.0, 800.0)), T, 600, 0.2)),
+            Request(SQuery(Point(400.0, 300.0), T, 900, 0.2)),
         ]
-        assert (
-            stream.report.regions_computed + stream.report.regions_reused
-            == serial.regions_computed + serial.regions_reused
-        )
+        client = ReachabilityClient(engine)
+        stream = client.stream(requests)
+        responses = [next(stream)]
+        between = client.send(Request(SQuery(CENTER, T, 1200, 0.4)))
+        responses.extend(stream)
+        assert between.cost.io.page_reads > 0
+        assert sum((r.cost.io for r in responses), DiskStats()) == stream.report.io
 
     def test_stream_mixed_delta_t(self, engine):
         """Per-request Δt rides in the envelope; contexts stay per-Δt."""
@@ -262,6 +265,88 @@ class TestStream:
         )
         with pytest.raises(ValueError, match="unknown"):
             client.stream([bad])
+
+
+def digest(result) -> tuple:
+    """A result's answer: its segments and the probabilities it computed."""
+    return tuple(sorted(result.segments)), tuple(sorted(result.probabilities.items()))
+
+
+class TestConcurrentCallers:
+    """One engine, one thread at a time: callers on many threads take
+    turns under the engine lock, so each call's answers and per-query
+    costs equal the same call made alone."""
+
+    def test_mixed_callers_match_serial(self, engine):
+        locations = [Point(x, y) for x in (-600.0, 0.0, 600.0) for y in (-400.0, 400.0)]
+        singles = [
+            Request(SQuery(location, T, duration, 0.2))
+            for location in locations
+            for duration in (600, 900)
+        ]
+        batches = [
+            singles[:5],
+            singles[5:9]
+            + [Request(MQuery((CENTER, Point(1000.0, 800.0)), T, 600, 0.2))],
+            [
+                Request(SQuery(CENTER, T, 600, 0.2), QueryOptions(direction="reverse")),
+                singles[9],
+                Request(SQuery(CENTER, T, 240, 0.3)),  # sub-slot: routed to es
+                singles[10],
+            ],
+        ]
+        # Four callers, each mixing send, submit(...).result() and run_batch.
+        calls = [
+            [("send", singles[caller]), ("batch", batches[caller % 3]),
+             ("submit", singles[11 - caller]), ("batch", batches[(caller + 1) % 3]),
+             ("send", singles[caller + 4])]
+            for caller in range(4)
+        ]
+        client = ReachabilityClient(engine)
+
+        def run(kind, payload):
+            if kind == "send":
+                return [client.send(payload).result], None
+            if kind == "submit":
+                return [client.submit(payload).result().result], None
+            report = client.run_batch(payload)
+            return report.results, report
+
+        def observed(kind, payload):
+            results, report = run(kind, payload)
+            if report is not None:
+                assert sum((r.cost.io for r in results), DiskStats()) == report.io
+            return [(digest(r), r.cost.io) for r in results]
+
+        with client:
+            # Every call once, so bounding regions and Con-Index entries
+            # exist before either measured pass: each call then starts from
+            # cold pools and a warm region cache, whatever ran before it.
+            for caller_calls in calls:
+                for call in caller_calls:
+                    run(*call)
+            serial = [[observed(*call) for call in caller_calls] for caller_calls in calls]
+            got: list = [None] * len(calls)
+            errors: list[BaseException] = []
+            start = threading.Barrier(len(calls))
+
+            def caller(index: int) -> None:
+                try:
+                    start.wait()
+                    got[index] = [observed(*call) for call in calls[index]]
+                except BaseException as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=caller, args=(index,))
+                for index in range(len(calls))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        assert not errors
+        assert got == serial
 
 
 class TestDeprecations:

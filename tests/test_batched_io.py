@@ -1,13 +1,13 @@
-"""Batched zero-copy I/O layer: accounting-equivalence and concurrency tests.
+"""Batched zero-copy I/O layer: accounting-equivalence tests.
 
 The contract under test (ISSUE 5): the batched read path — extent
 pointers, ``BufferPool.get_pages``, the
 ST-Index wave gathers — charges *exactly* what the preserved scalar
 read path (a sequential loop of ``PageStore.read`` calls) charges:
 same ``DiskStats`` (page reads/writes, bytes, pool hits/misses/
-evictions), same payloads, including under threaded gathers.  Plus the
-satellite fixes: group-commit write amplification, the single-flight
-double-miss race, and weakref hygiene in ``SimulatedDisk``.
+evictions), same payloads.  Plus group-commit write amplification,
+cross-store appends on a shared disk, and weakref hygiene in
+``SimulatedDisk``.
 """
 
 import gc
@@ -153,50 +153,35 @@ class TestStripedPool:
             )
             assert d1.stats == d2.stats
 
-    def test_single_flight_double_miss_race(self):
-        """Two threads missing the same page charge exactly one disk read."""
-        disk = SimulatedDisk()
-        page = disk.allocate()
-        disk.write_page(page, b"hot page")
-        pool = BufferPool(disk, capacity=64)
-        disk.reset_stats()
-        barrier = threading.Barrier(2)
-
-        def racer():
-            barrier.wait()  # both threads miss "simultaneously"
-            pool.get_page(page)
-
-        threads = [threading.Thread(target=racer) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert disk.stats.page_reads == 1
-        assert pool.misses == 1
-        assert pool.hits == 1
-
-    def test_many_threads_many_pages_deterministic_stats(self):
+    def test_stripe_quota_evicts_within_its_stripe(self):
+        """Stripes are the eviction policy: a full stripe evicts its own
+        least recently used page even while another stripe has room."""
         disk = SimulatedDisk(page_size=8)
-        disk.allocate(16)
-        for page in range(16):
-            disk.write_page(page, bytes([page]))
-        pool = BufferPool(disk, capacity=64)
-        disk.reset_stats()
-        barrier = threading.Barrier(8)
+        disk.allocate(8)
+        pool = BufferPool(disk, capacity=4, shards=2)  # quota 2 per stripe
+        pool.get_pages([0, 2, 1])  # stripe 0 holds {0, 2}, stripe 1 {1}
+        pool.get_page(4)  # stripe 0 is full: evicts 0, stripe 1 keeps room
+        assert (pool.hits, pool.misses, pool.evictions) == (0, 4, 1)
+        pool.get_pages([2, 4, 1])
+        assert (pool.hits, pool.misses, pool.evictions) == (3, 4, 1)
+        pool.get_page(0)
+        assert (pool.misses, pool.evictions) == (5, 2)
+        assert disk.stats.page_reads == 5
 
-        def worker():
-            barrier.wait()
-            pool.get_pages(list(range(16)))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # 8 workers x 16 accesses; each page misses exactly once overall.
-        assert disk.stats.page_reads == 16
-        assert pool.misses == 16
-        assert pool.hits == 8 * 16 - 16
+    def test_snapshot_sums_each_pools_counters(self):
+        disk = SimulatedDisk(page_size=8)
+        disk.allocate(6)
+        first = BufferPool(disk, capacity=2, shards=1)
+        second = BufferPool(disk, capacity=4)
+        first.get_pages([0, 1, 2, 0])  # 4 misses, 2 evictions
+        second.get_pages([3, 3, 4])  # 1 hit, 2 misses
+        stats = disk.snapshot()
+        assert (stats.pool_hits, stats.pool_misses, stats.pool_evictions) == (
+            first.hits + second.hits,
+            first.misses + second.misses,
+            first.evictions + second.evictions,
+        ) == (1, 6, 2)
+        assert stats.page_reads == 6
 
 
 class TestDiskWeakrefHygiene:
@@ -275,62 +260,18 @@ class TestConcurrentAppends:
             for store, pointer, payload in worker_results:
                 assert store.read(pointer) == payload
 
-    def test_threaded_appends_round_trip(self):
-        """The tail lock keeps concurrent appends' extents disjoint."""
-        disk = SimulatedDisk(page_size=32)
-        store = PageStore(disk)
-        barrier = threading.Barrier(4)
-        results: list[list[tuple[RecordPointer, bytes]]] = [[] for _ in range(4)]
-
-        def appender(worker: int):
-            rng = random.Random(worker)
-            barrier.wait()
-            for _ in range(200):
-                payload = bytes([worker]) * rng.randrange(0, 90)
-                results[worker].append((store.append(payload), payload))
-
-        threads = [
-            threading.Thread(target=appender, args=(w,)) for w in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        store.flush()
-        for worker_results in results:
-            for pointer, payload in worker_results:
-                assert store.read(pointer) == payload
-
-
-class TestConIndexConcurrency:
-    def test_threaded_lazy_materialization_single_flight(self, engine):
-        """Workers racing the same uncomputed entries charge each once."""
+class TestConIndexLazyEntries:
+    def test_each_entry_materialised_once(self, engine):
+        """Re-reading entries evicted from a tiny decoded-entry LRU reads
+        them back from the store instead of recomputing them."""
         from repro.core.con_index import ConnectionIndex
 
         con = ConnectionIndex(
             engine.network, engine.database, 300, entry_cache_size=4
         )
         keys = [(sid, 130) for sid in sorted(engine.network.segment_ids())[:12]]
-        barrier = threading.Barrier(4)
-        errors: list[Exception] = []
-
-        def worker():
-            try:
-                barrier.wait()
-                for segment_id, slot in keys:
-                    con.far(segment_id, slot)
-                    con.near(segment_id, slot)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        # Single flight: each (kind, segment, slot) materialised exactly
-        # once despite 4 racing workers and a tiny decoded-entry LRU.
+        first = [(con.far(*key), con.near(*key)) for key in keys]
+        assert [(con.far(*key), con.near(*key)) for key in keys] == first
         assert con.num_entries == 2 * len(keys)
         assert con.expansions == 2 * len(keys)
 
@@ -363,37 +304,6 @@ class TestGatherMemoInvalidation:
         index.append_trajectories([self._one_trajectory(segment_id, 777_001)])
         after = index.gather_window_columns((segment_id,), plan)[0][0]
         assert after.size == before.size + 1
-
-    def test_append_during_gather_does_not_resurrect_stale_entry(self, index):
-        """An append racing a gather must not leave a pre-append memo entry.
-
-        Deterministic version of the race: the gather walks the directory
-        (and snapshots its epoch), then an append lands before the memo
-        insert — emulated by triggering the append from the tail-commit
-        check that runs between the two.
-        """
-        segment_id = entry_keys(index)[0][0]
-        plan = index.window_plan(600.0, 1200.0)
-        original = index._store.ensure_committed
-        fired = []
-
-        def commit_hook(pointers):
-            if not fired:
-                fired.append(True)
-                index.append_trajectories(
-                    [self._one_trajectory(segment_id, 777_002)]
-                )
-            return original(pointers)
-
-        index._store.ensure_committed = commit_hook
-        try:
-            stale = index.gather_window_columns((segment_id,), plan)[0][0]
-        finally:
-            index._store.ensure_committed = original
-        # The raced gather itself may serve pre-append data, but it must
-        # not be memoized: the next gather sees the appended visit.
-        fresh = index.gather_window_columns((segment_id,), plan)[0][0]
-        assert fresh.size == stale.size + 1
 
 
 class TestGatherMemoAccounting:

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -540,13 +539,13 @@ class TestWriteExtent:
             disk.allocate(8)
             pool = BufferPool(disk, capacity=8)
             pool.get_pages(list(range(8)))  # every page cached before the write
-            before = disk.local_snapshot()
+            before = disk.snapshot()
             if bulk:
                 disk.write_extent(2, memoryview(data))
             else:
                 for i in range(0, size, PAGE):
                     disk.write_page(2 + i // PAGE, data[i : i + PAGE])
-            window = disk.local_snapshot() - before
+            window = disk.snapshot() - before
             cached = [
                 page for shard in pool._shards for page in shard.pages
             ]
@@ -556,25 +555,6 @@ class TestWriteExtent:
         assert states[0][1].page_writes == written
         # Write-through invalidation: exactly the written pages left the pool.
         assert states[0][2] == [p for p in range(8) if not 2 <= p < 2 + written]
-
-    def test_thread_local_stats_stay_with_the_writer(self):
-        disk = SimulatedDisk(page_size=PAGE)
-        disk.allocate(4)
-        windows = {}
-
-        def write():
-            before = disk.local_snapshot()
-            disk.write_extent(0, b"z" * (3 * PAGE))
-            windows["writer"] = disk.local_snapshot() - before
-
-        before = disk.local_snapshot()
-        worker = threading.Thread(target=write)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert windows["writer"].page_writes == 3
-        assert (disk.local_snapshot() - before).page_writes == 0
-        assert disk.stats.page_writes == 3 and disk.stats.bytes_written == 3 * PAGE
 
     def test_empty_write_is_free(self):
         disk = SimulatedDisk(page_size=PAGE)

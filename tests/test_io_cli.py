@@ -251,6 +251,22 @@ class TestCLI:
         assert " r/sqmb_tbs " in out
         assert " m/mqmb_tbs " in out  # auto: sqmb_tbs has no m executor
 
+    def test_batch_workers_without_shards_streams_in_process(
+        self, dataset_dir, capsys
+    ):
+        """Without --shards, --workers starts no process and no thread:
+        the batch streams in-process, one progress line per request."""
+        code = main([
+            "batch", "--dataset", dataset_dir, "--workers", "3", "--explain",
+            "--s-queries", "2", "--m-queries", "1", "--r-queries", "0",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        progress = [line for line in out.splitlines() if line.startswith("[")]
+        assert len(progress) == 3
+        assert "backend:" not in out
+        assert "Shard 0" not in out
+
     def test_batch_unknown_algorithm_friendly_error(self, dataset_dir, capsys):
         code = main([
             "batch", "--dataset", dataset_dir, "--algorithm", "nope",

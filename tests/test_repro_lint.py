@@ -687,22 +687,6 @@ class TestReintroducedViolationsFailGate:
         init.write_text(text, encoding="utf-8")
         assert any(f.rule == "RL005" for f in self.lint(src_copy))
 
-    def test_rl006_abba_lock_inversion(self, src_copy):
-        # The real hierarchy has PageStore._tail_lock -> _PoolShard.lock;
-        # a helper taking them in the opposite order closes the cycle.
-        store = src_copy / "repro" / "storage" / "pagestore.py"
-        text = store.read_text(encoding="utf-8")
-        store.write_text(
-            text
-            + "\n\ndef _abba_probe(shard, store):\n"
-            + "    with shard.lock:\n"
-            + "        with store._tail_lock:\n"
-            + "            pass\n",
-            encoding="utf-8",
-        )
-        findings = [f for f in self.lint(src_copy) if f.rule == "RL006"]
-        assert findings and any("ABBA" in f.message for f in findings)
-
     def test_rl007_uncharged_read_path(self, src_copy):
         # Give the one pipeline's front half (`start_estimators`, which
         # every registered executor runs through) a direct raw read that
@@ -723,7 +707,7 @@ class TestReintroducedViolationsFailGate:
     def test_rl008_unrendered_cost_field(self, src_copy):
         query = src_copy / "repro" / "core" / "query.py"
         text = query.read_text(encoding="utf-8")
-        needle = '    pool_lock_shards: int = field(default=0, metadata={"merge": max})\n'
+        needle = '    max_wave_size: int = field(default=0, metadata={"merge": max})\n'
         assert needle in text
         text = text.replace(needle, needle + "    phantom_counter: int = 0\n", 1)
         query.write_text(text, encoding="utf-8")
@@ -827,104 +811,6 @@ class TestReintroducedViolationsFailGate:
         assert findings and any("atomic_replace" in f.message for f in findings)
 
 
-class TestLockGraphCli:
-    """--write-lock-graph / --check-lock-graph: the committed-artifact
-    drift gate CI runs on every push."""
-
-    def run_cli(self, *args: str, cwd=REPO_ROOT):
-        return subprocess.run(
-            [sys.executable, "-m", "tools.repro_lint", *args],
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-        )
-
-    def test_committed_graph_matches_fresh_extraction(self):
-        result = self.run_cli(
-            "src/", "--check-lock-graph", "tools/repro_lint/lock_order.json"
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_committed_graph_is_cycle_free(self):
-        data = json.loads(
-            (REPO_ROOT / "tools" / "repro_lint" / "lock_order.json").read_text(
-                encoding="utf-8"
-            )
-        )
-        adjacency = {}
-        for edge in data["edges"]:
-            adjacency.setdefault(edge["from"], set()).add(edge["to"])
-
-        seen, stack = set(), set()
-
-        def dfs(node):
-            if node in stack:
-                return True
-            if node in seen:
-                return False
-            seen.add(node)
-            stack.add(node)
-            hit = any(dfs(nxt) for nxt in adjacency.get(node, ()))
-            stack.discard(node)
-            return hit
-
-        assert not any(dfs(lock["name"]) for lock in data["locks"])
-
-    def test_write_then_check_round_trips(self, tmp_path):
-        out = tmp_path / "lock_order.json"
-        result = self.run_cli("src/", "--write-lock-graph", str(out))
-        assert result.returncode == 0, result.stdout + result.stderr
-        check = self.run_cli("src/", "--check-lock-graph", str(out))
-        assert check.returncode == 0, check.stdout + check.stderr
-
-    def test_check_diverging_graph_fails(self, tmp_path):
-        out = tmp_path / "lock_order.json"
-        assert self.run_cli("src/", "--write-lock-graph", str(out)).returncode == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        data["locks"].append({"kind": "lock", "name": "repro.fake.Ghost._lock"})
-        out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        result = self.run_cli("src/", "--check-lock-graph", str(out))
-        assert result.returncode == 1
-        assert "diverge" in (result.stdout + result.stderr)
-
-    def test_check_missing_file_fails(self, tmp_path):
-        result = self.run_cli(
-            "src/", "--check-lock-graph", str(tmp_path / "absent.json")
-        )
-        assert result.returncode == 1
-
-    def test_write_exits_nonzero_on_cycle(self, tmp_path):
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "mod.py").write_text(
-            textwrap.dedent(
-                """
-                import threading
-
-                class Pair:
-                    def __init__(self):
-                        self.la = threading.Lock()
-                        self.lb = threading.Lock()
-
-                    def ab(self):
-                        with self.la:
-                            with self.lb:
-                                pass
-
-                    def ba(self):
-                        with self.lb:
-                            with self.la:
-                                pass
-                """
-            ),
-            encoding="utf-8",
-        )
-        out = tmp_path / "lock_order.json"
-        result = self.run_cli(str(tree), "--write-lock-graph", str(out))
-        assert result.returncode == 1
-        assert out.exists()
-
-
 # ---------------------------------------------------------------------------
 # Call graph — what it cannot follow is recorded, never dropped
 # ---------------------------------------------------------------------------
@@ -1004,7 +890,7 @@ class TestCallGraphBlindSpots:
 
     def test_every_registered_executor_reaches_its_family(self):
         """The real tree: each registration's search and estimator code is
-        on the call graph, i.e. inside what RL006/RL007 can prove things
+        on the call graph, i.e. inside what RL007 can prove things
         about.  Threading the pipeline through callables (``search=``,
         ``estimator_cls=``) breaks this."""
         from tools.repro_lint.callgraph import call_graph
@@ -1040,7 +926,7 @@ class TestCallGraphBlindSpots:
 
 
 # ---------------------------------------------------------------------------
-# RL006 — interprocedural lock order
+# Multi-file scratch trees
 # ---------------------------------------------------------------------------
 
 
@@ -1052,151 +938,6 @@ def lint_tree(tmp_path: Path, files, select=None):
         target.write_text(textwrap.dedent(source), encoding="utf-8")
     _, findings = run_paths([str(tmp_path)], select=select)
     return findings
-
-
-class TestRL006LockOrder:
-    def test_consistent_order_passes(self, tmp_path):
-        source = """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.la = threading.Lock()
-                    self.lb = threading.Lock()
-
-                def ab(self):
-                    with self.la:
-                        with self.lb:
-                            pass
-
-                def also_ab(self):
-                    with self.la:
-                        with self.lb:
-                            pass
-        """
-        assert lint_snippet(tmp_path, source, select=["RL006"]) == []
-
-    def test_nested_abba_cycle_fails(self, tmp_path):
-        source = """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.la = threading.Lock()
-                    self.lb = threading.Lock()
-
-                def ab(self):
-                    with self.la:
-                        with self.lb:
-                            pass
-
-                def ba(self):
-                    with self.lb:
-                        with self.la:
-                            pass
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL006"])
-        assert rules_of(findings) == ["RL006"]
-        assert any("ABBA" in f.message for f in findings)
-
-    def test_interprocedural_abba_cycle_fails(self, tmp_path):
-        source = """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.la = threading.Lock()
-                    self.lb = threading.Lock()
-
-                def ab(self):
-                    with self.la:
-                        self._take_b()
-
-                def _take_b(self):
-                    with self.lb:
-                        pass
-
-                def ba(self):
-                    with self.lb:
-                        self._take_a()
-
-                def _take_a(self):
-                    with self.la:
-                        pass
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL006"])
-        assert any("ABBA" in f.message for f in findings)
-
-    def test_plain_lock_reacquire_is_self_deadlock(self, tmp_path):
-        source = """
-            import threading
-
-            class Counter:
-                def __init__(self):
-                    self.lock = threading.Lock()
-
-                def outer(self):
-                    with self.lock:
-                        self._inner()
-
-                def _inner(self):
-                    with self.lock:
-                        pass
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL006"])
-        assert rules_of(findings) == ["RL006"]
-        assert any("re-acquire" in f.message for f in findings)
-
-    def test_rlock_reacquire_passes(self, tmp_path):
-        source = """
-            import threading
-
-            class Counter:
-                def __init__(self):
-                    self.lock = threading.RLock()
-
-                def outer(self):
-                    with self.lock:
-                        self._inner()
-
-                def _inner(self):
-                    with self.lock:
-                        pass
-        """
-        assert lint_snippet(tmp_path, source, select=["RL006"]) == []
-
-    def test_unresolvable_lock_acquisition_fails(self, tmp_path):
-        source = """
-            class Worker:
-                def run(self, ext):
-                    with ext.some_lock:
-                        pass
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL006"])
-        assert rules_of(findings) == ["RL006"]
-        assert any("cannot resolve lock acquisition" in f.message for f in findings)
-
-    def test_holds_annotation_contributes_edges(self, tmp_path):
-        source = """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.la = threading.Lock()
-                    self.lb = threading.Lock()
-
-                # repro-lint: holds=la
-                def _b_under_a(self):
-                    with self.lb:
-                        pass
-
-                def ba(self):
-                    with self.lb:
-                        with self.la:
-                            pass
-        """
-        findings = lint_snippet(tmp_path, source, select=["RL006"])
-        assert any("ABBA" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------

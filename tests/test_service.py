@@ -135,17 +135,9 @@ class TestBatches:
         assert report.plans[1].kind == "m"
         assert len(report.results) == 2
 
-    def test_worker_pool_matches_sequential_batch(self, service, fig48_queries):
-        solo = run_batch(service, fig48_queries)
-        threaded = run_batch(service, fig48_queries, max_workers=4)
-        assert [r.segments for r in threaded.results] == [
-            r.segments for r in solo.results
-        ]
-
-    def test_threaded_batch_counters_exact(self, engine):
-        """Under max_workers > 1 the dedup counters stay exact: every
-        bounding_region call is counted once, and each distinct region is
-        computed exactly once (concurrent requesters wait, not recompute)."""
+    def test_batch_region_counters_exact(self, engine):
+        """The dedup counters are exact: every bounding_region call is
+        counted once, and each distinct region is computed exactly once."""
         fresh = QueryService(engine)
         durations = (600, 900, 1200, 1500)
         batch = [
@@ -153,14 +145,14 @@ class TestBatches:
             for duration in durations
             for prob in (0.2, 0.4, 0.8)
         ]
-        report = run_batch(fresh, batch, max_workers=8)
+        report = run_batch(fresh, batch)
         calls = 2 * len(batch)  # one far + one near region per query
         assert report.regions_computed + report.regions_reused == calls
         # 4 distinct (seeds, slot, steps) shapes x far/near.
         assert report.regions_computed == 2 * len(durations)
         assert report.regions_reused == calls - 2 * len(durations)
-        # A second threaded pass is served entirely from the service cache.
-        again = run_batch(fresh, batch, max_workers=8)
+        # A second pass is served entirely from the service cache.
+        again = run_batch(fresh, batch)
         assert again.regions_computed == 0
         assert again.regions_reused == calls
 
@@ -190,7 +182,7 @@ class TestBatches:
 
 # -- the one cost merge -------------------------------------------------------
 
-MAX_MERGED = {"max_wave_size", "pool_lock_shards"}
+MAX_MERGED = {"max_wave_size"}
 
 # Dyadic floats: sums are exact, so associativity is an equality.
 _amounts = st.integers(0, 1 << 20).map(lambda n: n / 64)

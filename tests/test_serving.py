@@ -77,39 +77,14 @@ def at_delta_t(requests, delta_t_s: int):
 
 
 class TestBatchAttribution:
-    """Per-query windows sum exactly to the batch window, threaded too."""
+    """Per-query windows sum exactly to the batch window."""
 
     def test_serial_per_query_io_sums_to_batch(self, engine):
         requests = mixed_requests(engine.network, 8, 2)
         client = ReachabilityClient(QueryService(engine))
-        report = client.run_batch(requests, max_workers=1)
+        report = client.run_batch(requests)
         total = sum((r.cost.io for r in report.results), DiskStats())
         assert total == report.io
-
-    def test_threaded_per_query_io_sums_to_batch(self, engine):
-        requests = mixed_requests(engine.network, 8, 2)
-        client = ReachabilityClient(QueryService(engine))
-        report = client.run_batch(requests, max_workers=4)
-        total = sum((r.cost.io for r in report.results), DiskStats())
-        # Every page read/pool hit is charged to exactly one executing
-        # thread, so the sum of per-query windows is the batch window —
-        # the regression this PR fixes (the old global-diff attribution
-        # double-counted overlapping queries).
-        assert total == report.io
-
-    def test_threaded_per_query_accesses_deterministic(self, engine):
-        requests = mixed_requests(engine.network, 8, 2)
-        client = ReachabilityClient(QueryService(engine))
-        serial = client.run_batch(requests, max_workers=1)
-        threaded = client.run_batch(requests, max_workers=4)
-        for a, b in zip(serial.results, threaded.results):
-            # hits-vs-misses can shift with scheduling (whoever touches a
-            # page first pays the miss) but each query's page *accesses*
-            # are a property of the query, not the schedule.
-            assert (
-                a.cost.io.pool_hits + a.cost.io.pool_misses
-                == b.cost.io.pool_hits + b.cost.io.pool_misses
-            )
 
 
 # -- partitioner ----------------------------------------------------------
@@ -287,7 +262,7 @@ def test_shard_windows_match_single_process_oracle(test_dataset):
             for _, _, request in dispatch.per_shard[shard_report.shard_id]
         ]
         with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
-            oracle_report = oracle.run_batch(sub_requests, max_workers=1)
+            oracle_report = oracle.run_batch(sub_requests)
         assert oracle_report.io == shard_report.io
 
 
@@ -340,7 +315,7 @@ def test_more_groups_than_workers_share_one_replica(test_dataset, monkeypatch):
             for _, _, request in dispatch.per_shard[shard_report.shard_id]
         ]
         with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
-            want = oracle.run_batch(sub_requests, max_workers=1).io
+            want = oracle.run_batch(sub_requests).io
         got = shard_report.io
         assert got.page_reads == want.page_reads
         assert got.bytes_read == want.bytes_read

@@ -55,7 +55,7 @@ pytestmark = [pytest.mark.sharded, pytest.mark.serving_faults]
 
 def oracle_report(test_dataset, requests):
     with ReachabilityClient(fresh_engine(test_dataset)) as client:
-        return client.run_batch(requests, max_workers=1)
+        return client.run_batch(requests)
 
 
 def assert_matches_oracle(report, baseline, decomposed):

@@ -171,7 +171,6 @@ def test_multi_seed_waves_charge_like_the_scalar_loop(engines, roads, data):
         assert cost.simulated_io_ms == reference.simulated_io_ms, where
         assert cost.probability_checks == reference.probability_checks, where
         assert cost.segments_expanded == reference.segments_expanded, where
-        assert cost.pool_lock_shards == reference.pool_lock_shards, where
         # The reference is all-scalar and reads record by record; the live
         # path splits the same evaluations between kernel and scalar probe,
         # and gathers exactly the records and page accesses it read.

@@ -71,37 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered rules and exit",
     )
-    parser.add_argument(
-        "--write-lock-graph",
-        metavar="FILE",
-        default=None,
-        help="extract the RL006 lock-order graph from PATHS, write it as "
-        "JSON, and exit 0 (1 if the graph has a cycle)",
-    )
-    parser.add_argument(
-        "--check-lock-graph",
-        metavar="FILE",
-        default=None,
-        help="extract the lock-order graph from PATHS and exit 1 if it "
-        "differs from the committed FILE or contains a cycle",
-    )
     return parser
-
-
-def _lock_graph_json(paths: list[str]) -> tuple[dict, list[list[str]]]:
-    from tools.repro_lint.callgraph import call_graph
-    from tools.repro_lint.core import build_project
-    from tools.repro_lint.rules.rl006_lock_order import lock_order_for
-
-    project = build_project(paths)
-    graph = lock_order_for(project)
-    unresolved = sorted(
-        {
-            f"{u.caller} :: {u.target} ({u.reason})"
-            for u in call_graph(project).unresolved
-        }
-    )
-    return graph.to_json(unresolved), graph.cycles()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,46 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("python -m tools.repro_lint: error: the following arguments are required: paths", file=sys.stderr)
         return 2
-
-    if args.write_lock_graph or args.check_lock_graph:
-        rendered_json, cycles = _lock_graph_json(args.paths)
-        payload = json.dumps(rendered_json, indent=2, sort_keys=True) + "\n"
-        if args.write_lock_graph:
-            Path(args.write_lock_graph).write_text(payload, encoding="utf-8")
-            print(
-                f"repro-lint: wrote lock-order graph "
-                f"({len(rendered_json['locks'])} locks, "
-                f"{len(rendered_json['edges'])} edges) to {args.write_lock_graph}"
-            )
-        else:
-            committed_path = Path(args.check_lock_graph)
-            if not committed_path.is_file():
-                print(
-                    f"repro-lint: no committed lock graph at {committed_path}; "
-                    "run --write-lock-graph and commit the result",
-                    file=sys.stderr,
-                )
-                return 1
-            committed = committed_path.read_text(encoding="utf-8")
-            if json.loads(committed) != rendered_json:
-                print(
-                    "repro-lint: extracted lock-order graph diverges from "
-                    f"{committed_path}; regenerate it with\n"
-                    f"  python -m tools.repro_lint {' '.join(args.paths)} "
-                    f"--write-lock-graph {committed_path}\n"
-                    "and review docs/architecture.md",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"repro-lint: lock-order graph matches {committed_path}")
-        if cycles:
-            for cycle in cycles:
-                print(
-                    "repro-lint: lock-order cycle: " + " -> ".join(cycle),
-                    file=sys.stderr,
-                )
-            return 1
-        return 0
 
     select = [s.strip() for s in args.select.split(",") if s.strip()] if args.select else None
     known = set(all_rules())

@@ -4,7 +4,7 @@ Nodes are the functions and methods of :class:`~tools.repro_lint.symbols.
 SymbolTable`; edges are resolved call sites.  Resolution is deliberately
 modest — exactly the forms the repro codebase uses — and everything it
 cannot resolve is recorded in :attr:`CallGraph.unresolved` rather than
-silently dropped, so the lock-order artifact can show its blind spots.
+silently dropped, so the proofs built on it can show their blind spots.
 
 Resolved forms:
 
@@ -24,10 +24,10 @@ Unresolved (recorded, not traversed): calls through typed receivers
 with unknown method names; calls through a parameter or a local variable
 (``search(...)`` where ``search`` is an argument: the callee is whatever
 the caller passed); and project functions or methods — local or imported —
-passed as arguments (the callee runs them on another thread or outside
-the caller's locks, so traversing them would invent lock-order edges that
-cannot happen).  Code threaded through callables is therefore *visibly*
-outside the reachability proofs, never silently so.
+passed as arguments (the callee decides when, and whether, to run them,
+so traversing them would invent call paths that may not happen).  Code
+threaded through callables is therefore *visibly* outside the
+reachability proofs, never silently so.
 
 Nested ``def``s are attributed to their enclosing named function: a
 closure's calls belong to the function that created it for reachability

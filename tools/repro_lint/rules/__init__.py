@@ -6,7 +6,6 @@ from tools.repro_lint.rules import (  # noqa: F401
     rl003_spawn,
     rl004_registry,
     rl005_deprecation,
-    rl006_lock_order,
     rl007_accounting_flow,
     rl008_counter_drift,
     rl009_protocol,

@@ -11,14 +11,17 @@ comment may only be read or written:
 * inside ``__init__`` itself (construction happens before the object
   escapes to other threads).
 
+Only the disk declares guarded fields: it is the one object several stores
+and engines share, so its buffer, counters and durable-file state stay
+under its own lock.  Everything above it runs under its engine's lock
+(``ReachabilityEngine.lock``) and declares none.
+
 The declaration comment may name the lock as ``_lock`` or
 ``self._lock``.  Multiple locks can be stacked by separating holds
-annotations with commas: ``# repro-lint: holds=_lock,_tail_lock``.
+annotations with commas: ``# repro-lint: holds=_lock,_other_lock``.
 
 Guarded fields and holds annotations come from the shared symbol table
-(:mod:`tools.repro_lint.symbols`), so RL001 and the interprocedural
-lock-order rule RL006 agree on what is guarded and what is held.  This
-remains a purely intra-class analysis: accesses through other objects
+(:mod:`tools.repro_lint.symbols`).  This is a purely intra-class analysis: accesses through other objects
 (``other._field``) and aliased locks (``lk = self._lock; with lk:``)
 are out of scope by design — the codebase does not use those shapes
 for guarded fields, and the annotations in src/repro keep it that way.

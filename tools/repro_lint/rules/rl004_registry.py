@@ -47,7 +47,7 @@ def _registry(project: Project) -> Tuple[Set[Tuple[str, str]], bool]:
 
     Thin view over the shared symbol table's executor registry — the
     same table the interprocedural rules dispatch through, so RL004 and
-    RL006/RL007 can never disagree about what is registered.
+    RL007 can never disagree about what is registered.
     """
     table = symbol_table(project)
     pairs = {(reg.kind, reg.name) for reg in table.executors}

@@ -2,21 +2,19 @@
 
 One pass over a :class:`~tools.repro_lint.core.Project` produces a
 :class:`SymbolTable`: modules with their import maps, classes with
-resolved attribute types and lock inventories, functions with their
+resolved attribute types and guarded fields, functions with their
 ``# repro-lint: holds=`` / ``# repro-lint: charged`` annotations, and
 the statically-rebuilt executor registry that RL004 pioneered.  The
-interprocedural rules (RL006-RL009) build their call graph on top of
+interprocedural rules (RL007-RL009) build their call graph on top of
 this table; the older intraprocedural rules (RL001-RL005) consume the
-per-class extracts so every rule agrees on what a lock, a guarded
-field, or a registered executor *is*.
+per-class extracts so every rule agrees on what a guarded field or a
+registered executor *is*.
 
 Resolution here is deliberately static and conservative:
 
 * attribute types come from ``__init__`` assignments whose right-hand
   side is a project-class constructor call or an annotated parameter
   (string annotations and ``X | None`` unions are unwrapped);
-* lock attributes are ``self.x = threading.Lock()`` / ``RLock()``
-  assignments (the kind distinguishes reentrant from plain locks);
 * anything that cannot be resolved is simply absent — callers such as
   the call-graph builder record their own explicit ``unresolved``
   entries instead of guessing.
@@ -45,8 +43,6 @@ HOLDS_RE = re.compile(
 #: ``# repro-lint: charged`` on/above a ``def`` line: the function's raw
 #: page accesses are pre-charged by an audited sibling call (RL007).
 CHARGED_RE = re.compile(r"#\s*repro-lint:\s*charged\b")
-
-LOCK_FACTORY_KINDS = {"Lock": "lock", "RLock": "rlock"}
 
 #: The raw-I/O contract, shared by RL002 (syntactic firewall: no raw disk
 #: calls outside storage/) and RL007 (dataflow proof: every executor path
@@ -109,7 +105,6 @@ class ClassInfo:
     bases: Tuple[str, ...] = ()  # raw base expressions (dotted names)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)  # attr -> class qualname
-    lock_attrs: Dict[str, str] = field(default_factory=dict)  # attr -> lock|rlock
     #: field -> (guarding lock attr, declaration line) from `# guarded_by:`
     guarded_fields: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
@@ -186,17 +181,6 @@ class SymbolTable:
                     stack.append(resolved)
         return None
 
-    def lock_owner(self, attr: str) -> Optional[Tuple[ClassInfo, str]]:
-        """The unique class owning a lock attribute named *attr*, if any."""
-        owners = [
-            (cls, cls.lock_attrs[attr])
-            for cls in self.classes.values()
-            if attr in cls.lock_attrs
-        ]
-        if len(owners) == 1:
-            return owners[0]
-        return None
-
 
 # ---------------------------------------------------------------------------
 # extraction
@@ -227,15 +211,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         head = _dotted(node.value)
         return f"{head}.{node.attr}" if head else None
     return None
-
-
-def _lock_kind(value: ast.AST) -> Optional[str]:
-    if not isinstance(value, ast.Call):
-        return None
-    name = _dotted(value.func)
-    if name is None:
-        return None
-    return LOCK_FACTORY_KINDS.get(name.rsplit(".", 1)[-1])
 
 
 def _unwrap_annotation(node: ast.AST) -> Iterator[ast.AST]:
@@ -408,7 +383,7 @@ def _infer_value_class(
 
 
 def _populate_class_details(table: SymbolTable) -> None:
-    """Second pass: attribute types, lock attrs, guarded fields, returns."""
+    """Second pass: attribute types, guarded fields, returns."""
     for cls in table.classes.values():
         for method in cls.methods.values():
             params = _param_annotations(method.node)
@@ -427,11 +402,6 @@ def _populate_class_details(table: SymbolTable) -> None:
                 ):
                     continue
                 attr = target.attr
-                if value is not None:
-                    kind = _lock_kind(value)
-                    if kind is not None:
-                        cls.lock_attrs.setdefault(attr, kind)
-                        continue
                 inferred = None
                 if value is not None:
                     inferred = _infer_value_class(table, cls.module, value, params)
