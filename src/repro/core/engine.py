@@ -86,8 +86,12 @@ class ReachabilityEngine:
         weak reference, so registering does not pin a service alive), so
         derived caches stay correct even when trajectories are appended
         or indexes dropped directly on the engine rather than through one
-        particular service.
+        particular service.  Hooks whose owner is gone are dropped here
+        too, so short-lived services do not pile up dead entries.
         """
+        self._data_change_hooks = [
+            hook for hook in self._data_change_hooks if hook() is not None
+        ]
         self._data_change_hooks.append(weakref.WeakMethod(callback))
 
     def _notify_data_change(self) -> None:

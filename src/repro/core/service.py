@@ -47,7 +47,7 @@ class ShardReport:
         simulated_io_ms: accounted cost of the group's page reads.
         wall_time_s: wall time of the group's sub-batch inside its worker.
         worker_wall_s: wall time of everything the worker did for this
-            group — service setup, the sub-batch, result packing.
+            group — client setup, the sub-batch, result packing.
         worker_restarts: times the supervisor respawned the group's
             worker process during the batch.
         retries: scatter attempts the group's worker needed beyond the

@@ -15,7 +15,9 @@ Routing: a request belongs to the group that **owns its start segment**
 runs as one cold sub-batch window, so nearby requests share pool pages.
 A cross-group m-query decomposes into per-group m-query parts whose
 union is, by the union semantics of multi-seed reachability, the same
-segment set the single-process engine computes.  A replica holds the
+segment set the single-process engine computes; a one-location part
+ships as the one s-query its ``sqmb_tbs_each`` route runs, so it joins
+its group's lock-step run.  A replica holds the
 ST-Index at one Δt, so a request at any other Δt falls back to the
 dispatcher's own single-process service.
 
@@ -53,11 +55,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 
 from repro.api.client import prepare_batch, resolve_delta_t
-from repro.api.envelope import Request, as_request
+from repro.api.envelope import QueryOptions, Request, as_request
 from repro.api.router import Router
 from repro.core.engine import ReachabilityEngine
 from repro.core.planner import plan_query  # noqa: F401 - resolved by name from outside (docs/architecture.md)
@@ -121,22 +123,17 @@ class DispatchPlan:
             sub-requests each group executes, in submission order.
         fallback: ``[(seq, Request), ...]`` answered dispatcher-locally
             (a foreign Δt).
-        decomposed: ``seq -> Request`` for cross-group m-queries whose
-            per-group parts need merging.
-        decomposed_starts: ``seq -> start segment ids`` for decomposed
-            m-queries, one per location in query order (the routing
-            pass already resolved them; the merge reuses them instead
-            of resolving again).
+        decomposed: ``seq -> start segment ids`` of the cross-group
+            m-queries whose per-group parts need merging, one per
+            location in query order (the routing pass already resolved
+            them; the merge reuses them instead of resolving again).
     """
 
     per_shard: dict[int, list[tuple[int, int, Request]]] = field(
         default_factory=dict
     )
     fallback: list[tuple[int, Request]] = field(default_factory=list)
-    decomposed: dict[int, Request] = field(default_factory=dict)
-    decomposed_starts: dict[int, tuple[int, ...]] = field(
-        default_factory=dict
-    )
+    decomposed: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def num_sub_requests(self) -> int:
@@ -183,14 +180,43 @@ class _FaultStats:
 
 
 def _merge_regions(regions: list) -> BoundingRegion | None:
+    """Union the parts' regions; ``seed_of`` keeps the first part's claim."""
     if any(region is None for region in regions):
         return None
-    merged = BoundingRegion()
-    for region in regions:
-        merged.cover |= region.cover
-        merged.boundary |= region.boundary
-        for segment_id, seed in region.seed_of.items():
-            merged.seed_of.setdefault(segment_id, seed)
+    seed_of: dict[int, int] = {}
+    for region in reversed(regions):
+        seed_of.update(region.seed_of)
+    return BoundingRegion(
+        cover=set().union(*(region.cover for region in regions)),
+        boundary=set().union(*(region.boundary for region in regions)),
+        seed_of=seed_of,
+    )
+
+
+def _merge_decomposed(
+    starts: tuple[int, ...], results: list[QueryResult]
+) -> QueryResult:
+    """Union the per-group parts of a decomposed m-query.
+
+    Segments union exactly (multi-seed reachability is a union over
+    seeds).  Probabilities max-merge: TBS only *computes* shell
+    probabilities, so a segment examined by two parts keeps the
+    larger (more-informed) value.  ``start_segments`` dedups the
+    routing pass's per-location start segments in query-location
+    order, so ordering matches the single-process result (routing
+    and ``find_start_segment`` share one exact resolver).  Regions
+    union too (:func:`_merge_regions`), when every part has them.
+    """
+    merged = QueryResult()
+    for result in results:
+        merged.segments |= result.segments
+        for segment_id, prob in result.probabilities.items():
+            if prob > merged.probabilities.get(segment_id, -1.0):
+                merged.probabilities[segment_id] = prob
+    merged.start_segments = tuple(dict.fromkeys(starts))
+    merged.max_region = _merge_regions([r.max_region for r in results])
+    merged.min_region = _merge_regions([r.min_region for r in results])
+    merged.cost = QueryCost.merged(r.cost for r in results)
     return merged
 
 
@@ -541,31 +567,38 @@ class ShardedEngine:
             first, count = span
             owners = owner_flat[first : first + count]
             query = request.query
-            if isinstance(query, MQuery):
-                if len(set(owners)) > 1:
-                    dispatch.decomposed[seq] = request
-                    dispatch.decomposed_starts[seq] = tuple(
-                        int(sid) for sid in starts[first : first + count]
+            if isinstance(query, MQuery) and len(set(owners)) > 1:
+                dispatch.decomposed[seq] = tuple(
+                    int(sid) for sid in starts[first : first + count]
+                )
+                groups: dict[int, list] = {}
+                for owner, location in zip(owners, query.locations):
+                    groups.setdefault(owner, []).append(location)
+                for part_idx, (owner, locations) in enumerate(groups.items()):
+                    part = replace(query, locations=tuple(locations))
+                    dispatch.per_shard[owner].append(
+                        (seq, part_idx, self._part_request(part, request.options))
                     )
-                    groups: dict[int, list] = {}
-                    for owner, location in zip(owners, query.locations):
-                        groups.setdefault(owner, []).append(location)
-                    for part_idx, (owner, locations) in enumerate(
-                        groups.items()
-                    ):
-                        part = MQuery(
-                            locations=tuple(locations),
-                            start_time_s=query.start_time_s,
-                            duration_s=query.duration_s,
-                            prob=query.prob,
-                        )
-                        dispatch.per_shard[owner].append(
-                            (seq, part_idx, Request(part, request.options))
-                        )
-                    continue
-            owner = owners[0]
-            dispatch.per_shard[owner].append((seq, 0, request))
+                continue
+            dispatch.per_shard[owners[0]].append((seq, 0, request))
         return dispatch
+
+    def _part_request(self, part: MQuery, options: QueryOptions) -> Request:
+        """A one-location part routed to ``sqmb_tbs_each`` ships as the one
+        ``sqmb_tbs`` s-query that route runs (same answer and cost), so it
+        joins its group's lock-step run.  Other parts ship as they are: a
+        multi-location ``*_each`` part keeps its last, not its largest,
+        probability per segment."""
+        request = Request(part, options)
+        if (
+            len(set(part.locations)) == 1
+            and self.router.route(request, self.delta_t_s).algorithm
+            == "sqmb_tbs_each"
+        ):
+            return Request(
+                part.as_s_queries()[0], replace(options, algorithm="sqmb_tbs")
+            )
+        return request
 
     # -- execution ---------------------------------------------------------
 
@@ -654,8 +687,8 @@ class ShardedEngine:
             pieces.sort(key=lambda item: item[0])
             results = [result for _, result in pieces]
             if seq in dispatch.decomposed:
-                results_by_seq[seq] = self._merge_decomposed(
-                    dispatch.decomposed_starts[seq], results
+                results_by_seq[seq] = _merge_decomposed(
+                    dispatch.decomposed[seq], results
                 )
             else:
                 results_by_seq[seq] = results[0]
@@ -689,31 +722,6 @@ class ShardedEngine:
         report.stale_frames = stats.stale_frames
         report.wall_time_s = time.perf_counter() - started
         return report
-
-    def _merge_decomposed(
-        self, starts: tuple[int, ...], results: list[QueryResult]
-    ) -> QueryResult:
-        """Union the per-group parts of a decomposed m-query.
-
-        Segments union exactly (multi-seed reachability is a union over
-        seeds).  Probabilities max-merge: TBS only *computes* shell
-        probabilities, so a segment examined by two parts keeps the
-        larger (more-informed) value.  ``start_segments`` dedups the
-        routing pass's per-location start segments in query-location
-        order, so ordering matches the single-process result (routing
-        and ``find_start_segment`` share one exact resolver).
-        """
-        merged = QueryResult()
-        for result in results:
-            merged.segments |= result.segments
-            for segment_id, prob in result.probabilities.items():
-                if prob > merged.probabilities.get(segment_id, -1.0):
-                    merged.probabilities[segment_id] = prob
-        merged.start_segments = tuple(dict.fromkeys(starts))
-        merged.max_region = _merge_regions([r.max_region for r in results])
-        merged.min_region = _merge_regions([r.min_region for r in results])
-        merged.cost = QueryCost.merged(r.cost for r in results)
-        return merged
 
     # -- lifecycle ---------------------------------------------------------
 

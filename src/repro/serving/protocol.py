@@ -37,16 +37,22 @@ chokepoints: both sides run every received frame through them and treat
 ``MSG_ERROR``, the dispatcher's supervisor counts a failed attempt and
 respawns (a corrupt frame means the pipe can no longer be trusted).
 
-Query results dominate reply size, so :func:`pack_result` flattens the
-big set/dict fields into numpy arrays — pickle ships those as one buffer
-each instead of per-element objects — and :func:`unpack_result` restores
-an equal :class:`~repro.core.query.QueryResult` on the parent side.
+Query results dominate reply size, so :func:`pack_result` flattens each
+one to ``(ints, probability_values, start_segments, cost)``: every
+integer set/dict field (segments, probability keys, both bounding
+regions' cover, boundary and ``seed_of``) in one counted ``int64``
+array, the probability values in one ``float64`` array — pickle ships
+two buffers per result instead of per-element objects — and
+:func:`unpack_result` restores an equal
+:class:`~repro.core.query.QueryResult` on the parent side from bulk
+``tolist()`` conversions.  Protocol version 3 introduced this layout.
 ``QueryCost``/``DiskStats`` are small flat dataclasses and travel as-is.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from repro.core.query import BoundingRegion, QueryResult
 #: Bumped whenever the frame layout changes; both sides verify it so a
 #: stale worker (or a dispatcher driving one) fails loudly instead of
 #: misreading pickled tuples.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MSG_RUN = "run"
 MSG_SHUTDOWN = "shutdown"
@@ -136,64 +142,59 @@ def parse_reply(frame: object) -> Tuple[str, int, Any]:
     return kind, request_id, body
 
 
-def _pack_ids(ids: Collection[int]) -> np.ndarray:
-    return np.fromiter(ids, dtype=np.int64, count=len(ids))
-
-
-def _pack_region(
-    region: BoundingRegion | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    if region is None:
-        return None
-    seed_items = region.seed_of.items()
-    return (
-        _pack_ids(region.cover),
-        _pack_ids(region.boundary),
-        np.array([[k, v] for k, v in seed_items], dtype=np.int64).reshape(-1, 2),
-    )
-
-
-def _unpack_region(
-    packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-) -> BoundingRegion | None:
-    if packed is None:
-        return None
-    cover, boundary, seeds = packed
-    return BoundingRegion(
-        cover=set(cover.tolist()),
-        boundary=set(boundary.tolist()),
-        seed_of={int(k): int(v) for k, v in seeds},
-    )
+#: ``ints`` header of a packed result: whether the max and the min
+#: region exist, then the length of each of the ten integer columns.
+_HEADER = 12
 
 
 def pack_result(result: QueryResult) -> tuple:
-    """Flatten a :class:`QueryResult` for cheap cross-process pickling."""
-    prob_ids = _pack_ids(result.probabilities.keys())
-    prob_values = np.fromiter(
-        result.probabilities.values(), dtype=np.float64,
-        count=len(result.probabilities),
+    """Flatten a :class:`QueryResult` for cheap cross-process pickling.
+
+    Every integer field goes into one ``int64`` array (the header, then
+    segments, probability keys, and each region's cover, boundary, seed
+    keys and seed values), the probability values into one ``float64``
+    array: pickle ships two buffers per result, not objects per element.
+    """
+    probabilities = result.probabilities
+    regions = (result.max_region, result.min_region)
+    columns = [result.segments, probabilities.keys()]
+    for region in regions:
+        columns += ((), (), (), ()) if region is None else (
+            region.cover, region.boundary, region.seed_of.keys(), region.seed_of.values()
+        )
+    header = [region is not None for region in regions] + [len(c) for c in columns]
+    ints = np.fromiter(
+        chain(header, *columns), dtype=np.int64, count=_HEADER + sum(header[2:])
     )
-    return (
-        _pack_ids(result.segments),
-        prob_ids,
-        prob_values,
-        result.start_segments,
-        _pack_region(result.max_region),
-        _pack_region(result.min_region),
-        result.cost,
+    values = np.fromiter(
+        probabilities.values(), dtype=np.float64, count=len(probabilities)
     )
+    return ints, values, result.start_segments, result.cost
 
 
 def unpack_result(packed: tuple) -> QueryResult:
-    """Inverse of :func:`pack_result`."""
-    segments, prob_ids, prob_values, starts, max_region, min_region, cost = packed
+    """Inverse of :func:`pack_result`: plain ``int``/``float`` keys and
+    values, built from ``tolist()`` in bulk."""
+    ints, values, starts, cost = packed
+    flat = ints.tolist()
+    columns, at = [], _HEADER
+    for length in flat[2:_HEADER]:
+        columns.append(flat[at : at + length])
+        at += length
+    segments, keys, *region_columns = columns
+    max_region, min_region = (
+        BoundingRegion(set(cover), set(boundary), dict(zip(seeds, claims)))
+        if present
+        else None
+        for present, (cover, boundary, seeds, claims) in zip(
+            flat[:2], (region_columns[:4], region_columns[4:])
+        )
+    )
     return QueryResult(
-        segments=set(segments.tolist()),
-        probabilities=dict(
-            zip((int(i) for i in prob_ids), (float(v) for v in prob_values))
-        ),
+        segments=set(segments),
+        probabilities=dict(zip(keys, values.tolist())),
         start_segments=tuple(starts),
-        max_region=_unpack_region(max_region),
-        min_region=_unpack_region(min_region),
+        max_region=max_region,
+        min_region=min_region,
         cost=cost,
     )

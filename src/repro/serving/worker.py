@@ -11,10 +11,14 @@ ids (the sparse disk preserved the parent's append tail).
 
 A ``("run", request_id, ...)`` message carries the sub-batch of every
 routing group the worker hosts (the dispatcher deals groups round-robin
-across workers); the replica answers each group with a fresh
-:class:`~repro.core.service.QueryService` and one ``run_batch`` — every
-engine runs one thread at a time, and the process fan-out is the
-parallelism.
+across workers); the replica answers each group with one ``run_batch``
+through its one long-lived :class:`~repro.core.service.QueryService`,
+built next to the engine — exactly as ``batch_hot``'s long-lived client
+serves its batches.  Its region cache outlives groups and batches; the
+buffer pools take each group's cold start (``warm=False`` invalidates
+pools, never regions), and a data change retires the whole worker, so a
+cached region is never stale.  Every engine runs one thread at a time,
+and the process fan-out is the parallelism.
 
 Failure semantics: every command is handled in per-message isolation —
 a malformed frame, a version mismatch, or an exception inside
@@ -137,18 +141,12 @@ def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
     }
 
 
-def _serve_run(
-    engine: ReachabilityEngine,
-    delta_t_s: int,
-    body: dict,
-) -> dict:
-    # A fresh service per group keeps the region cache window-scoped,
-    # matching the single-process oracle (one fresh service per batch);
-    # the engine-level buffer pools persist and `warm` governs them.
+def _serve_run(service: QueryService, body: dict) -> dict:
+    # One service for every group of every batch, like a long-lived
+    # single-process client: regions are reused across groups and
+    # batches, and `warm` governs only the engine's buffer pools.
     return {
-        shard_id: run_sub_batch(
-            QueryService(engine, delta_t_s=delta_t_s), entries, body["warm"]
-        )
+        shard_id: run_sub_batch(service, entries, body["warm"])
         for shard_id, entries in body["shards"].items()
     }
 
@@ -174,7 +172,9 @@ def shard_worker_main(
         fault_plan.for_worker(worker_idx, incarnation) if fault_plan is not None else ()
     )
     try:
-        engine = build_shard_engine(payload)
+        service = QueryService(
+            build_shard_engine(payload), delta_t_s=payload.delta_t_s
+        )
     except Exception:  # pragma: no cover - construction failures
         conn.send((MSG_ERROR, -1, traceback.format_exc()))
         return
@@ -214,7 +214,7 @@ def shard_worker_main(
         try:
             if RAISE_IN_SERVE in faults:
                 raise FaultInjected("injected failure while serving a run")
-            shards = _serve_run(engine, payload.delta_t_s, body)
+            shards = _serve_run(service, body)
             reply_body = {"version": PROTOCOL_VERSION, "shards": shards}
             if DROP_FRAME in faults:
                 continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.client_protocol import run_batch
+from repro.api.client import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.region_cache import RegionCache
@@ -200,6 +201,16 @@ class TestAppendInvalidation:
         after = run_batch(service, [query])
         assert after.regions_computed > 0
         assert after.regions_reused == 0
+
+    def test_fresh_clients_leave_no_pile_of_dead_hooks(self, setup):
+        """Every service registers a hook; a dead service's hook is
+        pruned at the next registration, not kept until a data change."""
+        engine = setup[0].engine
+        for _ in range(100):
+            ReachabilityClient(engine).close()
+        hooks = engine._data_change_hooks
+        assert sum(hook() is None for hook in hooks) <= 1
+        assert len(hooks) <= 2  # the fixture's service and the last one
 
     def test_rebuild_indexes_invalidates(self, setup):
         service, route, query = setup

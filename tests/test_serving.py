@@ -11,6 +11,7 @@ worker's replica runs more than one group).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.api.client import ReachabilityClient
 from repro.api.envelope import QueryOptions, Request
 from repro.core.engine import ReachabilityEngine
-from repro.core.query import MQuery, SQuery
+from repro.core.query import BoundingRegion, MQuery, QueryResult, SQuery
 from repro.core.service import QueryService
 from repro.eval.workload import QueryWorkload
 from repro.network.locator import SegmentLocator
@@ -29,8 +30,10 @@ from repro.serving import (
     ShardedEngineClosedError,
     partition_network,
 )
+from repro.serving.dispatcher import _merge_decomposed
 from repro.serving.faults import KILL_IN_RUN
 from repro.serving.partition import export_shard_payload
+from repro.serving.worker import build_shard_engine
 from repro.serving.protocol import pack_result, unpack_result
 from repro.storage.disk import DiskStats
 from repro.trajectory.model import MatchedTrajectory
@@ -141,20 +144,74 @@ class TestPartitioner:
 # -- wire protocol --------------------------------------------------------
 
 
+def _assert_plain_types(result):
+    """Unpacked keys and values are Python scalars, never numpy ones."""
+    assert all(type(k) is int for k in result.segments)
+    assert all(type(k) is int for k in result.probabilities)
+    assert all(type(v) is float for v in result.probabilities.values())
+    for region in (result.max_region, result.min_region):
+        if region is not None:
+            assert all(type(k) is int for k in region.cover | region.boundary)
+            assert all(
+                type(k) is int and type(v) is int
+                for k, v in region.seed_of.items()
+            )
+
+
 def test_result_roundtrip(engine):
     client = ReachabilityClient(QueryService(engine))
     response = client.send(mixed_requests(engine.network, 1, 1)[1])
     result = response.result
-    restored = unpack_result(pack_result(result))
-    assert restored.segments == result.segments
-    assert restored.probabilities == result.probabilities
-    assert restored.start_segments == result.start_segments
-    assert (restored.max_region is None) == (result.max_region is None)
-    if result.max_region is not None:
-        assert restored.max_region.cover == result.max_region.cover
-        assert restored.max_region.boundary == result.max_region.boundary
-        assert restored.max_region.seed_of == result.max_region.seed_of
-    assert restored.cost.io == result.cost.io
+    assert result.max_region is not None and result.min_region is not None
+    cases = [
+        result,
+        QueryResult(),  # no regions, nothing computed
+        QueryResult(segments={7}, start_segments=(7,), max_region=BoundingRegion()),
+        QueryResult(
+            segments={1, 2},
+            probabilities={2: 0.25},
+            min_region=BoundingRegion({1}, {1}, {1: 9}),
+        ),
+    ]
+    for case in cases:
+        wire = pickle.dumps(pack_result(case), protocol=pickle.HIGHEST_PROTOCOL)
+        restored = unpack_result(pickle.loads(wire))
+        assert restored.segments == case.segments
+        assert restored.probabilities == case.probabilities
+        assert restored.start_segments == case.start_segments
+        assert restored.max_region == case.max_region
+        assert restored.min_region == case.min_region
+        assert restored.cost == case.cost
+        _assert_plain_types(restored)
+
+
+def test_decomposed_regions_merge_as_unions_with_first_part_seeds():
+    first = QueryResult(
+        segments={1, 2},
+        probabilities={2: 0.5, 3: 0.1},
+        max_region=BoundingRegion({1, 2, 3}, {3}, {1: 10, 2: 10, 3: 10}),
+        min_region=BoundingRegion({1}, {1}, {1: 10}),
+    )
+    second = QueryResult(
+        segments={3, 4},
+        probabilities={3: 0.4},
+        max_region=BoundingRegion({3, 4, 5}, {3, 5}, {3: 20, 4: 20, 5: 20}),
+        min_region=BoundingRegion({4}, {4}, {4: 20}),
+    )
+    merged = _merge_decomposed((10, 20, 10), [first, second])
+    assert merged.segments == {1, 2, 3, 4}
+    assert merged.probabilities == {2: 0.5, 3: 0.4}
+    assert merged.start_segments == (10, 20)
+    assert merged.max_region == BoundingRegion(
+        {1, 2, 3, 4, 5}, {3, 5}, {1: 10, 2: 10, 3: 10, 4: 20, 5: 20}
+    )
+    assert merged.min_region == BoundingRegion({1, 4}, {1, 4}, {1: 10, 4: 20})
+    # the parts are left as they were (a part's region may be cached)
+    assert first.max_region.cover == {1, 2, 3}
+    assert second.max_region.seed_of == {3: 20, 4: 20, 5: 20}
+    # one part without regions (an ES or multi-location *_each part)
+    second.min_region = None
+    assert _merge_decomposed((10, 20), [first, second]).min_region is None
 
 
 # -- lifecycle ------------------------------------------------------------
@@ -331,6 +388,125 @@ def test_more_groups_than_workers_share_one_replica(test_dataset, monkeypatch):
 
 
 @pytest.mark.sharded
+def test_replica_serves_every_batch_through_one_long_lived_service(test_dataset):
+    """The benchmark's serving shape, two batches: a worker answers every
+    group of every batch through one service, as one long-lived client
+    would.  The repeated batch computes no region, and each group's
+    window equals one long-lived client on a fresh replica running that
+    worker's group sub-batches in dispatch order, batch after batch."""
+    requests = mixed_requests(test_dataset.network)
+    with ShardedEngine(
+        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+    ) as sharded:
+        dispatch = sharded.plan_dispatch(requests)
+        reports = [sharded.run_batch(requests) for _ in range(2)]
+    assert reports[0].regions_computed > 0
+    assert reports[1].regions_computed == 0
+    assert reports[1].regions_reused > 0
+    for first, again in zip(reports[0].results, reports[1].results):
+        assert again.segments == first.segments
+        assert again.probabilities == first.probabilities
+
+    payload = export_shard_payload(fresh_engine(test_dataset), 300)
+    for worker_idx in range(2):
+        groups = [
+            shard_id
+            for shard_id, entries in dispatch.per_shard.items()
+            if entries and shard_id % 2 == worker_idx
+        ]
+        assert len(groups) == 2
+        replica = QueryService(build_shard_engine(payload), delta_t_s=300)
+        with ReachabilityClient(replica) as oracle:
+            for report in reports:
+                window_of = {s.shard_id: s.io for s in report.shard_reports}
+                for shard_id in groups:
+                    sub_batch = [r for _, _, r in dispatch.per_shard[shard_id]]
+                    assert window_of[shard_id] == oracle.run_batch(sub_batch).io
+
+
+@pytest.mark.sharded
+def test_one_location_parts_ship_as_lockstep_s_queries(test_dataset, monkeypatch):
+    """A decomposed m-query's one-location part ships as the SQMB+TBS
+    s-query its ``sqmb_tbs_each`` route runs: no group entry routes to
+    ``sqmb_tbs_each``, answers equal single-process, each such part's
+    probabilities equal ``sqmb_tbs_each`` on its location, and the
+    merged regions are the unions of the parts'."""
+    from repro.serving import dispatcher
+
+    requests = mixed_requests(test_dataset.network)
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
+        requests
+    )
+    parts_of: dict[tuple[int, ...], list] = {}
+
+    def recording(starts, results):
+        parts_of[starts] = results
+        return _merge_decomposed(starts, results)
+
+    monkeypatch.setattr(dispatcher, "_merge_decomposed", recording)
+    with ShardedEngine(
+        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+    ) as sharded:
+        dispatch = sharded.plan_dispatch(requests)
+        report = sharded.run_batch(requests)
+        router = sharded.router
+
+    shipped: dict[int, dict[int, Request]] = {}
+    for entries in dispatch.per_shard.values():
+        for seq, part_idx, request in entries:
+            assert router.route(request, 300).algorithm != "sqmb_tbs_each"
+            if seq in dispatch.decomposed:
+                shipped.setdefault(seq, {})[part_idx] = request
+    one_location = [
+        (seq, part_idx, request)
+        for seq, parts in shipped.items()
+        for part_idx, request in parts.items()
+        if isinstance(request.query, SQuery)
+    ]
+    assert one_location
+    for seq, part_idx, request in one_location:
+        assert request.options.algorithm == "sqmb_tbs"
+    for parts in shipped.values():
+        for request in parts.values():
+            if isinstance(request.query, MQuery):
+                assert len(set(request.query.locations)) > 1
+
+    for expected, actual in zip(baseline.results, report.results):
+        assert actual.segments == expected.segments
+        assert actual.start_segments == expected.start_segments
+
+    with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
+        for seq, part_idx, request in one_location:
+            query = request.query
+            each = oracle.send(
+                Request(
+                    MQuery(
+                        (query.location,), query.start_time_s,
+                        query.duration_s, query.prob,
+                    ),
+                    QueryOptions(algorithm="sqmb_tbs_each"),
+                )
+            ).result
+            part = parts_of[dispatch.decomposed[seq]][part_idx]
+            assert part.segments == each.segments
+            assert part.probabilities == each.probabilities
+    assert len(parts_of) == len(dispatch.decomposed)
+    assert any(report.results[seq].max_region for seq in dispatch.decomposed)
+    for seq in dispatch.decomposed:
+        parts = parts_of[dispatch.decomposed[seq]]
+        merged = report.results[seq]
+        if any(part.max_region is None for part in parts):
+            assert merged.max_region is None
+            continue
+        assert merged.max_region.cover == set().union(
+            *(part.max_region.cover for part in parts)
+        )
+        assert merged.min_region.boundary == set().union(
+            *(part.min_region.boundary for part in parts)
+        )
+
+
+@pytest.mark.sharded
 def test_out_of_contract_requests_fall_back(test_dataset):
     """The replicas hold the ST-Index at one Δt; a request at another Δt
     runs on the dispatcher's own service."""
@@ -446,11 +622,14 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
 
     monkeypatch.setattr(dispatcher, "run_sub_batch", recording)
     if path == "worker":
-        replica = build_shard_engine(
-            export_shard_payload(fresh_engine(test_dataset), 300)
+        replica = QueryService(
+            build_shard_engine(
+                export_shard_payload(fresh_engine(test_dataset), 300)
+            ),
+            delta_t_s=300,
         )
         message = {"warm": False, "shards": {0: entries}}
-        body = _serve_run(replica, 300, message)[0]
+        body = _serve_run(replica, message)[0]
     else:
         how = (
             dict(
