@@ -14,9 +14,11 @@ Formats:
 * **store** — the durable engine bundle of :func:`save_store` /
   :func:`open_store`, the one persisted ST-Index form: a checksummed
   file-backed disk plus ``directory.npz``, the time-list directory in the
-  extent pointer format ``(first_page, num_pages, offset, length)``, so a
-  built index reopens without re-indexing and serves byte-identical
-  records with identical I/O accounting.
+  extent pointer format ``(first_page, num_pages, offset, length)`` with
+  each column in the narrowest integer dtype that holds it, and
+  ``speed_model.npz``, so a built index reopens without re-indexing and
+  serves byte-identical records with identical I/O accounting.  Store
+  ``.npz`` files carry fixed member timestamps: equal state, equal bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +41,9 @@ FORMAT_VERSION = 1
 
 #: Version of the durable store bundle (:func:`save_store`): its directory
 #: layout and the time-list record layout on its pages (2: records stored
-#: column-major, read by :func:`repro.core.st_index.decode_time_list_columns`).
-STORE_FORMAT_VERSION = 2
+#: column-major, read by :func:`repro.core.st_index.decode_time_list_columns`;
+#: 3: the speed model in ``speed_model.npz``).
+STORE_FORMAT_VERSION = 3
 
 
 class PersistFormatError(ValueError):
@@ -53,24 +58,50 @@ class PersistFormatError(ValueError):
     """
 
 
-def _open_npz(path: Path, what: str):
-    """``np.load`` with failures mapped to :class:`PersistFormatError`."""
+def _npz_arrays(path: Path, what: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The named arrays of an ``.npz`` file, read in full.
+
+    An unreadable archive or member, or a missing array, raises
+    :class:`PersistFormatError` naming the file; an absent file stays
+    the OS's ``FileNotFoundError``.
+    """
     try:
-        return np.load(path)
+        with np.load(path) as data:
+            missing = [name for name in names if name not in data]
+            if not missing:
+                return {name: data[name] for name in names}
     except FileNotFoundError:
         raise
-    except Exception as exc:  # zipfile.BadZipFile, OSError, ValueError, ...
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise PersistFormatError(
             f"{what} file {path} is not a readable .npz archive: {exc}"
         ) from None
+    raise PersistFormatError(
+        f"{what} file {path} is missing required arrays: {', '.join(missing)}"
+    )
 
 
-def _npz_fields(data, keys: tuple[str, ...], what: str, path: Path) -> None:
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise PersistFormatError(
-            f"{what} file {path} is missing required arrays: {', '.join(missing)}"
-        )
+def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    """An archive of ``arrays`` that ``np.load`` reads, deflated at level 1.
+
+    Every member carries a fixed timestamp, not the wall clock, so equal
+    arrays give equal bytes.
+    """
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, array in arrays.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+            archive.writestr(info, member.getvalue(), zipfile.ZIP_DEFLATED, 1)
+    return out.getvalue()
+
+
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """``column`` in the narrowest integer dtype that holds its values
+    (when they are non-negative, as the directory's columns are)."""
+    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    return column.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
 
 
 # -- road networks ------------------------------------------------------------
@@ -198,47 +229,44 @@ def save_database(database: TrajectoryDatabase, path: str | Path) -> Path:
 def load_database(path: str | Path) -> TrajectoryDatabase:
     """Inverse of :func:`save_database`."""
     path = Path(path)
-    with _open_npz(path, "database") as data:
-        _npz_fields(
-            data,
-            (
-                "version",
-                "num_taxis",
-                "num_days",
-                "trajectory_ids",
-                "taxi_ids",
-                "dates",
-                "lengths",
-                "segments",
-                "times",
-                "speeds",
-            ),
-            "database",
-            path,
+    data = _npz_arrays(
+        path,
+        "database",
+        (
+            "version",
+            "num_taxis",
+            "num_days",
+            "trajectory_ids",
+            "taxi_ids",
+            "dates",
+            "lengths",
+            "segments",
+            "times",
+            "speeds",
+        ),
+    )
+    if int(data["version"]) != FORMAT_VERSION:
+        raise PersistFormatError(
+            f"unsupported database format {int(data['version'])} "
+            f"(supported: {FORMAT_VERSION})"
         )
-        if int(data["version"]) != FORMAT_VERSION:
-            raise PersistFormatError(
-                f"unsupported database format {int(data['version'])} "
-                f"(supported: {FORMAT_VERSION})"
-            )
-        database = TrajectoryDatabase(
-            num_taxis=int(data["num_taxis"]), num_days=int(data["num_days"])
+    database = TrajectoryDatabase(
+        num_taxis=int(data["num_taxis"]), num_days=int(data["num_days"])
+    )
+    offsets = np.concatenate([[0], np.cumsum(data["lengths"])])
+    segments = data["segments"]
+    times = data["times"]
+    speeds = data["speeds"]
+    for i, trajectory_id in enumerate(data["trajectory_ids"]):
+        lo, hi = offsets[i], offsets[i + 1]
+        database.add_arrays(
+            trajectory_id=int(trajectory_id),
+            taxi_id=int(data["taxi_ids"][i]),
+            date=int(data["dates"][i]),
+            segments=segments[lo:hi],
+            times=times[lo:hi],
+            speeds=speeds[lo:hi],
         )
-        lengths = data["lengths"]
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        segments = data["segments"]
-        times = data["times"]
-        speeds = data["speeds"]
-        for i, trajectory_id in enumerate(data["trajectory_ids"]):
-            lo, hi = offsets[i], offsets[i + 1]
-            database.add_arrays(
-                trajectory_id=int(trajectory_id),
-                taxi_id=int(data["taxi_ids"][i]),
-                date=int(data["dates"][i]),
-                segments=segments[lo:hi],
-                times=times[lo:hi],
-                speeds=speeds[lo:hi],
-            )
     database.finalize()
     return database
 
@@ -246,25 +274,44 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
 # -- durable engine stores -----------------------------------------------------
 
 
-def _speed_model_to_json(model: dict) -> dict:
-    """JSON-safe speed model (int stat keys become strings)."""
-    out = dict(model)
-    for field in ("stats_min", "stats_max", "stats_sum", "stats_count"):
-        out[field] = {str(k): v for k, v in model[field].items()}
-    return out
+#: ``speed_model.npz``: the scalar sizes of
+#: :meth:`~repro.trajectory.store.TrajectoryDatabase.export_speed_model`,
+#: and its four stat dicts as value columns aligned with one ``keys`` column.
+_SPEED_SCALARS = ("num_taxis", "num_days", "num_trajectories")
+_SPEED_STATS = {"stats_min": "f8", "stats_max": "f8", "stats_sum": "f8", "stats_count": "i8"}
 
 
-def _speed_model_from_json(payload: dict) -> dict:
-    model = dict(payload)
-    try:
-        for field in ("stats_min", "stats_max", "stats_sum", "stats_count"):
-            model[field] = {int(k): v for k, v in payload[field].items()}
-        for field in ("num_taxis", "num_days"):
-            model[field] = int(payload[field])
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        raise PersistFormatError(
-            f"speed_model.json is malformed: {exc!r}"
-        ) from None
+def _speed_model_npz_bytes(model: dict) -> bytes:
+    keys = list(model["stats_count"])
+    columns = {
+        field: np.fromiter(map(model[field].__getitem__, keys), dtype, len(keys))
+        for field, dtype in _SPEED_STATS.items()
+    }
+    scalars = {name: np.int64(model[name]) for name in _SPEED_SCALARS}
+    return _npz_bytes({**scalars, "keys": np.array(keys, np.int64), **columns})
+
+
+def _load_speed_model(path: Path) -> dict:
+    """Inverse of :func:`_speed_model_npz_bytes`, validated: Python ``int``
+    keys and ``float`` / ``int`` values, as the export holds them."""
+    arrays = _npz_arrays(path, "speed model", (*_SPEED_SCALARS, "keys", *_SPEED_STATS))
+    keys = arrays["keys"]
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        raise PersistFormatError(f"speed model file {path} keys hold {keys.dtype}, not integers")
+    model: dict = {}
+    for name in _SPEED_SCALARS:
+        if arrays[name].ndim or arrays[name].dtype.kind not in "iu":
+            raise PersistFormatError(f"speed model file {path} {name} is not an integer")
+        model[name] = int(arrays[name])
+    key_list = keys.tolist()
+    for field, dtype in _SPEED_STATS.items():
+        column = arrays[field]
+        if column.shape != keys.shape or column.dtype.kind != dtype[0]:
+            raise PersistFormatError(
+                f"speed model file {path} {field} holds {column.dtype}{list(column.shape)}, "
+                f"expected {np.dtype(dtype)}[{keys.size}] like keys"
+            )
+        model[field] = dict(zip(key_list, column.tolist()))
     return model
 
 
@@ -277,21 +324,21 @@ def _directory_npz_bytes(
     disk's journal this directory already reflects, so :func:`open_store`
     replays exactly the suffix of appends committed after the save.
     """
-    buf = io.BytesIO()
-    np.savez_compressed(
-        buf,
-        version=np.int64(STORE_FORMAT_VERSION),
-        journal_generation=np.int64(journal_generation),
-        applied_commits=np.int64(applied_commits),
-        **directory.columns(),
+    columns = {name: _narrowest(column) for name, column in directory.columns().items()}
+    return _npz_bytes(
+        {
+            "version": np.int64(STORE_FORMAT_VERSION),
+            "journal_generation": np.int64(journal_generation),
+            "applied_commits": np.int64(applied_commits),
+            **columns,
+        }
     )
-    return buf.getvalue()
 
 
 def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     """Persist an engine as a durable, crash-safe store-bundle directory.
 
-    Layout: ``network.json``, ``speed_model.json``, ``store.json`` (the
+    Layout: ``network.json``, ``speed_model.npz``, ``store.json`` (the
     knobs), ``directory.npz`` (the ST-Index directory plus the journal
     position it reflects) and ``disk/`` (a :class:`FileBackedDisk`
     store).  Every file is published with an atomic replace.
@@ -322,8 +369,8 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
         json.dumps(network_to_dict(engine.network)).encode(),
     )
     atomic_replace(
-        directory / "speed_model.json",
-        json.dumps(_speed_model_to_json(engine.database.export_speed_model())).encode(),
+        directory / "speed_model.npz",
+        _speed_model_npz_bytes(engine.database.export_speed_model()),
     )
     atomic_replace(
         directory / "store.json",
@@ -438,23 +485,25 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     from repro.core.slots import check_delta_t
 
     directory = Path(directory)
-    for name in ("store.json", "network.json", "speed_model.json", "directory.npz"):
+    # store.json first: another format's bundle may name its files otherwise.
+    for name in ("store.json", "network.json", "speed_model.npz", "directory.npz"):
         if not (directory / name).exists():
             raise PersistFormatError(
                 f"store at {directory} is incomplete: missing {name}"
             )
-    config = _read_json_object(directory / "store.json")
-    if config.get("version") != STORE_FORMAT_VERSION:
-        raise PersistFormatError(
-            f"unsupported store format {config.get('version')!r} "
-            f"(supported: {STORE_FORMAT_VERSION})"
-        )
+        if name == "store.json":
+            config = _read_json_object(directory / name)
+            if config.get("version") != STORE_FORMAT_VERSION:
+                raise PersistFormatError(
+                    f"unsupported store format {config.get('version')!r} "
+                    f"(supported: {STORE_FORMAT_VERSION})"
+                )
     delta_t_s = check_delta_t(
         config.get("delta_t_s"), "store.json delta_t_s", PersistFormatError
     )
     network = load_network(directory / "network.json")
     database = TrajectoryDatabase.from_speed_model(
-        _speed_model_from_json(_read_json_object(directory / "speed_model.json"))
+        _load_speed_model(directory / "speed_model.npz")
     )
     return restore_engine(
         network, database, delta_t_s, config, "store.json",
@@ -477,33 +526,21 @@ def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool
     )
     page_size = disk.page_size
     num_pages_total = disk.num_pages
-    dir_path = directory / "directory.npz"
-    with _open_npz(dir_path, "store directory") as data:
-        _npz_fields(
-            data,
-            (
-                "version",
-                "journal_generation",
-                "applied_commits",
-                *DIRECTORY_COLUMNS,
-            ),
-            "store directory",
-            dir_path,
+    data = _npz_arrays(
+        directory / "directory.npz",
+        "store directory",
+        ("version", "journal_generation", "applied_commits", *DIRECTORY_COLUMNS),
+    )
+    if int(data["version"]) != STORE_FORMAT_VERSION:
+        raise PersistFormatError(
+            f"unsupported store directory format {int(data['version'])} "
+            f"(supported: {STORE_FORMAT_VERSION})"
         )
-        if int(data["version"]) != STORE_FORMAT_VERSION:
-            raise PersistFormatError(
-                f"unsupported store directory format {int(data['version'])} "
-                f"(supported: {STORE_FORMAT_VERSION})"
-            )
-        journal_generation = int(data["journal_generation"])
-        applied_commits = int(data["applied_commits"])
-        time_lists = TimeListDirectory.from_columns(
-            data,
-            slots_per_day(delta_t_s),
-            num_pages_total,
-            page_size,
-            "store directory",
-        )
+    journal_generation = int(data["journal_generation"])
+    applied_commits = int(data["applied_commits"])
+    time_lists = TimeListDirectory.from_columns(
+        data, slots_per_day(delta_t_s), num_pages_total, page_size, "store directory"
+    )
     # Replay the journal suffix the saved directory does not yet reflect.
     metas = disk.journal_metas
     if disk.generation == journal_generation:

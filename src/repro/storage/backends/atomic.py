@@ -23,24 +23,28 @@ from repro.storage.crashsim import FSYNC, RENAME, crash_point
 # repro-lint: durable-barrier
 def atomic_replace(
     path: Union[str, Path],
-    data: bytes,
+    data: Union[bytes, bytearray],
     crash: Optional[Injector] = None,
 ) -> None:
     """Atomically replace ``path``'s content with ``data``.
 
-    Sequence: write ``path + ".tmp"`` → ``fsync`` the temp file →
-    ``os.replace`` onto ``path`` → ``fsync`` the directory so the
-    rename itself is durable.  ``crash`` hooks the two vulnerable
-    points: before the temp-file fsync (the unsynced temp is removed,
-    as a real crash could leave it absent or partial — recovery must
-    not trust ``*.tmp`` files) and before the rename (the synced temp
-    is orphaned; the old destination still rules).
+    Sequence: write ``path + ".tmp"`` in full (one ``write()`` moves at
+    most ~2 GiB on Linux, so it loops until every byte is out) →
+    ``fsync`` the temp file → ``os.replace`` onto ``path`` → ``fsync``
+    the directory so the rename itself is durable.  ``crash`` hooks the
+    two vulnerable points: before the temp-file fsync (the unsynced temp
+    is removed, as a real crash could leave it absent or partial —
+    recovery must not trust ``*.tmp`` files) and before the rename (the
+    synced temp is orphaned; the old destination still rules).
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, data)
+        with memoryview(data) as view:
+            written = 0
+            while written < len(view):
+                written += os.write(fd, view[written:])
         if crash is not None:
             # Unlinking while the fd is open is fine on POSIX; the
             # except arm below closes it before the crash propagates.

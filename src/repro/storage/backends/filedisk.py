@@ -11,6 +11,7 @@ while persisting the page buffer in a directory of real files:
                        generation, page geometry, sidecar checksum
 ``pages.<g>.bin``      the page buffer, ``num_pages * page_size`` raw bytes
 ``pages.<g>.crc``      per-page sidecar: ``(crc32(page slice), used length)``
+                       as little-endian ``uint32`` pairs, parsed in one pass
 ``journal.<g>.log``    write-ahead append journal of commit records
 =====================  ========================================================
 
@@ -27,12 +28,15 @@ blob) to the journal and fsyncs.  Reopen replays the journal suffix onto
 the last good snapshot; a torn or truncated *final* record is the
 expected crash signature and is discarded, while damage anywhere else
 raises :class:`~repro.storage.backends.errors.TornWriteError`.  Page
-content is faulted in lazily on first access and verified against its
-sidecar checksum — a cold open touches only the superblock, sidecar and
-journal, so a server can begin answering queries before reading a single
-data page, and a flipped bit in any page surfaces as a typed
-:class:`~repro.storage.backends.errors.CorruptSnapshotError` naming the
-page, never as silently wrong query results.
+content is faulted in lazily on first access, one run of adjacent
+non-resident pages per ``seek`` + ``read``, every page of the run verified
+against its sidecar checksum — a cold open touches only the superblock,
+sidecar and journal, so a server can begin answering queries before
+reading a single data page, and a flipped bit in any page surfaces as a
+typed :class:`~repro.storage.backends.errors.CorruptSnapshotError` naming
+the page, never as silently wrong query results.  A page's checksum is
+computed once: it is kept while the page's bytes match what was verified
+or published, so a checkpoint checksums only pages changed since.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import struct
 import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.injection import Injector
 from repro.storage.backends.atomic import atomic_replace
@@ -77,10 +83,9 @@ _JOURNAL_MAGIC = b"JREC"
 JOURNAL_HEADER = struct.Struct("<4sII")
 #: Per-page sidecar entry: crc32 of the full page slice, used length.
 SIDECAR_ENTRY = struct.Struct("<II")
-
-
-def _crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+#: ``_page_crcs`` entry of a page whose bytes changed since it was last
+#: verified or published; the next checkpoint computes it.
+_STALE = -1
 
 
 def generation_file(
@@ -136,13 +141,12 @@ class FileBackedDisk(SimulatedDisk):
         self.generation = 0
         self.recovered_tail = False  # a torn/truncated journal tail was discarded
         self._crash = Injector(crash_plan.specs if crash_plan is not None else ())
-        self._resident: List[bool] = []  # guarded_by: _lock
+        self._resident = bytearray()  # 1 per faulted-in page  # guarded_by: _lock
         self._dirty: set[int] = set()  # guarded_by: _lock
-        self._page_crcs: List[int] = []  # guarded_by: _lock
+        self._page_crcs: List[int] = []  # crc32 per page, or _STALE  # guarded_by: _lock
         self._pages_faulted = 0  # guarded_by: _lock
         self._journal_metas: List[bytes] = []  # guarded_by: _lock
         self._record_count = 0  # records currently in the journal  # guarded_by: _lock
-        self._snapshot_pages = 0  # pages covered by the data file  # guarded_by: _lock
         self._data_file: Optional[BinaryIO] = None  # guarded_by: _lock
         if (self.directory / SUPERBLOCK).exists():
             with self._lock:
@@ -211,7 +215,8 @@ class FileBackedDisk(SimulatedDisk):
         with self._lock:
             self._buf = buffer
             self._used = used
-            self._resident = [True] * len(used)
+            self._resident = bytearray(b"\x01") * len(used)
+            self._page_crcs = [_STALE] * len(used)
             self._dirty = set(range(len(used)))
 
     @classmethod
@@ -274,7 +279,8 @@ class FileBackedDisk(SimulatedDisk):
             if not self._dirty and not meta:
                 return
             pages = sorted(self._dirty)
-            self._ensure_resident_locked_span(pages)
+            for page_id in pages:
+                self._ensure_resident_locked(page_id, 1)
             payload = self._encode_journal_locked(pages, meta)
             self._journal_append_locked(payload)
             self._dirty.clear()
@@ -319,52 +325,64 @@ class FileBackedDisk(SimulatedDisk):
         # Fresh pages are zeroed in memory and absent from the snapshot:
         # resident by definition, dirty so the next commit persists the
         # geometry growth.
-        self._resident.extend([True] * count)
+        self._resident.extend(b"\x01" * count)
+        self._page_crcs.extend([_STALE] * count)
         if not self.readonly:
             self._dirty.update(range(first, first + count))
         return first
 
     # repro-lint: holds=_lock
     def _ensure_resident_locked(self, first_page: int, count: int) -> None:
-        for page_id in range(first_page, first_page + count):
-            if not self._resident[page_id]:
-                self._fault_in_locked(page_id)
-
-    # repro-lint: holds=_lock
-    def _ensure_resident_locked_span(self, page_ids: List[int]) -> None:
-        for page_id in page_ids:
-            if not self._resident[page_id]:
-                self._fault_in_locked(page_id)
+        end = first_page + count
+        start = self._resident.find(0, first_page, end)
+        while start >= 0:
+            stop = self._resident.find(1, start, end)
+            stop = end if stop < 0 else stop
+            self._fault_in_run_locked(start, stop)
+            start = self._resident.find(0, stop, end)
 
     # repro-lint: holds=_lock
     def _note_write_locked(self, page_id: int) -> None:
         # Readonly disks track dirtiness too: it is what keeps
         # ``is_synced`` honest if such a disk is ever exported.
         self._dirty.add(page_id)
+        self._page_crcs[page_id] = _STALE
 
     # -- internal: fault-in ---------------------------------------------
 
     # repro-lint: holds=_lock
-    def _fault_in_locked(self, page_id: int) -> None:
+    def _fault_in_run_locked(self, first: int, stop: int) -> None:
+        """Read non-resident pages ``[first, stop)`` with one seek + read.
+
+        Every page is verified against its sidecar checksum; the pages
+        before the first bad one become resident and count as faulted,
+        then that page raises :class:`CorruptSnapshotError`.
+        """
+        size = self.page_size
         if self._data_file is None:
             self._data_file = open(self._file("bin"), "rb")
-        self._data_file.seek(page_id * self.page_size)
-        data = self._data_file.read(self.page_size)
-        if len(data) != self.page_size:
-            raise CorruptSnapshotError(
-                f"data file {self._file('bin').name} ends inside page {page_id}",
-                page_id=page_id,
+        self._data_file.seek(first * size)
+        with memoryview(self._data_file.read((stop - first) * size)) as data:
+            crcs = [zlib.crc32(data[lo : lo + size]) for lo in range(0, len(data) - size + 1, size)]
+            expected = self._page_crcs[first : first + len(crcs)]
+            good = len(crcs) if crcs == expected else next(
+                i for i, (crc, want) in enumerate(zip(crcs, expected)) if crc != want
             )
-        if _crc(data) != self._page_crcs[page_id]:
+            self._buf[first * size : (first + good) * size] = data[: good * size]
+        self._resident[first : first + good] = b"\x01" * good
+        self._pages_faulted += good
+        page_id = first + good
+        if good < len(crcs):
             raise CorruptSnapshotError(
                 f"page {page_id} failed checksum verification against sidecar "
                 f"{self._file('crc').name}",
                 page_id=page_id,
             )
-        start = page_id * self.page_size
-        self._buf[start : start + self.page_size] = data
-        self._resident[page_id] = True
-        self._pages_faulted += 1
+        if page_id < stop:
+            raise CorruptSnapshotError(
+                f"data file {self._file('bin').name} ends inside page {page_id}",
+                page_id=page_id,
+            )
 
     # -- internal: journal ----------------------------------------------
 
@@ -385,18 +403,22 @@ class FileBackedDisk(SimulatedDisk):
     # repro-lint: durable-barrier
     # repro-lint: holds=_lock
     def _journal_append_locked(self, payload: bytes) -> None:
-        header = JOURNAL_HEADER.pack(_JOURNAL_MAGIC, len(payload), _crc(payload))
+        header = JOURNAL_HEADER.pack(_JOURNAL_MAGIC, len(payload), zlib.crc32(payload))
         record = header + payload
         path = self._file("log")
         old_size = path.stat().st_size
         torn = self._crash.fire(JOURNAL)
+        data = torn_prefix(record, torn[0].kind) if torn else record
         fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:
-            for spec in torn:
-                os.write(fd, torn_prefix(record, spec.kind))
+            # One write() moves at most ~2 GiB on Linux: loop until done.
+            with memoryview(data) as view:
+                written = 0
+                while written < len(view):
+                    written += os.write(fd, view[written:])
+            if torn:
                 os.fsync(fd)
-                raise SimulatedCrash(spec)
-            os.write(fd, record)
+                raise SimulatedCrash(torn[0])
             crash_point(self._crash, FSYNC, undo=lambda: os.ftruncate(fd, old_size))
             os.fsync(fd)
         finally:
@@ -434,7 +456,7 @@ class FileBackedDisk(SimulatedDisk):
                 self.recovered_tail = True  # crash mid-payload: discard fragment
                 break
             payload = data[body_start : body_start + length]
-            if _crc(payload) != crc:
+            if zlib.crc32(payload) != crc:
                 if body_start + length == len(data):
                     # Torn final record: the crash signature; discard it.
                     self.recovered_tail = True
@@ -467,7 +489,8 @@ class FileBackedDisk(SimulatedDisk):
                 grow = num_pages - len(self._used)
                 self._buf.extend(b"\x00" * (grow * self.page_size))
                 self._used.extend([0] * grow)
-                self._resident.extend([True] * grow)
+                self._resident.extend(b"\x01" * grow)
+                self._page_crcs.extend([_STALE] * grow)
             for _ in range(page_count):
                 page_id, used = struct.unpack_from("<II", payload, pos)
                 pos += 8
@@ -480,7 +503,8 @@ class FileBackedDisk(SimulatedDisk):
                 start = page_id * self.page_size
                 self._buf[start : start + self.page_size] = slice_
                 self._used[page_id] = used
-                self._resident[page_id] = True
+                self._resident[page_id] = 1
+                self._page_crcs[page_id] = _STALE
         except (struct.error, ValueError) as exc:
             raise TornWriteError(
                 f"journal record {index} is malformed: {exc}", record_index=index
@@ -513,7 +537,7 @@ class FileBackedDisk(SimulatedDisk):
                 f"version {DISK_FORMAT_VERSION}"
             )
         stored_sum = payload.pop("checksum", None)
-        expected = _crc(json.dumps(payload, sort_keys=True).encode())
+        expected = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
         if stored_sum != expected:
             raise CorruptSnapshotError(
                 "superblock.json failed its self-checksum "
@@ -532,7 +556,7 @@ class FileBackedDisk(SimulatedDisk):
             raise CorruptSnapshotError(
                 f"checksum sidecar {crc_path.name} is unreadable: {exc}"
             ) from None
-        if _crc(sidecar) != payload["sidecar_crc"]:
+        if zlib.crc32(sidecar) != payload["sidecar_crc"]:
             raise CorruptSnapshotError(
                 f"checksum sidecar {crc_path.name} failed verification against "
                 "the superblock"
@@ -543,17 +567,16 @@ class FileBackedDisk(SimulatedDisk):
                 f"{len(sidecar) // SIDECAR_ENTRY.size} pages, superblock "
                 f"says {num_pages}"
             )
-        self._page_crcs = []
-        self._used = []
-        for i in range(num_pages):
-            crc, used = SIDECAR_ENTRY.unpack_from(sidecar, i * SIDECAR_ENTRY.size)
-            if used > self.page_size:
-                raise CorruptSnapshotError(
-                    f"sidecar used length {used} for page {i} exceeds page "
-                    f"size {self.page_size}"
-                )
-            self._page_crcs.append(crc)
-            self._used.append(used)
+        entries = np.frombuffer(sidecar, "<u4").reshape(-1, 2)
+        oversized = np.flatnonzero(entries[:, 1] > self.page_size)
+        if oversized.size:
+            page_id = int(oversized[0])
+            raise CorruptSnapshotError(
+                f"sidecar used length {entries[page_id, 1]} for page {page_id} "
+                f"exceeds page size {self.page_size}"
+            )
+        self._page_crcs = entries[:, 0].tolist()
+        self._used = entries[:, 1].tolist()
         bin_path = self._file("bin")
         try:
             data_size = bin_path.stat().st_size
@@ -566,21 +589,23 @@ class FileBackedDisk(SimulatedDisk):
                 f"data file {bin_path.name} is {data_size} bytes, expected "
                 f"{num_pages * self.page_size}"
             )
-        self._snapshot_pages = num_pages
         self._buf = bytearray(num_pages * self.page_size)
-        self._resident = [False] * num_pages
+        self._resident = bytearray(num_pages)
         self._replay_journal_locked()
 
     # repro-lint: holds=_lock
     def _publish_snapshot_locked(self, generation: int) -> None:
         """Write a full snapshot as ``generation`` and flip the superblock."""
         size = self.page_size
-        crcs = [_crc(self._buf[i * size : (i + 1) * size]) for i in range(len(self._used))]
-        sidecar = b"".join(SIDECAR_ENTRY.pack(*entry) for entry in zip(crcs, self._used))
+        crcs = self._page_crcs
+        with memoryview(self._buf) as buf:
+            for page_id in np.flatnonzero(np.asarray(crcs) == _STALE).tolist():
+                crcs[page_id] = zlib.crc32(buf[page_id * size : (page_id + 1) * size])
+        sidecar = np.column_stack((crcs, self._used)).astype("<u4").tobytes()
         if self._data_file is not None:
             self._data_file.close()
             self._data_file = None
-        atomic_replace(self._file("bin", generation), bytes(self._buf), crash=self._crash)
+        atomic_replace(self._file("bin", generation), self._buf, crash=self._crash)
         atomic_replace(self._file("crc", generation), sidecar, crash=self._crash)
         atomic_replace(self._file("log", generation), b"", crash=self._crash)
         payload = {
@@ -591,9 +616,9 @@ class FileBackedDisk(SimulatedDisk):
             "num_pages": len(self._used),
             "read_latency_ms": self.read_latency_ms,
             "write_latency_ms": self.write_latency_ms,
-            "sidecar_crc": _crc(sidecar),
+            "sidecar_crc": zlib.crc32(sidecar),
         }
-        payload["checksum"] = _crc(json.dumps(payload, sort_keys=True).encode())
+        payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
         atomic_replace(
             self.directory / SUPERBLOCK,
             json.dumps(payload, sort_keys=True, indent=2).encode(),
@@ -601,9 +626,7 @@ class FileBackedDisk(SimulatedDisk):
         )
         # The superblock rename was the commit point; state is clean.
         self.generation = generation
-        self._snapshot_pages = len(self._used)
-        self._page_crcs = crcs
-        self._resident = [True] * len(self._used)
+        self._resident = bytearray(b"\x01") * len(self._used)
         self._dirty.clear()
         self._journal_metas = []
         self._record_count = 0

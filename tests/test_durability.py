@@ -13,6 +13,9 @@ Run with ``pytest -m durability`` (also part of the default run).
 from __future__ import annotations
 
 import json
+import os
+import struct
+import zlib
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.storage.backends import (
     FileBackedDisk,
     TornWriteError,
 )
+from repro.storage.backends.filedisk import generation_file
 from repro.storage.crashsim import (
     CRASH_BEFORE_FSYNC,
     CRASH_MID_RENAME,
@@ -268,6 +272,124 @@ class TestCorruptionMatrix:
     def test_missing_store_rejected(self, tmp_path):
         with pytest.raises(DiskFormatError, match="missing superblock"):
             FileBackedDisk.open(tmp_path / "nothing-here")
+
+
+class TestRunFaultIn:
+    """Pages fault in by runs, one read per run of non-resident pages; a
+    bad page inside a run is named exactly and nothing past it is served."""
+
+    PAGES = 8
+
+    @pytest.fixture()
+    def snapshot(self, tmp_path):
+        """A checkpointed store (every page in the data file) and the
+        bytes each page must serve."""
+        path = build_store(tmp_path / "store", pages=self.PAGES)
+        FileBackedDisk.open(path).checkpoint()
+        state = durable_state(path)
+        pages = [
+            state["buffer"][p * PAGE : p * PAGE + used] for p, used in enumerate(state["used"])
+        ]
+        return path, pages
+
+    @pytest.mark.parametrize("bad", [0, 3, PAGES - 1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("access", ["extent", "verify", "checkpoint"])
+    def test_bad_page_in_a_run_is_named_and_good_pages_serve(self, snapshot, bad, access):
+        path, pages = snapshot
+        corrupt_page(path, page_id=bad, page_size=PAGE)
+        disk = FileBackedDisk.open(path)
+        touch = {
+            "extent": lambda: disk.extent_bytes([0], [0], [self.PAGES * PAGE]),
+            "verify": disk.verify,
+            "checkpoint": disk.checkpoint,
+        }[access]
+        with pytest.raises(CorruptSnapshotError) as exc:
+            touch()
+        assert exc.value.page_id == bad
+        assert f"page {bad} failed checksum" in str(exc.value)
+        assert disk.pages_faulted == bad  # the verified prefix of the run only
+        for page_id, payload in enumerate(pages):
+            if page_id != bad:
+                assert disk.read_page(page_id) == payload
+        assert disk.pages_faulted == self.PAGES - 1
+        with pytest.raises(CorruptSnapshotError):
+            disk.read_page(bad)
+
+    def test_data_file_truncated_mid_run(self, snapshot):
+        path, pages = snapshot
+        disk = FileBackedDisk.open(path)  # the size check at open passes
+        os.truncate(generation_file(path, "bin"), 5 * PAGE + 10)
+        with pytest.raises(CorruptSnapshotError, match="ends inside page 5") as exc:
+            disk.verify()
+        assert exc.value.page_id == 5
+        assert disk.pages_faulted == 5
+        assert [disk.read_page(p) for p in range(5)] == pages[:5]
+
+    @staticmethod
+    def assert_sidecar_fresh(path):
+        """The published sidecar equals a from-scratch CRC of every page."""
+        data = generation_file(path, "bin").read_bytes()
+        sidecar = generation_file(path, "crc").read_bytes()
+        assert [crc for crc, _ in struct.iter_unpack("<II", sidecar)] == [
+            zlib.crc32(data[lo : lo + PAGE]) for lo in range(0, len(data), PAGE)
+        ]
+
+    def test_checkpoint_recomputes_crcs_of_changed_pages(self, tmp_path):
+        """A checkpoint reuses the CRC of every page it verified and
+        recomputes the rest: pages written in this process, pages a
+        journal replay restored and freshly allocated pages."""
+        path = build_store(tmp_path / "store")  # two journal records
+        disk = FileBackedDisk.open(path)
+        disk.checkpoint()  # pages the replay restored
+        self.assert_sidecar_fresh(path)
+        disk.write_page(3, b"\x31" * PAGE)  # a page whose CRC was just published
+        disk.checkpoint()
+        self.assert_sidecar_fresh(path)
+        disk.write_extent(1, b"\x42" * (PAGE + 5))
+        first = disk.allocate(2)
+        disk.write_page(first + 1, b"\x53" * 7)
+        disk.commit(meta=b"m3")
+        disk.close()
+        reopened = FileBackedDisk.open(path)
+        assert reopened.journal_metas == (b"m3",)
+        reopened.checkpoint()
+        self.assert_sidecar_fresh(path)
+        FileBackedDisk.open(path).verify()
+
+
+class TestShortWrites:
+    """``os.write`` may write fewer bytes than asked (Linux caps one call
+    at ~2 GiB); every durable write loops until all bytes are out."""
+
+    @staticmethod
+    def run(path):
+        disk = FileBackedDisk(path, page_size=PAGE)
+        disk.allocate(64)  # 8 KiB of pages, a journal record past 8 KiB
+        for page_id in range(64):
+            disk.write_page(page_id, bytes([page_id]) * (PAGE - page_id % 3))
+        disk.commit(meta=b"m1")
+        disk.checkpoint()
+        disk.write_extent(10, b"\x77" * (40 * PAGE))
+        disk.commit(meta=b"m2")
+        disk.close()
+        files = {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+        reopened = FileBackedDisk.open(path)
+        state = reopened.export_state(), reopened.journal_metas
+        reopened.close()
+        return files, state
+
+    def test_capped_writes_give_identical_files_and_state(self, tmp_path, monkeypatch):
+        uncapped = self.run(tmp_path / "uncapped")
+        real_write = os.write
+        capped_calls = []
+
+        def capped(fd, data):
+            capped_calls.append(len(data) > 4096)
+            return real_write(fd, data[:4096])
+
+        monkeypatch.setattr(os, "write", capped)
+        assert self.run(tmp_path / "capped") == uncapped
+        assert any(capped_calls)
 
 
 class TestStoreLevelRecovery:

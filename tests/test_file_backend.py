@@ -222,8 +222,41 @@ class TestStoreRoundTrip:
                 written.append({name: data[name] for name in DIRECTORY_COLUMNS})
         assert max(written[0]["dir_position"]) == 2
         for name in DIRECTORY_COLUMNS:
-            assert written[1][name].dtype == np.int64
+            # Each column is stored in the narrowest integer dtype holding it.
+            column = written[1][name]
+            holding = [
+                np.dtype(code).itemsize
+                for code in "bBhHiIqQ"
+                if np.iinfo(code).min <= column.min() and column.max() <= np.iinfo(code).max
+            ]
+            assert column.dtype.kind in "iu" and column.dtype.itemsize == min(holding)
             assert written[1][name].tolist() == written[0][name].tolist()
+
+    def test_speed_model_round_trips_bit_exact(self, saved):
+        """``speed_model.npz`` restores the four stat dicts exactly: Python
+        ``int`` keys, ``float`` speeds and ``int`` counts."""
+        store, engine = saved
+        before = engine.database.export_speed_model()
+        after = open_store(store).database.export_speed_model()
+        for field, value_type in (
+            ("stats_min", float),
+            ("stats_max", float),
+            ("stats_sum", float),
+            ("stats_count", int),
+        ):
+            assert after[field] == before[field] and after[field]
+            assert list(after[field]) == list(before[field])
+            assert {type(key) for key in after[field]} == {int}
+            assert {type(value) for value in after[field].values()} == {value_type}
+        assert (after["num_taxis"], after["num_days"]) == (before["num_taxis"], before["num_days"])
+
+    def test_two_saves_write_identical_store_files(self, saved):
+        """No wall-clock timestamp in the ``.npz`` members: saving one
+        engine twice gives byte-identical files."""
+        store, engine = saved
+        again = save_store(engine, store.parent / "again", 300)
+        for name in ("directory.npz", "speed_model.npz"):
+            assert (store / name).read_bytes() == (again / name).read_bytes()
 
     def test_readonly_open_serves_but_never_writes(self, saved):
         store, _ = saved
@@ -314,16 +347,17 @@ class TestPersistFormatErrors:
         return save_store(engine, tmp_path / "store", 300), engine.st_index(300)
 
     @staticmethod
-    def rewrite_directory(store, **changes):
-        """Re-save ``directory.npz`` with arrays replaced (``None`` drops one)."""
-        with np.load(store / "directory.npz") as data:
+    def rewrite_npz(store, npz="directory.npz", **changes):
+        """Re-save an ``.npz`` of the store with arrays replaced (``None``
+        drops one, a callable maps the old array to the new)."""
+        with np.load(store / npz) as data:
             fields = {name: data[name] for name in data.files}
         for name, value in changes.items():
             if value is None:
                 del fields[name]
             else:
-                fields[name] = value
-        np.savez_compressed(store / "directory.npz", **fields)
+                fields[name] = value(fields[name]) if callable(value) else value
+        np.savez_compressed(store / npz, **fields)
 
     def test_round_trip_still_works(self, store, route):
         path, index = store
@@ -347,7 +381,7 @@ class TestPersistFormatErrors:
 
     def test_future_version_rejected(self, store):
         path, _ = store
-        self.rewrite_directory(path, version=np.int64(99))
+        self.rewrite_npz(path, version=np.int64(99))
         with pytest.raises(
             PersistFormatError, match="unsupported store directory format"
         ):
@@ -362,13 +396,28 @@ class TestPersistFormatErrors:
             config = json.loads((path / sidecar).read_text())
             (path / sidecar).write_text(json.dumps({**config, "version": 1}))
         else:
-            self.rewrite_directory(path, version=np.int64(1))
-        with pytest.raises(PersistFormatError, match=r"format 1 \(supported: 2\)"):
+            self.rewrite_npz(path, version=np.int64(1))
+        with pytest.raises(
+            PersistFormatError, match=rf"format 1 \(supported: {STORE_FORMAT_VERSION}\)"
+        ):
+            open_store(path)
+
+    def test_format_2_bundle_rejected_by_version_not_completeness(self, store):
+        """A format-2 bundle kept its speed model in ``speed_model.json``;
+        it is refused for its version, not reported as missing a file."""
+        path, _ = store
+        (path / "speed_model.npz").rename(path / "speed_model.json")
+        config = json.loads((path / "store.json").read_text())
+        (path / "store.json").write_text(json.dumps({**config, "version": 2}))
+        with pytest.raises(
+            PersistFormatError,
+            match=rf"unsupported store format 2 \(supported: {STORE_FORMAT_VERSION}\)",
+        ):
             open_store(path)
 
     def test_missing_array_rejected(self, store):
         path, _ = store
-        self.rewrite_directory(path, dir_first_page=None)
+        self.rewrite_npz(path, dir_first_page=None)
         with pytest.raises(PersistFormatError, match="dir_first_page"):
             open_store(path)
 
@@ -384,8 +433,18 @@ class TestPersistFormatErrors:
             ("network.json", "{not json", "network.json is not valid JSON"),
             ("network.json", '{"version": 1, "nodes": []}', "network.json is missing key 'segments'"),
             ("network.json", '{"version": 99}', "unsupported network format 99"),
-            ("speed_model.json", "{not json", "speed_model.json is not valid JSON"),
-            ("speed_model.json", "[1, 2]", "speed_model.json is not a JSON object"),
+            ("speed_model.npz", b"not an npz archive", "speed_model.npz is not a readable .npz"),
+            ("speed_model.npz", {"stats_sum": None}, "missing required arrays: stats_sum"),
+            (
+                "speed_model.npz",
+                {"stats_max": lambda column: column[:-1]},
+                r"stats_max holds float64\[\d+\], expected float64\[\d+\] like keys",
+            ),
+            (
+                "speed_model.npz",
+                {"keys": lambda column: column.astype(float)},
+                "keys hold float64, not integers",
+            ),
             ("store.json", f'{{"version": {STORE_FORMAT_VERSION}}}', "store.json delta_t_s is None"),
             (
                 "store.json",
@@ -415,7 +474,9 @@ class TestPersistFormatErrors:
             "network-no-segments",
             "network-version-99",
             "speed-model-garbage",
-            "speed-model-list",
+            "speed-model-no-stats-sum",
+            "speed-model-short-column",
+            "speed-model-float-keys",
             "store-no-delta-t",
             "store-delta-t-0",
             "store-st-pool-null",
@@ -448,6 +509,11 @@ class TestPersistFormatErrors:
             monkeypatch.setattr(
                 FileBackedDisk, "open", lambda *a, **k: pytest.fail("disk opened")
             )
+        elif name == "speed_model.npz":
+            if isinstance(content, bytes):
+                (path / name).write_bytes(content)
+            else:
+                self.rewrite_npz(path, name, **content)
         elif isinstance(content, dict):
             with np.load(path / "directory.npz") as data:
                 columns = {
@@ -455,7 +521,7 @@ class TestPersistFormatErrors:
                 }
             for column, value in content.items():
                 columns[column][0] = value
-            self.rewrite_directory(path, **columns)
+            self.rewrite_npz(path, **columns)
         else:
             (path / name).write_text(content)
         with pytest.raises(PersistFormatError, match=problem):
