@@ -28,12 +28,7 @@ Quickstart::
 
 from repro.api.client import BatchStream, ReachabilityClient, as_client
 from repro.api.envelope import AUTO, QueryOptions, Request, Response
-from repro.api.router import (
-    ROUTING_TABLE,
-    RouteDecision,
-    Router,
-    RouterConfig,
-)
+from repro.api.router import ROUTING_TABLE, RouteDecision, Router
 
 __all__ = [
     "AUTO",
@@ -45,6 +40,5 @@ __all__ = [
     "Response",
     "RouteDecision",
     "Router",
-    "RouterConfig",
     "as_client",
 ]

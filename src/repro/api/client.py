@@ -21,8 +21,8 @@ Each entry point holds the engine's one lock
 threads take turns on the engine and every per-query accounting window
 is that query's alone.
 
-Every request is routed by the :class:`~repro.api.router.Router`
-(``algorithm="auto"``) and the decision travels on the response, so a
+Every request is routed by the one :data:`~repro.api.router.ROUTER`
+policy (``algorithm="auto"``) and the decision travels on the response, so a
 multi-tenant workload can mix forward/reverse, s-/m-, forced and
 auto-routed queries freely in one stream — per-query intent lives in the
 envelope, not in batch-global kwargs.
@@ -37,7 +37,7 @@ from itertools import count
 from typing import Iterable, Iterator
 
 from repro.api.envelope import Request, Response, as_request
-from repro.api.router import RouteDecision, Router
+from repro.api.router import ROUTER, RouteDecision
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
 from repro.core.executors.sqmb_tbs import LOCKSTEP, LOCKSTEP_MIN_RUN
@@ -45,6 +45,7 @@ from repro.core.explain import QueryExplanation, StageRecorder
 from repro.core.planner import QueryPlan, plan_query
 from repro.core.query import MQuery, SQuery
 from repro.core.service import BatchReport, QueryService, as_service
+from repro.storage.disk import READ_LATENCY_MS
 
 
 def resolve_delta_t(request: Request, service: QueryService) -> int:
@@ -54,11 +55,11 @@ def resolve_delta_t(request: Request, service: QueryService) -> int:
 
 
 def route_and_plan(
-    service: QueryService, router: Router, request: Request, warm: bool
+    service: QueryService, request: Request, warm: bool
 ) -> tuple[QueryPlan, RouteDecision]:
     """Route one request and freeze the plan the decision names."""
     delta_t_s = resolve_delta_t(request, service)
-    decision = router.route(request, delta_t_s)
+    decision = ROUTER.route(request, delta_t_s)
     plan = plan_query(
         decision.kind, request.query, decision.algorithm, delta_t_s, warm=warm
     )
@@ -66,10 +67,7 @@ def route_and_plan(
 
 
 def prepare_batch(
-    service: QueryService,
-    router: Router,
-    requests: list[Request],
-    report: BatchReport,
+    service: QueryService, requests: list[Request], report: BatchReport
 ) -> None:
     """Route and plan a batch, filling ``report.plans`` / ``routes``.
 
@@ -80,7 +78,7 @@ def prepare_batch(
     """
     plan_of_shape: dict[QueryPlan, QueryPlan] = {}
     for request in requests:
-        plan, decision = route_and_plan(service, router, request, warm=True)
+        plan, decision = route_and_plan(service, request, warm=True)
         shared = plan_of_shape.setdefault(plan, plan)
         if shared is not plan:
             report.plans_reused += 1
@@ -94,7 +92,6 @@ class ReachabilityClient:
     Args:
         target: the service to answer through, or a bare engine (a
             private service is created around it).
-        router: the routing policy for ``algorithm="auto"`` requests.
         backend: default :meth:`run_batch` execution backend —
             ``"threaded"`` (the in-process pipeline) or ``"sharded"``
             (engine replicas on worker processes, see
@@ -110,46 +107,20 @@ class ReachabilityClient:
             :class:`~repro.serving.ShardedEngine`).
         max_retries: bounded-retry limit per scatter for the sharded
             backend (default ``None`` = the engine's default).
-        disk_backend: storage backend for a bare-engine target —
-            ``"sim"`` (in-RAM, the default) or ``"file"`` (the durable
-            :class:`~repro.storage.backends.FileBackedDisk`).  Applied
-            via :meth:`ReachabilityEngine.use_disk`, so it must be set
-            before the engine builds its first index; ``None`` keeps
-            whatever disk the engine already has.
-        disk_path: store directory for ``disk_backend="file"``.
     """
 
     def __init__(
         self,
         target: QueryService | ReachabilityEngine,
-        router: Router | None = None,
         backend: str = "threaded",
         shards: int = 4,
         shard_workers: int | None = None,
         deadline_ms: float | None = None,
         max_retries: int | None = None,
-        disk_backend: str | None = None,
-        disk_path: str | None = None,
     ) -> None:
         if backend not in ("threaded", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
-        if disk_backend is not None:
-            from repro.storage.backends import create_disk
-
-            if not isinstance(target, ReachabilityEngine):
-                raise ValueError(
-                    "disk_backend applies to a bare engine target; services "
-                    "already carry a configured engine"
-                )
-            target.use_disk(
-                create_disk(
-                    disk_backend, path=disk_path, page_size=target.disk.page_size,
-                    read_latency_ms=target.disk.read_latency_ms,
-                    write_latency_ms=target.disk.write_latency_ms,
-                )
-            )
         self.service = as_service(target)
-        self.router = router if router is not None else Router()
         self.backend = backend
         self.shards = shards
         self.shard_workers = shard_workers
@@ -207,16 +178,14 @@ class ReachabilityClient:
     def route(self, request: Request | SQuery | MQuery) -> RouteDecision:
         """Classify a request without planning or executing it."""
         request = as_request(request)
-        return self.router.route(request, resolve_delta_t(request, self.service))
+        return ROUTER.route(request, resolve_delta_t(request, self.service))
 
     def plan(
         self, request: Request | SQuery | MQuery
     ) -> tuple[QueryPlan, RouteDecision]:
         """Route and plan one request (``EXPLAIN``-style, no execution)."""
         request = as_request(request)
-        return route_and_plan(
-            self.service, self.router, request, request.options.warm
-        )
+        return route_and_plan(self.service, request, request.options.warm)
 
     # -- single requests ---------------------------------------------------
 
@@ -411,7 +380,7 @@ class BatchStream(Iterator[Response]):
         self._ready: deque = deque()  # run, not yet pulled
         engine = client.engine
         # Plan everything up front; execution stays lazy.
-        prepare_batch(client.service, client.router, requests, self._report)
+        prepare_batch(client.service, requests, self._report)
         self._queue = deque(zip(count(), requests, self._report.plans))
         if not requests:
             return
@@ -516,9 +485,7 @@ class BatchStream(Iterator[Response]):
     def _finalize(self) -> None:
         self._finished = True
         report = self._report
-        report.simulated_io_ms = (
-            report.io.page_reads * self._client.engine.disk.read_latency_ms
-        )
+        report.simulated_io_ms = report.io.page_reads * READ_LATENCY_MS
         report.regions_computed = sum(
             context.regions_computed for context in self._contexts.values()
         )

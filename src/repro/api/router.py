@@ -43,27 +43,19 @@ ES_FAMILY = frozenset({"es", "es_pruned", "es_each"})
 #: The paper's method per query kind (the bounded routes).
 PAPER_ALGORITHMS = {"s": "sqmb_tbs", "m": "mqmb_tbs", "r": "sqmb_tbs"}
 
+#: Minimum probability threshold for the sub-slot ES route; below it, a
+#: permissive threshold can pass enough far-flung segments to make
+#: exhaustive verification expensive, so low-prob requests stay on the
+#: bounded route.
+ES_PROB_FLOOR = 0.2
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Thresholds the routing rules classify against.
-
-    Attributes:
-        es_prob_floor: minimum probability threshold for the sub-slot ES
-            route; below it, a permissive threshold can pass enough
-            far-flung segments to make exhaustive verification expensive,
-            so low-prob requests stay on the bounded route.
-        disjoint_speed_mps: speed bound used to prove that m-query seeds
-            cannot interact: when *every* pair of seeds is farther apart
-            than ``2 · duration · disjoint_speed_mps``, all per-seed
-            maximum regions are provably disjoint, so the unified MQMB
-            expansion degenerates and the decomposed-s route skips its
-            overlap elimination.  Keep this above any speed the dataset
-            can exhibit.
-    """
-
-    es_prob_floor: float = 0.2
-    disjoint_speed_mps: float = 40.0
+#: Speed bound (m/s) used to prove that m-query seeds cannot interact:
+#: when *every* pair of seeds is farther apart than
+#: ``2 · duration · DISJOINT_SPEED_MPS``, all per-seed maximum regions are
+#: provably disjoint, so the unified MQMB expansion degenerates and the
+#: decomposed-s route skips its overlap elimination.  Kept above any speed
+#: the dataset can exhibit.
+DISJOINT_SPEED_MPS = 40.0
 
 
 @dataclass(frozen=True)
@@ -103,14 +95,9 @@ class Router:
 
     Stateless and engine-free: decisions depend only on the request and
     Δt, so they can be made (and tested) without touching any index.
-
-    Args:
-        config: rule thresholds; defaults are safe for every dataset the
-            generator produces.
+    There is one policy (:data:`ROUTER`), so every client, dispatcher and
+    replica routes a request alike.
     """
-
-    def __init__(self, config: RouterConfig | None = None) -> None:
-        self.config = config if config is not None else RouterConfig()
 
     def route(self, request: Request, delta_t_s: int) -> RouteDecision:
         """Classify one request into a :class:`RouteDecision`.
@@ -195,7 +182,6 @@ class Router:
         features: tuple[tuple[str, object], ...],
     ) -> RouteDecision:
         query = request.query
-        config = self.config
         sub_slot = query.duration_s < delta_t_s
 
         def decide(algorithm: str, rule: str, reason: str) -> RouteDecision:
@@ -211,7 +197,7 @@ class Router:
                 "trace-back",
             )
         if kind == "s":
-            if sub_slot and query.prob >= config.es_prob_floor:
+            if sub_slot and query.prob >= ES_PROB_FLOOR:
                 return decide(
                     "es", "sub-slot-es",
                     f"duration {query.duration_s:.0f}s < Δt={delta_t_s}s: "
@@ -232,19 +218,19 @@ class Router:
                 "one distinct location: MQMB's unified expansion and "
                 "overlap elimination add nothing over a single SQMB run",
             )
-        if sub_slot and query.prob >= config.es_prob_floor:
+        if sub_slot and query.prob >= ES_PROB_FLOOR:
             return decide(
                 "es_each", "sub-slot-es",
                 f"duration {query.duration_s:.0f}s < Δt={delta_t_s}s per "
                 "seed: exhaustive verification beats one-hop bounds",
             )
         min_gap = self._min_gap_m(distinct)
-        if min_gap > 2.0 * query.duration_s * config.disjoint_speed_mps:
+        if min_gap > 2.0 * query.duration_s * DISJOINT_SPEED_MPS:
             return decide(
                 "sqmb_tbs_each", "sparse-decompose",
                 f"every seed pair is ≥ {min_gap:.0f} m apart and cannot "
                 f"interact within {query.duration_s:.0f}s "
-                f"(≤ {config.disjoint_speed_mps:.0f} m/s): per-seed maximum "
+                f"(≤ {DISJOINT_SPEED_MPS:.0f} m/s): per-seed maximum "
                 "regions are disjoint, so the decomposed route skips "
                 "MQMB's overlap elimination",
             )
@@ -255,17 +241,21 @@ class Router:
         )
 
 
+#: The one routing policy behind ``algorithm="auto"``.
+ROUTER = Router()
+
+
 #: The routing rule table, for documentation and ``--explain`` rendering:
 #: (rule id, fires when, route).
 ROUTING_TABLE: tuple[tuple[str, str, str], ...] = (
     ("forced", "the request names a concrete algorithm", "that algorithm"),
     ("reverse-bounds", "direction=reverse", "sqmb_tbs (backward bounds)"),
-    ("sub-slot-es", "duration < Δt and prob ≥ es_prob_floor",
+    ("sub-slot-es", "duration < Δt and prob ≥ ES_PROB_FLOOR",
      "es / es_each"),
     ("single-location-decompose", "m-query with one distinct location",
      "sqmb_tbs_each"),
     ("sparse-decompose",
-     "every m-query seed pair farther apart than 2·duration·disjoint_speed",
+     "every m-query seed pair farther apart than 2·duration·DISJOINT_SPEED_MPS",
      "sqmb_tbs_each"),
     ("paper-s", "any other s-query", "sqmb_tbs"),
     ("paper-m", "any other m-query", "mqmb_tbs"),

@@ -121,6 +121,7 @@ def _load_client(
 ) -> tuple:
     from repro.core.engine import ReachabilityEngine
     from repro.io.persist import load_dataset
+    from repro.storage.backends import create_disk
 
     if disk == "file" and disk_path is None:
         raise CLIError("--disk file needs --disk-path DIR")
@@ -133,7 +134,8 @@ def _load_client(
             f"{dataset_dir}"
         ) from exc
     engine = ReachabilityEngine(dataset.network, dataset.database)
-    disk_backend = disk if disk != "sim" else None
+    if disk == "file":
+        engine.use_disk(create_disk(disk, path=disk_path, page_size=engine.disk.page_size))
     if shards > 0:
         return dataset, ReachabilityClient(
             engine,
@@ -142,12 +144,8 @@ def _load_client(
             shard_workers=workers,
             deadline_ms=deadline_ms,
             max_retries=max_retries,
-            disk_backend=disk_backend,
-            disk_path=disk_path,
         )
-    return dataset, ReachabilityClient(
-        engine, disk_backend=disk_backend, disk_path=disk_path
-    )
+    return dataset, ReachabilityClient(engine)
 
 
 def _open_store_client(path: str, **kwargs) -> ReachabilityClient:

@@ -34,6 +34,10 @@ from repro.trajectory.store import TrajectoryDatabase
 
 Kind = Literal["far", "near", "far_rev", "near_rev"]
 
+#: Capacity of a Con-Index's decoded-entry LRU (the in-memory index cache);
+#: an evicted entry is read back from its page, never recomputed.
+ENTRY_CACHE_SIZE = 100_000
+
 
 @dataclass(frozen=True)
 class FrontierEntry:
@@ -134,7 +138,6 @@ class ConnectionIndex:
         delta_t_s: slot width Δt in seconds (same granularity as ST-Index).
         disk: simulated disk for entry payloads (private one when omitted).
         buffer_pool_pages: LRU page-cache capacity.
-        entry_cache_size: decoded-entry LRU capacity (in-memory index cache).
         compressed: store entries with the delta-varint codec instead of
             flat uint32 arrays (smaller records, slightly dearer decode).
     """
@@ -146,7 +149,6 @@ class ConnectionIndex:
         delta_t_s: int,
         disk: SimulatedDisk | None = None,
         buffer_pool_pages: int = 512,
-        entry_cache_size: int = 100_000,
         compressed: bool = False,
     ) -> None:
         self.network = network
@@ -158,7 +160,6 @@ class ConnectionIndex:
         self.pool = BufferPool(self.disk, capacity=buffer_pool_pages)
         self._directory: dict[tuple[str, int, int], RecordPointer] = {}
         self._decoded: OrderedDict[tuple[str, int, int], FrontierEntry] = OrderedDict()
-        self._entry_cache_size = entry_cache_size
         self.compressed = compressed
         self._encode = encode_entry_compressed if compressed else encode_entry
         self._decode = decode_entry_compressed if compressed else decode_entry
@@ -277,7 +278,7 @@ class ConnectionIndex:
         else:
             entry = self._decode(self._store.read(pointer, pool=self.pool))
         self._decoded[key] = entry
-        if len(self._decoded) > self._entry_cache_size:
+        if len(self._decoded) > ENTRY_CACHE_SIZE:
             self._decoded.popitem(last=False)
         return entry
 

@@ -38,6 +38,7 @@ from repro.core.mqmb import mqmb_bounding_region
 from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
 from repro.core.sqmb import sqmb_bounding_region
+from repro.storage.disk import READ_LATENCY_MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ReachabilityEngine
@@ -304,10 +305,10 @@ def execute_plan(
     started = time.perf_counter()
     outcome = executor(ctx, plan, query)
     io = engine.disk.snapshot() - before
-    return charge_cost(engine, outcome, io, time.perf_counter() - started)
+    return charge_cost(outcome, io, time.perf_counter() - started)
 
 
-def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float) -> QueryResult:
+def charge_cost(outcome: ExecutionOutcome, io, wall_time_s: float) -> QueryResult:
     """Fill the outcome's result cost from its accounting window and its
     estimators' counters (the one place :class:`QueryCost` is assembled)."""
 
@@ -320,7 +321,7 @@ def charge_cost(engine, outcome: ExecutionOutcome, io, wall_time_s: float) -> Qu
         io=io,
         # Reads only: page writes can only stem from lazy index
         # construction, which is offline work in the paper's model.
-        simulated_io_ms=io.page_reads * engine.disk.read_latency_ms,
+        simulated_io_ms=io.page_reads * READ_LATENCY_MS,
         probability_checks=total("checks"),
         segments_expanded=outcome.examined,
         kernel_probability_evals=total("kernel_evals"),

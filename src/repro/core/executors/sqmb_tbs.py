@@ -174,7 +174,7 @@ def execute_lockstep(engine, members: list) -> list:
             outcome, wall_s = finish_bounded(outcome, next(traced)), wall_s + search.wall_s
         io += disk.snapshot() - before
         wall_s += perf_counter() - started
-        out.append((charge_cost(engine, outcome, io, wall_s), *regions))
+        out.append((charge_cost(outcome, io, wall_s), *regions))
     return out
 
 

@@ -20,10 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.engine import ReachabilityEngine
-from repro.core.executors import ExecutionContext, execute_plan
-from repro.core.planner import QueryPlan, plan_query
-from repro.core.query import MQuery, QueryResult, SQuery
+from repro.core.planner import QueryPlan
+from repro.core.query import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.envelope import Response
@@ -138,34 +136,3 @@ class QueryExplanation:
         lines.extend(f"  {line}" for line in self.result.cost.path_lines())
         return "\n".join(lines)
 
-
-def _explain(
-    engine: ReachabilityEngine, plan: QueryPlan, query: SQuery | MQuery
-) -> QueryExplanation:
-    recorder = StageRecorder(engine.disk)
-    context = ExecutionContext(engine, plan.delta_t_s, recorder=recorder)
-    with engine.lock:
-        result = execute_plan(engine, plan, query, context=context)
-    return QueryExplanation(plan, result, recorder.stages)
-
-
-def explain_s_query(
-    engine: ReachabilityEngine,
-    query: SQuery,
-    delta_t_s: int = 300,
-) -> QueryExplanation:
-    """Run an s-query cold through SQMB + TBS with a stage recorder.
-
-    The engine-level entry point; ``ReachabilityClient.explain`` explains
-    any request on whatever route it takes.
-    """
-    return _explain(engine, plan_query("s", query, "sqmb_tbs", delta_t_s), query)
-
-
-def explain_m_query(
-    engine: ReachabilityEngine,
-    query: MQuery,
-    delta_t_s: int = 300,
-) -> QueryExplanation:
-    """Run an m-query cold through MQMB + TBS with a stage recorder."""
-    return _explain(engine, plan_query("m", query, "mqmb_tbs", delta_t_s), query)

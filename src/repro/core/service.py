@@ -32,6 +32,9 @@ from repro.storage.disk import DiskStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.router import RouteDecision
 
+#: LRU capacity of a service's bounding-region cache, shared across batches.
+REGION_CACHE_CAPACITY = 1024
+
 
 @dataclass
 class ShardReport:
@@ -213,19 +216,12 @@ class QueryService:
         engine: the index-owning engine queries run against.
         delta_t_s: default index granularity Δt for queries that do not
             specify one.
-        region_cache_capacity: LRU capacity of the service-lifetime
-            bounding-region cache shared across batches.
     """
 
-    def __init__(
-        self,
-        engine: ReachabilityEngine,
-        delta_t_s: int = 300,
-        region_cache_capacity: int = 1024,
-    ) -> None:
+    def __init__(self, engine: ReachabilityEngine, delta_t_s: int = 300) -> None:
         self.engine = engine
         self.delta_t_s = delta_t_s
-        self.region_cache = RegionCache(region_cache_capacity)
+        self.region_cache = RegionCache(REGION_CACHE_CAPACITY)
         # Every service over this engine hears about data changes, so a
         # direct engine-level append_trajectories/drop_indexes invalidates
         # this cache too (weakly registered: the engine does not pin the

@@ -13,7 +13,8 @@ Formats:
   trips exactly;
 * **store** — the durable engine bundle of :func:`save_store` /
   :func:`open_store`, the one persisted ST-Index form: a checksummed
-  file-backed disk plus ``directory.npz``, the time-list directory in the
+  file-backed disk, ``store.json`` (format version, Δt and the engine's
+  buffer-pool size) and ``directory.npz``, the time-list directory in the
   extent pointer format ``(first_page, num_pages, offset, length)`` with
   each column in the narrowest integer dtype that holds it, and
   ``speed_model.npz``, so a built index reopens without re-indexing and
@@ -338,10 +339,10 @@ def _directory_npz_bytes(
 def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     """Persist an engine as a durable, crash-safe store-bundle directory.
 
-    Layout: ``network.json``, ``speed_model.npz``, ``store.json`` (the
-    knobs), ``directory.npz`` (the ST-Index directory plus the journal
-    position it reflects) and ``disk/`` (a :class:`FileBackedDisk`
-    store).  Every file is published with an atomic replace.
+    Layout: ``network.json``, ``speed_model.npz``, ``store.json`` (format
+    version, Δt and the engine's buffer-pool size), ``directory.npz``
+    (the ST-Index directory plus the journal position it reflects) and
+    ``disk/`` (a :class:`FileBackedDisk` store).  Every file is published with an atomic replace.
 
     Two save paths:
 
@@ -379,8 +380,6 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
                 "version": STORE_FORMAT_VERSION,
                 "delta_t_s": int(delta_t_s),
                 "engine_pool_pages": int(engine.buffer_pool_pages),
-                "st_pool_pages": int(index.pool.capacity),
-                "record_cache_size": int(index.record_cache_size),
             },
             indent=2,
             sort_keys=True,
@@ -404,12 +403,7 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
         (directory / "directory.npz").unlink(missing_ok=True)
         buffer, used = engine.disk.export_state()
         disk = FileBackedDisk.create_from_state(
-            disk_dir,
-            buffer,
-            used,
-            page_size=engine.disk.page_size,
-            read_latency_ms=engine.disk.read_latency_ms,
-            write_latency_ms=engine.disk.write_latency_ms,
+            disk_dir, buffer, used, page_size=engine.disk.page_size
         )
         disk.close()
         atomic_replace(
@@ -421,47 +415,30 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     return directory
 
 
-#: The sizing knobs a restored engine takes from outside the process
-#: (``store.json``, a shard payload): ``name -> (default, minimum)``.
-SIZING_KNOBS = {
-    "engine_pool_pages": (1024, 1),
-    "st_pool_pages": (512, 1),
-    "record_cache_size": (4096, 0),
-}
-
-
-def restore_engine(network, database, delta_t_s: int, sizing, source: str, open_data):
+def restore_engine(network, database, delta_t_s: int, pool_pages, source: str, open_data):
     """A serving engine over an already-built ST-Index: the one restore.
 
     :func:`open_store` and every shard worker
     (:func:`repro.serving.worker.build_shard_engine`) end here.
-    ``sizing`` holds the :data:`SIZING_KNOBS` as they arrived from
-    ``source`` and is checked first, so a :class:`PersistFormatError`
-    naming the knob is raised before ``open_data()`` opens the disk and
-    loads the validated directory (``-> (disk, time_lists)``) and before
-    any index object exists.
+    ``pool_pages`` is the engine's ``engine_pool_pages`` as it arrived
+    from ``source``; it sizes every buffer pool of the engine, the
+    restored ST-Index's included, as :meth:`ReachabilityEngine.st_index`
+    sizes a built one.  It is checked first, so a
+    :class:`PersistFormatError` naming it is raised before ``open_data()``
+    opens the disk and loads the validated directory
+    (``-> (disk, time_lists)``) and before any index object exists.
     """
     from repro.core.engine import ReachabilityEngine
     from repro.core.st_index import STIndex
 
-    sizes = {}
-    for knob, (default, minimum) in SIZING_KNOBS.items():
-        sizes[knob] = value = sizing.get(knob, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise PersistFormatError(
-                f"{source} {knob} is {value!r}, expected an integer >= {minimum}"
-            )
+    if not isinstance(pool_pages, int) or isinstance(pool_pages, bool) or pool_pages < 1:
+        raise PersistFormatError(
+            f"{source} engine_pool_pages is {pool_pages!r}, expected an integer >= 1"
+        )
     disk, time_lists = open_data()
-    engine = ReachabilityEngine(
-        network, database, disk=disk, buffer_pool_pages=sizes["engine_pool_pages"]
-    )
+    engine = ReachabilityEngine(network, database, disk=disk, buffer_pool_pages=pool_pages)
     index = STIndex.restore(
-        network,
-        delta_t_s,
-        disk,
-        time_lists,
-        buffer_pool_pages=sizes["st_pool_pages"],
-        record_cache_size=sizes["record_cache_size"],
+        network, delta_t_s, disk, time_lists, buffer_pool_pages=pool_pages
     )
     engine.install_st_index(delta_t_s, index)
     return engine
@@ -505,8 +482,9 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     database = TrajectoryDatabase.from_speed_model(
         _load_speed_model(directory / "speed_model.npz")
     )
+    pool_pages = config.get("engine_pool_pages", 1024)
     return restore_engine(
-        network, database, delta_t_s, config, "store.json",
+        network, database, delta_t_s, pool_pages, "store.json",
         lambda: _open_store_data(directory, delta_t_s, crash_plan, readonly),
     )
 

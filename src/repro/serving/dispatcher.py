@@ -60,7 +60,7 @@ from multiprocessing import connection as mp_connection
 
 from repro.api.client import prepare_batch, resolve_delta_t
 from repro.api.envelope import QueryOptions, Request, as_request
-from repro.api.router import Router
+from repro.api.router import ES_FAMILY, ROUTER
 from repro.core.engine import ReachabilityEngine
 from repro.core.planner import plan_query  # noqa: F401 - resolved by name from outside (docs/architecture.md)
 from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult
@@ -100,10 +100,10 @@ DEFAULT_MAX_RETRIES = 2
 #: are non-negative, so it never collides with one.
 _LOCAL_KEY = -1
 
-#: Default base for exponential retry backoff (seconds); attempt ``n``
-#: sleeps ``backoff * 2**(n-1)`` before redispatching.  Only the failure
+#: Base for exponential retry backoff (seconds); attempt ``n`` sleeps
+#: ``RETRY_BACKOFF_S * 2**(n-1)`` before redispatching.  Only the failure
 #: path ever sleeps.
-DEFAULT_RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_S = 0.05
 
 
 class ShardedEngineClosedError(RuntimeError):
@@ -238,8 +238,6 @@ class ShardedEngine:
         max_retries: redispatch attempts per scatter after the initial
             one; a sub-batch that exhausts them degrades to the local
             fallback service.
-        retry_backoff_s: exponential-backoff base between retries
-            (``backoff * 2**(n-1)`` before the nth retry; 0 disables).
         fault_plan: deterministic fault injection for tests (see
             :mod:`repro.serving.faults`).
     """
@@ -252,7 +250,6 @@ class ShardedEngine:
         delta_t_s: int | None = None,
         deadline_ms: float | None = DEFAULT_DEADLINE_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         # `closed` (set by close(), explicit or on a data change) first: a
@@ -265,14 +262,12 @@ class ShardedEngine:
         self.delta_t_s = (
             delta_t_s if delta_t_s is not None else self.service.delta_t_s
         )
-        self.router = Router()
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.deadline_ms = deadline_ms
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.fault_plan = fault_plan
         self._st_index = self.engine.st_index(self.delta_t_s)
         self.plan: PartitionPlan = partition_network(
@@ -462,8 +457,7 @@ class ShardedEngine:
             degraded.update(sorted(failed.shard_map.items()))
             return
         stats.count_retry(worker_idx)
-        if self.retry_backoff_s > 0:
-            time.sleep(self.retry_backoff_s * (2 ** failed.attempt))
+        time.sleep(RETRY_BACKOFF_S * (2 ** failed.attempt))
         self._dispatch_attempt(
             worker_idx, failed.shard_map, failed.attempt + 1, warm,
             outstanding, stats,
@@ -574,10 +568,17 @@ class ShardedEngine:
                 groups: dict[int, list] = {}
                 for owner, location in zip(owners, query.locations):
                     groups.setdefault(owner, []).append(location)
+                # Parts of a request on an exhaustive route keep it: routed
+                # by its own shape, a one-location part would take the
+                # bounded route, whose answer differs.
+                options = request.options
+                algorithm = ROUTER.route(request, self.delta_t_s).algorithm
+                if algorithm in ES_FAMILY:
+                    options = replace(options, algorithm=algorithm)
                 for part_idx, (owner, locations) in enumerate(groups.items()):
                     part = replace(query, locations=tuple(locations))
                     dispatch.per_shard[owner].append(
-                        (seq, part_idx, self._part_request(part, request.options))
+                        (seq, part_idx, self._part_request(part, options))
                     )
                 continue
             dispatch.per_shard[owners[0]].append((seq, 0, request))
@@ -592,7 +593,7 @@ class ShardedEngine:
         request = Request(part, options)
         if (
             len(set(part.locations)) == 1
-            and self.router.route(request, self.delta_t_s).algorithm
+            and ROUTER.route(request, self.delta_t_s).algorithm
             == "sqmb_tbs_each"
         ):
             return Request(
@@ -653,7 +654,7 @@ class ShardedEngine:
         # Plans and routing decisions are dispatcher-side bookkeeping,
         # done after the scatter so the workers crunch while the parent
         # annotates.
-        prepare_batch(self.service, self.router, requests, report)
+        prepare_batch(self.service, requests, report)
 
         # Foreign-Δt requests run locally while the workers crunch; their
         # reply body joins the group replies under a non-group key.

@@ -78,11 +78,7 @@ class ShardPayload:
     disk_buffer: bytes
     disk_used: tuple
     page_size: int
-    read_latency_ms: float
-    write_latency_ms: float
     engine_pool_pages: int
-    st_pool_pages: int
-    record_cache_size: int
     #: Durable-store reference mode: when set, ``disk_buffer``/``disk_used``
     #: are empty and the worker opens this FileBackedDisk store read-only,
     #: faulting in (and checksum-verifying) only the pages its queries
@@ -203,10 +199,6 @@ def export_shard_payload(
         disk_buffer=buffer,
         disk_used=used,
         page_size=disk.page_size,
-        read_latency_ms=disk.read_latency_ms,
-        write_latency_ms=disk.write_latency_ms,
         engine_pool_pages=engine.buffer_pool_pages,
-        st_pool_pages=st_index.pool.capacity,
-        record_cache_size=st_index.record_cache_size,
         disk_path=disk_path,
     )

@@ -43,7 +43,7 @@ from repro.core.directory import TimeListDirectory
 from repro.core.engine import ReachabilityEngine
 from repro.core.service import QueryService
 from repro.core.slots import slots_per_day
-from repro.io.persist import SIZING_KNOBS, network_from_dict, restore_engine
+from repro.io.persist import network_from_dict, restore_engine
 from repro.injection import Injector
 from repro.serving.faults import (
     CORRUPT_FRAME,
@@ -87,11 +87,7 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
             )
         else:
             disk = SimulatedDisk.from_state(
-                payload.disk_buffer,
-                payload.disk_used,
-                payload.page_size,
-                read_latency_ms=payload.read_latency_ms,
-                write_latency_ms=payload.write_latency_ms,
+                payload.disk_buffer, payload.disk_used, payload.page_size
             )
         return disk, TimeListDirectory.from_columns(
             payload.directory,
@@ -105,7 +101,7 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
         network_from_dict(payload.network),
         TrajectoryDatabase.from_speed_model(payload.speed_model),
         payload.delta_t_s,
-        {knob: getattr(payload, knob) for knob in SIZING_KNOBS},
+        payload.engine_pool_pages,
         "replica payload",
         open_data,
     )

@@ -22,12 +22,7 @@ from repro.storage.backends.errors import (
     TornWriteError,
 )
 from repro.storage.backends.filedisk import FileBackedDisk
-from repro.storage.disk import (
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_READ_LATENCY_MS,
-    DEFAULT_WRITE_LATENCY_MS,
-    SimulatedDisk,
-)
+from repro.storage.disk import DEFAULT_PAGE_SIZE, SimulatedDisk
 
 #: Backend names accepted by :func:`create_disk` and the CLI ``--disk`` flag.
 DISK_BACKENDS = ("sim", "file")
@@ -37,8 +32,6 @@ def create_disk(
     backend: str = "sim",
     path: Optional[Union[str, Path]] = None,
     page_size: int = DEFAULT_PAGE_SIZE,
-    read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-    write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
 ) -> SimulatedDisk:
     """Build a disk by backend name (``"sim"`` in-RAM, ``"file"`` durable).
 
@@ -47,20 +40,11 @@ def create_disk(
     arguments), otherwise a fresh empty store is initialised.
     """
     if backend == "sim":
-        return SimulatedDisk(
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-        )
+        return SimulatedDisk(page_size=page_size)
     if backend == "file":
         if path is None:
             raise ValueError("disk backend 'file' requires a store path")
-        return FileBackedDisk(
-            path,
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-        )
+        return FileBackedDisk(path, page_size=page_size)
     raise ValueError(f"unknown disk backend {backend!r}; expected one of {DISK_BACKENDS}")
 
 

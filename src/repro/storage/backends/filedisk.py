@@ -8,7 +8,7 @@ while persisting the page buffer in a directory of real files:
 
 =====================  ========================================================
 ``superblock.json``    self-checksummed commit point: magic, format version,
-                       generation, page geometry, sidecar checksum
+                       generation, page size and count, sidecar checksum
 ``pages.<g>.bin``      the page buffer, ``num_pages * page_size`` raw bytes
 ``pages.<g>.crc``      per-page sidecar: ``(crc32(page slice), used length)``
                        as little-endian ``uint32`` pairs, parsed in one pass
@@ -65,13 +65,7 @@ from repro.storage.crashsim import (
     crash_point,
     torn_prefix,
 )
-from repro.storage.disk import (
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_READ_LATENCY_MS,
-    DEFAULT_WRITE_LATENCY_MS,
-    DiskError,
-    SimulatedDisk,
-)
+from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskError, SimulatedDisk
 
 SUPERBLOCK_MAGIC = "repro-disk"
 DISK_FORMAT_VERSION = 1
@@ -110,9 +104,8 @@ class FileBackedDisk(SimulatedDisk):
 
     Args:
         path: store directory (created if missing).
-        page_size / read_latency_ms / write_latency_ms: as for
-            :class:`SimulatedDisk`; on open, values come from the
-            superblock and these arguments are ignored.
+        page_size: as for :class:`SimulatedDisk`; on open, the value
+            comes from the superblock and this argument is ignored.
         crash_plan: deterministic :class:`~repro.storage.crashsim.
             CrashPlan` consulted at every fsync/rename/journal-record
             hook point (testing only).
@@ -126,16 +119,10 @@ class FileBackedDisk(SimulatedDisk):
         self,
         path: Union[str, Path],
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
         crash_plan: Optional[CrashPlan] = None,
         readonly: bool = False,
     ) -> None:
-        super().__init__(
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-        )
+        super().__init__(page_size=page_size)
         self.directory = Path(path)
         self.readonly = readonly
         self.generation = 0
@@ -177,14 +164,12 @@ class FileBackedDisk(SimulatedDisk):
         cls,
         path: Union[str, Path],
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
     ) -> "FileBackedDisk":
         """Create a fresh empty store, replacing any existing one at ``path``."""
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / SUPERBLOCK).unlink(missing_ok=True)
-        return cls(path, page_size, read_latency_ms, write_latency_ms)
+        return cls(path, page_size)
 
     @classmethod
     def create_from_state(
@@ -193,8 +178,6 @@ class FileBackedDisk(SimulatedDisk):
         buffer: bytes,
         used: Iterable[int],
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
     ) -> "FileBackedDisk":
         """Persist :meth:`SimulatedDisk.export_state` output as a new store."""
         used_list = [int(u) for u in used]
@@ -205,7 +188,7 @@ class FileBackedDisk(SimulatedDisk):
             )
         if any(u < 0 or u > page_size for u in used_list):
             raise DiskError("per-page payload length outside [0, page_size]")
-        disk = cls.create(path, page_size, read_latency_ms, write_latency_ms)
+        disk = cls.create(path, page_size)
         disk._adopt_state(bytearray(buffer), used_list)
         disk.checkpoint()
         return disk
@@ -225,8 +208,6 @@ class FileBackedDisk(SimulatedDisk):
         buffer: bytes,
         used: Iterable[int],
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
     ) -> "SimulatedDisk":
         raise DiskError(
             "FileBackedDisk has no in-memory restore; use "
@@ -531,9 +512,9 @@ class FileBackedDisk(SimulatedDisk):
                 else "superblock.json is not a JSON object"
             )
         version = payload.get("format_version")
-        if not isinstance(version, int) or version > DISK_FORMAT_VERSION:
+        if type(version) is not int or version != DISK_FORMAT_VERSION:
             raise DiskFormatError(
-                f"disk format version {version!r} is newer than supported "
+                f"disk format version {version!r} is not the supported "
                 f"version {DISK_FORMAT_VERSION}"
             )
         stored_sum = payload.pop("checksum", None)
@@ -544,8 +525,6 @@ class FileBackedDisk(SimulatedDisk):
                 f"(stored {stored_sum!r}, computed {expected})"
             )
         self.page_size = int(payload["page_size"])
-        self.read_latency_ms = float(payload["read_latency_ms"])
-        self.write_latency_ms = float(payload["write_latency_ms"])
         self.generation = int(payload["generation"])
         num_pages = int(payload["num_pages"])
 
@@ -614,8 +593,6 @@ class FileBackedDisk(SimulatedDisk):
             "generation": generation,
             "page_size": self.page_size,
             "num_pages": len(self._used),
-            "read_latency_ms": self.read_latency_ms,
-            "write_latency_ms": self.write_latency_ms,
             "sidecar_crc": zlib.crc32(sidecar),
         }
         payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())

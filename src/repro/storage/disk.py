@@ -40,14 +40,14 @@ if TYPE_CHECKING:  # circular at runtime: pagestore imports this module
 
 DEFAULT_PAGE_SIZE = 4096
 
-#: Accounted cost of one page read, in simulated milliseconds.  The default
+#: Accounted cost of one page read, in simulated milliseconds.  It
 #: approximates a single random read on a 7200 rpm disk, matching the
 #: magnitude that makes trajectory verification "prohibitively inefficient"
 #: in §3.2.2.  Purely an accounting constant; nothing sleeps.
-DEFAULT_READ_LATENCY_MS = 8.0
+READ_LATENCY_MS = 8.0
 
 #: Accounted cost of one page write, in simulated milliseconds.
-DEFAULT_WRITE_LATENCY_MS = 10.0
+WRITE_LATENCY_MS = 10.0
 
 
 class DiskError(Exception):
@@ -127,25 +127,17 @@ class SimulatedDisk:
     and backed by one contiguous ``bytearray``: page ``i`` occupies byte
     range ``[i * page_size, (i + 1) * page_size)``.  Payloads may be shorter
     than ``page_size`` (trailing space is considered unused) but never
-    longer.
+    longer.  I/O is priced at :data:`READ_LATENCY_MS` /
+    :data:`WRITE_LATENCY_MS` per page.
 
     Args:
         page_size: capacity of one page in bytes.
-        read_latency_ms: accounted cost per page read.
-        write_latency_ms: accounted cost per page write.
     """
 
-    def __init__(
-        self,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
-    ) -> None:
+    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
         self.page_size = page_size
-        self.read_latency_ms = read_latency_ms
-        self.write_latency_ms = write_latency_ms
         self.stats = DiskStats()  # guarded_by: _lock
         self._buf = bytearray()  # guarded_by: _lock
         self._used: list[int] = []  # payload length per page  # guarded_by: _lock
@@ -357,10 +349,7 @@ class SimulatedDisk:
         if stats is None:
             with self._lock:
                 stats = self.stats.copy()
-        return (
-            stats.page_reads * self.read_latency_ms
-            + stats.page_writes * self.write_latency_ms
-        )
+        return stats.page_reads * READ_LATENCY_MS + stats.page_writes * WRITE_LATENCY_MS
 
     def snapshot(self) -> DiskStats:
         """A copy of the current counters, for before/after differencing.
@@ -439,15 +428,9 @@ class SimulatedDisk:
         buffer: bytes,
         used: Iterable[int],
         page_size: int = DEFAULT_PAGE_SIZE,
-        read_latency_ms: float = DEFAULT_READ_LATENCY_MS,
-        write_latency_ms: float = DEFAULT_WRITE_LATENCY_MS,
     ) -> "SimulatedDisk":
         """Rebuild a disk from :meth:`export_state` output (stats reset)."""
-        disk = cls(
-            page_size=page_size,
-            read_latency_ms=read_latency_ms,
-            write_latency_ms=write_latency_ms,
-        )
+        disk = cls(page_size=page_size)
         used_list = [int(u) for u in used]
         if len(buffer) != len(used_list) * page_size:
             raise DiskError(

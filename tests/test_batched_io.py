@@ -261,14 +261,14 @@ class TestConcurrentAppends:
                 assert store.read(pointer) == payload
 
 class TestConIndexLazyEntries:
-    def test_each_entry_materialised_once(self, engine):
+    def test_each_entry_materialised_once(self, engine, monkeypatch):
         """Re-reading entries evicted from a tiny decoded-entry LRU reads
         them back from the store instead of recomputing them."""
+        from repro.core import con_index
         from repro.core.con_index import ConnectionIndex
 
-        con = ConnectionIndex(
-            engine.network, engine.database, 300, entry_cache_size=4
-        )
+        monkeypatch.setattr(con_index, "ENTRY_CACHE_SIZE", 4)
+        con = ConnectionIndex(engine.network, engine.database, 300)
         keys = [(sid, 130) for sid in sorted(engine.network.segment_ids())[:12]]
         first = [(con.far(*key), con.near(*key)) for key in keys]
         assert [(con.far(*key), con.near(*key)) for key in keys] == first

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import con_index
 from repro.core.con_index import (
     ConnectionIndex,
     FrontierEntry,
@@ -92,8 +93,9 @@ class TestConnectionIndex:
         assert second == first
         assert con.expansions == expansions  # cached, no recompute
 
-    def test_entry_survives_decoded_cache_eviction(self, network, database):
-        con = ConnectionIndex(network, database, 300, entry_cache_size=1)
+    def test_entry_survives_decoded_cache_eviction(self, network, database, monkeypatch):
+        monkeypatch.setattr(con_index, "ENTRY_CACHE_SIZE", 1)
+        con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
         first = con.far(0, slot)
         con.far(1, slot)  # evicts the decoded entry for segment 0

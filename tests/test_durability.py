@@ -26,7 +26,7 @@ from repro.storage.backends import (
     FileBackedDisk,
     TornWriteError,
 )
-from repro.storage.backends.filedisk import generation_file
+from repro.storage.backends.filedisk import DISK_FORMAT_VERSION, generation_file
 from repro.storage.crashsim import (
     CRASH_BEFORE_FSYNC,
     CRASH_MID_RENAME,
@@ -261,6 +261,23 @@ class TestCorruptionMatrix:
         payload["format_version"] = 99
         superblock.write_text(json.dumps(payload))
         with pytest.raises(DiskFormatError, match="99"):
+            FileBackedDisk.open(path)
+
+    @pytest.mark.parametrize("version", [True, 0, -7, 2], ids=["true", "0", "-7", "2"])
+    def test_only_the_supported_version_opens(self, tmp_path, version):
+        """Any version but exactly the supported one is refused, even under
+        a self-checksum recomputed to match it."""
+        path = build_store(tmp_path / "store")
+        superblock = path / "superblock.json"
+        payload = json.loads(superblock.read_text())
+        del payload["checksum"]
+        payload["format_version"] = version
+        payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
+        superblock.write_text(json.dumps(payload))
+        with pytest.raises(
+            DiskFormatError,
+            match=f"version {version!r} is not the supported version {DISK_FORMAT_VERSION}",
+        ):
             FileBackedDisk.open(path)
 
     def test_garbage_superblock_rejected(self, tmp_path):

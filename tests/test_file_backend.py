@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
 from benchmarks.client_protocol import s_query
+from repro.api import QueryOptions, ReachabilityClient, Request
 from repro.core.directory import DIRECTORY_COLUMNS
 from repro.core.engine import ReachabilityEngine
-from repro.core.query import SQuery
+from repro.core.query import MQuery, SQuery
 from repro.core.st_index import STIndex
 from repro.io.persist import (
     STORE_FORMAT_VERSION,
@@ -147,6 +149,43 @@ class TestStoreRoundTrip:
         assert isinstance(disk, FileBackedDisk)
         # Cold start touched only the pages the query needed.
         assert 0 < disk.pages_faulted < disk.num_pages
+
+    def test_bundle_with_retired_keys_answers_like_a_fresh_save(self, saved, tmp_path):
+        """An older bundle also carries the ST-Index pool and record-cache
+        sizes in ``store.json`` and the I/O latencies in the superblock.
+        No reader needs them: such a bundle opens, sizes its pools from
+        ``engine_pool_pages`` and answers a batch like a fresh save."""
+        store, _ = saved
+        old = tmp_path / "old"
+        shutil.copytree(store, old)
+        config = json.loads((old / "store.json").read_text())
+        config.update(st_pool_pages=config["engine_pool_pages"], record_cache_size=4096)
+        (old / "store.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+        superblock = old / "disk" / "superblock.json"
+        payload = json.loads(superblock.read_text())
+        del payload["checksum"]
+        payload.update(read_latency_ms=8.0, write_latency_ms=10.0)
+        payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
+        superblock.write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+        requests = [
+            Request(SQuery(Point(0, 0), T, 600, 0.2)),
+            Request(SQuery(Point(0, 0), T, 120, 0.3)),
+            Request(SQuery(Point(500, 500), T, 900, 0.2), QueryOptions(direction="reverse")),
+            Request(MQuery((Point(0, 0), Point(1000, 600)), T, 600, 0.2)),
+        ]
+        reports = []
+        for path in (store, old):
+            with ReachabilityClient.open(path) as client:
+                index = client.engine.st_index(300)
+                assert index.pool.capacity == config["engine_pool_pages"]
+                reports.append(client.run_batch(requests))
+        fresh, legacy = reports
+        assert legacy.routes == fresh.routes
+        assert legacy.io == fresh.io
+        for expected, actual in zip(fresh.results, legacy.results):
+            assert actual.segments == expected.segments
+            assert actual.probabilities == expected.probabilities
 
     def test_append_durable_across_reopen(self, saved, dataset_route):
         store, _ = saved
@@ -451,13 +490,13 @@ class TestPersistFormatErrors:
                 f'{{"version": {STORE_FORMAT_VERSION}, "delta_t_s": 0}}',
                 "store.json delta_t_s is 0",
             ),
-            # Sizing knobs: typed errors, not int()'s, and no silent resize.
-            ("store.json", {"st_pool_pages": None}, "store.json st_pool_pages is None"),
-            ("store.json", {"record_cache_size": "x"}, "store.json record_cache_size is 'x'"),
+            # The sizing knob: typed errors, not int()'s, and no silent resize.
+            ("store.json", {"engine_pool_pages": None}, "store.json engine_pool_pages is None"),
+            ("store.json", {"engine_pool_pages": "x"}, "store.json engine_pool_pages is 'x'"),
             ("store.json", {"engine_pool_pages": -5}, "store.json engine_pool_pages is -5"),
-            ("store.json", {"st_pool_pages": 0}, "store.json st_pool_pages is 0"),
-            ("store.json", {"record_cache_size": -1}, "store.json record_cache_size is -1"),
-            ("store.json", {"st_pool_pages": 1.5}, "store.json st_pool_pages is 1.5"),
+            ("store.json", {"engine_pool_pages": 0}, "store.json engine_pool_pages is 0"),
+            ("store.json", {"engine_pool_pages": True}, "store.json engine_pool_pages is True"),
+            ("store.json", {"engine_pool_pages": 1.5}, "store.json engine_pool_pages is 1.5"),
             # Directory rows that name no entry: a dict rewrites row 0 of
             # the named column (a float value makes the column float).
             ("directory.npz", {"dir_slot": -1}, "row 0 names no entry: .* slot -1 of 288"),
@@ -479,12 +518,12 @@ class TestPersistFormatErrors:
             "speed-model-float-keys",
             "store-no-delta-t",
             "store-delta-t-0",
-            "store-st-pool-null",
-            "store-record-cache-string",
+            "store-engine-pool-null",
+            "store-engine-pool-string",
             "store-engine-pool-negative",
-            "store-st-pool-zero",
-            "store-record-cache-negative",
-            "store-st-pool-fraction",
+            "store-engine-pool-zero",
+            "store-engine-pool-bool",
+            "store-engine-pool-fraction",
             "directory-slot-negative",
             "directory-slot-past-the-day",
             "directory-segment-negative",

@@ -394,10 +394,11 @@ class TestWaveCounters:
         assert "waves" in rows["Probability checks"]
 
     def test_explain_renders_probability_path(self, engine):
-        from repro.core.explain import explain_s_query
+        from repro.api import QueryOptions, ReachabilityClient, Request
 
         query = SQuery(Point(0.0, 0.0), float(day_time(11)), 600.0, 0.2)
-        explanation = explain_s_query(engine, query)
+        options = QueryOptions(algorithm="sqmb_tbs", delta_t_s=300, reuse_regions=False)
+        explanation = ReachabilityClient(engine).explain(Request(query, options))
         assert explanation.result.cost.probability_waves
         text = explanation.to_text()
         assert "probability path:" in text

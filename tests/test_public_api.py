@@ -25,7 +25,6 @@ API_SURFACE = (
     "Response",
     "RouteDecision",
     "Router",
-    "RouterConfig",
     "as_client",
 )
 
@@ -88,12 +87,11 @@ class TestEnvelopeContracts:
         "instance",
         [
             api.QueryOptions(),
-            api.RouterConfig(),
             api.RouteDecision(
                 kind="s", algorithm="sqmb_tbs", rule="paper-s", reason="test"
             ),
         ],
-        ids=["QueryOptions", "RouterConfig", "RouteDecision"],
+        ids=["QueryOptions", "RouteDecision"],
     )
     def test_envelopes_frozen(self, instance):
         field = dataclasses.fields(instance)[0].name

@@ -18,8 +18,8 @@ from repro.api import (
     ReachabilityClient,
     Request,
     Router,
-    RouterConfig,
 )
+from repro.api import router as router_module
 from repro.api.router import PAPER_ALGORITHMS, ROUTING_TABLE
 from repro.core.query import MQuery, SQuery
 from repro.spatial.geometry import Point
@@ -114,14 +114,12 @@ class TestRouteDecisions:
         assert decision.rule == "forced"
         assert decision.requested == "es"
 
-    def test_config_thresholds_respected(self):
-        lenient = Router(RouterConfig(es_prob_floor=0.01))
-        assert lenient.route(Request(s(60, prob=0.05)), DT).algorithm == "es"
+    def test_thresholds_respected(self, monkeypatch):
+        monkeypatch.setattr(router_module, "ES_PROB_FLOOR", 0.01)
+        assert Router().route(Request(s(60, prob=0.05)), DT).algorithm == "es"
         # A small disjointness speed makes nearby seeds "sparse".
-        eager = Router(RouterConfig(disjoint_speed_mps=0.001))
-        assert (
-            eager.route(Request(m()), DT).rule == "sparse-decompose"
-        )
+        monkeypatch.setattr(router_module, "DISJOINT_SPEED_MPS", 0.001)
+        assert Router().route(Request(m()), DT).rule == "sparse-decompose"
 
     def test_delta_t_changes_sub_slot_classification(self):
         router = Router()

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api.client import ReachabilityClient
 from repro.api.envelope import QueryOptions, Request
+from repro.api.router import ROUTER
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import BoundingRegion, MQuery, QueryResult, SQuery
 from repro.core.service import QueryService
@@ -302,6 +303,42 @@ def test_sharded_matches_single_process(test_dataset, shards):
 
 
 @pytest.mark.sharded
+def test_client_backends_route_and_answer_alike(test_dataset):
+    """One client policy on both backends: a batch that fires every auto
+    rule a batch can reach routes rule for rule alike in-process and
+    sharded, every request answers the same segments, and every request
+    that ran whole answers alike in full."""
+    requests = mixed_requests(test_dataset.network, 6, 3)
+    s_query = next(r.query for r in requests if isinstance(r.query, SQuery))
+    m_query = next(r.query for r in requests if isinstance(r.query, MQuery))
+    requests += [
+        Request(SQuery(s_query.location, s_query.start_time_s, 120, 0.3)),
+        Request(MQuery(m_query.locations, m_query.start_time_s, 120, 0.3)),
+        Request(MQuery((s_query.location,) * 2, s_query.start_time_s, 600, 0.2)),
+    ]
+    with ReachabilityClient(fresh_engine(test_dataset)) as client:
+        local = client.run_batch(requests)
+    with ReachabilityClient(
+        fresh_engine(test_dataset), backend="sharded", shards=2
+    ) as client:
+        sharded = client.run_batch(requests)
+        decomposed = set(client._sharded.plan_dispatch(requests).decomposed)
+
+    assert {decision.rule for decision in local.routes} >= {
+        "paper-s", "paper-m", "reverse-bounds", "sub-slot-es", "single-location-decompose",
+    }
+    assert sharded.routes == local.routes
+    # A decomposed sub-slot m-query runs ES in every part, as it does whole.
+    assert len(requests) - 2 in decomposed
+    for seq, (expected, actual) in enumerate(zip(local.results, sharded.results)):
+        assert actual.segments == expected.segments
+        if seq not in decomposed:
+            assert actual.probabilities == expected.probabilities
+            assert actual.max_region == expected.max_region
+            assert actual.min_region == expected.min_region
+
+
+@pytest.mark.sharded
 def test_shard_windows_match_single_process_oracle(test_dataset):
     """Each shard's DiskStats equals a fresh single-process engine
     running that shard's exact sub-request list — shard accounting is
@@ -449,12 +486,11 @@ def test_one_location_parts_ship_as_lockstep_s_queries(test_dataset, monkeypatch
     ) as sharded:
         dispatch = sharded.plan_dispatch(requests)
         report = sharded.run_batch(requests)
-        router = sharded.router
 
     shipped: dict[int, dict[int, Request]] = {}
     for entries in dispatch.per_shard.values():
         for seq, part_idx, request in entries:
-            assert router.route(request, 300).algorithm != "sqmb_tbs_each"
+            assert ROUTER.route(request, 300).algorithm != "sqmb_tbs_each"
             if seq in dispatch.decomposed:
                 shipped.setdefault(seq, {})[part_idx] = request
     one_location = [

@@ -35,6 +35,7 @@ from repro.serving import (
     ShardedEngine,
 )
 from repro.injection import Injector
+from repro.serving import dispatcher
 from repro.serving.faults import KILL_IN_RUN, RECV, RUN
 from repro.serving.faults import (
     FAULT_EXIT_CODE,
@@ -51,6 +52,12 @@ from repro.storage.disk import DiskStats
 from test_serving import fresh_engine, mixed_requests
 
 pytestmark = [pytest.mark.sharded, pytest.mark.serving_faults]
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Retry without sleeping between attempts."""
+    monkeypatch.setattr(dispatcher, "RETRY_BACKOFF_S", 0.0)
 
 
 def oracle_report(test_dataset, requests):
@@ -186,7 +193,7 @@ def test_kill_mid_batch_retry_succeeds(test_dataset):
     assert restarted  # the fault shows up on the owning shard's row
 
 
-def test_retries_exhausted_degrades_to_local_fallback(test_dataset):
+def test_retries_exhausted_degrades_to_local_fallback(test_dataset, no_backoff):
     """A worker that dies on *every* incarnation exhausts its retries;
     its sub-batch re-executes on the dispatcher-local fallback with
     results identical to the oracle and exact DiskStats accounting."""
@@ -200,7 +207,6 @@ def test_retries_exhausted_degrades_to_local_fallback(test_dataset):
         shards=2,
         fault_plan=plan,
         max_retries=1,
-        retry_backoff_s=0.0,
     ) as sharded:
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
@@ -223,7 +229,7 @@ def test_retries_exhausted_degrades_to_local_fallback(test_dataset):
     assert by_shard[0].io == degraded_oracle.io
 
 
-def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset):
+def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset, no_backoff):
     """DELAY_RESPONSE parks the first reply until after the dispatcher's
     deadline fired and retried: the late frame must be discarded by
     request id (counted, never merged) and the retry's answer used."""
@@ -235,7 +241,6 @@ def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset):
         shards=2,
         fault_plan=plan,
         deadline_ms=250.0,
-        retry_backoff_s=0.0,
     ) as sharded:
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
@@ -250,7 +255,7 @@ def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset):
     assert_exact_io(report)
 
 
-def test_error_reply_retries_on_same_worker(test_dataset):
+def test_error_reply_retries_on_same_worker(test_dataset, no_backoff):
     """RAISE_IN_SERVE answers MSG_ERROR; the worker stays trusted (it
     replied coherently) and the retry on the same process succeeds."""
     requests = mixed_requests(test_dataset.network, 6, 2)
@@ -260,7 +265,6 @@ def test_error_reply_retries_on_same_worker(test_dataset):
         QueryService(fresh_engine(test_dataset)),
         shards=2,
         fault_plan=plan,
-        retry_backoff_s=0.0,
     ) as sharded:
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
@@ -271,7 +275,7 @@ def test_error_reply_retries_on_same_worker(test_dataset):
     assert_exact_io(report)
 
 
-def test_corrupt_frame_respawns_and_retry_succeeds(test_dataset):
+def test_corrupt_frame_respawns_and_retry_succeeds(test_dataset, no_backoff):
     """A reply that fails frame validation means the pipe can no longer
     be trusted: the supervisor respawns and the retry succeeds."""
     requests = mixed_requests(test_dataset.network, 6, 2)
@@ -281,7 +285,6 @@ def test_corrupt_frame_respawns_and_retry_succeeds(test_dataset):
         QueryService(fresh_engine(test_dataset)),
         shards=2,
         fault_plan=plan,
-        retry_backoff_s=0.0,
     ) as sharded:
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
@@ -317,7 +320,7 @@ def test_respawned_worker_serves_next_batch_identically(test_dataset):
     assert_exact_io(report2)
 
 
-def test_fault_plan_determinism(test_dataset):
+def test_fault_plan_determinism(test_dataset, no_backoff):
     """Same plan, same workload, fresh engines: identical supervision
     counters and identical merged results on both runs."""
     requests = mixed_requests(test_dataset.network, 5, 2)
@@ -331,7 +334,6 @@ def test_fault_plan_determinism(test_dataset):
             QueryService(fresh_engine(test_dataset)),
             shards=2,
             fault_plan=plan,
-            retry_backoff_s=0.0,
         ) as sharded:
             report = sharded.run_batch(requests)
         outcomes.append(

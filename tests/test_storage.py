@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference.buffer_pool import StripedLRUModel
 
+from repro.storage import disk as disk_module
 from repro.storage.backends import FileBackedDisk
 from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
@@ -49,8 +50,10 @@ class TestSimulatedDisk:
         with pytest.raises(DiskError):
             disk.read_page(0)
 
-    def test_simulated_io_accounting(self):
-        disk = SimulatedDisk(read_latency_ms=5.0, write_latency_ms=7.0)
+    def test_simulated_io_accounting(self, monkeypatch):
+        monkeypatch.setattr(disk_module, "READ_LATENCY_MS", 5.0)
+        monkeypatch.setattr(disk_module, "WRITE_LATENCY_MS", 7.0)
+        disk = SimulatedDisk()
         page = disk.allocate()
         disk.write_page(page, b"a")
         disk.read_page(page)
@@ -418,8 +421,10 @@ class TestDiskStatsLockedReads:
     """Regression tests for RL001 fixes: counter reads that used to peek
     at ``stats``/``_used`` without the disk lock now snapshot under it."""
 
-    def test_simulated_io_ms_default_snapshots_own_stats(self):
-        disk = SimulatedDisk(page_size=16, read_latency_ms=5.0, write_latency_ms=7.0)
+    def test_simulated_io_ms_default_snapshots_own_stats(self, monkeypatch):
+        monkeypatch.setattr(disk_module, "READ_LATENCY_MS", 5.0)
+        monkeypatch.setattr(disk_module, "WRITE_LATENCY_MS", 7.0)
+        disk = SimulatedDisk(page_size=16)
         page = disk.allocate()
         disk.write_page(page, b"x" * 16)
         disk.read_page(page)
