@@ -45,7 +45,7 @@ from repro.core.explain import QueryExplanation, StageRecorder
 from repro.core.planner import QueryPlan, plan_query
 from repro.core.query import MQuery, SQuery
 from repro.core.service import BatchReport, QueryService, as_service
-from repro.storage.disk import READ_LATENCY_MS
+from repro.storage.disk import read_io_ms
 
 
 def resolve_delta_t(request: Request, service: QueryService) -> int:
@@ -485,7 +485,7 @@ class BatchStream(Iterator[Response]):
     def _finalize(self) -> None:
         self._finished = True
         report = self._report
-        report.simulated_io_ms = report.io.page_reads * READ_LATENCY_MS
+        report.simulated_io_ms = read_io_ms(report.io.page_reads)
         report.regions_computed = sum(
             context.regions_computed for context in self._contexts.values()
         )

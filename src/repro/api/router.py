@@ -19,10 +19,10 @@ registered execution routes:
 Every classification is recorded as an inspectable
 :class:`RouteDecision` (rule id, human reason, the feature values it
 fired on), rendered by ``EXPLAIN`` and carried on every
-:class:`~repro.api.envelope.Response`.  Routing never changes answers —
-each route is an exact executor for its shape — so forcing
-``algorithm=<decision.algorithm>`` returns the identical segment set;
-the router only moves cost.
+:class:`~repro.api.envelope.Response`.  Forcing
+``algorithm=<decision.algorithm>`` returns the identical segment set.
+On paper-routed shapes the router only moves cost; on sub-slot shapes
+the ES and bounded routes are known to disagree (see ``docs/api.md``).
 
 The design follows the "traffic light" routing exemplar (virt-graph):
 one front door, a small ordered rule table, first match wins, and the

@@ -38,7 +38,7 @@ from repro.core.mqmb import mqmb_bounding_region
 from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
 from repro.core.sqmb import sqmb_bounding_region
-from repro.storage.disk import READ_LATENCY_MS
+from repro.storage.disk import read_io_ms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ReachabilityEngine
@@ -319,9 +319,7 @@ def charge_cost(outcome: ExecutionOutcome, io, wall_time_s: float) -> QueryResul
     result.cost = QueryCost(
         wall_time_s=wall_time_s,
         io=io,
-        # Reads only: page writes can only stem from lazy index
-        # construction, which is offline work in the paper's model.
-        simulated_io_ms=io.page_reads * READ_LATENCY_MS,
+        simulated_io_ms=read_io_ms(io.page_reads),
         probability_checks=total("checks"),
         segments_expanded=outcome.examined,
         kernel_probability_evals=total("kernel_evals"),

@@ -258,8 +258,7 @@ class STIndex:
         delta_t_s: int,
         disk: SimulatedDisk,
         directory: TimeListDirectory,
-        buffer_pool_pages: int = 512,
-        record_cache_size: int = 4096,
+        buffer_pool_pages: int,
     ) -> "STIndex":
         """Rebuild a built index from persisted state (no re-indexing).
 
@@ -270,13 +269,7 @@ class STIndex:
         day); the index adopts it, so the caller must not keep mutating it.  Appends keep working: the
         restored store opens a fresh tail page after the persisted extents.
         """
-        index = cls(
-            network,
-            delta_t_s,
-            disk=disk,
-            buffer_pool_pages=buffer_pool_pages,
-            record_cache_size=record_cache_size,
-        )
+        index = cls(network, delta_t_s, disk=disk, buffer_pool_pages=buffer_pool_pages)
         index.directory = directory
         index._built = True
         index.stats.num_entries = len(directory)

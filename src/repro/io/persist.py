@@ -482,9 +482,8 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     database = TrajectoryDatabase.from_speed_model(
         _load_speed_model(directory / "speed_model.npz")
     )
-    pool_pages = config.get("engine_pool_pages", 1024)
     return restore_engine(
-        network, database, delta_t_s, pool_pages, "store.json",
+        network, database, delta_t_s, config.get("engine_pool_pages"), "store.json",
         lambda: _open_store_data(directory, delta_t_s, crash_plan, readonly),
     )
 

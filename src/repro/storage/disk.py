@@ -46,8 +46,14 @@ DEFAULT_PAGE_SIZE = 4096
 #: in §3.2.2.  Purely an accounting constant; nothing sleeps.
 READ_LATENCY_MS = 8.0
 
-#: Accounted cost of one page write, in simulated milliseconds.
-WRITE_LATENCY_MS = 10.0
+
+def read_io_ms(page_reads: int) -> float:
+    """Accounted I/O time of ``page_reads`` page reads, in milliseconds.
+
+    The one place I/O is priced.  Reads only: page writes stem from index
+    construction, which is offline work in the paper's model.
+    """
+    return page_reads * READ_LATENCY_MS
 
 
 class DiskError(Exception):
@@ -127,8 +133,7 @@ class SimulatedDisk:
     and backed by one contiguous ``bytearray``: page ``i`` occupies byte
     range ``[i * page_size, (i + 1) * page_size)``.  Payloads may be shorter
     than ``page_size`` (trailing space is considered unused) but never
-    longer.  I/O is priced at :data:`READ_LATENCY_MS` /
-    :data:`WRITE_LATENCY_MS` per page.
+    longer.  Reads are priced by :func:`read_io_ms`.
 
     Args:
         page_size: capacity of one page in bytes.
@@ -343,13 +348,6 @@ class SimulatedDisk:
             self._pools = live
 
     # -- accounting ----------------------------------------------------
-
-    def simulated_io_ms(self, stats: DiskStats | None = None) -> float:
-        """Accounted I/O time in milliseconds for ``stats`` (default: own)."""
-        if stats is None:
-            with self._lock:
-                stats = self.stats.copy()
-        return stats.page_reads * READ_LATENCY_MS + stats.page_writes * WRITE_LATENCY_MS
 
     def snapshot(self) -> DiskStats:
         """A copy of the current counters, for before/after differencing.

@@ -28,6 +28,7 @@ from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.eval import config
 from repro.spatial.geometry import Point
+from repro.storage import disk as disk_module
 from repro.storage.disk import DiskStats
 from repro.trajectory.model import day_time
 
@@ -118,6 +119,21 @@ class TestSend:
         third = client.send(Request(SQuery(CENTER, T, 600, 0.8)))
         assert third.regions_computed == 0
         assert third.regions_reused == 2
+
+    def test_reported_io_cost_reads_the_latency_constant(self, engine, monkeypatch):
+        """Single sends and batches price their page reads through
+        ``storage.disk.read_io_ms`` at the module's current latency."""
+        monkeypatch.setattr(disk_module, "READ_LATENCY_MS", 5.0)
+        client = ReachabilityClient(engine)
+        request = Request(
+            SQuery(CENTER, T, 600, 0.2), QueryOptions(reuse_regions=False)
+        )
+        cost = client.send(request).cost
+        assert cost.io.page_reads > 0
+        assert cost.simulated_io_ms == cost.io.page_reads * 5.0
+        report = client.run_batch([request, request])
+        assert report.io.page_reads > 0
+        assert report.simulated_io_ms == report.io.page_reads * 5.0
 
     def test_reuse_regions_opt_out(self, engine):
         """The paper's cold protocol stays expressible per request."""

@@ -491,6 +491,11 @@ class TestPersistFormatErrors:
                 "store.json delta_t_s is 0",
             ),
             # The sizing knob: typed errors, not int()'s, and no silent resize.
+            (
+                "store.json",
+                f'{{"version": {STORE_FORMAT_VERSION}, "delta_t_s": 300}}',
+                "store.json engine_pool_pages is None",
+            ),
             ("store.json", {"engine_pool_pages": None}, "store.json engine_pool_pages is None"),
             ("store.json", {"engine_pool_pages": "x"}, "store.json engine_pool_pages is 'x'"),
             ("store.json", {"engine_pool_pages": -5}, "store.json engine_pool_pages is -5"),
@@ -518,6 +523,7 @@ class TestPersistFormatErrors:
             "speed-model-float-keys",
             "store-no-delta-t",
             "store-delta-t-0",
+            "store-engine-pool-missing",
             "store-engine-pool-null",
             "store-engine-pool-string",
             "store-engine-pool-negative",

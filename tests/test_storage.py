@@ -50,15 +50,10 @@ class TestSimulatedDisk:
         with pytest.raises(DiskError):
             disk.read_page(0)
 
-    def test_simulated_io_accounting(self, monkeypatch):
+    def test_read_io_ms_prices_reads_at_the_constant(self, monkeypatch):
+        assert disk_module.read_io_ms(3) == 3 * 8.0
         monkeypatch.setattr(disk_module, "READ_LATENCY_MS", 5.0)
-        monkeypatch.setattr(disk_module, "WRITE_LATENCY_MS", 7.0)
-        disk = SimulatedDisk()
-        page = disk.allocate()
-        disk.write_page(page, b"a")
-        disk.read_page(page)
-        disk.read_page(page)
-        assert disk.simulated_io_ms() == pytest.approx(2 * 5.0 + 7.0)
+        assert disk_module.read_io_ms(3) == 3 * 5.0
 
     def test_snapshot_diff(self):
         disk = SimulatedDisk()
@@ -421,17 +416,6 @@ class TestDiskStatsLockedReads:
     """Regression tests for RL001 fixes: counter reads that used to peek
     at ``stats``/``_used`` without the disk lock now snapshot under it."""
 
-    def test_simulated_io_ms_default_snapshots_own_stats(self, monkeypatch):
-        monkeypatch.setattr(disk_module, "READ_LATENCY_MS", 5.0)
-        monkeypatch.setattr(disk_module, "WRITE_LATENCY_MS", 7.0)
-        disk = SimulatedDisk(page_size=16)
-        page = disk.allocate()
-        disk.write_page(page, b"x" * 16)
-        disk.read_page(page)
-        assert disk.simulated_io_ms() == 5.0 + 7.0
-        # Explicit stats still win over the internal counters.
-        assert disk.simulated_io_ms(disk.snapshot()) == disk.simulated_io_ms()
-
     def test_num_pages_and_repr_while_writing(self):
         import threading
 
@@ -444,7 +428,7 @@ class TestDiskStatsLockedReads:
                 while not stop.is_set():
                     assert disk.num_pages >= 0
                     assert "SimulatedDisk(" in repr(disk)
-                    disk.simulated_io_ms()
+                    disk.snapshot()
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
