@@ -56,6 +56,8 @@ class ReachabilityEngine:
         # boundary segments is visible in the accounting.
         self.disk = disk if disk is not None else SimulatedDisk(page_size=1024)
         self.buffer_pool_pages = buffer_pool_pages
+        # Set by repro.io.persist: the store bundle last opened or saved.
+        self.saved_bundle: tuple | None = None
         self._st_indexes: dict[int, STIndex] = {}
         self._con_indexes: dict[int, ConnectionIndex] = {}
         self._data_change_hooks: list = []

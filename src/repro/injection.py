@@ -79,3 +79,7 @@ class Injector:
         self._passes[hook] += 1
         count = self._passes[hook]
         return tuple(s for s in self._specs if s.HOOKS[s.kind] == hook and s.at == count)
+
+    def passes(self, hook: str) -> int:
+        """Passes counted through ``hook`` (none without specs)."""
+        return self._passes[hook]

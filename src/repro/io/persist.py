@@ -316,24 +316,33 @@ def _load_speed_model(path: Path) -> dict:
     return model
 
 
-def _directory_npz_bytes(
-    directory, journal_generation: int, applied_commits: int
-) -> bytes:
-    """The store bundle's directory file, serialised for atomic publish.
+#: The rows appended to the store's directory since ``directory.npz``.
+DIRECTORY_DELTA = "directory.delta.npz"
+#: The journal prefix a saved directory reflects: :func:`open_store`
+#: replays exactly the suffix of appends committed after it.
+_POSITION = ("journal_generation", "applied_commits")
 
-    ``journal_generation``/``applied_commits`` record which prefix of the
-    disk's journal this directory already reflects, so :func:`open_store`
-    replays exactly the suffix of appends committed after the save.
-    """
-    columns = {name: _narrowest(column) for name, column in directory.columns().items()}
+
+def _directory_npz_bytes(position: dict, **arrays: np.ndarray) -> bytes:
+    """A directory file of the bundle, serialised for atomic publish: the
+    journal ``position`` it reflects and ``arrays`` in their narrowest
+    integer dtypes."""
     return _npz_bytes(
         {
             "version": np.int64(STORE_FORMAT_VERSION),
-            "journal_generation": np.int64(journal_generation),
-            "applied_commits": np.int64(applied_commits),
-            **columns,
+            **{field: np.int64(value) for field, value in position.items()},
+            **{name: _narrowest(array) for name, array in arrays.items()},
         }
     )
+
+
+def _bundle_key(engine, directory: Path, delta_t_s: int) -> tuple:
+    """``engine.saved_bundle`` after an open or save of ``directory``.  While
+    the key holds, the bundle's metadata files are what a save would
+    write (a database ``add`` grows its length) and its ``directory.npz``
+    is the base the index's directory extends."""
+    database = engine.database
+    return (directory.resolve(), delta_t_s, engine.buffer_pool_pages, len(database), database.num_days)
 
 
 def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
@@ -341,23 +350,27 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
 
     Layout: ``network.json``, ``speed_model.npz``, ``store.json`` (format
     version, Δt and the engine's buffer-pool size), ``directory.npz``
-    (the ST-Index directory plus the journal position it reflects) and
-    ``disk/`` (a :class:`FileBackedDisk` store).  Every file is published with an atomic replace.
+    (the ST-Index directory plus the journal position it reflects),
+    ``directory.delta.npz`` (the rows appended since, their position and
+    the base's) and ``disk/`` (a :class:`FileBackedDisk` store).  Every
+    file is published with an atomic replace.
 
     Two save paths:
 
     * engine already on a ``FileBackedDisk`` at ``<directory>/disk`` —
-      the *in-place* save: write ``directory.npz`` first (it names the
-      journal prefix it covers), then checkpoint the disk.  A crash at
-      any point leaves a store that opens to exactly the pre- or
-      post-save state.
+      the *in-place* save of what changed since the engine opened or last
+      saved the bundle: the metadata files only if :func:`_bundle_key`
+      moved, the directory delta — or, when the key moved or the disk
+      compacts, the whole ``directory.npz`` — then the disk checkpoint.
+      A crash at any point leaves a store that opens to exactly the pre-
+      or post-save state.
     * any other disk — export the page buffer into a fresh
       ``FileBackedDisk``.  ``directory.npz`` is removed up front and
       rewritten last, so a crash mid-save leaves a store that
       :func:`open_store` rejects as incomplete rather than one that
       silently mixes old and new state.
     """
-    from repro.storage.backends import FileBackedDisk, atomic_replace
+    from repro.storage.backends import FileBackedDisk
 
     index = engine.st_index(delta_t_s)
     directory = Path(directory)
@@ -365,53 +378,48 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     disk_dir = directory / "disk"
     # Group commit: makes the tail page durable.
     time_lists = index.committed_directory()
-    atomic_replace(
-        directory / "network.json",
-        json.dumps(network_to_dict(engine.network)).encode(),
+    disk = engine.disk
+    in_place = isinstance(disk, FileBackedDisk) and (
+        Path(disk.path).resolve() == disk_dir.resolve()
     )
-    atomic_replace(
-        directory / "speed_model.npz",
-        _speed_model_npz_bytes(engine.database.export_speed_model()),
-    )
-    atomic_replace(
-        directory / "store.json",
-        json.dumps(
-            {
-                "version": STORE_FORMAT_VERSION,
-                "delta_t_s": int(delta_t_s),
-                "engine_pool_pages": int(engine.buffer_pool_pages),
-            },
-            indent=2,
-            sort_keys=True,
-        ).encode(),
-    )
-    in_place = isinstance(engine.disk, FileBackedDisk) and (
-        Path(engine.disk.path).resolve() == disk_dir.resolve()
-    )
-    if in_place:
-        disk = engine.disk
-        atomic_replace(
-            directory / "directory.npz",
-            _directory_npz_bytes(
-                time_lists,
-                journal_generation=disk.generation,
-                applied_commits=disk.journal_record_count,
-            ),
-        )
-        disk.checkpoint()
-    else:
-        (directory / "directory.npz").unlink(missing_ok=True)
-        buffer, used = engine.disk.export_state()
+    key = _bundle_key(engine, directory, delta_t_s)
+    unchanged = in_place and engine.saved_bundle == key
+    if not in_place:
+        for name in ("directory.npz", DIRECTORY_DELTA):
+            (directory / name).unlink(missing_ok=True)
+        buffer, used = disk.export_state()
         disk = FileBackedDisk.create_from_state(
-            disk_dir, buffer, used, page_size=engine.disk.page_size
+            disk_dir, buffer, used, page_size=disk.page_size
         )
         disk.close()
-        atomic_replace(
-            directory / "directory.npz",
-            _directory_npz_bytes(
-                time_lists, journal_generation=disk.generation, applied_commits=0
-            ),
-        )
+    if not unchanged:
+        config = {
+            "version": STORE_FORMAT_VERSION,
+            "delta_t_s": int(delta_t_s),
+            "engine_pool_pages": int(engine.buffer_pool_pages),
+        }
+        for name, data in (
+            ("network.json", json.dumps(network_to_dict(engine.network)).encode()),
+            ("speed_model.npz", _speed_model_npz_bytes(engine.database.export_speed_model())),
+            ("store.json", json.dumps(config, indent=2, sort_keys=True).encode()),
+        ):
+            disk.replace_file(directory / name, data)
+    position = {"journal_generation": disk.generation, "applied_commits": disk.journal_record_count}
+    if unchanged and not disk.checkpoint_compacts:
+        base = _npz_arrays(directory / "directory.npz", "store directory", _POSITION)
+        position.update({f"base_{field}": base[field] for field in _POSITION})
+        name, data = DIRECTORY_DELTA, _directory_npz_bytes(position, rows=time_lists.extended_rows())
+    else:
+        name, data = "directory.npz", _directory_npz_bytes(position, **time_lists.columns())
+    disk.replace_file(directory / name, data)
+    if name != DIRECTORY_DELTA:
+        time_lists.rebase()
+    if in_place:
+        disk.checkpoint()
+        engine.saved_bundle = key
+    if name != DIRECTORY_DELTA:
+        # The new base covers the old delta; open ignores it until now.
+        (directory / DIRECTORY_DELTA).unlink(missing_ok=True)
     return directory
 
 
@@ -482,17 +490,31 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     database = TrajectoryDatabase.from_speed_model(
         _load_speed_model(directory / "speed_model.npz")
     )
-    return restore_engine(
+    engine = restore_engine(
         network, database, delta_t_s, config.get("engine_pool_pages"), "store.json",
         lambda: _open_store_data(directory, delta_t_s, crash_plan, readonly),
     )
+    engine.saved_bundle = _bundle_key(engine, directory, delta_t_s)
+    return engine
+
+
+def _directory_file(path: Path, what: str, names) -> tuple[dict, tuple[int, int]]:
+    """A directory file's ``names`` arrays, version-checked, and its
+    journal position."""
+    arrays = _npz_arrays(path, what, ("version", *_POSITION, *names))
+    if int(arrays["version"]) != STORE_FORMAT_VERSION:
+        raise PersistFormatError(
+            f"unsupported {what} format {int(arrays['version'])} "
+            f"(supported: {STORE_FORMAT_VERSION})"
+        )
+    return arrays, tuple(int(arrays[field]) for field in _POSITION)
 
 
 def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool):
     """The store's disk and its directory, journal suffix replayed."""
     from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
     from repro.core.slots import slots_per_day
-    from repro.storage.backends import FileBackedDisk
+    from repro.storage.backends import CorruptSnapshotError, FileBackedDisk
     from repro.storage.serialization import (
         SerializationError,
         decode_append_delta,
@@ -503,21 +525,33 @@ def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool
     )
     page_size = disk.page_size
     num_pages_total = disk.num_pages
-    data = _npz_arrays(
-        directory / "directory.npz",
-        "store directory",
-        ("version", "journal_generation", "applied_commits", *DIRECTORY_COLUMNS),
+    data, position = _directory_file(
+        directory / "directory.npz", "store directory", DIRECTORY_COLUMNS
     )
-    if int(data["version"]) != STORE_FORMAT_VERSION:
-        raise PersistFormatError(
-            f"unsupported store directory format {int(data['version'])} "
-            f"(supported: {STORE_FORMAT_VERSION})"
-        )
-    journal_generation = int(data["journal_generation"])
-    applied_commits = int(data["applied_commits"])
     time_lists = TimeListDirectory.from_columns(
         data, slots_per_day(delta_t_s), num_pages_total, page_size, "store directory"
     )
+    if (directory / DIRECTORY_DELTA).exists():
+        delta, delta_position = _directory_file(
+            directory / DIRECTORY_DELTA,
+            "store directory delta",
+            (*(f"base_{field}" for field in _POSITION), "rows"),
+        )
+        if tuple(int(delta[f"base_{field}"]) for field in _POSITION) == position:
+            if delta["rows"].dtype.kind not in "iu":
+                raise PersistFormatError(
+                    f"store directory delta rows hold {delta['rows'].dtype}, not integers"
+                )
+            time_lists.extend(delta["rows"], num_pages_total, page_size, "store directory delta")
+            position = delta_position
+        elif delta_position > position:
+            raise CorruptSnapshotError(
+                f"{DIRECTORY_DELTA} extends a base directory other than directory.npz "
+                f"(journal position {position})"
+            )
+        # Otherwise the base covers the delta: a compacting save died
+        # between publishing directory.npz and removing the delta.
+    journal_generation, applied_commits = position
     # Replay the journal suffix the saved directory does not yet reflect.
     metas = disk.journal_metas
     if disk.generation == journal_generation:

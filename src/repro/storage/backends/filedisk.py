@@ -8,33 +8,40 @@ while persisting the page buffer in a directory of real files:
 
 =====================  ========================================================
 ``superblock.json``    self-checksummed commit point: magic, format version,
-                       generation, page size and count, sidecar checksum
-``pages.<g>.bin``      the page buffer, ``num_pages * page_size`` raw bytes
+                       generation ``g``, base generation ``b`` and page
+                       count, page size and count, sidecar checksum, delta
+                       page count and page-id-list checksum
+``pages.<b>.bin``      the base: its pages, ``base_pages * page_size`` bytes
+``pages.<g>.dlt``      the delta: ascending ``uint32`` ids of the pages
+                       changed since the base, then those pages
 ``pages.<g>.crc``      per-page sidecar: ``(crc32(page slice), used length)``
                        as little-endian ``uint32`` pairs, parsed in one pass
 ``journal.<g>.log``    write-ahead append journal of commit records
 =====================  ========================================================
 
-All four are published with :func:`~repro.storage.backends.atomic.
+All are published with :func:`~repro.storage.backends.atomic.
 atomic_replace` (write-temp → fsync → rename); the generation suffix
-``<g>`` makes the multi-file snapshot atomic as a unit — a checkpoint
-writes generation ``g+1``'s data, sidecar and fresh journal first and
-flips the superblock *last*, so a crash at any interleaving leaves the
-previous generation fully intact and authoritative.
+makes the multi-file snapshot atomic as a unit — a checkpoint writes
+generation ``g+1``'s delta, sidecar and fresh journal first and flips the
+superblock *last*, so a crash at any interleaving leaves the previous
+generation fully intact and authoritative.  It keeps the base, so it
+costs the pages changed since; past :data:`MAX_DELTA_SHARE` of the base
+it compacts (:meth:`FileBackedDisk.compact`) into a new one instead.
 
 Durability of appends does not require a checkpoint: :meth:`commit`
 appends one framed, checksummed record (dirty pages + an opaque ``meta``
 blob) to the journal and fsyncs.  Reopen replays the journal suffix onto
 the last good snapshot; a torn or truncated *final* record is the
 expected crash signature and is discarded, while damage anywhere else
-raises :class:`~repro.storage.backends.errors.TornWriteError`.  Page
-content is faulted in lazily on first access, one run of adjacent
-non-resident pages per ``seek`` + ``read``, every page of the run verified
-against its sidecar checksum — a cold open touches only the superblock,
-sidecar and journal, so a server can begin answering queries before
-reading a single data page, and a flipped bit in any page surfaces as a
-typed :class:`~repro.storage.backends.errors.CorruptSnapshotError` naming
-the page, never as silently wrong query results.  A page's checksum is
+raises :class:`~repro.storage.backends.errors.TornWriteError`.  Open
+reads and verifies the small delta eagerly; base pages fault in lazily
+on first access, one run of adjacent non-resident pages per ``seek`` +
+``read``, every page of the run verified against its sidecar checksum —
+a cold open touches only the superblock, sidecar, delta and journal, so
+a server can begin answering queries before reading a single base page,
+and a flipped bit in any page surfaces as a typed
+:class:`~repro.storage.backends.errors.CorruptSnapshotError` naming the
+page, never as silently wrong query results.  A page's checksum is
 computed once: it is kept while the page's bytes match what was verified
 or published, so a checkpoint checksums only pages changed since.
 """
@@ -68,7 +75,11 @@ from repro.storage.crashsim import (
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskError, SimulatedDisk
 
 SUPERBLOCK_MAGIC = "repro-disk"
-DISK_FORMAT_VERSION = 1
+#: 2: a base plus at most one delta.  Format 1 (no delta) opens as a base.
+DISK_FORMAT_VERSION = 2
+#: A checkpoint whose delta would hold more than this share of the base's
+#: pages compacts instead: the delta's bytes stay within this share.
+MAX_DELTA_SHARE = 1 / 32
 
 #: The commit point; every other file is named by its generation.
 SUPERBLOCK = "superblock.json"
@@ -77,6 +88,8 @@ _JOURNAL_MAGIC = b"JREC"
 JOURNAL_HEADER = struct.Struct("<4sII")
 #: Per-page sidecar entry: crc32 of the full page slice, used length.
 SIDECAR_ENTRY = struct.Struct("<II")
+#: One entry of the delta's page-id list.
+DELTA_ID = struct.Struct("<I")
 #: ``_page_crcs`` entry of a page whose bytes changed since it was last
 #: verified or published; the next checkpoint computes it.
 _STALE = -1
@@ -85,13 +98,28 @@ _STALE = -1
 def generation_file(
     directory: Union[str, Path], suffix: str, generation: Optional[int] = None
 ) -> Path:
-    """Generation ``g``'s data (``bin``), sidecar (``crc``) or journal (``log``);
-    ``None`` reads the current ``g`` from the superblock, unvalidated."""
+    """Generation ``g``'s data (``bin``), delta (``dlt``), sidecar (``crc``)
+    or journal (``log``); ``None`` reads the current ``g`` from the
+    superblock, unvalidated."""
     if generation is None:
         superblock = json.loads((Path(directory) / SUPERBLOCK).read_text())
         generation = int(superblock["generation"])
     name = f"journal.{generation}.log" if suffix == "log" else f"pages.{generation}.{suffix}"
     return Path(directory) / name
+
+
+def page_file(directory: Union[str, Path], page_id: int) -> Tuple[Path, int]:
+    """The file holding ``page_id`` and the page's offset in it: the delta
+    when it lists the page, else the base (superblock unvalidated)."""
+    superblock = json.loads((Path(directory) / SUPERBLOCK).read_text())
+    generation, size = superblock["generation"], superblock["page_size"]
+    count = superblock.get("delta_pages", 0)
+    delta = generation_file(directory, "dlt", generation)
+    ids = np.frombuffer(delta.read_bytes()[: count * DELTA_ID.size], "<u4") if count else []
+    if page_id in ids:
+        return delta, count * DELTA_ID.size + int(np.searchsorted(ids, page_id)) * size
+    base = superblock.get("base_generation", generation)
+    return generation_file(directory, "bin", base), page_id * size
 
 
 class FileBackedDisk(SimulatedDisk):
@@ -126,11 +154,14 @@ class FileBackedDisk(SimulatedDisk):
         self.directory = Path(path)
         self.readonly = readonly
         self.generation = 0
+        self.base_generation = 0  # names pages.<b>.bin
         self.recovered_tail = False  # a torn/truncated journal tail was discarded
         self._crash = Injector(crash_plan.specs if crash_plan is not None else ())
         self._resident = bytearray()  # 1 per faulted-in page  # guarded_by: _lock
         self._dirty: set[int] = set()  # guarded_by: _lock
         self._page_crcs: List[int] = []  # crc32 per page, or _STALE  # guarded_by: _lock
+        self._base_pages = 0  # pages in the base data file  # guarded_by: _lock
+        self._unbased: set[int] = set()  # the next delta's pages  # guarded_by: _lock
         self._pages_faulted = 0  # guarded_by: _lock
         self._journal_metas: List[bytes] = []  # guarded_by: _lock
         self._record_count = 0  # records currently in the journal  # guarded_by: _lock
@@ -143,7 +174,7 @@ class FileBackedDisk(SimulatedDisk):
                 raise DiskFormatError(f"no store at {self.directory} (missing superblock)")
             self.directory.mkdir(parents=True, exist_ok=True)
             with self._lock:
-                self._publish_snapshot_locked(generation=0)
+                self._publish_locked(0, new_base=True)
 
     # -- construction ---------------------------------------------------
 
@@ -190,7 +221,7 @@ class FileBackedDisk(SimulatedDisk):
             raise DiskError("per-page payload length outside [0, page_size]")
         disk = cls.create(path, page_size)
         disk._adopt_state(bytearray(buffer), used_list)
-        disk.checkpoint()
+        disk.compact()
         return disk
 
     def _adopt_state(self, buffer: bytearray, used: list) -> None:
@@ -201,6 +232,7 @@ class FileBackedDisk(SimulatedDisk):
             self._resident = bytearray(b"\x01") * len(used)
             self._page_crcs = [_STALE] * len(used)
             self._dirty = set(range(len(used)))
+            self._unbased = set(range(len(used)))
 
     @classmethod
     def from_state(
@@ -222,7 +254,7 @@ class FileBackedDisk(SimulatedDisk):
 
     @property
     def pages_faulted(self) -> int:
-        """Snapshot pages read (and verified) from the data file so far."""
+        """Snapshot pages read (and verified) from the delta and base so far."""
         with self._lock:
             return self._pages_faulted
 
@@ -268,24 +300,43 @@ class FileBackedDisk(SimulatedDisk):
             self._journal_metas.append(meta)
             self._record_count += 1
 
-    def checkpoint(self) -> None:
-        """Bake the full current state into a new snapshot generation.
+    @property
+    def checkpoint_compacts(self) -> bool:
+        """True when the next :meth:`checkpoint` will :meth:`compact`."""
+        with self._lock:
+            return len(self._unbased) > MAX_DELTA_SHARE * self._base_pages
 
-        Writes generation ``g+1``'s data file, sidecar and an empty
-        journal, then atomically flips the superblock — the single
-        commit point.  A crash at any earlier step leaves generation
-        ``g`` authoritative and untouched.  Old-generation files are
-        unlinked afterwards (best-effort; stragglers are ignored by
-        open, which trusts only the superblock).
+    def checkpoint(self) -> None:
+        """Bake the current state into a new snapshot generation.
+
+        Writes generation ``g+1``'s delta of every page changed since the
+        kept base (no base page is read), sidecar and an empty journal,
+        then atomically flips the superblock — the single commit point.
+        Past :data:`MAX_DELTA_SHARE` of the base it is :meth:`compact`.
+        A crash at any earlier step leaves generation ``g`` authoritative
+        and untouched.  Old-generation files are unlinked afterwards
+        (best-effort; stragglers are ignored by open, which trusts only
+        the superblock).
         """
+        self._checkpoint(compact=self.checkpoint_compacts)
+
+    def compact(self) -> None:
+        """Fold base and delta into generation ``g+1``'s base, no delta:
+        every page is re-published, so every page is faulted in and
+        verified first."""
+        self._checkpoint(compact=True)
+
+    def _checkpoint(self, compact: bool) -> None:
         if self.readonly:
             raise DiskError("cannot checkpoint a read-only FileBackedDisk")
         with self._lock:
-            self._ensure_resident_locked(0, len(self._used))
-            old = self.generation
-            self._publish_snapshot_locked(generation=old + 1)
-        for suffix in ("bin", "crc", "log"):
-            self._file(suffix, old).unlink(missing_ok=True)
+            old, old_base = self.generation, self.base_generation
+            self._publish_locked(old + 1, new_base=compact)
+        retired = {self._file(suffix, old) for suffix in ("bin", "dlt", "crc", "log")}
+        retired.add(self._file("bin", old_base))
+        retired.discard(self._file("bin"))  # the kept base
+        for path in retired:
+            path.unlink(missing_ok=True)
 
     def verify(self) -> None:
         """Eagerly fault in and checksum-verify every snapshot page."""
@@ -298,6 +349,11 @@ class FileBackedDisk(SimulatedDisk):
                 self._data_file.close()
                 self._data_file = None
 
+    def replace_file(self, path: Union[str, Path], data: bytes) -> None:
+        """:func:`atomic_replace` a file beside the store under this disk's
+        crash plan, so every write of a save is a crash point."""
+        atomic_replace(path, data, crash=self._crash)
+
     # -- SimulatedDisk hooks --------------------------------------------
 
     # repro-lint: holds=_lock
@@ -308,6 +364,7 @@ class FileBackedDisk(SimulatedDisk):
         # geometry growth.
         self._resident.extend(b"\x01" * count)
         self._page_crcs.extend([_STALE] * count)
+        self._unbased.update(range(first, first + count))
         if not self.readonly:
             self._dirty.update(range(first, first + count))
         return first
@@ -327,6 +384,7 @@ class FileBackedDisk(SimulatedDisk):
         # Readonly disks track dirtiness too: it is what keeps
         # ``is_synced`` honest if such a disk is ever exported.
         self._dirty.add(page_id)
+        self._unbased.add(page_id)
         self._page_crcs[page_id] = _STALE
 
     # -- internal: fault-in ---------------------------------------------
@@ -356,7 +414,7 @@ class FileBackedDisk(SimulatedDisk):
         if good < len(crcs):
             raise CorruptSnapshotError(
                 f"page {page_id} failed checksum verification against sidecar "
-                f"{self._file('crc').name}",
+                f"{self._file('crc').name} (data file {self._file('bin').name})",
                 page_id=page_id,
             )
         if page_id < stop:
@@ -468,6 +526,7 @@ class FileBackedDisk(SimulatedDisk):
                 raise ValueError("journal shrinks the disk")
             if num_pages > len(self._used):
                 grow = num_pages - len(self._used)
+                self._unbased.update(range(len(self._used), num_pages))
                 self._buf.extend(b"\x00" * (grow * self.page_size))
                 self._used.extend([0] * grow)
                 self._resident.extend(b"\x01" * grow)
@@ -485,6 +544,7 @@ class FileBackedDisk(SimulatedDisk):
                 self._buf[start : start + self.page_size] = slice_
                 self._used[page_id] = used
                 self._resident[page_id] = 1
+                self._unbased.add(page_id)
                 self._page_crcs[page_id] = _STALE
         except (struct.error, ValueError) as exc:
             raise TornWriteError(
@@ -495,8 +555,9 @@ class FileBackedDisk(SimulatedDisk):
     # -- internal: snapshot load/publish --------------------------------
 
     def _file(self, suffix: str, generation: Optional[int] = None) -> Path:
-        gen = self.generation if generation is None else generation
-        return generation_file(self.directory, suffix, gen)
+        if generation is None:  # the current generation's; the base's data
+            generation = self.base_generation if suffix == "bin" else self.generation
+        return generation_file(self.directory, suffix, generation)
 
     # repro-lint: holds=_lock
     def _load_locked(self) -> None:
@@ -512,10 +573,10 @@ class FileBackedDisk(SimulatedDisk):
                 else "superblock.json is not a JSON object"
             )
         version = payload.get("format_version")
-        if type(version) is not int or version != DISK_FORMAT_VERSION:
+        if type(version) is not int or version not in (1, DISK_FORMAT_VERSION):
             raise DiskFormatError(
-                f"disk format version {version!r} is not the supported "
-                f"version {DISK_FORMAT_VERSION}"
+                f"disk format version {version!r} is not a supported "
+                f"version (1 or {DISK_FORMAT_VERSION})"
             )
         stored_sum = payload.pop("checksum", None)
         expected = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
@@ -527,6 +588,9 @@ class FileBackedDisk(SimulatedDisk):
         self.page_size = int(payload["page_size"])
         self.generation = int(payload["generation"])
         num_pages = int(payload["num_pages"])
+        # Format 1 has one full data file per generation: a base, no delta.
+        self.base_generation = int(payload.get("base_generation", self.generation))
+        self._base_pages = int(payload.get("base_pages", num_pages))
 
         crc_path = self._file("crc")
         try:
@@ -563,37 +627,95 @@ class FileBackedDisk(SimulatedDisk):
             raise CorruptSnapshotError(
                 f"data file {bin_path.name} named by the superblock is missing"
             ) from None
-        if data_size != num_pages * self.page_size:
+        if data_size != self._base_pages * self.page_size or self._base_pages > num_pages:
             raise CorruptSnapshotError(
                 f"data file {bin_path.name} is {data_size} bytes, expected "
-                f"{num_pages * self.page_size}"
+                f"{self._base_pages * self.page_size} of at most {num_pages} pages"
             )
         self._buf = bytearray(num_pages * self.page_size)
         self._resident = bytearray(num_pages)
+        self._unbased = set()
+        self._load_delta_locked(int(payload.get("delta_pages", 0)), payload.get("delta_crc", 0))
         self._replay_journal_locked()
 
     # repro-lint: holds=_lock
-    def _publish_snapshot_locked(self, generation: int) -> None:
-        """Write a full snapshot as ``generation`` and flip the superblock."""
-        size = self.page_size
-        crcs = self._page_crcs
+    def _load_delta_locked(self, count: int, ids_crc: int) -> None:
+        """Read in the delta's pages, each verified against the sidecar.
+        Its id list must match ``ids_crc``, ascend below the page count
+        and cover every page past the base."""
+        num_pages, size, path = len(self._used), self.page_size, self._file("dlt")
+        try:
+            data = path.read_bytes() if count else b""
+        except FileNotFoundError:
+            raise CorruptSnapshotError(f"delta {path.name} named by the superblock is missing") from None
+        head = count * DELTA_ID.size
+        if len(data) != head + count * size or zlib.crc32(data[:head]) != ids_crc:
+            raise CorruptSnapshotError(
+                f"size or page-id list of delta {path.name} failed verification against the superblock"
+            )
+        ids = np.frombuffer(data, "<u4", count).astype(np.int64)
+        bad = np.flatnonzero((ids >= num_pages) | (np.diff(ids, prepend=-1) <= 0))
+        if bad.size:
+            page_id = int(ids[bad[0]])
+            raise CorruptSnapshotError(
+                f"delta {path.name} entry {bad[0]} names page {page_id}: out of order "
+                f"or past the store's {num_pages} pages",
+                page_id=page_id,
+            )
+        if np.count_nonzero(ids >= self._base_pages) < num_pages - self._base_pages:
+            raise CorruptSnapshotError(f"delta {path.name} lacks pages past the base's {self._base_pages}")
+        with memoryview(data) as view:
+            for i, page_id in enumerate(ids.tolist()):
+                page = view[head + i * size : head + (i + 1) * size]
+                if zlib.crc32(page) != self._page_crcs[page_id]:
+                    raise CorruptSnapshotError(
+                        f"page {page_id} failed checksum verification against sidecar "
+                        f"{self._file('crc').name} (delta {path.name})",
+                        page_id=page_id,
+                    )
+                self._buf[page_id * size : (page_id + 1) * size] = page
+                self._resident[page_id] = 1
+        self._unbased.update(ids.tolist())
+        self._pages_faulted += count
+
+    # repro-lint: holds=_lock
+    def _publish_locked(self, generation: int, new_base: bool) -> None:
+        """Publish ``generation`` and flip the superblock: a new base of
+        every page, verified first, or the kept base plus a delta of the
+        pages changed since it."""
+        if new_base:
+            self._ensure_resident_locked(0, len(self._used))
+        size, crcs = self.page_size, self._page_crcs
+        base, base_pages = self.base_generation, self._base_pages
+        delta = [] if new_base else sorted(self._unbased)
+        ids = np.asarray(delta, "<u4").tobytes()
         with memoryview(self._buf) as buf:
-            for page_id in np.flatnonzero(np.asarray(crcs) == _STALE).tolist():
-                crcs[page_id] = zlib.crc32(buf[page_id * size : (page_id + 1) * size])
+            for page_id in self._unbased:
+                if crcs[page_id] == _STALE:
+                    crcs[page_id] = zlib.crc32(buf[page_id * size : (page_id + 1) * size])
+            if new_base:
+                if self._data_file is not None:
+                    self._data_file.close()
+                    self._data_file = None
+                base, base_pages = generation, len(self._used)
+                atomic_replace(self._file("bin", base), buf, crash=self._crash)
+            elif delta:
+                pages = b"".join([ids, *(buf[p * size : (p + 1) * size] for p in delta)])
+                atomic_replace(self._file("dlt", generation), pages, crash=self._crash)
         sidecar = np.column_stack((crcs, self._used)).astype("<u4").tobytes()
-        if self._data_file is not None:
-            self._data_file.close()
-            self._data_file = None
-        atomic_replace(self._file("bin", generation), self._buf, crash=self._crash)
         atomic_replace(self._file("crc", generation), sidecar, crash=self._crash)
         atomic_replace(self._file("log", generation), b"", crash=self._crash)
         payload = {
             "magic": SUPERBLOCK_MAGIC,
             "format_version": DISK_FORMAT_VERSION,
             "generation": generation,
+            "base_generation": base,
+            "base_pages": base_pages,
             "page_size": self.page_size,
             "num_pages": len(self._used),
             "sidecar_crc": zlib.crc32(sidecar),
+            "delta_pages": len(delta),
+            "delta_crc": zlib.crc32(ids),
         }
         payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
         atomic_replace(
@@ -603,7 +725,9 @@ class FileBackedDisk(SimulatedDisk):
         )
         # The superblock rename was the commit point; state is clean.
         self.generation = generation
-        self._resident = bytearray(b"\x01") * len(self._used)
+        self.base_generation, self._base_pages = base, base_pages
+        if new_base:
+            self._unbased = set()
         self._dirty.clear()
         self._journal_metas = []
         self._record_count = 0

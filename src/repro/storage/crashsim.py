@@ -38,6 +38,7 @@ file names and framing from the backend, and must surface as a typed
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Mapping, Optional
@@ -95,6 +96,18 @@ class CrashPlan(Plan):
     """An immutable set of :class:`CrashSpec` entries (plain data)."""
 
 
+def counting_plan() -> CrashPlan:
+    """A plan that never fires but makes a disk count every hook pass, so
+    an unplanned run yields its crash points (:func:`crash_points`)."""
+    return CrashPlan.of(*(CrashSpec(kind, at=sys.maxsize) for kind in CrashSpec.HOOKS))
+
+
+def crash_points(disk) -> dict[str, int]:
+    """Passes through each hook so far of a disk opened with
+    :func:`counting_plan`: ``{FSYNC: n, RENAME: m, JOURNAL: k}``."""
+    return {hook: disk._crash.passes(hook) for hook in (FSYNC, RENAME, JOURNAL)}
+
+
 def crash_point(
     injector: Injector, hook: str, undo: Optional[Callable[[], object]] = None
 ) -> None:
@@ -137,8 +150,9 @@ def torn_prefix(record: bytes, kind: str) -> bytes:
 # -- corruption injection (closed stores) --------------------------------------
 #
 # These operate on the files of a *closed* FileBackedDisk directory and
-# model silent media corruption: a single flipped bit in a data page,
-# the checksum sidecar, the superblock, or a journal record.  The backend
+# model silent media corruption: a single flipped bit in a page (of the
+# base or the delta), the delta's page-id list, the checksum sidecar, the
+# superblock, or a journal record.  The backend
 # names the current generation's files from the superblock without
 # validating it — they must work on the files exactly as persisted.
 
@@ -153,9 +167,16 @@ def _flip_bit(path: Path, byte_offset: int, bit: int = 0) -> None:
     path.write_bytes(bytes(data))
 
 
-def corrupt_page(directory: str | Path, page_id: int, page_size: int) -> None:
-    """Flip one bit inside ``page_id`` of the persisted data file."""
-    _flip_bit(_backend().generation_file(directory, "bin"), page_id * page_size)
+def corrupt_page(directory: str | Path, page_id: int) -> None:
+    """Flip one bit inside ``page_id`` in the file that holds it: the
+    delta when it lists the page, else the base data file."""
+    _flip_bit(*_backend().page_file(directory, page_id))
+
+
+def corrupt_delta_ids(directory: str | Path, index: int = 0) -> None:
+    """Flip one bit inside entry ``index`` of the delta's page-id list."""
+    backend = _backend()
+    _flip_bit(backend.generation_file(directory, "dlt"), index * backend.DELTA_ID.size)
 
 
 def corrupt_sidecar(directory: str | Path, page_id: int = 0) -> None:

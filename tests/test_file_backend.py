@@ -11,6 +11,7 @@ the sunny-day contract plus the persistence-format regressions.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import threading
 import zlib
@@ -25,6 +26,7 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.query import MQuery, SQuery
 from repro.core.st_index import STIndex
 from repro.io.persist import (
+    DIRECTORY_DELTA,
     STORE_FORMAT_VERSION,
     PersistFormatError,
     load_database,
@@ -37,6 +39,7 @@ from repro.storage.backends import (
     DISK_BACKENDS,
     FileBackedDisk,
     create_disk,
+    filedisk,
 )
 from repro.storage.disk import DiskError, SimulatedDisk
 from repro.storage.serialization import encode_append_delta
@@ -241,11 +244,12 @@ class TestStoreRoundTrip:
     def test_reopened_and_resaved_directory_equals_one_that_never_closed(
         self, saved, dataset_route
     ):
-        """Two appends, then save: ``directory.npz`` holds the same seven
-        arrays whether the index stayed open throughout or was closed after
-        the appends and rebuilt them from the journal on reopen."""
+        """Two appends, then save: ``directory.npz`` and the delta of the
+        appended rows hold the same arrays whether the index stayed open
+        throughout or was closed after the appends and rebuilt them from
+        the journal on reopen."""
         store, _ = saved
-        written = []
+        written, merged = [], []
         for reopen in (False, True):
             path = shutil.copytree(store, store.parent / f"reopen-{reopen}")
             engine = open_store(path)
@@ -257,10 +261,14 @@ class TestStoreRoundTrip:
                 engine.disk.close()
                 engine = open_store(path)
             save_store(engine, path, 300)
-            with np.load(path / "directory.npz") as data:
-                written.append({name: data[name] for name in DIRECTORY_COLUMNS})
-        assert max(written[0]["dir_position"]) == 2
+            with np.load(path / "directory.npz") as base, np.load(path / DIRECTORY_DELTA) as delta:
+                written.append({**{name: base[name] for name in DIRECTORY_COLUMNS}, "rows": delta["rows"]})
+            merged.append(open_store(path).st_index(300).directory.columns())
+        assert len(written[0]["rows"]) == 2 * len(dataset_route)
+        assert max(merged[0]["dir_position"]) == 2
         for name in DIRECTORY_COLUMNS:
+            assert merged[1][name].tolist() == merged[0][name].tolist()
+        for name in (*DIRECTORY_COLUMNS, "rows"):
             # Each column is stored in the narrowest integer dtype holding it.
             column = written[1][name]
             holding = [
@@ -289,13 +297,28 @@ class TestStoreRoundTrip:
             assert {type(value) for value in after[field].values()} == {value_type}
         assert (after["num_taxis"], after["num_days"]) == (before["num_taxis"], before["num_days"])
 
-    def test_two_saves_write_identical_store_files(self, saved):
+    def test_two_saves_write_identical_store_files(self, saved, dataset_route):
         """No wall-clock timestamp in the ``.npz`` members: saving one
-        engine twice gives byte-identical files."""
+        engine twice gives byte-identical files, and so do two equal
+        histories of appends and in-place saves, deltas included."""
         store, engine = saved
         again = save_store(engine, store.parent / "again", 300)
         for name in ("directory.npz", "speed_model.npz"):
             assert (store / name).read_bytes() == (again / name).read_bytes()
+        for path in (store, again):
+            for day in (12, 13):
+                reopened = open_store(path)
+                reopened.append_trajectories(
+                    [make_day(dataset_route, day, 30 + day)], update_database=False
+                )
+                save_store(reopened, path, 300)
+                reopened.disk.close()
+        files = [sorted(p.relative_to(path) for p in path.rglob("*")) for path in (store, again)]
+        assert files[0] == files[1]
+        assert {"directory.delta.npz", "disk/pages.3.dlt"} <= {str(f) for f in files[0]}
+        for name in files[0]:
+            if (store / name).is_file():
+                assert (store / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_readonly_open_serves_but_never_writes(self, saved):
         store, _ = saved
@@ -312,6 +335,125 @@ class TestStoreRoundTrip:
     def test_open_missing_store_rejected(self, tmp_path):
         with pytest.raises(PersistFormatError, match="incomplete|missing"):
             open_store(tmp_path / "nowhere")
+
+
+class TestDeltaSaves:
+    """An in-place save writes what changed since the base: the changed
+    pages as a disk delta, the appended rows as a directory delta, and no
+    metadata file the engine cannot have changed."""
+
+    QUERIES = (
+        SQuery(Point(0, 0), T, 600, 0.2),
+        SQuery(Point(500, 500), T, 900, 0.1),
+        MQuery((Point(0, 0), Point(1000, 600)), T, 600, 0.2),
+    )
+
+    @pytest.fixture()
+    def store(self, test_dataset, tmp_path):
+        engine = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        return save_store(engine, tmp_path / "store", 300)
+
+    @pytest.fixture()
+    def route(self, test_dataset):
+        path = [0]
+        while len(path) < 4:
+            path.append(test_dataset.network.successors(path[-1])[0])
+        return path
+
+    @staticmethod
+    def append(store, route, day):
+        engine = open_store(store)
+        engine.append_trajectories([make_day(route, day, 40 + day)], update_database=False)
+        return engine
+
+    def reopened(self, store):
+        """Page state, journal metas, directory columns and answers."""
+        with ReachabilityClient.open(store) as client:
+            disk = client.engine.disk
+            columns = client.engine.st_index(300).directory.columns()
+            report = client.run_batch([Request(query) for query in self.QUERIES])
+            return (
+                disk.export_state(),
+                disk.journal_metas,
+                {name: column.tolist() for name, column in columns.items()},
+                [(r.segments, r.probabilities) for r in report.results],
+            )
+
+    def test_delta_saves_reopen_like_compacted_saves(self, store, route, monkeypatch):
+        """Appends and in-place saves reopen to the state the same history
+        reaches when every save compacts pages and directory."""
+        compacted = shutil.copytree(store, store.parent / "compacted")
+        for path, share in ((store, filedisk.MAX_DELTA_SHARE), (compacted, 0.0)):
+            monkeypatch.setattr(filedisk, "MAX_DELTA_SHARE", share)
+            for day in (12, 13, 14):
+                engine = self.append(path, route, day)
+                save_store(engine, path, 300)
+                engine.disk.close()
+            engine = self.append(path, route, 15)  # journaled, not saved
+            engine.disk.close()
+        assert json.loads((store / "disk" / "superblock.json").read_text())["delta_pages"] > 0
+        assert (store / DIRECTORY_DELTA).exists()
+        assert not (compacted / DIRECTORY_DELTA).exists()
+        assert self.reopened(store) == self.reopened(compacted)
+
+    def test_delta_save_reads_no_base_page_and_writes_only_changed_pages(self, store, route):
+        before = shutil.copytree(store, store.parent / "before")
+        base = store / "disk" / "pages.1.bin"
+        base_inode = os.stat(base).st_ino
+        engine = self.append(store, route, 12)
+        faulted = engine.disk.pages_faulted
+        save_store(engine, store, 300)
+        assert engine.disk.pages_faulted == faulted
+        assert os.stat(base).st_ino == base_inode  # the base is kept, not rewritten
+        superblock = json.loads((store / "disk" / "superblock.json").read_text())
+        count = superblock["delta_pages"]
+        delta = (store / "disk" / f"pages.{superblock['generation']}.dlt").read_bytes()
+        assert len(delta) == count * (4 + engine.disk.page_size)
+        old_buffer, old_used = FileBackedDisk.open(before / "disk").export_state()
+        new_buffer, new_used = FileBackedDisk.open(store / "disk").export_state()
+        size = engine.disk.page_size
+        changed = [
+            page for page in range(len(new_used))
+            if page >= len(old_used)
+            or new_used[page] != old_used[page]
+            or new_buffer[page * size : (page + 1) * size] != old_buffer[page * size : (page + 1) * size]
+        ]
+        assert 0 < count == len(changed)
+        assert np.frombuffer(delta[: 4 * count], "<u4").tolist() == changed
+
+    def test_metadata_files_are_rewritten_only_when_they_change(self, store, route):
+        metadata = ("network.json", "speed_model.npz", "store.json")
+        inodes = {name: os.stat(store / name).st_ino for name in (*metadata, "directory.npz")}
+        engine = self.append(store, route, 12)
+        save_store(engine, store, 300)
+        assert {name: os.stat(store / name).st_ino for name in inodes} == inodes
+        num_days = engine.database.num_days + 1
+        engine.database.extend_days(num_days)  # the speed model changes
+        save_store(engine, store, 300)
+        assert all(os.stat(store / name).st_ino != inodes[name] for name in inodes)
+        assert not (store / DIRECTORY_DELTA).exists()  # written whole
+        assert open_store(store).database.num_days == num_days
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"version": np.int64(99)}, "unsupported store directory delta format 99"),
+            ({"rows": np.zeros((2, 6), np.float64)}, "store directory delta rows hold float64"),
+            ({"rows": np.full((1, 6), 10**6)}, "store directory delta row 0 names no entry"),
+            ({"rows": None}, "missing required arrays: rows"),
+        ],
+        ids=["version", "float-rows", "bad-row", "missing-rows"],
+    )
+    def test_malformed_directory_delta_is_typed(self, store, route, change, message):
+        engine = self.append(store, route, 12)
+        save_store(engine, store, 300)
+        with np.load(store / DIRECTORY_DELTA) as data:
+            arrays = dict(data)
+        arrays.update(change)
+        np.savez(store / DIRECTORY_DELTA, **{k: v for k, v in arrays.items() if v is not None})
+        with pytest.raises(PersistFormatError, match=message):
+            open_store(store)
 
 
 class TestExportStateAtomicity:

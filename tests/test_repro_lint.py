@@ -8,6 +8,7 @@ the JSON report schema, and the CLI exit codes the CI gate relies on.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -779,17 +780,14 @@ class TestReintroducedViolationsFailGate:
         )
 
     def test_rl011_save_path_raw_write(self, src_copy):
-        # Routing one of save_store's bundle files around atomic_replace
-        # (write_bytes straight to the target path) fails the gate.
+        # Routing the directory file every save publishes (directory.npz
+        # or its delta) around atomic_replace (write_bytes straight to the
+        # target path) fails the gate.
         persist = src_copy / "repro" / "io" / "persist.py"
         text = persist.read_text(encoding="utf-8")
-        needle = 'atomic_replace(\n        directory / "network.json",'
+        needle = "disk.replace_file(directory / name, data)"
         assert needle in text
-        text = text.replace(
-            needle,
-            '_raw_write(\n        directory / "network.json",',
-            1,
-        )
+        text = text.replace(needle, "_raw_write(directory / name, data)", 1)
         text += "\n\ndef _raw_write(path, data):\n    path.write_bytes(data)\n"
         persist.write_text(text, encoding="utf-8")
         findings = [f for f in self.lint(src_copy) if f.rule == "RL011"]
@@ -798,6 +796,37 @@ class TestReintroducedViolationsFailGate:
             and "save_store" in f.message
             for f in findings
         )
+
+    @pytest.mark.parametrize(
+        "needle, raw, entry",
+        [
+            (  # the delta writer, under checkpoint
+                'atomic_replace(self._file("dlt", generation), pages, crash=self._crash)',
+                'self._file("dlt", generation).write_bytes(pages)',
+                r"FileBackedDisk\.checkpoint -> ",
+            ),
+            (  # compaction is an entry point of its own
+                "        self._checkpoint(compact=True)\n",
+                '        self._file("bin").write_bytes(b"")\n        self._checkpoint(compact=True)\n',
+                r"FileBackedDisk\.compact reaches",
+            ),
+        ],
+        ids=["delta-writer", "compact"],
+    )
+    def test_rl011_checkpoint_raw_write(self, src_copy, needle, raw, entry):
+        # Writing a checkpoint file with write_bytes instead of
+        # atomic_replace fails the gate on a path that starts at the entry
+        # point itself (``compact`` is also reached from ``save_store``).
+        filedisk = src_copy / "repro" / "storage" / "backends" / "filedisk.py"
+        text = filedisk.read_text(encoding="utf-8")
+        assert text.count(needle) == 1
+        filedisk.write_text(text.replace(needle, raw), encoding="utf-8")
+        findings = [f for f in self.lint(src_copy) if f.rule == "RL011"]
+        assert any(
+            re.search(rf"unsafe durable-write path: \S*{entry}", f.message)
+            and ".write_bytes(...)" in f.message
+            for f in findings
+        ), [f.message for f in findings]
 
     def test_rl011_barrier_annotation_is_load_bearing(self, src_copy):
         # Stripping the durable-barrier audit mark off atomic_replace

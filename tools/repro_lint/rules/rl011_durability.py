@@ -13,7 +13,7 @@ RL011 turns the promise into an RL007-style reachability proof over the
 shared call graph:
 
     every path from a durable-write entry point (``save_store``,
-    ``FileBackedDisk.commit`` / ``checkpoint``,
+    ``FileBackedDisk.commit`` / ``checkpoint`` / ``compact``,
     ``STIndex.append_trajectories`` / ``ReachabilityEngine
     .append_trajectories``) to a raw file-write sink must traverse a
     durability barrier first.
@@ -52,6 +52,7 @@ ENTRY_METHODS = frozenset(
         ("ReachabilityEngine", "append_trajectories"),
         ("FileBackedDisk", "commit"),
         ("FileBackedDisk", "checkpoint"),
+        ("FileBackedDisk", "compact"),
     }
 )
 
