@@ -11,7 +11,7 @@ slot, position)``, looked up through one sorted packed-key column
 ``segment * num_slots + slot``.  Records appended since the rows were
 adopted wait in a small overflow map, so an append costs O(entries
 touched); the overflow is merged into the sorted rows when the columns are
-next exported.  The rows extended since the last ``rebase`` are also
+next exported.  From a ``rebase`` on, the rows extended since are also
 kept in append order: what a store's directory delta holds.
 """
 
@@ -111,7 +111,7 @@ class TimeListDirectory:
         pointers: np.ndarray | None = None,
     ) -> None:
         self.num_slots = num_slots
-        self._extended: list[np.ndarray] = []  # extend()'s rows since rebase()
+        self._extended: list[np.ndarray] | None = None  # extend()'s rows since rebase()
         if keys is None:
             keys = np.empty(0, dtype=np.int64)
             pointers = np.empty((0, 4), dtype=np.int64)
@@ -272,7 +272,8 @@ class TimeListDirectory:
         keys, _ = self._checked_keys(
             what, rows[:, 0], rows[:, 1], rows[:, 2:], num_pages_total, page_size
         )
-        self._extended.append(rows)
+        if self._extended is not None:
+            self._extended.append(rows)
         guarded, _, _, overflow = self._state
         known = guarded[np.searchsorted(guarded[:-1], keys)] == keys
         for key, in_base, pointer in zip(
@@ -289,7 +290,7 @@ class TimeListDirectory:
         return np.concatenate([np.empty((0, 6), np.int64), *self._extended])
 
     def rebase(self) -> None:
-        """Take the current rows as the base :meth:`extended_rows` counts from."""
+        """Count :meth:`extended_rows` from here; none are kept before."""
         self._extended = []
 
     def _merged(self) -> tuple[np.ndarray, np.ndarray]:

@@ -379,9 +379,7 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     # Group commit: makes the tail page durable.
     time_lists = index.committed_directory()
     disk = engine.disk
-    in_place = isinstance(disk, FileBackedDisk) and (
-        Path(disk.path).resolve() == disk_dir.resolve()
-    )
+    in_place = isinstance(disk, FileBackedDisk) and Path(disk.path).resolve() == disk_dir.resolve()
     key = _bundle_key(engine, directory, delta_t_s)
     unchanged = in_place and engine.saved_bundle == key
     if not in_place:
@@ -412,13 +410,12 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     else:
         name, data = "directory.npz", _directory_npz_bytes(position, **time_lists.columns())
     disk.replace_file(directory / name, data)
-    if name != DIRECTORY_DELTA:
-        time_lists.rebase()
     if in_place:
+        if name != DIRECTORY_DELTA:  # the engine's own base, not a copy's
+            time_lists.rebase()
         disk.checkpoint()
         engine.saved_bundle = key
-    if name != DIRECTORY_DELTA:
-        # The new base covers the old delta; open ignores it until now.
+    if name != DIRECTORY_DELTA:  # the new base covers the old delta
         (directory / DIRECTORY_DELTA).unlink(missing_ok=True)
     return directory
 
@@ -531,6 +528,7 @@ def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool
     time_lists = TimeListDirectory.from_columns(
         data, slots_per_day(delta_t_s), num_pages_total, page_size, "store directory"
     )
+    time_lists.rebase()  # an in-place save's delta counts from this base
     if (directory / DIRECTORY_DELTA).exists():
         delta, delta_position = _directory_file(
             directory / DIRECTORY_DELTA,

@@ -633,6 +633,19 @@ class TestDirectoryColumns:
         assert pairs.tolist() == [1, 2, 2]
         assert rows.tolist() == [[1, 1, 0, 8], [0, 1, 0, 8], [2, 2, 4, 100]]
 
+    def test_appended_rows_are_kept_only_from_a_rebase(self):
+        restored = TimeListDirectory.from_columns(
+            self.columns([(4, 1, 0, 0, 1, 0, 8)]), 288, 4, 64, "test directory"
+        )
+        restored.extend([(2, 9, 1, 1, 0, 8)], 4, 64, "test rows")
+        assert restored._extended is None  # a directory never saved keeps no copy
+        restored.rebase()
+        restored.extend([(4, 1, 2, 1, 0, 8)], 4, 64, "test rows")
+        assert restored.extended_rows().tolist() == [[4, 1, 2, 1, 0, 8]]
+        restored.rebase()
+        assert restored.extended_rows().shape == (0, 6)
+        assert len(restored) == 2
+
     @pytest.mark.parametrize(
         "rows, message",
         [

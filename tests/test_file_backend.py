@@ -434,6 +434,20 @@ class TestDeltaSaves:
         assert not (store / DIRECTORY_DELTA).exists()  # written whole
         assert open_store(store).database.num_days == num_days
 
+    def test_a_save_elsewhere_leaves_the_next_in_place_delta_whole(self, store, route):
+        """A save to another path writes that bundle whole and leaves the
+        engine's own base be: the next in-place delta still carries every
+        row appended since that base."""
+        engine = self.append(store, route, 12)
+        copy = save_store(engine, store.parent / "copy", 300)
+        copied = engine.st_index(300).directory.columns()
+        engine.append_trajectories([make_day(route, 13, 53)], update_database=False)
+        save_store(engine, store, 300)
+        assert (store / DIRECTORY_DELTA).exists()
+        for path, columns in ((copy, copied), (store, engine.st_index(300).directory.columns())):
+            reopened = open_store(path).st_index(300).directory.columns()
+            for name in DIRECTORY_COLUMNS:
+                assert reopened[name].tolist() == columns[name].tolist()
 
     @pytest.mark.parametrize(
         "change, message",
