@@ -11,7 +11,9 @@ Entries are materialised lazily (or eagerly via :meth:`precompute`), written
 to the simulated disk, and decoded entries are cached in memory with an LRU
 bound — the SQMB hot path reads the same handful of entries for every query
 in a sweep, which is precisely why the paper's query processing "skip[s]
-some network expansion steps" cheaply.
+some network expansion steps" cheaply.  Entries and travel-time vectors
+depend on the network and the speed statistics alone, so they live until
+the database's ``speed_revision`` moves; appended time lists leave them be.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ class ConnectionIndex:
         self._encode = encode_entry_compressed if compressed else encode_entry
         self._decode = decode_entry_compressed if compressed else decode_entry
         self.bytes_stored = 0
+        #: The database ``speed_revision`` the entries and vectors rest on.
+        self.speed_revision = database.speed_revision
         self._tt_vectors: dict[tuple[bool, int], np.ndarray] = {}
         self._tt_lists: dict[tuple[bool, int], list[float]] = {}
         # The CSR view the cached vectors were built for.
@@ -220,13 +224,8 @@ class ConnectionIndex:
         key = (pick_max, hour)
         vector = self._tt_vectors.get(key)
         if vector is None:
-            bounds_of = self.database.observed_speed_bounds
-            probe_time = hour * 3600.0
-            speeds = np.zeros(csr.n, dtype=np.float64)
-            for row, segment_id in enumerate(csr.ids.tolist()):
-                bounds = bounds_of(segment_id, probe_time)
-                if bounds is not None:
-                    speeds[row] = bounds[1] if pick_max else bounds[0]
+            found, lo, hi = self.database.speed_bounds(csr.ids, hour)
+            speeds = np.where(found, hi if pick_max else lo, 0.0)
             vector = np.full(csr.n, float("inf"))
             positive = speeds > 0
             vector[positive] = csr.lengths[positive] / speeds[positive]
@@ -308,14 +307,15 @@ class ConnectionIndex:
         )
 
     def invalidate_entries(self) -> None:
-        """Discard memoized entries and speed vectors (data changed).
+        """Discard memoized entries and speed vectors (speed model changed).
 
-        Called when new trajectory data lands in the database: the
-        Near/Far tables derive from observed speed bounds, so previously
+        Called when the database's ``speed_revision`` moved: the Near/Far
+        tables derive from observed speed bounds, so previously
         materialised entries may no longer be faithful.  Entries rebuild
         lazily on next access; the old on-disk records are simply
         abandoned (the simulated page store is append-only).
         """
+        self.speed_revision = self.database.speed_revision
         self._directory.clear()
         self._decoded.clear()
         self._tt_vectors.clear()

@@ -66,24 +66,25 @@ def _chain_positions(keys: np.ndarray) -> np.ndarray:
     return np.arange(rows) - np.repeat(starts, np.diff(np.append(starts, rows)))
 
 
-def _bad_pointers(pointers: np.ndarray, num_pages_total: int, page_size: int) -> np.ndarray:
-    """Mask of extent pointers (rows of four) that leave the page range.
+def _bad_pointers(pointer, num_pages_total: int, page_size: int) -> np.ndarray:
+    """Mask of extent pointers (four integer columns, any dtypes) that
+    leave the page range.
 
     A corrupt pointer would otherwise serve wrong bytes (or charge the
     wrong number of page reads) deep inside a query instead of failing
-    at load time.  Written so that no int64 garbage can wrap a sum back
-    into range.
+    at load time.  Written so that no garbage can wrap a sum back into
+    range: both sums are taken in ``int64`` of values proven small.
     """
-    first_page, pages, offset, length = pointers.T
+    first_page, pages, offset, length = pointer
     bad = (
         (pages < 1)
         | (pages > num_pages_total)
         | (first_page < 0)
-        | (first_page > num_pages_total - pages)
+        | (first_page > np.subtract(num_pages_total, pages, dtype=np.int64))
         | (offset < 0)
         | (length < 0)
     )
-    capacity = np.where(bad, 0, pages) * page_size
+    capacity = np.multiply(np.where(bad, 0, pages), page_size, dtype=np.int64)
     return bad | (offset > capacity) | (length > capacity - offset)
 
 
@@ -142,17 +143,20 @@ class TimeListDirectory:
         what: str,
         segment: np.ndarray,
         slot: np.ndarray,
-        pointers: np.ndarray,
+        pointer: list[np.ndarray],
         num_pages_total: int,
         page_size: int,
         position: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed keys of the rows and their stable sort order, or raise.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Packed ``int64`` keys of the rows and, given ``position``, their
+        stable sort order (``None`` when the keys already ascend), or raise.
 
         The first offending row decides the :class:`PersistFormatError`: a
         ``(segment, slot)`` that names no entry (with a packed key it would
         alias a real one), a ``position`` that is not 0, 1, 2, ... along
         its chain in row order, or a pointer outside the page range.
+        ``segment``, ``slot``, ``position`` and the four ``pointer``
+        columns may be any integer dtypes.
         """
         rows = segment.size
         bad_key = (
@@ -161,17 +165,20 @@ class TimeListDirectory:
             | (slot < 0)
             | (slot >= self.num_slots)
         )
-        keys = segment * self.num_slots + slot
+        keys = segment.astype(np.int64) * self.num_slots + slot
         keys[bad_key] = _NO_KEY
-        # Stable: rows of one chain keep their row order.
-        order = np.argsort(keys, kind="stable")
+        order = None
         first_key = _first(bad_key)
         first_misplaced = rows
         if position is not None:
-            misplaced = position[order] != _chain_positions(keys[order])
-            if misplaced.any():
-                first_misplaced = int(order[misplaced].min())
-        first_pointer = _first(_bad_pointers(pointers, num_pages_total, page_size))
+            if (keys[1:] < keys[:-1]).any():
+                # Stable: rows of one chain keep their row order.
+                order = np.argsort(keys, kind="stable")
+            chains, position = (keys, position) if order is None else (keys[order], position[order])
+            misplaced = np.flatnonzero(position != _chain_positions(chains))
+            if misplaced.size:
+                first_misplaced = int(misplaced[0] if order is None else order[misplaced].min())
+        first_pointer = _first(_bad_pointers(pointer, num_pages_total, page_size))
         first = min(first_key, first_misplaced, first_pointer)
         if first == rows:
             return keys, order
@@ -182,7 +189,7 @@ class TimeListDirectory:
             )
         if first == first_misplaced:
             raise PersistFormatError(f"{what} rows out of chain order")
-        first_page, pages, offset, length = pointers[first].tolist()
+        first_page, pages, offset, length = (int(column[first]) for column in pointer)
         raise PersistFormatError(
             f"{what} pointer ({first_page}, {pages}, {offset}, {length}) "
             "outside the persisted page range"
@@ -198,7 +205,8 @@ class TimeListDirectory:
         2, ... in row order, every key must name an entry and every
         pointer lie inside the ``num_pages_total`` pages; the first
         offending row raises :class:`PersistFormatError` before anything
-        is served.
+        is served.  Rows already in key order, as :meth:`columns` writes
+        them, are adopted without a sort.
         """
         arrays = [np.asarray(columns[name]) for name in DIRECTORY_COLUMNS]
         if len({arr.shape for arr in arrays}) != 1 or arrays[0].ndim != 1:
@@ -208,13 +216,15 @@ class TimeListDirectory:
                 raise PersistFormatError(
                     f"{what} column {name} holds {arr.dtype}, not integers"
                 )
-        segment, slot, position, *pointer = (a.astype(np.int64, copy=False) for a in arrays)
-        pointers = np.column_stack(pointer)
+        segment, slot, position, *pointer = arrays
         directory = cls(num_slots)
         keys, order = directory._checked_keys(
-            what, segment, slot, pointers, num_pages_total, page_size, position
+            what, segment, slot, pointer, num_pages_total, page_size, position
         )
-        directory._adopt(keys[order], pointers[order])
+        pointers = np.stack(pointer, axis=1, dtype=np.int64, casting="unsafe")
+        if order is not None:
+            keys, pointers = keys[order], pointers[order]
+        directory._adopt(keys, pointers)
         return directory
 
     # -- lookup, append, export -------------------------------------------
@@ -270,7 +280,7 @@ class TimeListDirectory:
         except (OverflowError, ValueError) as exc:
             raise PersistFormatError(f"{what} is malformed: {exc}") from None
         keys, _ = self._checked_keys(
-            what, rows[:, 0], rows[:, 1], rows[:, 2:], num_pages_total, page_size
+            what, rows[:, 0], rows[:, 1], list(rows[:, 2:].T), num_pages_total, page_size
         )
         if self._extended is not None:
             self._extended.append(rows)

@@ -61,6 +61,7 @@ class ReachabilityEngine:
         self._st_indexes: dict[int, STIndex] = {}
         self._con_indexes: dict[int, ConnectionIndex] = {}
         self._data_change_hooks: list = []
+        self._append_hooks: list = []
         # Reentrant: a sharded batch holds it while its degraded groups
         # re-run through a local client on the same engine.
         self.lock = threading.RLock()
@@ -81,29 +82,27 @@ class ReachabilityEngine:
             )
         self.disk = disk
 
-    def register_data_change_hook(self, callback) -> None:
-        """Call ``callback`` whenever engine-level data/indexes change.
+    def register_data_change_hook(self, callback, every_append: bool = False) -> None:
+        """Call ``callback`` whenever engine-level data/indexes change: on
+        an index drop or an append that moved the speed model, and with
+        ``every_append`` on any append (time lists only included).
 
         Services register their region-cache invalidation here (via a
         weak reference, so registering does not pin a service alive), so
-        derived caches stay correct even when trajectories are appended
-        or indexes dropped directly on the engine rather than through one
-        particular service.  Hooks whose owner is gone are dropped here
-        too, so short-lived services do not pile up dead entries.
+        derived caches stay correct even when the engine is changed
+        directly rather than through one particular service.  Hooks whose
+        owner is gone are dropped here too.
         """
-        self._data_change_hooks = [
-            hook for hook in self._data_change_hooks if hook() is not None
-        ]
-        self._data_change_hooks.append(weakref.WeakMethod(callback))
+        hooks = self._append_hooks if every_append else self._data_change_hooks
+        hooks[:] = [hook for hook in hooks if hook() is not None]
+        hooks.append(weakref.WeakMethod(callback))
 
-    def _notify_data_change(self) -> None:
-        live = []
-        for hook in self._data_change_hooks:
-            callback = hook()
-            if callback is not None:
+    def _notify_data_change(self, speed_model: bool = True) -> None:
+        for hooks in (self._data_change_hooks if speed_model else [], self._append_hooks):
+            callbacks = [hook() for hook in hooks]
+            hooks[:] = [hook for hook, callback in zip(hooks, callbacks) if callback is not None]
+            for callback in filter(None, callbacks):
                 callback()
-                live.append(hook)
-        self._data_change_hooks = live
 
     # -- index management ------------------------------------------------------
 
@@ -170,15 +169,18 @@ class ReachabilityEngine:
         """Incrementally ingest new matched trajectories.
 
         Every built ST-Index gains the new time-list records (chained,
-        merged at read time — no rebuild), and each built Con-Index drops
-        its memoized entries and speed vectors, because the Near/Far
-        tables derive from the database's observed speed bounds.
+        merged at read time — no rebuild).  The Near/Far tables derive
+        from the database's speed bounds alone, so a built Con-Index
+        drops its memoized entries and speed vectors, and the services
+        their cached regions, only when ``database.speed_revision`` moved
+        since it derived them.
 
         Args:
             trajectories: iterable of
                 :class:`~repro.trajectory.model.MatchedTrajectory`.
             update_database: also add the trajectories to the engine's
-                database (pass ``False`` when the caller already did).
+                database, folding their speeds into its statistics (pass
+                ``False`` to index time lists only).
 
         Returns:
             (segment, slot) entries touched across the built ST-Indexes.
@@ -192,9 +194,11 @@ class ReachabilityEngine:
             for index in self._st_indexes.values():
                 touched += index.append_trajectories(trajectory_list)
             if trajectory_list:
-                for con in self._con_indexes.values():
+                revision = self.database.speed_revision
+                stale = [c for c in self._con_indexes.values() if c.speed_revision != revision]
+                for con in stale:
                     con.invalidate_entries()
-                self._notify_data_change()
+                self._notify_data_change(speed_model=bool(stale))
             return touched
 
     def buffer_pools(self):

@@ -11,7 +11,7 @@ slot, Δt hops, near/far kind, Δt)`` — sub-slot start time and probability
 threshold cannot change a bounding region, and Δt participates because
 the same slot number means different wall-clock slots at different
 granularities.  Invalidation is explicit: the service clears the cache
-when trajectory data is appended or indexes are rebuilt.
+when an append moves the speed model or indexes are rebuilt.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :class:`QueryService` holds what outlives one request on one engine: the
 service-lifetime bounding-region LRU
-(:class:`~repro.core.region_cache.RegionCache`, invalidated when trajectory
-data is appended or indexes rebuilt), the default index granularity Δt,
+(:class:`~repro.core.region_cache.RegionCache`, invalidated when the speed
+model changes or indexes are rebuilt), the default index granularity Δt,
 and :meth:`QueryService.run_plan`, the one place a planned query meets
 that cache.  It plans, routes and batches nothing:
 :class:`repro.api.ReachabilityClient` is the front door, and its
@@ -234,11 +234,11 @@ class QueryService:
         """Ingest new matched trajectories and invalidate derived caches.
 
         Appends to every built ST-Index (and, by default, the trajectory
-        database whose speed statistics feed the Con-Index), then drops
-        the bounding-region caches of *every* service registered on the
-        engine plus the Con-Index's memoized entries: regions computed
-        from pre-append speed models must not be served for post-append
-        queries.
+        database whose speed statistics feed the Con-Index).  When the
+        speed model moved, it drops the bounding-region caches of *every*
+        service registered on the engine plus the Con-Index's memoized
+        entries: regions computed from pre-append speed models must not
+        be served for post-append queries.
 
         Returns the number of (segment, slot) entries touched across the
         built ST-Indexes.

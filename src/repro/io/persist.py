@@ -36,7 +36,7 @@ import numpy as np
 from repro.network.model import RoadLevel, RoadNetwork, RoadSegment
 from repro.network.segmentation import ResegmentationResult
 from repro.spatial.geometry import Point
-from repro.trajectory.store import TrajectoryDatabase
+from repro.trajectory.store import SPEED_COLUMNS, TrajectoryDatabase
 
 FORMAT_VERSION = 1
 
@@ -276,43 +276,46 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
 
 
 #: ``speed_model.npz``: the scalar sizes of
-#: :meth:`~repro.trajectory.store.TrajectoryDatabase.export_speed_model`,
-#: and its four stat dicts as value columns aligned with one ``keys`` column.
+#: :meth:`~repro.trajectory.store.TrajectoryDatabase.export_speed_model`
+#: and its :data:`~repro.trajectory.store.SPEED_COLUMNS`.
 _SPEED_SCALARS = ("num_taxis", "num_days", "num_trajectories")
-_SPEED_STATS = {"stats_min": "f8", "stats_max": "f8", "stats_sum": "f8", "stats_count": "i8"}
 
 
 def _speed_model_npz_bytes(model: dict) -> bytes:
-    keys = list(model["stats_count"])
-    columns = {
-        field: np.fromiter(map(model[field].__getitem__, keys), dtype, len(keys))
-        for field, dtype in _SPEED_STATS.items()
-    }
     scalars = {name: np.int64(model[name]) for name in _SPEED_SCALARS}
-    return _npz_bytes({**scalars, "keys": np.array(keys, np.int64), **columns})
+    return _npz_bytes({**scalars, **{name: model[name] for name in SPEED_COLUMNS}})
 
 
 def _load_speed_model(path: Path) -> dict:
-    """Inverse of :func:`_speed_model_npz_bytes`, validated: Python ``int``
-    keys and ``float`` / ``int`` values, as the export holds them."""
-    arrays = _npz_arrays(path, "speed model", (*_SPEED_SCALARS, "keys", *_SPEED_STATS))
+    """Inverse of :func:`_speed_model_npz_bytes`, validated: integer
+    scalars, strictly ascending integer keys and value columns of the
+    exported kinds aligned with them."""
+    arrays = _npz_arrays(path, "speed model", (*_SPEED_SCALARS, *SPEED_COLUMNS))
     keys = arrays["keys"]
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
         raise PersistFormatError(f"speed model file {path} keys hold {keys.dtype}, not integers")
-    model: dict = {}
+    # The lookups bisect the keys: each must follow the one before.
+    descents = np.flatnonzero(np.diff(keys.astype(np.int64)) <= 0)
+    if descents.size:
+        row = int(descents[0]) + 1
+        problem = "repeats" if keys[row] == keys[row - 1] else "is out of order"
+        raise PersistFormatError(
+            f"speed model file {path} key {int(keys[row])} at row {row} {problem}: "
+            "keys must strictly ascend"
+        )
+    model: dict = {"keys": keys}
     for name in _SPEED_SCALARS:
         if arrays[name].ndim or arrays[name].dtype.kind not in "iu":
             raise PersistFormatError(f"speed model file {path} {name} is not an integer")
         model[name] = int(arrays[name])
-    key_list = keys.tolist()
-    for field, dtype in _SPEED_STATS.items():
-        column = arrays[field]
-        if column.shape != keys.shape or column.dtype.kind != dtype[0]:
+    for name in SPEED_COLUMNS[1:]:
+        column, kind = arrays[name], "i" if name == "stats_count" else "f"
+        if column.shape != keys.shape or column.dtype.kind != kind:
             raise PersistFormatError(
-                f"speed model file {path} {field} holds {column.dtype}{list(column.shape)}, "
-                f"expected {np.dtype(dtype)}[{keys.size}] like keys"
+                f"speed model file {path} {name} holds {column.dtype}{list(column.shape)}, "
+                f"expected {np.dtype(kind + '8')}[{keys.size}] like keys"
             )
-        model[field] = dict(zip(key_list, column.tolist()))
+        model[name] = column
     return model
 
 

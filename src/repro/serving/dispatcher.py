@@ -288,10 +288,10 @@ class ShardedEngine:
         self._next_request_id = 0
         for worker_idx in range(self.num_workers):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
-        # The replicas are a snapshot: once the data changes they are
-        # stale, so the workers retire rather than answer from them (the
-        # client re-partitions on its next sharded batch).
-        self.engine.register_data_change_hook(self.close)
+        # The replicas are a snapshot of the time lists too: after any
+        # append they are stale, so the workers retire rather than answer
+        # from them (the client re-partitions on its next sharded batch).
+        self.engine.register_data_change_hook(self.close, every_append=True)
 
     def _load_weights(self):
         """Per-CSR-row trajectory-visit volume, the partition's load proxy.

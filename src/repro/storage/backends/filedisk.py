@@ -157,9 +157,12 @@ class FileBackedDisk(SimulatedDisk):
         self.base_generation = 0  # names pages.<b>.bin
         self.recovered_tail = False  # a torn/truncated journal tail was discarded
         self._crash = Injector(crash_plan.specs if crash_plan is not None else ())
+        # What ``_buf`` and ``_page_crcs`` view (see ``_grow_locked``).
+        self._pages = np.zeros(0, np.uint8)  # guarded_by: _lock
+        self._crcs = np.zeros(0, np.int64)  # guarded_by: _lock
         self._resident = bytearray()  # 1 per faulted-in page  # guarded_by: _lock
         self._dirty: set[int] = set()  # guarded_by: _lock
-        self._page_crcs: List[int] = []  # crc32 per page, or _STALE  # guarded_by: _lock
+        self._page_crcs = self._crcs  # crc32 per page, or _STALE  # guarded_by: _lock
         self._base_pages = 0  # pages in the base data file  # guarded_by: _lock
         self._unbased: set[int] = set()  # the next delta's pages  # guarded_by: _lock
         self._pages_faulted = 0  # guarded_by: _lock
@@ -220,19 +223,17 @@ class FileBackedDisk(SimulatedDisk):
         if any(u < 0 or u > page_size for u in used_list):
             raise DiskError("per-page payload length outside [0, page_size]")
         disk = cls.create(path, page_size)
-        disk._adopt_state(bytearray(buffer), used_list)
+        disk._adopt_state(buffer, used_list)
         disk.compact()
         return disk
 
-    def _adopt_state(self, buffer: bytearray, used: list) -> None:
+    def _adopt_state(self, buffer: bytes, used: list) -> None:
         """Install exported page state wholesale (create_from_state only)."""
         with self._lock:
-            self._buf = buffer
+            self._grow_locked(len(used))
+            self._buf[:] = buffer
             self._used = used
-            self._resident = bytearray(b"\x01") * len(used)
-            self._page_crcs = [_STALE] * len(used)
             self._dirty = set(range(len(used)))
-            self._unbased = set(range(len(used)))
 
     @classmethod
     def from_state(
@@ -358,16 +359,35 @@ class FileBackedDisk(SimulatedDisk):
 
     # repro-lint: holds=_lock
     def _allocate_locked(self, count: int) -> int:
-        first = super()._allocate_locked(count)
-        # Fresh pages are zeroed in memory and absent from the snapshot:
-        # resident by definition, dirty so the next commit persists the
-        # geometry growth.
-        self._resident.extend(b"\x01" * count)
-        self._page_crcs.extend([_STALE] * count)
-        self._unbased.update(range(first, first + count))
+        first = len(self._used)
+        self._grow_locked(first + count)
+        # Dirty so the next commit persists the geometry growth.
         if not self.readonly:
             self._dirty.update(range(first, first + count))
         return first
+
+    # repro-lint: holds=_lock
+    def _grow_locked(self, num_pages: int) -> None:
+        """Size the page state to ``num_pages``, contents kept.
+
+        ``_buf`` and ``_page_crcs`` view calloc-backed arrays with room to
+        double, so a page never written or faulted in costs neither a
+        memset nor memory, and growth no copy until the room is gone.
+        Pages past ``_resident`` are new: zeroed and absent from the
+        snapshot, so resident by definition and in the next delta.
+        """
+        first, size = len(self._resident), num_pages * self.page_size
+        if size > self._pages.size:
+            pages, crcs = np.zeros(2 * size, np.uint8), np.zeros(2 * num_pages, np.int64)
+            pages[: len(self._buf)] = self._buf
+            crcs[: len(self._page_crcs)] = self._page_crcs
+            self._pages, self._crcs = pages, crcs
+        self._buf = memoryview(self._pages)[:size]
+        self._page_crcs = self._crcs[:num_pages]
+        self._page_crcs[first:] = _STALE
+        self._used.extend([0] * (num_pages - len(self._used)))
+        self._resident.extend(b"\x01" * (num_pages - first))
+        self._unbased.update(range(first, num_pages))
 
     # repro-lint: holds=_lock
     def _ensure_resident_locked(self, first_page: int, count: int) -> None:
@@ -403,7 +423,7 @@ class FileBackedDisk(SimulatedDisk):
         self._data_file.seek(first * size)
         with memoryview(self._data_file.read((stop - first) * size)) as data:
             crcs = [zlib.crc32(data[lo : lo + size]) for lo in range(0, len(data) - size + 1, size)]
-            expected = self._page_crcs[first : first + len(crcs)]
+            expected = self._page_crcs[first : first + len(crcs)].tolist()
             good = len(crcs) if crcs == expected else next(
                 i for i, (crc, want) in enumerate(zip(crcs, expected)) if crc != want
             )
@@ -525,12 +545,7 @@ class FileBackedDisk(SimulatedDisk):
             if num_pages < len(self._used):
                 raise ValueError("journal shrinks the disk")
             if num_pages > len(self._used):
-                grow = num_pages - len(self._used)
-                self._unbased.update(range(len(self._used), num_pages))
-                self._buf.extend(b"\x00" * (grow * self.page_size))
-                self._used.extend([0] * grow)
-                self._resident.extend(b"\x01" * grow)
-                self._page_crcs.extend([_STALE] * grow)
+                self._grow_locked(num_pages)
             for _ in range(page_count):
                 page_id, used = struct.unpack_from("<II", payload, pos)
                 pos += 8
@@ -618,8 +633,10 @@ class FileBackedDisk(SimulatedDisk):
                 f"sidecar used length {entries[page_id, 1]} for page {page_id} "
                 f"exceeds page size {self.page_size}"
             )
-        self._page_crcs = entries[:, 0].tolist()
         self._used = entries[:, 1].tolist()
+        self._resident = bytearray(num_pages)  # no page faulted in yet
+        self._grow_locked(num_pages)
+        self._page_crcs[:] = entries[:, 0]
         bin_path = self._file("bin")
         try:
             data_size = bin_path.stat().st_size
@@ -632,8 +649,6 @@ class FileBackedDisk(SimulatedDisk):
                 f"data file {bin_path.name} is {data_size} bytes, expected "
                 f"{self._base_pages * self.page_size} of at most {num_pages} pages"
             )
-        self._buf = bytearray(num_pages * self.page_size)
-        self._resident = bytearray(num_pages)
         self._unbased = set()
         self._load_delta_locked(int(payload.get("delta_pages", 0)), payload.get("delta_crc", 0))
         self._replay_journal_locked()
@@ -665,9 +680,9 @@ class FileBackedDisk(SimulatedDisk):
         if np.count_nonzero(ids >= self._base_pages) < num_pages - self._base_pages:
             raise CorruptSnapshotError(f"delta {path.name} lacks pages past the base's {self._base_pages}")
         with memoryview(data) as view:
-            for i, page_id in enumerate(ids.tolist()):
+            for i, (page_id, crc) in enumerate(zip(ids.tolist(), self._page_crcs[ids].tolist())):
                 page = view[head + i * size : head + (i + 1) * size]
-                if zlib.crc32(page) != self._page_crcs[page_id]:
+                if zlib.crc32(page) != crc:
                     raise CorruptSnapshotError(
                         f"page {page_id} failed checksum verification against sidecar "
                         f"{self._file('crc').name} (delta {path.name})",
@@ -689,10 +704,10 @@ class FileBackedDisk(SimulatedDisk):
         base, base_pages = self.base_generation, self._base_pages
         delta = [] if new_base else sorted(self._unbased)
         ids = np.asarray(delta, "<u4").tobytes()
+        unbased = np.fromiter(self._unbased, np.int64, len(self._unbased))
         with memoryview(self._buf) as buf:
-            for page_id in self._unbased:
-                if crcs[page_id] == _STALE:
-                    crcs[page_id] = zlib.crc32(buf[page_id * size : (page_id + 1) * size])
+            stale = unbased[crcs[unbased] == _STALE].tolist()
+            crcs[stale] = [zlib.crc32(buf[p * size : (p + 1) * size]) for p in stale]
             if new_base:
                 if self._data_file is not None:
                     self._data_file.close()

@@ -4,7 +4,10 @@ Holds the map-matched trajectories that pre-processing emits and index
 construction consumes, plus the aggregate statistics the paper reports in
 Table 4.1 (taxis, days, record counts).  Per-segment per-hour speed
 statistics — the raw material for the Con-Index's Near/Far bounds — are
-computed in one vectorised pass at :meth:`finalize`.
+the speed model: sorted :data:`SPEED_COLUMNS` arrays that
+:meth:`~TrajectoryDatabase.finalize` folds newly added visits into in one
+vectorised pass, and that :meth:`~TrajectoryDatabase.speed_bounds` looks
+up for a whole CSR at once.  A database restored from them keeps folding.
 
 Trajectories are stored *compactly* (numpy arrays per taxi-day) because the
 synthetic fleet produces millions of segment visits; :meth:`__iter__`
@@ -53,6 +56,27 @@ class DatasetStats:
         ]
 
 
+#: The speed model's aligned columns: packed ``segment * 24 + hour`` keys,
+#: strictly ascending, and each key's observed min / max / sum of speeds
+#: and visit count (zero speeds excluded).
+SPEED_COLUMNS = ("keys", "stats_min", "stats_max", "stats_sum", "stats_count")
+_SPEED_DTYPES = (np.int64, np.float64, np.float64, np.float64, np.int64)
+
+
+def _grouped(keys, mins, maxs, sums, counts) -> tuple[np.ndarray, ...]:
+    """The :data:`SPEED_COLUMNS` of rows with these ``keys``, equal keys
+    folded into one (stably, so sums add in row order)."""
+    order = np.argsort(keys, kind="stable")
+    unique_keys, starts = np.unique(keys[order], return_index=True)
+    return (
+        unique_keys,
+        np.minimum.reduceat(mins[order], starts),
+        np.maximum.reduceat(maxs[order], starts),
+        np.add.reduceat(sums[order], starts),
+        np.add.reduceat(counts[order], starts),
+    )
+
+
 @dataclass
 class _CompactTrajectory:
     trajectory_id: int
@@ -77,39 +101,26 @@ class TrajectoryDatabase:
         self.num_taxis = num_taxis
         self.num_days = num_days
         self._trajectories: dict[int, _CompactTrajectory] = {}
-        self._stats_min: dict[int, float] = {}
-        self._stats_max: dict[int, float] = {}
-        self._stats_sum: dict[int, float] = {}
-        self._stats_count: dict[int, int] = {}
-        self._finalized = False
+        # The speed model: the :data:`SPEED_COLUMNS`, keys ascending.
+        self._speed = tuple(np.empty(0, dtype) for dtype in _SPEED_DTYPES)
+        self._unfolded: list[_CompactTrajectory] = []  # added since the last fold
+        #: Moves on every ``add``: Con-Index state derived at another
+        #: revision may rest on bounds that no longer hold.
+        self.speed_revision = 0
 
     # -- ingestion ------------------------------------------------------------
 
     def add(self, trajectory: MatchedTrajectory) -> None:
         """Ingest one matched trajectory (compacted immediately)."""
-        if trajectory.trajectory_id in self._trajectories:
-            raise ValueError(f"duplicate trajectory id {trajectory.trajectory_id}")
-        if not 0 <= trajectory.date < self.num_days:
-            raise ValueError(
-                f"trajectory date {trajectory.date} outside [0, {self.num_days})"
-            )
         visits = trajectory.visits
-        compact = _CompactTrajectory(
-            trajectory_id=trajectory.trajectory_id,
-            taxi_id=trajectory.taxi_id,
-            date=trajectory.date,
-            segments=np.fromiter(
-                (v.segment_id for v in visits), dtype=np.int32, count=len(visits)
-            ),
-            times=np.fromiter(
-                (v.time_s for v in visits), dtype=np.float64, count=len(visits)
-            ),
-            speeds=np.fromiter(
-                (v.speed_mps for v in visits), dtype=np.float32, count=len(visits)
-            ),
+        self.add_arrays(
+            trajectory.trajectory_id,
+            trajectory.taxi_id,
+            trajectory.date,
+            np.fromiter((v.segment_id for v in visits), dtype=np.int32, count=len(visits)),
+            np.fromiter((v.time_s for v in visits), dtype=np.float64, count=len(visits)),
+            np.fromiter((v.speed_mps for v in visits), dtype=np.float32, count=len(visits)),
         )
-        self._trajectories[trajectory.trajectory_id] = compact
-        self._finalized = False
 
     def add_arrays(
         self,
@@ -125,7 +136,7 @@ class TrajectoryDatabase:
             raise ValueError(f"duplicate trajectory id {trajectory_id}")
         if not 0 <= date < self.num_days:
             raise ValueError(f"trajectory date {date} outside [0, {self.num_days})")
-        self._trajectories[trajectory_id] = _CompactTrajectory(
+        compact = self._trajectories[trajectory_id] = _CompactTrajectory(
             trajectory_id=trajectory_id,
             taxi_id=taxi_id,
             date=date,
@@ -133,48 +144,27 @@ class TrajectoryDatabase:
             times=np.asarray(times, dtype=np.float64),
             speeds=np.asarray(speeds, dtype=np.float32),
         )
-        self._finalized = False
+        self._unfolded.append(compact)
+        self.speed_revision += 1
 
     def finalize(self) -> None:
-        """Recompute speed statistics in one vectorised pass (idempotent)."""
-        if self._finalized:
+        """Fold the visits added since the last fold into the speed
+        statistics, in one vectorised pass (idempotent).
+
+        min, max, sum and count merge, so the folded statistics — a
+        restored model's included — are kept, not recomputed.
+        """
+        if not self._unfolded:
             return
-        self._stats_min.clear()
-        self._stats_max.clear()
-        self._stats_sum.clear()
-        self._stats_count.clear()
-        seg_parts = []
-        hour_parts = []
-        speed_parts = []
-        for compact in self._trajectories.values():
-            if len(compact.segments) == 0:
-                continue
-            seg_parts.append(compact.segments.astype(np.int64))
-            hour_parts.append(
-                (compact.times // 3600).astype(np.int64) % HOURS_PER_DAY
-            )
-            speed_parts.append(compact.speeds.astype(np.float64))
-        if not seg_parts:
-            self._finalized = True
-            return
-        segments = np.concatenate(seg_parts)
-        hours = np.concatenate(hour_parts)
-        speeds = np.concatenate(speed_parts)
+        compacts, self._unfolded = self._unfolded, []
+        segments = np.concatenate([c.segments for c in compacts]).astype(np.int64)
+        hours = np.concatenate([c.times for c in compacts]) // 3600
+        speeds = np.concatenate([c.speeds for c in compacts]).astype(np.float64)
         positive = speeds > 0  # paper: zero speeds removed from statistics
-        segments, hours, speeds = segments[positive], hours[positive], speeds[positive]
-        keys = segments * HOURS_PER_DAY + hours
-        order = np.argsort(keys, kind="stable")
-        keys, speeds = keys[order], speeds[order]
-        unique_keys, starts = np.unique(keys, return_index=True)
-        mins = np.minimum.reduceat(speeds, starts)
-        maxs = np.maximum.reduceat(speeds, starts)
-        sums = np.add.reduceat(speeds, starts)
-        counts = np.diff(np.append(starts, len(speeds)))
-        self._stats_min = dict(zip(unique_keys.tolist(), mins.tolist()))
-        self._stats_max = dict(zip(unique_keys.tolist(), maxs.tolist()))
-        self._stats_sum = dict(zip(unique_keys.tolist(), sums.tolist()))
-        self._stats_count = dict(zip(unique_keys.tolist(), counts.tolist()))
-        self._finalized = True
+        keys = segments[positive] * HOURS_PER_DAY + hours[positive].astype(np.int64) % HOURS_PER_DAY
+        speeds = speeds[positive]
+        added = _grouped(keys, speeds, speeds, speeds, np.ones(keys.size, np.int64))
+        self._speed = _grouped(*map(np.concatenate, zip(self._speed, added)))
 
     def extend_days(self, new_num_days: int) -> None:
         """Grow the dataset's day span (for incrementally appended data).
@@ -228,19 +218,45 @@ class TrajectoryDatabase:
 
     # -- speed statistics -----------------------------------------------------------
 
+    def _rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each packed key's row in the speed model (clipped into range)
+        and whether that row holds observations of it."""
+        model_keys, counts = self._speed[0], self._speed[4]
+        rows = np.minimum(np.searchsorted(model_keys, keys), model_keys.size - 1)
+        if not model_keys.size:
+            return rows, np.zeros(keys.shape, dtype=bool)
+        return rows, (model_keys[rows] == keys) & (counts[rows] > 0)
+
     def speed_stats(self, segment_id: int, hour: int) -> SpeedStats | None:
         """Observed stats for a segment at an hour of day, if any."""
         self.finalize()
-        key = segment_id * HOURS_PER_DAY + (hour % HOURS_PER_DAY)
-        count = self._stats_count.get(key)
-        if not count:
+        rows, found = self._rows(np.array([segment_id * HOURS_PER_DAY + hour % HOURS_PER_DAY]))
+        if not found[0]:
             return None
-        return SpeedStats(
-            min_mps=self._stats_min[key],
-            max_mps=self._stats_max[key],
-            mean_mps=self._stats_sum[key] / count,
-            count=int(count),
-        )
+        _, mins, maxs, sums, counts = (column[rows[0]].item() for column in self._speed)
+        return SpeedStats(min_mps=mins, max_mps=maxs, mean_mps=sums / counts, count=counts)
+
+    def speed_bounds(
+        self, segment_ids: np.ndarray, hour: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`observed_speed_bounds` of many segments at one hour of day,
+        as ``(found, min, max)`` arrays aligned with ``segment_ids``."""
+        self.finalize()
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        mins, maxs = self._speed[1], self._speed[2]
+        found = np.zeros(segment_ids.size, dtype=bool)
+        lo, hi = np.full(found.size, np.inf), np.zeros(found.size)
+        exact = None
+        for probe in (hour, hour - 1, hour + 1):
+            rows, hit = self._rows(segment_ids * HOURS_PER_DAY + probe % HOURS_PER_DAY)
+            if exact is None:
+                exact = hit
+            else:
+                hit &= ~exact  # the exact hour has data; neighbours not needed
+            lo[hit] = np.minimum(lo[hit], mins[rows[hit]])
+            hi[hit] = np.maximum(hi[hit], maxs[rows[hit]])
+            found |= hit
+        return found, lo, hi
 
     def observed_speed_bounds(
         self, segment_id: int, time_s: float
@@ -252,62 +268,42 @@ class TrajectoryDatabase:
         avoid this; small synthetic fleets are not).  Returns None for a
         segment with no observations at all near that hour.
         """
-        self.finalize()
-        hour = int(time_s // 3600) % HOURS_PER_DAY
-        lo = float("inf")
-        hi = 0.0
-        found = False
-        for probe in (hour, (hour - 1) % 24, (hour + 1) % 24):
-            key = segment_id * HOURS_PER_DAY + probe
-            if self._stats_count.get(key):
-                lo = min(lo, self._stats_min[key])
-                hi = max(hi, self._stats_max[key])
-                found = True
-            if found and probe == hour:
-                # the exact hour has data; neighbours not needed
-                break
-        if not found:
-            return None
-        return lo, hi
+        found, lo, hi = self.speed_bounds(np.array([segment_id]), int(time_s // 3600))
+        return (float(lo[0]), float(hi[0])) if found[0] else None
 
     def export_speed_model(self) -> dict:
-        """Extract the finalized per-(segment, hour) speed statistics.
+        """Extract the folded per-(segment, hour) speed statistics.
 
-        The Con-Index derives entirely from :meth:`observed_speed_bounds`
-        plus the network topology, and every executor reads only
-        ``num_days`` — so a worker process can serve queries from this
-        statistics-only payload without shipping raw trajectories.
+        The Con-Index derives entirely from :meth:`speed_bounds` plus the
+        network topology, and every executor reads only ``num_days`` — so
+        a worker process can serve queries from this statistics-only
+        payload without shipping raw trajectories.
 
         Returns:
-            A picklable dict for :meth:`from_speed_model`.
+            A picklable dict for :meth:`from_speed_model`: the scalar
+            sizes and the :data:`SPEED_COLUMNS` arrays.
         """
         self.finalize()
         return {
             "num_taxis": self.num_taxis,
             "num_days": self.num_days,
             "num_trajectories": len(self._trajectories),
-            "stats_min": dict(self._stats_min),
-            "stats_max": dict(self._stats_max),
-            "stats_sum": dict(self._stats_sum),
-            "stats_count": dict(self._stats_count),
+            **dict(zip(SPEED_COLUMNS, self._speed)),
         }
 
     @classmethod
     def from_speed_model(cls, model: dict) -> "TrajectoryDatabase":
         """Rebuild a statistics-only database from :meth:`export_speed_model`.
 
-        The result answers :meth:`speed_stats` / :meth:`observed_speed_bounds`
-        and carries ``num_days`` (Eq. 3.1's ``m``) identically to the
-        source, but holds no trajectories — :meth:`__iter__` is empty and
-        adding new data would wrongly reset the imported statistics, so
-        ingestion is not supported on a restored instance.
+        The result answers :meth:`speed_stats` / :meth:`speed_bounds` and
+        carries ``num_days`` (Eq. 3.1's ``m``) identically to the source,
+        but holds no trajectories: :meth:`__iter__` yields only those
+        added since, whose visits fold into the restored statistics.
         """
         database = cls(num_taxis=model["num_taxis"], num_days=model["num_days"])
-        database._stats_min = dict(model["stats_min"])
-        database._stats_max = dict(model["stats_max"])
-        database._stats_sum = dict(model["stats_sum"])
-        database._stats_count = dict(model["stats_count"])
-        database._finalized = True
+        database._speed = tuple(
+            np.asarray(model[name], dtype) for name, dtype in zip(SPEED_COLUMNS, _SPEED_DTYPES)
+        )
         return database
 
     def stats(self) -> DatasetStats:

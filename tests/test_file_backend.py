@@ -21,9 +21,10 @@ import pytest
 
 from benchmarks.client_protocol import s_query
 from repro.api import QueryOptions, ReachabilityClient, Request
-from repro.core.directory import DIRECTORY_COLUMNS
+from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import MQuery, SQuery
+from repro.core.service import QueryService
 from repro.core.st_index import STIndex
 from repro.io.persist import (
     DIRECTORY_DELTA,
@@ -280,21 +281,21 @@ class TestStoreRoundTrip:
             assert written[1][name].tolist() == written[0][name].tolist()
 
     def test_speed_model_round_trips_bit_exact(self, saved):
-        """``speed_model.npz`` restores the four stat dicts exactly: Python
-        ``int`` keys, ``float`` speeds and ``int`` counts."""
+        """``speed_model.npz`` restores the speed-model columns exactly:
+        ``int64`` keys and counts, ``float64`` speeds, byte for byte."""
         store, engine = saved
         before = engine.database.export_speed_model()
         after = open_store(store).database.export_speed_model()
-        for field, value_type in (
-            ("stats_min", float),
-            ("stats_max", float),
-            ("stats_sum", float),
-            ("stats_count", int),
+        for field, dtype in (
+            ("keys", np.int64),
+            ("stats_min", np.float64),
+            ("stats_max", np.float64),
+            ("stats_sum", np.float64),
+            ("stats_count", np.int64),
         ):
-            assert after[field] == before[field] and after[field]
-            assert list(after[field]) == list(before[field])
-            assert {type(key) for key in after[field]} == {int}
-            assert {type(value) for value in after[field].values()} == {value_type}
+            assert after[field].dtype == before[field].dtype == dtype
+            assert np.array_equal(after[field], before[field]) and after[field].size
+            assert after[field].tobytes() == before[field].tobytes()
         assert (after["num_taxis"], after["num_days"]) == (before["num_taxis"], before["num_days"])
 
     def test_two_saves_write_identical_store_files(self, saved, dataset_route):
@@ -470,6 +471,123 @@ class TestDeltaSaves:
             open_store(store)
 
 
+class TestIngestIntoRestoredDatabase:
+    def test_append_folds_into_the_restored_speed_model(self, test_dataset, tmp_path):
+        """A restored database keeps its statistics when data arrives: the
+        new visits fold into the touched ``(segment, hour)`` rows, every
+        other row keeps its bounds, and a save and reopen keep the merge."""
+        builder = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        store = save_store(builder, tmp_path / "store", 300)
+        before = builder.database.export_speed_model()
+        route = [0]
+        while len(route) < 4:
+            route.append(test_dataset.network.successors(route[-1])[0])
+        engine = open_store(store)
+        QueryService(engine).append_trajectories([make_day(route, 0, 10**6)])
+        after = engine.database.export_speed_model()
+        touched = np.isin(after["keys"], [segment * 24 + 11 for segment in route])
+        assert touched.sum() == len(set(route))
+        old = np.searchsorted(before["keys"], after["keys"])
+        kept = ~touched
+        assert np.array_equal(after["keys"][kept], before["keys"][old[kept]])
+        for name in ("stats_min", "stats_max", "stats_sum", "stats_count"):
+            assert np.array_equal(after[name][kept], before[name][old[kept]])
+        known = np.isin(after["keys"], before["keys"]) & touched
+        assert known.any()
+        visits = np.array([route.count(s) for s in after["keys"][known] // 24])
+        merged = old[known]
+        for name, fold in (("stats_min", np.minimum), ("stats_max", np.maximum)):
+            assert np.array_equal(after[name][known], fold(before[name][merged], 6.0))
+        assert np.array_equal(after["stats_sum"][known], before["stats_sum"][merged] + 6.0 * visits)
+        assert np.array_equal(after["stats_count"][known], before["stats_count"][merged] + visits)
+        built = builder.database.observed_speed_bounds
+        for segment in set(range(20)) - set(route):
+            assert engine.database.observed_speed_bounds(segment, T) == built(segment, T)
+        save_store(engine, store, 300)
+        reopened = open_store(store).database.export_speed_model()
+        for name in ("keys", "stats_min", "stats_max", "stats_sum", "stats_count"):
+            assert reopened[name].tobytes() == after[name].tobytes()
+
+
+@pytest.mark.durability
+class TestColdStart:
+    """A store opens without zero-filling its page buffer or re-sorting
+    its directory; both shortcuts keep every byte and every check."""
+
+    @pytest.fixture()
+    def columns(self, test_dataset):
+        engine = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        directory = engine.st_index(300).committed_directory()
+        return directory.columns(), engine.disk.num_pages, engine.disk.page_size
+
+    def test_chains_out_of_key_order_open_to_the_same_columns(self, columns):
+        columns, pages, size = columns
+        # Slot-major: every chain keeps its row order, the keys do not ascend.
+        order = np.argsort(columns["dir_slot"], kind="stable")
+        assert (np.diff(order) < 0).any()
+        shuffled = {name: column[order] for name, column in columns.items()}
+        opened = TimeListDirectory.from_columns(shuffled, 288, pages, size, "test").columns()
+        for name in DIRECTORY_COLUMNS:
+            assert opened[name].tolist() == columns[name].tolist()
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-key-order", "slot-major"])
+    @pytest.mark.parametrize(
+        "first, second, problem",
+        [
+            ("key", "pointer", "test row 3 names no entry: segment 3, slot 288"),
+            ("position", "pointer", "test rows out of chain order"),
+            ("pointer", "key", r"test pointer \(\d+, 0, \d+, \d+\) outside"),
+            ("pointer", "position", r"test pointer \(\d+, 0, \d+, \d+\) outside"),
+        ],
+    )
+    def test_errors_name_the_first_offending_row(self, columns, shuffled, first, second, problem):
+        """Row 3 and row 9 are damaged; row 3's damage is the error, on
+        the sorted and the sorting path alike."""
+        columns, pages, size = columns
+        order = np.argsort(columns["dir_slot"], kind="stable") if shuffled else slice(None)
+        damaged = {name: column[order].astype(np.int64) for name, column in columns.items()}
+        for row, kind in ((3, first), (9, second)):
+            if kind == "key":
+                damaged["dir_segment"][row], damaged["dir_slot"][row] = 3, 288
+            elif kind == "position":
+                damaged["dir_position"][row] += 7
+            else:
+                damaged["dir_num_pages"][row] = 0
+        with pytest.raises(PersistFormatError, match=problem):
+            TimeListDirectory.from_columns(damaged, 288, pages, size, "test")
+
+    def test_pages_grown_after_open_read_back_byte_identical(self, network, route, tmp_path):
+        """Appends after open allocate pages past the superblock's count
+        (well past the page buffer's first room on this tiny store), a
+        reopen's journal replay grows the count again, and a save and
+        reopen keep every byte.  The time lists are those the same appends
+        give on the in-RAM engine the store was saved from."""
+        ram = ReachabilityEngine(network, make_database(route), disk=SimulatedDisk(page_size=512))
+        store = save_store(ram, tmp_path / "store", 300)
+        engine = open_store(store)
+        first_pages = engine.disk.num_pages
+        slot = ram.st_index(300).slot_of(T)
+
+        def time_lists(target):
+            return [target.st_index(300).time_list(segment, slot) for segment in route]
+
+        assert time_lists(engine) == time_lists(ram)  # faults pages in before the growth
+        for day in range(3):
+            appended = [make_day(route, day, 100 + i + 10 * day) for i in range(8)]
+            for target in (engine, ram):
+                target.append_trajectories(appended, update_database=False)
+        assert engine.disk.num_pages > 2 * first_pages
+        expected, state = time_lists(ram), engine.disk.export_state()
+        assert time_lists(engine) == expected
+        engine.disk.close()
+        replayed = open_store(store)  # no save: the journal holds the growth
+        assert replayed.disk.export_state() == state and time_lists(replayed) == expected
+        save_store(replayed, store, 300)
+        replayed.disk.close()
+        reopened = open_store(store)
+        assert reopened.disk.export_state() == state and time_lists(reopened) == expected
+
+
 class TestExportStateAtomicity:
     def test_export_state_is_atomic_under_writes(self, tmp_path):
         """Barrier-style race regression: export_state must hold the lock
@@ -640,6 +758,16 @@ class TestPersistFormatErrors:
                 {"keys": lambda column: column.astype(float)},
                 "keys hold float64, not integers",
             ),
+            (
+                "speed_model.npz",
+                {"keys": lambda column: column[::-1]},
+                "key .* at row 1 is out of order: keys must strictly ascend",
+            ),
+            (
+                "speed_model.npz",
+                {"keys": lambda column: np.concatenate((column[:1], column[:-1]))},
+                "key .* at row 1 repeats: keys must strictly ascend",
+            ),
             ("store.json", f'{{"version": {STORE_FORMAT_VERSION}}}', "store.json delta_t_s is None"),
             (
                 "store.json",
@@ -677,6 +805,8 @@ class TestPersistFormatErrors:
             "speed-model-no-stats-sum",
             "speed-model-short-column",
             "speed-model-float-keys",
+            "speed-model-unsorted-keys",
+            "speed-model-duplicate-keys",
             "store-no-delta-t",
             "store-delta-t-0",
             "store-engine-pool-missing",

@@ -222,3 +222,69 @@ class TestAppendInvalidation:
         assert second.regions_computed > 0
         assert second.regions_reused == 0
         assert second.results[0].segments == first.results[0].segments
+
+
+class TestSpeedNeutralAppend:
+    """The Con-Index and the bounding regions derive from the speed model
+    alone: an append that leaves it alone keeps them, one that moves it
+    (directly on the database or through the append) drops them."""
+
+    @pytest.fixture()
+    def opened(self, test_dataset, tmp_path):
+        from repro.io.persist import open_store, save_store
+
+        builder = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        engine = open_store(save_store(builder, tmp_path / "store", 300))
+        route = [0]
+        while len(route) < 6:
+            route.append(test_dataset.network.successors(route[-1])[0])
+        queries = [
+            SQuery(test_dataset.network.segment(segment).midpoint, T, 900.0, 0.2)
+            for segment in route[::2]
+        ]
+        return QueryService(engine), route, queries
+
+    def test_speed_neutral_append_keeps_entries_and_regions(self, opened):
+        service, route, queries = opened
+        engine = service.engine
+        first = run_batch(service, queries)
+        assert first.regions_computed > 0
+        expansions = engine.con_index(300).expansions
+        service.append_trajectories([_make_day(route, 1, 10**6, 12.0)], update_database=False)
+        assert service.region_cache.stats()["invalidations"] == 0
+        assert engine.con_index(300).expansions == expansions
+        kept = run_batch(service, queries)
+        assert kept.regions_computed == 0
+        assert kept.regions_reused == first.regions_computed + first.regions_reused
+        assert engine.con_index(300).expansions == expansions
+        # The reference: every Con-Index entry and region derived afresh
+        # over the same (appended) time lists.
+        st_index = engine.st_index(300)
+        engine.drop_indexes()
+        engine.install_st_index(300, st_index)
+        fresh = run_batch(service, queries)
+        assert fresh.regions_reused == 0 and engine.con_index(300).expansions > 0
+        for got, want in zip(kept.results, fresh.results):
+            assert got.segments == want.segments
+            assert got.probabilities == want.probabilities
+
+    @pytest.mark.parametrize("path", ["database-add-first", "default-append"])
+    def test_an_append_that_moves_the_speed_model_invalidates(self, opened, path):
+        service, route, queries = opened
+        engine = service.engine
+        before = run_batch(service, queries)
+        fast = _make_day(route, 1, 10**6, 12.0)
+        if path == "database-add-first":
+            engine.database.add(fast)
+            service.append_trajectories([fast], update_database=False)
+        else:
+            service.append_trajectories([fast])
+        assert service.region_cache.stats()["invalidations"] == 1
+        assert engine.con_index(300).num_entries == 0
+        after = run_batch(service, queries)
+        assert after.regions_reused == 0
+        grown = [
+            b.max_region.cover < a.max_region.cover
+            for b, a in zip(before.results, after.results)
+        ]
+        assert any(grown)

@@ -178,6 +178,25 @@ class TestTrajectoryDatabase:
         assert db.observed_speed_bounds(7, day_time(3)) is None
         assert db.observed_speed_bounds(999, day_time(11)) is None
 
+    def test_observed_hour_ignores_its_neighbours(self):
+        """An observed hour's bounds are its own; an unobserved one takes
+        both neighbours' (across midnight too), for one segment or for an
+        array of them at once."""
+        db = TrajectoryDatabase(1, 1)
+        for tid, (segment, hour, speed) in enumerate(
+            [(7, 10, 1.0), (7, 11, 5.0), (7, 12, 9.0), (8, 23, 3.0), (8, 1, 4.0)]
+        ):
+            db.add(_traj(tid, 0, 0, [(segment, day_time(hour), speed)]))
+        assert db.observed_speed_bounds(7, day_time(11, 30)) == (5.0, 5.0)
+        assert db.observed_speed_bounds(7, day_time(13)) == (9.0, 9.0)
+        assert db.observed_speed_bounds(8, day_time(0, 30)) == (3.0, 4.0)
+        segments = np.array([7, 8, 99])
+        for hour in range(24):
+            found, lo, hi = db.speed_bounds(segments, hour)
+            for i, segment in enumerate(segments.tolist()):
+                scalar = db.observed_speed_bounds(segment, day_time(hour))
+                assert scalar == ((lo[i], hi[i]) if found[i] else None)
+
     def test_stats_summary(self):
         db = TrajectoryDatabase(2, 2)
         db.add(_traj(0, 0, 0, [(1, 0.0, 1.0), (2, 5.0, 1.0)]))
