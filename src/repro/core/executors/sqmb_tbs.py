@@ -28,9 +28,10 @@ from repro.core.reverse import ReverseProbabilityEstimator
 from repro.core.tbs import LockstepSearch, TraceBackResult, trace_back_search
 
 #: The plans of :func:`execute_bounded`: a batch runs each run of them in lock step,
-#: unless it is shorter than the measured break-even (1.4× slower at 2, 1.2× at 3).
+#: unless it is shorter than the measured break-even against the per-query path
+#: (lock step 1.4× at 2, 1.2× at 3, 1.1× at 4, 1.0× at 5, 0.95× at 6; docs/architecture.md).
 LOCKSTEP = frozenset({("s", "sqmb_tbs"), ("m", "mqmb_tbs"), ("r", "sqmb_tbs")})
-LOCKSTEP_MIN_RUN = 4
+LOCKSTEP_MIN_RUN = 6
 
 
 def locations_of(query: SQuery | MQuery) -> tuple:
@@ -41,7 +42,8 @@ def start_estimators(
     ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
 ) -> tuple[ExecutionOutcome, dict[int, ColumnarEq31Estimator]]:
     """The front half every executor shares: start segments (``segments`` if a lock-step
-    run located them), then one Eq. 3.1 estimator per distinct start segment.
+    run located them), then one Eq. 3.1 estimator per distinct start segment, their
+    fixed sides read with one gather and one charge.
 
     Returns the outcome to fill in (start segments and every estimator
     already on it, so their reads are charged) and the *live* estimators
@@ -56,20 +58,15 @@ def start_estimators(
         segments = list(dict.fromkeys(segments))
         stage.note(r0=segments)
     num_days = ctx.database.num_days
-
-    def estimator(seed: int) -> ColumnarEq31Estimator:
-        # Both constructors are called by name (not through a class held
-        # in a variable) so repro-lint's call graph reaches them.
-        if plan.kind == "r":
-            return ReverseProbabilityEstimator(
-                st, seed, query.start_time_s, query.duration_s, num_days, charges
-            )
-        return ProbabilityEstimator(
-            st, seed, query.start_time_s, query.duration_s, num_days, charges
-        )
-
     with ctx.stage("start time-list read") as stage:
-        estimators = {seed: estimator(seed) for seed in segments}
+        # Both classes are named (not held in a variable) so repro-lint's
+        # call graph reaches their constructor.
+        args = (st, segments, query.start_time_s, query.duration_s, num_days, charges)
+        if plan.kind == "r":
+            built = ReverseProbabilityEstimator.for_seeds(*args)
+        else:
+            built = ProbabilityEstimator.for_seeds(*args)
+        estimators = dict(zip(segments, built))
         stage.note(
             start_days=[e.start_days for e in estimators.values()],
             num_days=num_days,

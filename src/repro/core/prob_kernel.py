@@ -30,6 +30,10 @@ over the concatenated candidate columns.  An m-query wave is the same
 routine with several seeds: one uncharged gather of the wave's roads, one
 probe per seed, a replay of the scalar claimer-then-fallback consultation
 order, and one buffer-pool charge (:meth:`ColumnarEq31Estimator.probabilities`).
+A trace-back gathers its whole ring (Bmax's boundary and Bmax - Bmin) once
+and probes each seed against it once (:meth:`~ColumnarEq31Estimator.prefetch`),
+so its waves only replay and charge; the fixed sides of all seeds are one
+gather and one charge too (:meth:`~ColumnarEq31Estimator.for_seeds`).
 
 Accounting guarantee: the kernel's charged reads are *identical* to the
 scalar path's — same records, through the same buffer pool, in the same
@@ -67,13 +71,6 @@ SCALAR_EVAL_MAX_VISITS = 24
 _NO_KEYS = np.empty(0, dtype=np.int64)
 
 
-def _unique_days(keys: np.ndarray) -> int:
-    """Number of distinct dates among packed visit keys."""
-    if keys.size == 0:
-        return 0
-    return int(np.unique(keys >> KEY_DATE_SHIFT).size)
-
-
 class ColumnarEq31Estimator:
     """Shared core of the forward and reverse Eq. 3.1 estimators.
 
@@ -83,8 +80,8 @@ class ColumnarEq31Estimator:
     at construction; each candidate road then costs its share of the
     wave's gather, probe and charge (:meth:`probabilities`).
 
-    Subclasses define the window split by overriding
-    :meth:`_fixed_window` and :meth:`_candidate_window`.
+    Subclasses define the window split by overriding the static
+    :meth:`_fixed_window` and :meth:`_candidate_window` of ``(T, L)``.
 
     Attributes:
         checks: probability computations requested (cache hits excluded),
@@ -94,13 +91,8 @@ class ColumnarEq31Estimator:
     """
 
     def __init__(
-        self,
-        index: STIndex,
-        fixed_segment: int,
-        start_time_s: float,
-        duration_s: float,
-        num_days: int,
-        charges: list | None = None,
+        self, index: STIndex, fixed_segment: int, start_time_s: float, duration_s: float,
+        num_days: int, charges: list | None = None, *, fixed_parts: list | None = None,
     ) -> None:
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
@@ -110,71 +102,93 @@ class ColumnarEq31Estimator:
         self.start_time_s = start_time_s
         self.duration_s = duration_s
         self.num_days = num_days
-        self.checks = 0
-        self.kernel_evals = 0
-        self.scalar_evals = 0
+        self.checks = self.kernel_evals = self.scalar_evals = 0
         # Batched-I/O counters: records and pages fetched through the
         # wave-granular gather path (every charged read this estimator
         # performs goes through it, fixed side included).
-        self.batched_record_reads = 0
-        self.prefetched_pages = 0
+        self.batched_record_reads = self.prefetched_pages = 0
         self._cache: dict[int, float] = {}
-        # Twin lookups repeat for every wave membership check; the
+        # Road lookups repeat for every wave membership check; the
         # network is static for the estimator's lifetime, so memoize.
-        self._twins: dict[int, int | None] = {}
+        self._roads: dict[int, tuple[int, ...]] = {}
         # Window -> slot plans resolve once per estimator; every gather
         # replays them instead of redoing the slot arithmetic.
-        self._candidate_plan = index.window_plan(*self._candidate_window())
+        self._candidate_plan = index.window_plan(*self._candidate_window(start_time_s, duration_s))
+        # A trace-back's candidate ring, gathered once (:meth:`prefetch`).
+        self._ring: tuple | None = None
         # The fixed side, read once and reused for every candidate: one
         # sorted unique key array is the per-day trajectory sets of all
         # days at once.  A lock-step member's read is recorded into
-        # ``charges`` for its replay through the pool, not charged.
-        self._fixed_keys = np.unique(
-            self._read_road(
-                fixed_segment, index.window_plan(*self._fixed_window()), charges
-            )
-        )
-        self._fixed_days = _unique_days(self._fixed_keys)
+        # ``charges`` for its replay through the pool, not charged;
+        # ``fixed_parts`` is a read :meth:`for_seeds` already made.
+        if fixed_parts is None:
+            plan = index.window_plan(*self._fixed_window(start_time_s, duration_s))
+            fixed_parts = _charged_gather(index, self._road(fixed_segment), plan, charges)
+        self._fixed_keys = np.unique(self._count(fixed_parts))
+        self._fixed_days = np.unique(self._fixed_keys >> KEY_DATE_SHIFT).size
         self._fixed_sets: dict[int, set[int]] | None = None
+
+    @classmethod
+    def for_seeds(
+        cls, index: STIndex, seeds, start_time_s: float, duration_s: float, num_days: int,
+        charges: list | None = None,
+    ) -> list[ColumnarEq31Estimator]:
+        """One estimator per seed, in order, as the constructor builds them,
+        their fixed sides read with one gather and one charge in seed order."""
+        plan = index.window_plan(*cls._fixed_window(start_time_s, duration_s))
+        roads = [_carriageways(index.network, seed) for seed in seeds]
+        parts = _charged_gather(index, [s for road in roads for s in road], plan, charges)
+        cuts = np.cumsum([0, *map(len, roads)]).tolist()
+        return [
+            cls(index, seed, start_time_s, duration_s, num_days, fixed_parts=parts[a:b])
+            for seed, a, b in zip(seeds, cuts, cuts[1:])
+        ]
 
     # -- window split (subclass responsibility) ----------------------------
 
-    def _fixed_window(self) -> tuple[float, float]:
+    @staticmethod
+    def _fixed_window(start_time_s: float, duration_s: float) -> tuple[float, float]:
         raise NotImplementedError
 
-    def _candidate_window(self) -> tuple[float, float]:
+    @staticmethod
+    def _candidate_window(start_time_s: float, duration_s: float) -> tuple[float, float]:
         raise NotImplementedError
 
     # -- shared machinery --------------------------------------------------
 
-    def _twin(self, segment_id: int) -> int | None:
-        try:
-            return self._twins[segment_id]
-        except KeyError:
-            twin = self.network.segment(segment_id).twin_id
-            if twin is None or not self.network.has_segment(twin):
-                twin = None
-            self._twins[segment_id] = twin
-            return twin
-
     def _road(self, segment_id: int) -> tuple[int, ...]:
-        """The road's carriageways in the scalar read order: the segment,
-        then its twin."""
-        twin = self._twin(segment_id)
-        return (segment_id,) if twin is None else (segment_id, twin)
+        road = self._roads.get(segment_id)
+        if road is None:
+            road = self._roads[segment_id] = _carriageways(self.network, segment_id)
+        return road
 
-    def _read_road(self, segment_id: int, plan, charges: list | None = None) -> np.ndarray:
-        """Packed visit keys of the *road* (segment + twin) for a plan, gathered and
-        charged (or recorded into ``charges``) in the scalar ``_merged_window`` order."""
-        parts = self.index.gather_window_columns(self._road(segment_id), plan)
-        pages = np.concatenate([page_ids for _, _, page_ids in parts])
-        if charges is None:
-            self.index.pool.get_pages(pages)
-        else:
-            charges.append(pages)
+    def _count(self, parts) -> np.ndarray:
+        """A charged read's keys back to back, its records and pages counted."""
         self.batched_record_reads += sum(records for _, records, _ in parts)
-        self.prefetched_pages += pages.size
+        self.prefetched_pages += sum(pages.size for _, _, pages in parts)
         return np.concatenate([keys for keys, _, _ in parts])
+
+    def _gather(self, segment_ids) -> tuple:
+        """The roads of ``segment_ids``, each once, in one uncharged gather over
+        the candidate plan: each segment's road number, each carriageway's
+        ``(keys, records, page ids)``, the keys back to back, the road of each
+        key and the visits per road."""
+        road_of: dict[int, int] = {}
+        flat: list[int] = []
+        roads = 0
+        for segment_id in segment_ids:
+            if segment_id not in road_of:
+                road = self._road(segment_id)
+                road_of.update(dict.fromkeys(road, roads))
+                flat += road
+                roads += 1
+        gathered = self.index.gather_window_columns(flat, self._candidate_plan) if flat else []
+        keys = np.concatenate([k for k, _, _ in gathered] or [_NO_KEYS])
+        owner = np.repeat(
+            np.array([road_of[member] for member in flat], dtype=np.int64),
+            [k.size for k, _, _ in gathered],
+        )
+        return road_of, dict(zip(flat, gathered)), keys, owner, np.bincount(owner, minlength=roads)
 
     @property
     def start_days(self) -> int:
@@ -221,6 +235,12 @@ class ColumnarEq31Estimator:
 
     # -- evaluation --------------------------------------------------------
 
+    def prefetch(self, segment_ids) -> None:
+        """Gather the roads of ``segment_ids`` once, uncharged, as the ring a
+        trace-back's waves lie in: :meth:`probabilities` then takes every wave
+        wholly inside it from here and probes each peer against it once."""
+        self._ring = (*self._gather(segment_ids), {})
+
     def probabilities(
         self,
         segment_ids,
@@ -245,11 +265,14 @@ class ColumnarEq31Estimator:
 
         1. one uncharged road gather (segment + twin,
            :meth:`~repro.core.st_index.STIndex.gather_window_columns`) of
-           every distinct road some live peer has not cached;
+           every distinct road some live peer has not cached — none for a
+           wave wholly in the :meth:`prefetch` ring, which holds its roads;
         2. per peer, at its first evaluation, one ``searchsorted``
            membership probe over the wave's concatenated keys — or the
            scalar loop when the roads it has not cached hold at most
-           :data:`SCALAR_EVAL_MAX_VISITS` visits;
+           :data:`SCALAR_EVAL_MAX_VISITS` visits.  In the ring it is one
+           probe over the ring's keys at the peer's first evaluation of the
+           search, counted kernel or scalar per wave by the same rule;
         3. a replay of the scalar consultation order (each peer's cache
            first; the claimer, then the others while below ``prob``) that
            updates every consulted peer's cache, ``checks`` and I/O
@@ -267,49 +290,43 @@ class ColumnarEq31Estimator:
             for first in (self, *consult)
         }
         live = [e for e in dict.fromkeys((self, *consult)) if e._fixed_keys.size]
-        plan = self._candidate_plan
-        # 1. Every road a live peer may evaluate, gathered once, uncharged.
-        road_of: dict[int, int] = {}
-        heads: list[int] = []
-        for segment_id in wave:
-            if segment_id not in road_of and any(
-                segment_id not in e._cache for e in live
-            ):
-                road_of.update(dict.fromkeys(self._road(segment_id), len(heads)))
-                heads.append(segment_id)
-        flat = [member for head in heads for member in self._road(head)]
-        gathered = self.index.gather_window_columns(flat, plan) if flat else []
-        parts = dict(zip(flat, gathered))
-        keys = np.concatenate([k for k, _, _ in gathered] or [_NO_KEYS])
-        owner = np.repeat(
-            np.array([road_of[member] for member in flat], dtype=np.int64),
-            [k.size for k, _, _ in gathered],
-        )
-        visits = np.bincount(owner, minlength=len(heads))
+        # 1. Every road a live peer may evaluate: the ring's when the wave
+        # lies wholly in it, else gathered once here, uncharged.
+        pending = [s for s in wave if any(s not in e._cache for e in live)]
+        ring = self._ring
+        if ring is not None and all(s in ring[0] for s in wave):
+            road_of, parts, keys, owner, visits, probed = ring
+        else:
+            (road_of, parts, keys, owner, visits), probed = self._gather(pending), None
+        heads: dict[int, int] = {}
+        for segment_id in pending:
+            heads.setdefault(road_of[segment_id], segment_id)
 
-        def good_days(e: ColumnarEq31Estimator) -> tuple[list[int], bool]:
-            """2. ``m*`` per road for one peer, and whether the scalar
-            path computed it.  Called before ``e`` evaluates anything of
+        def good_days(e: ColumnarEq31Estimator) -> tuple:
+            """2. ``m*`` per road for one peer, and whether the scalar path
+            counts it (at most ``SCALAR_EVAL_MAX_VISITS`` visits on the roads
+            it has not cached).  Called before ``e`` evaluates anything of
             this wave, so its cache is the wave-start cache."""
-            mine = [r for r, head in enumerate(heads) if head not in e._cache]
-            if visits[mine].sum() <= SCALAR_EVAL_MAX_VISITS:
-                good = [0] * len(heads)
-                for r in mine:
-                    good[r] = e._good_days_scalar(
-                        parts[member][0] for member in self._road(heads[r])
-                    )
-                return good, True
+            mine = {r: head for r, head in heads.items() if head not in e._cache}
+            scalar = visits[list(mine)].sum() <= SCALAR_EVAL_MAX_VISITS
+            if probed is not None and e in probed:
+                return probed[e], scalar
+            if scalar and probed is None:
+                return {
+                    r: e._good_days_scalar(parts[member][0] for member in self._road(head))
+                    for r, head in mine.items()
+                }, True
             hit = e._membership(keys)
             # Dedup (road, day) hit pairs, then count days per road: the
-            # per-day intersections of Eq. 3.1 for the whole wave.
+            # per-day intersections of Eq. 3.1 for the whole gather.
             combo = (owner[hit] << KEY_DATE_SHIFT) | (keys[hit] >> KEY_DATE_SHIFT)
-            good_array = np.bincount(
-                np.unique(combo) >> KEY_DATE_SHIFT, minlength=len(heads)
-            )
-            return good_array.tolist(), False
+            good = np.bincount(np.unique(combo) >> KEY_DATE_SHIFT, minlength=visits.size).tolist()
+            if probed is not None:
+                probed[e] = good
+            return good, scalar
 
         # 3. The scalar consultation order, replayed.
-        probes: dict[ColumnarEq31Estimator, tuple[list[int], bool]] = {}
+        probes: dict[ColumnarEq31Estimator, tuple] = {}
         charges: list[np.ndarray] = []
         values: list[float] = []
         for segment_id in wave:
@@ -361,12 +378,31 @@ class ColumnarEq31Estimator:
         """
         if self._fixed_keys.size == 0:
             return []
-        keys = self._read_road(segment_id, self._candidate_plan)
+        parts = _charged_gather(self.index, self._road(segment_id), self._candidate_plan)
+        keys = self._count(parts)
         hit = keys[self._membership(keys)]
         return np.unique(hit >> KEY_DATE_SHIFT).tolist()
 
     def _store(self, segment_id: int, value: float) -> None:
-        self._cache[segment_id] = value
-        twin = self._twin(segment_id)
-        if twin is not None:
-            self._cache[twin] = value
+        for member in self._road(segment_id):
+            self._cache[member] = value
+
+
+def _carriageways(network, segment_id: int) -> tuple[int, ...]:
+    """A road's carriageways in the scalar read order: the segment, then its twin."""
+    twin = network.segment(segment_id).twin_id
+    if twin is None or not network.has_segment(twin):
+        return (segment_id,)
+    return (segment_id, twin)
+
+
+def _charged_gather(index: STIndex, segment_ids, plan, charges: list | None = None) -> list:
+    """The window gather of ``segment_ids``, their page ids charged in one call
+    (or recorded into ``charges`` for a lock-step replay) in the scalar order."""
+    parts = index.gather_window_columns(segment_ids, plan)
+    pages = np.concatenate([page_ids for _, _, page_ids in parts])
+    if charges is None:
+        index.pool.get_pages(pages)
+    else:
+        charges.append(pages)
+    return parts

@@ -48,14 +48,13 @@ class ReverseProbabilityEstimator(ColumnarEq31Estimator):
         num_days: ``m``.
     """
 
-    def _fixed_window(self) -> tuple[float, float]:
-        return (self.start_time_s, self.start_time_s + self.duration_s)
+    @staticmethod
+    def _fixed_window(start_time_s: float, duration_s: float) -> tuple[float, float]:
+        return (start_time_s, start_time_s + duration_s)
 
-    def _candidate_window(self) -> tuple[float, float]:
-        return (
-            self.start_time_s,
-            self.start_time_s + min(DEPARTURE_WINDOW_S, self.duration_s),
-        )
+    @staticmethod
+    def _candidate_window(start_time_s: float, duration_s: float) -> tuple[float, float]:
+        return (start_time_s, start_time_s + min(DEPARTURE_WINDOW_S, duration_s))
 
 
 def reverse_bounding_region(

@@ -9,12 +9,16 @@ inward neighbours — minus the minimum bounding region — onto the queue.
 Visited marking guarantees each segment is examined once (the ``r*``
 example of Fig. 3.5).
 
-The queue is drained in *waves*: each iteration snapshots the whole
+Every wave lies in the ring of Bmax's boundary and Bmax - Bmin, so the
+search first gathers that ring once, uncharged
+(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`).  The
+queue is then drained in *waves*: each iteration snapshots the whole
 pending frontier and evaluates it in one call to the columnar kernel
 (:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`:
-one gather, one membership probe per seed, one buffer-pool charge) before
-any accept/fail processing — for an m-query too, where the kernel replays
-the scalar order of consulting the claiming seed, then the others.
+its roads taken from the ring, one membership probe per seed per search,
+one buffer-pool charge) before any accept/fail processing — for an m-query
+too, where the kernel replays the scalar order of consulting the claiming
+seed, then the others.
 Because a segment's probability is a pure function of the trajectory
 data — independent of discovery order — and the wave preserves the
 classic FIFO evaluation order, the examined set, the per-segment
@@ -131,6 +135,8 @@ def trace_back_search(
     max_cover = max_region.cover
     min_cover = min_region.cover
     lead = next(iter(estimators.values()))
+    # Every wave lies in the boundary and Bmax - Bmin: one gather for all.
+    lead.prefetch(sorted(max_region.boundary | (max_cover - min_cover)))
     queue: deque[int] = deque(sorted(max_region.boundary))
     visited: set[int] = set(max_region.boundary)
     while queue:

@@ -66,6 +66,11 @@ class LegacyProbabilityEstimator:
             start_time_s + min(DEPARTURE_WINDOW_S, duration_s),
         )
 
+    @classmethod
+    def for_seeds(cls, index, seeds, start_time_s, duration_s, num_days, charges=None):
+        """The live alternate constructor's signature, one seed at a time."""
+        return [cls(index, seed, start_time_s, duration_s, num_days) for seed in seeds]
+
     def _twin(self, segment_id: int) -> int | None:
         twin = self.network.segment(segment_id).twin_id
         if twin is not None and self.network.has_segment(twin):

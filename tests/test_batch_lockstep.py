@@ -25,7 +25,6 @@ sum to at most the batch's.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from unittest import mock
 
@@ -195,10 +194,11 @@ def test_stream_publishes_each_response_at_its_pull(engines, roads):
         Request(SQuery(along(live[i], 0.5), T, 600.0, 0.2)) for i in range(0, 40, 8)
     ]
     engine = engines[(None, None)]
-    stream = ReachabilityClient(engine).stream(requests)
-    for pulled, response in enumerate(stream, start=1):
-        assert response.sequence == pulled - 1
-        assert len(stream.responses) == pulled
+    with mock.patch("repro.api.client.LOCKSTEP_MIN_RUN", 2):  # five members: one run
+        stream = ReachabilityClient(engine).stream(requests)
+        for pulled, response in enumerate(stream, start=1):
+            assert response.sequence == pulled - 1
+            assert len(stream.responses) == pulled
 
 
 def test_failing_member_raises_at_its_own_pull(engines, roads):
@@ -225,7 +225,7 @@ def test_failing_member_raises_at_its_own_pull(engines, roads):
         spy = PoolSpy(engine.st_index(DELTA_TS[0]).pool)
         try:
             with mock.patch.object(ExecutionContext, "bounding_region", failing), (
-                contextlib.nullcontext() if lockstep
+                mock.patch("repro.api.client.LOCKSTEP_MIN_RUN", 2) if lockstep
                 else mock.patch("repro.api.client.LOCKSTEP", frozenset())
             ):
                 stream = ReachabilityClient(engine).stream(requests)

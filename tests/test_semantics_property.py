@@ -13,10 +13,14 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.client_protocol import s_query
 from repro.core.baseline import exhaustive_search
-from repro.core.probability import ProbabilityEstimator
+from repro.core.engine import ReachabilityEngine
+from repro.core.probability import DEPARTURE_WINDOW_S, ProbabilityEstimator
+from repro.core.query import SQuery
 from repro.core.st_index import STIndex
 from repro.network.generator import grid_city
+from repro.spatial.geometry import Point
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
 from repro.trajectory.store import TrajectoryDatabase
 
@@ -132,3 +136,41 @@ class TestSemanticsAgainstOracle:
         }
         got_roads = {road_of(s) for s in result.region}
         assert got_roads == expected_roads
+
+
+class TestSubSlotStartCap:
+    """The documented sub-slot case where ES and SQMB+TBS disagree.
+
+    A 120 s, prob-0.3 s-query at (-221.0, -970.6), 08:00 on the test city
+    answers ``[]`` on ES and ``[45, 46]`` (exactly Bmin) on ``sqmb_tbs``.
+    Eq. 3.1's ``m*`` counts days with a trajectory on the fixed side, so
+    every probability is at most ``start_days / num_days``: here 0.1, below
+    Prob, so nothing is Prob-reachable and ES is right.  TBS puts Bmin into
+    the region without examining it.
+    """
+
+    def test_the_start_road_caps_every_probability_below_prob(self, test_dataset):
+        network, database = test_dataset.network, test_dataset.database
+        query = SQuery(Point(-221.0, -970.6), float(day_time(8)), 120.0, 0.3)
+        es = s_query(ReachabilityEngine(network, database), query, algorithm="es")
+        (r0,) = es.start_segments
+        road = {r0, network.segment(r0).twin_id} - {None}
+        lo = query.start_time_s
+        departure = (lo, lo + min(DEPARTURE_WINDOW_S, query.duration_s))
+        window = (lo, lo + query.duration_s)
+        # Eq. 3.1 for r0 itself, from the raw visits: per day, a trajectory
+        # on r0's road in the departure window and again in the query window.
+        left: dict[int, set[int]] = defaultdict(set)
+        passed: dict[int, set[int]] = defaultdict(set)
+        for trajectory in database:
+            for visit in trajectory.visits:
+                if visit.segment_id in road:
+                    for bounds, days in ((departure, left), (window, passed)):
+                        if bounds[0] <= visit.time_s < bounds[1]:
+                            days[trajectory.date].add(trajectory.trajectory_id)
+        m_star = sum(1 for day, ids in left.items() if ids & passed[day])
+        cap = len(left) / database.num_days
+        assert m_star / database.num_days == cap == 0.1 < query.prob
+        assert es.probabilities[r0] == cap
+        assert max(es.probabilities.values()) <= cap
+        assert es.segments == set()

@@ -1,15 +1,18 @@
-"""Generated m-query wave accounting: the batched multi-seed trace-back
-wave against the scalar reference, across pool and memo sizes.
+"""Generated trace-back wave accounting: the batched waves against the
+scalar reference, across pool and memo sizes.
 
-An m-query's wave is evaluated as one uncharged road gather, one probe per
-seed, a replay of the scalar claimer-then-fallback consultation order and
-one buffer-pool charge.  For m-queries of 2-4 locations on the test city —
-two points on one road, points on both carriageways of a two-way road, a
-start road nothing left in the departure window — under every ST-Index
-pool capacity in {0, 1, 8, default} and window-gather memo size in {0,
-default}, the live path must match ``legacy_probability_path()``: the
-region and every probability, the cost counters, the ``DiskStats``
-window (evictions included) and the page-id sequence the pool receives.
+A bounded send reads its seeds' fixed sides in one gather and one charge,
+gathers the trace-back's ring (Bmax's boundary and Bmax - Bmin) once,
+uncharged, and evaluates each wave from it as one probe per seed per
+search, a replay of the scalar claimer-then-fallback consultation order
+and one buffer-pool charge.  For generated s-queries, reverse queries and
+m-queries of 2-4 locations on the test city — two points on one road,
+points on both carriageways of a two-way road, a start road nothing left
+in the departure window — under every ST-Index pool capacity in {0, 1, 8,
+default} and window-gather memo size in {0, default}, the live path must
+match ``legacy_probability_path()``: the region and every probability,
+the cost counters, the ``DiskStats`` window (evictions included), the
+page-id sequence the pool receives and the wave shape.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference.legacy_probability import legacy_probability_path
 
-from benchmarks.client_protocol import m_query
+from benchmarks.client_protocol import m_query, r_query, s_query
 from repro.core.engine import ReachabilityEngine
 from repro.core.probability import ProbabilityEstimator
-from repro.core.query import MQuery
+from repro.core.query import MQuery, SQuery
 from repro.core.st_index import STIndex
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
@@ -128,9 +131,24 @@ def m_queries(draw, roads):
     )
 
 
-def traced(engine, query):
-    """One cold m-query, the page-id sequence its ST-Index pool was asked
-    for and how many records it read one at a time (``PageStore.read``)."""
+@st.composite
+def one_location_queries(draw, roads):
+    """An s-query, sent forward or reverse, from a point on any road."""
+    live, dead, _, _ = roads
+    road = draw(st.sampled_from(live + dead[:3]))
+    query = SQuery(
+        along(road, draw(st.floats(0.1, 0.9))),
+        T + draw(st.sampled_from([0.0, 130.0])),
+        draw(st.sampled_from([600.0, 1200.0])),
+        draw(st.sampled_from([0.1, 0.3])),
+    )
+    return draw(st.sampled_from("sr")), query
+
+
+def traced(engine, query, kind="m"):
+    """One cold bounded query, the page-id sequence its ST-Index pool was
+    asked for and how many records it read one at a time
+    (``PageStore.read``)."""
     index = engine.st_index(DELTA_T)
     spy = PoolSpy(index.pool)
     records = 0
@@ -143,25 +161,38 @@ def traced(engine, query):
 
     index._store.read = counted_read
     try:
-        result = m_query(engine, query, algorithm="mqmb_tbs", delta_t_s=DELTA_T)
+        send, algorithm = SENDS[kind]
+        result = send(engine, query, algorithm=algorithm, delta_t_s=DELTA_T)
     finally:
         spy.close()
         del index._store.read
     return result, spy.ids, records
 
 
+SENDS = {"m": (m_query, "mqmb_tbs"), "s": (s_query, "sqmb_tbs"), "r": (r_query, "sqmb_tbs")}
+
+
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_multi_seed_waves_charge_like_the_scalar_loop(engines, roads, data):
-    query = data.draw(m_queries(roads))
+    assert_waves_charge_like_the_scalar_loop(engines, "m", data.draw(m_queries(roads)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_one_seed_and_reverse_waves_charge_like_the_scalar_loop(engines, roads, data):
+    assert_waves_charge_like_the_scalar_loop(engines, *data.draw(one_location_queries(roads)))
+
+
+def assert_waves_charge_like_the_scalar_loop(engines, kind, query):
     shapes = set()
     for (pool, memo), engine in engines.items():
         # Warm the Con-Index entries both measured runs then share.
-        m_query(engine, query, algorithm="mqmb_tbs", delta_t_s=DELTA_T)
+        traced(engine, query, kind)
         with legacy_probability_path():
-            legacy, legacy_ids, legacy_records = traced(engine, query)
-        live, live_ids, live_records = traced(engine, query)
-        where = f"pool={pool} memo={memo} {query}"
+            legacy, legacy_ids, legacy_records = traced(engine, query, kind)
+        live, live_ids, live_records = traced(engine, query, kind)
+        where = f"pool={pool} memo={memo} {kind} {query}"
         assert live.segments == legacy.segments, where
         assert live.probabilities == legacy.probabilities, where
         assert live_ids == legacy_ids, where
@@ -253,4 +284,88 @@ def test_wave_routine_replays_any_claims(engines, roads, data):
         checks = [estimator.checks for estimator in estimators.values()]
         caches = [estimator._cache for estimator in estimators.values()]
         runs.append((values, checks, caches, spy.ids))
+    assert runs[0] == runs[1]
+
+
+def gather_plans(engine, kind, query):
+    """The window plan of every ST-Index gather one cold bounded send makes,
+    and its result."""
+    index = engine.st_index(DELTA_T)
+    plans = []
+    gather = index.gather_window_columns
+
+    def spy(segment_ids, plan):
+        plans.append(plan)
+        return gather(segment_ids, plan)
+
+    index.gather_window_columns = spy
+    try:
+        send, algorithm = SENDS[kind]
+        result = send(engine, query, algorithm=algorithm, delta_t_s=DELTA_T)
+    finally:
+        del index.gather_window_columns
+    return plans, result
+
+
+@pytest.mark.parametrize("kind", ["s", "r", "m"])
+def test_a_cold_bounded_send_gathers_once_per_plan(engines, roads, kind):
+    """One gather of every seed's fixed side, then one of the trace-back's
+    ring, however many seeds and waves the send has."""
+    live, _, two_way, _ = roads
+    engine = engines[(None, None)]
+    index = engine.st_index(DELTA_T)
+    departure, window = (T, T + 300.0), (T, T + 900.0)
+    fixed, candidate = (window, departure) if kind == "r" else (departure, window)
+    waves = []
+    for road in live[::7]:
+        point = along(road, 0.5)
+        if kind == "m":
+            other = two_way[(road.segment_id * 5) % len(two_way)]
+            query = MQuery((point, along(other, 0.3)), T, 900.0, 0.3)
+        else:
+            query = SQuery(point, T, 900.0, 0.3)
+        plans, result = gather_plans(engine, kind, query)
+        if result.max_region is None or result.max_region.cover == result.min_region.cover:
+            continue  # no live seed, or an empty ring: nothing to trace back
+        if kind == "m" and len(result.start_segments) < 2:
+            continue
+        assert plans == [index.window_plan(*fixed), index.window_plan(*candidate)], query
+        waves.append(result.cost.probability_waves)
+    assert len(waves) >= 3 and max(waves) > 1, waves
+
+
+def test_the_ring_prefetch_charges_nothing(engines, roads):
+    """Gathering the ring moves no pool or disk counter and asks the pool
+    for no page; the waves after it charge what they evaluate."""
+    live, _, _, network = roads
+    engine = engines[(8, None)]
+    index = engine.st_index(DELTA_T)
+    pool = index.pool
+    pool.invalidate()
+    seed = live[0].segment_id
+    estimator = ProbabilityEstimator(index, seed, T, 900.0, engine.database.num_days)
+    ring = sorted(network.segment_ids())
+
+    def counters():
+        return pool.hits, pool.misses, pool.evictions, engine.disk.snapshot()
+
+    before = counters()
+    spy = PoolSpy(index.pool)
+    try:
+        estimator.prefetch(ring)
+    finally:
+        spy.close()
+    assert spy.ids == []
+    assert counters() == before
+    fresh = ProbabilityEstimator(index, seed, T, 900.0, engine.database.num_days)
+    wave = ring[:40]
+    runs = []
+    for estimator in (estimator, fresh):  # from the ring, then gathered per wave
+        index.pool.invalidate()
+        spy = PoolSpy(index.pool)
+        try:
+            values = estimator.probabilities(wave)
+        finally:
+            spy.close()
+        runs.append((values, spy.ids, estimator.checks, estimator.kernel_evals))
     assert runs[0] == runs[1]
