@@ -11,8 +11,7 @@ slot, position)``, looked up through one sorted packed-key column
 ``segment * num_slots + slot``.  Records appended since the rows were
 adopted wait in a small overflow map, so an append costs O(entries
 touched); the overflow is merged into the sorted rows when the columns are
-next exported.  From a ``rebase`` on, the rows extended since are also
-kept in append order: what a store's directory delta holds.
+next exported.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ class TimeListDirectory:
         pointers: np.ndarray | None = None,
     ) -> None:
         self.num_slots = num_slots
-        self._extended: list[np.ndarray] | None = None  # extend()'s rows since rebase()
         if keys is None:
             keys = np.empty(0, dtype=np.int64)
             pointers = np.empty((0, 4), dtype=np.int64)
@@ -282,8 +280,6 @@ class TimeListDirectory:
         keys, _ = self._checked_keys(
             what, rows[:, 0], rows[:, 1], list(rows[:, 2:].T), num_pages_total, page_size
         )
-        if self._extended is not None:
-            self._extended.append(rows)
         guarded, _, _, overflow = self._state
         known = guarded[np.searchsorted(guarded[:-1], keys)] == keys
         for key, in_base, pointer in zip(
@@ -294,14 +290,6 @@ class TimeListDirectory:
                 chain = overflow[key] = []
                 self._num_keys += not in_base
             chain.append(tuple(pointer))
-
-    def extended_rows(self) -> np.ndarray:
-        """The ``(n, 6)`` rows :meth:`extend` took since :meth:`rebase`."""
-        return np.concatenate([np.empty((0, 6), np.int64), *self._extended])
-
-    def rebase(self) -> None:
-        """Count :meth:`extended_rows` from here; none are kept before."""
-        self._extended = []
 
     def _merged(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted keys and pointers, the overflow folded in for good."""

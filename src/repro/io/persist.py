@@ -319,22 +319,20 @@ def _load_speed_model(path: Path) -> dict:
     return model
 
 
-#: The rows appended to the store's directory since ``directory.npz``.
-DIRECTORY_DELTA = "directory.delta.npz"
-#: The journal prefix a saved directory reflects: :func:`open_store`
-#: replays exactly the suffix of appends committed after it.
-_POSITION = ("journal_generation", "applied_commits")
+def _directory_npz_bytes(directory, journal_generation: int, applied_commits: int) -> bytes:
+    """The store bundle's directory file, serialised for atomic publish.
 
-
-def _directory_npz_bytes(position: dict, **arrays: np.ndarray) -> bytes:
-    """A directory file of the bundle, serialised for atomic publish: the
-    journal ``position`` it reflects and ``arrays`` in their narrowest
-    integer dtypes."""
+    ``journal_generation``/``applied_commits`` record which prefix of the
+    disk's journal this directory already reflects, so :func:`open_store`
+    replays exactly the suffix of appends committed after the save.
+    """
+    columns = {name: _narrowest(column) for name, column in directory.columns().items()}
     return _npz_bytes(
         {
             "version": np.int64(STORE_FORMAT_VERSION),
-            **{field: np.int64(value) for field, value in position.items()},
-            **{name: _narrowest(array) for name, array in arrays.items()},
+            "journal_generation": np.int64(journal_generation),
+            "applied_commits": np.int64(applied_commits),
+            **columns,
         }
     )
 
@@ -343,7 +341,7 @@ def _bundle_key(engine, directory: Path, delta_t_s: int) -> tuple:
     """``engine.saved_bundle`` after an open or save of ``directory``.  While
     the key holds, the bundle's metadata files are what a save would
     write (a database ``add`` grows its length) and its ``directory.npz``
-    is the base the index's directory extends."""
+    plus the journal replayed from its position is the index's directory."""
     database = engine.database
     return (directory.resolve(), delta_t_s, engine.buffer_pool_pages, len(database), database.num_days)
 
@@ -353,20 +351,21 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
 
     Layout: ``network.json``, ``speed_model.npz``, ``store.json`` (format
     version, Δt and the engine's buffer-pool size), ``directory.npz``
-    (the ST-Index directory plus the journal position it reflects),
-    ``directory.delta.npz`` (the rows appended since, their position and
-    the base's) and ``disk/`` (a :class:`FileBackedDisk` store).  Every
-    file is published with an atomic replace.
+    (the ST-Index directory plus the journal position it reflects) and
+    ``disk/`` (a :class:`FileBackedDisk` store).  Every file is published
+    with an atomic replace.
 
     Two save paths:
 
     * engine already on a ``FileBackedDisk`` at ``<directory>/disk`` —
-      the *in-place* save of what changed since the engine opened or last
-      saved the bundle: the metadata files only if :func:`_bundle_key`
-      moved, the directory delta — or, when the key moved or the disk
-      compacts, the whole ``directory.npz`` — then the disk checkpoint.
-      A crash at any point leaves a store that opens to exactly the pre-
-      or post-save state.
+      the *in-place* save, refused on a ``readonly`` disk before any file
+      is written.  The disk's journal already holds every append since
+      the engine opened or last saved the bundle, so the save commits the
+      dirty pages, rewrites the metadata files only if
+      :func:`_bundle_key` moved and ``directory.npz`` only if the key
+      moved or the disk will compact, then checkpoints the disk.  A crash
+      at any point leaves a store that opens to exactly the pre- or
+      post-save state.
     * any other disk — export the page buffer into a fresh
       ``FileBackedDisk``.  ``directory.npz`` is removed up front and
       rewritten last, so a crash mid-save leaves a store that
@@ -374,20 +373,24 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
       silently mixes old and new state.
     """
     from repro.storage.backends import FileBackedDisk
+    from repro.storage.disk import DiskError
 
-    index = engine.st_index(delta_t_s)
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     disk_dir = directory / "disk"
-    # Group commit: makes the tail page durable.
-    time_lists = index.committed_directory()
     disk = engine.disk
     in_place = isinstance(disk, FileBackedDisk) and Path(disk.path).resolve() == disk_dir.resolve()
+    if in_place and disk.readonly:
+        raise DiskError(f"cannot save the read-only store at {directory} in place")
+    directory.mkdir(parents=True, exist_ok=True)
+    # Group commit: makes the tail page durable.
+    time_lists = engine.st_index(delta_t_s).committed_directory()
     key = _bundle_key(engine, directory, delta_t_s)
     unchanged = in_place and engine.saved_bundle == key
-    if not in_place:
-        for name in ("directory.npz", DIRECTORY_DELTA):
-            (directory / name).unlink(missing_ok=True)
+    if in_place:
+        # Journal first: the share test below must see every page.
+        disk.commit()
+    else:
+        (directory / "directory.npz").unlink(missing_ok=True)
         buffer, used = disk.export_state()
         disk = FileBackedDisk.create_from_state(
             disk_dir, buffer, used, page_size=disk.page_size
@@ -405,21 +408,13 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
             ("store.json", json.dumps(config, indent=2, sort_keys=True).encode()),
         ):
             disk.replace_file(directory / name, data)
-    position = {"journal_generation": disk.generation, "applied_commits": disk.journal_record_count}
-    if unchanged and not disk.checkpoint_compacts:
-        base = _npz_arrays(directory / "directory.npz", "store directory", _POSITION)
-        position.update({f"base_{field}": base[field] for field in _POSITION})
-        name, data = DIRECTORY_DELTA, _directory_npz_bytes(position, rows=time_lists.extended_rows())
-    else:
-        name, data = "directory.npz", _directory_npz_bytes(position, **time_lists.columns())
-    disk.replace_file(directory / name, data)
+    # A compaction folds the journal, so the directory must cover it all.
+    if not unchanged or disk.checkpoint_compacts:
+        data = _directory_npz_bytes(time_lists, disk.generation, disk.journal_record_count)
+        disk.replace_file(directory / "directory.npz", data)
     if in_place:
-        if name != DIRECTORY_DELTA:  # the engine's own base, not a copy's
-            time_lists.rebase()
         disk.checkpoint()
         engine.saved_bundle = key
-    if name != DIRECTORY_DELTA:  # the new base covers the old delta
-        (directory / DIRECTORY_DELTA).unlink(missing_ok=True)
     return directory
 
 
@@ -498,23 +493,11 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     return engine
 
 
-def _directory_file(path: Path, what: str, names) -> tuple[dict, tuple[int, int]]:
-    """A directory file's ``names`` arrays, version-checked, and its
-    journal position."""
-    arrays = _npz_arrays(path, what, ("version", *_POSITION, *names))
-    if int(arrays["version"]) != STORE_FORMAT_VERSION:
-        raise PersistFormatError(
-            f"unsupported {what} format {int(arrays['version'])} "
-            f"(supported: {STORE_FORMAT_VERSION})"
-        )
-    return arrays, tuple(int(arrays[field]) for field in _POSITION)
-
-
 def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool):
     """The store's disk and its directory, journal suffix replayed."""
     from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
     from repro.core.slots import slots_per_day
-    from repro.storage.backends import CorruptSnapshotError, FileBackedDisk
+    from repro.storage.backends import FileBackedDisk
     from repro.storage.serialization import (
         SerializationError,
         decode_append_delta,
@@ -525,40 +508,27 @@ def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool
     )
     page_size = disk.page_size
     num_pages_total = disk.num_pages
-    data, position = _directory_file(
-        directory / "directory.npz", "store directory", DIRECTORY_COLUMNS
+    data = _npz_arrays(
+        directory / "directory.npz",
+        "store directory",
+        ("version", "journal_generation", "applied_commits", *DIRECTORY_COLUMNS),
     )
+    if int(data["version"]) != STORE_FORMAT_VERSION:
+        raise PersistFormatError(
+            f"unsupported store directory format {int(data['version'])} "
+            f"(supported: {STORE_FORMAT_VERSION})"
+        )
+    journal_generation = int(data["journal_generation"])
+    applied_commits = int(data["applied_commits"])
     time_lists = TimeListDirectory.from_columns(
         data, slots_per_day(delta_t_s), num_pages_total, page_size, "store directory"
     )
-    time_lists.rebase()  # an in-place save's delta counts from this base
-    if (directory / DIRECTORY_DELTA).exists():
-        delta, delta_position = _directory_file(
-            directory / DIRECTORY_DELTA,
-            "store directory delta",
-            (*(f"base_{field}" for field in _POSITION), "rows"),
-        )
-        if tuple(int(delta[f"base_{field}"]) for field in _POSITION) == position:
-            if delta["rows"].dtype.kind not in "iu":
-                raise PersistFormatError(
-                    f"store directory delta rows hold {delta['rows'].dtype}, not integers"
-                )
-            time_lists.extend(delta["rows"], num_pages_total, page_size, "store directory delta")
-            position = delta_position
-        elif delta_position > position:
-            raise CorruptSnapshotError(
-                f"{DIRECTORY_DELTA} extends a base directory other than directory.npz "
-                f"(journal position {position})"
-            )
-        # Otherwise the base covers the delta: a compacting save died
-        # between publishing directory.npz and removing the delta.
-    journal_generation, applied_commits = position
     # Replay the journal suffix the saved directory does not yet reflect.
     metas = disk.journal_metas
     if disk.generation == journal_generation:
         applied = min(applied_commits, len(metas))
     elif disk.generation > journal_generation:
-        # A checkpoint ran after the directory was saved; the saved
+        # A compaction ran after the directory was saved; the saved
         # directory already covers everything the old journal held, and
         # the current journal holds only post-save commits.
         applied = 0

@@ -11,7 +11,7 @@ savings first-class and measurable:
 * :class:`~repro.storage.pagestore.PageStore` — a record store on top of the
   disk; each record lives on one contiguous *extent* of pages and writes
   are group-committed page-at-a-time.
-* :class:`~repro.storage.pagestore.BufferPool` — a striped LRU page
+* :class:`~repro.storage.pagestore.BufferPool` — an LRU page
   cache; only cache misses charge disk reads,
   mirroring a DBMS buffer manager, and
   :meth:`~repro.storage.pagestore.BufferPool.get_pages` charges a whole
@@ -35,12 +35,7 @@ from repro.storage.backends import (
     create_disk,
 )
 from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
-from repro.storage.pagestore import (
-    DEFAULT_POOL_SHARDS,
-    BufferPool,
-    PageStore,
-    RecordPointer,
-)
+from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 
 __all__ = [
     "SimulatedDisk",
@@ -56,5 +51,4 @@ __all__ = [
     "PageStore",
     "BufferPool",
     "RecordPointer",
-    "DEFAULT_POOL_SHARDS",
 ]

@@ -8,42 +8,40 @@ while persisting the page buffer in a directory of real files:
 
 =====================  ========================================================
 ``superblock.json``    self-checksummed commit point: magic, format version,
-                       generation ``g``, base generation ``b`` and page
-                       count, page size and count, sidecar checksum, delta
-                       page count and page-id-list checksum
-``pages.<b>.bin``      the base: its pages, ``base_pages * page_size`` bytes
-``pages.<g>.dlt``      the delta: ascending ``uint32`` ids of the pages
-                       changed since the base, then those pages
+                       generation, page size and count, sidecar checksum
+``pages.<g>.bin``      the page buffer, ``num_pages * page_size`` raw bytes
 ``pages.<g>.crc``      per-page sidecar: ``(crc32(page slice), used length)``
                        as little-endian ``uint32`` pairs, parsed in one pass
 ``journal.<g>.log``    write-ahead append journal of commit records
 =====================  ========================================================
 
-All are published with :func:`~repro.storage.backends.atomic.
-atomic_replace` (write-temp → fsync → rename); the generation suffix
-makes the multi-file snapshot atomic as a unit — a checkpoint writes
-generation ``g+1``'s delta, sidecar and fresh journal first and flips the
-superblock *last*, so a crash at any interleaving leaves the previous
-generation fully intact and authoritative.  It keeps the base, so it
-costs the pages changed since; past :data:`MAX_DELTA_SHARE` of the base
-it compacts (:meth:`FileBackedDisk.compact`) into a new one instead.
+The journal is the one record of what changed since the snapshot:
+:meth:`FileBackedDisk.commit` appends one framed, checksummed record
+(dirty pages + an opaque ``meta`` blob) and fsyncs, and
+:meth:`FileBackedDisk.checkpoint` is that commit plus, once the journal
+holds more than :data:`MAX_JOURNAL_SHARE` of the data file's bytes, a
+:meth:`FileBackedDisk.compact` — the full snapshot, which also bounds
+what a reopen replays.  A compaction publishes its files with
+:func:`~repro.storage.backends.atomic.atomic_replace` (write-temp → fsync
+→ rename); the generation suffix ``<g>`` makes the multi-file snapshot
+atomic as a unit — generation ``g+1``'s data, sidecar and fresh journal
+are written first and the superblock is flipped *last*, so a crash at any
+interleaving leaves the previous generation fully intact and
+authoritative.
 
-Durability of appends does not require a checkpoint: :meth:`commit`
-appends one framed, checksummed record (dirty pages + an opaque ``meta``
-blob) to the journal and fsyncs.  Reopen replays the journal suffix onto
-the last good snapshot; a torn or truncated *final* record is the
-expected crash signature and is discarded, while damage anywhere else
-raises :class:`~repro.storage.backends.errors.TornWriteError`.  Open
-reads and verifies the small delta eagerly; base pages fault in lazily
-on first access, one run of adjacent non-resident pages per ``seek`` +
-``read``, every page of the run verified against its sidecar checksum —
-a cold open touches only the superblock, sidecar, delta and journal, so
-a server can begin answering queries before reading a single base page,
-and a flipped bit in any page surfaces as a typed
+Reopen replays the journal onto the last good snapshot; a torn or
+truncated *final* record is the expected crash signature and is
+discarded, while damage anywhere else raises
+:class:`~repro.storage.backends.errors.TornWriteError`.  Page content is
+faulted in lazily on first access, one run of adjacent non-resident pages
+per ``seek`` + ``read``, every page of the run verified against its
+sidecar checksum — a cold open touches only the superblock, sidecar and
+journal, so a server can begin answering queries before reading a single
+data page, and a flipped bit in any page surfaces as a typed
 :class:`~repro.storage.backends.errors.CorruptSnapshotError` naming the
 page, never as silently wrong query results.  A page's checksum is
 computed once: it is kept while the page's bytes match what was verified
-or published, so a checkpoint checksums only pages changed since.
+or published, so a compaction checksums only pages changed since.
 """
 
 from __future__ import annotations
@@ -75,11 +73,10 @@ from repro.storage.crashsim import (
 from repro.storage.disk import DEFAULT_PAGE_SIZE, DiskError, SimulatedDisk
 
 SUPERBLOCK_MAGIC = "repro-disk"
-#: 2: a base plus at most one delta.  Format 1 (no delta) opens as a base.
-DISK_FORMAT_VERSION = 2
-#: A checkpoint whose delta would hold more than this share of the base's
-#: pages compacts instead: the delta's bytes stay within this share.
-MAX_DELTA_SHARE = 1 / 32
+DISK_FORMAT_VERSION = 1
+#: A checkpoint compacts once the journal holds more than this share of
+#: the data file's bytes, which bounds what a reopen replays.
+MAX_JOURNAL_SHARE = 1 / 32
 
 #: The commit point; every other file is named by its generation.
 SUPERBLOCK = "superblock.json"
@@ -88,19 +85,16 @@ _JOURNAL_MAGIC = b"JREC"
 JOURNAL_HEADER = struct.Struct("<4sII")
 #: Per-page sidecar entry: crc32 of the full page slice, used length.
 SIDECAR_ENTRY = struct.Struct("<II")
-#: One entry of the delta's page-id list.
-DELTA_ID = struct.Struct("<I")
 #: ``_page_crcs`` entry of a page whose bytes changed since it was last
-#: verified or published; the next checkpoint computes it.
+#: verified or published; the next compaction computes it.
 _STALE = -1
 
 
 def generation_file(
     directory: Union[str, Path], suffix: str, generation: Optional[int] = None
 ) -> Path:
-    """Generation ``g``'s data (``bin``), delta (``dlt``), sidecar (``crc``)
-    or journal (``log``); ``None`` reads the current ``g`` from the
-    superblock, unvalidated."""
+    """Generation ``g``'s data (``bin``), sidecar (``crc``) or journal (``log``);
+    ``None`` reads the current ``g`` from the superblock, unvalidated."""
     if generation is None:
         superblock = json.loads((Path(directory) / SUPERBLOCK).read_text())
         generation = int(superblock["generation"])
@@ -109,17 +103,11 @@ def generation_file(
 
 
 def page_file(directory: Union[str, Path], page_id: int) -> Tuple[Path, int]:
-    """The file holding ``page_id`` and the page's offset in it: the delta
-    when it lists the page, else the base (superblock unvalidated)."""
+    """The data file holding ``page_id`` and the page's offset in it
+    (superblock unvalidated)."""
     superblock = json.loads((Path(directory) / SUPERBLOCK).read_text())
-    generation, size = superblock["generation"], superblock["page_size"]
-    count = superblock.get("delta_pages", 0)
-    delta = generation_file(directory, "dlt", generation)
-    ids = np.frombuffer(delta.read_bytes()[: count * DELTA_ID.size], "<u4") if count else []
-    if page_id in ids:
-        return delta, count * DELTA_ID.size + int(np.searchsorted(ids, page_id)) * size
-    base = superblock.get("base_generation", generation)
-    return generation_file(directory, "bin", base), page_id * size
+    path = generation_file(directory, "bin", superblock["generation"])
+    return path, page_id * superblock["page_size"]
 
 
 class FileBackedDisk(SimulatedDisk):
@@ -138,7 +126,8 @@ class FileBackedDisk(SimulatedDisk):
             CrashPlan` consulted at every fsync/rename/journal-record
             hook point (testing only).
         readonly: never touch the files — page writes stay in memory,
-            :meth:`commit` is a no-op and :meth:`checkpoint` raises.
+            :meth:`commit` is a no-op and :meth:`checkpoint` and
+            :meth:`compact` raise.
             This is the serving-worker mode: shard engines may append
             in RAM but only the coordinator's disk is durable.
     """
@@ -154,7 +143,6 @@ class FileBackedDisk(SimulatedDisk):
         self.directory = Path(path)
         self.readonly = readonly
         self.generation = 0
-        self.base_generation = 0  # names pages.<b>.bin
         self.recovered_tail = False  # a torn/truncated journal tail was discarded
         self._crash = Injector(crash_plan.specs if crash_plan is not None else ())
         # What ``_buf`` and ``_page_crcs`` view (see ``_grow_locked``).
@@ -163,8 +151,8 @@ class FileBackedDisk(SimulatedDisk):
         self._resident = bytearray()  # 1 per faulted-in page  # guarded_by: _lock
         self._dirty: set[int] = set()  # guarded_by: _lock
         self._page_crcs = self._crcs  # crc32 per page, or _STALE  # guarded_by: _lock
-        self._base_pages = 0  # pages in the base data file  # guarded_by: _lock
-        self._unbased: set[int] = set()  # the next delta's pages  # guarded_by: _lock
+        self._data_bytes = 0  # size of the data file  # guarded_by: _lock
+        self._journal_bytes = 0  # size of the journal  # guarded_by: _lock
         self._pages_faulted = 0  # guarded_by: _lock
         self._journal_metas: List[bytes] = []  # guarded_by: _lock
         self._record_count = 0  # records currently in the journal  # guarded_by: _lock
@@ -177,7 +165,7 @@ class FileBackedDisk(SimulatedDisk):
                 raise DiskFormatError(f"no store at {self.directory} (missing superblock)")
             self.directory.mkdir(parents=True, exist_ok=True)
             with self._lock:
-                self._publish_locked(0, new_base=True)
+                self._publish_locked(0)
 
     # -- construction ---------------------------------------------------
 
@@ -255,7 +243,7 @@ class FileBackedDisk(SimulatedDisk):
 
     @property
     def pages_faulted(self) -> int:
-        """Snapshot pages read (and verified) from the delta and base so far."""
+        """Snapshot pages read (and verified) from the data file so far."""
         with self._lock:
             return self._pages_faulted
 
@@ -303,41 +291,41 @@ class FileBackedDisk(SimulatedDisk):
 
     @property
     def checkpoint_compacts(self) -> bool:
-        """True when the next :meth:`checkpoint` will :meth:`compact`."""
+        """True when the journal holds more than :data:`MAX_JOURNAL_SHARE`
+        of the data file's bytes: a :meth:`checkpoint` whose commit leaves
+        it so compacts."""
         with self._lock:
-            return len(self._unbased) > MAX_DELTA_SHARE * self._base_pages
+            return self._journal_bytes > MAX_JOURNAL_SHARE * self._data_bytes
 
     def checkpoint(self) -> None:
-        """Bake the current state into a new snapshot generation.
-
-        Writes generation ``g+1``'s delta of every page changed since the
-        kept base (no base page is read), sidecar and an empty journal,
-        then atomically flips the superblock — the single commit point.
-        Past :data:`MAX_DELTA_SHARE` of the base it is :meth:`compact`.
-        A crash at any earlier step leaves generation ``g`` authoritative
-        and untouched.  Old-generation files are unlinked afterwards
-        (best-effort; stragglers are ignored by open, which trusts only
-        the superblock).
-        """
-        self._checkpoint(compact=self.checkpoint_compacts)
+        """:meth:`commit` every dirty page, then :meth:`compact` when
+        :attr:`checkpoint_compacts` holds.  Raises :class:`DiskError` on a
+        ``readonly`` disk."""
+        self._check_writable()
+        self.commit()
+        if self.checkpoint_compacts:
+            self.compact()
 
     def compact(self) -> None:
-        """Fold base and delta into generation ``g+1``'s base, no delta:
-        every page is re-published, so every page is faulted in and
-        verified first."""
-        self._checkpoint(compact=True)
+        """Bake the full current state into a new snapshot generation.
 
-    def _checkpoint(self, compact: bool) -> None:
+        Faults in and verifies every page, writes generation ``g+1``'s
+        data file, sidecar and an empty journal, then atomically flips the
+        superblock — the single commit point.  A crash at any earlier step
+        leaves generation ``g`` authoritative and untouched.
+        Old-generation files are unlinked afterwards (best-effort;
+        stragglers are ignored by open, which trusts only the superblock).
+        """
+        self._check_writable()
+        with self._lock:
+            old = self.generation
+            self._publish_locked(old + 1)
+        for suffix in ("bin", "crc", "log"):
+            self._file(suffix, old).unlink(missing_ok=True)
+
+    def _check_writable(self) -> None:
         if self.readonly:
             raise DiskError("cannot checkpoint a read-only FileBackedDisk")
-        with self._lock:
-            old, old_base = self.generation, self.base_generation
-            self._publish_locked(old + 1, new_base=compact)
-        retired = {self._file(suffix, old) for suffix in ("bin", "dlt", "crc", "log")}
-        retired.add(self._file("bin", old_base))
-        retired.discard(self._file("bin"))  # the kept base
-        for path in retired:
-            path.unlink(missing_ok=True)
 
     def verify(self) -> None:
         """Eagerly fault in and checksum-verify every snapshot page."""
@@ -374,7 +362,7 @@ class FileBackedDisk(SimulatedDisk):
         double, so a page never written or faulted in costs neither a
         memset nor memory, and growth no copy until the room is gone.
         Pages past ``_resident`` are new: zeroed and absent from the
-        snapshot, so resident by definition and in the next delta.
+        snapshot, so resident by definition.
         """
         first, size = len(self._resident), num_pages * self.page_size
         if size > self._pages.size:
@@ -387,7 +375,6 @@ class FileBackedDisk(SimulatedDisk):
         self._page_crcs[first:] = _STALE
         self._used.extend([0] * (num_pages - len(self._used)))
         self._resident.extend(b"\x01" * (num_pages - first))
-        self._unbased.update(range(first, num_pages))
 
     # repro-lint: holds=_lock
     def _ensure_resident_locked(self, first_page: int, count: int) -> None:
@@ -404,7 +391,6 @@ class FileBackedDisk(SimulatedDisk):
         # Readonly disks track dirtiness too: it is what keeps
         # ``is_synced`` honest if such a disk is ever exported.
         self._dirty.add(page_id)
-        self._unbased.add(page_id)
         self._page_crcs[page_id] = _STALE
 
     # -- internal: fault-in ---------------------------------------------
@@ -482,6 +468,7 @@ class FileBackedDisk(SimulatedDisk):
             os.fsync(fd)
         finally:
             os.close(fd)
+        self._journal_bytes = old_size + len(record)
 
     # Audited raw-write site (RL011): the only write here is the recovery
     # truncate of a torn journal tail, idempotent and crash-safe by
@@ -530,6 +517,7 @@ class FileBackedDisk(SimulatedDisk):
             good_end = offset
             index += 1
         self._record_count = index
+        self._journal_bytes = good_end
         if self.recovered_tail and not self.readonly:
             # Truncate the damaged tail so future appends extend a clean
             # journal.  Part of recovery, not a data-mutation path.
@@ -559,7 +547,6 @@ class FileBackedDisk(SimulatedDisk):
                 self._buf[start : start + self.page_size] = slice_
                 self._used[page_id] = used
                 self._resident[page_id] = 1
-                self._unbased.add(page_id)
                 self._page_crcs[page_id] = _STALE
         except (struct.error, ValueError) as exc:
             raise TornWriteError(
@@ -570,9 +557,8 @@ class FileBackedDisk(SimulatedDisk):
     # -- internal: snapshot load/publish --------------------------------
 
     def _file(self, suffix: str, generation: Optional[int] = None) -> Path:
-        if generation is None:  # the current generation's; the base's data
-            generation = self.base_generation if suffix == "bin" else self.generation
-        return generation_file(self.directory, suffix, generation)
+        gen = self.generation if generation is None else generation
+        return generation_file(self.directory, suffix, gen)
 
     # repro-lint: holds=_lock
     def _load_locked(self) -> None:
@@ -588,10 +574,10 @@ class FileBackedDisk(SimulatedDisk):
                 else "superblock.json is not a JSON object"
             )
         version = payload.get("format_version")
-        if type(version) is not int or version not in (1, DISK_FORMAT_VERSION):
+        if type(version) is not int or version != DISK_FORMAT_VERSION:
             raise DiskFormatError(
-                f"disk format version {version!r} is not a supported "
-                f"version (1 or {DISK_FORMAT_VERSION})"
+                f"disk format version {version!r} is not the supported "
+                f"version {DISK_FORMAT_VERSION}"
             )
         stored_sum = payload.pop("checksum", None)
         expected = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
@@ -603,9 +589,6 @@ class FileBackedDisk(SimulatedDisk):
         self.page_size = int(payload["page_size"])
         self.generation = int(payload["generation"])
         num_pages = int(payload["num_pages"])
-        # Format 1 has one full data file per generation: a base, no delta.
-        self.base_generation = int(payload.get("base_generation", self.generation))
-        self._base_pages = int(payload.get("base_pages", num_pages))
 
         crc_path = self._file("crc")
         try:
@@ -644,79 +627,27 @@ class FileBackedDisk(SimulatedDisk):
             raise CorruptSnapshotError(
                 f"data file {bin_path.name} named by the superblock is missing"
             ) from None
-        if data_size != self._base_pages * self.page_size or self._base_pages > num_pages:
+        if data_size != num_pages * self.page_size:
             raise CorruptSnapshotError(
                 f"data file {bin_path.name} is {data_size} bytes, expected "
-                f"{self._base_pages * self.page_size} of at most {num_pages} pages"
+                f"{num_pages * self.page_size}"
             )
-        self._unbased = set()
-        self._load_delta_locked(int(payload.get("delta_pages", 0)), payload.get("delta_crc", 0))
+        self._data_bytes = data_size
         self._replay_journal_locked()
 
     # repro-lint: holds=_lock
-    def _load_delta_locked(self, count: int, ids_crc: int) -> None:
-        """Read in the delta's pages, each verified against the sidecar.
-        Its id list must match ``ids_crc``, ascend below the page count
-        and cover every page past the base."""
-        num_pages, size, path = len(self._used), self.page_size, self._file("dlt")
-        try:
-            data = path.read_bytes() if count else b""
-        except FileNotFoundError:
-            raise CorruptSnapshotError(f"delta {path.name} named by the superblock is missing") from None
-        head = count * DELTA_ID.size
-        if len(data) != head + count * size or zlib.crc32(data[:head]) != ids_crc:
-            raise CorruptSnapshotError(
-                f"size or page-id list of delta {path.name} failed verification against the superblock"
-            )
-        ids = np.frombuffer(data, "<u4", count).astype(np.int64)
-        bad = np.flatnonzero((ids >= num_pages) | (np.diff(ids, prepend=-1) <= 0))
-        if bad.size:
-            page_id = int(ids[bad[0]])
-            raise CorruptSnapshotError(
-                f"delta {path.name} entry {bad[0]} names page {page_id}: out of order "
-                f"or past the store's {num_pages} pages",
-                page_id=page_id,
-            )
-        if np.count_nonzero(ids >= self._base_pages) < num_pages - self._base_pages:
-            raise CorruptSnapshotError(f"delta {path.name} lacks pages past the base's {self._base_pages}")
-        with memoryview(data) as view:
-            for i, (page_id, crc) in enumerate(zip(ids.tolist(), self._page_crcs[ids].tolist())):
-                page = view[head + i * size : head + (i + 1) * size]
-                if zlib.crc32(page) != crc:
-                    raise CorruptSnapshotError(
-                        f"page {page_id} failed checksum verification against sidecar "
-                        f"{self._file('crc').name} (delta {path.name})",
-                        page_id=page_id,
-                    )
-                self._buf[page_id * size : (page_id + 1) * size] = page
-                self._resident[page_id] = 1
-        self._unbased.update(ids.tolist())
-        self._pages_faulted += count
-
-    # repro-lint: holds=_lock
-    def _publish_locked(self, generation: int, new_base: bool) -> None:
-        """Publish ``generation`` and flip the superblock: a new base of
-        every page, verified first, or the kept base plus a delta of the
-        pages changed since it."""
-        if new_base:
-            self._ensure_resident_locked(0, len(self._used))
+    def _publish_locked(self, generation: int) -> None:
+        """Publish every page as ``generation``, each verified first, and
+        flip the superblock."""
+        self._ensure_resident_locked(0, len(self._used))
         size, crcs = self.page_size, self._page_crcs
-        base, base_pages = self.base_generation, self._base_pages
-        delta = [] if new_base else sorted(self._unbased)
-        ids = np.asarray(delta, "<u4").tobytes()
-        unbased = np.fromiter(self._unbased, np.int64, len(self._unbased))
         with memoryview(self._buf) as buf:
-            stale = unbased[crcs[unbased] == _STALE].tolist()
+            stale = np.flatnonzero(crcs == _STALE).tolist()
             crcs[stale] = [zlib.crc32(buf[p * size : (p + 1) * size]) for p in stale]
-            if new_base:
-                if self._data_file is not None:
-                    self._data_file.close()
-                    self._data_file = None
-                base, base_pages = generation, len(self._used)
-                atomic_replace(self._file("bin", base), buf, crash=self._crash)
-            elif delta:
-                pages = b"".join([ids, *(buf[p * size : (p + 1) * size] for p in delta)])
-                atomic_replace(self._file("dlt", generation), pages, crash=self._crash)
+            if self._data_file is not None:
+                self._data_file.close()
+                self._data_file = None
+            atomic_replace(self._file("bin", generation), buf, crash=self._crash)
         sidecar = np.column_stack((crcs, self._used)).astype("<u4").tobytes()
         atomic_replace(self._file("crc", generation), sidecar, crash=self._crash)
         atomic_replace(self._file("log", generation), b"", crash=self._crash)
@@ -724,13 +655,9 @@ class FileBackedDisk(SimulatedDisk):
             "magic": SUPERBLOCK_MAGIC,
             "format_version": DISK_FORMAT_VERSION,
             "generation": generation,
-            "base_generation": base,
-            "base_pages": base_pages,
             "page_size": self.page_size,
             "num_pages": len(self._used),
             "sidecar_crc": zlib.crc32(sidecar),
-            "delta_pages": len(delta),
-            "delta_crc": zlib.crc32(ids),
         }
         payload["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True).encode())
         atomic_replace(
@@ -740,9 +667,8 @@ class FileBackedDisk(SimulatedDisk):
         )
         # The superblock rename was the commit point; state is clean.
         self.generation = generation
-        self.base_generation, self._base_pages = base, base_pages
-        if new_base:
-            self._unbased = set()
+        self._data_bytes = len(self._used) * size
+        self._journal_bytes = 0
         self._dirty.clear()
         self._journal_metas = []
         self._record_count = 0

@@ -150,9 +150,8 @@ def torn_prefix(record: bytes, kind: str) -> bytes:
 # -- corruption injection (closed stores) --------------------------------------
 #
 # These operate on the files of a *closed* FileBackedDisk directory and
-# model silent media corruption: a single flipped bit in a page (of the
-# base or the delta), the delta's page-id list, the checksum sidecar, the
-# superblock, or a journal record.  The backend
+# model silent media corruption: a single flipped bit in a data page,
+# the checksum sidecar, the superblock, or a journal record.  The backend
 # names the current generation's files from the superblock without
 # validating it — they must work on the files exactly as persisted.
 
@@ -168,15 +167,8 @@ def _flip_bit(path: Path, byte_offset: int, bit: int = 0) -> None:
 
 
 def corrupt_page(directory: str | Path, page_id: int) -> None:
-    """Flip one bit inside ``page_id`` in the file that holds it: the
-    delta when it lists the page, else the base data file."""
+    """Flip one bit inside ``page_id`` of the persisted data file."""
     _flip_bit(*_backend().page_file(directory, page_id))
-
-
-def corrupt_delta_ids(directory: str | Path, index: int = 0) -> None:
-    """Flip one bit inside entry ``index`` of the delta's page-id list."""
-    backend = _backend()
-    _flip_bit(backend.generation_file(directory, "dlt"), index * backend.DELTA_ID.size)
 
 
 def corrupt_sidecar(directory: str | Path, page_id: int = 0) -> None:

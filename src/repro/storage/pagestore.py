@@ -19,12 +19,10 @@ extent includes the dirty tail flushes it first, keeping readers coherent.
 of page *ids* that decides which page accesses are free (repeated access to
 hot pages, e.g. the start segment's time list during trace-back search) and
 which cost a disk read.  It keeps no page bytes — readers take payloads as
-extent slices — so a miss is a charge, not a copy.  The pool's eviction
-policy is **striped**: ``page_id % shards`` picks one of several LRUs, each
-with its share of the capacity.  :meth:`BufferPool.get_pages` charges a
-whole batch of page accesses and charges its misses in one
-:meth:`SimulatedDisk.charge_reads`, the entry point the wave-granular record
-gathers use.
+extent slices — so a miss is a charge, not a copy.
+:meth:`BufferPool.get_pages` charges a whole batch of page accesses and
+charges its misses in one :meth:`SimulatedDisk.charge_reads`, the entry
+point the wave-granular record gathers use.
 
 Neither class has a lock: a store and its pool belong to one engine, whose
 lock the client takes at every entry point.  Only the shared disk locks.
@@ -39,11 +37,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.storage.disk import DiskError, SimulatedDisk
-
-#: Default LRU-stripe count for :class:`BufferPool`: the eviction policy
-#: every recorded page-read figure was measured under.
-DEFAULT_POOL_SHARDS = 8
-
 
 @dataclass(frozen=True)
 class RecordPointer:
@@ -303,61 +296,31 @@ class PageStore:
         )
 
 
-class _PoolShard:
-    """One LRU stripe of a :class:`BufferPool`: page ids plus its quota."""
-
-    __slots__ = ("pages", "quota")
-
-    def __init__(self, quota: int) -> None:
-        self.pages: OrderedDict[int, None] = OrderedDict()
-        self.quota = quota
-
-
 class BufferPool:
-    """A fixed-capacity LRU over disk page ids, striped by page id.
+    """A fixed-capacity LRU over disk page ids.
 
     The pool decides which page accesses cost a disk read — a hit is free,
     a miss is charged — and keeps no page bytes: readers take record
     payloads as extent slices (:meth:`SimulatedDisk.extent_bytes`), so a
-    resident page is just its id.  Ids map to ``page_id % num_shards``
-    stripes, each an independent LRU holding its share of the capacity.
-    A call's misses are charged through one
-    :meth:`SimulatedDisk.charge_reads`.
+    resident page is just its id.  A call's misses are charged through
+    one :meth:`SimulatedDisk.charge_reads`.
 
     Args:
         disk: backing simulated disk.
-        capacity: maximum number of resident pages across all shards;
-            ``0`` disables caching (every access is a disk read).
-        shards: requested stripe count; clamped to ``capacity`` so every
-            shard holds at least one page.
+        capacity: maximum number of resident pages; ``0`` disables
+            caching (every access is a disk read).
     """
 
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        capacity: int = 256,
-        shards: int = DEFAULT_POOL_SHARDS,
-    ) -> None:
+    def __init__(self, disk: SimulatedDisk, capacity: int = 256) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self._disk = disk
         self.capacity = capacity
-        count = max(1, min(shards, capacity)) if capacity > 0 else 1
-        base, remainder = divmod(capacity, count)
-        self._shards = [
-            _PoolShard(base + (1 if i < remainder else 0)) for i in range(count)
-        ]
+        self._pages: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         disk.attach_pool(self)
-
-    @property
-    def num_shards(self) -> int:
-        """LRU stripes backing the pool."""
-        return len(self._shards)
 
     def get_page(self, page_id: int) -> None:
         """Charge one page access: free on a hit, one disk read on a miss."""
@@ -370,9 +333,6 @@ class BufferPool:
         calling :meth:`get_page` once per id in order — same hits, misses,
         evictions and disk reads, duplicates charged every time — but the
         misses are charged in one :meth:`SimulatedDisk.charge_reads`.
-        Accesses are processed per shard in input order; shards are
-        independent LRUs, so cross-shard interleaving cannot change any
-        counter.
         """
         self._access(self._checked(page_ids))
 
@@ -391,37 +351,27 @@ class BufferPool:
 
     def _access(self, ids: list[int]) -> None:
         if self.capacity == 0:
-            self.misses += len(ids)
             misses = ids
         else:
-            buckets: list[list[int]] = [[] for _ in self._shards]
+            pages, misses = self._pages, []
+            move_to_end = pages.move_to_end
             for page_id in ids:
-                buckets[page_id % len(buckets)].append(page_id)
-            misses = []
-            evictions = 0
-            for shard, bucket in zip(self._shards, buckets):
-                pages = shard.pages
-                move_to_end = pages.move_to_end
-                quota = shard.quota
-                for page_id in bucket:
-                    if page_id in pages:
-                        move_to_end(page_id)
-                        continue
-                    misses.append(page_id)
-                    pages[page_id] = None
-                    if len(pages) > quota:
-                        pages.popitem(last=False)
-                        evictions += 1
+                if page_id in pages:
+                    move_to_end(page_id)
+                    continue
+                misses.append(page_id)
+                pages[page_id] = None
+                if len(pages) > self.capacity:
+                    pages.popitem(last=False)
+                    self.evictions += 1
             self.hits += len(ids) - len(misses)
-            self.misses += len(misses)
-            self.evictions += evictions
+        self.misses += len(misses)
         if misses:
             self._disk.charge_reads(misses)
 
     def invalidate(self, page_id: int | None = None) -> None:
         """Drop one page (or everything) from the pool."""
         if page_id is None:
-            for shard in self._shards:
-                shard.pages.clear()
-            return
-        self._shards[page_id % len(self._shards)].pages.pop(page_id, None)
+            self._pages.clear()
+        else:
+            self._pages.pop(page_id, None)

@@ -117,20 +117,10 @@ class TestExtentPointers:
         assert (disk.snapshot() - before).page_reads == 1
 
 
-class TestStripedPool:
-    def test_shards_clamped_to_capacity(self):
-        disk = SimulatedDisk()
-        assert BufferPool(disk, capacity=4, shards=8).num_shards == 4
-        assert BufferPool(disk, capacity=100, shards=8).num_shards == 8
-        assert BufferPool(disk, capacity=0, shards=8).num_shards == 1
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            BufferPool(SimulatedDisk(), capacity=4, shards=0)
-
+class TestBatchedPool:
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 8]))
-    def test_get_pages_equals_get_page_loop(self, seed, shards):
+    @given(st.integers(0, 10_000))
+    def test_get_pages_equals_get_page_loop(self, seed):
         """Batch charging == per-page loop, under eviction pressure too."""
         rng = random.Random(seed)
         capacity = rng.choice([0, 3, 8, 32])
@@ -141,8 +131,8 @@ class TestStripedPool:
             disk.allocate(num_pages)
             for page in range(num_pages):
                 disk.write_page(page, bytes([page]) * (page % 9))
-        p1 = BufferPool(d1, capacity=capacity, shards=shards)
-        p2 = BufferPool(d2, capacity=capacity, shards=shards)
+        p1 = BufferPool(d1, capacity=capacity)
+        p2 = BufferPool(d2, capacity=capacity)
         for _ in range(rng.randrange(1, 8)):
             batch = [rng.randrange(num_pages) for _ in range(rng.randrange(1, 25))]
             for page in batch:
@@ -153,25 +143,24 @@ class TestStripedPool:
             )
             assert d1.stats == d2.stats
 
-    def test_stripe_quota_evicts_within_its_stripe(self):
-        """Stripes are the eviction policy: a full stripe evicts its own
-        least recently used page even while another stripe has room."""
+    def test_a_full_pool_evicts_its_least_recently_used_page(self):
         disk = SimulatedDisk(page_size=8)
         disk.allocate(8)
-        pool = BufferPool(disk, capacity=4, shards=2)  # quota 2 per stripe
-        pool.get_pages([0, 2, 1])  # stripe 0 holds {0, 2}, stripe 1 {1}
-        pool.get_page(4)  # stripe 0 is full: evicts 0, stripe 1 keeps room
-        assert (pool.hits, pool.misses, pool.evictions) == (0, 4, 1)
-        pool.get_pages([2, 4, 1])
-        assert (pool.hits, pool.misses, pool.evictions) == (3, 4, 1)
-        pool.get_page(0)
+        pool = BufferPool(disk, capacity=3)
+        pool.get_pages([0, 2, 1])
+        pool.get_page(0)  # 2 is now the least recently used
+        pool.get_page(4)  # evicts 2
+        assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 1)
+        pool.get_pages([0, 1, 4])
+        assert (pool.hits, pool.misses, pool.evictions) == (4, 4, 1)
+        pool.get_page(2)  # evicts 0
         assert (pool.misses, pool.evictions) == (5, 2)
         assert disk.stats.page_reads == 5
 
     def test_snapshot_sums_each_pools_counters(self):
         disk = SimulatedDisk(page_size=8)
         disk.allocate(6)
-        first = BufferPool(disk, capacity=2, shards=1)
+        first = BufferPool(disk, capacity=2)
         second = BufferPool(disk, capacity=4)
         first.get_pages([0, 1, 2, 0])  # 4 misses, 2 evictions
         second.get_pages([3, 3, 4])  # 1 hit, 2 misses

@@ -546,10 +546,7 @@ class TestWriteExtent:
                 for i in range(0, size, PAGE):
                     disk.write_page(2 + i // PAGE, data[i : i + PAGE])
             window = disk.snapshot() - before
-            cached = [
-                page for shard in pool._shards for page in shard.pages
-            ]
-            states.append((disk_state(disk), window, sorted(cached)))
+            states.append((disk_state(disk), window, sorted(pool._pages)))
         assert states[0] == states[1]
         written = -(-size // PAGE)
         assert states[0][1].page_writes == written
@@ -632,19 +629,6 @@ class TestDirectoryColumns:
         pairs, rows = restored.probe((2, 4), (1, 9))
         assert pairs.tolist() == [1, 2, 2]
         assert rows.tolist() == [[1, 1, 0, 8], [0, 1, 0, 8], [2, 2, 4, 100]]
-
-    def test_appended_rows_are_kept_only_from_a_rebase(self):
-        restored = TimeListDirectory.from_columns(
-            self.columns([(4, 1, 0, 0, 1, 0, 8)]), 288, 4, 64, "test directory"
-        )
-        restored.extend([(2, 9, 1, 1, 0, 8)], 4, 64, "test rows")
-        assert restored._extended is None  # a directory never saved keeps no copy
-        restored.rebase()
-        restored.extend([(4, 1, 2, 1, 0, 8)], 4, 64, "test rows")
-        assert restored.extended_rows().tolist() == [[4, 1, 2, 1, 0, 8]]
-        restored.rebase()
-        assert restored.extended_rows().shape == (0, 6)
-        assert len(restored) == 2
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -18,7 +18,6 @@ import shutil
 import struct
 import zlib
 
-import numpy as np
 import pytest
 
 from repro.io.persist import open_store, save_store
@@ -29,7 +28,8 @@ from repro.storage.backends import (
     TornWriteError,
 )
 from repro.storage.backends import filedisk
-from repro.storage.backends.filedisk import DISK_FORMAT_VERSION, SUPERBLOCK, generation_file
+from repro.storage.backends.filedisk import SUPERBLOCK, generation_file
+from repro.storage.disk import DiskError
 from repro.storage.crashsim import (
     CRASH_BEFORE_FSYNC,
     CRASH_MID_RENAME,
@@ -40,7 +40,6 @@ from repro.storage.crashsim import (
     CrashPlan,
     CrashSpec,
     SimulatedCrash,
-    corrupt_delta_ids,
     corrupt_journal_record,
     corrupt_page,
     corrupt_sidecar,
@@ -67,21 +66,6 @@ def build_store(path, pages=4):
     return path
 
 
-def build_delta_store(path):
-    """A 129-page store whose generation is a base of 128 pages plus a
-    delta of page 5 and the new page 128, with an empty journal."""
-    build_store(path, pages=128)
-    FileBackedDisk.open(path).checkpoint()  # the empty base compacts
-    disk = FileBackedDisk.open(path)
-    disk.write_page(5, b"\x55" * PAGE)
-    disk.write_page(disk.allocate(1), b"\x80" * 9)
-    disk.commit(meta=b"m3")
-    disk.checkpoint()
-    disk.close()
-    assert superblock(path)["delta_pages"] == 2
-    return path
-
-
 def superblock(path):
     return json.loads((path / SUPERBLOCK).read_text())
 
@@ -96,15 +80,16 @@ def rewrite_superblock(path, **changes):
     (path / SUPERBLOCK).write_text(json.dumps(payload))
 
 
-def crash_matrix(pristine, workdir, run):
+def crash_matrix(pristine, workdir, run, fsyncs, renames):
     """Run ``run(path, plan)`` on a copy of ``pristine`` once unplanned,
-    counting its fsync and rename points, then once per point with a crash
-    planned there.  Returns the unplanned copy and every crashed copy."""
+    counting its fsync and rename points — they must number ``fsyncs`` and
+    ``renames`` — then once per point with a crash planned there.  Returns
+    the unplanned copy and every crashed copy."""
     unplanned = shutil.copytree(pristine, workdir / "unplanned")
     points = crash_points(run(unplanned, counting_plan()))
+    assert (points[FSYNC], points[RENAME]) == (fsyncs, renames)
     crashed = []
     for kind, hook in ((CRASH_BEFORE_FSYNC, FSYNC), (CRASH_MID_RENAME, RENAME)):
-        assert points[hook] >= 4  # data or delta, sidecar, journal, superblock
         for at in range(1, points[hook] + 1):
             path = shutil.copytree(pristine, workdir / f"{kind}-{at}")
             with pytest.raises(SimulatedCrash):
@@ -203,38 +188,73 @@ class TestJournalCrashMatrix:
 
 
 class TestCheckpointCrashMatrix:
-    """A crash at any fsync or rename point of a checkpoint — a delta or a
-    compaction — leaves the old generation authoritative and untouched.
-    The points are counted by an unplanned run of each path."""
+    """A crash at any fsync or rename point of a checkpoint — a journal
+    commit, with or without the compaction that follows once the journal
+    is due — or of a compaction leaves the last durable state whole.  The
+    points are counted by an unplanned run of each path."""
 
-    @pytest.mark.parametrize("operation", ["checkpoint", "compact"])
-    def test_every_crash_point_keeps_the_old_generation(self, tmp_path, operation):
-        pristine = build_delta_store(tmp_path / "pristine")
+    @pytest.mark.parametrize(
+        "operation, due, fsyncs, renames",
+        [
+            ("checkpoint", False, 1, 0),  # the journal record
+            ("checkpoint", True, 5, 4),  # ... then data, sidecar, journal, superblock
+            ("compact", False, 4, 4),
+        ],
+        ids=["checkpoint", "checkpoint-compacts", "compact"],
+    )
+    def test_every_crash_point_keeps_a_durable_state(
+        self, tmp_path, monkeypatch, operation, due, fsyncs, renames
+    ):
+        pristine = build_store(tmp_path / "pristine", pages=128)
+        FileBackedDisk.open(pristine).compact()
         disk = FileBackedDisk.open(pristine)
-        disk.write_page(9, b"\x99" * PAGE)
-        disk.commit(meta=b"m4")
-        assert not disk.checkpoint_compacts  # a checkpoint writes a delta
+        disk.write_page(5, b"\x55" * PAGE)
+        disk.commit(meta=b"m3")
+        assert not disk.checkpoint_compacts
         disk.close()
         pre = durable_state(pristine)
+        committed = shutil.copytree(pristine, tmp_path / "committed")
+        disk = FileBackedDisk.open(committed)
+        disk.write_page(9, b"\x99" * PAGE)
+        disk.commit()
+        disk.close()
+        mid = durable_state(committed)
+        if due:
+            monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", 0.0)
 
         def run(path, plan):
             disk = FileBackedDisk.open(path, crash_plan=plan)
+            disk.write_page(9, b"\x99" * PAGE)
             getattr(disk, operation)()
             return disk
 
-        unplanned, crashed = crash_matrix(pristine, tmp_path, run)
+        unplanned, crashed = crash_matrix(pristine, tmp_path, run, fsyncs, renames)
         post = durable_state(unplanned)
-        assert superblock(unplanned)["delta_pages"] == (3 if operation == "checkpoint" else 0)
-        assert post == dict(pre, generation=pre["generation"] + 1, metas=())
+        if operation == "checkpoint" and not due:
+            assert post == mid  # the journal is the delta
+        else:
+            assert post == dict(mid, generation=pre["generation"] + 1, metas=())
         for path in crashed:
-            # Every point precedes the superblock flip, the commit point.
-            assert durable_state(path) == pre
+            # Every point precedes the journal fsync or the superblock flip;
+            # only a compacting checkpoint has a journaled state in between.
+            assert durable_state(path) in ((pre, mid) if due else (pre,))
+
+    @pytest.mark.parametrize("operation", ["checkpoint", "compact"])
+    def test_a_read_only_disk_refuses_to_checkpoint(self, tmp_path, operation):
+        path = build_store(tmp_path / "store")
+        files = {p.name: p.read_bytes() for p in path.iterdir()}
+        disk = FileBackedDisk.open(path, readonly=True)
+        disk.write_page(1, b"\x11" * PAGE)
+        with pytest.raises(DiskError, match="read-only"):
+            getattr(disk, operation)()
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == files
 
     def test_checkpoint_completes_without_plan(self, tmp_path):
         path = build_store(tmp_path / "store")
         before = durable_state(path)
         disk = FileBackedDisk.open(path)
         old_generation = disk.generation
+        assert disk.checkpoint_compacts  # the data file is still empty
         disk.checkpoint()
         disk.close()
         after = durable_state(path)
@@ -243,6 +263,24 @@ class TestCheckpointCrashMatrix:
         assert after["used"] == before["used"]
         assert after["metas"] == ()  # journal folded into the snapshot
 
+    @pytest.mark.parametrize("meta_bytes, compacts", [(104, False), (105, True)])
+    def test_checkpoint_compacts_exactly_past_the_share(self, tmp_path, meta_bytes, compacts):
+        """A 32-page data file of 128-byte pages is 4,096 bytes, so the
+        journal may hold 128 before a checkpoint compacts: one record of
+        a 24-byte frame and a 104-byte meta is within the share, one more
+        meta byte is past it."""
+        path = build_store(tmp_path / "store", pages=32)
+        FileBackedDisk.open(path).compact()
+        disk = FileBackedDisk.open(path)
+        assert not disk.checkpoint_compacts  # an empty journal
+        disk.commit(meta=b"x" * meta_bytes)
+        assert generation_file(path, "log").stat().st_size == 24 + meta_bytes
+        assert disk.checkpoint_compacts == compacts
+        generation = disk.generation
+        disk.checkpoint()
+        assert disk.generation == generation + compacts
+        assert disk.journal_record_count == (0 if compacts else 1)
+
 
 class TestCorruptionMatrix:
     """Every flipped bit is either detected with a typed error naming
@@ -250,7 +288,7 @@ class TestCorruptionMatrix:
 
     def test_page_bit_flip_names_page(self, tmp_path):
         path = build_store(tmp_path / "store")
-        FileBackedDisk.open(path).checkpoint()  # pages into the snapshot
+        FileBackedDisk.open(path).compact()  # pages into the snapshot
         corrupt_page(path, page_id=2)
         disk = FileBackedDisk.open(path)  # lazy: open itself succeeds
         assert disk.read_page(1)  # undamaged pages still serve
@@ -261,7 +299,7 @@ class TestCorruptionMatrix:
 
     def test_verify_sweeps_all_pages(self, tmp_path):
         path = build_store(tmp_path / "store")
-        FileBackedDisk.open(path).checkpoint()
+        FileBackedDisk.open(path).compact()
         corrupt_page(path, page_id=3)
         disk = FileBackedDisk.open(path)
         with pytest.raises(CorruptSnapshotError):
@@ -269,7 +307,7 @@ class TestCorruptionMatrix:
 
     def test_sidecar_bit_flip_detected_at_open(self, tmp_path):
         path = build_store(tmp_path / "store")
-        FileBackedDisk.open(path).checkpoint()  # sidecar gains entries
+        FileBackedDisk.open(path).compact()  # sidecar gains entries
         corrupt_sidecar(path, page_id=0)
         with pytest.raises(CorruptSnapshotError):
             FileBackedDisk.open(path)
@@ -324,72 +362,45 @@ class TestCorruptionMatrix:
         with pytest.raises(DiskFormatError, match="99"):
             FileBackedDisk.open(path)
 
-    @pytest.mark.parametrize("version", [True, 0, -7, 3], ids=["true", "0", "-7", "3"])
-    def test_only_the_supported_versions_open(self, tmp_path, version):
-        """Any version but exactly 1 or the current one is refused, even
-        under a self-checksum recomputed to match it."""
+    @pytest.mark.parametrize(
+        "version, fields",
+        [
+            (True, {}),
+            (0, {}),
+            (-7, {}),
+            (2, {}),
+            (2, {"base_generation": 1, "base_pages": 4, "delta_pages": 0, "delta_crc": 0}),
+            (99, {}),
+        ],
+        ids=["true", "0", "-7", "2", "2-with-delta-fields", "99"],
+    )
+    def test_only_format_1_opens(self, tmp_path, version, fields):
+        """Any version but exactly 1 is refused, even under a self-checksum
+        recomputed to match it — format 2's base-plus-delta superblock
+        included, with or without its delta fields."""
         path = build_store(tmp_path / "store")
-        rewrite_superblock(path, format_version=version)
+        FileBackedDisk.open(path).compact()
+        oracle = durable_state(path)
+        rewrite_superblock(path, format_version=version, **fields)
         with pytest.raises(
             DiskFormatError,
-            match=rf"version {version!r} is not a supported version \(1 or {DISK_FORMAT_VERSION}\)",
+            match=rf"version {version!r} is not the supported version 1$",
         ):
             FileBackedDisk.open(path)
-
-    def test_format_1_store_opens_and_checkpoints_to_format_2(self, tmp_path):
-        """Format 1 had one full data file per generation and no delta
-        fields; such a store opens as a base and its first checkpoint
-        writes format 2."""
-        path = build_store(tmp_path / "store")
-        FileBackedDisk.open(path).checkpoint()
-        oracle = durable_state(path)
-        rewrite_superblock(
-            path, format_version=1, base_generation=None, base_pages=None,
-            delta_pages=None, delta_crc=None,
-        )
+        rewrite_superblock(path, format_version=1, **dict.fromkeys(fields))
         assert durable_state(path) == oracle
-        disk = FileBackedDisk.open(path)
-        disk.write_page(1, b"\x11" * PAGE)
-        disk.checkpoint()
-        disk.close()
-        assert superblock(path)["format_version"] == DISK_FORMAT_VERSION == 2
-        assert FileBackedDisk.open(path).read_page(1) == b"\x11" * PAGE
 
-    def test_delta_page_bit_flip_names_file_and_page(self, tmp_path):
-        path = build_delta_store(tmp_path / "store")
-        delta = generation_file(path, "dlt").name
-        for page_id in (5, 128):  # a changed base page and a new page
-            corrupt_page(path, page_id=page_id)
-            with pytest.raises(CorruptSnapshotError, match=delta) as exc:
-                FileBackedDisk.open(path)  # the delta is verified eagerly
-            assert exc.value.page_id == page_id
-            assert f"page {page_id} failed checksum" in str(exc.value)
-            corrupt_page(path, page_id=page_id)  # flip it back
-
-    def test_delta_page_id_list_damage_is_detected_at_open(self, tmp_path):
-        path = build_delta_store(tmp_path / "store")
-        corrupt_delta_ids(path, index=1)
-        delta = generation_file(path, "dlt").name
-        with pytest.raises(CorruptSnapshotError, match=f"size or page-id list of delta {delta}"):
-            FileBackedDisk.open(path)
-
-    def test_missing_delta_is_detected_at_open(self, tmp_path):
-        path = build_delta_store(tmp_path / "store")
-        delta = generation_file(path, "dlt")
-        delta.unlink()
-        with pytest.raises(CorruptSnapshotError, match=f"delta {delta.name} named by the superblock is missing"):
-            FileBackedDisk.open(path)
-
-    def test_delta_entry_past_the_page_count_is_refused(self, tmp_path):
-        path = build_delta_store(tmp_path / "store")
-        delta = generation_file(path, "dlt")
-        data = bytearray(delta.read_bytes())
-        struct.pack_into("<I", data, 4, 500)  # page 128 -> page 500 of 129
-        delta.write_bytes(bytes(data))
-        rewrite_superblock(path, delta_crc=zlib.crc32(bytes(data[:8])))
-        with pytest.raises(CorruptSnapshotError, match=f"delta {delta.name} entry 1 names page 500") as exc:
-            FileBackedDisk.open(path)
-        assert exc.value.page_id == 500
+    def test_superblock_holds_the_format_1_fields(self, tmp_path):
+        path = build_store(tmp_path / "store")
+        FileBackedDisk.open(path).compact()
+        assert sorted(superblock(path)) == [
+            "checksum", "format_version", "generation", "magic", "num_pages",
+            "page_size", "sidecar_crc",
+        ]
+        assert superblock(path)["format_version"] == 1
+        assert sorted(p.name for p in path.iterdir()) == [
+            "journal.1.log", "pages.1.bin", "pages.1.crc", "superblock.json",
+        ]
 
     def test_garbage_superblock_rejected(self, tmp_path):
         path = build_store(tmp_path / "store")
@@ -413,7 +424,7 @@ class TestRunFaultIn:
         """A checkpointed store (every page in the data file) and the
         bytes each page must serve."""
         path = build_store(tmp_path / "store", pages=self.PAGES)
-        FileBackedDisk.open(path).checkpoint()
+        FileBackedDisk.open(path).compact()
         state = durable_state(path)
         pages = [
             state["buffer"][p * PAGE : p * PAGE + used] for p, used in enumerate(state["used"])
@@ -443,18 +454,18 @@ class TestRunFaultIn:
         with pytest.raises(CorruptSnapshotError):
             disk.read_page(bad)
 
-    def test_delta_checkpoint_never_reads_a_corrupt_base_page(self, tmp_path):
-        """A delta checkpoint publishes without touching an unchanged base
-        page, so a corrupt one stays unverified, unpublished and typed: it
-        raises on every later read and on the compaction that would
-        re-publish it."""
+    def test_journal_checkpoint_never_reads_a_corrupt_page(self, tmp_path):
+        """A checkpoint that does not compact journals the changed pages
+        and touches no other page, so a corrupt one stays unverified,
+        unpublished and typed: it raises on every later read and on the
+        compaction that would re-publish it."""
         path = build_store(tmp_path / "store", pages=64)
-        FileBackedDisk.open(path).checkpoint()
+        FileBackedDisk.open(path).compact()
         corrupt_page(path, page_id=3)
         disk = FileBackedDisk.open(path)
         disk.write_page(40, b"\x40" * PAGE)
         disk.checkpoint()
-        assert superblock(path)["delta_pages"] == 1
+        assert disk.journal_record_count == 1
         assert disk.pages_faulted == 1  # page 40, read before its write
         for reader in (disk, FileBackedDisk.open(path)):
             with pytest.raises(CorruptSnapshotError) as exc:
@@ -490,10 +501,10 @@ class TestRunFaultIn:
         journal replay restored and freshly allocated pages."""
         path = build_store(tmp_path / "store")  # two journal records
         disk = FileBackedDisk.open(path)
-        disk.checkpoint()  # pages the replay restored
+        disk.compact()  # pages the replay restored
         self.assert_sidecar_fresh(path)
         disk.write_page(3, b"\x31" * PAGE)  # a page whose CRC was just published
-        disk.checkpoint()
+        disk.compact()
         self.assert_sidecar_fresh(path)
         disk.write_extent(1, b"\x42" * (PAGE + 5))
         first = disk.allocate(2)
@@ -502,7 +513,7 @@ class TestRunFaultIn:
         disk.close()
         reopened = FileBackedDisk.open(path)
         assert reopened.journal_metas == (b"m3",)
-        reopened.checkpoint()
+        reopened.compact()
         self.assert_sidecar_fresh(path)
         FileBackedDisk.open(path).verify()
 
@@ -518,7 +529,7 @@ class TestShortWrites:
         for page_id in range(64):
             disk.write_page(page_id, bytes([page_id]) * (PAGE - page_id % 3))
         disk.commit(meta=b"m1")
-        disk.checkpoint()
+        disk.compact()
         disk.write_extent(10, b"\x77" * (40 * PAGE))
         disk.commit(meta=b"m2")
         disk.close()
@@ -597,57 +608,62 @@ class TestStoreLevelRecovery:
         recovered = open_store(store)
         assert recovered.st_index(300).time_list(segment, index.slot_of(time_s)) == before
 
-    @pytest.mark.parametrize("compacts", [False, True], ids=["delta", "compaction"])
+    @pytest.mark.parametrize(
+        "variant, fsyncs, renames",
+        [("unchanged", 0, 0), ("key-moved", 4, 4), ("compacting", 5, 5)],
+    )
     def test_every_crash_point_of_an_in_place_save(
-        self, store, test_dataset, tmp_path, monkeypatch, compacts
+        self, store, test_dataset, tmp_path, monkeypatch, variant, fsyncs, renames
     ):
-        """An in-place save writes the directory delta, then the disk's
-        delta checkpoint — or, when the disk compacts, the whole directory
-        and the compaction, leaving the old directory delta behind until
-        it commits.  A crash at any of its fsync or rename points reopens
-        to exactly the pre- or the post-save state."""
+        """An in-place save finds every append in the journal already.  It
+        writes nothing more while the bundle key holds and the journal is
+        within its share; the metadata files and ``directory.npz`` when the
+        key moved; ``directory.npz`` and the compaction when the journal is
+        due.  A crash at any of its fsync or rename points reopens to
+        exactly the pre- or the post-save state."""
         network = test_dataset.network
         engine = open_store(store)
         engine.append_trajectories([self.trajectory(network, 91, 12)], update_database=False)
-        save_store(engine, store, 300)  # the bundle now has both deltas
+        save_store(engine, store, 300)
         engine.append_trajectories([self.trajectory(network, 92, 13)], update_database=False)
         engine.disk.close()
         pre = self.store_state(store)
-        if compacts:
-            monkeypatch.setattr(filedisk, "MAX_DELTA_SHARE", 0.0)
+        if variant == "compacting":
+            monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", 0.0)
 
         def run(path, plan):
             engine = open_store(path, crash_plan=plan)
+            if variant == "key-moved":
+                engine.database.extend_days(engine.database.num_days + 1)
             try:
                 save_store(engine, path, 300)
             finally:
                 engine.disk.close()
             return engine.disk
 
-        unplanned, crashed = crash_matrix(store, tmp_path, run)
+        unplanned, crashed = crash_matrix(store, tmp_path, run, fsyncs, renames)
         post = self.store_state(unplanned)
-        assert (superblock(unplanned / "disk")["delta_pages"] == 0) == compacts
-        assert (unplanned / "directory.delta.npz").exists() != compacts
-        assert post[2] == () and pre[2] != ()  # journal folded into the delta
+        assert pre[2] != ()
+        assert post[2] == (() if variant == "compacting" else pre[2])
         assert post[:2] == pre[:2] and post[3] == pre[3]
         for path in crashed:
             assert self.store_state(path) in (pre, post)
 
-    def test_directory_delta_paired_with_the_wrong_base_is_refused(self, store, test_dataset):
-        """A directory delta names the journal position of the base it
-        extends; paired with another base it raises instead of merging."""
-        engine = open_store(store)
+    @pytest.mark.parametrize("update_database", [False, True])
+    def test_a_refused_read_only_save_writes_nothing(self, store, test_dataset, update_database):
+        """An in-place save of a read-only store is refused before any
+        file is written: the bundle stays byte-identical and reopens to its
+        state before the save."""
+        pre = self.store_state(store)
+        files = {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()}
+        engine = open_store(store, readonly=True)
         engine.append_trajectories(
-            [self.trajectory(test_dataset.network, 93, 12)], update_database=False
+            [self.trajectory(test_dataset.network, 10**6, 3)], update_database=update_database
         )
-        save_store(engine, store, 300)
-        path = store / "directory.delta.npz"
-        with np.load(path) as data:
-            arrays = dict(data)
-        assert (arrays["base_journal_generation"], arrays["base_applied_commits"]) == (1, 0)
-        np.savez(path, **dict(arrays, base_applied_commits=np.int64(7)))
-        with pytest.raises(CorruptSnapshotError, match="directory.delta.npz extends a base"):
-            open_store(store)
+        with pytest.raises(DiskError, match="read-only"):
+            save_store(engine, store, 300)
+        assert {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()} == files
+        assert self.store_state(store) == pre
 
     def test_corrupted_store_page_is_typed_not_wrong(self, store):
         corrupt_page(store / "disk", page_id=0)

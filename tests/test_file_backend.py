@@ -27,7 +27,6 @@ from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService
 from repro.core.st_index import STIndex
 from repro.io.persist import (
-    DIRECTORY_DELTA,
     STORE_FORMAT_VERSION,
     PersistFormatError,
     load_database,
@@ -235,21 +234,21 @@ class TestStoreRoundTrip:
         engine.append_trajectories(
             [make_day(dataset_route, 14, 11)], update_database=False
         )
-        save_store(engine, store, 300)  # in-place: checkpoint, no re-export
-        assert engine.disk.journal_record_count == 0  # folded into snapshot
+        save_store(engine, store, 300)  # in-place: no re-export
+        assert engine.disk.journal_record_count == 1  # the journal is the delta
         reopened = open_store(store)
         assert reopened.disk.num_pages == engine.disk.num_pages
         # Page count grew only by the appended tail, not a rewrite.
         assert reopened.disk.num_pages >= pages_before
 
     def test_reopened_and_resaved_directory_equals_one_that_never_closed(
-        self, saved, dataset_route
+        self, saved, dataset_route, monkeypatch
     ):
-        """Two appends, then save: ``directory.npz`` and the delta of the
-        appended rows hold the same arrays whether the index stayed open
-        throughout or was closed after the appends and rebuilt them from
-        the journal on reopen."""
+        """Two appends, then a compacting save: ``directory.npz`` holds the
+        same arrays whether the index stayed open throughout or was closed
+        after the appends and rebuilt them from the journal on reopen."""
         store, _ = saved
+        monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", 0.0)
         written, merged = [], []
         for reopen in (False, True):
             path = shutil.copytree(store, store.parent / f"reopen-{reopen}")
@@ -262,14 +261,14 @@ class TestStoreRoundTrip:
                 engine.disk.close()
                 engine = open_store(path)
             save_store(engine, path, 300)
-            with np.load(path / "directory.npz") as base, np.load(path / DIRECTORY_DELTA) as delta:
-                written.append({**{name: base[name] for name in DIRECTORY_COLUMNS}, "rows": delta["rows"]})
+            assert engine.disk.journal_record_count == 0
+            with np.load(path / "directory.npz") as data:
+                written.append({name: data[name] for name in DIRECTORY_COLUMNS})
             merged.append(open_store(path).st_index(300).directory.columns())
-        assert len(written[0]["rows"]) == 2 * len(dataset_route)
-        assert max(merged[0]["dir_position"]) == 2
+        assert max(written[0]["dir_position"]) == 2
         for name in DIRECTORY_COLUMNS:
             assert merged[1][name].tolist() == merged[0][name].tolist()
-        for name in (*DIRECTORY_COLUMNS, "rows"):
+            assert written[0][name].tolist() == merged[0][name].tolist()
             # Each column is stored in the narrowest integer dtype holding it.
             column = written[1][name]
             holding = [
@@ -301,7 +300,7 @@ class TestStoreRoundTrip:
     def test_two_saves_write_identical_store_files(self, saved, dataset_route):
         """No wall-clock timestamp in the ``.npz`` members: saving one
         engine twice gives byte-identical files, and so do two equal
-        histories of appends and in-place saves, deltas included."""
+        histories of appends and in-place saves, journals included."""
         store, engine = saved
         again = save_store(engine, store.parent / "again", 300)
         for name in ("directory.npz", "speed_model.npz"):
@@ -316,7 +315,8 @@ class TestStoreRoundTrip:
                 reopened.disk.close()
         files = [sorted(p.relative_to(path) for p in path.rglob("*")) for path in (store, again)]
         assert files[0] == files[1]
-        assert {"directory.delta.npz", "disk/pages.3.dlt"} <= {str(f) for f in files[0]}
+        assert "disk/journal.1.log" in {str(f) for f in files[0]}
+        assert (store / "disk" / "journal.1.log").stat().st_size
         for name in files[0]:
             if (store / name).is_file():
                 assert (store / name).read_bytes() == (again / name).read_bytes(), name
@@ -338,10 +338,10 @@ class TestStoreRoundTrip:
             open_store(tmp_path / "nowhere")
 
 
-class TestDeltaSaves:
-    """An in-place save writes what changed since the base: the changed
-    pages as a disk delta, the appended rows as a directory delta, and no
-    metadata file the engine cannot have changed."""
+class TestInPlaceSaves:
+    """The journal already holds every append, so an in-place save writes
+    a file only when the bundle key moved or the journal is due for a
+    compaction."""
 
     QUERIES = (
         SQuery(Point(0, 0), T, 600, 0.2),
@@ -367,60 +367,82 @@ class TestDeltaSaves:
         engine.append_trajectories([make_day(route, day, 40 + day)], update_database=False)
         return engine
 
+    @staticmethod
+    def files(store):
+        return {p: (os.stat(p).st_ino, p.read_bytes()) for p in store.rglob("*") if p.is_file()}
+
     def reopened(self, store):
-        """Page state, journal metas, directory columns and answers."""
+        """Page state, directory columns and answers."""
         with ReachabilityClient.open(store) as client:
             disk = client.engine.disk
             columns = client.engine.st_index(300).directory.columns()
             report = client.run_batch([Request(query) for query in self.QUERIES])
             return (
                 disk.export_state(),
-                disk.journal_metas,
                 {name: column.tolist() for name, column in columns.items()},
                 [(r.segments, r.probabilities) for r in report.results],
             )
 
-    def test_delta_saves_reopen_like_compacted_saves(self, store, route, monkeypatch):
-        """Appends and in-place saves reopen to the state the same history
-        reaches when every save compacts pages and directory."""
+    def test_journal_saves_reopen_like_compacted_saves(self, store, route, monkeypatch):
+        """Appends and in-place saves that never compact reopen to the
+        state the same history reaches when every save compacts."""
         compacted = shutil.copytree(store, store.parent / "compacted")
-        for path, share in ((store, filedisk.MAX_DELTA_SHARE), (compacted, 0.0)):
-            monkeypatch.setattr(filedisk, "MAX_DELTA_SHARE", share)
+        for path, share in ((store, 1.0), (compacted, 0.0)):
+            monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", share)
             for day in (12, 13, 14):
                 engine = self.append(path, route, day)
                 save_store(engine, path, 300)
                 engine.disk.close()
             engine = self.append(path, route, 15)  # journaled, not saved
             engine.disk.close()
-        assert json.loads((store / "disk" / "superblock.json").read_text())["delta_pages"] > 0
-        assert (store / DIRECTORY_DELTA).exists()
-        assert not (compacted / DIRECTORY_DELTA).exists()
+        journals = [FileBackedDisk.open(path / "disk").journal_record_count for path in (store, compacted)]
+        assert journals == [4, 1]
         assert self.reopened(store) == self.reopened(compacted)
 
-    def test_delta_save_reads_no_base_page_and_writes_only_changed_pages(self, store, route):
-        before = shutil.copytree(store, store.parent / "before")
-        base = store / "disk" / "pages.1.bin"
-        base_inode = os.stat(base).st_ino
+    @pytest.mark.parametrize("share", [1.0, 0.0], ids=["journal", "compacting"])
+    def test_append_save_reopen_cycles_keep_the_engines_directory(
+        self, store, route, monkeypatch, share
+    ):
+        monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", share)
+        for day in range(12, 18):
+            engine = self.append(store, route, day)
+            expected = engine.st_index(300).directory.columns()
+            save_store(engine, store, 300)
+            engine.disk.close()
+            reopened = open_store(store)
+            columns = reopened.st_index(300).directory.columns()
+            reopened.disk.close()
+            for name in DIRECTORY_COLUMNS:
+                assert columns[name].tolist() == expected[name].tolist()
+        assert reopened.disk.journal_record_count == (6 if share else 0)
+
+    def test_a_commit_that_makes_the_journal_due_writes_the_directory(
+        self, store, route, monkeypatch
+    ):
+        """The save commits before it asks whether the disk will compact:
+        a commit that tips the journal past its share makes the save write
+        ``directory.npz`` at the post-commit position, so the compaction
+        folds no record the directory lacks."""
+        engine = self.append(store, route, 12)  # one record past directory.npz
+        disk = engine.disk
+        disk.write_page(disk.allocate(1), b"\x01")  # dirty at the save
+        journal = (store / "disk" / "journal.1.log").stat().st_size
+        data = (store / "disk" / "pages.1.bin").stat().st_size
+        monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", journal / data)
+        assert not disk.checkpoint_compacts
+        expected = engine.st_index(300).directory.columns()
+        save_store(engine, store, 300)
+        assert disk.journal_record_count == 0  # the save compacted
+        columns = open_store(store).st_index(300).directory.columns()
+        for name in DIRECTORY_COLUMNS:
+            assert columns[name].tolist() == expected[name].tolist()
+
+    def test_an_unchanged_save_reads_no_page_and_writes_no_file(self, store, route):
         engine = self.append(store, route, 12)
-        faulted = engine.disk.pages_faulted
+        files, faulted = self.files(store), engine.disk.pages_faulted
         save_store(engine, store, 300)
         assert engine.disk.pages_faulted == faulted
-        assert os.stat(base).st_ino == base_inode  # the base is kept, not rewritten
-        superblock = json.loads((store / "disk" / "superblock.json").read_text())
-        count = superblock["delta_pages"]
-        delta = (store / "disk" / f"pages.{superblock['generation']}.dlt").read_bytes()
-        assert len(delta) == count * (4 + engine.disk.page_size)
-        old_buffer, old_used = FileBackedDisk.open(before / "disk").export_state()
-        new_buffer, new_used = FileBackedDisk.open(store / "disk").export_state()
-        size = engine.disk.page_size
-        changed = [
-            page for page in range(len(new_used))
-            if page >= len(old_used)
-            or new_used[page] != old_used[page]
-            or new_buffer[page * size : (page + 1) * size] != old_buffer[page * size : (page + 1) * size]
-        ]
-        assert 0 < count == len(changed)
-        assert np.frombuffer(delta[: 4 * count], "<u4").tolist() == changed
+        assert self.files(store) == files
 
     def test_metadata_files_are_rewritten_only_when_they_change(self, store, route):
         metadata = ("network.json", "speed_model.npz", "store.json")
@@ -432,43 +454,21 @@ class TestDeltaSaves:
         engine.database.extend_days(num_days)  # the speed model changes
         save_store(engine, store, 300)
         assert all(os.stat(store / name).st_ino != inodes[name] for name in inodes)
-        assert not (store / DIRECTORY_DELTA).exists()  # written whole
         assert open_store(store).database.num_days == num_days
 
-    def test_a_save_elsewhere_leaves_the_next_in_place_delta_whole(self, store, route):
+    def test_a_save_elsewhere_leaves_the_in_place_store_whole(self, store, route):
         """A save to another path writes that bundle whole and leaves the
-        engine's own base be: the next in-place delta still carries every
-        row appended since that base."""
+        engine's own store be: the next in-place save still reopens to
+        every row appended since the engine opened it."""
         engine = self.append(store, route, 12)
         copy = save_store(engine, store.parent / "copy", 300)
         copied = engine.st_index(300).directory.columns()
         engine.append_trajectories([make_day(route, 13, 53)], update_database=False)
         save_store(engine, store, 300)
-        assert (store / DIRECTORY_DELTA).exists()
         for path, columns in ((copy, copied), (store, engine.st_index(300).directory.columns())):
             reopened = open_store(path).st_index(300).directory.columns()
             for name in DIRECTORY_COLUMNS:
                 assert reopened[name].tolist() == columns[name].tolist()
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"version": np.int64(99)}, "unsupported store directory delta format 99"),
-            ({"rows": np.zeros((2, 6), np.float64)}, "store directory delta rows hold float64"),
-            ({"rows": np.full((1, 6), 10**6)}, "store directory delta row 0 names no entry"),
-            ({"rows": None}, "missing required arrays: rows"),
-        ],
-        ids=["version", "float-rows", "bad-row", "missing-rows"],
-    )
-    def test_malformed_directory_delta_is_typed(self, store, route, change, message):
-        engine = self.append(store, route, 12)
-        save_store(engine, store, 300)
-        with np.load(store / DIRECTORY_DELTA) as data:
-            arrays = dict(data)
-        arrays.update(change)
-        np.savez(store / DIRECTORY_DELTA, **{k: v for k, v in arrays.items() if v is not None})
-        with pytest.raises(PersistFormatError, match=message):
-            open_store(store)
 
 
 class TestIngestIntoRestoredDatabase:

@@ -780,9 +780,9 @@ class TestReintroducedViolationsFailGate:
         )
 
     def test_rl011_save_path_raw_write(self, src_copy):
-        # Routing the directory file every save publishes (directory.npz
-        # or its delta) around atomic_replace (write_bytes straight to the
-        # target path) fails the gate.
+        # Routing the metadata files a save publishes around
+        # atomic_replace (write_bytes straight to the target path) fails
+        # the gate.
         persist = src_copy / "repro" / "io" / "persist.py"
         text = persist.read_text(encoding="utf-8")
         needle = "disk.replace_file(directory / name, data)"
@@ -800,18 +800,18 @@ class TestReintroducedViolationsFailGate:
     @pytest.mark.parametrize(
         "needle, raw, entry",
         [
-            (  # the delta writer, under checkpoint
-                'atomic_replace(self._file("dlt", generation), pages, crash=self._crash)',
-                'self._file("dlt", generation).write_bytes(pages)',
-                r"FileBackedDisk\.checkpoint -> ",
+            (  # a raw write inside checkpoint itself
+                "        self.commit()\n",
+                '        self._file("log").write_bytes(b"")\n        self.commit()\n',
+                r"FileBackedDisk\.checkpoint reaches",
             ),
             (  # compaction is an entry point of its own
-                "        self._checkpoint(compact=True)\n",
-                '        self._file("bin").write_bytes(b"")\n        self._checkpoint(compact=True)\n',
+                "            old = self.generation\n",
+                '            old = self.generation\n            self._file("bin").write_bytes(b"")\n',
                 r"FileBackedDisk\.compact reaches",
             ),
         ],
-        ids=["delta-writer", "compact"],
+        ids=["checkpoint", "compact"],
     )
     def test_rl011_checkpoint_raw_write(self, src_copy, needle, raw, entry):
         # Writing a checkpoint file with write_bytes instead of

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference.buffer_pool import StripedLRUModel
+from reference.buffer_pool import LRUModel
 
 from repro.storage import disk as disk_module
 from repro.storage.backends import FileBackedDisk
@@ -268,7 +268,7 @@ class TestExtentBytes:
     def test_file_backend_faults_exactly_the_record_spans(self, tmp_path):
         disk = FileBackedDisk.create(tmp_path / "store", page_size=self.PAGE)
         pointers = self.records(disk)
-        disk.checkpoint()
+        disk.compact()
         disk.close()
         batch = sorted(pointers[5:30], key=lambda p: (p.first_page, p.offset))
         spans = {
@@ -307,7 +307,7 @@ class TestPoolRejectsUnallocatedPages:
 
     @staticmethod
     def resident(pool):
-        return {page for shard in pool._shards for page in shard.pages}
+        return set(pool._pages)
 
     def test_get_page(self):
         disk, pool, before = self.two_page_pool(4)
@@ -346,16 +346,16 @@ pool_ops = st.lists(
 
 class TestBufferPoolModel:
     @settings(max_examples=60, deadline=None)
-    @given(pool_ops, st.sampled_from([0, 1, 3, 8, 32]), st.sampled_from([1, 2, 3, 8]))
-    def test_pool_matches_striped_lru_model(self, ops, capacity, shards):
+    @given(pool_ops, st.sampled_from([0, 1, 3, 8, 32]))
+    def test_pool_matches_lru_model(self, ops, capacity):
         """Random get_page / get_pages (list and numpy input) / invalidate
-        / write-through sequences: the pool and the striped-LRU model agree
+        / write-through sequences: the pool and the LRU model agree
         on hits, misses, evictions, disk statistics and resident ids after
         every step, rejected calls included."""
         disk = SimulatedDisk(page_size=8)
         disk.allocate(12)
-        pool = BufferPool(disk, capacity=capacity, shards=shards)
-        model = StripedLRUModel(12, capacity, shards)
+        pool = BufferPool(disk, capacity=capacity)
+        model = LRUModel(12, capacity)
         for op, *args in ops:
             if op == "write_page":
                 page, length = args
@@ -385,7 +385,7 @@ class TestBufferPoolModel:
                 model.hits, model.misses, model.evictions,
             )
             assert disk.stats == model.stats
-            assert {page for shard in pool._shards for page in shard.pages} == model.resident()
+            assert set(pool._pages) == model.resident()
 
 
 class TestSerialization:
