@@ -98,10 +98,11 @@ class ReachabilityClient:
             :mod:`repro.serving`).  The sharded engine spawns lazily on
             the first sharded batch and is shut down by :meth:`close`.
         shards: number of spatial routing groups for the sharded
-            backend; each group's requests run as one sub-batch window
-            on the replica that hosts the group.
-        shard_workers: worker-process count for the sharded backend
-            (default ``None`` = one process per group).
+            backend, one worker process each; a group's requests run as
+            one sub-batch window on its worker's replica.
+        shard_workers: a cap on that number (default ``None`` = no cap):
+            the sharded backend runs ``min(shards, shard_workers)``
+            groups on as many processes.
         deadline_ms: per-scatter reply deadline for the sharded backend
             (default ``None`` = the engine's default; pass through to
             :class:`~repro.serving.ShardedEngine`).
@@ -310,12 +311,10 @@ class ReachabilityClient:
                 overrides["deadline_ms"] = self.deadline_ms
             if self.max_retries is not None:
                 overrides["max_retries"] = self.max_retries
-            self._sharded = ShardedEngine(
-                self.service,
-                shards=self.shards,
-                workers=self.shard_workers,
-                **overrides,
-            )
+            shards = self.shards
+            if self.shard_workers is not None:
+                shards = min(shards, self.shard_workers)
+            self._sharded = ShardedEngine(self.service, shards=shards, **overrides)
         return self._sharded
 
     # -- explanation -------------------------------------------------------

@@ -21,8 +21,12 @@ Every classification is recorded as an inspectable
 fired on), rendered by ``EXPLAIN`` and carried on every
 :class:`~repro.api.envelope.Response`.  Forcing
 ``algorithm=<decision.algorithm>`` returns the identical segment set.
-On paper-routed shapes the router only moves cost; on sub-slot shapes
-the ES and bounded routes are known to disagree (see ``docs/api.md``).
+Routing is not exact across routes: the bounded routes put the minimum
+bounding region into the answer unexamined, so they can return a
+superset of the exhaustive answer (176 of 400 s-queries on the test
+city), and a rule that swaps ES for a bounded route (``sub-slot-es``,
+``budget-bounds``) can change the answer, not only its cost (see
+``docs/api.md``; ROADMAP item 1 is the fix).
 
 The design follows the "traffic light" routing exemplar (virt-graph):
 one front door, a small ordered rule table, first match wins, and the

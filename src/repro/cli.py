@@ -435,9 +435,10 @@ def cmd_batch(args) -> int:
                     if args.max_retries is not None
                     else DEFAULT_MAX_RETRIES
                 )
+                groups = min(args.shards, args.workers or args.shards)
                 print(
-                    f"backend: sharded ({args.shards} shards, "
-                    f"{args.workers or args.shards} worker processes; "
+                    f"backend: sharded ({groups} shards, "
+                    f"{groups} worker processes; "
                     f"deadline {deadline:.0f} ms, max {retries} retries, "
                     "degraded sub-batches fall back locally)"
                 )
@@ -569,14 +570,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force this algorithm for the kinds that "
                             "register it; other requests stay auto-routed "
                             "(default: auto)")
-    batch.add_argument("--workers", type=int, default=1,
-                       help="with --shards: worker processes, each one "
-                            "full engine replica (default 1)")
+    batch.add_argument("--workers", type=int, default=None,
+                       help="with --shards: a cap on the shard count, "
+                            "since each shard is one worker process "
+                            "holding a full engine replica (default: "
+                            "no cap)")
     batch.add_argument("--shards", type=int, default=0,
-                       help="spatial routing groups dealt round-robin to "
-                            "replica worker processes (default 0 = "
-                            "single-process); the report gains one "
-                            "breakdown row per group")
+                       help="spatial routing groups, one replica worker "
+                            "process each (default 0 = single-process); "
+                            "the report gains one breakdown row per "
+                            "group")
     batch.add_argument("--deadline-ms", type=float, default=None,
                        help="per-scatter reply deadline for the sharded "
                             "backend; a worker that misses it is retried "

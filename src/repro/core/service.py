@@ -42,8 +42,8 @@ class ShardReport:
     :mod:`repro.serving`).
 
     Attributes:
-        shard_id: the group's index in the partition plan; worker
-            ``shard_id % workers`` runs it on its replica.
+        shard_id: the group's index in the partition plan, and the
+            index of the one worker process that runs it.
         queries: sub-requests the group's window executed (a decomposed
             cross-group m-query counts once per involved group).
         io: the disk-stat difference of the group's sub-batch.

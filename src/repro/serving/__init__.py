@@ -8,10 +8,11 @@ full replica (ST-Index, Con-Index and its own
 worker process, and serves them behind a scatter-gather dispatcher:
 
 * :mod:`repro.serving.partition` — the kd-median split of the network
-  into K spatial routing groups, and the spawn-safe replica payload;
+  into K spatial routing groups, one per worker process, and the
+  spawn-safe replica payload;
 * :mod:`repro.serving.worker` — the worker-process entry point: rebuild
-  the replica engine from the payload, serve each hosted group's
-  sub-batch over a pipe;
+  the replica engine from the payload, serve its group's sub-batch of
+  each batch over a pipe;
 * :mod:`repro.serving.protocol` — the pickle-framed messages and the
   numpy-packed result encoding that keeps IPC cheap;
 * :mod:`repro.serving.dispatcher` — :class:`ShardedEngine`: routes each
@@ -24,13 +25,12 @@ worker process, and serves them behind a scatter-gather dispatcher:
   (:class:`FaultPlan`, built on :mod:`repro.injection`) for reproducing
   every failure mode in tests.
 
-Accounting guarantee: each group runs serially as one cold window on a
-replica whose page geometry is identical to the full index, so its
-:class:`~repro.core.service.ShardReport` page reads and pool counters
-equal a fresh single-process engine running the same sub-requests —
-proven by ``tests/test_serving.py``'s equivalence oracle.  Its
-``page_writes`` can be lower: a worker's later group reuses the
-Con-Index entries an earlier group on the same replica already built.
+Accounting guarantee: each worker runs its one group's sub-batch as one
+cold window on a replica whose page geometry is identical to the full
+index, so its :class:`~repro.core.service.ShardReport` window equals a
+long-lived single-process client on a fresh replica running that
+group's sub-batches, batch after batch — proven by
+``tests/test_serving.py``'s equivalence oracle.
 """
 
 from repro.serving.dispatcher import (

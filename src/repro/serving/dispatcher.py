@@ -3,16 +3,19 @@
 :class:`ShardedEngine` is the multi-process counterpart of
 :meth:`repro.api.ReachabilityClient.run_batch`: it splits the road
 network into K routing groups once (construction), exports the engine
-once, spawns worker processes that each rebuild one full replica from
-that payload, and answers each batch by scattering every group's
-sub-requests to the worker hosting the group, running foreign-Δt
-requests locally, and gathering and merging the replies into one
-classic :class:`~repro.core.service.BatchReport`.
+once, spawns one worker process per group that rebuilds one full
+replica from that payload, and answers each batch by scattering every
+group's sub-requests to its worker, running foreign-Δt requests
+locally, and gathering and merging the replies into one classic
+:class:`~repro.core.service.BatchReport`.
 
 Routing: a request belongs to the group that **owns its start segment**
 (resolved in one vectorized pass by the ST-Index's
-:class:`~repro.network.locator.SegmentLocator` — no I/O).  Each group
-runs as one cold sub-batch window, so nearby requests share pool pages.
+:class:`~repro.network.locator.SegmentLocator` — no I/O).  A worker
+answers its group's sub-batch as one cold window and one lock-step run,
+so nearby requests share pool pages.  Groups and processes are one
+number: a worker hosting two groups would pay two cold windows and split
+more m-queries for no gain in parallelism.
 A cross-group m-query decomposes into per-group m-query parts whose
 union is, by the union semantics of multi-seed reachability, the same
 segment set the single-process engine computes; a one-location part
@@ -38,7 +41,7 @@ redispatch, not the batch.  Worker, degraded and foreign-Δt
 sub-batches all run through :func:`repro.serving.worker.run_sub_batch`,
 so every reply the merge sees has one shape.
 
-Accounting: a worker reports each group's exact
+Accounting: a worker reports its group's exact
 :class:`~repro.storage.disk.DiskStats` window; ``report.io`` is the sum
 of those windows plus the dispatcher-local fallback window (foreign-Δt
 *and* degraded sub-batches), so the sharded report aggregates
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 
@@ -120,7 +124,8 @@ class DispatchPlan:
 
     Attributes:
         per_shard: ``shard_id -> [(seq, part_idx, Request), ...]`` — the
-            sub-requests each group executes, in submission order.
+            sub-requests each group's worker executes, in submission
+            order.
         fallback: ``[(seq, Request), ...]`` answered dispatcher-locally
             (a foreign Δt).
         decomposed: ``seq -> start segment ids`` of the cross-group
@@ -144,7 +149,6 @@ class DispatchPlan:
 class _WorkerHandle:
     """One live worker process plus its pipe and incarnation number."""
 
-    worker_idx: int
     process: object
     conn: object
     incarnation: int = 0
@@ -155,28 +159,18 @@ class _Attempt:
     """One in-flight scatter to one worker."""
 
     request_id: int
-    shard_map: dict[int, list]
+    entries: list
     attempt: int  # 0 = initial dispatch, 1.. = retries
     deadline_at: float | None  # monotonic seconds, None = no deadline
 
 
 @dataclass
 class _FaultStats:
-    """Per-batch supervision counters, merged onto the report."""
+    """Per-batch supervision counters by worker, merged onto the report."""
 
-    worker_restarts: int = 0
-    retries: int = 0
+    restarts: Counter = field(default_factory=Counter)
+    retries: Counter = field(default_factory=Counter)
     stale_frames: int = 0
-    restarts_of: dict[int, int] = field(default_factory=dict)
-    retries_of: dict[int, int] = field(default_factory=dict)
-
-    def count_restart(self, worker_idx: int) -> None:
-        self.worker_restarts += 1
-        self.restarts_of[worker_idx] = self.restarts_of.get(worker_idx, 0) + 1
-
-    def count_retry(self, worker_idx: int) -> None:
-        self.retries += 1
-        self.retries_of[worker_idx] = self.retries_of.get(worker_idx, 0) + 1
 
 
 def _merge_regions(regions: list) -> BoundingRegion | None:
@@ -227,9 +221,9 @@ class ShardedEngine:
         target: the single-process service or engine to replicate.  Build
             it **fresh** (indexes built, no queries run) so the replicas'
             disk geometry matches a from-scratch engine.
-        shards: number K of spatial routing groups.
-        workers: worker-process count (default: one per group); worker
-            ``i`` hosts groups ``i, i+workers, ...`` on its one replica.
+        shards: number K of spatial routing groups, and of worker
+            processes: worker ``i`` hosts group ``i`` on its one replica
+            (at most one group per road segment).
         delta_t_s: index granularity the replicas serve (default: the
             service's).  Requests at any other Δt fall back.
         deadline_ms: per-scatter reply deadline; an attempt that exceeds
@@ -246,7 +240,6 @@ class ShardedEngine:
         self,
         target: QueryService | ReachabilityEngine,
         shards: int = 4,
-        workers: int | None = None,
         delta_t_s: int | None = None,
         deadline_ms: float | None = DEFAULT_DEADLINE_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
@@ -277,16 +270,10 @@ class ShardedEngine:
         # retained for the engine's whole lifetime, so a dead process is
         # replaceable at any point between or during batches.
         self._payload = export_shard_payload(self.engine, self.delta_t_s)
-        self.num_workers = min(
-            workers if workers is not None else self.plan.num_shards,
-            self.plan.num_shards,
-        )
-        if self.num_workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        validate_plan(fault_plan, self.num_workers)
+        validate_plan(fault_plan, self.plan.num_shards)
         self._ctx = multiprocessing.get_context("spawn")
         self._next_request_id = 0
-        for worker_idx in range(self.num_workers):
+        for worker_idx in range(self.plan.num_shards):
             self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
         # The replicas are a snapshot of the time lists too: after any
         # append they are stale, so the workers retire rather than answer
@@ -329,7 +316,7 @@ class ShardedEngine:
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(worker_idx, process, parent_conn, incarnation)
+        return _WorkerHandle(process, parent_conn, incarnation)
 
     def _retire_worker(self, handle: _WorkerHandle) -> None:
         """Tear one worker down without touching engine state."""
@@ -352,7 +339,7 @@ class ShardedEngine:
         self._retire_worker(old)
         handle = self._spawn_worker(worker_idx, old.incarnation + 1)
         self._workers[worker_idx] = handle
-        stats.count_restart(worker_idx)
+        stats.restarts[worker_idx] += 1
         return handle
 
     def _ensure_worker(
@@ -367,7 +354,7 @@ class ShardedEngine:
     def _dispatch_attempt(
         self,
         worker_idx: int,
-        shard_map: dict[int, list],
+        entries: list,
         attempt: int,
         warm: bool,
         outstanding: dict[int, _Attempt],
@@ -377,11 +364,7 @@ class ShardedEngine:
         handle = self._ensure_worker(worker_idx, stats)
         request_id = self._next_request_id
         self._next_request_id += 1
-        body = {
-            "version": PROTOCOL_VERSION,
-            "warm": warm,
-            "shards": shard_map,
-        }
+        body = {"version": PROTOCOL_VERSION, "warm": warm, "entries": entries}
         try:
             handle.conn.send((MSG_RUN, request_id, body))
         except (BrokenPipeError, OSError):
@@ -396,7 +379,7 @@ class ShardedEngine:
         )
         outstanding[worker_idx] = _Attempt(
             request_id=request_id,
-            shard_map=shard_map,
+            entries=entries,
             attempt=attempt,
             deadline_at=deadline_at,
         )
@@ -454,12 +437,12 @@ class ShardedEngine:
                 # answering is wedged; replace it so the *next* batch
                 # starts clean (its late frames die with the old pipe).
                 self._respawn_worker(worker_idx, stats)
-            degraded.update(sorted(failed.shard_map.items()))
+            degraded[worker_idx] = failed.entries
             return
-        stats.count_retry(worker_idx)
+        stats.retries[worker_idx] += 1
         time.sleep(RETRY_BACKOFF_S * (2 ** failed.attempt))
         self._dispatch_attempt(
-            worker_idx, failed.shard_map, failed.attempt + 1, warm,
+            worker_idx, failed.entries, failed.attempt + 1, warm,
             outstanding, stats,
         )
 
@@ -470,8 +453,8 @@ class ShardedEngine:
         stats: _FaultStats,
     ) -> tuple[dict[int, dict], dict[int, list]]:
         """Collect every attempt's reply, retrying/degrading as needed:
-        the group replies, and ``shard_id -> entries`` of the sub-batches
-        that exhausted their retries (in failure order)."""
+        ``shard_id -> reply body``, and ``shard_id -> entries`` of the
+        sub-batches that exhausted their retries (in failure order)."""
         replies: dict[int, dict] = {}
         degraded: dict[int, list] = {}
         while outstanding:
@@ -513,7 +496,7 @@ class ShardedEngine:
                         warm,
                     )
                 elif kind == MSG_OK:
-                    replies.update(body["shards"])
+                    replies[worker_idx] = body
                     outstanding.pop(worker_idx)
             # Deadline sweep: anything still outstanding past its
             # deadline is retried (same worker — a late frame is handled
@@ -637,34 +620,35 @@ class ShardedEngine:
         started = time.perf_counter()
         dispatch = self.plan_dispatch(requests)
 
-        # Scatter: one attempt per worker carrying all its groups'
-        # parts, each with a deadline and a fresh request id.
+        # Scatter: one attempt per group's worker, each with a deadline
+        # and a fresh request id.
         stats = _FaultStats()
-        jobs: dict[int, dict[int, list]] = {}
-        for shard_id, entries in dispatch.per_shard.items():
-            if entries:
-                worker_idx = shard_id % self.num_workers
-                jobs.setdefault(worker_idx, {})[shard_id] = entries
         outstanding: dict[int, _Attempt] = {}
-        for worker_idx in sorted(jobs):
-            self._dispatch_attempt(
-                worker_idx, jobs[worker_idx], 0, warm, outstanding, stats
-            )
-
-        # Plans and routing decisions are dispatcher-side bookkeeping,
-        # done after the scatter so the workers crunch while the parent
-        # annotates.
-        prepare_batch(self.service, requests, report)
-
-        # Foreign-Δt requests run locally while the workers crunch; their
-        # reply body joins the group replies under a non-group key.
         replies: dict[int, dict] = {}
-        if dispatch.fallback:
-            replies[_LOCAL_KEY] = run_sub_batch(
-                self.service,
-                [(seq, 0, request) for seq, request in dispatch.fallback],
-                warm,
-            )
+        try:
+            for shard_id, entries in dispatch.per_shard.items():
+                if entries:
+                    self._dispatch_attempt(
+                        shard_id, entries, 0, warm, outstanding, stats
+                    )
+            # Plans and routing decisions are dispatcher-side bookkeeping,
+            # done after the scatter so the workers crunch while the
+            # parent annotates.
+            prepare_batch(self.service, requests, report)
+            # Foreign-Δt requests run locally while the workers crunch;
+            # their reply body joins the group replies under a non-group
+            # key.
+            if dispatch.fallback:
+                replies[_LOCAL_KEY] = run_sub_batch(
+                    self.service,
+                    [(seq, 0, request) for seq, request in dispatch.fallback],
+                    warm,
+                )
+        except Exception:
+            # Drain what was scattered before the error propagates, so no
+            # reply is left in a pipe for the next batch to drop as stale.
+            self._gather(outstanding, warm, _FaultStats())
+            raise
 
         # Gather under supervision: deadlines, retries, respawns.
         gathered, degraded = self._gather(outstanding, warm, stats)
@@ -703,7 +687,6 @@ class ShardedEngine:
             report.regions_reused += body["regions_reused"]
             if shard_id == _LOCAL_KEY:
                 continue
-            worker_idx = shard_id % self.num_workers
             report.shard_reports.append(
                 ShardReport(
                     shard_id=shard_id,
@@ -712,14 +695,14 @@ class ShardedEngine:
                     simulated_io_ms=body["simulated_io_ms"],
                     wall_time_s=body["wall_time_s"],
                     worker_wall_s=body["worker_wall_s"],
-                    worker_restarts=stats.restarts_of.get(worker_idx, 0),
-                    retries=stats.retries_of.get(worker_idx, 0),
+                    worker_restarts=stats.restarts[shard_id],
+                    retries=stats.retries[shard_id],
                     degraded_requests=len(degraded.get(shard_id, ())),
                 )
             )
         report.degraded_requests = sum(map(len, degraded.values()))
-        report.worker_restarts = stats.worker_restarts
-        report.retries = stats.retries
+        report.worker_restarts = stats.restarts.total()
+        report.retries = stats.retries.total()
         report.stale_frames = stats.stale_frames
         report.wall_time_s = time.perf_counter() - started
         return report

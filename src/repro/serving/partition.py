@@ -2,11 +2,12 @@
 
 The partitioner splits the segment set into K *owned* sets by recursive
 kd-median bisection over segment midpoints (balanced counts, arbitrary K,
-fully deterministic).  An owned set is a **routing group**: the dispatcher
-sends a request to the group that owns its start segment, so nearby
-requests share one cold sub-batch window.  Every worker process holds the
-whole engine, so a group's replica also holds every segment it does not
-own (:attr:`ShardSpec.halo`).
+fully deterministic).  An owned set is a **routing group**, and each
+group is hosted by exactly one worker process: the dispatcher sends a
+request to the group that owns its start segment, so nearby requests
+share that worker's one cold sub-batch window per batch.  Every worker
+process holds the whole engine, so a group's replica also holds every
+segment it does not own (:attr:`ShardSpec.halo`).
 
 The replicated state is one :class:`ShardPayload`: the network (through
 the :mod:`repro.io.persist` dict format), the ST-Index directory in its

@@ -11,23 +11,28 @@ Dispatcher -> worker::
 
     ("run", request_id, {"version": PROTOCOL_VERSION,
                          "warm": bool,
-                         "shards": {shard_id: [(seq, part_idx, Request), ...]}})
+                         "entries": [(seq, part_idx, Request), ...]})
     ("shutdown",)
 
 Worker -> dispatcher::
 
     ("ok", request_id, {"version": PROTOCOL_VERSION,
-                        "shards": {shard_id: {
-                            "results": [(seq, part_idx, packed_result), ...],
-                            "io": DiskStats,
-                            "simulated_io_ms": float,
-                            "wall_time_s": float,
-                            "regions_computed": int,
-                            "regions_reused": int}}})
+                        "results": [(seq, part_idx, packed_result), ...],
+                        "io": DiskStats,
+                        "simulated_io_ms": float,
+                        "wall_time_s": float,
+                        "worker_wall_s": float,
+                        "regions_computed": int,
+                        "regions_reused": int})
     ("error", request_id, traceback_string)
 
+A worker hosts exactly one routing group, so a command carries that
+group's one entries list and a reply is that one sub-batch's body
+(protocol version 4; version 3 wrapped both in ``{shard_id: ...}``
+maps).
+
 ``seq`` is the request's position in the dispatcher's batch; ``part_idx``
-distinguishes the per-shard parts of a decomposed cross-shard m-query
+distinguishes the per-group parts of a decomposed cross-group m-query
 (``0`` for whole requests).  A reply's ``request_id`` echoes the command
 it answers (``-1`` when the worker could not even parse the command).
 
@@ -61,7 +66,7 @@ from repro.core.query import BoundingRegion, QueryResult
 #: Bumped whenever the frame layout changes; both sides verify it so a
 #: stale worker (or a dispatcher driving one) fails loudly instead of
 #: misreading pickled tuples.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 MSG_RUN = "run"
 MSG_SHUTDOWN = "shutdown"
@@ -108,8 +113,8 @@ def parse_command(frame: object) -> Tuple[str, int, Optional[Dict[str, Any]]]:
 def parse_reply(frame: object) -> Tuple[str, int, Any]:
     """Validate a worker->dispatcher frame.
 
-    Returns ``(kind, request_id, body)`` where ``body`` is the shard
-    reply map for ``MSG_OK`` and the traceback string for ``MSG_ERROR``.
+    Returns ``(kind, request_id, body)`` where ``body`` is the
+    sub-batch reply body for ``MSG_OK`` and the traceback string for ``MSG_ERROR``.
     Raises :class:`ProtocolError` on anything else.
     """
     if not isinstance(frame, tuple) or len(frame) != 3:
@@ -130,8 +135,8 @@ def parse_reply(frame: object) -> Tuple[str, int, Any]:
                 f"protocol version mismatch: worker speaks {version!r}, "
                 f"dispatcher speaks {PROTOCOL_VERSION}"
             )
-        if not isinstance(body.get("shards"), dict):
-            raise ProtocolError("ok body has no shard reply map")
+        if not isinstance(body.get("results"), list):
+            raise ProtocolError("ok body has no results list")
     elif kind == MSG_ERROR:
         if not isinstance(body, str):
             raise ProtocolError(

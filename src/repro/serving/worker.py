@@ -9,20 +9,21 @@ plus the network topology, so the worker builds it lazily exactly as a
 single-process engine would, and its disk appends land at the same page
 ids (the sparse disk preserved the parent's append tail).
 
-A ``("run", request_id, ...)`` message carries the sub-batch of every
-routing group the worker hosts (the dispatcher deals groups round-robin
-across workers); the replica answers each group with one ``run_batch``
-through its one long-lived :class:`~repro.core.service.QueryService`,
-built next to the engine — exactly as ``batch_hot``'s long-lived client
-serves its batches.  Its region cache outlives groups and batches; the
-buffer pools take each group's cold start (``warm=False`` invalidates
-pools, never regions), and a data change retires the whole worker, so a
-cached region is never stale.  Every engine runs one thread at a time,
-and the process fan-out is the parallelism.
+A worker hosts exactly one routing group.  A ``("run", request_id,
+...)`` message carries that group's sub-batch of the dispatcher's
+batch, and the replica answers it with one ``run_batch`` — one cold
+window, one lock-step run — through its one long-lived
+:class:`~repro.core.service.QueryService`, built next to the engine,
+exactly as ``batch_hot``'s long-lived client serves its batches.  Its
+region cache outlives batches; the buffer pools take each batch's cold
+start (``warm=False`` invalidates pools, never regions), and a data
+change retires the whole worker, so a cached region is never stale.
+Every engine runs one thread at a time, and the process fan-out is the
+parallelism.
 
 Failure semantics: every command is handled in per-message isolation —
 a malformed frame, a version mismatch, or an exception inside
-:func:`_serve_run` answers ``(MSG_ERROR, request_id, traceback)`` and the
+:func:`run_sub_batch` answers ``(MSG_ERROR, request_id, traceback)`` and the
 loop keeps serving.  The worker itself never initiates; only process
 death (observed by the dispatcher's supervisor as EOF on the pipe) takes
 it out of rotation.  A :class:`~repro.serving.faults.FaultPlan` threads
@@ -110,11 +111,11 @@ def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
 def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
     """Run ``[(seq, part_idx, Request)]`` as one batch on ``service``.
 
-    The one sub-batch runner: a worker calls it per hosted group, the
-    dispatcher for degraded group maps and for the foreign-Δt list, so
-    every reply the merge sees is this ``MSG_OK`` group body —
-    packed results plus the sub-batch's exact accounting window on the
-    service's engine.
+    The one sub-batch runner: a worker calls it once per batch for its
+    group, the dispatcher for a degraded group's entries and for the
+    foreign-Δt list, so every reply the merge sees is this ``MSG_OK``
+    body — packed results plus the sub-batch's exact accounting window
+    on the service's engine.
     """
     started = perf_counter()
     with ReachabilityClient(service) as client:
@@ -137,16 +138,6 @@ def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:
     }
 
 
-def _serve_run(service: QueryService, body: dict) -> dict:
-    # One service for every group of every batch, like a long-lived
-    # single-process client: regions are reused across groups and
-    # batches, and `warm` governs only the engine's buffer pools.
-    return {
-        shard_id: run_sub_batch(service, entries, body["warm"])
-        for shard_id, entries in body["shards"].items()
-    }
-
-
 def shard_worker_main(
     conn,
     payload: ShardPayload,
@@ -158,7 +149,7 @@ def shard_worker_main(
 
     Args:
         conn: the worker's end of the dispatcher pipe.
-        payload: the replica to rebuild and serve every group from.
+        payload: the replica to rebuild and serve the group from.
         worker_idx: this worker's index (fault targeting + diagnostics).
         incarnation: 0 for the originally spawned process, +1 per
             supervisor respawn; fault specs select on it.
@@ -210,8 +201,10 @@ def shard_worker_main(
         try:
             if RAISE_IN_SERVE in faults:
                 raise FaultInjected("injected failure while serving a run")
-            shards = _serve_run(service, body)
-            reply_body = {"version": PROTOCOL_VERSION, "shards": shards}
+            reply_body = {
+                "version": PROTOCOL_VERSION,
+                **run_sub_batch(service, body["entries"], body["warm"]),
+            }
             if DROP_FRAME in faults:
                 continue
             if CORRUPT_FRAME in faults:

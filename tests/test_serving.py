@@ -5,8 +5,7 @@ and prove the serving guarantees: identical results to the
 single-process engine on a randomized fig-4.8-style workload, and
 *exact* I/O aggregation — per-group DiskStats windows sum to the batch
 window, and each group's window equals a fresh single-process engine
-running that group's exact sub-requests (up to ``page_writes`` when a
-worker's replica runs more than one group).
+running that group's exact sub-requests.
 """
 
 from __future__ import annotations
@@ -361,79 +360,72 @@ def test_shard_windows_match_single_process_oracle(test_dataset):
 
 
 @pytest.mark.sharded
-def test_more_groups_than_workers_share_one_replica(test_dataset, monkeypatch):
-    """The benchmark's serving shape: four routing groups on two workers,
-    so worker ``i`` runs groups ``i`` and ``i + 2`` on one replica.
-
-    Each group is still one cold window: its page reads and pool
-    counters equal a fresh single-process engine running that group's
-    sub-list.  Only ``page_writes`` may fall for a worker's second group,
-    because it reuses the Con-Index entries its first group built on the
-    same replica instead of building them again.
-    """
+def test_each_group_is_one_worker_process_with_one_window(test_dataset, monkeypatch):
+    """``shards=K`` spawns K processes; worker ``i`` receives one attempt
+    per batch carrying exactly group ``i``'s entries, and the report has
+    one window per group, ``shard_id`` 0..K-1, summing to ``report.io``."""
     requests = mixed_requests(test_dataset.network)
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
         requests
     )
-    scattered: dict[int, list[int]] = {}
+    scattered: dict[int, list] = {}
     with ShardedEngine(
-        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+        QueryService(fresh_engine(test_dataset)), shards=3
     ) as sharded:
+        assert sharded.plan.num_shards == 3
+        assert sorted(sharded._workers) == [0, 1, 2]
+        assert len({h.process.pid for h in sharded._workers.values()}) == 3
         dispatch_attempt = sharded._dispatch_attempt
 
-        def recording(worker_idx, shard_map, *args):
-            scattered[worker_idx] = list(shard_map)
-            return dispatch_attempt(worker_idx, shard_map, *args)
+        def recording(worker_idx, entries, *args):
+            assert worker_idx not in scattered  # one attempt per worker
+            scattered[worker_idx] = entries
+            return dispatch_attempt(worker_idx, entries, *args)
 
         monkeypatch.setattr(sharded, "_dispatch_attempt", recording)
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
 
-    assert scattered == {0: [0, 2], 1: [1, 3]}
+    assert scattered == dispatch.per_shard
+    assert [s.shard_id for s in report.shard_reports] == [0, 1, 2]
+    assert [s.queries for s in report.shard_reports] == [
+        len(dispatch.per_shard[shard_id]) for shard_id in range(3)
+    ]
+    assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
     decomposed = set(dispatch.decomposed)
     for seq, (expected, actual) in enumerate(
         zip(baseline.results, report.results)
     ):
         assert actual.segments == expected.segments
-        assert actual.start_segments == expected.start_segments
         if seq not in decomposed:
             assert actual.probabilities == expected.probabilities
 
-    assert not dispatch.fallback
-    assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
-    assert [s.shard_id for s in report.shard_reports] == [0, 1, 2, 3]
-    fewer_writes = []
-    for shard_report in report.shard_reports:
-        sub_requests = [
-            request
-            for _, _, request in dispatch.per_shard[shard_report.shard_id]
-        ]
-        with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
-            want = oracle.run_batch(sub_requests).io
-        got = shard_report.io
-        assert got.page_reads == want.page_reads
-        assert got.bytes_read == want.bytes_read
-        assert (got.pool_hits, got.pool_misses, got.pool_evictions) == (
-            want.pool_hits, want.pool_misses, want.pool_evictions
-        )
-        if shard_report.shard_id < 2:  # the worker's first group
-            assert got == want
-        else:
-            assert got.page_writes <= want.page_writes
-            fewer_writes.append(got.page_writes < want.page_writes)
-    assert any(fewer_writes)  # the reuse is real on this workload
+
+@pytest.mark.sharded
+def test_client_shard_workers_caps_the_group_count(test_dataset):
+    """The benchmark's serving shape: ``shards=4`` on two workers is two
+    groups on two processes, not four groups dealt onto two."""
+    requests = mixed_requests(test_dataset.network, 6, 2)
+    with ReachabilityClient(
+        fresh_engine(test_dataset), backend="sharded", shards=4,
+        shard_workers=2,
+    ) as client:
+        report = client.run_batch(requests)
+        sharded = client._sharded
+        assert sharded.plan.num_shards == 2
+        assert sorted(sharded._workers) == [0, 1]
+    assert [s.shard_id for s in report.shard_reports] == [0, 1]
 
 
 @pytest.mark.sharded
-def test_replica_serves_every_batch_through_one_long_lived_service(test_dataset):
-    """The benchmark's serving shape, two batches: a worker answers every
-    group of every batch through one service, as one long-lived client
-    would.  The repeated batch computes no region, and each group's
-    window equals one long-lived client on a fresh replica running that
-    worker's group sub-batches in dispatch order, batch after batch."""
+def test_worker_window_equals_a_long_lived_replica_client(test_dataset):
+    """Two batches: a worker answers its group's sub-batch of every batch
+    through one long-lived service.  The repeated batch computes no
+    region, and each window equals one long-lived client on a fresh
+    replica running that worker's sub-batch, batch after batch."""
     requests = mixed_requests(test_dataset.network)
     with ShardedEngine(
-        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+        QueryService(fresh_engine(test_dataset)), shards=2
     ) as sharded:
         dispatch = sharded.plan_dispatch(requests)
         reports = [sharded.run_batch(requests) for _ in range(2)]
@@ -445,21 +437,60 @@ def test_replica_serves_every_batch_through_one_long_lived_service(test_dataset)
         assert again.probabilities == first.probabilities
 
     payload = export_shard_payload(fresh_engine(test_dataset), 300)
-    for worker_idx in range(2):
-        groups = [
-            shard_id
-            for shard_id, entries in dispatch.per_shard.items()
-            if entries and shard_id % 2 == worker_idx
-        ]
-        assert len(groups) == 2
+    for shard_id in range(2):
+        sub_batch = [r for _, _, r in dispatch.per_shard[shard_id]]
+        assert sub_batch
         replica = QueryService(build_shard_engine(payload), delta_t_s=300)
         with ReachabilityClient(replica) as oracle:
             for report in reports:
-                window_of = {s.shard_id: s.io for s in report.shard_reports}
-                for shard_id in groups:
-                    sub_batch = [r for _, _, r in dispatch.per_shard[shard_id]]
-                    assert window_of[shard_id] == oracle.run_batch(sub_batch).io
+                (window,) = [
+                    s.io for s in report.shard_reports if s.shard_id == shard_id
+                ]
+                assert window == oracle.run_batch(sub_batch).io
+    for report in reports:
+        assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
 
+
+def test_shards_below_one_raise_before_export_or_spawn(test_dataset, monkeypatch):
+    from repro.serving import dispatcher
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exported or spawned for an invalid shard count")
+
+    monkeypatch.setattr(dispatcher, "export_shard_payload", forbidden)
+    monkeypatch.setattr(ShardedEngine, "_spawn_worker", forbidden)
+    for shards in (0, -2):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ShardedEngine(fresh_engine(test_dataset), shards=shards)
+
+
+@pytest.mark.sharded
+def test_a_batch_that_fails_planning_leaves_no_frame_behind(test_dataset):
+    """Planning runs in the parent after the scatter.  When it raises, the
+    scattered attempts are drained first, so the next batch finds clean
+    pipes: no stale frame, retry or restart, and single-process answers."""
+    workload = QueryWorkload(test_dataset.network, seed=23)
+    valid = [
+        Request(query)
+        for query in workload.s_queries(3, start_time_s=9 * 3600)
+    ]
+    invalid = Request(
+        valid[0].query, QueryOptions(algorithm="mqmb_tbs")
+    )
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(valid)
+    with ShardedEngine(
+        QueryService(fresh_engine(test_dataset)), shards=2
+    ) as sharded:
+        sharded.run_batch(valid)
+        with pytest.raises(ValueError, match="unknown s-query algorithm"):
+            sharded.run_batch(valid + [invalid])
+        report = sharded.run_batch(valid)
+    assert (report.stale_frames, report.retries, report.worker_restarts) == (
+        0, 0, 0,
+    )
+    for expected, actual in zip(baseline.results, report.results):
+        assert actual.segments == expected.segments
+        assert actual.probabilities == expected.probabilities
 
 @pytest.mark.sharded
 def test_one_location_parts_ship_as_lockstep_s_queries(test_dataset, monkeypatch):
@@ -482,7 +513,7 @@ def test_one_location_parts_ship_as_lockstep_s_queries(test_dataset, monkeypatch
 
     monkeypatch.setattr(dispatcher, "_merge_decomposed", recording)
     with ShardedEngine(
-        QueryService(fresh_engine(test_dataset)), shards=4, workers=2
+        QueryService(fresh_engine(test_dataset)), shards=2
     ) as sharded:
         dispatch = sharded.plan_dispatch(requests)
         report = sharded.run_batch(requests)
@@ -641,7 +672,8 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
     answer the same entries with the same body: same keys, same unpacked
     results, same accounting window."""
     from repro.serving import dispatcher
-    from repro.serving.worker import _serve_run, build_shard_engine, run_sub_batch
+    from repro.serving.protocol import MSG_RUN, MSG_SHUTDOWN, PROTOCOL_VERSION
+    from repro.serving.worker import run_sub_batch, shard_worker_main
 
     requests = mixed_requests(test_dataset.network, 4, 1)
     if path == "fallback":
@@ -658,14 +690,11 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
 
     monkeypatch.setattr(dispatcher, "run_sub_batch", recording)
     if path == "worker":
-        replica = QueryService(
-            build_shard_engine(
-                export_shard_payload(fresh_engine(test_dataset), 300)
-            ),
-            delta_t_s=300,
-        )
-        message = {"warm": False, "shards": {0: entries}}
-        body = _serve_run(replica, message)[0]
+        command = {"version": PROTOCOL_VERSION, "warm": False, "entries": entries}
+        conn = _ScriptedConn([(MSG_RUN, 0, command), (MSG_SHUTDOWN,)])
+        shard_worker_main(conn, export_shard_payload(fresh_engine(test_dataset), 300))
+        ((_, _, body),) = conn.sent
+        assert body.pop("version") == PROTOCOL_VERSION
     else:
         how = (
             dict(
@@ -770,8 +799,8 @@ class TestProtocolErrorPaths:
         assert "version" in conn.sent[1][2]
 
     def test_failing_run_replies_error_with_traceback(self, replica_payload):
-        # A MSG_RUN whose group entries are not (seq, part, request)
-        # triples fails inside _serve_run; the reply must carry the
+        # A MSG_RUN whose entries are not (seq, part, request) triples
+        # fails inside run_sub_batch; the reply must carry the
         # traceback, and the loop must stay alive for the next frame.
         from repro.serving.protocol import (
             MSG_ERROR,
@@ -789,7 +818,7 @@ class TestProtocolErrorPaths:
                     {
                         "version": PROTOCOL_VERSION,
                         "warm": False,
-                        "shards": {0: [("not", "a triple")]},
+                        "entries": [("not", "a triple")],
                     },
                 ),
                 (MSG_SHUTDOWN,),
@@ -801,6 +830,26 @@ class TestProtocolErrorPaths:
         assert kind == MSG_ERROR
         assert request_id == 3
         assert "Traceback" in body and "ValueError" in body
+
+    def test_version_3_frames_are_refused(self):
+        # Version 3 wrapped the entries and the reply in {shard_id: ...}
+        # maps; neither side half-reads such a frame.
+        from repro.serving.protocol import (
+            MSG_OK,
+            MSG_RUN,
+            PROTOCOL_VERSION,
+            ProtocolError,
+            parse_command,
+            parse_reply,
+        )
+
+        assert PROTOCOL_VERSION == 4
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            parse_command((MSG_RUN, 1, {"version": 3, "warm": False, "shards": {0: []}}))
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            parse_reply((MSG_OK, 1, {"version": 3, "shards": {0: {}}}))
+        with pytest.raises(ProtocolError, match="no results list"):
+            parse_reply((MSG_OK, 1, {"version": 4, "shards": {0: {}}}))
 
     def test_pipe_eof_exits_worker_loop_cleanly(self, replica_payload):
         from repro.serving.worker import shard_worker_main
