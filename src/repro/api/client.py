@@ -102,7 +102,8 @@ class ReachabilityClient:
             one sub-batch window on its worker's replica.
         shard_workers: a cap on that number (default ``None`` = no cap):
             the sharded backend runs ``min(shards, shard_workers)``
-            groups on as many processes.
+            groups on as many processes.  Answers do not depend on the
+            group count.
         deadline_ms: per-scatter reply deadline for the sharded backend
             (default ``None`` = the engine's default; pass through to
             :class:`~repro.serving.ShardedEngine`).

@@ -9,7 +9,7 @@ Subcommands::
     python -m repro mquery  --dataset DIR --location 0,0 --location 3000,2000 ...
     python -m repro rquery  --dataset DIR --x 0 --y 0 ...
     python -m repro batch   --dataset DIR --s-queries 20 --m-queries 5 \
-                            --r-queries 2 [--shards K --workers N]
+                            --r-queries 2 [--shards K]
     python -m repro save    --dataset DIR --store STORE
     python -m repro open    --store STORE [--x 0 --y 0 ...]
     python -m repro batch   --open STORE --s-queries 20 ...
@@ -113,7 +113,6 @@ class CLIError(Exception):
 def _load_client(
     dataset_dir: str,
     shards: int = 0,
-    workers: int | None = None,
     deadline_ms: float | None = None,
     max_retries: int | None = None,
     disk: str = "sim",
@@ -141,7 +140,6 @@ def _load_client(
             engine,
             backend="sharded",
             shards=shards,
-            shard_workers=workers,
             deadline_ms=deadline_ms,
             max_retries=max_retries,
         )
@@ -337,7 +335,6 @@ def cmd_batch(args) -> int:
             dict(
                 backend="sharded",
                 shards=args.shards,
-                shard_workers=args.workers,
                 deadline_ms=args.deadline_ms,
                 max_retries=args.max_retries,
             )
@@ -355,7 +352,6 @@ def cmd_batch(args) -> int:
         dataset, client = _load_client(
             args.dataset,
             shards=args.shards,
-            workers=args.workers,
             deadline_ms=args.deadline_ms,
             max_retries=args.max_retries,
         )
@@ -435,10 +431,9 @@ def cmd_batch(args) -> int:
                     if args.max_retries is not None
                     else DEFAULT_MAX_RETRIES
                 )
-                groups = min(args.shards, args.workers or args.shards)
                 print(
-                    f"backend: sharded ({groups} shards, "
-                    f"{groups} worker processes; "
+                    f"backend: sharded ({args.shards} shards, one worker "
+                    "process each; "
                     f"deadline {deadline:.0f} ms, max {retries} retries, "
                     "degraded sub-batches fall back locally)"
                 )
@@ -570,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force this algorithm for the kinds that "
                             "register it; other requests stay auto-routed "
                             "(default: auto)")
-    batch.add_argument("--workers", type=int, default=None,
-                       help="with --shards: a cap on the shard count, "
-                            "since each shard is one worker process "
-                            "holding a full engine replica (default: "
-                            "no cap)")
     batch.add_argument("--shards", type=int, default=0,
                        help="spatial routing groups, one replica worker "
                             "process each (default 0 = single-process); "

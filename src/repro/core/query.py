@@ -146,7 +146,7 @@ class QueryCost:
     @classmethod
     def merged(cls, costs: Iterable["QueryCost"]) -> "QueryCost":
         """The combined cost of several executions (batch totals, the
-        per-shard parts of a decomposed m-query); ``QueryCost()`` for none."""
+        per-location parts of a sharded ``*_each`` m-query); ``QueryCost()`` for none."""
         rules = [(spec.name, spec.metadata.get("merge", add)) for spec in fields(cls)]
         total = cls()
         for cost in costs:

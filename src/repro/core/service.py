@@ -44,8 +44,8 @@ class ShardReport:
     Attributes:
         shard_id: the group's index in the partition plan, and the
             index of the one worker process that runs it.
-        queries: sub-requests the group's window executed (a decomposed
-            cross-group m-query counts once per involved group).
+        queries: sub-requests the group's window executed (a cross-group
+            ``*_each`` m-query counts once per location the group owns).
         io: the disk-stat difference of the group's sub-batch.
         simulated_io_ms: accounted cost of the group's page reads.
         wall_time_s: wall time of the group's sub-batch inside its worker.

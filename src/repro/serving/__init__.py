@@ -16,8 +16,9 @@ worker process, and serves them behind a scatter-gather dispatcher:
 * :mod:`repro.serving.protocol` — the pickle-framed messages and the
   numpy-packed result encoding that keeps IPC cheap;
 * :mod:`repro.serving.dispatcher` — :class:`ShardedEngine`: routes each
-  request to the group owning its start segment, decomposes cross-group
-  m-queries, merges results, and aggregates per-group
+  request to the group owning its start segment, splits a cross-group
+  ``*_each`` m-query into per-location s-queries and merges them back,
+  and aggregates per-group
   :class:`~repro.storage.disk.DiskStats` exactly — under a supervisor
   that respawns dead workers, retries timed-out scatters with backoff,
   and degrades exhausted sub-batches to the local fallback service;
@@ -30,7 +31,9 @@ cold window on a replica whose page geometry is identical to the full
 index, so its :class:`~repro.core.service.ShardReport` window equals a
 long-lived single-process client on a fresh replica running that
 group's sub-batches, batch after batch — proven by
-``tests/test_serving.py``'s equivalence oracle.
+``tests/test_serving.py``'s equivalence oracle.  Answers equal the
+single-process engine's in full (segments, computed probabilities,
+bounding regions) for every group count.
 """
 
 from repro.serving.dispatcher import (

@@ -14,15 +14,19 @@ Routing: a request belongs to the group that **owns its start segment**
 :class:`~repro.network.locator.SegmentLocator` — no I/O).  A worker
 answers its group's sub-batch as one cold window and one lock-step run,
 so nearby requests share pool pages.  Groups and processes are one
-number: a worker hosting two groups would pay two cold windows and split
-more m-queries for no gain in parallelism.
-A cross-group m-query decomposes into per-group m-query parts whose
-union is, by the union semantics of multi-seed reachability, the same
-segment set the single-process engine computes; a one-location part
-ships as the one s-query its ``sqmb_tbs_each`` route runs, so it joins
-its group's lock-step run.  A replica holds the
-ST-Index at one Δt, so a request at any other Δt falls back to the
-dispatcher's own single-process service.
+number: a worker hosting two groups would pay two cold windows for no
+gain in parallelism.
+An m-query whose locations lie in several groups is split only where
+the split is exact: a ``*_each`` route (``sqmb_tbs_each`` / ``es_each``)
+answers as one independent s-query per distinct location, so each
+location ships to its own group's worker as that s-query (joining its
+lock-step run) and the merge replays the route's union.  Any other
+m-query runs whole on the worker owning most of its locations: MQMB's
+unified search attributes each segment to its nearest seed, so parts
+would report other probabilities.  Sharded answers therefore equal the
+single-process engine's on every layout.  A replica holds the ST-Index
+at one Δt, so a request at any other Δt falls back to the dispatcher's
+own single-process service.
 
 Failure semantics (the supervisor): the dispatcher retains the one
 spawn payload, so a worker is a *replaceable* process.  Each scatter is
@@ -63,11 +67,11 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 
 from repro.api.client import prepare_batch, resolve_delta_t
-from repro.api.envelope import QueryOptions, Request, as_request
-from repro.api.router import ES_FAMILY, ROUTER
+from repro.api.envelope import Request, as_request
+from repro.api.router import ROUTER
 from repro.core.engine import ReachabilityEngine
 from repro.core.planner import plan_query  # noqa: F401 - resolved by name from outside (docs/architecture.md)
-from repro.core.query import BoundingRegion, MQuery, QueryCost, QueryResult
+from repro.core.query import MQuery, QueryCost, QueryResult
 from repro.core.service import (
     BatchReport,
     QueryService,
@@ -104,6 +108,11 @@ DEFAULT_MAX_RETRIES = 2
 #: are non-negative, so it never collides with one.
 _LOCAL_KEY = -1
 
+#: The m-query routes answered as one independent s-query per distinct
+#: location, and that s-query's algorithm: the only m-queries whose
+#: per-group parts merge back to the single-process answer.
+_EACH_PART = {"sqmb_tbs_each": "sqmb_tbs", "es_each": "es"}
+
 #: Base for exponential retry backoff (seconds); attempt ``n`` sleeps
 #: ``RETRY_BACKOFF_S * 2**(n-1)`` before redispatching.  Only the failure
 #: path ever sleeps.
@@ -128,17 +137,15 @@ class DispatchPlan:
             order.
         fallback: ``[(seq, Request), ...]`` answered dispatcher-locally
             (a foreign Δt).
-        decomposed: ``seq -> start segment ids`` of the cross-group
-            m-queries whose per-group parts need merging, one per
-            location in query order (the routing pass already resolved
-            them; the merge reuses them instead of resolving again).
+        decomposed: the ``seq`` of every cross-group ``*_each`` m-query,
+            shipped as per-location s-query parts that need merging.
     """
 
     per_shard: dict[int, list[tuple[int, int, Request]]] = field(
         default_factory=dict
     )
     fallback: list[tuple[int, Request]] = field(default_factory=list)
-    decomposed: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    decomposed: set[int] = field(default_factory=set)
 
     @property
     def num_sub_requests(self) -> int:
@@ -173,43 +180,18 @@ class _FaultStats:
     stale_frames: int = 0
 
 
-def _merge_regions(regions: list) -> BoundingRegion | None:
-    """Union the parts' regions; ``seed_of`` keeps the first part's claim."""
-    if any(region is None for region in regions):
-        return None
-    seed_of: dict[int, int] = {}
-    for region in reversed(regions):
-        seed_of.update(region.seed_of)
-    return BoundingRegion(
-        cover=set().union(*(region.cover for region in regions)),
-        boundary=set().union(*(region.boundary for region in regions)),
-        seed_of=seed_of,
-    )
-
-
-def _merge_decomposed(
-    starts: tuple[int, ...], results: list[QueryResult]
-) -> QueryResult:
-    """Union the per-group parts of a decomposed m-query.
-
-    Segments union exactly (multi-seed reachability is a union over
-    seeds).  Probabilities max-merge: TBS only *computes* shell
-    probabilities, so a segment examined by two parts keeps the
-    larger (more-informed) value.  ``start_segments`` dedups the
-    routing pass's per-location start segments in query-location
-    order, so ordering matches the single-process result (routing
-    and ``find_start_segment`` share one exact resolver).  Regions
-    union too (:func:`_merge_regions`), when every part has them.
-    """
+def _merge_parts(results: list[QueryResult]) -> QueryResult:
+    """Union the per-location parts of a decomposed ``*_each`` m-query as
+    :func:`~repro.core.executors.sqmb_tbs.execute_each` unions them: a
+    later location's probability overwrites an earlier one's, start
+    segments dedup in location order, and no bounding region survives."""
     merged = QueryResult()
+    starts: list[int] = []
     for result in results:
         merged.segments |= result.segments
-        for segment_id, prob in result.probabilities.items():
-            if prob > merged.probabilities.get(segment_id, -1.0):
-                merged.probabilities[segment_id] = prob
+        merged.probabilities.update(result.probabilities)
+        starts.extend(result.start_segments)
     merged.start_segments = tuple(dict.fromkeys(starts))
-    merged.max_region = _merge_regions([r.max_region for r in results])
-    merged.min_region = _merge_regions([r.min_region for r in results])
     merged.cost = QueryCost.merged(r.cost for r in results)
     return merged
 
@@ -543,46 +525,25 @@ class ShardedEngine:
                 continue
             first, count = span
             owners = owner_flat[first : first + count]
-            query = request.query
-            if isinstance(query, MQuery) and len(set(owners)) > 1:
-                dispatch.decomposed[seq] = tuple(
-                    int(sid) for sid in starts[first : first + count]
+            part_algorithm = None
+            if len(set(owners)) > 1:
+                part_algorithm = _EACH_PART.get(
+                    ROUTER.route(request, self.delta_t_s).algorithm
                 )
-                groups: dict[int, list] = {}
-                for owner, location in zip(owners, query.locations):
-                    groups.setdefault(owner, []).append(location)
-                # Parts of a request on an exhaustive route keep it: routed
-                # by its own shape, a one-location part would take the
-                # bounded route, whose answer differs.
-                options = request.options
-                algorithm = ROUTER.route(request, self.delta_t_s).algorithm
-                if algorithm in ES_FAMILY:
-                    options = replace(options, algorithm=algorithm)
-                for part_idx, (owner, locations) in enumerate(groups.items()):
-                    part = replace(query, locations=tuple(locations))
-                    dispatch.per_shard[owner].append(
-                        (seq, part_idx, self._part_request(part, options))
-                    )
+            if part_algorithm is None:
+                # Whole, on the group owning most of its locations (the
+                # first such on a tie): its window holds most of its pages.
+                owner = max(owners, key=owners.count)
+                dispatch.per_shard[owner].append((seq, 0, request))
                 continue
-            dispatch.per_shard[owners[0]].append((seq, 0, request))
+            dispatch.decomposed.add(seq)
+            options = replace(request.options, algorithm=part_algorithm)
+            parts = dict.fromkeys(zip(request.query.as_s_queries(), owners))
+            for part_idx, (part, owner) in enumerate(parts):
+                dispatch.per_shard[owner].append(
+                    (seq, part_idx, Request(part, options))
+                )
         return dispatch
-
-    def _part_request(self, part: MQuery, options: QueryOptions) -> Request:
-        """A one-location part routed to ``sqmb_tbs_each`` ships as the one
-        ``sqmb_tbs`` s-query that route runs (same answer and cost), so it
-        joins its group's lock-step run.  Other parts ship as they are: a
-        multi-location ``*_each`` part keeps its last, not its largest,
-        probability per segment."""
-        request = Request(part, options)
-        if (
-            len(set(part.locations)) == 1
-            and ROUTER.route(request, self.delta_t_s).algorithm
-            == "sqmb_tbs_each"
-        ):
-            return Request(
-                part.as_s_queries()[0], replace(options, algorithm="sqmb_tbs")
-            )
-        return request
 
     # -- execution ---------------------------------------------------------
 
@@ -619,36 +580,36 @@ class ShardedEngine:
             return report
         started = time.perf_counter()
         dispatch = self.plan_dispatch(requests)
+        # Plans and routing decisions are dispatcher-side bookkeeping.  A
+        # request that cannot be planned raises here, before anything is
+        # scattered, so no reply can be left in a pipe.
+        prepare_batch(self.service, requests, report)
 
         # Scatter: one attempt per group's worker, each with a deadline
         # and a fresh request id.
         stats = _FaultStats()
         outstanding: dict[int, _Attempt] = {}
         replies: dict[int, dict] = {}
-        try:
-            for shard_id, entries in dispatch.per_shard.items():
-                if entries:
-                    self._dispatch_attempt(
-                        shard_id, entries, 0, warm, outstanding, stats
-                    )
-            # Plans and routing decisions are dispatcher-side bookkeeping,
-            # done after the scatter so the workers crunch while the
-            # parent annotates.
-            prepare_batch(self.service, requests, report)
-            # Foreign-Δt requests run locally while the workers crunch;
-            # their reply body joins the group replies under a non-group
-            # key.
-            if dispatch.fallback:
+        for shard_id, entries in dispatch.per_shard.items():
+            if entries:
+                self._dispatch_attempt(
+                    shard_id, entries, 0, warm, outstanding, stats
+                )
+        # Foreign-Δt requests run locally while the workers crunch; their
+        # reply body joins the group replies under a non-group key.
+        if dispatch.fallback:
+            try:
                 replies[_LOCAL_KEY] = run_sub_batch(
                     self.service,
                     [(seq, 0, request) for seq, request in dispatch.fallback],
                     warm,
                 )
-        except Exception:
-            # Drain what was scattered before the error propagates, so no
-            # reply is left in a pipe for the next batch to drop as stale.
-            self._gather(outstanding, warm, _FaultStats())
-            raise
+            except Exception:
+                # The workers still crunching for this batch are replaced:
+                # their replies die with the old pipes.
+                for worker_idx in outstanding:
+                    self._respawn_worker(worker_idx, stats)
+                raise
 
         # Gather under supervision: deadlines, retries, respawns.
         gathered, degraded = self._gather(outstanding, warm, stats)
@@ -672,9 +633,7 @@ class ShardedEngine:
             pieces.sort(key=lambda item: item[0])
             results = [result for _, result in pieces]
             if seq in dispatch.decomposed:
-                results_by_seq[seq] = _merge_decomposed(
-                    dispatch.decomposed[seq], results
-                )
+                results_by_seq[seq] = _merge_parts(results)
             else:
                 results_by_seq[seq] = results[0]
 

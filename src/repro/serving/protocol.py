@@ -32,8 +32,8 @@ group's one entries list and a reply is that one sub-batch's body
 maps).
 
 ``seq`` is the request's position in the dispatcher's batch; ``part_idx``
-distinguishes the per-group parts of a decomposed cross-group m-query
-(``0`` for whole requests).  A reply's ``request_id`` echoes the command
+numbers the per-location s-query parts of a cross-group ``*_each``
+m-query (``0`` for whole requests).  A reply's ``request_id`` echoes the command
 it answers (``-1`` when the worker could not even parse the command).
 
 :func:`parse_command` and :func:`parse_reply` are the validation

@@ -225,13 +225,13 @@ class TestCLI:
     def test_batch_sharded_explain_and_fault_row(self, dataset_dir, capsys):
         code = main([
             "batch", "--dataset", dataset_dir,
-            "--shards", "2", "--workers", "2",
+            "--shards", "2",
             "--deadline-ms", "5000", "--max-retries", "1", "--explain",
-            "--s-queries", "2", "--m-queries", "1", "--r-queries", "0",
+            "--s-queries", "6", "--m-queries", "1", "--r-queries", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend: sharded (2 shards, 2 worker processes" in out
+        assert "backend: sharded (2 shards, one worker process each" in out
         assert "deadline 5000 ms, max 1 retries" in out
         assert "route " in out  # the routing-decision histogram
         assert "Fault tolerance" in out
@@ -251,13 +251,11 @@ class TestCLI:
         assert " r/sqmb_tbs " in out
         assert " m/mqmb_tbs " in out  # auto: sqmb_tbs has no m executor
 
-    def test_batch_workers_without_shards_streams_in_process(
-        self, dataset_dir, capsys
-    ):
-        """Without --shards, --workers starts no process and no thread:
-        the batch streams in-process, one progress line per request."""
+    def test_batch_without_shards_streams_in_process(self, dataset_dir, capsys):
+        """Without --shards the batch starts no process and no thread: it
+        streams in-process, one progress line per request."""
         code = main([
-            "batch", "--dataset", dataset_dir, "--workers", "3", "--explain",
+            "batch", "--dataset", dataset_dir, "--explain",
             "--s-queries", "2", "--m-queries", "1", "--r-queries", "0",
         ])
         assert code == 0

@@ -1,8 +1,9 @@
 """Sharded serving: routing groups, lifecycle, accounting, equivalence.
 
 The equivalence tests (marked ``sharded``) spawn real worker processes
-and prove the serving guarantees: identical results to the
-single-process engine on a randomized fig-4.8-style workload, and
+and prove the serving guarantees: results identical in full to the
+single-process engine's on a randomized fig-4.8-style workload, for any
+group count, and
 *exact* I/O aggregation — per-group DiskStats windows sum to the batch
 window, and each group's window equals a fresh single-process engine
 running that group's exact sub-requests.
@@ -30,7 +31,7 @@ from repro.serving import (
     ShardedEngineClosedError,
     partition_network,
 )
-from repro.serving.dispatcher import _merge_decomposed
+from repro.serving.dispatcher import _merge_parts
 from repro.serving.faults import KILL_IN_RUN
 from repro.serving.partition import export_shard_payload
 from repro.serving.worker import build_shard_engine
@@ -66,6 +67,30 @@ def mixed_requests(network, num_s: int = 12, num_m: int = 4, seed: int = 17):
         )
     ]
     return requests
+
+
+def assert_identical(baseline, report):
+    """Every result equals the single-process one in full."""
+    assert len(report.results) == len(baseline.results)
+    for expected, actual in zip(baseline.results, report.results):
+        assert actual.segments == expected.segments
+        assert actual.start_segments == expected.start_segments
+        assert actual.probabilities == expected.probabilities
+        assert actual.max_region == expected.max_region
+        assert actual.min_region == expected.min_region
+
+
+def cross_group_m_queries(sharded, requests) -> set[int]:
+    """The ``seq`` of every m-query whose locations lie in several groups."""
+    locator = sharded._st_index.locator
+    return {
+        seq
+        for seq, request in enumerate(requests)
+        if isinstance(request.query, MQuery)
+        and len(
+            {sharded.plan.owner_of[int(s)] for s in locator.locate(request.query.locations)}
+        ) > 1
+    }
 
 
 def at_delta_t(requests, delta_t_s: int):
@@ -185,33 +210,26 @@ def test_result_roundtrip(engine):
         _assert_plain_types(restored)
 
 
-def test_decomposed_regions_merge_as_unions_with_first_part_seeds():
+def test_each_parts_merge_as_the_each_route_unions_them():
+    """A later location's probability overwrites an earlier one's, start
+    segments dedup in location order, and no bounding region survives —
+    what ``execute_each`` does with its per-location s-queries."""
     first = QueryResult(
         segments={1, 2},
         probabilities={2: 0.5, 3: 0.1},
+        start_segments=(10,),
         max_region=BoundingRegion({1, 2, 3}, {3}, {1: 10, 2: 10, 3: 10}),
-        min_region=BoundingRegion({1}, {1}, {1: 10}),
     )
     second = QueryResult(
-        segments={3, 4},
-        probabilities={3: 0.4},
-        max_region=BoundingRegion({3, 4, 5}, {3, 5}, {3: 20, 4: 20, 5: 20}),
-        min_region=BoundingRegion({4}, {4}, {4: 20}),
+        segments={3, 4}, probabilities={3: 0.05}, start_segments=(20,)
     )
-    merged = _merge_decomposed((10, 20, 10), [first, second])
+    third = QueryResult(segments={1}, start_segments=(10,))
+    merged = _merge_parts([first, second, third])
     assert merged.segments == {1, 2, 3, 4}
-    assert merged.probabilities == {2: 0.5, 3: 0.4}
+    assert merged.probabilities == {2: 0.5, 3: 0.05}
     assert merged.start_segments == (10, 20)
-    assert merged.max_region == BoundingRegion(
-        {1, 2, 3, 4, 5}, {3, 5}, {1: 10, 2: 10, 3: 10, 4: 20, 5: 20}
-    )
-    assert merged.min_region == BoundingRegion({1, 4}, {1, 4}, {1: 10, 4: 20})
-    # the parts are left as they were (a part's region may be cached)
-    assert first.max_region.cover == {1, 2, 3}
-    assert second.max_region.seed_of == {3: 20, 4: 20, 5: 20}
-    # one part without regions (an ES or multi-location *_each part)
-    second.min_region = None
-    assert _merge_decomposed((10, 20), [first, second]).min_region is None
+    assert merged.max_region is None and merged.min_region is None
+    assert first.probabilities == {2: 0.5, 3: 0.1}  # parts left as they were
 
 
 # -- lifecycle ------------------------------------------------------------
@@ -261,7 +279,7 @@ class TestLifecycle:
 
 
 @pytest.mark.sharded
-@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_sharded_matches_single_process(test_dataset, shards):
     requests = mixed_requests(test_dataset.network)
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
@@ -273,23 +291,12 @@ def test_sharded_matches_single_process(test_dataset, shards):
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
 
-    decomposed = set(dispatch.decomposed)
+        cross_group = cross_group_m_queries(sharded, requests)
+
     if shards >= 2:
-        # the workload must actually exercise cross-shard m-queries
-        assert decomposed
-    assert len(report.results) == len(requests)
-    for seq, (expected, actual) in enumerate(
-        zip(baseline.results, report.results)
-    ):
-        assert actual.segments == expected.segments
-        assert actual.start_segments == expected.start_segments
-        if seq not in decomposed:
-            # whole requests ran verbatim on one shard: probability
-            # values and regions match too (decomposed parts may compute
-            # different — equally valid — shell probabilities)
-            assert actual.probabilities == expected.probabilities
-            if expected.max_region is not None:
-                assert actual.max_region.cover == expected.max_region.cover
+        # the workload must actually exercise cross-group m-queries
+        assert cross_group
+    assert_identical(baseline, report)
 
     # exact aggregation: shard windows sum to the batch window (the
     # workload is fully in-contract, so there is no fallback I/O)
@@ -305,8 +312,7 @@ def test_sharded_matches_single_process(test_dataset, shards):
 def test_client_backends_route_and_answer_alike(test_dataset):
     """One client policy on both backends: a batch that fires every auto
     rule a batch can reach routes rule for rule alike in-process and
-    sharded, every request answers the same segments, and every request
-    that ran whole answers alike in full."""
+    sharded, and every request answers alike in full."""
     requests = mixed_requests(test_dataset.network, 6, 3)
     s_query = next(r.query for r in requests if isinstance(r.query, SQuery))
     m_query = next(r.query for r in requests if isinstance(r.query, MQuery))
@@ -327,14 +333,10 @@ def test_client_backends_route_and_answer_alike(test_dataset):
         "paper-s", "paper-m", "reverse-bounds", "sub-slot-es", "single-location-decompose",
     }
     assert sharded.routes == local.routes
-    # A decomposed sub-slot m-query runs ES in every part, as it does whole.
+    # A cross-group sub-slot m-query (``es_each``) runs one ES s-query per
+    # location, as it does whole.
     assert len(requests) - 2 in decomposed
-    for seq, (expected, actual) in enumerate(zip(local.results, sharded.results)):
-        assert actual.segments == expected.segments
-        if seq not in decomposed:
-            assert actual.probabilities == expected.probabilities
-            assert actual.max_region == expected.max_region
-            assert actual.min_region == expected.min_region
+    assert_identical(local, sharded)
 
 
 @pytest.mark.sharded
@@ -364,7 +366,7 @@ def test_each_group_is_one_worker_process_with_one_window(test_dataset, monkeypa
     """``shards=K`` spawns K processes; worker ``i`` receives one attempt
     per batch carrying exactly group ``i``'s entries, and the report has
     one window per group, ``shard_id`` 0..K-1, summing to ``report.io``."""
-    requests = mixed_requests(test_dataset.network)
+    requests = mixed_requests(test_dataset.network, 24, 6)
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
         requests
     )
@@ -386,19 +388,14 @@ def test_each_group_is_one_worker_process_with_one_window(test_dataset, monkeypa
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
 
+    assert all(dispatch.per_shard.values())  # every group has work
     assert scattered == dispatch.per_shard
     assert [s.shard_id for s in report.shard_reports] == [0, 1, 2]
     assert [s.queries for s in report.shard_reports] == [
         len(dispatch.per_shard[shard_id]) for shard_id in range(3)
     ]
     assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
-    decomposed = set(dispatch.decomposed)
-    for seq, (expected, actual) in enumerate(
-        zip(baseline.results, report.results)
-    ):
-        assert actual.segments == expected.segments
-        if seq not in decomposed:
-            assert actual.probabilities == expected.probabilities
+    assert_identical(baseline, report)
 
 
 @pytest.mark.sharded
@@ -466,9 +463,10 @@ def test_shards_below_one_raise_before_export_or_spawn(test_dataset, monkeypatch
 
 @pytest.mark.sharded
 def test_a_batch_that_fails_planning_leaves_no_frame_behind(test_dataset):
-    """Planning runs in the parent after the scatter.  When it raises, the
-    scattered attempts are drained first, so the next batch finds clean
-    pipes: no stale frame, retry or restart, and single-process answers."""
+    """Planning runs in the parent before the scatter, so a request that
+    cannot be planned raises before any worker sees the batch: the next
+    batch finds clean pipes (no stale frame, retry or restart) and
+    answers as single-process does."""
     workload = QueryWorkload(test_dataset.network, seed=23)
     valid = [
         Request(query)
@@ -482,8 +480,10 @@ def test_a_batch_that_fails_planning_leaves_no_frame_behind(test_dataset):
         QueryService(fresh_engine(test_dataset)), shards=2
     ) as sharded:
         sharded.run_batch(valid)
+        sent = sharded._next_request_id
         with pytest.raises(ValueError, match="unknown s-query algorithm"):
             sharded.run_batch(valid + [invalid])
+        assert sharded._next_request_id == sent  # nothing was scattered
         report = sharded.run_batch(valid)
     assert (report.stale_frames, report.retries, report.worker_restarts) == (
         0, 0, 0,
@@ -493,84 +493,93 @@ def test_a_batch_that_fails_planning_leaves_no_frame_behind(test_dataset):
         assert actual.probabilities == expected.probabilities
 
 @pytest.mark.sharded
-def test_one_location_parts_ship_as_lockstep_s_queries(test_dataset, monkeypatch):
-    """A decomposed m-query's one-location part ships as the SQMB+TBS
-    s-query its ``sqmb_tbs_each`` route runs: no group entry routes to
-    ``sqmb_tbs_each``, answers equal single-process, each such part's
-    probabilities equal ``sqmb_tbs_each`` on its location, and the
-    merged regions are the unions of the parts'."""
+def test_a_failing_local_sub_batch_replaces_the_busy_workers(test_dataset, monkeypatch):
+    """When the dispatcher-local foreign-Δt sub-batch raises while the
+    workers crunch, those workers are replaced, so their replies cannot
+    reach the next batch as stale frames."""
+    from repro.serving import dispatcher
+
+    workload = QueryWorkload(test_dataset.network, seed=23)
+    valid = [Request(q) for q in workload.s_queries(3, start_time_s=9 * 3600)]
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(valid)
+    run_sub_batch = dispatcher.run_sub_batch
+
+    def failing(service, entries, warm):
+        raise RuntimeError("local sub-batch failed")
+
+    with ShardedEngine(
+        QueryService(fresh_engine(test_dataset)), shards=2
+    ) as sharded:
+        monkeypatch.setattr(dispatcher, "run_sub_batch", failing)
+        with pytest.raises(RuntimeError, match="local sub-batch failed"):
+            sharded.run_batch(valid + at_delta_t(valid[:1], 600))
+        monkeypatch.setattr(dispatcher, "run_sub_batch", run_sub_batch)
+        assert {h.incarnation for h in sharded._workers.values()} == {1}
+        report = sharded.run_batch(valid)
+    assert (report.stale_frames, report.retries, report.worker_restarts) == (
+        0, 0, 0,
+    )
+    assert_identical(baseline, report)
+
+
+@pytest.mark.sharded
+def test_only_each_route_m_queries_split_across_groups(test_dataset, monkeypatch):
+    """A cross-group ``*_each`` m-query ships one s-query per distinct
+    location to that location's group, under the route's per-location
+    algorithm; any other m-query ships whole to the group owning most of
+    its locations.  Every answer equals single-process in full."""
     from repro.serving import dispatcher
 
     requests = mixed_requests(test_dataset.network)
+    m_queries = [r.query for r in requests if isinstance(r.query, MQuery)]
+    requests += [
+        Request(query, QueryOptions(algorithm="sqmb_tbs_each"))
+        for query in m_queries
+    ]
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(
         requests
     )
-    parts_of: dict[tuple[int, ...], list] = {}
+    merged_parts: list[list[QueryResult]] = []
 
-    def recording(starts, results):
-        parts_of[starts] = results
-        return _merge_decomposed(starts, results)
+    def recording(results):
+        merged_parts.append(results)
+        return _merge_parts(results)
 
-    monkeypatch.setattr(dispatcher, "_merge_decomposed", recording)
+    monkeypatch.setattr(dispatcher, "_merge_parts", recording)
     with ShardedEngine(
         QueryService(fresh_engine(test_dataset)), shards=2
     ) as sharded:
         dispatch = sharded.plan_dispatch(requests)
+        cross_group = cross_group_m_queries(sharded, requests)
         report = sharded.run_batch(requests)
+        locator = sharded._st_index.locator
 
-    shipped: dict[int, dict[int, Request]] = {}
-    for entries in dispatch.per_shard.values():
+    forced = set(range(len(requests) - len(m_queries), len(requests)))
+    assert dispatch.decomposed and cross_group - forced
+    assert dispatch.decomposed == {
+        seq for seq in cross_group
+        if ROUTER.route(requests[seq], 300).algorithm == "sqmb_tbs_each"
+    }
+    assert forced & cross_group <= dispatch.decomposed
+    assert len(merged_parts) == len(dispatch.decomposed)
+    for shard_id, entries in dispatch.per_shard.items():
         for seq, part_idx, request in entries:
-            assert ROUTER.route(request, 300).algorithm != "sqmb_tbs_each"
+            query = requests[seq].query
             if seq in dispatch.decomposed:
-                shipped.setdefault(seq, {})[part_idx] = request
-    one_location = [
-        (seq, part_idx, request)
-        for seq, parts in shipped.items()
-        for part_idx, request in parts.items()
-        if isinstance(request.query, SQuery)
-    ]
-    assert one_location
-    for seq, part_idx, request in one_location:
-        assert request.options.algorithm == "sqmb_tbs"
-    for parts in shipped.values():
-        for request in parts.values():
-            if isinstance(request.query, MQuery):
-                assert len(set(request.query.locations)) > 1
-
-    for expected, actual in zip(baseline.results, report.results):
-        assert actual.segments == expected.segments
-        assert actual.start_segments == expected.start_segments
-
-    with ReachabilityClient(fresh_engine(test_dataset)) as oracle:
-        for seq, part_idx, request in one_location:
-            query = request.query
-            each = oracle.send(
-                Request(
-                    MQuery(
-                        (query.location,), query.start_time_s,
-                        query.duration_s, query.prob,
-                    ),
-                    QueryOptions(algorithm="sqmb_tbs_each"),
+                distinct = list(dict.fromkeys(query.locations))
+                assert request.query == query.as_s_queries()[
+                    query.locations.index(distinct[part_idx])
+                ]
+                assert request.options.algorithm == "sqmb_tbs"
+                locations = (request.query.location,)
+            else:
+                assert (part_idx, request) == (0, requests[seq])
+                locations = (
+                    query.locations if isinstance(query, MQuery) else (query.location,)
                 )
-            ).result
-            part = parts_of[dispatch.decomposed[seq]][part_idx]
-            assert part.segments == each.segments
-            assert part.probabilities == each.probabilities
-    assert len(parts_of) == len(dispatch.decomposed)
-    assert any(report.results[seq].max_region for seq in dispatch.decomposed)
-    for seq in dispatch.decomposed:
-        parts = parts_of[dispatch.decomposed[seq]]
-        merged = report.results[seq]
-        if any(part.max_region is None for part in parts):
-            assert merged.max_region is None
-            continue
-        assert merged.max_region.cover == set().union(
-            *(part.max_region.cover for part in parts)
-        )
-        assert merged.min_region.boundary == set().union(
-            *(part.min_region.boundary for part in parts)
-        )
+            owners = [sharded.plan.owner_of[int(s)] for s in locator.locate(locations)]
+            assert max(owners, key=owners.count) == shard_id
+    assert_identical(baseline, report)
 
 
 @pytest.mark.sharded

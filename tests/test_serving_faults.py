@@ -65,21 +65,17 @@ def oracle_report(test_dataset, requests):
         return client.run_batch(requests)
 
 
-def assert_matches_oracle(report, baseline, decomposed):
-    """The existing equivalence contract: segments/starts always equal;
-    probabilities and regions equal for every request that ran verbatim
-    on one shard (decomposed parts may compute different — equally
-    valid — shell probabilities)."""
+def assert_matches_oracle(report, baseline):
+    """The equivalence contract: every result equals the single-process
+    oracle's in full — segments, start segments, computed probabilities
+    and bounding regions."""
     assert len(report.results) == len(baseline.results)
-    for seq, (expected, actual) in enumerate(
-        zip(baseline.results, report.results)
-    ):
+    for expected, actual in zip(baseline.results, report.results):
         assert actual.segments == expected.segments
         assert actual.start_segments == expected.start_segments
-        if seq not in decomposed:
-            assert actual.probabilities == expected.probabilities
-            if expected.max_region is not None:
-                assert actual.max_region.cover == expected.max_region.cover
+        assert actual.probabilities == expected.probabilities
+        assert actual.max_region == expected.max_region
+        assert actual.min_region == expected.min_region
 
 
 def assert_exact_io(report):
@@ -180,14 +176,13 @@ def test_kill_mid_batch_retry_succeeds(test_dataset):
         QueryService(fresh_engine(test_dataset)), shards=2, fault_plan=plan
     ) as sharded:
         report = sharded.run_batch(requests)
-        dispatch = sharded.plan_dispatch(requests)
         # the kill really happened: the incarnation-0 process received
         # the scatter and died, and the serving worker is incarnation 1
         assert sharded._workers[0].incarnation == 1
     assert report.worker_restarts == 1
     assert report.retries == 1
     assert report.degraded_requests == 0
-    assert_matches_oracle(report, baseline, set(dispatch.decomposed))
+    assert_matches_oracle(report, baseline)
     assert_exact_io(report)
     restarted = [s for s in report.shard_reports if s.worker_restarts]
     assert restarted  # the fault shows up on the owning shard's row
@@ -210,7 +205,7 @@ def test_retries_exhausted_degrades_to_local_fallback(test_dataset, no_backoff):
     ) as sharded:
         report = sharded.run_batch(requests)
         dispatch = sharded.plan_dispatch(requests)
-    assert_matches_oracle(report, baseline, set(dispatch.decomposed))
+    assert_matches_oracle(report, baseline)
     assert_exact_io(report)
     # worker 0 hosts shard 0: every one of its sub-requests degraded
     expected_degraded = len(dispatch.per_shard[0])
@@ -243,7 +238,6 @@ def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset, no_ba
         deadline_ms=250.0,
     ) as sharded:
         report = sharded.run_batch(requests)
-        dispatch = sharded.plan_dispatch(requests)
         # the worker never died — it was merely late
         assert sharded._workers[0].incarnation == 0
     assert report.retries >= 1
@@ -251,7 +245,7 @@ def test_hung_worker_deadline_fires_and_late_frame_discarded(test_dataset, no_ba
     assert report.worker_restarts == 0
     assert report.degraded_requests == 0
     assert report.deadline_ms == 250.0
-    assert_matches_oracle(report, baseline, set(dispatch.decomposed))
+    assert_matches_oracle(report, baseline)
     assert_exact_io(report)
 
 
@@ -267,11 +261,10 @@ def test_error_reply_retries_on_same_worker(test_dataset, no_backoff):
         fault_plan=plan,
     ) as sharded:
         report = sharded.run_batch(requests)
-        dispatch = sharded.plan_dispatch(requests)
         assert sharded._workers[0].incarnation == 0  # no respawn
     assert report.retries == 1
     assert report.worker_restarts == 0
-    assert_matches_oracle(report, baseline, set(dispatch.decomposed))
+    assert_matches_oracle(report, baseline)
     assert_exact_io(report)
 
 
@@ -287,11 +280,10 @@ def test_corrupt_frame_respawns_and_retry_succeeds(test_dataset, no_backoff):
         fault_plan=plan,
     ) as sharded:
         report = sharded.run_batch(requests)
-        dispatch = sharded.plan_dispatch(requests)
         assert sharded._workers[0].incarnation == 1
     assert report.worker_restarts == 1
     assert report.retries == 1
-    assert_matches_oracle(report, baseline, set(dispatch.decomposed))
+    assert_matches_oracle(report, baseline)
     assert_exact_io(report)
 
 
@@ -312,11 +304,10 @@ def test_respawned_worker_serves_next_batch_identically(test_dataset):
         victim.join(timeout=30)  # dies right after replying batch 1
         assert victim.exitcode == FAULT_EXIT_CODE
         report2 = sharded.run_batch(batch2)
-        dispatch2 = sharded.plan_dispatch(batch2)
         assert sharded._workers[0].incarnation == 1
     assert report2.worker_restarts == 1
     assert report2.retries == 0  # respawned before dispatch, not after
-    assert_matches_oracle(report2, baseline2, set(dispatch2.decomposed))
+    assert_matches_oracle(report2, baseline2)
     assert_exact_io(report2)
 
 
