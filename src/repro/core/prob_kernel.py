@@ -40,10 +40,10 @@ scalar path's — same records, through the same buffer pool, in the same
 order (consultation order, segment before twin, window parts in order,
 slots in order, chain order).  The kernel changes how decoded bytes are
 *represented*, never what is read, so result sets, ``examined`` counts
-and buffer-pool/page counters match the legacy path exactly.  In a serial
-batch's lock-step run (:mod:`repro.core.tbs`) each estimator's fixed-side
-page ids go to the ``charges`` sink instead, and the batch driver replays
-them, then the waves', through the pool in serial order.
+and buffer-pool/page counters match the legacy path exactly.  A lock-step
+run (:mod:`repro.core.tbs`) gathers and probes all its members' rings at
+once; each member's page ids, fixed sides first, go to its ``charges``
+sink instead, for the batch driver to replay through the pool in order.
 
 An adaptive scalar fast path keeps tiny evaluations (a few visits
 against a small fixed side) in plain Python, where numpy dispatch

@@ -12,41 +12,34 @@ example of Fig. 3.5).
 Every wave lies in the ring of Bmax's boundary and Bmax - Bmin, so the
 search first gathers that ring once, uncharged
 (:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`).  The
-queue is then drained in *waves*: each iteration snapshots the whole
-pending frontier and evaluates it in one call to the columnar kernel
-(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`:
-its roads taken from the ring, one membership probe per seed per search,
-one buffer-pool charge) before any accept/fail processing — for an m-query
-too, where the kernel replays the scalar order of consulting the claiming
-seed, then the others.
-Because a segment's probability is a pure function of the trajectory
-data — independent of discovery order — and the wave preserves the
-classic FIFO evaluation order, the examined set, the per-segment
-probabilities and the charged time-list reads are *identical* to the
-one-segment-at-a-time loop (preserved under ``tests/reference/`` as the
-equivalence baseline); only the per-check Python overhead disappears.
+queue is then drained in *waves*: each snapshots the pending frontier and
+evaluates it in one call to the columnar kernel
+(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`: one
+probe per seed per search, the scalar claimer-then-fallback order replayed,
+one buffer-pool charge).  A segment's probability is a pure function of the
+trajectory data and the wave keeps the FIFO order, so the examined set, the
+probabilities and the charged reads are *identical* to the
+one-segment-at-a-time loop (the baseline under ``tests/reference/``).
 
-The returned region is the minimum bounding cover (guaranteed reachable by
-construction of the Near lists), plus every accepted segment, plus the
-unexamined interior: segments of the maximum cover that a flood fill from
-``r0`` can reach without crossing a segment that *failed* the probability
-test.  That interior is exactly the part TBS never had to read trajectory
-data for — the disk savings over exhaustive search.
+The returned region is the minimum bounding cover (reachable by
+construction of the Near lists), every accepted segment, and the
+unexamined interior: what a flood fill from the seeds reaches in the
+maximum cover without crossing a *failed* segment — the part TBS never
+read trajectory data for.
 
 A serial batch's run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded
 members (:func:`~repro.core.executors.sqmb_tbs.execute_lockstep`) runs in
-*lock step*: wave ``k`` of every live member is one step of row-indexed
-arrays — one gather per (ST-Index, candidate plan), one ``searchsorted``
-against the fixed sides stacked under estimator tags, the claimer-then-
-fallback order as a ``cummax``, the expansion as a CSR ramp.  It charges
-nothing: each member records its page ids, in serial order, for the
-driver to replay through the pool after the run.
+*lock step*, as three array passes over the whole run: its rings gathered
+and probed once, the waves as a BFS over masks, and one bookkeeping pass
+that replays the serial checks, counters and charge order.  It charges
+nothing: each member records its page ids for the driver to replay.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -90,7 +83,7 @@ _COUNTERS = ("checks", "kernel_evals", "scalar_evals", "batched_record_reads", "
 @dataclass
 class LockstepSearch:
     """A lock-step member: Algorithm 2's inputs (every estimator live), the page ids it
-    would charge serially (fixed sides, then its waves) and its share of step time."""
+    would charge serially (fixed sides, then its waves) and its share of the run's time."""
 
     estimators: dict[int, ColumnarEq31Estimator]
     prob: float
@@ -117,9 +110,8 @@ def trace_back_search(
             examined segment is tested against the seed that claimed it in
             the bounding region's ``seed_of`` attribution (the first
             estimator for an unclaimed one), then against the others while
-            it stays below ``prob``.  An empty dict
-            yields an empty result: with nothing to vouch for any segment,
-            nothing is Prob-reachable.
+            it stays below ``prob``.  An empty dict yields an empty result:
+            with nothing to vouch for any segment, nothing is Prob-reachable.
         prob: the query's probability threshold.
         max_region: output of SQMB/MQMB with kind="far".
         min_region: output of SQMB/MQMB with kind="near".
@@ -185,13 +177,16 @@ def trace_back_search(
 
 
 def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[TraceBackResult]:
-    """Wave ``k`` of every member as one step over rows ``(member, segment)``.
-
-    Only keys whose hash is in the fixed sides' sieve are probed, tagged with their
-    estimator above the run's largest date (several probes when the tags do not fit
-    the free bits); checks and charges go to the first consulted occurrence of each
-    (estimator, road).  Values, sets, wave sizes and estimator counters (not caches)
-    equal the serial search's."""
+    """Rows ``(member, segment)`` in three passes.  1. The ring: one gather per (ST-Index,
+    candidate plan), one probe of every (estimator, ring road) pair — of the keys whose
+    hash is in the fixed sides' sieve, tagged with their estimator above the run's largest
+    date (several probes when the tags do not fit) — so a row passes iff some estimator
+    of its member reaches ``prob``.  2. The waves, a BFS over masks.  3. Bookkeeping in
+    (wave, queue) order: values as a ``cummax`` over the claimer-then-fallback order,
+    checks and charges at the first consulted occurrence of each (estimator, road), the
+    kernel/scalar split per (estimator, wave).  Values, sets, wave sizes and estimator
+    counters (not caches) equal the serial search's."""
+    started = perf_counter()
     csr = network.csr()
     n, twin, ids = csr.n, csr.twin_row, csr.ids
     road_of = np.where(twin >= 0, np.minimum(np.arange(n), twin), np.arange(n))
@@ -215,97 +210,95 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     bits = min(24, max(16, (32 * sum(keys.size for keys in fixed)).bit_length()))
     sieve, drop = np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits)
     sieve[(np.concatenate(fixed).view(np.uint64) * _GOLDEN) >> drop] = True
-    cache, fresh = np.full((2, len(ests), n), np.nan)  # by road: its smaller row
-    tally = np.zeros((len(_COUNTERS), len(ests)), dtype=np.int64)
-    maxm, minm, visited, passed, failed = np.zeros((5, members, n), dtype=bool)
+    maxm, minm, boundary, passed, failed, reach = np.zeros((6, members, n), dtype=bool)
     for q, search in enumerate(searches):
         for mask, cover in ((maxm, search.max_region.cover), (minm, search.min_region.cover)):
             mask[q, csr.rows_of(np.fromiter(cover, np.int64, len(cover)))] = True
     wave = [csr.rows_of(sorted(search.max_region.boundary)) for search in searches]
     wq, wr = np.repeat(np.arange(members), [w.size for w in wave]), np.concatenate(wave)
-    visited[wq, wr] = True
-    results = [TraceBackResult() for _ in searches]
+    boundary[wq, wr] = True
+    # 1. The ring (Bmax's boundary and Bmax - Bmin): every pair a wave can consult.
+    rq, rr = np.nonzero(boundary | maxm & ~minm)
+    uq, ur = np.divmod(np.unique(rq * n + road_of[rr]), n)
+    pq, pe, pr = uq.repeat(counts[uq]), _ramp(lead[uq], counts[uq]), ur.repeat(counts[uq])
+    slot = np.full((len(sources), n), -1)
+    parts: list = []
+    for g, (index, plan) in enumerate(sources):
+        mine = pr[group[pe] == g]
+        gathered = np.unique(np.concatenate((mine, twin[mine][twin[mine] >= 0])))
+        slot[g, gathered] = len(parts) + np.arange(gathered.size)
+        parts += index.gather_window_columns(ids[gathered].tolist(), plan)
+    key_parts, records, page_parts = zip(*parts, (np.empty(0, int), 0, np.empty(0, int)))
+    keys, pages, records = np.concatenate(key_parts), np.concatenate(page_parts), np.array(records)
+    key_len, page_len = (np.fromiter(map(len, p), int, len(p)) for p in (key_parts, page_parts))
+    key_at, page_at = np.cumsum(key_len) - key_len, np.cumsum(page_len) - page_len
+    # The gathered parts of a segment and its twin (-1: the empty last part).
+    twins = np.stack((slot, np.where(twin >= 0, slot[:, twin], -1)), axis=-1)
+    pair_parts = twins[group[pe], pr]  # m* of every pair
+    maybe = sieve[(keys.view(np.uint64) * _GOLDEN) >> drop]
+    cut = np.concatenate(([0], np.cumsum(maybe)))[np.stack((key_at, key_at + key_len))]
+    span = (cut[1] - cut[0])[pair_parts]
+    probe = keys[maybe][_ramp(cut[0][pair_parts].ravel(), span.ravel())]
+    owner = np.repeat(np.arange(pe.size), span.sum(axis=1))
+    tagged = np.where(probe >> shift == 0, (tag[pe][owner] << shift) | probe, -1)
+    hit = np.zeros(probe.size, dtype=bool)
+    for p, side in enumerate(stacked):
+        at = part[pe][owner] == p
+        hit[at] = np.take(side, side.searchsorted(tagged[at]), mode="clip") == tagged[at]
+    days_hit = np.unique((owner[hit] << KEY_DATE_SHIFT) | (probe[hit] >> KEY_DATE_SHIFT))
+    fresh = np.zeros((len(ests), n))  # by road: its smaller row
+    fresh[pe, pr] = np.bincount(days_hit >> KEY_DATE_SHIFT, minlength=pe.size) / days[pe]
+    np.logical_or.at(reach, (pq, pr), fresh[pe, pr] >= prob[pq])
+    # 2. The waves: failed segments push their unvisited neighbours in Bmax - Bmin.
+    unvisited, waves = maxm & ~minm & ~boundary, []
     while wr.size:
-        started = perf_counter()
-        sizes = np.bincount(wq, minlength=members)
-        ends = np.cumsum(sizes).tolist()
-        road, wave_ids = road_of[wr], ids[wr].tolist()
-        claimer = np.zeros(wr.size, dtype=np.int64)
-        for q in np.flatnonzero((counts > 1) & (sizes > 0)).tolist():
-            at, seed_of = slice(ends[q] - sizes[q], ends[q]), searches[q].max_region.seed_of
-            claimer[at] = [seats[q].get(seed_of.get(s), 0) for s in wave_ids[at]]
-        valid = rot[claimer] < counts[wq, None]
-        consult = np.where(valid, lead[wq, None] + rot[claimer], 0)
-        roads = np.broadcast_to(road[:, None], consult.shape)
-        known = cache[consult, roads]
-        need = valid & np.isnan(known)
-        pe, pr = np.divmod(np.unique(consult[need] * n + roads[need]), n)
-        slot = np.full((len(sources), n), -1)
-        parts: list = []
-        for g, (index, plan) in enumerate(sources):
-            mine = pr[group[pe] == g]
-            gathered = np.unique(np.concatenate((mine, twin[mine][twin[mine] >= 0])))
-            slot[g, gathered] = len(parts) + np.arange(gathered.size)
-            parts += index.gather_window_columns(ids[gathered].tolist(), plan)
-        keys, pages = (np.concatenate([p[i] for p in parts] + [np.empty(0, int)]) for i in (0, 2))
-        key_len, page_len = (np.array([p[i].size for p in parts] + [0]) for i in (0, 2))
-        records = np.array([p[1] for p in parts] + [0])
-        key_at, page_at = np.cumsum(key_len) - key_len, np.cumsum(page_len) - page_len
-        # The gathered parts of a segment and its twin (-1: the empty last part).
-        twins = np.stack((slot, np.where(twin >= 0, slot[:, twin], -1)), axis=-1)
-        pair_parts = twins[group[pe], pr]  # m* of every pair
-        maybe = sieve[(keys.view(np.uint64) * _GOLDEN) >> drop]
-        cut = np.concatenate(([0], np.cumsum(maybe)))[np.stack((key_at, key_at + key_len))]
-        span = (cut[1] - cut[0])[pair_parts]
-        probe = keys[maybe][_ramp(cut[0][pair_parts].ravel(), span.ravel())]
-        owner = np.repeat(np.arange(pe.size), span.sum(axis=1))
-        tagged = np.where(probe >> shift == 0, (tag[pe][owner] << shift) | probe, -1)
-        hit = np.zeros(probe.size, dtype=bool)
-        for p, side in enumerate(stacked):
-            at = part[pe][owner] == p
-            hit[at] = np.take(side, side.searchsorted(tagged[at]), mode="clip") == tagged[at]
-        days_hit = np.unique((owner[hit] << KEY_DATE_SHIFT) | (probe[hit] >> KEY_DATE_SHIFT))
-        fresh[pe, pr] = np.bincount(days_hit >> KEY_DATE_SHIFT, minlength=pe.size) / days[pe]
-        # The serial order: the claimer, then the others while below prob.
-        values = np.where(valid, np.where(need, fresh[consult, roads], known), -np.inf)
-        asked = valid.copy()
-        asked[:, 1:] &= np.maximum.accumulate(values, axis=1)[:, :-1] < prob[wq, None]
-        value = np.where(asked, values, -np.inf).max(axis=1)
-        flat = np.flatnonzero(asked & need)
-        ce, at = consult.ravel()[flat], flat // width
-        first = np.sort(np.unique(ce * n + road[at], return_index=True)[1])
-        ce, at = ce[first], at[first]
-        cache[ce, road[at]] = fresh[ce, road[at]]
-        checks = np.bincount(ce, minlength=len(ests))
-        visits = np.bincount(pe, key_len[pair_parts].sum(axis=1), len(ests))
-        scalar = visits <= SCALAR_EVAL_MAX_VISITS
-        event_parts = twins[group[ce], wr[at]]
-        event_pages = page_len[event_parts].sum(axis=1)
-        tally += [
-            checks, np.where(scalar, 0, checks), np.where(scalar, checks, 0),
-            np.bincount(ce, records[event_parts].sum(axis=1), len(ests)).astype(np.int64),
-            np.bincount(ce, event_pages, len(ests)).astype(np.int64),
-        ]
-        charged = pages[_ramp(page_at[event_parts].ravel(), page_len[event_parts].ravel())]
-        per_member = np.bincount(wq[at], event_pages, members).astype(np.int64)
-        for q in np.flatnonzero(per_member).tolist():
-            searches[q].charges.append(charged[per_member[:q].sum() : per_member[: q + 1].sum()])
-        ok = value >= prob[wq]
-        passed[wq[ok], wr[ok]] = True
-        failed[wq[~ok], wr[~ok]] = True
-        pairs = list(zip(wave_ids, value.tolist()))
-        for q in np.flatnonzero(sizes).tolist():
-            results[q].probabilities.update(pairs[ends[q] - sizes[q] : ends[q]])
-            results[q].wave_sizes.append(int(sizes[q]))
-        # Failed segments push their unvisited neighbours in Bmax - Bmin.
-        wq, wr = _expand(indptr, neighbors, wq[~ok], wr[~ok], maxm & ~minm & ~visited, n)
-        visited[wq, wr] = True
-        shares = (perf_counter() - started) * sizes / sizes.sum()
-        for search, share in zip(searches, shares.tolist()):
-            search.wall_s += share
+        waves.append((wq, wr))
+        ok = reach[wq, road_of[wr]]
+        wq, wr = _expand(indptr, neighbors, wq[~ok], wr[~ok], unvisited, n)
+        unvisited[wq, wr] = False
+    # 3. Every examined row, member-major and then in (wave, queue) order.
+    sizes = np.array([np.bincount(q, None, members) for q, _ in waves], int).reshape(-1, members)
+    num_waves = len(waves)
+    Q, R = (np.concatenate([w[i] for w in waves] or [np.empty(0, int)]) for i in (0, 1))
+    order = np.argsort(Q, kind="stable")
+    Q, R, W = Q[order], R[order], np.repeat(np.arange(num_waves), sizes.sum(axis=1))[order]
+    road, row_ids, ok = road_of[R], ids[R].tolist(), reach[Q, road_of[R]]
+    passed[Q[ok], R[ok]] = failed[Q[~ok], R[~ok]] = True
+    rows_at = np.concatenate(([0], np.cumsum(sizes.sum(axis=0)))).tolist()
+    claimer = np.zeros(R.size, dtype=np.int64)
+    for q in np.flatnonzero(counts > 1).tolist():
+        at, claims = slice(rows_at[q], rows_at[q + 1]), searches[q].max_region.seed_of
+        claimer[at] = list(map(seats[q].get, map(claims.get, row_ids[at]), repeat(0)))
+    # The serial order: the claimer, then the others while below prob.
+    valid = rot[claimer] < counts[Q, None]
+    consult = np.where(valid, lead[Q, None] + rot[claimer], 0)
+    values = np.where(valid, fresh[consult, road[:, None]], -np.inf)
+    asked = valid.copy()
+    asked[:, 1:] &= np.maximum.accumulate(values, axis=1)[:, :-1] < prob[Q, None]
+    value = np.where(asked, values, -np.inf).max(axis=1).tolist()
+    flat = np.flatnonzero(asked)
+    ce, at = consult.ravel()[flat], flat // width
+    first = np.sort(np.unique(ce * n + road[at], return_index=True)[1])
+    ce, at = ce[first], at[first]
+    # Kernel or scalar per (estimator, wave): by the visits on the wave's roads
+    # the estimator had not consulted before it.
+    asked_in = np.full((len(ests), n), num_waves)
+    asked_in[ce, road[at]] = W[at]
+    flat = np.flatnonzero(valid)
+    ve, vk, vr = consult.ravel()[flat], W[flat // width], road[flat // width]
+    cell, vr = np.divmod(np.unique(((ve * num_waves + vk) * n + vr)[asked_in[ve, vr] >= vk]), n)
+    parts_of = twins[group[cell // num_waves], vr]
+    visits = np.bincount(cell, key_len[parts_of].sum(axis=1), len(ests) * num_waves)
+    scalar = (visits <= SCALAR_EVAL_MAX_VISITS)[ce * num_waves + W[at]]
+    event_parts = twins[group[ce], R[at]]
+    event_pages = page_len[event_parts].sum(axis=1)
+    weights = (None, ~scalar, scalar, records[event_parts].sum(axis=1), event_pages)
+    tally = np.array([np.bincount(ce, w, len(ests)) for w in weights], dtype=np.int64)
     for e, counters in zip(ests, tally.T.tolist()):
-        for name, value in zip(_COUNTERS, counters):
-            setattr(e, name, getattr(e, name) + value)
+        for name, count in zip(_COUNTERS, counters):
+            setattr(e, name, getattr(e, name) + count)
+    charged = pages[_ramp(page_at[event_parts].ravel(), page_len[event_parts].ravel())]
+    charged_at = np.cumsum(np.bincount(Q[at], event_pages, members)).astype(np.int64)
     # The region: Bmin, the passed segments and the flood from the seeds
     # through Bmax that never crosses a failed segment.
     allowed = maxm & ~failed
@@ -316,9 +309,16 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     while fr.size:
         reached[fq, fr] = True
         fq, fr = _expand(indptr, neighbors, fq, fr, allowed & ~reached, n)
-    for q, result in enumerate(results):
-        result.region = set(ids[minm[q] | passed[q] | reached[q]].tolist())
-        result.passed, result.failed = set(ids[passed[q]].tolist()), set(ids[failed[q]].tolist())
+    results, shares = [], (perf_counter() - started) * np.diff(rows_at) / max(1, R.size)
+    for q, (search, charges) in enumerate(zip(searches, np.split(charged, charged_at[:-1]))):
+        rows = slice(rows_at[q], rows_at[q + 1])
+        results.append(TraceBackResult(
+            set(ids[minm[q] | passed[q] | reached[q]].tolist()), set(ids[passed[q]].tolist()),
+            set(ids[failed[q]].tolist()), dict(zip(row_ids[rows], value[rows])),
+            sizes[: np.count_nonzero(sizes[:, q]), q].tolist(),
+        ))
+        search.charges.append(charges)
+        search.wall_s += shares[q]
     return results
 
 

@@ -3,8 +3,9 @@
 A serial batch runs every maximal run of ``LOCKSTEP_MIN_RUN`` or more
 consecutive bounded members (SQMB/MQMB/reverse + TBS) in lock step — here
 also every run of two or more: the front halves in submission
-order, one TBS wave step across the run's members, then each member's
-recorded page ids replayed through the pool in submission order.  For
+order, the run's trace-backs as three array passes (one ring gather and
+probe, the waves, one bookkeeping pass), then each member's recorded page
+ids replayed through the pool in submission order.  For
 mixed s/m/reverse batches with ES and ``sqmb_tbs_each`` members cutting
 the runs, two Δt, duplicate requests, a start road nothing left in the
 departure window and both carriageways of two-way roads as starts — under
@@ -15,7 +16,11 @@ probabilities, every ``QueryCost`` field but the wall time, the region
 counters, ``report.io`` and the page-id sequence every ST-Index pool
 receives.  One more engine indexes the same trips with dates just below
 2**31, where the estimator tags no longer fit beside the dates and the
-run's probe splits.
+run's probe splits.  Deterministic edge cases on the test city: an
+estimator on both sides of ``SCALAR_EVAL_MAX_VISITS`` in different waves
+(an s-query's only seed, an m-query's second seed), both carriageways of a
+road examined in different waves; and a spy that finds one gather per
+(ST-Index, candidate plan) per run, however many waves it has.
 
 The stream keeps its contract: responses are published one per pull in
 submission order, a member that raises does so at its own pull after the
@@ -26,6 +31,9 @@ sum to at most the batch's.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+import os
 from unittest import mock
 
 import pytest
@@ -35,13 +43,17 @@ from test_wave_accounting import MEMO_SIZES, POOL_SIZES, T, PoolSpy, along
 from repro.api import QueryOptions, ReachabilityClient, Request
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext
+from repro.core import tbs
 from repro.core.executors.sqmb_tbs import LOCKSTEP_MIN_RUN
+from repro.core.prob_kernel import ColumnarEq31Estimator
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import MQuery, SQuery
 from repro.core.st_index import STIndex
 from repro.trajectory.model import MatchedTrajectory
 
 DELTA_TS = (300, 600)
+#: Generated batches per run; CI's lock-step step raises it to 100 or more.
+EXAMPLES = int(os.environ.get("LOCKSTEP_EXAMPLES", "10"))
 FAR_DATES = (1 << 31) - 16  # added to every date of the far-dates engine
 
 
@@ -164,28 +176,158 @@ def summary(response):
     )
 
 
-@settings(max_examples=10, deadline=None)
+def assert_batch_equals_serial(engine, requests, warm: bool, min_run: int, where: str) -> list:
+    """Serial and lock-step runs of ``requests`` agree in every ``QueryCost`` field but
+    the wall time, ``report.io``, the region counters and the pools' page ids; member
+    wall times are positive and sum to at most the batch's.  Returns the answers."""
+    run(engine, requests, False, False)  # Con-Index entries, both share
+    serial, serial_report, serial_ids = run(engine, requests, warm, False)
+    batch, report, ids = run(engine, requests, warm, True, min_run)
+    assert [summary(r) for r in batch] == [summary(r) for r in serial], where
+    assert report.io == serial_report.io, where
+    assert ids == serial_ids, where
+    assert (report.regions_computed, report.regions_reused) == (
+        serial_report.regions_computed, serial_report.regions_reused,
+    ), where
+    walls = [response.result.cost.wall_time_s for response in batch]
+    assert min(walls) > 0 and sum(walls) <= report.wall_time_s, where
+    return [summary(r)[1:4] for r in batch]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_lockstep_batches_equal_serial_execution(engines, roads, data):
     requests = data.draw(batches(roads))
     warm = data.draw(st.booleans())
     min_run = data.draw(st.sampled_from([2, LOCKSTEP_MIN_RUN]))
-    answers = []
-    for key, engine in engines.items():
-        run(engine, requests, False, False)  # Con-Index entries, both share
-        serial, serial_report, serial_ids = run(engine, requests, warm, False)
-        batch, report, ids = run(engine, requests, warm, True, min_run)
-        where = f"engine={key} warm={warm} min_run={min_run}"
-        assert [summary(r) for r in batch] == [summary(r) for r in serial], where
-        assert report.io == serial_report.io, where
-        assert ids == serial_ids, where
-        assert (report.regions_computed, report.regions_reused) == (
-            serial_report.regions_computed, serial_report.regions_reused,
-        ), where
-        walls = [response.result.cost.wall_time_s for response in batch]
-        assert min(walls) > 0 and sum(walls) <= report.wall_time_s, where
-        answers.append([summary(r)[1:4] for r in batch])
+    answers = [
+        assert_batch_equals_serial(
+            engine, requests, warm, min_run, f"engine={key} warm={warm} min_run={min_run}"
+        )
+        for key, engine in engines.items()
+    ]
     assert all(answer == answers[0] for answer in answers)  # far dates too
+
+
+def s_request(road, fraction, duration_s, prob, delta_t_s=DELTA_TS[0]) -> Request:
+    options = QueryOptions(delta_t_s=delta_t_s, algorithm="sqmb_tbs")
+    return Request(SQuery(along(road, fraction), T, duration_s, prob), options)
+
+
+def serial_waves(engine, request) -> list:
+    """Per wave of ``request``'s serial search: its segments and each seed's
+    ``(kernel_evals, scalar_evals)`` spent on it."""
+    waves = []
+    evaluate = ColumnarEq31Estimator.probabilities
+
+    def spy(self, segment_ids, peers=None, claims=None, prob=math.inf):
+        peers_now = list((peers or {self.start_segment: self}).values())
+        before = [(e.kernel_evals, e.scalar_evals) for e in peers_now]
+        values = evaluate(self, segment_ids, peers, claims, prob)
+        waves.append((list(segment_ids), [
+            (e.kernel_evals - k, e.scalar_evals - s) for e, (k, s) in zip(peers_now, before)
+        ]))
+        return values
+
+    with mock.patch.object(ColumnarEq31Estimator, "probabilities", spy):
+        ReachabilityClient(engine).send(request)
+    return waves
+
+
+def splits_paths(waves) -> bool:
+    """Some seed took the scalar path in one wave and the kernel in another."""
+    paths: dict[int, set[str]] = {}
+    for _, evals in waves:
+        for seat, (kernel, scalar) in enumerate(evals):
+            paths.setdefault(seat, set()).update("k" * bool(kernel) + "s" * bool(scalar))
+    return any(found == {"k", "s"} for found in paths.values())
+
+
+def splits_twins(waves, network) -> bool:
+    """Both carriageways of one road were examined, in different waves."""
+    wave_of = {segment: k for k, (wave, _) in enumerate(waves) for segment in wave}
+    return any(
+        network.segment(segment).twin_id in wave_of
+        and wave_of[network.segment(segment).twin_id] != k
+        for segment, k in wave_of.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def edge_cases(engines, roads):
+    """The first requests, in road order, whose serial search has an estimator on
+    both sides of ``SCALAR_EVAL_MAX_VISITS`` (an s-query, and an m-query whose
+    second seed does it), and one with a road's carriageways in different waves."""
+    live, _, _, network = roads
+    engine = engines[(None, None)]
+    s_queries = (s_request(road, 0.5, 600.0, 0.1) for road in live)
+    m_queries = (
+        Request(
+            MQuery((along(a, 0.5), along(b, 0.5)), T, 600.0, 0.3),
+            QueryOptions(delta_t_s=DELTA_TS[0], algorithm="mqmb_tbs"),
+        )
+        for a, b in zip(live, live[7:])
+    )
+    found = {}
+    for request in itertools.chain(s_queries, m_queries):
+        waves = serial_waves(engine, request)
+        m = isinstance(request.query, MQuery)
+        mixed = splits_paths([(w, evals[1:]) for w, evals in waves] if m else waves)
+        for name, hit in (("m split" if m else "split", mixed), ("twins", splits_twins(waves, network))):
+            if hit and name not in found:
+                found[name] = request
+        if len(found) == 3:
+            return found
+    pytest.fail(f"the test city has no such requests: only {sorted(found)}")
+
+
+@pytest.mark.parametrize("key", [(None, None), (8, 0), (0, None)])
+def test_wave_edge_cases_equal_serial_execution(engines, roads, edge_cases, key):
+    """Each edge case in a run of its own, then all of them with the first
+    members of the drawn batches' shapes, warm and cold."""
+    live = roads[0]
+    others = [s_request(live[i], 0.3, 1200.0, 0.3, DELTA_TS[1]) for i in (3, 11)]
+    cases = list(edge_cases.values())
+    for requests in ([case, case] for case in cases):
+        assert_batch_equals_serial(engines[key], requests, False, 2, f"{key} {requests[0]}")
+    for warm in (False, True):
+        assert_batch_equals_serial(engines[key], cases + others, warm, 2, f"{key} warm={warm}")
+
+
+def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
+    """However many waves its members run, a lock-step run gathers each (ST-Index,
+    candidate plan) of its estimators exactly once."""
+    live = roads[0]
+    requests = list(edge_cases.values()) + [
+        s_request(live[i], 0.5, duration, 0.2, delta_t_s)
+        for i in (5, 21) for duration in (600.0, 1200.0) for delta_t_s in DELTA_TS
+    ]
+    gather, step = STIndex.gather_window_columns, tbs._lockstep
+    runs = []
+
+    def spied_step(network, searches):
+        calls: list = []
+
+        def spied_gather(index, segment_ids, plan):
+            calls.append((id(index), plan))
+            return gather(index, segment_ids, plan)
+
+        with mock.patch.object(STIndex, "gather_window_columns", spied_gather):
+            results = step(network, searches)
+        sources = {
+            (id(e.index), e._candidate_plan)
+            for search in searches for e in search.estimators.values()
+        }
+        runs.append((sorted(calls), sorted(sources), max(len(r.wave_sizes) for r in results)))
+        return results
+
+    with mock.patch.object(tbs, "_lockstep", spied_step), mock.patch(
+        "repro.api.client.LOCKSTEP_MIN_RUN", 2
+    ):
+        ReachabilityClient(engines[(None, None)]).run_batch(requests)
+    assert len(runs) == 1
+    calls, sources, waves = runs[0]
+    assert calls == sources and len(sources) == 4 and waves > 2
 
 
 def test_stream_publishes_each_response_at_its_pull(engines, roads):
