@@ -29,9 +29,9 @@ from repro.core.tbs import LockstepSearch, TraceBackResult, trace_back_search
 
 #: The plans of :func:`execute_bounded`: a batch runs each run of them in lock step,
 #: unless it is shorter than the measured break-even against the per-query path
-#: (lock step 1.4× at 2, 1.2× at 3, 1.1× at 4, 1.0× at 5, 0.95× at 6; docs/architecture.md).
+#: (lock step 1.24–1.27× at 1, 0.95× at 2, 0.80–0.82× at 3; docs/architecture.md).
 LOCKSTEP = frozenset({("s", "sqmb_tbs"), ("m", "mqmb_tbs"), ("r", "sqmb_tbs")})
-LOCKSTEP_MIN_RUN = 6
+LOCKSTEP_MIN_RUN = 2
 
 
 def locations_of(query: SQuery | MQuery) -> tuple:

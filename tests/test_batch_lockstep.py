@@ -199,7 +199,7 @@ def assert_batch_equals_serial(engine, requests, warm: bool, min_run: int, where
 def test_lockstep_batches_equal_serial_execution(engines, roads, data):
     requests = data.draw(batches(roads))
     warm = data.draw(st.booleans())
-    min_run = data.draw(st.sampled_from([2, LOCKSTEP_MIN_RUN]))
+    min_run = data.draw(st.sampled_from([LOCKSTEP_MIN_RUN, 4]))
     answers = [
         assert_batch_equals_serial(
             engine, requests, warm, min_run, f"engine={key} warm={warm} min_run={min_run}"
