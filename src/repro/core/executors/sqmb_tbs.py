@@ -133,11 +133,11 @@ def execute_bounded(
 def execute_lockstep(engine, members: list) -> list:
     """Run consecutive bounded batch members ``[(plan, query, context)]`` in lock
     step: their front halves in submission order (one ``locate`` for all locations;
-    fixed-side page ids recorded, not charged), one :func:`trace_back_search`
-    stepping every TBS wave across them, then one ``get_pages`` per member over its
-    recorded page ids, in submission order and in its own accounting window — so
-    every cost but the wall time (front half, replay and wave-size share of each
-    step) equals serial execution.  Returns ``(result, regions computed, regions
+    fixed-side page ids recorded, not charged), one :func:`trace_back_search` running
+    all their TBS waves, then one ``get_pages`` per member over its recorded page
+    ids, in submission order and in its own accounting window — so every cost but
+    the wall time (front half, replay and an examined-rows share of the lock step)
+    equals serial execution.  Returns ``(result, regions computed, regions
     reused)`` per member, up to the first whose front half raised: its exception.
     """
     disk = engine.disk

@@ -271,10 +271,13 @@ def edge_cases(engines, roads):
     found = {}
     for request in itertools.chain(s_queries, m_queries):
         waves = serial_waves(engine, request)
-        m = isinstance(request.query, MQuery)
-        mixed = splits_paths([(w, evals[1:]) for w, evals in waves] if m else waves)
-        for name, hit in (("m split" if m else "split", mixed), ("twins", splits_twins(waves, network))):
-            if hit and name not in found:
+        if isinstance(request.query, MQuery):
+            hits = {"m split": splits_paths([(wave, evals[1:]) for wave, evals in waves])}
+        else:
+            hits = {"split": splits_paths(waves)}
+        hits["twins"] = splits_twins(waves, network)
+        for name in hits:
+            if hits[name] and name not in found:
                 found[name] = request
         if len(found) == 3:
             return found
@@ -283,8 +286,8 @@ def edge_cases(engines, roads):
 
 @pytest.mark.parametrize("key", [(None, None), (8, 0), (0, None)])
 def test_wave_edge_cases_equal_serial_execution(engines, roads, edge_cases, key):
-    """Each edge case in a run of its own, then all of them with the first
-    members of the drawn batches' shapes, warm and cold."""
+    """Each edge case as a run of its own (the request twice), then all of them
+    with two s-queries at the other Δt, cold and warm."""
     live = roads[0]
     others = [s_request(live[i], 0.3, 1200.0, 0.3, DELTA_TS[1]) for i in (3, 11)]
     cases = list(edge_cases.values())
