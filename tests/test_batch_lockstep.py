@@ -2,8 +2,7 @@
 
 A serial batch runs every maximal run of ``LOCKSTEP_MIN_RUN`` or more
 consecutive bounded members (SQMB/MQMB/reverse + TBS) in lock step — here
-also every run of two or more: the front halves in submission
-order, the run's trace-backs as three array passes (one ring gather and
+with that cut or a cut of 4: the front halves in submission order, the run's trace-backs as three array passes (one ring gather and
 probe, the waves, one bookkeeping pass), then each member's recorded page
 ids replayed through the pool in submission order.  For
 mixed s/m/reverse batches with ES and ``sqmb_tbs_each`` members cutting
