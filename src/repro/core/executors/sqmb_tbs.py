@@ -29,7 +29,7 @@ from repro.core.tbs import LockstepSearch, TraceBackResult, trace_back_search
 
 #: The plans of :func:`execute_bounded`: a batch runs each run of them in lock step,
 #: unless it is shorter than the measured break-even against the per-query path
-#: (lock step 1.24–1.27× at 1, 0.95× at 2, 0.80–0.82× at 3; docs/architecture.md).
+#: (lock step 1.20–1.33× at 1, 0.86–0.88× at 2, 0.74–0.75× at 3; docs/architecture.md).
 LOCKSTEP = frozenset({("s", "sqmb_tbs"), ("m", "mqmb_tbs"), ("r", "sqmb_tbs")})
 LOCKSTEP_MIN_RUN = 2
 
@@ -134,19 +134,18 @@ def execute_lockstep(engine, members: list) -> list:
     """Run consecutive bounded batch members ``[(plan, query, context)]`` in lock
     step: their front halves in submission order (one ``locate`` for all locations;
     fixed-side page ids recorded, not charged), one :func:`trace_back_search` running
-    all their TBS waves, then one ``get_pages`` per member over its recorded page
-    ids, in submission order and in its own accounting window — so every cost but
-    the wall time (front half, replay and an examined-rows share of the lock step)
-    equals serial execution.  Returns ``(result, regions computed, regions
-    reused)`` per member, up to the first whose front half raised: its exception.
-    """
+    all their TBS waves, then one ``get_pages`` per member over its recorded page ids,
+    in submission order and in its own accounting window — so every cost but the wall
+    time (front half, replay and an examined-rows share of the lock step) equals serial
+    execution.  Returns ``(result, regions computed, regions reused)`` per member, up
+    to the first whose front half raised: its exception."""
     disk = engine.disk
     starts = members[0][2].st_index().locator.locate(
         [location for _, query, _ in members for location in locations_of(query)]
     )
-    fronts = []
+    # One snapshot and clock reading per window boundary: nothing charges between windows.
+    fronts, started, before = [], perf_counter(), disk.snapshot()
     for plan, query, ctx in members:
-        started, before = perf_counter(), disk.snapshot()
         regions = ctx.regions_computed, ctx.regions_reused
         own, starts = starts[: len(locations_of(query))], starts[len(locations_of(query)) :]
         charges: list[np.ndarray] = []
@@ -156,22 +155,23 @@ def execute_lockstep(engine, members: list) -> list:
             fronts.append((error, None, charges, None, 0.0, None))
             break
         regions = ctx.regions_computed - regions[0], ctx.regions_reused - regions[1]
-        io, wall_s = disk.snapshot() - before, perf_counter() - started
-        fronts.append((outcome, search, charges, io, wall_s, regions))
+        ended, after = perf_counter(), disk.snapshot()
+        fronts.append((outcome, search, charges, after - before, ended - started, regions))
+        started, before = ended, after
     searches = [search for _, search, *_ in fronts if search is not None]
     traced = iter(trace_back_search(engine.network, searches) if searches else ())
     out: list = []
+    started, before = perf_counter(), disk.snapshot()
     for (_, _, ctx), (outcome, search, charges, io, wall_s, regions) in zip(members, fronts):
-        started, before, pool = perf_counter(), disk.snapshot(), ctx.st_index().pool
         if charges:
-            pool.get_pages(np.concatenate(charges))
+            ctx.st_index().pool.get_pages(np.concatenate(charges))
         if isinstance(outcome, Exception):
             return [*out, outcome]
         if search is not None:
             outcome, wall_s = finish_bounded(outcome, next(traced)), wall_s + search.wall_s
-        io += disk.snapshot() - before
-        wall_s += perf_counter() - started
-        out.append((charge_cost(outcome, io, wall_s), *regions))
+        ended, after = perf_counter(), disk.snapshot()
+        out.append((charge_cost(outcome, io + after - before, wall_s + ended - started), *regions))
+        started, before = ended, after
     return out
 
 

@@ -2,56 +2,45 @@
 
 This module vectorizes the *trajectory* side of a query — the probability
 checks TBS and ES pay per candidate segment.  The scalar path (preserved
-under ``tests/reference/``) evaluates Eq. 3.1 one segment at a time:
-decode time lists into ``date -> [(id, second)]`` dicts, rebuild per-day
-id *sets* for the window, then run a per-day ``set.isdisjoint`` loop.  The
-columnar kernel replaces all of that with flat int64 arrays:
+under ``tests/reference/``) decodes time lists into ``date -> [(id,
+second)]`` dicts, rebuilds per-day id *sets* for the window and runs a
+per-day ``set.isdisjoint`` loop.  Here everything is flat int64 arrays:
 
-* every time-list record decodes into packed
-  ``(date << 32) | trajectory_id`` visit keys plus aligned visit seconds
-  (:class:`~repro.core.st_index.ColumnarTimeList`);
-* a query window gather is a boolean second-mask over those columns
-  (:meth:`~repro.core.st_index.STIndex.gather_window_columns`), no
-  tuples, no sets, memoized per (segment, window plan);
-* the fixed side of Eq. 3.1 (the start segment's departure-window visits
-  for forward queries, the target's query-window visits for reverse)
-  becomes one sorted unique key array — per-day trajectory sets for *all*
-  days in a single vector;
-* "some single trajectory appears in both windows on day d" is then one
-  ``searchsorted`` membership probe: a candidate visit key hits iff the
-  same (day, trajectory) pair exists on the fixed side, and the number of
-  distinct days among the hits is exactly ``m*``.
+* time-list records decode into packed ``(date << 32) | trajectory_id``
+  visit keys plus aligned seconds
+  (:class:`~repro.core.st_index.ColumnarTimeList`), and a window gather
+  (:meth:`~repro.core.st_index.STIndex.gather_window_columns`) is a
+  seconds mask over them that answers columns — keys, records and page
+  ids per segment, back to back — memoized per window plan;
+* the fixed side of Eq. 3.1 (the start road's departure-window visits
+  forward, the target's query-window visits reverse) is one sorted unique
+  key array — the per-day trajectory sets of *all* days at once;
+* "some single trajectory appears in both windows on day d" is one
+  ``searchsorted`` membership probe, and the number of distinct days
+  among the hits is exactly ``m*``.
 
-Because day and trajectory id are packed into one key, the per-day
-intersections of the paper's Eq. 3.1 collapse into a single sorted-array
-membership test across all days at once — and a whole *wave* of candidate
-segments (TBS boundary waves, ES frontier levels) batches into one probe
-over the concatenated candidate columns.  An m-query wave is the same
-routine with several seeds: one uncharged gather of the wave's roads, one
-probe per seed, a replay of the scalar claimer-then-fallback consultation
-order, and one buffer-pool charge (:meth:`ColumnarEq31Estimator.probabilities`).
-A trace-back gathers its whole ring (Bmax's boundary and Bmax - Bmin) once
-and probes each seed against it once (:meth:`~ColumnarEq31Estimator.prefetch`),
-so its waves only replay and charge; the fixed sides of all seeds are one
-gather and one charge too (:meth:`~ColumnarEq31Estimator.for_seeds`).
+A whole *wave* of candidates (TBS waves, ES frontier levels) is one
+uncharged gather of its roads, one probe per seed, a replay of the scalar
+claimer-then-fallback consultation order and one buffer-pool charge
+(:meth:`ColumnarEq31Estimator.probabilities`).  A trace-back gathers its
+ring (Bmax's boundary and Bmax - Bmin) once and probes each seed against
+it once (:meth:`~ColumnarEq31Estimator.prefetch`); the fixed sides of all
+seeds are one gather and one charge (:meth:`~ColumnarEq31Estimator.for_seeds`).
 
-Accounting guarantee: the kernel's charged reads are *identical* to the
-scalar path's — same records, through the same buffer pool, in the same
-order (consultation order, segment before twin, window parts in order,
-slots in order, chain order).  The kernel changes how decoded bytes are
-*represented*, never what is read, so result sets, ``examined`` counts
-and buffer-pool/page counters match the legacy path exactly.  A lock-step
+Accounting guarantee: the charged reads are *identical* to the scalar
+path's — same records, same buffer pool, same order (consultation order,
+segment before twin, window parts, slots, chain order) — so result sets,
+``examined`` counts and pool/page counters match it exactly.  A lock-step
 run (:mod:`repro.core.tbs`) gathers and probes all its members' rings at
 once; each member's page ids, fixed sides first, go to its ``charges``
-sink instead, for the batch driver to replay through the pool in order.
+sink for the batch driver to replay through the pool in order.
 
-An adaptive scalar fast path keeps tiny evaluations (a few visits
-against a small fixed side) in plain Python, where numpy dispatch
-overhead would dominate; both paths produce bit-identical probabilities
-and the per-path counters (``kernel_evals`` / ``scalar_evals``) are
-surfaced through :class:`~repro.core.query.QueryCost`.  The path is chosen
-per seed and wave, so an m-query wave's split can differ from the scalar
-loop's per-consultation choice; their sum cannot.
+Every evaluation runs the probe.  Tiny ones (at most
+:data:`SCALAR_EVAL_MAX_VISITS` uncached visits) are still counted apart,
+as ``scalar_evals`` beside ``kernel_evals`` (:class:`~repro.core.query.QueryCost`),
+per seed and wave — the split the lock step counts too — so an m-query
+wave's split can differ from the scalar loop's per-consultation choice;
+their sum cannot.
 """
 
 from __future__ import annotations
@@ -60,15 +49,13 @@ import math
 
 import numpy as np
 
-from repro.core.st_index import KEY_DATE_SHIFT, KEY_ID_MASK, STIndex
+from repro.core.directory import _ramp
+from repro.core.st_index import KEY_DATE_SHIFT, STIndex
 
-#: Below this many gathered candidate visits, a plain Python membership
-#: loop beats numpy dispatch overhead; evaluations this small take the
-#: scalar fast path.  Both paths are exact, so this is purely a latency
-#: tuning knob (mirrors ``ESCALATE_COVER`` on the expansion side).
+#: Evaluations over at most this many uncached candidate visits count as
+#: ``scalar_evals``, the rest as ``kernel_evals``; both run the probe (a
+#: Python membership loop for them measured no faster).
 SCALAR_EVAL_MAX_VISITS = 24
-
-_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 class ColumnarEq31Estimator:
@@ -86,13 +73,13 @@ class ColumnarEq31Estimator:
     Attributes:
         checks: probability computations requested (cache hits excluded),
             matching the scalar estimator's counter exactly.
-        kernel_evals / scalar_evals: evaluations served by the vectorized
-            kernel vs the tiny-input Python fast path.
+        kernel_evals / scalar_evals: evaluations above vs at most
+            :data:`SCALAR_EVAL_MAX_VISITS` uncached visits.
     """
 
     def __init__(
         self, index: STIndex, fixed_segment: int, start_time_s: float, duration_s: float,
-        num_days: int, charges: list | None = None, *, fixed_parts: list | None = None,
+        num_days: int, charges: list | None = None, *, fixed_parts: tuple | None = None,
     ) -> None:
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
@@ -126,7 +113,6 @@ class ColumnarEq31Estimator:
             fixed_parts = _charged_gather(index, self._road(fixed_segment), plan, charges)
         self._fixed_keys = np.unique(self._count(fixed_parts))
         self._fixed_days = np.unique(self._fixed_keys >> KEY_DATE_SHIFT).size
-        self._fixed_sets: dict[int, set[int]] | None = None
 
     @classmethod
     def for_seeds(
@@ -137,10 +123,16 @@ class ColumnarEq31Estimator:
         their fixed sides read with one gather and one charge in seed order."""
         plan = index.window_plan(*cls._fixed_window(start_time_s, duration_s))
         roads = [_carriageways(index.network, seed) for seed in seeds]
-        parts = _charged_gather(index, [s for road in roads for s in road], plan, charges)
+        keys, key_len, records, pages, page_len = _charged_gather(
+            index, [s for road in roads for s in road], plan, charges
+        )
         cuts = np.cumsum([0, *map(len, roads)]).tolist()
+        key_at, page_at = (np.cumsum([0, *lengths]).tolist() for lengths in (key_len, page_len))
         return [
-            cls(index, seed, start_time_s, duration_s, num_days, fixed_parts=parts[a:b])
+            cls(index, seed, start_time_s, duration_s, num_days, fixed_parts=(
+                keys[key_at[a]:key_at[b]], key_len[a:b], records[a:b],
+                pages[page_at[a]:page_at[b]], page_len[a:b],
+            ))
             for seed, a, b in zip(seeds, cuts, cuts[1:])
         ]
 
@@ -162,17 +154,17 @@ class ColumnarEq31Estimator:
             road = self._roads[segment_id] = _carriageways(self.network, segment_id)
         return road
 
-    def _count(self, parts) -> np.ndarray:
-        """A charged read's keys back to back, its records and pages counted."""
-        self.batched_record_reads += sum(records for _, records, _ in parts)
-        self.prefetched_pages += sum(pages.size for _, _, pages in parts)
-        return np.concatenate([keys for keys, _, _ in parts])
+    def _count(self, columns) -> np.ndarray:
+        """A charged read's keys, its records and pages counted."""
+        keys, _, records, pages, _ = columns
+        self.batched_record_reads += int(records.sum())
+        self.prefetched_pages += pages.size
+        return keys
 
     def _gather(self, segment_ids) -> tuple:
-        """The roads of ``segment_ids``, each once, in one uncharged gather over
-        the candidate plan: each segment's road number, each carriageway's
-        ``(keys, records, page ids)``, the keys back to back, the road of each
-        key and the visits per road."""
+        """The roads of ``segment_ids``, each once, in one uncharged gather over the
+        candidate plan: each segment's road number, each carriageway's entry, the
+        :class:`_Entries`, the keys back to back, each key's road, the visits per road."""
         road_of: dict[int, int] = {}
         flat: list[int] = []
         roads = 0
@@ -182,44 +174,17 @@ class ColumnarEq31Estimator:
                 road_of.update(dict.fromkeys(road, roads))
                 flat += road
                 roads += 1
-        gathered = self.index.gather_window_columns(flat, self._candidate_plan) if flat else []
-        keys = np.concatenate([k for k, _, _ in gathered] or [_NO_KEYS])
-        owner = np.repeat(
-            np.array([road_of[member] for member in flat], dtype=np.int64),
-            [k.size for k, _, _ in gathered],
+        entries = _Entries(self.index.gather_window_columns(flat, self._candidate_plan))
+        owner = np.repeat(np.array([road_of[m] for m in flat], dtype=np.int64), entries.key_len)
+        return (
+            road_of, dict(zip(flat, range(len(flat)))), entries, entries.keys, owner,
+            np.bincount(owner, minlength=roads),
         )
-        return road_of, dict(zip(flat, gathered)), keys, owner, np.bincount(owner, minlength=roads)
 
     @property
     def start_days(self) -> int:
         """Days with at least one fixed-side visit (``m*``'s upper bound)."""
         return self._fixed_days
-
-    def _fixed_day_sets(self) -> dict[int, set[int]]:
-        """The fixed side as ``day -> {trajectory ids}`` (scalar path, lazy)."""
-        if self._fixed_sets is None:
-            sets: dict[int, set[int]] = {}
-            for key in self._fixed_keys.tolist():
-                sets.setdefault(key >> KEY_DATE_SHIFT, set()).add(
-                    key & KEY_ID_MASK
-                )
-            self._fixed_sets = sets
-        return self._fixed_sets
-
-    def _good_days_scalar(self, arrays) -> int:
-        """Tiny-input fast path: Python membership over the day sets, for
-        one road's key arrays."""
-        fixed = self._fixed_day_sets()
-        good: set[int] = set()
-        for keys in arrays:
-            for key in keys.tolist():
-                day = key >> KEY_DATE_SHIFT
-                if day in good:
-                    continue
-                ids = fixed.get(day)
-                if ids is not None and (key & KEY_ID_MASK) in ids:
-                    good.add(day)
-        return len(good)
 
     def _membership(self, keys: np.ndarray) -> np.ndarray:
         """Boolean mask: which candidate visit keys exist on the fixed side.
@@ -268,17 +233,15 @@ class ColumnarEq31Estimator:
            every distinct road some live peer has not cached — none for a
            wave wholly in the :meth:`prefetch` ring, which holds its roads;
         2. per peer, at its first evaluation, one ``searchsorted``
-           membership probe over the wave's concatenated keys — or the
-           scalar loop when the roads it has not cached hold at most
-           :data:`SCALAR_EVAL_MAX_VISITS` visits.  In the ring it is one
-           probe over the ring's keys at the peer's first evaluation of the
-           search, counted kernel or scalar per wave by the same rule;
+           membership probe over the wave's concatenated keys (in the ring,
+           over the ring's keys at its first evaluation of the search),
+           counted scalar when the roads it has not cached hold at most
+           :data:`SCALAR_EVAL_MAX_VISITS` visits, else kernel;
         3. a replay of the scalar consultation order (each peer's cache
            first; the claimer, then the others while below ``prob``) that
-           updates every consulted peer's cache, ``checks`` and I/O
-           counters and collects the page-id arrays the per-segment loop
-           charges, in its order;
-        4. their concatenation charged in one
+           updates every consulted peer's cache and counters and lists the
+           entries the per-segment loop charges, in its order;
+        4. their page ids charged in one
            :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.
         """
         wave = list(segment_ids)
@@ -295,27 +258,22 @@ class ColumnarEq31Estimator:
         pending = [s for s in wave if any(s not in e._cache for e in live)]
         ring = self._ring
         if ring is not None and all(s in ring[0] for s in wave):
-            road_of, parts, keys, owner, visits, probed = ring
+            road_of, at, entries, keys, owner, visits, probed = ring
         else:
-            (road_of, parts, keys, owner, visits), probed = self._gather(pending), None
+            (road_of, at, entries, keys, owner, visits), probed = self._gather(pending), None
         heads: dict[int, int] = {}
         for segment_id in pending:
             heads.setdefault(road_of[segment_id], segment_id)
 
         def good_days(e: ColumnarEq31Estimator) -> tuple:
-            """2. ``m*`` per road for one peer, and whether the scalar path
-            counts it (at most ``SCALAR_EVAL_MAX_VISITS`` visits on the roads
+            """2. ``m*`` per road for one peer, and whether it counts as
+            scalar (at most ``SCALAR_EVAL_MAX_VISITS`` visits on the roads
             it has not cached).  Called before ``e`` evaluates anything of
             this wave, so its cache is the wave-start cache."""
             mine = {r: head for r, head in heads.items() if head not in e._cache}
             scalar = visits[list(mine)].sum() <= SCALAR_EVAL_MAX_VISITS
             if probed is not None and e in probed:
                 return probed[e], scalar
-            if scalar and probed is None:
-                return {
-                    r: e._good_days_scalar(parts[member][0] for member in self._road(head))
-                    for r, head in mine.items()
-                }, True
             hit = e._membership(keys)
             # Dedup (road, day) hit pairs, then count days per road: the
             # per-day intersections of Eq. 3.1 for the whole gather.
@@ -327,7 +285,7 @@ class ColumnarEq31Estimator:
 
         # 3. The scalar consultation order, replayed.
         probes: dict[ColumnarEq31Estimator, tuple] = {}
-        charges: list[np.ndarray] = []
+        charges: list[int] = []
         values: list[float] = []
         for segment_id in wave:
             value = -1.0  # below any threshold: the claimer is always asked
@@ -348,17 +306,17 @@ class ColumnarEq31Estimator:
                         else:
                             e.kernel_evals += 1
                         for member in self._road(segment_id):
-                            _, records, pages = parts[member]
-                            e.batched_record_reads += records
-                            e.prefetched_pages += len(pages)
-                            charges.append(pages)
+                            i = at[member]
+                            e.batched_record_reads += entries.records[i]
+                            e.prefetched_pages += entries.num_pages[i]
+                            charges.append(i)
                         probability = good[road_of[segment_id]] / e.num_days
                     e._store(segment_id, probability)
                 value = max(value, probability)
             values.append(value)
         # 4. The wave's one charge.
         if charges:
-            self.index.pool.get_pages(np.concatenate(charges))
+            self.index.pool.get_pages(entries.pages_of(charges))
         return values
 
     def probability(self, segment_id: int) -> float:
@@ -378,8 +336,9 @@ class ColumnarEq31Estimator:
         """
         if self._fixed_keys.size == 0:
             return []
-        parts = _charged_gather(self.index, self._road(segment_id), self._candidate_plan)
-        keys = self._count(parts)
+        keys = self._count(
+            _charged_gather(self.index, self._road(segment_id), self._candidate_plan)
+        )
         hit = keys[self._membership(keys)]
         return np.unique(hit >> KEY_DATE_SHIFT).tolist()
 
@@ -396,13 +355,26 @@ def _carriageways(network, segment_id: int) -> tuple[int, ...]:
     return (segment_id, twin)
 
 
-def _charged_gather(index: STIndex, segment_ids, plan, charges: list | None = None) -> list:
+def _charged_gather(index: STIndex, segment_ids, plan, charges: list | None = None) -> tuple:
     """The window gather of ``segment_ids``, their page ids charged in one call
     (or recorded into ``charges`` for a lock-step replay) in the scalar order."""
-    parts = index.gather_window_columns(segment_ids, plan)
-    pages = np.concatenate([page_ids for _, _, page_ids in parts])
+    columns = index.gather_window_columns(segment_ids, plan)
     if charges is None:
-        index.pool.get_pages(pages)
+        index.pool.get_pages(columns[3])
     else:
-        charges.append(pages)
-    return parts
+        charges.append(columns[3])
+    return columns
+
+
+class _Entries:
+    """A gather's columns with per-entry lists, and the page ids of many entries."""
+
+    def __init__(self, columns: tuple) -> None:
+        self.keys, self.key_len, records, self.pages, self.page_len = columns
+        self.page_at = np.cumsum(self.page_len) - self.page_len
+        self.records, self.num_pages = records.tolist(), self.page_len.tolist()
+
+    def pages_of(self, entries: list[int]) -> np.ndarray:
+        """The page ids of ``entries``, back to back in their order."""
+        rows = np.array(entries, dtype=np.int64)
+        return self.pages[_ramp(self.page_at[rows], self.page_len[rows])]

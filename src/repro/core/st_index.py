@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -95,9 +96,6 @@ class ColumnarTimeList:
             id/second) order.
         seconds: ``uint32`` visit seconds, aligned with ``keys``.
         record_ends: ``int64`` end of each record's visits in ``keys``.
-
-    The window-gather memo shares views of ``keys`` between queries —
-    never mutate the arrays.
     """
 
     keys: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
@@ -190,6 +188,59 @@ def _visit_columns(source) -> tuple[np.ndarray, ...]:
     )
 
 
+def _append(buffer: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``values`` after its first ``used`` columns, doubled
+    (or more) when full; an empty buffer adopts ``values`` uncopied."""
+    if not used:
+        return values
+    end = used + values.shape[-1]
+    if end > buffer.shape[-1]:
+        grown = np.empty((*buffer.shape[:-1], max(end, 2 * buffer.shape[-1])), buffer.dtype)
+        grown[..., :used] = buffer[..., :used]
+        buffer = grown
+    buffer[..., used:end] = values
+    return buffer
+
+
+class _PlanGathers:
+    """One window plan's gathered segments as columns, the unit of the
+    window-gather memo.  ``entry_of`` maps a segment to its entry ``i``:
+    ``key_len[i]`` keys from ``key_at[i]`` of ``keys``, ``records[i]``
+    records, ``page_len[i]`` page ids from ``page_at[i]`` of ``pages``."""
+
+    def __init__(self) -> None:
+        self.entry_of: dict[int, int] = {}
+        self.entries = self.num_keys = self.num_pages = 0
+        self.meta = np.empty((5, 0), dtype=np.int64)
+        self.keys, self.pages = _EMPTY_KEYS, _EMPTY_KEYS
+
+    def add(self, segment_ids: np.ndarray, keys, key_len, records, pages, page_len) -> None:
+        """One entry per id of ``segment_ids``, in order."""
+        key_at = self.num_keys + np.cumsum(key_len) - key_len
+        page_at = self.num_pages + np.cumsum(page_len) - page_len
+        rows = np.stack((key_at, key_len, records, page_at, page_len))
+        self.meta = _append(self.meta, self.entries, rows)
+        self.keys = _append(self.keys, self.num_keys, keys)
+        self.pages = _append(self.pages, self.num_pages, pages)
+        first, self.entries = self.entries, self.entries + rows.shape[1]
+        self.entry_of.update(zip(segment_ids.tolist(), range(first, self.entries)))
+        self.num_keys += keys.size
+        self.num_pages += pages.size
+
+    def columns(self, entries: list[int]) -> tuple[np.ndarray, ...]:
+        """``(keys, key_len, records, pages, page_len)`` of ``entries``: views
+        when they are one run in the order they were added."""
+        first, end = entries[0], entries[0] + len(entries)
+        if entries == list(range(first, end)):
+            key_at, key_len, records, page_at, page_len = self.meta[:, first:end]
+            keys = self.keys[key_at[0] : key_at[-1] + key_len[-1]]
+            pages = self.pages[page_at[0] : page_at[-1] + page_len[-1]]
+        else:
+            key_at, key_len, records, page_at, page_len = self.meta[:, entries]
+            keys, pages = self.keys[_ramp(key_at, key_len)], self.pages[_ramp(page_at, page_len)]
+        return keys, key_len, records, pages, page_len
+
+
 @dataclass
 class STIndexStats:
     """Construction statistics, for documentation and sanity tests."""
@@ -210,9 +261,10 @@ class STIndex:
             disk is created when omitted).
         buffer_pool_pages: LRU page cache capacity for reads.
         record_cache_size: window-gather memo capacity in (segment, plan)
-            entries (0 disables).  The memo skips only decode and filter
-            work — it hands back the page ids a miss would, and the caller
-            charges those either way, keeping the I/O accounting identical.
+            entries, held as whole plans (0 disables).  The memo skips only
+            probe, decode and filter work — it hands back the page ids a
+            miss would, and the caller charges those either way, keeping
+            the I/O accounting identical.
     """
 
     def __init__(
@@ -238,15 +290,10 @@ class STIndex:
         self.directory = TimeListDirectory(self.num_slots)
         self._built = False
         self.record_cache_size = record_cache_size
-        # Window-gather memo: (segment, plan) -> the filtered key array,
-        # the record count and the page ids the gather touched.  A hit
-        # returns what a miss would compute, page ids included (the caller
-        # charges those through the buffer pool either way), and only
-        # skips the decode/filter/concat work.  Cleared when appends extend
-        # a directory chain.
-        self._window_gathers: OrderedDict[
-            tuple[int, tuple], tuple[np.ndarray, int, tuple[int, ...]]
-        ] = OrderedDict()
+        # Window-gather memo: an LRU of plans holding their gathered segments
+        # as columns, ``record_cache_size`` in all; cleared by appends.
+        self._window_gathers: OrderedDict[tuple, _PlanGathers] = OrderedDict()
+        self._gathered_entries = 0
         self.stats = STIndexStats(num_slots=self.num_slots)
 
     # -- construction ----------------------------------------------------------
@@ -409,6 +456,7 @@ class STIndex:
         # invalidation of attached pools.)  The window-gather memo is keyed
         # by segment, not pointer, so grown chains must invalidate it.
         self._window_gathers.clear()
+        self._gathered_entries = 0
         self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
         return len(delta)
@@ -443,38 +491,22 @@ class STIndex:
 
     # -- time-list reads ----------------------------------------------------------------
 
-    def time_entries(
-        self, segment_id: int, slot: int
-    ) -> dict[int, list[tuple[int, int]]]:
-        """Read a (segment, slot) time list: ``date -> (id, second) visits``.
-
-        Charged through the buffer pool; an absent entry (no trajectory ever
-        hit the segment in the slot) is free, as the in-memory directory
-        already proves absence.  The caller owns the returned dict and its
-        lists.
-        """
+    def time_entries(self, segment_id: int, slot: int) -> dict[int, list[tuple[int, int]]]:
+        """Read a (segment, slot) time list: ``date -> (id, second) visits``,
+        ascending.  Charged through the buffer pool; an absent entry (no
+        trajectory ever hit the segment in the slot) is free, as the
+        in-memory directory already proves absence.  The caller owns the
+        returned dict and its lists."""
         if not 0 <= slot < self.num_slots:
             return {}
-        _, chain = self.directory.probe((segment_id,), (slot,))
-        if not len(chain):
-            return {}
-        if len(chain) == 1:
-            # Bulk-built and per-append records are internally duplicate
-            # free; only cross-record merges need the dedup below.
-            return self._read_record(chain[0]).per_date()
         merged: dict[int, set[tuple[int, int]]] = {}
-        for pointer in chain:
-            for date, visits in self._read_record(pointer).per_date().items():
+        for pointer in self.directory.probe((segment_id,), (slot,))[1]:
+            payload = self._store.read(RecordPointer(*pointer.tolist()), pool=self.pool)
+            for date, visits in decode_time_list_columns(payload).per_date().items():
                 # Set-merge: a visit present in both the bulk record and an
-                # appended record (same id, same second) must count once.
+                # appended record (same id, same second) counts once.
                 merged.setdefault(date, set()).update(visits)
         return {date: sorted(visits) for date, visits in merged.items()}
-
-    def _read_record(self, pointer: np.ndarray) -> ColumnarTimeList:
-        """One record read, charged through the buffer pool, and decoded."""
-        return decode_time_list_columns(
-            self._store.read(RecordPointer(*pointer.tolist()), pool=self.pool)
-        )
 
     def window_plan(
         self, start_s: float, end_s: float
@@ -494,38 +526,47 @@ class STIndex:
         self,
         segment_ids,
         plan: tuple[tuple[float, float, int, int], ...],
-    ) -> list[tuple[np.ndarray, int, np.ndarray]]:
-        """Uncharged window gather for a wave of segments.
+    ) -> tuple[np.ndarray, ...]:
+        """Uncharged window gather for a wave of segments, as columns
+        ``(keys, key_len, records, pages, page_len)`` — the gather behind
+        every Eq. 3.1 evaluation.  Per requested segment, in order: its
+        packed visit keys inside the plan's window, its time-list records
+        and the ``int64`` page ids they span in the scalar read order (plan
+        slots, then chain order); keys and pages back to back, cut by the
+        lengths.  An unknown or unvisited segment is an empty entry.  The
+        arrays may be views of the memo: never mutate them.
 
-        The gather behind every Eq. 3.1 evaluation.  Per requested segment,
-        in order: its packed visit keys inside the plan's window, how many
-        time-list records they came from, and the ``int64`` page ids those
-        records span in the scalar read order (plan slots in window order,
-        chain records in chain order) — the window-gather memo's entry.
-
-        Nothing is charged here.  The caller charges the page ids of the
-        segments it actually evaluates, in evaluation order, through one
-        :meth:`~repro.storage.pagestore.BufferPool.get_pages` call, so the
-        pool sees the access sequence of the per-segment loop.  A memo hit
-        skips all the work below.  The misses of one call cost one
-        directory probe, one extent read, one vector decode
-        (:func:`decode_time_list_columns`) and one seconds mask; their
-        entries are views of the wave's key and page-id arrays, cut by
-        cumulative record counts.
+        The caller charges the page ids of the segments it evaluates, in
+        evaluation order, through one
+        :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.  A
+        segment the plan's memo holds costs a lookup; the misses of one call
+        cost one directory probe, one extent read, one vector decode and one
+        seconds mask, appended to the memo as columns.
         """
-        cache_on = self.record_cache_size > 0
-        results: list = []
-        misses: list[tuple[int, int]] = []
-        gathers = self._window_gathers
-        for segment_id in segment_ids:
-            entry = gathers.get((segment_id, plan)) if cache_on else None
-            if entry is None:
-                misses.append((len(results), segment_id))
-            else:
-                gathers.move_to_end((segment_id, plan))
-            results.append(entry)
-        if not misses:
-            return results
+        ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
+        if not self.record_cache_size or not ids.size:
+            return self._gather_misses(ids, plan)
+        memo = self._window_gathers.pop(plan, None) or _PlanGathers()
+        held = memo.entries
+        entries = list(map(memo.entry_of.get, ids.tolist(), repeat(-1)))
+        gathered = None
+        if -1 in entries:
+            found = np.array(entries)
+            misses = ids[found < 0]
+            gathered = self._gather_misses(misses, plan)
+            memo.add(misses, *gathered)
+            found[found < 0] = np.arange(held, memo.entries)
+            entries = found.tolist() if misses.size < ids.size else None
+        # Whole plans leave, least recently used first; a plan above the cap
+        # on its own is served and then dropped.
+        self._window_gathers[plan] = memo
+        self._gathered_entries += memo.entries - held
+        while self._gathered_entries > self.record_cache_size:
+            self._gathered_entries -= self._window_gathers.popitem(last=False)[1].entries
+        return gathered if entries is None else memo.columns(entries)
+
+    def _gather_misses(self, segment_ids: np.ndarray, plan) -> tuple[np.ndarray, ...]:
+        """:meth:`gather_window_columns`' columns for segments no memo holds."""
         # Per plan step (one slot of one window part): its slot and the
         # seconds bounds of its part, unbounded where the slot lies wholly
         # inside the part.
@@ -536,18 +577,14 @@ class STIndex:
             for lo, hi, first_slot, last_slot in plan
             for slot in range(first_slot, last_slot + 1)
         ]
-        pairs, rows = self.directory.probe(
-            [segment_id for _, segment_id in misses], [slot for slot, _, _ in steps]
-        )
+        pairs, rows = self.directory.probe(segment_ids, [slot for slot, _, _ in steps])
         miss_of, step_of = np.divmod(pairs, len(steps))
         first_pages, num_pages, offsets, lengths = rows.T
         keys, ends = _EMPTY_KEYS, np.zeros(1, dtype=np.int64)
         if pairs.size:
-            # A record on the store's dirty tail page flushes it first, as
-            # a charged PageStore.read would.
+            # A record on the dirty tail page flushes it first, as a read would.
             self._store.ensure_committed(rows)
-            # Uncharged: the caller charges these pages, once per evaluation
-            # that uses them (see above).
+            # Uncharged: the caller charges these pages (see above).
             # repro-lint: disable=RL002
             payload = self.disk.extent_bytes(first_pages, offsets, lengths)
             decoded = decode_time_list_columns(payload, lengths)
@@ -561,24 +598,11 @@ class STIndex:
                 keep &= decoded.seconds < highs[step_of].repeat(sizes)
                 keys = keys[keep]
                 ends = np.concatenate(([0], keep.cumsum()))[ends]
-        # Split per segment: records are grouped by miss, in miss order.
-        records = np.bincount(miss_of, minlength=len(misses))
-        record_cuts = np.concatenate(([0], records.cumsum()))
-        key_cuts = ends[record_cuts].tolist()
-        page_cuts = np.concatenate(([0], num_pages.cumsum()))[record_cuts].tolist()
-        pages = _ramp(first_pages, num_pages)
-        for i, ((position, _), count) in enumerate(zip(misses, records.tolist())):
-            results[position] = (
-                keys[key_cuts[i] : key_cuts[i + 1]],
-                count,
-                pages[page_cuts[i] : page_cuts[i + 1]],
-            )
-        if cache_on:
-            for position, segment_id in misses:
-                gathers[(segment_id, plan)] = results[position]
-            while len(gathers) > self.record_cache_size:
-                gathers.popitem(last=False)
-        return results
+        # Records are grouped by segment, in segment order.
+        records = np.bincount(miss_of, minlength=segment_ids.size)
+        key_len = np.diff(ends[np.concatenate(([0], records.cumsum()))])
+        page_len = np.bincount(miss_of, num_pages, segment_ids.size).astype(np.int64)
+        return keys, key_len, records, _ramp(first_pages, num_pages), page_len
 
     def time_list(self, segment_id: int, slot: int) -> dict[int, set[int]]:
         """A (segment, slot) time list as ``date -> trajectory ids``."""
@@ -586,22 +610,3 @@ class STIndex:
             date: {trajectory_id for trajectory_id, _ in visits}
             for date, visits in self.time_entries(segment_id, slot).items()
         }
-
-    def trajectories_in_window(
-        self, segment_id: int, start_s: float, end_s: float
-    ) -> dict[int, set[int]]:
-        """Per-date trajectory IDs passing a segment within ``[start_s, end_s)``.
-
-        Every visit of the overlapped slots is kept by its own second, so
-        the window boundaries are exact rather than rounded out to whole Δt
-        slots.  A window crossing midnight is split at the day boundary
-        (time-of-day is cyclic) and both parts contribute.
-        """
-        merged: dict[int, set[int]] = {}
-        for lo, hi, first_slot, last_slot in self.window_plan(start_s, end_s):
-            for slot in range(first_slot, last_slot + 1):
-                for date, visits in self.time_entries(segment_id, slot).items():
-                    ids = {tid for tid, second in visits if lo <= second < hi}
-                    if ids:
-                        merged.setdefault(date, set()).update(ids)
-        return merged

@@ -30,9 +30,10 @@ read trajectory data for.
 A serial batch's run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded
 members (:func:`~repro.core.executors.sqmb_tbs.execute_lockstep`) runs in
 *lock step*, as three array passes over the whole run: its rings gathered
-and probed once, the waves as a BFS over masks, and one bookkeeping pass
-that replays the serial checks, counters and charge order.  It charges
-nothing: each member records its page ids for the driver to replay.
+as columns and probed once per sieved key, the waves as a BFS over masks,
+and one bookkeeping pass that replays the serial checks, counters and
+charge order.  It charges nothing: each member records its page ids for
+the driver to replay.
 """
 
 from __future__ import annotations
@@ -177,15 +178,15 @@ def trace_back_search(
 
 
 def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[TraceBackResult]:
-    """Rows ``(member, segment)`` in three passes.  1. The ring: one gather per (ST-Index,
-    candidate plan), one probe of every (estimator, ring road) pair — of the keys whose
-    hash is in the fixed sides' sieve, tagged with their estimator above the run's largest
-    date (several probes when the tags do not fit) — so a row passes iff some estimator
-    of its member reaches ``prob``.  2. The waves, a BFS over masks.  3. Bookkeeping in
-    (wave, queue) order: values as a ``cummax`` over the claimer-then-fallback order,
-    checks and charges at the first consulted occurrence of each (estimator, road), the
-    kernel/scalar split per (estimator, wave).  Values, sets, wave sizes and estimator
-    counters (not caches) equal the serial search's."""
+    """Rows ``(member, segment)`` in three passes.  1. The ring: one column gather per
+    (ST-Index, candidate plan); each sieved key is looked up once in the fixed sides'
+    sorted union, and an equal key counts toward ``m*`` of its estimator's pair if that
+    estimator has the key's road in the run and reads its source — a row passes iff some
+    estimator of its member reaches ``prob``.  2. The waves, a BFS over masks.  3.
+    Bookkeeping in (wave, queue) order: values as a ``cummax`` over the claimer-then-
+    fallback order, checks and charges at the first consulted occurrence of each
+    (estimator, road), the kernel/scalar split per (estimator, wave).  Values, sets,
+    wave sizes and estimator counters (not caches) equal the serial search's."""
     started = perf_counter()
     csr = network.csr()
     n, twin, ids = csr.n, csr.twin_row, csr.ids
@@ -199,17 +200,14 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     prob, days = np.array([s.prob for s in searches]), np.array([e.num_days for e in ests])
     sources = list(dict.fromkeys((e.index, e._candidate_plan) for e in ests))
     group = np.array([sources.index((e.index, e._candidate_plan)) for e in ests])
-    fixed = [e._fixed_keys for e in ests]
-    shift = KEY_DATE_SHIFT + (int(np.concatenate(fixed).max()) >> KEY_DATE_SHIFT).bit_length()
-    per_probe = 1 << (63 - shift)  # tags that fit above the dates
-    tag, part = np.arange(len(ests)) % per_probe, np.arange(len(ests)) // per_probe
-    stacked = [
-        np.concatenate([(t << shift) | keys for t, keys in enumerate(fixed[lo : lo + per_probe])])
-        for lo in range(0, len(ests), per_probe)
-    ]
-    bits = min(24, max(16, (32 * sum(keys.size for keys in fixed)).bit_length()))
+    # The fixed sides' union, sorted, each key with the estimator holding it.
+    fixed = np.concatenate([e._fixed_keys for e in ests])
+    holder = np.repeat(np.arange(len(ests)), [e._fixed_keys.size for e in ests])
+    by_key = np.argsort(fixed)
+    fixed, holder = fixed[by_key], holder[by_key]
+    bits = min(24, max(16, (32 * fixed.size).bit_length()))
     sieve, drop = np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits)
-    sieve[(np.concatenate(fixed).view(np.uint64) * _GOLDEN) >> drop] = True
+    sieve[(fixed.view(np.uint64) * _GOLDEN) >> drop] = True
     maxm, minm, boundary, passed, failed, reach = np.zeros((6, members, n), dtype=bool)
     for q, search in enumerate(searches):
         for mask, cover in ((maxm, search.max_region.cover), (minm, search.min_region.cover)):
@@ -221,31 +219,34 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     rq, rr = np.nonzero(boundary | maxm & ~minm)
     uq, ur = np.divmod(np.unique(rq * n + road_of[rr]), n)
     pq, pe, pr = uq.repeat(counts[uq]), _ramp(lead[uq], counts[uq]), ur.repeat(counts[uq])
-    slot = np.full((len(sources), n), -1)
-    parts: list = []
+    pair_of = np.full((len(ests), n), -1)
+    pair_of[pe, pr] = np.arange(pe.size)
+    slot, columns, gathered = np.full((len(sources), n), -1), [], []
     for g, (index, plan) in enumerate(sources):
         mine = pr[group[pe] == g]
-        gathered = np.unique(np.concatenate((mine, twin[mine][twin[mine] >= 0])))
-        slot[g, gathered] = len(parts) + np.arange(gathered.size)
-        parts += index.gather_window_columns(ids[gathered].tolist(), plan)
-    key_parts, records, page_parts = zip(*parts, (np.empty(0, int), 0, np.empty(0, int)))
-    keys, pages, records = np.concatenate(key_parts), np.concatenate(page_parts), np.array(records)
-    key_len, page_len = (np.fromiter(map(len, p), int, len(p)) for p in (key_parts, page_parts))
-    key_at, page_at = np.cumsum(key_len) - key_len, np.cumsum(page_len) - page_len
-    # The gathered parts of a segment and its twin (-1: the empty last part).
+        rows = np.unique(np.concatenate((mine, twin[mine][twin[mine] >= 0])))
+        slot[g, rows] = sum(map(len, gathered)) + np.arange(rows.size)
+        gathered.append(rows)
+        columns.append(index.gather_window_columns(ids[rows], plan))
+    # Every source's entries back to back, then an empty one (-1: no twin).
+    keys, key_len, records, pages, page_len = (
+        np.concatenate((*column, np.zeros(empty, int)))
+        for column, empty in zip(zip(*columns), (0, 1, 1, 0, 1))
+    )
+    part_road = road_of[np.concatenate(gathered)]
+    part_group = np.repeat(np.arange(len(sources)), list(map(len, gathered)))
+    key_end, page_at = np.cumsum(key_len), np.cumsum(page_len) - page_len
+    # The gathered entries of a segment and its twin.
     twins = np.stack((slot, np.where(twin >= 0, slot[:, twin], -1)), axis=-1)
-    pair_parts = twins[group[pe], pr]  # m* of every pair
-    maybe = sieve[(keys.view(np.uint64) * _GOLDEN) >> drop]
-    cut = np.concatenate(([0], np.cumsum(maybe)))[np.stack((key_at, key_at + key_len))]
-    span = (cut[1] - cut[0])[pair_parts]
-    probe = keys[maybe][_ramp(cut[0][pair_parts].ravel(), span.ravel())]
-    owner = np.repeat(np.arange(pe.size), span.sum(axis=1))
-    tagged = np.where(probe >> shift == 0, (tag[pe][owner] << shift) | probe, -1)
-    hit = np.zeros(probe.size, dtype=bool)
-    for p, side in enumerate(stacked):
-        at = part[pe][owner] == p
-        hit[at] = np.take(side, side.searchsorted(tagged[at]), mode="clip") == tagged[at]
-    days_hit = np.unique((owner[hit] << KEY_DATE_SHIFT) | (probe[hit] >> KEY_DATE_SHIFT))
+    # One probe per sieved key; each fixed-side key equal to it is a hit when its
+    # holder has the key's road in the run and reads the key's source.
+    sieved = np.flatnonzero(sieve[(keys.view(np.uint64) * _GOLDEN) >> drop])
+    lo, hi = fixed.searchsorted(keys[sieved]), fixed.searchsorted(keys[sieved], "right")
+    probe, est = sieved.repeat(hi - lo), holder[_ramp(lo, hi - lo)]
+    part = key_end.searchsorted(probe, "right")
+    pair = pair_of[est, part_road[part]]
+    hit = (pair >= 0) & (group[est] == part_group[part])
+    days_hit = np.unique((pair[hit] << KEY_DATE_SHIFT) | (keys[probe[hit]] >> KEY_DATE_SHIFT))
     fresh = np.zeros((len(ests), n))  # by road: its smaller row
     fresh[pe, pr] = np.bincount(days_hit >> KEY_DATE_SHIFT, minlength=pe.size) / days[pe]
     np.logical_or.at(reach, (pq, pr), fresh[pe, pr] >= prob[pq])

@@ -209,17 +209,24 @@ class SimulatedDisk:
     def charge_reads(self, page_ids: Sequence[int]) -> None:
         """Charge a batch of page reads in one pass (no payloads returned).
 
-        Accounting-identical to calling :meth:`read_page` once per id, in
-        order — the same counts and bytes — but takes the stats lock once
-        and copies nothing: buffer pools charge their misses here, and
-        readers take the bytes from :meth:`extent_bytes`.
+        Accounting-identical to :meth:`read_page` once per id (a sequence
+        or an integer array), in order, in one lock and one loop with no
+        call per id: buffer pools charge their misses here.  An unallocated
+        id raises :class:`DiskError`, naming the first, before any counter
+        moves.
         """
         with self._lock:
-            total_bytes = 0
-            for page_id in page_ids:
-                total_bytes += self._used_checked(page_id)
+            used, total = self._used, 0
+            try:
+                for page_id in page_ids:
+                    total += used[page_id]
+            except IndexError:  # past the end; a negative id wraps, hence min()
+                total = -1
+            if total < 0 or (len(page_ids) and min(page_ids) < 0):
+                bad = next(page_id for page_id in page_ids if not 0 <= page_id < len(used))
+                raise DiskError(f"page {bad} was never allocated")
             self.stats.page_reads += len(page_ids)
-            self.stats.bytes_read += total_bytes
+            self.stats.bytes_read += total
 
     def write_page(self, page_id: int, payload: bytes) -> None:
         """Write one page, charging a write to the stats.

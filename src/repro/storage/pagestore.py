@@ -38,6 +38,9 @@ import numpy as np
 
 from repro.storage.disk import DiskError, SimulatedDisk
 
+#: Shortest :meth:`BufferPool.get_pages` call worth collapsing repeats in.
+RUN_COLLAPSE_MIN_IDS = 64
+
 @dataclass(frozen=True)
 class RecordPointer:
     """Location of a stored record: one extent plus offset and length.
@@ -331,10 +334,22 @@ class BufferPool:
 
         ``page_ids`` is a sequence or an integer array.  Identical to
         calling :meth:`get_page` once per id in order — same hits, misses,
-        evictions and disk reads, duplicates charged every time — but the
-        misses are charged in one :meth:`SimulatedDisk.charge_reads`.
+        evictions, resident order and disk reads — but the misses are
+        charged in one :meth:`SimulatedDisk.charge_reads`.  An access that
+        repeats the previous id is a hit that leaves the LRU order alone at
+        any capacity above 0, so in calls of :data:`RUN_COLLAPSE_MIN_IDS` or
+        more ids it is counted before the LRU loop instead of in it.
         """
-        self._access(self._checked(page_ids))
+        ids = np.asarray(page_ids).ravel()
+        if self.capacity and ids.size >= RUN_COLLAPSE_MIN_IDS and ids.dtype.kind in "iu":
+            fresh = np.empty(ids.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(ids[1:], ids[:-1], out=fresh[1:])
+            checked = self._checked(ids[fresh])
+            self.hits += ids.size - len(checked)
+        else:
+            checked = self._checked(ids)
+        self._access(checked)
 
     def _checked(self, page_ids) -> list[int]:
         """``page_ids`` as a list of ints, or :class:`DiskError` when one

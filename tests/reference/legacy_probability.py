@@ -12,7 +12,8 @@ temporarily routing the executors through
 against.
 
 They carry the PR 1-3 semantics exactly: per-day trajectory-id *sets*
-built from :meth:`~repro.core.st_index.STIndex.trajectories_in_window`,
+built from :func:`trajectories_in_window` (a window's dict-based filter
+over :meth:`~repro.core.st_index.STIndex.time_entries`),
 ``set.isdisjoint`` day loops, a Δt-independent 5-minute departure window,
 road-level twin merging, and FIFO single-segment TBS/ES loops.
 """
@@ -28,6 +29,25 @@ from repro.core.query import BoundingRegion
 from repro.core.st_index import STIndex
 from repro.core.tbs import TraceBackResult
 from repro.network.model import RoadNetwork
+
+
+def trajectories_in_window(index, segment_id: int, start_s: float, end_s: float) -> dict[int, set[int]]:
+    """Per-date trajectory IDs passing a segment within ``[start_s, end_s)``.
+
+    Every visit of the overlapped slots is kept by its own second, so the
+    window boundaries are exact rather than rounded out to whole Δt slots.
+    A window crossing midnight is split at the day boundary (time-of-day is
+    cyclic) and both parts contribute.  Reads are charged, slot by slot,
+    through :meth:`~repro.core.st_index.STIndex.time_entries`.
+    """
+    merged: dict[int, set[int]] = {}
+    for lo, hi, first_slot, last_slot in index.window_plan(start_s, end_s):
+        for slot in range(first_slot, last_slot + 1):
+            for date, visits in index.time_entries(segment_id, slot).items():
+                ids = {tid for tid, second in visits if lo <= second < hi}
+                if ids:
+                    merged.setdefault(date, set()).update(ids)
+    return merged
 
 
 class LegacyProbabilityEstimator:
@@ -81,12 +101,10 @@ class LegacyProbabilityEstimator:
         self, segment_id: int, start_s: float, end_s: float
     ) -> dict[int, set[int]]:
         """Per-day trajectory ids passing the *road* (either direction)."""
-        merged = self.index.trajectories_in_window(segment_id, start_s, end_s)
+        merged = trajectories_in_window(self.index, segment_id, start_s, end_s)
         twin = self._twin(segment_id)
         if twin is not None:
-            for date, ids in self.index.trajectories_in_window(
-                twin, start_s, end_s
-            ).items():
+            for date, ids in trajectories_in_window(self.index, twin, start_s, end_s).items():
                 bucket = merged.get(date)
                 if bucket is None:
                     merged[date] = set(ids)

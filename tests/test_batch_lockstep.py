@@ -14,12 +14,14 @@ through ``execute_plan``, in order, in one window: results and
 probabilities, every ``QueryCost`` field but the wall time, the region
 counters, ``report.io`` and the page-id sequence every ST-Index pool
 receives.  One more engine indexes the same trips with dates just below
-2**31, where the estimator tags no longer fit beside the dates and the
-run's probe splits.  Deterministic edge cases on the test city: an
-estimator on both sides of ``SCALAR_EVAL_MAX_VISITS`` in different waves
-(an s-query's only seed, an m-query's second seed), both carriageways of a
-road examined in different waves; and a spy that finds one gather per
-(ST-Index, candidate plan) per run, however many waves it has.
+2**31, the largest a packed visit key holds.  Deterministic edge cases on
+the test city: an estimator on both sides of ``SCALAR_EVAL_MAX_VISITS`` in
+different waves (an s-query's only seed, an m-query's second seed), both
+carriageways of a road examined in different waves; a spy that finds one
+gather per (ST-Index, candidate plan) per run, however many waves it has,
+each answering one entry per requested segment; and window-gather memos of
+1 and 24 segments, which every run's plans overflow, answering as the
+memo-off engine does.
 
 The stream keeps its contract: responses are published one per pull in
 submission order, a member that raises does so at its own pull after the
@@ -298,7 +300,8 @@ def test_wave_edge_cases_equal_serial_execution(engines, roads, edge_cases, key)
 
 def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
     """However many waves its members run, a lock-step run gathers each (ST-Index,
-    candidate plan) of its estimators exactly once."""
+    candidate plan) of its estimators exactly once, over distinct segments, and
+    each gather answers columns with one entry per requested segment."""
     live = roads[0]
     requests = list(edge_cases.values()) + [
         s_request(live[i], 0.5, duration, 0.2, delta_t_s)
@@ -312,7 +315,12 @@ def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
 
         def spied_gather(index, segment_ids, plan):
             calls.append((id(index), plan))
-            return gather(index, segment_ids, plan)
+            columns = gather(index, segment_ids, plan)
+            keys, key_len, records, pages, page_len = columns
+            assert len(set(segment_ids.tolist())) == len(segment_ids) == len(key_len)
+            assert len(records) == len(page_len) == len(key_len)
+            assert (len(keys), len(pages)) == (sum(key_len), sum(page_len))
+            return columns
 
         with mock.patch.object(STIndex, "gather_window_columns", spied_gather):
             results = step(network, searches)
@@ -330,6 +338,39 @@ def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
     assert len(runs) == 1
     calls, sources, waves = runs[0]
     assert calls == sources and len(sources) == 4 and waves > 2
+
+
+@pytest.mark.parametrize("memo", [1, 24])
+def test_small_memo_answers_as_memo_off(test_dataset, engines, roads, edge_cases, memo):
+    """Runs whose plans overflow a window-gather memo of ``memo`` segments (1 as
+    in ``test_region_cache.py``): every ``QueryCost`` field, ``report.io`` and the
+    pools' page ids equal the memo-off engine's, cold and warm, and the memo
+    never holds more than ``memo`` segments."""
+    network, database = test_dataset.network, test_dataset.database
+    small = install(ReachabilityEngine(network, database), network, database, None, memo)
+    live = roads[0]
+    requests = list(edge_cases.values()) + [
+        s_request(live[i], 0.5, duration, 0.2, delta_t_s)
+        for i in (5, 21) for duration in (600.0, 1200.0) for delta_t_s in DELTA_TS
+    ]
+    for engine in (small, engines[(None, 0)]):
+        run(engine, requests, False, False)  # Con-Index entries, both share
+    gather, widest = STIndex.gather_window_columns, []
+
+    def spied_gather(index, segment_ids, plan):
+        widest.append(len(segment_ids))
+        return gather(index, segment_ids, plan)
+
+    for warm in (False, True):
+        with mock.patch.object(STIndex, "gather_window_columns", spied_gather):
+            got = run(small, requests, warm, True, 2)
+        want = run(engines[(None, 0)], requests, warm, True, 2)
+        assert max(widest) > memo
+        assert [summary(r) for r in got[0]] == [summary(r) for r in want[0]]
+        assert got[1].io == want[1].io and got[2] == want[2]
+        for delta_t_s in DELTA_TS:
+            index = small.st_index(delta_t_s)
+            assert sum(p.entries for p in index._window_gathers.values()) <= memo
 
 
 def test_stream_publishes_each_response_at_its_pull(engines, roads):

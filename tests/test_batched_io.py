@@ -11,6 +11,7 @@ cross-store appends on a shared disk, and weakref hygiene in
 """
 
 import gc
+import itertools
 import random
 import threading
 from collections import OrderedDict
@@ -289,18 +290,38 @@ class TestGatherMemoInvalidation:
     def test_append_invalidates_window_gathers(self, index):
         segment_id = entry_keys(index)[0][0]
         plan = index.window_plan(600.0, 1200.0)
-        before = index.gather_window_columns((segment_id,), plan)[0][0]
+        before = index.gather_window_columns((segment_id,), plan)[0]
         index.append_trajectories([self._one_trajectory(segment_id, 777_001)])
-        after = index.gather_window_columns((segment_id,), plan)[0][0]
+        after = index.gather_window_columns((segment_id,), plan)[0]
         assert after.size == before.size + 1
+
+
+def per_entry(columns) -> list[tuple[list[int], int, list[int]]]:
+    """A gather's columns as one ``(keys, records, page ids)`` per requested segment."""
+    keys, key_len, records, pages, page_len = columns
+    assert len(key_len) == len(records) == len(page_len)
+    assert len(keys) == sum(key_len) and len(pages) == sum(page_len)
+    key_at, page_at = [0, *itertools.accumulate(key_len)], [0, *itertools.accumulate(page_len)]
+    return [
+        (keys[key_at[i] : key_at[i + 1]].tolist(), int(records[i]),
+         pages[page_at[i] : page_at[i + 1]].tolist())
+        for i in range(len(key_len))
+    ]
+
+
+def held(index: STIndex) -> int:
+    """Segments the window-gather memo holds, counted from its plans."""
+    count = sum(plan.entries for plan in index._window_gathers.values())
+    assert count == index._gathered_entries
+    return count
 
 
 class TestGatherMemoAccounting:
     def test_memo_hit_equals_miss_equals_memo_off(self, engine):
         """The window-gather memo is the index's one cache, and it only
         skips work: a memo hit, a memo miss and a memo-less index return
-        the same keys, records and page ids, so charging those gives the
-        same counters — also for a wave that names one segment twice.
+        the same key, record and page-id columns, so charging those gives
+        the same counters — also for a wave that names one segment twice.
         The gather itself charges nothing."""
         shared = engine.st_index(300)
         _, slot = entry_keys(shared)[0]
@@ -319,24 +340,71 @@ class TestGatherMemoAccounting:
             calls = []
             for _ in range(2):
                 before = index.disk.snapshot()
-                parts = index.gather_window_columns(wave, plan)
+                columns = index.gather_window_columns(wave, plan)
                 assert index.disk.snapshot() == before
-                index.pool.get_pages([page for _, _, pages in parts for page in pages])
-                calls.append(
-                    (
-                        [(keys.tolist(), n, pages.tolist()) for keys, n, pages in parts],
-                        index.disk.snapshot() - before,
-                    )
-                )
-            assert len(index._window_gathers) == (3 if size else 0)
+                index.pool.get_pages(columns[3])
+                calls.append((per_entry(columns), index.disk.snapshot() - before))
+            # One entry per occurrence of a missed id: the repeat is held twice.
+            assert held(index) == (4 if size else 0)
             runs.append(calls)
         (on_miss, on_hit), (off_first, off_second) = runs
         assert on_miss == off_first and on_hit == off_second
         assert on_miss[0] == on_hit[0]
-        parts, _ = on_miss
-        assert parts[0] == parts[2] and parts[0][0] and parts[3] == ([], 0, [])
-        records = sum(records for _, records, _ in parts)
-        assert records >= 3 and sum(len(pages) for _, _, pages in parts) >= records
+        entries, _ = on_miss
+        assert entries[0] == entries[2] and entries[0][0] and entries[3] == ([], 0, [])
+        records = sum(records for _, records, _ in entries)
+        assert records >= 3 and sum(len(pages) for _, _, pages in entries) >= records
+
+    def test_unknown_segment_gets_an_empty_entry(self, engine):
+        """A segment id the index never saw is an empty entry in place,
+        alone, between known ones, on a memo hit and with the memo off."""
+        shared = engine.st_index(300)
+        known, slot = entry_keys(shared)[0]
+        unknown = max(shared.network.segment_ids()) + 7
+        plan = shared.window_plan(slot * 300.0, (slot + 1) * 300.0)
+        for size in (4096, 0):
+            index = STIndex(engine.network, 300, record_cache_size=size)
+            index.build(engine.database)
+            assert per_entry(index.gather_window_columns([unknown], plan)) == [([], 0, [])]
+            for _ in range(2):
+                entries = per_entry(index.gather_window_columns([known, unknown, known], plan))
+                assert entries[1] == ([], 0, []) and entries[0] == entries[2]
+                assert entries[0][1] >= 1 and entries[0][2]
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_small_memo_holds_at_most_its_cap(self, engine, size):
+        """Many plans through a memo of ``size`` segments, each wave wider
+        than the cap once: after every gather the memo holds at most
+        ``size`` segments, and every gather equals a memo-off index's."""
+        shared = engine.st_index(300)
+        segments = sorted({segment for segment, _ in entry_keys(shared)})[:12]
+        small, off = (STIndex(engine.network, 300, record_cache_size=cap) for cap in (size, 0))
+        small.build(engine.database)
+        off.build(engine.database)
+        plans = [
+            small.window_plan(start, start + duration)
+            for start in (600.0, 3640.0, 40000.0) for duration in (300.0, 900.0)
+        ]
+        waves = [segments[:1], segments[:2], segments, segments[3:5] + segments[:1]]
+        for _ in range(2):
+            for plan in plans:
+                for wave in waves:
+                    got = per_entry(small.gather_window_columns(wave, plan))
+                    assert got == per_entry(off.gather_window_columns(wave, plan))
+                    assert held(small) <= size
+        assert not off._window_gathers
+
+    def test_memo_keeps_plans_within_the_cap(self, engine):
+        """Plans that fit stay and are served from the memo; the least
+        recently used plan leaves first when the next one would overflow."""
+        shared = engine.st_index(300)
+        segments = sorted({segment for segment, _ in entry_keys(shared)})[:4]
+        index = STIndex(engine.network, 300, record_cache_size=8)
+        index.build(engine.database)
+        first, second, third = (index.window_plan(s, s + 600.0) for s in (600.0, 3600.0, 7200.0))
+        for plan in (first, second, first, third):
+            index.gather_window_columns(segments, plan)
+        assert list(index._window_gathers) == [first, third] and held(index) == 8
 
 
 class TestSTIndexPersistence:

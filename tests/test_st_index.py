@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.st_index import STIndex, decode_time_list_columns
+from reference.legacy_probability import trajectories_in_window
 from reference.st_index_build import encode_time_list
 from repro.network.generator import grid_city
 from repro.storage.serialization import SerializationError
@@ -232,9 +233,9 @@ class TestBuildAndRead:
         })
         index = STIndex(network, 300)
         index.build(db)
-        window = index.trajectories_in_window(5, 0, 600)
+        window = trajectories_in_window(index, 5, 0, 600)
         assert window == {0: {0, 1}}
-        wide = index.trajectories_in_window(5, 0, 900)
+        wide = trajectories_in_window(index, 5, 0, 900)
         assert wide == {0: {0, 1}, 1: {2}}
 
     def test_partial_slot_window_is_exact(self, network):
@@ -246,9 +247,9 @@ class TestBuildAndRead:
         index.build(db)
         # Windows that cut a slot filter by the stored visit seconds
         # instead of rounding out to the whole slot.
-        assert index.trajectories_in_window(5, 0, 200) == {0: {0}}
-        assert index.trajectories_in_window(5, 150, 300) == {0: {1}}
-        assert index.trajectories_in_window(5, 0, 300) == {0: {0, 1}}
+        assert trajectories_in_window(index, 5, 0, 200) == {0: {0}}
+        assert trajectories_in_window(index, 5, 150, 300) == {0: {1}}
+        assert trajectories_in_window(index, 5, 0, 300) == {0: {0, 1}}
 
     def test_reads_charge_io(self, network):
         db = db_with(network, {(0, 0, 0): [(5, 100.0, 3.0)]})

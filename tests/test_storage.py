@@ -331,12 +331,19 @@ class TestPoolRejectsUnallocatedPages:
         assert disk.stats == before
 
 
+#: Id lists of long runs of one id, the calls whose repeats ``get_pages``
+#: collapses (``RUN_COLLAPSE_MIN_IDS`` ids or more), with rare bad ids.
+page_runs = st.lists(
+    st.tuples(st.integers(-1, 12) | st.integers(0, 11), st.integers(1, 40)), max_size=12
+).map(lambda runs: [page for page, count in runs for _ in range(count)])
+
 pool_ops = st.lists(
     st.one_of(
         st.tuples(st.just("get_page"), st.integers(-1, 12)),
         st.tuples(
             st.just("get_pages"), st.lists(st.integers(-1, 12), max_size=16), st.booleans()
         ),
+        st.tuples(st.just("get_pages"), page_runs, st.booleans()),
         st.tuples(st.just("invalidate"), st.none() | st.integers(0, 11)),
         st.tuples(st.just("write_page"), st.integers(0, 11), st.integers(0, 8)),
     ),
@@ -348,10 +355,11 @@ class TestBufferPoolModel:
     @settings(max_examples=60, deadline=None)
     @given(pool_ops, st.sampled_from([0, 1, 3, 8, 32]))
     def test_pool_matches_lru_model(self, ops, capacity):
-        """Random get_page / get_pages (list and numpy input) / invalidate
-        / write-through sequences: the pool and the LRU model agree
-        on hits, misses, evictions, disk statistics and resident ids after
-        every step, rejected calls included."""
+        """Random get_page / get_pages (list and numpy input, short lists and
+        long runs of repeated ids) / invalidate / write-through sequences:
+        the pool and the LRU model agree on hits, misses, evictions, disk
+        statistics and the resident ids in LRU order after every step,
+        rejected calls included."""
         disk = SimulatedDisk(page_size=8)
         disk.allocate(12)
         pool = BufferPool(disk, capacity=capacity)
@@ -385,7 +393,44 @@ class TestBufferPoolModel:
                 model.hits, model.misses, model.evictions,
             )
             assert disk.stats == model.stats
-            assert set(pool._pages) == model.resident()
+            assert list(pool._pages) == model.pages
+
+
+    @pytest.mark.parametrize("capacity", [0, 1, 3])
+    def test_long_runs_match_lru_model(self, capacity):
+        """Calls long enough to have their repeats collapsed, at capacity 0
+        (every access a read), 1 and a few pages: same counters, disk
+        statistics and resident order as the page-by-page model."""
+        disk = SimulatedDisk(page_size=8)
+        disk.allocate(12)
+        pool, model = BufferPool(disk, capacity=capacity), LRUModel(12, capacity)
+        runs = [(3, 30), (5, 1), (3, 20), (7, 40), (5, 2), (0, 25)]
+        ids = [page for page, count in runs for _ in range(count)]
+        for call in (ids, np.array(ids[::-1]), ids[40:]):
+            pool.get_pages(call)
+            model.access(call)
+            assert (pool.hits, pool.misses, pool.evictions) == (
+                model.hits, model.misses, model.evictions,
+            )
+            assert disk.stats == model.stats and list(pool._pages) == model.pages
+
+
+class TestChargeReads:
+    """``SimulatedDisk.charge_reads`` is ``read_page``'s accounting in one
+    pass, and a bad id raises before any counter moves."""
+
+    @pytest.mark.parametrize("ids, bad", [([1, 0, 7, 2], 7), ([1, -1, 2], -1), ([0, -2, 9], -2)])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_unallocated_page_raises_before_counting(self, ids, bad, as_array):
+        disk = SimulatedDisk(page_size=8)
+        disk.allocate(3)
+        disk.write_page(1, b"abc")
+        before = disk.stats.copy()
+        with pytest.raises(DiskError, match=f"page {bad} was never allocated"):
+            disk.charge_reads(np.array(ids) if as_array else ids)
+        assert disk.stats == before
+        disk.charge_reads(np.array([1, 1, 2]) if as_array else [1, 1, 2])
+        assert (disk.stats.page_reads, disk.stats.bytes_read) == (3, 6)
 
 
 class TestSerialization:

@@ -16,8 +16,8 @@ A charging function is one of the audited accounting chokepoints
 ``SimulatedDisk.charge_reads``), any function that
 itself calls one of them (the charge-then-decode pattern), or a function
 annotated ``# repro-lint: charged`` after audit (the uncharged
-``STIndex.gather_window_columns``, whose returned page ids its caller
-charges through ``get_pages``).  Traversal stops at charging
+``STIndex.gather_window_columns``, whose returned page-id column its
+caller charges through ``get_pages``).  Traversal stops at charging
 functions; any raw access reached without passing one is an uncharged
 read path, reported with the full call chain from the executor.
 """
