@@ -19,13 +19,15 @@ per-day ``set.isdisjoint`` loop.  Here everything is flat int64 arrays:
   ``searchsorted`` membership probe, and the number of distinct days
   among the hits is exactly ``m*``.
 
-A whole *wave* of candidates (TBS waves, ES frontier levels) is one
-uncharged gather of its roads, one probe per seed, a replay of the scalar
-claimer-then-fallback consultation order and one buffer-pool charge
-(:meth:`ColumnarEq31Estimator.probabilities`).  A trace-back gathers its
-ring (Bmax's boundary and Bmax - Bmin) once and probes each seed against
-it once (:meth:`~ColumnarEq31Estimator.prefetch`); the fixed sides of all
-seeds are one gather and one charge (:meth:`~ColumnarEq31Estimator.for_seeds`).
+Candidates cost one uncharged gather of their roads, one probe per seed,
+a replay of the scalar claimer-then-fallback consultation order and one
+buffer-pool charge (:meth:`ColumnarEq31Estimator.probabilities`) — per
+call, and a call is an ES frontier level or a whole trace-back: the search
+gathers its ring (Bmax's boundary and Bmax - Bmin) and probes each seed
+once (:meth:`~ColumnarEq31Estimator.prefetch`,
+:meth:`~ColumnarEq31Estimator.vouched`), runs its waves on pass/fail, then
+replays them all in one call.  The fixed sides of all seeds are one gather
+and one charge (:meth:`~ColumnarEq31Estimator.for_seeds`).
 
 Accounting guarantee: the charged reads are *identical* to the scalar
 path's — same records, same buffer pool, same order (consultation order,
@@ -64,8 +66,8 @@ class ColumnarEq31Estimator:
     One instance is bound to one query's fixed segment and windows.  The
     *fixed* side (``r0`` over the departure window for forward queries,
     the target over the full query window for reverse) is gathered once
-    at construction; each candidate road then costs its share of the
-    wave's gather, probe and charge (:meth:`probabilities`).
+    at construction; each candidate road then costs its share of a
+    search's gather, probe and charge (:meth:`probabilities`).
 
     Subclasses define the window split by overriding the static
     :meth:`_fixed_window` and :meth:`_candidate_window` of ``(T, L)``.
@@ -163,23 +165,23 @@ class ColumnarEq31Estimator:
 
     def _gather(self, segment_ids) -> tuple:
         """The roads of ``segment_ids``, each once, in one uncharged gather over the
-        candidate plan: each segment's road number, each carriageway's entry, the
-        :class:`_Entries`, the keys back to back, each key's road, the visits per road."""
+        candidate plan: each segment's road number and its road's entries in its read
+        order (itself, then its twin), the :class:`_Entries`, the keys back to back,
+        each key's road, the visits per road and a place for each peer's probe."""
         road_of: dict[int, int] = {}
+        parts: dict[int, tuple[int, ...]] = {}
         flat: list[int] = []
         roads = 0
         for segment_id in segment_ids:
             if segment_id not in road_of:
-                road = self._road(segment_id)
+                road, at = self._road(segment_id), (len(flat), len(flat) + 1)
                 road_of.update(dict.fromkeys(road, roads))
+                parts.update(zip(road, (at[: len(road)], at[::-1])))
                 flat += road
                 roads += 1
         entries = _Entries(self.index.gather_window_columns(flat, self._candidate_plan))
         owner = np.repeat(np.array([road_of[m] for m in flat], dtype=np.int64), entries.key_len)
-        return (
-            road_of, dict(zip(flat, range(len(flat)))), entries, entries.keys, owner,
-            np.bincount(owner, minlength=roads),
-        )
+        return road_of, parts, entries, entries.keys, owner, np.bincount(owner, minlength=roads), {}
 
     @property
     def start_days(self) -> int:
@@ -187,13 +189,8 @@ class ColumnarEq31Estimator:
         return self._fixed_days
 
     def _membership(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask: which candidate visit keys exist on the fixed side.
-
-        ``searchsorted`` + clipped ``take``: a key beyond the last fixed
-        element clips onto the last element, which then compares unequal
-        (if it were equal the insertion point would have been inside), so
-        no separate bounds mask is needed — three vector ops total.
-        """
+        """Which candidate visit keys the fixed side holds: ``searchsorted`` and
+        a clipped ``take`` (a key past the last clips onto it and compares unequal)."""
         fixed = self._fixed_keys
         positions = fixed.searchsorted(keys)
         return np.take(fixed, positions, mode="clip") == keys
@@ -202,9 +199,33 @@ class ColumnarEq31Estimator:
 
     def prefetch(self, segment_ids) -> None:
         """Gather the roads of ``segment_ids`` once, uncharged, as the ring a
-        trace-back's waves lie in: :meth:`probabilities` then takes every wave
-        wholly inside it from here and probes each peer against it once."""
-        self._ring = (*self._gather(segment_ids), {})
+        trace-back's waves lie in: :meth:`vouched` and every later
+        :meth:`probabilities` call take their segments from it."""
+        self._ring = self._gather(segment_ids)
+
+    def vouched(self, peers: dict[int, ColumnarEq31Estimator], prob: float) -> set[int]:
+        """The ring's segments some peer's probability brings to ``prob`` — exactly
+        those whose replayed consultation (:meth:`probabilities`) ends at or above
+        it, so a trace-back can run its waves before any bookkeeping.  Each live
+        peer probes the ring once per search; an empty fixed side, unread, is 0."""
+        ring = self._ring
+        live = [e for e in peers.values() if e._fixed_keys.size]
+        ok = np.full(ring[5].size, len(live) < len(peers) and 0.0 >= prob)
+        for e in live:
+            ok |= e._probed(ring) >= prob
+        ok = ok.tolist()
+        return {segment_id for segment_id, road in ring[0].items() if ok[road]}
+
+    def _probed(self, ring: tuple) -> np.ndarray:
+        """Eq. 3.1 per road of ``ring`` for this estimator, probed once: the days
+        with a (road, day) hit pair, over ``num_days``."""
+        _, _, _, keys, owner, visits, probed = ring
+        if self not in probed:
+            hit = self._membership(keys)
+            combo = np.unique((owner[hit] << KEY_DATE_SHIFT) | (keys[hit] >> KEY_DATE_SHIFT))
+            days = np.bincount(combo >> KEY_DATE_SHIFT, minlength=visits.size)
+            probed[self] = days / self.num_days
+        return probed[self]
 
     def probabilities(
         self,
@@ -212,109 +233,86 @@ class ColumnarEq31Estimator:
         peers: dict[int, ColumnarEq31Estimator] | None = None,
         claims: dict[int, int] | None = None,
         prob: float = math.inf,
+        wave_sizes: list[int] | None = None,
     ) -> list[float]:
-        """Eq. 3.1 probabilities of a wave of candidates.
+        """Eq. 3.1 probabilities of candidates, cut into consecutive waves by
+        ``wave_sizes`` (one wave when omitted).
 
         Alone, this is the one-seed case: the values, cache, twin value
         sharing and ``checks`` of calling :meth:`probability` per id in
-        order.  For an m-query's trace-back wave, ``peers`` maps every seed
-        to its estimator (this one included; all read one index over one
+        order.  For an m-query's trace-back, ``peers`` maps every seed to
+        its estimator (this one included; all read one index over one
         candidate window) and ``claims`` maps a segment to the seed whose
         region claimed it — an unclaimed segment, or one claimed by a seed
         outside ``peers``, goes to this estimator.  A segment's value is
         its claimer's probability, raised by the other peers in ``peers``
         order while it stays below ``prob``: the m-query region is the
-        union of the per-seed regions.
-
-        Whatever the number of seeds, a wave costs:
+        union of the per-seed regions.  A trace-back passes all its waves,
+        in (wave, queue) order.  Whatever the seeds and waves, a call costs:
 
         1. one uncharged road gather (segment + twin,
            :meth:`~repro.core.st_index.STIndex.gather_window_columns`) of
-           every distinct road some live peer has not cached — none for a
-           wave wholly in the :meth:`prefetch` ring, which holds its roads;
-        2. per peer, at its first evaluation, one ``searchsorted``
-           membership probe over the wave's concatenated keys (in the ring,
-           over the ring's keys at its first evaluation of the search),
-           counted scalar when the roads it has not cached hold at most
-           :data:`SCALAR_EVAL_MAX_VISITS` visits, else kernel;
-        3. a replay of the scalar consultation order (each peer's cache
+           every distinct road some live peer has not cached — none after
+           :meth:`prefetch`, whose ring holds them;
+        2. per live peer one ``searchsorted`` membership probe over the
+           gathered keys (the ring's: once per search);
+        3. one replay of the scalar consultation order (each peer's cache
            first; the claimer, then the others while below ``prob``) that
            updates every consulted peer's cache and counters and lists the
-           entries the per-segment loop charges, in its order;
+           entries the per-segment loop charges, in its order.  An
+           evaluation counts scalar when the roads of its wave the peer had
+           not cached at the wave's start hold at most
+           :data:`SCALAR_EVAL_MAX_VISITS` visits, else kernel;
         4. their page ids charged in one
            :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.
         """
-        wave = list(segment_ids)
+        ids = list(segment_ids)
         peers = peers or {self.start_segment: self}
         claims = claims or {}
         consult = list(peers.values())
-        orders = {
-            first: [first, *(e for e in consult if e is not first)]
-            for first in (self, *consult)
-        }
-        live = [e for e in dict.fromkeys((self, *consult)) if e._fixed_keys.size]
-        # 1. Every road a live peer may evaluate: the ring's when the wave
-        # lies wholly in it, else gathered once here, uncharged.
-        pending = [s for s in wave if any(s not in e._cache for e in live)]
+        orders = {e: [e, *(peer for peer in consult if peer is not e)] for e in (self, *consult)}
         ring = self._ring
-        if ring is not None and all(s in ring[0] for s in wave):
-            road_of, at, entries, keys, owner, visits, probed = ring
-        else:
-            (road_of, at, entries, keys, owner, visits), probed = self._gather(pending), None
-        heads: dict[int, int] = {}
-        for segment_id in pending:
-            heads.setdefault(road_of[segment_id], segment_id)
-
-        def good_days(e: ColumnarEq31Estimator) -> tuple:
-            """2. ``m*`` per road for one peer, and whether it counts as
-            scalar (at most ``SCALAR_EVAL_MAX_VISITS`` visits on the roads
-            it has not cached).  Called before ``e`` evaluates anything of
-            this wave, so its cache is the wave-start cache."""
-            mine = {r: head for r, head in heads.items() if head not in e._cache}
-            scalar = visits[list(mine)].sum() <= SCALAR_EVAL_MAX_VISITS
-            if probed is not None and e in probed:
-                return probed[e], scalar
-            hit = e._membership(keys)
-            # Dedup (road, day) hit pairs, then count days per road: the
-            # per-day intersections of Eq. 3.1 for the whole gather.
-            combo = (owner[hit] << KEY_DATE_SHIFT) | (keys[hit] >> KEY_DATE_SHIFT)
-            good = np.bincount(np.unique(combo) >> KEY_DATE_SHIFT, minlength=visits.size).tolist()
-            if probed is not None:
-                probed[e] = good
-            return good, scalar
-
-        # 3. The scalar consultation order, replayed.
-        probes: dict[ColumnarEq31Estimator, tuple] = {}
+        if ring is None:
+            live = [e for e in dict.fromkeys((self, *consult)) if e._fixed_keys.size]
+            ring = self._gather([s for s in ids if any(s not in e._cache for e in live)])
+        road_of, parts, entries, _, _, visits, _ = ring
+        records, num_pages, visits = entries.records, entries.num_pages, visits.tolist()
+        probed: dict[ColumnarEq31Estimator, list[float]] = {}
         charges: list[int] = []
         values: list[float] = []
-        for segment_id in wave:
-            value = -1.0  # below any threshold: the claimer is always asked
-            for e in orders[peers.get(claims.get(segment_id), self)]:
-                if value >= prob:
-                    break
-                probability = e._cache.get(segment_id)
-                if probability is None:
-                    e.checks += 1
-                    # An empty fixed side vouches for nothing, unread.
-                    probability = 0.0
-                    if e._fixed_keys.size:
-                        if e not in probes:
-                            probes[e] = good_days(e)
-                        good, scalar = probes[e]
-                        if scalar:
-                            e.scalar_evals += 1
-                        else:
-                            e.kernel_evals += 1
-                        for member in self._road(segment_id):
-                            i = at[member]
-                            e.batched_record_reads += entries.records[i]
-                            e.prefetched_pages += entries.num_pages[i]
-                            charges.append(i)
-                        probability = good[road_of[segment_id]] / e.num_days
-                    e._store(segment_id, probability)
-                value = max(value, probability)
-            values.append(value)
-        # 4. The wave's one charge.
+        end = 0
+        for size in wave_sizes or (len(ids),):
+            wave, end, scalar_in = ids[end : end + size], end + size, {}
+            for segment_id in wave:
+                value = -1.0  # below any threshold: the claimer is always asked
+                for e in orders[peers.get(claims.get(segment_id), self)]:
+                    if value >= prob:
+                        break
+                    probability = e._cache.get(segment_id)
+                    if probability is None:
+                        e.checks += 1
+                        # An empty fixed side vouches for nothing, unread.
+                        probability = 0.0
+                        if e._fixed_keys.size:
+                            scalar = scalar_in.get(e)
+                            if scalar is None:  # e's cache is still the wave-start one
+                                uncached = {road_of[s] for s in wave if s not in e._cache}
+                                scalar = sum(visits[r] for r in uncached) <= SCALAR_EVAL_MAX_VISITS
+                                scalar_in[e] = scalar
+                                if e not in probed:
+                                    probed[e] = e._probed(ring).tolist()
+                            if scalar:
+                                e.scalar_evals += 1
+                            else:
+                                e.kernel_evals += 1
+                            for i in parts[segment_id]:
+                                e.batched_record_reads += records[i]
+                                e.prefetched_pages += num_pages[i]
+                            charges += parts[segment_id]
+                            probability = probed[e][road_of[segment_id]]
+                        e._cache.update(dict.fromkeys(self._road(segment_id), probability))
+                    value = max(value, probability)
+                values.append(value)
         if charges:
             self.index.pool.get_pages(entries.pages_of(charges))
         return values
@@ -322,9 +320,7 @@ class ColumnarEq31Estimator:
     def probability(self, segment_id: int) -> float:
         """Eq. 3.1 for one candidate (cached, road-level)."""
         cached = self._cache.get(segment_id)
-        if cached is not None:
-            return cached
-        return self.probabilities((segment_id,))[0]
+        return cached if cached is not None else self.probabilities((segment_id,))[0]
 
     def reached_days(self, segment_id: int) -> list[int]:
         """``m*`` of Eq. 3.1 as the days themselves, ascending.
@@ -341,10 +337,6 @@ class ColumnarEq31Estimator:
         )
         hit = keys[self._membership(keys)]
         return np.unique(hit >> KEY_DATE_SHIFT).tolist()
-
-    def _store(self, segment_id: int, value: float) -> None:
-        for member in self._road(segment_id):
-            self._cache[member] = value
 
 
 def _carriageways(network, segment_id: int) -> tuple[int, ...]:

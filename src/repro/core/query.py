@@ -122,8 +122,8 @@ class QueryCost:
             kernel actually exploited.
         batched_record_reads: time-list records the evaluations read
             (gathered by ``STIndex.gather_window_columns``, charged in
-            each wave's one ``BufferPool.get_pages``), read-for-read like
-            the sequential scalar loop.
+            one ``BufferPool.get_pages`` per search, not per wave),
+            read-for-read like the sequential scalar loop.
         prefetched_pages: page accesses charged for those records (pool
             hits included, of which ``io.page_reads`` were actual misses).
 

@@ -261,10 +261,10 @@ class STIndex:
             disk is created when omitted).
         buffer_pool_pages: LRU page cache capacity for reads.
         record_cache_size: window-gather memo capacity in (segment, plan)
-            entries, held as whole plans (0 disables).  The memo skips only
-            probe, decode and filter work — it hands back the page ids a
-            miss would, and the caller charges those either way, keeping
-            the I/O accounting identical.
+            entries, held as whole plans, a plan gathered once counting one
+            (0 disables).  The memo skips only probe, decode and filter work
+            — it hands back the page ids a miss would, and the caller charges
+            those either way, keeping the I/O accounting identical.
     """
 
     def __init__(
@@ -290,8 +290,8 @@ class STIndex:
         self.directory = TimeListDirectory(self.num_slots)
         self._built = False
         self.record_cache_size = record_cache_size
-        # Window-gather memo: an LRU of plans holding their gathered segments
-        # as columns, ``record_cache_size`` in all; cleared by appends.
+        # Window-gather memo: an LRU of plans (``None`` after a first gather, then
+        # their segments as columns), ``record_cache_size`` entries in all; cleared by appends.
         self._window_gathers: OrderedDict[tuple, _PlanGathers] = OrderedDict()
         self._gathered_entries = 0
         self.stats = STIndexStats(num_slots=self.num_slots)
@@ -519,7 +519,7 @@ class STIndex:
         """
         return slots.window_plan(start_s, end_s, self.delta_t_s)
 
-    # The caller charges the returned page ids: the wave's single
+    # The caller charges the returned page ids: the search's single
     # BufferPool.get_pages in ColumnarEq31Estimator.probabilities.
     # repro-lint: charged
     def gather_window_columns(
@@ -541,12 +541,19 @@ class STIndex:
         :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.  A
         segment the plan's memo holds costs a lookup; the misses of one call
         cost one directory probe, one extent read, one vector decode and one
-        seconds mask, appended to the memo as columns.
+        seconds mask, appended to the memo as columns once the plan is
+        gathered a second time (most plans, a cold send's, are gathered once).
         """
         ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
         if not self.record_cache_size or not ids.size:
             return self._gather_misses(ids, plan)
-        memo = self._window_gathers.pop(plan, None) or _PlanGathers()
+        memo = self._window_gathers.pop(plan, False)
+        if memo is False:
+            # A plan's first gather is served from the misses and the plan only
+            # remembered, as one entry: the memo starts at its second.
+            self._hold(plan, None, 1)
+            return self._gather_misses(ids, plan)
+        before, memo = 1 if memo is None else memo.entries, memo or _PlanGathers()
         held = memo.entries
         entries = list(map(memo.entry_of.get, ids.tolist(), repeat(-1)))
         gathered = None
@@ -557,13 +564,18 @@ class STIndex:
             memo.add(misses, *gathered)
             found[found < 0] = np.arange(held, memo.entries)
             entries = found.tolist() if misses.size < ids.size else None
-        # Whole plans leave, least recently used first; a plan above the cap
-        # on its own is served and then dropped.
-        self._window_gathers[plan] = memo
-        self._gathered_entries += memo.entries - held
-        while self._gathered_entries > self.record_cache_size:
-            self._gathered_entries -= self._window_gathers.popitem(last=False)[1].entries
+        self._hold(plan, memo, memo.entries - before)
         return gathered if entries is None else memo.columns(entries)
+
+    def _hold(self, plan, memo: _PlanGathers | None, grown: int) -> None:
+        """Hold ``plan`` as the most recently used, ``grown`` entries more; whole
+        plans then leave, least recently used first, until the memo fits its cap
+        (a plan above it on its own is served and then dropped)."""
+        self._window_gathers[plan] = memo
+        self._gathered_entries += grown
+        while self._gathered_entries > self.record_cache_size:
+            memo = self._window_gathers.popitem(last=False)[1]
+            self._gathered_entries -= 1 if memo is None else memo.entries
 
     def _gather_misses(self, segment_ids: np.ndarray, plan) -> tuple[np.ndarray, ...]:
         """:meth:`gather_window_columns`' columns for segments no memo holds."""

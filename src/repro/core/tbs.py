@@ -9,17 +9,18 @@ inward neighbours — minus the minimum bounding region — onto the queue.
 Visited marking guarantees each segment is examined once (the ``r*``
 example of Fig. 3.5).
 
-Every wave lies in the ring of Bmax's boundary and Bmax - Bmin, so the
-search first gathers that ring once, uncharged
-(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`).  The
-queue is then drained in *waves*: each snapshots the pending frontier and
-evaluates it in one call to the columnar kernel
-(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`: one
-probe per seed per search, the scalar claimer-then-fallback order replayed,
-one buffer-pool charge).  A segment's probability is a pure function of the
-trajectory data and the wave keeps the FIFO order, so the examined set, the
-probabilities and the charged reads are *identical* to the
-one-segment-at-a-time loop (the baseline under ``tests/reference/``).
+Every wave lies in the ring of Bmax's boundary and Bmax - Bmin, so a
+search gathers that ring once, uncharged, and probes each seed against it
+once (:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`,
+``vouched``).  A segment's probability is a pure function of the trajectory
+data, and its replayed consultation reaches ``Prob`` iff some seed's value
+does, so the waves — each the pending frontier, in FIFO order — run on
+pass/fail alone.  Then one call to the columnar kernel
+(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`)
+replays every wave's claimer-then-fallback order, caches and counters and
+charges the pool once, so the examined set, the probabilities and the
+charged reads are *identical* to the one-segment-at-a-time loop (the
+baseline under ``tests/reference/``).
 
 The returned region is the minimum bounding cover (reachable by
 construction of the Near lists), every accepted segment, and the
@@ -128,30 +129,30 @@ def trace_back_search(
     max_cover = max_region.cover
     min_cover = min_region.cover
     lead = next(iter(estimators.values()))
-    # Every wave lies in the boundary and Bmax - Bmin: one gather for all.
+    # Every wave lies in the boundary and Bmax - Bmin: one gather and, per
+    # seed, one probe for all; the waves then run on pass/fail alone.
     lead.prefetch(sorted(max_region.boundary | (max_cover - min_cover)))
-    queue: deque[int] = deque(sorted(max_region.boundary))
-    visited: set[int] = set(max_region.boundary)
+    vouched = lead.vouched(estimators, prob)
+    queue = sorted(max_region.boundary)
+    visited: set[int] = set(queue)
+    examined: list[int] = []
     while queue:
-        wave = list(queue)
-        queue.clear()
-        result.wave_sizes.append(len(wave))
-        values = lead.probabilities(wave, estimators, max_region.seed_of, prob)
-        for segment_id, probability in zip(wave, values):
-            result.probabilities[segment_id] = probability
-            if probability >= prob:
-                result.passed.add(segment_id)
+        result.wave_sizes.append(len(queue))
+        examined += queue
+        wave, queue = queue, []
+        for segment_id in wave:
+            if segment_id in vouched:
                 continue
-            result.failed.add(segment_id)
             for neighbor in network.neighbors(segment_id):
-                if neighbor in visited:
-                    continue
-                if neighbor not in max_cover:
-                    continue  # never step outside the maximum bound
-                if neighbor in min_cover:
-                    continue  # Algorithm 2 line 9: neighbor(r) - Bmin
-                visited.add(neighbor)
-                queue.append(neighbor)
+                # Never outside the maximum bound; Algorithm 2 line 9: neighbor(r) - Bmin.
+                if neighbor not in visited and neighbor in max_cover and neighbor not in min_cover:
+                    visited.add(neighbor)
+                    queue.append(neighbor)
+    # One replay of every wave's bookkeeping, ending in one charge.
+    values = lead.probabilities(examined, estimators, max_region.seed_of, prob, result.wave_sizes)
+    result.probabilities = dict(zip(examined, values))
+    result.passed = vouched.intersection(examined)
+    result.failed = set(examined) - result.passed
 
     # Assemble the final region: minimum cover + accepted segments + the
     # unexamined interior reachable from the seeds without crossing a
@@ -166,14 +167,9 @@ def trace_back_search(
             continue
         result.region.add(segment_id)
         for neighbor in network.neighbors(segment_id):
-            if neighbor in seen:
-                continue
-            if neighbor not in max_cover:
-                continue
-            if neighbor in result.failed:
-                continue
-            seen.add(neighbor)
-            flood.append(neighbor)
+            if neighbor not in seen and neighbor in max_cover and neighbor not in result.failed:
+                seen.add(neighbor)
+                flood.append(neighbor)
     return result
 
 

@@ -310,8 +310,9 @@ def per_entry(columns) -> list[tuple[list[int], int, list[int]]]:
 
 
 def held(index: STIndex) -> int:
-    """Segments the window-gather memo holds, counted from its plans."""
-    count = sum(plan.entries for plan in index._window_gathers.values())
+    """Entries the window-gather memo holds, counted from its plans: a
+    memoized plan's segments, one for a plan seen once."""
+    count = sum(1 if plan is None else plan.entries for plan in index._window_gathers.values())
     assert count == index._gathered_entries
     return count
 
@@ -319,7 +320,8 @@ def held(index: STIndex) -> int:
 class TestGatherMemoAccounting:
     def test_memo_hit_equals_miss_equals_memo_off(self, engine):
         """The window-gather memo is the index's one cache, and it only
-        skips work: a memo hit, a memo miss and a memo-less index return
+        skips work: a plan's first gather (not memoized), its second (the
+        memo's misses), its third (a memo hit) and a memo-less index return
         the same key, record and page-id columns, so charging those gives
         the same counters — also for a wave that names one segment twice.
         The gather itself charges nothing."""
@@ -338,18 +340,19 @@ class TestGatherMemoAccounting:
             # Boundary slot on the left, whole slot on the right.
             plan = index.window_plan(slot * 300.0 + 40.0, (slot + 2) * 300.0)
             calls = []
-            for _ in range(2):
+            for want in (1, 4, 4):
                 before = index.disk.snapshot()
                 columns = index.gather_window_columns(wave, plan)
                 assert index.disk.snapshot() == before
                 index.pool.get_pages(columns[3])
                 calls.append((per_entry(columns), index.disk.snapshot() - before))
-            # One entry per occurrence of a missed id: the repeat is held twice.
-            assert held(index) == (4 if size else 0)
+                # Seen once, the plan is one entry; then one entry per
+                # occurrence of a missed id: the repeat is held twice.
+                assert held(index) == (want if size else 0)
             runs.append(calls)
-        (on_miss, on_hit), (off_first, off_second) = runs
-        assert on_miss == off_first and on_hit == off_second
-        assert on_miss[0] == on_hit[0]
+        (first, on_miss, on_hit), (off_first, off_second, off_third) = runs
+        assert (first, on_miss, on_hit) == (off_first, off_second, off_third)
+        assert first[0] == on_miss[0] == on_hit[0]
         entries, _ = on_miss
         assert entries[0] == entries[2] and entries[0][0] and entries[3] == ([], 0, [])
         records = sum(records for _, records, _ in entries)
@@ -396,15 +399,86 @@ class TestGatherMemoAccounting:
 
     def test_memo_keeps_plans_within_the_cap(self, engine):
         """Plans that fit stay and are served from the memo; the least
-        recently used plan leaves first when the next one would overflow."""
+        recently used plan leaves first when the next one would overflow,
+        a seen-once plan counting one entry."""
         shared = engine.st_index(300)
         segments = sorted({segment for segment, _ in entry_keys(shared)})[:4]
-        index = STIndex(engine.network, 300, record_cache_size=8)
+        index = STIndex(engine.network, 300, record_cache_size=9)
         index.build(engine.database)
         first, second, third = (index.window_plan(s, s + 600.0) for s in (600.0, 3600.0, 7200.0))
-        for plan in (first, second, first, third):
+        for plan in (first, second, first, second, third):
             index.gather_window_columns(segments, plan)
-        assert list(index._window_gathers) == [first, third] and held(index) == 8
+        assert list(index._window_gathers) == [first, second, third] and held(index) == 9
+        index.gather_window_columns(segments, third)
+        assert list(index._window_gathers) == [second, third] and held(index) == 8
+        misses = gather_misses(index)
+        for plan in (second, third):
+            index.gather_window_columns(segments, plan)
+        assert misses == [] and held(index) == 8
+
+    def test_first_gather_holds_no_entries(self, engine):
+        """A plan's first gather is served from the misses and only remembers
+        the plan; its second starts the memo, its third is served from it."""
+        shared = engine.st_index(300)
+        segments = sorted({segment for segment, _ in entry_keys(shared)})[:5]
+        index = STIndex(engine.network, 300)
+        index.build(engine.database)
+        plan = index.window_plan(600.0, 1500.0)
+        misses = gather_misses(index)
+        got = [per_entry(index.gather_window_columns(segments, plan))]
+        assert index._window_gathers == OrderedDict({plan: None}) and held(index) == 1
+        got.append(per_entry(index.gather_window_columns(segments, plan)))
+        assert index._window_gathers[plan].entries == held(index) == 5
+        got.append(per_entry(index.gather_window_columns(segments[::-1], plan)))
+        assert [len(ids) for ids in misses] == [5, 5]
+        assert got[0] == got[1] == got[2][::-1]
+
+    def test_seen_once_plans_stay_within_the_cap(self, engine):
+        """Plans seen once fill a memo of 3 entries and leave least recently
+        used first, as memoized ones do; a second sighting of a plan that
+        already left is its first again."""
+        shared = engine.st_index(300)
+        segment = sorted({segment for segment, _ in entry_keys(shared)})[:1]
+        index = STIndex(engine.network, 300, record_cache_size=3)
+        index.build(engine.database)
+        plans = [index.window_plan(s, s + 600.0) for s in (600.0, 3600.0, 7200.0, 9000.0)]
+        for plan in plans:
+            index.gather_window_columns(segment, plan)
+            assert held(index) <= 3
+        assert list(index._window_gathers) == plans[1:]
+        index.gather_window_columns(segment, plans[1])  # its second: memoized
+        index.gather_window_columns(segment, plans[0])  # left: seen once again
+        assert list(index._window_gathers) == [plans[3], plans[1], plans[0]]
+        assert [index._window_gathers[plan] is None for plan in plans[:2]] == [True, False]
+        assert held(index) == 3
+
+    def test_append_clears_seen_once_plans(self, engine):
+        """An append forgets seen-once plans with the memoized ones, so a
+        plan's next gather is its first."""
+        shared = engine.st_index(300)
+        segment = sorted({segment for segment, _ in entry_keys(shared)})[:1]
+        index = STIndex(engine.network, 300)
+        index.build(engine.database)
+        seen, memoized = (index.window_plan(s, s + 600.0) for s in (600.0, 3600.0))
+        for plan in (seen, memoized, memoized):
+            index.gather_window_columns(segment, plan)
+        assert held(index) == 2
+        index.append_trajectories([])
+        assert not index._window_gathers and held(index) == 0
+        index.gather_window_columns(segment, memoized)
+        assert index._window_gathers == OrderedDict({memoized: None})
+
+
+def gather_misses(index: STIndex) -> list:
+    """The ids of every gather ``index`` serves from its misses from now on."""
+    calls, gather = [], index._gather_misses
+
+    def spy(segment_ids, plan):
+        calls.append(segment_ids.tolist())
+        return gather(segment_ids, plan)
+
+    index._gather_misses = spy
+    return calls
 
 
 class TestSTIndexPersistence:

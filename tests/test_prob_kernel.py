@@ -269,6 +269,52 @@ class TestSearchEquivalence:
                 self.assert_same_search(new, old)
                 assert new.passed == old.passed
 
+    def test_dead_seed_waves_match_reference(self, engine, topology, seed):
+        """A seed with an empty fixed side — alone, before a live seed and
+        after it — vouches for nothing and reads nothing: regions, values,
+        every seed's counters and the charged page ids equal the reference's,
+        at Prob 0 (where its 0 passes) and above."""
+        from repro.core.executors import ExecutionContext
+        from test_wave_accounting import PoolSpy
+
+        st, (start_time, duration) = engine.st_index(300), WINDOWS[0]
+        context = ExecutionContext(engine, 300)
+
+        def make(cls, segment_id):
+            return cls(st, segment_id, start_time, duration, engine.database.num_days)
+
+        by_days = {}
+        for segment_id in sorted(engine.network.segment_ids()):
+            by_days.setdefault(make(ProbabilityEstimator, segment_id).start_days > 0, segment_id)
+        dead, live = by_days[False], by_days[True]
+        for seeds in ((dead,), (dead, live), (live, dead)):
+            strategy = "sqmb" if len(seeds) == 1 else "mqmb"
+            regions = [
+                context.bounding_region(strategy, seeds, start_time, duration, kind)
+                for kind in ("far", "near")
+            ]
+            for prob in (0.0, 0.1):
+                runs = []
+                for search, cls in (
+                    (trace_back_search, ProbabilityEstimator),
+                    (trace_back_search_reference, LegacyProbabilityEstimator),
+                ):
+                    estimators = {s: make(cls, s) for s in seeds}
+                    st.pool.invalidate()
+                    spy = PoolSpy(st.pool)
+                    try:
+                        result = search(engine.network, estimators, prob, *regions)
+                    finally:
+                        spy.close()
+                    counters = [(e.checks, e._cache) for e in estimators.values()]
+                    runs.append((result, counters, spy.ids))
+                (new, new_counters, new_ids), (old, old_counters, old_ids) = runs
+                self.assert_same_search(new, old)
+                assert new.passed == old.passed and new.examined
+                assert new_counters == old_counters and new_ids == old_ids
+                if seeds == (dead,):  # examined, counted, never read
+                    assert new_counters[0][0] and new_ids == []
+
     def test_exhaustive_waves_match_reference(self, engine, topology, seed):
         st = engine.st_index(300)
         database = engine.database
