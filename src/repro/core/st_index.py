@@ -292,7 +292,7 @@ class STIndex:
         self.record_cache_size = record_cache_size
         # Window-gather memo: an LRU of plans (``None`` after a first gather, then
         # their segments as columns), ``record_cache_size`` entries in all; cleared by appends.
-        self._window_gathers: OrderedDict[tuple, _PlanGathers] = OrderedDict()
+        self._window_gathers: OrderedDict[tuple, _PlanGathers | None] = OrderedDict()
         self._gathered_entries = 0
         self.stats = STIndexStats(num_slots=self.num_slots)
 
