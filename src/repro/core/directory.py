@@ -53,15 +53,18 @@ def _ramp(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return ramp
 
 
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal adjacent ``values``."""
+    firsts = np.empty(values.size, dtype=bool)
+    firsts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=firsts[1:])
+    return firsts
+
+
 def _chain_positions(keys: np.ndarray) -> np.ndarray:
     """Each row's index within its run of equal (sorted) ``keys``."""
     rows = keys.size
-    if rows == 0:
-        return np.empty(0, dtype=np.int64)
-    new_chain = np.empty(rows, dtype=bool)
-    new_chain[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_chain[1:])
-    starts = np.flatnonzero(new_chain)
+    starts = np.flatnonzero(_firsts(keys))
     return np.arange(rows) - np.repeat(starts, np.diff(np.append(starts, rows)))
 
 

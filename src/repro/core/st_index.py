@@ -36,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.core import slots
-from repro.core.directory import TimeListDirectory, _ramp
+from repro.core.directory import TimeListDirectory, _firsts, _ramp
 from repro.network.locator import SegmentLocator
 from repro.network.model import RoadNetwork
 from repro.spatial.geometry import Point
@@ -57,20 +57,19 @@ KEY_ID_MASK = (1 << KEY_DATE_SHIFT) - 1
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 
-def _check_visits(trajectory_ids, dates, counts, times) -> None:
+def _check_visits(trajectory_ids, dates, counts, times) -> list[tuple[int, int]]:
     """Raise ``ValueError`` for a trajectory a time list cannot hold.
 
     The one gate in front of :meth:`STIndex.build` and
     :meth:`STIndex.append_trajectories`, called before either writes a
     page: an id outside ``[0, 2**32)`` would wrap in the uint32 record, a
     date outside ``[0, 2**31)`` would overflow the int64 key of every
-    later read, and a NaN or infinite visit time has no slot.
+    later read, and a NaN or infinite visit time has no slot.  Returns the
+    ``(min, max)`` of the ids and of the dates (``(0, 0)`` when empty).
     """
-    for name, values, bits in (
-        ("trajectory id", trajectory_ids, KEY_DATE_SHIFT),
-        ("date", dates, KEY_DATE_SHIFT - 1),
-    ):
-        if values.size and (values.min() < 0 or values.max() >= 1 << bits):
+    ranges = [(int(v.min()), int(v.max())) if v.size else (0, 0) for v in (trajectory_ids, dates)]
+    for name, (lo, hi), bits in zip(("trajectory id", "date"), ranges, (32, 31)):
+        if lo < 0 or hi >= 1 << bits:
             raise ValueError(f"{name} outside [0, 2**{bits}) of a time list")
     finite = np.isfinite(times)
     if not finite.all():
@@ -80,6 +79,7 @@ def _check_visits(trajectory_ids, dates, counts, times) -> None:
             f"trajectory {trajectory_ids[owner]} has a non-finite visit time "
             f"{float(times[visit])}"
         )
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,14 @@ def _visit_columns(source) -> tuple[np.ndarray, ...]:
         np.concatenate([c[2] for c in compact]),
         np.concatenate([c[3] for c in compact]),
     )
+
+
+def _run_lengths(starts: np.ndarray, total: int, dtype=np.int64) -> np.ndarray:
+    """Lengths of the runs that start at ``starts`` and end at ``total``."""
+    lengths = np.empty(starts.size, dtype)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
+    lengths[-1] = total - starts[-1]
+    return lengths
 
 
 def _append(buffer: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
@@ -326,11 +334,12 @@ class STIndex:
     def build(self, database: TrajectoryDatabase) -> None:
         """Bulk-build the time lists from a matched-trajectory database.
 
-        Array-at-a-time (:meth:`_encode_time_lists`): every (segment, slot)
-        record lands through :meth:`PageStore.append_many` — the same pages,
-        pointers and ``page_writes`` as appending each record in (segment,
-        slot) order.  A trajectory that :func:`_check_visits` refuses raises
-        before any page is written.
+        Array-at-a-time (:meth:`_encode_time_lists` over one value sort of
+        packed visit keys): every (segment, slot) record lands through
+        :meth:`PageStore.append_many` — the same pages, pointers and
+        ``page_writes`` as appending each record in (segment, slot) order.
+        A trajectory that :func:`_check_visits` refuses raises before any
+        page is written.
         """
         if self._built:
             raise RuntimeError("ST-Index already built")
@@ -346,80 +355,117 @@ class STIndex:
         self.stats.num_entries = len(self.directory)
         self.stats.disk_pages = self.disk.num_pages
 
-    def _encode_time_lists(self, source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (segment, slot) time list of ``source``, encoded in bulk.
+    def _sorted_visits(self, source) -> list[np.ndarray] | None:
+        """``source``'s distinct visits in (group, date, id, second) order:
+        ``[groups, runs, visits, run_dates, run_counts, ids, seconds]`` (per
+        group its key and numbers of runs and visits, per (group, date) run
+        its date and visits, per visit its id and second; ``uint32`` from
+        ``run_dates`` on), or ``None`` without visits.
 
-        The one writer of the record layout :func:`decode_time_list_columns`
-        reads.  The input columns (:func:`_visit_columns`) are built here so
-        this frame holds the only references: each temporary is released
-        as soon as the next stage has consumed it, as at a few million
-        visits they are tens of megabytes each.  Visit times are clamped
-        into the day like :meth:`slot_of`; a repeated visit counts once.
-
-        Returns the packed ``segment * num_slots + slot`` keys in ascending
-        order, the records back to back as one ``<u4`` word stream, and
-        each record's byte length.
+        A group is ``segment * num_slots + slot``, times clamped into the
+        day like :meth:`slot_of`; a repeated visit counts once.  One value
+        sort of a ``uint64`` per visit built in place in the groups column,
+        each field offset by its minimum and as wide as its range's
+        ``bit_length``; only fields wider than 64 bits in all take a
+        two-key ``np.lexsort``.  Every column is released once consumed.
         """
         ids, dates, counts, groups, seconds = _visit_columns(source)
-        _check_visits(ids, dates, counts, seconds)
+        (id_lo, id_hi), (date_lo, date_hi) = _check_visits(ids, dates, counts, seconds)
         if not seconds.size:
-            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), _EMPTY_KEYS
+            return None
         np.clip(seconds, 0, SECONDS_PER_DAY - 1, out=seconds)
         seconds = seconds.astype(np.int64)
         groups = groups.astype(np.int64, copy=False)
         groups *= self.num_slots
         groups += seconds // self.delta_t_s
-        if groups.min() < -(1 << 31) or groups.max() >= 1 << 31:
-            raise ValueError(
-                "segment id x slots per day overflows the packed build key"
-            )
-        # Two packed sort keys: (group, date) and (trajectory id, second),
-        # the latter unsigned so a uint32 id fits its high half.
-        major = (groups << KEY_DATE_SHIFT) | np.repeat(dates, counts)
-        del groups
-        minor = np.repeat(ids.astype(np.uint64) << np.uint64(KEY_DATE_SHIFT), counts)
-        minor |= seconds.view(np.uint64)
-        del seconds
-        order = np.lexsort((minor, major))
-        major = major[order]
-        minor = minor[order]
-        del order
-        # Drop repeated visits (adjacent after the sort): set semantics.
-        fresh = np.empty(major.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(major[1:], major[:-1], out=fresh[1:])
-        fresh[1:] |= minor[1:] != minor[:-1]
-        if not fresh.all():
-            major, minor = major[fresh], minor[fresh]
-        del fresh
-        # A run is one (group, date); runs of one group are adjacent.
-        run_starts = np.flatnonzero(major[1:] != major[:-1]) + 1
-        run_starts = np.concatenate((np.zeros(1, dtype=np.int64), run_starts))
-        run_keys = major[run_starts]
-        num_visits = major.size
-        del major
-        run_groups = run_keys >> KEY_DATE_SHIFT
-        first_runs = np.flatnonzero(run_groups[1:] != run_groups[:-1]) + 1
-        first_runs = np.concatenate((np.zeros(1, dtype=np.int64), first_runs))
-        runs = np.diff(np.append(first_runs, run_starts.size))
-        first_visits = run_starts[first_runs]
-        visits = np.diff(np.append(first_visits, num_visits))
+        group_lo, group_hi = int(groups.min()), int(groups.max())
+        if group_lo < -(1 << 31) or group_hi >= 1 << 31:
+            raise ValueError("segment id x slots per day overflows the packed build key")
+        second_lo = int(seconds.min())
+        spans = (int(seconds.max()) - second_lo, id_hi - id_lo, date_hi - date_lo)
+        second_bits, id_bits, date_bits = (span.bit_length() for span in spans)
+        if second_bits + id_bits + date_bits + (group_hi - group_lo).bit_length() <= 64:
+            # One key, group | date | id | second from the high bits down.
+            groups -= group_lo
+            key = groups.view(np.uint64)
+            key <<= date_bits + id_bits + second_bits
+            per_trajectory = (dates - date_lo).astype(np.uint64) << id_bits + second_bits
+            per_trajectory |= (ids - id_lo).astype(np.uint64) << second_bits
+            key |= np.repeat(per_trajectory, counts)
+            seconds -= second_lo
+            key |= seconds.view(np.uint64)
+            del groups, seconds
+            key.sort()
+            # Drop repeated visits (adjacent after the sort): set semantics.
+            fresh = _firsts(key)
+            if not fresh.all():
+                key = key[fresh]
+            head, head_shift = key, id_bits + second_bits
+        else:
+            # Two keys, (group, date) and (id, second), the latter unsigned
+            # so a uint32 id fits its high half; fields keep their values.
+            head = (groups << KEY_DATE_SHIFT) | np.repeat(dates, counts)
+            key = np.repeat(ids.astype(np.uint64) << KEY_DATE_SHIFT, counts)
+            key |= seconds.view(np.uint64)
+            del groups, seconds
+            order = np.lexsort((key, head))
+            head, key = head[order], key[order]
+            fresh = _firsts(head)
+            fresh[1:] |= key[1:] != key[:-1]
+            head, key = head[fresh], key[fresh]
+            group_lo = date_lo = id_lo = second_lo = head_shift = 0
+            second_bits = id_bits = date_bits = KEY_DATE_SHIFT
+        # A run is one (group, date), its head the key above the id and the
+        # second; runs of one group are adjacent.
+        firsts = _firsts(head >> head_shift)
+        run_heads = head[firsts] >> head_shift
+        del head
+        run_counts = _run_lengths(np.flatnonzero(firsts), key.size, np.uint32)
+        del firsts
+        first_runs = np.flatnonzero(_firsts(run_heads >> date_bits))
+        groups = (run_heads[first_runs] >> date_bits).astype(np.int64) + group_lo
+        run_heads &= (1 << date_bits) - 1
+        run_dates = run_heads.astype(np.uint32)
+        del run_heads
+        run_dates += date_lo
+        ids = np.empty(key.size, dtype=np.uint32)
+        np.right_shift(key, second_bits, out=ids, casting="unsafe")
+        ids &= (1 << id_bits) - 1
+        ids += id_lo
+        seconds = np.empty(key.size, dtype=np.uint32)
+        np.bitwise_and(key, (1 << second_bits) - 1, out=seconds, casting="unsafe")
+        del key
+        seconds += second_lo
+        visits = np.add.reduceat(run_counts, first_runs, dtype=np.int64)
+        runs = _run_lengths(first_runs, run_dates.size)
+        return [groups, runs, visits, run_dates, run_counts, ids, seconds]
+
+    def _encode_time_lists(self, source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (segment, slot) time list of ``source``, encoded in bulk.
+
+        The one writer of the record layout :func:`decode_time_list_columns`
+        reads.  Returns the ``segment * num_slots + slot`` keys ascending,
+        the records back to back as one ``<u4`` word stream, and each
+        record's byte length.
+        """
+        columns = self._sorted_visits(source)
+        if columns is None:
+            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), _EMPTY_KEYS
+        groups, runs, visits = columns[:3]
         # Record layout [num_dates | dates | counts | ids | seconds]: every
-        # word lands by index arithmetic on its group's run and visit counts.
+        # word lands by index arithmetic on its group's run and visit
+        # counts; each column is released once its words are in.
         record_words = 1 + 2 * (runs + visits)
         starts = np.cumsum(record_words) - record_words
         stream = np.empty(int(record_words.sum()), dtype="<u4")
         stream[starts] = runs
-        stream[_ramp(starts + 1, runs)] = run_keys & KEY_ID_MASK
-        stream[_ramp(starts + 1 + runs, runs)] = np.diff(
-            np.append(run_starts, num_visits)
-        )
-        # Little-endian halves of the minor key: (second, id) per visit.
-        halves = minor.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-        stream[_ramp(starts + 1 + 2 * runs, visits)] = halves[:, 1]
-        stream[_ramp(starts + 1 + 2 * runs + visits, visits)] = halves[:, 0]
-        del halves, minor
-        return run_groups[first_runs], stream, 4 * record_words
+        for lengths, first in ((runs, starts + 1), (visits, starts + 1 + 2 * runs)):
+            at = _ramp(first, lengths)
+            stream[at] = columns.pop(3)
+            at += lengths.repeat(lengths)
+            stream[at] = columns.pop(3)
+            del at
+        return groups, stream, 4 * record_words
 
     def append_trajectories(self, trajectories) -> int:
         """Incrementally index additional matched trajectories.

@@ -387,11 +387,11 @@ class FileBackedDisk(SimulatedDisk):
             start = self._resident.find(0, stop, end)
 
     # repro-lint: holds=_lock
-    def _note_write_locked(self, page_id: int) -> None:
+    def _note_writes_locked(self, first_page: int, count: int) -> None:
         # Readonly disks track dirtiness too: it is what keeps
         # ``is_synced`` honest if such a disk is ever exported.
-        self._dirty.add(page_id)
-        self._page_crcs[page_id] = _STALE
+        self._dirty.update(range(first_page, first_page + count))
+        self._page_crcs[first_page : first_page + count] = _STALE
 
     # -- internal: fault-in ---------------------------------------------
 

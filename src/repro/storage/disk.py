@@ -27,6 +27,7 @@ query is exactly that query's I/O.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -93,37 +94,13 @@ class DiskStats:
         return self.pool_hits / total if total else 0.0
 
     def copy(self) -> "DiskStats":
-        return DiskStats(
-            page_reads=self.page_reads,
-            page_writes=self.page_writes,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            pool_hits=self.pool_hits,
-            pool_misses=self.pool_misses,
-            pool_evictions=self.pool_evictions,
-        )
+        return DiskStats(**vars(self))
 
     def __sub__(self, other: "DiskStats") -> "DiskStats":
-        return DiskStats(
-            page_reads=self.page_reads - other.page_reads,
-            page_writes=self.page_writes - other.page_writes,
-            bytes_read=self.bytes_read - other.bytes_read,
-            bytes_written=self.bytes_written - other.bytes_written,
-            pool_hits=self.pool_hits - other.pool_hits,
-            pool_misses=self.pool_misses - other.pool_misses,
-            pool_evictions=self.pool_evictions - other.pool_evictions,
-        )
+        return DiskStats(*map(operator.sub, vars(self).values(), vars(other).values()))
 
     def __add__(self, other: "DiskStats") -> "DiskStats":
-        return DiskStats(
-            page_reads=self.page_reads + other.page_reads,
-            page_writes=self.page_writes + other.page_writes,
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            pool_hits=self.pool_hits + other.pool_hits,
-            pool_misses=self.pool_misses + other.pool_misses,
-            pool_evictions=self.pool_evictions + other.pool_evictions,
-        )
+        return DiskStats(*map(operator.add, vars(self).values(), vars(other).values()))
 
 
 class SimulatedDisk:
@@ -185,7 +162,8 @@ class SimulatedDisk:
     # repro-lint: holds=_lock
     def _allocate_locked(self, count: int) -> int:
         first = len(self._used)
-        self._buf.extend(b"\x00" * (count * self.page_size))
+        # ``bytes(n)`` is calloc'd: the zeros cost no pass of their own.
+        self._buf += bytes(count * self.page_size)
         self._used.extend([0] * count)
         return first
 
@@ -239,21 +217,7 @@ class SimulatedDisk:
             raise DiskError(
                 f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
             )
-        with self._lock:
-            self._used_checked(page_id)
-            self._ensure_resident_locked(page_id, 1)
-            start = page_id * self.page_size
-            self._buf[start : start + len(payload)] = payload
-            self._used[page_id] = len(payload)
-            self._note_write_locked(page_id)
-            self.stats.page_writes += 1
-            self.stats.bytes_written += len(payload)
-            pools = [ref() for ref in self._pools]
-        # Invalidate outside the lock: a pool calls back into the disk on
-        # its next miss.
-        for pool in pools:
-            if pool is not None:
-                pool.invalidate(page_id)
+        self._write(page_id, payload, 1)
 
     def write_extent(self, first_page: int, data: bytes | memoryview) -> None:
         """Write ``data`` over consecutive pages starting at ``first_page``.
@@ -265,29 +229,31 @@ class SimulatedDisk:
         counters, write-through invalidation of attached pools — under a
         single lock acquisition and one buffer copy.
         """
+        count = -(-len(data) // self.page_size)
+        if count:
+            self._write(first_page, data, count)
+
+    def _write(self, first_page: int, data: bytes | memoryview, count: int) -> None:
         size = len(data)
-        count = -(-size // self.page_size)
-        if count == 0:
-            return
         with self._lock:
             self._used_checked(first_page)
             self._used_checked(first_page + count - 1)
             self._ensure_resident_locked(first_page, count)
             start = first_page * self.page_size
-            self._buf[start : start + size] = data
+            # Through a view: a bytearray slice assignment copies ``data`` first.
+            with memoryview(self._buf) as view:
+                view[start : start + size] = data
             used = [self.page_size] * count
             used[-1] = size - (count - 1) * self.page_size
             self._used[first_page : first_page + count] = used
-            for page_id in range(first_page, first_page + count):
-                self._note_write_locked(page_id)
+            self._note_writes_locked(first_page, count)
             self.stats.page_writes += count
             self.stats.bytes_written += size
-            pools = [ref() for ref in self._pools]
-        # Invalidate outside the lock, as in write_page.
+            pools = self._live_pools_locked()
+        # Invalidate outside the lock: a pool calls back into the disk on
+        # its next miss.
         for pool in pools:
-            if pool is not None:
-                for page_id in range(first_page, first_page + count):
-                    pool.invalidate(page_id)
+            pool.invalidate(first_page, count)
 
     def extent_bytes(
         self,
@@ -343,16 +309,8 @@ class SimulatedDisk:
         :meth:`snapshot`) twice.
         """
         with self._lock:
-            live = []
-            for ref in self._pools:
-                existing = ref()
-                if existing is None:
-                    continue
-                if existing is pool:
-                    return
-                live.append(ref)
-            live.append(weakref.ref(pool))
-            self._pools = live
+            if all(live is not pool for live in self._live_pools_locked()):
+                self._pools.append(weakref.ref(pool))
 
     # -- accounting ----------------------------------------------------
 
@@ -367,16 +325,7 @@ class SimulatedDisk:
         double-counts a pool that re-attaches.
         """
         with self._lock:
-            stats = self.stats.copy()
-            live: list[weakref.ReferenceType] = []
-            pools = []
-            for ref in self._pools:
-                pool = ref()
-                if pool is None:
-                    continue
-                live.append(ref)
-                pools.append(pool)
-            self._pools = live
+            stats, pools = self.stats.copy(), self._live_pools_locked()
         for pool in pools:
             stats.pool_hits += pool.hits
             stats.pool_misses += pool.misses
@@ -474,12 +423,20 @@ class SimulatedDisk:
         """
 
     # repro-lint: holds=_lock
-    def _note_write_locked(self, page_id: int) -> None:
-        """Backend hook: record that ``page_id`` now differs from the file.
+    def _note_writes_locked(self, first_page: int, count: int) -> None:
+        """Backend hook: record that ``count`` pages from ``first_page`` on
+        now differ from the file.
 
-        No-op in RAM; the file-backed backend marks the page dirty so
-        the next :meth:`commit` journals it.  Called with ``_lock`` held.
+        No-op in RAM; the file-backed backend marks the pages dirty so
+        the next :meth:`commit` journals them.  Called with ``_lock`` held.
         """
+
+    # repro-lint: holds=_lock
+    def _live_pools_locked(self) -> list[BufferPool]:
+        """The attached pools still alive; dead references are pruned."""
+        pools = [ref() for ref in self._pools]
+        self._pools = [ref for ref, pool in zip(self._pools, pools) if pool is not None]
+        return [pool for pool in pools if pool is not None]
 
     # repro-lint: holds=_lock
     def _used_checked(self, page_id: int) -> int:

@@ -150,23 +150,14 @@ class PageStore:
             consumed = 0
             extra = num_pages = -(-length // page_size)
 
-        for i in range(extra):
-            chunk = data[consumed : consumed + page_size]
-            consumed += len(chunk)
-            if len(chunk) == page_size:
-                disk.write_page(first_new + i, bytes(chunk))
-            else:
-                # Partial final page: becomes the new (dirty) tail.
-                self._tail_page_id = first_new + i
-                self._tail = bytearray(chunk)
-                self._dirty = True
-                break
-        else:
-            # The record ended exactly on a page boundary; the next
-            # append opens a fresh tail.
-            self._tail_page_id = None
-            self._tail = bytearray()
-            self._dirty = False
+        rest = data[consumed:]
+        full = len(rest) - len(rest) % page_size
+        disk.write_extent(first_new, rest[:full])
+        # A partial final page becomes the new (dirty) tail; a record that
+        # ended on a page boundary leaves the next append a fresh one.
+        self._tail = bytearray(rest[full:])
+        self._dirty = bool(self._tail)
+        self._tail_page_id = first_new + full // page_size if self._dirty else None
         return RecordPointer(first, num_pages, start_offset, length)
 
     def append_many(
@@ -384,9 +375,10 @@ class BufferPool:
         if misses:
             self._disk.charge_reads(misses)
 
-    def invalidate(self, page_id: int | None = None) -> None:
-        """Drop one page (or everything) from the pool."""
+    def invalidate(self, page_id: int | None = None, count: int = 1) -> None:
+        """Drop ``count`` pages from ``page_id`` on (or everything) from the pool."""
         if page_id is None:
             self._pages.clear()
-        else:
-            self._pages.pop(page_id, None)
+        elif self._pages:
+            for page in range(page_id, page_id + count):
+                self._pages.pop(page, None)

@@ -3,9 +3,10 @@ scalar reference, across pool and memo sizes.
 
 A bounded send reads its seeds' fixed sides in one gather and one charge,
 gathers the trace-back's ring (Bmax's boundary and Bmax - Bmin) once,
-uncharged, and evaluates each wave from it as one probe per seed per
-search, a replay of the scalar claimer-then-fallback consultation order
-and one buffer-pool charge.  For generated s-queries, reverse queries and
+uncharged, probes each seed against it once, and runs its waves on
+pass/fail; then one replay of every wave's scalar claimer-then-fallback
+consultation order ends in one buffer-pool charge per search, not one
+per wave.  For generated s-queries, reverse queries and
 m-queries of 2-4 locations on the test city — two points on one road,
 points on both carriageways of a two-way road, a start road nothing left
 in the departure window — under every ST-Index pool capacity in {0, 1, 8,
