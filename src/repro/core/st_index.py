@@ -317,9 +317,9 @@ class STIndex:
     ) -> "STIndex":
         """Rebuild a built index from persisted state (no re-indexing).
 
-        ``disk`` carries the time-list pages (e.g. from
-        :meth:`~repro.storage.disk.SimulatedDisk.from_state`) and
-        ``directory`` the validated extent pointers into them
+        ``disk`` carries the time-list pages (a store opened by
+        :func:`~repro.io.persist.open_store`) and ``directory`` the
+        validated extent pointers into them
         (:meth:`TimeListDirectory.from_columns` at this Δt's slots per
         day); the index adopts it, so the caller must not keep mutating it.  Appends keep working: the
         restored store opens a fresh tail page after the persisted extents.

@@ -366,7 +366,11 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
       moved or the disk will compact, then checkpoints the disk.  A crash
       at any point leaves a store that opens to exactly the pre- or
       post-save state.
-    * any other disk — export the page buffer into a fresh
+      The first in-place save, while the bundle has no ``directory.npz``
+      yet, has no state a crash must keep: it compacts the disk without
+      journaling its pages first and then writes the bundle's files as
+      the save to another path does.
+    * any other disk — copy the page buffer once into a fresh
       ``FileBackedDisk``.  ``directory.npz`` is removed up front and
       rewritten last, so a crash mid-save leaves a store that
       :func:`open_store` rejects as incomplete rather than one that
@@ -385,17 +389,18 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     # Group commit: makes the tail page durable.
     time_lists = engine.st_index(delta_t_s).committed_directory()
     key = _bundle_key(engine, directory, delta_t_s)
-    unchanged = in_place and engine.saved_bundle == key
-    if in_place:
+    published = in_place and (directory / "directory.npz").exists()
+    unchanged = published and engine.saved_bundle == key
+    if not in_place:
+        (directory / "directory.npz").unlink(missing_ok=True)
+        disk = FileBackedDisk.copy_of(disk_dir, disk)
+        disk.close()
+    elif not published:
+        # Pages out once, as a snapshot; directory.npz, last, completes it.
+        disk.compact()
+    else:
         # Journal first: the share test below must see every page.
         disk.commit()
-    else:
-        (directory / "directory.npz").unlink(missing_ok=True)
-        buffer, used = disk.export_state()
-        disk = FileBackedDisk.create_from_state(
-            disk_dir, buffer, used, page_size=disk.page_size
-        )
-        disk.close()
     if not unchanged:
         config = {
             "version": STORE_FORMAT_VERSION,
@@ -418,35 +423,6 @@ def save_store(engine, directory: str | Path, delta_t_s: int) -> Path:
     return directory
 
 
-def restore_engine(network, database, delta_t_s: int, pool_pages, source: str, open_data):
-    """A serving engine over an already-built ST-Index: the one restore.
-
-    :func:`open_store` and every shard worker
-    (:func:`repro.serving.worker.build_shard_engine`) end here.
-    ``pool_pages`` is the engine's ``engine_pool_pages`` as it arrived
-    from ``source``; it sizes every buffer pool of the engine, the
-    restored ST-Index's included, as :meth:`ReachabilityEngine.st_index`
-    sizes a built one.  It is checked first, so a
-    :class:`PersistFormatError` naming it is raised before ``open_data()``
-    opens the disk and loads the validated directory
-    (``-> (disk, time_lists)``) and before any index object exists.
-    """
-    from repro.core.engine import ReachabilityEngine
-    from repro.core.st_index import STIndex
-
-    if not isinstance(pool_pages, int) or isinstance(pool_pages, bool) or pool_pages < 1:
-        raise PersistFormatError(
-            f"{source} engine_pool_pages is {pool_pages!r}, expected an integer >= 1"
-        )
-    disk, time_lists = open_data()
-    engine = ReachabilityEngine(network, database, disk=disk, buffer_pool_pages=pool_pages)
-    index = STIndex.restore(
-        network, delta_t_s, disk, time_lists, buffer_pool_pages=pool_pages
-    )
-    engine.install_st_index(delta_t_s, index)
-    return engine
-
-
 def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     """Open a :func:`save_store` bundle as a cold, durable engine.
 
@@ -462,7 +438,9 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     :class:`~repro.storage.backends.CorruptSnapshotError` /
     :class:`~repro.storage.backends.TornWriteError` for verified damage.
     """
+    from repro.core.engine import ReachabilityEngine
     from repro.core.slots import check_delta_t
+    from repro.core.st_index import STIndex
 
     directory = Path(directory)
     # store.json first: another format's bundle may name its files otherwise.
@@ -485,12 +463,35 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
     database = TrajectoryDatabase.from_speed_model(
         _load_speed_model(directory / "speed_model.npz")
     )
-    engine = restore_engine(
-        network, database, delta_t_s, config.get("engine_pool_pages"), "store.json",
-        lambda: _open_store_data(directory, delta_t_s, crash_plan, readonly),
+    # The one sizing knob: it sizes every buffer pool of the engine, the
+    # restored ST-Index's included, as ReachabilityEngine.st_index sizes
+    # a built one.  Checked before the disk opens.
+    pool_pages = config.get("engine_pool_pages")
+    if not isinstance(pool_pages, int) or isinstance(pool_pages, bool) or pool_pages < 1:
+        raise PersistFormatError(
+            f"store.json engine_pool_pages is {pool_pages!r}, expected an integer >= 1"
+        )
+    disk, time_lists = _open_store_data(directory, delta_t_s, crash_plan, readonly)
+    engine = ReachabilityEngine(network, database, disk=disk, buffer_pool_pages=pool_pages)
+    engine.install_st_index(
+        delta_t_s,
+        STIndex.restore(network, delta_t_s, disk, time_lists, buffer_pool_pages=pool_pages),
     )
     engine.saved_bundle = _bundle_key(engine, directory, delta_t_s)
     return engine
+
+
+def current_bundle(engine, delta_t_s: int) -> Path | None:
+    """The store bundle that :func:`open_store` reopens as ``engine`` at
+    ``delta_t_s``: the bundle its synced ``FileBackedDisk`` lives in, while
+    the engine's last open or save of it is current; else ``None``."""
+    from repro.storage.backends import FileBackedDisk
+
+    disk = engine.disk
+    if not (isinstance(disk, FileBackedDisk) and disk.is_synced):
+        return None
+    directory = Path(disk.path).parent
+    return directory if engine.saved_bundle == _bundle_key(engine, directory, delta_t_s) else None
 
 
 def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool):

@@ -2,9 +2,10 @@
 
 :class:`ShardedEngine` is the multi-process counterpart of
 :meth:`repro.api.ReachabilityClient.run_batch`: it splits the road
-network into K routing groups once (construction), exports the engine
-once, spawns one worker process per group that rebuilds one full
-replica from that payload, and answers each batch by scattering every
+network into K routing groups once (construction), names one saved
+store bundle (the engine's own while it is current, else one private
+save), spawns one worker process per group that opens it read-only as
+a full replica, and answers each batch by scattering every
 group's sub-requests to its worker, running foreign-Δt requests
 locally, and gathering and merging the replies into one classic
 :class:`~repro.core.service.BatchReport`.
@@ -28,8 +29,8 @@ single-process engine's on every layout.  A replica holds the ST-Index
 at one Δt, so a request at any other Δt falls back to the dispatcher's
 own single-process service.
 
-Failure semantics (the supervisor): the dispatcher retains the one
-spawn payload, so a worker is a *replaceable* process.  Each scatter is
+Failure semantics (the supervisor): the bundle outlives every worker,
+so a worker is a *replaceable* process.  Each scatter is
 an **attempt** with a fresh protocol request id and a deadline
 (``deadline_ms``); the gather loop waits with that deadline
 (:meth:`ShardedEngine._poll_workers` is the single blocking chokepoint —
@@ -52,7 +53,7 @@ of those windows plus the dispatcher-local fallback window (foreign-Δt
 **exactly** — the group windows add up to what a single-process engine
 charges for the same sub-batches, faults or not.  A failed
 attempt reports no window at all (whatever pages the doomed worker
-touched died with its private disk copy), which is what keeps degraded
+touched died with its process), which is what keeps degraded
 accounting exact.  The fault counters (``worker_restarts``, ``retries``,
 ``degraded_requests``, ``stale_frames``) aggregate onto the report the
 same way the windows do.
@@ -61,6 +62,7 @@ same way the windows do.
 from __future__ import annotations
 
 import multiprocessing
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -232,6 +234,7 @@ class ShardedEngine:
         # without AttributeError noise at GC time.
         self.closed = False
         self._workers: dict[int, _WorkerHandle] = {}
+        self._private: tempfile.TemporaryDirectory | None = None
         self.service = as_service(target)
         self.engine = self.service.engine
         self.delta_t_s = (
@@ -248,15 +251,23 @@ class ShardedEngine:
         self.plan: PartitionPlan = partition_network(
             self.engine.network, shards, weights=self._load_weights()
         )
-        # The supervisor's respawn substrate: the one replica payload is
-        # retained for the engine's whole lifetime, so a dead process is
-        # replaceable at any point between or during batches.
-        self._payload = export_shard_payload(self.engine, self.delta_t_s)
         validate_plan(fault_plan, self.plan.num_shards)
+        # The supervisor's respawn substrate: the bundle the workers open
+        # lives as long as this engine, so a dead process is replaceable
+        # at any point between or during batches.  A private save of it
+        # lives in this directory until close().
+        self._private = tempfile.TemporaryDirectory(prefix="repro-replica-")
         self._ctx = multiprocessing.get_context("spawn")
         self._next_request_id = 0
-        for worker_idx in range(self.plan.num_shards):
-            self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
+        try:
+            self._payload = export_shard_payload(
+                self.engine, self.delta_t_s, self._private.name
+            )
+            for worker_idx in range(self.plan.num_shards):
+                self._workers[worker_idx] = self._spawn_worker(worker_idx, 0)
+        except BaseException:
+            self.close()
+            raise
         # The replicas are a snapshot of the time lists too: after any
         # append they are stale, so the workers retire rather than answer
         # from them (the client re-partitions on its next sharded batch).
@@ -282,7 +293,7 @@ class ShardedEngine:
     # -- supervision -------------------------------------------------------
 
     def _spawn_worker(self, worker_idx: int, incarnation: int) -> _WorkerHandle:
-        """Start one worker process rebuilding the replica."""
+        """Start one worker process opening the replica."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=shard_worker_main,
@@ -669,7 +680,7 @@ class ShardedEngine:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker processes down.
+        """Shut the worker processes down and remove a private bundle.
 
         Idempotent and dead-worker-safe: a worker that already died (or
         whose pipe is gone) is skipped past the handshake and still
@@ -693,6 +704,8 @@ class ShardedEngine:
             if handle.process.is_alive():  # pragma: no cover - hung worker
                 handle.process.terminate()
                 handle.process.join(timeout=5)
+        if self._private is not None:
+            self._private.cleanup()
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -1,4 +1,4 @@
-"""Routing groups over the road network, and the one replica payload.
+"""Routing groups over the road network, and the one replica bundle.
 
 The partitioner splits the segment set into K *owned* sets by recursive
 kd-median bisection over segment midpoints (balanced counts, arbitrary K,
@@ -9,24 +9,24 @@ share that worker's one cold sub-batch window per batch.  Every worker
 process holds the whole engine, so a group's replica also holds every
 segment it does not own (:attr:`ShardSpec.halo`).
 
-The replicated state is one :class:`ShardPayload`: the network (through
-the :mod:`repro.io.persist` dict format), the ST-Index directory in its
-columnar form (with the original extent pointers), a *sparse* copy of
-the simulated disk that carries exactly the pages the directory
-references at their original page ids, and the statistics-only speed
-model the Con-Index derives from.  Preserving page geometry is what makes
-a worker's accounting exactly comparable to the single-process engine.
+A replica is a read-only :func:`~repro.io.persist.open_store` of one
+saved store bundle, and :class:`ShardPayload` names it: the engine's own
+bundle while that is current, else one private save.  The bundle keeps
+the parent disk's page geometry (every page at its original id, the
+directory's original extent pointers), which is what makes a worker's
+accounting exactly comparable to the single-process engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.engine import ReachabilityEngine
-from repro.io.persist import network_to_dict
+from repro.io.persist import current_bundle, save_store
 from repro.network.model import RoadNetwork
-from repro.storage.backends import FileBackedDisk
 
 
 @dataclass(frozen=True)
@@ -65,26 +65,14 @@ class PartitionPlan:
 
 @dataclass
 class ShardPayload:
-    """Everything a worker process needs to rebuild the replica engine.
+    """The store bundle a worker process opens read-only, and its Δt.
 
-    All fields are plain picklable values (dicts, bytes, dataclasses), so
-    the payload crosses a ``spawn`` boundary as a Process argument.
+    Plain picklable values, so the payload crosses a ``spawn`` boundary
+    as a Process argument.
     """
 
-    network: dict
-    speed_model: dict
+    bundle: str
     delta_t_s: int
-    #: The committed :meth:`TimeListDirectory.columns`.
-    directory: dict[str, np.ndarray]
-    disk_buffer: bytes
-    disk_used: tuple
-    page_size: int
-    engine_pool_pages: int
-    #: Durable-store reference mode: when set, ``disk_buffer``/``disk_used``
-    #: are empty and the worker opens this FileBackedDisk store read-only,
-    #: faulting in (and checksum-verifying) only the pages its queries
-    #: actually touch — the payload ships a path, not the data.
-    disk_path: str | None = None
 
 
 def _kd_assign(
@@ -172,34 +160,13 @@ def partition_network(
 
 
 def export_shard_payload(
-    engine: ReachabilityEngine, delta_t_s: int
+    engine: ReachabilityEngine, delta_t_s: int, private_dir: str | Path
 ) -> ShardPayload:
-    """Materialize the spawn-safe replica of a built engine.
-
-    The directory keeps the original extent pointers and the sparse disk
-    export keeps the original page geometry, so a worker's reads charge
-    exactly the pages the parent engine would charge.
-    """
-    st_index = engine.st_index(delta_t_s)
-    directory = st_index.committed_directory()
-    disk = engine.disk
-    disk_path: str | None = None
-    if isinstance(disk, FileBackedDisk) and disk.is_synced:
-        # Reference mode: every page is durable in the store, so the
-        # payload ships the path instead of the buffer.  Unsynced disks
-        # (or the RAM backend) fall back to the sparse buffer export.
-        buffer, used = b"", ()
-        disk_path = disk.path
-    else:
-        buffer, used = disk.export_sparse_state(directory.page_ids().tolist())
-    return ShardPayload(
-        network=network_to_dict(engine.network),
-        speed_model=engine.database.export_speed_model(),
-        delta_t_s=delta_t_s,
-        directory=directory.columns(),
-        disk_buffer=buffer,
-        disk_used=used,
-        page_size=disk.page_size,
-        engine_pool_pages=engine.buffer_pool_pages,
-        disk_path=disk_path,
-    )
+    """Name the bundle every replica opens: the engine's own while it is
+    current (:func:`~repro.io.persist.current_bundle`), else one
+    :func:`~repro.io.persist.save_store` into ``private_dir``, whose owner
+    removes it."""
+    bundle = current_bundle(engine, delta_t_s)
+    if bundle is None:
+        bundle = save_store(engine, private_dir, delta_t_s)
+    return ShardPayload(bundle=str(bundle), delta_t_s=delta_t_s)

@@ -1,13 +1,17 @@
-"""Replica worker process: rebuild the engine, serve sub-batches over a pipe.
+"""Replica worker process: open the engine, serve sub-batches over a pipe.
 
-One worker process holds one full engine replica, rebuilt from the
-dispatcher's one :class:`~repro.serving.partition.ShardPayload`: the
-network, the statistics-only trajectory database, a sparse disk with the
-original page geometry, and the ST-Index directory in columnar form.
-The Con-Index is *not* shipped — it derives entirely from the speed model
-plus the network topology, so the worker builds it lazily exactly as a
-single-process engine would, and its disk appends land at the same page
-ids (the sparse disk preserved the parent's append tail).
+One worker process holds one full engine replica: a read-only
+:func:`~repro.io.persist.open_store` of the bundle its
+:class:`~repro.serving.partition.ShardPayload` names.  The open reads the
+network, the speed model, the directory and the disk's metadata, and no
+data page: a page is faulted in, checksum-verified, on its first read,
+so a worker's memory grows only with the pages its queries touch.  The
+Con-Index is *not*
+stored — it derives entirely from the speed model plus the network
+topology, so the worker builds it lazily exactly as a single-process
+engine would, and its page writes stay in the replica's memory at the
+page ids the parent's would take (the bundle holds the parent's append
+tail).
 
 A worker hosts exactly one routing group.  A ``("run", request_id,
 ...)`` message carries that group's sub-batch of the dispatcher's
@@ -40,11 +44,9 @@ import traceback
 from time import perf_counter
 
 from repro.api.client import ReachabilityClient
-from repro.core.directory import TimeListDirectory
 from repro.core.engine import ReachabilityEngine
 from repro.core.service import QueryService
-from repro.core.slots import slots_per_day
-from repro.io.persist import network_from_dict, restore_engine
+from repro.io.persist import open_store
 from repro.injection import Injector
 from repro.serving.faults import (
     CORRUPT_FRAME,
@@ -69,43 +71,13 @@ from repro.serving.protocol import (
     pack_result,
     parse_command,
 )
-from repro.storage.backends import FileBackedDisk
-from repro.storage.disk import SimulatedDisk
-from repro.trajectory.store import TrajectoryDatabase
 
 
 def build_shard_engine(payload: ShardPayload) -> ReachabilityEngine:
-    """Reconstruct the replica engine from its spawn-safe payload."""
-
-    def open_data():
-        if payload.disk_path is not None:
-            # Durable-store reference: open read-only and fault in only the
-            # pages the worker's queries touch, checksum-verified.  The
-            # worker never writes the file, so any number of workers can
-            # share one store.
-            disk: SimulatedDisk = FileBackedDisk.open(
-                payload.disk_path, readonly=True
-            )
-        else:
-            disk = SimulatedDisk.from_state(
-                payload.disk_buffer, payload.disk_used, payload.page_size
-            )
-        return disk, TimeListDirectory.from_columns(
-            payload.directory,
-            slots_per_day(payload.delta_t_s),
-            disk.num_pages,
-            disk.page_size,
-            "replica directory",
-        )
-
-    return restore_engine(
-        network_from_dict(payload.network),
-        TrajectoryDatabase.from_speed_model(payload.speed_model),
-        payload.delta_t_s,
-        payload.engine_pool_pages,
-        "replica payload",
-        open_data,
-    )
+    """The replica engine: the payload's bundle, opened read-only.  The
+    worker never writes a file, so any number of workers share one
+    bundle."""
+    return open_store(payload.bundle, readonly=True)
 
 
 def run_sub_batch(service: QueryService, entries: list, warm: bool) -> dict:

@@ -51,7 +51,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -194,46 +194,26 @@ class FileBackedDisk(SimulatedDisk):
         return cls(path, page_size)
 
     @classmethod
-    def create_from_state(
-        cls,
-        path: Union[str, Path],
-        buffer: bytes,
-        used: Iterable[int],
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> "FileBackedDisk":
-        """Persist :meth:`SimulatedDisk.export_state` output as a new store."""
-        used_list = [int(u) for u in used]
-        if len(buffer) != len(used_list) * page_size:
-            raise DiskError(
-                f"buffer of {len(buffer)} bytes does not cover "
-                f"{len(used_list)} pages of {page_size} bytes"
-            )
-        if any(u < 0 or u > page_size for u in used_list):
-            raise DiskError("per-page payload length outside [0, page_size]")
-        disk = cls.create(path, page_size)
-        disk._adopt_state(buffer, used_list)
+    def copy_of(cls, path: Union[str, Path], source: SimulatedDisk) -> "FileBackedDisk":
+        """A new store at ``path`` holding ``source``'s pages, stats reset.
+
+        The pages are copied once, from :meth:`SimulatedDisk.state_view`
+        under ``source``'s lock, then published as one snapshot.
+        """
+        disk = cls.create(path, source.page_size)
+        with source.state_view() as (buffer, used), disk._lock:
+            disk._adopt_locked(buffer, used)
         disk.compact()
         return disk
 
-    def _adopt_state(self, buffer: bytes, used: list) -> None:
-        """Install exported page state wholesale (create_from_state only)."""
-        with self._lock:
-            self._grow_locked(len(used))
-            self._buf[:] = buffer
-            self._used = used
-            self._dirty = set(range(len(used)))
-
-    @classmethod
-    def from_state(
-        cls,
-        buffer: bytes,
-        used: Iterable[int],
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> "SimulatedDisk":
-        raise DiskError(
-            "FileBackedDisk has no in-memory restore; use "
-            "FileBackedDisk.create_from_state(path, buffer, used, ...)"
-        )
+    # repro-lint: holds=_lock
+    def _adopt_locked(self, buffer: memoryview, used: List[int]) -> None:
+        """Install a copy of exported page state on this empty disk.  The
+        arrays hold exactly the state: a copy is published, not grown."""
+        self._pages = np.array(buffer, np.uint8)
+        self._crcs = np.empty(len(used), np.int64)
+        self._grow_locked(len(used))
+        self._used = list(used)
 
     # -- introspection --------------------------------------------------
 
@@ -633,6 +613,11 @@ class FileBackedDisk(SimulatedDisk):
                 f"{num_pages * self.page_size}"
             )
         self._data_bytes = data_size
+        if self.readonly:
+            # Open now, not at the first fault-in: a writer's compaction
+            # may unlink this generation's file in between, and POSIX keeps
+            # an open file readable.
+            self._data_file = open(bin_path, "rb")
         self._replay_journal_locked()
 
     # repro-lint: holds=_lock

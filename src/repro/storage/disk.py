@@ -30,8 +30,9 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -348,54 +349,15 @@ class SimulatedDisk:
             self._ensure_resident_locked(0, len(self._used))
             return bytes(self._buf), tuple(self._used)
 
-    def export_sparse_state(
-        self, page_ids: Iterable[int]
-    ) -> tuple[bytes, tuple[int, ...]]:
-        """Export only ``page_ids``; every other page comes back zeroed.
-
-        The result is :meth:`from_state`-compatible and preserves the
-        full disk's page geometry — page ids, extent offsets and payload
-        lengths of the selected pages are unchanged — so record pointers
-        into the original disk stay valid on the restored copy.  This is
-        the replica export: it carries exactly the pages the ST-Index
-        directory references and none of the Con-Index pages the parent
-        appended while serving.
-        """
-        wanted = sorted(set(page_ids))
+    @contextmanager
+    def state_view(self) -> Iterator[tuple[memoryview, list[int]]]:
+        """:meth:`export_state` without the copy, for a save to another
+        path: the backing buffer as a view and the per-page payload lengths,
+        valid only inside the ``with`` block, which holds ``_lock``."""
         with self._lock:
-            num_pages = len(self._used)
-            buf = bytearray(num_pages * self.page_size)
-            used = [0] * num_pages
-            for page_id in wanted:
-                self._used_checked(page_id)
-                self._ensure_resident_locked(page_id, 1)
-                start = page_id * self.page_size
-                buf[start : start + self.page_size] = self._buf[
-                    start : start + self.page_size
-                ]
-                used[page_id] = self._used[page_id]
-            return bytes(buf), tuple(used)
-
-    @classmethod
-    def from_state(
-        cls,
-        buffer: bytes,
-        used: Iterable[int],
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> "SimulatedDisk":
-        """Rebuild a disk from :meth:`export_state` output (stats reset)."""
-        disk = cls(page_size=page_size)
-        used_list = [int(u) for u in used]
-        if len(buffer) != len(used_list) * page_size:
-            raise DiskError(
-                f"buffer of {len(buffer)} bytes does not cover "
-                f"{len(used_list)} pages of {page_size} bytes"
-            )
-        if any(u < 0 or u > page_size for u in used_list):
-            raise DiskError("per-page payload length outside [0, page_size]")
-        disk._buf = bytearray(buffer)
-        disk._used = used_list
-        return disk
+            self._ensure_resident_locked(0, len(self._used))
+            with memoryview(self._buf) as view:
+                yield view, self._used
 
     def commit(self, meta: bytes = b"") -> None:
         """Durability barrier: make all writes since the last commit durable.

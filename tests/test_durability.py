@@ -34,6 +34,7 @@ from repro.storage.crashsim import (
     CRASH_BEFORE_FSYNC,
     CRASH_MID_RENAME,
     FSYNC,
+    JOURNAL,
     RENAME,
     TORN_PAGE_WRITE,
     TRUNCATED_JOURNAL_RECORD,
@@ -648,6 +649,42 @@ class TestStoreLevelRecovery:
         assert post[:2] == pre[:2] and post[3] == pre[3]
         for path in crashed:
             assert self.store_state(path) in (pre, post)
+
+    def test_every_crash_point_of_a_first_in_place_save(self, test_dataset, tmp_path):
+        """The first in-place save of a freshly built store (``repro
+        save`` builds on a FileBackedDisk inside the bundle) writes its
+        pages once: one compaction and no journal record, then the
+        bundle's files with ``directory.npz`` last.  Unplanned, it opens to
+        the store a save of the same build to another path writes; a crash
+        at any of its fsync or rename points leaves a bundle that
+        ``open_store`` rejects as incomplete."""
+        from repro.core.engine import ReachabilityEngine
+        from repro.io.persist import PersistFormatError
+        from repro.storage.disk import SimulatedDisk
+
+        def engine_on(disk):
+            return ReachabilityEngine(test_dataset.network, test_dataset.database, disk=disk)
+
+        pristine = tmp_path / "pristine"
+        FileBackedDisk(pristine / "disk", page_size=1024).close()
+
+        def run(path, plan):
+            disk = FileBackedDisk.open(path / "disk", crash_plan=plan)
+            try:
+                save_store(engine_on(disk), path, 300)
+            finally:
+                disk.close()
+            assert crash_points(disk)[JOURNAL] == 0
+            return disk
+
+        unplanned, crashed = crash_matrix(pristine, tmp_path, run, fsyncs=8, renames=8)
+        copied = save_store(engine_on(SimulatedDisk(page_size=1024)), tmp_path / "copied", 300)
+        assert self.store_state(unplanned) == self.store_state(copied)
+        assert superblock(unplanned / "disk")["generation"] == 1
+        assert generation_file(unplanned / "disk", "log").stat().st_size == 0
+        for path in crashed:
+            with pytest.raises(PersistFormatError, match="is incomplete: missing"):
+                open_store(path)
 
     @pytest.mark.parametrize("update_database", [False, True])
     def test_a_refused_read_only_save_writes_nothing(self, store, test_dataset, update_database):

@@ -41,6 +41,7 @@ from repro.storage.backends import (
     create_disk,
     filedisk,
 )
+from repro.storage.backends.filedisk import generation_file
 from repro.storage.disk import DiskError, SimulatedDisk
 from repro.storage.serialization import encode_append_delta
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
@@ -119,9 +120,21 @@ class TestBackendEquivalence:
         for seg in set(route):
             assert sim_index.time_list(seg, slot) == file_index.time_list(seg, slot)
 
-    def test_from_state_rejected(self, tmp_path):
-        with pytest.raises(DiskError, match="create_from_state"):
-            FileBackedDisk.from_state(b"", [], page_size=512)
+    def test_a_read_only_open_survives_a_writers_compaction(self, tmp_path):
+        """A read-only disk holds its generation's data file from the open
+        on, so a compaction that unlinks the file before the first read
+        leaves every page readable."""
+        writer = FileBackedDisk(tmp_path / "s", page_size=512)
+        writer.write_extent(writer.allocate(3), b"\x07" * 1300)
+        writer.compact()
+        reader = FileBackedDisk.open(tmp_path / "s", readonly=True)
+        data = generation_file(tmp_path / "s", "bin")
+        writer.write_page(0, b"\x01" * 512)
+        writer.compact()
+        assert not data.exists()
+        assert reader.read_page(2) == b"\x07" * 276
+        reader.close()
+        writer.close()
 
 
 class TestStoreRoundTrip:

@@ -127,7 +127,7 @@ def test_empty_network_is_a_typed_error():
 
 
 @pytest.mark.sharded
-def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset):
+def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset, tmp_path):
     """Every ``interactive_unique`` request (smoke config, two routing
     groups): the group the dispatcher routes it to owns the start segment
     the resolver gives on the full network — for a whole m-query, the most
@@ -146,7 +146,7 @@ def test_dispatcher_owner_resolves_the_routed_start_segment(test_dataset):
         dispatch = sharded.plan_dispatch(requests)
         owner_of = sharded.plan.owner_of
     replica = build_shard_engine(
-        export_shard_payload(engine, SMOKE.delta_t_s)
+        export_shard_payload(engine, SMOKE.delta_t_s, tmp_path)
     ).st_index(SMOKE.delta_t_s)
     assert not dispatch.fallback
     routed = 0

@@ -12,7 +12,9 @@ running that group's exact sub-requests.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,13 +33,16 @@ from repro.serving import (
     ShardedEngineClosedError,
     partition_network,
 )
-from repro.serving.dispatcher import _merge_parts
+from repro.io.persist import open_store, save_store
+from repro.serving.dispatcher import _FaultStats, _merge_parts
 from repro.serving.faults import KILL_IN_RUN
-from repro.serving.partition import export_shard_payload
+from repro.serving.partition import ShardPayload, export_shard_payload
 from repro.serving.worker import build_shard_engine
 from repro.serving.protocol import pack_result, unpack_result
-from repro.storage.disk import DiskStats
-from repro.trajectory.model import MatchedTrajectory
+from repro.storage.backends import FileBackedDisk, filedisk
+from repro.storage.backends.filedisk import generation_file
+from repro.storage.disk import DiskStats, SimulatedDisk
+from repro.trajectory.model import MatchedTrajectory, SegmentVisit
 
 
 def fresh_engine(dataset) -> ReachabilityEngine:
@@ -415,17 +420,22 @@ def test_client_shard_workers_caps_the_group_count(test_dataset):
 
 
 @pytest.mark.sharded
-def test_worker_window_equals_a_long_lived_replica_client(test_dataset):
+@pytest.mark.parametrize("source", ["ram", "store"])
+def test_worker_window_equals_a_long_lived_replica_client(test_dataset, tmp_path, source):
     """Two batches: a worker answers its group's sub-batch of every batch
     through one long-lived service.  The repeated batch computes no
-    region, and each window equals one long-lived client on a fresh
-    replica running that worker's sub-batch, batch after batch."""
+    region, and each window equals one long-lived client on a read-only
+    open of the same saved store running that worker's sub-batch, batch
+    after batch — whether the workers open a private save of a RAM engine
+    or reuse the bundle an ``open_store`` engine came from."""
     requests = mixed_requests(test_dataset.network)
-    with ShardedEngine(
-        QueryService(fresh_engine(test_dataset)), shards=2
-    ) as sharded:
+    bundle = save_store(fresh_engine(test_dataset), tmp_path / "bundle", 300)
+    target = fresh_engine(test_dataset) if source == "ram" else open_store(bundle)
+    with ShardedEngine(QueryService(target), shards=2) as sharded:
+        reused = Path(sharded._payload.bundle).resolve() == bundle.resolve()
         dispatch = sharded.plan_dispatch(requests)
         reports = [sharded.run_batch(requests) for _ in range(2)]
+    assert reused == (source == "store")
     assert reports[0].regions_computed > 0
     assert reports[1].regions_computed == 0
     assert reports[1].regions_reused > 0
@@ -433,11 +443,12 @@ def test_worker_window_equals_a_long_lived_replica_client(test_dataset):
         assert again.segments == first.segments
         assert again.probabilities == first.probabilities
 
-    payload = export_shard_payload(fresh_engine(test_dataset), 300)
     for shard_id in range(2):
         sub_batch = [r for _, _, r in dispatch.per_shard[shard_id]]
         assert sub_batch
-        replica = QueryService(build_shard_engine(payload), delta_t_s=300)
+        replica = QueryService(
+            build_shard_engine(ShardPayload(str(bundle), 300)), delta_t_s=300
+        )
         with ReachabilityClient(replica) as oracle:
             for report in reports:
                 (window,) = [
@@ -448,17 +459,150 @@ def test_worker_window_equals_a_long_lived_replica_client(test_dataset):
         assert sum((s.io for s in report.shard_reports), DiskStats()) == report.io
 
 
+def bundle_files(bundle: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(bundle.rglob("*")) if p.is_file()}
+
+
+def kill_workers(sharded) -> None:
+    for handle in sharded._workers.values():
+        handle.process.kill()
+        handle.process.join(timeout=10)
+
+
+def wait_until_serving(sharded) -> None:
+    """Return once every worker has opened its replica: an empty
+    sub-batch, which reads no page, round-trips through each."""
+    stats, outstanding = _FaultStats(), {}
+    for worker_idx in sharded._workers:
+        sharded._dispatch_attempt(worker_idx, [], 0, False, outstanding, stats)
+    replies, degraded = sharded._gather(outstanding, False, stats)
+    assert sorted(replies) == sorted(sharded._workers) and not degraded
+
+
+@pytest.mark.sharded
+def test_a_reused_bundle_is_never_written(test_dataset, tmp_path):
+    """Workers open the engine's own bundle read-only: its files are
+    byte-identical after serving and after a respawn."""
+    requests = mixed_requests(test_dataset.network, 6, 2)
+    bundle = save_store(fresh_engine(test_dataset), tmp_path / "bundle", 300)
+    before = bundle_files(bundle)
+    with ShardedEngine(QueryService(open_store(bundle)), shards=2) as sharded:
+        assert Path(sharded._payload.bundle).resolve() == bundle.resolve()
+        sharded.run_batch(requests)
+        assert bundle_files(bundle) == before
+        kill_workers(sharded)
+        report = sharded.run_batch(requests)
+        assert report.worker_restarts == 2
+        assert bundle_files(bundle) == before
+    assert bundle_files(bundle) == before
+
+
+@pytest.mark.sharded
+def test_workers_keep_reading_a_reused_bundle_the_parent_compacts(
+    test_dataset, tmp_path, monkeypatch
+):
+    """A read-only replica holds its generation's data file from the open
+    on.  Workers that opened a reused bundle and read no page yet, then an
+    in-place save whose compaction unlinks that file (the parent's own
+    Con-Index pages grew the journal): the next sharded batch answers as
+    single-process, with no retry, restart or degraded request."""
+    requests = mixed_requests(test_dataset.network, 6, 2)
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(requests)
+    bundle = save_store(fresh_engine(test_dataset), tmp_path / "bundle", 300)
+    engine = open_store(bundle)
+    with ShardedEngine(QueryService(engine), shards=2) as sharded:
+        wait_until_serving(sharded)
+        old_data = generation_file(bundle / "disk", "bin")
+        ReachabilityClient(sharded.service).run_batch(requests)
+        monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", 0.0)
+        save_store(engine, bundle, 300)
+        assert not old_data.exists()
+        report = sharded.run_batch(requests)
+    assert_identical(baseline, report)
+    assert (report.retries, report.worker_restarts, report.degraded_requests) == (0, 0, 0)
+
+
+@pytest.mark.sharded
+def test_a_private_bundle_lives_as_long_as_the_engine(test_dataset):
+    """A RAM engine's replicas open one private save.  It is removed by
+    ``close()``, by an append that retires the workers, and by a close
+    after a respawn (which reopened it)."""
+    requests = mixed_requests(test_dataset.network, 4, 1)
+    trajectory = MatchedTrajectory(
+        trajectory_id=10**6, taxi_id=0, date=0,
+        visits=[SegmentVisit(0, 11 * 3600, 6.0)],
+    )
+    for ending in ("close", "append", "respawn"):
+        engine = fresh_engine(test_dataset)
+        sharded = ShardedEngine(QueryService(engine), shards=2)
+        bundle = Path(sharded._payload.bundle)
+        assert (bundle / "directory.npz").exists()
+        if ending == "append":
+            engine.append_trajectories([trajectory], update_database=False)
+            assert sharded.closed
+        else:
+            if ending == "respawn":
+                kill_workers(sharded)
+                assert sharded.run_batch(requests).worker_restarts == 2
+                assert (bundle / "directory.npz").exists()
+            sharded.close()
+        assert not bundle.exists(), ending
+
+
+def test_a_construction_failure_after_the_save_removes_the_bundle(
+    test_dataset, monkeypatch
+):
+    from repro.serving import dispatcher
+
+    saved = []
+
+    def export(engine, delta_t_s, private_dir):
+        saved.append(Path(private_dir))
+        return export_shard_payload(engine, delta_t_s, private_dir)
+
+    def failing_spawn(*args, **kwargs):
+        assert (saved[0] / "directory.npz").exists()
+        raise OSError("no process for the worker")
+
+    monkeypatch.setattr(dispatcher, "export_shard_payload", export)
+    monkeypatch.setattr(ShardedEngine, "_spawn_worker", failing_spawn)
+    with pytest.raises(OSError, match="no process"):
+        ShardedEngine(fresh_engine(test_dataset), shards=2)
+    assert saved and not saved[0].exists()
+
+
+def test_a_save_to_another_path_copies_the_pages_once(tmp_path):
+    """Saving a RAM disk's pages as a store holds one copy of its buffer
+    at a time, not the exported bytes plus their adopted copy."""
+    page_size, pages = 1024, 8192
+    disk = SimulatedDisk(page_size=page_size)
+    disk.write_extent(disk.allocate(pages), bytes(range(256)) * (pages * page_size // 256))
+    size = pages * page_size
+    tracemalloc.start()
+    try:
+        copy = FileBackedDisk.copy_of(tmp_path / "disk", disk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    copy.close()
+    assert size < peak < 1.25 * size
+    assert FileBackedDisk.open(tmp_path / "disk").export_state() == disk.export_state()
+
+
 def test_shards_below_one_raise_before_export_or_spawn(test_dataset, monkeypatch):
     from repro.serving import dispatcher
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("exported or spawned for an invalid shard count")
+        raise AssertionError("exported or spawned for an invalid shard count or fault plan")
 
     monkeypatch.setattr(dispatcher, "export_shard_payload", forbidden)
     monkeypatch.setattr(ShardedEngine, "_spawn_worker", forbidden)
     for shards in (0, -2):
         with pytest.raises(ValueError, match="must be >= 1"):
             ShardedEngine(fresh_engine(test_dataset), shards=shards)
+    stray = FaultPlan.of(FaultSpec(kind=KILL_IN_RUN, worker=2, at=1))
+    with pytest.raises(ValueError, match="targets worker 2"):
+        ShardedEngine(fresh_engine(test_dataset), shards=2, fault_plan=stray)
 
 
 @pytest.mark.sharded
@@ -676,7 +820,7 @@ def test_direct_sharded_engine_closes_on_data_change(test_dataset):
 
 @pytest.mark.sharded
 @pytest.mark.parametrize("path", ["worker", "degraded", "fallback"])
-def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
+def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, tmp_path, path):
     """A worker reply, a degraded re-run and the foreign-Δt fallback
     answer the same entries with the same body: same keys, same unpacked
     results, same accounting window."""
@@ -701,7 +845,9 @@ def test_every_reply_body_is_the_one_runners(test_dataset, monkeypatch, path):
     if path == "worker":
         command = {"version": PROTOCOL_VERSION, "warm": False, "entries": entries}
         conn = _ScriptedConn([(MSG_RUN, 0, command), (MSG_SHUTDOWN,)])
-        shard_worker_main(conn, export_shard_payload(fresh_engine(test_dataset), 300))
+        shard_worker_main(
+            conn, export_shard_payload(fresh_engine(test_dataset), 300, tmp_path)
+        )
         ((_, _, body),) = conn.sent
         assert body.pop("version") == PROTOCOL_VERSION
     else:
@@ -756,9 +902,11 @@ class _ScriptedConn:
 
 
 @pytest.fixture(scope="module")
-def replica_payload(test_dataset):
-    """The one payload every worker of a sharded engine rebuilds."""
-    return export_shard_payload(fresh_engine(test_dataset), 300)
+def replica_payload(test_dataset, tmp_path_factory):
+    """The one payload every worker of a sharded engine opens."""
+    return export_shard_payload(
+        fresh_engine(test_dataset), 300, tmp_path_factory.mktemp("replica")
+    )
 
 
 class TestProtocolErrorPaths:
