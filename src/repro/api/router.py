@@ -21,12 +21,11 @@ Every classification is recorded as an inspectable
 fired on), rendered by ``EXPLAIN`` and carried on every
 :class:`~repro.api.envelope.Response`.  Forcing
 ``algorithm=<decision.algorithm>`` returns the identical segment set.
-Routing is not exact across routes: the bounded routes put the minimum
-bounding region into the answer unexamined, so they can return a
-superset of the exhaustive answer (176 of 400 s-queries on the test
-city), and a rule that swaps ES for a bounded route (``sub-slot-es``,
-``budget-bounds``) can change the answer, not only its cost (see
-``docs/api.md``; ROADMAP item 1 is the fix).
+Across routes, the bounded ones skip the seeds Eq. 3.1 caps below Prob
+and examine Bmin, so a rule that swaps ES for a bounded route
+(``sub-slot-es``, ``budget-bounds``) changes the answer only where Bmax
+misses a road entered within L or the trace-back's interior flood adds
+or cuts one off (10 of 384 seeded test-city queries; ``docs/api.md``).
 
 The design follows the "traffic light" routing exemplar (virt-graph):
 one front door, a small ordered rule table, first match wins, and the

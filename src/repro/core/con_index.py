@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
 import numpy as np
@@ -41,7 +41,7 @@ Kind = Literal["far", "near", "far_rev", "near_rev"]
 ENTRY_CACHE_SIZE = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierEntry:
     """One connection-table row: F(r, t) or N(r, t) of Table 2.1.
 
@@ -54,6 +54,8 @@ class FrontierEntry:
 
     frontier: tuple[int, ...]
     cover: frozenset[int]
+    # ``cover_ids``'s cache; slots keep an instance dict off each live decoded entry.
+    _cover_ids: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def cover_ids(self) -> np.ndarray:
         """The cover as a sorted ``int64`` id array (cached per entry).
@@ -62,7 +64,7 @@ class FrontierEntry:
         masks; materialising the array once per decoded entry keeps that
         union a single fancy-index store instead of a per-id set insert.
         """
-        cached = getattr(self, "_cover_ids", None)
+        cached = self._cover_ids
         if cached is None:
             cached = np.fromiter(
                 self.cover, dtype=np.int64, count=len(self.cover)

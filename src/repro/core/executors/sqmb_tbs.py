@@ -39,7 +39,7 @@ def locations_of(query: SQuery | MQuery) -> tuple:
 
 
 def start_estimators(
-    ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
+    ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None, floor=0.0
 ) -> tuple[ExecutionOutcome, dict[int, ColumnarEq31Estimator]]:
     """The front half every executor shares: start segments (``segments`` if a lock-step
     run located them), then one Eq. 3.1 estimator per distinct start segment, their
@@ -49,7 +49,8 @@ def start_estimators(
     already on it, so their reads are charged) and the *live* estimators
     by start segment: a segment no trajectory ever left in the first slot
     (``start_days == 0``) vouches for nothing at any ``Prob > 0`` and is
-    dropped.
+    dropped, and so is one whose cap ``start_days / num_days`` is below
+    ``floor``: Eq. 3.1's ``m*`` counts a subset of the fixed side's days.
     """
     st = ctx.st_index()
     with ctx.stage("start-segment lookup") as stage:
@@ -67,25 +68,28 @@ def start_estimators(
         else:
             built = ProbabilityEstimator.for_seeds(*args)
         estimators = dict(zip(segments, built))
+        capped = [seed for seed, e in estimators.items() if e.start_days / num_days < floor]
         stage.note(
             start_days=[e.start_days for e in estimators.values()],
             num_days=num_days,
+            below_cap=capped,
         )
     outcome = ExecutionOutcome(
         result=QueryResult(start_segments=tuple(segments)),
         estimators=list(estimators.values()),
     )
     return outcome, {
-        seed: est for seed, est in estimators.items() if est.start_days > 0
+        seed: est for seed, est in estimators.items() if est.start_days > 0 and seed not in capped
     }
 
 
 def bounded_front(
     ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
 ) -> tuple[ExecutionOutcome, LockstepSearch | None]:
-    """:func:`start_estimators`, then the live seeds' Far and Near bounding regions
-    from the Con-Index: the trace-back's inputs (``None`` when no seed is live)."""
-    outcome, live = start_estimators(ctx, plan, query, segments, charges)
+    """:func:`start_estimators` without the seeds capped below ``Prob`` (they reach
+    nothing), then the live seeds' Far and Near bounding regions from the Con-Index:
+    the trace-back's inputs (``None``, an empty answer, when no seed is live)."""
+    outcome, live = start_estimators(ctx, plan, query, segments, charges, query.prob)
     if not live:
         return outcome, None
     seeds = tuple(live)

@@ -23,7 +23,7 @@ Candidates cost one uncharged gather of their roads, one probe per seed,
 a replay of the scalar claimer-then-fallback consultation order and one
 buffer-pool charge (:meth:`ColumnarEq31Estimator.probabilities`) — per
 call, and a call is an ES frontier level or a whole trace-back: the search
-gathers its ring (Bmax's boundary and Bmax - Bmin) and probes each seed
+gathers its ring (Bmax and Bmin) and probes each seed
 once (:meth:`~ColumnarEq31Estimator.prefetch`,
 :meth:`~ColumnarEq31Estimator.vouched`), runs its waves on pass/fail, then
 replays them all in one call.  The fixed sides of all seeds are one gather

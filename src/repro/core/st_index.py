@@ -488,7 +488,7 @@ class STIndex:
         delta = np.column_stack(
             (keys // self.num_slots, keys % self.num_slots,
              *self._store.append_many(stream, lengths))
-        ).tolist()
+        )
         self.directory.extend(
             delta, self.disk.num_pages, self.disk.page_size, "appended record"
         )

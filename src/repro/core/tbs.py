@@ -1,17 +1,18 @@
 """Algorithm 2: Trace Back Search (TBS).
 
-TBS refines the maximum bounding region into the exact Prob-reachable
-region.  It dequeues segments starting from the *outer* boundary of the
-maximum bounding region; a segment whose Eq. 3.1 probability meets ``Prob``
-is accepted (and, per the thesis's closer-is-more-reachable monotonicity
-assumption, not expanded); a failing segment pushes its not-yet-visited
-inward neighbours — minus the minimum bounding region — onto the queue.
-Visited marking guarantees each segment is examined once (the ``r*``
-example of Fig. 3.5).
+TBS refines the maximum bounding region into the Prob-reachable region.
+Its first wave is the *outer* boundary of the maximum bounding region and
+the minimum one (reachable within L, not surely with ``Prob``).  A segment
+whose Eq. 3.1 probability meets ``Prob`` is accepted (and, per the
+thesis's closer-is-more-reachable monotonicity assumption, not expanded);
+a failing segment pushes its not-yet-visited neighbours — minus Bmin —
+onto the queue.  Visited marking guarantees each segment is examined once
+(the ``r*`` example of Fig. 3.5).  Seeds capped below ``Prob`` never get
+here (:func:`~repro.core.executors.sqmb_tbs.bounded_front`).
 
-Every wave lies in the ring of Bmax's boundary and Bmax - Bmin, so a
-search gathers that ring once, uncharged, and probes each seed against it
-once (:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`,
+Every wave lies in Bmax and Bmin, so a search gathers them once,
+uncharged, and probes each seed against them once
+(:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.prefetch`,
 ``vouched``).  A segment's probability is a pure function of the trajectory
 data, and its replayed consultation reaches ``Prob`` iff some seed's value
 does, so the waves — each the pending frontier, in FIFO order — run on
@@ -22,11 +23,12 @@ charges the pool once, so the examined set, the probabilities and the
 charged reads are *identical* to the one-segment-at-a-time loop (the
 baseline under ``tests/reference/``).
 
-The returned region is the minimum bounding cover (reachable by
-construction of the Near lists), every accepted segment, and the
-unexamined interior: what a flood fill from the seeds reaches in the
-maximum cover without crossing a *failed* segment — the part TBS never
-read trajectory data for.
+The returned region is every accepted segment and the unexamined
+interior: what a flood fill from the seeds reaches in the maximum cover
+without crossing a *failed* segment — the part TBS never read trajectory
+data for.  Inside Bmax this flood, the monotonicity assumption, is what
+can still differ from Eq. 3.1: it can add a segment below ``Prob`` or
+miss an interior that failed segments cut off from the seeds.
 
 A serial batch's run of ``LOCKSTEP_MIN_RUN`` or more consecutive bounded
 members (:func:`~repro.core.executors.sqmb_tbs.execute_lockstep`) runs in
@@ -129,11 +131,11 @@ def trace_back_search(
     max_cover = max_region.cover
     min_cover = min_region.cover
     lead = next(iter(estimators.values()))
-    # Every wave lies in the boundary and Bmax - Bmin: one gather and, per
-    # seed, one probe for all; the waves then run on pass/fail alone.
-    lead.prefetch(sorted(max_region.boundary | (max_cover - min_cover)))
+    # Every wave lies in Bmax and Bmin, the first in Bmax's boundary and Bmin: one
+    # gather and, per seed, one probe for all; the waves then run on pass/fail alone.
+    lead.prefetch(sorted(max_cover | min_cover))
     vouched = lead.vouched(estimators, prob)
-    queue = sorted(max_region.boundary)
+    queue = sorted(max_region.boundary | min_cover)
     visited: set[int] = set(queue)
     examined: list[int] = []
     while queue:
@@ -154,10 +156,9 @@ def trace_back_search(
     result.passed = vouched.intersection(examined)
     result.failed = set(examined) - result.passed
 
-    # Assemble the final region: minimum cover + accepted segments + the
-    # unexamined interior reachable from the seeds without crossing a
-    # failed segment.
-    result.region = set(min_cover) | result.passed
+    # Assemble the final region: accepted segments + the unexamined interior
+    # reachable from the seeds without crossing a failed segment.
+    result.region = set(result.passed)
     seeds = [seed for seed in estimators if seed in max_cover]
     flood: deque[int] = deque(seeds)
     seen: set[int] = set(seeds)
@@ -204,15 +205,16 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     bits = min(24, max(16, (32 * fixed.size).bit_length()))
     sieve, drop = np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits)
     sieve[(fixed.view(np.uint64) * _GOLDEN) >> drop] = True
-    maxm, minm, boundary, passed, failed, reach = np.zeros((6, members, n), dtype=bool)
+    maxm, minm, first, passed, failed, reach = np.zeros((6, members, n), dtype=bool)
     for q, search in enumerate(searches):
         for mask, cover in ((maxm, search.max_region.cover), (minm, search.min_region.cover)):
             mask[q, csr.rows_of(np.fromiter(cover, np.int64, len(cover)))] = True
-    wave = [csr.rows_of(sorted(search.max_region.boundary)) for search in searches]
+    wave = [csr.rows_of(sorted(s.max_region.boundary | s.min_region.cover)) for s in searches]
     wq, wr = np.repeat(np.arange(members), [w.size for w in wave]), np.concatenate(wave)
-    boundary[wq, wr] = True
-    # 1. The ring (Bmax's boundary and Bmax - Bmin): every pair a wave can consult.
-    rq, rr = np.nonzero(boundary | maxm & ~minm)
+    first[wq, wr] = True
+    # 1. The ring (Bmax and Bmin; the first wave is Bmax's boundary and Bmin): every
+    # pair a wave can consult.
+    rq, rr = np.nonzero(maxm | minm)
     uq, ur = np.divmod(np.unique(rq * n + road_of[rr]), n)
     pq, pe, pr = uq.repeat(counts[uq]), _ramp(lead[uq], counts[uq]), ur.repeat(counts[uq])
     pair_of = np.full((len(ests), n), -1)
@@ -247,7 +249,7 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     fresh[pe, pr] = np.bincount(days_hit >> KEY_DATE_SHIFT, minlength=pe.size) / days[pe]
     np.logical_or.at(reach, (pq, pr), fresh[pe, pr] >= prob[pq])
     # 2. The waves: failed segments push their unvisited neighbours in Bmax - Bmin.
-    unvisited, waves = maxm & ~minm & ~boundary, []
+    unvisited, waves = maxm & ~first, []
     while wr.size:
         waves.append((wq, wr))
         ok = reach[wq, road_of[wr]]
@@ -296,8 +298,8 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
             setattr(e, name, getattr(e, name) + count)
     charged = pages[_ramp(page_at[event_parts].ravel(), page_len[event_parts].ravel())]
     charged_at = np.cumsum(np.bincount(Q[at], event_pages, members)).astype(np.int64)
-    # The region: Bmin, the passed segments and the flood from the seeds
-    # through Bmax that never crosses a failed segment.
+    # The region: the passed segments and the flood from the seeds through
+    # Bmax that never crosses a failed segment.
     allowed = maxm & ~failed
     fq = np.repeat(np.arange(members), counts)
     fr = csr.rows_of([seed for search in searches for seed in search.estimators])
@@ -310,7 +312,7 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     for q, (search, charges) in enumerate(zip(searches, np.split(charged, charged_at[:-1]))):
         rows = slice(rows_at[q], rows_at[q + 1])
         results.append(TraceBackResult(
-            set(ids[minm[q] | passed[q] | reached[q]].tolist()), set(ids[passed[q]].tolist()),
+            set(ids[passed[q] | reached[q]].tolist()), set(ids[passed[q]].tolist()),
             set(ids[failed[q]].tolist()), dict(zip(row_ids[rows], value[rows])),
             sizes[: np.count_nonzero(sizes[:, q]), q].tolist(),
         ))

@@ -73,8 +73,8 @@ class CSRGraph:
     lengths: np.ndarray
     mid_x: np.ndarray
     mid_y: np.ndarray
-    _py_out: list[list[int]] | None = None
-    _py_in: list[list[int]] | None = None
+    _py_out: list[tuple[int, ...]] | None = None
+    _py_in: list[tuple[int, ...]] | None = None
 
     @property
     def n(self) -> int:
@@ -90,12 +90,13 @@ class CSRGraph:
             return self.indptr_in, self.indices_in
         return self.indptr_out, self.indices_out
 
-    def adjacency_lists(self, reverse: bool) -> list[list[int]]:
-        """Row-level adjacency as plain Python lists (built once, cached).
+    def adjacency_lists(self, reverse: bool) -> list[tuple[int, ...]]:
+        """Row-level adjacency as plain Python tuples (built once, cached).
 
         The scalar Dijkstra fast path for small covers walks these — numpy
         scalar indexing inside a Python loop would cost more than the heap
-        operations it feeds.
+        operations it feeds.  Tuples of ints leave the cyclic collector's
+        tracking at its first pass, so later passes skip them.
         """
         cached = self._py_in if reverse else self._py_out
         if cached is None:
@@ -103,7 +104,7 @@ class CSRGraph:
             flat = indices.tolist()
             bounds = indptr.tolist()
             cached = [
-                flat[bounds[row]:bounds[row + 1]] for row in range(self.n)
+                tuple(flat[bounds[row]:bounds[row + 1]]) for row in range(self.n)
             ]
             if reverse:
                 self._py_in = cached

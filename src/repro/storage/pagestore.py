@@ -41,7 +41,7 @@ from repro.storage.disk import DiskError, SimulatedDisk
 #: Shortest :meth:`BufferPool.get_pages` call worth collapsing repeats in.
 RUN_COLLAPSE_MIN_IDS = 64
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordPointer:
     """Location of a stored record: one extent plus offset and length.
 

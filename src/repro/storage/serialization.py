@@ -10,6 +10,11 @@ argument depends on.
 
 from __future__ import annotations
 
+import numpy as np
+
+#: A value below ``1 << 7k`` takes k varint bytes.
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+
 
 class SerializationError(Exception):
     """Raised when a payload cannot be decoded."""
@@ -50,8 +55,7 @@ def _decode_varint(payload: bytes, offset: int) -> tuple[int, int]:
 
 def encode_append_delta(
     delta_t_s: int,
-    entries: list[tuple[int, int, int, int, int, int]]
-    | tuple[tuple[int, int, int, int, int, int], ...],
+    entries: list[tuple[int, ...]] | tuple[tuple[int, ...], ...] | np.ndarray,
 ) -> bytes:
     """Encode an ST-Index directory delta for the durable append journal.
 
@@ -60,15 +64,24 @@ def encode_append_delta(
     num_pages, offset, length)`` — a record pointer appended to the
     ``(segment_id, slot)`` chain.  The slot width tags the delta so a
     reopened store can refuse to apply a journal written at a different
-    index granularity.  Plain tuples keep this codec free of any import
-    of the index or pagestore layers.
+    index granularity.  Plain tuples (or an ``int64`` array of rows) keep
+    this codec free of any import of the index or pagestore layers.
     """
-    parts = [_encode_varint(delta_t_s), _encode_varint(len(entries))]
-    for entry in entries:
-        if len(entry) != 6:
-            raise SerializationError(f"append-delta entry must have 6 fields, got {entry!r}")
-        parts.extend(_encode_varint(v) for v in entry)
-    return b"".join(parts)
+    try:
+        rows = np.asarray(entries, dtype=np.int64).reshape(len(entries), 6)
+    except (OverflowError, ValueError):
+        raise SerializationError("append-delta entries must be 6 varint fields each") from None
+    values = np.concatenate(([delta_t_s, len(rows)], rows.ravel()))
+    if values.min() < 0:
+        raise SerializationError(f"varints are unsigned, got {values.min()}")
+    # _encode_varint of every value at once: its 7-bit groups, low first, each
+    # but its last with the continuation bit.
+    values = values.astype(np.uint64)
+    width = _VARINT_LIMITS.searchsorted(values, "right") + 1
+    group = np.arange(width.max())
+    out = (values[:, None] >> (7 * group).astype(np.uint64)) & np.uint64(0x7F)
+    out[group < width[:, None] - 1] |= np.uint64(0x80)
+    return out[group < width[:, None]].astype(np.uint8).tobytes()
 
 
 def decode_append_delta(

@@ -221,7 +221,12 @@ def trace_back_search_reference(
     max_region: BoundingRegion,
     min_region: BoundingRegion,
 ) -> TraceBackResult:
-    """The pre-wave Algorithm 2: FIFO queue, one probability per dequeue."""
+    """The pre-wave Algorithm 2: FIFO queue, one probability per dequeue.
+
+    Bmin is examined first, beside Bmax's boundary, and the region is the
+    accepted segments plus the seeds' flood — the rules of the columnar
+    search, so counters and charged page ids compare exactly.
+    """
     result = TraceBackResult()
     if not estimators:
         return result
@@ -236,8 +241,9 @@ def trace_back_search_reference(
         ordered.extend(e for s, e in estimators.items() if e is not first)
         return ordered
 
-    queue: deque[int] = deque(sorted(max_region.boundary))
-    visited: set[int] = set(max_region.boundary)
+    # Bmin is examined first, beside the boundary (the columnar search's first wave).
+    queue: deque[int] = deque(sorted(max_region.boundary | min_cover))
+    visited: set[int] = set(queue)
     while queue:
         segment_id = queue.popleft()
         result.wave_sizes.append(1)
@@ -265,7 +271,7 @@ def trace_back_search_reference(
             visited.add(neighbor)
             queue.append(neighbor)
 
-    result.region = set(min_cover) | result.passed
+    result.region = set(result.passed)
     seeds = [seed for seed in estimators if seed in max_cover]
     flood: deque[int] = deque(seeds)
     seen: set[int] = set(seeds)

@@ -115,10 +115,15 @@ class TestSend:
         assert second.regions_computed == 0
         assert second.regions_reused == 2
         assert second.segments == first.segments
-        # A different threshold still shares the shape-keyed bounds.
-        third = client.send(Request(SQuery(CENTER, T, 600, 0.8)))
+        # A different threshold still shares the shape-keyed bounds (the
+        # start road's cap is 5/10 days, so 0.5 still reaches them) ...
+        third = client.send(Request(SQuery(CENTER, T, 600, 0.5)))
         assert third.regions_computed == 0
         assert third.regions_reused == 2
+        # ... and one above that cap skips the seed before any bound.
+        fourth = client.send(Request(SQuery(CENTER, T, 600, 0.8)))
+        assert (fourth.regions_computed, fourth.regions_reused) == (0, 0)
+        assert fourth.segments == set()
 
     def test_reported_io_cost_reads_the_latency_constant(self, engine, monkeypatch):
         """Single sends and batches price their page reads through

@@ -6,8 +6,11 @@ Two layers of guarantees:
   shape (sub-slot durations route to ES, multi-location to MQMB, ...);
 * the **exactness properties** assert that routing never changes
   answers — ``algorithm="auto"`` returns the identical segment set to
-  forcing the routed algorithm, and to forcing the paper's algorithm
-  wherever the paper route is chosen.
+  forcing the routed algorithm, to forcing the paper's algorithm
+  wherever the paper route is chosen, and to the exhaustive route of the
+  query's kind on every shape below (where the bounded and exhaustive
+  answers agree; ``tests/test_bounded_exactness.py`` lists where they do
+  not).
 """
 
 import pytest
@@ -172,6 +175,25 @@ class TestRoutingExactness:
         assert forced.route.rule == "forced"
         assert auto.segments == forced.segments
         assert auto.result.probabilities == forced.result.probabilities
+
+    @pytest.mark.parametrize(
+        "request_",
+        SHAPES + [request_ for request_, _, _ in FIXTURES],
+        ids=[f"shape{i}" for i in range(len(SHAPES))]
+        + [f"{r.kind}-{rule}-{alg}" for r, alg, rule in FIXTURES],
+    )
+    def test_auto_answers_what_exhaustive_search_answers(self, client, request_):
+        """The route only picks the cost: ``auto`` (and every forced route
+        of the table) equals ``es`` / ``es_each`` in the same direction."""
+        exhaustive = "es_each" if isinstance(request_.query, MQuery) else "es"
+        answer = client.send(request_)
+        truth = client.send(
+            Request(
+                request_.query,
+                QueryOptions(direction=request_.options.direction, algorithm=exhaustive),
+            )
+        )
+        assert answer.segments == truth.segments
 
     @pytest.mark.parametrize(
         "query",

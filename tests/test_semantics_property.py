@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.client_protocol import s_query
+from repro.api import QueryOptions, ReachabilityClient, Request
 from repro.core.baseline import exhaustive_search
 from repro.core.engine import ReachabilityEngine
 from repro.core.probability import DEPARTURE_WINDOW_S, ProbabilityEstimator
@@ -139,14 +140,14 @@ class TestSemanticsAgainstOracle:
 
 
 class TestSubSlotStartCap:
-    """The documented sub-slot case where ES and SQMB+TBS disagree.
+    """A sub-slot s-query whose start road caps every probability below Prob.
 
-    A 120 s, prob-0.3 s-query at (-221.0, -970.6), 08:00 on the test city
-    answers ``[]`` on ES and ``[45, 46]`` (exactly Bmin) on ``sqmb_tbs``.
+    A 120 s, prob-0.3 s-query at (-221.0, -970.6), 08:00 on the test city.
     Eq. 3.1's ``m*`` counts days with a trajectory on the fixed side, so
     every probability is at most ``start_days / num_days``: here 0.1, below
-    Prob, so nothing is Prob-reachable and ES is right.  TBS puts Bmin into
-    the region without examining it.
+    Prob, so nothing is Prob-reachable.  ES and ``sqmb_tbs`` both answer
+    ``[]``: the bounded route skips the seed before any bound is built, and
+    its EXPLAIN says so.
     """
 
     def test_the_start_road_caps_every_probability_below_prob(self, test_dataset):
@@ -174,3 +175,15 @@ class TestSubSlotStartCap:
         assert es.probabilities[r0] == cap
         assert max(es.probabilities.values()) <= cap
         assert es.segments == set()
+
+    def test_the_bounded_route_skips_the_capped_seed(self, test_dataset):
+        query = SQuery(Point(-221.0, -970.6), float(day_time(8)), 120.0, 0.3)
+        client = ReachabilityClient(ReachabilityEngine(test_dataset.network, test_dataset.database))
+        explanation = client.explain(Request(query, QueryOptions(algorithm="sqmb_tbs")))
+        (r0,) = explanation.result.start_segments
+        assert explanation.result.segments == set()
+        assert explanation.result.max_region is None
+        assert [stage.name for stage in explanation.stages] == [
+            "start-segment lookup", "start time-list read",
+        ]
+        assert f"below_cap=[{r0}]" in explanation.stages[1].detail

@@ -13,6 +13,7 @@ from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 from repro.storage.serialization import (
     SerializationError,
+    _encode_varint,
     decode_append_delta,
     encode_append_delta,
 )
@@ -455,6 +456,23 @@ class TestSerialization:
     @given(st.lists(st.tuples(*[st.integers(0, 2**62)] * 6), max_size=30))
     def test_int_list_property(self, entries):
         assert decode_append_delta(encode_append_delta(60, entries)) == (60, tuple(entries))
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 2**63 - 1)] * 6), max_size=30),
+        st.integers(0, 2**31),
+    )
+    def test_bytes_are_the_scalar_varints(self, entries, delta_t_s):
+        """The vectorized encoder writes what one ``_encode_varint`` per value
+        writes, from tuples and from an ``int64`` row array alike."""
+        values = [delta_t_s, len(entries), *(v for entry in entries for v in entry)]
+        expected = b"".join(_encode_varint(v) for v in values)
+        assert encode_append_delta(delta_t_s, entries) == expected
+        rows = np.array(entries, dtype=np.int64).reshape(-1, 6)
+        assert encode_append_delta(delta_t_s, rows) == expected
+
+    def test_a_row_of_another_width_rejected(self):
+        with pytest.raises(SerializationError):
+            encode_append_delta(300, [(1, 2, 3, 4, 5, 6), (1, 2, 3)])
 
 
 class TestDiskStatsLockedReads:

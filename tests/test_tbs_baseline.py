@@ -187,13 +187,20 @@ class TestTraceBackSearch:
         )
         assert result.passed.isdisjoint(result.failed)
 
-    def test_min_cover_always_included(self, world, route, network):
+    def test_min_cover_is_examined(self, world, route, network):
+        """Bmin is verified like the rest of Bmax: route[5] (0.75) and
+        route[6] (0.5) lie in it, and only the one at or above Prob stays."""
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 3)
+        max_region, min_region = make_regions(network, route, 8, 7)
         result = trace_back_search(
-            network, {route[0]: est}, 1.0, max_region, min_region
+            network, {route[0]: est}, 0.6, max_region, min_region
         )
-        assert min_region.cover <= result.region
+        assert min_region.cover <= result.passed | result.failed
+        got_roads = {network.segment(s).canonical_id() for s in result.region}
+        expected_roads = {
+            network.segment(route[i]).canonical_id() for i in range(6)
+        }
+        assert got_roads == expected_roads
 
     def test_prob_one_region_is_certain_prefix(self, world, route, network):
         _, est = world
