@@ -34,7 +34,6 @@ def test_ablation_precompute_one_slot(bench_dataset, benchmark, emit):
             [
                 ("entries per slot", str(built)),
                 ("expansions run", str(con.expansions)),
-                ("disk pages", str(con.disk.num_pages)),
             ],
         ),
     )

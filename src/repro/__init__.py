@@ -10,8 +10,8 @@ Module map (see ``docs/architecture.md`` for the routing diagram):
 
 * ``repro.api`` — the stable front door: :class:`Request`/:class:`Response`
   envelopes, the adaptive :class:`Router` behind ``algorithm="auto"``, and
-  :class:`ReachabilityClient` (``send`` / ``submit`` futures / lazy
-  ``stream`` / ``run_batch``); see ``docs/api.md``.
+  :class:`ReachabilityClient` (``send`` / lazy ``stream`` /
+  ``run_batch``); see ``docs/api.md``.
 * ``repro.core`` — planner -> executor-registry -> storage query stack:
   :class:`QueryService` (service-lifetime bounding-region cache),
   :class:`ReachabilityEngine` (index ownership),

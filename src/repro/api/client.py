@@ -6,8 +6,6 @@ request/response surface:
 * :meth:`~ReachabilityClient.send` — answer one
   :class:`~repro.api.envelope.Request` synchronously (through the
   service-lifetime bounding-region cache);
-* :meth:`~ReachabilityClient.submit` — the same, as a
-  :class:`concurrent.futures.Future` on the client's one worker thread;
 * :meth:`~ReachabilityClient.stream` — run many requests as one lazily
   executed pipeline, yielding :class:`~repro.api.envelope.Response`
   objects in submission order;
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import count
 from typing import Iterable, Iterator
 
@@ -128,8 +125,7 @@ class ReachabilityClient:
         self.shard_workers = shard_workers
         self.deadline_ms = deadline_ms
         self.max_retries = max_retries
-        # Both created lazily under the engine lock.
-        self._pool: ThreadPoolExecutor | None = None
+        # Created lazily under the engine lock.
         self._sharded = None
 
     # -- durable stores ----------------------------------------------------
@@ -219,21 +215,6 @@ class ReachabilityClient:
             regions_computed=context.regions_computed,
             regions_reused=context.regions_reused,
         )
-
-    def submit(self, request: Request | SQuery | MQuery) -> "Future[Response]":
-        """Answer one request on the client's worker thread.
-
-        Returns a future resolving to the :class:`Response`.  Submissions
-        run one at a time, in submission order, each as a :meth:`send`
-        under the engine lock — so every response carries exactly its own
-        costs, as if sent serially.
-        """
-        with self.engine.lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="reach-client"
-                )
-            return self._pool.submit(self.send, as_request(request))
 
     # -- pipelines ---------------------------------------------------------
 
@@ -339,13 +320,9 @@ class ReachabilityClient:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the submit thread and any shard workers down (idempotent)."""
+        """Shut any shard workers down (idempotent)."""
         with self.engine.lock:
-            pool, self._pool = self._pool, None
             sharded, self._sharded = self._sharded, None
-        # Outside the lock: queued submissions still need it to finish.
-        if pool is not None:
-            pool.shutdown(wait=True)
         if sharded is not None:
             sharded.close()
 

@@ -10,8 +10,7 @@ could not even express per-query intent, because ``kind`` and
   (direction, algorithm incl. ``"auto"``, Δt, cache policy, a tag for
   correlation, an optional cost budget);
 * :class:`Request` — a query plus its options, the one unit every client
-  entry point (``send`` / ``submit`` / ``stream`` / ``run_batch``)
-  accepts;
+  entry point (``send`` / ``stream`` / ``run_batch``) accepts;
 * :class:`Response` — the result plus the plan that ran, the
   :class:`~repro.api.router.RouteDecision` that chose it, and per-query
   cost/cache metrics.

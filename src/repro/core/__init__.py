@@ -38,7 +38,7 @@ from repro.core.query import (
     SQuery,
 )
 from repro.core.st_index import STIndex
-from repro.core.con_index import ConnectionIndex, FrontierEntry
+from repro.core.con_index import ConnectionIndex
 from repro.core.probability import ProbabilityEstimator
 from repro.core.sqmb import sqmb_bounding_region
 from repro.core.tbs import trace_back_search
@@ -81,7 +81,6 @@ __all__ = [
     "BoundingRegion",
     "STIndex",
     "ConnectionIndex",
-    "FrontierEntry",
     "ProbabilityEstimator",
     "sqmb_bounding_region",
     "trace_back_search",

@@ -2,8 +2,9 @@
 
 :class:`ReachabilityEngine` owns the road network, the trajectory database,
 one simulated disk, and per-Δt ST-Index / Con-Index pairs, and nothing
-else: it builds, installs, drops and appends to indexes and exposes their
-buffer pools.  It answers no query itself.  Questions go through
+else: it builds, installs, drops and appends to indexes and exposes the
+ST-Indexes' buffer pools.  Only the ST-Index lives on the disk; the
+Con-Index is held in memory.  It answers no query itself.  Questions go through
 :class:`repro.api.ReachabilityClient`, which routes and plans a request
 (:mod:`~repro.core.planner`) and runs it on the registered executor
 (:mod:`~repro.core.executors`) through the caches of a
@@ -39,7 +40,7 @@ class ReachabilityEngine:
         network: the (re-segmented) road network.
         database: the cleaned matched-trajectory database.
         disk: shared simulated disk; a private one is created when omitted.
-        buffer_pool_pages: page-cache capacity per index.
+        buffer_pool_pages: page-cache capacity of each ST-Index's buffer pool.
     """
 
     def __init__(
@@ -137,13 +138,7 @@ class ReachabilityEngine:
         """The Con-Index at granularity Δt, entries built lazily."""
         index = self._con_indexes.get(delta_t_s)
         if index is None:
-            index = ConnectionIndex(
-                self.network,
-                self.database,
-                delta_t_s,
-                disk=self.disk,
-                buffer_pool_pages=self.buffer_pool_pages,
-            )
+            index = ConnectionIndex(self.network, self.database, delta_t_s)
             self._con_indexes[delta_t_s] = index
         return index
 
@@ -202,19 +197,19 @@ class ReachabilityEngine:
             return touched
 
     def buffer_pools(self):
-        """Every live buffer pool, for cache-effectiveness reporting."""
+        """Every live buffer pool (one per ST-Index), for cache-effectiveness
+        reporting."""
         for index in self._st_indexes.values():
-            yield index.pool
-        for index in self._con_indexes.values():
             yield index.pool
 
     def invalidate_caches(self) -> None:
-        """Drop trajectory-data buffer pools so the next query pays cold I/O.
+        """Drop the ST-Index buffer pools so the next query pays cold I/O.
 
-        Connection-index entries stay cached: the Con-Index is a compact
-        derived structure (two ID lists per segment-slot) that a deployed
-        system keeps memory-resident, whereas the trajectory time lists are
-        the massive disk-resident data whose I/O the paper measures.
+        Con-Index entries stay: the Con-Index is derived, memory-resident
+        state (one id array per segment, slot and kind, built from speed
+        statistics) that is never on the disk, whereas the trajectory time
+        lists are the massive disk-resident data whose I/O the paper
+        measures.
         """
         for pool in self.buffer_pools():
             pool.invalidate()

@@ -170,8 +170,8 @@ def _entry_hops(
     """Algorithm 1's accumulate-and-rehop loop over a boolean row mask.
 
     Every covered segment's entry is unioned into the mask per step; the
-    per-entry union is one fancy-index store of the entry's cached id
-    array instead of a Python set union.
+    per-entry union is one fancy-index store of the entry's id array
+    instead of a Python set union.
 
     Entries are fully determined by ``(segment, kind, hour)`` — speed
     bounds are hourly — so once a segment's entry has been unioned under
@@ -187,8 +187,7 @@ def _entry_hops(
         hour_bit = np.uint32(1 << con_index.slot_hour(slot))
         rows = np.flatnonzero(cover & ((expanded_hours & hour_bit) == 0))
         for segment_id in csr.ids_of(rows).tolist():
-            entry = con_index.entry(segment_id, slot, kind)
-            cover[csr.rows_of(entry.cover_ids())] = True
+            cover[csr.rows_of(con_index.entry(segment_id, slot, kind))] = True
         expanded_hours[rows] |= hour_bit
 
 

@@ -419,7 +419,7 @@ def cover_boundary_mask(
 
     A row belongs to the boundary when it has no step-direction neighbours
     at all, or at least one neighbour outside the cover — the same rule as
-    the set-based ``region_boundary`` / ``ExpansionResult.frontier``.
+    the set-based ``region_boundary``.
     """
     indptr, indices = csr.adjacency(reverse)
     rows = np.flatnonzero(cover)

@@ -13,8 +13,8 @@ traversing it.
 
 The search itself is :func:`repro.network.csr.budgeted_expansion`, the
 one expansion the residual-carry top-up also runs; a fixed travel-time
-model is its one-window case.  This module is the cover-and-frontier
-result shape.  With non-negative costs the result is identical to the
+model is its one-window case.  This module is the arrival-map result
+shape.  With non-negative costs the result is identical to the
 classic Dijkstra (kept as ``time_bounded_expansion_reference`` under
 ``tests/reference/`` for the equivalence tests).
 """
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.network.csr import budgeted_expansion, cover_boundary_mask
+from repro.network.csr import budgeted_expansion
 from repro.network.model import RoadNetwork
 
 #: Travel-time model: seconds to traverse a segment, or ``None``/``inf`` for
@@ -37,19 +37,15 @@ TravelTimeFn = Callable[[int], float]
 
 @dataclass
 class ExpansionResult:
-    """Cover and frontier of a time-bounded expansion.
+    """Arrival times of a time-bounded expansion.
 
     Attributes:
         arrival: segment id -> earliest arrival time (seconds from start);
-            includes the start segment at 0.0.  This is the *cover*: every
-            segment reachable within the budget.
-        frontier: segments in the cover having at least one successor that
-            is outside the cover (or no successors at all) — the outer shell
-            that Fig. 3.3 draws as the Near/Far boundary.
+            includes the start segment at 0.0.  Its keys are the *cover*:
+            every segment reachable within the budget.
     """
 
     arrival: dict[int, float] = field(default_factory=dict)
-    frontier: set[int] = field(default_factory=set)
 
     @property
     def cover(self) -> set[int]:
@@ -100,7 +96,7 @@ def time_bounded_expansion(
             then skips the per-call ``tolist``.
 
     Returns:
-        The cover/frontier as an :class:`ExpansionResult`.
+        The arrival times as an :class:`ExpansionResult`.
     """
     if budget_s < 0:
         raise ValueError(f"budget must be >= 0, got {budget_s}")
@@ -115,28 +111,14 @@ def time_bounded_expansion(
         reverse,
         None if cost_list is None else lambda phase: cost_list(),
     )
-    result = ExpansionResult()
     if dist is None:
         # The expansion finished on the scalar path — one Con-Index entry
         # (a single Δt slot of travel) almost always does — so the result
         # is built in pure Python too: the numpy envelope would cost more
         # than the search.
-        adjacency = csr.adjacency_lists(reverse)
-        identity = csr.identity_ids
+        if csr.identity_ids:
+            return ExpansionResult(best)
         ids = csr.ids
-        result.arrival = (
-            best if identity else {int(ids[row]): t for row, t in best.items()}
-        )
-        for row in best:
-            neighbors = adjacency[row]
-            if not neighbors or any(nb not in best for nb in neighbors):
-                result.frontier.add(row if identity else int(ids[row]))
-        return result
-    cover_mask = np.isfinite(dist)
-    boundary_mask = cover_boundary_mask(csr, cover_mask, reverse)
-    rows = np.flatnonzero(cover_mask)
-    result.arrival = dict(
-        zip(csr.ids_of(rows).tolist(), dist[rows].tolist())
-    )
-    result.frontier = csr.mask_to_id_set(boundary_mask)
-    return result
+        return ExpansionResult({int(ids[row]): t for row, t in best.items()})
+    rows = np.flatnonzero(np.isfinite(dist))
+    return ExpansionResult(dict(zip(csr.ids_of(rows).tolist(), dist[rows].tolist())))

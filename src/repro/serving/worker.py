@@ -6,12 +6,9 @@ One worker process holds one full engine replica: a read-only
 network, the speed model, the directory and the disk's metadata, and no
 data page: a page is faulted in, checksum-verified, on its first read,
 so a worker's memory grows only with the pages its queries touch.  The
-Con-Index is *not*
-stored — it derives entirely from the speed model plus the network
-topology, so the worker builds it lazily exactly as a single-process
-engine would, and its page writes stay in the replica's memory at the
-page ids the parent's would take (the bundle holds the parent's append
-tail).
+Con-Index is never on the disk — it derives entirely from the speed model
+plus the network topology, so the worker builds it lazily in memory
+exactly as a single-process engine would, and a query writes no page.
 
 A worker hosts exactly one routing group.  A ``("run", request_id,
 ...)`` message carries that group's sub-batch of the dispatcher's

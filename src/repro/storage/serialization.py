@@ -1,11 +1,10 @@
-"""Compact binary codecs for records stored on the simulated disk.
+"""The varint codec of the durable append journal's directory deltas.
 
-Time lists (§3.2.1) are lists of integer trajectory IDs keyed by
-``(road segment, time slot, date)``; connection tables (§3.2.2) are lists of
-integer segment IDs.  Both are stored as length-prefixed arrays of unsigned
-varints so that record size — and therefore the number of pages a read
-touches — tracks the actual data volume, which is what the paper's I/O
-argument depends on.
+An ST-Index append records the directory rows it added (record pointers
+chained onto ``(segment, slot)`` entries) as one journal meta blob:
+unsigned LEB128 varints, so small ids and offsets take one or two bytes.
+The time-list records themselves are encoded by
+:mod:`repro.core.st_index`; the Con-Index is never stored.
 """
 
 from __future__ import annotations
@@ -18,21 +17,6 @@ _VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
 
 class SerializationError(Exception):
     """Raised when a payload cannot be decoded."""
-
-
-def _encode_varint(value: int) -> bytes:
-    """LEB128-style unsigned varint."""
-    if value < 0:
-        raise SerializationError(f"varints are unsigned, got {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
 
 
 def _decode_varint(payload: bytes, offset: int) -> tuple[int, int]:
@@ -74,8 +58,8 @@ def encode_append_delta(
     values = np.concatenate(([delta_t_s, len(rows)], rows.ravel()))
     if values.min() < 0:
         raise SerializationError(f"varints are unsigned, got {values.min()}")
-    # _encode_varint of every value at once: its 7-bit groups, low first, each
-    # but its last with the continuation bit.
+    # LEB128 of every value at once: its 7-bit groups, low first, each but
+    # its last with the continuation bit.
     values = values.astype(np.uint64)
     width = _VARINT_LIMITS.searchsorted(values, "right") + 1
     group = np.arange(width.max())

@@ -112,11 +112,6 @@ def time_bounded_expansion_reference(
             if reach < best.get(neighbor, float("inf")):
                 best[neighbor] = reach
                 heapq.heappush(heap, (reach, neighbor))
-    cover = set(arrival)
-    for segment in cover:
-        neighbors = step_of(segment)
-        if not neighbors or any(s not in cover for s in neighbors):
-            result.frontier.add(segment)
     return result
 
 
@@ -209,7 +204,7 @@ def sqmb_bounding_region_reference(
         additions: set[int] = set()
         for segment_id in cover:
             entry = con_index.entry(segment_id, slot, kind)
-            additions |= entry.cover
+            additions.update(entry.tolist())
         cover |= additions
     if kind == "far":
         cover |= slot_aware_expansion_reference(
@@ -261,7 +256,7 @@ def mqmb_bounding_region_reference(
         additions: set[int] = set()
         for segment_id in cover:
             entry = con_index.entry(segment_id, slot, kind)
-            additions |= entry.cover
+            additions.update(entry.tolist())
         additions -= cover
         for segment_id in additions:
             seed_of[segment_id] = (
@@ -318,7 +313,7 @@ def reverse_bounding_region_reference(
         additions: set[int] = set()
         for segment_id in cover:
             entry = con_index.entry(segment_id, slot, reverse_kind)
-            additions |= entry.cover
+            additions.update(entry.tolist())
         cover |= additions
     if kind == "far":
         cover |= slot_aware_expansion_reference(

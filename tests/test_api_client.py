@@ -41,6 +41,16 @@ def client(engine):
     return ReachabilityClient(engine)
 
 
+def on_a_thread(call):
+    """Run ``call`` on a new thread, wait for it and return its value."""
+    outcome: list = []
+    thread = threading.Thread(target=lambda: outcome.append(call()))
+    thread.start()
+    thread.join(120)
+    assert outcome, "the call raised or did not finish"
+    return outcome[0]
+
+
 @pytest.fixture(scope="module")
 def fig48_requests(test_dataset):
     """The Fig 4.8(a)-style m-query workload as client requests."""
@@ -169,13 +179,12 @@ class TestSend:
         unbudgeted = client.send(Request(SQuery(CENTER, T, 600, 0.2)))
         assert unbudgeted.within_budget is None
 
-    def test_submit_futures(self, engine):
-        with ReachabilityClient(engine) as client:
-            futures = [
-                client.submit(Request(SQuery(CENTER, T, 600, prob)))
-                for prob in (0.2, 0.4, 0.8)
-            ]
-            responses = [future.result() for future in futures]
+    def test_sends_from_other_threads(self, engine):
+        client = ReachabilityClient(engine)
+        responses = [
+            on_a_thread(lambda: client.send(Request(SQuery(CENTER, T, 600, prob))))
+            for prob in (0.2, 0.4, 0.8)
+        ]
         direct = ReachabilityClient(engine)
         for response, prob in zip(responses, (0.2, 0.4, 0.8)):
             expected = direct.send(Request(SQuery(CENTER, T, 600, prob)))
@@ -316,10 +325,11 @@ class TestConcurrentCallers:
                 singles[10],
             ],
         ]
-        # Four callers, each mixing send, submit(...).result() and run_batch.
+        # Four callers, each mixing send, a send on a thread of its own and
+        # run_batch.
         calls = [
             [("send", singles[caller]), ("batch", batches[caller % 3]),
-             ("submit", singles[11 - caller]), ("batch", batches[(caller + 1) % 3]),
+             ("thread", singles[11 - caller]), ("batch", batches[(caller + 1) % 3]),
              ("send", singles[caller + 4])]
             for caller in range(4)
         ]
@@ -328,8 +338,8 @@ class TestConcurrentCallers:
         def run(kind, payload):
             if kind == "send":
                 return [client.send(payload).result], None
-            if kind == "submit":
-                return [client.submit(payload).result().result], None
+            if kind == "thread":
+                return [on_a_thread(lambda: client.send(payload)).result], None
             report = client.run_batch(payload)
             return report.results, report
 

@@ -1,15 +1,17 @@
 """Tests for the Connection Index (§3.2.2)."""
 
+import numpy as np
 import pytest
 
+from repro.api.client import ReachabilityClient
+from repro.api.envelope import QueryOptions, Request
 from repro.core import con_index
-from repro.core.con_index import (
-    ConnectionIndex,
-    FrontierEntry,
-    decode_entry,
-    encode_entry,
-)
+from repro.core.con_index import ConnectionIndex
+from repro.core.engine import ReachabilityEngine
+from repro.eval.workload import QueryWorkload
+from repro.io.persist import current_bundle, save_store
 from repro.network.generator import grid_city
+from repro.storage.backends import FileBackedDisk
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
 from repro.trajectory.store import TrajectoryDatabase
 
@@ -33,16 +35,8 @@ def database(network):
     return db
 
 
-class TestEntryCodec:
-    def test_roundtrip(self):
-        entry = FrontierEntry(frontier=(3, 1, 2), cover=frozenset({1, 2, 3, 9}))
-        decoded = decode_entry(encode_entry(entry))
-        assert decoded.frontier == (1, 2, 3)
-        assert decoded.cover == {1, 2, 3, 9}
-
-    def test_empty(self):
-        entry = FrontierEntry(frontier=(), cover=frozenset())
-        assert decode_entry(encode_entry(entry)) == entry
+def ids(entry: np.ndarray) -> set[int]:
+    return set(entry.tolist())
 
 
 class TestConnectionIndex:
@@ -56,14 +50,23 @@ class TestConnectionIndex:
         for sid in list(network.segment_ids())[:10]:
             far = con.far(sid, slot)
             near = con.near(sid, slot)
-            assert near.cover <= far.cover
+            assert ids(near) <= ids(far)
 
     def test_cover_contains_start(self, network, database):
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
         entry = con.far(0, slot)
-        assert 0 in entry.cover
-        assert set(entry.frontier) <= entry.cover
+        assert 0 in ids(entry)
+
+    def test_entry_is_a_sorted_read_only_id_array(self, network, database):
+        con = ConnectionIndex(network, database, 300)
+        entry = con.far(5, con.slot_of(day_time(11)))
+        assert entry.dtype == np.int64
+        assert entry.tolist() == sorted(ids(entry))
+        assert len(entry) > 1
+        assert not entry.flags.writeable
+        with pytest.raises(ValueError):
+            entry[0] = 7
 
     def test_uniform_speed_cover_radius(self, network, database):
         # 600 m at 6 m/s = 100 s per segment; Δt=300 s -> 3 hops.
@@ -75,14 +78,14 @@ class TestConnectionIndex:
         expected = time_bounded_expansion(
             network, 0, 300.0, lambda sid: 100.0
         )
-        assert entry.cover == expected.cover
+        assert ids(entry) == expected.cover
 
     def test_unobserved_slot_impassable(self, network, database):
         # No data at hour 3 (and neighbours): only the start remains.
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(3))
         entry = con.far(0, slot)
-        assert entry.cover == {0}
+        assert entry.tolist() == [0]
 
     def test_memoized_entry_identical(self, network, database):
         con = ConnectionIndex(network, database, 300)
@@ -90,24 +93,26 @@ class TestConnectionIndex:
         first = con.far(0, slot)
         expansions = con.expansions
         second = con.far(0, slot)
-        assert second == first
+        assert second is first
         assert con.expansions == expansions  # cached, no recompute
 
-    def test_entry_survives_decoded_cache_eviction(self, network, database, monkeypatch):
+    def test_an_evicted_entry_is_recomputed_equal(self, network, database, monkeypatch):
         monkeypatch.setattr(con_index, "ENTRY_CACHE_SIZE", 1)
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
         first = con.far(0, slot)
-        con.far(1, slot)  # evicts the decoded entry for segment 0
+        con.far(1, slot)  # evicts the entry for segment 0
+        assert con.num_entries == 1
         again = con.far(0, slot)
-        assert again == first
-        assert con.expansions == 2  # re-read from disk, not re-expanded
+        assert again is not first
+        assert np.array_equal(again, first)
+        assert con.expansions == 3  # the evicted entry was expanded again
 
     def test_slot_wraps_modulo_day(self, network, database):
         con = ConnectionIndex(network, database, 300)
         entry_a = con.entry(0, 5, "far")
         entry_b = con.entry(0, 5 + con.num_slots, "far")
-        assert entry_a == entry_b
+        assert entry_b is entry_a
 
     def test_precompute_counts(self, network, database):
         con = ConnectionIndex(network, database, 300)
@@ -128,9 +133,56 @@ class TestConnectionIndex:
         near = con.near(0, slot)
         far = con.far(0, slot)
         # 600 m at 1 m/s = 600 s > 300 s: near cover is just the start.
-        assert near.cover == {0}
+        assert near.tolist() == [0]
         # 600 m at 12 m/s = 50 s: far cover reaches 6 hops.
-        assert len(far.cover) > 10
+        assert len(far) > 10
+
+
+    def test_invalidate_entries_rebuilds_equal_entries(self, network, database):
+        con = ConnectionIndex(network, database, 300)
+        slot = con.slot_of(day_time(11))
+        first = con.far(0, slot)
+        con.invalidate_entries()
+        assert con.num_entries == 0
+        again = con.far(0, slot)
+        assert again is not first
+        assert np.array_equal(again, first)
+        assert con.expansions == 2
+
+
+@pytest.mark.parametrize("kind", ["far", "near", "far_rev", "near_rev"])
+def test_every_entry_is_its_expansion_cover(network, kind):
+    """Each entry is the expansion's cover, sorted, for every segment and
+    direction (forward and reverse)."""
+    from repro.network.expansion import time_bounded_expansion
+
+    db = TrajectoryDatabase(num_taxis=2, num_days=1)
+    t = float(day_time(11))
+    segs = sorted(network.segment_ids())
+    db.add(MatchedTrajectory(0, 0, 0, [SegmentVisit(s, t, 2.0 + s % 5) for s in segs]))
+    db.add(MatchedTrajectory(1, 1, 0, [SegmentVisit(s, t + 1, 9.0 + s % 3) for s in segs]))
+    db.finalize()
+    con = ConnectionIndex(network, db, 300)
+    slot = con.slot_of(t)
+    vector = con.travel_time_vector(kind, slot)
+    sizes = set()
+    for sid in segs:
+        expected = time_bounded_expansion(
+            network, sid, 300.0, vector, reverse=kind.endswith("_rev")
+        ).cover
+        entry = con.entry(sid, slot, kind)
+        assert entry.tolist() == sorted(expected)
+        sizes.add(len(entry))
+    assert con.expansions == len(segs)
+    assert len(sizes) > 1  # the speeds vary, so the covers do
+
+
+@pytest.mark.parametrize(
+    "option", [{"disk": None}, {"buffer_pool_pages": 64}, {"compressed": True}]
+)
+def test_the_page_store_options_are_gone(network, database, option):
+    with pytest.raises(TypeError):
+        ConnectionIndex(network, database, 300, **option)
 
 
 class TestTravelTimeCache:
@@ -151,3 +203,77 @@ class TestTravelTimeCache:
         slot = con.slot_of(day_time(11))
         con.entry(0, slot, "far")
         assert con.num_entries == 1
+
+
+def mixed_requests(network):
+    """s- and m-queries plus reverse traffic, every route that reads the
+    Con-Index."""
+    workload = QueryWorkload(network, seed=23)
+    requests = [Request(q) for q in workload.mixed_batch(6, 2, start_time_s=8 * 3600)]
+    return requests + [
+        Request(q, QueryOptions(direction="reverse"))
+        for q in workload.s_queries(2, start_time_s=9 * 3600, salt="reverse")
+    ]
+
+
+def digest(report):
+    return [
+        (r.segments, r.probabilities, r.max_region, r.min_region)
+        for r in report.results
+    ]
+
+
+class TestHeldInMemory:
+    """The Con-Index is derived, memory-resident state: no query writes a
+    page, and the entry LRU's size changes no answer."""
+
+    def test_a_cold_batch_writes_no_page_on_a_ram_engine(self, test_dataset):
+        engine = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        engine.st_index(300)
+        pages, writes = engine.disk.num_pages, engine.disk.snapshot().page_writes
+        client = ReachabilityClient(engine)
+        client.run_batch(mixed_requests(test_dataset.network))
+        client.send(mixed_requests(test_dataset.network)[0])
+        assert engine.con_index(300).expansions > 0
+        assert engine.disk.num_pages == pages
+        assert engine.disk.snapshot().page_writes == writes
+
+    def test_an_opened_store_stays_synced_and_reusable(self, test_dataset, tmp_path):
+        fresh = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        fresh.st_index(300)
+        bundle = save_store(fresh, tmp_path / "bundle", 300)
+        requests = mixed_requests(test_dataset.network)
+        with ReachabilityClient.open(bundle) as client:
+            engine = client.engine
+            assert isinstance(engine.disk, FileBackedDisk)
+            pages, writes = engine.disk.num_pages, engine.disk.snapshot().page_writes
+            client.send(requests[0])
+            client.run_batch(requests)
+            assert engine.con_index(300).expansions > 0
+            assert engine.disk.num_pages == pages
+            assert engine.disk.snapshot().page_writes == writes
+            assert engine.disk.is_synced
+            assert current_bundle(engine, 300) == bundle.resolve()
+            engine.disk.close()
+
+    def test_the_engine_buffer_pools_are_the_st_index_pools(self, test_dataset):
+        engine = ReachabilityEngine(test_dataset.network, test_dataset.database)
+        indexes = [engine.st_index(300), engine.st_index(600)]
+        ReachabilityClient(engine).run_batch(mixed_requests(test_dataset.network))
+        assert engine.con_index(300).num_entries > 0
+        pools = list(engine.buffer_pools())
+        assert len(pools) == len(indexes)
+        assert all(any(pool is index.pool for index in indexes) for pool in pools)
+
+    def test_a_one_entry_lru_recomputes_the_same_answers(self, test_dataset, monkeypatch):
+        def run():
+            engine = ReachabilityEngine(test_dataset.network, test_dataset.database)
+            report = ReachabilityClient(engine).run_batch(mixed_requests(test_dataset.network))
+            return digest(report), engine.con_index(300)
+
+        expected, roomy = run()
+        monkeypatch.setattr(con_index, "ENTRY_CACHE_SIZE", 1)
+        answers, tight = run()
+        assert answers == expected
+        assert tight.num_entries == 1
+        assert tight.expansions > roomy.expansions == roomy.num_entries

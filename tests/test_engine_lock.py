@@ -2,11 +2,10 @@
 
 Every engine runs one thread at a time: ``ReachabilityEngine.lock`` is
 taken at each client entry point (``send``, ``explain``, ``run_batch``,
-each ``BatchStream`` pull, the ``submit`` worker's send) and by the
-engine's own ``append_trajectories`` / ``drop_indexes``.  These tests
-pin that each entry point waits for the lock, that nothing keeps it
-between calls, that ``submit`` runs on one worker thread in submission
-order, that the removed thread-pipeline options stay removed, and that
+each ``BatchStream`` pull) and by the engine's own
+``append_trajectories`` / ``drop_indexes``.  These tests pin that each
+entry point waits for the lock, that nothing keeps it between calls,
+that the removed thread-pipeline options stay removed, and that
 per-query costs are plain ``disk.snapshot()`` differences.
 """
 
@@ -109,15 +108,6 @@ class TestEntryPointsTakeTheLock:
         assert first.sequence == 0
         assert [r.sequence for r in stream] == [1]
 
-    def test_submitted_request_waits(self, engine):
-        with ReachabilityClient(engine) as client:
-            with engine.lock:
-                future = client.submit(s_request())
-                assert not future.done()
-                threading.Event().wait(HELD_S)
-                assert not future.done()
-            assert future.result(120).segments
-
     def test_engine_append_waits(self, engine):
         assert run_while_locked(engine, lambda: engine.append_trajectories([])) == 0
 
@@ -170,61 +160,6 @@ class TestNothingHoldsTheLockBetweenCalls:
         assert lock_is_free(engine)
 
 
-class TestSubmit:
-    @staticmethod
-    def record_sends(client: ReachabilityClient) -> list:
-        """Wrap ``client.send`` to record (thread name, probability)."""
-        calls: list = []
-        send = client.send
-
-        def recording(request):
-            calls.append((threading.current_thread().name, request.query.prob))
-            return send(request)
-
-        client.send = recording
-        return calls
-
-    def test_runs_on_one_worker_thread(self, engine):
-        with ReachabilityClient(engine) as client:
-            calls = self.record_sends(client)
-            futures = [client.submit(s_request(p)) for p in (0.2, 0.4, 0.6, 0.8)]
-            for future in futures:
-                future.result(120)
-        names = {name for name, _ in calls}
-        assert len(names) == 1
-        (name,) = names
-        assert name.startswith("reach-client")
-        assert name != threading.current_thread().name
-
-    def test_runs_in_submission_order(self, engine):
-        probs = (0.8, 0.2, 0.6, 0.4, 0.3)
-        with ReachabilityClient(engine) as client:
-            calls = self.record_sends(client)
-            futures = [client.submit(s_request(p)) for p in probs]
-            results = [future.result(120) for future in futures]
-        assert [prob for _, prob in calls] == list(probs)
-        assert [r.request.query.prob for r in results] == list(probs)
-
-    def test_costs_equal_send(self, engine):
-        client = ReachabilityClient(engine)
-        request = s_request(0.3, 900)
-        client.send(request)  # bounding region cached for both runs below
-        sent = client.send(request)
-        with client:
-            submitted = client.submit(request).result(120)
-        assert submitted.cost.io == sent.cost.io
-        assert submitted.segments == sent.segments
-
-    def test_close_is_idempotent_and_submit_reopens(self, engine):
-        client = ReachabilityClient(engine)
-        client.close()
-        assert client.submit(s_request()).result(120).segments
-        client.close()
-        client.close()
-        assert client.submit(s_request(0.4)).result(120).segments
-        client.close()
-
-
 class TestRemovedThreadOptions:
     def test_constructor_has_no_max_workers(self, engine):
         with pytest.raises(TypeError):
@@ -241,8 +176,31 @@ class TestRemovedThreadOptions:
         with pytest.raises(TypeError):
             ReachabilityClient(engine).run_batch([s_request()], max_workers=2)
 
+    def test_client_has_no_submit_thread(self, engine):
+        assert not hasattr(ReachabilityClient, "submit")
+
+    def test_close_is_idempotent(self, engine):
+        client = ReachabilityClient(engine)
+        client.close()
+        client.close()
+        assert client.send(s_request()).segments
+        client.close()
+
 
 class TestSnapshotAccounting:
+    def test_a_send_on_another_thread_costs_what_a_send_costs(self, engine):
+        client = ReachabilityClient(engine)
+        request = s_request(0.3, 900)
+        client.send(request)  # bounding region cached for both runs below
+        sent = client.send(request)
+        outcome: list = []
+        thread = threading.Thread(target=lambda: outcome.append(client.send(request)))
+        thread.start()
+        thread.join(120)
+        (threaded,) = outcome
+        assert threaded.cost.io == sent.cost.io
+        assert threaded.segments == sent.segments
+
     def test_send_cost_is_the_disk_snapshot_difference(self, engine):
         client = ReachabilityClient(engine)
         request = s_request(0.2, 1200)

@@ -102,7 +102,6 @@ class TestTimeBoundedExpansion:
                     network, start, budget, cost_of.__getitem__, reverse=reverse
                 )
                 assert new.arrival == old.arrival
-                assert new.frontier == old.frontier
 
     def test_vector_and_callable_paths_agree(self, topology):
         network = make_network(topology, seed=5)
@@ -117,7 +116,6 @@ class TestTimeBoundedExpansion:
             lambda sid: float(vector[csr.row_of(sid)]),
         )
         assert via_vector.arrival == via_callable.arrival
-        assert via_vector.frontier == via_callable.frontier
 
 
 @pytest.mark.parametrize("topology", ["grid", "ring", "planar"])
@@ -221,7 +219,6 @@ class TestForcedKernelPath:
             con.network, start, 900.0, lambda sid: float(vector[row_of(sid)])
         )
         assert a.arrival == b.arrival
-        assert a.frontier == b.frontier
 
     def test_escalation_handoff_equivalence(self, con, monkeypatch):
         """Covers larger than the escalation threshold cross the
@@ -256,7 +253,6 @@ class TestForcedKernelPath:
                 con.network, start, 1200.0, travel_time
             )
             assert actual.arrival == expected.arrival
-            assert actual.frontier == expected.frontier
 
     @settings(max_examples=60, deadline=None)
     @given(

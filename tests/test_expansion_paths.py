@@ -25,7 +25,6 @@ class TestExpansion:
         start = next(iter(tiny_network.segment_ids()))
         result = time_bounded_expansion(tiny_network, start, 0.0, uniform_time(10))
         assert result.cover == {start}
-        assert result.frontier == {start}
 
     def test_cover_grows_with_budget(self, tiny_network):
         start = next(iter(tiny_network.segment_ids()))
@@ -50,20 +49,29 @@ class TestExpansion:
         result = time_bounded_expansion(tiny_network, start, 100.0, travel)
         assert result.cover == {start}
 
-    def test_frontier_members_have_escape(self, tiny_network):
+    def test_cover_is_closed_within_budget(self, tiny_network):
+        """A successor that can be traversed within the budget after a
+        member's arrival is in the cover, arriving no later than that."""
         start = next(iter(tiny_network.segment_ids()))
         result = time_bounded_expansion(tiny_network, start, 20.0, uniform_time(10))
-        for segment in result.frontier:
-            succs = tiny_network.successors(segment)
-            assert not succs or any(s not in result.cover for s in succs)
+        assert len(result.cover) > 1
+        for segment, arrived in result.arrival.items():
+            for succ in tiny_network.successors(segment):
+                if arrived + 10.0 <= 20.0:
+                    assert succ in result.cover
+                    assert result.arrival[succ] <= arrived + 10.0
 
-    def test_interior_members_fully_inside(self, tiny_network):
+    def test_every_member_is_reached_from_a_covered_predecessor(self, tiny_network):
         start = next(iter(tiny_network.segment_ids()))
         result = time_bounded_expansion(tiny_network, start, 40.0, uniform_time(10))
-        interior = result.cover - result.frontier
-        for segment in interior:
-            assert all(
-                s in result.cover for s in tiny_network.successors(segment)
+        assert result.arrival[start] == 0.0
+        for segment, arrived in result.arrival.items():
+            if segment == start:
+                continue
+            assert 0.0 < arrived <= 40.0
+            assert any(
+                result.arrival.get(pred) == pytest.approx(arrived - 10.0)
+                for pred in tiny_network.predecessors(segment)
             )
 
     def test_whole_network_reached_with_big_budget(self, tiny_network):

@@ -67,7 +67,7 @@ class TestSurfaceSnapshot:
             assert getattr(repro, name) is getattr(api, name)
 
     def test_client_entry_points(self):
-        for method in ("send", "submit", "stream", "run_batch", "plan",
+        for method in ("send", "stream", "run_batch", "plan",
                        "route", "explain", "close"):
             assert callable(getattr(api.ReachabilityClient, method))
 

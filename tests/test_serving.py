@@ -46,13 +46,7 @@ from repro.trajectory.model import MatchedTrajectory, SegmentVisit
 
 
 def fresh_engine(dataset) -> ReachabilityEngine:
-    """A from-scratch engine (index built, no queries run yet).
-
-    Sharded equivalence needs a *fresh* parent: the replicas copy
-    the parent disk's append tail, so a parent that already served
-    queries (extra Con-Index appends) would not match a from-scratch
-    oracle page-for-page.
-    """
+    """A from-scratch engine (index built, no queries run yet)."""
     engine = ReachabilityEngine(dataset.network, dataset.database)
     engine.st_index(300)
     return engine
@@ -480,6 +474,23 @@ def wait_until_serving(sharded) -> None:
 
 
 @pytest.mark.sharded
+def test_an_opened_store_that_served_queries_is_reused(test_dataset, tmp_path):
+    """Queries write no page, so a store that answered a send and a batch
+    in-process is still synced: the next sharded batch's workers open the
+    store itself, with no private save, and answer as single-process."""
+    requests = mixed_requests(test_dataset.network, 6, 2)
+    baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(requests)
+    bundle = save_store(fresh_engine(test_dataset), tmp_path / "bundle", 300)
+    with ReachabilityClient.open(bundle, backend="sharded", shards=2) as client:
+        client.send(requests[0])
+        client.run_batch(requests, backend="threaded")
+        assert client.engine.disk.is_synced
+        report = client.run_batch(requests)
+        assert Path(client._sharded._payload.bundle).resolve() == bundle.resolve()
+    assert_identical(baseline, report)
+
+
+@pytest.mark.sharded
 def test_a_reused_bundle_is_never_written(test_dataset, tmp_path):
     """Workers open the engine's own bundle read-only: its files are
     byte-identical after serving and after a respawn."""
@@ -503,9 +514,9 @@ def test_workers_keep_reading_a_reused_bundle_the_parent_compacts(
 ):
     """A read-only replica holds its generation's data file from the open
     on.  Workers that opened a reused bundle and read no page yet, then an
-    in-place save whose compaction unlinks that file (the parent's own
-    Con-Index pages grew the journal): the next sharded batch answers as
-    single-process, with no retry, restart or degraded request."""
+    in-place save whose compaction unlinks that file (one page rewritten
+    with its own bytes grew the journal): the next sharded batch answers
+    as single-process, with no retry, restart or degraded request."""
     requests = mixed_requests(test_dataset.network, 6, 2)
     baseline = ReachabilityClient(fresh_engine(test_dataset)).run_batch(requests)
     bundle = save_store(fresh_engine(test_dataset), tmp_path / "bundle", 300)
@@ -514,6 +525,7 @@ def test_workers_keep_reading_a_reused_bundle_the_parent_compacts(
         wait_until_serving(sharded)
         old_data = generation_file(bundle / "disk", "bin")
         ReachabilityClient(sharded.service).run_batch(requests)
+        engine.disk.write_page(0, engine.disk.read_page(0))
         monkeypatch.setattr(filedisk, "MAX_JOURNAL_SHARE", 0.0)
         save_store(engine, bundle, 300)
         assert not old_data.exists()

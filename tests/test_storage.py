@@ -13,10 +13,22 @@ from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 from repro.storage.serialization import (
     SerializationError,
-    _encode_varint,
     decode_append_delta,
     encode_append_delta,
 )
+
+
+def scalar_varint(value: int) -> bytes:
+    """One LEB128 unsigned varint, a byte at a time (the reference the
+    vectorized journal encoder is checked against)."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if not value:
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
 
 
 class TestSimulatedDisk:
@@ -462,10 +474,10 @@ class TestSerialization:
         st.integers(0, 2**31),
     )
     def test_bytes_are_the_scalar_varints(self, entries, delta_t_s):
-        """The vectorized encoder writes what one ``_encode_varint`` per value
+        """The vectorized encoder writes what one scalar varint per value
         writes, from tuples and from an ``int64`` row array alike."""
         values = [delta_t_s, len(entries), *(v for entry in entries for v in entry)]
-        expected = b"".join(_encode_varint(v) for v in values)
+        expected = b"".join(scalar_varint(v) for v in values)
         assert encode_append_delta(delta_t_s, entries) == expected
         rows = np.array(entries, dtype=np.int64).reshape(-1, 6)
         assert encode_append_delta(delta_t_s, rows) == expected
