@@ -70,16 +70,6 @@ class ArrivalProfile:
         index = min(len(values) - 1, math.ceil(fraction * len(values)) - 1)
         return values[index]
 
-    def to_rows(self) -> list[tuple[str, str]]:
-        median = self.percentile_s(0.5)
-        p90 = self.percentile_s(0.9)
-        return [
-            ("reachable days", f"{self.reachable_days}/{self.total_days} "
-                               f"({self.reachability:.0%})"),
-            ("median arrival", f"<= {median // 60} min" if median else "-"),
-            ("90th-pct arrival", f"<= {p90 // 60} min" if p90 else "-"),
-        ]
-
 
 def arrival_profile(
     engine: ReachabilityClient | ReachabilityEngine | QueryService,

@@ -17,10 +17,10 @@ Three components, exactly as Fig. 3.2 draws them:
   a segment-slot, and Eq. 3.1 only needs set intersections from there.
   The per-visit seconds additionally give windows sub-slot precision, so a
   query window that starts or ends mid-slot filters the boundary slots
-  exactly instead of rounding out to whole slots.  A record keeps its words
-  column-major — ``[num_dates | dates | counts | ids | seconds]`` — so
-  every header sits where the record's length puts it and a whole wave of
-  records decodes in one vector pass.
+  exactly instead of rounding out to whole slots.  A record keeps uint16
+  words column-major — ``[head | num_dates | dates | counts | ids | second
+  offsets]``, two per value in a block ``head`` flags — so every header sits
+  where the length puts it and a wave of records decodes in one vector pass.
 
 Time-list payloads live on the :class:`~repro.storage.disk.SimulatedDisk`;
 every access is charged through a buffer pool, which is the cost the query
@@ -62,7 +62,7 @@ def _check_visits(trajectory_ids, dates, counts, times) -> list[tuple[int, int]]
 
     The one gate in front of :meth:`STIndex.build` and
     :meth:`STIndex.append_trajectories`, called before either writes a
-    page: an id outside ``[0, 2**32)`` would wrap in the uint32 record, a
+    page: an id outside ``[0, 2**32)`` would not fit a wide record block, a
     date outside ``[0, 2**31)`` would overflow the int64 key of every
     later read, and a NaN or infinite visit time has no slot.  Returns the
     ``(min, max)`` of the ids and of the dates (``(0, 0)`` when empty).
@@ -94,69 +94,106 @@ class ColumnarTimeList:
         keys: ``int64`` packed ``(date << 32) | trajectory_id`` per visit,
             record after record, each in stored (date-major, then
             id/second) order.
-        seconds: ``uint32`` visit seconds, aligned with ``keys``.
+        offsets: visit seconds minus their slot's start, aligned with ``keys``.
         record_ends: ``int64`` end of each record's visits in ``keys``.
     """
 
     keys: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
-    seconds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<u4"))
+    offsets: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<u2"))
     record_ends: np.ndarray = field(default_factory=lambda: _EMPTY_KEYS)
 
     @property
     def num_visits(self) -> int:
         return int(self.keys.size)
 
-    def per_date(self) -> dict[int, list[tuple[int, int]]]:
-        """The visits as a fresh ``date -> [(id, second)]`` dict.
+    def per_date(self, slot_start: int) -> dict[int, list[tuple[int, int]]]:
+        """The visits as a fresh ``date -> [(id, slot_start + offset)]`` dict.
 
         Visits keep their stored order; a date without visits (which no
         writer emits) is absent.
         """
         per_date: dict[int, list[tuple[int, int]]] = {}
-        for key, second in zip(self.keys.tolist(), self.seconds.tolist()):
+        for key, offset in zip(self.keys.tolist(), self.offsets.tolist()):
             per_date.setdefault(key >> KEY_DATE_SHIFT, []).append(
-                (key & KEY_ID_MASK, second)
+                (key & KEY_ID_MASK, slot_start + offset)
             )
         return per_date
+
+
+#: A record's blocks (num_dates, dates, counts, ids, offsets): ``k`` is wide if head bit ``k`` is.
+_BLOCKS = 5
+_NARROW_MAX = 0xFFFF
+
+
+def _block(words: np.ndarray, at: np.ndarray, width, lengths: np.ndarray) -> np.ndarray:
+    """A block of every record: ``lengths[i]`` values of record ``i``, low
+    halves at ``at``; where ``width`` is 2 the high halves follow them."""
+    values = words[at]
+    if isinstance(width, np.ndarray):  # else 1: no record holds the block wide
+        to_high = (lengths * (width - 1)).repeat(lengths)  # as _put places them
+        values = values | np.where(to_high > 0, words[at + to_high].astype(np.uint32) << 16, 0)
+    return values
+
+
+def _put(stream: np.ndarray, at: np.ndarray, values: np.ndarray, width, lengths) -> None:
+    """Write one block of every record, as :func:`_block` reads it."""
+    if not isinstance(width, int) or width > 1:  # high halves first: a narrow one lands on its low
+        stream[at + (lengths * (width - 1)).repeat(lengths)] = values >> 16
+    stream[at] = values  # the low halves (a uint16 store truncates) overwrite those stand-ins
 
 
 def decode_time_list_columns(payload: bytes, lengths=None) -> ColumnarTimeList:
     """Decode time-list records packed back to back, in one vector pass.
 
-    The one reader of the record layout (store format 2): uint32 words
-    ``[num_dates | dates | counts | ids | seconds]``, dates ascending,
-    ``counts[j]`` visits for ``dates[j]``, and visit ``k``'s id and second
-    at the same index of their blocks.  ``lengths`` are the records' byte
-    lengths (the whole payload is one record when omitted).  Every header
-    sits at a position the lengths and ``num_dates`` fix, so all records
-    decode with a handful of array ops; ``num_dates`` and the counts are
-    checked against the lengths before anything is sized by them.
+    The one reader of the record layout (store format 4): ``<u2`` words
+    ``[head | num_dates | dates | counts | ids | second offsets]``, dates
+    ascending, ``counts[j]`` visits for ``dates[j]``, visit ``k``'s id and
+    offset at index ``k`` of their blocks; a block ``head`` flags wide holds
+    its values' low halves, then their high halves.  ``lengths`` are the
+    records' byte lengths (one record when omitted).  Offsets come back as
+    stored: the caller knows each record's slot from the probe that found
+    it.  Every header sits where the lengths, flags and ``num_dates`` put
+    it, and all are checked before anything is sized by them.
     """
     sizes = np.asarray([len(payload)] if lengths is None else lengths, dtype=np.int64)
-    if len(payload) % 4 or (sizes & 3).any():
-        raise SerializationError("time list payload not uint32-aligned")
+    if len(payload) % 2 or np.count_nonzero(sizes & 1):
+        raise SerializationError("time list payload not uint16-aligned")
     if int(sizes.sum()) != len(payload):
         raise SerializationError("time list lengths do not cover the payload")
-    words = np.frombuffer(payload, dtype="<u4")
-    sizes = sizes >> 2  # not in place: ``lengths`` may be the caller's array
-    if not sizes.all():
+    words = np.frombuffer(payload, dtype="<u2")
+    sizes = sizes >> 1  # not in place: ``lengths`` may be the caller's array
+    if np.count_nonzero(sizes < 2):
         raise SerializationError("truncated time list header")
-    starts = sizes.cumsum() - sizes
-    num_dates = words[starts].astype(np.int64)
-    twice_visits = sizes - 1 - 2 * num_dates
-    if (twice_visits < 0).any() or (twice_visits & 1).any():
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    head = words[starts]
+    widths: list = [1] * _BLOCKS  # words per value, per record where any differ
+    if np.count_nonzero(head):
+        flagged = int(np.bitwise_or.reduce(head))
+        if flagged >> _BLOCKS:
+            raise SerializationError("time list head has unknown width flags")
+        widths = [1 + (head >> bit & 1) if flagged >> bit & 1 else 1 for bit in range(_BLOCKS)]
+        if np.count_nonzero(sizes < 1 + widths[0]):
+            raise SerializationError("truncated time list header")
+    nd_width, date_width, count_width, id_width, second_width = widths
+    num_dates = _block(words[1:], starts, nd_width, np.ones_like(sizes)).astype(np.int64)
+    date_words = num_dates * (date_width + count_width)
+    visit_words = sizes - (1 + nd_width) - date_words
+    num_visits, rest = np.divmod(visit_words, id_width + second_width)
+    if np.count_nonzero(visit_words < 0) or np.count_nonzero(rest):
         raise SerializationError("time list header does not fit its length")
-    num_visits = twice_visits >> 1
     record_ends = num_visits.cumsum()
-    date_words = _ramp(starts + 1, num_dates)
-    counts = words[date_words + num_dates.repeat(num_dates)].astype(np.int64)
-    if (np.concatenate(([0], counts.cumsum()))[num_dates.cumsum()] != record_ends).any():
+    at = _ramp(starts + (1 + nd_width), num_dates)
+    dates = _block(words, at, date_width, num_dates)
+    at += (num_dates * date_width).repeat(num_dates)
+    counts = _block(words, at, count_width, num_dates).astype(np.int64)
+    if np.count_nonzero(np.concatenate(([0], counts.cumsum()))[num_dates.cumsum()] != record_ends):
         raise SerializationError("time list counts do not match its length")
-    id_words = _ramp(starts + 1 + 2 * num_dates, num_visits)
-    keys = (words[date_words].astype(np.int64) << KEY_DATE_SHIFT).repeat(counts)
-    keys |= words[id_words]
-    id_words += num_visits.repeat(num_visits)
-    return ColumnarTimeList(keys=keys, seconds=words[id_words], record_ends=record_ends)
+    at = _ramp(ends - visit_words, num_visits)
+    keys = (dates.astype(np.int64) << KEY_DATE_SHIFT).repeat(counts)
+    keys |= _block(words, at, id_width, num_visits)
+    at += (num_visits * id_width).repeat(num_visits)
+    return ColumnarTimeList(keys, _block(words, at, second_width, num_visits), record_ends)
 
 
 def _visit_columns(source) -> tuple[np.ndarray, ...]:
@@ -357,17 +394,17 @@ class STIndex:
 
     def _sorted_visits(self, source) -> list[np.ndarray] | None:
         """``source``'s distinct visits in (group, date, id, second) order:
-        ``[groups, runs, visits, run_dates, run_counts, ids, seconds]`` (per
+        ``[groups, runs, visits, run_dates, run_counts, ids, offsets]`` (per
         group its key and numbers of runs and visits, per (group, date) run
-        its date and visits, per visit its id and second; ``uint32`` from
-        ``run_dates`` on), or ``None`` without visits.
+        its date and visits, per visit its id and second offset into its
+        slot; ``uint32`` from ``run_dates`` on), or ``None`` without visits.
 
         A group is ``segment * num_slots + slot``, times clamped into the
         day like :meth:`slot_of`; a repeated visit counts once.  One value
         sort of a ``uint64`` per visit built in place in the groups column,
-        each field offset by its minimum and as wide as its range's
-        ``bit_length``; only fields wider than 64 bits in all take a
-        two-key ``np.lexsort``.  Every column is released once consumed.
+        each field but the offset shifted down by its minimum and as wide
+        as its range's ``bit_length``; only fields wider than 64 bits in
+        all take a two-key ``np.lexsort``.  Every column is released once consumed.
         """
         ids, dates, counts, groups, seconds = _visit_columns(source)
         (id_lo, id_hi), (date_lo, date_hi) = _check_visits(ids, dates, counts, seconds)
@@ -378,11 +415,11 @@ class STIndex:
         groups = groups.astype(np.int64, copy=False)
         groups *= self.num_slots
         groups += seconds // self.delta_t_s
+        seconds %= self.delta_t_s  # the offset into its slot, as records store it
         group_lo, group_hi = int(groups.min()), int(groups.max())
         if group_lo < -(1 << 31) or group_hi >= 1 << 31:
             raise ValueError("segment id x slots per day overflows the packed build key")
-        second_lo = int(seconds.min())
-        spans = (int(seconds.max()) - second_lo, id_hi - id_lo, date_hi - date_lo)
+        spans = (int(seconds.max()), id_hi - id_lo, date_hi - date_lo)
         second_bits, id_bits, date_bits = (span.bit_length() for span in spans)
         if second_bits + id_bits + date_bits + (group_hi - group_lo).bit_length() <= 64:
             # One key, group | date | id | second from the high bits down.
@@ -392,7 +429,6 @@ class STIndex:
             per_trajectory = (dates - date_lo).astype(np.uint64) << id_bits + second_bits
             per_trajectory |= (ids - id_lo).astype(np.uint64) << second_bits
             key |= np.repeat(per_trajectory, counts)
-            seconds -= second_lo
             key |= seconds.view(np.uint64)
             del groups, seconds
             key.sort()
@@ -413,7 +449,7 @@ class STIndex:
             fresh = _firsts(head)
             fresh[1:] |= key[1:] != key[:-1]
             head, key = head[fresh], key[fresh]
-            group_lo = date_lo = id_lo = second_lo = head_shift = 0
+            group_lo = date_lo = id_lo = head_shift = 0
             second_bits = id_bits = date_bits = KEY_DATE_SHIFT
         # A run is one (group, date), its head the key above the id and the
         # second; runs of one group are adjacent.
@@ -435,7 +471,6 @@ class STIndex:
         seconds = np.empty(key.size, dtype=np.uint32)
         np.bitwise_and(key, (1 << second_bits) - 1, out=seconds, casting="unsafe")
         del key
-        seconds += second_lo
         visits = np.add.reduceat(run_counts, first_runs, dtype=np.int64)
         runs = _run_lengths(first_runs, run_dates.size)
         return [groups, runs, visits, run_dates, run_counts, ids, seconds]
@@ -445,27 +480,39 @@ class STIndex:
 
         The one writer of the record layout :func:`decode_time_list_columns`
         reads.  Returns the ``segment * num_slots + slot`` keys ascending,
-        the records back to back as one ``<u4`` word stream, and each
+        the records back to back as one ``<u2`` word stream, and each
         record's byte length.
         """
         columns = self._sorted_visits(source)
         if columns is None:
-            return _EMPTY_KEYS, np.empty(0, dtype="<u4"), _EMPTY_KEYS
+            return _EMPTY_KEYS, np.empty(0, dtype="<u2"), _EMPTY_KEYS
         groups, runs, visits = columns[:3]
-        # Record layout [num_dates | dates | counts | ids | seconds]: every
-        # word lands by index arithmetic on its group's run and visit
-        # counts; each column is released once its words are in.
-        record_words = 1 + 2 * (runs + visits)
+        # Record layout [head | num_dates | dates | counts | ids | offsets],
+        # each block at its words per value (see _block), all by index
+        # arithmetic; each column is released once its words are in.
+        counts = (np.ones_like(runs), runs, runs, visits, visits)
+        widths = [
+            1 if int(column.max()) <= _NARROW_MAX else 2 if int(column.min()) > _NARROW_MAX
+            else 1 + (np.maximum.reduceat(column, np.cumsum(n) - n) > _NARROW_MAX)
+            for n, column in zip(counts, [runs, *columns[3:]])
+        ]
+        nd_width, date_width, count_width, id_width, second_width = widths
+        ids_at = 1 + nd_width + runs * (date_width + count_width)
+        record_words = ids_at + visits * (id_width + second_width)
         starts = np.cumsum(record_words) - record_words
-        stream = np.empty(int(record_words.sum()), dtype="<u4")
-        stream[starts] = runs
-        for lengths, first in ((runs, starts + 1), (visits, starts + 1 + 2 * runs)):
-            at = _ramp(first, lengths)
-            stream[at] = columns.pop(3)
-            at += lengths.repeat(lengths)
-            stream[at] = columns.pop(3)
+        ids_at += starts
+        stream = np.empty(int(record_words.sum()), dtype="<u2")
+        stream[starts] = sum((width - 1) << bit for bit, width in enumerate(widths))
+        _put(stream, starts + 1, runs, nd_width, counts[0])
+        blocks = ((runs, starts + (1 + nd_width), date_width, count_width),
+                  (visits, ids_at, id_width, second_width))
+        for n, first, width, next_width in blocks:  # two blocks of n values per record
+            at = _ramp(first, n)
+            _put(stream, at, columns.pop(3), width, n)
+            at += (n * width).repeat(n)
+            _put(stream, at, columns.pop(3), next_width, n)
             del at
-        return groups, stream, 4 * record_words
+        return groups, stream, 2 * record_words
 
     def append_trajectories(self, trajectories) -> int:
         """Incrementally index additional matched trajectories.
@@ -545,14 +592,13 @@ class STIndex:
         returned dict and its lists."""
         if not 0 <= slot < self.num_slots:
             return {}
-        merged: dict[int, set[tuple[int, int]]] = {}
-        for pointer in self.directory.probe((segment_id,), (slot,))[1]:
-            payload = self._store.read(RecordPointer(*pointer.tolist()), pool=self.pool)
-            for date, visits in decode_time_list_columns(payload).per_date().items():
-                # Set-merge: a visit present in both the bulk record and an
-                # appended record (same id, same second) counts once.
-                merged.setdefault(date, set()).update(visits)
-        return {date: sorted(visits) for date, visits in merged.items()}
+        pointers = self.directory.probe((segment_id,), (slot,))[1].tolist()
+        payloads = [self._store.read(RecordPointer(*p), pool=self.pool) for p in pointers]
+        decoded = decode_time_list_columns(b"".join(payloads), list(map(len, payloads)))
+        # Set-merge: a visit present in both the bulk record and an appended
+        # record (same id, same second) counts once.
+        per_date = decoded.per_date(slot * self.delta_t_s)
+        return {date: sorted(set(visits)) for date, visits in per_date.items()}
 
     def window_plan(
         self, start_s: float, end_s: float
@@ -587,8 +633,9 @@ class STIndex:
         :meth:`~repro.storage.pagestore.BufferPool.get_pages` call.  A
         segment the plan's memo holds costs a lookup; the misses of one call
         cost one directory probe, one extent read, one vector decode and one
-        seconds mask, appended to the memo as columns once the plan is
-        gathered a second time (most plans, a cold send's, are gathered once).
+        offsets mask (bounds shifted into each slot), appended to the memo as
+        columns once the plan is gathered a second time (most plans, a cold
+        send's, are gathered once).
         """
         ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
         if not self.record_cache_size or not ids.size:
@@ -626,12 +673,11 @@ class STIndex:
     def _gather_misses(self, segment_ids: np.ndarray, plan) -> tuple[np.ndarray, ...]:
         """:meth:`gather_window_columns`' columns for segments no memo holds."""
         # Per plan step (one slot of one window part): its slot and the
-        # seconds bounds of its part, unbounded where the slot lies wholly
-        # inside the part.
+        # bounds of its part as offsets into the slot, so a slot wholly
+        # inside the part keeps every offset.
+        width = self.delta_t_s
         steps = [
-            (slot, -np.inf, np.inf)
-            if lo <= slot * self.delta_t_s and (slot + 1) * self.delta_t_s <= hi
-            else (slot, lo, hi)
+            (slot, lo - slot * width, hi - slot * width)
             for lo, hi, first_slot, last_slot in plan
             for slot in range(first_slot, last_slot + 1)
         ]
@@ -648,12 +694,12 @@ class STIndex:
             decoded = decode_time_list_columns(payload, lengths)
             keys = decoded.keys
             ends = np.concatenate(([0], decoded.record_ends))
-            if any(lo > -np.inf for _, lo, _ in steps):
-                # One seconds mask over the wave.
+            if any(lo > 0 or hi < width for _, lo, hi in steps):
+                # One offsets mask over the wave.
                 _, lows, highs = np.array(steps).T
                 sizes = ends[1:] - ends[:-1]
-                keep = decoded.seconds >= lows[step_of].repeat(sizes)
-                keep &= decoded.seconds < highs[step_of].repeat(sizes)
+                keep = decoded.offsets >= lows[step_of].repeat(sizes)
+                keep &= decoded.offsets < highs[step_of].repeat(sizes)
                 keys = keys[keep]
                 ends = np.concatenate(([0], keep.cumsum()))[ends]
         # Records are grouped by segment, in segment order.

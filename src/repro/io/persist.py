@@ -41,10 +41,10 @@ from repro.trajectory.store import SPEED_COLUMNS, TrajectoryDatabase
 FORMAT_VERSION = 1
 
 #: Version of the durable store bundle (:func:`save_store`): its directory
-#: layout and the time-list record layout on its pages (2: records stored
-#: column-major, read by :func:`repro.core.st_index.decode_time_list_columns`;
-#: 3: the speed model in ``speed_model.npz``).
-STORE_FORMAT_VERSION = 3
+#: layout and the time-list record layout on its pages (2: column-major records,
+#: read by :func:`repro.core.st_index.decode_time_list_columns`; 3: the speed
+#: model in ``speed_model.npz``; 4: uint16 record words, a block widened as needed).
+STORE_FORMAT_VERSION = 4
 
 
 class PersistFormatError(ValueError):
@@ -57,6 +57,12 @@ class PersistFormatError(ValueError):
     Subclasses :class:`ValueError`, so callers that guarded against the
     old untyped raises keep working.
     """
+
+
+def _check_version(found, supported: int, what: str) -> None:
+    """Raise :class:`PersistFormatError` unless ``found`` is ``supported``."""
+    if found != supported:
+        raise PersistFormatError(f"unsupported {what} {found!r} (supported: {supported})")
 
 
 def _npz_arrays(path: Path, what: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -132,8 +138,7 @@ def network_to_dict(network: RoadNetwork) -> dict:
 
 def network_from_dict(payload: dict) -> RoadNetwork:
     """Inverse of :func:`network_to_dict`."""
-    if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported network format {payload.get('version')}")
+    _check_version(payload.get("version"), FORMAT_VERSION, "network format")
     network = RoadNetwork()
     for node in payload["nodes"]:
         network.add_node(node["id"], Point(node["x"], node["y"]))
@@ -246,11 +251,7 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
             "speeds",
         ),
     )
-    if int(data["version"]) != FORMAT_VERSION:
-        raise PersistFormatError(
-            f"unsupported database format {int(data['version'])} "
-            f"(supported: {FORMAT_VERSION})"
-        )
+    _check_version(int(data["version"]), FORMAT_VERSION, "database format")
     database = TrajectoryDatabase(
         num_taxis=int(data["num_taxis"]), num_days=int(data["num_days"])
     )
@@ -451,11 +452,7 @@ def open_store(directory: str | Path, crash_plan=None, readonly: bool = False):
             )
         if name == "store.json":
             config = _read_json_object(directory / name)
-            if config.get("version") != STORE_FORMAT_VERSION:
-                raise PersistFormatError(
-                    f"unsupported store format {config.get('version')!r} "
-                    f"(supported: {STORE_FORMAT_VERSION})"
-                )
+            _check_version(config.get("version"), STORE_FORMAT_VERSION, "store format")
     delta_t_s = check_delta_t(
         config.get("delta_t_s"), "store.json delta_t_s", PersistFormatError
     )
@@ -514,11 +511,7 @@ def _open_store_data(directory: Path, delta_t_s: int, crash_plan, readonly: bool
         "store directory",
         ("version", "journal_generation", "applied_commits", *DIRECTORY_COLUMNS),
     )
-    if int(data["version"]) != STORE_FORMAT_VERSION:
-        raise PersistFormatError(
-            f"unsupported store directory format {int(data['version'])} "
-            f"(supported: {STORE_FORMAT_VERSION})"
-        )
+    _check_version(int(data["version"]), STORE_FORMAT_VERSION, "store directory format")
     journal_generation = int(data["journal_generation"])
     applied_commits = int(data["applied_commits"])
     time_lists = TimeListDirectory.from_columns(

@@ -333,10 +333,6 @@ class SimulatedDisk:
             stats.pool_evictions += pool.evictions
         return stats
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = DiskStats()
-
     # -- persistence ----------------------------------------------------
 
     def export_state(self) -> tuple[bytes, tuple[int, ...]]:

@@ -29,11 +29,6 @@ def make_trajectory_id(taxi_id: int, date: int, num_taxis: int) -> int:
     return date * num_taxis + taxi_id
 
 
-def split_trajectory_id(trajectory_id: int, num_taxis: int) -> tuple[int, int]:
-    """Inverse of :func:`make_trajectory_id` -> ``(taxi_id, date)``."""
-    return trajectory_id % num_taxis, trajectory_id // num_taxis
-
-
 def day_time(hours: int, minutes: int = 0, seconds: int = 0) -> int:
     """Seconds since midnight for ``hh:mm:ss``."""
     if not (0 <= hours < 24 and 0 <= minutes < 60 and 0 <= seconds < 60):

@@ -22,40 +22,6 @@ from repro.network.expansion import ExpansionResult
 from repro.network.model import RoadNetwork
 
 
-def decode_time_list_reference(payload: bytes) -> dict[int, list[tuple[int, int]]]:
-    """A per-element time-list decoder (store format 2), independent of ``src/``.
-
-    Walks ``[num_dates | dates | counts | ids | seconds]`` one word at a
-    time with tuple builds — the plain baseline the vector decoder is
-    checked against.
-    """
-    import struct
-
-    from repro.storage.serialization import SerializationError
-
-    if len(payload) % 4 != 0 or not payload:
-        raise SerializationError("time list payload not uint32-aligned")
-    values = struct.unpack(f"<{len(payload) // 4}I", payload)
-    num_dates = values[0]
-    if 1 + 2 * num_dates > len(values):
-        raise SerializationError("truncated time list header")
-    dates = values[1:1 + num_dates]
-    counts = values[1 + num_dates:1 + 2 * num_dates]
-    num_visits = sum(counts)
-    if 1 + 2 * num_dates + 2 * num_visits != len(values):
-        raise SerializationError("time list counts do not match its length")
-    ids_at = 1 + 2 * num_dates
-    per_date: dict[int, list[tuple[int, int]]] = {}
-    visit = 0
-    for date, count in zip(dates, counts):
-        per_date[date] = [
-            (values[ids_at + visit + i], values[ids_at + num_visits + visit + i])
-            for i in range(count)
-        ]
-        visit += count
-    return per_date
-
-
 def travel_time_reference(con_index, kind: str, slot: int):
     """The pre-kernel per-slot speed closure (per-call bounds probing).
 

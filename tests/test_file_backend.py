@@ -575,7 +575,7 @@ class TestColdStart:
         reopen's journal replay grows the count again, and a save and
         reopen keep every byte.  The time lists are those the same appends
         give on the in-RAM engine the store was saved from."""
-        ram = ReachabilityEngine(network, make_database(route), disk=SimulatedDisk(page_size=512))
+        ram = ReachabilityEngine(network, make_database(route), disk=SimulatedDisk(page_size=256))
         store = save_store(ram, tmp_path / "store", 300)
         engine = open_store(store)
         first_pages = engine.disk.num_pages
@@ -738,6 +738,17 @@ class TestPersistFormatErrors:
         with pytest.raises(
             PersistFormatError,
             match=rf"unsupported store format 2 \(supported: {STORE_FORMAT_VERSION}\)",
+        ):
+            open_store(path)
+
+    def test_format_3_bundle_rejected(self, store):
+        """Format 3 laid its time-list records out in uint32 words; no reader
+        of that layout is kept, so such a bundle is refused for its version."""
+        path, _ = store
+        config = json.loads((path / "store.json").read_text())
+        (path / "store.json").write_text(json.dumps({**config, "version": 3}))
+        with pytest.raises(
+            PersistFormatError, match=r"unsupported store format 3 \(supported: 4\)"
         ):
             open_store(path)
 

@@ -21,8 +21,7 @@ from test_expansion_kernel import make_network, random_database
 
 from benchmarks.client_protocol import m_query, r_query, run_batch, s_query
 from repro.core.engine import ReachabilityEngine
-from reference.legacy_expansion import decode_time_list_reference
-from reference.st_index_build import encode_time_list, entry_keys
+from reference.st_index_build import decode_time_list, encode_time_list, entry_keys
 from reference.legacy_probability import (
     LegacyProbabilityEstimator,
     LegacyReverseProbabilityEstimator,
@@ -64,13 +63,13 @@ class TestColumnarDecode:
         }
         payload = encode_time_list(per_date)
         columns = decode_time_list_columns(payload)
-        reference = decode_time_list_reference(payload)
+        reference = decode_time_list(payload)
         expected = [
             ((date << 32) | tid, second)
             for date in sorted(reference)
             for tid, second in reference[date]
         ]
-        assert list(zip(columns.keys.tolist(), columns.seconds.tolist())) \
+        assert list(zip(columns.keys.tolist(), columns.offsets.tolist())) \
             == expected
 
     def test_empty_and_malformed(self):

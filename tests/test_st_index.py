@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.st_index import STIndex, decode_time_list_columns
 from reference.legacy_probability import trajectories_in_window
-from reference.st_index_build import encode_time_list
+from reference.st_index_build import decode_time_list, encode_time_list
 from repro.network.generator import grid_city
 from repro.storage.serialization import SerializationError
 from repro.trajectory.model import (
@@ -44,15 +44,22 @@ class TestTimeListCodec:
 
     def test_roundtrip(self):
         per_date = {0: [(5, 120), (2, 40), (9, 299)], 3: [(1, 0)], 29: []}
-        decoded = decode_time_list_columns(encode_time_list(per_date)).per_date()
+        decoded = decode_time_list_columns(encode_time_list(per_date)).per_date(0)
         # A date without visits (no writer emits one) is simply absent.
         assert decoded == {
             0: [(2, 40), (5, 120), (9, 299)],
             3: [(1, 0)],
         }
 
+    def test_offsets_from_the_slot_start(self):
+        per_date = {4: [(7, 36_000), (8, 36_299)]}
+        payload = encode_time_list(per_date, slot_start=36_000)
+        decoded = decode_time_list_columns(payload)
+        assert decoded.offsets.tolist() == [0, 299]
+        assert decoded.per_date(36_000) == per_date
+
     def test_empty(self):
-        assert decode_time_list_columns(encode_time_list({})).per_date() == {}
+        assert decode_time_list_columns(encode_time_list({})).per_date(0) == {}
 
     def test_misaligned_rejected(self):
         with pytest.raises(SerializationError):
@@ -61,17 +68,63 @@ class TestTimeListCodec:
     def test_truncated_rejected(self):
         payload = encode_time_list({1: [(2, 10), (3, 20)]})
         with pytest.raises(SerializationError):
-            decode_time_list_columns(payload[:-4])
+            decode_time_list_columns(payload[:-2])
+
+    def test_narrow_and_wide_records_in_one_call(self):
+        """Each record takes its own widths, as an appended record beside a
+        bulk one does: one call decodes them all, each as it would alone."""
+        records = [
+            {3: [(1, 10), (2, 20)]},  # all narrow
+            {3: [(1_000_000, 10)], 4: [(5, 11)]},  # wide ids
+            {70_000: [(1, 65_536)], 1: [(0xFFFF, 0)]},  # wide dates and offsets
+            {9: [(2, 30)]},
+        ]
+        payloads = [encode_time_list(per_date) for per_date in records]
+        assert [struct.unpack_from("<H", p)[0] for p in payloads] == [0, 0b1000, 0b10010, 0]
+        batch = decode_time_list_columns(b"".join(payloads), [len(p) for p in payloads])
+        assert batch.record_ends.tolist() == [2, 4, 6, 7]
+        begin = 0
+        for per_date, end in zip(records, batch.record_ends.tolist()):
+            one = decode_time_list_columns(encode_time_list(per_date))
+            assert batch.keys[begin:end].tolist() == one.keys.tolist()
+            assert batch.offsets[begin:end].tolist() == one.offsets.tolist()
+            assert one.per_date(0) == expected_per_date(per_date)
+            begin = end
 
 
+#: Both sides of the 16-bit boundary, besides draws from the whole range.
+EDGES = (0xFFFF, 0x10000)
+ID_TOP, DATE_TOP = (1 << 32) - 1, (1 << 31) - 1
+
+
+def around_edge(top):
+    return st.one_of(st.sampled_from(EDGES), st.integers(0, 0xFFFF), st.integers(0, top))
+
+
+#: Records at Δt = 86,400 (the slot starts at 0), so offsets reach 86,399.
 RECORDS = st.dictionaries(
-    st.integers(0, (1 << 31) - 1),
-    st.lists(
-        st.tuples(st.integers(0, (1 << 32) - 1), st.integers(0, SECONDS_PER_DAY - 1)),
-        max_size=5,
-    ),
+    around_edge(DATE_TOP),
+    st.lists(st.tuples(around_edge(ID_TOP), around_edge(SECONDS_PER_DAY - 1)), max_size=5),
     max_size=4,
 )
+
+
+@st.composite
+def edge_records(draw):
+    """One record whose num_dates, dates, counts, ids and second offsets
+    each fall on a drawn side of 65,535 / 65,536: one date holds
+    ``count`` visits, the others none."""
+    num_dates = draw(st.sampled_from((1, 3, *EDGES)))
+    count = draw(st.one_of(st.integers(1, 3), st.sampled_from(EDGES)))
+    last_date = draw(around_edge(DATE_TOP).filter(lambda date: date >= num_dates - 1))
+    busy = last_date - draw(st.integers(0, num_dates - 1))
+    first_id = draw(around_edge(ID_TOP - count + 1).filter(lambda i: i <= ID_TOP - count + 1))
+    first_second = draw(around_edge(SECONDS_PER_DAY - 1))
+    per_date = {date: [] for date in range(last_date - num_dates + 1, last_date + 1)}
+    per_date[busy] = [
+        (first_id + k, (first_second + k) % SECONDS_PER_DAY) for k in range(count)
+    ]
+    return per_date
 
 
 def expected_per_date(per_date):
@@ -79,19 +132,44 @@ def expected_per_date(per_date):
 
 
 def words(*values):
-    return struct.pack(f"<{len(values)}I", *values)
+    return struct.pack(f"<{len(values)}H", *values)
 
 
 class TestGeneratedCodec:
-    """The vector decoder against the reference encoder, one record at a
-    time and as back-to-back batches, plus corrupt records."""
+    """The vector decoder against the reference encoder and decoder, one
+    record at a time and as back-to-back batches, plus corrupt records."""
 
     @settings(max_examples=150, deadline=None)
     @given(RECORDS)
     def test_one_record_round_trip(self, per_date):
-        decoded = decode_time_list_columns(encode_time_list(per_date))
-        assert decoded.per_date() == expected_per_date(per_date)
+        payload = encode_time_list(per_date)
+        decoded = decode_time_list_columns(payload)
+        assert decoded.per_date(0) == expected_per_date(per_date)
+        assert expected_per_date(decode_time_list(payload)) == expected_per_date(per_date)
         assert decoded.record_ends.tolist() == [decoded.num_visits]
+
+    @settings(max_examples=40, deadline=None)
+    @given(edge_records(), RECORDS)
+    def test_every_block_crosses_sixteen_bits(self, per_date, narrow):
+        """Each block narrow or wide on its own, and a record of each
+        width in one call."""
+        payloads = [encode_time_list(per_date), encode_time_list(narrow)]
+        values = struct.unpack(f"<{len(payloads[0]) // 2}H", payloads[0])
+        (count,) = [len(visits) for visits in per_date.values() if visits]
+        wide = [
+            len(per_date) > 0xFFFF,
+            max(per_date) > 0xFFFF,
+            count > 0xFFFF,
+            max(i for visits in per_date.values() for i, _ in visits) > 0xFFFF,
+            max(s for visits in per_date.values() for _, s in visits) > 0xFFFF,
+        ]
+        assert values[0] == sum(flag << bit for bit, flag in enumerate(wide))
+        batch = decode_time_list_columns(b"".join(payloads), [len(p) for p in payloads])
+        first = batch.record_ends[0]
+        assert batch.record_ends.tolist() == [count, batch.num_visits]
+        one = decode_time_list_columns(payloads[0])
+        assert batch.keys[:first].tolist() == one.keys.tolist()
+        assert one.per_date(0) == expected_per_date(per_date)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(RECORDS, max_size=8))
@@ -102,10 +180,10 @@ class TestGeneratedCodec:
         for per_date, end in zip(records, batch.record_ends.tolist()):
             one = decode_time_list_columns(encode_time_list(per_date))
             assert batch.keys[begin:end].tolist() == one.keys.tolist()
-            assert batch.seconds[begin:end].tolist() == one.seconds.tolist()
-            assert one.per_date() == expected_per_date(per_date)
+            assert batch.offsets[begin:end].tolist() == one.offsets.tolist()
+            assert one.per_date(0) == expected_per_date(per_date)
             begin = end
-        assert begin == batch.num_visits == batch.keys.size == batch.seconds.size
+        assert begin == batch.num_visits == batch.keys.size == batch.offsets.size
 
     @settings(max_examples=100, deadline=None)
     @given(RECORDS.filter(bool), st.data())
@@ -118,20 +196,30 @@ class TestGeneratedCodec:
     @settings(max_examples=100, deadline=None)
     @given(RECORDS, st.integers(1, 3))
     def test_trailing_words_rejected(self, per_date, extra):
-        payload = encode_time_list(per_date) + b"\x00" * 4 * extra
+        payload = encode_time_list(per_date) + b"\x00" * 2 * extra
         with pytest.raises(SerializationError):
             decode_time_list_columns(payload)
 
     @pytest.mark.parametrize(
         "payload",
         [
-            words(0xFFFFFFFF, 3, 1, 7, 10),  # num_dates far past the record
-            words(1, 3, 0xFFFFFFFF, 7, 10),  # a huge count
-            words(2, 3, 4, 2, 2, 7, 8, 10, 11),  # counts sum to 4, room for 2
-            words(2, 3, 4, 1, 0, 7, 8, 10, 11),  # counts sum to 1, room for 2
-            words(1, 3, 1, 7),  # odd number of visit words
+            words(0, 0xFFFF, 3, 1, 7, 10),  # num_dates far past the record
+            words(0b1, 0xFFFF, 0xFFFF, 3, 1, 7, 10),  # a wide num_dates, farther
+            words(0b1, 1),  # a wide num_dates cut after its low half
+            words(0b100, 1, 3, 0xFFFF, 0xFFFF, 7, 10),  # a huge (wide) count
+            words(0, 2, 3, 4, 2, 2, 7, 8, 10, 11),  # counts sum to 4, room for 2
+            words(0, 2, 3, 4, 1, 0, 7, 8, 10, 11),  # counts sum to 1, room for 2
+            words(0, 1, 3, 1, 7),  # odd number of visit words
+            words(0b1000, 1, 3, 1, 7, 0, 10, 0),  # wide ids: 3 words a visit, not 4
+            words(1 << 5, 1, 3, 1, 7, 10),  # a flag for a sixth block
+            words(0),  # a head alone
+            b"\x00\x00\x01",  # an odd byte length
         ],
-        ids=["num-dates-max", "huge-count", "counts-over", "counts-under", "odd-visits"],
+        ids=[
+            "num-dates-max", "wide-num-dates-max", "wide-num-dates-cut", "huge-count",
+            "counts-over", "counts-under", "odd-visits", "wide-id-visits",
+            "unknown-head-bit", "head-only", "odd-bytes",
+        ],
     )
     def test_corrupt_header_rejected_without_allocating(self, payload):
         tracemalloc.start()
@@ -145,11 +233,13 @@ class TestGeneratedCodec:
 
     def test_corrupt_record_in_a_batch_rejected(self):
         good = encode_time_list({1: [(2, 10)]})
-        bad = words(1, 3, 0xFFFFFFFF, 7, 10)
+        bad = words(0b100, 1, 3, 0xFFFF, 0xFFFF, 7, 10)
         with pytest.raises(SerializationError):
             decode_time_list_columns(good + bad + good, [len(good), len(bad), len(good)])
         with pytest.raises(SerializationError):  # lengths short of the payload
             decode_time_list_columns(good + good, [len(good)])
+        with pytest.raises(SerializationError):  # an odd record length
+            decode_time_list_columns(good + good, [len(good) - 1, len(good) + 1])
 
 
 class TestSlots:

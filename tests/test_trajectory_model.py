@@ -10,7 +10,6 @@ from repro.trajectory.model import (
     SegmentVisit,
     day_time,
     make_trajectory_id,
-    split_trajectory_id,
 )
 from repro.trajectory.speed_profile import RushHour, SpeedProfile
 from repro.trajectory.store import TrajectoryDatabase
@@ -19,7 +18,7 @@ from repro.trajectory.store import TrajectoryDatabase
 class TestIds:
     def test_roundtrip(self):
         tid = make_trajectory_id(taxi_id=7, date=3, num_taxis=25)
-        assert split_trajectory_id(tid, 25) == (7, 3)
+        assert divmod(tid, 25) == (3, 7)  # (date, taxi_id)
 
     def test_uniqueness(self):
         ids = {
