@@ -22,10 +22,10 @@ fired on), rendered by ``EXPLAIN`` and carried on every
 :class:`~repro.api.envelope.Response`.  Forcing
 ``algorithm=<decision.algorithm>`` returns the identical segment set.
 Across routes, the bounded ones skip the seeds Eq. 3.1 caps below Prob
-and examine Bmin, so a rule that swaps ES for a bounded route
-(``sub-slot-es``, ``budget-bounds``) changes the answer only where Bmax
-misses a road entered within L or the trace-back's interior flood adds
-or cuts one off (10 of 384 seeded test-city queries; ``docs/api.md``).
+and examine the whole ring Bmax ∪ Bmin, so a rule that swaps ES for a
+bounded route (``sub-slot-es``, ``budget-bounds``) changes the answer
+only where Bmax misses a road entered within L (2 of 1,536 seeded
+test-city queries; ``docs/api.md``).
 
 The design follows the "traffic light" routing exemplar (virt-graph):
 one front door, a small ordered rule table, first match wins, and the

@@ -56,7 +56,7 @@ class ExecutionOutcome:
             metrics).
         examined: segments whose probability was actually verified.
         wave_sizes: members per batched probability-evaluation wave, in
-            search order (TBS boundary waves, ES frontier levels).
+            search order (a trace-back's ring, ES frontier levels).
     """
 
     result: QueryResult = field(default_factory=QueryResult)

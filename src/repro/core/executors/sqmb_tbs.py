@@ -130,17 +130,17 @@ def execute_bounded(
             ctx.network, search.estimators, query.prob, search.max_region,
             search.min_region,
         )
-        stage.note(passed=len(tbs.passed), failed=len(tbs.failed))
+        stage.note(passed=len(tbs.region), failed=len(tbs.failed))
     return finish_bounded(outcome, tbs)
 
 
 def execute_lockstep(engine, members: list) -> list:
     """Run consecutive bounded batch members ``[(plan, query, context)]`` in lock
     step: their front halves in submission order (one ``locate`` for all locations;
-    fixed-side page ids recorded, not charged), one :func:`trace_back_search` running
-    all their TBS waves, then one ``get_pages`` per member over its recorded page ids,
+    fixed-side page ids recorded, not charged), one :func:`trace_back_search` probing
+    all their rings, then one ``get_pages`` per member over its recorded page ids,
     in submission order and in its own accounting window — so every cost but the wall
-    time (front half, replay and an examined-rows share of the lock step) equals serial
+    time (front half, replay and a ring-rows share of the lock step) equals serial
     execution.  Returns ``(result, regions computed, regions reused)`` per member, up
     to the first whose front half raised: its exception."""
     disk = engine.disk

@@ -111,12 +111,6 @@ class QueryExplanation:
         """Segments whose probability was actually verified."""
         return self.result.cost.segments_expanded
 
-    @property
-    def skipped_interior(self) -> int:
-        """Answer segments accepted without any trajectory read — the
-        paper's headline saving."""
-        return len(self.result.segments - self.result.probabilities.keys())
-
     def to_text(self) -> str:
         lines = [f"QUERY PLAN ({self.plan.algorithm})"]
         if self.route is not None:
@@ -130,8 +124,7 @@ class QueryExplanation:
         lines.append(
             f"  region={self.region_segments} segments | "
             f"bounds: max={self.max_cover}, min={self.min_cover} | "
-            f"verified={self.examined}, accepted unverified="
-            f"{self.skipped_interior}"
+            f"verified={self.examined}"
         )
         lines.extend(f"  {line}" for line in self.result.cost.path_lines())
         return "\n".join(lines)

@@ -3,12 +3,12 @@
 The naive way to answer an m-query is to run SQMB+TBS once per location and
 union the results — paying for the overlapping interiors repeatedly.  MQMB
 instead grows all seeds *together* over the shared accumulated bounding set
-``B``: each newly covered segment is claimed by exactly one seed — the
-nearest one, per the §3.3.2 elimination rule (``rs = argmin dis(r', b)``)
-— and is expanded exactly once per step regardless of how many per-seed
-regions overlap it.  The result is the outer-most boundary of the merged
-bounding regions (Fig. 3.6b), at roughly the cost of the largest single
-bounding region instead of the sum of all of them.
+``B``: each covered segment is expanded exactly once per step, however
+many per-seed regions overlap it — the point of §3.3.2's elimination
+rule.  The result is the outer-most boundary of the merged bounding
+regions (Fig. 3.6b), at roughly the cost of the largest single bounding
+region instead of the sum of all of them.  The trace-back values a
+segment by its best seed, so no segment records which seed claimed it.
 
 The search itself is :func:`repro.core.sqmb.bounding_region` — the paper
 presents MQMB as SQMB grown from several seeds at once, and that is how it
@@ -30,8 +30,7 @@ def mqmb_bounding_region(
     kind: Kind = "far",
 ) -> BoundingRegion:
     """Run Algorithm 3 from the start segment set ``R0 = {r0,1, ..., r0,n}``
-    (resolved via ST-Index); ``seed_of`` maps every cover segment to the
-    seed that claimed it.
+    (resolved via ST-Index).
 
     Raises:
         ValueError: ``start_segments`` is empty.

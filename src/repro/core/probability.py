@@ -8,8 +8,8 @@ during the query window ``[T, T+L]``.  The estimator gathers the start
 segment's visits once, as one sorted packed-key array; each additional
 segment then costs only its own time-list reads plus one vectorized
 membership probe — the unit of work both ES and TBS pay per probability
-check.  Waves of candidates (a TBS boundary wave, an ES frontier level)
-batch through :meth:`ProbabilityEstimator.probabilities` into a single
+check.  Batches of candidates (a trace-back's ring, an ES frontier level)
+go through :meth:`ProbabilityEstimator.probabilities` into a single
 kernel call; see :mod:`repro.core.prob_kernel` for the columnar layout
 and ``tests/reference/`` for the preserved scalar path.
 

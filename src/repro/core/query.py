@@ -95,13 +95,10 @@ class BoundingRegion:
         cover: every segment reachable within the bound (``B`` accumulated
             over Algorithm 1's steps, as an area).
         boundary: the outer frontier — the solid circles of Fig. 3.4.
-        seed_of: for m-queries, segment -> the seed segment whose expansion
-            claimed it (after the §3.3.2 overlap elimination).
     """
 
     cover: set[int] = field(default_factory=set)
     boundary: set[int] = field(default_factory=set)
-    seed_of: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,14 +113,15 @@ class QueryCost:
             vs the tiny-input scalar fast path (their sum can fall short
             of ``probability_checks`` when an empty start set
             short-circuits candidates to probability 0 without reads).
-        probability_waves: batched evaluation waves (TBS boundary waves,
-            ES frontier levels) the search dequeued.
+        probability_waves: batched evaluation waves (one per
+            trace-back: its ring; ES frontier levels) the search ran.
         max_wave_size: largest single wave, the batching depth the
             kernel actually exploited.
         batched_record_reads: time-list records the evaluations read
             (gathered by ``STIndex.gather_window_columns``, charged in
-            one ``BufferPool.get_pages`` per search, not per wave),
-            read-for-read like the sequential scalar loop.
+            one ``BufferPool.get_pages`` per search — each road once,
+            however many seeds value it), read-for-read like the
+            sequential scalar loop.
         prefetched_pages: page accesses charged for those records (pool
             hits included, of which ``io.page_reads`` were actual misses).
 

@@ -16,7 +16,7 @@ The machinery mirrors the forward query with the direction flipped:
 * the bounding regions come from Con-Index entries computed by *backward*
   network expansion over predecessors (``kind="far_rev"/"near_rev"``);
 * trace-back search and the exhaustive baseline are reused unchanged —
-  they only consume ``probability(segment)`` and undirected adjacency.
+  they only consume ``probabilities(segments)`` (and ES undirected adjacency).
 """
 
 from __future__ import annotations

@@ -191,48 +191,6 @@ def _entry_hops(
         expanded_hours[rows] |= hour_bit
 
 
-def _claim_nearest_seed(
-    csr: CSRGraph, seed_rows: np.ndarray, open_cover: np.ndarray, cover: np.ndarray
-) -> np.ndarray:
-    """§3.3.2's overlap elimination: the seed index claiming each cover row.
-
-    Each covered segment is claimed once, by its nearest seed (``rs =
-    argmin dis(r', b)`` over segment midpoints, ties to the earliest seed),
-    and so expanded on that seed's behalf — never once per overlapping
-    region.  The claim depends only on the row, not on the step that
-    covered it, so the whole pre-closure cover ``open_cover`` is claimed
-    in one ``argmin`` over a (rows × seeds) distance matrix; the twins the
-    road-level closure added to ``cover`` inherit their carriageway's seed.
-    """
-    seed_x = csr.mid_x[seed_rows]
-    seed_y = csr.mid_y[seed_rows]
-
-    def claim(rows: np.ndarray) -> np.ndarray:
-        distance = np.hypot(
-            csr.mid_x[rows, None] - seed_x[None, :],
-            csr.mid_y[rows, None] - seed_y[None, :],
-        )
-        return np.argmin(distance, axis=1)
-
-    claimed_by = np.full(csr.n, -1, dtype=np.int64)
-    claimed_by[seed_rows] = claim(seed_rows)
-    for row in seed_rows.tolist():
-        twin_row = int(csr.twin_row[row])
-        if twin_row >= 0 and claimed_by[twin_row] < 0:
-            claimed_by[twin_row] = claimed_by[row]
-    new_rows = np.flatnonzero(open_cover & (claimed_by < 0))
-    claimed_by[new_rows] = claim(new_rows)
-    # Closure twins inherit (falling back to the first seed, as the
-    # classic code did).
-    for row in np.flatnonzero(cover & (claimed_by < 0)).tolist():
-        twin_row = int(csr.twin_row[row])
-        if twin_row >= 0 and claimed_by[twin_row] >= 0:
-            claimed_by[row] = claimed_by[twin_row]
-        else:
-            claimed_by[row] = 0
-    return claimed_by
-
-
 def bounding_region(
     con_index: ConnectionIndex,
     seeds: list[int],
@@ -264,9 +222,7 @@ def bounding_region(
             who can *reach* the seeds within ``L``.
 
     Returns:
-        The accumulated cover, its outer boundary, and ``seed_of`` mapping
-        every cover segment to the seed that claimed it (trace-back picks
-        the probability estimator by it).
+        The accumulated cover and its outer boundary.
     """
     if kind not in ("far", "near"):
         raise ValueError(f"kind must be 'far' or 'near', got {kind!r}")
@@ -296,26 +252,11 @@ def bounding_region(
             entry_kind,
         )
         cover |= np.isfinite(dist)
-    open_cover = cover.copy() if len(seeds) > 1 else None
     close_twins_mask(csr, cover)
-    cover_rows = np.flatnonzero(cover)
-    cover_id_list = csr.ids_of(cover_rows).tolist()
-    cover_ids = set(cover_id_list)
-    if open_cover is None:
-        # One seed: every claim is that seed, no claim arrays needed.
-        seed_of = dict.fromkeys(cover_id_list, seeds[0])
-    else:
-        claimed_by = _claim_nearest_seed(csr, seed_rows, open_cover, cover)
-        seed_of = {
-            segment_id: seeds[seed_index]
-            for segment_id, seed_index in zip(
-                cover_id_list, claimed_by[cover_rows].tolist()
-            )
-        }
+    cover_ids = set(csr.ids_of(np.flatnonzero(cover)).tolist())
     return BoundingRegion(
         cover=cover_ids,
         boundary=_boundary_id_set(csr, cover, cover_ids, reverse),
-        seed_of=seed_of,
     )
 
 

@@ -23,11 +23,11 @@ answers as one independent s-query per distinct location, so each
 location ships to its own group's worker as that s-query (joining its
 lock-step run) and the merge replays the route's union.  Any other
 m-query runs whole on the worker owning most of its locations: MQMB's
-unified search attributes each segment to its nearest seed, so parts
-would report other probabilities.  Sharded answers therefore equal the
-single-process engine's on every layout.  A replica holds the ST-Index
-at one Δt, so a request at any other Δt falls back to the dispatcher's
-own single-process service.
+trace-back values each segment of the unified bound by its best seed,
+so parts, each knowing only its own seeds, would report other answers.
+Sharded answers therefore equal the single-process engine's on every
+layout.  A replica holds the ST-Index at one Δt, so a request at any
+other Δt falls back to the dispatcher's own single-process service.
 
 Failure semantics (the supervisor): the bundle outlives every worker,
 so a worker is a *replaceable* process.  Each scatter is

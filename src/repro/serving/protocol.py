@@ -28,7 +28,7 @@ Worker -> dispatcher::
 
 A worker hosts exactly one routing group, so a command carries that
 group's one entries list and a reply is that one sub-batch's body
-(protocol version 4; version 3 wrapped both in ``{shard_id: ...}``
+(since protocol version 4; version 3 wrapped both in ``{shard_id: ...}``
 maps).
 
 ``seq`` is the request's position in the dispatcher's batch; ``part_idx``
@@ -45,12 +45,13 @@ respawns (a corrupt frame means the pipe can no longer be trusted).
 Query results dominate reply size, so :func:`pack_result` flattens each
 one to ``(ints, probability_values, start_segments, cost)``: every
 integer set/dict field (segments, probability keys, both bounding
-regions' cover, boundary and ``seed_of``) in one counted ``int64``
+regions' cover and boundary) in one counted ``int64``
 array, the probability values in one ``float64`` array — pickle ships
 two buffers per result instead of per-element objects — and
 :func:`unpack_result` restores an equal
 :class:`~repro.core.query.QueryResult` on the parent side from bulk
-``tolist()`` conversions.  Protocol version 3 introduced this layout.
+``tolist()`` conversions.  Protocol version 3 introduced this layout;
+version 5 dropped the regions' seed claims from it.
 ``QueryCost``/``DiskStats`` are small flat dataclasses and travel as-is.
 """
 
@@ -66,7 +67,7 @@ from repro.core.query import BoundingRegion, QueryResult
 #: Bumped whenever the frame layout changes; both sides verify it so a
 #: stale worker (or a dispatcher driving one) fails loudly instead of
 #: misreading pickled tuples.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 MSG_RUN = "run"
 MSG_SHUTDOWN = "shutdown"
@@ -148,25 +149,23 @@ def parse_reply(frame: object) -> Tuple[str, int, Any]:
 
 
 #: ``ints`` header of a packed result: whether the max and the min
-#: region exist, then the length of each of the ten integer columns.
-_HEADER = 12
+#: region exist, then the length of each of the six integer columns.
+_HEADER = 8
 
 
 def pack_result(result: QueryResult) -> tuple:
     """Flatten a :class:`QueryResult` for cheap cross-process pickling.
 
     Every integer field goes into one ``int64`` array (the header, then
-    segments, probability keys, and each region's cover, boundary, seed
-    keys and seed values), the probability values into one ``float64``
-    array: pickle ships two buffers per result, not objects per element.
+    segments, probability keys, and each region's cover and boundary),
+    the probability values into one ``float64`` array: pickle ships two
+    buffers per result, not objects per element.
     """
     probabilities = result.probabilities
     regions = (result.max_region, result.min_region)
     columns = [result.segments, probabilities.keys()]
     for region in regions:
-        columns += ((), (), (), ()) if region is None else (
-            region.cover, region.boundary, region.seed_of.keys(), region.seed_of.values()
-        )
+        columns += ((), ()) if region is None else (region.cover, region.boundary)
     header = [region is not None for region in regions] + [len(c) for c in columns]
     ints = np.fromiter(
         chain(header, *columns), dtype=np.int64, count=_HEADER + sum(header[2:])
@@ -188,12 +187,8 @@ def unpack_result(packed: tuple) -> QueryResult:
         at += length
     segments, keys, *region_columns = columns
     max_region, min_region = (
-        BoundingRegion(set(cover), set(boundary), dict(zip(seeds, claims)))
-        if present
-        else None
-        for present, (cover, boundary, seeds, claims) in zip(
-            flat[:2], (region_columns[:4], region_columns[4:])
-        )
+        BoundingRegion(set(cover), set(boundary)) if present else None
+        for present, (cover, boundary) in zip(flat[:2], (region_columns[:2], region_columns[2:]))
     )
     return QueryResult(
         segments=set(segments),

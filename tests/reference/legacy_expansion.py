@@ -180,7 +180,6 @@ def sqmb_bounding_region_reference(
     return BoundingRegion(
         cover=cover,
         boundary=region_boundary_reference(con_index.network, cover),
-        seed_of={segment_id: start_segment for segment_id in cover},
     )
 
 
@@ -191,7 +190,7 @@ def mqmb_bounding_region_reference(
     duration_s: float,
     kind: str = "far",
 ) -> BoundingRegion:
-    """Algorithm 3 with Python-set unions and per-element nearest-seed."""
+    """Algorithm 3 with Python-set unions."""
     if not start_segments:
         raise ValueError("m-query needs at least one start segment")
     network = con_index.network
@@ -200,22 +199,11 @@ def mqmb_bounding_region_reference(
     num_slots = con_index.num_slots
     start_slot = con_index.slot_of(start_time_s)
     steps = max(1, int(duration_s // delta_t))
-    midpoints = {seed: network.segment(seed).midpoint for seed in seeds}
-
-    def nearest_seed(segment_id: int) -> int:
-        mid = network.segment(segment_id).midpoint
-        return min(seeds, key=lambda seed: midpoints[seed].distance_to(mid))
-
-    seed_of: dict[int, int] = {seed: seed for seed in seeds}
-    if len(seeds) > 1:
-        for seed in seeds:
-            seed_of[seed] = nearest_seed(seed)
     cover: set[int] = set(seeds)
     for seed in seeds:
         twin = network.segment(seed).twin_id
         if twin is not None and network.has_segment(twin):
             cover.add(twin)
-            seed_of.setdefault(twin, seed_of[seed])
     expansion_seeds = sorted(cover)
     for step in range(steps):
         slot = (start_slot + step) % num_slots
@@ -223,33 +211,15 @@ def mqmb_bounding_region_reference(
         for segment_id in cover:
             entry = con_index.entry(segment_id, slot, kind)
             additions.update(entry.tolist())
-        additions -= cover
-        for segment_id in additions:
-            seed_of[segment_id] = (
-                nearest_seed(segment_id) if len(seeds) > 1 else seeds[0]
-            )
         cover |= additions
     if kind == "far":
-        carried = (
-            slot_aware_expansion_reference(
-                con_index, expansion_seeds, start_time_s, steps * delta_t, kind
-            )
-            - cover
+        cover |= slot_aware_expansion_reference(
+            con_index, expansion_seeds, start_time_s, steps * delta_t, kind
         )
-        for segment_id in carried:
-            seed_of[segment_id] = (
-                nearest_seed(segment_id) if len(seeds) > 1 else seeds[0]
-            )
-        cover |= carried
     close_under_twins_reference(network, cover)
-    for segment_id in list(cover):
-        if segment_id not in seed_of:
-            twin = network.segment(segment_id).twin_id
-            seed_of[segment_id] = seed_of.get(twin, seeds[0])
     return BoundingRegion(
         cover=cover,
         boundary=region_boundary_reference(network, cover),
-        seed_of=seed_of,
     )
 
 
@@ -289,5 +259,4 @@ def reverse_bounding_region_reference(
     return BoundingRegion(
         cover=cover,
         boundary=region_boundary_reference(network, cover, reverse=True),
-        seed_of={segment_id: target_segment for segment_id in cover},
     )

@@ -15,7 +15,7 @@ They carry the PR 1-3 semantics exactly: per-day trajectory-id *sets*
 built from :func:`trajectories_in_window` (a window's dict-based filter
 over :meth:`~repro.core.st_index.STIndex.time_entries`),
 ``set.isdisjoint`` day loops, a Δt-independent 5-minute departure window,
-road-level twin merging, and FIFO single-segment TBS/ES loops.
+road-level twin merging, and single-segment TBS/ES loops.
 """
 
 from __future__ import annotations
@@ -73,18 +73,19 @@ class LegacyProbabilityEstimator:
         self.index = index
         self.network = index.network
         self.start_segment = start_segment
-        self.start_time_s = start_time_s
-        self.duration_s = duration_s
         self.num_days = num_days
         self.checks = 0
         self.kernel_evals = 0
         self.scalar_evals = 0
         self._cache: dict[int, float] = {}
-        self._start_sets = self._merged_window(
-            start_segment,
-            start_time_s,
-            start_time_s + min(DEPARTURE_WINDOW_S, duration_s),
-        )
+        fixed, self._candidate_window = self._windows(start_time_s, duration_s)
+        self._start_sets = self._merged_window(start_segment, *fixed)
+
+    @staticmethod
+    def _windows(start_time_s, duration_s):
+        """The fixed side's window (``r0``'s departures) and the candidates'."""
+        departure = min(DEPARTURE_WINDOW_S, duration_s)
+        return (start_time_s, start_time_s + departure), (start_time_s, start_time_s + duration_s)
 
     @classmethod
     def for_seeds(cls, index, seeds, start_time_s, duration_s, num_days, charges=None):
@@ -112,106 +113,60 @@ class LegacyProbabilityEstimator:
                     bucket |= ids
         return merged
 
+    def candidate_sets(self, segment_id: int) -> dict[int, set[int]]:
+        """The candidate road's per-day trajectory ids in its window (charged)."""
+        return self._merged_window(segment_id, *self._candidate_window)
+
     @property
     def start_days(self) -> int:
         """Days on which any trajectory left ``r0`` in the first slot."""
         return sum(1 for ids in self._start_sets.values() if ids)
 
-    def probability(self, segment_id: int) -> float:
-        """``probability(segment_id, r0)`` per Eq. 3.1 (cached, road-level)."""
+    def probability(self, segment_id: int, candidate_sets=None) -> float:
+        """Eq. 3.1 (cached, road-level), from ``candidate_sets`` when another
+        estimator of the search already read the road."""
         cached = self._cache.get(segment_id)
         if cached is not None:
             return cached
         self.checks += 1
         self.scalar_evals += 1
-        if not self._start_sets:
-            value = 0.0
-        else:
-            target_sets = self._merged_window(
-                segment_id,
-                self.start_time_s,
-                self.start_time_s + self.duration_s,
+        value = 0.0
+        if self._start_sets:
+            if candidate_sets is None:
+                candidate_sets = self.candidate_sets(segment_id)
+            good_days = sum(
+                not start_ids.isdisjoint(candidate_sets.get(date, ()))
+                for date, start_ids in self._start_sets.items()
             )
-            good_days = 0
-            for date, start_ids in self._start_sets.items():
-                target_ids = target_sets.get(date)
-                if target_ids and not start_ids.isdisjoint(target_ids):
-                    good_days += 1
             value = good_days / self.num_days
         self._cache[segment_id] = value
         twin = self._twin(segment_id)
         if twin is not None:
             self._cache[twin] = value
         return value
-
-    def probabilities(self, segment_ids) -> list[float]:
-        """Scalar loop twin of the kernel's batch API (for wave callers)."""
-        return [self.probability(segment_id) for segment_id in segment_ids]
-
-    def is_reachable(self, segment_id: int, prob: float) -> bool:
-        return self.probability(segment_id) >= prob
 
 
 class LegacyReverseProbabilityEstimator(LegacyProbabilityEstimator):
-    """The scalar reverse estimator: roles of start and target swapped.
+    """The scalar reverse estimator: the fixed side is the *target's* full
+    query window; each candidate pays its own departure-window read."""
 
-    The fixed side is the *target's* full query window; each candidate
-    pays its own departure-window read.
-    """
+    @staticmethod
+    def _windows(start_time_s, duration_s):
+        departure, window = LegacyProbabilityEstimator._windows(start_time_s, duration_s)
+        return window, departure
 
-    def __init__(
-        self,
-        index: STIndex,
-        target_segment: int,
-        start_time_s: float,
-        duration_s: float,
-        num_days: int,
-        charges: None = None,  # the reference never runs in lock step
-    ) -> None:
-        if num_days <= 0:
-            raise ValueError(f"num_days must be positive, got {num_days}")
-        self.index = index
-        self.network = index.network
-        self.start_segment = target_segment
-        self.target_segment = target_segment
-        self.start_time_s = start_time_s
-        self.duration_s = duration_s
-        self.num_days = num_days
-        self.checks = 0
-        self.kernel_evals = 0
-        self.scalar_evals = 0
-        self._cache: dict[int, float] = {}
-        self._start_sets = self._merged_window(
-            target_segment, start_time_s, start_time_s + duration_s
-        )
 
-    def probability(self, segment_id: int) -> float:
-        """Reverse reachability probability of ``segment_id`` (cached)."""
-        cached = self._cache.get(segment_id)
-        if cached is not None:
-            return cached
-        self.checks += 1
-        self.scalar_evals += 1
-        if not self._start_sets:
-            value = 0.0
-        else:
-            origin_sets = self._merged_window(
-                segment_id,
-                self.start_time_s,
-                self.start_time_s
-                + min(DEPARTURE_WINDOW_S, self.duration_s),
-            )
-            good_days = 0
-            for date, target_ids in self._start_sets.items():
-                origin_ids = origin_sets.get(date)
-                if origin_ids and not target_ids.isdisjoint(origin_ids):
-                    good_days += 1
-            value = good_days / self.num_days
-        self._cache[segment_id] = value
-        twin = self._twin(segment_id)
-        if twin is not None:
-            self._cache[twin] = value
-        return value
+def best_of_seeds(estimators: dict, segment_ids) -> list[float]:
+    """Each segment's best probability over ``estimators``, one segment at a
+    time: a road is read once, when a seed with departures has not cached
+    it, and every seed evaluates it from that read."""
+    lead = next(iter(estimators.values()))
+    values = []
+    for segment_id in segment_ids:
+        unread = any(e._start_sets and segment_id not in e._cache for e in estimators.values())
+        sets = lead.candidate_sets(segment_id) if unread else None
+        values.append(max(e.probability(segment_id, sets) for e in estimators.values()))
+    return values
 
 
 def trace_back_search_reference(
@@ -221,74 +176,14 @@ def trace_back_search_reference(
     max_region: BoundingRegion,
     min_region: BoundingRegion,
 ) -> TraceBackResult:
-    """The pre-wave Algorithm 2: FIFO queue, one probability per dequeue.
-
-    Bmin is examined first, beside Bmax's boundary, and the region is the
-    accepted segments plus the seeds' flood — the rules of the columnar
-    search, so counters and charged page ids compare exactly.
-    """
-    result = TraceBackResult()
+    """Algorithm 2 as the ring rule, one segment at a time: each segment of
+    Bmax ∪ Bmin, in id order, valued by :func:`best_of_seeds` — the rules of
+    the columnar search, so counters and charged page ids compare exactly."""
     if not estimators:
-        return result
-    max_cover = max_region.cover
-    min_cover = min_region.cover
-    default_seed = next(iter(estimators))
-
-    def estimators_for(segment_id: int) -> list:
-        seed = max_region.seed_of.get(segment_id, default_seed)
-        first = estimators.get(seed, estimators[default_seed])
-        ordered = [first]
-        ordered.extend(e for s, e in estimators.items() if e is not first)
-        return ordered
-
-    # Bmin is examined first, beside the boundary (the columnar search's first wave).
-    queue: deque[int] = deque(sorted(max_region.boundary | min_cover))
-    visited: set[int] = set(queue)
-    while queue:
-        segment_id = queue.popleft()
-        result.wave_sizes.append(1)
-        candidates = estimators_for(segment_id)
-        probability = candidates[0].probability(segment_id)
-        if probability < prob:
-            for estimator in candidates[1:]:
-                probability = max(
-                    probability, estimator.probability(segment_id)
-                )
-                if probability >= prob:
-                    break
-        result.probabilities[segment_id] = probability
-        if probability >= prob:
-            result.passed.add(segment_id)
-            continue
-        result.failed.add(segment_id)
-        for neighbor in network.neighbors(segment_id):
-            if neighbor in visited:
-                continue
-            if neighbor not in max_cover:
-                continue
-            if neighbor in min_cover:
-                continue
-            visited.add(neighbor)
-            queue.append(neighbor)
-
-    result.region = set(result.passed)
-    seeds = [seed for seed in estimators if seed in max_cover]
-    flood: deque[int] = deque(seeds)
-    seen: set[int] = set(seeds)
-    while flood:
-        segment_id = flood.popleft()
-        if segment_id in result.failed:
-            continue
-        result.region.add(segment_id)
-        for neighbor in network.neighbors(segment_id):
-            if neighbor in seen:
-                continue
-            if neighbor not in max_cover:
-                continue
-            if neighbor in result.failed:
-                continue
-            seen.add(neighbor)
-            flood.append(neighbor)
+        return TraceBackResult()
+    ring = sorted(max_region.cover | min_region.cover)
+    result = TraceBackResult.of_ring(ring, best_of_seeds(estimators, ring), prob)
+    result.wave_sizes = [1] * len(ring)
     return result
 
 

@@ -58,11 +58,6 @@ class TestSQMB:
             succs = engine.network.successors(segment)
             assert not succs or any(s not in region.cover for s in succs)
 
-    def test_seed_attribution(self, con, r0):
-        region = sqmb_bounding_region(con, r0, T, 600, "far")
-        assert all(seed == r0 for seed in region.seed_of.values())
-        assert set(region.seed_of) == region.cover
-
     def test_sub_delta_duration_takes_one_hop(self, con, r0):
         tiny = sqmb_bounding_region(con, r0, T, 60, "far")
         one_hop = sqmb_bounding_region(con, r0, T, 300, "far")
@@ -109,22 +104,6 @@ class TestMQMB:
         merged = mqmb_bounding_region(con, [r0, other], T, 600, "far")
         for seed in (r0, other):
             assert seed in merged.cover
-
-    def test_seed_attribution_is_nearest(self, engine, con, r0):
-        st = engine.st_index(300)
-        other = st.find_start_segment(Point(1500.0, 1000.0))
-        if other == r0:
-            pytest.skip("locations resolve to the same segment")
-        merged = mqmb_bounding_region(con, [r0, other], T, 600, "far")
-        network = engine.network
-        for segment, seed in merged.seed_of.items():
-            if segment in (r0, other):
-                continue
-            d_claimed = network.euclidean_distance(seed, segment)
-            d_other = min(
-                network.euclidean_distance(s, segment) for s in (r0, other)
-            )
-            assert d_claimed == pytest.approx(d_other)
 
     def test_duplicate_seeds_deduped(self, con, r0):
         merged = mqmb_bounding_region(con, [r0, r0, r0], T, 600, "far")

@@ -2,9 +2,9 @@
 
 A serial batch runs every maximal run of ``LOCKSTEP_MIN_RUN`` or more
 consecutive bounded members (SQMB/MQMB/reverse + TBS) in lock step — here
-with that cut or a cut of 4: the front halves in submission order, the run's trace-backs as three array passes (one ring gather and
-probe, the waves, one bookkeeping pass), then each member's recorded page
-ids replayed through the pool in submission order.  For
+with that cut or a cut of 4: the front halves in submission order, the
+run's rings gathered as columns and probed once, then each member's
+recorded page ids replayed through the pool in submission order.  For
 mixed s/m/reverse batches with ES and ``sqmb_tbs_each`` members cutting
 the runs, two Δt, duplicate requests, a start road nothing left in the
 departure window and both carriageways of two-way roads as starts — under
@@ -14,14 +14,13 @@ through ``execute_plan``, in order, in one window: results and
 probabilities, every ``QueryCost`` field but the wall time, the region
 counters, ``report.io`` and the page-id sequence every ST-Index pool
 receives.  One more engine indexes the same trips with dates just below
-2**31, the largest a packed visit key holds.  Deterministic edge cases on
-the test city: an estimator on both sides of ``SCALAR_EVAL_MAX_VISITS`` in
-different waves (an s-query's only seed, an m-query's second seed), both
-carriageways of a road examined in different waves; a spy that finds one
-gather per (ST-Index, candidate plan) per run, however many waves it has,
-each answering one entry per requested segment; and window-gather memos of
-1 and 24 segments, which every run's plans overflow, answering as the
-memo-off engine does.
+2**31, the largest a packed visit key holds.  Deterministic cases on the
+test city: rings on both sides of ``SCALAR_EVAL_MAX_VISITS`` and an
+m-query of two live seeds; a one-member run, which charges what ``send``
+charges; a spy that finds one gather per (ST-Index, candidate plan) per
+run, each answering one entry per requested segment; and window-gather
+memos of 1 and 24 segments, which every run's plans overflow, answering
+as the memo-off engine does.
 
 The stream keeps its contract: responses are published one per pull in
 submission order, a member that raises does so at its own pull after the
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import os
 from unittest import mock
 
@@ -46,7 +44,6 @@ from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext
 from repro.core import tbs
 from repro.core.executors.sqmb_tbs import LOCKSTEP_MIN_RUN
-from repro.core.prob_kernel import ColumnarEq31Estimator
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import MQuery, SQuery
 from repro.core.st_index import STIndex
@@ -215,58 +212,16 @@ def s_request(road, fraction, duration_s, prob, delta_t_s=DELTA_TS[0]) -> Reques
     return Request(SQuery(along(road, fraction), T, duration_s, prob), options)
 
 
-def serial_waves(engine, request) -> list:
-    """Per wave of ``request``'s serial search: its segments and each seed's
-    ``(kernel_evals, scalar_evals)`` spent on it.  The search replays all its
-    waves in one call; the spy hands them on one call per wave, which answers
-    and counts the same, to see each wave's split."""
-    waves = []
-    evaluate = ColumnarEq31Estimator.probabilities
-
-    def spy(self, segment_ids, peers=None, claims=None, prob=math.inf, wave_sizes=None):
-        peers_now = list((peers or {self.start_segment: self}).values())
-        ids, values = list(segment_ids), []
-        for size in wave_sizes or [len(ids)]:
-            wave, ids = ids[:size], ids[size:]
-            before = [(e.kernel_evals, e.scalar_evals) for e in peers_now]
-            values += evaluate(self, wave, peers, claims, prob)
-            waves.append((wave, [
-                (e.kernel_evals - k, e.scalar_evals - s) for e, (k, s) in zip(peers_now, before)
-            ]))
-        return values
-
-    with mock.patch.object(ColumnarEq31Estimator, "probabilities", spy):
-        ReachabilityClient(engine).send(request)
-    return waves
-
-
-def splits_paths(waves) -> bool:
-    """Some seed took the scalar path in one wave and the kernel in another."""
-    paths: dict[int, set[str]] = {}
-    for _, evals in waves:
-        for seat, (kernel, scalar) in enumerate(evals):
-            paths.setdefault(seat, set()).update("k" * bool(kernel) + "s" * bool(scalar))
-    return any(found == {"k", "s"} for found in paths.values())
-
-
-def splits_twins(waves, network) -> bool:
-    """Both carriageways of one road were examined, in different waves."""
-    wave_of = {segment: k for k, (wave, _) in enumerate(waves) for segment in wave}
-    return any(
-        network.segment(segment).twin_id in wave_of
-        and wave_of[network.segment(segment).twin_id] != k
-        for segment, k in wave_of.items()
-    )
-
-
 @pytest.fixture(scope="module")
 def edge_cases(engines, roads):
-    """The first requests, in road order, whose serial search has an estimator on
-    both sides of ``SCALAR_EVAL_MAX_VISITS`` (an s-query, and an m-query whose
-    second seed does it), and one with a road's carriageways in different waves."""
-    live, _, _, network = roads
-    engine = engines[(None, None)]
-    s_queries = (s_request(road, 0.5, 600.0, 0.1) for road in live)
+    """The first requests, in road order, whose ring holds at most
+    ``SCALAR_EVAL_MAX_VISITS`` visits (its evaluations count as scalar) and more
+    (kernel), and the first m-query with two live seeds."""
+    live = roads[0]
+    client = ReachabilityClient(engines[(None, None)])
+    s_queries = (
+        s_request(road, 0.5, duration, 0.1) for road in live for duration in (120.0, 600.0)
+    )
     m_queries = (
         Request(
             MQuery((along(a, 0.5), along(b, 0.5)), T, 600.0, 0.3),
@@ -276,22 +231,20 @@ def edge_cases(engines, roads):
     )
     found = {}
     for request in itertools.chain(s_queries, m_queries):
-        waves = serial_waves(engine, request)
+        result = client.send(request).result
         if isinstance(request.query, MQuery):
-            hits = {"m split": splits_paths([(wave, evals[1:]) for wave, evals in waves])}
+            name = "m" if result.max_region and len(result.start_segments) == 2 else None
         else:
-            hits = {"split": splits_paths(waves)}
-        hits["twins"] = splits_twins(waves, network)
-        for name in hits:
-            if hits[name] and name not in found:
-                found[name] = request
+            name = "scalar" if result.cost.scalar_probability_evals else "kernel"
+        if name and result.cost.probability_waves:
+            found.setdefault(name, request)
         if len(found) == 3:
             return found
     pytest.fail(f"the test city has no such requests: only {sorted(found)}")
 
 
 @pytest.mark.parametrize("key", [(None, None), (8, 0), (0, None)])
-def test_wave_edge_cases_equal_serial_execution(engines, roads, edge_cases, key):
+def test_edge_cases_equal_serial_execution(engines, roads, edge_cases, key):
     """Each edge case as a run of its own (the request twice), then all of them
     with two s-queries at the other Δt, cold and warm."""
     live = roads[0]
@@ -303,10 +256,44 @@ def test_wave_edge_cases_equal_serial_execution(engines, roads, edge_cases, key)
         assert_batch_equals_serial(engines[key], cases + others, warm, 2, f"{key} warm={warm}")
 
 
+def test_a_one_member_run_charges_what_send_charges(engine, roads, edge_cases):
+    """A run of one bounded member — kept off by ``LOCKSTEP_MIN_RUN``, the
+    per-query path being faster there — answers and charges as a cold
+    ``send``: every ``QueryCost`` field but the wall time and the page ids
+    the pool receives, s, m and reverse, on the test city."""
+    live = roads[0]
+    reverse = s_request(live[4], 0.5, 900.0, 0.2)
+    reverse = dataclasses.replace(
+        reverse, options=dataclasses.replace(reverse.options, direction="reverse")
+    )
+    client = ReachabilityClient(engine)
+    for request in [*edge_cases.values(), reverse]:
+        request = dataclasses.replace(
+            request, options=dataclasses.replace(request.options, reuse_regions=False)
+        )
+        client.send(request)  # Con-Index entries, both runs share
+        runs = []
+        for lockstep in (False, True):
+            spy = PoolSpy(engine.st_index(request.options.delta_t_s).pool)
+            try:
+                if lockstep:
+                    with mock.patch("repro.api.client.LOCKSTEP_MIN_RUN", 1):
+                        result = client.run_batch([request]).results[0]
+                else:
+                    result = client.send(request).result
+            finally:
+                spy.close()
+            runs.append((
+                result.segments, result.probabilities,
+                dataclasses.replace(result.cost, wall_time_s=0.0), spy.ids,
+            ))
+        assert runs[0] == runs[1], request
+
+
 def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
-    """However many waves its members run, a lock-step run gathers each (ST-Index,
-    candidate plan) of its estimators exactly once, over distinct segments, and
-    each gather answers columns with one entry per requested segment."""
+    """A lock-step run gathers each (ST-Index, candidate plan) of its estimators
+    exactly once, over distinct segments, each gather answering columns with one
+    entry per requested segment, and each member's search is one wave."""
     live = roads[0]
     requests = list(edge_cases.values()) + [
         s_request(live[i], 0.5, duration, 0.2, delta_t_s)
@@ -342,7 +329,7 @@ def test_one_gather_per_index_and_plan_per_run(engines, roads, edge_cases):
         ReachabilityClient(engines[(None, None)]).run_batch(requests)
     assert len(runs) == 1
     calls, sources, waves = runs[0]
-    assert calls == sources and len(sources) == 4 and waves > 2
+    assert calls == sources and len(sources) >= 4 and waves == 1
 
 
 @pytest.mark.parametrize("memo", [1, 24])

@@ -3,27 +3,26 @@
 ``es`` / ``es_each`` verify every road-connected segment against Eq. 3.1 and
 share no bound with the bounded routes, so they check them independently:
 the cap skip of ``bounded_front`` (a seed whose ``start_days / num_days`` is
-below Prob reaches nothing) and the examined Bmin of Algorithm 2 must leave
-no superset.  On a seeded sample of the test city — s-, m- and reverse
-queries over durations {120, 300, 600, 1200} s × Prob {0.1, 0.2, 0.3, 0.5} —
-each bounded answer must equal the exhaustive one, except for the
-differences listed in :data:`RESIDUALS`, each with its cause:
+below Prob reaches nothing) and the trace-back, which values every segment
+of Bmax ∪ Bmin, must leave no superset.  On a seeded sample of the test
+city — s-, m- and reverse queries over durations {120, 300, 600, 1200} s ×
+Prob {0.1, 0.2, 0.3, 0.5} — each bounded answer must equal the exhaustive
+one, except for the differences listed in :data:`RESIDUALS`, each with its
+cause:
 
 * ``bmax-miss`` — ES finds the segment, and Bmax does not hold it: the
   residual-carry expansion keeps a segment that can be *left* within L,
-  while Eq. 3.1 counts a segment that is *entered* within L;
-* ``flood-extra`` — the search never examined the segment; the interior
-  flood from the seeds adds it (Algorithm 2's closer-is-more-reachable
-  assumption), and ES puts it below Prob;
-* ``flood-miss`` — the search never examined the segment, ES puts it at or
-  above Prob, and failed segments cut it off from the seeds' flood.
+  while Eq. 3.1 counts a segment that is *entered* within L.
 
 A difference of any other kind — an examined segment the two routes judge
-apart, an extra in Bmin — fails, and so does a listed one that went away.
+apart, an unexamined one in the answer — fails, and so does a listed one
+that went away.  Tier-1 draws the sample from rng seed 7; CI's deep step
+sets ``EXACTNESS_SEEDS`` to draw 11, 12 and 13 as well.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -59,26 +58,17 @@ def cases(seed: int = 7) -> list[tuple[str, SQuery | MQuery]]:
     return out
 
 
-#: Every difference the sample shows: (kind, query) -> {cause: segments}.
+#: rng seeds of the sample (seed 7 alone unless ``EXACTNESS_SEEDS`` lists more).
+SEEDS = [int(seed) for seed in os.environ.get("EXACTNESS_SEEDS", "7").split(",")]
+
+#: Every difference the samples show: (kind, query) -> {cause: segments}.
 RESIDUALS = {
-    ("r", SQuery(Point(252.2, -464.8), 51821.0, 600.0, 0.1)): {"flood-extra": {81, 82}},
-    ("r", SQuery(Point(1713.1, -1720.4), 40326.0, 600.0, 0.3)): {"flood-extra": {32, 35}},
-    ("r", SQuery(Point(-1345.7, -1869.5), 37623.0, 1200.0, 0.1)): {"flood-extra": {9, 10}},
+    # rng seed 7
     ("s", SQuery(Point(-1734.6, 423.0), 25615.0, 1200.0, 0.1)): {"bmax-miss": {116, 119}},
-    ("m", MQuery((Point(-400.4, -564.0), Point(532.5, -1857.1)), 64483.0, 1200.0, 0.1)): {
-        "flood-extra": {20, 23},
+    # rng seed 12
+    ("m", MQuery((Point(982.4, 554.9), Point(716.6, -2009.3)), 67803.0, 600.0, 0.1)): {
+        "bmax-miss": {29, 30},
     },
-    ("s", SQuery(Point(-449.8, -1006.9), 35927.0, 1200.0, 0.1)): {
-        "flood-extra": {0, 1, 2, 3, 4, 5, 6, 7},
-    },
-    ("r", SQuery(Point(2148.3, 738.4), 35927.0, 1200.0, 0.1)): {
-        "flood-extra": {140, 141, 142, 143, 157, 158},
-    },
-    ("r", SQuery(Point(2185.1, -599.4), 52337.0, 1200.0, 0.1)): {"flood-extra": {97, 98}},
-    ("r", SQuery(Point(989.5, 1748.1), 48741.0, 1200.0, 0.2)): {
-        "flood-extra": {153, 154, 156, 159},
-    },
-    ("r", SQuery(Point(220.2, 559.0), 46446.0, 1200.0, 0.2)): {"flood-extra": {88, 91}},
 }
 
 
@@ -95,23 +85,22 @@ def send(client, kind, query, routes):
 def causes(bounded, truth) -> dict[str, set[int]]:
     """The difference of one bounded answer from the exhaustive one, by cause."""
     examined = set(bounded.probabilities)
-    inside = bounded.max_region.cover if bounded.max_region is not None else set()
     found: dict[str, set[int]] = {}
     for segment in bounded.segments ^ truth.segments:
-        extra = segment in bounded.segments
+        side = "extra" if segment in bounded.segments else "miss"
         if segment in examined:
-            cause = "examined-extra" if extra else "examined-miss"
-        elif extra:
-            cause = "flood-extra"
+            cause = f"examined-{side}"
         else:
-            cause = "flood-miss" if segment in inside else "bmax-miss"
+            cause = "bmax-miss" if side == "miss" else "unexamined-extra"
         found.setdefault(cause, set()).add(segment)
     return found
 
 
 def test_bounded_routes_answer_what_exhaustive_search_answers(client):
-    found = {}
-    for kind, query in cases():
+    found, sample = {}, []
+    for seed in SEEDS:
+        sample += cases(seed)
+    for kind, query in sample:
         bounded = send(client, kind, query, BOUNDED)
         truth = send(client, kind, query, EXHAUSTIVE)
         if bounded.min_region is not None:
@@ -119,7 +108,7 @@ def test_bounded_routes_answer_what_exhaustive_search_answers(client):
             assert not (bounded.segments - truth.segments) & bounded.min_region.cover, query
         if bounded.segments != truth.segments:
             found[(kind, query)] = causes(bounded, truth)
-    assert found == RESIDUALS
+    assert found == {case: diff for case, diff in RESIDUALS.items() if case in sample}
 
 
 def test_the_lock_step_run_answers_as_each_query_alone(client):
@@ -150,11 +139,11 @@ def test_a_road_entered_within_l_lies_in_bmax(client):
     assert {56, 59} <= bounded.segments
 
 
-@pytest.mark.xfail(strict=True, reason="the interior flood stops at failed segments")
 def test_an_interior_cut_off_by_failed_segments_is_examined(client):
-    """A reverse query whose Bmin segments 12 and 15 fail: the flood from the
-    seed cannot cross them, and the unexamined roads 36/39 and 40/43 behind
-    them, at probability 0.1 on ES, drop out of the answer."""
+    """A reverse query whose Bmin segments 12 and 15 fail: a flood from the
+    seed could not cross them, and the roads 36/39 and 40/43 behind them, at
+    probability 0.1 on ES, would drop out of the answer; the ring probe
+    examines them."""
     query = SQuery(Point(-965.2, -1972.9), 53252.0, 1200.0, 0.1)
     truth = send(client, "r", query, EXHAUSTIVE)
     bounded = send(client, "r", query, BOUNDED)

@@ -79,7 +79,6 @@ def random_database(network, seed: int, num_days: int = 3) -> TrajectoryDatabase
 def assert_regions_equal(actual, reference):
     assert actual.cover == reference.cover
     assert actual.boundary == reference.boundary
-    assert actual.seed_of == reference.seed_of
 
 
 @pytest.mark.parametrize("topology", ["grid", "ring", "planar"])

@@ -148,13 +148,8 @@ def make_regions(network, route, max_depth, min_depth):
     min_cover = set(route[:min_depth])
     close_under_twins(network, min_cover)
     return (
-        BoundingRegion(
-            cover=max_cover,
-            boundary={route[max_depth - 1]},
-            seed_of={s: route[0] for s in max_cover},
-        ),
-        BoundingRegion(cover=min_cover, boundary={route[min_depth - 1]},
-                       seed_of={s: route[0] for s in min_cover}),
+        BoundingRegion(cover=max_cover, boundary={route[max_depth - 1]}),
+        BoundingRegion(cover=min_cover, boundary={route[min_depth - 1]}),
     )
 
 
@@ -185,7 +180,7 @@ class TestTraceBackSearch:
         result = trace_back_search(
             network, {route[0]: est}, 0.6, max_region, min_region
         )
-        assert result.passed.isdisjoint(result.failed)
+        assert result.region.isdisjoint(result.failed)
 
     def test_min_cover_is_examined(self, world, route, network):
         """Bmin is verified like the rest of Bmax: route[5] (0.75) and
@@ -195,7 +190,7 @@ class TestTraceBackSearch:
         result = trace_back_search(
             network, {route[0]: est}, 0.6, max_region, min_region
         )
-        assert min_region.cover <= result.passed | result.failed
+        assert min_region.cover <= result.region | result.failed
         got_roads = {network.segment(s).canonical_id() for s in result.region}
         expected_roads = {
             network.segment(route[i]).canonical_id() for i in range(6)

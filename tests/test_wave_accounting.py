@@ -1,28 +1,36 @@
-"""Generated trace-back wave accounting: the batched waves against the
-scalar reference, across pool and memo sizes.
+"""Generated trace-back accounting: the ring probe against the scalar
+reference, across pool and memo sizes, and the pages it charges against
+the pages it reads.
 
 A bounded send reads its seeds' fixed sides in one gather and one charge,
-gathers the trace-back's ring (Bmax's boundary and Bmax - Bmin) once,
-uncharged, probes each seed against it once, and runs its waves on
-pass/fail; then one replay of every wave's scalar claimer-then-fallback
-consultation order ends in one buffer-pool charge per search, not one
-per wave.  For generated s-queries, reverse queries and
-m-queries of 2-4 locations on the test city — two points on one road,
-points on both carriageways of a two-way road, a start road nothing left
-in the departure window — under every ST-Index pool capacity in {0, 1, 8,
-default} and window-gather memo size in {0, default}, the live path must
-match ``legacy_probability_path()``: the region and every probability,
-the cost counters, the ``DiskStats`` window (evictions included), the
-page-id sequence the pool receives and the wave shape.
+then gathers the trace-back's ring (Bmax ∪ Bmin) once, probes each live
+seed against it once and charges the ring's pages once, in gather order —
+each road once, however many seeds value it.  For generated s-queries,
+reverse queries and m-queries of 2-4 locations on the test city — two
+points on one road, points on both carriageways of a two-way road, a
+start road nothing left in the departure window — under every ST-Index
+pool capacity in {0, 1, 8, default} and window-gather memo size in {0,
+default}, the live path must match ``legacy_probability_path()``: the
+region and every probability, the cost counters, the ``DiskStats``
+window (evictions included), the page-id sequence the pool receives and
+the wave shape.  A checking disk then finds that a cold bounded query —
+s, m and reverse, serial and in lock step — charges exactly the pages it
+reads.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference.legacy_probability import legacy_probability_path
+from reference.legacy_probability import (
+    LegacyProbabilityEstimator,
+    best_of_seeds,
+    legacy_probability_path,
+)
 
-from benchmarks.client_protocol import m_query, r_query, s_query
+from benchmarks.client_protocol import m_query, r_query, request, s_query
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.probability import ProbabilityEstimator
 from repro.core.query import MQuery, SQuery
@@ -224,31 +232,13 @@ def assert_waves_charge_like_the_scalar_loop(engines, kind, query):
     assert len(shapes) == 1, shapes
 
 
-def consult_one_at_a_time(estimators, claims, prob, wave):
-    """The scalar loop's consultation order, one segment at a time."""
-    default = next(iter(estimators.values()))
-    values = []
-    for segment_id in wave:
-        first = estimators.get(claims.get(segment_id), default)
-        value = first.probability(segment_id)
-        for estimator in estimators.values():
-            if value >= prob:
-                break
-            if estimator is not first:
-                value = max(value, estimator.probability(segment_id))
-        values.append(value)
-    return values
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_wave_routine_replays_any_claims(engines, roads, data):
-    """The wave routine alone, under claims TBS never produces — the two
-    carriageways of a road claimed by different seeds, claims naming a
-    seed outside the peers, repeated segments — against the legacy
-    estimators consulted one segment at a time."""
-    from reference.legacy_probability import LegacyProbabilityEstimator
-
+def test_peer_routine_values_any_candidates(engines, roads, data):
+    """The routine alone, with two or three seeds (one of them perhaps with
+    no departures), under candidates TBS never produces — repeated segments,
+    a road's carriageways apart — against the legacy estimators valuing one
+    segment at a time."""
     live, dead, two_way, network = roads
     engine = engines[(8, None)]
     index = engine.st_index(DELTA_T)
@@ -256,15 +246,8 @@ def test_wave_routine_replays_any_claims(engines, roads, data):
     seeds = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3, unique=True))
     wave = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=30))
     wave += [network.segment(s).twin_id for s in wave[:5] if network.segment(s).twin_id is not None]
-    claims = {
-        segment_id: data.draw(st.sampled_from(seeds + [-1]))
-        for segment_id in data.draw(st.lists(st.sampled_from(wave), unique=True))
-    }
-    # Both carriageways of one road in the wave, claimed by different seeds.
     road = data.draw(st.sampled_from(two_way))
     wave[len(wave) // 2 : len(wave) // 2] = [road.segment_id, road.twin_id]
-    claims[road.segment_id], claims[road.twin_id] = seeds[0], seeds[1]
-    prob = data.draw(st.sampled_from([0.05, 0.3, 1.0]))
     duration = data.draw(st.sampled_from([200.0, 900.0]))
     runs = []
     for estimator_cls in (LegacyProbabilityEstimator, ProbabilityEstimator):
@@ -277,9 +260,9 @@ def test_wave_routine_replays_any_claims(engines, roads, data):
         try:
             if estimator_cls is ProbabilityEstimator:
                 lead = next(iter(estimators.values()))
-                values = lead.probabilities(wave, estimators, claims, prob)
+                values = lead.probabilities(wave, estimators)
             else:
-                values = consult_one_at_a_time(estimators, claims, prob, wave)
+                values = best_of_seeds(estimators, wave)
         finally:
             spy.close()
         checks = [estimator.checks for estimator in estimators.values()]
@@ -311,7 +294,7 @@ def gather_plans(engine, kind, query):
 @pytest.mark.parametrize("kind", ["s", "r", "m"])
 def test_a_cold_bounded_send_gathers_once_per_plan(engines, roads, kind):
     """One gather of every seed's fixed side, then one of the trace-back's
-    ring, however many seeds and waves the send has."""
+    ring, however many seeds the send has: one wave."""
     live, _, two_way, _ = roads
     engine = engines[(None, None)]
     index = engine.st_index(DELTA_T)
@@ -332,41 +315,65 @@ def test_a_cold_bounded_send_gathers_once_per_plan(engines, roads, kind):
             continue
         assert plans == [index.window_plan(*fixed), index.window_plan(*candidate)], query
         waves.append(result.cost.probability_waves)
-    assert len(waves) >= 3 and max(waves) > 1, waves
+    assert len(waves) >= 3 and set(waves) == {1}, waves
 
 
-def test_the_ring_prefetch_charges_nothing(engines, roads):
-    """Gathering the ring moves no pool or disk counter and asks the pool
-    for no page; the waves after it charge what they evaluate."""
-    live, _, _, network = roads
-    engine = engines[(8, None)]
+class DiskSpy:
+    """A checking disk: the set of pages its extent and page reads touch."""
+
+    def __init__(self, disk) -> None:
+        self.disk, self.pages = disk, set()
+        extent_bytes, read_page, size = disk.extent_bytes, disk.read_page, disk.page_size
+
+        def spy_extent(first_pages, offsets, lengths):
+            first, offset, length = (
+                np.asarray(column, dtype=np.int64) for column in (first_pages, offsets, lengths)
+            )
+            last = first + (offset + length - 1) // size
+            for page, end in zip((first + offset // size).tolist(), last.tolist()):
+                self.pages.update(range(page, end + 1))
+            return extent_bytes(first_pages, offsets, lengths)
+
+        def spy_page(page_id):
+            self.pages.add(page_id)
+            return read_page(page_id)
+
+        disk.extent_bytes, disk.read_page = spy_extent, spy_page
+
+    def close(self) -> None:
+        del self.disk.extent_bytes, self.disk.read_page
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+@pytest.mark.parametrize("pool", [0, None])
+def test_a_cold_bounded_query_charges_the_pages_it_reads(engines, roads, pool, lockstep):
+    """Every page a cold bounded query reads from disk — s, m and reverse,
+    sent alone or in one lock-step batch — is a page it charges through the
+    pool, and the other way round.  The window-gather memo is off: a plan it
+    holds is charged without a read (``docs/invariants.md``)."""
+    live, _, two_way, _ = roads
+    engine = engines[(pool, 0)]
     index = engine.st_index(DELTA_T)
-    pool = index.pool
-    pool.invalidate()
-    seed = live[0].segment_id
-    estimator = ProbabilityEstimator(index, seed, T, 900.0, engine.database.num_days)
-    ring = sorted(network.segment_ids())
-
-    def counters():
-        return pool.hits, pool.misses, pool.evictions, engine.disk.snapshot()
-
-    before = counters()
-    spy = PoolSpy(index.pool)
-    try:
-        estimator.prefetch(ring)
-    finally:
-        spy.close()
-    assert spy.ids == []
-    assert counters() == before
-    fresh = ProbabilityEstimator(index, seed, T, 900.0, engine.database.num_days)
-    wave = ring[:40]
-    runs = []
-    for estimator in (estimator, fresh):  # from the ring, then gathered per wave
+    requests = [
+        request(query, algorithm, delta_t_s=DELTA_T, direction=direction)
+        for road, other in zip(live[::9], two_way[3::5])
+        for query, algorithm, direction in (
+            (SQuery(along(road, 0.5), T, 900.0, 0.2), "sqmb_tbs", "forward"),
+            (SQuery(along(road, 0.5), T, 900.0, 0.2), "sqmb_tbs", "reverse"),
+            (MQuery((along(road, 0.5), along(other, 0.3)), T, 1200.0, 0.1), "mqmb_tbs", "forward"),
+        )
+    ]
+    client = ReachabilityClient(engine)
+    client.run_batch(requests)  # Con-Index entries, both runs share
+    batches = [requests] if lockstep else [[r] for r in requests]
+    for batch in batches:
         index.pool.invalidate()
-        spy = PoolSpy(index.pool)
+        disk, spy = DiskSpy(engine.disk), PoolSpy(index.pool)
         try:
-            values = estimator.probabilities(wave)
+            client.run_batch(batch)
         finally:
             spy.close()
-        runs.append((values, spy.ids, estimator.checks, estimator.kernel_evals))
-    assert runs[0] == runs[1]
+            disk.close()
+        assert disk.pages and disk.pages == set(spy.ids), batch[0].query
+
+
