@@ -22,11 +22,11 @@ def test_ablation_precompute_one_slot(bench_dataset, benchmark, emit):
             config.DEFAULT_SETTINGS.delta_t_s,
         )
         slot = con.slot_of(config.DEFAULT_SETTINGS.start_time_s)
-        built = con.precompute(slots=[slot], kinds=("far", "near"))
+        built = con.precompute(slots=[slot])
         return con, built
 
     con, built = benchmark.pedantic(precompute, rounds=1, iterations=1)
-    assert built == 2 * bench_dataset.network.num_segments
+    assert built == bench_dataset.network.num_segments
     emit(
         "ablation_conindex",
         format_table(
@@ -50,13 +50,13 @@ def test_ablation_lazy_first_touch_vs_warm(bench_dataset):
     st_like_start = next(iter(bench_dataset.network.segment_ids()))
     t0 = time.perf_counter()
     sqmb_bounding_region(
-        con, st_like_start, config.DEFAULT_SETTINGS.start_time_s, 1200, "far"
+        con, st_like_start, config.DEFAULT_SETTINGS.start_time_s, 1200
     )
     cold = time.perf_counter() - t0
     expansions_after_cold = con.expansions
     t0 = time.perf_counter()
     sqmb_bounding_region(
-        con, st_like_start, config.DEFAULT_SETTINGS.start_time_s, 1200, "far"
+        con, st_like_start, config.DEFAULT_SETTINGS.start_time_s, 1200
     )
     warm = time.perf_counter() - t0
     assert con.expansions == expansions_after_cold  # fully memoised

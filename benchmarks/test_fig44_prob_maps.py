@@ -42,7 +42,7 @@ def test_fig44_probability_maps(bench_client, bench_dataset, benchmark, emit):
         art.append(render_region(result, network))
     emit("fig44_prob_maps", "\n".join(art))
 
-    # Shrinking region (up to the unverified min-cover floor).
+    # Shrinking region: a stricter Prob answers fewer segments.
     sizes = [len(results[p].segments) for p in (0.2, 0.6, 0.8, 1.0)]
     assert sizes[0] >= sizes[-1]
     # The primary skeleton survives better than local roads: the share of

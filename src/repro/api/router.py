@@ -22,7 +22,7 @@ fired on), rendered by ``EXPLAIN`` and carried on every
 :class:`~repro.api.envelope.Response`.  Forcing
 ``algorithm=<decision.algorithm>`` returns the identical segment set.
 Across routes, the bounded ones skip the seeds Eq. 3.1 caps below Prob
-and examine the whole ring Bmax ∪ Bmin, so a rule that swaps ES for a
+and examine the whole ring Bmax, so a rule that swaps ES for a
 bounded route (``sub-slot-es``, ``budget-bounds``) changes the answer
 only where Bmax misses a road entered within L (2 of 1,536 seeded
 test-city queries; ``docs/api.md``).

@@ -76,7 +76,7 @@ def isochrones(
     network = engine.network
     start_segment = st.find_start_segment(location)
     max_region = sqmb_bounding_region(
-        engine.con_index(delta_t_s), start_segment, start_time_s, ordered[-1], "far"
+        engine.con_index(delta_t_s), start_segment, start_time_s, ordered[-1]
     )
     candidates = sorted(max_region.cover)
     bands: list[IsochroneBand] = []

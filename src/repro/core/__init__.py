@@ -7,7 +7,8 @@ Index and algorithm layers:
 * :mod:`~repro.core.probability` — Eq. 3.1 reachability probabilities.
 * :mod:`~repro.core.prob_kernel` — the columnar Eq. 3.1 kernel (packed
   visit keys, batched wave evaluation) behind both estimators.
-* :mod:`~repro.core.sqmb` — Algorithm 1 (s-query max/min bounding region).
+* :mod:`~repro.core.sqmb` — Algorithm 1 (s-query maximum bounding region;
+  the paper's minimum region lies inside it and is not built).
 * :mod:`~repro.core.tbs` — Algorithm 2 (trace-back search).
 * :mod:`~repro.core.mqmb` — Algorithm 3 (m-query bounding region).
 * :mod:`~repro.core.baseline` — the exhaustive-search (ES) baseline (its

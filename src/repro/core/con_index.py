@@ -1,11 +1,13 @@
 """The Connection Index (§3.2.2).
 
 For each road segment and Δt time slot, the Con-Index records which
-segments are certainly reachable within one slot (**Near** list, built from
-the *minimum* observed speeds with zeros removed) and which are at most
-reachable (**Far** list, built from the *maximum* observed speeds).  Both
-are produced by the modified network-expansion algorithm of [21] with
-per-slot travel times derived from historical speed statistics.
+segments are at most reachable within one slot: the **Far** list, built
+from the *maximum* observed speeds by the modified network-expansion
+algorithm of [21] with per-slot travel times derived from historical speed
+statistics.  The paper also keeps a **Near** list (minimum speeds) for the
+minimum bounding region Bmin; its only use was the trace-back's unverified
+interior, which the ring probe no longer has, and every Near entry lies
+inside the Far entry of the same (segment, slot), so it is not built.
 
 Entries are materialised lazily (or eagerly via :meth:`precompute`) and
 held in memory under an LRU bound, each as a sorted read-only ``int64`` id
@@ -32,7 +34,8 @@ from repro.network.model import RoadNetwork
 from repro.trajectory.model import SECONDS_PER_DAY
 from repro.trajectory.store import TrajectoryDatabase
 
-Kind = Literal["far", "near", "far_rev", "near_rev"]
+#: Entry direction: forward (successors) or ``_rev`` (predecessors).
+Kind = Literal["far", "far_rev"]
 
 #: Capacity of a Con-Index's entry LRU (the in-memory index cache); an
 #: evicted entry is recomputed on its next use.
@@ -40,7 +43,7 @@ ENTRY_CACHE_SIZE = 100_000
 
 
 class ConnectionIndex:
-    """Near/Far connection tables over (segment, slot) pairs.
+    """Far connection tables over (segment, slot) pairs.
 
     Args:
         network: re-segmented road network.
@@ -61,8 +64,8 @@ class ConnectionIndex:
         self._entries: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
         #: The database ``speed_revision`` the entries and vectors rest on.
         self.speed_revision = database.speed_revision
-        self._tt_vectors: dict[tuple[bool, int], np.ndarray] = {}
-        self._tt_lists: dict[tuple[bool, int], list[float]] = {}
+        self._tt_vectors: dict[int, np.ndarray] = {}
+        self._tt_lists: dict[int, list[float]] = {}
         # The CSR view the cached vectors were built for.
         self._tt_csr = None
         # Entries computed: first builds and recomputes after an eviction.
@@ -94,14 +97,14 @@ class ConnectionIndex:
 
     # -- speed models ----------------------------------------------------------
 
-    def travel_time_vector(self, kind: Kind, slot: int) -> np.ndarray:
-        """Per-CSR-row traversal seconds under the slot's min/max speeds.
+    def travel_time_vector(self, slot: int) -> np.ndarray:
+        """Per-CSR-row traversal seconds under the slot's maximum speeds.
 
         Segments with no historical observations in (or near) the slot's
         hour are impassable (``inf``): a data-driven index cannot vouch
         for roads no trajectory ever used.  Speed bounds are hourly, so
-        the vector is cached per ``(far/near, hour)`` — at most 48 arrays
-        serve every slot of the day — and every expansion (entry
+        the vector is cached per hour — at most 24 arrays serve every slot
+        of the day, in either direction — and every expansion (entry
         construction and the residual-carry top-up alike) is a pure numpy
         gather against it.
         """
@@ -113,19 +116,17 @@ class ConnectionIndex:
             self._tt_lists.clear()
             self._tt_csr = csr
         hour = self.slot_hour(slot)
-        pick_max = kind.startswith("far")
-        key = (pick_max, hour)
-        vector = self._tt_vectors.get(key)
+        vector = self._tt_vectors.get(hour)
         if vector is None:
-            found, lo, hi = self.database.speed_bounds(csr.ids, hour)
-            speeds = np.where(found, hi if pick_max else lo, 0.0)
+            found, _, hi = self.database.speed_bounds(csr.ids, hour)
+            speeds = np.where(found, hi, 0.0)
             vector = np.full(csr.n, float("inf"))
             positive = speeds > 0
             vector[positive] = csr.lengths[positive] / speeds[positive]
-            self._tt_vectors[key] = vector
+            self._tt_vectors[hour] = vector
         return vector
 
-    def travel_time_list(self, kind: Kind, slot: int) -> list[float]:
+    def travel_time_list(self, slot: int) -> list[float]:
         """:meth:`travel_time_vector` as a plain Python list (cached).
 
         The expansion kernels' scalar fast path walks costs in a Python
@@ -134,20 +135,20 @@ class ConnectionIndex:
         """
         # Resolving the vector first also validates the CSR view (stale
         # caches are cleared there when the topology changed).
-        vector = self.travel_time_vector(kind, slot)
-        key = (kind.startswith("far"), self.slot_hour(slot))
-        values = self._tt_lists.get(key)
+        vector = self.travel_time_vector(slot)
+        hour = self.slot_hour(slot)
+        values = self._tt_lists.get(hour)
         if values is None:
             values = vector.tolist()
-            self._tt_lists[key] = values
+            self._tt_lists[hour] = values
         return values
 
     # -- entry access -------------------------------------------------------------
 
     def entry(self, segment_id: int, slot: int, kind: Kind) -> np.ndarray:
-        """The one-slot cover of F(segment, slot) for kind='far', N(segment,
-        slot) for kind='near': every segment reachable within the slot, as
-        a sorted read-only ``int64`` id array.
+        """The one-slot cover F(segment, slot) — every segment reachable
+        within the slot (``kind="far_rev"``: every segment that reaches
+        it) — as a sorted read-only ``int64`` id array.
 
         Materialised lazily and kept in an LRU; a miss (first use or after
         eviction) runs the expansion and counts in :attr:`expansions`.
@@ -167,22 +168,19 @@ class ConnectionIndex:
     def far(self, segment_id: int, slot: int) -> np.ndarray:
         return self.entry(segment_id, slot, "far")
 
-    def near(self, segment_id: int, slot: int) -> np.ndarray:
-        return self.entry(segment_id, slot, "near")
-
     def _compute(self, segment_id: int, slot: int, kind: Kind) -> np.ndarray:
         self.expansions += 1
         arrival = time_bounded_expansion(
             self.network,
             segment_id,
             float(self.delta_t_s),
-            self.travel_time_vector(kind, slot),
+            self.travel_time_vector(slot),
             reverse=kind.endswith("_rev"),
             # The Python cost list only feeds the expansion's scalar start;
             # on a network too large for it the supplier is never called
-            # and the list is not built (and cached, 48x n floats) for
+            # and the list is not built (and cached, 24x n floats) for
             # nothing.
-            cost_list=lambda: self.travel_time_list(kind, slot),
+            cost_list=lambda: self.travel_time_list(slot),
         ).arrival
         cover = np.fromiter(arrival, dtype=np.int64, count=len(arrival))
         cover.sort()
@@ -192,7 +190,7 @@ class ConnectionIndex:
     def invalidate_entries(self) -> None:
         """Discard memoized entries and speed vectors (speed model changed).
 
-        Called when the database's ``speed_revision`` moved: the Near/Far
+        Called when the database's ``speed_revision`` moved: the Far
         tables derive from observed speed bounds, so previously
         materialised entries may no longer be faithful.  Entries rebuild
         lazily on next access.
@@ -208,9 +206,9 @@ class ConnectionIndex:
         self,
         segment_ids: Iterable[int] | None = None,
         slots: Iterable[int] | None = None,
-        kinds: tuple[Kind, ...] = ("far", "near"),
     ) -> int:
-        """Eagerly build entries (the paper's offline index construction).
+        """Eagerly build forward Far entries (the paper's offline index
+        construction).
 
         Returns the number of entries materialised.
         """
@@ -224,13 +222,10 @@ class ConnectionIndex:
             if slots is not None
             else list(range(self.num_slots))
         )
-        built = 0
         for slot in slot_list:
             for segment_id in seg_list:
-                for kind in kinds:
-                    self.entry(segment_id, slot, kind)
-                    built += 1
-        return built
+                self.entry(segment_id, slot, "far")
+        return len(slot_list) * len(seg_list)
 
     @property
     def num_entries(self) -> int:

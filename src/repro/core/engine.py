@@ -164,7 +164,7 @@ class ReachabilityEngine:
         """Incrementally ingest new matched trajectories.
 
         Every built ST-Index gains the new time-list records (chained,
-        merged at read time — no rebuild).  The Near/Far tables derive
+        merged at read time — no rebuild).  The Far tables derive
         from the database's speed bounds alone, so a built Con-Index
         drops its memoized entries and speed vectors, and the services
         their cached regions, only when ``database.speed_revision`` moved

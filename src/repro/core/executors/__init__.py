@@ -16,7 +16,7 @@ Two pipelines, each written once; every built-in registration delegates to
 one of them:
 
 * :func:`~repro.core.executors.sqmb_tbs.execute_bounded` — start
-  segments -> Eq. 3.1 estimators -> Far/Near bounding regions -> trace-back
+  segments -> Eq. 3.1 estimators -> maximum bounding region -> trace-back
   (Algorithms 1-3), for s-, m- and reverse queries alike;
 * :func:`~repro.core.executors.es.execute_exhaustive` — the same front
   half, then exhaustive verification (the ES baselines).
@@ -201,33 +201,26 @@ class ExecutionContext:
         seeds: tuple[int, ...],
         start_time_s: float,
         duration_s: float,
-        kind: str,
     ) -> BoundingRegion:
-        """Compute (or reuse) a bounding region.
+        """Compute (or reuse) a maximum bounding region.
 
         The cache key is exact: a region depends only on the strategy, the
-        seed segments, the slot sequence (start slot + hop count), the
-        Near/Far kind and the index granularity — so two queries in the
-        same Δt slot with the same seeds share their bounds regardless of
-        sub-slot start time or probability threshold, across batches.
+        seed segments, the slot sequence (start slot + hop count) and the
+        index granularity — so two queries in the same Δt slot with the
+        same seeds share their bound regardless of sub-slot start time or
+        probability threshold, across batches.
         """
         con = self.con_index()
 
         def compute() -> BoundingRegion:
             if strategy == "sqmb":
-                return sqmb_bounding_region(
-                    con, seeds[0], start_time_s, duration_s, kind
-                )
+                return sqmb_bounding_region(con, seeds[0], start_time_s, duration_s)
             if strategy == "mqmb":
-                return mqmb_bounding_region(
-                    con, list(seeds), start_time_s, duration_s, kind
-                )
+                return mqmb_bounding_region(con, list(seeds), start_time_s, duration_s)
             if strategy == "reverse":
                 from repro.core.reverse import reverse_bounding_region
 
-                return reverse_bounding_region(
-                    con, seeds[0], start_time_s, duration_s, kind
-                )
+                return reverse_bounding_region(con, seeds[0], start_time_s, duration_s)
             raise ValueError(f"unknown bounding strategy {strategy!r}")
 
         if self.region_cache is None:
@@ -235,7 +228,7 @@ class ExecutionContext:
         else:
             key = (
                 strategy, seeds, con.slot_of(start_time_s),
-                slots.hops(duration_s, self.delta_t_s), kind, self.delta_t_s,
+                slots.hops(duration_s, self.delta_t_s), self.delta_t_s,
             )
             region, reused = self.region_cache.get_or_compute(key, compute)
         if reused:

@@ -1,4 +1,4 @@
-"""Algorithms 1–3 as one pipeline: bounding regions, then trace-back search.
+"""Algorithms 1–3 as one pipeline: a bounding region, then trace-back search.
 
 :func:`execute_bounded` is the paper's query method for every kind: an
 s-query is the one-location case of an m-query, a reverse query swaps in
@@ -87,7 +87,7 @@ def bounded_front(
     ctx: ExecutionContext, plan, query: SQuery | MQuery, segments=None, charges=None
 ) -> tuple[ExecutionOutcome, LockstepSearch | None]:
     """:func:`start_estimators` without the seeds capped below ``Prob`` (they reach
-    nothing), then the live seeds' Far and Near bounding regions from the Con-Index:
+    nothing), then the live seeds' maximum bounding region from the Con-Index:
     the trace-back's inputs (``None``, an empty answer, when no seed is live)."""
     outcome, live = start_estimators(ctx, plan, query, segments, charges, query.prob)
     if not live:
@@ -95,21 +95,11 @@ def bounded_front(
     seeds = tuple(live)
     with ctx.stage("max bounding region") as stage:
         max_region = ctx.bounding_region(
-            plan.bounding_strategy, seeds, query.start_time_s,
-            query.duration_s, "far",
+            plan.bounding_strategy, seeds, query.start_time_s, query.duration_s
         )
-        stage.note(
-            cover=len(max_region.cover), boundary=len(max_region.boundary)
-        )
-    with ctx.stage("min bounding region") as stage:
-        min_region = ctx.bounding_region(
-            plan.bounding_strategy, seeds, query.start_time_s,
-            query.duration_s, "near",
-        )
-        stage.note(cover=len(min_region.cover))
+        stage.note(cover=len(max_region.cover))
     outcome.result.max_region = max_region
-    outcome.result.min_region = min_region
-    return outcome, LockstepSearch(live, query.prob, max_region, min_region, charges)
+    return outcome, LockstepSearch(live, query.prob, max_region, charges)
 
 
 def finish_bounded(outcome: ExecutionOutcome, tbs: TraceBackResult) -> ExecutionOutcome:
@@ -121,14 +111,13 @@ def finish_bounded(outcome: ExecutionOutcome, tbs: TraceBackResult) -> Execution
 def execute_bounded(
     ctx: ExecutionContext, plan, query: SQuery | MQuery
 ) -> ExecutionOutcome:
-    """Far and Near bounding regions from the Con-Index, then TBS."""
+    """The maximum bounding region from the Con-Index, then TBS."""
     outcome, search = bounded_front(ctx, plan, query)
     if search is None:
         return outcome
-    with ctx.stage("trace-back search") as stage:
+    with ctx.stage("TBS (ring probe)") as stage:
         tbs = trace_back_search(
-            ctx.network, search.estimators, query.prob, search.max_region,
-            search.min_region,
+            ctx.network, search.estimators, query.prob, search.max_region
         )
         stage.note(passed=len(tbs.region), failed=len(tbs.failed))
     return finish_bounded(outcome, tbs)

@@ -102,11 +102,6 @@ class QueryExplanation:
         return len(region.cover) if region is not None else 0
 
     @property
-    def min_cover(self) -> int:
-        region = self.result.min_region
-        return len(region.cover) if region is not None else 0
-
-    @property
     def examined(self) -> int:
         """Segments whose probability was actually verified."""
         return self.result.cost.segments_expanded
@@ -123,7 +118,7 @@ class QueryExplanation:
             )
         lines.append(
             f"  region={self.region_segments} segments | "
-            f"bounds: max={self.max_cover}, min={self.min_cover} | "
+            f"bound: max={self.max_cover} | "
             f"verified={self.examined}"
         )
         lines.extend(f"  {line}" for line in self.result.cost.path_lines())

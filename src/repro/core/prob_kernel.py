@@ -22,7 +22,7 @@ per-day ``set.isdisjoint`` loop.  Here everything is flat int64 arrays:
 Candidates cost one uncharged gather of their roads, one probe per live
 seed and one buffer-pool charge
 (:meth:`ColumnarEq31Estimator.probabilities`) per call, and a call is an
-ES frontier level or a whole trace-back (the ring Bmax ∪ Bmin, each road
+ES frontier level or a whole trace-back (the ring Bmax, each road
 read and charged once however many seeds value it).  The fixed sides of
 all seeds are one gather and one charge
 (:meth:`~ColumnarEq31Estimator.for_seeds`).

@@ -89,16 +89,15 @@ class MQuery:
 
 @dataclass
 class BoundingRegion:
-    """Output of SQMB/MQMB: the cover and outer boundary of one bound.
+    """Output of SQMB/MQMB: the maximum bounding region Bmax.
 
     Attributes:
         cover: every segment reachable within the bound (``B`` accumulated
-            over Algorithm 1's steps, as an area).
-        boundary: the outer frontier — the solid circles of Fig. 3.4.
+            over Algorithm 1's steps, as an area); the trace-back values
+            each of them.
     """
 
     cover: set[int] = field(default_factory=set)
-    boundary: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -182,10 +181,10 @@ class QueryResult:
     Attributes:
         segments: the Prob-reachable road segments.
         probabilities: probabilities actually computed during the search
-            (TBS only examines the shell, so this is a subset of segments).
+            (TBS values every segment of Bmax, those below Prob included).
         start_segments: the start segment(s) ``r0`` resolved from ``S``.
-        max_region / min_region: the bounding regions, when the algorithm
-            produced them (None for the ES baseline).
+        max_region: the maximum bounding region, when the algorithm
+            produced one (None for the ES baseline).
         cost: running-time/I/O metrics.
     """
 
@@ -193,7 +192,6 @@ class QueryResult:
     probabilities: dict[int, float] = field(default_factory=dict)
     start_segments: tuple[int, ...] = ()
     max_region: BoundingRegion | None = None
-    min_region: BoundingRegion | None = None
     cost: QueryCost = field(default_factory=QueryCost)
 
     def road_length_m(self, network: RoadNetwork) -> float:

@@ -7,7 +7,7 @@ regions every batch.  It has no lock of its own — it runs under the
 engine lock the client takes at every entry point.
 
 The cache key is exactly the region identity: ``(strategy, seeds, start
-slot, Δt hops, near/far kind, Δt)`` — sub-slot start time and probability
+slot, Δt hops, Δt)`` — sub-slot start time and probability
 threshold cannot change a bounding region, and Δt participates because
 the same slot number means different wall-clock slots at different
 granularities.  Invalidation is explicit: the service clears the cache

@@ -13,8 +13,8 @@ The machinery mirrors the forward query with the direction flipped:
   intersects each candidate's *first-slot* window against it (cheaper per
   check than the forward estimator, which reads the whole window per
   candidate);
-* the bounding regions come from Con-Index entries computed by *backward*
-  network expansion over predecessors (``kind="far_rev"/"near_rev"``);
+* the maximum bounding region comes from Con-Index entries computed by
+  *backward* network expansion over predecessors (``kind="far_rev"``);
 * trace-back search and the exhaustive baseline are reused unchanged —
   they only consume ``probabilities(segments)`` (and ES undirected adjacency).
 """
@@ -62,16 +62,13 @@ def reverse_bounding_region(
     target_segment: int,
     start_time_s: float,
     duration_s: float,
-    kind: str = "far",
 ) -> BoundingRegion:
     """Algorithm 1 run backwards: who can reach the target within ``L``.
 
     :func:`~repro.core.sqmb.bounding_region` over the Con-Index's reverse
-    entries (backward expansion over predecessors); ``kind`` is ``"far"``
-    (maximum region) or ``"near"`` (minimum region), anything else raises
-    ``ValueError``.
+    Far entries (backward expansion over predecessors): the maximum
+    bounding region.
     """
     return bounding_region(
-        con_index, [target_segment], start_time_s, duration_s, kind,
-        reverse=True,
+        con_index, [target_segment], start_time_s, duration_s, reverse=True
     )

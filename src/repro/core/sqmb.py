@@ -1,4 +1,4 @@
-"""Algorithm 1: s-query maximum/minimum bounding-region search (SQMB).
+"""Algorithm 1: s-query maximum bounding-region search (SQMB).
 
 Starting from the query's road segment ``r0``, SQMB hops through the
 Con-Index one Δt slot at a time.  Exactly as the thesis's Algorithm 1
@@ -7,8 +7,13 @@ at every step (``B = B ∪ F(r, T+l)`` for all ``r in R``, then ``R = B``),
 for ``k`` steps with ``k·Δt <= L < (k+1)·Δt``; each hop grants a fresh Δt
 of travel at the slot's historical extreme speeds, so after ``k`` hops the
 accumulated cover is every segment the Con-Index vouches reachable within
-``L``.  The region's outer boundary — the solid circles of Fig. 3.4 — is
-the set of cover segments with at least one successor outside the cover.
+``L``: the maximum bounding region Bmax, the trace-back's ring.
+
+The paper's minimum bounding region Bmin (Near entries, minimum speeds)
+is not built.  It only let the trace-back accept an interior unverified;
+the ring probe values every road, and Bmin lies inside Bmax (the Near
+cost of a road is never below its Far cost, and both regions start from
+the same seeds and take the same hops), so ``Bmax ∪ Bmin`` is Bmax.
 
 No trajectory time lists are touched here: the whole point is that the
 bounding region comes straight out of the Con-Index, skipping the disk
@@ -38,12 +43,7 @@ import numpy as np
 from repro.core import slots
 from repro.core.con_index import ConnectionIndex, Kind
 from repro.core.query import BoundingRegion
-from repro.network.csr import (
-    CSRGraph,
-    close_twins_mask,
-    cover_boundary_mask,
-    expand_slotted,
-)
+from repro.network.csr import CSRGraph, close_twins_mask, expand_slotted
 from repro.network.model import RoadNetwork
 
 
@@ -94,14 +94,10 @@ def _slot_expansion_dist(
     num_slots = con_index.num_slots
 
     def cost_of_phase(phase: int) -> np.ndarray:
-        return con_index.travel_time_vector(
-            kind, (start_slot + phase) % num_slots
-        )
+        return con_index.travel_time_vector((start_slot + phase) % num_slots)
 
     def cost_list_of_phase(phase: int) -> list[float]:
-        return con_index.travel_time_list(
-            kind, (start_slot + phase) % num_slots
-        )
+        return con_index.travel_time_list((start_slot + phase) % num_slots)
 
     return expand_slotted(
         csr,
@@ -126,37 +122,6 @@ def close_under_twins(network: RoadNetwork, cover: set[int]) -> None:
         twin = network.segment(segment_id).twin_id
         if twin is not None and network.has_segment(twin):
             cover.add(twin)
-
-
-def region_boundary(
-    network: RoadNetwork, cover: set[int], reverse: bool = False
-) -> set[int]:
-    """The outer shell of a cover: members with an escape successor.
-
-    Args:
-        network: road network.
-        cover: segment set whose shell to compute.
-        reverse: use predecessors as the escape relation (for the backward
-            bounding regions of reverse reachability queries).
-    """
-    csr = network.csr()
-    mask = np.zeros(csr.n, dtype=bool)
-    if cover:
-        mask[csr.rows_of(sorted(cover))] = True
-    return _boundary_id_set(csr, mask, cover, reverse)
-
-
-def _boundary_id_set(
-    csr: CSRGraph, cover: np.ndarray, cover_ids: set[int], reverse: bool = False
-) -> set[int]:
-    """:func:`region_boundary` over a cover already held as a row mask."""
-    boundary = csr.mask_to_id_set(cover_boundary_mask(csr, cover, reverse))
-    if not boundary and cover_ids:
-        # A saturated cover on a network with no dead ends (e.g. a ring
-        # city) has no escape edges; the bound then prunes nothing, and the
-        # trace-back must examine the whole cover.
-        return set(cover_ids)
-    return boundary
 
 
 def _entry_hops(
@@ -196,7 +161,6 @@ def bounding_region(
     seeds: list[int],
     start_time_s: float,
     duration_s: float,
-    kind: str = "far",
     reverse: bool = False,
 ) -> BoundingRegion:
     """The bounding-region search behind Algorithms 1 and 3, either direction.
@@ -215,21 +179,16 @@ def bounding_region(
         duration_s: ``L``; at least one Δt hop is always taken (a query
             shorter than the index granularity still needs a first-slot
             bound).
-        kind: ``"far"`` for the maximum bounding region, ``"near"`` for the
-            minimum one.
         reverse: expand backwards over predecessors (the Con-Index's
-            ``kind + "_rev"`` entries) and take the predecessor boundary:
-            who can *reach* the seeds within ``L``.
+            ``"far_rev"`` entries): who can *reach* the seeds within ``L``.
 
     Returns:
-        The accumulated cover and its outer boundary.
+        The maximum bounding region's accumulated cover.
     """
-    if kind not in ("far", "near"):
-        raise ValueError(f"kind must be 'far' or 'near', got {kind!r}")
     if not seeds:
         raise ValueError("m-query needs at least one start segment")
     seeds = list(dict.fromkeys(seeds))
-    entry_kind = f"{kind}_rev" if reverse else kind
+    entry_kind: Kind = "far_rev" if reverse else "far"
     csr = con_index.network.csr()
     delta_t = con_index.delta_t_s
     steps = slots.hops(duration_s, delta_t)
@@ -244,20 +203,15 @@ def bounding_region(
     _entry_hops(
         con_index, csr, cover, con_index.slot_of(start_time_s), steps, entry_kind
     )
-    if kind == "far":
-        # Top up with residual-carry expansion so the upper bound also
-        # crosses segments whose traversal time exceeds one Δt slot.
-        dist = _slot_expansion_dist(
-            con_index, csr, expansion_rows, start_time_s, steps * delta_t,
-            entry_kind,
-        )
-        cover |= np.isfinite(dist)
-    close_twins_mask(csr, cover)
-    cover_ids = set(csr.ids_of(np.flatnonzero(cover)).tolist())
-    return BoundingRegion(
-        cover=cover_ids,
-        boundary=_boundary_id_set(csr, cover, cover_ids, reverse),
+    # Top up with residual-carry expansion so the upper bound also
+    # crosses segments whose traversal time exceeds one Δt slot.
+    dist = _slot_expansion_dist(
+        con_index, csr, expansion_rows, start_time_s, steps * delta_t,
+        entry_kind,
     )
+    cover |= np.isfinite(dist)
+    close_twins_mask(csr, cover)
+    return BoundingRegion(cover=set(csr.ids_of(np.flatnonzero(cover)).tolist()))
 
 
 def sqmb_bounding_region(
@@ -265,10 +219,7 @@ def sqmb_bounding_region(
     start_segment: int,
     start_time_s: float,
     duration_s: float,
-    kind: Kind = "far",
 ) -> BoundingRegion:
     """Run Algorithm 1 from ``r0 = start_segment`` (resolved from the query
     location via ST-Index): :func:`bounding_region` with one seed."""
-    return bounding_region(
-        con_index, [start_segment], start_time_s, duration_s, kind
-    )
+    return bounding_region(con_index, [start_segment], start_time_s, duration_s)

@@ -4,8 +4,9 @@ TBS refines the maximum bounding region into the Prob-reachable region.
 The paper walks waves outward from Bmax's boundary and Bmin, accepts a
 segment whose Eq. 3.1 probability meets ``Prob`` and fills in the
 interior it never examined, on the assumption that a road closer in is
-more reachable.  Here the search values every segment of the ring
-Bmax ∪ Bmin once instead: one uncharged gather of the ring's roads, one
+more reachable.  Here the search values every segment of the ring once
+instead.  The ring is Bmax: Bmin lies inside it, so it adds no road and
+is not built.  The probe is one uncharged gather of the ring's roads, one
 membership probe per live seed, one charge of the ring's pages in gather
 order (:meth:`~repro.core.prob_kernel.ColumnarEq31Estimator.probabilities`).
 The answer is every ring segment whose best seed's value is at least
@@ -79,7 +80,6 @@ class LockstepSearch:
     estimators: dict[int, ColumnarEq31Estimator]
     prob: float
     max_region: BoundingRegion
-    min_region: BoundingRegion
     charges: list[np.ndarray] | None
     wall_s: float = 0.0
 
@@ -89,9 +89,8 @@ def trace_back_search(
     estimators: dict[int, ProbabilityEstimator] | list[LockstepSearch],
     prob: float = 0.0,
     max_region: BoundingRegion | None = None,
-    min_region: BoundingRegion | None = None,
 ) -> TraceBackResult | list[TraceBackResult]:
-    """Run Algorithm 2 over (possibly multi-seed) bounding regions — or,
+    """Run Algorithm 2 over a (possibly multi-seed) bounding region — or,
     given a list of :class:`LockstepSearch` members, run them in lock step.
 
     Args:
@@ -103,8 +102,7 @@ def trace_back_search(
             yields an empty result: with nothing to vouch for any segment,
             nothing is Prob-reachable.
         prob: the query's probability threshold.
-        max_region: output of SQMB/MQMB with kind="far".
-        min_region: output of SQMB/MQMB with kind="near".
+        max_region: output of SQMB/MQMB; its cover is the ring.
 
     Returns:
         The Prob-reachable region and bookkeeping sets.
@@ -113,7 +111,7 @@ def trace_back_search(
         return _lockstep(network, estimators)
     if not estimators:
         return TraceBackResult()
-    ring = sorted(max_region.cover | min_region.cover)
+    ring = sorted(max_region.cover)
     values = next(iter(estimators.values())).probabilities(ring, estimators)
     return TraceBackResult.of_ring(ring, values, prob)
 
@@ -143,9 +141,9 @@ def _lockstep(network: RoadNetwork, searches: list[LockstepSearch]) -> list[Trac
     bits = min(24, max(16, (32 * fixed.size).bit_length()))
     sieve, drop = np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits)
     sieve[(fixed.view(np.uint64) * _GOLDEN) >> drop] = True
-    # Each member's ring (Bmax and Bmin), in segment-id order as the serial search
-    # sorts it, and its (estimator, road) pairs.
-    rings = [sorted(s.max_region.cover | s.min_region.cover) for s in searches]
+    # Each member's ring (Bmax), in segment-id order as the serial search sorts it,
+    # and its (estimator, road) pairs.
+    rings = [sorted(s.max_region.cover) for s in searches]
     rq = np.repeat(np.arange(members), list(map(len, rings)))
     rr = csr.rows_of(np.concatenate(rings))
     distinct, first = np.unique(rq * n + road_of[rr], return_index=True)

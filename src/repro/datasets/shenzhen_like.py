@@ -11,7 +11,7 @@ that preserves every property the algorithms exercise:
   demand concentrates downtown — and so do the paper's query locations);
 * time-of-day speeds with rush-hour congestion at ~07:45 and ~18:00, so
   reachable regions shrink at rush hour (Figs 4.5/4.6);
-* tight speed noise, so the Con-Index Near/Far bounds bracket the true
+* tight speed noise, so the Con-Index Far bound fits the true
   Prob-reachable region closely — the geometry that gives SQMB+TBS its
   advantage over exhaustive search.
 
@@ -56,8 +56,8 @@ class ShenzhenLikeConfig:
             longest benchmark query still fits inside the synthetic city —
             the same *city is much larger than any query region* geometry
             the paper's Shenzhen evaluation has.
-        noise_sigma: per-sample speed noise; small values keep Near/Far
-            bounds tight.
+        noise_sigma: per-sample speed noise; small values keep the Far
+            bound tight.
         jitter_m: random offset on intersection positions.
     """
 

@@ -412,29 +412,6 @@ def expand_slotted(
     return _scatter_labels(csr.n, best) if dist is None else dist
 
 
-def cover_boundary_mask(
-    csr: CSRGraph, cover: np.ndarray, reverse: bool = False
-) -> np.ndarray:
-    """Outer-shell mask of a cover mask: members with an escape edge.
-
-    A row belongs to the boundary when it has no step-direction neighbours
-    at all, or at least one neighbour outside the cover — the same rule as
-    the set-based ``region_boundary``.
-    """
-    indptr, indices = csr.adjacency(reverse)
-    rows = np.flatnonzero(cover)
-    boundary = np.zeros(csr.n, dtype=bool)
-    if rows.size == 0:
-        return boundary
-    degree = indptr[rows + 1] - indptr[rows]
-    boundary[rows[degree == 0]] = True
-    src_pos, dst = _frontier_edges(indptr, indices, rows)
-    if src_pos is not None:
-        escape = ~cover[dst]
-        boundary[rows[src_pos[escape]]] = True
-    return boundary
-
-
 def close_twins_mask(csr: CSRGraph, cover: np.ndarray) -> None:
     """Add the opposite carriageway of every covered two-way road, in place."""
     rows = np.flatnonzero(cover)

@@ -3,7 +3,7 @@
 Budgeted shortest-arrival expansion over the segment graph with
 per-segment travel times.  Con-Index construction (§3.2.2) is its caller
 in ``src/``: each entry is one expansion, with the slot's *maximum* speeds
-for the Far list and its *minimum* speeds for the Near list.  (The
+for the Far list (the paper's Near list is not built).  (The
 exhaustive-search baseline does not come through here: it walks the
 physical network breadth-first and verifies every segment it meets.)
 

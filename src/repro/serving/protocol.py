@@ -44,14 +44,14 @@ respawns (a corrupt frame means the pipe can no longer be trusted).
 
 Query results dominate reply size, so :func:`pack_result` flattens each
 one to ``(ints, probability_values, start_segments, cost)``: every
-integer set/dict field (segments, probability keys, both bounding
-regions' cover and boundary) in one counted ``int64``
-array, the probability values in one ``float64`` array — pickle ships
-two buffers per result instead of per-element objects — and
-:func:`unpack_result` restores an equal
-:class:`~repro.core.query.QueryResult` on the parent side from bulk
+integer set/dict field (segments, probability keys, the maximum
+bounding region's cover) in one counted ``int64`` array, the probability
+values in one ``float64`` array — pickle ships two buffers per result
+instead of per-element objects — and :func:`unpack_result` restores an
+equal :class:`~repro.core.query.QueryResult` on the parent side from bulk
 ``tolist()`` conversions.  Protocol version 3 introduced this layout;
-version 5 dropped the regions' seed claims from it.
+version 5 dropped the regions' seed claims from it and version 6 the
+minimum region and the region boundary.
 ``QueryCost``/``DiskStats`` are small flat dataclasses and travel as-is.
 """
 
@@ -67,7 +67,7 @@ from repro.core.query import BoundingRegion, QueryResult
 #: Bumped whenever the frame layout changes; both sides verify it so a
 #: stale worker (or a dispatcher driving one) fails loudly instead of
 #: misreading pickled tuples.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 MSG_RUN = "run"
 MSG_SHUTDOWN = "shutdown"
@@ -148,27 +148,24 @@ def parse_reply(frame: object) -> Tuple[str, int, Any]:
     return kind, request_id, body
 
 
-#: ``ints`` header of a packed result: whether the max and the min
-#: region exist, then the length of each of the six integer columns.
-_HEADER = 8
+#: ``ints`` header of a packed result: whether the max region exists,
+#: then the length of each of the three integer columns.
+_HEADER = 4
 
 
 def pack_result(result: QueryResult) -> tuple:
     """Flatten a :class:`QueryResult` for cheap cross-process pickling.
 
     Every integer field goes into one ``int64`` array (the header, then
-    segments, probability keys, and each region's cover and boundary),
-    the probability values into one ``float64`` array: pickle ships two
+    segments, probability keys and the max region's cover), the
+    probability values into one ``float64`` array: pickle ships two
     buffers per result, not objects per element.
     """
-    probabilities = result.probabilities
-    regions = (result.max_region, result.min_region)
-    columns = [result.segments, probabilities.keys()]
-    for region in regions:
-        columns += ((), ()) if region is None else (region.cover, region.boundary)
-    header = [region is not None for region in regions] + [len(c) for c in columns]
+    probabilities, region = result.probabilities, result.max_region
+    columns = (result.segments, probabilities.keys(), () if region is None else region.cover)
+    header = [region is not None, *map(len, columns)]
     ints = np.fromiter(
-        chain(header, *columns), dtype=np.int64, count=_HEADER + sum(header[2:])
+        chain(header, *columns), dtype=np.int64, count=_HEADER + sum(header[1:])
     )
     values = np.fromiter(
         probabilities.values(), dtype=np.float64, count=len(probabilities)
@@ -182,19 +179,14 @@ def unpack_result(packed: tuple) -> QueryResult:
     ints, values, starts, cost = packed
     flat = ints.tolist()
     columns, at = [], _HEADER
-    for length in flat[2:_HEADER]:
+    for length in flat[1:_HEADER]:
         columns.append(flat[at : at + length])
         at += length
-    segments, keys, *region_columns = columns
-    max_region, min_region = (
-        BoundingRegion(set(cover), set(boundary)) if present else None
-        for present, (cover, boundary) in zip(flat[:2], (region_columns[:2], region_columns[2:]))
-    )
+    segments, keys, cover = columns
     return QueryResult(
         segments=set(segments),
         probabilities=dict(zip(keys, values.tolist())),
         start_segments=tuple(starts),
-        max_region=max_region,
-        min_region=min_region,
+        max_region=BoundingRegion(set(cover)) if flat[0] else None,
         cost=cost,
     )

@@ -17,8 +17,8 @@ Speeds come from the time-of-day
 :class:`~repro.trajectory.speed_profile.SpeedProfile` (rush-hour dips), with
 two noise components: tight lognormal jitter, and an occasional *slow
 traversal* (traffic light, passenger pickup).  The slow tail is what keeps
-the minimum observed speeds — and therefore the Con-Index Near bounds —
-far below the typical speeds, exactly as in real traffic.
+the minimum observed speeds far below the typical speeds, exactly as in
+real traffic.
 
 The generator can emit both ground-truth matched trajectories (consumed
 directly by index construction) and raw ~30-second GPS samples (used to

@@ -45,8 +45,8 @@ class SpeedProfile:
     ``speed(level, time_s)`` returns the typical travel speed for a road of
     ``level`` at ``time_s`` seconds after midnight; :meth:`sample_speed`
     adds lognormal-ish noise from a caller-supplied RNG so different
-    taxis/days observe different speeds (which is what gives the Con-Index
-    distinct Near/Far bounds).
+    taxis/days observe different speeds (distinct minimum and maximum
+    speed statistics).
 
     Attributes:
         free_flow_mps: free-flow speed per road level.

@@ -3,7 +3,7 @@
 Holds the map-matched trajectories that pre-processing emits and index
 construction consumes, plus the aggregate statistics the paper reports in
 Table 4.1 (taxis, days, record counts).  Per-segment per-hour speed
-statistics — the raw material for the Con-Index's Near/Far bounds — are
+statistics — the raw material for the Con-Index's Far bounds — are
 the speed model: sorted :data:`SPEED_COLUMNS` arrays that
 :meth:`~TrajectoryDatabase.finalize` folds newly added visits into in one
 vectorised pass, and that :meth:`~TrajectoryDatabase.speed_bounds` looks

@@ -3,9 +3,8 @@
 These are the classic Python set/``heapq`` implementations that the CSR
 kernels in :mod:`repro.network.csr` replaced.  They are kept because the
 kernel-equivalence tests (``tests/test_expansion_kernel.py``) prove the
-vectorized expansion layer produces *identical* covers, boundaries and
-seed assignments on randomized networks, and need a trustworthy baseline
-to diff against.
+vectorized expansion layer produces *identical* covers on randomized
+networks, and need a trustworthy baseline to diff against.
 
 They carry the same midnight semantics as the live code: slot progression
 is *relative* (``(start_slot + step) % num_slots``), time-of-day being
@@ -22,8 +21,8 @@ from repro.network.expansion import ExpansionResult
 from repro.network.model import RoadNetwork
 
 
-def travel_time_reference(con_index, kind: str, slot: int):
-    """The pre-kernel per-slot speed closure (per-call bounds probing).
+def travel_time_reference(con_index, slot: int):
+    """The pre-kernel per-slot maximum-speed closure (per-call bounds probing).
 
     This is what Con-Index construction and the residual carry expanded
     with before the cached ``travel_time_vector`` arrays existed: every
@@ -34,13 +33,12 @@ def travel_time_reference(con_index, kind: str, slot: int):
     mid_time = con_index._slot_mid_time(slot)
     bounds_of = con_index.database.observed_speed_bounds
     segment = con_index.network.segment
-    pick_max = kind.startswith("far")
 
     def travel_time(segment_id: int) -> float:
         bounds = bounds_of(segment_id, mid_time)
         if bounds is None:
             return float("inf")
-        speed = bounds[1] if pick_max else bounds[0]
+        speed = bounds[1]
         if speed <= 0:
             return float("inf")
         return segment(segment_id).length / speed
@@ -103,7 +101,7 @@ def slot_aware_expansion_reference(
         slot = (start_slot + int(time_s // delta_t)) % num_slots
         fn = travel_fns.get(slot)
         if fn is None:
-            fn = travel_time_reference(con_index, kind, slot)
+            fn = travel_time_reference(con_index, slot)
             travel_fns[slot] = fn
         return fn(segment_id)
 
@@ -134,67 +132,20 @@ def close_under_twins_reference(network: RoadNetwork, cover: set[int]) -> None:
             cover.add(twin)
 
 
-def region_boundary_reference(
-    network: RoadNetwork, cover: set[int], reverse: bool = False
-) -> set[int]:
-    step_of = network.predecessors if reverse else network.successors
-    boundary: set[int] = set()
-    for segment_id in cover:
-        neighbors = step_of(segment_id)
-        if not neighbors or any(s not in cover for s in neighbors):
-            boundary.add(segment_id)
-    if not boundary and cover:
-        return set(cover)
-    return boundary
-
-
-def sqmb_bounding_region_reference(
+def bounding_region_reference(
     con_index,
-    start_segment: int,
+    seeds: list[int],
     start_time_s: float,
     duration_s: float,
-    kind: str = "far",
+    reverse: bool = False,
 ) -> BoundingRegion:
-    """Algorithm 1 with per-step Python set unions (classic implementation)."""
-    delta_t = con_index.delta_t_s
-    num_slots = con_index.num_slots
-    start_slot = con_index.slot_of(start_time_s)
-    steps = max(1, int(duration_s // delta_t))
-    cover: set[int] = {start_segment}
-    twin = con_index.network.segment(start_segment).twin_id
-    if twin is not None and con_index.network.has_segment(twin):
-        cover.add(twin)
-    seeds = sorted(cover)
-    for step in range(steps):
-        slot = (start_slot + step) % num_slots
-        additions: set[int] = set()
-        for segment_id in cover:
-            entry = con_index.entry(segment_id, slot, kind)
-            additions.update(entry.tolist())
-        cover |= additions
-    if kind == "far":
-        cover |= slot_aware_expansion_reference(
-            con_index, seeds, start_time_s, steps * delta_t, kind
-        )
-    close_under_twins_reference(con_index.network, cover)
-    return BoundingRegion(
-        cover=cover,
-        boundary=region_boundary_reference(con_index.network, cover),
-    )
-
-
-def mqmb_bounding_region_reference(
-    con_index,
-    start_segments: list[int],
-    start_time_s: float,
-    duration_s: float,
-    kind: str = "far",
-) -> BoundingRegion:
-    """Algorithm 3 with Python-set unions."""
-    if not start_segments:
+    """Algorithms 1 and 3, forward or backward, with per-step Python set
+    unions (classic implementation)."""
+    if not seeds:
         raise ValueError("m-query needs at least one start segment")
+    kind = "far_rev" if reverse else "far"
     network = con_index.network
-    seeds = list(dict.fromkeys(start_segments))
+    seeds = list(dict.fromkeys(seeds))
     delta_t = con_index.delta_t_s
     num_slots = con_index.num_slots
     start_slot = con_index.slot_of(start_time_s)
@@ -212,51 +163,8 @@ def mqmb_bounding_region_reference(
             entry = con_index.entry(segment_id, slot, kind)
             additions.update(entry.tolist())
         cover |= additions
-    if kind == "far":
-        cover |= slot_aware_expansion_reference(
-            con_index, expansion_seeds, start_time_s, steps * delta_t, kind
-        )
-    close_under_twins_reference(network, cover)
-    return BoundingRegion(
-        cover=cover,
-        boundary=region_boundary_reference(network, cover),
+    cover |= slot_aware_expansion_reference(
+        con_index, expansion_seeds, start_time_s, steps * delta_t, kind
     )
-
-
-def reverse_bounding_region_reference(
-    con_index,
-    target_segment: int,
-    start_time_s: float,
-    duration_s: float,
-    kind: str = "far",
-) -> BoundingRegion:
-    """Algorithm 1 run backwards (classic implementation)."""
-    if kind not in ("far", "near"):
-        raise ValueError(f"kind must be 'far' or 'near', got {kind!r}")
-    reverse_kind = f"{kind}_rev"
-    network = con_index.network
-    delta_t = con_index.delta_t_s
-    num_slots = con_index.num_slots
-    start_slot = con_index.slot_of(start_time_s)
-    steps = max(1, int(duration_s // delta_t))
-    cover: set[int] = {target_segment}
-    twin = network.segment(target_segment).twin_id
-    if twin is not None and network.has_segment(twin):
-        cover.add(twin)
-    seeds = sorted(cover)
-    for step in range(steps):
-        slot = (start_slot + step) % num_slots
-        additions: set[int] = set()
-        for segment_id in cover:
-            entry = con_index.entry(segment_id, slot, reverse_kind)
-            additions.update(entry.tolist())
-        cover |= additions
-    if kind == "far":
-        cover |= slot_aware_expansion_reference(
-            con_index, seeds, start_time_s, steps * delta_t, reverse_kind
-        )
     close_under_twins_reference(network, cover)
-    return BoundingRegion(
-        cover=cover,
-        boundary=region_boundary_reference(network, cover, reverse=True),
-    )
+    return BoundingRegion(cover=cover)

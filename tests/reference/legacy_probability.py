@@ -174,14 +174,13 @@ def trace_back_search_reference(
     estimators: dict,
     prob: float,
     max_region: BoundingRegion,
-    min_region: BoundingRegion,
 ) -> TraceBackResult:
     """Algorithm 2 as the ring rule, one segment at a time: each segment of
-    Bmax ∪ Bmin, in id order, valued by :func:`best_of_seeds` — the rules of
+    Bmax, in id order, valued by :func:`best_of_seeds` — the rules of
     the columnar search, so counters and charged page ids compare exactly."""
     if not estimators:
         return TraceBackResult()
-    ring = sorted(max_region.cover | min_region.cover)
+    ring = sorted(max_region.cover)
     result = TraceBackResult.of_ring(ring, best_of_seeds(estimators, ring), prob)
     result.wave_sizes = [1] * len(ring)
     return result

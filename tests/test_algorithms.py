@@ -11,9 +11,10 @@ import pytest
 from benchmarks.client_protocol import m_query, s_query
 from repro.core.mqmb import mqmb_bounding_region
 from repro.core.query import MQuery, SQuery
-from repro.core.sqmb import close_under_twins, region_boundary, sqmb_bounding_region
+from repro.core.sqmb import close_under_twins, sqmb_bounding_region
 from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
+from reference.min_speed_index import MinSpeedConnectionIndex
 
 CENTER = Point(0.0, 0.0)
 T = day_time(11)
@@ -29,38 +30,40 @@ def r0(engine):
     return engine.st_index(300).find_start_segment(CENTER)
 
 
+@pytest.fixture(scope="module")
+def near_con(engine):
+    """The paper's Near list: Bmin is a bounding region built on it."""
+    return MinSpeedConnectionIndex(engine.network, engine.database, 300)
+
+
 class TestSQMB:
     def test_cover_contains_both_carriageways_of_start(self, engine, con, r0):
-        region = sqmb_bounding_region(con, r0, T, 600, "far")
+        region = sqmb_bounding_region(con, r0, T, 600)
         assert r0 in region.cover
         twin = engine.network.segment(r0).twin_id
         if twin is not None:
             assert twin in region.cover
 
     def test_cover_grows_with_duration(self, con, r0):
-        small = sqmb_bounding_region(con, r0, T, 300, "far")
-        large = sqmb_bounding_region(con, r0, T, 1200, "far")
+        small = sqmb_bounding_region(con, r0, T, 300)
+        large = sqmb_bounding_region(con, r0, T, 1200)
         assert small.cover <= large.cover
         assert len(large.cover) > len(small.cover)
 
-    def test_near_within_far(self, con, r0):
-        near = sqmb_bounding_region(con, r0, T, 900, "near")
-        far = sqmb_bounding_region(con, r0, T, 900, "far")
-        assert near.cover <= far.cover
-
-    def test_boundary_subset_of_cover(self, con, r0):
-        region = sqmb_bounding_region(con, r0, T, 900, "far")
-        assert region.boundary <= region.cover
-
-    def test_boundary_members_have_escape(self, engine, con, r0):
-        region = sqmb_bounding_region(con, r0, T, 900, "far")
-        for segment in region.boundary:
-            succs = engine.network.successors(segment)
-            assert not succs or any(s not in region.cover for s in succs)
+    def test_near_within_far(self, con, near_con, r0):
+        """Bmin lies inside Bmax, which is why Bmax alone is the ring."""
+        strictly_inside = 0
+        for start_time in (T, day_time(8), day_time(23) + 1500):
+            for duration in (60, 300, 600, 900):
+                near = sqmb_bounding_region(near_con, r0, start_time, duration)
+                far = sqmb_bounding_region(con, r0, start_time, duration)
+                assert near.cover <= far.cover
+                strictly_inside += near.cover < far.cover
+        assert strictly_inside  # the two speed models do differ here
 
     def test_sub_delta_duration_takes_one_hop(self, con, r0):
-        tiny = sqmb_bounding_region(con, r0, T, 60, "far")
-        one_hop = sqmb_bounding_region(con, r0, T, 300, "far")
+        tiny = sqmb_bounding_region(con, r0, T, 60)
+        one_hop = sqmb_bounding_region(con, r0, T, 300)
         assert tiny.cover == one_hop.cover
 
     def test_twin_closure_helper(self, engine):
@@ -72,20 +75,6 @@ class TestSQMB:
         if twin is not None:
             assert twin in cover
 
-    def test_region_boundary_of_everything_is_deadends(self, engine):
-        network = engine.network
-        cover = set(network.segment_ids())
-        boundary = region_boundary(network, cover)
-        dead_ends = {
-            s for s in cover if not network.successors(s)
-        }
-        if dead_ends:
-            assert boundary == dead_ends
-        else:
-            # No escapes at all: the fallback returns the whole cover so
-            # trace-back still has seeds (ring topologies).
-            assert boundary == cover
-
 
 class TestMQMB:
     def test_empty_seeds_rejected(self, con):
@@ -93,39 +82,47 @@ class TestMQMB:
             mqmb_bounding_region(con, [], T, 600)
 
     def test_single_seed_matches_sqmb(self, con, r0):
-        single = sqmb_bounding_region(con, r0, T, 900, "far")
-        multi = mqmb_bounding_region(con, [r0], T, 900, "far")
+        single = sqmb_bounding_region(con, r0, T, 900)
+        multi = mqmb_bounding_region(con, [r0], T, 900)
         assert multi.cover == single.cover
-        assert multi.boundary == single.boundary
 
     def test_union_covers_each_seed_region(self, engine, con, r0):
         st = engine.st_index(300)
         other = st.find_start_segment(Point(1500.0, 1000.0))
-        merged = mqmb_bounding_region(con, [r0, other], T, 600, "far")
+        merged = mqmb_bounding_region(con, [r0, other], T, 600)
         for seed in (r0, other):
             assert seed in merged.cover
 
+    def test_cover_grows_with_duration(self, engine, con, r0):
+        other = engine.st_index(300).find_start_segment(Point(1500.0, 1000.0))
+        small = mqmb_bounding_region(con, [r0, other], T, 300)
+        large = mqmb_bounding_region(con, [r0, other], T, 1200)
+        assert small.cover <= large.cover
+        assert len(large.cover) > len(small.cover)
+
+    def test_near_within_far(self, engine, con, near_con, r0):
+        other = engine.st_index(300).find_start_segment(Point(1500.0, 1000.0))
+        for duration in (60, 300, 600, 900):
+            near = mqmb_bounding_region(near_con, [r0, other], T, duration)
+            far = mqmb_bounding_region(con, [r0, other], T, duration)
+            assert near.cover <= far.cover
+
     def test_duplicate_seeds_deduped(self, con, r0):
-        merged = mqmb_bounding_region(con, [r0, r0, r0], T, 600, "far")
-        single = mqmb_bounding_region(con, [r0], T, 600, "far")
+        merged = mqmb_bounding_region(con, [r0, r0, r0], T, 600)
+        single = mqmb_bounding_region(con, [r0], T, 600)
         assert merged.cover == single.cover
 
 
 class TestSQueryAgreement:
     @pytest.mark.parametrize("duration_s", [300, 600, 900])
     def test_sqmb_tbs_matches_es(self, engine, duration_s):
-        """TBS finds everything ES finds; any over-claim is confined to the
-        minimum bounding region, which Algorithm 2 trusts without
-        verification (the thesis's Bmin assumption)."""
+        """TBS returns exactly what ES finds."""
         query = SQuery(CENTER, T, duration_s, 0.2)
         ours = s_query(engine, query, algorithm="sqmb_tbs")
         baseline = s_query(engine, query, algorithm="es")
         if not (ours.segments | baseline.segments):
             pytest.skip("empty region on the small dataset")
-        missed = baseline.segments - ours.segments
-        assert not missed, f"TBS missed {len(missed)} ES segments"
-        overclaimed = ours.segments - baseline.segments
-        assert overclaimed <= ours.min_region.cover
+        assert ours.segments == baseline.segments
 
     @pytest.mark.parametrize("prob", [0.2, 0.5, 0.8])
     def test_result_within_max_bound(self, engine, prob):

@@ -119,17 +119,17 @@ class TestSend:
         client = ReachabilityClient(engine)
         request = Request(SQuery(CENTER, T, 600, 0.2))
         first = client.send(request)
-        assert first.regions_computed == 2  # far + near
+        assert first.regions_computed == 1
         assert first.regions_reused == 0
         second = client.send(request)
         assert second.regions_computed == 0
-        assert second.regions_reused == 2
+        assert second.regions_reused == 1
         assert second.segments == first.segments
         # A different threshold still shares the shape-keyed bounds (the
         # start road's cap is 5/10 days, so 0.5 still reaches them) ...
         third = client.send(Request(SQuery(CENTER, T, 600, 0.5)))
         assert third.regions_computed == 0
-        assert third.regions_reused == 2
+        assert third.regions_reused == 1
         # ... and one above that cap skips the seed before any bound.
         fourth = client.send(Request(SQuery(CENTER, T, 600, 0.8)))
         assert (fourth.regions_computed, fourth.regions_reused) == (0, 0)
@@ -158,7 +158,7 @@ class TestSend:
         )
         client.send(request)
         repeat = client.send(request)
-        assert repeat.regions_computed == 2
+        assert repeat.regions_computed == 1
         assert repeat.regions_reused == 0
 
     def test_budget_reported(self, client):

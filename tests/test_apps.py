@@ -150,7 +150,7 @@ class TestIsochrones:
         start = engine.st_index(delta_t_s).find_start_segment(location)
         for duration in (1200, 450):
             cover = sqmb_bounding_region(
-                engine.con_index(delta_t_s), start, T, duration, "far"
+                engine.con_index(delta_t_s), start, T, duration
             ).cover
             for prob in (0.2, 0.5):
                 (band,) = isochrones(

@@ -392,10 +392,10 @@ def test_failing_member_raises_at_its_own_pull(engines, roads):
     engine = engines[(8, None)]
     region = ExecutionContext.bounding_region
 
-    def failing(self, strategy, seeds, start_time_s, duration_s, kind):
+    def failing(self, strategy, seeds, start_time_s, duration_s):
         if duration_s == 777.0:
             raise RuntimeError("bounding region unavailable")
-        return region(self, strategy, seeds, start_time_s, duration_s, kind)
+        return region(self, strategy, seeds, start_time_s, duration_s)
 
     ReachabilityClient(engine).run_batch(requests)  # Con-Index entries, both share
     runs = []

@@ -4,7 +4,7 @@
 share no bound with the bounded routes, so they check them independently:
 the cap skip of ``bounded_front`` (a seed whose ``start_days / num_days`` is
 below Prob reaches nothing) and the trace-back, which values every segment
-of Bmax ∪ Bmin, must leave no superset.  On a seeded sample of the test
+of Bmax, must leave no superset.  On a seeded sample of the test
 city — s-, m- and reverse queries over durations {120, 300, 600, 1200} s ×
 Prob {0.1, 0.2, 0.3, 0.5} — each bounded answer must equal the exhaustive
 one, except for the differences listed in :data:`RESIDUALS`, each with its
@@ -103,9 +103,6 @@ def test_bounded_routes_answer_what_exhaustive_search_answers(client):
     for kind, query in sample:
         bounded = send(client, kind, query, BOUNDED)
         truth = send(client, kind, query, EXHAUSTIVE)
-        if bounded.min_region is not None:
-            # Bmin is examined: nothing in it is returned below Prob.
-            assert not (bounded.segments - truth.segments) & bounded.min_region.cover, query
         if bounded.segments != truth.segments:
             found[(kind, query)] = causes(bounded, truth)
     assert found == {case: diff for case, diff in RESIDUALS.items() if case in sample}
@@ -140,14 +137,14 @@ def test_a_road_entered_within_l_lies_in_bmax(client):
 
 
 def test_an_interior_cut_off_by_failed_segments_is_examined(client):
-    """A reverse query whose Bmin segments 12 and 15 fail: a flood from the
+    """A reverse query whose inner segments 12 and 15 fail: a flood from the
     seed could not cross them, and the roads 36/39 and 40/43 behind them, at
     probability 0.1 on ES, would drop out of the answer; the ring probe
     examines them."""
     query = SQuery(Point(-965.2, -1972.9), 53252.0, 1200.0, 0.1)
     truth = send(client, "r", query, EXHAUSTIVE)
     bounded = send(client, "r", query, BOUNDED)
-    assert {12, 15} <= bounded.min_region.cover
+    assert {12, 15} <= bounded.max_region.cover
     assert max(bounded.probabilities[s] for s in (12, 15)) < query.prob
     assert {36, 39, 40, 43} <= truth.segments
     assert {36, 39, 40, 43} <= bounded.segments

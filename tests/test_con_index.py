@@ -14,6 +14,7 @@ from repro.network.generator import grid_city
 from repro.storage.backends import FileBackedDisk
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
 from repro.trajectory.store import TrajectoryDatabase
+from reference.min_speed_index import MinSpeedConnectionIndex
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +45,24 @@ class TestConnectionIndex:
         with pytest.raises(ValueError):
             ConnectionIndex(network, database, 0)
 
-    def test_far_superset_of_near(self, network, database):
-        con = ConnectionIndex(network, database, 300)
-        slot = con.slot_of(day_time(11))
-        for sid in list(network.segment_ids())[:10]:
-            far = con.far(sid, slot)
-            near = con.near(sid, slot)
-            assert ids(near) <= ids(far)
+    def test_far_superset_of_near(self, network):
+        """Each Near entry (minimum speeds) lies in the Far entry of the same
+        segment and slot: costs no smaller reach no more roads."""
+        db = TrajectoryDatabase(num_taxis=2, num_days=1)
+        t = float(day_time(11))
+        segs = sorted(network.segment_ids())
+        db.add(MatchedTrajectory(0, 0, 0, [SegmentVisit(s, t, 3.0) for s in segs]))
+        db.add(MatchedTrajectory(1, 1, 0, [SegmentVisit(s, t + 1, 12.0) for s in segs]))
+        db.finalize()
+        con = ConnectionIndex(network, db, 300)
+        near_con = MinSpeedConnectionIndex(network, db, 300)
+        slot = con.slot_of(t)
+        for sid in segs:
+            for kind in ("far", "far_rev"):
+                near = near_con.entry(sid, slot, kind)
+                far = con.entry(sid, slot, kind)
+                assert ids(near) <= ids(far)
+                assert len(near) < len(far) or len(far) == len(segs)
 
     def test_cover_contains_start(self, network, database):
         con = ConnectionIndex(network, database, 300)
@@ -116,11 +128,18 @@ class TestConnectionIndex:
 
     def test_precompute_counts(self, network, database):
         con = ConnectionIndex(network, database, 300)
-        built = con.precompute(segment_ids=[0, 1], slots=[0, 1], kinds=("far",))
+        built = con.precompute(segment_ids=[0, 1], slots=[0, 1])
         assert built == 4
         assert con.num_entries == 4
 
-    def test_near_uses_min_speed(self, network):
+    def test_precompute_builds_far_entries_only(self, network, database):
+        con = ConnectionIndex(network, database, 300)
+        slot = con.slot_of(day_time(11))
+        built = con.precompute(slots=[slot])
+        assert built == network.num_segments == con.num_entries
+        assert {kind for kind, _, _ in con._entries} == {"far"}
+
+    def test_far_uses_max_speed(self, network):
         # Two observations: slow 1 m/s and fast 12 m/s.
         db = TrajectoryDatabase(num_taxis=2, num_days=1)
         t = float(day_time(11))
@@ -130,11 +149,9 @@ class TestConnectionIndex:
         db.finalize()
         con = ConnectionIndex(network, db, 300)
         slot = con.slot_of(t)
-        near = con.near(0, slot)
         far = con.far(0, slot)
-        # 600 m at 1 m/s = 600 s > 300 s: near cover is just the start.
-        assert near.tolist() == [0]
-        # 600 m at 12 m/s = 50 s: far cover reaches 6 hops.
+        # 600 m at 12 m/s = 50 s: far cover reaches 6 hops (at 1 m/s it
+        # would be the start alone).
         assert len(far) > 10
 
 
@@ -150,7 +167,7 @@ class TestConnectionIndex:
         assert con.expansions == 2
 
 
-@pytest.mark.parametrize("kind", ["far", "near", "far_rev", "near_rev"])
+@pytest.mark.parametrize("kind", ["far", "far_rev"])
 def test_every_entry_is_its_expansion_cover(network, kind):
     """Each entry is the expansion's cover, sorted, for every segment and
     direction (forward and reverse)."""
@@ -164,7 +181,7 @@ def test_every_entry_is_its_expansion_cover(network, kind):
     db.finalize()
     con = ConnectionIndex(network, db, 300)
     slot = con.slot_of(t)
-    vector = con.travel_time_vector(kind, slot)
+    vector = con.travel_time_vector(slot)
     sizes = set()
     for sid in segs:
         expected = time_bounded_expansion(
@@ -191,11 +208,11 @@ class TestTravelTimeCache:
         equals the first fill, and the list cache follows its vector."""
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        expected = con.travel_time_vector("far", slot).copy()
+        expected = con.travel_time_vector(slot).copy()
         for _ in range(3):
             con.invalidate_entries()
-            vector = con.travel_time_vector("far", slot)
-            assert con.travel_time_list("far", slot) == vector.tolist()
+            vector = con.travel_time_vector(slot)
+            assert con.travel_time_list(slot) == vector.tolist()
         assert vector.tolist() == expected.tolist()
 
     def test_num_entries_counts_materialised(self, network, database):
@@ -218,7 +235,7 @@ def mixed_requests(network):
 
 def digest(report):
     return [
-        (r.segments, r.probabilities, r.max_region, r.min_region)
+        (r.segments, r.probabilities, r.max_region)
         for r in report.results
     ]
 

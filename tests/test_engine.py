@@ -68,12 +68,10 @@ class TestEngineBasics:
         assert result.cost.wall_time_s > 0
         assert result.cost.total_cost_ms >= result.cost.wall_time_s * 1e3
         assert result.max_region is not None
-        assert result.min_region is not None
 
     def test_es_has_no_bounding_regions(self, engine):
         result = s_query(engine, SQuery(CENTER, T, 600, 0.2), algorithm="es")
         assert result.max_region is None
-        assert result.min_region is None
 
     def test_dead_of_night_far_corner_is_empty(self, engine, test_dataset):
         # A location in the far corner at 03:00 with a tiny window has no

@@ -1,10 +1,9 @@
 """Kernel-equivalence tests: CSR expansion vs the classic set/heap code.
 
 The vectorized kernels of :mod:`repro.network.csr` must produce *identical*
-covers, boundaries and seed assignments to the legacy implementations kept
-in :mod:`reference.legacy_expansion`, on randomized networks, for all
-three bounding strategies (SQMB / MQMB / reverse) and both Near and Far
-kinds — that is the contract that lets the query algorithms swap the hot
+covers to the legacy implementations kept in
+:mod:`reference.legacy_expansion`, on randomized networks, for all three
+bounding strategies (SQMB / MQMB / reverse) — that is the contract that lets the query algorithms swap the hot
 path without changing any query result.
 """
 
@@ -18,10 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.con_index import ConnectionIndex
 from reference.legacy_expansion import (
-    mqmb_bounding_region_reference,
-    reverse_bounding_region_reference,
+    bounding_region_reference,
     slot_aware_expansion_reference,
-    sqmb_bounding_region_reference,
     time_bounded_expansion_reference,
 )
 from repro.core.mqmb import mqmb_bounding_region
@@ -76,11 +73,6 @@ def random_database(network, seed: int, num_days: int = 3) -> TrajectoryDatabase
     return db
 
 
-def assert_regions_equal(actual, reference):
-    assert actual.cover == reference.cover
-    assert actual.boundary == reference.boundary
-
-
 @pytest.mark.parametrize("topology", ["grid", "ring", "planar"])
 class TestTimeBoundedExpansion:
     def test_matches_reference_random_costs(self, topology):
@@ -120,7 +112,7 @@ class TestTimeBoundedExpansion:
 @pytest.mark.parametrize("topology", ["grid", "ring", "planar"])
 @pytest.mark.parametrize("seed", [1, 2])
 class TestStrategyEquivalence:
-    """All three bounding strategies, Near and Far, on randomized data."""
+    """All three bounding strategies on randomized data."""
 
     @pytest.fixture()
     def con(self, topology, seed):
@@ -137,7 +129,7 @@ class TestStrategyEquivalence:
         segment_ids = sorted(con.network.segment_ids())
         for start_time in self.START_TIMES:
             seeds = sorted(rng.sample(segment_ids, 2))
-            for kind in ("far", "near", "far_rev"):
+            for kind in ("far", "far_rev"):
                 new = slot_aware_expansion(con, seeds, start_time, 900.0, kind)
                 old = slot_aware_expansion_reference(
                     con, seeds, start_time, 900.0, kind
@@ -149,40 +141,30 @@ class TestStrategyEquivalence:
         segment_ids = sorted(con.network.segment_ids())
         for start_time in self.START_TIMES:
             start = rng.choice(segment_ids)
-            for kind in ("far", "near"):
-                for duration in (200.0, 900.0):
-                    assert_regions_equal(
-                        sqmb_bounding_region(con, start, start_time, duration, kind),
-                        sqmb_bounding_region_reference(
-                            con, start, start_time, duration, kind
-                        ),
-                    )
+            for duration in (200.0, 900.0):
+                region = sqmb_bounding_region(con, start, start_time, duration)
+                reference = bounding_region_reference(con, [start], start_time, duration)
+                assert region.cover == reference.cover
 
     def test_mqmb_matches_reference(self, con, topology, seed):
         rng = random.Random(seed + 200)
         segment_ids = sorted(con.network.segment_ids())
         for start_time in self.START_TIMES:
             seeds = rng.sample(segment_ids, 3)
-            for kind in ("far", "near"):
-                assert_regions_equal(
-                    mqmb_bounding_region(con, seeds, start_time, 900.0, kind),
-                    mqmb_bounding_region_reference(
-                        con, seeds, start_time, 900.0, kind
-                    ),
-                )
+            region = mqmb_bounding_region(con, seeds, start_time, 900.0)
+            reference = bounding_region_reference(con, seeds, start_time, 900.0)
+            assert region.cover == reference.cover
 
     def test_reverse_matches_reference(self, con, topology, seed):
         rng = random.Random(seed + 300)
         segment_ids = sorted(con.network.segment_ids())
         for start_time in self.START_TIMES:
             target = rng.choice(segment_ids)
-            for kind in ("far", "near"):
-                assert_regions_equal(
-                    reverse_bounding_region(con, target, start_time, 900.0, kind),
-                    reverse_bounding_region_reference(
-                        con, target, start_time, 900.0, kind
-                    ),
-                )
+            region = reverse_bounding_region(con, target, start_time, 900.0)
+            reference = bounding_region_reference(
+                con, [target], start_time, 900.0, reverse=True
+            )
+            assert region.cover == reference.cover
 
 
 class TestForcedKernelPath:
@@ -203,15 +185,12 @@ class TestForcedKernelPath:
         segment_ids = sorted(con.network.segment_ids())
         start = segment_ids[len(segment_ids) // 2]
         T = float(day_time(11))
-        for kind in ("far", "near"):
-            assert_regions_equal(
-                sqmb_bounding_region(con, start, T, 900.0, kind),
-                sqmb_bounding_region_reference(con, start, T, 900.0, kind),
-            )
+        region = sqmb_bounding_region(con, start, T, 900.0)
+        assert region.cover == bounding_region_reference(con, [start], T, 900.0).cover
         new = slot_aware_expansion(con, [start], T, 900.0, "far")
         old = slot_aware_expansion_reference(con, [start], T, 900.0, "far")
         assert new == old
-        vector = con.travel_time_vector("far", con.slot_of(T))
+        vector = con.travel_time_vector(con.slot_of(T))
         row_of = con.network.csr().row_of
         a = time_bounded_expansion(con.network, start, 900.0, vector)
         b = time_bounded_expansion_reference(
@@ -229,15 +208,12 @@ class TestForcedKernelPath:
         segment_ids = sorted(con.network.segment_ids())
         start = segment_ids[0]
         T = float(day_time(11))
-        for kind in ("far", "near"):
-            assert_regions_equal(
-                sqmb_bounding_region(con, start, T, 1200.0, kind),
-                sqmb_bounding_region_reference(con, start, T, 1200.0, kind),
-            )
+        region = sqmb_bounding_region(con, start, T, 1200.0)
+        assert region.cover == bounding_region_reference(con, [start], T, 1200.0).cover
         new = slot_aware_expansion(con, [start], T, 1200.0, "far")
         old = slot_aware_expansion_reference(con, [start], T, 1200.0, "far")
         assert new == old
-        vector = con.travel_time_vector("far", con.slot_of(T))
+        vector = con.travel_time_vector(con.slot_of(T))
         row_of = con.network.csr().row_of
 
         def cost_of(segment_id):
@@ -349,7 +325,7 @@ class TestCSRView:
         network = grid_city(rows=3, cols=3, spacing=500.0, primary_every=0, seed=2)
         database = random_database(network, seed=5)
         con = ConnectionIndex(network, database, delta_t_s=300)
-        before = con.travel_time_vector("far", 0)
+        before = con.travel_time_vector(0)
         assert before.size == network.csr().n
         node_a = network.next_node_id()
         network.add_node(node_a, Point(9000.0, 9000.0))
@@ -363,6 +339,6 @@ class TestCSRView:
                 shape=(Point(9000.0, 9000.0), Point(9000.0, 8500.0)),
             )
         )
-        after = con.travel_time_vector("far", 0)
+        after = con.travel_time_vector(0)
         assert after.size == network.csr().n == before.size + 1
-        assert len(con.travel_time_list("far", 0)) == after.size
+        assert len(con.travel_time_list(0)) == after.size

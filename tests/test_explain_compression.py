@@ -24,10 +24,9 @@ class TestExplain:
             "start-segment lookup",
             "start time-list read",
             "max bounding region",
-            "min bounding region",
-            "trace-back search",
+            "TBS (ring probe)",
         ]
-        assert explanation.max_cover >= explanation.min_cover
+        assert explanation.max_cover > 0
         assert explanation.region_segments >= 0
         assert explanation.examined >= 0
 
@@ -42,7 +41,7 @@ class TestExplain:
         explanation = explain(engine, SQuery(CENTER, T, 600, 0.2))
         text = explanation.to_text()
         assert "QUERY PLAN" in text
-        assert "trace-back search" in text
+        assert "TBS (ring probe)" in text
         assert "region=" in text
 
     def test_dead_query_short_plan(self, engine, test_dataset):
@@ -56,6 +55,6 @@ class TestExplain:
         query = MQuery((CENTER, Point(1000.0, 600.0)), T, 600, 0.2)
         explanation = explain(engine, query, "mqmb_tbs")
         assert explanation.stages[0].name == "start-segment lookup"
-        assert explanation.stages[-1].name == "trace-back search"
+        assert explanation.stages[-1].name == "TBS (ring probe)"
         result = m_query(engine, query)
         assert explanation.region_segments == len(result.segments)

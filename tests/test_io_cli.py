@@ -192,7 +192,7 @@ class TestCLI:
         # The stage table of QueryExplanation.to_text(), from the one run
         # that also produced the answer below it.
         assert out.startswith("QUERY PLAN (sqmb_tbs)")
-        assert "trace-back search" in out and "region=" in out
+        assert "TBS (ring probe)" in out and "region=" in out
         assert out.count("Prob-reachable region") == 1
 
     def test_rquery_explain_names_the_route_it_ran(self, dataset_dir, capsys):

@@ -78,7 +78,7 @@ class TestConIndexSlotWrap:
         db.finalize()
         con = ConnectionIndex(network, db, 300)
         start_time = SECONDS_PER_DAY - 300.0  # the day's last 5-min slot
-        region = sqmb_bounding_region(con, route[0], start_time, 600.0, "far")
+        region = sqmb_bounding_region(con, route[0], start_time, 600.0)
         # Two hops: slot 287 (hour 23) then wrapped slot 0 (hour 0).  At
         # 12 m/s a 600 m segment costs 50 s, so the second hop sweeps the
         # whole corridor.

@@ -244,26 +244,21 @@ class TestSearchEquivalence:
         context = ExecutionContext(engine, 300)
         for start_time, duration in WINDOWS:
             start = rng.choice(segment_ids)
-            maximum = context.bounding_region(
-                "sqmb", (start,), start_time, duration, "far"
-            )
-            minimum = context.bounding_region(
-                "sqmb", (start,), start_time, duration, "near"
-            )
+            maximum = context.bounding_region("sqmb", (start,), start_time, duration)
             for prob in (0.05, 0.3):
                 new = trace_back_search(
                     engine.network,
                     {start: ProbabilityEstimator(
                         st, start, start_time, duration, database.num_days
                     )},
-                    prob, maximum, minimum,
+                    prob, maximum,
                 )
                 old = trace_back_search_reference(
                     engine.network,
                     {start: LegacyProbabilityEstimator(
                         st, start, start_time, duration, database.num_days
                     )},
-                    prob, maximum, minimum,
+                    prob, maximum,
                 )
                 self.assert_same_search(new, old)
 
@@ -287,10 +282,7 @@ class TestSearchEquivalence:
         dead, live = by_days[False], by_days[True]
         for seeds in ((dead,), (dead, live), (live, dead)):
             strategy = "sqmb" if len(seeds) == 1 else "mqmb"
-            regions = [
-                context.bounding_region(strategy, seeds, start_time, duration, kind)
-                for kind in ("far", "near")
-            ]
+            region = context.bounding_region(strategy, seeds, start_time, duration)
             for prob in (0.0, 0.1):
                 runs = []
                 for search, cls in (
@@ -301,7 +293,7 @@ class TestSearchEquivalence:
                     st.pool.invalidate()
                     spy = PoolSpy(st.pool)
                     try:
-                        result = search(engine.network, estimators, prob, *regions)
+                        result = search(engine.network, estimators, prob, region)
                     finally:
                         spy.close()
                     counters = [(e.checks, e._cache) for e in estimators.values()]
@@ -491,12 +483,8 @@ class TestTraceBackEmptyEstimators:
         from repro.core.query import BoundingRegion
 
         segment_ids = sorted(tiny_network.segment_ids())
-        region = BoundingRegion(
-            cover=set(segment_ids[:10]), boundary=set(segment_ids[:4])
-        )
-        result = trace_back_search(
-            tiny_network, {}, 0.5, region, BoundingRegion()
-        )
+        region = BoundingRegion(cover=set(segment_ids[:10]))
+        result = trace_back_search(tiny_network, {}, 0.5, region)
         assert result.region == set()
         assert result.failed == set()
         assert result.examined == 0

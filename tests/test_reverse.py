@@ -4,16 +4,14 @@ import pytest
 
 from benchmarks.client_protocol import r_query
 from repro.core.query import SQuery
-from repro.core.reverse import (
-    ReverseProbabilityEstimator,
-    reverse_bounding_region,
-)
+from repro.core.reverse import ReverseProbabilityEstimator, reverse_bounding_region
 from repro.core.st_index import STIndex
 from repro.network.expansion import time_bounded_expansion
 from repro.network.generator import grid_city
 from repro.spatial.geometry import Point
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit, day_time
 from repro.trajectory.store import TrajectoryDatabase
+from reference.min_speed_index import MinSpeedConnectionIndex
 
 CENTER = Point(0.0, 0.0)
 T = float(day_time(11))
@@ -118,9 +116,29 @@ class TestReverseExpansion:
 
 class TestReverseQuery:
     def test_bad_kind(self, engine):
+        """The reverse region is Bmax alone: there is no kind to pick."""
         con = engine.con_index(300)
-        with pytest.raises(ValueError):
-            reverse_bounding_region(con, 0, T, 600, kind="sideways")
+        with pytest.raises(TypeError):
+            reverse_bounding_region(con, 0, T, 600, kind="near")
+
+    def test_reverse_cover_grows_with_duration(self, engine):
+        con = engine.con_index(300)
+        target = engine.st_index(300).find_start_segment(CENTER)
+        small = reverse_bounding_region(con, target, T, 300)
+        large = reverse_bounding_region(con, target, T, 1200)
+        assert target in small.cover
+        assert small.cover <= large.cover
+        assert len(large.cover) > len(small.cover)
+
+    def test_reverse_near_within_far(self, engine):
+        """Backwards too, the Near (minimum-speed) region lies in Bmax."""
+        con = engine.con_index(300)
+        near_con = MinSpeedConnectionIndex(engine.network, engine.database, 300)
+        target = engine.st_index(300).find_start_segment(CENTER)
+        for duration in (60, 300, 600, 900):
+            near = reverse_bounding_region(near_con, target, T, duration)
+            far = reverse_bounding_region(con, target, T, duration)
+            assert near.cover <= far.cover
 
     def test_reverse_region_contains_upstream(self, engine, test_dataset):
         """Forward ES agreement: r is in the reverse region of S iff S is in
@@ -128,9 +146,7 @@ class TestReverseQuery:
         query = SQuery(CENTER, T, 600, 0.2)
         reverse_es = r_query(engine, query, algorithm="es")
         ours = r_query(engine, query, algorithm="sqmb_tbs")
-        assert reverse_es.segments - ours.segments == set()
-        over = ours.segments - reverse_es.segments
-        assert over <= ours.min_region.cover
+        assert ours.segments == reverse_es.segments
 
     def test_reverse_dual_of_forward(self, engine, test_dataset):
         """Spot-check duality through the raw estimators."""

@@ -97,10 +97,9 @@ class TestBatches:
             for prob in (0.1, 0.15, 0.2)
         ]
         report = run_batch(fresh, batch)
-        # One far + one near region for the shared shape; the other two
-        # queries reuse both.
-        assert report.regions_computed == 2
-        assert report.regions_reused == 4
+        # One region for the shared shape; the other two queries reuse it.
+        assert report.regions_computed == 1
+        assert report.regions_reused == 2
         sequential = [m_query(engine, q) for q in batch]
         assert [r.segments for r in report.results] == [
             r.segments for r in sequential
@@ -112,11 +111,11 @@ class TestBatches:
         fresh = QueryService(engine)
         batch = [SQuery(CENTER, T, 600, p) for p in (0.2, 0.5)]
         first = run_batch(fresh, batch)
-        assert first.regions_computed == 2  # far + near, shared shape
-        assert first.regions_reused == 2
+        assert first.regions_computed == 1  # shared shape
+        assert first.regions_reused == 1
         second = run_batch(fresh, batch)
         assert second.regions_computed == 0
-        assert second.regions_reused == 4
+        assert second.regions_reused == 2
         assert [r.segments for r in second.results] == [
             r.segments for r in first.results
         ]
@@ -149,11 +148,11 @@ class TestBatches:
             for prob in (0.2, 0.4, 0.5)
         ]
         report = run_batch(fresh, batch)
-        calls = 2 * len(batch)  # one far + one near region per query
+        calls = len(batch)  # one region per query
         assert report.regions_computed + report.regions_reused == calls
-        # 4 distinct (seeds, slot, steps) shapes x far/near.
-        assert report.regions_computed == 2 * len(durations)
-        assert report.regions_reused == calls - 2 * len(durations)
+        # 4 distinct (seeds, slot, steps) shapes.
+        assert report.regions_computed == len(durations)
+        assert report.regions_reused == calls - len(durations)
         # A second pass is served entirely from the service cache.
         again = run_batch(fresh, batch)
         assert again.regions_computed == 0

@@ -76,7 +76,6 @@ def assert_identical(baseline, report):
         assert actual.start_segments == expected.start_segments
         assert actual.probabilities == expected.probabilities
         assert actual.max_region == expected.max_region
-        assert actual.min_region == expected.min_region
 
 
 def cross_group_m_queries(sharded, requests) -> set[int]:
@@ -173,16 +172,15 @@ def _assert_plain_types(result):
     assert all(type(k) is int for k in result.segments)
     assert all(type(k) is int for k in result.probabilities)
     assert all(type(v) is float for v in result.probabilities.values())
-    for region in (result.max_region, result.min_region):
-        if region is not None:
-            assert all(type(k) is int for k in region.cover | region.boundary)
+    if result.max_region is not None:
+        assert all(type(k) is int for k in result.max_region.cover)
 
 
 def test_result_roundtrip(engine):
     client = ReachabilityClient(QueryService(engine))
     response = client.send(mixed_requests(engine.network, 1, 1)[1])
     result = response.result
-    assert result.max_region is not None and result.min_region is not None
+    assert result.max_region is not None
     cases = [
         result,
         QueryResult(),  # no regions, nothing computed
@@ -190,7 +188,7 @@ def test_result_roundtrip(engine):
         QueryResult(
             segments={1, 2},
             probabilities={2: 0.25},
-            min_region=BoundingRegion({1}, {1}),
+            max_region=BoundingRegion({1, 2, 5}),
         ),
     ]
     for case in cases:
@@ -200,7 +198,6 @@ def test_result_roundtrip(engine):
         assert restored.probabilities == case.probabilities
         assert restored.start_segments == case.start_segments
         assert restored.max_region == case.max_region
-        assert restored.min_region == case.min_region
         assert restored.cost == case.cost
         _assert_plain_types(restored)
 
@@ -213,7 +210,7 @@ def test_each_parts_merge_as_the_each_route_unions_them():
         segments={1, 2},
         probabilities={2: 0.5, 3: 0.1},
         start_segments=(10,),
-        max_region=BoundingRegion({1, 2, 3}, {3}),
+        max_region=BoundingRegion({1, 2, 3}),
     )
     second = QueryResult(
         segments={3, 4}, probabilities={3: 0.05}, start_segments=(20,)
@@ -223,7 +220,7 @@ def test_each_parts_merge_as_the_each_route_unions_them():
     assert merged.segments == {1, 2, 3, 4}
     assert merged.probabilities == {2: 0.5, 3: 0.05}
     assert merged.start_segments == (10, 20)
-    assert merged.max_region is None and merged.min_region is None
+    assert merged.max_region is None
     assert first.probabilities == {2: 0.5, 3: 0.1}  # parts left as they were
 
 
@@ -1008,7 +1005,7 @@ class TestProtocolErrorPaths:
             parse_reply,
         )
 
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
         with pytest.raises(ProtocolError, match="version mismatch"):
             parse_command((MSG_RUN, 1, {"version": 3, "warm": False, "shards": {0: []}}))
         with pytest.raises(ProtocolError, match="version mismatch"):

@@ -75,7 +75,6 @@ def assert_matches_oracle(report, baseline):
         assert actual.start_segments == expected.start_segments
         assert actual.probabilities == expected.probabilities
         assert actual.max_region == expected.max_region
-        assert actual.min_region == expected.min_region
 
 
 def assert_exact_io(report):

@@ -139,26 +139,21 @@ class TestExhaustiveSearch:
         )
 
 
-def make_regions(network, route, max_depth, min_depth):
-    """Bounding regions along the route: cover = route[:max_depth] (+twins)."""
-    from repro.core.sqmb import close_under_twins, region_boundary
+def make_region(network, route, depth):
+    """A bounding region along the route: cover = route[:depth] (+twins)."""
+    from repro.core.sqmb import close_under_twins
 
-    max_cover = set(route[:max_depth])
-    close_under_twins(network, max_cover)
-    min_cover = set(route[:min_depth])
-    close_under_twins(network, min_cover)
-    return (
-        BoundingRegion(cover=max_cover, boundary={route[max_depth - 1]}),
-        BoundingRegion(cover=min_cover, boundary={route[min_depth - 1]}),
-    )
+    cover = set(route[:depth])
+    close_under_twins(network, cover)
+    return BoundingRegion(cover=cover)
 
 
 class TestTraceBackSearch:
     def test_finds_threshold_boundary(self, world, route, network):
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 2)
+        max_region = make_region(network, route, 8)
         result = trace_back_search(
-            network, {route[0]: est}, 0.6, max_region, min_region
+            network, {route[0]: est}, 0.6, max_region
         )
         got_roads = {network.segment(s).canonical_id() for s in result.region}
         expected_roads = {
@@ -168,40 +163,49 @@ class TestTraceBackSearch:
 
     def test_examined_less_than_cover(self, world, route, network):
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 2)
+        max_region = make_region(network, route, 8)
         result = trace_back_search(
-            network, {route[0]: est}, 0.6, max_region, min_region
+            network, {route[0]: est}, 0.6, max_region
         )
         assert result.examined <= len(max_region.cover)
 
     def test_passed_and_failed_disjoint(self, world, route, network):
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 2)
+        max_region = make_region(network, route, 8)
         result = trace_back_search(
-            network, {route[0]: est}, 0.6, max_region, min_region
+            network, {route[0]: est}, 0.6, max_region
         )
         assert result.region.isdisjoint(result.failed)
 
     def test_min_cover_is_examined(self, world, route, network):
-        """Bmin is verified like the rest of Bmax: route[5] (0.75) and
-        route[6] (0.5) lie in it, and only the one at or above Prob stays."""
+        """What Bmin held (here route[:7]) is valued like the rest of the
+        ring: route[5] (0.75) and route[6] (0.5) lie in it, and only the
+        one at or above Prob stays."""
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 7)
-        result = trace_back_search(
-            network, {route[0]: est}, 0.6, max_region, min_region
-        )
-        assert min_region.cover <= result.region | result.failed
+        max_region = make_region(network, route, 8)
+        min_cover = make_region(network, route, 7).cover
+        result = trace_back_search(network, {route[0]: est}, 0.6, max_region)
+        assert min_cover <= result.region | result.failed
         got_roads = {network.segment(s).canonical_id() for s in result.region}
         expected_roads = {
             network.segment(route[i]).canonical_id() for i in range(6)
         }
         assert got_roads == expected_roads
 
+    def test_ring_is_the_max_cover(self, world, route, network):
+        """Every segment of Bmax is valued once, in one wave."""
+        _, est = world
+        max_region = make_region(network, route, 8)
+        result = trace_back_search(network, {route[0]: est}, 0.6, max_region)
+        assert set(result.probabilities) == max_region.cover
+        assert result.region | result.failed == max_region.cover
+        assert result.wave_sizes == [len(max_region.cover)]
+
     def test_prob_one_region_is_certain_prefix(self, world, route, network):
         _, est = world
-        max_region, min_region = make_regions(network, route, 8, 2)
+        max_region = make_region(network, route, 8)
         result = trace_back_search(
-            network, {route[0]: est}, 1.0, max_region, min_region
+            network, {route[0]: est}, 1.0, max_region
         )
         got_roads = {network.segment(s).canonical_id() for s in result.region}
         expected_roads = {
@@ -213,9 +217,9 @@ class TestTraceBackSearch:
         """Each segment is examined at most once (the Fig 3.5 r* rule)."""
         index, _ = world
         fresh = ProbabilityEstimator(index, route[0], T, 600, NUM_DAYS)
-        max_region, min_region = make_regions(network, route, 8, 2)
+        max_region = make_region(network, route, 8)
         trace_back_search(
-            network, {route[0]: fresh}, 0.6, max_region, min_region
+            network, {route[0]: fresh}, 0.6, max_region
         )
         # checks counts cache misses; visiting a segment twice would not
         # re-check, but the number of checks is bounded by the cover.

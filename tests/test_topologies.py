@@ -52,12 +52,7 @@ class TestTopologyVariants:
         query = SQuery(center, day_time(11), 600, 0.2)
         ours = s_query(engine, query)
         baseline = s_query(engine, query, algorithm="es")
-        # TBS never misses what ES finds; over-claim bounded by Bmin.
-        assert baseline.segments - ours.segments == set()
-        if ours.min_region is not None:
-            assert (
-                ours.segments - baseline.segments <= ours.min_region.cover
-            )
+        assert ours.segments == baseline.segments
 
     def test_region_grows_with_duration(self, topo_engine):
         dataset, engine = topo_engine
