@@ -8,7 +8,6 @@ memoised entries.
 """
 
 from repro.core.con_index import ConnectionIndex
-from repro.core.query import SQuery
 from repro.core.sqmb import sqmb_bounding_region
 from repro.eval import config
 from repro.eval.tables import format_table

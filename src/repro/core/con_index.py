@@ -165,9 +165,6 @@ class ConnectionIndex:
             self._entries.popitem(last=False)
         return entry
 
-    def far(self, segment_id: int, slot: int) -> np.ndarray:
-        return self.entry(segment_id, slot, "far")
-
     def _compute(self, segment_id: int, slot: int, kind: Kind) -> np.ndarray:
         self.expansions += 1
         arrival = time_bounded_expansion(

@@ -47,14 +47,16 @@ from repro.network.csr import CSRGraph, close_twins_mask, expand_slotted
 from repro.network.model import RoadNetwork
 
 
-def slot_aware_expansion(
+def _slot_expansion_dist(
     con_index: ConnectionIndex,
-    seeds: list[int],
+    csr: CSRGraph,
+    seed_rows: np.ndarray,
     start_time_s: float,
     budget_s: float,
-    kind: Kind = "far",
-) -> set[int]:
-    """Continuous-time expansion under per-slot speed models.
+    kind: Kind,
+) -> np.ndarray:
+    """Continuous-time arrivals from ``seed_rows`` under per-slot speed
+    models, via the slot-phased CSR kernel (``inf`` where unreached).
 
     Algorithm 1's per-slot entry hops quantize travel to whole segments
     per slot: a segment whose traversal time exceeds Δt is never crossed,
@@ -74,22 +76,6 @@ def slot_aware_expansion(
     the sub-slot start time), which is what makes bounding regions exactly
     shareable across queries in the same slot.
     """
-    csr = con_index.network.csr()
-    dist = _slot_expansion_dist(
-        con_index, csr, csr.rows_of(list(seeds)), start_time_s, budget_s, kind
-    )
-    return csr.mask_to_id_set(np.isfinite(dist))
-
-
-def _slot_expansion_dist(
-    con_index: ConnectionIndex,
-    csr: CSRGraph,
-    seed_rows: np.ndarray,
-    start_time_s: float,
-    budget_s: float,
-    kind: Kind,
-) -> np.ndarray:
-    """Residual-carry arrivals via the slot-phased CSR kernel."""
     start_slot = con_index.slot_of(start_time_s)
     num_slots = con_index.num_slots
 

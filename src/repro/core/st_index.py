@@ -22,6 +22,12 @@ Three components, exactly as Fig. 3.2 draws them:
   offsets]``, two per value in a block ``head`` flags — so every header sits
   where the length puts it and a wave of records decodes in one vector pass.
 
+Records lie on disk **road-major**: by road (a segment and its twin, ranked
+by the smaller id), then slot, then carriageway, so the two records Eq. 3.1
+reads together for a road's slot share a page run.  The order is a writer's
+choice only: the directory keeps ``(segment, slot)`` keys and explicit
+pointers, so a store written in any record order reads the same.
+
 Time-list payloads live on the :class:`~repro.storage.disk.SimulatedDisk`;
 every access is charged through a buffer pool, which is the cost the query
 algorithms compete on.
@@ -247,6 +253,22 @@ def _append(buffer: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
     return buffer
 
 
+def _road_table(network: RoadNetwork, num_slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`STIndex._road_major`'s code ``road * 2 * num_slots + carriageway``
+    per segment id up to the network's largest (ids it lacks: their own roads),
+    and the segment of each ``2 * road + carriageway`` (``-1`` for none)."""
+    csr = network.csr()
+    rows, twin = np.arange(csr.n), csr.twin_row
+    smaller = np.where((twin >= 0) & (twin[twin] == rows), np.minimum(rows, twin), rows)
+    leads = smaller == rows  # one row per road, in id order
+    road = (np.cumsum(leads) - 1)[smaller]
+    segment_of = np.full(2 * int(np.count_nonzero(leads)), -1, dtype=np.int64)
+    segment_of[2 * road + ~leads] = csr.ids
+    codes = (np.arange(csr.ids.max(initial=0) + 1) + segment_of.size // 2) * (2 * num_slots)
+    codes[csr.ids] = road * (2 * num_slots) + ~leads
+    return codes, segment_of
+
+
 class _PlanGathers:
     """One window plan's gathered segments as columns, the unit of the
     window-gather memo.  ``entry_of`` maps a segment to its entry ``i``:
@@ -333,6 +355,9 @@ class STIndex:
         # later days adds records to the chain (merged at read time), so
         # new data never forces an index rebuild.
         self.directory = TimeListDirectory(self.num_slots)
+        # Record order: per segment id its road-major code, per road and
+        # carriageway its segment (see _road_major).
+        self._roads = _road_table(network, self.num_slots)
         self._built = False
         self.record_cache_size = record_cache_size
         # Window-gather memo: an LRU of plans (``None`` after a first gather, then
@@ -374,17 +399,19 @@ class STIndex:
         Array-at-a-time (:meth:`_encode_time_lists` over one value sort of
         packed visit keys): every (segment, slot) record lands through
         :meth:`PageStore.append_many` — the same pages, pointers and
-        ``page_writes`` as appending each record in (segment, slot) order.
-        A trajectory that :func:`_check_visits` refuses raises before any
-        page is written.
+        ``page_writes`` as appending each record in road-major order (road,
+        slot, carriageway; see :meth:`_road_major`) — and the directory
+        adopts the pointers sorted by ``(segment, slot)``.  A trajectory
+        that :func:`_check_visits` refuses raises before any page is written.
         """
         if self._built:
             raise RuntimeError("ST-Index already built")
         keys, stream, lengths = self._encode_time_lists(database)
         columns = self._store.append_many(stream, lengths)
         del stream
+        order = keys.argsort(kind="stable")  # runs of ascending keys: a few merges
         self.directory = TimeListDirectory(
-            self.num_slots, keys, np.column_stack(columns)
+            self.num_slots, keys[order], np.column_stack([column[order] for column in columns])
         )
         # Group commit: the partial last page flushes once here.
         self._store.flush()
@@ -394,13 +421,15 @@ class STIndex:
 
     def _sorted_visits(self, source) -> list[np.ndarray] | None:
         """``source``'s distinct visits in (group, date, id, second) order:
-        ``[groups, runs, visits, run_dates, run_counts, ids, offsets]`` (per
-        group its key and numbers of runs and visits, per (group, date) run
-        its date and visits, per visit its id and second offset into its
-        slot; ``uint32`` from ``run_dates`` on), or ``None`` without visits.
+        ``[keys, runs, visits, run_dates, run_counts, ids, offsets]`` (per
+        group its ``segment * num_slots + slot`` key and numbers of runs and
+        visits, per (group, date) run its date and visits, per visit its id
+        and second offset into its slot; ``uint32`` from ``run_dates`` on),
+        or ``None`` without visits.
 
-        A group is ``segment * num_slots + slot``, times clamped into the
-        day like :meth:`slot_of`; a repeated visit counts once.  One value
+        A group is a (segment, slot) numbered road-major,
+        :meth:`_road_major`'s code plus ``2 * slot``, with times clamped
+        into the day like :meth:`slot_of`; a repeated visit counts once.  One value
         sort of a ``uint64`` per visit built in place in the groups column,
         each field but the offset shifted down by its minimum and as wide
         as its range's ``bit_length``; only fields wider than 64 bits in
@@ -413,8 +442,8 @@ class STIndex:
         np.clip(seconds, 0, SECONDS_PER_DAY - 1, out=seconds)
         seconds = seconds.astype(np.int64)
         groups = groups.astype(np.int64, copy=False)
-        groups *= self.num_slots
-        groups += seconds // self.delta_t_s
+        self._road_major(groups)
+        groups += (seconds // self.delta_t_s) << 1
         seconds %= self.delta_t_s  # the offset into its slot, as records store it
         group_lo, group_hi = int(groups.min()), int(groups.max())
         if group_lo < -(1 << 31) or group_hi >= 1 << 31:
@@ -473,15 +502,46 @@ class STIndex:
         del key
         visits = np.add.reduceat(run_counts, first_runs, dtype=np.int64)
         runs = _run_lengths(first_runs, run_dates.size)
-        return [groups, runs, visits, run_dates, run_counts, ids, seconds]
+        return [self._entry_keys(groups), runs, visits, run_dates, run_counts, ids, seconds]
+
+    def _road_major(self, segments: np.ndarray) -> None:
+        """Renumber segment ids in place as ``road * 2 * num_slots +
+        carriageway``: plus ``2 * slot``, a group that sorts records by
+        road, then slot, then carriageway.
+
+        A road is a segment and its twin, ranked by the smaller id, which is
+        carriageway 0.  An id the network lacks is a road of its own, in id
+        order after the network's roads (before them if negative).
+        """
+        codes, segment_of = self._roads
+        lacking = None
+        if segments.min() < 0 or segments.max() >= codes.size:
+            lacking = segments >= codes.size
+            lacking |= segments < 0
+            ids = segments[lacking]
+        np.take(codes, segments, out=segments, mode="clip")
+        if lacking is not None:
+            ids[ids >= 0] += segment_of.size // 2
+            ids *= 2 * self.num_slots
+            segments[lacking] = ids
+
+    def _entry_keys(self, groups: np.ndarray) -> np.ndarray:
+        """The ``segment * num_slots + slot`` key of each :meth:`_road_major` group."""
+        _, segment_of = self._roads
+        road, rest = np.divmod(groups, 2 * self.num_slots)
+        slot, carriageway = np.divmod(rest, 2)
+        segments = np.where(road < 0, road, road - segment_of.size // 2)
+        known = (road >= 0) & (segments < 0)
+        segments[known] = segment_of[2 * road[known] + carriageway[known]]
+        return segments * self.num_slots + slot
 
     def _encode_time_lists(self, source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (segment, slot) time list of ``source``, encoded in bulk.
 
         The one writer of the record layout :func:`decode_time_list_columns`
-        reads.  Returns the ``segment * num_slots + slot`` keys ascending,
-        the records back to back as one ``<u2`` word stream, and each
-        record's byte length.
+        reads.  Returns the records' ``segment * num_slots + slot`` keys,
+        the records back to back in road-major order as one ``<u2`` word
+        stream, and each record's byte length.
         """
         columns = self._sorted_visits(source)
         if columns is None:
@@ -520,9 +580,9 @@ class STIndex:
         New days of data arrive continuously in a deployed system; instead
         of rebuilding, each affected (segment, slot) entry gains one more
         record in its chain, merged with the existing ones at read time.
-        The records are encoded like :meth:`build`'s and land through one
-        :meth:`PageStore.append_many`.  Returns the number of entries
-        touched.  A trajectory that :func:`_check_visits` refuses raises
+        The records are encoded and ordered like :meth:`build`'s and land
+        through one :meth:`PageStore.append_many`.  Returns the number of
+        entries touched.  A trajectory that :func:`_check_visits` refuses raises
         ``ValueError`` before any page or journal record is written.
 
         Args:

@@ -357,14 +357,23 @@ class FileBackedDisk(SimulatedDisk):
         self._resident.extend(b"\x01" * (num_pages - first))
 
     # repro-lint: holds=_lock
-    def _ensure_resident_locked(self, first_page: int, count: int) -> None:
-        end = first_page + count
-        start = self._resident.find(0, first_page, end)
-        while start >= 0:
-            stop = self._resident.find(1, start, end)
-            stop = end if stop < 0 else stop
-            self._fault_in_run_locked(start, stop)
-            start = self._resident.find(0, stop, end)
+    def _ensure_resident_locked(
+        self, first_page: int | np.ndarray, count: int | np.ndarray
+    ) -> None:
+        runs = [(first_page, first_page + count)]
+        if np.ndim(first_page):  # a wave's runs: one vector test over their pages
+            pages = np.repeat(first_page - count.cumsum() + count, count)
+            pages += np.arange(pages.size)
+            absent = np.unique(pages[np.frombuffer(self._resident, np.bool_)[pages] == 0])
+            cuts = np.flatnonzero(np.diff(absent) != 1) + 1
+            runs = [(int(run[0]), int(run[-1]) + 1) for run in np.split(absent, cuts) if run.size]
+        for first, end in runs:
+            start = self._resident.find(0, first, end)
+            while start >= 0:
+                stop = self._resident.find(1, start, end)
+                stop = end if stop < 0 else stop
+                self._fault_in_run_locked(start, stop)
+                start = self._resident.find(0, stop, end)
 
     # repro-lint: holds=_lock
     def _note_writes_locked(self, first_page: int, count: int) -> None:

@@ -269,9 +269,9 @@ class SimulatedDisk:
         bytes here.  Record ``i`` is ``lengths[i]`` bytes from byte
         ``offsets[i]`` of page ``first_pages[i]`` on; the three columns are
         equal-length integer sequences.  One lock acquisition, one slice of
-        the backing buffer per run of records adjacent on disk, one join —
-        no per-page work; a backend faults in the pages each run spans.
-        Only meaningful for extents written front-to-back by a
+        the backing buffer per record, one join — no per-page work; a
+        backend faults in the pages of every record in one call.  Only
+        meaningful for extents written front-to-back by a
         :class:`~repro.storage.pagestore.PageStore`.
         """
         first, offset, length = (
@@ -284,23 +284,15 @@ class SimulatedDisk:
         size = self.page_size
         start = first * size + offset
         end = start + length
-        # Records that follow each other on disk (a segment's slots, written
-        # back to back) share one slice and one residency check.
-        breaks = (start[1:] != end[:-1]).nonzero()[0] + 1
-        spans = zip(
-            start[np.concatenate(([0], breaks))].tolist(),
-            end[np.concatenate((breaks - 1, [end.size - 1]))].tolist(),
-        )
+        first_page = start // size
         with self._lock:
             buf = self._buf
             if end.max() > len(buf):
                 raise DiskError("extent slice beyond allocated pages")
-            chunks: list[bytearray] = []
-            for lo, hi in spans:
-                if hi > lo:
-                    self._ensure_resident_locked(lo // size, (hi - 1) // size - lo // size + 1)
-                chunks.append(buf[lo:hi])
-            return b"".join(chunks)
+            self._ensure_resident_locked(first_page, (end - 1) // size + 1 - first_page)
+            # A slice per record: a wave asks for a segment's slots, then its
+            # twin's, which lie interleaved (road-major), so few adjoin.
+            return b"".join([buf[a:b] for a, b in zip(start.tolist(), end.tolist())])
 
     def attach_pool(self, pool: BufferPool) -> None:
         """Register a buffer pool for write-through invalidation.
@@ -370,8 +362,13 @@ class SimulatedDisk:
     # -- internal --------------------------------------------------------
 
     # repro-lint: holds=_lock
-    def _ensure_resident_locked(self, first_page: int, count: int) -> None:
+    def _ensure_resident_locked(
+        self, first_page: int | np.ndarray, count: int | np.ndarray
+    ) -> None:
         """Backend hook: fault ``count`` pages into ``_buf`` before access.
+
+        ``first_page`` and ``count`` are ints or aligned integer arrays, one
+        run of pages per element (runs may overlap).
 
         The in-RAM backend's buffer is always resident, so this is a
         no-op; the file-backed backend overrides it to read and

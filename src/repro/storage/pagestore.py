@@ -4,10 +4,9 @@
 Every record occupies an **extent** — a contiguous run of pages — so a
 :class:`RecordPointer` is just ``(first_page, num_pages, offset, length)``
 and reading records back is one :meth:`SimulatedDisk.extent_bytes` call:
-one slice of the disk's backing buffer per run of adjacent records, however
-many records and pages.  Reading still *charges* every page of each extent
-— exactly the cost model the paper's index design optimises against; only
-the Python work per read shrinks.
+one slice of the disk's backing buffer per record.  Reading still *charges*
+every page of each extent — exactly the cost model the paper's index design
+optimises against; only the Python work per read shrinks.
 
 Writes are **group-committed**: the tail page stays in an in-memory write
 buffer and is flushed when it fills (a page boundary) or on an explicit

@@ -8,12 +8,14 @@ byte-identical pages, pointers, counters and tail state.  The changes
 from that body are the lower clamp on visit times (it clamped only the
 upper end), matching ``STIndex.slot_of`` and ``append_trajectories``, and
 the record layout: ``encode_time_list`` is the scalar spec of store
-format 4, so each record is encoded with its slot's start.
+format 4, so each record is encoded with its slot's start; and the record
+order, road-major (:func:`road_order`) instead of by segment.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -88,6 +90,36 @@ def decode_time_list(payload: bytes, slot_start: int = 0) -> dict[int, list[tupl
     return per_date
 
 
+def road_order(network) -> Callable[[int], tuple[int, int]]:
+    """``segment id -> (road, carriageway)``, the leading keys of the order
+    records are written in (then slot, then carriageway).
+
+    A road is a segment and its twin (when each names the other), numbered
+    by rank of the smaller id, which is carriageway 0.  An id the network
+    lacks is a road of its own: numbered after the network's roads by id,
+    or by the id itself when negative.
+    """
+
+    def smaller(segment_id: int) -> int:
+        twin = network.segment(segment_id).twin_id
+        if twin is None or not network.has_segment(twin):
+            return segment_id
+        if network.segment(twin).twin_id != segment_id:
+            return segment_id
+        return min(segment_id, twin)
+
+    roads = sorted({smaller(segment_id) for segment_id in network.segment_ids()})
+    rank = {road: number for number, road in enumerate(roads)}
+
+    def order(segment_id: int) -> tuple[int, int]:
+        if not network.has_segment(segment_id):
+            return (segment_id if segment_id < 0 else len(roads) + segment_id), 0
+        road = smaller(segment_id)
+        return rank[road], int(segment_id != road)
+
+    return order
+
+
 def entry_keys(index: STIndex) -> list[tuple[int, int]]:
     """The index's ``(segment, slot)`` entries, ascending."""
     columns = index.directory.columns()
@@ -116,11 +148,13 @@ def scalar_build(index: STIndex, database: TrajectoryDatabase) -> None:
         dates = np.concatenate(date_parts)
         tids = np.concatenate(tid_parts)
         seconds = np.concatenate(time_parts)
-        order = np.lexsort((seconds, tids, dates, slots, segments))
+        order_of = road_order(index.network)
+        road, carriageway = np.array([order_of(segment) for segment in segments.tolist()]).T
+        order = np.lexsort((seconds, tids, dates, carriageway, slots, road))
         segments, slots = segments[order], slots[order]
         dates, tids = dates[order], tids[order]
         seconds = seconds[order]
-        group_keys = segments * index.num_slots + slots
+        group_keys = (road[order] * index.num_slots + slots) * 2 + carriageway[order]
         _, starts = np.unique(group_keys, return_index=True)
         boundaries = np.append(starts, len(group_keys))
         rows = []
@@ -163,9 +197,9 @@ def scalar_append(index: STIndex, trajectories) -> int:
     The ``append_trajectories`` body from before it shared the bulk
     build's encoder: a per-visit dict of sets, then one
     ``encode_time_list`` and ``PageStore.append`` per entry in (segment,
-    slot) order — kept so ``tests/test_bulk_build.py`` can require the
-    vector append to leave byte-identical pages, pointers, counters and
-    tail state.
+    slot) order, now road-major — kept so ``tests/test_bulk_build.py``
+    can require the vector append to leave byte-identical pages, pointers,
+    counters and tail state.
     """
     pending: dict[tuple[int, int], dict[int, set[tuple[int, int]]]] = {}
     for trajectory in trajectories:
@@ -173,8 +207,9 @@ def scalar_append(index: STIndex, trajectories) -> int:
             second = int(min(max(0.0, visit.time_s), SECONDS_PER_DAY - 1))
             per_date = pending.setdefault((visit.segment_id, index.slot_of(visit.time_s)), {})
             per_date.setdefault(trajectory.date, set()).add((trajectory.trajectory_id, second))
+    order = road_order(index.network)
     delta = []
-    for key in sorted(pending):
+    for key in sorted(pending, key=lambda key: (order(key[0])[0], key[1], order(key[0])[1])):
         per_date = {d: sorted(v) for d, v in pending[key].items()}
         payload = encode_time_list(per_date, key[1] * index.delta_t_s)
         delta.append((*key, *index._store.append(payload)))

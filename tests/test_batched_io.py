@@ -263,8 +263,8 @@ class TestConIndexLazyEntries:
         con = ConnectionIndex(engine.network, engine.database, 300)
         keys = [(sid, 130) for sid in sorted(engine.network.segment_ids())[:12]]
         pages = engine.disk.num_pages
-        first = [(con.far(*key), con.entry(*key, "far_rev")) for key in keys]
-        again = [(con.far(*key), con.entry(*key, "far_rev")) for key in keys]
+        first = [(con.entry(*key, "far"), con.entry(*key, "far_rev")) for key in keys]
+        again = [(con.entry(*key, "far"), con.entry(*key, "far_rev")) for key in keys]
         assert all(
             np.array_equal(a, b) for pair, other in zip(first, again) for a, b in zip(pair, other)
         )

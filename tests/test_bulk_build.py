@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.st_index_build import scalar_append, scalar_build
+from reference.st_index_build import road_order, scalar_append, scalar_build
 from repro.core.directory import DIRECTORY_COLUMNS, TimeListDirectory
 from repro.core.st_index import STIndex
 from repro.io.persist import PersistFormatError
@@ -418,12 +418,23 @@ class TestBuildInputChecks:
         assert keys.tolist() == [(top_date << 32) | top_id]
 
     def test_packed_key_overflow_raises_before_writing(self, network):
-        database = TrajectoryDatabase(num_taxis=1, num_days=1)
-        database.add_arrays(1, 0, 0, [30_000], [10.0], [1.0])
-        index = STIndex(network, 1)  # 86,400 slots x segment 30,000 > 2**31
-        with pytest.raises(ValueError, match="overflows"):
-            index.build(database)
-        assert index.disk.num_pages == 0 and not index._built
+        """The build key's group is ``(road * num_slots + slot) * 2 +
+        carriageway``, an id the network lacks road ``num_roads + id``; at
+        Δt = 1 s (86,400 slots), slot 10, the first such id whose group
+        reaches 2**31 raises, the one before it builds."""
+        roads = len({road_order(network)(segment)[0] for segment in network.segment_ids()})
+        first = -(-((1 << 31) - 20) // (2 * 86_400)) - roads
+        for segment in (first - 1, first):
+            database = TrajectoryDatabase(num_taxis=1, num_days=1)
+            database.add_arrays(1, 0, 0, [segment], [10.0], [1.0])
+            index = STIndex(network, 1)
+            if segment < first:
+                index.build(database)
+                assert index.time_entries(segment, 10) == {0: [(1, 10)]}
+                continue
+            with pytest.raises(ValueError, match="overflows"):
+                index.build(database)
+            assert index.disk.num_pages == 0 and not index._built
 
 
 #: Generated tables per sort path (CI's deep lane draws 200).

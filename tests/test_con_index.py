@@ -67,12 +67,12 @@ class TestConnectionIndex:
     def test_cover_contains_start(self, network, database):
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        entry = con.far(0, slot)
+        entry = con.entry(0, slot, "far")
         assert 0 in ids(entry)
 
     def test_entry_is_a_sorted_read_only_id_array(self, network, database):
         con = ConnectionIndex(network, database, 300)
-        entry = con.far(5, con.slot_of(day_time(11)))
+        entry = con.entry(5, con.slot_of(day_time(11)), "far")
         assert entry.dtype == np.int64
         assert entry.tolist() == sorted(ids(entry))
         assert len(entry) > 1
@@ -84,7 +84,7 @@ class TestConnectionIndex:
         # 600 m at 6 m/s = 100 s per segment; Δt=300 s -> 3 hops.
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        entry = con.far(0, slot)
+        entry = con.entry(0, slot, "far")
         from repro.network.expansion import time_bounded_expansion
 
         expected = time_bounded_expansion(
@@ -96,15 +96,15 @@ class TestConnectionIndex:
         # No data at hour 3 (and neighbours): only the start remains.
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(3))
-        entry = con.far(0, slot)
+        entry = con.entry(0, slot, "far")
         assert entry.tolist() == [0]
 
     def test_memoized_entry_identical(self, network, database):
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        first = con.far(0, slot)
+        first = con.entry(0, slot, "far")
         expansions = con.expansions
-        second = con.far(0, slot)
+        second = con.entry(0, slot, "far")
         assert second is first
         assert con.expansions == expansions  # cached, no recompute
 
@@ -112,10 +112,10 @@ class TestConnectionIndex:
         monkeypatch.setattr(con_index, "ENTRY_CACHE_SIZE", 1)
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        first = con.far(0, slot)
-        con.far(1, slot)  # evicts the entry for segment 0
+        first = con.entry(0, slot, "far")
+        con.entry(1, slot, "far")  # evicts the entry for segment 0
         assert con.num_entries == 1
-        again = con.far(0, slot)
+        again = con.entry(0, slot, "far")
         assert again is not first
         assert np.array_equal(again, first)
         assert con.expansions == 3  # the evicted entry was expanded again
@@ -149,7 +149,7 @@ class TestConnectionIndex:
         db.finalize()
         con = ConnectionIndex(network, db, 300)
         slot = con.slot_of(t)
-        far = con.far(0, slot)
+        far = con.entry(0, slot, "far")
         # 600 m at 12 m/s = 50 s: far cover reaches 6 hops (at 1 m/s it
         # would be the start alone).
         assert len(far) > 10
@@ -158,10 +158,10 @@ class TestConnectionIndex:
     def test_invalidate_entries_rebuilds_equal_entries(self, network, database):
         con = ConnectionIndex(network, database, 300)
         slot = con.slot_of(day_time(11))
-        first = con.far(0, slot)
+        first = con.entry(0, slot, "far")
         con.invalidate_entries()
         assert con.num_entries == 0
-        again = con.far(0, slot)
+        again = con.entry(0, slot, "far")
         assert again is not first
         assert np.array_equal(again, first)
         assert con.expansions == 2

@@ -23,7 +23,7 @@ from reference.legacy_expansion import (
 )
 from repro.core.mqmb import mqmb_bounding_region
 from repro.core.reverse import reverse_bounding_region
-from repro.core.sqmb import slot_aware_expansion, sqmb_bounding_region
+from repro.core.sqmb import _slot_expansion_dist, sqmb_bounding_region
 from repro.network.expansion import time_bounded_expansion
 from repro.network.generator import grid_city, random_planar_city, ring_radial_city
 from repro.trajectory.model import (
@@ -33,6 +33,13 @@ from repro.trajectory.model import (
     day_time,
 )
 from repro.trajectory.store import TrajectoryDatabase
+
+
+def slot_aware_expansion(con, seeds, start_time, budget, kind) -> set[int]:
+    """The residual-carry cover of ``seeds``: every segment it reaches."""
+    csr = con.network.csr()
+    dist = _slot_expansion_dist(con, csr, csr.rows_of(seeds), start_time, budget, kind)
+    return csr.mask_to_id_set(np.isfinite(dist))
 
 
 def make_network(kind: str, seed: int):

@@ -14,7 +14,6 @@ from repro.io.persist import (
     save_dataset,
     save_network,
 )
-from repro.network.generator import grid_city
 from repro.trajectory.model import MatchedTrajectory, SegmentVisit
 from repro.trajectory.store import TrajectoryDatabase
 

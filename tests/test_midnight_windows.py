@@ -21,7 +21,6 @@ from repro.trajectory.model import (
     SECONDS_PER_DAY,
     MatchedTrajectory,
     SegmentVisit,
-    day_time,
 )
 from repro.trajectory.store import TrajectoryDatabase
 

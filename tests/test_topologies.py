@@ -11,7 +11,6 @@ from benchmarks.client_protocol import s_query
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.datasets.shenzhen_like import ShenzhenLikeConfig, build_shenzhen_like
-from repro.spatial.geometry import Point
 from repro.trajectory.model import day_time
 
 
